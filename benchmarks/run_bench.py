@@ -1236,7 +1236,7 @@ def bench_snapshot_read_concurrency(
             fresh = Path(tempfile.mkdtemp(prefix="bench_snapshot_full_")) / "index"
             try:
                 start = time.perf_counter()
-                index.save(fresh, incremental=False)
+                index.save(fresh)
                 wholesale_samples.append((time.perf_counter() - start) * 1000.0)
                 assert index.last_save_report["mode"] == "full"
             finally:

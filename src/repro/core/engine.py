@@ -591,8 +591,9 @@ class ExecutionEngine:
     ) -> tuple[dict[int, int], parallel.ShardCounts, int, int]:
         """One query, sharded over the resident pool and merged.
 
-        Same contract as :func:`repro.core.parallel.run_sharded`; single-shard
-        payloads run in-process without ever touching (or starting) the pool.
+        Returns ``(accumulators, counts, merge_multiplications, shards)``.
+        Single-shard payloads run in-process, merge-free, without ever
+        touching (or starting) the pool; an empty payload reports zero shards.
         Worker death, deadlines, and transient errors during collection are
         healed per shard (see :meth:`_recover_task`).
         """

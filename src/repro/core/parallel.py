@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,9 +60,6 @@ __all__ = [
     "collect_shard_results",
     "shard_tasks",
     "derive_worker_seed",
-    "run_sharded",
-    "run_query_batch",
-    "shard_executor",
 ]
 
 #: Per-term work unit shipped to workers: ``(encrypted_selector, doc_ids,
@@ -362,8 +358,8 @@ def _shard_task(
 ) -> tuple[dict[int, int], ShardCounts]:
     """Worker entry point: re-seed, sync the backend, run the kernel.
 
-    Only ever executed inside a worker process -- the in-process fallbacks
-    below call :func:`accumulate_terms` directly, because re-seeding the
+    Only ever executed inside a worker process -- the engine's in-process
+    paths call :func:`accumulate_terms` directly, because re-seeding the
     *caller's* module-level generators to a derivable seed would make every
     subsequent fallback encryption in the parent predictable.  The active
     big-integer backend is carried in the task because a ``spawn``-started
@@ -376,72 +372,3 @@ def _shard_task(
     if numbertheory.get_backend() != backend:
         numbertheory.set_backend(backend)
     return accumulate_terms(payload, modulus)
-
-
-def shard_executor(parallelism: int) -> Executor:
-    """A process pool sized for ``parallelism`` shard/batch workers."""
-    return ProcessPoolExecutor(max_workers=parallelism)
-
-
-def run_sharded(
-    payload: Sequence[TermPayload],
-    modulus: int,
-    parallelism: int,
-    base_seed: int = DEFAULT_WORKER_SEED,
-    executor: Executor | None = None,
-) -> tuple[dict[int, int], ShardCounts, int, int]:
-    """Shard one query's payload over worker processes and merge the partials.
-
-    Returns ``(accumulators, counts, merge_multiplications, shards)``.  With
-    ``parallelism <= 1`` (or a single-term query, which cannot shard) the
-    kernel runs in-process and the result is the sequential fast path's,
-    merge-free.
-    """
-    shards = partition_payload(payload, parallelism)
-    if len(shards) <= 1 or parallelism <= 1:
-        accumulators, counts = accumulate_terms(payload, modulus)
-        # An empty payload executed zero shards; reporting 1 would drift the
-        # server's shards_executed counter on empty queries.
-        return accumulators, counts, 0, len(shards)
-    tasks = shard_tasks(shards, modulus, base_seed, numbertheory.get_backend())
-    own_executor = executor is None
-    if own_executor:
-        executor = shard_executor(min(parallelism, len(shards)))
-    try:
-        partials = list(executor.map(_shard_task, tasks))
-    finally:
-        if own_executor:
-            executor.shutdown()
-    merged, counts, merge_multiplications = collect_shard_results(partials, modulus)
-    return merged, counts, merge_multiplications, len(shards)
-
-
-def run_query_batch(
-    payloads: Sequence[Sequence[TermPayload]],
-    modulus: int,
-    parallelism: int,
-    base_seed: int = DEFAULT_WORKER_SEED,
-    executor: Executor | None = None,
-) -> list[tuple[dict[int, int], ShardCounts]]:
-    """Accumulate a batch of queries, one worker task per query.
-
-    Inter-query parallelism needs no merge step at all (each query's
-    accumulators are complete), so for batches it beats intra-query sharding:
-    the only overhead over sequential is payload pickling.  With
-    ``parallelism <= 1`` the batch runs in-process, in order, through the
-    same kernel.
-    """
-    if parallelism <= 1 or len(payloads) <= 1:
-        # In-process: run the kernel directly.  _shard_task would re-seed the
-        # caller's module-level crypto generators to a derivable seed, which
-        # must never happen outside a worker process.
-        return [accumulate_terms(payload, modulus) for payload in payloads]
-    tasks = shard_tasks(payloads, modulus, base_seed, numbertheory.get_backend())
-    own_executor = executor is None
-    if own_executor:
-        executor = shard_executor(min(parallelism, len(payloads)))
-    try:
-        return list(executor.map(_shard_task, tasks))
-    finally:
-        if own_executor:
-            executor.shutdown()

@@ -35,16 +35,6 @@ from repro.textsearch.inverted_index import InvertedIndex, POSTING_BYTES
 __all__ = ["PIRRetrievalServer", "PIRRetrievalClient", "PIRRetrievalSystem"]
 
 
-def _pin_view(index):
-    """An immutable read view of ``index``, pinned for one call's lifetime.
-
-    Duck-typed like the PR server's ``_pin``: a live index yields its current
-    snapshot; an already-pinned :class:`IndexSnapshot` is read as-is.
-    """
-    snapshot = getattr(index, "snapshot", None)
-    return snapshot() if snapshot is not None else index
-
-
 @dataclass
 class PIRRetrievalServer:
     """Server side of the PIR alternative: one KO database per bucket."""
@@ -69,8 +59,9 @@ class PIRRetrievalServer:
         self.buckets_fetched = 0
 
     def _pin(self):
-        """An immutable read view of the index (see :func:`_pin_view`)."""
-        return _pin_view(self.index)
+        """An immutable read view of the index, pinned for one call's lifetime:
+        a live index yields its current snapshot, an ``IndexSnapshot`` itself."""
+        return self.index.snapshot()
 
     def _sync_databases(self, view) -> None:
         """Evict cached databases of buckets an incremental index update touched.
@@ -265,7 +256,7 @@ class PIRRetrievalSystem:
         genuine = [t for t in dict.fromkeys(genuine_terms) if t in self.organization]
         if not genuine:
             raise ValueError("none of the query terms are in the bucket organisation")
-        view = _pin_view(self.index)  # one epoch for the whole estimate
+        view = self.index.snapshot()  # one epoch for the whole estimate
         element_bytes = (self.key_bits + 7) // 8
 
         buckets_fetched = 0

@@ -280,16 +280,14 @@ class PrivateRetrievalServer:
 
         Every entry point pins exactly once and threads the view through its
         whole answer, so a seal/merge-commit/compact publishing a new
-        manifest mid-query can never mix epochs inside one result.  Duck
-        typing keeps the server agnostic: a live
+        manifest mid-query can never mix epochs inside one result.  A live
         :class:`~repro.textsearch.inverted_index.InvertedIndex` yields its
         current :meth:`~repro.textsearch.inverted_index.InvertedIndex.snapshot`
-        (lock-free when nothing changed), while a server built directly over
-        an :class:`~repro.textsearch.inverted_index.IndexSnapshot` -- how the
-        service pins a whole streaming session -- reads that snapshot as-is.
+        (lock-free when nothing changed); a server built directly over an
+        :class:`~repro.textsearch.inverted_index.IndexSnapshot` -- how the
+        service pins a whole streaming session -- gets that snapshot back.
         """
-        snapshot = getattr(self.index, "snapshot", None)
-        return snapshot() if snapshot is not None else self.index
+        return self.index.snapshot()
 
     # -- incremental index updates -------------------------------------------------
     def _sync_power_plans(self, view) -> None:
@@ -560,7 +558,7 @@ class PrivateRetrievalServer:
         counters.postings_processed += counts.postings
         counters.table_multiplications += counts.table_multiplications
         counters.modular_multiplications += counts.accumulator_multiplications
-        # An empty query executes zero shards, matching run_sharded's report.
+        # An empty query executes zero shards, matching the engine's report.
         if payload:
             counters.shards_executed += 1
         return EncryptedResult(encrypted_scores=accumulators, modulus=modulus)

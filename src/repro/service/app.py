@@ -545,9 +545,8 @@ class RetrievalService:
             # rejects replicas that drift from its pinned epochs).
             server = tenant.coordinator_factory(public_key)
         else:
-            pin = getattr(tenant.index, "snapshot", None)
             server = PrivateRetrievalServer(
-                index=pin() if pin is not None else tenant.index,
+                index=tenant.index.snapshot(),
                 organization=tenant.organization,
                 public_key=public_key,
                 parallelism=parallelism,

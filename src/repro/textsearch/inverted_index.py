@@ -47,16 +47,18 @@ without a rebuild:
 * :meth:`compact` folds *everything* (sealed segments, unsealed delta,
   tombstones) back into a single base segment.
 
-Every read path (:meth:`columns`, :meth:`postings`, :meth:`serialise_list`,
-:meth:`document_frequency`, ``in``) sees the merged view transparently, so a
-query against **any** segment configuration -- unsealed delta, multiple
-sealed generations, mid-merge, after a ``save``/``load`` round trip -- is
-**bit-identical** to one against a from-scratch rebuild of the equivalent
-corpus.  Identity is achieved by re-deriving impacts lazily from the cached
-per-document term frequencies through the *same* scorer call :meth:`build`
-uses whenever the statistics have drifted (IDF-style scorers couple every
-impact to ``N`` and the document frequencies); re-tokenisation -- the
-expensive part of a rebuild -- never happens again.  Lists whose relative
+The live index is a **writer that publishes snapshots**; every read
+(``columns``, ``postings``, ``serialise_list``, ``document_frequency``,
+``in``...) is answered by the published :class:`IndexSnapshot` -- the one read
+implementation -- which sees the merged view, so a query against **any**
+segment configuration -- unsealed delta, multiple sealed generations,
+mid-merge, after a ``save``/``load`` round trip -- is **bit-identical** to
+one against a from-scratch rebuild of the equivalent corpus.  Identity is
+achieved by re-deriving impacts lazily from the cached per-document term
+frequencies through the *same* scorer call :meth:`build` uses whenever the
+statistics have drifted (IDF-style scorers couple every impact to ``N`` and
+the document frequencies); re-tokenisation -- the expensive part of a
+rebuild -- never happens again.  Lists whose relative
 order the scorer preserved keep their arrays and are only re-quantised when
 their impacts or the stored :attr:`max_impact` actually moved; reordered
 lists are re-sorted individually, per segment.
@@ -175,9 +177,11 @@ class UpdateCounters:
     refreshes: int = 0
     #: Per-document impact values recomputed across all refreshes.
     postings_rescored: int = 0
-    #: Per-segment lists whose impact/quant arrays were rewritten by a refresh.
+    #: Rewrites materialised into segments by writer paths (merge, compact,
+    #: wholesale save): per-segment lists whose impact/quant arrays changed.
+    #: Reads evaluate pending rewrites snapshot-locally and count nothing.
     lists_requantised: int = 0
-    #: Per-segment lists a refresh had to re-sort (scorer reordered them; never
+    #: The subset of those the scorer reordered, so they were re-sorted (never
     #: the cosine scorer, whose per-list order is update-invariant).
     lists_resorted: int = 0
     compactions: int = 0
@@ -268,10 +272,14 @@ class IndexSnapshot:
     reader's answers stay bit-identical to a quiesced run at its pinned
     epoch no matter what seal/merge/compact publishes after the pin.
 
+    This class is the **only read implementation**: the same-named methods
+    of :class:`InvertedIndex` are one-line forwards to its currently
+    published snapshot, so the read API is documented here, once.
+
     Deferred per-list rewrites still pending at pin time are evaluated
     lazily *snapshot-locally* through the same pure kernel
-    (:func:`~repro.textsearch.segments.rewrite_stale_columns`) the live
-    index uses, against the impact table pinned with the snapshot -- never
+    (:func:`~repro.textsearch.segments.rewrite_stale_columns`) the writer's
+    flush uses, against the impact table pinned with the snapshot -- never
     by mutating the shared segments.  The serving layer's caches key their
     invalidation off the snapshot's pinned ``update_epoch`` /
     ``stale_cache_terms``, so a cache synced against a pinned snapshot is
@@ -289,13 +297,13 @@ class IndexSnapshot:
         "_active",
         "_fresh",
         "_max_impact",
-        "_levels",
         "_update_epoch",
         "_journal_horizon",
         "_touched",
         "_manifest",
         "_merged",
         "_rewritten",
+        "_terms",
         "block_size",
         "quantise_levels",
         "stats",
@@ -318,16 +326,21 @@ class IndexSnapshot:
         #: next refresh, never mutates it in place.
         self._fresh = index._fresh
         self._max_impact = index._max_impact
-        self._levels = index.quantise_levels
         self._update_epoch = index._update_epoch
         self._journal_horizon = index._journal_horizon
         self._touched = dict(index._touched)
         self._manifest = index.segment_manifest()
         self._merged: dict[str, PostingColumns | None] = {}
         self._rewritten: dict[tuple[int, str], PostingColumns | None] = {}
+        self._terms: tuple[str, ...] | None = None
         self.block_size = index.block_size
         self.quantise_levels = index.quantise_levels
         self.stats = index.stats
+
+    def snapshot(self) -> "IndexSnapshot":
+        """A snapshot is its own pin, so ``index.snapshot()`` is the one
+        pinning idiom whether ``index`` is live or already pinned."""
+        return self
 
     # -- pinned read core ---------------------------------------------------
     def _segment_columns(self, position: int, term: str) -> PostingColumns | None:
@@ -340,12 +353,18 @@ class IndexSnapshot:
         if cached is not _MISSING:
             return cached
         rewritten, _ = rewrite_stale_columns(
-            columns, term, dead, self._fresh, self._max_impact, self._levels
+            columns, term, dead, self._fresh, self._max_impact, self.quantise_levels
         )
         self._rewritten[key] = rewritten
         return rewritten
 
     def _effective(self, term: str) -> PostingColumns | None:
+        """The inverted list: the k-way merge of every segment's run.
+
+        A term held by a single clean run comes back zero-copy (see
+        :func:`~repro.textsearch.segments.merge_posting_runs`), which keeps
+        the compacted hot path allocation-free.
+        """
         cached = self._merged.get(term, _MISSING)
         if cached is not _MISSING:
             return cached
@@ -360,14 +379,22 @@ class IndexSnapshot:
         self._merged[term] = merged
         return merged
 
-    # -- dictionary access (mirrors InvertedIndex) --------------------------
+    # -- dictionary access ---------------------------------------------------
     @property
     def terms(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(
-            term for lists, _, _ in self._records for term in lists
-        )
-        seen.update(dict.fromkeys(self._active))
-        return tuple(term for term in seen if self._effective(term) is not None)
+        """The dictionary ``T`` (terms that appear in at least one live document).
+
+        Memoised: the snapshot is immutable, so the walk runs once per pin.
+        """
+        if self._terms is None:
+            seen = dict.fromkeys(
+                term for lists, _, _ in self._records for term in lists
+            )
+            seen.update(dict.fromkeys(self._active))
+            self._terms = tuple(
+                term for term in seen if self._effective(term) is not None
+            )
+        return self._terms
 
     @property
     def num_terms(self) -> int:
@@ -377,24 +404,32 @@ class IndexSnapshot:
         return self._effective(term) is not None
 
     def postings(self, term: str) -> tuple[Posting, ...]:
+        """The impact-ordered inverted list ``L_i`` (empty for unknown terms)."""
         entries = self._effective(term)
         if entries is None:
             return ()
         return entries.view()
 
     def columns(self, term: str) -> tuple:
+        """The list's parallel ``(doc_ids, quantised_impacts)`` arrays (hot path).
+
+        Both arrays are shared storage: callers must not mutate them.
+        Unknown terms yield a pair of empty arrays.
+        """
         entries = self._effective(term)
         if entries is None:
             return array("I"), array("I")
         return entries.doc_ids, entries.quants
 
     def document_frequency(self, term: str) -> int:
+        """``f_t``: the number of live documents containing ``term``."""
         entries = self._effective(term)
         return len(entries) if entries is not None else 0
 
     def iterate_lists(
         self, terms: Iterable[str]
     ) -> Iterator[tuple[str, tuple[Posting, ...]]]:
+        """Yield ``(term, inverted list)`` for each requested term (skipping unknowns)."""
         for term in terms:
             entries = self._effective(term)
             if entries is not None:
@@ -402,18 +437,28 @@ class IndexSnapshot:
 
     # -- storage model ------------------------------------------------------
     def list_size_bytes(self, term: str) -> int:
+        """Size of a term's inverted list on disk."""
         return self.document_frequency(term) * POSTING_BYTES
 
     def list_size_blocks(self, term: str) -> int:
+        """Number of ``block_size`` disk blocks the list occupies (at least 1 when non-empty)."""
         size = self.list_size_bytes(term)
         if size == 0:
             return 0
         return -(-size // self.block_size)
 
     def total_size_bytes(self) -> int:
+        """Total index size (live inverted lists only, dictionary excluded)."""
         return sum(self.list_size_bytes(term) for term in self.terms)
 
     def serialise_list(self, term: str) -> bytes:
+        """The inverted list as bytes -- one PIR database column per bucket term.
+
+        Always the **effective** (merged, tombstone-filtered) view: while
+        delta postings or tombstones are pending, the serialised bytes
+        reflect exactly what every other read path serves, so the PIR layer
+        never leaks a pre-update row.
+        """
         entries = self._effective(term)
         if entries is None or not len(entries):
             return b""
@@ -438,12 +483,27 @@ class IndexSnapshot:
         return self._manifest
 
     def touched_since(self, epoch: int) -> frozenset[str]:
-        """Pinned-journal answer to :meth:`InvertedIndex.touched_since`.
+        """Terms whose observable list content may have changed after ``epoch``.
 
-        Evaluated purely against the journal as copied at pin time, so the
-        answer never moves while the snapshot is held -- maintenance on the
-        live index cannot retroactively force a cache synced against this
-        snapshot into wholesale invalidation.
+        Downstream caches (power-table plans, PIR bucket databases) record
+        :attr:`update_epoch` and on their next access drop exactly these
+        terms.  Seal/merge/compaction never appear here: they rewrite the
+        physical layout, not the merged content reads serve.  Evaluated
+        purely against the journal as copied at pin time, so maintenance on
+        the live index cannot retroactively force a cache synced against
+        this snapshot into wholesale invalidation.
+
+        Exact for lists whose post-update rewrite a writer path had
+        materialised before the pin; lists still *pending* their deferred
+        rewrite report as touched for any ``epoch`` before the pinned one
+        (whether their content moved is only known once the rewrite runs,
+        and running them all here is what the deferred design avoids).  At
+        ``epoch == update_epoch`` pending lists are not reported: a cache
+        synced at the pinned epoch either read a term or never cached it.
+        Below :attr:`journal_horizon` the exact answer has been pruned, so
+        the conservative superset -- every live term plus everything still
+        journaled -- comes back; per-term caches should go through
+        :meth:`stale_cache_terms`, which also covers departed terms.
         """
         if epoch < self._journal_horizon:
             conservative = set(self._touched)
@@ -462,7 +522,16 @@ class IndexSnapshot:
         return exact | pending
 
     def stale_cache_terms(self, cached_epoch: int) -> frozenset[str] | None:
-        """Pinned-journal answer to :meth:`InvertedIndex.stale_cache_terms`."""
+        """What a per-term cache synced at ``cached_epoch`` must drop.
+
+        The one entry point encoding the journal's invalidation protocol for
+        downstream caches (the PR server's power plans, the PIR bucket
+        databases): ``None`` means *clear everything* -- the cache is behind
+        :attr:`journal_horizon`, so exact answers are gone and terms that
+        have left the dictionary could otherwise linger; any other return is
+        the (possibly conservative) set of terms to evict, per
+        :meth:`touched_since`.
+        """
         if cached_epoch < self._journal_horizon:
             return None
         return self.touched_since(cached_epoch)
@@ -470,6 +539,11 @@ class IndexSnapshot:
 
 class InvertedIndex:
     """Dictionary plus impact-ordered inverted lists over a corpus.
+
+    The live index is the **writer**: it owns the segments, the unsealed
+    delta and the journal, and publishes immutable :class:`IndexSnapshot`
+    views (:meth:`snapshot`).  Its read methods forward to the published
+    snapshot, which is the one read implementation.
 
     Indexes built by :meth:`build` (or constructed with ``document_terms=``)
     additionally support incremental maintenance: see the module docstring
@@ -577,8 +651,7 @@ class InvertedIndex:
         self._active_tombstones: set[int] = set()
         self._active_lists: dict[str, PostingColumns] = {}
         self._active_postings = 0
-        # -- read-path caches ---------------------------------------------------
-        self._merged: dict[str, PostingColumns | None] = {}
+        #: Per-segment dead sets, memoised between manifest changes.
         self._dead: list | None = None
         #: Fresh per-document impacts from the latest refresh core; consumed
         #: by the deferred per-list rewrites.
@@ -891,74 +964,19 @@ class InvertedIndex:
             )
         return shards
 
-    def touched_since(self, epoch: int) -> frozenset[str]:
-        """Terms whose observable list content may have changed after ``epoch``.
-
-        Downstream caches (power-table plans, PIR bucket databases) snapshot
-        :attr:`update_epoch`, and on their next access drop exactly these
-        terms.  Seal/merge/compaction never appear here: they rewrite the
-        physical layout but the merged content every read path serves is
-        unchanged.
-
-        The answer is exact for terms whose post-update array rewrite has
-        already run, and a conservative superset for the rest: lists still
-        *pending* their deferred rewrite report as touched for any
-        ``epoch`` before the current one, because whether their content
-        moved is only known once the rewrite executes -- computing that
-        here would force the full-index rewrite the deferred design exists
-        to avoid.  For ``epoch == update_epoch`` pending lists are *not*
-        reported: a cache synced at the current epoch either read a term
-        (running its rewrite) or never cached it.
-
-        **Horizon contract:** maintenance prunes journal entries older than
-        the previous maintenance event (:attr:`journal_horizon`).  For an
-        ``epoch`` below the horizon the exact answer is gone, so every entry
-        older than the pruned horizon reports as touched: the conservative
-        superset of all live terms plus everything still journaled is
-        returned.  Callers tracking per-term caches should additionally
-        compare their synced epoch against :attr:`journal_horizon` and clear
-        wholesale when behind it, covering terms that have left the
-        dictionary since.
-        """
-        self._ensure_fresh()
-        if epoch < self._journal_horizon:
-            conservative = set(self._touched)
-            for segment in self._segments:
-                conservative.update(segment.lists)
-            conservative.update(self._active_lists)
-            return frozenset(conservative)
-        exact = frozenset(t for t, e in self._touched.items() if e > epoch)
-        if epoch >= self._update_epoch:
-            return exact
-        pending: set[str] = set()
-        for segment in self._segments:
-            pending.update(segment.stale_terms)
-        return exact | pending
-
-    def stale_cache_terms(self, cached_epoch: int) -> frozenset[str] | None:
-        """What a per-term cache synced at ``cached_epoch`` must drop.
-
-        The one entry point encoding the journal's invalidation protocol for
-        downstream caches (the PR server's power plans, the PIR bucket
-        databases): ``None`` means *clear everything* -- the cache is behind
-        :attr:`journal_horizon`, so exact answers are gone and terms that
-        have left the dictionary could otherwise linger; any other return is
-        the (possibly conservative) set of terms to evict, per
-        :meth:`touched_since`.
-        """
-        if cached_epoch < self._journal_horizon:
-            return None
-        return self.touched_since(cached_epoch)
-
     def _register_mutation(self, touched_terms: Iterable[str]) -> None:
         self._update_epoch += 1
         for term in touched_terms:
             self._touched[term] = self._update_epoch
         self._stale = True
-        self._merged.clear()
+        self._unpublish()
+        self._refresh_stats()
+
+    def _unpublish(self) -> None:
+        """Retire the published snapshot and the dead-set memo it was built
+        from; every mutation and manifest change ends here."""
         self._dead = None
         self._snapshot_handle = None
-        self._refresh_stats()
 
     def _refresh_stats(self) -> None:
         num_documents = len(self._doc_terms)
@@ -1105,9 +1123,7 @@ class InvertedIndex:
             self._active_tombstones = set()
             self._active_lists = {}
             self._active_postings = 0
-            self._merged.clear()
-            self._dead = None
-            self._snapshot_handle = None
+            self._unpublish()
             self.update_counters.segments_sealed += 1
             self._prune_journal()
             return segment.info()
@@ -1227,9 +1243,7 @@ class InvertedIndex:
             counters.segments_merged += len(ids)
             counters.merge_postings_written += written
             counters.merge_postings_dropped += dropped
-            self._merged.clear()
-            self._dead = None
-            self._snapshot_handle = None
+            self._unpublish()
             self._prune_journal()
             if self._update_epoch != handle.epoch:
                 # The corpus moved while the merge ran: the merged arrays carry
@@ -1287,17 +1301,15 @@ class InvertedIndex:
         contributed = sum(
             segment.num_postings for segment in self._segments[1:]
         ) + sum(len(columns) for columns in self._active_lists.values())
-        all_terms = dict.fromkeys(
-            term for segment in self._segments for term in segment.lists
-        )
-        all_terms.update(dict.fromkeys(self._active_lists))
+        # Materialise the deferred rewrites into the segments (counted, and
+        # journaled), then fold what a reader pinned right now would serve.
+        self._ensure_current_arrays()
+        view = IndexSnapshot(self)
         new_lists: dict[str, PostingColumns] = {}
         documents: set[int] = set()
         lists_merged = 0
-        for term in all_terms:
-            effective = self._effective(term)
-            if effective is None or not len(effective):
-                continue
+        for term in view.terms:
+            effective = view._effective(term)
             if effective is not base.lists.get(term):
                 lists_merged += 1
             new_lists[term] = effective
@@ -1323,9 +1335,7 @@ class InvertedIndex:
         self._active_tombstones = set()
         self._active_lists = {}
         self._active_postings = 0
-        self._merged = {}
-        self._dead = None
-        self._snapshot_handle = None
+        self._unpublish()
         self._prune_journal()
         counters = self.update_counters
         counters.compactions += 1
@@ -1343,8 +1353,7 @@ class InvertedIndex:
         path: str | Path,
         *,
         include_document_terms: bool = True,
-        incremental: bool | None = None,
-        wal_compact_records: int | None = None,
+        wal_compact_records: int = DEFAULT_WAL_COMPACT_RECORDS,
     ) -> SegmentManifest:
         """Persist the index as a columnar segment directory.
 
@@ -1367,21 +1376,17 @@ class InvertedIndex:
             its newest record (with orphaned-blob reclamation) once it
             exceeds ``wal_compact_records`` records.  A save that dies
             mid-write leaves the previous record the newest consistent one,
-            so :meth:`load` falls back to it.
+            so :meth:`load` falls back to it.  Every other save (first
+            save, new path, a directory someone else has since written) is
+            wholesale, under a fresh directory identity.
         include_document_terms:
             With the default ``True`` the per-document term frequencies are
             saved too, so the loaded index supports further incremental
             updates; ``False`` saves a smaller, read-only directory (and
             forces a wholesale save -- incremental mode needs the terms to
             restore deferred rewrites).
-        incremental:
-            ``None`` (default) auto-detects as described above; ``False``
-            forces a wholesale save under a fresh directory identity;
-            ``True`` merely re-enables auto-detection after a ``False``.
         wal_compact_records:
-            Compact the manifest log once it would exceed this many
-            records (default
-            :data:`~repro.textsearch.segments.DEFAULT_WAL_COMPACT_RECORDS`).
+            Compact the manifest log once it would exceed this many records.
 
         Returns the saved :class:`SegmentManifest` and leaves the write
         report (mode, segments written/reused, wal record count...) in
@@ -1391,13 +1396,11 @@ class InvertedIndex:
         reader snapshots stay valid across the save; do not call
         concurrently with another ``save`` on the same instance.
         """
-        root = Path(path)
         want_incremental = (
-            incremental is not False
-            and include_document_terms
+            include_document_terms
             and self._doc_terms is not None
             and self._persist is not None
-            and self._persist.get("path") == str(root.resolve())
+            and self._persist.get("path") == str(Path(path).resolve())
         )
         with self._snapshot_lock:
             if want_incremental:
@@ -1414,61 +1417,38 @@ class InvertedIndex:
                 self._ensure_current_arrays()
                 self.seal_delta()
                 runtime_fresh = True
-            return self._save_locked(
+            extra = {
+                "quantise_levels": self.quantise_levels,
+                "block_size": self.block_size,
+                "max_impact": self._max_impact,
+                "next_seq": self._next_seq,
+                "next_segment_id": self._next_segment_id,
+                "seal_threshold": self.seal_threshold,
+                "merge_policy": (
+                    {"fanout": self.merge_policy.fanout}
+                    if isinstance(self.merge_policy, TieredMergePolicy)
+                    else None
+                ),
+                "scorer": _scorer_spec(self._scorer),
+                "tokenizer": _tokenizer_spec(self._tokenizer),
+                "stats": {
+                    "num_documents": self.stats.num_documents,
+                    "average_document_length": self.stats.average_document_length,
+                    "document_frequencies": dict(self.stats.document_frequencies),
+                },
+            }
+            report = write_index_directory(
                 path,
-                include_document_terms=include_document_terms,
-                incremental=incremental,
-                runtime_fresh=runtime_fresh,
+                segments=self._segments,
+                extra=extra,
+                document_terms=self._doc_terms if include_document_terms else None,
                 persist_state=self._persist if want_incremental else None,
+                runtime_fresh=runtime_fresh,
                 wal_compact_records=wal_compact_records,
             )
-
-    def _save_locked(
-        self,
-        path,
-        *,
-        include_document_terms,
-        incremental,
-        runtime_fresh,
-        persist_state,
-        wal_compact_records,
-    ) -> SegmentManifest:
-        extra = {
-            "quantise_levels": self.quantise_levels,
-            "block_size": self.block_size,
-            "max_impact": self._max_impact,
-            "next_seq": self._next_seq,
-            "next_segment_id": self._next_segment_id,
-            "seal_threshold": self.seal_threshold,
-            "merge_policy": (
-                {"fanout": self.merge_policy.fanout}
-                if isinstance(self.merge_policy, TieredMergePolicy)
-                else None
-            ),
-            "scorer": _scorer_spec(self._scorer),
-            "tokenizer": _tokenizer_spec(self._tokenizer),
-            "stats": {
-                "num_documents": self.stats.num_documents,
-                "average_document_length": self.stats.average_document_length,
-                "document_frequencies": dict(self.stats.document_frequencies),
-            },
-        }
-        kwargs = {}
-        if wal_compact_records is not None:
-            kwargs["wal_compact_records"] = wal_compact_records
-        report = write_index_directory(
-            path,
-            segments=self._segments,
-            extra=extra,
-            document_terms=self._doc_terms if include_document_terms else None,
-            persist_state=persist_state,
-            incremental=incremental,
-            runtime_fresh=runtime_fresh,
-            **kwargs,
-        )
-        self._persist = report.pop("persist_state")
-        self.last_save_report = report
-        return self.segment_manifest()
+            self._persist = report.pop("persist_state")
+            self.last_save_report = report
+            return self.segment_manifest()
 
     @classmethod
     def load(
@@ -1542,6 +1522,11 @@ class InvertedIndex:
                 document_frequencies=dict(stats_raw["document_frequencies"]),
                 average_document_length=stats_raw["average_document_length"],
             )
+            quantise_levels = manifest["quantise_levels"]
+            block_size = manifest["block_size"]
+            max_impact = manifest["max_impact"]
+            next_seq = manifest["next_seq"]
+            next_segment_id = manifest["next_segment_id"]
         except (KeyError, TypeError) as exc:
             raise CorruptIndexError(
                 f"index manifest under {path} is missing required metadata "
@@ -1564,18 +1549,6 @@ class InvertedIndex:
             merge_policy = (
                 TieredMergePolicy(fanout=policy_spec["fanout"]) if policy_spec else None
             )
-        try:
-            quantise_levels = manifest["quantise_levels"]
-            block_size = manifest["block_size"]
-            max_impact = manifest["max_impact"]
-            next_seq = manifest["next_seq"]
-            next_segment_id = manifest["next_segment_id"]
-        except KeyError as exc:
-            raise CorruptIndexError(
-                f"index manifest under {path} is missing required metadata "
-                f"({exc!r})",
-                path=path,
-            ) from exc
         index = cls.__new__(cls)
         index._install(
             segments=segments,
@@ -1593,27 +1566,22 @@ class InvertedIndex:
             buffers=buffers,
         )
         # Adopt the directory identity so the next save() of this instance
-        # back to the same path runs incrementally (v2 directories carry no
-        # uuid; their first re-save is wholesale and mints one).
-        if manifest.get("uuid"):
-            integrity = manifest.get("integrity", {})
-            files = {}
-            for entry in manifest.get("segments", []):
-                file_integrity = integrity.get(entry.get("file"))
-                if not file_integrity:
-                    continue
-                files[entry["segment_id"]] = {
+        # back to the same path runs incrementally.
+        integrity = manifest["integrity"]
+        index._persist = {
+            "path": str(Path(path).resolve()),
+            "uuid": manifest["uuid"],
+            "save_seq": manifest["save_seq"],
+            "files": {
+                entry["segment_id"]: {
                     "file": entry["file"],
-                    "content_version": int(entry.get("content_version", 0)),
+                    "content_version": entry["content_version"],
                     "terms": entry["terms"],
-                    "integrity": list(file_integrity),
+                    "integrity": list(integrity[entry["file"]]),
                 }
-            index._persist = {
-                "path": str(Path(path).resolve()),
-                "uuid": manifest["uuid"],
-                "save_seq": manifest.get("save_seq", 1),
-                "files": files,
-            }
+                for entry in manifest["segments"]
+            },
+        }
         if manifest.get("arrays_fresh", True) is False and document_terms is not None:
             # The record was saved with deferred rewrites outstanding: the
             # blobs hold pre-update arrays, so re-derive impacts on first
@@ -1623,23 +1591,9 @@ class InvertedIndex:
 
     @staticmethod
     def verify_directory(path: str | Path, *, deep: bool = True) -> dict:
-        """Audit a :meth:`save` tree without loading it.
-
-        Read-only and safe to run against a directory a live service is
-        serving from (saves never rewrite referenced blobs, so a concurrent
-        re-save cannot corrupt what this reads).  With ``deep`` (the
-        default) every data file is read back and checked against its
-        whole-file and per-term CRC32 checksums; ``deep=False`` checks only
-        structure, existence and sizes.  Every ``wal.log`` record's CRC
-        frame is audited either way (a torn tail is reported under
-        ``problems["wal.log"]``), and files no surviving record references
-        -- e.g. debris of an interrupted log compaction -- are listed under
-        ``orphans``.  Returns a report dict -- ``ok`` (primary manifest
-        fully consistent), ``problems`` (per manifest candidate), ``wal``,
-        ``orphans``, ``consistent``, ``recoverable`` (the checkpoint
-        :meth:`load` would fall back to, ``None`` if unrecoverable) and its
-        ``save_seq``.  Corruption is *reported*, never raised; only a
-        nonexistent ``path`` raises :class:`FileNotFoundError`.  See
+        """Audit a :meth:`save` tree without loading it: read-only, safe
+        against a directory a live service is serving from, and corruption
+        is *reported*, never raised.  The report is documented on
         :func:`repro.textsearch.segments.verify_index_directory`.
         """
         return verify_index_directory(path, deep=deep)
@@ -1647,22 +1601,10 @@ class InvertedIndex:
     @staticmethod
     def repair_directory(path: str | Path) -> dict:
         """Promote the newest fully-consistent checkpoint of a damaged
-        :meth:`save` tree and delete the debris.
-
-        Walks the manifest candidates (primary, ``wal.log`` records,
-        retained v2 generations) newest-first with deep verification,
-        atomically installs the first fully-consistent one as
-        ``manifest.json``, rewrites the manifest log down to that single
-        record, and removes data files, generation manifests and
-        interrupted-compaction debris it does not reference.  Returns
-        ``{"recovered": <manifest name>,
-        "save_seq": ..., "removed": [...]}``.  Raises
-        :class:`~repro.textsearch.segments.CorruptIndexError` when no
-        checkpoint survives verification (nothing is deleted in that case)
-        and :class:`FileNotFoundError` for a nonexistent path.  Mutates the
-        directory -- do not run it while another process is saving to or
-        loading from the same tree; quiesce the writer first (see
-        ``docs/operations.md``).
+        :meth:`save` tree and delete the debris; see
+        :func:`repro.textsearch.segments.repair_index_directory`.  Mutates
+        the directory -- quiesce any writer or loader of the same tree first
+        (``docs/operations.md``).
         """
         return repair_index_directory(path)
 
@@ -1680,12 +1622,12 @@ class InvertedIndex:
         by construction); tokenisation is never repeated.  The unsealed
         delta's columns are rebuilt eagerly (the delta is small between
         seals -- that is its whole point), but sealed segments are only
-        *marked stale*: each per-term array rewrite is deferred to the
-        list's first access (:meth:`_refresh_list`), so a query pays the
-        rewrite for exactly the terms it touches while a full
-        :meth:`compact` -- the single-delta maintenance strategy -- pays all
-        of them.  This is what makes sustained update streams cheap on the
-        segmented engine.
+        *marked stale*: each per-term array rewrite is deferred -- a
+        snapshot evaluates it for exactly the terms a query touches, and a
+        writer path that needs current arrays (merge, :meth:`compact`,
+        wholesale save) materialises it through :meth:`_refresh_list`.
+        This is what makes sustained update streams cheap on the segmented
+        engine.
         """
         self._stale = False
         scorer = self._scorer
@@ -1729,11 +1671,9 @@ class InvertedIndex:
             if segment.lists:
                 segment.stale_terms = set(segment.lists)
         counters.refreshes += 1
-        self._merged.clear()
-        self._dead = None
 
     def _refresh_list(self, segment: IndexSegment, term: str, dead) -> None:
-        """Access-time rewrite: align one segment's list with the fresh impacts.
+        """Writer-side rewrite: align one segment's list with the fresh impacts.
 
         The skip check is self-contained against current truth -- the stored
         impacts *and* quantised values of every live row are compared to
@@ -1771,7 +1711,7 @@ class InvertedIndex:
         segment.content_version += 1
 
     def _ensure_current_arrays(self) -> None:
-        """Flush every deferred per-list rewrite (journal/persist/merge paths)."""
+        """Flush every deferred per-list rewrite (compact and wholesale save)."""
         self._ensure_fresh()
         if all(not segment.stale_terms for segment in self._segments):
             return
@@ -1781,11 +1721,6 @@ class InvertedIndex:
                 continue
             for term in list(segment.stale_terms):
                 self._refresh_list(segment, term, dead[position])
-
-    # -- merged (k-way across segments + delta) read view ---------------------------
-    def _single_clean(self) -> bool:
-        """One segment, nothing unsealed: serve its arrays with zero merging."""
-        return len(self._segments) == 1 and not self.has_pending_updates
 
     def _dead_sets(self) -> list:
         """Per-segment dead sets: tombstones of every strictly newer segment."""
@@ -1799,119 +1734,51 @@ class InvertedIndex:
             self._dead = dead
         return self._dead
 
-    def _effective(self, term: str) -> PostingColumns | None:
-        """The live inverted list: the k-way merge of every segment's run."""
-        self._ensure_fresh()
-        if self._single_clean():
-            segment = self._segments[0]
-            if segment.stale_terms and term in segment.stale_terms:
-                self._refresh_list(segment, term, _EMPTY)
-            return segment.lists.get(term)
-        cached = self._merged.get(term, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        dead = self._dead_sets()
-        runs = []
-        for position, segment in enumerate(self._segments):
-            if segment.stale_terms and term in segment.stale_terms:
-                self._refresh_list(segment, term, dead[position])
-            runs.append((segment.lists.get(term), dead[position]))
-        runs.append((self._active_lists.get(term), _EMPTY))
-        merged = merge_posting_runs(runs)
-        if merged is not None and not len(merged):
-            merged = None
-        self._merged[term] = merged
-        return merged
-
-    # -- dictionary access --------------------------------------------------------
+    # -- read API: forwards to the published snapshot ------------------------------
+    # :class:`IndexSnapshot` is the one read implementation (and documents
+    # each method); the live index is a writer that publishes snapshots.
     @property
     def terms(self) -> tuple[str, ...]:
-        """The dictionary ``T`` (terms that appear in at least one live document)."""
-        self._ensure_fresh()
-        if self._single_clean():
-            return tuple(self._segments[0].lists)
-        seen = dict.fromkeys(
-            term for segment in self._segments for term in segment.lists
-        )
-        seen.update(dict.fromkeys(self._active_lists))
-        return tuple(term for term in seen if self._effective(term) is not None)
+        return self.snapshot().terms
 
     @property
     def num_terms(self) -> int:
-        self._ensure_fresh()
-        if self._single_clean():
-            return len(self._segments[0].lists)
-        return len(self.terms)
+        return self.snapshot().num_terms
 
     def __contains__(self, term: str) -> bool:
-        return self._effective(term) is not None
+        return term in self.snapshot()
 
     def postings(self, term: str) -> tuple[Posting, ...]:
-        """The impact-ordered inverted list ``L_i`` (empty for unknown terms)."""
-        entries = self._effective(term)
-        if entries is None:
-            return ()
-        return entries.view()
+        return self.snapshot().postings(term)
 
     def columns(self, term: str) -> tuple:
-        """The list's parallel ``(doc_ids, quantised_impacts)`` arrays (hot path).
-
-        Both arrays are the index's own storage: callers must not mutate
-        them, and an incremental update may replace them (readers holding
-        arrays across updates see the pre-update snapshot).  Unknown terms
-        yield a pair of empty arrays.
-        """
-        entries = self._effective(term)
-        if entries is None:
-            return array("I"), array("I")
-        return entries.doc_ids, entries.quants
+        return self.snapshot().columns(term)
 
     def document_frequency(self, term: str) -> int:
-        """``f_t``: the number of live documents containing ``term``."""
-        entries = self._effective(term)
-        return len(entries) if entries is not None else 0
+        return self.snapshot().document_frequency(term)
 
-    def iterate_lists(self, terms: Iterable[str]) -> Iterator[tuple[str, tuple[Posting, ...]]]:
-        """Yield ``(term, inverted list)`` for each requested term (skipping unknowns)."""
-        for term in terms:
-            entries = self._effective(term)
-            if entries is not None:
-                yield term, entries.view()
+    def iterate_lists(
+        self, terms: Iterable[str]
+    ) -> Iterator[tuple[str, tuple[Posting, ...]]]:
+        return self.snapshot().iterate_lists(terms)
 
-    # -- storage model -------------------------------------------------------------
     def list_size_bytes(self, term: str) -> int:
-        """Size of a term's inverted list on disk."""
-        return self.document_frequency(term) * POSTING_BYTES
+        return self.snapshot().list_size_bytes(term)
 
     def list_size_blocks(self, term: str) -> int:
-        """Number of ``block_size`` disk blocks the list occupies (at least 1 when non-empty)."""
-        size = self.list_size_bytes(term)
-        if size == 0:
-            return 0
-        return -(-size // self.block_size)
+        return self.snapshot().list_size_blocks(term)
 
     def total_size_bytes(self) -> int:
-        """Total index size (live inverted lists only, dictionary excluded)."""
-        self._ensure_fresh()
-        if self._single_clean():
-            return sum(
-                len(columns) * POSTING_BYTES
-                for columns in self._segments[0].lists.values()
-            )
-        return sum(self.list_size_bytes(term) for term in self.terms)
+        return self.snapshot().total_size_bytes()
 
     def serialise_list(self, term: str) -> bytes:
-        """The inverted list as bytes -- one PIR database column per bucket term.
+        return self.snapshot().serialise_list(term)
 
-        Always the **effective** (merged, tombstone-filtered) view: while
-        delta postings or tombstones are pending, the serialised bytes
-        reflect exactly what every other read path serves, so the PIR layer
-        never leaks a pre-update row.
-        """
-        entries = self._effective(term)
-        if entries is None or not len(entries):
-            return b""
-        return entries.serialise()
+    def touched_since(self, epoch: int) -> frozenset[str]:
+        return self.snapshot().touched_since(epoch)
+
+    def stale_cache_terms(self, cached_epoch: int) -> frozenset[str] | None:
+        return self.snapshot().stale_cache_terms(cached_epoch)
 
     @staticmethod
     def deserialise_list(data: bytes) -> tuple[Posting, ...]:

@@ -57,7 +57,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "CorruptIndexError",
@@ -84,12 +84,11 @@ __all__ = [
 
 #: Identifier written into every saved manifest.
 INDEX_FORMAT = "repro-index-segments"
-#: Version 3 adds the append-only manifest log (``wal.log``): every save
-#: appends one CRC-framed manifest record instead of rewriting the tree,
+#: The one on-disk format: an append-only manifest log (``wal.log``) -- every
+#: save appends one CRC-framed manifest record instead of rewriting the tree,
 #: previously persisted segment files are reused by reference, and recovery
-#: replays the log to the newest consistent record.  Version-2 trees
-#: (retained ``manifest_<seq>.json`` generations, no log) and version-1
-#: trees (no checksums, no generations) remain readable.
+#: replays the log to the newest consistent record.  A record carrying any
+#: other version is reported as a problem, never loaded.
 INDEX_FORMAT_VERSION = 3
 
 #: Manifest-log records retained before a save compacts ``wal.log`` down to
@@ -110,7 +109,7 @@ class CorruptIndexError(ValueError):
 
     Raised by :func:`read_index_directory` (and therefore
     :meth:`InvertedIndex.load <repro.textsearch.inverted_index.InvertedIndex.load>`)
-    when no fully-consistent manifest generation exists, and by lazy column
+    when no fully-consistent manifest record exists, and by lazy column
     materialisation when a term block fails its checksum -- the storage
     layer's contract is *clean recovery or a typed error, never silent wrong
     answers*.  ``path`` names the offending directory or file.
@@ -297,7 +296,7 @@ class IndexSegment:
     #: True for the build/compact product; never selected by the merge policy.
     base: bool = False
     #: Terms whose arrays await the deferred post-update rewrite (see
-    #: ``InvertedIndex._refresh_list``); consumed on first access.
+    #: ``InvertedIndex._refresh_list``); consumed by the writer's flushes.
     stale_terms: set[str] = field(default_factory=set)
     #: Bumped whenever a deferred rewrite replaces one of this segment's
     #: lists.  Incremental persistence compares it against the version a
@@ -761,15 +760,22 @@ def read_manifest_log(path: str | Path) -> list[dict]:
 
 
 def _record_files(record: Mapping) -> set[str]:
-    """Every data file one manifest record references."""
-    files = {
-        entry["file"]
-        for entry in record.get("segments", [])
-        if isinstance(entry, dict) and "file" in entry
-    }
-    if record.get("doc_terms_file"):
-        files.add(record["doc_terms_file"])
-    return files
+    """Every data file one manifest record references.
+
+    Tolerates malformed records (names that are not strings are skipped):
+    reclamation and the orphan audit run over records that may not validate.
+    """
+    segments = record.get("segments")
+    names = [record.get("doc_terms_file")]
+    if isinstance(segments, list):
+        names += [entry.get("file") for entry in segments if isinstance(entry, dict)]
+    return {name for name in names if isinstance(name, str)}
+
+
+def _save_seq(record: Mapping) -> int:
+    """A record's save sequence (0 when absent or malformed: it sorts last)."""
+    seq = record.get("save_seq")
+    return seq if isinstance(seq, int) else 0
 
 
 def _segment_blob(segment: IndexSegment) -> tuple[bytes, dict[str, tuple[int, int, int]]]:
@@ -797,8 +803,8 @@ def _column_loader(
     offset: int,
     rows: int,
     swap: bool,
-    crc: int | None = None,
-    source: str = "",
+    crc: int,
+    source: str,
 ) -> Callable[[], tuple[array, array, array]]:
     def load() -> tuple[array, array, array]:
         view = memoryview(buffer)
@@ -809,7 +815,7 @@ def _column_loader(
                 f"({len(chunk)} of {_TERM_BLOCK_FACTOR * rows} bytes)",
                 path=source,
             )
-        if crc is not None and zlib.crc32(chunk) != crc:
+        if zlib.crc32(chunk) != crc:
             raise CorruptIndexError(
                 f"{source}: term block at offset {offset} failed its checksum",
                 path=source,
@@ -836,7 +842,6 @@ def write_index_directory(
     extra: Mapping[str, object],
     document_terms: Mapping[int, Mapping[str, int]] | None,
     persist_state: Mapping | None = None,
-    incremental: bool | None = None,
     runtime_fresh: bool = True,
     wal_compact_records: int = DEFAULT_WAL_COMPACT_RECORDS,
 ) -> dict:
@@ -856,12 +861,12 @@ def write_index_directory(
     to the newest record (atomic ``wal.log.tmp`` swap) and reclaims the
     files only older records referenced.
 
-    ``incremental=None`` auto-detects: incremental when ``persist_state``
-    matches the directory's uuid and newest save_seq, wholesale otherwise
-    (also when ``incremental=False`` forces it, or no ``document_terms``
-    accompany the save).  ``runtime_fresh`` declares whether the in-memory
-    arrays are fully flushed; the record's ``arrays_fresh`` flag is that,
-    ANDed with every reused file still matching its segment's
+    The mode follows from the persist state alone: incremental when
+    ``persist_state`` matches the directory's uuid and newest save_seq and
+    ``document_terms`` accompany the save, wholesale (under a fresh
+    directory uuid) otherwise.  ``runtime_fresh`` declares whether the
+    in-memory arrays are fully flushed; the record's ``arrays_fresh`` flag
+    is that, ANDed with every reused file still matching its segment's
     ``content_version`` -- a load of a record with ``arrays_fresh: false``
     re-derives impacts on first read, restoring rebuild bit-identity.
 
@@ -886,12 +891,9 @@ def write_index_directory(
             primary = None
     kept_records, torn = _scan_wal(wal_path)
 
-    seqs = []
-    for record in ([primary] if primary else []) + kept_records:
-        try:
-            seqs.append(int(record.get("save_seq", 0) or 0))
-        except (TypeError, ValueError):
-            continue
+    seqs = [
+        _save_seq(record) for record in ([primary] if primary else []) + kept_records
+    ]
     newest_seq = max(seqs) if seqs else None
     save_seq = (newest_seq + 1) if newest_seq is not None else 1
 
@@ -908,11 +910,7 @@ def write_index_directory(
         and persist_state.get("uuid") == directory_uuid
         and persist_state.get("save_seq") == newest_seq
     )
-    mode = (
-        "incremental"
-        if incremental is not False and matches and document_terms is not None
-        else "full"
-    )
+    mode = "incremental" if matches and document_terms is not None else "full"
     index_uuid = (
         persist_state["uuid"] if mode == "incremental" else _uuid.uuid4().hex
     )
@@ -926,11 +924,11 @@ def write_index_directory(
     files_fresh = True
     for segment in segments:
         record = reused_files.get(segment.segment_id)
-        if record is not None and record.get("integrity"):
+        if record is not None:
             filename = record["file"]
             entry_terms = record["terms"]
             file_integrity = list(record["integrity"])
-            content_version = int(record.get("content_version", 0))
+            content_version = record["content_version"]
             if content_version != segment.content_version:
                 files_fresh = False
             segments_reused += 1
@@ -1012,25 +1010,10 @@ def write_index_directory(
     _fsync_directory(root)
 
     # Reclamation: keep every file any surviving log record references --
-    # each record stays replayable until compaction drops it -- plus any
-    # retained v2 generation manifests' files (their fallbacks, until a
-    # compaction supersedes them).
+    # each record stays replayable until compaction drops it.
     referenced: set[str] = set()
     for record in new_records:
         referenced |= _record_files(record)
-    for candidate in root.glob("manifest_*.json"):
-        if _generation_seq(candidate) < 0:
-            continue
-        if compacted:
-            candidate.unlink()
-            continue
-        try:
-            generation = json.loads(candidate.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            candidate.unlink()
-            continue
-        if isinstance(generation, dict):
-            referenced |= _record_files(generation)
     for pattern in ("segment_*.bin", "doc_terms*.json"):
         for candidate in root.glob(pattern):
             if candidate.name not in referenced:
@@ -1058,119 +1041,93 @@ def write_index_directory(
     }
 
 
-def _generation_seq(candidate: Path) -> int:
-    """The save sequence encoded in a ``manifest_<seq>.json`` name (-1: none)."""
-    try:
-        return int(candidate.stem.split("_", 1)[1])
-    except (IndexError, ValueError):
-        return -1
+def _ints(value, length: int | None = None) -> bool:
+    """True for a JSON list of integers (of exactly ``length`` items if given)."""
+    return (
+        isinstance(value, list)
+        and length in (None, len(value))
+        and all(isinstance(item, int) for item in value)
+    )
 
 
-def _manifest_candidates(root: Path) -> list[tuple[str, dict | None, str | None]]:
-    """Every manifest candidate in recovery order (newest save first).
-
-    Candidates come from three sources: the primary ``manifest.json``, the
-    consistent-prefix records of the ``wal.log`` manifest log, and any
-    retained v2 ``manifest_<seq>.json`` generations.  They are ordered by
-    ``save_seq`` descending with the primary preferred at equal sequence,
-    so an intact primary resolves without a recovery marker and a committed
-    log record that never reached the primary swap still wins over the
-    stale primary.  Each element is ``(source, manifest, failure)`` --
-    ``manifest`` is ``None`` exactly when ``failure`` describes why the
-    candidate could not even be parsed.
-    """
-    entries: list[tuple[int, int, str, dict | None, str | None]] = []
-    primary = root / "manifest.json"
-    if primary.exists():
-        try:
-            manifest = json.loads(primary.read_text(encoding="utf-8"))
-            seq = 0
-            if isinstance(manifest, dict):
-                try:
-                    seq = int(manifest.get("save_seq", 0) or 0)
-                except (TypeError, ValueError):
-                    seq = 0
-            entries.append((seq, 0, "manifest.json", manifest, None))
-        except (ValueError, OSError) as exc:
-            entries.append((-1, 0, "manifest.json", None, f"unreadable ({exc})"))
-    for record in read_manifest_log(root / "wal.log"):
-        try:
-            seq = int(record.get("save_seq", 0) or 0)
-        except (TypeError, ValueError):
-            seq = 0
-        entries.append((seq, 1, f"wal.log#{seq}", record, None))
-    for candidate in root.glob("manifest_*.json"):
-        seq = _generation_seq(candidate)
-        if seq < 0:
-            continue
-        try:
-            manifest = json.loads(candidate.read_text(encoding="utf-8"))
-            entries.append((seq, 2, candidate.name, manifest, None))
-        except (ValueError, OSError) as exc:
-            entries.append((seq, 2, candidate.name, None, f"unreadable ({exc})"))
-    entries.sort(key=lambda entry: (-entry[0], entry[1]))
-    return [(source, manifest, failure) for _, _, source, manifest, failure in entries]
+#: What :func:`read_index_directory` relies on in each segment entry of a
+#: record: key -> predicate.  A record is parsed JSON of unknown provenance
+#: (bit rot that still parses, a hand edit), so shapes are checked before
+#: anything indexes into them.
+_SEGMENT_ENTRY_SHAPE: dict[str, Callable[[object], bool]] = {
+    "file": lambda value: isinstance(value, str),
+    "segment_id": lambda value: isinstance(value, int),
+    "generation": lambda value: isinstance(value, int),
+    "content_version": lambda value: isinstance(value, int),
+    "seq": lambda value: _ints(value, 2),
+    "documents": _ints,
+    "tombstones": _ints,
+    "terms": lambda value: isinstance(value, dict)
+    and all(_ints(entry, 3) for entry in value.values()),
+}
 
 
-def _term_entry(entry) -> tuple[int, int, int | None]:
-    """``(offset, rows, crc)`` from a manifest term entry (v1 has no crc)."""
-    if len(entry) >= 3:
-        return entry[0], entry[1], entry[2]
-    return entry[0], entry[1], None
-
-
-def _manifest_problems(root: Path, manifest) -> list[str]:
+def _manifest_problems(root: Path, manifest: Mapping) -> list[str]:
     """Cheap consistency check of one parsed manifest against the directory.
 
-    Structural keys, referenced-file existence, and file sizes (derivable
-    from the per-term directory even for v1 manifests) -- everything except
-    reading data, so recovery can pick a generation without paying full I/O.
+    Format and version, the shape of everything the reader will index into,
+    referenced-file existence, and file sizes (derivable from the per-term
+    directory) -- everything except reading data, so recovery can pick a
+    record without paying full I/O.  Never raises for a malformed record:
+    whatever is wrong comes back as a problem string.
     """
-    problems: list[str] = []
-    if not isinstance(manifest, dict):
-        return ["manifest is not a JSON object"]
     if manifest.get("format") != INDEX_FORMAT:
-        problems.append(
-            f"not a {INDEX_FORMAT} directory (format {manifest.get('format')!r})"
-        )
-        return problems
-    if manifest.get("version", 0) > INDEX_FORMAT_VERSION:
-        problems.append(
-            f"format version {manifest.get('version')} is newer than this "
-            f"reader ({INDEX_FORMAT_VERSION})"
-        )
-        return problems
-    entries = manifest.get("segments")
-    if not isinstance(entries, list):
-        return problems + ["manifest has no segment list"]
-    for entry in entries:
+        return [f"not a {INDEX_FORMAT} directory (format {manifest.get('format')!r})"]
+    if manifest.get("version") != INDEX_FORMAT_VERSION:
+        return [
+            f"format version {manifest.get('version')!r} is not the version "
+            f"this reader supports ({INDEX_FORMAT_VERSION})"
+        ]
+    for key, kind in (
+        ("segments", list),
+        ("integrity", dict),
+        ("save_seq", int),
+        ("uuid", str),
+        ("doc_terms_file", (str, type(None))),
+    ):
+        if not isinstance(manifest.get(key), kind):
+            return [f"manifest has no well-formed {key!r}"]
+    integrity = manifest["integrity"]
+    doc_terms_name = manifest["doc_terms_file"]
+    problems: list[str] = []
+    for entry in manifest["segments"]:
         if not isinstance(entry, dict):
             problems.append("malformed segment entry")
             continue
-        for key in ("file", "segment_id", "generation", "seq", "terms", "documents", "tombstones"):
+        for key, well_formed in _SEGMENT_ENTRY_SHAPE.items():
             if key not in entry:
                 problems.append(f"segment entry missing {key!r}")
+                break
+            if not well_formed(entry[key]):
+                problems.append(f"segment entry has a malformed {key!r}")
                 break
         else:
             file_path = root / entry["file"]
             expected = sum(
-                _term_entry(term_entry)[1] * _TERM_BLOCK_FACTOR
-                for term_entry in entry["terms"].values()
+                rows * _TERM_BLOCK_FACTOR for _, rows, _ in entry["terms"].values()
             )
-            if not file_path.exists():
+            if not _ints(integrity.get(entry["file"]), 2):
+                problems.append(f"no integrity record for {entry['file']}")
+            elif not file_path.exists():
                 problems.append(f"missing data file {entry['file']}")
             elif file_path.stat().st_size != expected:
                 problems.append(
                     f"data file {entry['file']} is {file_path.stat().st_size} "
                     f"bytes, expected {expected}"
                 )
-    doc_terms_name = manifest.get("doc_terms_file")
-    if doc_terms_name:
+    if doc_terms_name is not None:
         doc_terms_path = root / doc_terms_name
-        recorded = (manifest.get("integrity") or {}).get(doc_terms_name)
-        if not doc_terms_path.exists():
+        recorded = integrity.get(doc_terms_name)
+        if not _ints(recorded, 2):
+            problems.append(f"no integrity record for {doc_terms_name}")
+        elif not doc_terms_path.exists():
             problems.append(f"missing doc-terms file {doc_terms_name}")
-        elif recorded and doc_terms_path.stat().st_size != recorded[0]:
+        elif doc_terms_path.stat().st_size != recorded[0]:
             problems.append(
                 f"doc-terms file {doc_terms_name} is "
                 f"{doc_terms_path.stat().st_size} bytes, expected {recorded[0]}"
@@ -1178,33 +1135,31 @@ def _manifest_problems(root: Path, manifest) -> list[str]:
     return problems
 
 
-def _deep_problems(root: Path, manifest) -> list[str]:
-    """Full-content verification: whole-file and per-term CRCs (v2 trees)."""
+def _deep_problems(root: Path, manifest: Mapping) -> list[str]:
+    """Full-content verification of a manifest that passed
+    :func:`_manifest_problems`: whole-file and per-term CRCs."""
     problems: list[str] = []
-    integrity = manifest.get("integrity") or {}
-    for entry in manifest.get("segments", []):
+    integrity = manifest["integrity"]
+    for entry in manifest["segments"]:
         file_path = root / entry["file"]
         try:
             blob = file_path.read_bytes()
         except OSError as exc:
             problems.append(f"unreadable data file {entry['file']}: {exc}")
             continue
-        recorded = integrity.get(entry["file"])
-        if recorded and zlib.crc32(blob) != recorded[1]:
+        if zlib.crc32(blob) != integrity[entry["file"]][1]:
             problems.append(f"data file {entry['file']} failed its checksum")
             continue
-        for term, term_entry in entry["terms"].items():
-            offset, rows, crc = _term_entry(term_entry)
+        for term, (offset, rows, crc) in entry["terms"].items():
             chunk = blob[offset : offset + rows * _TERM_BLOCK_FACTOR]
             if len(chunk) != rows * _TERM_BLOCK_FACTOR:
                 problems.append(f"term {term!r} truncated in {entry['file']}")
-            elif crc is not None and zlib.crc32(chunk) != crc:
+            elif zlib.crc32(chunk) != crc:
                 problems.append(f"term {term!r} failed its checksum in {entry['file']}")
-    doc_terms_name = manifest.get("doc_terms_file")
-    if doc_terms_name and (root / doc_terms_name).exists():
-        recorded = integrity.get(doc_terms_name)
+    doc_terms_name = manifest["doc_terms_file"]
+    if doc_terms_name is not None:
         data = (root / doc_terms_name).read_bytes()
-        if recorded and zlib.crc32(data) != recorded[1]:
+        if zlib.crc32(data) != integrity[doc_terms_name][1]:
             problems.append(f"doc-terms file {doc_terms_name} failed its checksum")
         else:
             try:
@@ -1214,36 +1169,62 @@ def _deep_problems(root: Path, manifest) -> list[str]:
     return problems
 
 
-def _resolve_manifest(root: Path) -> tuple[dict, str | None]:
-    """The newest fully-consistent manifest, replaying the log as needed.
+def _audit(
+    root: Path, *, deep: bool
+) -> Iterator[tuple[str, dict | None, list[str]]]:
+    """The one audit walk behind load, verify and repair.
 
-    Returns ``(manifest, recovered_from)`` where ``recovered_from`` names
-    the log record (``wal.log#<seq>``) or generation file used when the
-    primary ``manifest.json`` was unusable or stale (a torn or interrupted
-    re-save) and ``None`` when the primary was the newest consistent
-    candidate.  Raises :class:`CorruptIndexError` when no candidate passes.
+    Yields ``(source, manifest, problems)`` for every manifest candidate --
+    the primary ``manifest.json`` and the consistent-prefix records of the
+    ``wal.log`` manifest log (``wal.log#<seq>``) -- newest save first.  They
+    are ordered by ``save_seq`` descending with the primary preferred at
+    equal sequence, so an intact primary resolves without a recovery marker
+    and a committed log record that never reached the primary swap still
+    wins over the stale primary.  A candidate is consistent exactly when
+    ``problems`` is empty; ``manifest`` is ``None`` when it could not even
+    be parsed.  With ``deep`` the data files of structurally sound
+    candidates are read back against their checksums.  Lazy: a consumer
+    that stops at the first consistent candidate never pays for older ones.
     """
-    candidates = _manifest_candidates(root)
-    if not candidates:
-        raise CorruptIndexError(
-            f"{root} is not an index directory: no manifest.json, wal.log "
-            "record or manifest_<seq>.json present",
-            path=root,
-        )
+    candidates: list[tuple[int, int, str, dict | None, list[str]]] = []
+    primary = root / "manifest.json"
+    if primary.exists():
+        try:
+            manifest = json.loads(primary.read_text(encoding="utf-8"))
+            if not isinstance(manifest, dict):
+                raise ValueError("not a JSON object")
+            candidates.append((_save_seq(manifest), 0, "manifest.json", manifest, []))
+        except (ValueError, OSError) as exc:
+            candidates.append((-1, 0, "manifest.json", None, [f"unreadable ({exc})"]))
+    for record in read_manifest_log(root / "wal.log"):
+        seq = _save_seq(record)
+        candidates.append((seq, 1, f"wal.log#{seq}", record, []))
+    candidates.sort(key=lambda candidate: (-candidate[0], candidate[1]))
+    for _, _, source, manifest, problems in candidates:
+        if manifest is not None:
+            problems = _manifest_problems(root, manifest)
+            if not problems and deep:
+                problems = _deep_problems(root, manifest)
+        yield source, manifest, problems
+
+
+def _newest_consistent(root: Path, *, deep: bool) -> tuple[str, dict]:
+    """``(source, manifest)`` of the newest candidate the audit walk passes.
+
+    ``source`` is ``manifest.json`` when the primary was the newest
+    consistent candidate and the log record (``wal.log#<seq>``) replayed
+    otherwise -- a torn or interrupted re-save.  Raises
+    :class:`CorruptIndexError` listing every candidate's problems when none
+    passes.
+    """
     failures: list[str] = []
-    for source, manifest, failure in candidates:
-        if failure is not None:
-            failures.append(f"{source}: {failure}")
-            continue
-        problems = _manifest_problems(root, manifest)
-        if problems:
-            failures.append(f"{source}: " + "; ".join(problems))
-            continue
-        recovered_from = None if source == "manifest.json" else source
-        return manifest, recovered_from
+    for source, manifest, problems in _audit(root, deep=deep):
+        if not problems:
+            return source, manifest
+        failures.append(f"{source}: " + "; ".join(problems))
+    detail = " | ".join(failures) or "no manifest.json or wal.log record present"
     raise CorruptIndexError(
-        f"no consistent manifest generation under {root}: " + " | ".join(failures),
-        path=root,
+        f"no consistent manifest record under {root}: {detail}", path=root
     )
 
 
@@ -1259,9 +1240,9 @@ def read_index_directory(
     on a byte-order mismatch) each segment file is read eagerly.
 
     The manifest is validated against the data files before anything is
-    read: a torn re-save (truncated files, torn primary manifest) falls back
-    to the newest fully-consistent retained generation, recorded in the
-    returned manifest under ``"recovered_from"``.  A nonexistent directory
+    read: a torn re-save (truncated files, torn or malformed primary
+    manifest) falls back to the newest fully-consistent log record, named
+    in the returned manifest under ``"recovered_from"``.  A nonexistent directory
     raises :class:`FileNotFoundError` naming the path; a directory with no
     usable checkpoint raises :class:`CorruptIndexError`.  Column checksums
     are enforced on materialisation (eagerly here without ``use_mmap``;
@@ -1272,10 +1253,10 @@ def read_index_directory(
     if not root.is_dir():
         raise FileNotFoundError(f"no such index directory: {root}")
     _io_event("read", root / "manifest.json")
-    manifest, recovered_from = _resolve_manifest(root)
-    if recovered_from is not None:
-        manifest["recovered_from"] = recovered_from
-    integrity = manifest.get("integrity") or {}
+    source, manifest = _newest_consistent(root, deep=False)
+    if source != "manifest.json":
+        manifest["recovered_from"] = source
+    integrity = manifest["integrity"]
     swap = manifest.get("byteorder", sys.byteorder) != sys.byteorder
     buffers: list = []
     segments: list[IndexSegment] = []
@@ -1293,20 +1274,16 @@ def read_index_directory(
             buffers.append(buffer)
         else:
             buffer = file_path.read_bytes()
-            recorded = integrity.get(entry["file"])
-            if recorded and zlib.crc32(buffer) != recorded[1]:
+            if zlib.crc32(buffer) != integrity[entry["file"]][1]:
                 raise CorruptIndexError(
                     f"data file {entry['file']} failed its checksum",
                     path=file_path,
                 )
         lists = {}
-        for term, term_entry in entry["terms"].items():
-            offset, rows, crc = _term_entry(term_entry)
+        for term, (offset, rows, crc) in entry["terms"].items():
             lists[term] = PostingColumns.lazy(
                 rows,
-                _column_loader(
-                    buffer, offset, rows, swap, crc=crc, source=str(file_path)
-                ),
+                _column_loader(buffer, offset, rows, swap, crc, str(file_path)),
             )
         if not use_mmap:
             for columns in lists.values():
@@ -1321,7 +1298,7 @@ def read_index_directory(
                 lists=lists,
                 documents=set(entry["documents"]),
                 tombstones=set(entry["tombstones"]),
-                content_version=int(entry.get("content_version", 0)),
+                content_version=entry["content_version"],
             )
         )
     segments.sort(key=lambda segment: segment.seq_lo)
@@ -1377,26 +1354,21 @@ def verify_index_directory(path: str | Path, *, deep: bool = True) -> dict:
     }
     if wal_problem is not None:
         report["problems"]["wal.log"] = [wal_problem]
-    candidates = _manifest_candidates(root)
-    if not candidates:
+    audited = list(_audit(root, deep=deep))
+    if not audited:
         report["problems"].setdefault("manifest.json", ["no manifest present"])
         return report
     referenced: set[str] = set()
-    for source, manifest, failure in candidates:
-        if failure is not None:
-            report["problems"][source] = [failure]
-            continue
-        referenced |= _record_files(manifest)
-        problems = _manifest_problems(root, manifest)
-        if not problems and deep:
-            problems = _deep_problems(root, manifest)
+    for source, manifest, problems in audited:
+        if manifest is not None:
+            referenced |= _record_files(manifest)
         if problems:
             report["problems"][source] = problems
         else:
             report["consistent"].append(source)
             if report["recoverable"] is None:
                 report["recoverable"] = source
-                report["save_seq"] = manifest.get("save_seq")
+                report["save_seq"] = manifest["save_seq"]
     for pattern in ("segment_*.bin", "doc_terms*.json"):
         for candidate_path in root.glob(pattern):
             if candidate_path.name not in referenced:
@@ -1415,14 +1387,13 @@ def verify_index_directory(path: str | Path, *, deep: bool = True) -> dict:
 def repair_index_directory(path: str | Path) -> dict:
     """Promote the newest fully-consistent checkpoint and drop the debris.
 
-    Walks the manifest candidates (newest save first: primary, log records,
-    retained generations) with deep verification; the first fully-consistent
-    one becomes ``manifest.json`` (atomic swap) *and* the manifest log is
-    rewritten to that single record, so the repaired tree is exactly a
-    freshly compacted save.  Data files no longer referenced -- orphans of
-    an interrupted save or log compaction, older records' blobs -- are
-    removed, along with staging leftovers (``wal.log.tmp``,
-    ``manifest.json.tmp``) and superseded generation manifests.  Returns a
+    Walks the manifest candidates (newest save first: primary, log records)
+    with deep verification; the first fully-consistent one becomes
+    ``manifest.json`` (atomic swap) *and* the manifest log is rewritten to
+    that single record, so the repaired tree is exactly a freshly compacted
+    save.  Data files no longer referenced -- orphans of an interrupted save
+    or log compaction, older records' blobs -- are removed, along with
+    staging leftovers (``wal.log.tmp``, ``manifest.json.tmp``).  Returns a
     report dict (``recovered``: the candidate promoted; ``save_seq``;
     ``removed``: the filenames deleted).  Raises :class:`CorruptIndexError`
     when no candidate survives verification -- the tree holds no
@@ -1431,27 +1402,7 @@ def repair_index_directory(path: str | Path) -> dict:
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"no such index directory: {root}")
-    failures: list[str] = []
-    chosen: tuple[str, dict] | None = None
-    for source, manifest, failure in _manifest_candidates(root):
-        if failure is not None:
-            failures.append(f"{source}: {failure}")
-            continue
-        problems = _manifest_problems(root, manifest) or _deep_problems(root, manifest)
-        if problems:
-            failures.append(f"{source}: " + "; ".join(problems))
-            continue
-        chosen = (source, manifest)
-        break
-    if chosen is None:
-        raise CorruptIndexError(
-            f"cannot repair {root}: no manifest generation survives "
-            "verification"
-            + (f" ({' | '.join(failures)})" if failures else ""),
-            path=root,
-        )
-    source, manifest = chosen
-    save_seq = manifest.get("save_seq")
+    source, manifest = _newest_consistent(root, deep=True)
     removed: list[str] = []
     wal_path = root / "wal.log"
     old_records, _ = _scan_wal(wal_path)
@@ -1470,9 +1421,6 @@ def repair_index_directory(path: str | Path) -> dict:
             if stale.name not in referenced:
                 stale.unlink()
                 removed.append(stale.name)
-    for stale in root.glob("manifest_*.json"):
-        stale.unlink()
-        removed.append(stale.name)
     leftover = root / "manifest.json.tmp"
     if leftover.exists():
         leftover.unlink()
@@ -1480,6 +1428,6 @@ def repair_index_directory(path: str | Path) -> dict:
     return {
         "path": str(root),
         "recovered": source,
-        "save_seq": save_seq,
+        "save_seq": manifest["save_seq"],
         "removed": sorted(removed),
     }

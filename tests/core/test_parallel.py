@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import parallel
 from repro.core.embellish import QueryEmbellisher
+from repro.core.engine import ExecutionEngine
 from repro.core.server import PrivateRetrievalServer
 from repro.crypto import benaloh
 
@@ -102,9 +103,11 @@ class TestWorkerSeeding:
         payload = _payload([(17, [(1, 2), (2, 1)])])
         benaloh._DEFAULT_RNG.seed(987654321)
         expected = benaloh._DEFAULT_RNG.getstate()
-        parallel.run_sharded(payload, modulus, 1)
-        parallel.run_query_batch([payload, payload], modulus, 1)
-        parallel.run_query_batch([payload], modulus, 8)  # single payload: in-process
+        engine = ExecutionEngine(parallelism=4)  # lazy: no pool is ever started
+        engine.run_sharded(payload[:1], modulus)  # single shard: in-process
+        engine.run_batch([payload, payload], modulus, parallelism=1)
+        assert not engine.running
+        engine.shutdown()
         assert benaloh._DEFAULT_RNG.getstate() == expected
 
 
@@ -137,23 +140,6 @@ class TestAccumulationKernel:
             [(9, array("I"), array("I"))], 10007
         )
         assert accumulators == {} and counts.postings == 0
-
-    def test_run_sharded_empty_payload_reports_zero_shards(self):
-        """Regression: an empty payload used to report shards=1 despite
-        executing nothing, drifting ServerCounters.shards_executed."""
-        accumulators, counts, merge_muls, shards = parallel.run_sharded([], 10007, 4)
-        assert accumulators == {} and counts.postings == 0
-        assert merge_muls == 0 and shards == 0
-
-    def test_run_sharded_inline_equals_kernel(self):
-        modulus = 1009 * 1013
-        payload = _payload(
-            [(3 + i, [(d, 1 + (d + i) % 5) for d in range(i, i + 9)]) for i in range(5)]
-        )
-        direct, direct_counts = parallel.accumulate_terms(payload, modulus)
-        merged, counts, merge_muls, shards = parallel.run_sharded(payload, modulus, 1)
-        assert merged == direct and merge_muls == 0 and shards == 1
-        assert counts.accumulator_multiplications == direct_counts.accumulator_multiplications
 
 
 class TestShardedServer:

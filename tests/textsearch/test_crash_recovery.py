@@ -8,6 +8,7 @@ or raises a typed :class:`CorruptIndexError`.  Silent wrong answers are the
 one outcome these tests exist to rule out.
 """
 
+import json
 import shutil
 
 import pytest
@@ -79,6 +80,29 @@ def _cut_points(name: str, size: int):
     return sorted(cut for cut in cuts if 0 <= cut < size)
 
 
+def _truncated(manifest_path):
+    blob = manifest_path.read_bytes()
+    manifest_path.write_bytes(blob[: len(blob) // 2])
+
+
+def _malformed(*path, value):
+    """Damage that keeps ``manifest.json`` parseable: store ``value`` at
+    ``path`` (``...`` stands for the first key of a mapping)."""
+
+    def damage(manifest_path):
+        manifest = json.loads(manifest_path.read_text())
+        node = manifest
+        for depth, key in enumerate(path):
+            if key is ...:
+                key = next(iter(node))
+            if depth == len(path) - 1:
+                node[key] = value
+            node = node[key]
+        manifest_path.write_text(json.dumps(manifest))
+
+    return damage
+
+
 class TestTruncationAtEveryBoundary:
     def test_every_file_every_boundary_recovers_or_raises(self, tmp_path):
         root, snap_a, snap_b = _two_generation_directory(tmp_path)
@@ -104,19 +128,51 @@ class TestTruncationAtEveryBoundary:
                 recovered += 1
         assert scenarios > 20
         # Both outcomes must actually occur across the sweep, or the
-        # either/or contract is vacuous.
+        # either/or contract is vacuous: tearing a file only one record
+        # references rolls back to the other record, while tearing the base
+        # blob both records share by reference leaves nothing to load.
         assert recovered > 0
-        assert rejected >= 0
+        assert rejected > 0
 
-    def test_torn_primary_manifest_falls_back_to_newest_generation(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(_truncated, id="truncated"),
+            pytest.param(
+                _malformed("segments", 0, "terms", ..., value=5), id="term-entry-scalar"
+            ),
+            pytest.param(
+                _malformed("segments", 0, "terms", ..., value=[0]), id="term-entry-short"
+            ),
+            pytest.param(
+                _malformed("segments", 0, "terms", value=[1, 2]), id="terms-not-a-mapping"
+            ),
+            pytest.param(_malformed("segments", 0, "seq", value="0-1"), id="seq"),
+            pytest.param(_malformed("segments", 0, "documents", value=7), id="documents"),
+            pytest.param(_malformed("save_seq", value="two"), id="save-seq"),
+            pytest.param(_malformed("version", value=2), id="version-2"),
+        ],
+    )
+    def test_torn_primary_manifest_falls_back_to_newest_generation(
+        self, tmp_path, damage
+    ):
+        """A primary that is torn -- or parses but is malformed, or carries
+        another format version -- is *reported* and the walk falls through
+        to the log; untyped errors never escape load or verify."""
         root, _snap_a, snap_b = _two_generation_directory(tmp_path)
-        manifest = root / "manifest.json"
-        blob = manifest.read_bytes()
-        manifest.write_bytes(blob[: len(blob) // 2])
-        loaded = InvertedIndex.load(root)
-        # The newest generation manifest is a byte-identical copy of the
-        # torn primary, so recovery loses nothing.
-        assert _snapshot(loaded) == snap_b
+        newest = read_manifest_log(root)[-1]["save_seq"]
+        damage(root / "manifest.json")
+        report = verify_index_directory(root)
+        assert report["ok"] is False
+        assert report["problems"]["manifest.json"]
+        assert report["recoverable"] == f"wal.log#{newest}"
+        # The newest log record is a byte-identical copy of the damaged
+        # primary, so recovery loses nothing.
+        assert _snapshot(InvertedIndex.load(root)) == snap_b
+        (root / "wal.log").unlink()
+        assert verify_index_directory(root)["recoverable"] is None
+        with pytest.raises(CorruptIndexError):
+            InvertedIndex.load(root)
 
     def test_torn_current_data_file_falls_back_to_previous_generation(self, tmp_path):
         root, snap_a, snap_b = _two_generation_directory(tmp_path)
