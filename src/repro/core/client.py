@@ -191,20 +191,37 @@ class PrivateSearchSystem:
         encrypted_result = self.server.process_query(query)
         ranking = self.client.post_filter(encrypted_result, k=k)
 
-        counters = self.server.counters
         embellisher = self.client.embellisher
         pooled = 0 if embellisher.pool is None else embellisher.encryptions_performed
-        report = self.cost_model.pr_report(
+        report = self._report(
+            self.server.counters,
+            query,
+            encrypted_result,
+            (embellisher.encryptions_performed, pooled, embellisher.pool_multiplications),
+        )
+        return ranking, report
+
+    def _report(
+        self, counters, query: EmbellishedQuery, result, client_costs: tuple[int, int, int]
+    ) -> CostReport:
+        """One answered query's server counters and client costs as a PR report.
+
+        ``client_costs`` is ``(encryptions, pooled_encryptions,
+        pool_multiplications)`` as metered when the query was formulated;
+        decryptions are read off the post-filter just run.
+        """
+        encryptions, pooled, pool_multiplications = client_costs
+        return self.cost_model.pr_report(
             buckets_fetched=counters.buckets_fetched,
             blocks_read=counters.blocks_read,
             server_exponentiations=counters.modular_exponentiations,
             server_multiplications=counters.modular_multiplications,
             server_table_multiplications=counters.table_multiplications,
             upstream_bytes=query.upstream_bytes(self.key_bits),
-            downstream_bytes=encrypted_result.downstream_bytes(),
-            client_encryptions=embellisher.encryptions_performed,
+            downstream_bytes=result.downstream_bytes(),
+            client_encryptions=encryptions,
             client_pooled_encryptions=pooled,
-            client_pool_multiplications=embellisher.pool_multiplications,
+            client_pool_multiplications=pool_multiplications,
             client_decryptions=self.client.postfilter_counters.decryptions,
             server_merge_multiplications=counters.merge_multiplications,
             shards_executed=counters.shards_executed,
@@ -213,7 +230,6 @@ class PrivateSearchSystem:
             tasks_timed_out=counters.tasks_timed_out,
             degraded_queries=counters.degraded_queries,
         )
-        return ranking, report
 
     # -- batch / session execution ---------------------------------------------------
     def run_session(
@@ -256,30 +272,11 @@ class PrivateSearchSystem:
 
         outputs: list[tuple[SearchResult, CostReport]] = []
         per_query_counters = self.server.last_batch_counters
-        for query, result, counters, (encryptions, pooled, pool_muls) in zip(
+        for query, result, counters, costs in zip(
             queries, encrypted_results, per_query_counters, client_costs
         ):
             ranking = self.client.post_filter(result, k=k)
-            report = self.cost_model.pr_report(
-                buckets_fetched=counters.buckets_fetched,
-                blocks_read=counters.blocks_read,
-                server_exponentiations=counters.modular_exponentiations,
-                server_multiplications=counters.modular_multiplications,
-                server_table_multiplications=counters.table_multiplications,
-                upstream_bytes=query.upstream_bytes(self.key_bits),
-                downstream_bytes=result.downstream_bytes(),
-                client_encryptions=encryptions,
-                client_pooled_encryptions=pooled,
-                client_pool_multiplications=pool_muls,
-                client_decryptions=self.client.postfilter_counters.decryptions,
-                server_merge_multiplications=counters.merge_multiplications,
-                shards_executed=counters.shards_executed,
-                pool_restarts=counters.pool_restarts,
-                tasks_retried=counters.tasks_retried,
-                tasks_timed_out=counters.tasks_timed_out,
-                degraded_queries=counters.degraded_queries,
-            )
-            outputs.append((ranking, report))
+            outputs.append((ranking, self._report(counters, query, result, costs)))
         return outputs
 
     # -- analytic estimation -----------------------------------------------------------

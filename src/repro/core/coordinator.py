@@ -6,9 +6,9 @@ served by one or more replica backends, and the :class:`QueryCoordinator`
 scatters an embellished query's ``(term, selector)`` pairs to exactly the
 shards that own them, gathers per-shard partial accumulators, and merges them
 by modular multiplication.  The accumulation product is associative, so the
-merged ciphertexts are **bit-identical** to a single-node server's -- the same
-invariant PR 2 proved for the process pool, lifted to shards that may live in
-other processes or on other machines.
+merged ciphertexts are **bit-identical** to a single-node server's -- the
+process pool's invariant, lifted to shards that may live in other processes
+or on other machines.
 
 Backends are duck-typed so the coordinator never learns the transport: any
 object with ``accumulate(subqueries) -> ShardResponse`` serves.  This module
@@ -19,8 +19,8 @@ ships :class:`LocalShardBackend` (an in-process
 HTTP backend over real shard-server processes.
 
 **Failover**: each shard has an ordered replica list.  Gather walks the
-replicas under the engine's :class:`~repro.core.engine.RetryPolicy` (same
-bounded backoff, injectable clock/sleep, seeded jitter), rotating to the next
+replicas through the engine's retry loop
+(:meth:`~repro.core.engine.RetryPolicy.attempts`), rotating to the next
 replica on any retryable failure (connection loss, duck-typed ``transient``
 errors, epoch skew).  A shard whose replicas are all dark raises a typed
 :class:`ShardUnavailableError` -- or, with ``allow_partial=True``, degrades
@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 from repro.core import parallel
 from repro.core.embellish import EmbellishedQuery
 from repro.core.engine import RetryPolicy
-from repro.core.faults import FaultPlan, PermanentFaultError, TransientFaultError
+from repro.core.faults import FaultPlan, PermanentFaultError, TransientFaultError, retryable
 from repro.core.partitioning import split_query_terms
 from repro.core.server import EncryptedResult, PrivateRetrievalServer, ServerCounters
 
@@ -58,6 +58,7 @@ __all__ = [
     "ShardResponse",
     "ShardTopology",
     "ShardUnavailableError",
+    "shard_partials",
 ]
 
 
@@ -118,7 +119,7 @@ class ShardResponse:
     epoch: int
     modulus: int
     partials: tuple[dict[int, int], ...]
-    counters: tuple[ServerCounters, ...] = ()
+    counters: tuple[ServerCounters, ...]
 
 
 def data_epoch(index) -> int:
@@ -132,6 +133,27 @@ def data_epoch(index) -> int:
     if persist:
         return int(persist.get("save_seq", 1))
     return int(getattr(index, "update_epoch", 0))
+
+
+def shard_partials(
+    server: PrivateRetrievalServer,
+    queries: Sequence[EmbellishedQuery],
+    epoch: int | None = None,
+) -> ShardResponse:
+    """The shard role: answer a scattered sub-batch over ``server``'s index.
+
+    The one implementation behind :class:`LocalShardBackend` and the
+    service's ``POST /shards/{tenant}/partials``: process the sub-batch, copy
+    the per-query counters, tag the modulus the partials were accumulated
+    under and stamp the data epoch (``None`` derives it from the index).
+    """
+    results = server.process_batch(queries)
+    return ShardResponse(
+        epoch=data_epoch(server.index) if epoch is None else epoch,
+        modulus=server.public_key.n,
+        partials=tuple(result.encrypted_scores for result in results),
+        counters=tuple(replace(snapshot) for snapshot in server.last_batch_counters),
+    )
 
 
 @dataclass
@@ -151,22 +173,10 @@ class LocalShardBackend:
         self, subqueries: Sequence[tuple[Sequence[str], Sequence[int]]]
     ) -> ShardResponse:
         queries = [
-            EmbellishedQuery(
-                terms=tuple(terms), encrypted_selectors=tuple(selectors)
-            )
+            EmbellishedQuery(terms=tuple(terms), encrypted_selectors=tuple(selectors))
             for terms, selectors in subqueries
         ]
-        results = self.server.process_batch(queries)
-        counters = tuple(
-            replace(snapshot) for snapshot in self.server.last_batch_counters
-        )
-        epoch = self.epoch if self.epoch is not None else data_epoch(self.server.index)
-        return ShardResponse(
-            epoch=epoch,
-            modulus=self.server.public_key.n,
-            partials=tuple(result.encrypted_scores for result in results),
-            counters=counters,
-        )
+        return shard_partials(self.server, queries, self.epoch)
 
     def close(self) -> None:
         self.server.close()
@@ -262,19 +272,10 @@ class ShardTopology:
         return self.expected_epochs[shard_id]
 
 
-def _retryable(exc: BaseException) -> bool:
-    """Whether a failed replica call may fail over to another attempt.
-
-    Connection loss and timeouts (a dead or slow replica), duck-typed
-    ``transient`` errors, and epoch skew (another replica may be caught up)
-    rotate to the next replica; everything else -- including
-    ``PermanentFaultError`` and real bugs -- propagates unchanged.
-    """
-    if isinstance(exc, ShardEpochSkewError):
-        return True
-    return isinstance(exc, (ConnectionError, TimeoutError, OSError)) or bool(
-        getattr(exc, "transient", False)
-    )
+#: What fails over to the next replica (see
+#: :func:`repro.core.faults.retryable`): connection loss and timeouts (a dead
+#: or slow replica) and epoch skew (another replica may be caught up).
+_FAILOVER_ERRORS = (ConnectionError, TimeoutError, OSError, ShardEpochSkewError)
 
 
 @dataclass
@@ -324,26 +325,19 @@ class QueryCoordinator:
         return next(iter(self.process_batch([query])))
 
     def process_batch(
-        self,
-        queries: Sequence[EmbellishedQuery],
-        parallelism: int | None = None,
+        self, queries: Sequence[EmbellishedQuery]
     ) -> list[EncryptedResult]:
-        return list(self.iter_batch(queries, parallelism=parallelism))
+        return list(self.iter_batch(queries))
 
     def iter_batch(
-        self,
-        queries: Sequence[EmbellishedQuery],
-        parallelism: int | None = None,
+        self, queries: Sequence[EmbellishedQuery]
     ) -> Iterator[EncryptedResult]:
-        """Answer a batch in query order (``parallelism`` is accepted for
-        signature compatibility with the single-node server; shard fan-out
-        *is* the parallelism here).
+        """Answer a batch in query order (shard fan-out *is* the parallelism).
 
         The scatter is batched per shard -- each shard replica sees one
         ``accumulate`` call covering its slice of every query -- so a batch
         costs one round trip per shard, not per (query, shard) pair.
         """
-        del parallelism
         modulus = self.public_key.n
         self.counters.reset()
         snapshots: list[ServerCounters] = []
@@ -397,8 +391,7 @@ class QueryCoordinator:
                 continue
             for slot, position in enumerate(positions):
                 partials[position].append(response.partials[slot])
-                if slot < len(response.counters):
-                    shard_counters[position].append(response.counters[slot])
+                shard_counters[position].append(response.counters[slot])
         self.last_dark_shards = tuple(dark)
 
         # -- merge, in query order -------------------------------------------
@@ -445,13 +438,10 @@ class QueryCoordinator:
         """
         replicas = self.topology.replicas[shard_id]
         expected = self.topology.expected_epoch(shard_id)
-        attempts = max(1, self.retry.max_retries + 1)
         last_error: BaseException | None = None
         skew: ShardEpochSkewError | None = None
-        for attempt in range(attempts):
+        for attempt in self.retry.attempts(shard_id):
             backend = replicas[attempt % len(replicas)]
-            if attempt:
-                self.retry.sleep(self.retry.backoff(shard_id, attempt))
             try:
                 response = backend.accumulate(subqueries)
                 if response.modulus != modulus:
@@ -461,14 +451,15 @@ class QueryCoordinator:
                     )
                 if expected is not None and response.epoch != expected:
                     raise ShardEpochSkewError(shard_id, expected, response.epoch)
-                if len(response.partials) != len(subqueries):
+                if not len(response.partials) == len(response.counters) == len(subqueries):
                     raise ValueError(
                         f"shard {shard_id} answered {len(response.partials)} "
-                        f"partials for {len(subqueries)} sub-queries"
+                        f"partials and {len(response.counters)} counters for "
+                        f"{len(subqueries)} sub-queries"
                     )
                 return response, attempt
             except Exception as exc:
-                if not _retryable(exc):
+                if not retryable(exc, _FAILOVER_ERRORS):
                     raise
                 if isinstance(exc, ShardEpochSkewError):
                     skew = exc
@@ -479,10 +470,10 @@ class QueryCoordinator:
             # not unavailability, and partial degradation must not mask it.
             raise skew
         if self.allow_partial:
-            return None, attempts - 1
+            return None, attempt
         if skew is not None:
             raise skew
-        raise ShardUnavailableError(shard_id, attempts, last_error)
+        raise ShardUnavailableError(shard_id, attempt + 1, last_error)
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:

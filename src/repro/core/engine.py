@@ -1,12 +1,12 @@
 """Persistent execution engine: one resident worker pool for many queries.
 
-Sharded ``process_query`` originally forked a fresh ``ProcessPoolExecutor``
-per call, so pool start-up dominated exactly the path the paper's server-side
-cost model (Section 5.2, Algorithm 4) says should be pure modular arithmetic.
 :class:`ExecutionEngine` owns one long-lived pool for the server's whole
 lifetime -- the resident-node-controller architecture of long-lived
-data-parallel query engines -- so repeated query and batch calls amortise the
-fork/spawn cost down to a single pool start.
+data-parallel query engines -- so the path the paper's server-side cost model
+(Section 5.2, Algorithm 4) says should be pure modular arithmetic pays the
+fork/spawn cost once, not per query or batch.  (``docs/architecture.md``,
+Layer 4, tells the dispatch -> handle -> collect/retry/degrade -> merge story
+end to end.)
 
 Lifecycle
 ---------
@@ -14,50 +14,46 @@ Lifecycle
 crypto layer and syncing the big-integer backend); any dispatching call
 autostarts a not-yet-started engine lazily.  ``shutdown()`` retires the pool
 permanently -- dispatching afterwards raises ``RuntimeError`` -- and the
-engine is a context manager (``with ExecutionEngine(4) as engine: ...``)
-whose exit is a ``shutdown()``.  ``resize()`` re-targets the worker count;
-a running pool is retired and the next dispatch starts a fresh one.
+engine is a context manager whose exit is a ``shutdown()``.  ``resize()``
+re-targets the worker count; a running pool is retired and the next dispatch
+starts a fresh one.
 
 Scheduling
 ----------
-:meth:`submit_batch` implements **hybrid batch scheduling**: with at least as
-many queries as workers it dispatches one task per query (inter-query
-parallelism, merge-free); when the batch is *smaller* than the pool it splits
-the leftover workers into intra-query shards of the heaviest queries
-(:func:`repro.core.parallel.hybrid_shard_plan`), so small batches still
-saturate the pool.  Per-query shard groups come back as
-:class:`~repro.core.parallel.PendingResult` handles, which is what makes
-**streaming delivery** possible: callers collect each query's result as its
-futures complete, in submission order, without waiting for the whole batch.
+:meth:`ExecutionEngine.submit_batch` implements **hybrid batch scheduling**:
+with at least as many queries as workers it dispatches one task per query
+(inter-query parallelism, merge-free); when the batch is *smaller* than the
+pool it splits the leftover workers into intra-query shards of the heaviest
+queries (:func:`repro.core.partitioning.proportional_shares`), so small
+batches -- down to a batch of one, which is how a single query is sharded --
+still saturate the pool.  Each query comes back as a
+:class:`~repro.core.parallel.PendingResult` handle, which is what makes
+**streaming delivery** possible: callers collect results as their futures
+complete, in submission order, without waiting for the whole batch.
 
 Fault tolerance
 ---------------
-Shard collection survives worker death, hung tasks, and transient errors.
+Collecting a handle survives worker death, hung tasks, and transient errors.
 The accumulation kernel is an associative product in Z*_n, so re-running a
-lost shard is idempotent down to the bit: on ``BrokenProcessPool`` (a worker
-died), a per-task deadline expiring, or a transient error, the engine retires
-the broken pool (``cancel_futures=True``), restarts it lazily, and
-re-dispatches *only the lost shards* under bounded exponential backoff with
-seeded jitter (:class:`RetryPolicy`; the clock and sleep are injectable so
-fault suites run fast and deterministically).  When a task exhausts its retry
-budget the engine **degrades gracefully**: the shard runs in-process through
-the same kernel -- slower, still bit-identical -- instead of failing the
-query.  ``EngineCounters`` exposes the whole story (``pool_restarts``,
-``tasks_retried``, ``tasks_timed_out``, ``degraded_queries``) and the server
-forwards it into :meth:`repro.core.costs.CostModel.pr_report`.  Installing a
-:class:`repro.core.faults.FaultInjector` (``fault_injector`` field) makes
-workers fail on a seeded schedule -- the test/bench substrate for all of the
-above.
+lost shard is idempotent down to the bit: the engine retires a broken pool
+(``cancel_futures=True``), restarts it lazily, and re-dispatches *only the
+lost shards* -- same task tuple, same seed -- under :class:`RetryPolicy`'s
+bounded, seeded-jitter backoff (clock and sleep injectable, so fault suites
+run fast and deterministically).  A shard that exhausts its budget
+**degrades** to in-process execution through the same kernel instead of
+failing the query.  Every restart, retry, timeout and degradation is booked
+on the lifetime :class:`EngineCounters` *and* on the handle whose collection
+caused it -- the per-query numbers the server forwards into
+:meth:`repro.core.costs.CostModel.pr_report`.  Installing a
+:class:`repro.core.faults.FaultInjector` makes workers fail on a seeded
+schedule: the test/bench substrate for all of the above.
 
 Reproducibility
 ---------------
 Every worker task carries an explicit seed derived from ``(base_seed, task
 index within the call)`` -- never from pool age or dispatch history -- so a
 reused resident pool replays byte-identical seed streams call after call,
-exactly like a freshly forked pool would.  Retries re-dispatch the *same*
-task tuple (same seed), and the degraded path calls the kernel directly
-(never ``_shard_task``, which would re-seed the caller's generators), so no
-failure path perturbs results.
+exactly like a freshly forked pool would.
 
 Thread safety
 -------------
@@ -65,15 +61,13 @@ Lifecycle transitions (``start``, ``shutdown``, ``resize``, broken-pool
 retirement, and the lazy pool start inside every dispatch) are serialised on
 an internal re-entrant lock, so an engine shared between threads -- the
 serving front-end's sessions, or a signal handler racing a ``with``-block
-exit -- never double-starts a pool, and concurrent/re-entrant ``shutdown``
-calls are idempotent: exactly one caller retires the executor (and, with
-``wait=True``, blocks until in-flight tasks drain); the others return
-immediately.  Dispatch itself (``submit_task`` / ``run_sharded`` /
-``submit_batch``) is safe to call from multiple threads --
-``ProcessPoolExecutor.submit`` is thread-safe and per-call task indices are
-call-local -- but :class:`EngineCounters` increments are plain integer
-updates: totals stay useful under concurrency, exact attribution of a delta
-to one call is only guaranteed for single-threaded use.
+exit -- never double-starts a pool and ``shutdown`` is idempotent (see
+there).  Dispatch (``submit_task`` / ``submit_batch``) is safe from multiple
+threads: ``ProcessPoolExecutor.submit`` is thread-safe and task indices are
+call-local.  Resilience events are booked under the same lock, so per-query
+attribution is exact however many sessions collect at once; the dispatch
+statistics (``tasks_dispatched``, ``queries_executed``, ``pool_reuses``) are
+plain integer updates.
 """
 
 from __future__ import annotations
@@ -85,37 +79,26 @@ import time
 from concurrent.futures import BrokenExecutor, CancelledError, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 from repro.core import faults, parallel
+from repro.core.partitioning import proportional_shares
 from repro.crypto import numbertheory
 
 __all__ = [
     "EngineBusyError",
     "EngineCounters",
     "ExecutionEngine",
-    "ResilientPendingResult",
     "RetryPolicy",
 ]
 
-#: Exceptions that mean "this attempt is lost but the task is retryable".
+#: Exceptions that mean "this attempt is lost but the task is retryable"
+#: (see :func:`repro.core.faults.retryable`): pool loss, cancellation (a
+#: sibling recovery retired the pool under this future), expired deadlines.
 #: ``concurrent.futures.TimeoutError`` is a distinct class before 3.11.
 _TIMEOUT_ERRORS = (TimeoutError, FuturesTimeoutError)
 _LOST_ATTEMPT_ERRORS = (BrokenExecutor, CancelledError) + _TIMEOUT_ERRORS
-
-
-def _retryable(exc: BaseException) -> bool:
-    """Whether a failed attempt may be re-dispatched.
-
-    Pool loss (``BrokenExecutor``), cancellation (a sibling recovery retired
-    the pool under this future), expired deadlines, and duck-typed transient
-    errors (``exc.transient`` is true -- see :mod:`repro.core.faults`) are
-    retryable; everything else -- including ``PermanentFaultError`` and real
-    bugs in the kernel -- propagates to the caller unchanged.
-    """
-    return isinstance(exc, _LOST_ATTEMPT_ERRORS) or bool(
-        getattr(exc, "transient", False)
-    )
 
 
 def _pool_loss(exc: BaseException) -> bool:
@@ -134,10 +117,10 @@ class EngineBusyError(RuntimeError):
     """Raised when a lifecycle operation conflicts with in-flight shard work.
 
     :meth:`ExecutionEngine.resize` must not retire a pool that a streamed
-    batch still has futures on: the old behaviour silently blocked inside
-    ``Executor.shutdown`` until the whole batch drained.  Callers either
-    drain/collect the stream first, or catch this and keep the current pool
-    (what :class:`~repro.core.server.PrivateRetrievalServer` does when an
+    batch still has futures on (it would block inside ``Executor.shutdown``
+    until the whole batch drained).  Callers either drain/collect the stream
+    first, or catch this and keep the current pool (what
+    :class:`~repro.core.server.PrivateRetrievalServer` does when an
     interleaved call asks for more workers mid-stream).
     """
 
@@ -190,6 +173,21 @@ class RetryPolicy:
         fraction = int.from_bytes(digest[:8], "big") / 2**64
         return bounded * (0.5 + 0.5 * fraction)
 
+    def attempts(self, key: int) -> Iterator[int]:
+        """Attempt numbers ``0..max_retries``, backing off before each retry.
+
+        The one retry loop: the engine collecting (then re-dispatching) a
+        shard and the coordinator walking a shard's replicas both iterate
+        this, so the budget, the backoff schedule and the injectable sleep
+        mean the same thing at both levels.  ``key`` (task index / shard id)
+        seeds the jitter.
+        """
+        for attempt in range(max(0, self.max_retries) + 1):
+            delay = self.backoff(key, attempt)
+            if delay > 0:
+                self.sleep(delay)
+            yield attempt
+
 
 @dataclass
 class EngineCounters:
@@ -219,40 +217,6 @@ class EngineCounters:
     def reset(self) -> None:
         for spec in fields(self):
             setattr(self, spec.name, 0)
-
-
-class ResilientPendingResult(parallel.PendingResult):
-    """A :class:`~repro.core.parallel.PendingResult` that recovers on collect.
-
-    Collection routes through the owning engine's retry/degrade machinery:
-    worker death, cancellation (a sibling query's recovery retired the shared
-    pool), deadlines, and transient errors are healed per shard, so a
-    streamed batch keeps its contract -- same results, same order -- through
-    failures.  Interface-compatible with the base class (``result``,
-    ``done``, ``shards``), which is what lets the server's streaming path
-    stay untouched.
-    """
-
-    def __init__(
-        self, engine: "ExecutionEngine", modulus: int, futures, tasks, indices
-    ) -> None:
-        super().__init__(modulus, futures=futures)
-        self._engine = engine
-        self._tasks = list(tasks)
-        self._indices = list(indices)
-
-    def result(self) -> tuple[dict[int, int], parallel.ShardCounts, int, int]:
-        if self._resolved is None:
-            partials, degraded = self._engine._collect_partials(
-                self._futures, self._tasks, self._indices
-            )
-            merged, counts, merge_multiplications = parallel.collect_shard_results(
-                partials, self._modulus
-            )
-            if degraded:
-                self._engine.counters.degraded_queries += 1
-            self._resolved = (merged, counts, merge_multiplications, self.shards)
-        return self._resolved
 
 
 @dataclass
@@ -314,22 +278,18 @@ class ExecutionEngine:
     def shutdown(self, wait: bool = True) -> None:
         """Retire the pool and the engine; further dispatching raises.
 
-        Idempotent and safe to invoke concurrently (or re-entrantly, e.g.
-        from a signal handler firing during a ``with``-block exit): the
-        executor handoff happens under the lifecycle lock, so exactly one
-        caller performs the drain -- with ``wait=True`` that caller blocks
-        until in-flight tasks (including a streamed batch's shard futures)
-        complete; every other caller sees the engine already closed and
-        returns immediately instead of double-shutting the executor or
-        deadlocking behind the drain.  In-flight results stay collectible:
-        the executor runs its queued and running tasks to completion before
-        retiring, so pending handles resolve bit-identically after shutdown.
-
-        ``wait=False`` returns immediately: in-flight tasks still run to
-        completion and the worker processes then exit on their own, but the
-        caller is not blocked until they drain -- what finalizers need.
-        Tolerates a pool whose workers already died: shutting down a broken
-        executor must never raise out of lifecycle paths.
+        Idempotent and safe to invoke concurrently or re-entrantly (a signal
+        handler firing during a ``with``-block exit): the executor handoff
+        happens under the lifecycle lock, so exactly one caller performs the
+        drain and every other returns immediately instead of double-shutting
+        the executor or deadlocking behind it.  With ``wait=True`` the
+        draining caller blocks until in-flight tasks (including a streamed
+        batch's shard futures) complete; ``wait=False`` returns at once --
+        what finalizers need -- while the tasks still run to completion and
+        the workers then exit on their own.  Either way pending handles
+        resolve bit-identically after shutdown.  Tolerates a pool whose
+        workers already died: shutting down a broken executor must never
+        raise out of lifecycle paths.
         """
         with self._lifecycle_lock:
             executor, self._executor = self._executor, None
@@ -360,14 +320,11 @@ class ExecutionEngine:
     def resize(self, parallelism: int) -> None:
         """Re-target the worker count; a running pool restarts on next dispatch.
 
-        Refuses (with :class:`EngineBusyError`) while a streamed batch still
-        has shard futures in flight -- retiring the pool under them would
-        block inside ``Executor.shutdown`` until the whole batch drained,
-        stalling the caller for the batch's full duration.  Collect or drain
-        the outstanding :class:`~repro.core.parallel.PendingResult` handles
-        first, then resize.  A pool whose workers already died does not get
-        in the way: its futures are done (exception-bearing), and retiring a
-        broken executor is swallowed.
+        Refuses (with :class:`EngineBusyError`) while dispatched futures are
+        still in flight; collect or drain the outstanding
+        :class:`~repro.core.parallel.PendingResult` handles first.  A pool
+        whose workers already died does not get in the way: its futures are
+        done (exception-bearing), and retiring a broken executor is swallowed.
         """
         with self._lifecycle_lock:
             self._ensure_open()
@@ -431,7 +388,17 @@ class ExecutionEngine:
                 self.counters.pool_reuses += 1
             return self._executor
 
-    def _retire_broken_pool(self, origin=None) -> None:
+    def _book(self, handle, event: str) -> None:
+        """Count one resilience event on the lifetime counters and on the
+        handle whose collection caused it (``None``: a dispatch-time heal no
+        query is waiting on).  Locked, so concurrent collectors never lose an
+        update and per-handle sums equal the lifetime totals."""
+        with self._lifecycle_lock:
+            setattr(self.counters, event, getattr(self.counters, event) + 1)
+            if handle is not None:
+                setattr(handle, event, getattr(handle, event) + 1)
+
+    def _retire_broken_pool(self, origin=None, handle=None) -> None:
         """Drop the resident pool after a failure; the next dispatch restarts.
 
         ``origin`` is the executor the failed future was dispatched on: when
@@ -448,7 +415,7 @@ class ExecutionEngine:
             executor, self._executor = self._executor, None
             if executor is None:
                 return
-            self.counters.pool_restarts += 1
+            self._book(handle, "pool_restarts")
         try:
             executor.shutdown(wait=False, cancel_futures=True)
         except Exception:
@@ -476,12 +443,6 @@ class ExecutionEngine:
         self._track(future)
         return future
 
-    def _effective_workers(self, parallelism: int | None) -> int:
-        """Per-call worker budget: the pool size, optionally capped lower."""
-        if parallelism is None:
-            return self.parallelism
-        return max(1, min(self.parallelism, parallelism))
-
     def _dispatch(self, executor, task, task_index: int, attempt: int = 0):
         """Submit one shard task; a failed submission becomes a failed future.
 
@@ -502,16 +463,14 @@ class ExecutionEngine:
             submission = (parallel._shard_task, task)
         try:
             future = executor.submit(*submission)
+            self._track(future)
         except BaseException as exc:  # noqa: BLE001 -- folded into the future
             future = Future()
             future.set_exception(exc)
-            future._origin_executor = executor
-            return future
         future._origin_executor = executor
-        self._track(future)
         return future
 
-    def _wait(self, future):
+    def _wait(self, future, handle):
         """Await one shard future under the policy's per-attempt deadline."""
         policy = self.retry_policy
         if policy.timeout is None:
@@ -520,109 +479,44 @@ class ExecutionEngine:
         try:
             return future.result(timeout=max(0.0, deadline - policy.clock()))
         except _TIMEOUT_ERRORS:
-            self.counters.tasks_timed_out += 1
+            self._book(handle, "tasks_timed_out")
             raise
 
-    def _collect_partials(self, futures, tasks, indices=None):
-        """Gather shard partials, healing lost attempts; returns (partials,
-        degraded) where ``degraded`` reports whether any shard fell back to
-        in-process execution.  ``indices`` are the call-scoped dispatch
-        indices (fault-plan/jitter coordinates); retries reuse them so a
-        re-dispatch replays the same coordinate at the next attempt."""
-        if indices is None:
-            indices = range(len(tasks))
+    def _collect_partials(self, tasks, indices, futures, handle):
+        """Gather one query's shard partials, healing lost attempts.
+
+        The ``collect`` callable of every dispatched
+        :class:`~repro.core.parallel.PendingResult`, and the engine's whole
+        recovery path (module docstring, *Fault tolerance*): attempt 0 of a
+        shard is the future dispatched with the batch; each retry
+        re-dispatches the same task tuple at the same call-scoped index
+        (``indices`` -- the fault-plan and jitter coordinates); a shard out
+        of budget runs in-process.  Every restart, retry, timeout and
+        degradation is booked on ``handle`` as well as the lifetime counters.
+        """
         partials = []
         degraded = False
         for future, task, task_index in zip(futures, tasks, indices):
-            try:
-                partials.append(self._wait(future))
-            except BaseException as exc:  # includes CancelledError
-                if not _retryable(exc):
-                    raise
-                origin = getattr(future, "_origin_executor", None)
-                partial, task_degraded = self._recover_task(
-                    task, task_index, exc, origin
-                )
-                partials.append(partial)
-                degraded = degraded or task_degraded
-        return partials, degraded
-
-    def _recover_task(self, task, task_index: int, exc: BaseException, origin=None):
-        """Re-dispatch one lost shard until it lands or the budget runs out.
-
-        Re-execution is bit-identical: the task tuple (payload, modulus,
-        derived seed, backend) is immutable and the kernel is a pure
-        associative product.  After ``retry_policy.max_retries`` failed
-        re-dispatches the shard **degrades** to in-process execution through
-        :func:`repro.core.parallel.accumulate_terms` -- never
-        ``_shard_task``, which would re-seed the caller's module-level
-        generators (see that function's docstring).
-        """
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            if _pool_loss(exc):
-                self._retire_broken_pool(origin)
-            attempt += 1
-            if attempt > policy.max_retries:
-                break
-            self.counters.tasks_retried += 1
-            delay = policy.backoff(task_index, attempt)
-            if delay > 0:
-                policy.sleep(delay)
-            try:
-                executor = self._acquire(reuse=False)
-                origin = executor
-                future = self._dispatch(executor, task, task_index, attempt)
-                return self._wait(future), False
-            except BaseException as retry_exc:  # includes CancelledError
-                if not _retryable(retry_exc):
-                    raise
-                exc = retry_exc
-        payload, modulus = task[0], task[1]
-        return parallel.accumulate_terms(payload, modulus), True
-
-    def run_sharded(
-        self,
-        payload: Sequence[parallel.TermPayload],
-        modulus: int,
-        base_seed: int | None = None,
-        parallelism: int | None = None,
-    ) -> tuple[dict[int, int], parallel.ShardCounts, int, int]:
-        """One query, sharded over the resident pool and merged.
-
-        Returns ``(accumulators, counts, merge_multiplications, shards)``.
-        Single-shard payloads run in-process, merge-free, without ever
-        touching (or starting) the pool; an empty payload reports zero shards.
-        Worker death, deadlines, and transient errors during collection are
-        healed per shard (see :meth:`_recover_task`).
-        """
-        self._ensure_open()
-        workers = self._effective_workers(parallelism)
-        shards = parallel.partition_payload(payload, workers)
-        self.counters.queries_executed += 1
-        if len(shards) <= 1 or workers <= 1:
-            accumulators, counts = parallel.accumulate_terms(payload, modulus)
-            return accumulators, counts, 0, len(shards)
-        tasks = parallel.shard_tasks(
-            shards,
-            modulus,
-            self.base_seed if base_seed is None else base_seed,
-            numbertheory.get_backend(),
-        )
-        executor = self._acquire()
-        self.counters.tasks_dispatched += len(tasks)
-        futures = [
-            self._dispatch(executor, task, task_index)
-            for task_index, task in enumerate(tasks)
-        ]
-        partials, degraded = self._collect_partials(futures, tasks)
+            for attempt in self.retry_policy.attempts(task_index):
+                try:
+                    if attempt:
+                        self._book(handle, "tasks_retried")
+                        executor = self._acquire(reuse=False)
+                        future = self._dispatch(executor, task, task_index, attempt)
+                    partials.append(self._wait(future, handle))
+                    break
+                except BaseException as exc:  # includes CancelledError
+                    if not faults.retryable(exc, _LOST_ATTEMPT_ERRORS):
+                        raise
+                    if _pool_loss(exc):
+                        self._retire_broken_pool(future._origin_executor, handle)
+            else:
+                payload, modulus = task[0], task[1]
+                partials.append(parallel.accumulate_terms(payload, modulus))
+                degraded = True
         if degraded:
-            self.counters.degraded_queries += 1
-        merged, counts, merge_multiplications = parallel.collect_shard_results(
-            partials, modulus
-        )
-        return merged, counts, merge_multiplications, len(shards)
+            self._book(handle, "degraded_queries")
+        return partials
 
     def submit_batch(
         self,
@@ -635,29 +529,33 @@ class ExecutionEngine:
 
         Returns one :class:`~repro.core.parallel.PendingResult` per query, in
         query order.  A single-query batch is hybrid-scheduled like any other
-        (the whole pool shards that one query, matching what
-        :meth:`run_sharded` would do).  With a worker budget of 1 the pending
-        results defer the work in-process (each query accumulates when its
-        result is first collected), which keeps streaming semantics without
-        a pool.  Dispatched queries come back as
-        :class:`ResilientPendingResult` handles whose collection heals lost
-        shards through this engine's retry/degrade machinery.
+        (the whole pool shards that one query).  With a worker budget of 1,
+        or when the whole batch is at most one worker task, the handles defer
+        the work in-process (each query accumulates when its result is first
+        collected), which keeps streaming semantics without touching -- or
+        starting -- the pool; an empty query reports zero shards.  Dispatched
+        queries' handles collect through :meth:`_collect_partials`, healing
+        worker death, deadlines and transient errors per shard.
         """
         self._ensure_open()
-        workers = self._effective_workers(parallelism)
+        # Per-call worker budget: the pool size, optionally capped lower.
+        workers = self.parallelism
+        if parallelism is not None:
+            workers = max(1, min(workers, parallelism))
         self.counters.queries_executed += len(payloads)
+        # Every query starts as a deferred in-process handle; dispatch below
+        # replaces the handles of the queries that get worker tasks.
+        pending = [
+            parallel.PendingResult(modulus, payload=payload) for payload in payloads
+        ]
         if workers <= 1:
-            return [
-                parallel.PendingResult(modulus, payload=payload) for payload in payloads
-            ]
+            return pending
         # Per-entry costs are computed once and shared between the hybrid
         # plan (per-query sums) and the intra-query partition.
         cost_lists = [
             [parallel.term_cost(entry) for entry in payload] for payload in payloads
         ]
-        plan = parallel.hybrid_shard_plan(
-            [sum(costs) for costs in cost_lists], workers
-        )
+        plan = proportional_shares([sum(costs) for costs in cost_lists], workers)
         shard_groups = [
             parallel.partition_payload(payload, share, costs=costs)
             for payload, share, costs in zip(payloads, plan, cost_lists)
@@ -665,19 +563,14 @@ class ExecutionEngine:
         if sum(len(group) for group in shard_groups) <= 1:
             # At most one worker task in the whole batch (e.g. a single
             # single-term query): the pool cannot help, run in-process.
-            return [
-                parallel.PendingResult(modulus, payload=payload) for payload in payloads
-            ]
+            return pending
         seed = self.base_seed if base_seed is None else base_seed
         backend = numbertheory.get_backend()
         executor = self._acquire()
-        pending: list[parallel.PendingResult] = []
         task_index = 0
-        for payload, shards in zip(payloads, shard_groups):
+        for position, shards in enumerate(shard_groups):
             if not shards:
-                # Empty query: nothing to dispatch, zero shards executed.
-                pending.append(parallel.PendingResult(modulus, payload=payload))
-                continue
+                continue  # empty query: nothing to dispatch, zero shards
             tasks = parallel.shard_tasks(
                 shards, modulus, seed, backend, start_index=task_index
             )
@@ -688,7 +581,11 @@ class ExecutionEngine:
             ]
             indices = range(task_index, task_index + len(tasks))
             task_index += len(tasks)
-            pending.append(ResilientPendingResult(self, modulus, futures, tasks, indices))
+            pending[position] = parallel.PendingResult(
+                modulus,
+                futures=futures,
+                collect=partial(self._collect_partials, tasks, indices),
+            )
         return pending
 
     def run_batch(
@@ -699,9 +596,7 @@ class ExecutionEngine:
         parallelism: int | None = None,
     ) -> list[tuple[dict[int, int], parallel.ShardCounts, int, int]]:
         """:meth:`submit_batch`, collected: per-query merged results in order."""
-        return [
-            pending.result()
-            for pending in self.submit_batch(
-                payloads, modulus, base_seed=base_seed, parallelism=parallelism
-            )
-        ]
+        pending = self.submit_batch(
+            payloads, modulus, base_seed=base_seed, parallelism=parallelism
+        )
+        return [handle.result() for handle in pending]

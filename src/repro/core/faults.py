@@ -44,6 +44,7 @@ __all__ = [
     "TransientFaultError",
     "faulted_shard_task",
     "io_fault_hook",
+    "retryable",
 ]
 
 #: Decision kinds a plan can emit for a worker task attempt.
@@ -75,6 +76,19 @@ class PermanentFaultError(FaultError):
     """An injected fault that must propagate to the caller (no retry)."""
 
     transient = False
+
+
+def retryable(exc: BaseException, lost_attempt: tuple = ()) -> bool:
+    """Whether a failed attempt may be tried again (the one retry predicate).
+
+    ``lost_attempt`` are the exception classes that, for the calling layer's
+    transport, mean "this attempt is lost but the work is intact" -- a broken
+    pool or expired deadline for the engine, a dead connection or skewed
+    replica for the scatter-gather.  Beyond those, any error whose duck-typed
+    ``transient`` attribute is true is retryable; everything else --
+    :class:`PermanentFaultError`, real bugs -- propagates to the caller.
+    """
+    return isinstance(exc, lost_attempt) or bool(getattr(exc, "transient", False))
 
 
 def _draw(seed: int, scope: str, index: int, attempt: int) -> float:

@@ -9,9 +9,9 @@ grouping of a document's contributions yields the bit-identical ciphertext).
 This module holds everything that crosses a process boundary:
 
 * the **accumulation kernel** (:func:`accumulate_terms`), the single
-  implementation of the power-table fast path executed by the sequential
-  server, by every shard worker, and by every batch worker -- so "parallel
-  equals sequential" reduces to "modular multiplication is associative";
+  implementation of the power-table fast path, executed in-process and by
+  every pool worker -- so "parallel equals sequential" reduces to "modular
+  multiplication is associative";
 * **shard partitioning** (:func:`partition_payload`), a greedy
   longest-list-first balance of the query's term lists over ``parallelism``
   shards;
@@ -20,19 +20,17 @@ This module holds everything that crosses a process boundary:
   multiplications always total exactly the sequential fast path's count
   (``postings - distinct candidates``), so the cost model is unchanged by
   parallelism -- only the op *placement* moves;
-* the **worker entry points** (:func:`_shard_task`), which re-seed the
-  module-level fallback generators of the crypto layer from an explicit
-  per-task seed before touching any payload.  A forked worker otherwise
-  inherits a byte-for-byte copy of the parent's generator state, so every
-  worker would replay the *same* "random" stream -- harmless for the
-  deterministic accumulation kernel, but a trap for any future worker code
-  path that falls back to the shared generators.  Explicit seeding makes
-  sharded runs reproducible under both ``fork`` and ``spawn`` start methods.
+* the **worker entry point** (:func:`_shard_task`), which re-seeds the
+  crypto layer's module-level fallback generators from an explicit per-task
+  seed before touching any payload (a forked worker otherwise inherits a
+  byte-for-byte copy of the parent's generator state), making sharded runs
+  reproducible under both ``fork`` and ``spawn`` start methods;
+* the **pending handle** (:class:`PendingResult`) every dispatch returns: one
+  query's accumulation, deferred in-process or in flight on a pool.
 
 Process pools are only worth their startup cost when the per-query
 cryptographic work dominates (realistic key sizes, long inverted lists);
-``parallelism=1`` is the default everywhere and runs the kernel in-process,
-bit-identical to the pre-parallel fast path.
+``parallelism=1`` is the default everywhere and runs the kernel in-process.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.partitioning import lpt_assignment, proportional_shares
+from repro.core.partitioning import lpt_assignment
 from repro.crypto import kernels, numbertheory
 from repro.crypto.kernels import build_power_table, power_table_strategy
 
@@ -55,7 +53,6 @@ __all__ = [
     "build_power_table",
     "accumulate_terms",
     "partition_payload",
-    "hybrid_shard_plan",
     "merge_shard_results",
     "collect_shard_results",
     "shard_tasks",
@@ -92,13 +89,12 @@ def term_cost(entry: TermPayload) -> int:
     One accumulator multiplication per posting plus the power-table build
     cost of the list's distinct quantised impacts (the same strategy choice
     :func:`build_power_table` will make).  This is what the LPT partition
-    balances: the old per-posting-count weighting assumed uniform cost per
-    posting, but two equally long lists can differ by hundreds of table
-    multiplications when one quantises to a single impact level and the
-    other spreads over the whole range -- exactly the skew impact-ordered
-    lists exhibit.  Deterministic, selector-independent, and cheap (no
-    ciphertext arithmetic), so planners and analytic estimators can replay
-    it.
+    balances -- not bare posting counts: two equally long lists can differ by
+    hundreds of table multiplications when one quantises to a single impact
+    level and the other spreads over the whole range, exactly the skew
+    impact-ordered lists exhibit.  Deterministic, selector-independent, and
+    cheap (no ciphertext arithmetic), so planners and analytic estimators
+    can replay it.
     """
     _, doc_ids, impacts = entry
     if not len(doc_ids):
@@ -113,17 +109,17 @@ def accumulate_terms(
 ) -> tuple[dict[int, int], ShardCounts]:
     """The power-table accumulation kernel over a sequence of term payloads.
 
-    This is the one implementation behind the sequential fast path, every
-    shard worker and every batch worker.  Returns the per-document encrypted
-    accumulators and the exact operation counts.  The pure-python per-posting
-    loop below is the correctness oracle; the optional backends route whole
-    payloads through :mod:`repro.crypto.kernels` -- run-grouped ``mpz``
-    arithmetic under ``gmpy2``, batched Montgomery-form C kernels under
-    ``cffi`` (falling back to the oracle whenever a payload leaves the
-    kernel's envelope).  Every path returns plain-``int`` accumulators in the
-    same insertion order with identical values and identical counters, so
-    callers and equivalence suites see the same objects whichever backend is
-    active.
+    This is the one implementation behind every fast query: the in-process
+    path, every shard worker and every batch worker.  Returns the
+    per-document encrypted accumulators and the exact operation counts.  The
+    per-posting loop below is the correctness oracle, written generically
+    over the backend integer (plain ``int``, or ``mpz`` under ``gmpy2`` via
+    :func:`repro.crypto.numbertheory.backend_int`); the ``cffi`` backend
+    routes whole payloads through the batched Montgomery-form C kernel in
+    :mod:`repro.crypto.kernels`, falling back to the loop whenever a payload
+    leaves the kernel's envelope.  Every backend returns plain-``int``
+    accumulators in the same insertion order with identical values and
+    identical counters.
     """
     backend = numbertheory.get_backend()
     if backend == "cffi":
@@ -131,17 +127,15 @@ def accumulate_terms(
         if fast is not None:
             accumulators, postings, table_mults, accumulator_mults = fast
             return accumulators, ShardCounts(postings, table_mults, accumulator_mults)
-    elif backend == "gmpy2":
-        grouped = kernels.accumulate_grouped(payload, modulus, numbertheory.backend_int)
-        accumulators, postings, table_mults, accumulator_mults = grouped
-        return accumulators, ShardCounts(postings, table_mults, accumulator_mults)
+    wrap = numbertheory.backend_int
+    modulus = wrap(modulus)
     counts = ShardCounts()
     accumulators: dict[int, int] = {}
     accumulator_get = accumulators.get
     for selector, doc_ids, impacts in payload:
         if not len(doc_ids):
             continue
-        table, table_mults = build_power_table(selector, impacts, modulus)
+        table, table_mults = build_power_table(wrap(selector), impacts, modulus)
         counts.table_multiplications += table_mults
         counts.postings += len(doc_ids)
         # One table lookup + at most one accumulator multiplication per
@@ -156,6 +150,8 @@ def accumulate_terms(
                 accumulators[doc_id] = existing * table[impact] % modulus
         new_candidates += len(accumulators)
         counts.accumulator_multiplications += len(doc_ids) - new_candidates
+    if backend == "gmpy2":
+        accumulators = {doc_id: int(value) for doc_id, value in accumulators.items()}
     return accumulators, counts
 
 
@@ -169,11 +165,9 @@ def partition_payload(
     Terms are assigned costliest-first to the currently lightest shard (LPT
     scheduling) where a term's cost is :func:`term_cost` -- its posting count
     plus its power-table build multiplications -- which keeps the per-shard
-    *modular-multiplication* totals within one term cost of each other.  The
-    original weighting used bare list lengths, i.e. assumed uniform cost per
-    posting, and systematically overloaded whichever shard drew the lists
-    with the widest distinct-impact spread.  Empty shards are dropped, so
-    the result may contain fewer than ``shards`` entries for narrow queries.
+    *modular-multiplication* totals within one term cost of each other.
+    Empty shards are dropped, so the result may contain fewer than ``shards``
+    entries for narrow queries.
     ``costs`` lets callers that already computed per-entry :func:`term_cost`
     values (the hybrid batch scheduler) pass them in instead of recomputing.
     """
@@ -192,25 +186,6 @@ def partition_payload(
     for i in order:
         buckets[assignment[i]].append(payload[i])
     return [bucket for bucket in buckets if bucket]
-
-
-def hybrid_shard_plan(weights: Sequence[int], parallelism: int) -> list[int]:
-    """Workers per query for a batch of ``len(weights)`` queries.
-
-    ``weights`` are per-query cost estimates -- callers pass summed
-    :func:`term_cost` values rather than bare posting counts, so the plan
-    accounts for power-table build work, not just list lengths.  Inter-query
-    parallelism (one worker task per query) saturates the pool
-    only when the batch is at least as large as the worker count.  For
-    smaller batches the leftover workers are handed out as *intra-query*
-    shards: every query gets one worker, and each remaining worker goes to
-    the query with the most postings still queued per worker it already
-    holds -- a deterministic largest-remaining-load allocation, so the plan
-    (and therefore worker seed derivation) is reproducible.  Queries with no
-    postings never receive extra workers; a query cannot use more shards
-    than it has terms, but :func:`partition_payload` clamps that downstream.
-    """
-    return proportional_shares(weights, parallelism)
 
 
 def merge_shard_results(
@@ -282,28 +257,40 @@ def collect_shard_results(
 
 
 class PendingResult:
-    """Handle to one query's in-flight accumulation.
+    """Handle to one query's accumulation -- the one thing a dispatch returns.
 
-    Wraps either the shard futures of a dispatched query (resolved and
-    merged on :meth:`result`) or a deferred in-process payload (accumulated
-    lazily on first :meth:`result`, so a streaming consumer of a sequential
-    batch pays for each query only when it asks for it).  ``result`` is
+    Either a deferred in-process payload (accumulated lazily on the first
+    :meth:`result`, so a streaming consumer of a one-worker batch pays for
+    each query only when it asks for it) or the shard futures of a dispatched
+    query plus the engine's ``collect(futures, handle)`` callable, which
+    gathers the shard partials and heals lost attempts.  ``result`` is
     idempotent; :attr:`shards` reports how many shard tasks the query
-    actually executed (0 for an empty payload).
+    executed (0 for an empty payload).
+
+    The four resilience attributes count what *this handle's own* collection
+    caused -- pools it retired, shard attempts it re-dispatched or timed
+    out, whether it degraded to in-process execution -- so attribution stays
+    exact when concurrent sessions collect from one shared engine.
     """
 
     def __init__(
         self,
         modulus: int,
-        futures: Sequence | None = None,
         payload: Sequence[TermPayload] | None = None,
+        futures: Sequence | None = None,
+        collect=None,
     ) -> None:
         if (futures is None) == (payload is None):
             raise ValueError("exactly one of futures/payload must be provided")
         self._modulus = modulus
-        self._futures = list(futures) if futures is not None else None
         self._payload = payload
+        self._futures = futures
+        self._collect = collect
         self._resolved: tuple[dict[int, int], ShardCounts, int, int] | None = None
+        self.pool_restarts = 0
+        self.tasks_retried = 0
+        self.tasks_timed_out = 0
+        self.degraded_queries = 0
 
     @property
     def shards(self) -> int:
@@ -314,10 +301,9 @@ class PendingResult:
     def done(self) -> bool:
         """True once collecting will not wait on outstanding worker futures.
 
-        A payload-deferred (in-process) pending result always reports True:
-        there is nothing to wait *for*, but the accumulation itself runs
-        inside the first :meth:`result` call -- "done" means "nothing is in
-        flight elsewhere", not "result() is free".
+        A payload-deferred handle always reports True: nothing is in flight
+        elsewhere, but the accumulation itself runs inside the first
+        :meth:`result` call.
         """
         if self._resolved is not None or self._futures is None:
             return True
@@ -330,9 +316,8 @@ class PendingResult:
                 accumulators, counts = accumulate_terms(self._payload, self._modulus)
                 self._resolved = (accumulators, counts, 0, self.shards)
             else:
-                partials = [future.result() for future in self._futures]
                 merged, counts, merge_multiplications = collect_shard_results(
-                    partials, self._modulus
+                    self._collect(self._futures, self), self._modulus
                 )
                 self._resolved = (merged, counts, merge_multiplications, self.shards)
         return self._resolved

@@ -9,7 +9,7 @@ the one home for that decision, with two consumers:
   :func:`lpt_assignment` (longest-processing-time balancing of weighted
   items over bins) and :func:`proportional_shares` (workers-per-query for a
   batch) are the primitives :func:`repro.core.parallel.partition_payload`
-  and :func:`repro.core.parallel.hybrid_shard_plan` are built on;
+  and :meth:`repro.core.engine.ExecutionEngine.submit_batch` are built on;
 * **static placement** across index shards for distributed serving: a
   *term -> shard map* (:class:`HashPartitioner` /
   :class:`BucketPartitioner`) decides which shard's index holds each

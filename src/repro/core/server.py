@@ -7,30 +7,24 @@ the document's encrypted score accumulator by ``E(u_i)^{p_ij}``, which under
 the additive homomorphism adds ``u_i * p_ij`` to the underlying score.  Decoy
 terms have ``u_i = 0``, so they perturb only the ciphertext, never the score.
 
-Three accumulation paths exist:
+Two accumulation paths exist:
 
 * the **naive reference path** (``naive=True``) pays one modular
-  exponentiation per posting, exactly as Algorithm 4 is written;
-* the **power-table fast path** (the default) exploits that impacts are
-  quantised to at most ``quantise_levels`` (<= 255) values and that
-  impact-ordered lists therefore contain few *distinct* impacts.  Per query
-  term it precomputes ``E(u_i)^p`` for exactly the distinct impacts in that
-  term's list, after which every posting costs a table lookup plus one
-  accumulator multiplication.  The resulting ciphertexts are bit-identical
-  to the naive path's.  The kernel lives in :mod:`repro.core.parallel` so
-  the sequential server and every worker process run the same code;
-* the **sharded path** (``parallelism > 1``) partitions the query's term
-  lists over worker processes -- each term accumulates independently -- and
-  merges the partial accumulators by modular multiplication, which is
-  associative, so the merged ciphertexts are again bit-identical.
-
-:meth:`PrivateRetrievalServer.process_batch` executes a whole session's
-queries through the server's **resident execution engine**
-(:class:`repro.core.engine.ExecutionEngine`): one long-lived worker pool
-amortised over every query and batch the server answers, with hybrid batch
-scheduling (intra-query sharding of the leftover workers when a batch is
-smaller than the pool) and order-preserving streaming delivery via
-:meth:`PrivateRetrievalServer.iter_batch`.
+  exponentiation per posting, exactly as Algorithm 4 is written -- the
+  oracle every equivalence suite compares against;
+* the **fast path** (the default) exploits that impacts are quantised to at
+  most ``quantise_levels`` (<= 255) values, so per query term it precomputes
+  ``E(u_i)^p`` for exactly the distinct impacts in that term's list, after
+  which every posting costs a table lookup plus one accumulator
+  multiplication (:func:`repro.core.parallel.accumulate_terms`).  Every fast
+  query is dispatched the same way (:meth:`PrivateRetrievalServer.iter_batch`;
+  ``process_batch`` materialises it, ``process_query`` is a batch of one):
+  one :class:`~repro.core.parallel.PendingResult` handle per query --
+  deferred in-process when the worker budget is 1, scheduled over the
+  resident :class:`~repro.core.engine.ExecutionEngine` pool otherwise --
+  collected by one loop.  Shard partials merge by modular multiplication,
+  which is associative, so the ciphertexts are bit-identical to the naive
+  path's wherever the multiplications happen.
 
 The server is instrumented: it counts disk blocks fetched (bucket-co-located
 lists are fetched together, the I/O optimisation Section 4 prescribes),
@@ -44,9 +38,7 @@ where the multiplications happen.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Sequence
-
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.core import parallel
 from repro.core.buckets import BucketOrganization
@@ -83,36 +75,6 @@ class EncryptedResult:
         return len(self.encrypted_scores) * (doc_id_bytes + ciphertext_bytes)
 
 
-#: EngineCounters fields mirrored into ServerCounters per query/batch.
-_RESILIENCE_FIELDS = (
-    "pool_restarts",
-    "tasks_retried",
-    "tasks_timed_out",
-    "degraded_queries",
-)
-
-
-def _resilience_snapshot(engine: ExecutionEngine) -> tuple[int, ...]:
-    """The engine's lifetime resilience counters, for delta attribution."""
-    return tuple(getattr(engine.counters, name) for name in _RESILIENCE_FIELDS)
-
-
-def _attribute_resilience(
-    counters: "ServerCounters", engine: ExecutionEngine, before: tuple[int, ...]
-) -> None:
-    """Charge the engine's resilience-counter deltas since ``before``.
-
-    The engine is shared across the server's calls (and possibly across
-    servers), so per-query attribution is the delta over this query's
-    collection window -- exact for the server's single-threaded use, a fair
-    split under interleaving.
-    """
-    for name, prior in zip(_RESILIENCE_FIELDS, before):
-        delta = getattr(engine.counters, name) - prior
-        if delta > 0:
-            setattr(counters, name, getattr(counters, name) + delta)
-
-
 @dataclass
 class ServerCounters:
     """Operation counters accumulated while answering one query (or one batch)."""
@@ -134,8 +96,9 @@ class ServerCounters:
     #: Queries answered into these counters (1 for process_query; the batch
     #: size for process_batch).
     queries_processed: int = 0
-    #: Resilience attribution, mirrored from the engine's counters (see
-    #: :class:`repro.core.engine.EngineCounters`): how execution *survived*
+    #: Resilience attribution, copied from each query's own
+    #: :class:`~repro.core.parallel.PendingResult` handle (exact under
+    #: concurrent sessions on a shared engine): how execution *survived*
     #: while answering this query/batch.  Recovery re-runs the associative
     #: kernel, so these never change result bits or op totals above.
     pool_restarts: int = 0
@@ -363,14 +326,12 @@ class PrivateRetrievalServer:
     def process_query(self, query: EmbellishedQuery) -> EncryptedResult:
         """Algorithm 4: accumulate encrypted relevance scores for every candidate document.
 
-        The query runs against a manifest snapshot pinned on entry, so a
-        concurrent writer/merge on the live index never locks (or tears) the
-        query path.
+        A batch of one: same pinned snapshot, same dispatch, same counters
+        (aggregated in :attr:`counters`); only :attr:`last_batch_counters`
+        is left empty, since no batch was asked for.
         """
-        self._counter_epoch += 1
-        self.counters.reset()
+        (result,) = self.iter_batch([query])
         self.last_batch_counters = []
-        result = self._answer_into(query, self.counters, self._pin())
         return result
 
     def process_batch(
@@ -378,42 +339,10 @@ class PrivateRetrievalServer:
         queries: Sequence[EmbellishedQuery],
         parallelism: int | None = None,
     ) -> list[EncryptedResult]:
-        """Answer a batch of queries through the resident engine's worker pool.
-
-        Batches parallelise *across* queries first (one worker task per
-        query, merge-free); when the batch is smaller than the pool, hybrid
-        scheduling splits the leftover workers into intra-query shards of
-        the heaviest queries, merged by the associative shard merge -- either
-        way each result is bit-identical to the sequential fast path's.
-
-        Parameters
-        ----------
-        queries:
-            The embellished queries, answered and returned in order.
-        parallelism:
-            Overrides the server's worker knob for this batch only; ``None``
-            uses :attr:`parallelism`, and any value is capped at the resident
-            pool's size.  ``1`` answers the batch sequentially in-process.
+        """:meth:`iter_batch`, materialised: the batch's results, in query order.
 
         Aggregate counters land in :attr:`counters`; per-query snapshots in
         :attr:`last_batch_counters`.
-
-        Raises
-        ------
-        RuntimeError
-            If a *shared* injected engine has been shut down (an owned engine
-            is recreated lazily instead).  A non-retryable worker exception
-            (e.g. ``PermanentFaultError``) propagates unchanged;
-            :class:`~repro.core.engine.EngineBusyError` is never raised here
-            -- a refused mid-stream resize just serves on the current pool.
-
-        Thread safety: one server instance answers one call at a time.  The
-        counters describe the most recent entry point, so concurrent calls
-        on the same instance interleave their attribution (see
-        :meth:`iter_batch` for the exact epoch semantics).  For concurrent
-        serving give each client session its own server and share the
-        :class:`~repro.core.engine.ExecutionEngine` (whose dispatch is
-        thread-safe) -- the arrangement :mod:`repro.service` uses.
         """
         return list(self.iter_batch(queries, parallelism=parallelism))
 
@@ -424,117 +353,126 @@ class PrivateRetrievalServer:
     ) -> Iterator[EncryptedResult]:
         """Stream a batch's results in query order as their futures complete.
 
-        The whole batch is dispatched up front (hybrid-scheduled over the
-        resident pool); each :class:`EncryptedResult` is yielded as soon as
-        its own shard tasks finish, so a consumer can post-filter early
-        results while later ones are still accumulating.  Counters fill
-        progressively: a query's snapshot in :attr:`last_batch_counters` is
-        complete once that query has been yielded, and :attr:`counters`
-        aggregates exactly the yielded prefix.  On the sequential path
-        (``naive=True`` or one worker) each query is instead computed lazily
-        when the iterator reaches it.
+        The whole batch is dispatched up front, hybrid-scheduled over the
+        resident pool: across queries first (one worker task per query,
+        merge-free), leftover workers as intra-query shards of the heaviest
+        queries.  Each :class:`EncryptedResult` is yielded as soon as its own
+        shard tasks finish, so a consumer can post-filter early results while
+        later ones are still accumulating.  Counters fill progressively:
+        :attr:`last_batch_counters` holds the completed snapshots of exactly
+        the yielded prefix, which :attr:`counters` aggregates.  With
+        ``naive=True`` or a worker budget of 1 nothing is dispatched: each
+        query is computed lazily when the iterator reaches it.
 
-        Parameters, raised errors and the thread-safety contract are those
-        of :meth:`process_batch` (which is this iterator, materialised);
-        additionally, because dispatch happens on the first ``next()``, a
-        worker-side permanent error surfaces out of the yielding loop, not
-        out of this call itself.  The generator holds shard futures on the
-        shared pool while suspended -- an
-        :class:`~repro.core.engine.EngineBusyError`-guarded resize elsewhere
-        will be refused until the stream is drained or closed, and an engine
-        ``shutdown(wait=True)`` during the stream waits for those futures,
-        whose results remain collectible afterwards.
+        Parameters
+        ----------
+        queries:
+            The embellished queries, answered and returned in order.
+        parallelism:
+            Overrides the server's worker knob for this batch only; ``None``
+            uses :attr:`parallelism`, and any value is capped at the resident
+            pool's size.  ``1`` answers the batch in-process.
 
-        As with every entry point, the server's counters describe the *most
-        recent* call: answering other queries on this server while a stream
-        is still being consumed rebinds :attr:`last_batch_counters` and
-        resets :attr:`counters` to that newer call; the in-flight stream
-        keeps filling its own snapshot list (which the interleaving caller
-        no longer sees) but stops touching the shared aggregate, so the
-        newer call's :attr:`counters` stay uncontaminated.
+        Raises
+        ------
+        RuntimeError
+            If a *shared* injected engine has been shut down (an owned engine
+            is recreated lazily instead).  A non-retryable worker exception
+            (e.g. ``PermanentFaultError``) propagates unchanged -- out of the
+            yielding loop, since dispatch happens on the first ``next()``;
+            :class:`~repro.core.engine.EngineBusyError` is never raised here
+            -- a refused mid-stream resize just serves on the current pool.
+
+        The generator holds shard futures on the shared pool while suspended:
+        a resize elsewhere is refused until the stream is drained or closed,
+        and an engine ``shutdown(wait=True)`` waits for those futures, whose
+        results remain collectible afterwards.
+
+        Thread safety: one server instance answers one call at a time, and
+        its counters describe the *most recent* entry point.  Answering other
+        queries on this server while a stream is still being consumed rebinds
+        :attr:`last_batch_counters` and resets :attr:`counters` to that newer
+        call; the in-flight stream keeps filling its own snapshot list but
+        stops touching the shared aggregate.  For concurrent serving give
+        each client session its own server and share the
+        :class:`~repro.core.engine.ExecutionEngine` (whose dispatch is
+        thread-safe and whose per-query resilience attribution is exact) --
+        the arrangement :mod:`repro.service` uses.
         """
         workers = self.parallelism if parallelism is None else parallelism
         self._counter_epoch += 1
         epoch = self._counter_epoch
         self.counters.reset()
-        # One pinned view for the whole batch, including the lazily-computed
-        # sequential path: every query of the stream answers against the
-        # same manifest epoch no matter what the writer does meanwhile.
+        # One pinned view for the whole batch, lazily-computed queries
+        # included: every query of the stream answers against the same
+        # manifest epoch no matter what the writer does meanwhile.
         view = self._pin()
-        # Also bound to a local: an interleaved process_query/process_batch
-        # rebinds the attribute, and this stream must keep appending to (and
-        # zipping against) its own snapshot list, never the newer call's.
+        # Also bound to a local: an interleaved call rebinds the attribute,
+        # and this stream must keep appending to its own snapshot list.
         snapshots: list[ServerCounters] = []
         self.last_batch_counters = snapshots
-        if self.naive or workers <= 1:
-            for query in queries:
-                per_query = ServerCounters()
-                result = self._answer_into(query, per_query, view, sharded=False)
-                snapshots.append(per_query)
-                if self._counter_epoch == epoch:
-                    self.counters.add(per_query)
-                yield result
-            return
-
-        modulus = self.public_key.n
-        payloads = []
-        for query in queries:
-            per_query = ServerCounters()
+        if self.naive:
+            answers = (self._answer_naive(query, view) for query in queries)
+        else:
+            answers = self._answer_fast(queries, workers, view)
+        for query, (accumulators, per_query) in zip(queries, answers):
             per_query.queries_processed = 1
             per_query.terms_processed = len(query)
             self._account_io(query, per_query, view)
             snapshots.append(per_query)
-            payloads.append(self._payload(query, view))
-        engine = self._engine_for(workers)
-        batch = engine.submit_batch(
-            payloads, modulus, base_seed=self.worker_base_seed, parallelism=workers
-        )
-        for per_query, pending in zip(snapshots, batch):
-            before = _resilience_snapshot(engine)
-            accumulators, counts, merge_multiplications, shards = pending.result()
-            _attribute_resilience(per_query, engine, before)
-            per_query.postings_processed = counts.postings
-            per_query.table_multiplications = counts.table_multiplications
-            per_query.modular_multiplications = (
-                counts.accumulator_multiplications + merge_multiplications
-            )
-            per_query.merge_multiplications = merge_multiplications
-            per_query.shards_executed = shards
             if self._counter_epoch == epoch:
                 self.counters.add(per_query)
-            yield EncryptedResult(encrypted_scores=accumulators, modulus=modulus)
+            yield EncryptedResult(encrypted_scores=accumulators, modulus=self.public_key.n)
 
-    # -- dispatch ----------------------------------------------------------------
-    def _answer_into(
-        self,
-        query: EmbellishedQuery,
-        counters: ServerCounters,
-        view,
-        sharded: bool = True,
-    ) -> EncryptedResult:
-        counters.queries_processed += 1
-        self._account_io(query, counters, view)
-        if self.naive:
-            return self._process_naive(query, counters, view)
-        if sharded and self.parallelism > 1:
-            return self._process_sharded(query, counters, view)
-        return self._process_power_table(query, counters, view)
+    # -- the fast path: dispatch -> handle -> collect ------------------------------
+    def _answer_fast(
+        self, queries: Sequence[EmbellishedQuery], workers: int, view
+    ) -> Iterator[tuple[dict[int, int], ServerCounters]]:
+        """One pending handle per query, collected and counted in query order."""
+        modulus = self.public_key.n
+        if workers <= 1:
+            # Deferred in-process handles, built lazily: a query's columns are
+            # read and accumulated only when the iterator reaches it.
+            pending = (
+                parallel.PendingResult(modulus, payload=self._payload(query, view))
+                for query in queries
+            )
+        else:
+            pending = self._engine_for(workers).submit_batch(
+                [self._payload(query, view) for query in queries],
+                modulus,
+                base_seed=self.worker_base_seed,
+                parallelism=workers,
+            )
+        for handle in pending:
+            accumulators, counts, merge_multiplications, shards = handle.result()
+            yield accumulators, ServerCounters(
+                postings_processed=counts.postings,
+                table_multiplications=counts.table_multiplications,
+                modular_multiplications=(
+                    counts.accumulator_multiplications + merge_multiplications
+                ),
+                merge_multiplications=merge_multiplications,
+                shards_executed=shards,
+                pool_restarts=handle.pool_restarts,
+                tasks_retried=handle.tasks_retried,
+                tasks_timed_out=handle.tasks_timed_out,
+                degraded_queries=handle.degraded_queries,
+            )
 
     def _payload(self, query: EmbellishedQuery, view) -> list[parallel.TermPayload]:
         """The per-term work units of one query, in query order."""
         columns = view.columns
-        return [
-            (selector, *columns(term)) for term, selector in query
-        ]
+        return [(selector, *columns(term)) for term, selector in query]
 
     # -- naive reference path ----------------------------------------------------
-    def _process_naive(
-        self, query: EmbellishedQuery, counters: ServerCounters, view
-    ) -> EncryptedResult:
+    def _answer_naive(
+        self, query: EmbellishedQuery, view
+    ) -> tuple[dict[int, int], ServerCounters]:
         modulus = self.public_key.n
+        counters = ServerCounters()
         accumulators: dict[int, int] = {}
         for term, encrypted_selector in query:
-            counters.terms_processed += 1
             for posting in view.postings(term):
                 counters.postings_processed += 1
                 # E(u_i)^{p_ij} -- one modular exponentiation per posting.
@@ -545,50 +483,7 @@ class PrivateRetrievalServer:
                     counters.modular_multiplications += 1
                 else:
                     accumulators[posting.doc_id] = contribution
-        return EncryptedResult(encrypted_scores=accumulators, modulus=modulus)
-
-    # -- power-table fast path (sequential) ---------------------------------------
-    def _process_power_table(
-        self, query: EmbellishedQuery, counters: ServerCounters, view
-    ) -> EncryptedResult:
-        modulus = self.public_key.n
-        payload = self._payload(query, view)
-        counters.terms_processed += len(payload)
-        accumulators, counts = parallel.accumulate_terms(payload, modulus)
-        counters.postings_processed += counts.postings
-        counters.table_multiplications += counts.table_multiplications
-        counters.modular_multiplications += counts.accumulator_multiplications
-        # An empty query executes zero shards, matching the engine's report.
-        if payload:
-            counters.shards_executed += 1
-        return EncryptedResult(encrypted_scores=accumulators, modulus=modulus)
-
-    # -- sharded fast path ---------------------------------------------------------
-    def _process_sharded(
-        self, query: EmbellishedQuery, counters: ServerCounters, view
-    ) -> EncryptedResult:
-        modulus = self.public_key.n
-        payload = self._payload(query, view)
-        counters.terms_processed += len(payload)
-        engine = self._engine_for(self.parallelism)
-        before = _resilience_snapshot(engine)
-        accumulators, counts, merge_multiplications, shards = engine.run_sharded(
-            payload,
-            modulus,
-            base_seed=self.worker_base_seed,
-            parallelism=self.parallelism,
-        )
-        _attribute_resilience(counters, engine, before)
-        counters.postings_processed += counts.postings
-        counters.table_multiplications += counts.table_multiplications
-        # Within-shard plus merge multiplications total exactly the sequential
-        # fast path's count; merge_multiplications records the attribution.
-        counters.modular_multiplications += (
-            counts.accumulator_multiplications + merge_multiplications
-        )
-        counters.merge_multiplications += merge_multiplications
-        counters.shards_executed += shards
-        return EncryptedResult(encrypted_scores=accumulators, modulus=modulus)
+        return accumulators, counters
 
     # -- storage model -----------------------------------------------------------
     def _account_io(

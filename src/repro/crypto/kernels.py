@@ -58,7 +58,6 @@ __all__ = [
     "ensure_compiled",
     "compiled_available",
     "accumulate_compiled",
-    "accumulate_grouped",
     "pir_fold_rows",
     "modexp_batch",
 ]
@@ -291,64 +290,6 @@ def build_power_table(selector: int, impacts, modulus: int) -> tuple[dict[int, i
         append(slots[src1] * slots[src2] % modulus)
     table = {impact: slots[slot] for impact, slot in plan.slot_of.items()}
     return table, len(plan.ops)
-
-
-# -- grouped (gmpy2-oriented) accumulation ------------------------------------------
-
-
-def _impact_runs(doc_ids, impacts):
-    """Yield ``(impact, doc_id_slice)`` runs of equal consecutive impacts.
-
-    Inverted lists are impact-ordered, so runs are long; grouping hoists the
-    table lookup out of the inner loop while visiting postings in their
-    original order (runs are consecutive slices), which keeps dict insertion
-    order -- and therefore the result -- identical to the per-posting loop.
-    """
-    start = 0
-    total = len(doc_ids)
-    for index in range(1, total + 1):
-        if index == total or impacts[index] != impacts[start]:
-            yield impacts[start], doc_ids[start:index]
-            start = index
-
-
-def accumulate_grouped(
-    payload, modulus: int, wrap
-) -> tuple[dict[int, int], int, int, int]:
-    """Run-grouped accumulation with backend-wrapped big integers.
-
-    ``wrap`` converts plain ints to the active backend's integer type (gmpy2
-    ``mpz``; the identity under pure python, which the equivalence tests use
-    to exercise this path without gmpy2 installed).  Returns
-    ``(accumulators, postings, table_multiplications,
-    accumulator_multiplications)`` with accumulator values converted back to
-    plain ``int``, bit-identical to the per-posting oracle loop.
-    """
-    accumulators: dict[int, object] = {}
-    accumulator_get = accumulators.get
-    postings = 0
-    table_multiplications = 0
-    accumulator_multiplications = 0
-    wrapped_modulus = wrap(modulus)
-    for selector, doc_ids, impacts in payload:
-        if not len(doc_ids):
-            continue
-        table, table_mults = build_power_table(wrap(selector), impacts, wrapped_modulus)
-        table_multiplications += table_mults
-        postings += len(doc_ids)
-        new_candidates = -len(accumulators)
-        for impact, run_docs in _impact_runs(doc_ids, impacts):
-            value = table[impact]
-            for doc_id in run_docs:
-                existing = accumulator_get(doc_id)
-                if existing is None:
-                    accumulators[doc_id] = value
-                else:
-                    accumulators[doc_id] = existing * value % wrapped_modulus
-        new_candidates += len(accumulators)
-        accumulator_multiplications += len(doc_ids) - new_candidates
-    plain = {doc_id: int(value) for doc_id, value in accumulators.items()}
-    return plain, postings, table_multiplications, accumulator_multiplications
 
 
 # -- the compiled Montgomery kernel -------------------------------------------------

@@ -73,11 +73,12 @@ import json
 import logging
 import secrets
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import partial
 from pathlib import Path
 
 from repro.core.buckets import BucketOrganization
-from repro.core.coordinator import QueryCoordinator, ShardTopology, data_epoch
+from repro.core.coordinator import QueryCoordinator, ShardTopology, shard_partials
 from repro.core.engine import ExecutionEngine, RetryPolicy
 from repro.core.server import PrivateRetrievalServer, ServerCounters
 from repro.service import protocol
@@ -603,6 +604,21 @@ class RetrievalService:
         if not queries:
             raise WireError("batch must contain at least one query")
 
+        kept = await self._admitted(
+            writer, session.lock, partial(self._stream_batch, session, queries, writer)
+        )
+        return True if kept is None else kept
+
+    async def _admitted(self, writer, lock, work):
+        """Run ``await work(queue_wait_s)`` under an admission permit and ``lock``.
+
+        The one admission prologue/epilogue of every accumulating route:
+        beyond the queue bound the request is answered ``429 + Retry-After``,
+        while draining ``503`` (both return ``None`` without calling
+        ``work``); an admitted request is metered, serialised on ``lock`` (a
+        PrivateRetrievalServer answers one call at a time) and always
+        releases its permit.
+        """
         request_started = time.monotonic()
         try:
             permit = await self.admission.admit()
@@ -614,20 +630,18 @@ class RetrievalService:
                 {"error": str(exc), "retry_after": exc.retry_after},
                 headers={"Retry-After": f"{exc.retry_after:g}"},
             )
-            return True
+            return None
         except ServiceDrainingError as exc:
             self.metrics.rejected_draining += 1
             await protocol.send_json(writer, 503, {"error": str(exc)})
-            return True
+            return None
 
         self.metrics.requests_admitted += 1
         self.metrics.requests_active += 1
         self.metrics.queue_wait.record(permit.queue_wait_s * 1000.0)
         try:
-            async with session.lock:
-                return await self._stream_batch(
-                    session, queries, writer, permit.queue_wait_s, request_started
-                )
+            async with lock:
+                return await work(permit.queue_wait_s)
         finally:
             permit.release()
             self.metrics.requests_active -= 1
@@ -680,65 +694,30 @@ class RetrievalService:
                 {"error": f"tenant {name!r} is distributed; it holds no shard data"},
             )
             return
-        body = request.json()
-        public_key, queries = decode_partial_request(body)
-
-        request_started = time.monotonic()
-        try:
-            permit = await self.admission.admit()
-        except ServiceSaturatedError as exc:
-            self.metrics.rejected_saturated += 1
-            await protocol.send_json(
-                writer,
-                429,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                headers={"Retry-After": f"{exc.retry_after:g}"},
-            )
-            return
-        except ServiceDrainingError as exc:
-            self.metrics.rejected_draining += 1
-            await protocol.send_json(writer, 503, {"error": str(exc)})
-            return
-
-        self.metrics.requests_admitted += 1
-        self.metrics.requests_active += 1
-        self.metrics.queue_wait.record(permit.queue_wait_s * 1000.0)
+        public_key, queries = decode_partial_request(request.json())
         server, lock = self._shard_server_for(tenant, public_key)
         loop = asyncio.get_running_loop()
+        response = await self._admitted(
+            writer,
+            lock,
+            lambda _queue_wait_s: loop.run_in_executor(
+                None, shard_partials, server, queries
+            ),
+        )
+        if response is None:
+            return
 
-        def accumulate():
-            results = server.process_batch(queries)
-            counters = [replace(snapshot) for snapshot in server.last_batch_counters]
-            return results, counters
-
-        try:
-            async with lock:
-                results, counters = await loop.run_in_executor(None, accumulate)
-        finally:
-            permit.release()
-            self.metrics.requests_active -= 1
-            self.metrics.request_time.record(
-                (time.monotonic() - request_started) * 1000.0
-            )
-
-        batch_totals = ServerCounters()
-        for snapshot in counters:
-            batch_totals.add(snapshot)
         self.metrics.queries_total += len(queries)
         tenant.batches_answered += 1
         tenant.queries_answered += len(queries)
-        tenant.totals.add(batch_totals)
+        for snapshot in response.counters:
+            tenant.totals.add(snapshot)
         payload = encode_shard_response(
-            data_epoch(tenant.index),
-            public_key.n,
-            [result.encrypted_scores for result in results],
-            counters,
+            response.epoch, response.modulus, response.partials, response.counters
         )
         await protocol.send_json(writer, 200, payload)
 
-    async def _stream_batch(
-        self, session, queries, writer, queue_wait_s, request_started
-    ) -> bool:
+    async def _stream_batch(self, session, queries, writer, queue_wait_s) -> bool:
         """Run one admitted batch to completion, streaming results as they land.
 
         The engine iterator runs on an executor thread (it blocks on shard

@@ -241,7 +241,8 @@ def decode_partial_request(obj) -> tuple[BenalohPublicKey, list[EmbellishedQuery
 
 def encode_shard_response(epoch: int, modulus: int, partials, counters) -> dict:
     """``partials[q]`` is query ``q``'s accumulator map; ``counters[q]`` its
-    shard-side :class:`~repro.core.server.ServerCounters`."""
+    shard-side :class:`~repro.core.server.ServerCounters` (``ValueError`` when
+    the two are not the same length)."""
     return {
         "epoch": epoch,
         "modulus": encode_int(modulus),
@@ -252,7 +253,7 @@ def encode_shard_response(epoch: int, modulus: int, partials, counters) -> dict:
                 },
                 "counters": encode_counters(per_query),
             }
-            for partial, per_query in zip(partials, counters)
+            for partial, per_query in zip(partials, counters, strict=True)
         ],
     }
 

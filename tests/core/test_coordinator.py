@@ -9,6 +9,7 @@ partitioner, and any failover path that still reaches a live replica.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -518,19 +519,18 @@ def test_modulus_mismatch_rejected_before_merge(
         coordinator.process_batch(queries)
 
 
+@pytest.mark.parametrize("short", ["partials", "counters"])
 def test_partial_count_mismatch_rejected(
-    index, organization, benaloh_keypair, queries
+    index, organization, benaloh_keypair, queries, short
 ):
+    """A shard answering too few partials -- or too few counter sets, which
+    used to pass the gather and silently break counter conservation in the
+    merge -- is rejected before anything reaches the merge."""
     part = HashPartitioner(num_shards=2)
     backends = _shard_backends(index, organization, benaloh_keypair.public, part)
 
     def tamper(response):
-        return ShardResponse(
-            epoch=response.epoch,
-            modulus=response.modulus,
-            partials=response.partials[:-1],
-            counters=response.counters,
-        )
+        return dataclasses.replace(response, **{short: getattr(response, short)[:-1]})
 
     wrapped = [CountingBackend(backends[0], tamper=tamper), backends[1]]
     coordinator = QueryCoordinator(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import parallel
 from repro.core.engine import ExecutionEngine
+from repro.core.partitioning import proportional_shares
 
 MODULUS = 1009 * 1013
 
@@ -60,7 +61,7 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="shut down"):
             engine.run_batch(_batch(), MODULUS)
         with pytest.raises(RuntimeError, match="shut down"):
-            engine.run_sharded(_batch()[0], MODULUS)
+            engine.run_batch([_batch()[0]], MODULUS)[0]
         with pytest.raises(RuntimeError, match="shut down"):
             engine.start()
         with pytest.raises(RuntimeError, match="shut down"):
@@ -121,9 +122,9 @@ class TestCountersAndReuse:
 
     def test_single_shard_query_runs_in_process_without_starting_pool(self):
         engine = ExecutionEngine(parallelism=4)
-        accumulators, counts, merge_muls, shards = engine.run_sharded(
-            _payload([(17, [(1, 2), (2, 1)])]), MODULUS
-        )
+        accumulators, counts, merge_muls, shards = engine.run_batch(
+            [_payload([(17, [(1, 2), (2, 1)])])], MODULUS
+        )[0]
         assert shards == 1 and merge_muls == 0
         assert not engine.running
         assert engine.counters.pool_starts == 0
@@ -131,7 +132,7 @@ class TestCountersAndReuse:
 
     def test_empty_payload_reports_zero_shards(self):
         engine = ExecutionEngine(parallelism=4)
-        accumulators, counts, merge_muls, shards = engine.run_sharded([], MODULUS)
+        accumulators, counts, merge_muls, shards = engine.run_batch([[]], MODULUS)[0]
         assert accumulators == {} and shards == 0
         batch = engine.run_batch([[], _batch()[1]], MODULUS)
         assert batch[0][0] == {} and batch[0][3] == 0
@@ -161,15 +162,14 @@ class TestHybridScheduling:
                 == seq_counts.accumulator_multiplications
             )
 
-    def test_single_query_batch_is_sharded_like_process_query(self):
-        """A batch of one heavy query must not fall back to one core: the
-        whole pool shards it, exactly as run_sharded would."""
+    def test_single_query_batch_is_sharded_over_the_whole_pool(self):
+        """A batch of one heavy query -- how a single query is dispatched --
+        must not fall back to one core: the whole pool shards it."""
         heavy = _batch()[0]
         with ExecutionEngine(parallelism=4) as engine:
-            (merged, counts, merge_muls, shards), = engine.run_batch([heavy], MODULUS)
-            via_sharded = engine.run_sharded(heavy, MODULUS)
+            (merged, _counts, _merge_muls, shards), = engine.run_batch([heavy], MODULUS)
         assert shards > 1
-        assert (merged, counts, merge_muls, shards) == via_sharded
+        assert merged == parallel.accumulate_terms(heavy, MODULUS)[0]
 
     def test_single_task_batch_runs_in_process(self):
         """One single-term query = one worker task: the pool cannot help, so
@@ -191,16 +191,14 @@ class TestHybridScheduling:
             assert [r[0] for r in capped] == [r[0] for r in uncapped]
 
     def test_hybrid_shard_plan_properties(self):
-        assert parallel.hybrid_shard_plan([], 4) == []
-        assert parallel.hybrid_shard_plan([10, 10, 10, 10], 2) == [1, 1, 1, 1]
-        plan = parallel.hybrid_shard_plan([30, 2], 4)
+        assert proportional_shares([], 4) == []
+        assert proportional_shares([10, 10, 10, 10], 2) == [1, 1, 1, 1]
+        plan = proportional_shares([30, 2], 4)
         assert sum(plan) == 4 and plan[0] > plan[1] >= 1
         # Zero-posting queries never receive the leftover workers.
-        assert parallel.hybrid_shard_plan([0, 0], 5) == [1, 1]
+        assert proportional_shares([0, 0], 5) == [1, 1]
         # Deterministic: same inputs, same plan.
-        assert parallel.hybrid_shard_plan([7, 5, 3], 8) == parallel.hybrid_shard_plan(
-            [7, 5, 3], 8
-        )
+        assert proportional_shares([7, 5, 3], 8) == proportional_shares([7, 5, 3], 8)
 
 
 class TestStreaming:

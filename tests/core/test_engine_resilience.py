@@ -55,7 +55,7 @@ class TestKillRecovery:
         payload = _payload()
         expected, _ = parallel.accumulate_terms(payload, MODULUS)
         with _engine(FaultPlan(kill_at=frozenset({(0, 0)}))) as engine:
-            merged, counts, merge_muls, shards = engine.run_sharded(payload, MODULUS)
+            merged, counts, merge_muls, shards = engine.run_batch([payload], MODULUS)[0]
         assert merged == expected
         assert shards == 2
         assert engine.counters.pool_restarts == 1
@@ -76,7 +76,7 @@ class TestKillRecovery:
         expected, _ = parallel.accumulate_terms(payload, MODULUS)
         with _engine(FaultPlan(kill_at=frozenset({(0, 0)}))) as engine:
             for _ in range(3):
-                merged, *_ = engine.run_sharded(payload, MODULUS)
+                merged, *_ = engine.run_batch([payload], MODULUS)[0]
                 assert merged == expected
         assert engine.counters.pool_restarts == 3
         assert engine.counters.tasks_retried >= 3
@@ -87,7 +87,7 @@ class TestTransientFaults:
         payload = _payload()
         expected, _ = parallel.accumulate_terms(payload, MODULUS)
         with _engine(FaultPlan(transient_at=frozenset({(0, 0)}))) as engine:
-            merged, *_ = engine.run_sharded(payload, MODULUS)
+            merged, *_ = engine.run_batch([payload], MODULUS)[0]
         assert merged == expected
         assert engine.counters.tasks_retried == 1
         assert engine.counters.pool_restarts == 0
@@ -97,7 +97,7 @@ class TestTransientFaults:
     def test_permanent_fault_propagates_unretried(self):
         with _engine(FaultPlan(permanent_at=frozenset({(0, 0)}))) as engine:
             with pytest.raises(PermanentFaultError):
-                engine.run_sharded(_payload(), MODULUS)
+                engine.run_batch([_payload()], MODULUS)[0]
         assert engine.counters.tasks_retried == 0
         assert engine.counters.degraded_queries == 0
 
@@ -113,7 +113,7 @@ class TestGracefulDegradation:
         )
         policy = _fast_policy(max_retries=3)
         with _engine(plan, policy) as engine:
-            merged, counts, merge_muls, shards = engine.run_sharded(payload, MODULUS)
+            merged, counts, merge_muls, shards = engine.run_batch([payload], MODULUS)[0]
         assert merged == expected
         assert engine.counters.degraded_queries == 1
         assert engine.counters.tasks_retried == 3
@@ -134,7 +134,7 @@ class TestGracefulDegradation:
         payload = _payload()
         expected, _ = parallel.accumulate_terms(payload, MODULUS)
         with _engine(plan, _fast_policy(max_retries=3)) as engine:
-            merged, *_ = engine.run_sharded(payload, MODULUS)
+            merged, *_ = engine.run_batch([payload], MODULUS)[0]
         assert merged == expected
         # Both shards degraded, but it is one degraded *query*.
         assert engine.counters.degraded_queries == 1
@@ -158,7 +158,7 @@ class TestDeadlines:
         )
         policy = _fast_policy(max_retries=1, timeout=0.05, clock=counting_clock)
         with _engine(plan, policy) as engine:
-            merged, *_ = engine.run_sharded(payload, MODULUS)
+            merged, *_ = engine.run_batch([payload], MODULUS)[0]
         assert merged == expected
         assert engine.counters.tasks_timed_out == 2
         assert engine.counters.tasks_retried == 1
@@ -175,7 +175,7 @@ class TestDeadlines:
 
         policy = _fast_policy(timeout=None, clock=counting_clock)
         with _engine(policy=policy) as engine:
-            engine.run_sharded(_payload(), MODULUS)
+            engine.run_batch([_payload()], MODULUS)[0]
         assert clock_calls == []
 
 
@@ -187,7 +187,7 @@ class TestBackoff:
         payload = _payload()
         expected, _ = parallel.accumulate_terms(payload, MODULUS)
         with _engine(plan, policy) as engine:
-            merged, *_ = engine.run_sharded(payload, MODULUS)
+            merged, *_ = engine.run_batch([payload], MODULUS)[0]
         assert merged == expected
         # Exactly the policy's deterministic schedule, no real sleeping.
         assert recorded == [policy.backoff(0, 1), policy.backoff(0, 2)]
@@ -252,7 +252,7 @@ class TestLifecycleAfterBreakage:
         # Dispatching afterwards heals: a fresh pool starts lazily.
         payload = _payload()
         expected, _ = parallel.accumulate_terms(payload, MODULUS)
-        merged, *_ = engine.run_sharded(payload, MODULUS)
+        merged, *_ = engine.run_batch([payload], MODULUS)[0]
         assert merged == expected
         engine.shutdown()
         assert engine.closed
@@ -272,7 +272,7 @@ class TestLifecycleAfterBreakage:
         engine.shutdown()  # no pool to retire
         assert engine.closed
         with pytest.raises(RuntimeError):
-            engine.run_sharded(_payload(), MODULUS)
+            engine.run_batch([_payload()], MODULUS)[0]
 
     def test_generic_submit_heals_a_previously_broken_pool(self):
         engine = ExecutionEngine(parallelism=2, retry_policy=_fast_policy())
@@ -300,3 +300,60 @@ class TestCounters:
         assert counters.tasks_timed_out == 0
         assert counters.degraded_queries == 0
         assert counters.pool_starts == 0
+
+
+class TestSharedEngineAttribution:
+    """Sessions share one engine; each query's resilience counters must be
+    what *its own* collection caused, not whatever the engine's lifetime
+    counters moved by while it happened to be waiting."""
+
+    def test_concurrent_servers_are_charged_only_their_own_recovery(
+        self, index, organization, benaloh_keypair
+    ):
+        import random
+        import threading
+
+        from repro.core.embellish import QueryEmbellisher
+        from repro.core.server import PrivateRetrievalServer
+
+        embellisher = QueryEmbellisher(
+            organization=organization, keypair=benaloh_keypair, rng=random.Random(5)
+        )
+        query = embellisher.embellish(
+            [organization.buckets[0][0], organization.buckets[3][1]]
+        )
+        # Task indices are call-local.  A's one query shards into tasks 0-1,
+        # B's two queries into tasks 0-1 and 2-3: both wait out the delay on
+        # task 0, only B ever dispatches task 2 and heals its transient fault.
+        plan = FaultPlan(
+            delay_at=frozenset({(0, 0)}),
+            delay_seconds=0.5,
+            transient_at=frozenset({(2, 0)}),
+        )
+        with _engine(plan, workers=4) as engine:
+            kwargs = dict(
+                index=index,
+                organization=organization,
+                public_key=benaloh_keypair.public,
+                engine=engine,
+            )
+            server_a = PrivateRetrievalServer(parallelism=2, **kwargs)
+            server_b = PrivateRetrievalServer(parallelism=4, **kwargs)
+            answers_b = []
+            thread_b = threading.Thread(
+                target=lambda: answers_b.extend(server_b.process_batch([query, query]))
+            )
+            thread_b.start()
+            # B dispatches first, so its retry (after its own 0.5 s delay)
+            # lands while A is still inside its collection window.
+            time.sleep(0.15)
+            (answer_a,) = server_a.process_batch([query])
+            thread_b.join(timeout=60)
+            assert not thread_b.is_alive()
+        assert [r.encrypted_scores for r in answers_b] == [answer_a.encrypted_scores] * 2
+        assert server_b.counters.tasks_retried == 1
+        assert server_a.counters.tasks_retried == 0
+        for name in ("tasks_retried", "pool_restarts", "tasks_timed_out", "degraded_queries"):
+            assert getattr(server_a.counters, name) + getattr(
+                server_b.counters, name
+            ) == getattr(engine.counters, name)

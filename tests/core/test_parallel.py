@@ -104,7 +104,7 @@ class TestWorkerSeeding:
         benaloh._DEFAULT_RNG.seed(987654321)
         expected = benaloh._DEFAULT_RNG.getstate()
         engine = ExecutionEngine(parallelism=4)  # lazy: no pool is ever started
-        engine.run_sharded(payload[:1], modulus)  # single shard: in-process
+        engine.run_batch([payload[:1]], modulus)[0]  # single shard: in-process
         engine.run_batch([payload, payload], modulus, parallelism=1)
         assert not engine.running
         engine.shutdown()

@@ -4,8 +4,8 @@ index splitting and sharded persistence.
 The load-bearing invariants:
 
 * ``lpt_assignment`` / ``proportional_shares`` are the exact greedies the
-  process pool has always used (``partition_payload`` / ``hybrid_shard_plan``
-  are now built on them), so their determinism is re-pinned here;
+  process pool has always used (``partition_payload`` and the engine's hybrid
+  batch plan are built on them), so their determinism is re-pinned here;
 * a partitioner is a total, deterministic function of ``(seed, term)`` --
   every node derives the same routing with no coordination -- and survives a
   ``spec()`` round-trip exactly;
@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from repro.core.parallel import partition_payload, hybrid_shard_plan
+from repro.core.parallel import partition_payload
 from repro.core.partitioning import (
     BucketPartitioner,
     HashPartitioner,
@@ -95,12 +95,6 @@ def test_proportional_shares_leftovers_to_heaviest():
 def test_proportional_shares_zero_weight_never_extra():
     shares = proportional_shares([0, 0], 6)
     assert shares == [1, 1]
-
-
-def test_hybrid_shard_plan_unchanged_by_refactor():
-    assert hybrid_shard_plan([5, 5, 5], 3) == [1, 1, 1]
-    plan = hybrid_shard_plan([20, 5], 6)
-    assert sum(plan) == 6 and plan[0] > plan[1]
 
 
 # -- term -> shard maps ------------------------------------------------------------

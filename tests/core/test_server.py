@@ -304,8 +304,9 @@ class TestIterBatch:
         with PrivateRetrievalServer(parallelism=2, **kwargs) as server:
             streamed = []
             for position, result in enumerate(server.iter_batch(queries)):
-                # Counters fill progressively: the yielded prefix is complete.
-                assert len(server.last_batch_counters) == len(queries)
+                # Counters fill progressively: exactly the yielded prefix,
+                # whatever the worker budget.
+                assert len(server.last_batch_counters) == position + 1
                 assert server.counters.queries_processed == position + 1
                 streamed.append(result)
         assert [r.encrypted_scores for r in streamed] == [

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import parallel
 from repro.crypto import kernels, numbertheory as nt
 from repro.crypto.kernels import (
-    accumulate_grouped,
     build_power_table,
     power_table_plan,
     power_table_strategy,
@@ -48,6 +47,18 @@ def oracle(payload, modulus):
             else:
                 accumulators[doc] = term
     return accumulators, postings, table_multiplications, accumulator_multiplications
+
+
+def accumulate_loop(payload, modulus):
+    """``accumulate_terms``' per-posting loop (the python backend is active
+    outside the tests that switch it), flattened to the oracle's shape."""
+    accumulators, counts = parallel.accumulate_terms(payload, modulus)
+    return (
+        accumulators,
+        counts.postings,
+        counts.table_multiplications,
+        counts.accumulator_multiplications,
+    )
 
 
 def assert_matches_oracle(got, want):
@@ -143,11 +154,9 @@ class TestPowerPlans:
 class TestAccumulateEquivalence:
     @given(payloads())
     @settings(max_examples=120, deadline=None)
-    def test_grouped_matches_oracle(self, case):
+    def test_loop_matches_oracle(self, case):
         modulus, payload = case
-        want = oracle(payload, modulus)
-        got = accumulate_grouped(payload, modulus, lambda value: value)
-        assert_matches_oracle(got, want)
+        assert_matches_oracle(accumulate_loop(payload, modulus), oracle(payload, modulus))
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     @given(payloads())
@@ -173,9 +182,7 @@ class TestAccumulateEquivalence:
         ]
         for payload in edge_cases:
             want = oracle(payload, modulus)
-            assert_matches_oracle(
-                accumulate_grouped(payload, modulus, lambda v: v), want
-            )
+            assert_matches_oracle(accumulate_loop(payload, modulus), want)
             if COMPILED:
                 got = kernels.accumulate_compiled(payload, modulus)
                 assert got is not None

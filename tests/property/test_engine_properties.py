@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import parallel
 from repro.core.embellish import QueryEmbellisher
 from repro.core.engine import ExecutionEngine
+from repro.core.partitioning import proportional_shares
 from repro.core.server import PrivateRetrievalServer
 
 
@@ -50,7 +51,7 @@ def payload_batches(draw):
 
 def _hybrid_in_process(batch, modulus, parallelism):
     """Replay exactly what ExecutionEngine.submit_batch dispatches, in-process."""
-    plan = parallel.hybrid_shard_plan(
+    plan = proportional_shares(
         [sum(len(doc_ids) for _, doc_ids, _ in payload) for payload in batch],
         parallelism,
     )
@@ -69,7 +70,7 @@ class TestHybridSchedulingProperties:
     def test_plan_allocates_every_query_at_least_one_worker(self, data, parallelism):
         batch, _ = data
         weights = [sum(len(doc_ids) for _, doc_ids, _ in payload) for payload in batch]
-        plan = parallel.hybrid_shard_plan(weights, parallelism)
+        plan = proportional_shares(weights, parallelism)
         assert len(plan) == len(batch)
         assert all(share >= 1 for share in plan)
         assert sum(plan) <= max(parallelism, len(batch))

@@ -105,10 +105,10 @@ class TestFaultedEngineProperties:
 
     @given(data=payload_batches())
     @settings(max_examples=6, deadline=None)
-    def test_faulted_run_sharded_matches_sequential(self, faulted_engine, data):
+    def test_faulted_single_query_batch_matches_sequential(self, faulted_engine, data):
         batch, modulus = data
         for payload in batch:
-            merged, *_ = faulted_engine.run_sharded(payload, modulus)
+            merged, *_ = faulted_engine.run_batch([payload], modulus)[0]
             sequential, _ = parallel.accumulate_terms(payload, modulus)
             assert merged == sequential
 

@@ -76,6 +76,9 @@ def test_shard_response_round_trip(benaloh_keypair):
     assert response.partials == ({3: 19, 11: modulus - 1},)
     assert response.counters[0].modular_multiplications == 41
     assert response.counters[0].queries_processed == 1
+    # One counter set per partial, never silently truncated to the shorter.
+    with pytest.raises(ValueError):
+        encode_shard_response(7, modulus, [{3: 19}, {4: 2}], [counters])
 
 
 def test_counters_codec_tolerates_schema_drift():
