@@ -37,7 +37,7 @@ Collecting a handle survives worker death, hung tasks, and transient errors.
 The accumulation kernel is an associative product in Z*_n, so re-running a
 lost shard is idempotent down to the bit: the engine retires a broken pool
 (``cancel_futures=True``), restarts it lazily, and re-dispatches *only the
-lost shards* -- same task tuple, same seed -- under :class:`RetryPolicy`'s
+lost shards* -- the same task tuple -- under :class:`RetryPolicy`'s
 bounded, seeded-jitter backoff (clock and sleep injectable, so fault suites
 run fast and deterministically).  A shard that exhausts its budget
 **degrades** to in-process execution through the same kernel instead of
@@ -47,13 +47,6 @@ caused it -- the per-query numbers the server forwards into
 :meth:`repro.core.costs.CostModel.pr_report`.  Installing a
 :class:`repro.core.faults.FaultInjector` makes workers fail on a seeded
 schedule: the test/bench substrate for all of the above.
-
-Reproducibility
----------------
-Every worker task carries an explicit seed derived from ``(base_seed, task
-index within the call)`` -- never from pool age or dispatch history -- so a
-reused resident pool replays byte-identical seed streams call after call,
-exactly like a freshly forked pool would.
 
 Thread safety
 -------------
@@ -227,9 +220,6 @@ class ExecutionEngine:
     ----------
     parallelism:
         Resident worker-process count (defaults to the machine's CPU count).
-    base_seed:
-        Default base for per-task worker seed derivation; dispatching calls
-        may override it per call.
     retry_policy:
         Deadlines, retry budget, and backoff for shard collection.
     fault_injector:
@@ -239,7 +229,6 @@ class ExecutionEngine:
     """
 
     parallelism: int | None = None
-    base_seed: int = parallel.DEFAULT_WORKER_SEED
     counters: EngineCounters = field(default_factory=EngineCounters)
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     fault_injector: faults.FaultInjector | None = None
@@ -522,7 +511,6 @@ class ExecutionEngine:
         self,
         payloads: Sequence[Sequence[parallel.TermPayload]],
         modulus: int,
-        base_seed: int | None = None,
         parallelism: int | None = None,
     ) -> list[parallel.PendingResult]:
         """Dispatch a batch under hybrid scheduling; results stream in order.
@@ -564,16 +552,13 @@ class ExecutionEngine:
             # At most one worker task in the whole batch (e.g. a single
             # single-term query): the pool cannot help, run in-process.
             return pending
-        seed = self.base_seed if base_seed is None else base_seed
         backend = numbertheory.get_backend()
         executor = self._acquire()
         task_index = 0
         for position, shards in enumerate(shard_groups):
             if not shards:
                 continue  # empty query: nothing to dispatch, zero shards
-            tasks = parallel.shard_tasks(
-                shards, modulus, seed, backend, start_index=task_index
-            )
+            tasks = parallel.shard_tasks(shards, modulus, backend)
             self.counters.tasks_dispatched += len(tasks)
             futures = [
                 self._dispatch(executor, task, task_index + offset)
@@ -592,11 +577,8 @@ class ExecutionEngine:
         self,
         payloads: Sequence[Sequence[parallel.TermPayload]],
         modulus: int,
-        base_seed: int | None = None,
         parallelism: int | None = None,
     ) -> list[tuple[dict[int, int], parallel.ShardCounts, int, int]]:
         """:meth:`submit_batch`, collected: per-query merged results in order."""
-        pending = self.submit_batch(
-            payloads, modulus, base_seed=base_seed, parallelism=parallelism
-        )
+        pending = self.submit_batch(payloads, modulus, parallelism=parallelism)
         return [handle.result() for handle in pending]

@@ -107,10 +107,10 @@ class FaultPlan:
     (``kill_at`` etc., sets of ``(index, attempt)`` pairs, and ``kill_every``)
     override the rates and make single-shot scenarios exact.
 
-    Worker-task indices are call-local (the same indices that seed
-    derivation uses -- see :func:`repro.core.parallel.shard_tasks`), so
-    ``kill_at={(0, 0)}`` kills the first shard's first attempt of *every*
-    engine call: one guaranteed recovery exercise per call.
+    Worker-task indices are call-local (a shard's position among the tasks
+    one ``submit_batch`` call dispatches), so ``kill_at={(0, 0)}`` kills the
+    first shard's first attempt of *every* engine call: one guaranteed
+    recovery exercise per call.
     """
 
     seed: int = 0xFA117
@@ -262,8 +262,8 @@ def faulted_shard_task(plan: FaultPlan, task_index: int, attempt: int, task):
     """Worker entry point: apply the planned fault, then run the real kernel.
 
     Dispatched by the engine in place of ``parallel._shard_task`` when a
-    :class:`FaultInjector` is installed.  A surviving attempt re-seeds and
-    accumulates exactly like the clean path, so results stay bit-identical.
+    :class:`FaultInjector` is installed.  A surviving attempt accumulates
+    exactly like the clean path, so results stay bit-identical.
     """
     from repro.core import parallel
 

@@ -20,11 +20,10 @@ This module holds everything that crosses a process boundary:
   multiplications always total exactly the sequential fast path's count
   (``postings - distinct candidates``), so the cost model is unchanged by
   parallelism -- only the op *placement* moves;
-* the **worker entry point** (:func:`_shard_task`), which re-seeds the
-  crypto layer's module-level fallback generators from an explicit per-task
-  seed before touching any payload (a forked worker otherwise inherits a
-  byte-for-byte copy of the parent's generator state), making sharded runs
-  reproducible under both ``fork`` and ``spawn`` start methods;
+* the **worker entry point** (:func:`_shard_task`), which syncs the
+  big-integer backend a ``spawn``-started worker would otherwise lose and
+  runs the kernel (which draws no randomness: results are a pure function
+  of the task under both ``fork`` and ``spawn``);
 * the **pending handle** (:class:`PendingResult`) every dispatch returns: one
   query's accumulation, deferred in-process or in flight on a pool.
 
@@ -35,7 +34,6 @@ cryptographic work dominates (realistic key sizes, long inverted lists);
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,17 +54,12 @@ __all__ = [
     "merge_shard_results",
     "collect_shard_results",
     "shard_tasks",
-    "derive_worker_seed",
 ]
 
 #: Per-term work unit shipped to workers: ``(encrypted_selector, doc_ids,
 #: quantised_impacts)``.  The arrays are the index's own columnar storage
 #: (``array('I')``), which pickles compactly.
 TermPayload = tuple[int, array, array]
-
-#: Default base seed for worker re-seeding; callers override it per run for
-#: independent streams, and :func:`derive_worker_seed` stretches it per shard.
-DEFAULT_WORKER_SEED = 0x20100A
 
 
 @dataclass
@@ -211,36 +204,11 @@ def merge_shard_results(
     return merged, merge_multiplications
 
 
-def derive_worker_seed(base_seed: int, task_index: int) -> int:
-    """A stable, well-separated per-task seed for worker RNG re-seeding.
-
-    Hash-derived rather than ``base_seed + task_index`` so that nearby base
-    seeds do not produce overlapping per-task streams.  Deterministic across
-    platforms and Python versions (SHA-256, not ``hash()``).
-    """
-    digest = hashlib.sha256(f"{base_seed}:{task_index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def shard_tasks(
-    shards: Sequence[Sequence[TermPayload]],
-    modulus: int,
-    base_seed: int,
-    backend: str,
-    start_index: int = 0,
-) -> list[tuple[Sequence[TermPayload], int, int, str]]:
-    """Build the worker task tuples for a list of shards.
-
-    ``start_index`` offsets the per-task seed derivation so that several
-    groups of shards dispatched in one logical call (e.g. the hybrid batch
-    scheduler's per-query shard groups) draw from disjoint seed indices.
-    The derivation depends only on ``(base_seed, index)`` -- never on pool
-    age -- so a resident pool replays identical seeds call after call.
-    """
-    return [
-        (shard, modulus, derive_worker_seed(base_seed, start_index + offset), backend)
-        for offset, shard in enumerate(shards)
-    ]
+    shards: Sequence[Sequence[TermPayload]], modulus: int, backend: str
+) -> list[tuple[Sequence[TermPayload], int, str]]:
+    """The worker task tuples ``(payload, modulus, backend)`` for a list of shards."""
+    return [(shard, modulus, backend) for shard in shards]
 
 
 def collect_shard_results(
@@ -323,37 +291,17 @@ class PendingResult:
         return self._resolved
 
 
-def reseed_worker(seed: int) -> None:
-    """Explicitly re-seed every module-level fallback generator in a worker.
-
-    Forked workers inherit copies of the parent's generator state; spawned
-    workers start from OS entropy.  Either way the streams are not
-    reproducible run-to-run, so each task seeds them from its own derived
-    seed before doing any work.
-    """
-    from repro.crypto import benaloh, paillier
-
-    benaloh.reseed_default_rng(seed)
-    paillier.reseed_default_rng(seed)
-    numbertheory.reseed_default_rng(seed)
-
-
 def _shard_task(
-    task: tuple[Sequence[TermPayload], int, int, str],
+    task: tuple[Sequence[TermPayload], int, str],
 ) -> tuple[dict[int, int], ShardCounts]:
-    """Worker entry point: re-seed, sync the backend, run the kernel.
+    """Worker entry point: sync the backend, run the kernel.
 
-    Only ever executed inside a worker process -- the engine's in-process
-    paths call :func:`accumulate_terms` directly, because re-seeding the
-    *caller's* module-level generators to a derivable seed would make every
-    subsequent fallback encryption in the parent predictable.  The active
-    big-integer backend is carried in the task because a ``spawn``-started
-    worker re-imports :mod:`repro.crypto.numbertheory` with the default
-    backend (``fork`` inherits it); without the sync, gmpy2 acceleration
-    would silently drop to pure python on spawn platforms.
+    The active big-integer backend is carried in the task because a
+    ``spawn``-started worker re-imports :mod:`repro.crypto.numbertheory`
+    with the default backend (``fork`` inherits it); without the sync, gmpy2
+    acceleration would silently drop to pure python on spawn platforms.
     """
-    payload, modulus, seed, backend = task
-    reseed_worker(seed)
+    payload, modulus, backend = task
     if numbertheory.get_backend() != backend:
         numbertheory.set_backend(backend)
     return accumulate_terms(payload, modulus)

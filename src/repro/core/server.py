@@ -148,10 +148,6 @@ class PrivateRetrievalServer:
         the default).  Worth its process-pool startup cost only when the
         per-query cryptographic work dominates (realistic key sizes, long
         lists); correctness never depends on it.
-    worker_base_seed:
-        Base seed from which each worker task derives its explicit RNG seed
-        (see :func:`repro.core.parallel.derive_worker_seed`), keeping sharded
-        runs reproducible instead of inheriting forked generator state.
     engine:
         The resident :class:`~repro.core.engine.ExecutionEngine` carrying the
         long-lived worker pool.  Pass one to share a pool between servers;
@@ -167,7 +163,6 @@ class PrivateRetrievalServer:
     public_key: BenalohPublicKey
     naive: bool = False
     parallelism: int = 1
-    worker_base_seed: int = parallel.DEFAULT_WORKER_SEED
     engine: ExecutionEngine | None = None
     counters: ServerCounters = field(default_factory=ServerCounters)
     #: Per-query counter snapshots of the most recent :meth:`process_batch`
@@ -188,9 +183,7 @@ class PrivateRetrievalServer:
     def _engine_for(self, workers: int) -> ExecutionEngine:
         """The resident engine, lazily created and grown to ``workers``."""
         if self.engine is None:
-            self.engine = ExecutionEngine(
-                parallelism=workers, base_seed=self.worker_base_seed
-            )
+            self.engine = ExecutionEngine(parallelism=workers)
             self._owns_engine = True
         elif self._owns_engine and workers > self.engine.parallelism:
             # An owned pool grows to the largest parallelism ever requested;
@@ -441,7 +434,6 @@ class PrivateRetrievalServer:
             pending = self._engine_for(workers).submit_batch(
                 [self._payload(query, view) for query in queries],
                 modulus,
-                base_seed=self.worker_base_seed,
                 parallelism=workers,
             )
         for handle in pending:

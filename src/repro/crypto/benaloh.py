@@ -49,11 +49,10 @@ _DEFAULT_RNG = random.Random()
 def reseed_default_rng(seed: int) -> None:
     """Explicitly re-seed the module-level fallback generator.
 
-    Worker processes call this with a per-task derived seed before doing any
-    work: a forked child otherwise inherits a byte-for-byte copy of the
-    parent's generator state (every worker replaying the same "random"
-    stream), and a spawned child starts from OS entropy (not reproducible).
-    See :func:`repro.core.parallel.reseed_worker`.
+    Key generation and encryption fall back to it when no ``rng=`` is
+    passed; seeding it makes such a run reproducible (a forked child
+    otherwise inherits a byte-for-byte copy of the parent's generator state,
+    a spawned one starts from OS entropy).
     """
     _DEFAULT_RNG.seed(seed)
 

@@ -74,10 +74,7 @@ _DEFAULT_RNG = random.Random()
 def reseed_default_rng(seed: int) -> None:
     """Explicitly re-seed the module-level fallback generator.
 
-    Worker processes call this with a per-task derived seed before doing any
-    work: a forked child otherwise inherits a byte-for-byte copy of the
-    parent's generator state and a spawned child starts from OS entropy.
-    See :func:`repro.core.parallel.reseed_worker`.
+    See :func:`repro.crypto.benaloh.reseed_default_rng`.
     """
     _DEFAULT_RNG.seed(seed)
 

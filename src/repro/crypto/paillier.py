@@ -35,8 +35,8 @@ _DEFAULT_RNG = random.Random()
 
 
 def reseed_default_rng(seed: int) -> None:
-    """Explicitly re-seed the module-level fallback generator (worker hygiene;
-    see :func:`repro.crypto.benaloh.reseed_default_rng`)."""
+    """Explicitly re-seed the module-level fallback generator (see
+    :func:`repro.crypto.benaloh.reseed_default_rng`)."""
     _DEFAULT_RNG.seed(seed)
 
 

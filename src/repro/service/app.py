@@ -69,6 +69,7 @@ POST            /shards/{tenant}/partials               scatter -> partials
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import secrets
@@ -222,10 +223,6 @@ class RetrievalService:
         #: Resident engines keyed by resolved index directory; tenants added
         #: with an in-memory index get a private key of their own.
         self._engines: dict[object, ExecutionEngine] = {}
-        #: Shard-role accumulation servers, one per (tenant, public key),
-        #: each with a lock serialising its batches (a PrivateRetrievalServer
-        #: answers one call at a time).
-        self._shard_servers: dict[tuple, tuple[PrivateRetrievalServer, asyncio.Lock]] = {}
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
 
@@ -605,17 +602,18 @@ class RetrievalService:
             raise WireError("batch must contain at least one query")
 
         kept = await self._admitted(
-            writer, session.lock, partial(self._stream_batch, session, queries, writer)
+            writer, partial(self._stream_batch, session, queries, writer), session.lock
         )
         return True if kept is None else kept
 
-    async def _admitted(self, writer, lock, work):
-        """Run ``await work(queue_wait_s)`` under an admission permit and ``lock``.
+    async def _admitted(self, writer, work, lock=None):
+        """Run ``await work(queue_wait_s)`` under an admission permit.
 
         The one admission prologue/epilogue of every accumulating route:
         beyond the queue bound the request is answered ``429 + Retry-After``,
         while draining ``503`` (both return ``None`` without calling
-        ``work``); an admitted request is metered, serialised on ``lock`` (a
+        ``work``); an admitted request is metered, serialised on ``lock``
+        when the route shares a server between requests (a session's
         PrivateRetrievalServer answers one call at a time) and always
         releases its permit.
         """
@@ -640,7 +638,7 @@ class RetrievalService:
         self.metrics.requests_active += 1
         self.metrics.queue_wait.record(permit.queue_wait_s * 1000.0)
         try:
-            async with lock:
+            async with lock or contextlib.nullcontext():
                 return await work(permit.queue_wait_s)
         finally:
             permit.release()
@@ -650,30 +648,6 @@ class RetrievalService:
             )
 
     # -- the shard-server role ----------------------------------------------------
-    def _shard_server_for(
-        self, tenant: Tenant, public_key
-    ) -> tuple[PrivateRetrievalServer, asyncio.Lock]:
-        """The accumulation server answering partials for one (tenant, key).
-
-        Cached so repeated scatters from the same coordinator session reuse
-        the server's power-plan cache; each entry carries its own lock
-        because a PrivateRetrievalServer answers one call at a time while
-        different keys' servers may run concurrently.
-        """
-        key = (tenant.name, public_key.n, public_key.g, public_key.r)
-        entry = self._shard_servers.get(key)
-        if entry is None:
-            server = PrivateRetrievalServer(
-                index=tenant.index,
-                organization=tenant.organization,
-                public_key=public_key,
-                parallelism=self.config.parallelism,
-                engine=tenant.engine,
-            )
-            entry = (server, asyncio.Lock())
-            self._shard_servers[key] = entry
-        return entry
-
     async def _shard_partials(self, name: str, request, writer) -> None:
         """POST /shards/{tenant}/partials -> epoch-stamped partial accumulators.
 
@@ -695,11 +669,19 @@ class RetrievalService:
             )
             return
         public_key, queries = decode_partial_request(request.json())
-        server, lock = self._shard_server_for(tenant, public_key)
+        # Built per request and dropped with it: the tenant engine is shared,
+        # never owned, and power-table plans are memoised process-wide, so a
+        # resident per-key server would only grow with every key ever seen.
+        server = PrivateRetrievalServer(
+            index=tenant.index,
+            organization=tenant.organization,
+            public_key=public_key,
+            parallelism=self.config.parallelism,
+            engine=tenant.engine,
+        )
         loop = asyncio.get_running_loop()
         response = await self._admitted(
             writer,
-            lock,
             lambda _queue_wait_s: loop.run_in_executor(
                 None, shard_partials, server, queries
             ),

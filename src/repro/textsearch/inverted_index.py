@@ -113,6 +113,7 @@ from repro.textsearch.segments import (
     SegmentInfo,
     SegmentManifest,
     TieredMergePolicy,
+    _persist_state,
     merge_posting_runs,
     merge_segment_parts,
     quantise_impact,
@@ -467,6 +468,12 @@ class IndexSnapshot:
     # -- pinned journal / manifest ------------------------------------------
     @property
     def max_impact(self) -> float:
+        """The global impact calibration every quantised value derives from.
+
+        Stored per-index (not recomputed ad hoc) so updates can detect when
+        it moves and re-quantise the affected lists instead of silently
+        clamping a late high-impact insert.
+        """
         return self._max_impact
 
     @property
@@ -783,18 +790,6 @@ class InvertedIndex:
                 "frequencies; use InvertedIndex.build (or pass document_terms=) "
                 "to enable add_document/remove_document/compact"
             )
-
-    @property
-    def max_impact(self) -> float:
-        """The global impact calibration every quantised value derives from.
-
-        Stored per-index (not recomputed ad hoc) so updates can detect when
-        it moves and re-quantise the affected lists instead of silently
-        clamping a late high-impact insert; reading it reflects any pending
-        updates.
-        """
-        self._ensure_fresh()
-        return self._max_impact
 
     @property
     def supports_updates(self) -> bool:
@@ -1156,11 +1151,7 @@ class InvertedIndex:
                 chosen = [self._segments[i] for i in positions]
                 # Flush the inputs' deferred rewrites: the kernel must merge
                 # current arrays (it copies impacts/quants verbatim).
-                dead = self._dead_sets()
-                for position in positions:
-                    segment = self._segments[position]
-                    for term in list(segment.stale_terms):
-                        self._refresh_list(segment, term, dead[position])
+                self._ensure_current_arrays(positions)
                 older_docs: set[int] = set()
                 for segment in self._segments[: positions[0]]:
                     older_docs |= segment.documents
@@ -1168,7 +1159,7 @@ class InvertedIndex:
                 # rows still carry pre-removal impacts (the deferred rewrite
                 # skips dead rows), so the kernel must drop them or the merged
                 # runs come out unsorted.
-                external_dead = frozenset(dead[positions[-1]])
+                external_dead = frozenset(self._dead_sets()[positions[-1]])
                 parts = [
                     (dict(segment.lists), frozenset(segment.documents), frozenset(segment.tombstones))
                     for segment in chosen
@@ -1358,9 +1349,7 @@ class InvertedIndex:
         """Persist the index as a columnar segment directory.
 
         The unsealed delta is sealed first (the format stores sealed
-        segments only), then each segment's columns are written as one
-        binary blob plus a manifest-log record appended to the directory's
-        write-ahead log -- see
+        segments only); the write itself is
         :func:`repro.textsearch.segments.write_index_directory`.
 
         Parameters
@@ -1370,15 +1359,11 @@ class InvertedIndex:
             index instance* over the directory it last saved to (or was
             loaded from) is **incremental**: only segments sealed since the
             previous save are written as new blobs, previously persisted
-            segment files are reused by reference, and the commit is one
-            CRC-framed, fsynced append to ``wal.log`` -- previously
-            referenced blobs are never rewritten.  The log is compacted to
-            its newest record (with orphaned-blob reclamation) once it
-            exceeds ``wal_compact_records`` records.  A save that dies
-            mid-write leaves the previous record the newest consistent one,
-            so :meth:`load` falls back to it.  Every other save (first
-            save, new path, a directory someone else has since written) is
-            wholesale, under a fresh directory identity.
+            segment files are reused by reference and never rewritten.  A
+            save that dies mid-write leaves the previous record the newest
+            consistent one, so :meth:`load` falls back to it.  Every other
+            save (first save, new path, a directory someone else has since
+            written) is wholesale, under a fresh directory identity.
         include_document_terms:
             With the default ``True`` the per-document term frequencies are
             saved too, so the loaded index supports further incremental
@@ -1403,20 +1388,14 @@ class InvertedIndex:
             and self._persist.get("path") == str(Path(path).resolve())
         )
         with self._snapshot_lock:
-            if want_incremental:
-                # Keep deferred per-list rewrites deferred: already-persisted
-                # blobs stay byte-identical on disk and the record is marked
-                # arrays_fresh=false instead, so load re-derives impacts
-                # lazily exactly as this instance would have.
-                self._ensure_fresh()
-                self.seal_delta()
-                runtime_fresh = not any(
-                    segment.stale_terms for segment in self._segments
-                )
-            else:
+            # An incremental save keeps deferred per-list rewrites deferred:
+            # already-persisted blobs stay byte-identical on disk and the
+            # record is marked arrays_fresh=false instead, so load re-derives
+            # impacts lazily exactly as this instance would have.
+            if not want_incremental:
                 self._ensure_current_arrays()
-                self.seal_delta()
-                runtime_fresh = True
+            self.seal_delta()
+            runtime_fresh = not any(segment.stale_terms for segment in self._segments)
             extra = {
                 "quantise_levels": self.quantise_levels,
                 "block_size": self.block_size,
@@ -1567,21 +1546,7 @@ class InvertedIndex:
         )
         # Adopt the directory identity so the next save() of this instance
         # back to the same path runs incrementally.
-        integrity = manifest["integrity"]
-        index._persist = {
-            "path": str(Path(path).resolve()),
-            "uuid": manifest["uuid"],
-            "save_seq": manifest["save_seq"],
-            "files": {
-                entry["segment_id"]: {
-                    "file": entry["file"],
-                    "content_version": entry["content_version"],
-                    "terms": entry["terms"],
-                    "integrity": list(integrity[entry["file"]]),
-                }
-                for entry in manifest["segments"]
-            },
-        }
+        index._persist = _persist_state(path, manifest)
         if manifest.get("arrays_fresh", True) is False and document_terms is not None:
             # The record was saved with deferred rewrites outstanding: the
             # blobs hold pre-update arrays, so re-derive impacts on first
@@ -1600,8 +1565,8 @@ class InvertedIndex:
 
     @staticmethod
     def repair_directory(path: str | Path) -> dict:
-        """Promote the newest fully-consistent checkpoint of a damaged
-        :meth:`save` tree and delete the debris; see
+        """Rewrite a damaged :meth:`save` tree's log to its newest
+        fully-consistent record and delete the debris; see
         :func:`repro.textsearch.segments.repair_index_directory`.  Mutates
         the directory -- quiesce any writer or loader of the same tree first
         (``docs/operations.md``).
@@ -1710,15 +1675,14 @@ class InvertedIndex:
         # arrays; the bump forces the next incremental save to rewrite it.
         segment.content_version += 1
 
-    def _ensure_current_arrays(self) -> None:
-        """Flush every deferred per-list rewrite (compact and wholesale save)."""
+    def _ensure_current_arrays(self, positions: Iterable[int] | None = None) -> None:
+        """Flush the deferred per-list rewrites of the segments at
+        ``positions`` -- merge inputs -- or of every segment (compact and
+        wholesale save)."""
         self._ensure_fresh()
-        if all(not segment.stale_terms for segment in self._segments):
-            return
         dead = self._dead_sets()
-        for position, segment in enumerate(self._segments):
-            if not segment.stale_terms:
-                continue
+        for position in range(len(self._segments)) if positions is None else positions:
+            segment = self._segments[position]
             for term in list(segment.stale_terms):
                 self._refresh_list(segment, term, dead[position])
 
@@ -1773,6 +1737,10 @@ class InvertedIndex:
 
     def serialise_list(self, term: str) -> bytes:
         return self.snapshot().serialise_list(term)
+
+    @property
+    def max_impact(self) -> float:
+        return self.snapshot().max_impact
 
     def touched_since(self, epoch: int) -> frozenset[str]:
         return self.snapshot().touched_since(epoch)

@@ -33,13 +33,11 @@ The pieces provided here:
   :class:`~repro.core.engine.ExecutionEngine` worker process and overlap
   compaction with query serving; :class:`MergeHandle` carries the pending
   result back to ``commit_merge``.
-* :func:`write_index_directory` / :func:`read_index_directory` -- the on-disk
-  columnar format behind :meth:`InvertedIndex.save` / ``load``: one immutable
-  binary blob per segment (per term: doc ids, quants, impacts, 16-byte
-  aligned) plus an append-only **manifest log** (``wal.log``) of CRC-framed
-  manifest records.  Incremental saves append newly sealed segment files and
-  one log record; ``load`` replays the log to the newest consistent record;
-  the log is periodically compacted with orphan-file reclamation.
+* :func:`write_index_directory` / :func:`read_index_directory` -- the
+  crash-safe on-disk directory behind :meth:`InvertedIndex.save` / ``load``
+  (format and durability order: the comment block above
+  ``_fsync_write_bytes``), audited by :func:`verify_index_directory` and
+  :func:`repair_index_directory`.
 * :func:`rewrite_stale_columns` -- the pure deferred-rewrite kernel shared by
   the index's in-place list refresh and the immutable read snapshots.
 """
@@ -84,11 +82,8 @@ __all__ = [
 
 #: Identifier written into every saved manifest.
 INDEX_FORMAT = "repro-index-segments"
-#: The one on-disk format: an append-only manifest log (``wal.log``) -- every
-#: save appends one CRC-framed manifest record instead of rewriting the tree,
-#: previously persisted segment files are reused by reference, and recovery
-#: replays the log to the newest consistent record.  A record carrying any
-#: other version is reported as a problem, never loaded.
+#: The one on-disk format version; a record carrying any other is reported
+#: as a problem, never loaded.
 INDEX_FORMAT_VERSION = 3
 
 #: Manifest-log records retained before a save compacts ``wal.log`` down to
@@ -640,19 +635,15 @@ class MergeHandle:
 # -- on-disk columnar directory format -------------------------------------------
 #
 #   <path>/
-#     manifest.json        the newest committed manifest record: format,
-#                          version, byteorder, index uuid, save_seq, segment
-#                          directory (per segment: metadata, content_version,
-#                          tombstones, documents and the term ->
-#                          [byte offset, row count, crc32] directory), plus
-#                          the index-level extras the caller supplies
-#     wal.log              the manifest log: every save appends one
-#                          CRC-framed record (<u32 length, u32 crc32> +
-#                          compact-JSON manifest).  Recovery replays it to
-#                          the newest consistent record; a save whose record
-#                          count exceeds the compaction threshold rewrites
-#                          the log down to its newest record and reclaims
-#                          files only older records referenced
+#     wal.log              the manifest log, and the only manifest source:
+#                          every save appends one CRC-framed record (<u32
+#                          length, u32 crc32> + compact-JSON manifest: format,
+#                          version, byteorder, index uuid, save_seq,
+#                          arrays_fresh, whole-file integrity pairs, the
+#                          segment directory -- per segment: metadata,
+#                          content_version, tombstones, documents and the
+#                          term -> [byte offset, row count, crc32] directory
+#                          -- plus the index-level extras the caller supplies)
 #     segment_<id>_<seq>.bin
 #                          per term, concatenated: doc_ids (4n bytes), quants
 #                          (4n), impacts (8n) -- 16n per term, so every term
@@ -667,12 +658,21 @@ class MergeHandle:
 # Columns are written in native byte order (recorded in the manifest); a
 # load on a mismatched platform falls back to eager reads with a byteswap.
 #
-# Durability ordering of one save: new segment blobs and doc-terms are
-# written and fsynced first, the wal.log append (or rewrite) is fsynced next
-# -- that is the commit point -- then manifest.json is swapped atomically as
-# a convenience copy of the newest record, and only then are unreferenced
-# files reclaimed.  A crash at any byte boundary leaves a prefix of the log,
-# every record of which stays bit-identically replayable.
+# Durability ordering of one save: new segment blobs and the doc-terms
+# sidecar are written and fsynced, then the directory entry naming them;
+# the fsynced wal.log append is the commit point (a rewrite -- compaction,
+# or a torn tail that must not bury the new record -- is an atomic
+# wal.log.tmp swap plus a second directory fsync); only then are files no
+# retained record references reclaimed.  A crash at any byte boundary
+# leaves a prefix of the log -- the old newest record intact (the new files
+# are unreferenced orphans) or the new one fully committed -- and every
+# record of it stays bit-identically replayable: files referenced by *any*
+# retained record are spared until the log exceeds its compaction threshold
+# and is rewritten down to the newest record.  Recovery replays the log to
+# the newest consistent record.
+#
+# Older builds also wrote a manifest.json copy of the newest record; it is
+# never read, and counts as debris like any other unreferenced file.
 
 _TERM_BLOCK_FACTOR = 16  # bytes per row: 4 (doc id) + 4 (quant) + 8 (impact)
 
@@ -778,6 +778,53 @@ def _save_seq(record: Mapping) -> int:
     return seq if isinstance(seq, int) else 0
 
 
+#: Everything a save, a crash or an older build can leave under an index
+#: directory besides ``wal.log`` itself: data files, the staged log rewrite,
+#: and the older builds' copy of the newest record (with its staging name).
+_DEBRIS_PATTERNS = ("segment_*.bin", "doc_terms*.json", "wal.log.tmp", "manifest.json*")
+
+
+def _unreferenced_files(root: Path, records: Iterable[Mapping]) -> list[Path]:
+    """The files under ``root`` that none of ``records`` references, sorted."""
+    referenced: set[str] = set()
+    for record in records:
+        referenced |= _record_files(record)
+    return sorted(
+        candidate
+        for pattern in _DEBRIS_PATTERNS
+        for candidate in root.glob(pattern)
+        if candidate.name not in referenced
+    )
+
+
+def _rewrite_wal(root: Path, records: Iterable[Mapping]) -> None:
+    """Atomically replace the log with exactly ``records`` (staged swap)."""
+    staging = root / "wal.log.tmp"
+    _fsync_write_bytes(staging, b"".join(map(_frame_wal_record, records)))
+    os.replace(staging, root / "wal.log")
+    _fsync_directory(root)
+
+
+def _persist_state(root: str | Path, record: Mapping) -> dict:
+    """What the next incremental save needs of the last committed ``record``:
+    the directory identity plus, per segment id, the persisted file."""
+    integrity = record["integrity"]
+    return {
+        "path": str(Path(root).resolve()),
+        "uuid": record["uuid"],
+        "save_seq": record["save_seq"],
+        "files": {
+            entry["segment_id"]: {
+                "file": entry["file"],
+                "content_version": entry["content_version"],
+                "terms": entry["terms"],
+                "integrity": integrity[entry["file"]],
+            }
+            for entry in record["segments"]
+        },
+    }
+
+
 def _segment_blob(segment: IndexSegment) -> tuple[bytes, dict[str, tuple[int, int, int]]]:
     chunks: list[bytes] = []
     directory: dict[str, tuple[int, int, int]] = {}
@@ -847,19 +894,14 @@ def write_index_directory(
 ) -> dict:
     """Persist sealed segments (plus index-level ``extra`` metadata) under ``path``.
 
-    Every save appends one CRC-framed manifest record to the ``wal.log``
-    manifest log (the fsynced append is the commit point), then swaps
-    ``manifest.json`` -- a convenience copy of the newest record -- in
-    atomically via ``os.replace``.  Segment files are **immutable once
-    written**: with ``persist_state`` (the state a previous save or load of
-    the same directory returned), an *incremental* save writes blobs only
-    for segments without a previously persisted file and reuses the rest by
-    reference, so ``save`` after N update batches appends, never rewrites.
-    Files referenced by *any* record still in the log are spared
-    reclamation, keeping every record bit-identically replayable; once the
-    log exceeds ``wal_compact_records`` records, the save rewrites it down
-    to the newest record (atomic ``wal.log.tmp`` swap) and reclaims the
-    files only older records referenced.
+    One save is one manifest record committed to ``wal.log`` (layout and
+    durability order: the comment block above ``_fsync_write_bytes``).  With
+    ``persist_state`` (the state a previous save or load of the same
+    directory returned), an *incremental* save writes blobs only for
+    segments without a previously persisted file and reuses the rest by
+    reference, so ``save`` after N update batches appends, never rewrites;
+    once the log would exceed ``wal_compact_records`` records it is
+    compacted to the new record alone.
 
     The mode follows from the persist state alone: incremental when
     ``persist_state`` matches the directory's uuid and newest save_seq and
@@ -870,78 +912,50 @@ def write_index_directory(
     ``content_version`` -- a load of a record with ``arrays_fresh: false``
     re-derives impacts on first read, restoring rebuild bit-identity.
 
-    A crash at any point leaves either the old newest record intact (new
-    files are unreferenced orphans, reclaimed by the next save or
-    :func:`repair_index_directory`) or the new record fully committed.
     Returns a report dict -- ``mode``, ``save_seq``, ``segments_written`` /
     ``segments_reused``, ``wal_records``, ``compacted``, ``arrays_fresh``
     and the new ``persist_state`` to thread into the next save.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    manifest_path = root / "manifest.json"
     wal_path = root / "wal.log"
-
-    primary: dict | None = None
-    if manifest_path.exists():
-        try:
-            parsed = json.loads(manifest_path.read_text(encoding="utf-8"))
-            primary = parsed if isinstance(parsed, dict) else None
-        except (ValueError, OSError):
-            primary = None
     kept_records, torn = _scan_wal(wal_path)
+    newest: Mapping = kept_records[-1] if kept_records else {}
+    newest_seq = max(map(_save_seq, kept_records), default=0)
+    save_seq = newest_seq + 1
 
-    seqs = [
-        _save_seq(record) for record in ([primary] if primary else []) + kept_records
-    ]
-    newest_seq = max(seqs) if seqs else None
-    save_seq = (newest_seq + 1) if newest_seq is not None else 1
-
-    directory_uuid = None
-    for record in ([primary] if primary else []) + list(reversed(kept_records)):
-        if isinstance(record.get("uuid"), str):
-            directory_uuid = record["uuid"]
-            break
-
-    matches = (
+    incremental = (
         persist_state is not None
+        and document_terms is not None
         and persist_state.get("path") == str(root.resolve())
-        and directory_uuid is not None
-        and persist_state.get("uuid") == directory_uuid
+        and persist_state.get("uuid") == newest.get("uuid")
         and persist_state.get("save_seq") == newest_seq
     )
-    mode = "incremental" if matches and document_terms is not None else "full"
-    index_uuid = (
-        persist_state["uuid"] if mode == "incremental" else _uuid.uuid4().hex
-    )
+    index_uuid = persist_state["uuid"] if incremental else _uuid.uuid4().hex
+    reused_files: Mapping = persist_state["files"] if incremental else {}
 
-    reused_files: Mapping = persist_state.get("files", {}) if mode == "incremental" else {}
     manifest_segments = []
     integrity: dict[str, list[int]] = {}
-    new_persist_files: dict[int, dict] = {}
     segments_written = 0
-    segments_reused = 0
     files_fresh = True
     for segment in segments:
-        record = reused_files.get(segment.segment_id)
-        if record is not None:
-            filename = record["file"]
-            entry_terms = record["terms"]
-            file_integrity = list(record["integrity"])
-            content_version = record["content_version"]
+        persisted = reused_files.get(segment.segment_id)
+        if persisted is not None:
+            filename = persisted["file"]
+            entry_terms = persisted["terms"]
+            integrity[filename] = persisted["integrity"]
+            content_version = persisted["content_version"]
             if content_version != segment.content_version:
                 files_fresh = False
-            segments_reused += 1
         else:
             blob, directory = _segment_blob(segment)
             filename = f"segment_{segment.segment_id}_{save_seq}.bin"
             _io_event("write", root / filename)
             _fsync_write_bytes(root / filename, blob)
             entry_terms = {term: list(entry) for term, entry in directory.items()}
-            file_integrity = [len(blob), zlib.crc32(blob)]
+            integrity[filename] = [len(blob), zlib.crc32(blob)]
             content_version = segment.content_version
             segments_written += 1
-        integrity[filename] = file_integrity
         manifest_segments.append(
             {
                 "segment_id": segment.segment_id,
@@ -955,19 +969,12 @@ def write_index_directory(
                 "terms": entry_terms,
             }
         )
-        new_persist_files[segment.segment_id] = {
-            "file": filename,
-            "content_version": content_version,
-            "terms": entry_terms,
-            "integrity": list(file_integrity),
-        }
     doc_terms_file = None
     if document_terms is not None:
         doc_terms_file = f"doc_terms_{save_seq}.json"
-        payload = json.dumps(
+        encoded = json.dumps(
             {str(doc_id): dict(freqs) for doc_id, freqs in document_terms.items()}
-        )
-        encoded = payload.encode("utf-8")
+        ).encode("utf-8")
         _io_event("write", root / doc_terms_file)
         _fsync_write_bytes(root / doc_terms_file, encoded)
         integrity[doc_terms_file] = [len(encoded), zlib.crc32(encoded)]
@@ -984,11 +991,11 @@ def write_index_directory(
         "segments": manifest_segments,
         **dict(extra),
     }
+    # The record must never become durable ahead of the names it references.
+    _fsync_directory(root)
 
-    # Commit point: the manifest record becomes durable in the log.  An
-    # append when the log is clean and under threshold; otherwise an atomic
-    # rewrite (compaction, or a torn tail that must not bury the new record
-    # behind unreachable bytes).
+    # Commit point: an append when the log is clean and under threshold,
+    # otherwise the atomic rewrite (compaction, or past a torn tail).
     compacted = len(kept_records) + 1 > max(int(wal_compact_records), 1)
     new_records = [manifest] if compacted else kept_records + [manifest]
     _io_event("write", wal_path)
@@ -998,46 +1005,23 @@ def write_index_directory(
             handle.flush()
             os.fsync(handle.fileno())
     else:
-        staging = root / "wal.log.tmp"
-        _fsync_write_bytes(
-            staging, b"".join(_frame_wal_record(record) for record in new_records)
-        )
-        os.replace(staging, wal_path)
-    _io_event("write", manifest_path)
-    staging = root / "manifest.json.tmp"
-    staging.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-    os.replace(staging, manifest_path)
-    _fsync_directory(root)
+        _rewrite_wal(root, new_records)
 
-    # Reclamation: keep every file any surviving log record references --
-    # each record stays replayable until compaction drops it.
-    referenced: set[str] = set()
-    for record in new_records:
-        referenced |= _record_files(record)
-    for pattern in ("segment_*.bin", "doc_terms*.json"):
-        for candidate in root.glob(pattern):
-            if candidate.name not in referenced:
-                candidate.unlink()
-    for name in ("wal.log.tmp", "manifest.json.tmp"):
-        leftover = root / name
-        if leftover.exists():
-            leftover.unlink()
+    # Reclamation: every retained record stays replayable until compaction
+    # drops it, so only what none of them references goes.
+    for stale in _unreferenced_files(root, new_records):
+        stale.unlink()
 
     return {
-        "mode": mode,
+        "mode": "incremental" if incremental else "full",
         "save_seq": save_seq,
         "uuid": index_uuid,
         "segments_written": segments_written,
-        "segments_reused": segments_reused,
+        "segments_reused": len(manifest_segments) - segments_written,
         "wal_records": len(new_records),
         "compacted": compacted,
         "arrays_fresh": arrays_fresh,
-        "persist_state": {
-            "path": str(root.resolve()),
-            "uuid": index_uuid,
-            "save_seq": save_seq,
-            "files": new_persist_files,
-        },
+        "persist_state": _persist_state(root, manifest),
     }
 
 
@@ -1170,61 +1154,34 @@ def _deep_problems(root: Path, manifest: Mapping) -> list[str]:
 
 
 def _audit(
-    root: Path, *, deep: bool
-) -> Iterator[tuple[str, dict | None, list[str]]]:
+    root: Path, records: Sequence[dict], *, deep: bool
+) -> Iterator[tuple[str, dict, list[str]]]:
     """The one audit walk behind load, verify and repair.
 
-    Yields ``(source, manifest, problems)`` for every manifest candidate --
-    the primary ``manifest.json`` and the consistent-prefix records of the
-    ``wal.log`` manifest log (``wal.log#<seq>``) -- newest save first.  They
-    are ordered by ``save_seq`` descending with the primary preferred at
-    equal sequence, so an intact primary resolves without a recovery marker
-    and a committed log record that never reached the primary swap still
-    wins over the stale primary.  A candidate is consistent exactly when
-    ``problems`` is empty; ``manifest`` is ``None`` when it could not even
-    be parsed.  With ``deep`` the data files of structurally sound
-    candidates are read back against their checksums.  Lazy: a consumer
-    that stops at the first consistent candidate never pays for older ones.
+    Yields ``(source, record, problems)`` for the log's consistent-prefix
+    ``records``, newest first; ``source`` is ``wal.log#<save_seq>`` and a
+    record is consistent exactly when ``problems`` is empty.  With ``deep``
+    the data files of structurally sound records are read back against
+    their checksums.  Lazy: a consumer that stops at the first consistent
+    record never pays for older ones.
     """
-    candidates: list[tuple[int, int, str, dict | None, list[str]]] = []
-    primary = root / "manifest.json"
-    if primary.exists():
-        try:
-            manifest = json.loads(primary.read_text(encoding="utf-8"))
-            if not isinstance(manifest, dict):
-                raise ValueError("not a JSON object")
-            candidates.append((_save_seq(manifest), 0, "manifest.json", manifest, []))
-        except (ValueError, OSError) as exc:
-            candidates.append((-1, 0, "manifest.json", None, [f"unreadable ({exc})"]))
-    for record in read_manifest_log(root / "wal.log"):
-        seq = _save_seq(record)
-        candidates.append((seq, 1, f"wal.log#{seq}", record, []))
-    candidates.sort(key=lambda candidate: (-candidate[0], candidate[1]))
-    for _, _, source, manifest, problems in candidates:
-        if manifest is not None:
-            problems = _manifest_problems(root, manifest)
-            if not problems and deep:
-                problems = _deep_problems(root, manifest)
-        yield source, manifest, problems
+    for record in reversed(records):
+        problems = _manifest_problems(root, record)
+        if not problems and deep:
+            problems = _deep_problems(root, record)
+        yield f"wal.log#{_save_seq(record)}", record, problems
 
 
-def _newest_consistent(root: Path, *, deep: bool) -> tuple[str, dict]:
-    """``(source, manifest)`` of the newest candidate the audit walk passes.
-
-    ``source`` is ``manifest.json`` when the primary was the newest
-    consistent candidate and the log record (``wal.log#<seq>``) replayed
-    otherwise -- a torn or interrupted re-save.  Raises
-    :class:`CorruptIndexError` listing every candidate's problems when none
-    passes.
-    """
-    failures: list[str] = []
-    for source, manifest, problems in _audit(root, deep=deep):
-        if not problems:
-            return source, manifest
-        failures.append(f"{source}: " + "; ".join(problems))
-    detail = " | ".join(failures) or "no manifest.json or wal.log record present"
-    raise CorruptIndexError(
-        f"no consistent manifest record under {root}: {detail}", path=root
+def _no_consistent_record(
+    root: Path, problems: Mapping[str, Sequence[str]]
+) -> CorruptIndexError:
+    detail = " | ".join(
+        f"{source}: " + "; ".join(found) for source, found in problems.items()
+    )
+    return CorruptIndexError(
+        f"no consistent manifest record under {root}: "
+        + (detail or "no wal.log record present"),
+        path=root,
     )
 
 
@@ -1239,12 +1196,13 @@ def read_index_directory(
     materialised lazily from the mapped file on first access; without it (or
     on a byte-order mismatch) each segment file is read eagerly.
 
-    The manifest is validated against the data files before anything is
-    read: a torn re-save (truncated files, torn or malformed primary
-    manifest) falls back to the newest fully-consistent log record, named
-    in the returned manifest under ``"recovered_from"``.  A nonexistent directory
-    raises :class:`FileNotFoundError` naming the path; a directory with no
-    usable checkpoint raises :class:`CorruptIndexError`.  Column checksums
+    The newest log record the audit walk passes is validated against the
+    data files before anything is read; when a newer *parsed* record had to
+    be skipped for its problems (a torn re-save, a malformed record), the
+    returned manifest names the record used under ``"recovered_from"``.  A
+    nonexistent directory raises :class:`FileNotFoundError` naming the path;
+    a directory with no usable record raises :class:`CorruptIndexError`
+    listing every record's problems.  Column checksums
     are enforced on materialisation (eagerly here without ``use_mmap``;
     lazily on first term access with it), so a bit-flip surfaces as a typed
     error rather than silent wrong postings.
@@ -1252,9 +1210,18 @@ def read_index_directory(
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"no such index directory: {root}")
-    _io_event("read", root / "manifest.json")
-    source, manifest = _newest_consistent(root, deep=False)
-    if source != "manifest.json":
+    _io_event("read", root / "wal.log")
+    records, torn = _scan_wal(root / "wal.log")
+    skipped: dict[str, list[str]] = {}
+    for source, manifest, problems in _audit(root, records, deep=False):
+        if not problems:
+            break
+        skipped[source] = problems
+    else:
+        if torn is not None:
+            skipped["wal.log"] = [torn]
+        raise _no_consistent_record(root, skipped)
+    if skipped:
         manifest["recovered_from"] = source
     integrity = manifest["integrity"]
     swap = manifest.get("byteorder", sys.byteorder) != sys.byteorder
@@ -1320,28 +1287,13 @@ def read_index_directory(
     return manifest, segments, document_terms, buffers
 
 
-def verify_index_directory(path: str | Path, *, deep: bool = True) -> dict:
-    """Audit a saved index tree; never raises for corruption, reports it.
-
-    Returns a report dict: ``ok`` (the primary ``manifest.json`` checkpoint
-    is fully consistent *and* is the newest committed save), ``problems``
-    (per manifest candidate, the failures found -- log records appear as
-    ``wal.log#<seq>``), ``consistent`` (candidate manifests that pass),
-    ``recoverable`` (the candidate :func:`read_index_directory` would use,
-    or ``None`` when the tree is unrecoverable), ``save_seq`` of that
-    candidate, ``wal`` (record count plus the torn-tail/CRC audit of the
-    manifest log -- a torn tail is reported under ``problems["wal.log"]``
-    but only invalidates the records behind it), and ``orphans`` (files no
-    parseable candidate references -- debris of an interrupted save or log
-    compaction, reclaimed by :func:`repair_index_directory`).  With ``deep``
-    (the default) every data file is read and checked against its
-    whole-file and per-term checksums; without it only structure, existence,
-    and sizes are checked.
-    """
+def _survey(path: str | Path, *, deep: bool) -> tuple[dict, dict | None]:
+    """:func:`verify_index_directory`'s walk: its report, plus the newest
+    consistent record itself -- what :func:`repair_index_directory` keeps."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"no such index directory: {root}")
-    wal_records, wal_problem = _scan_wal(root / "wal.log")
+    records, torn = _scan_wal(root / "wal.log")
     report: dict = {
         "path": str(root),
         "ok": False,
@@ -1349,85 +1301,72 @@ def verify_index_directory(path: str | Path, *, deep: bool = True) -> dict:
         "consistent": [],
         "recoverable": None,
         "save_seq": None,
-        "wal": {"records": len(wal_records), "torn": wal_problem is not None},
-        "orphans": [],
+        "wal": {"records": len(records), "torn": torn is not None},
+        "orphans": [stale.name for stale in _unreferenced_files(root, records)],
     }
-    if wal_problem is not None:
-        report["problems"]["wal.log"] = [wal_problem]
-    audited = list(_audit(root, deep=deep))
-    if not audited:
-        report["problems"].setdefault("manifest.json", ["no manifest present"])
-        return report
-    referenced: set[str] = set()
-    for source, manifest, problems in audited:
-        if manifest is not None:
-            referenced |= _record_files(manifest)
+    if torn is not None or not records:
+        report["problems"]["wal.log"] = [torn or "no manifest record present"]
+    newest_consistent = None
+    for source, record, problems in _audit(root, records, deep=deep):
         if problems:
             report["problems"][source] = problems
-        else:
-            report["consistent"].append(source)
-            if report["recoverable"] is None:
-                report["recoverable"] = source
-                report["save_seq"] = manifest["save_seq"]
-    for pattern in ("segment_*.bin", "doc_terms*.json"):
-        for candidate_path in root.glob(pattern):
-            if candidate_path.name not in referenced:
-                report["orphans"].append(candidate_path.name)
-    for name in ("wal.log.tmp", "manifest.json.tmp"):
-        if (root / name).exists():
-            report["orphans"].append(name)
-    report["orphans"].sort()
-    report["ok"] = (
-        "manifest.json" in report["consistent"]
-        and report["recoverable"] == "manifest.json"
-    )
-    return report
+            continue
+        report["consistent"].append(source)
+        if newest_consistent is None:
+            newest_consistent = record
+            report["recoverable"], report["save_seq"] = source, record["save_seq"]
+    report["ok"] = bool(records) and torn is None and newest_consistent is records[-1]
+    return report, newest_consistent
+
+
+def verify_index_directory(path: str | Path, *, deep: bool = True) -> dict:
+    """Audit a saved index tree; never raises for corruption, reports it.
+
+    Returns a report dict: ``ok`` (the newest log record is fully consistent
+    and the log has no torn tail), ``problems`` (per record,
+    ``wal.log#<seq>``, the failures found; a torn tail is reported under
+    ``problems["wal.log"]`` but only invalidates the records behind it),
+    ``consistent`` (the records that pass), ``recoverable`` (the record
+    :func:`read_index_directory` would use, or ``None`` when the tree is
+    unrecoverable), ``save_seq`` of that record, ``wal`` (record count and
+    whether the tail is torn), and ``orphans`` (files no parseable record
+    references -- debris of an interrupted save or log compaction, or the
+    manifest copy an older build left; reclaimed by the next save or
+    :func:`repair_index_directory`).  With ``deep`` (the default) every
+    data file is read and checked against its whole-file and per-term
+    checksums; without it only structure, existence, and sizes are checked.
+    """
+    return _survey(path, deep=deep)[0]
 
 
 def repair_index_directory(path: str | Path) -> dict:
-    """Promote the newest fully-consistent checkpoint and drop the debris.
+    """Rewrite the log to its newest fully-consistent record, drop the rest.
 
-    Walks the manifest candidates (newest save first: primary, log records)
-    with deep verification; the first fully-consistent one becomes
-    ``manifest.json`` (atomic swap) *and* the manifest log is rewritten to
-    that single record, so the repaired tree is exactly a freshly compacted
-    save.  Data files no longer referenced -- orphans of an interrupted save
-    or log compaction, older records' blobs -- are removed, along with
-    staging leftovers (``wal.log.tmp``, ``manifest.json.tmp``).  Returns a
-    report dict (``recovered``: the candidate promoted; ``save_seq``;
-    ``removed``: the filenames deleted).  Raises :class:`CorruptIndexError`
-    when no candidate survives verification -- the tree holds no
-    safely-readable checkpoint (nothing is deleted in that case).
+    :func:`verify_index_directory`'s deep walk plus the act: the manifest
+    log is rewritten to the newest record that passes (unless it already is
+    exactly that), so the repaired tree is a freshly compacted save, and
+    every file that record does not reference -- orphans of an interrupted
+    save or compaction, older records' blobs, staging leftovers -- is
+    removed.  Returns a report dict (``recovered``: the record kept;
+    ``save_seq``; ``removed``: the filenames deleted).  Raises
+    :class:`CorruptIndexError` when no record survives verification -- the
+    tree holds no safely-readable checkpoint (nothing is deleted in that
+    case).
     """
+    report, record = _survey(path, deep=True)
     root = Path(path)
-    if not root.is_dir():
-        raise FileNotFoundError(f"no such index directory: {root}")
-    source, manifest = _newest_consistent(root, deep=True)
+    if record is None:
+        raise _no_consistent_record(root, report["problems"])
     removed: list[str] = []
-    wal_path = root / "wal.log"
-    old_records, _ = _scan_wal(wal_path)
-    staging = root / "wal.log.tmp"
-    _fsync_write_bytes(staging, _frame_wal_record(manifest))
-    os.replace(staging, wal_path)
-    if len(old_records) != 1 or old_records[0] != manifest:
+    if report["wal"] != {"records": 1, "torn": False}:
+        _rewrite_wal(root, [record])
         removed.append("wal.log (rewritten)")
-    if source != "manifest.json":
-        staging = root / "manifest.json.tmp"
-        staging.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-        os.replace(staging, root / "manifest.json")
-    referenced = _record_files(manifest)
-    for pattern in ("segment_*.bin", "doc_terms*.json"):
-        for stale in root.glob(pattern):
-            if stale.name not in referenced:
-                stale.unlink()
-                removed.append(stale.name)
-    leftover = root / "manifest.json.tmp"
-    if leftover.exists():
-        leftover.unlink()
-        removed.append("manifest.json.tmp")
+    for stale in _unreferenced_files(root, [record]):
+        stale.unlink()
+        removed.append(stale.name)
     return {
         "path": str(root),
-        "recovered": source,
-        "save_seq": manifest["save_seq"],
+        "recovered": report["recoverable"],
+        "save_seq": report["save_seq"],
         "removed": sorted(removed),
     }

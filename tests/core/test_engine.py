@@ -110,7 +110,6 @@ class TestCountersAndReuse:
 
     def test_results_reproducible_across_pool_reuse(self):
         """A reused resident pool replays the run of a fresh pool exactly --
-        same per-task seeds (derived from call-local indices, not pool age),
         same ciphertexts, same operation counts."""
         batch = _batch()
         with ExecutionEngine(parallelism=4) as engine:

@@ -184,7 +184,7 @@ class TestFaultedShardTask:
 
         modulus = 1009 * 1013
         payload = [(17, array("I", [1, 2, 3]), array("I", [2, 4, 6]))]
-        task = parallel.shard_tasks([payload], modulus, 5, "python")[0]
+        task = parallel.shard_tasks([payload], modulus, "python")[0]
         expected = parallel._shard_task(task)
         got = faults.faulted_shard_task(FaultPlan(), 0, 0, task)
         assert got == expected
@@ -196,7 +196,7 @@ class TestFaultedShardTask:
 
         modulus = 1009 * 1013
         payload = [(17, array("I", [1]), array("I", [2]))]
-        task = parallel.shard_tasks([payload], modulus, 5, "python")[0]
+        task = parallel.shard_tasks([payload], modulus, "python")[0]
         plan = FaultPlan(transient_at=frozenset({(0, 0)}))
         with pytest.raises(TransientFaultError):
             faults.faulted_shard_task(plan, 0, 0, task)

@@ -76,19 +76,7 @@ class TestMergeShardResults:
         assert forward == backward
 
 
-class TestWorkerSeeding:
-    def test_derived_seeds_are_deterministic_and_distinct(self):
-        seeds = [parallel.derive_worker_seed(42, i) for i in range(32)]
-        assert seeds == [parallel.derive_worker_seed(42, i) for i in range(32)]
-        assert len(set(seeds)) == len(seeds)
-        assert parallel.derive_worker_seed(42, 0) != parallel.derive_worker_seed(43, 0)
-
-    def test_reseed_worker_resets_module_level_generators(self):
-        parallel.reseed_worker(777)
-        first = benaloh._DEFAULT_RNG.random()
-        parallel.reseed_worker(777)
-        assert benaloh._DEFAULT_RNG.random() == first
-
+class TestFallbackGenerators:
     def test_reseed_default_rng_makes_fallback_encryptions_reproducible(self, benaloh_keypair):
         public = benaloh_keypair.public
         benaloh.reseed_default_rng(123)
@@ -97,8 +85,9 @@ class TestWorkerSeeding:
         assert [public.encrypt(0) for _ in range(3)] == first
 
     def test_in_process_fallbacks_never_reseed_the_callers_generators(self):
-        """Re-seeding to a derivable seed is worker-only hygiene; doing it in
-        the parent would make subsequent fallback encryptions predictable."""
+        """Accumulation draws no randomness, and nothing on the dispatch path
+        may re-seed the caller's generators: that would make its subsequent
+        fallback encryptions predictable."""
         modulus = 1009 * 1013
         payload = _payload([(17, [(1, 2), (2, 1)])])
         benaloh._DEFAULT_RNG.seed(987654321)

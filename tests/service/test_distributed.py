@@ -10,6 +10,7 @@ on real connections.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import socket
@@ -20,6 +21,7 @@ import pytest
 from repro.core.coordinator import LocalShardBackend, data_epoch
 from repro.core.partitioning import HashPartitioner, save_sharded
 from repro.core.server import PrivateRetrievalServer, ServerCounters
+from repro.crypto.benaloh import generate_keypair
 from repro.service import (
     RetrievalService,
     ServiceClient,
@@ -285,6 +287,36 @@ def test_http_backend_matches_local_backend(
     assert over_http.epoch == data_epoch(index)
     assert over_http.counters[0].queries_processed == 1
     assert over_http.counters[0].modular_multiplications > 0
+
+
+def test_partials_route_retains_no_per_key_server(
+    running_service, index, service_org, query_terms
+):
+    """A shard answers any number of client keys without growing: the
+    accumulation server of a partials request lives exactly as long as the
+    request (it used to be cached per (tenant, key), forever)."""
+    _, client = running_service()
+    subqueries = [(list(query_terms[:3]), [2, 3, 5])]
+
+    def live_servers() -> int:
+        gc.collect()
+        return sum(isinstance(o, PrivateRetrievalServer) for o in gc.get_objects())
+
+    before = live_servers()
+    for seed in range(4):
+        public = generate_keypair(
+            key_bits=128, block_size=3**6, rng=random.Random(seed)
+        ).public
+        remote = HttpShardBackend(
+            host=client.host, port=client.port, tenant="corpus", public_key=public
+        )
+        local = LocalShardBackend(
+            PrivateRetrievalServer(index=index, organization=service_org, public_key=public)
+        )
+        assert remote.accumulate(subqueries).partials == local.accumulate(subqueries).partials
+        del local
+    # At most the last request's server, if its handler is still unwinding.
+    assert live_servers() <= before + 1
 
 
 def test_partials_route_unknown_tenant_404(running_service, benaloh_keypair):

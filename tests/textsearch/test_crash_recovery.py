@@ -8,7 +8,6 @@ or raises a typed :class:`CorruptIndexError`.  Silent wrong answers are the
 one outcome these tests exist to rule out.
 """
 
-import json
 import shutil
 
 import pytest
@@ -22,6 +21,7 @@ from repro.core.faults import (
 from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex
 from repro.textsearch.segments import (
     _TERM_BLOCK_FACTOR,
+    _frame_wal_record,
     install_io_fault_hook,
     read_manifest_log,
     repair_index_directory,
@@ -55,6 +55,19 @@ def _snapshot(index: InvertedIndex):
     }
 
 
+def _saved_directory(tmp_path):
+    root = tmp_path / "ckpt"
+    _build_index().save(root)
+    return root
+
+
+def _flip_a_bit_in_the_first_segment(root):
+    victim = root / read_manifest_log(root)[-1]["segments"][0]["file"]
+    blob = bytearray(victim.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    victim.write_bytes(bytes(blob))
+
+
 def _two_generation_directory(tmp_path):
     """Save, mutate, re-save: a directory holding generations A and B."""
     index = _build_index()
@@ -80,25 +93,26 @@ def _cut_points(name: str, size: int):
     return sorted(cut for cut in cuts if 0 <= cut < size)
 
 
-def _truncated(manifest_path):
-    blob = manifest_path.read_bytes()
-    manifest_path.write_bytes(blob[: len(blob) // 2])
+def _torn(record):
+    """The tail a crash mid-append leaves: half of ``record``'s frame."""
+    frame = _frame_wal_record(record)
+    return frame[: len(frame) // 2], "wal.log"
 
 
 def _malformed(*path, value):
-    """Damage that keeps ``manifest.json`` parseable: store ``value`` at
-    ``path`` (``...`` stands for the first key of a mapping)."""
+    """Damage that keeps the record parseable and its frame CRC-valid: store
+    ``value`` at ``path`` (``...`` stands for the first key of a mapping)."""
 
-    def damage(manifest_path):
-        manifest = json.loads(manifest_path.read_text())
-        node = manifest
+    def damage(record):
+        node = record
         for depth, key in enumerate(path):
             if key is ...:
                 key = next(iter(node))
             if depth == len(path) - 1:
                 node[key] = value
             node = node[key]
-        manifest_path.write_text(json.dumps(manifest))
+        seq = record["save_seq"]
+        return _frame_wal_record(record), f"wal.log#{seq if isinstance(seq, int) else 0}"
 
     return damage
 
@@ -137,7 +151,7 @@ class TestTruncationAtEveryBoundary:
     @pytest.mark.parametrize(
         "damage",
         [
-            pytest.param(_truncated, id="truncated"),
+            pytest.param(_torn, id="torn"),
             pytest.param(
                 _malformed("segments", 0, "terms", ..., value=5), id="term-entry-scalar"
             ),
@@ -153,21 +167,25 @@ class TestTruncationAtEveryBoundary:
             pytest.param(_malformed("version", value=2), id="version-2"),
         ],
     )
-    def test_torn_primary_manifest_falls_back_to_newest_generation(
+    def test_damaged_newest_record_falls_back_to_the_record_behind_it(
         self, tmp_path, damage
     ):
-        """A primary that is torn -- or parses but is malformed, or carries
+        """A newest record that is torn -- or CRC-valid but malformed, or of
         another format version -- is *reported* and the walk falls through
-        to the log; untyped errors never escape load or verify."""
+        to the record behind it; untyped errors never escape load or verify."""
         root, _snap_a, snap_b = _two_generation_directory(tmp_path)
-        newest = read_manifest_log(root)[-1]["save_seq"]
-        damage(root / "manifest.json")
+        record = read_manifest_log(root)[-1]
+        behind = f"wal.log#{record['save_seq']}"
+        record["save_seq"] += 1
+        frame, source = damage(record)
+        with open(root / "wal.log", "ab") as log:
+            log.write(frame)
         report = verify_index_directory(root)
         assert report["ok"] is False
-        assert report["problems"]["manifest.json"]
-        assert report["recoverable"] == f"wal.log#{newest}"
-        # The newest log record is a byte-identical copy of the damaged
-        # primary, so recovery loses nothing.
+        assert report["problems"][source]
+        assert report["recoverable"] == behind
+        # The damaged record is a copy of the one behind it, so the
+        # fallback must serve exactly generation B.
         assert _snapshot(InvertedIndex.load(root)) == snap_b
         (root / "wal.log").unlink()
         assert verify_index_directory(root)["recoverable"] is None
@@ -176,9 +194,7 @@ class TestTruncationAtEveryBoundary:
 
     def test_torn_current_data_file_falls_back_to_previous_generation(self, tmp_path):
         root, snap_a, snap_b = _two_generation_directory(tmp_path)
-        import json
-
-        manifest = json.loads((root / "manifest.json").read_text())
+        manifest = read_manifest_log(root)[-1]
         current_files = {entry["file"] for entry in manifest["segments"]}
         previous_only_ok = False
         for name in current_files:
@@ -202,16 +218,8 @@ class TestTruncationAtEveryBoundary:
 
 class TestBitCorruption:
     def test_eager_load_rejects_a_flipped_bit(self, tmp_path):
-        index = _build_index()
-        root = tmp_path / "ckpt"
-        index.save(root)
-        import json
-
-        manifest = json.loads((root / "manifest.json").read_text())
-        victim = root / manifest["segments"][0]["file"]
-        blob = bytearray(victim.read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        victim.write_bytes(bytes(blob))
+        root = _saved_directory(tmp_path)
+        _flip_a_bit_in_the_first_segment(root)
         with pytest.raises(CorruptIndexError, match="checksum"):
             InvertedIndex.load(root)
 
@@ -219,34 +227,36 @@ class TestBitCorruption:
         """mmap loading defers column reads; the per-term checksum catches
         the corruption when the poisoned term materialises -- a typed error,
         never a silently wrong posting list."""
-        index = _build_index()
-        root = tmp_path / "ckpt"
-        index.save(root)
-        import json
-
-        manifest = json.loads((root / "manifest.json").read_text())
-        victim = root / manifest["segments"][0]["file"]
-        blob = bytearray(victim.read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        victim.write_bytes(bytes(blob))
+        root = _saved_directory(tmp_path)
+        _flip_a_bit_in_the_first_segment(root)
         loaded = InvertedIndex.load(root, mmap=True)
         with pytest.raises(CorruptIndexError, match="checksum"):
             _snapshot(loaded)
 
 
 class TestTornResave:
-    def test_aborting_a_resave_at_every_write_keeps_a_loadable_state(self, tmp_path):
+    @pytest.mark.parametrize("sealed_history", [False, True], ids=["resave", "append-path"])
+    def test_aborting_a_resave_at_every_write_keeps_a_loadable_state(
+        self, tmp_path, sealed_history
+    ):
         """Kill the save at each successive write operation: whatever the
-        directory holds afterwards must load as generation A or B."""
+        directory holds afterwards must load as generation A or B.  With
+        ``sealed_history`` the directory already holds an incremental record
+        and each update is sealed before its save, as a serving loop does."""
         index = _build_index()
         template = tmp_path / "template"
         index.save(template)
-        snap_a = _snapshot(InvertedIndex.load(template))
 
-        def resaved(work):
+        def resaved(work, doc_id=500):
             loaded = InvertedIndex.load(work)
-            loaded.add_document(Document(doc_id=500, text="omega alpha sigma fresh"))
+            loaded.add_document(Document(doc_id=doc_id, text="omega alpha sigma fresh"))
+            if sealed_history:
+                loaded.maintain(force_seal=True)
             return loaded
+
+        if sealed_history:
+            resaved(template, doc_id=499).save(template)
+        snap_a = _snapshot(InvertedIndex.load(template))
 
         # Count the save's I/O operations with a fault-free instrumented run.
         probe_dir = tmp_path / "probe"
@@ -258,9 +268,10 @@ class TestTornResave:
             probe_index.save(probe_dir)
         finally:
             install_io_fault_hook(previous)
+        assert probe_index.last_save_report["mode"] == "incremental"
         snap_b = _snapshot(InvertedIndex.load(probe_dir))
         total_writes = counter.io_operations
-        assert total_writes >= 3  # data files + generation + primary manifest
+        assert total_writes >= 3  # new blob + doc-terms sidecar + log append
 
         aborted = 0
         for op in range(total_writes):
@@ -303,18 +314,8 @@ class TestTypedLoadErrors:
         assert textsearch.CorruptIndexError is CorruptIndexError
         assert issubclass(CorruptIndexError, ValueError)
 
-    def test_unparseable_manifest_raises_typed_error(self, tmp_path):
-        index = _build_index()
-        root = tmp_path / "ckpt"
-        index.save(root)
-        expected = _snapshot(InvertedIndex.load(root))
-        for name in list(p.name for p in root.iterdir()):
-            if name.startswith("manifest"):
-                (root / name).write_text("{ not json")
-        # The manifest log still holds the committed record, so an
-        # unparseable primary alone is recoverable...
-        assert _snapshot(InvertedIndex.load(root)) == expected
-        # ...but once every candidate source is gone the error is typed.
+    def test_unparseable_log_raises_typed_error(self, tmp_path):
+        root = _saved_directory(tmp_path)
         (root / "wal.log").write_bytes(b"not a CRC-framed log")
         with pytest.raises(CorruptIndexError):
             InvertedIndex.load(root)
@@ -322,19 +323,15 @@ class TestTypedLoadErrors:
 
 class TestVerifyAndRepair:
     def test_verify_reports_healthy_directory(self, tmp_path):
-        index = _build_index()
-        root = tmp_path / "ckpt"
-        index.save(root)
+        root = _saved_directory(tmp_path)
         report = InvertedIndex.verify_directory(root)
         assert report["ok"] is True
-        assert "manifest.json" in report["consistent"]
-        assert report["problems"].get("manifest.json", []) == []
+        assert report["consistent"] == ["wal.log#1"]
+        assert report["problems"] == {}
 
     def test_verify_flags_torn_state_and_repair_restores_it(self, tmp_path):
         root, snap_a, _snap_b = _two_generation_directory(tmp_path)
-        import json
-
-        manifest = json.loads((root / "manifest.json").read_text())
+        manifest = read_manifest_log(root)[-1]
         # Destroy a current-checkpoint data file absent from the previous
         # manifest-log record (checkpoint A).
         records = read_manifest_log(root)
@@ -352,8 +349,8 @@ class TestVerifyAndRepair:
 
         report = verify_index_directory(root)
         assert report["ok"] is False
-        assert report["problems"]["manifest.json"]
-        assert report["recoverable"]
+        assert report["problems"][f"wal.log#{manifest['save_seq']}"]
+        assert report["recoverable"] == f"wal.log#{previous['save_seq']}"
 
         outcome = repair_index_directory(root)
         assert outcome["recovered"] == report["recoverable"]
@@ -363,9 +360,7 @@ class TestVerifyAndRepair:
         assert _snapshot(InvertedIndex.load(root)) == snap_a
 
     def test_repair_raises_when_nothing_survives(self, tmp_path):
-        index = _build_index()
-        root = tmp_path / "ckpt"
-        index.save(root)
+        root = _saved_directory(tmp_path)
         for path in root.iterdir():
             if path.name.endswith(".bin"):
                 path.write_bytes(b"")
@@ -377,16 +372,8 @@ class TestVerifyAndRepair:
             verify_index_directory(tmp_path / "nope")
 
     def test_deep_verify_catches_bit_rot_that_shallow_misses(self, tmp_path):
-        index = _build_index()
-        root = tmp_path / "ckpt"
-        index.save(root)
-        import json
-
-        manifest = json.loads((root / "manifest.json").read_text())
-        victim = root / manifest["segments"][0]["file"]
-        blob = bytearray(victim.read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        victim.write_bytes(bytes(blob))
+        root = _saved_directory(tmp_path)
+        _flip_a_bit_in_the_first_segment(root)
         shallow = verify_index_directory(root, deep=False)
         assert shallow["ok"] is True  # sizes line up; rot is invisible
         deep = verify_index_directory(root, deep=True)
@@ -395,9 +382,7 @@ class TestVerifyAndRepair:
 
 class TestTransientStorageFaults:
     def test_transient_read_fault_is_retried_to_success(self, tmp_path):
-        index = _build_index()
-        root = tmp_path / "ckpt"
-        index.save(root)
+        root = _saved_directory(tmp_path)
         expected = _snapshot(InvertedIndex.load(root))
         injector = FaultInjector(plan=FaultPlan(io_transient_at=frozenset({0})))
         sleeps = []
@@ -411,9 +396,7 @@ class TestTransientStorageFaults:
         assert sleeps == [0.01]  # injectable: no real waiting in CI
 
     def test_transient_budget_exhausted_propagates(self, tmp_path):
-        index = _build_index()
-        root = tmp_path / "ckpt"
-        index.save(root)
+        root = _saved_directory(tmp_path)
         # Fault the first operation of every attempt (each load retry starts
         # a fresh pass over the directory, consuming fresh ordinals).
         injector = FaultInjector(plan=FaultPlan(io_transient_rate=1.0))
@@ -428,9 +411,7 @@ class TestTransientStorageFaults:
         assert injector.io_faults == 3  # initial attempt + 2 retries
 
     def test_permanent_read_fault_propagates_unretried(self, tmp_path):
-        index = _build_index()
-        root = tmp_path / "ckpt"
-        index.save(root)
+        root = _saved_directory(tmp_path)
         injector = FaultInjector(plan=FaultPlan(io_permanent_at=frozenset({0})))
         sleeps = []
         previous = install_io_fault_hook(injector.io_hook())

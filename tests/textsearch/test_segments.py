@@ -13,7 +13,9 @@ from repro.textsearch.segments import (
     IndexSegment,
     PostingColumns,
     TieredMergePolicy,
+    _frame_wal_record,
     merge_posting_runs,
+    read_manifest_log,
 )
 
 
@@ -533,8 +535,6 @@ class TestPersistence:
         file a surviving ``wal.log`` record references is kept, and log
         compaction (here forced with ``wal_compact_records=1``) drops the
         older records and reclaims the blobs only they referenced."""
-        import json
-
         index = InvertedIndex.build(Corpus(base_documents))
         target = tmp_path / "checkpoint"
         index.save(target)
@@ -543,14 +543,14 @@ class TestPersistence:
         index.maintain(force_seal=True)
         index.compact()
         index.save(target)
-        manifest = json.loads((target / "manifest.json").read_text())
+        manifest = read_manifest_log(target)[-1]
         referenced = {entry["file"] for entry in manifest["segments"]}
         on_disk = {p.name for p in target.glob("segment_*.bin")}
         # Current checkpoint plus the retained previous record's files.
         assert on_disk == referenced | first_gen
         index.add_document(extra_documents[1])
         index.save(target, wal_compact_records=1)
-        manifest = json.loads((target / "manifest.json").read_text())
+        manifest = read_manifest_log(target)[-1]
         referenced = {entry["file"] for entry in manifest["segments"]}
         on_disk = {p.name for p in target.glob("segment_*.bin")}
         # Compacted to a single record: exactly its files survive.
@@ -571,17 +571,15 @@ class TestPersistence:
         previous segment blobs by reference (byte-identical on disk) and
         appends blobs only for newly sealed segments; the per-save
         ``doc_terms_<seq>.json`` carries the save sequence in its name."""
-        import json
-
         index = InvertedIndex.build(Corpus(base_documents))
         target = tmp_path / "checkpoint"
         index.save(target)
-        old_manifest = json.loads((target / "manifest.json").read_text())
+        old_manifest = read_manifest_log(target)[-1]
         old_files = {e["file"] for e in old_manifest["segments"]}
         old_bytes = {name: (target / name).read_bytes() for name in old_files}
         index.add_document(extra_documents[0])
         index.save(target)
-        new_manifest = json.loads((target / "manifest.json").read_text())
+        new_manifest = read_manifest_log(target)[-1]
         new_files = {e["file"] for e in new_manifest["segments"]}
         # The base segment is reused by reference, bit-identical on disk;
         # only the newly sealed delta segment got a new blob.
@@ -614,6 +612,6 @@ class TestPersistence:
         assert overridden.seal_threshold is None
 
     def test_load_rejects_non_index_directory(self, tmp_path):
-        (tmp_path / "manifest.json").write_text('{"format": "something-else"}')
+        (tmp_path / "wal.log").write_bytes(_frame_wal_record({"format": "something-else"}))
         with pytest.raises(ValueError, match="not a repro-index-segments"):
             InvertedIndex.load(tmp_path)

@@ -18,11 +18,11 @@ The persistence contract of the WAL storage layer:
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
-from repro.core.faults import FaultInjector, FaultPlan, PermanentFaultError
-from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex
+from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex, segments
 from repro.textsearch.segments import (
     install_io_fault_hook,
     read_manifest_log,
@@ -147,8 +147,6 @@ class TestLogReplayRecovery:
             work = tmp_path / f"prefix_{which}"
             shutil.copytree(root, work)
             (work / "wal.log").write_bytes(blob[:boundary])
-            # Remove the convenience copy: recovery must come from the log.
-            (work / "manifest.json").unlink()
             assert _snapshot(InvertedIndex.load(work)) == snapshots[which], (
                 f"replaying the log truncated after record {which} did not "
                 "recover that save"
@@ -162,7 +160,6 @@ class TestLogReplayRecovery:
             work = tmp_path / f"cut_{cut}"
             shutil.copytree(root, work)
             (work / "wal.log").write_bytes(blob[:cut])
-            (work / "manifest.json").unlink()
             try:
                 loaded = InvertedIndex.load(work)
             except CorruptIndexError:
@@ -182,7 +179,7 @@ class TestLogReplayRecovery:
         assert rejected > 0  # both contract outcomes must actually occur
         assert rejected <= boundaries[0]
 
-    def test_corrupting_a_mid_log_record_flags_wal_but_keeps_loading(self, tmp_path):
+    def test_corrupting_a_mid_log_record_flags_wal_and_loads_the_prefix(self, tmp_path):
         root, snapshots, _reports = _incremental_history(tmp_path, saves=2)
         blob = bytearray((root / "wal.log").read_bytes())
         boundaries = _record_boundaries(bytes(blob))
@@ -192,58 +189,11 @@ class TestLogReplayRecovery:
         report = verify_index_directory(root)
         assert report["wal"]["torn"] is True
         assert report["problems"]["wal.log"]
-        # The primary manifest is intact, so the directory still loads the
-        # newest save; the poisoned tail only costs the older records.
-        assert _snapshot(InvertedIndex.load(root)) == snapshots[-1]
-
-    def test_aborting_an_incremental_save_at_every_write_keeps_a_loadable_state(
-        self, tmp_path
-    ):
-        """PR 6's torn-resave sweep, on the append path: kill the incremental
-        save at each successive write; the directory must load as the state
-        before or after the save."""
-        template_root, snapshots, _reports = _incremental_history(
-            tmp_path, saves=1
-        )
-        snap_before = snapshots[-1]
-
-        def resaved(work):
-            loaded = InvertedIndex.load(work)
-            loaded.add_document(Document(doc_id=900, text="omega beta sigma torn"))
-            loaded.maintain(force_seal=True)
-            return loaded
-
-        probe_dir = tmp_path / "probe"
-        shutil.copytree(template_root, probe_dir)
-        probe_index = resaved(probe_dir)
-        counter = FaultInjector(plan=FaultPlan())
-        previous = install_io_fault_hook(counter.io_hook())
-        try:
-            probe_index.save(probe_dir)
-        finally:
-            install_io_fault_hook(previous)
-        assert probe_index.last_save_report["mode"] == "incremental"
-        snap_after = _snapshot(InvertedIndex.load(probe_dir))
-        total_writes = counter.io_operations
-        assert total_writes >= 3  # new blobs + doc_terms + wal + manifest
-
-        for op in range(total_writes):
-            work = tmp_path / f"abort_{op}"
-            shutil.copytree(template_root, work)
-            victim = resaved(work)
-            hook = FaultInjector(
-                plan=FaultPlan(io_permanent_at=frozenset({op}))
-            ).io_hook()
-            previous = install_io_fault_hook(hook)
-            try:
-                with pytest.raises(PermanentFaultError):
-                    victim.save(work)
-            finally:
-                install_io_fault_hook(previous)
-            assert _snapshot(InvertedIndex.load(work)) in (
-                snap_before,
-                snap_after,
-            ), f"aborting the incremental save at write op {op} lost both states"
+        # The framing behind the rotted record is lost, and the log is the
+        # only copy of the manifests: the directory loads the save the
+        # consistent prefix ends at, never a guess at a newer one.
+        assert report["recoverable"] == "wal.log#1"
+        assert _snapshot(InvertedIndex.load(root)) == snapshots[0]
 
 
 class TestLogCompaction:
@@ -304,15 +254,16 @@ class TestVerifyAndRepairWal:
         (root / "wal.log.tmp").write_bytes(b"staged log rewrite, never swapped")
         orphan = root / "segment_999_9.bin"
         orphan.write_bytes(b"\x00" * 64)
+        (root / "manifest.json").write_text("{}")  # an older build's copy
 
         report = verify_index_directory(root, deep=True)
         assert "segment_999_9.bin" in report["orphans"]
         assert "wal.log.tmp" in report["orphans"]
         # Debris never blocks recovery of the committed state.
-        assert report["recoverable"] == "manifest.json"
+        assert report["recoverable"] == "wal.log#3"
 
         outcome = repair_index_directory(root)
-        assert "segment_999_9.bin" in outcome["removed"]
+        assert {"segment_999_9.bin", "manifest.json"} <= set(outcome["removed"])
         # The staged log is consumed by repair's own atomic rewrite; either
         # way no debris survives.
         assert not orphan.exists()
@@ -338,5 +289,70 @@ class TestVerifyAndRepairWal:
         records = read_manifest_log(root)
         assert len(records) == 1
         assert _snapshot(InvertedIndex.load(root)) == snapshots[-1]
-        manifest = json.loads((root / "manifest.json").read_text())
-        assert manifest["save_seq"] == records[0]["save_seq"]
+        assert verify_index_directory(root)["ok"] is True
+
+
+class TestLogIsTheOnlyManifest:
+    @pytest.mark.parametrize(
+        "claim",
+        [{"save_seq": 99}, {"format": "something-else"}, None],
+        ids=["higher-save-seq", "foreign-format", "unparseable"],
+    )
+    def test_stale_manifest_json_is_ignored_reported_and_reclaimed(self, tmp_path, claim):
+        """An older build's ``manifest.json`` copy -- here of the *first*
+        save, whatever it claims -- never outvotes the log."""
+        root, snapshots, _reports = _incremental_history(tmp_path, saves=1)
+        stale = json.dumps({**read_manifest_log(root)[0], **claim}) if claim else "{ no"
+        (root / "manifest.json").write_text(stale)
+        loaded = InvertedIndex.load(root)
+        assert _snapshot(loaded) == snapshots[-1]
+        report = verify_index_directory(root)
+        assert report["ok"] is True
+        assert report["orphans"] == ["manifest.json"]
+        loaded.add_document(Document(doc_id=900, text="omega beta sigma last"))
+        loaded.save(root)
+        assert loaded.last_save_report["mode"] == "incremental"
+        assert not (root / "manifest.json").exists()
+
+    def _recorded_save(self, tmp_path, monkeypatch):
+        """One incremental save with every hooked write and every directory
+        fsync recorded in order; returns the directory and the events."""
+        root, _snapshots, _reports = _incremental_history(tmp_path, saves=2)
+        index = InvertedIndex.load(root)
+        index.add_document(Document(doc_id=900, text="omega beta sigma last"))
+        events = []
+        fsync_directory = segments._fsync_directory
+        monkeypatch.setattr(
+            segments,
+            "_fsync_directory",
+            lambda path: (events.append(("fsync-dir", "")), fsync_directory(path)),
+        )
+        previous = install_io_fault_hook(
+            lambda op, path: events.append((op, Path(path).name))
+        )
+        try:
+            index.save(root)
+        finally:
+            install_io_fault_hook(previous)
+        return root, events
+
+    def test_new_names_are_durable_before_the_record_that_references_them(
+        self, tmp_path, monkeypatch
+    ):
+        root, events = self._recorded_save(tmp_path, monkeypatch)
+        commit = events.index(("write", "wal.log"))
+        newest = read_manifest_log(root)[-1]
+        assert events[commit - 2] == ("write", newest["doc_terms_file"])
+        assert events[commit - 1] == ("fsync-dir", "")
+
+    def test_save_writes_no_manifest_copy(self, tmp_path, monkeypatch):
+        root, events = self._recorded_save(tmp_path, monkeypatch)
+        assert "manifest.json" not in [name for _op, name in events]
+        records = read_manifest_log(root)
+        on_disk = sorted(p.name for p in root.iterdir())
+        assert [n for n in on_disk if not n.startswith("segment_")] == sorted(
+            [r["doc_terms_file"] for r in records] + ["wal.log"]
+        )
+        assert {n for n in on_disk if n.startswith("segment_")} == {
+            entry["file"] for r in records for entry in r["segments"]
+        }
