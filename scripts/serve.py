@@ -113,7 +113,10 @@ async def serve(args: argparse.Namespace) -> None:
         )
 
     host, port = await service.start()
-    log.info("listening on %s:%d (parallelism=%d)", host, port, args.parallelism)
+    log.info(
+        "listening on %s:%d (parallelism=%d, kernel backend=%s)",
+        host, port, args.parallelism, service.backend,
+    )
 
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()

@@ -500,8 +500,7 @@ class ExecutionEngine:
                     if _pool_loss(exc):
                         self._retire_broken_pool(future._origin_executor, handle)
             else:
-                payload, modulus = task[0], task[1]
-                partials.append(parallel.accumulate_terms(payload, modulus))
+                partials.append(parallel.accumulate_terms(*task))
                 degraded = True
         if degraded:
             self._book(handle, "degraded_queries")
@@ -512,6 +511,7 @@ class ExecutionEngine:
         payloads: Sequence[Sequence[parallel.TermPayload]],
         modulus: int,
         parallelism: int | None = None,
+        backend: str | None = None,
     ) -> list[parallel.PendingResult]:
         """Dispatch a batch under hybrid scheduling; results stream in order.
 
@@ -523,9 +523,14 @@ class ExecutionEngine:
         collected), which keeps streaming semantics without touching -- or
         starting -- the pool; an empty query reports zero shards.  Dispatched
         queries' handles collect through :meth:`_collect_partials`, healing
-        worker death, deadlines and transient errors per shard.
+        worker death, deadlines and transient errors per shard.  ``backend``
+        names what every task of the batch accumulates on, deferred or
+        dispatched (``None``: the library default,
+        :func:`repro.crypto.numbertheory.get_backend`).
         """
         self._ensure_open()
+        if backend is None:
+            backend = numbertheory.get_backend()
         # Per-call worker budget: the pool size, optionally capped lower.
         workers = self.parallelism
         if parallelism is not None:
@@ -534,7 +539,8 @@ class ExecutionEngine:
         # Every query starts as a deferred in-process handle; dispatch below
         # replaces the handles of the queries that get worker tasks.
         pending = [
-            parallel.PendingResult(modulus, payload=payload) for payload in payloads
+            parallel.PendingResult(modulus, payload=payload, backend=backend)
+            for payload in payloads
         ]
         if workers <= 1:
             return pending
@@ -552,7 +558,6 @@ class ExecutionEngine:
             # At most one worker task in the whole batch (e.g. a single
             # single-term query): the pool cannot help, run in-process.
             return pending
-        backend = numbertheory.get_backend()
         executor = self._acquire()
         task_index = 0
         for position, shards in enumerate(shard_groups):

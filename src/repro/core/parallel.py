@@ -20,10 +20,11 @@ This module holds everything that crosses a process boundary:
   multiplications always total exactly the sequential fast path's count
   (``postings - distinct candidates``), so the cost model is unchanged by
   parallelism -- only the op *placement* moves;
-* the **worker entry point** (:func:`_shard_task`), which syncs the
-  big-integer backend a ``spawn``-started worker would otherwise lose and
-  runs the kernel (which draws no randomness: results are a pure function
-  of the task under both ``fork`` and ``spawn``);
+* the **worker entry point** (:func:`_shard_task`), which runs the kernel on
+  the backend its task names -- a value carried in the task, because a
+  ``spawn``-started worker re-imports the crypto layer with the library
+  default (the kernel draws no randomness: results are a pure function of
+  the task under both ``fork`` and ``spawn``);
 * the **pending handle** (:class:`PendingResult`) every dispatch returns: one
   query's accumulation, deferred in-process or in flight on a pool.
 
@@ -98,7 +99,7 @@ def term_cost(entry: TermPayload) -> int:
 
 
 def accumulate_terms(
-    payload: Sequence[TermPayload], modulus: int
+    payload: Sequence[TermPayload], modulus: int, backend: str | None = None
 ) -> tuple[dict[int, int], ShardCounts]:
     """The power-table accumulation kernel over a sequence of term payloads.
 
@@ -108,19 +109,28 @@ def accumulate_terms(
     per-posting loop below is the correctness oracle, written generically
     over the backend integer (plain ``int``, or ``mpz`` under ``gmpy2`` via
     :func:`repro.crypto.numbertheory.backend_int`); the ``cffi`` backend
-    routes whole payloads through the batched Montgomery-form C kernel in
-    :mod:`repro.crypto.kernels`, falling back to the loop whenever a payload
-    leaves the kernel's envelope.  Every backend returns plain-``int``
-    accumulators in the same insertion order with identical values and
-    identical counters.
+    hands whole payloads to the one-call Montgomery-form C kernel in
+    :mod:`repro.crypto.kernels`, falling back to the loop (and booking the
+    reason there) whenever a payload leaves the kernel's envelope.  Every
+    backend returns plain-``int`` accumulators in the same insertion order
+    with identical values and identical counters.
+
+    ``backend`` is the caller's choice, passed as a value -- the serving
+    front-end resolves one at start-up and threads it down here without
+    touching process-wide state; ``None`` means the library default,
+    :func:`repro.crypto.numbertheory.get_backend`.
     """
-    backend = numbertheory.get_backend()
+    if backend is None:
+        backend = numbertheory.get_backend()
     if backend == "cffi":
         fast = kernels.accumulate_compiled(payload, modulus)
         if fast is not None:
             accumulators, postings, table_mults, accumulator_mults = fast
             return accumulators, ShardCounts(postings, table_mults, accumulator_mults)
-    wrap = numbertheory.backend_int
+    # Only gmpy2 wraps its operands (mpz follows the process-wide backend,
+    # which _shard_task syncs); python and a declined cffi payload loop on
+    # plain ints whatever that backend is.
+    wrap = numbertheory.backend_int if backend == "gmpy2" else int
     modulus = wrap(modulus)
     counts = ShardCounts()
     accumulators: dict[int, int] = {}
@@ -247,11 +257,15 @@ class PendingResult:
         payload: Sequence[TermPayload] | None = None,
         futures: Sequence | None = None,
         collect=None,
+        backend: str | None = None,
     ) -> None:
         if (futures is None) == (payload is None):
             raise ValueError("exactly one of futures/payload must be provided")
         self._modulus = modulus
         self._payload = payload
+        #: What a deferred payload accumulates on (``None``: library default);
+        #: dispatched shards carry theirs in the task tuple.
+        self._backend = backend
         self._futures = futures
         self._collect = collect
         self._resolved: tuple[dict[int, int], ShardCounts, int, int] | None = None
@@ -281,7 +295,9 @@ class PendingResult:
         """``(accumulators, counts, merge_multiplications, shards)``, blocking."""
         if self._resolved is None:
             if self._futures is None:
-                accumulators, counts = accumulate_terms(self._payload, self._modulus)
+                accumulators, counts = accumulate_terms(
+                    self._payload, self._modulus, self._backend
+                )
                 self._resolved = (accumulators, counts, 0, self.shards)
             else:
                 merged, counts, merge_multiplications = collect_shard_results(
@@ -294,14 +310,17 @@ class PendingResult:
 def _shard_task(
     task: tuple[Sequence[TermPayload], int, str],
 ) -> tuple[dict[int, int], ShardCounts]:
-    """Worker entry point: sync the backend, run the kernel.
+    """Worker entry point: run the kernel on the backend the task names.
 
-    The active big-integer backend is carried in the task because a
-    ``spawn``-started worker re-imports :mod:`repro.crypto.numbertheory`
-    with the default backend (``fork`` inherits it); without the sync, gmpy2
-    acceleration would silently drop to pure python on spawn platforms.
+    The backend travels in the task because a ``spawn``-started worker
+    re-imports :mod:`repro.crypto.numbertheory` with the default backend
+    (``fork`` inherits it).  ``cffi`` needs nothing else -- the kernel loads
+    on first use and a worker that cannot load it runs the loop -- while
+    gmpy2's ``mpz`` wrapping follows the process-wide backend, so that one
+    is synced first; without it gmpy2 acceleration would silently drop to
+    pure python on spawn platforms.
     """
     payload, modulus, backend = task
-    if numbertheory.get_backend() != backend:
+    if backend == "gmpy2" and numbertheory.get_backend() != backend:
         numbertheory.set_backend(backend)
-    return accumulate_terms(payload, modulus)
+    return accumulate_terms(payload, modulus, backend)

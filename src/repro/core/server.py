@@ -156,6 +156,13 @@ class PrivateRetrievalServer:
         ``process_batch`` calls amortise pool start-up for the server's whole
         lifetime.  :meth:`close` shuts down an owned engine; shared engines
         are the caller's to shut down.
+    backend:
+        The big-integer backend the fast path accumulates on, carried as a
+        value into every pending handle and shard task.  ``None`` (the
+        default) follows the library-wide
+        :func:`repro.crypto.numbertheory.get_backend`; the serving front-end
+        passes the one it resolved at start-up, so serving on the compiled
+        kernel never changes what the oracles and experiments run on.
     """
 
     index: InvertedIndex
@@ -164,6 +171,7 @@ class PrivateRetrievalServer:
     naive: bool = False
     parallelism: int = 1
     engine: ExecutionEngine | None = None
+    backend: str | None = None
     counters: ServerCounters = field(default_factory=ServerCounters)
     #: Per-query counter snapshots of the most recent :meth:`process_batch`
     #: (cleared by every non-batch entry point, so reads never see a stale
@@ -427,7 +435,9 @@ class PrivateRetrievalServer:
             # Deferred in-process handles, built lazily: a query's columns are
             # read and accumulated only when the iterator reaches it.
             pending = (
-                parallel.PendingResult(modulus, payload=self._payload(query, view))
+                parallel.PendingResult(
+                    modulus, payload=self._payload(query, view), backend=self.backend
+                )
                 for query in queries
             )
         else:
@@ -435,6 +445,7 @@ class PrivateRetrievalServer:
                 [self._payload(query, view) for query in queries],
                 modulus,
                 parallelism=workers,
+                backend=self.backend,
             )
         for handle in pending:
             accumulators, counts, merge_multiplications, shards = handle.result()

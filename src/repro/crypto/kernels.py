@@ -19,24 +19,32 @@ program (an op list ``slot[dst] = slot[src1] * slot[src2]``) whose length
 python builder and the compiled builder count ``table_multiplications``
 identically by construction.
 
-**Montgomery-form batch accumulation.**  :func:`accumulate_compiled` runs a
-whole payload's table builds and posting folds in Montgomery representation:
-selectors are converted once per payload, every multiplication in the
-compiled kernel is a reduction-free CIOS Montgomery multiply, and
-accumulators convert back (one REDC per candidate document) at the end.
-Montgomery conversion is a bijection on ``Z_n`` and every intermediate is
-kept canonical (``< n``), so the final residues -- and the operation
-counters -- are bit-identical to the pure-python oracle loop.
+**One-call Montgomery accumulation.**  :func:`accumulate_compiled` is a
+marshalling shim around one C entry point per payload: python hands over the
+selectors as one byte string, zero-copy pointers to the index's own columns
+and each term's memoised plan packed into one buffer; C converts selectors
+to Montgomery form, runs every program, finds each candidate's first
+posting in an open-addressing table and folds the rest -- every
+multiplication a reduction-free CIOS Montgomery multiply -- and returns ids
+and canonical residues in first-occurrence order.  Montgomery conversion is
+a bijection on ``Z_n`` and every intermediate is kept canonical (``< n``),
+so residues, dict order and operation counters are bit-identical to the
+pure-python oracle loop.  Nothing is cached per column, and all scratch is
+per call: cffi releases the GIL, sessions accumulate concurrently.
 
 **The compiled backend.**  The C kernel is compiled on demand with cffi
 (``-O3``, plain C, no external libraries) and cached on disk under
 ``$REPRO_KERNEL_CACHE`` (default: a per-user directory in the system temp
 dir), so worker processes load the shared object instead of recompiling.
-It is registered as the ``"cffi"`` backend next to ``"gmpy2"`` in
-:func:`repro.crypto.numbertheory.set_backend`; when no C toolchain (or no
-cffi, or no numpy) is available, :func:`ensure_compiled` raises a loud
-:class:`RuntimeError` and every batch entry point falls back cleanly to the
-pure-python oracle, which remains the default and the ground truth.
+Library code reaches it as the ``"cffi"`` backend of
+:func:`repro.crypto.numbertheory.set_backend`, the serving front-end as a
+value it resolves at start-up.  When no C toolchain (or no cffi, or no
+numpy) is available, or the build fails its self-test,
+:func:`ensure_compiled` raises a loud :class:`RuntimeError` (cached: later
+probes re-raise it without reloading anything); every entry point declines
+what lies outside its envelope by returning ``None`` -- the caller runs the
+pure-python oracle, the default and the ground truth -- and books why in
+:func:`fallback_counts`.
 """
 
 from __future__ import annotations
@@ -45,6 +53,8 @@ import importlib.util
 import os
 import shutil
 import tempfile
+import threading
+from array import array
 from functools import lru_cache
 from typing import Sequence
 
@@ -58,17 +68,23 @@ __all__ = [
     "ensure_compiled",
     "compiled_available",
     "accumulate_compiled",
+    "fallback_counts",
     "pir_fold_rows",
     "modexp_batch",
 ]
 
-try:  # pragma: no cover - numpy is in requirements-dev but stays optional
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-HAVE_NUMPY = _np is not None
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 HAVE_CFFI = importlib.util.find_spec("cffi") is not None
+
+
+def _numpy():
+    """numpy, imported by the first call that marshals through it (the PIR
+    row fold and the common-exponent batch); accumulation never does, so a
+    process that only serves queries does not carry numpy's ~16 MB."""
+    import numpy
+
+    return numpy
+
 
 # -- strategy selection -------------------------------------------------------------
 #
@@ -157,34 +173,31 @@ class PowerPlan:
     compiled execution paths.
     """
 
-    __slots__ = ("strategy", "ops", "slot_of", "nslots", "_np_ops", "_np_lookup")
+    __slots__ = ("strategy", "ops", "slot_of", "nslots", "_packed")
 
     def __init__(self, strategy: str, ops, slot_of) -> None:
         self.strategy = strategy
         self.ops = ops
         self.slot_of = slot_of
         self.nslots = 2 + len(ops)
-        self._np_ops = None
-        self._np_lookup = None
+        self._packed = None
 
-    def np_ops(self):
-        """``(src1, src2, dst)`` uint32 arrays for the compiled executor."""
-        if self._np_ops is None:
-            src1 = _np.fromiter((op[0] for op in self.ops), dtype=_np.uint32, count=len(self.ops))
-            src2 = _np.fromiter((op[1] for op in self.ops), dtype=_np.uint32, count=len(self.ops))
-            dst = _np.arange(2, 2 + len(self.ops), dtype=_np.uint32)
-            self._np_ops = (src1, src2, dst)
-        return self._np_ops
+    def packed(self) -> array:
+        """The plan as one ``uint32`` buffer for the compiled kernel.
 
-    def np_lookup(self):
-        """uint32 array mapping impact value -> slot index (dense, 0-filled)."""
-        if self._np_lookup is None:
-            max_impact = max(self.slot_of) if self.slot_of else 0
-            lookup = _np.zeros(max_impact + 1, dtype=_np.uint32)
-            for impact, slot in self.slot_of.items():
-                lookup[impact] = slot
-            self._np_lookup = lookup
-        return self._np_lookup
+        ``[len(ops), len(slot_of), src1, src2, ..., impact, slot, ...]`` with
+        the impact -> slot pairs sorted by impact (the kernel binary-searches
+        them).  Built on first use and kept on the (memoised) plan, so a
+        payload hands C one pointer per term and nothing is cached per column.
+        """
+        if self._packed is None:
+            words = [len(self.ops), len(self.slot_of)]
+            for op in self.ops:
+                words.extend(op)
+            for pair in sorted(self.slot_of.items()):
+                words.extend(pair)
+            self._packed = array("I", words)
+        return self._packed
 
 
 @lru_cache(maxsize=4096)
@@ -305,6 +318,7 @@ MAXL = 66
 
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define MAXL 66
@@ -623,18 +637,6 @@ static inline void mont_redc_(uint64_t *out, const uint64_t *a,
         mont_redc_n(out, a, n, n0inv, nl);
 }
 
-void repro_mont_mul(uint64_t *out, const uint64_t *a, const uint64_t *b,
-                    const uint64_t *n, uint64_t n0inv, int nl)
-{
-    mont_mul_(out, a, b, n, n0inv, nl);
-}
-
-void repro_mont_redc(uint64_t *out, const uint64_t *a,
-                     const uint64_t *n, uint64_t n0inv, int nl)
-{
-    mont_redc_(out, a, n, n0inv, nl);
-}
-
 void repro_mul_many(uint64_t *out, const uint64_t *a, long count,
                     const uint64_t *b, const uint64_t *n, uint64_t n0inv,
                     int nl)
@@ -650,13 +652,90 @@ void repro_redc_many(uint64_t *out, const uint64_t *a, long count,
         mont_redc_(out + i * nl, a + i * nl, n, n0inv, nl);
 }
 
-void repro_program(uint64_t *ws, const uint32_t *src1, const uint32_t *src2,
-                   const uint32_t *dst, long count, const uint64_t *n,
-                   uint64_t n0inv, int nl)
+/* Whole-payload accumulation in one call.  Per term: the selector goes to
+ * Montgomery form, the plan's program fills the power table, and every
+ * posting either seeds a candidate with the canonical (REDC'd, cached per
+ * slot) power of its impact -- the oracle's dict insert -- or folds the
+ * Montgomery-form power into the candidate's canonical accumulator
+ * (mont_mul(x, y*R) = x*y mod n).  Candidates are found through an
+ * open-addressing table of (doc id, row + 1; 0 = empty) pairs sized from
+ * the posting count, and leave in first-occurrence order: rows in
+ * out_rows, ids behind the last possible row.  All scratch is allocated and
+ * freed here, because callers run concurrently with the GIL released.
+ * Returns the candidate count, -1 when scratch cannot be allocated, -2 when
+ * a posting's impact is missing from its plan. */
+long repro_accumulate(long nterms, const uint64_t *selectors,
+                      const uint32_t **docs, const uint32_t **impacts,
+                      const uint32_t **plans, const long *counts,
+                      long postings, long max_slots, uint64_t *out_rows,
+                      const uint64_t *r2, const uint64_t *one_m,
+                      const uint64_t *n, uint64_t n0inv, int nl)
 {
-    for (long i = 0; i < count; i++)
-        mont_mul_(ws + (long)dst[i] * nl, ws + (long)src1[i] * nl,
-                  ws + (long)src2[i] * nl, n, n0inv, nl);
+    uint32_t *out_ids = (uint32_t *)(out_rows + (size_t)postings * nl);
+    int bits = 1;  /* table of 2^bits > 1.5 x postings entries */
+    while (((size_t)1 << bits) < (size_t)postings + (size_t)postings / 2 + 1)
+        bits++;
+    const uint32_t mask = (uint32_t)(((size_t)1 << bits) - 1);
+    const size_t row_bytes = (size_t)nl * sizeof(uint64_t);
+    uint32_t *seen = calloc((size_t)2 << bits, sizeof(uint32_t));
+    /* Montgomery-form table, its canonical twin, and which twins exist. */
+    uint64_t *table = malloc((2 * row_bytes + 1) * (size_t)max_slots);
+    long ncand = -1;
+    if (seen == NULL || table == NULL)
+        goto done;
+    uint64_t *canonical = table + (size_t)max_slots * nl;
+    unsigned char *have = (unsigned char *)(canonical + (size_t)max_slots * nl);
+    ncand = 0;
+    for (long t = 0; t < nterms; t++) {
+        const uint32_t *plan = plans[t];
+        const long nops = plan[0], npairs = plan[1];
+        const uint32_t *pairs = plan + 2 + 2 * nops;  /* (impact, slot), sorted */
+        memcpy(table, one_m, row_bytes);
+        mont_mul_(table + nl, selectors + (size_t)t * nl, r2, n, n0inv, nl);
+        for (long i = 0; i < nops; i++)
+            mont_mul_(table + (size_t)(2 + i) * nl, table + (size_t)plan[2 + 2 * i] * nl,
+                      table + (size_t)plan[3 + 2 * i] * nl, n, n0inv, nl);
+        memset(have, 0, (size_t)(2 + nops));
+        uint32_t last_impact = 0, slot = UINT32_MAX;  /* impact-ordered lists repeat */
+        for (long j = 0; j < counts[t]; j++) {
+            const uint32_t impact = impacts[t][j], doc = docs[t][j];
+            if (slot == UINT32_MAX || impact != last_impact) {
+                long lo = 0, hi = npairs;
+                while (lo < hi) {
+                    long mid = (lo + hi) / 2;
+                    if (pairs[2 * mid] < impact) lo = mid + 1; else hi = mid;
+                }
+                if (lo == npairs || pairs[2 * lo] != impact) {
+                    ncand = -2;
+                    goto done;
+                }
+                last_impact = impact;
+                slot = pairs[2 * lo + 1];
+            }
+            const uint64_t *power = table + (size_t)slot * nl;
+            size_t h = (doc * 2654435761u) >> (32 - bits);
+            while (seen[2 * h + 1] != 0 && seen[2 * h] != doc)
+                h = (h + 1) & mask;
+            uint32_t *entry = seen + 2 * h;
+            if (entry[1] != 0) {
+                uint64_t *acc = out_rows + (size_t)(entry[1] - 1) * nl;
+                mont_mul_(acc, acc, power, n, n0inv, nl);
+                continue;
+            }
+            if (!have[slot]) {
+                mont_redc_(canonical + (size_t)slot * nl, power, n, n0inv, nl);
+                have[slot] = 1;
+            }
+            memcpy(out_rows + (size_t)ncand * nl, canonical + (size_t)slot * nl, row_bytes);
+            out_ids[ncand] = doc;
+            entry[0] = doc;
+            entry[1] = (uint32_t)++ncand;
+        }
+    }
+done:
+    free(seen);
+    free(table);
+    return ncand;
 }
 
 void repro_fold(uint64_t *acc, const uint64_t *table, const uint32_t *rows,
@@ -687,18 +766,17 @@ void repro_pow_many(uint64_t *out, const uint64_t *bases, long count,
 """
 
 _KERNEL_CDEF = """
-void repro_mont_mul(uint64_t *out, const uint64_t *a, const uint64_t *b,
-                    const uint64_t *n, uint64_t n0inv, int nl);
-void repro_mont_redc(uint64_t *out, const uint64_t *a,
-                     const uint64_t *n, uint64_t n0inv, int nl);
 void repro_mul_many(uint64_t *out, const uint64_t *a, long count,
                     const uint64_t *b, const uint64_t *n, uint64_t n0inv,
                     int nl);
 void repro_redc_many(uint64_t *out, const uint64_t *a, long count,
                      const uint64_t *n, uint64_t n0inv, int nl);
-void repro_program(uint64_t *ws, const uint32_t *src1, const uint32_t *src2,
-                   const uint32_t *dst, long count, const uint64_t *n,
-                   uint64_t n0inv, int nl);
+long repro_accumulate(long nterms, const uint64_t *selectors,
+                      const uint32_t **docs, const uint32_t **impacts,
+                      const uint32_t **plans, const long *counts,
+                      long postings, long max_slots, uint64_t *out_rows,
+                      const uint64_t *r2, const uint64_t *one_m,
+                      const uint64_t *n, uint64_t n0inv, int nl);
 void repro_fold(uint64_t *acc, const uint64_t *table, const uint32_t *rows,
                 const uint32_t *tidx, long count, const uint64_t *n,
                 uint64_t n0inv, int nl);
@@ -771,7 +849,8 @@ def _compile_or_load():
 
 
 def _self_test(ffi, lib) -> None:
-    """Verify the compiled arithmetic against python pow/mul on random cases."""
+    """Verify the compiled arithmetic against python pow/mul on random cases,
+    and the accumulation entry point against the per-posting loop."""
     import random
 
     rng = random.Random(0x5EED)
@@ -792,18 +871,35 @@ def _self_test(ffi, lib) -> None:
             b_m = b * radix % modulus
             ffi.memmove(a_buf, a_m.to_bytes(nl * 8, "little"), nl * 8)
             ffi.memmove(b_buf, b_m.to_bytes(nl * 8, "little"), nl * 8)
-            lib.repro_mont_mul(out, a_buf, b_buf, n_buf, n0inv, nl)
+            lib.repro_mul_many(out, a_buf, 1, b_buf, n_buf, n0inv, nl)
             got = int.from_bytes(bytes(ffi.buffer(out, nl * 8)), "little")
             if got != a * b * radix % modulus:
                 raise RuntimeError(
                     f"compiled Montgomery multiply self-test failed at {bits} bits"
                 )
-            lib.repro_mont_redc(out, a_buf, n_buf, n0inv, nl)
+            lib.repro_redc_many(out, a_buf, 1, n_buf, n0inv, nl)
             got = int.from_bytes(bytes(ffi.buffer(out, nl * 8)), "little")
             if got != a:
                 raise RuntimeError(
                     f"compiled Montgomery reduction self-test failed at {bits} bits"
                 )
+        # The whole-payload entry point against Algorithm 4's loop: repeated
+        # and fresh documents, an impact-0 posting, every plan strategy.
+        payload = [
+            (rng.randrange(modulus), array("I", doc_ids), array("I", impacts))
+            for doc_ids, impacts in (
+                ([3, 1, 3, 2**32 - 1], [9, 9, 4, 0]),
+                ([1, 7, 3], [700, 3, 1]),
+                ([5, 1], [2, 1]),
+            )
+        ]
+        want: dict[int, int] = {}
+        for selector, doc_ids, impacts in payload:
+            for doc_id, impact in zip(doc_ids, impacts):
+                want[doc_id] = want.get(doc_id, 1) * pow(selector, impact, modulus) % modulus
+        got = _accumulate(ffi, lib, payload, modulus)
+        if got is None or list(got[0].items()) != list(want.items()):
+            raise RuntimeError(f"compiled accumulation self-test failed at {bits} bits")
 
 
 def ensure_compiled():
@@ -818,29 +914,25 @@ def ensure_compiled():
         return _COMPILED
     if _COMPILE_ERROR is not None:
         raise RuntimeError(_COMPILE_ERROR)
-    if not HAVE_CFFI:
-        _COMPILE_ERROR = (
-            "the cffi backend was requested but cffi is not installed; "
-            "install the optional extra (pip install 'repro-pangdx10[compiled]')"
-        )
-        raise RuntimeError(_COMPILE_ERROR)
-    if _np is None:
-        _COMPILE_ERROR = (
-            "the cffi backend was requested but numpy is not installed; "
-            "install the optional extra (pip install 'repro-pangdx10[vector]')"
-        )
-        raise RuntimeError(_COMPILE_ERROR)
+    for have, module, extra in ((HAVE_CFFI, "cffi", "compiled"), (HAVE_NUMPY, "numpy", "vector")):
+        if not have:
+            _COMPILE_ERROR = (
+                f"the cffi backend was requested but {module} is not installed; "
+                f"install the optional extra (pip install 'repro-pangdx10[{extra}]')"
+            )
+            raise RuntimeError(_COMPILE_ERROR)
     try:
         ffi, lib = _compile_or_load()
-        _self_test(ffi, lib)
-    except RuntimeError:
-        raise
     except Exception as exc:  # distutils/compiler errors are not RuntimeError
         _COMPILE_ERROR = (
             f"the cffi kernel backend could not be compiled or loaded: {exc!r}; "
-            "a working C compiler (cc/gcc) is required, or unset the backend "
-            "with numbertheory.set_backend('python')"
+            "a working C compiler (cc/gcc) is required"
         )
+        raise RuntimeError(_COMPILE_ERROR) from exc
+    try:
+        _self_test(ffi, lib)
+    except RuntimeError as exc:
+        _COMPILE_ERROR = f"the cffi kernel backend built but is unusable: {exc}"
         raise RuntimeError(_COMPILE_ERROR) from exc
     _COMPILED = (ffi, lib)
     return _COMPILED
@@ -855,31 +947,55 @@ def compiled_available() -> bool:
     return True
 
 
+# -- losing the kernel is loud --------------------------------------------------------
+# Every ``return None`` below goes through :func:`_declined`, which books its
+# reason here first.  Reasons and counts only -- never a selector, ciphertext,
+# term or timing: ``core/risk.py``, the server records no more than it observes.
+_FALLBACKS: dict[str, int] = {}
+_FALLBACKS_LOCK = threading.Lock()
+
+
+def _declined(reason: str) -> None:
+    """Book one off-envelope exit; the caller runs its python loop instead."""
+    with _FALLBACKS_LOCK:
+        _FALLBACKS[reason] = _FALLBACKS.get(reason, 0) + 1
+    return None
+
+
+def fallback_counts() -> dict[str, int]:
+    """Times a batch entry point declined its input, by reason, so far."""
+    with _FALLBACKS_LOCK:
+        return dict(_FALLBACKS)
+
+
+def _loaded():
+    """``(ffi, lib)``, or None (booked as ``no_kernel``) when the build is unavailable."""
+    try:
+        return ensure_compiled()
+    except RuntimeError:
+        return _declined("no_kernel")
+
+
 # -- Montgomery contexts ------------------------------------------------------------
 
 
 class _MontgomeryContext:
     """Per-modulus Montgomery constants plus persistent C-side buffers."""
 
-    __slots__ = ("modulus", "nl", "n0inv", "one", "n_c", "r2_c", "one_c", "one_row")
+    __slots__ = ("nl", "modulus_args", "r2_c", "one_c")
 
     def __init__(self, ffi, modulus: int) -> None:
-        self.modulus = modulus
         nl = (modulus.bit_length() + 63) // 64
         self.nl = nl
         radix = 1 << (64 * nl)
-        self.n0inv = (-pow(modulus, -1, 1 << 64)) % (1 << 64)
-        r2 = radix * radix % modulus
-        self.one = radix % modulus
-        self.n_c = ffi.new("uint64_t[]", nl)
-        ffi.memmove(self.n_c, modulus.to_bytes(nl * 8, "little"), nl * 8)
+        n_c = ffi.new("uint64_t[]", nl)
+        ffi.memmove(n_c, modulus.to_bytes(nl * 8, "little"), nl * 8)
+        #: ``(n, n0inv, nl)``: what every kernel entry point's arguments end with.
+        self.modulus_args = (n_c, (-pow(modulus, -1, 1 << 64)) % (1 << 64), nl)
         self.r2_c = ffi.new("uint64_t[]", nl)
-        ffi.memmove(self.r2_c, r2.to_bytes(nl * 8, "little"), nl * 8)
+        ffi.memmove(self.r2_c, (radix * radix % modulus).to_bytes(nl * 8, "little"), nl * 8)
         self.one_c = ffi.new("uint64_t[]", nl)
-        ffi.memmove(self.one_c, self.one.to_bytes(nl * 8, "little"), nl * 8)
-        self.one_row = _np.frombuffer(
-            self.one.to_bytes(nl * 8, "little"), dtype=_np.uint64
-        )
+        ffi.memmove(self.one_c, (radix % modulus).to_bytes(nl * 8, "little"), nl * 8)
 
 
 _CONTEXTS: dict[int, _MontgomeryContext] = {}
@@ -891,8 +1007,12 @@ def _montgomery_context(ffi, modulus: int) -> _MontgomeryContext | None:
     context = _CONTEXTS.get(modulus)
     if context is not None:
         return context
-    if modulus < 3 or modulus % 2 == 0 or modulus.bit_length() > 64 * MAXL:
-        return None
+    if modulus < 3:
+        return _declined("modulus_too_small")
+    if modulus % 2 == 0:
+        return _declined("even_modulus")
+    if modulus.bit_length() > 64 * MAXL:
+        return _declined("modulus_too_large")
     if len(_CONTEXTS) >= _CONTEXT_CAP:
         _CONTEXTS.clear()
     context = _MontgomeryContext(ffi, modulus)
@@ -914,12 +1034,11 @@ def _ints_to_rows(values, nl: int):
     """Pack an iterable of ints (< 2^(64*nl)) into a (count, nl) uint64 array."""
     width = nl * 8
     raw = b"".join(value.to_bytes(width, "little") for value in values)
-    return _np.frombuffer(raw, dtype=_np.uint64).reshape(-1, nl).copy()
+    return _numpy().frombuffer(raw, dtype="uint64").reshape(-1, nl).copy()
 
 
-def _rows_to_ints(rows) -> list[int]:
-    width = rows.shape[1] * 8
-    raw = rows.tobytes()
+def _bytes_to_ints(raw, width: int) -> list[int]:
+    """The little-endian ``width``-byte residues packed in ``raw``."""
     from_bytes = int.from_bytes
     return [
         from_bytes(raw[offset : offset + width], "little")
@@ -929,56 +1048,33 @@ def _rows_to_ints(rows) -> list[int]:
 
 def _to_montgomery(ffi, lib, rows, context):
     """Convert a (count, nl) array of canonical residues to Montgomery form."""
-    out = _np.empty_like(rows)
+    out = _numpy().empty_like(rows)
     lib.repro_mul_many(
-        _u64_ptr(ffi, out),
-        _u64_ptr(ffi, rows),
-        rows.shape[0],
-        context.r2_c,
-        context.n_c,
-        context.n0inv,
-        context.nl,
+        _u64_ptr(ffi, out), _u64_ptr(ffi, rows), rows.shape[0], context.r2_c,
+        *context.modulus_args,
     )
     return out
 
 
-#: Workspace / index-array size ceilings; payloads beyond them (or with
-#: impacts too large to tabulate densely) fall back to the oracle loop.
-_SLOT_CAP = 1 << 20
+#: Envelope ceilings; payloads beyond them fall back to the oracle loop.  The
+#: impact cap bounds a plan's slots (no strategy costs more than the ladder's
+#: ``max_impact - 1`` ops) and with them the per-call table scratch; the
+#: posting cap keeps row numbers inside 32 bits.
 _MAX_PLAN_IMPACT = 1 << 20
-
-#: Per-impact-column prepared data, keyed by the column's bytes.  Payload
-#: columns are the index's own storage, so the same quantised-impact columns
-#: recur across queries; caching the distinct set, the plan and the
-#: plan-relative slot column (all pure functions of the column content)
-#: removes the per-term python prep from the batch hot path.
-_COLUMN_CACHE: dict[bytes, tuple] = {}
-_COLUMN_CACHE_CAP = 1 << 16
+_POSTING_CAP = 1 << 31
 
 
-def _as_uint32(values):
-    """Zero-copy ``uint32`` view of a typed array, copying only if needed."""
-    try:
-        return _np.frombuffer(values, dtype=_np.uint32)
-    except (TypeError, ValueError, BufferError):
-        return _np.asarray(values, dtype=_np.uint32)
-
-
-def _prepared_column(impact_column) -> tuple:
-    """``(plan, relative_slot_column)`` for one term's impact column."""
-    key = impact_column.tobytes()
-    entry = _COLUMN_CACHE.get(key)
-    if entry is None:
-        distinct = tuple(sorted(set(impact_column.tolist())))
-        if distinct[-1] > _MAX_PLAN_IMPACT:
-            entry = (None, None)
-        else:
-            plan = power_table_plan(distinct)
-            entry = (plan, plan.np_lookup()[impact_column])
-        if len(_COLUMN_CACHE) >= _COLUMN_CACHE_CAP:
-            _COLUMN_CACHE.clear()
-        _COLUMN_CACHE[key] = entry
-    return entry
+def _uint32_column(values):
+    """``values`` itself when it already is a contiguous ``uint32`` buffer
+    (the index's own ``array('I')`` / mmap columns), else an ``array('I')``
+    copy (``TypeError`` / ``OverflowError`` for entries that are no uint32)."""
+    if isinstance(values, array):
+        if values.typecode == "I" and values.itemsize == 4:
+            return values
+    elif isinstance(values, memoryview):
+        if values.format == "I" and values.itemsize == 4 and values.c_contiguous:
+            return values
+    return array("I", values)
 
 
 def accumulate_compiled(payload, modulus: int):
@@ -988,165 +1084,94 @@ def accumulate_compiled(payload, modulus: int):
     accumulator_multiplications)`` -- the accumulator dict in the same
     (first-occurrence) insertion order, with the same canonical residues and
     the same counter values as the pure-python oracle loop -- or ``None``
-    whenever any input falls outside the kernel's envelope (no numpy or
-    compiled library, even/tiny/huge modulus, out-of-range selectors,
-    mismatched columns, oversized workspaces), in which case the caller runs
-    the oracle loop instead.
+    whenever any input falls outside the kernel's envelope (no compiled
+    library, even/tiny/huge modulus, out-of-range selectors, mismatched or
+    non-uint32 columns, oversized impacts or payloads), in which case the
+    caller runs the oracle loop instead and :func:`fallback_counts` says why.
     """
-    if _np is None:
+    loaded = _loaded()
+    if loaded is None:
         return None
-    try:
-        ffi, lib = ensure_compiled()
-    except RuntimeError:
-        return None
+    return _accumulate(*loaded, payload, modulus)
+
+
+def _accumulate(ffi, lib, payload, modulus: int):
+    """Marshal one payload into a single ``repro_accumulate`` call.
+
+    C receives the selectors as one byte string, zero-copy pointers to the
+    columns, each term's packed plan, and one output buffer (candidate rows,
+    then candidate ids) sized for the worst case of every posting being a
+    new candidate -- zero pages the kernel never writes are never touched.
+    """
     context = _montgomery_context(ffi, modulus)
     if context is None:
         return None
-
-    selectors = []
-    doc_columns = []
-    slot_columns = []
-    plans = []
-    lengths = []
-    postings = 0
-    table_multiplications = 0
-    total_slots = 0
-    try:
-        for selector, doc_ids, impacts in payload:
-            count = len(doc_ids)
-            if not count:
-                continue
-            if count != len(impacts):
-                return None
-            if not isinstance(selector, int) or not 0 <= selector < modulus:
-                return None
-            impact_column = _as_uint32(impacts)
-            doc_column = _as_uint32(doc_ids)
-            plan, relative_slots = _prepared_column(impact_column)
-            if plan is None:
-                return None
-            selectors.append(selector)
-            doc_columns.append(doc_column)
-            slot_columns.append(relative_slots)
-            plans.append(plan)
-            lengths.append(count)
-            postings += count
-            table_multiplications += len(plan.ops)
-            total_slots += plan.nslots
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if not plans:
-        return {}, 0, 0, 0
-    if total_slots > _SLOT_CAP or postings >= 1 << 31:
-        return None
-
     nl = context.nl
-    slot_counts = _np.fromiter(
-        (plan.nslots for plan in plans), dtype=_np.int64, count=len(plans)
+    width = nl * 8
+    selectors = []
+    doc_columns, impact_columns, plans = [], [], []
+    counts = []
+    table_multiplications = 0
+    max_slots = 0
+    for selector, doc_ids, impacts in payload:
+        count = len(doc_ids)
+        if not count:
+            continue
+        if count != len(impacts):
+            return _declined("column_mismatch")
+        if not isinstance(selector, int) or not 0 <= selector < modulus:
+            return _declined("selector_out_of_ring")
+        try:
+            doc_ids = _uint32_column(doc_ids)
+            impacts = _uint32_column(impacts)
+        except (TypeError, ValueError, OverflowError):
+            return _declined("column_type")
+        distinct = tuple(sorted(set(impacts)))
+        if distinct[-1] > _MAX_PLAN_IMPACT:
+            return _declined("impact_cap")
+        plan = power_table_plan(distinct)
+        selectors.append(selector.to_bytes(width, "little"))
+        doc_columns.append(doc_ids)
+        impact_columns.append(impacts)
+        plans.append(plan.packed())
+        counts.append(count)
+        table_multiplications += len(plan.ops)
+        if plan.nslots > max_slots:
+            max_slots = plan.nslots
+    if not counts:
+        return {}, 0, 0, 0
+    postings = sum(counts)
+    if postings >= _POSTING_CAP:
+        return _declined("posting_cap")
+
+    # The from_buffer handles pin every column (a pinned array cannot be
+    # resized under the kernel) and must outlive the call: the pointer
+    # arrays built from them hold bare addresses.
+    pinned = [
+        [_u32_ptr(ffi, column) for column in kind]
+        for kind in (doc_columns, impact_columns, plans)
+    ]
+    out = bytearray(postings * (width + 4))
+    candidates = lib.repro_accumulate(
+        len(counts),
+        _u64_ptr(ffi, b"".join(selectors)),
+        *(ffi.new("const uint32_t *[]", handles) for handles in pinned),
+        ffi.new("long[]", counts),
+        postings,
+        max_slots,
+        ffi.from_buffer("uint64_t[]", out),
+        context.r2_c,
+        context.one_c,
+        *context.modulus_args,
     )
-    term_bases = _np.concatenate(([0], _np.cumsum(slot_counts)[:-1]))
-
-    # Workspace (Montgomery form): slot 0 = one, slot 1 = the selector, the
-    # rest written by each term's multiplication program.
-    workspace = _np.empty((total_slots, nl), dtype=_np.uint64)
-    selectors_m = _to_montgomery(ffi, lib, _ints_to_rows(selectors, nl), context)
-    workspace[term_bases] = context.one_row
-    workspace[term_bases + 1] = selectors_m
-
-    op_counts = _np.fromiter(
-        (len(plan.ops) for plan in plans), dtype=_np.int64, count=len(plans)
+    if candidates < 0:
+        return _declined("scratch_alloc" if candidates == -1 else "plan_mismatch")
+    view = memoryview(out)
+    ids = view[postings * width : postings * width + 4 * candidates].cast("I")
+    accumulators = dict(
+        zip(ids.tolist(), _bytes_to_ints(bytes(view[: candidates * width]), width))
     )
-    if op_counts.any():
-        op_bases = _np.repeat(term_bases, op_counts).astype(_np.uint32)
-        src1 = _np.concatenate([plan.np_ops()[0] for plan in plans]) + op_bases
-        src2 = _np.concatenate([plan.np_ops()[1] for plan in plans]) + op_bases
-        dst = _np.concatenate([plan.np_ops()[2] for plan in plans]) + op_bases
-        lib.repro_program(
-            _u64_ptr(ffi, workspace),
-            _u32_ptr(ffi, src1),
-            _u32_ptr(ffi, src2),
-            _u32_ptr(ffi, dst),
-            len(dst),
-            context.n_c,
-            context.n0inv,
-            nl,
-        )
-
-    all_docs = _np.concatenate(doc_columns)
-    posting_bases = _np.repeat(
-        term_bases, _np.asarray(lengths, dtype=_np.int64)
-    ).astype(_np.uint32)
-    all_slots = _np.concatenate(slot_columns) + posting_bases
-    npost = len(all_docs)
-    max_doc = int(all_docs.max())
-    if max_doc <= (npost << 2) + 65536:
-        # Dense first-occurrence scan: O(postings + max_doc) instead of the
-        # O(n log n) sort inside np.unique.  Reversed fancy assignment keeps
-        # the *smallest* posting position per candidate (last write wins).
-        first_seen = _np.full(max_doc + 1, -1, dtype=_np.int64)
-        first_seen[all_docs[::-1]] = _np.arange(npost - 1, -1, -1)
-        unique_docs = _np.flatnonzero(first_seen >= 0)
-        first_index = first_seen[unique_docs]
-        rank = _np.empty(max_doc + 1, dtype=_np.int64)
-        rank[unique_docs] = _np.arange(len(unique_docs))
-        inverse = rank[all_docs]
-    else:
-        unique_docs, first_index, inverse = _np.unique(
-            all_docs, return_index=True, return_inverse=True
-        )
-    first_slots = all_slots[first_index]
-
-    # Convert only the table slots that seed an accumulator back to normal
-    # form (far fewer distinct slots than candidate documents), then
-    # gather-copy: each candidate's accumulator starts as the *canonical*
-    # power of its first posting, exactly the oracle's dict insert.  The
-    # fold then multiplies Montgomery-form table rows into normal-form
-    # accumulators -- mont_mul(x, y*R) = x*y mod n -- so accumulators stay
-    # canonical throughout and no per-document output conversion is needed.
-    seed_slots = _np.unique(first_slots)
-    seed_rows_m = _np.ascontiguousarray(workspace[seed_slots])
-    seed_rows = _np.empty_like(seed_rows_m)
-    lib.repro_redc_many(
-        _u64_ptr(ffi, seed_rows),
-        _u64_ptr(ffi, seed_rows_m),
-        len(seed_slots),
-        context.n_c,
-        context.n0inv,
-        nl,
-    )
-    accumulators_n = _np.ascontiguousarray(
-        seed_rows[_np.searchsorted(seed_slots, first_slots)]
-    )
-    remaining = _np.ones(len(all_docs), dtype=bool)
-    remaining[first_index] = False
-    fold_rows = _np.ascontiguousarray(inverse[remaining].astype(_np.uint32))
-    fold_slots = _np.ascontiguousarray(all_slots[remaining])
-    # Only the remaining postings cost a multiplication -- which is exactly
-    # the oracle's count, postings - distinct candidates.
-    if len(fold_rows):
-        lib.repro_fold(
-            _u64_ptr(ffi, accumulators_n),
-            _u64_ptr(ffi, workspace),
-            _u32_ptr(ffi, fold_rows),
-            _u32_ptr(ffi, fold_slots),
-            len(fold_rows),
-            context.n_c,
-            context.n0inv,
-            nl,
-        )
-
-    # Rebuild the dict in the oracle's insertion order (first occurrence of
-    # each candidate in posting order), not np.unique's sorted order, so the
-    # result compares equal *including iteration order*.
-    values = _rows_to_ints(accumulators_n)
-    order_positions = _np.sort(first_index)
-    ordered_docs = all_docs[order_positions].tolist()
-    ordered_rows = inverse[order_positions].tolist()
-    accumulators = {
-        doc: values[row] for doc, row in zip(ordered_docs, ordered_rows)
-    }
-    accumulator_multiplications = len(all_docs) - len(unique_docs)
-    return accumulators, postings, table_multiplications, accumulator_multiplications
+    return accumulators, postings, table_multiplications, postings - candidates
 
 
 def pir_fold_rows(row_masks, cols: int, base: int, ratios, modulus: int):
@@ -1158,35 +1183,36 @@ def pir_fold_rows(row_masks, cols: int, base: int, ratios, modulus: int):
     multiplications the python path would meter), or ``None`` when the
     kernel envelope does not apply and the caller should run the loop.
     """
-    if _np is None:
+    loaded = _loaded()
+    if loaded is None:
         return None
-    try:
-        ffi, lib = ensure_compiled()
-    except RuntimeError:
-        return None
+    ffi, lib = loaded
     context = _montgomery_context(ffi, modulus)
     if context is None:
         return None
     rows = len(row_masks)
     if rows == 0:
         return [], 0
-    if rows >= 1 << 31 or cols >= 1 << 31 or not 0 <= base < modulus:
-        return None
+    if rows >= 1 << 31 or cols >= 1 << 31:
+        return _declined("matrix_cap")
+    if not 0 <= base < modulus:
+        return _declined("base_out_of_ring")
+    np = _numpy()
     nl = context.nl
     mask_bytes = (cols + 7) // 8
     try:
         packed = b"".join(mask.to_bytes(mask_bytes, "little") for mask in row_masks)
         ratio_rows = _ints_to_rows(ratios, nl)
     except (OverflowError, ValueError, TypeError, AttributeError):
-        return None
+        return _declined("matrix_type")
     if ratio_rows.shape[0] != cols:
-        return None
-    bit_matrix = _np.unpackbits(
-        _np.frombuffer(packed, dtype=_np.uint8).reshape(rows, mask_bytes),
+        return _declined("ratio_mismatch")
+    bit_matrix = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(rows, mask_bytes),
         axis=1,
         bitorder="little",
     )[:, :cols]
-    fold_rows, fold_cols = _np.nonzero(bit_matrix)
+    fold_rows, fold_cols = np.nonzero(bit_matrix)
     count = len(fold_rows)
 
     # Fold in the normal domain against a Montgomery-form ratio table:
@@ -1194,37 +1220,32 @@ def pir_fold_rows(row_masks, cols: int, base: int, ratios, modulus: int):
     # residues throughout and no per-row output conversion is needed.
     ratios_m = _to_montgomery(ffi, lib, ratio_rows, context)
     base_rows = _ints_to_rows([base], nl)
-    accumulators = _np.ascontiguousarray(
-        _np.broadcast_to(base_rows[0], (rows, nl))
-    )
+    accumulators = np.ascontiguousarray(np.broadcast_to(base_rows[0], (rows, nl)))
     lib.repro_fold(
         _u64_ptr(ffi, accumulators),
         _u64_ptr(ffi, ratios_m),
-        _u32_ptr(ffi, _np.ascontiguousarray(fold_rows.astype(_np.uint32))),
-        _u32_ptr(ffi, _np.ascontiguousarray(fold_cols.astype(_np.uint32))),
+        _u32_ptr(ffi, np.ascontiguousarray(fold_rows.astype(np.uint32))),
+        _u32_ptr(ffi, np.ascontiguousarray(fold_cols.astype(np.uint32))),
         count,
-        context.n_c,
-        context.n0inv,
-        nl,
+        *context.modulus_args,
     )
-    return _rows_to_ints(accumulators), count
+    return _bytes_to_ints(accumulators.tobytes(), nl * 8), count
 
 
 def _modexp_batch_compiled(bases, exponent: int, modulus: int):
     """``[pow(b, e, n) for b in bases]`` on the kernel, or None off-envelope."""
-    if _np is None:
+    loaded = _loaded()
+    if loaded is None:
         return None
-    try:
-        ffi, lib = ensure_compiled()
-    except RuntimeError:
-        return None
+    ffi, lib = loaded
     context = _montgomery_context(ffi, modulus)
     if context is None:
         return None
-    if exponent < 0 or not all(
-        isinstance(b, int) and 0 <= b < modulus for b in bases
-    ):
-        return None
+    if exponent < 0:
+        return _declined("negative_exponent")
+    if not all(isinstance(b, int) and 0 <= b < modulus for b in bases):
+        return _declined("base_out_of_ring")
+    np = _numpy()
     nl = context.nl
     base_rows = _ints_to_rows(bases, nl)
     bases_m = _to_montgomery(ffi, lib, base_rows, context)
@@ -1232,7 +1253,7 @@ def _modexp_batch_compiled(bases, exponent: int, modulus: int):
     exp_words = max(1, (ebits + 63) // 64)
     exp_c = ffi.new("uint64_t[]", exp_words)
     ffi.memmove(exp_c, exponent.to_bytes(exp_words * 8, "little"), exp_words * 8)
-    powers_m = _np.empty_like(bases_m)
+    powers_m = np.empty_like(bases_m)
     lib.repro_pow_many(
         _u64_ptr(ffi, powers_m),
         _u64_ptr(ffi, bases_m),
@@ -1240,16 +1261,13 @@ def _modexp_batch_compiled(bases, exponent: int, modulus: int):
         exp_c,
         ebits,
         context.one_c,
-        context.n_c,
-        context.n0inv,
-        nl,
+        *context.modulus_args,
     )
-    out = _np.empty_like(powers_m)
+    out = np.empty_like(powers_m)
     lib.repro_redc_many(
-        _u64_ptr(ffi, out), _u64_ptr(ffi, powers_m), len(bases), context.n_c,
-        context.n0inv, nl,
+        _u64_ptr(ffi, out), _u64_ptr(ffi, powers_m), len(bases), *context.modulus_args
     )
-    return _rows_to_ints(out)
+    return _bytes_to_ints(out.tobytes(), nl * 8)
 
 
 def modexp_batch(bases, exponent: int, modulus: int) -> list[int]:

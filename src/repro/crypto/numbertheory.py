@@ -42,9 +42,11 @@ __all__ = [
 # hot paths by several times at realistic key sizes, and ``cffi`` compiles the
 # batched Montgomery kernels of :mod:`repro.crypto.kernels` on machines with a
 # C toolchain.  Both are strictly optional: availability is auto-detected
-# here, but pure Python stays the *default and the correctness oracle* -- the
-# backend only switches on an explicit :func:`set_backend` call, so a plain
-# install never silently changes which code computes the published numbers.
+# here, but pure Python stays the *default and the correctness oracle* -- this
+# process-wide backend only switches on an explicit :func:`set_backend` call,
+# so a plain install never silently changes which code computes the published
+# numbers.  (The serving front-end picks its own backend at start-up and
+# passes it down as a value; it neither reads nor sets this one.)
 
 try:  # pragma: no cover - exercised only where gmpy2 is installed
     import gmpy2 as _gmpy2
@@ -143,8 +145,10 @@ def set_backend(name: str) -> str:
     :class:`RuntimeError` when cffi/numpy are missing or the kernel fails to
     compile (no C toolchain), so callers fail loudly instead of silently
     benchmarking the wrong arithmetic.  Scalar :func:`modmul`/:func:`modexp`
-    are rebound on switch; the batch kernels in :mod:`repro.crypto.kernels`
-    consult :func:`get_backend` per payload.
+    are rebound on switch; the batch entry points
+    (:func:`repro.core.parallel.accumulate_terms`, the PIR row fold,
+    :func:`repro.crypto.kernels.modexp_batch`) read :func:`get_backend` per
+    call unless their caller names a backend itself.
     """
     global _BACKEND, _MODMUL, _MODEXP
     if name not in ("python", "gmpy2", "cffi"):

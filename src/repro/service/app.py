@@ -23,12 +23,19 @@ service:
   session answers one batch at a time (``asyncio.Lock``); concurrency comes
   from many sessions, matching the one-server-per-client-session contract
   documented on :meth:`PrivateRetrievalServer.process_batch`.
-* **Streaming**: a batch POST answers with chunked NDJSON.  The blocking
-  engine work runs on a worker thread iterating
+* **Streaming**: a batch POST answers with a chunked record stream, in the
+  codec the request came in (:mod:`repro.service.wire`): fixed-width binary
+  frames for ``Content-Type: application/x-repro-frames``, NDJSON lines
+  otherwise.  The blocking engine work runs on a worker thread iterating
   :meth:`PrivateRetrievalServer.iter_batch`; each result is handed to the
   event loop via ``call_soon_threadsafe`` and written as its own chunk, so
   the client observes query results in order as shards complete, not at
   batch end.
+* **Kernel backend**: :meth:`RetrievalService.start` resolves once what the
+  service accumulates on -- the compiled Montgomery kernel if it loads and
+  passes its self-test, else the python loop -- logs the choice, exports it
+  under ``/metrics`` ``kernel`` and hands it as a value to every server it
+  builds.  The library-wide ``numbertheory`` backend is left alone.
 * **Admission control**: batch requests pass the
   :class:`~repro.service.admission.AdmissionController` -- bounded active
   slots, bounded FIFO queue, ``429 + Retry-After`` beyond that, ``503``
@@ -37,9 +44,9 @@ service:
   iterator so no shard future is abandoned).
 * **Metrics**: ``GET /metrics`` merges :class:`ServiceMetrics` (request and
   latency rollups), admission state, per-tenant
-  :class:`~repro.core.server.ServerCounters` totals and engine resilience
-  counters -- the same numbers ``pr_report`` consumes in-process, so remote
-  and direct runs reconcile.
+  :class:`~repro.core.server.ServerCounters` totals, engine resilience
+  counters and the kernel section -- the same numbers ``pr_report`` consumes
+  in-process, so remote and direct runs reconcile.
 
 * **Distribution roles**: the same front-end binary plays both sides of the
   scatter-gather architecture (:mod:`repro.core.coordinator`).  As a **shard
@@ -60,7 +67,7 @@ GET             /metrics                                full metrics document
 GET             /tenants                                tenant summaries
 GET             /tenants/{name}/organization            shared bucket layout
 POST            /sessions                               open a session
-POST            /sessions/{sid}/queries                 batch -> NDJSON stream
+POST            /sessions/{sid}/queries                 batch -> record stream
 DELETE          /sessions/{sid}                         close a session
 POST            /shards/{tenant}/partials               scatter -> partials
 ==============  ======================================  =====================
@@ -82,6 +89,7 @@ from repro.core.buckets import BucketOrganization
 from repro.core.coordinator import QueryCoordinator, ShardTopology, shard_partials
 from repro.core.engine import ExecutionEngine, RetryPolicy
 from repro.core.server import PrivateRetrievalServer, ServerCounters
+from repro.crypto import kernels
 from repro.service import protocol
 from repro.service.admission import (
     AdmissionController,
@@ -90,14 +98,20 @@ from repro.service.admission import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.wire import (
+    FRAME_MEDIA_TYPE,
     WireError,
+    decode_batch_frame,
     decode_partial_request,
+    decode_partial_request_frame,
     decode_public_key,
     decode_query,
     encode_counters,
+    encode_frame,
     encode_organization,
     encode_result,
+    encode_result_frame,
     encode_shard_response,
+    encode_shard_response_frame,
 )
 from repro.textsearch.inverted_index import InvertedIndex
 
@@ -225,6 +239,10 @@ class RetrievalService:
         self._engines: dict[object, ExecutionEngine] = {}
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
+        #: What every session and shard request accumulates on, resolved by
+        #: :meth:`start`; ``backend_reason`` says why it is not the kernel.
+        self.backend = "python"
+        self.backend_reason: str | None = None
 
     # -- tenant management --------------------------------------------------------
     def add_tenant(
@@ -347,6 +365,8 @@ class RetrievalService:
         """Bind and start accepting; returns the bound ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError("service already started")
+        # Off the loop: a first start on a machine compiles for about a second.
+        await asyncio.get_running_loop().run_in_executor(None, self._resolve_backend)
         self._server = await asyncio.start_server(
             self._serve_connection, self.config.host, self.config.port
         )
@@ -354,6 +374,28 @@ class RetrievalService:
         self.address = sock.getsockname()[:2]
         log.info("serving on %s:%d", *self.address)
         return self.address
+
+    def _resolve_backend(self) -> None:
+        """Pick what this service accumulates on, once, and say so.
+
+        The compiled kernel when it loads and passes its self-test (a first
+        start on a machine compiles it: about a second, before the listener
+        binds), the python loop otherwise.  The choice is a value handed to
+        every :class:`PrivateRetrievalServer` this service builds; the
+        process-wide ``numbertheory`` backend is never touched, so the
+        library default, the oracles and whatever else shares the process
+        stay on ``python``.  There is no switch: the loop is the reference
+        and the only path without a toolchain, the kernel is at parity or
+        better at every measured payload shape (``docs/operations.md``).
+        """
+        try:
+            kernels.ensure_compiled()
+        except RuntimeError as exc:
+            self.backend, self.backend_reason = "python", str(exc)
+            log.warning("kernel backend: python loop (compiled kernel unavailable: %s)", exc)
+        else:
+            self.backend, self.backend_reason = "cffi", None
+            log.info("kernel backend: cffi (compiled Montgomery kernel)")
 
     async def drain(self, wait: bool = True) -> None:
         """Graceful shutdown: finish in-flight work, reject new, release pools.
@@ -494,6 +536,13 @@ class RetrievalService:
             "admission": self.admission.snapshot(),
             "sessions_active": len(self.sessions),
             "tenants": tenants,
+            # Reasons and counts only (core/risk.py): which backend serves,
+            # why not the kernel, and how often a payload left its envelope.
+            "kernel": {
+                "backend": self.backend,
+                "reason": self.backend_reason,
+                "fallbacks": kernels.fallback_counts(),
+            },
         }
 
     async def _get_organization(self, name: str, writer) -> None:
@@ -549,6 +598,7 @@ class RetrievalService:
                 public_key=public_key,
                 parallelism=parallelism,
                 engine=tenant.engine,
+                backend=self.backend,
             )
         self.sessions[session_id] = ClientSession(
             session_id=session_id, tenant=tenant, server=server
@@ -581,7 +631,7 @@ class RetrievalService:
 
     # -- the batch route ----------------------------------------------------------
     async def _run_batch(self, session_id: str, request, writer) -> bool:
-        """POST /sessions/{sid}/queries -> chunked NDJSON result stream.
+        """POST /sessions/{sid}/queries -> chunked result stream (frames or NDJSON).
 
         Returns False when the response left the connection unusable
         (mid-stream write failure); True to keep the connection alive.
@@ -590,19 +640,25 @@ class RetrievalService:
         if session is None:
             await protocol.send_json(writer, 404, {"error": "no such session"})
             return True
-        body = request.json()
-        if not isinstance(body, dict) or not isinstance(body.get("queries"), list):
-            raise WireError("batch must be an object with a 'queries' array")
         # Validate every selector ciphertext against the session key's
         # modulus: values outside Z*_n were never produced by this key and
         # must bounce as a 400, not silently accumulate in the wrong ring.
         modulus = session.server.public_key.n
-        queries = [decode_query(q, modulus) for q in body["queries"]]
+        frames = request.content_type == FRAME_MEDIA_TYPE
+        if frames:
+            queries = decode_batch_frame(request.body, modulus)
+        else:
+            body = request.json()
+            if not isinstance(body, dict) or not isinstance(body.get("queries"), list):
+                raise WireError("batch must be an object with a 'queries' array")
+            queries = [decode_query(q, modulus) for q in body["queries"]]
         if not queries:
             raise WireError("batch must contain at least one query")
 
         kept = await self._admitted(
-            writer, partial(self._stream_batch, session, queries, writer), session.lock
+            writer,
+            partial(self._stream_batch, session, queries, writer, frames),
+            session.lock,
         )
         return True if kept is None else kept
 
@@ -668,7 +724,11 @@ class RetrievalService:
                 {"error": f"tenant {name!r} is distributed; it holds no shard data"},
             )
             return
-        public_key, queries = decode_partial_request(request.json())
+        frames = request.content_type == FRAME_MEDIA_TYPE
+        if frames:
+            public_key, queries = decode_partial_request_frame(request.body)
+        else:
+            public_key, queries = decode_partial_request(request.json())
         # Built per request and dropped with it: the tenant engine is shared,
         # never owned, and power-table plans are memoised process-wide, so a
         # resident per-key server would only grow with every key ever seen.
@@ -678,6 +738,7 @@ class RetrievalService:
             public_key=public_key,
             parallelism=self.config.parallelism,
             engine=tenant.engine,
+            backend=self.backend,
         )
         loop = asyncio.get_running_loop()
         response = await self._admitted(
@@ -694,13 +755,19 @@ class RetrievalService:
         tenant.queries_answered += len(queries)
         for snapshot in response.counters:
             tenant.totals.add(snapshot)
-        payload = encode_shard_response(
-            response.epoch, response.modulus, response.partials, response.counters
-        )
-        await protocol.send_json(writer, 200, payload)
+        answer = (response.epoch, response.modulus, response.partials, response.counters)
+        if frames:
+            await protocol.send_body(
+                writer, 200, encode_shard_response_frame(*answer), FRAME_MEDIA_TYPE
+            )
+        else:
+            await protocol.send_json(writer, 200, encode_shard_response(*answer))
 
-    async def _stream_batch(self, session, queries, writer, queue_wait_s) -> bool:
+    async def _stream_batch(self, session, queries, writer, frames, queue_wait_s) -> bool:
         """Run one admitted batch to completion, streaming results as they land.
+
+        ``frames`` is the codec the request came in, and so the one it is
+        answered in: one frame per record, or one NDJSON line.
 
         The engine iterator runs on an executor thread (it blocks on shard
         futures); results cross into the loop via ``call_soon_threadsafe``.
@@ -734,9 +801,15 @@ class RetrievalService:
         answered = 0
         batch_totals = ServerCounters()
         try:
-            await protocol.start_chunked(writer, 200)
+            await protocol.start_chunked(
+                writer,
+                200,
+                content_type=FRAME_MEDIA_TYPE if frames else "application/x-ndjson",
+            )
         except ConnectionError:
             writable = False
+
+        encoded = partial(self._encode_record, frames)
         while True:
             item = await results.get()
             if item[0] == "result":
@@ -746,36 +819,33 @@ class RetrievalService:
                 self.metrics.queries_total += 1
                 self.metrics.query_time.record(elapsed * 1000.0)
                 if writable:
-                    line = {
+                    record = {
                         "kind": "result",
                         "index": index,
-                        **encode_result(result),
                         "counters": encode_counters(snapshot),
                         "ms": round(elapsed * 1000.0, 3),
                     }
-                    writable = await self._write_line(writer, line)
+                    writable = await self._write_record(writer, encoded(record, result))
                 continue
             if item[0] == "done":
                 service_s = item[1]
                 self.metrics.service_time.record(service_s * 1000.0)
                 if writable:
-                    writable = await self._write_line(
-                        writer,
-                        {
-                            "kind": "done",
-                            "queries": answered,
-                            "service_ms": round(service_s * 1000.0, 3),
-                            "queue_wait_ms": round(queue_wait_s * 1000.0, 3),
-                            "counters": encode_counters(batch_totals),
-                        },
-                    )
+                    record = {
+                        "kind": "done",
+                        "queries": answered,
+                        "service_ms": round(service_s * 1000.0, 3),
+                        "queue_wait_ms": round(queue_wait_s * 1000.0, 3),
+                        "counters": encode_counters(batch_totals),
+                    }
+                    writable = await self._write_record(writer, encoded(record))
             else:  # "error"
                 failed = True
                 self.metrics.requests_failed += 1
                 log.exception("batch failed", exc_info=item[1])
                 if writable:
-                    writable = await self._write_line(
-                        writer, {"kind": "error", "error": str(item[1])}
+                    writable = await self._write_record(
+                        writer, encoded({"kind": "error", "error": str(item[1])})
                     )
             break
         await producer
@@ -793,11 +863,20 @@ class RetrievalService:
         return writable and not failed
 
     @staticmethod
-    async def _write_line(writer, payload: dict) -> bool:
+    def _encode_record(frames: bool, record: dict, result=None) -> bytes:
+        """One stream record in the request's codec: a frame or an NDJSON line."""
+        if frames:
+            if result is None:
+                return encode_frame(record)
+            return encode_result_frame(record, result)
+        if result is not None:
+            record = {**record, **encode_result(result)}
+        return json.dumps(record).encode("utf-8") + b"\n"
+
+    @staticmethod
+    async def _write_record(writer, data: bytes) -> bool:
         try:
-            await protocol.send_chunk(
-                writer, json.dumps(payload).encode("utf-8") + b"\n"
-            )
+            await protocol.send_chunk(writer, data)
             return True
         except ConnectionError:
             return False

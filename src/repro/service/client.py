@@ -3,10 +3,13 @@
 Built on :mod:`http.client` so tests, the load generator and operators'
 scripts can talk to a running :class:`~repro.service.app.RetrievalService`
 without any dependency beyond the standard library.  The client mirrors the
-service's routes one-to-one and understands the chunked NDJSON batch stream:
-:meth:`ServiceClient.submit_batch` yields each result line as the service
-writes it, so a caller observes streaming order and latency exactly as a
-real client would.
+service's routes one-to-one and understands the chunked batch stream in both
+codecs of :mod:`repro.service.wire` -- fixed-width frames, which it sends by
+default, and NDJSON lines (``frames=False``, the curl-debuggable route) --
+decoding each response by its ``Content-Type``:
+:meth:`ServiceClient.submit_batch` yields each record as the service writes
+it, so a caller observes streaming order and latency exactly as a real
+client would.
 
 Each request opens its own connection (``Connection: close``); the service
 is long-lived, the client deliberately simple.  Errors carry the HTTP
@@ -24,10 +27,19 @@ from repro.core.embellish import EmbellishedQuery
 from repro.core.server import EncryptedResult
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.service.wire import (
+    FRAME_MEDIA_TYPE,
+    WireError,
     decode_organization,
     decode_result,
+    decode_result_frame,
+    decode_shard_response,
+    decode_shard_response_frame,
+    encode_batch_frame,
+    encode_partial_request,
+    encode_partial_request_frame,
     encode_public_key,
     encode_query,
+    read_frame,
 )
 
 __all__ = ["ServiceError", "ServiceUnavailableError", "ServiceClient"]
@@ -80,24 +92,40 @@ class ServiceClient:
         Where the service listens (``RetrievalService.address``).
     timeout:
         Socket timeout in seconds for every request, including each read of
-        a streamed batch line.
+        a streamed batch record.
+    frames:
+        Send batches and shard scatters as fixed-width frames (the default);
+        ``False`` sends the hex/JSON documents instead.  Responses are
+        decoded by their ``Content-Type`` either way.
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
+    def __init__(
+        self, host: str, port: int, timeout: float = 60.0, frames: bool = True
+    ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self.frames = frames
 
     # -- plumbing -----------------------------------------------------------------
     def _request(
         self, method: str, path: str, payload=None
     ) -> http.client.HTTPResponse:
+        """Send one request; ``payload`` is a JSON document, or ``bytes``
+        already framed (sent as :data:`FRAME_MEDIA_TYPE`)."""
+        # Looked up on the module at call time, and bodies are only ever read
+        # through HTTPResponse.read / readline: a caller that swaps in
+        # counting subclasses of the two sees every body byte (the
+        # end-to-end benchmark measures wire bytes exactly so).
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
         body = None
         headers = {"Connection": "close"}
-        if payload is not None:
+        if isinstance(payload, bytes):
+            body = payload
+            headers["Content-Type"] = FRAME_MEDIA_TYPE
+        elif payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         try:
@@ -137,9 +165,13 @@ class ServiceClient:
         return response
 
     def _json(self, method: str, path: str, payload=None) -> dict:
+        return json.loads(self._body(method, path, payload)[1])
+
+    def _body(self, method: str, path: str, payload=None) -> tuple[bool, bytes]:
+        """One whole response body, and whether it is framed."""
         response = self._request(method, path, payload)
         try:
-            return json.loads(response.read())
+            return _framed(response), response.read()
         finally:
             response._service_connection.close()
 
@@ -180,21 +212,28 @@ class ServiceClient:
         queries: Sequence[EmbellishedQuery],
         modulus: int,
     ) -> Iterator[dict]:
-        """Stream one batch; yields each NDJSON line as a parsed dict.
+        """Stream one batch; yields each record of the stream as a dict.
 
-        Lines arrive in query order: ``kind == "result"`` records carry
-        ``index``, ``scores``, per-query ``counters`` and ``ms``; the final
-        ``kind == "done"`` record carries batch totals and timings.  A
-        ``kind == "error"`` line (the batch failed server-side after
-        admission) is raised as :class:`ServiceError` with status 500.
-        ``modulus`` (the session public key's ``n``) sizes decoded results.
+        Records arrive in query order: ``kind == "result"`` records carry
+        ``index``, per-query ``counters``, ``ms`` and ``result`` -- the
+        decoded :class:`EncryptedResult`, every score checked against
+        ``modulus`` (the session public key's ``n``), whichever codec
+        carried it; the final ``kind == "done"`` record carries batch totals
+        and timings.  A ``kind == "error"`` record (the batch failed
+        server-side after admission) is raised as :class:`ServiceError` with
+        status 500, a malformed record as
+        :class:`~repro.service.wire.WireError`.
         """
-        payload = {"queries": [encode_query(query) for query in queries]}
+        if self.frames:
+            payload = encode_batch_frame(queries, modulus)
+        else:
+            payload = {"queries": [encode_query(query) for query in queries]}
         response = self._request("POST", f"/sessions/{session_id}/queries", payload)
+        framed = _framed(response)
         try:
             while True:
                 try:
-                    raw = response.readline()
+                    frame = read_frame(response.read) if framed else _read_line(response)
                 except (ConnectionError, http.client.IncompleteRead) as exc:
                     # The stream died after the response started: the server
                     # drained or crashed mid-batch.  Surface it typed (with
@@ -206,13 +245,22 @@ class ServiceClient:
                         f"mid-batch: {exc!r}",
                         mid_stream=True,
                     ) from exc
-                if not raw:
+                if frame is None:
                     break
-                line = json.loads(raw)
-                if line.get("kind") == "error":
-                    raise ServiceError(500, line.get("error", "batch failed"))
-                yield line
-                if line.get("kind") == "done":
+                record, body = frame
+                kind = record.get("kind")
+                if kind == "error":
+                    raise ServiceError(500, record.get("error", "batch failed"))
+                if kind == "result":
+                    if framed:
+                        record["result"] = decode_result_frame(record, body, modulus)
+                    else:
+                        record["result"] = decode_result(record, modulus)
+                        del record["scores"]
+                elif body:
+                    raise WireError(f"{len(body)} trailing bytes on a {kind!r} frame")
+                yield record
+                if kind == "done":
                     break
         finally:
             response._service_connection.close()
@@ -223,7 +271,7 @@ class ServiceClient:
         queries: Sequence[EmbellishedQuery],
         modulus: int,
     ) -> tuple[list[EncryptedResult], dict]:
-        """Submit a batch and collect it fully: ``(results, done_line)``.
+        """Submit a batch and collect it fully: ``(results, done_record)``.
 
         ``results[i]`` is query ``i``'s :class:`EncryptedResult` (the stream
         is order-preserving).  Raises :class:`ServiceError` if the stream
@@ -231,11 +279,11 @@ class ServiceClient:
         """
         results: list[EncryptedResult] = []
         done: dict | None = None
-        for line in self.submit_batch(session_id, queries, modulus):
-            if line["kind"] == "result":
-                results.append(decode_result(line, modulus))
-            elif line["kind"] == "done":
-                done = line
+        for record in self.submit_batch(session_id, queries, modulus):
+            if record["kind"] == "result":
+                results.append(record["result"])
+            elif record["kind"] == "done":
+                done = record
         if done is None:
             raise ServiceError(500, "stream ended without a done record")
         if len(results) != len(queries):
@@ -243,3 +291,35 @@ class ServiceClient:
                 500, f"stream delivered {len(results)}/{len(queries)} results"
             )
         return results, done
+
+    # -- the shard-server role ----------------------------------------------------
+    def shard_partials(self, tenant: str, public_key: BenalohPublicKey, subqueries):
+        """Scatter ``(terms, selectors)`` sub-queries to the tenant's partials
+        route; the :class:`~repro.core.coordinator.ShardResponse` it answers."""
+        if self.frames:
+            payload = encode_partial_request_frame(public_key, subqueries)
+        else:
+            payload = encode_partial_request(public_key, subqueries)
+        framed, body = self._body("POST", f"/shards/{tenant}/partials", payload)
+        if framed:
+            return decode_shard_response_frame(body, public_key.n)
+        return decode_shard_response(json.loads(body))
+
+
+def _read_line(response: http.client.HTTPResponse) -> tuple[dict, None] | None:
+    """The next NDJSON record, shaped like :func:`read_frame`'s answer."""
+    raw = response.readline()
+    if not raw:
+        return None
+    try:
+        record = json.loads(raw)
+    except ValueError as exc:
+        raise WireError(f"stream line is not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise WireError("stream line must be a JSON object")
+    return record, None
+
+
+def _framed(response: http.client.HTTPResponse) -> bool:
+    """Whether the response's ``Content-Type`` announces the frame codec."""
+    return response.headers.get_content_type() == FRAME_MEDIA_TYPE

@@ -40,7 +40,6 @@ from repro.core.coordinator import QueryCoordinator, ShardResponse, ShardTopolog
 from repro.core.engine import RetryPolicy
 from repro.core.partitioning import ShardedIndexLayout, load_sharded
 from repro.service.client import ServiceClient
-from repro.service.wire import encode_partial_request, decode_shard_response
 
 __all__ = [
     "HttpShardBackend",
@@ -57,7 +56,8 @@ class HttpShardBackend:
     (``accumulate(subqueries) -> ShardResponse``) over HTTP.  Each call is
     one request (the scatter is already batched per shard), opened fresh so
     a dead replica fails fast with a retryable error instead of wedging a
-    pooled connection.
+    pooled connection.  ``frames`` picks the codec, as on
+    :class:`~repro.service.client.ServiceClient`.
     """
 
     host: str
@@ -65,19 +65,18 @@ class HttpShardBackend:
     tenant: str
     public_key: object
     timeout: float = 60.0
+    frames: bool = True
     _client: ServiceClient = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._client = ServiceClient(self.host, self.port, timeout=self.timeout)
+        self._client = ServiceClient(
+            self.host, self.port, timeout=self.timeout, frames=self.frames
+        )
 
     def accumulate(
         self, subqueries: Sequence[tuple[Sequence[str], Sequence[int]]]
     ) -> ShardResponse:
-        payload = encode_partial_request(self.public_key, subqueries)
-        document = self._client._json(
-            "POST", f"/shards/{self.tenant}/partials", payload
-        )
-        return decode_shard_response(document)
+        return self._client.shard_partials(self.tenant, self.public_key, subqueries)
 
     def close(self) -> None:
         """Stateless (per-request connections); nothing to release."""

@@ -3,9 +3,9 @@
 The serving front-end speaks plain HTTP/JSON so any client stack can talk to
 it, but the repository stays dependency-free: this module implements exactly
 the slice of HTTP/1.1 the service needs (request-line + headers +
-``Content-Length`` bodies in; fixed-length JSON responses and
-``Transfer-Encoding: chunked`` NDJSON streams out; per-connection
-keep-alive) on top of ``asyncio``'s stream API.  It is a *server-side*
+``Content-Length`` bodies in; fixed-length responses and
+``Transfer-Encoding: chunked`` record streams -- NDJSON lines or binary
+frames -- out; per-connection keep-alive) on top of ``asyncio``'s stream API.  It is a *server-side*
 protocol helper, not a general HTTP implementation -- no multipart, no
 compression, no trailers, no pipelining guarantees beyond strictly
 sequential request/response per connection.
@@ -27,6 +27,7 @@ __all__ = [
     "ProtocolError",
     "read_request",
     "send_json",
+    "send_body",
     "start_chunked",
     "send_chunk",
     "end_chunked",
@@ -35,9 +36,10 @@ __all__ = [
 #: Cap on the request line plus header block; a header block this large is
 #: hostile or broken, either way the connection is answered 400 and closed.
 MAX_HEADER_BYTES = 64 * 1024
-#: Cap on request bodies.  Embellished batches carry hex ciphertexts (one
-#: per selector), so real payloads reach megabytes; 64 MiB bounds a
-#: runaway/hostile client without constraining legitimate sessions.
+#: Cap on request bodies, and on any one frame of the binary codec in
+#: either direction.  Embellished batches carry one ciphertext per selector,
+#: so real payloads reach megabytes; 64 MiB bounds a runaway/hostile peer
+#: without constraining legitimate sessions.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 _REASONS = {
@@ -86,6 +88,11 @@ class HttpRequest:
             return json.loads(self.body)
         except ValueError as exc:
             raise ProtocolError(f"invalid JSON body: {exc}") from exc
+
+    @property
+    def content_type(self) -> str:
+        """The body's media type, lower-cased, parameters dropped."""
+        return self.headers.get("content-type", "").split(";")[0].strip().lower()
 
     @property
     def wants_close(self) -> bool:
@@ -164,9 +171,23 @@ async def send_json(
     headers: dict[str, str] | None = None,
 ) -> None:
     """Write one complete JSON response (fixed Content-Length, keep-alive)."""
-    body = json.dumps(payload).encode("utf-8")
+    await send_body(
+        writer, status, json.dumps(payload).encode("utf-8"), "application/json",
+        headers=headers,
+    )
+
+
+async def send_body(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: bytes,
+    content_type: str,
+    *,
+    headers: dict[str, str] | None = None,
+) -> None:
+    """Write one complete response of any media type (fixed Content-Length)."""
     writer.write(
-        _head(status, "application/json", headers)
+        _head(status, content_type, headers)
         + f"Content-Length: {len(body)}\r\n\r\n".encode("latin-1")
         + body
     )
@@ -180,7 +201,7 @@ async def start_chunked(
     content_type: str = "application/x-ndjson",
     headers: dict[str, str] | None = None,
 ) -> None:
-    """Open a ``Transfer-Encoding: chunked`` response (NDJSON streams)."""
+    """Open a ``Transfer-Encoding: chunked`` response (a record stream)."""
     writer.write(
         _head(status, content_type, headers)
         + b"Transfer-Encoding: chunked\r\n\r\n"
@@ -189,8 +210,9 @@ async def start_chunked(
 
 
 async def send_chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
-    """Write one chunk; each NDJSON record is sent as its own chunk so the
-    client observes results as the engine streams them, not at batch end."""
+    """Write one chunk; each record (NDJSON line or frame) is sent as its own
+    chunk so the client observes results as the engine streams them, not at
+    batch end."""
     if not data:
         return
     writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")

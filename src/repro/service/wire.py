@@ -1,24 +1,44 @@
-"""JSON wire codecs between the HTTP surface and the core PR types.
+"""Wire codecs between the HTTP surface and the core PR types.
 
-Ciphertexts and key material are arbitrary-precision integers; on the wire
-they travel as lowercase hex strings (no ``0x`` prefix), which round-trip
-exactly and cost half the bytes of decimal at realistic key sizes.  Document
-ids become JSON object keys (strings) in result score maps and are restored
-to ``int`` by the client codec.
+Two codecs carry the same documents:
 
-Every decoder validates shape and raises :class:`WireError` with a message
-safe to echo into a 400 response -- decoding errors are the *client's*
-fault and must never take the service down or leak internals.
+**hex/JSON** -- the reference, and the route a person can drive with curl.
+Ciphertexts and key material are arbitrary-precision integers; they travel
+as lowercase hex strings (no ``0x`` prefix), which round-trip exactly and
+cost half the bytes of decimal at realistic key sizes.  Document ids become
+JSON object keys (strings) in result score maps and are restored to ``int``
+by the client codec.
+
+**Fixed-width frames** (:data:`FRAME_MEDIA_TYPE`) -- what ``ServiceClient``
+and ``HttpShardBackend`` speak by default, at the paper's modelled
+``4 + ceil(KeyLen/8)`` bytes per candidate instead of hex's ~2x.  A frame is
+``u32be header_len | u32be body_len | header | body``: the header a UTF-8
+JSON object with everything that is not a ciphertext, the body big-endian
+integers at a fixed width -- ``u32`` document ids, and ciphertexts at
+``W = ceil(bits(n) / 8)`` bytes, where ``n`` is the modulus both ends
+already hold for the session.  ``W`` never travels: a frame cut for another
+key simply has the wrong length.  ``docs/architecture.md`` has the layouts.
+
+Every decoder of either codec validates shape -- lengths exact and bounded
+by :data:`~repro.service.protocol.MAX_BODY_BYTES` before anything is
+allocated, terms and selectors aligned, every ciphertext in ``[1, n)``, no
+document id twice, no trailing bytes -- and raises :class:`WireError` with
+a message safe to echo into a 400 response: decoding errors are the
+*sender's* fault and must never take the service down or leak internals.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import io
+import json
+import struct
+from typing import Callable, Mapping, Sequence
 
 from repro.core.buckets import BucketOrganization
 from repro.core.embellish import EmbellishedQuery
 from repro.core.server import EncryptedResult, ServerCounters
 from repro.crypto.benaloh import BenalohPublicKey
+from repro.service.protocol import MAX_BODY_BYTES
 
 __all__ = [
     "WireError",
@@ -38,6 +58,18 @@ __all__ = [
     "decode_partial_request",
     "encode_shard_response",
     "decode_shard_response",
+    "FRAME_MEDIA_TYPE",
+    "encode_frame",
+    "read_frame",
+    "decode_frame",
+    "encode_batch_frame",
+    "decode_batch_frame",
+    "encode_result_frame",
+    "decode_result_frame",
+    "encode_partial_request_frame",
+    "decode_partial_request_frame",
+    "encode_shard_response_frame",
+    "decode_shard_response_frame",
 ]
 
 
@@ -95,19 +127,25 @@ def _check_ciphertext(value: int, modulus: int | None, what: str) -> int:
     return value
 
 
-def decode_query(obj, modulus: int | None = None) -> EmbellishedQuery:
-    """Decode one embellished query; with ``modulus``, every selector
-    ciphertext is validated against the session key's ring."""
+def _query_terms(obj) -> tuple[str, ...]:
+    """One query's term list: non-empty, strings only (both codecs)."""
     terms = _expect(obj, "terms", list, "query")
-    selectors = _expect(obj, "selectors", list, "query")
-    if len(terms) != len(selectors):
-        raise WireError("query terms and selectors must align one-to-one")
     if not terms:
         raise WireError("query must contain at least one term")
     if not all(isinstance(term, str) for term in terms):
         raise WireError("query terms must be strings")
+    return tuple(terms)
+
+
+def decode_query(obj, modulus: int | None = None) -> EmbellishedQuery:
+    """Decode one embellished query; with ``modulus``, every selector
+    ciphertext is validated against the session key's ring."""
+    terms = _query_terms(obj)
+    selectors = _expect(obj, "selectors", list, "query")
+    if len(terms) != len(selectors):
+        raise WireError("query terms and selectors must align one-to-one")
     return EmbellishedQuery(
-        terms=tuple(terms),
+        terms=terms,
         encrypted_selectors=tuple(
             _check_ciphertext(
                 decode_int(value, "query selector"), modulus, "query selector"
@@ -126,13 +164,30 @@ def encode_result(result: EncryptedResult) -> dict:
     }
 
 
+def _decode_score_map(scores: Mapping, modulus: int, what: str) -> dict[int, int]:
+    """A JSON ``{doc id: hex ciphertext}`` map, every value checked against
+    the ring it must live in and no document answered twice."""
+    try:
+        decoded = {
+            int(doc_id): _check_ciphertext(decode_int(value, what), modulus, what)
+            for doc_id, value in scores.items()
+        }
+    except WireError:
+        raise
+    except ValueError as exc:
+        raise WireError(f"{what} document ids must be integers") from exc
+    if len(decoded) != len(scores):
+        raise WireError(f"{what} names a document id twice")
+    return decoded
+
+
 def decode_result(obj, modulus: int) -> EncryptedResult:
+    """Decode one result; a score outside ``[1, modulus)`` -- a corrupted
+    response, or one accumulated under another key -- is a :class:`WireError`
+    here, not garbage (or an unrelated ``ValueError``) at decryption."""
     scores = _expect(obj, "scores", Mapping, "result")
     return EncryptedResult(
-        encrypted_scores={
-            int(doc_id): decode_int(value, "result score")
-            for doc_id, value in scores.items()
-        },
+        encrypted_scores=_decode_score_map(scores, modulus, "result score"),
         modulus=modulus,
     )
 
@@ -271,18 +326,253 @@ def decode_shard_response(obj):
     counters = []
     for entry in entries:
         scores = _expect(entry, "scores", Mapping, "shard partial")
-        partials.append(
-            {
-                int(doc_id): _check_ciphertext(
-                    decode_int(value, "partial score"), modulus, "partial score"
-                )
-                for doc_id, value in scores.items()
-            }
-        )
+        partials.append(_decode_score_map(scores, modulus, "partial score"))
         counters.append(decode_counters(_expect(entry, "counters", None, "shard partial")))
     return ShardResponse(
         epoch=epoch,
         modulus=modulus,
         partials=tuple(partials),
         counters=tuple(counters),
+    )
+
+
+# -- fixed-width frames ------------------------------------------------------------
+#: Media type of the frame codec, on requests and on the responses to them.
+FRAME_MEDIA_TYPE = "application/x-repro-frames"
+
+_PREFIX = struct.Struct(">II")
+
+
+def _width(modulus: int) -> int:
+    """``W``: bytes of one ciphertext under ``modulus``."""
+    return (modulus.bit_length() + 7) // 8
+
+
+def encode_frame(header: Mapping, body: bytes = b"") -> bytes:
+    """``u32be header_len | u32be body_len | header (JSON object) | body``."""
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    if len(head) + len(body) > MAX_BODY_BYTES:
+        raise WireError(
+            f"frame of {len(head) + len(body)} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit; use the JSON route"
+        )
+    return _PREFIX.pack(len(head), len(body)) + head + body
+
+
+def read_frame(read: Callable[[int], bytes]) -> tuple[dict, bytes] | None:
+    """The next frame off ``read(n)`` (which returns fewer than ``n`` bytes
+    only at the end of its stream); ``None`` at a clean end between frames.
+    Both lengths are checked against the limit before the frame is read."""
+    prefix = read(_PREFIX.size)
+    if not prefix:
+        return None
+    if len(prefix) != _PREFIX.size:
+        raise WireError("truncated frame prefix")
+    header_len, body_len = _PREFIX.unpack(prefix)
+    if header_len + body_len > MAX_BODY_BYTES:
+        raise WireError(
+            f"frame announces {header_len + body_len} bytes, over the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
+    data = read(header_len + body_len)
+    if len(data) != header_len + body_len:
+        raise WireError(
+            f"truncated frame: {len(data)} of {header_len + body_len} bytes"
+        )
+    try:
+        header = json.loads(data[:header_len])
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise WireError(f"frame header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise WireError("frame header must be a JSON object")
+    return header, data[header_len:]
+
+
+def decode_frame(data: bytes) -> tuple[dict, bytes]:
+    """``data`` as exactly one frame: nothing missing, nothing after it."""
+    stream = io.BytesIO(data)
+    frame = read_frame(stream.read)
+    if frame is None:
+        raise WireError("empty body where a frame was expected")
+    if stream.tell() != len(data):
+        raise WireError(f"{len(data) - stream.tell()} trailing bytes after the frame")
+    return frame
+
+
+def _pack_ciphertexts(values, width: int) -> bytes:
+    try:
+        return b"".join([value.to_bytes(width, "big") for value in values])
+    except OverflowError as exc:
+        raise WireError(f"ciphertext does not fit {width} bytes: {exc}") from exc
+
+
+def _unpack_ciphertexts(body: bytes, modulus: int, what: str) -> list[int]:
+    """Every ``W``-byte big-endian integer of ``body`` (a whole number of
+    them: callers check the length), each in ``[1, modulus)``."""
+    width = _width(modulus)
+    from_bytes = int.from_bytes
+    values = [
+        from_bytes(body[offset : offset + width], "big")
+        for offset in range(0, len(body), width)
+    ]
+    if values and not (min(values) >= 1 and max(values) < modulus):
+        bad = next(value for value in values if not 1 <= value < modulus)
+        _check_ciphertext(bad, modulus, what)
+    return values
+
+
+def _count(entry, what: str) -> int:
+    count = _expect(entry, "count", int, what)
+    if isinstance(count, bool) or count < 0:
+        raise WireError(f"{what}.count must be a non-negative integer")
+    return count
+
+
+def _pack_scores(scores: Mapping[int, int], width: int) -> bytes:
+    """``count`` x u32be document ids, then ``count`` x ciphertexts."""
+    try:
+        ids = struct.pack(f">{len(scores)}I", *scores)
+    except struct.error as exc:
+        raise WireError(f"document id does not fit 32 bits: {exc}") from exc
+    return ids + _pack_ciphertexts(scores.values(), width)
+
+
+def _unpack_scores(body: bytes, count: int, modulus: int, what: str) -> dict[int, int]:
+    if len(body) != count * (4 + _width(modulus)):
+        raise WireError(
+            f"{what} body is {len(body)} bytes, expected {count} x "
+            f"(4 + {_width(modulus)})"
+        )
+    ids = struct.unpack_from(f">{count}I", body)
+    scores = dict(zip(ids, _unpack_ciphertexts(body[4 * count :], modulus, what)))
+    if len(scores) != count:
+        raise WireError(f"{what} names a document id twice")
+    return scores
+
+
+def _frame_queries(subqueries, header: Mapping, width: int) -> bytes:
+    """One frame for ``(terms, selectors)`` pairs: the terms join ``header``,
+    the selectors are the body, in order."""
+    selectors = [value for _, values in subqueries for value in values]
+    if len(selectors) != sum(len(terms) for terms, _ in subqueries):
+        raise WireError("query terms and selectors must align one-to-one")
+    return encode_frame(
+        {**header, "queries": [{"terms": list(terms)} for terms, _ in subqueries]},
+        _pack_ciphertexts(selectors, width),
+    )
+
+
+def _framed_queries(header: dict, body: bytes, modulus: int) -> list[EmbellishedQuery]:
+    term_lists = [
+        _query_terms(entry) for entry in _expect(header, "queries", list, "frame header")
+    ]
+    total = sum(len(terms) for terms in term_lists)
+    if len(body) != total * _width(modulus):
+        raise WireError(
+            f"query terms and selectors must align one-to-one: {total} terms "
+            f"need {total} x {_width(modulus)} selector bytes, body has {len(body)}"
+        )
+    selectors = _unpack_ciphertexts(body, modulus, "query selector")
+    queries = []
+    start = 0
+    for terms in term_lists:
+        end = start + len(terms)
+        queries.append(
+            EmbellishedQuery(terms=terms, encrypted_selectors=tuple(selectors[start:end]))
+        )
+        start = end
+    return queries
+
+
+def encode_batch_frame(queries: Sequence[EmbellishedQuery], modulus: int) -> bytes:
+    """The batch request: header ``{"queries": [{"terms": [...]}, ...]}``,
+    body every selector in order at the session key's ``W``."""
+    return _frame_queries(
+        [(query.terms, query.encrypted_selectors) for query in queries],
+        {},
+        _width(modulus),
+    )
+
+
+def decode_batch_frame(data: bytes, modulus: int) -> list[EmbellishedQuery]:
+    return _framed_queries(*decode_frame(data), modulus)
+
+
+def encode_result_frame(record: Mapping, result: EncryptedResult) -> bytes:
+    """One result of the batch stream: ``record`` (``kind``, ``index``,
+    ``counters``, ``ms``) plus ``count`` is the header, the scores the body."""
+    return encode_frame(
+        {**record, "count": len(result)},
+        _pack_scores(result.encrypted_scores, _width(result.modulus)),
+    )
+
+
+def decode_result_frame(header: Mapping, body: bytes, modulus: int) -> EncryptedResult:
+    scores = _unpack_scores(body, _count(header, "result"), modulus, "result score")
+    return EncryptedResult(encrypted_scores=scores, modulus=modulus)
+
+
+def encode_partial_request_frame(public_key: BenalohPublicKey, subqueries) -> bytes:
+    """:func:`encode_partial_request`, framed: the key and the terms in the
+    header, the selectors in the body at that key's ``W``."""
+    return _frame_queries(
+        subqueries, {"public_key": encode_public_key(public_key)}, _width(public_key.n)
+    )
+
+
+def decode_partial_request_frame(
+    data: bytes,
+) -> tuple[BenalohPublicKey, list[EmbellishedQuery]]:
+    header, body = decode_frame(data)
+    public_key = decode_public_key(_expect(header, "public_key", None, "partial request"))
+    queries = _framed_queries(header, body, public_key.n)
+    if not queries:
+        raise WireError("partial request must contain at least one sub-query")
+    return public_key, queries
+
+
+def encode_shard_response_frame(epoch: int, modulus: int, partials, counters) -> bytes:
+    """:func:`encode_shard_response`, framed: per partial its ``count`` and
+    ``counters`` in the header, its ids and values in the body, in order."""
+    width = _width(modulus)
+    header = {
+        "epoch": epoch,
+        "modulus": encode_int(modulus),
+        "partials": [
+            {"count": len(partial), "counters": encode_counters(per_query)}
+            for partial, per_query in zip(partials, counters, strict=True)
+        ],
+    }
+    return encode_frame(
+        header, b"".join([_pack_scores(partial, width) for partial in partials])
+    )
+
+
+def decode_shard_response_frame(data: bytes, modulus: int):
+    """Decode into a :class:`repro.core.coordinator.ShardResponse`; ``modulus``
+    is the key the *caller* scattered under -- it sizes the body, and the
+    response's own tag is handed on for the coordinator to hold against it."""
+    from repro.core.coordinator import ShardResponse
+
+    header, body = decode_frame(data)
+    epoch = _expect(header, "epoch", int, "shard response")
+    tagged = decode_int(
+        _expect(header, "modulus", None, "shard response"), "shard response modulus"
+    )
+    partials = []
+    counters = []
+    offset = 0
+    per_candidate = 4 + _width(modulus)
+    for entry in _expect(header, "partials", list, "shard response"):
+        count = _count(entry, "shard partial")
+        end = offset + count * per_candidate
+        if end > len(body):
+            raise WireError("shard partial runs past the end of the frame body")
+        partials.append(_unpack_scores(body[offset:end], count, modulus, "partial score"))
+        counters.append(decode_counters(_expect(entry, "counters", None, "shard partial")))
+        offset = end
+    if offset != len(body):
+        raise WireError(f"{len(body) - offset} trailing bytes after the last partial")
+    return ShardResponse(
+        epoch=epoch, modulus=tagged, partials=tuple(partials), counters=tuple(counters)
     )

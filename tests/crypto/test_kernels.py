@@ -7,6 +7,8 @@ operation counters across execution paths.
 """
 
 import random
+import sys
+import threading
 from array import array
 
 import pytest
@@ -22,9 +24,17 @@ from repro.crypto.kernels import (
 
 COMPILED = kernels.compiled_available()
 
-# A mix of Montgomery-eligible moduli (odd, >= 3) spanning 1 to 17 limbs,
+# A mix of Montgomery-eligible moduli (odd, >= 3) spanning 1 to 24 limbs,
 # plus the degenerate/ineligible ones the fallback guards must handle.
-MODULI = [3, 5, 35, (1 << 61) - 1, 2**127 + 45, 2**1023 + 1155]
+MODULI = [3, 5, 35, (1 << 61) - 1, 2**127 + 45, 2**255 + 95, 2**1023 + 1155, 2**1535 + 75]
+
+# What a payload column may be: the index's own storage (zero-copy), a
+# read-only view of it, or anything else iterable (copied by the kernel).
+COLUMN_KINDS = [
+    lambda values: array("I", values),
+    lambda values: memoryview(array("I", values)).toreadonly(),
+    list,
+]
 
 
 def oracle(payload, modulus):
@@ -61,6 +71,13 @@ def accumulate_loop(payload, modulus):
     )
 
 
+def assert_declined(reason, call):
+    """Losing the kernel is loud: ``None``, and the reason booked once."""
+    before = kernels.fallback_counts().get(reason, 0)
+    assert call() is None, reason
+    assert kernels.fallback_counts().get(reason, 0) == before + 1, reason
+
+
 def assert_matches_oracle(got, want):
     assert got[0] == want[0]
     assert list(got[0]) == list(want[0]), "dict iteration order diverged"
@@ -74,7 +91,10 @@ def payloads(draw):
     for _ in range(draw(st.integers(0, 5))):
         count = draw(st.integers(0, 10))
         selector = draw(st.integers(0, modulus - 1))
-        doc_ids = array("I", [draw(st.integers(0, 40)) for _ in range(count)])
+        column = draw(st.sampled_from(COLUMN_KINDS))
+        # Repeats within and across terms, and the top of the uint32 range.
+        doc_id = st.one_of(st.integers(0, 40), st.integers(2**32 - 3, 2**32 - 1))
+        doc_ids = column([draw(doc_id) for _ in range(count)])
         # Sorted descending like real impact-ordered lists, but zeros and
         # duplicates allowed; a sprinkle of large sparse impacts triggers
         # the binary/windowed strategies.
@@ -83,7 +103,7 @@ def payloads(draw):
              for _ in range(count)),
             reverse=True,
         )
-        terms.append((selector, doc_ids, array("I", impacts)))
+        terms.append((selector, doc_ids, column(impacts)))
     return modulus, terms
 
 
@@ -179,6 +199,10 @@ class TestAccumulateEquivalence:
                 (5, array("I"), array("I")),
                 (9, array("I", [4, 4, 4]), array("I", [2, 2, 1])),
             ],
+            # 40 first occurrences fill the 64-entry candidate table past
+            # half; ids a large power of two apart all probe from one bucket.
+            [(5, array("I", range(1000, 1040)), array("I", [3] * 40))],
+            [(7, array("I", [i << 26 for i in range(40)] * 2), array("I", [2] * 80))],
         ]
         for payload in edge_cases:
             want = oracle(payload, modulus)
@@ -189,19 +213,100 @@ class TestAccumulateEquivalence:
                 assert_matches_oracle(got, want)
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
-    def test_compiled_falls_back_on_ineligible_inputs(self):
-        payload = [(3, array("I", [1]), array("I", [2]))]
-        # Even and sub-3 moduli are not Montgomery-eligible.
-        assert kernels.accumulate_compiled(payload, 100) is None
-        assert kernels.accumulate_compiled(payload, 1) is None
-        # Selector outside [0, n) would diverge from the unreduced table[1].
-        assert kernels.accumulate_compiled([(10**40, array("I", [1]), array("I", [1]))], 101) is None
-        assert kernels.accumulate_compiled([(-1, array("I", [1]), array("I", [1]))], 101) is None
-        # Mismatched column lengths must not silently zip-truncate.
-        assert (
-            kernels.accumulate_compiled([(3, array("I", [1, 2]), array("I", [1]))], 101)
-            is None
-        )
+    def test_compiled_falls_back_on_ineligible_inputs(self, monkeypatch):
+        """Every envelope exit returns ``None`` and books its reason."""
+        one = array("I", [1])
+        payload = [(3, one, array("I", [2]))]
+        accumulate = kernels.accumulate_compiled
+        for reason, call in [
+            # Even, sub-3 and over-66-limb moduli are not Montgomery-eligible.
+            ("even_modulus", lambda: accumulate(payload, 100)),
+            ("modulus_too_small", lambda: accumulate(payload, 1)),
+            ("modulus_too_large", lambda: accumulate(payload, 2**4224 + 1)),
+            # Selector outside [0, n) would diverge from the unreduced table[1].
+            ("selector_out_of_ring", lambda: accumulate([(10**40, one, one)], 101)),
+            ("selector_out_of_ring", lambda: accumulate([(-1, one, one)], 101)),
+            ("selector_out_of_ring", lambda: accumulate([(3.0, one, one)], 101)),
+            # Mismatched column lengths must not silently zip-truncate.
+            ("column_mismatch", lambda: accumulate([(3, [1, 2], [1])], 101)),
+            ("column_type", lambda: accumulate([(3, [2**32], [1])], 101)),
+            ("column_type", lambda: accumulate([(3, [1], ["x"])], 101)),
+            ("impact_cap", lambda: accumulate([(3, [1], [2**20 + 1])], 101)),
+        ]:
+            assert_declined(reason, call)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_POSTING_CAP", 1)
+            assert_declined("posting_cap", lambda: accumulate(payload, 101))
+        with monkeypatch.context() as patch:  # a plan that lacks the column's impact
+            patch.setattr(kernels, "power_table_plan", lambda _, plan=power_table_plan: plan((7,)))
+            assert_declined("plan_mismatch", lambda: accumulate(payload, 101))
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_COMPILED", None)
+            patch.setattr(kernels, "_COMPILE_ERROR", "no toolchain on this host")
+            assert_declined("no_kernel", lambda: accumulate(payload, 101))
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_failed_self_test_is_cached_not_rerun_per_payload(self, monkeypatch):
+        """Regression: a build that fails its self-test used to be reloaded
+        and re-tested inside every request, then silently served the loop."""
+        loads = []
+        load = kernels._compile_or_load
+
+        def failing_self_test(ffi, lib):
+            raise RuntimeError("wrong residue at 1024 bits")
+
+        monkeypatch.setattr(kernels, "_COMPILED", None)
+        monkeypatch.setattr(kernels, "_COMPILE_ERROR", None)
+        monkeypatch.setattr(kernels, "_compile_or_load", lambda: loads.append(1) or load())
+        monkeypatch.setattr(kernels, "_self_test", failing_self_test)
+        assert not kernels.compiled_available()
+        assert not kernels.compiled_available()
+        assert kernels.accumulate_compiled([(3, array("I", [1]), array("I", [2]))], 101) is None
+        assert len(loads) == 1
+        reasons = []
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="wrong residue at 1024 bits") as excinfo:
+                kernels.ensure_compiled()
+            reasons.append(str(excinfo.value))
+        assert reasons[0] == reasons[1]
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_concurrent_payloads_match_oracle(self):
+        """cffi drops the GIL: sessions accumulate at the same time, so the
+        kernel's scratch must be its own.  More threads than cores, different
+        payloads and moduli, a switch interval that forces interleaving."""
+        rng = random.Random(21)
+        cases = []
+        for modulus in (2**255 + 95, 2**1023 + 1155):
+            payload = [
+                (
+                    rng.randrange(modulus),
+                    array("I", [rng.randrange(50) for _ in range(60)]),
+                    array("I", sorted((rng.randrange(30) for _ in range(60)), reverse=True)),
+                )
+                for _ in range(6)
+            ]
+            cases.append((payload, modulus, oracle(payload, modulus)))
+        wrong = []
+
+        def hammer(payload, modulus, want):
+            for _ in range(100):
+                got = kernels.accumulate_compiled(payload, modulus)
+                if got != want or list(got[0]) != list(want[0]):
+                    wrong.append(modulus.bit_length())
+
+        threads = [threading.Thread(target=hammer, args=case) for case in cases * 3]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_accumulate_terms_dispatches_to_compiled_backend(self):
@@ -246,11 +351,13 @@ class TestPIRFold:
                 want.append(gamma)
             assert list(answers) == want
             assert count == want_count
-
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_fold_rows_refuses_ineligible_inputs(self):
-        assert kernels.pir_fold_rows([1], 1, 0, [1], 100) is None  # even modulus
-        assert kernels.pir_fold_rows([1], 1, 200, [1], 101) is None  # base >= n
+        fold = kernels.pir_fold_rows
+        assert_declined("even_modulus", lambda: fold([1], 1, 0, [1], 100))
+        assert_declined("base_out_of_ring", lambda: fold([1], 1, 200, [1], 101))
+        assert_declined("ratio_mismatch", lambda: fold([1], 1, 2, [1, 1], 101))
+        assert_declined("matrix_type", lambda: fold([1], 1, 2, ["x"], 101))
 
 
 class TestModexpBatch:
@@ -275,6 +382,12 @@ class TestModexpBatch:
                 ]
         finally:
             nt.set_backend("python")
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_compiled_refuses_ineligible_inputs(self):
+        modexp = kernels._modexp_batch_compiled
+        assert_declined("negative_exponent", lambda: modexp([2], -1, 101))
+        assert_declined("base_out_of_ring", lambda: modexp([101], 2, 101))
 
     def test_empty_batch(self):
         assert kernels.modexp_batch([], 5, 101) == []

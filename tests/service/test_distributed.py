@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.coordinator import LocalShardBackend, data_epoch
 from repro.core.partitioning import HashPartitioner, save_sharded
-from repro.core.server import PrivateRetrievalServer, ServerCounters
+from repro.core.server import EncryptedResult, PrivateRetrievalServer, ServerCounters
 from repro.crypto.benaloh import generate_keypair
 from repro.service import (
     RetrievalService,
@@ -32,6 +32,7 @@ from repro.service import (
 )
 from repro.service.cluster import HttpShardBackend, LocalShardCluster
 from repro.service.wire import (
+    FRAME_MEDIA_TYPE,
     WireError,
     decode_counters,
     decode_partial_request,
@@ -42,6 +43,8 @@ from repro.service.wire import (
     encode_partial_request,
     encode_public_key,
     encode_query,
+    encode_result,
+    encode_result_frame,
     encode_shard_response,
 )
 
@@ -189,12 +192,16 @@ class _AbortingServer:
 
     ``mode="pre-response"`` accepts and slams the connection shut before any
     bytes of response; ``mode="mid-stream"`` sends valid headers plus one
-    NDJSON line of a chunked batch stream, then resets -- exactly what a
-    crashing service looks like to a client holding partial results.
+    record (``first``, in ``content_type``'s codec) of a chunked batch
+    stream, then resets -- exactly what a crashing service looks like to a
+    client holding partial results.  The reset waits until the test says it
+    has read that record (``first_read``): a RST racing the read discards
+    received data, record included, which was a recorded flake.
     """
 
-    def __init__(self, mode: str):
-        self.mode = mode
+    def __init__(self, mode: str, first: bytes = b"", content_type: str = "application/x-ndjson"):
+        self.mode, self.first, self.content_type = mode, first, content_type
+        self.first_read = threading.Event()
         self.listener = socket.socket()
         self.listener.bind(("127.0.0.1", 0))
         self.listener.listen(1)
@@ -206,16 +213,17 @@ class _AbortingServer:
         conn, _ = self.listener.accept()
         conn.recv(65536)  # drain the request
         if self.mode == "mid-stream":
-            first = json.dumps({"kind": "result", "index": 0, "scores": {}}) + "\n"
-            chunk = f"{len(first.encode()):x}\r\n{first}\r\n"
             conn.sendall(
                 (
                     "HTTP/1.1 200 OK\r\n"
-                    "Content-Type: application/x-ndjson\r\n"
+                    f"Content-Type: {self.content_type}\r\n"
                     "Transfer-Encoding: chunked\r\n"
-                    "\r\n" + chunk
+                    f"\r\n{len(self.first):x}\r\n"
                 ).encode()
+                + self.first
+                + b"\r\n"
             )
+            self.first_read.wait(timeout=10)
         # RST instead of FIN: linger(on, 0) makes close() reset the peer,
         # which is what an abrupt process death produces.
         import struct
@@ -226,8 +234,19 @@ class _AbortingServer:
         conn.close()
 
     def close(self):
+        self.first_read.set()
         self.listener.close()
         self.thread.join(timeout=5)
+
+
+def _first_records(scores: dict, modulus: int) -> dict[str, bytes]:
+    """One result record carrying ``scores``, in each codec, by content type."""
+    record = {"kind": "result", "index": 0}
+    result = EncryptedResult(scores, modulus)
+    return {
+        "application/x-ndjson": json.dumps({**record, **encode_result(result)}).encode() + b"\n",
+        FRAME_MEDIA_TYPE: encode_result_frame(record, result),
+    }
 
 
 def test_pre_response_reset_is_typed_unavailable():
@@ -243,19 +262,35 @@ def test_pre_response_reset_is_typed_unavailable():
 
 def test_mid_stream_reset_is_typed_unavailable_with_mid_stream_flag():
     """Regression for the raw ``ConnectionResetError`` that used to leak out
-    of ``submit_batch`` when the server died mid-stream."""
-    server = _AbortingServer("mid-stream")
-    try:
-        client = ServiceClient("127.0.0.1", server.port, timeout=5.0)
-        lines = []
-        with pytest.raises(ServiceUnavailableError) as excinfo:
-            for line in client.submit_batch("session", [], modulus=97):
-                lines.append(line)
-        assert excinfo.value.mid_stream is True, "delivery had begun: not resubmittable"
-        assert excinfo.value.transient is True
-        assert lines and lines[0]["kind"] == "result"
-    finally:
-        server.close()
+    of ``submit_batch`` when the server died mid-stream -- in either codec."""
+    for content_type, first in _first_records({}, 97).items():
+        server = _AbortingServer("mid-stream", first, content_type)
+        try:
+            client = ServiceClient("127.0.0.1", server.port, timeout=5.0)
+            lines = []
+            with pytest.raises(ServiceUnavailableError) as excinfo:
+                for line in client.submit_batch("session", [], modulus=97):
+                    lines.append(line)
+                    server.first_read.set()
+            assert excinfo.value.mid_stream is True, "delivery had begun: not resubmittable"
+            assert excinfo.value.transient is True
+            assert lines and lines[0]["kind"] == "result", content_type
+        finally:
+            server.close()
+
+
+def test_out_of_ring_result_is_a_typed_error_from_run_batch():
+    """Regression: the client took any integer for a score, so a corrupted
+    or wrong-key answer decrypted to garbage instead of failing typed."""
+    for bad in (0, 97):
+        for content_type, first in _first_records({4: bad}, 97).items():
+            server = _AbortingServer("mid-stream", first, content_type)
+            try:
+                client = ServiceClient("127.0.0.1", server.port, timeout=5.0)
+                with pytest.raises(WireError, match="modulus"):
+                    client.run_batch("session", [], modulus=97)
+            finally:
+                server.close()
 
 
 # -- the shard partials route ------------------------------------------------------
@@ -269,24 +304,26 @@ def test_http_backend_matches_local_backend(
     query = embellisher.embellish(query_terms[:3])
     subqueries = [(list(query.terms), list(query.encrypted_selectors))]
 
-    remote = HttpShardBackend(
-        host=client.host,
-        port=client.port,
-        tenant="corpus",
-        public_key=benaloh_keypair.public,
-    )
     local = LocalShardBackend(
         PrivateRetrievalServer(
             index=index, organization=service_org, public_key=benaloh_keypair.public
         )
     )
-    over_http = remote.accumulate(subqueries)
     in_process = local.accumulate(subqueries)
-    assert over_http.partials == in_process.partials
-    assert over_http.modulus == in_process.modulus == benaloh_keypair.public.n
-    assert over_http.epoch == data_epoch(index)
-    assert over_http.counters[0].queries_processed == 1
-    assert over_http.counters[0].modular_multiplications > 0
+    for frames in (True, False):
+        remote = HttpShardBackend(
+            host=client.host,
+            port=client.port,
+            tenant="corpus",
+            public_key=benaloh_keypair.public,
+            frames=frames,
+        )
+        over_http = remote.accumulate(subqueries)
+        assert over_http == in_process, f"frames={frames}"
+        assert [list(p) for p in over_http.partials] == [list(p) for p in in_process.partials]
+        assert over_http.modulus == benaloh_keypair.public.n
+        assert over_http.epoch == data_epoch(index)
+        assert over_http.counters[0].modular_multiplications > 0
 
 
 def test_partials_route_retains_no_per_key_server(

@@ -10,20 +10,27 @@ The properties under test are the service's contract:
 * draining finishes in-flight streams, answers 503 to new work, and shuts
   down cleanly;
 * ``/metrics`` reconciles with the in-process counters (the op totals are
-  invariant across transport exactly as they are across sharding).
+  invariant across transport exactly as they are across sharding);
+* codec and kernel backend are invisible in the answers: frames or JSON,
+  compiled kernel or python loop, the same bits -- and the service says
+  which backend it chose and why.
 """
 
 from __future__ import annotations
 
 import asyncio
 import http.client
+import io
 import json
+import logging
+import struct
 import threading
 
 import pytest
 
 from repro.core.server import PrivateRetrievalServer
-from repro.service import ServiceError
+from repro.crypto import kernels, numbertheory
+from repro.service import ServiceClient, ServiceError, wire
 
 
 def make_batches(embellisher, query_terms, shape):
@@ -114,6 +121,108 @@ class TestBatchCorrectness:
             e.encrypted_scores for e in expected
         ]
         assert done["counters"]["shards_executed"] >= 2
+
+
+class TestCodecsAndBackends:
+    def test_answers_bit_identical_across_codecs_and_backends(
+        self, running_service, index, service_org, embellisher, query_terms,
+        benaloh_keypair, monkeypatch, caplog,
+    ):
+        batch = make_batches(embellisher, query_terms, [3])[0]
+        expected = [
+            list(e.encrypted_scores.items())
+            for e in direct_answers(index, service_org, benaloh_keypair, batch)
+        ]
+        kernel_calls = []
+        accumulate = kernels.accumulate_compiled
+        monkeypatch.setattr(
+            kernels, "accumulate_compiled",
+            lambda *args: kernel_calls.append(1) or accumulate(*args),
+        )
+
+        def no_toolchain():
+            raise RuntimeError("no C compiler on this host")
+
+        assert numbertheory.get_backend() == "python"
+        for hidden in (False, True):  # the second service cannot load the kernel
+            with monkeypatch.context() as patch, caplog.at_level(logging.INFO):
+                if hidden:
+                    patch.setattr(kernels, "ensure_compiled", no_toolchain)
+                service, client = running_service()
+            on_kernel = not hidden and kernels.compiled_available()
+            del kernel_calls[:]
+            for frames in (True, False):
+                codec = ServiceClient(client.host, client.port, frames=frames)
+                session = codec.open_session("corpus", benaloh_keypair.public)
+                results, _ = codec.run_batch(session, batch, benaloh_keypair.public.n)
+                assert [list(r.encrypted_scores.items()) for r in results] == expected
+            assert len(kernel_calls) == (2 * len(batch) if on_kernel else 0)
+            section = client.metrics()["kernel"]
+            assert section["backend"] == ("cffi" if on_kernel else "python")
+            assert (section["reason"] is None) == on_kernel
+            assert section["fallbacks"] == kernels.fallback_counts()
+            if hidden:
+                assert "no C compiler on this host" in section["reason"]
+                assert "compiled kernel unavailable" in caplog.text  # at WARNING
+        # Serving resolved a backend twice and leaked neither into the library.
+        assert numbertheory.get_backend() == "python"
+
+    def test_malformed_frames_are_400_and_the_service_keeps_serving(
+        self, running_service, embellisher, query_terms, benaloh_keypair
+    ):
+        service, client = running_service()
+        modulus = benaloh_keypair.public.n
+        batch = make_batches(embellisher, query_terms, [2])[0]
+        session = client.open_session("corpus", benaloh_keypair.public)
+        good = wire.encode_batch_frame(batch, modulus)
+        for route in (f"/sessions/{session}/queries", "/shards/corpus/partials"):
+            for bad in (
+                b"", good[:8], good[:-1], good + b"\0",
+                struct.pack(">II", 2, 0) + b"[]",
+                wire.encode_batch_frame(batch, 2**255 + 95),  # another key's width
+            ):
+                with pytest.raises(ServiceError) as error:
+                    client._request("POST", route, bad)
+                assert error.value.status == 400, (route, bad[:16])
+        results, done = client.run_batch(session, batch, modulus)
+        assert done["queries"] == len(batch) == len(results)
+
+    def test_counting_connection_sees_every_body_byte(
+        self, running_service, embellisher, query_terms, benaloh_keypair, monkeypatch
+    ):
+        """The end-to-end benchmark counts wire bytes by swapping counting
+        subclasses into ``http.client``; the client must route every body
+        byte through exactly the two methods those override."""
+        sent, received = [], bytearray()
+
+        class CountingResponse(http.client.HTTPResponse):
+            def read(self, amt=None):
+                data = super().read(amt)
+                received.extend(data)
+                return data
+
+        class CountingConnection(http.client.HTTPConnection):
+            response_class = CountingResponse
+
+            def request(self, method, url, body=None, headers={}, **kwargs):
+                sent.append(len(body))
+                return super().request(method, url, body=body, headers=headers, **kwargs)
+
+        service, client = running_service()
+        modulus = benaloh_keypair.public.n
+        batch = make_batches(embellisher, query_terms, [3])[0]
+        session = client.open_session("corpus", benaloh_keypair.public)
+        monkeypatch.setattr(http.client, "HTTPConnection", CountingConnection)
+        results, done = client.run_batch(session, batch, modulus)
+        assert sent == [len(wire.encode_batch_frame(batch, modulus))]
+        # What read() saw is the whole response body: it parses, frame for
+        # frame and with nothing left over, into exactly what was returned.
+        stream = io.BytesIO(bytes(received))
+        frames = list(iter(lambda: wire.read_frame(stream.read), None))
+        assert [header["kind"] for header, _ in frames] == ["result"] * len(batch) + ["done"]
+        assert [wire.decode_result_frame(*frame, modulus) for frame in frames[:-1]] == results
+        assert frames[-1][0]["service_ms"] == done["service_ms"]
+        assert sum(len(body) for _, body in frames) == sum(r.downstream_bytes() for r in results)
 
 
 class TestAdmission:
