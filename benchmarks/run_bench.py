@@ -250,7 +250,7 @@ def bench_vectorised_accumulation(context, keypair, repeats, batch_size=48, term
     kernel implementation.  Encrypted scores *and* the per-query operation
     counters (postings, table multiplications, modular multiplications) are
     asserted bit-identical before any timing.  When the compiled backend is
-    unavailable (no cffi, no numpy, no C toolchain) the series records why
+    unavailable (no cffi, no C toolchain) the series records why
     and the ``--check`` gate for it is skipped with a warning.
     """
     from repro.crypto import kernels, numbertheory

@@ -38,8 +38,8 @@ per call: cffi releases the GIL, sessions accumulate concurrently.
 dir), so worker processes load the shared object instead of recompiling.
 Library code reaches it as the ``"cffi"`` backend of
 :func:`repro.crypto.numbertheory.set_backend`, the serving front-end as a
-value it resolves at start-up.  When no C toolchain (or no cffi, or no
-numpy) is available, or the build fails its self-test,
+value it resolves at start-up.  When no C toolchain (or no cffi) is
+available, or the build fails its self-test,
 :func:`ensure_compiled` raises a loud :class:`RuntimeError` (cached: later
 probes re-raise it without reloading anything); every entry point declines
 what lies outside its envelope by returning ``None`` -- the caller runs the
@@ -80,7 +80,7 @@ HAVE_CFFI = importlib.util.find_spec("cffi") is not None
 def _numpy():
     """numpy, imported by the first call that marshals through it (the PIR
     row fold and the common-exponent batch); accumulation never does, so a
-    process that only serves queries does not carry numpy's ~16 MB."""
+    process that only serves queries needs no numpy, nor carries its 16 MB."""
     import numpy
 
     return numpy
@@ -905,22 +905,21 @@ def _self_test(ffi, lib) -> None:
 def ensure_compiled():
     """Return the loaded ``(ffi, lib)`` pair, compiling on first use.
 
-    Raises a loud :class:`RuntimeError` naming the reason (no cffi, no numpy,
-    no C toolchain, or a failed self-test) when the compiled backend cannot
-    be provided; the failure is cached so repeated probes stay cheap.
+    Raises a loud :class:`RuntimeError` naming the reason (no cffi, no C
+    toolchain, or a failed self-test) when the compiled backend cannot be
+    provided; the failure is cached so repeated probes stay cheap.
     """
     global _COMPILED, _COMPILE_ERROR
     if _COMPILED is not None:
         return _COMPILED
     if _COMPILE_ERROR is not None:
         raise RuntimeError(_COMPILE_ERROR)
-    for have, module, extra in ((HAVE_CFFI, "cffi", "compiled"), (HAVE_NUMPY, "numpy", "vector")):
-        if not have:
-            _COMPILE_ERROR = (
-                f"the cffi backend was requested but {module} is not installed; "
-                f"install the optional extra (pip install 'repro-pangdx10[{extra}]')"
-            )
-            raise RuntimeError(_COMPILE_ERROR)
+    if not HAVE_CFFI:
+        _COMPILE_ERROR = (
+            "the cffi backend was requested but cffi is not installed; "
+            "install the optional extra (pip install 'repro-pangdx10[compiled]')"
+        )
+        raise RuntimeError(_COMPILE_ERROR)
     try:
         ffi, lib = _compile_or_load()
     except Exception as exc:  # distutils/compiler errors are not RuntimeError
@@ -968,8 +967,11 @@ def fallback_counts() -> dict[str, int]:
         return dict(_FALLBACKS)
 
 
-def _loaded():
-    """``(ffi, lib)``, or None (booked as ``no_kernel``) when the build is unavailable."""
+def _loaded(numpy: bool = False):
+    """``(ffi, lib)``, or None when the build is unavailable (booked as
+    ``no_kernel``) or the caller marshals through an absent numpy (``no_numpy``)."""
+    if numpy and not HAVE_NUMPY:
+        return _declined("no_numpy")
     try:
         return ensure_compiled()
     except RuntimeError:
@@ -1183,7 +1185,7 @@ def pir_fold_rows(row_masks, cols: int, base: int, ratios, modulus: int):
     multiplications the python path would meter), or ``None`` when the
     kernel envelope does not apply and the caller should run the loop.
     """
-    loaded = _loaded()
+    loaded = _loaded(numpy=True)
     if loaded is None:
         return None
     ffi, lib = loaded
@@ -1234,7 +1236,7 @@ def pir_fold_rows(row_masks, cols: int, base: int, ratios, modulus: int):
 
 def _modexp_batch_compiled(bases, exponent: int, modulus: int):
     """``[pow(b, e, n) for b in bases]`` on the kernel, or None off-envelope."""
-    loaded = _loaded()
+    loaded = _loaded(numpy=True)
     if loaded is None:
         return None
     ffi, lib = loaded

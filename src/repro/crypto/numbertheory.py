@@ -142,7 +142,7 @@ def set_backend(name: str) -> str:
 
     ``"python"`` is always accepted.  ``"gmpy2"`` raises :class:`RuntimeError`
     when the module is not importable, and ``"cffi"`` raises
-    :class:`RuntimeError` when cffi/numpy are missing or the kernel fails to
+    :class:`RuntimeError` when cffi is missing or the kernel fails to
     compile (no C toolchain), so callers fail loudly instead of silently
     benchmarking the wrong arithmetic.  Scalar :func:`modmul`/:func:`modexp`
     are rebound on switch; the batch entry points
@@ -160,7 +160,9 @@ def set_backend(name: str) -> str:
         )
     if name == "cffi":
         # Compiles (or loads the cached kernel) now, raising a RuntimeError
-        # that names the missing piece -- cffi, numpy, or a C compiler.
+        # that names the missing piece -- cffi or a C compiler.  (Without
+        # numpy the PIR fold and modexp_batch decline to the loop, booked
+        # as ``no_numpy``; accumulation does not use it.)
         from repro.crypto import kernels
 
         kernels.ensure_compiled()

@@ -825,8 +825,17 @@ class RetrievalService:
                         "counters": encode_counters(snapshot),
                         "ms": round(elapsed * 1000.0, 3),
                     }
-                    writable = await self._write_record(writer, encoded(record, result))
-                continue
+                    try:
+                        data = encoded(record, result)
+                    except WireError as exc:
+                        # A result the codec cannot carry (a document id past
+                        # 32 bits): the head is out, so this is no 400 -- fail
+                        # the stream exactly as a producer error does.
+                        item = ("error", exc)
+                    else:
+                        writable = await self._write_record(writer, data)
+                if item[0] == "result":
+                    continue
             if item[0] == "done":
                 service_s = item[1]
                 self.metrics.service_time.record(service_s * 1000.0)

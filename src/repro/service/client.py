@@ -3,13 +3,13 @@
 Built on :mod:`http.client` so tests, the load generator and operators'
 scripts can talk to a running :class:`~repro.service.app.RetrievalService`
 without any dependency beyond the standard library.  The client mirrors the
-service's routes one-to-one and understands the chunked batch stream in both
-codecs of :mod:`repro.service.wire` -- fixed-width frames, which it sends by
-default, and NDJSON lines (``frames=False``, the curl-debuggable route) --
-decoding each response by its ``Content-Type``:
-:meth:`ServiceClient.submit_batch` yields each record as the service writes
-it, so a caller observes streaming order and latency exactly as a real
-client would.
+service's routes one-to-one and speaks the fixed-width frame codec of
+:mod:`repro.service.wire` on the two accumulating routes (the hex/JSON
+codec is the service's other route, for curl and for the tests that hold
+the two against each other -- not something this client sends):
+:meth:`ServiceClient.submit_batch` yields each record of the chunked batch
+stream as the service writes it, so a caller observes streaming order and
+latency exactly as a real client would.
 
 Each request opens its own connection (``Connection: close``); the service
 is long-lived, the client deliberately simple.  Errors carry the HTTP
@@ -30,15 +30,11 @@ from repro.service.wire import (
     FRAME_MEDIA_TYPE,
     WireError,
     decode_organization,
-    decode_result,
     decode_result_frame,
-    decode_shard_response,
     decode_shard_response_frame,
     encode_batch_frame,
-    encode_partial_request,
     encode_partial_request_frame,
     encode_public_key,
-    encode_query,
     read_frame,
 )
 
@@ -93,30 +89,24 @@ class ServiceClient:
     timeout:
         Socket timeout in seconds for every request, including each read of
         a streamed batch record.
-    frames:
-        Send batches and shard scatters as fixed-width frames (the default);
-        ``False`` sends the hex/JSON documents instead.  Responses are
-        decoded by their ``Content-Type`` either way.
     """
 
-    def __init__(
-        self, host: str, port: int, timeout: float = 60.0, frames: bool = True
-    ) -> None:
+    def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.frames = frames
 
     # -- plumbing -----------------------------------------------------------------
     def _request(
         self, method: str, path: str, payload=None
     ) -> http.client.HTTPResponse:
         """Send one request; ``payload`` is a JSON document, or ``bytes``
-        already framed (sent as :data:`FRAME_MEDIA_TYPE`)."""
+        already framed (sent as :data:`FRAME_MEDIA_TYPE`, which the service
+        answers in kind)."""
         # Looked up on the module at call time, and bodies are only ever read
-        # through HTTPResponse.read / readline: a caller that swaps in
-        # counting subclasses of the two sees every body byte (the
-        # end-to-end benchmark measures wire bytes exactly so).
+        # through HTTPResponse.read: a caller that swaps in counting
+        # subclasses of HTTPConnection / HTTPResponse sees every body byte
+        # (the end-to-end benchmark measures wire bytes exactly so).
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -160,18 +150,18 @@ class ServiceClient:
                 detail or response.reason,
                 retry_after_s,
             )
-        # The caller must fully read (streams) or we read for it (JSON).
+        # The caller must fully read (streams) or we read for it (_body).
         response._service_connection = connection  # keep alive until read
         return response
 
     def _json(self, method: str, path: str, payload=None) -> dict:
-        return json.loads(self._body(method, path, payload)[1])
+        return json.loads(self._body(method, path, payload))
 
-    def _body(self, method: str, path: str, payload=None) -> tuple[bool, bytes]:
-        """One whole response body, and whether it is framed."""
+    def _body(self, method: str, path: str, payload=None) -> bytes:
+        """One whole response body."""
         response = self._request(method, path, payload)
         try:
-            return _framed(response), response.read()
+            return response.read()
         finally:
             response._service_connection.close()
 
@@ -217,23 +207,20 @@ class ServiceClient:
         Records arrive in query order: ``kind == "result"`` records carry
         ``index``, per-query ``counters``, ``ms`` and ``result`` -- the
         decoded :class:`EncryptedResult`, every score checked against
-        ``modulus`` (the session public key's ``n``), whichever codec
-        carried it; the final ``kind == "done"`` record carries batch totals
+        ``modulus`` (the session public key's ``n``, which also sizes the
+        frames); the final ``kind == "done"`` record carries batch totals
         and timings.  A ``kind == "error"`` record (the batch failed
         server-side after admission) is raised as :class:`ServiceError` with
         status 500, a malformed record as
         :class:`~repro.service.wire.WireError`.
         """
-        if self.frames:
-            payload = encode_batch_frame(queries, modulus)
-        else:
-            payload = {"queries": [encode_query(query) for query in queries]}
-        response = self._request("POST", f"/sessions/{session_id}/queries", payload)
-        framed = _framed(response)
+        response = self._request(
+            "POST", f"/sessions/{session_id}/queries", encode_batch_frame(queries, modulus)
+        )
         try:
             while True:
                 try:
-                    frame = read_frame(response.read) if framed else _read_line(response)
+                    frame = read_frame(response.read)
                 except (ConnectionError, http.client.IncompleteRead) as exc:
                     # The stream died after the response started: the server
                     # drained or crashed mid-batch.  Surface it typed (with
@@ -252,11 +239,7 @@ class ServiceClient:
                 if kind == "error":
                     raise ServiceError(500, record.get("error", "batch failed"))
                 if kind == "result":
-                    if framed:
-                        record["result"] = decode_result_frame(record, body, modulus)
-                    else:
-                        record["result"] = decode_result(record, modulus)
-                        del record["scores"]
+                    record["result"] = decode_result_frame(record, body, modulus)
                 elif body:
                     raise WireError(f"{len(body)} trailing bytes on a {kind!r} frame")
                 yield record
@@ -296,30 +279,6 @@ class ServiceClient:
     def shard_partials(self, tenant: str, public_key: BenalohPublicKey, subqueries):
         """Scatter ``(terms, selectors)`` sub-queries to the tenant's partials
         route; the :class:`~repro.core.coordinator.ShardResponse` it answers."""
-        if self.frames:
-            payload = encode_partial_request_frame(public_key, subqueries)
-        else:
-            payload = encode_partial_request(public_key, subqueries)
-        framed, body = self._body("POST", f"/shards/{tenant}/partials", payload)
-        if framed:
-            return decode_shard_response_frame(body, public_key.n)
-        return decode_shard_response(json.loads(body))
-
-
-def _read_line(response: http.client.HTTPResponse) -> tuple[dict, None] | None:
-    """The next NDJSON record, shaped like :func:`read_frame`'s answer."""
-    raw = response.readline()
-    if not raw:
-        return None
-    try:
-        record = json.loads(raw)
-    except ValueError as exc:
-        raise WireError(f"stream line is not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise WireError("stream line must be a JSON object")
-    return record, None
-
-
-def _framed(response: http.client.HTTPResponse) -> bool:
-    """Whether the response's ``Content-Type`` announces the frame codec."""
-    return response.headers.get_content_type() == FRAME_MEDIA_TYPE
+        payload = encode_partial_request_frame(public_key, subqueries)
+        body = self._body("POST", f"/shards/{tenant}/partials", payload)
+        return decode_shard_response_frame(body, public_key.n)

@@ -56,8 +56,8 @@ class HttpShardBackend:
     (``accumulate(subqueries) -> ShardResponse``) over HTTP.  Each call is
     one request (the scatter is already batched per shard), opened fresh so
     a dead replica fails fast with a retryable error instead of wedging a
-    pooled connection.  ``frames`` picks the codec, as on
-    :class:`~repro.service.client.ServiceClient`.
+    pooled connection, and travels in the frame codec through
+    :meth:`~repro.service.client.ServiceClient.shard_partials`.
     """
 
     host: str
@@ -65,13 +65,10 @@ class HttpShardBackend:
     tenant: str
     public_key: object
     timeout: float = 60.0
-    frames: bool = True
     _client: ServiceClient = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._client = ServiceClient(
-            self.host, self.port, timeout=self.timeout, frames=self.frames
-        )
+        self._client = ServiceClient(self.host, self.port, timeout=self.timeout)
 
     def accumulate(
         self, subqueries: Sequence[tuple[Sequence[str], Sequence[int]]]

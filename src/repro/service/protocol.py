@@ -5,10 +5,10 @@ it, but the repository stays dependency-free: this module implements exactly
 the slice of HTTP/1.1 the service needs (request-line + headers +
 ``Content-Length`` bodies in; fixed-length responses and
 ``Transfer-Encoding: chunked`` record streams -- NDJSON lines or binary
-frames -- out; per-connection keep-alive) on top of ``asyncio``'s stream API.  It is a *server-side*
-protocol helper, not a general HTTP implementation -- no multipart, no
-compression, no trailers, no pipelining guarantees beyond strictly
-sequential request/response per connection.
+frames -- out; per-connection keep-alive) on top of ``asyncio``'s stream
+API.  It is a *server-side* protocol helper, not a general HTTP
+implementation -- no multipart, no compression, no trailers, no pipelining
+guarantees beyond strictly sequential request/response per connection.
 
 Limits are explicit and conservative: oversized header blocks or bodies
 raise :class:`ProtocolError`, which the connection handler answers with
@@ -36,10 +36,11 @@ __all__ = [
 #: Cap on the request line plus header block; a header block this large is
 #: hostile or broken, either way the connection is answered 400 and closed.
 MAX_HEADER_BYTES = 64 * 1024
-#: Cap on request bodies, and on any one frame of the binary codec in
-#: either direction.  Embellished batches carry one ciphertext per selector,
-#: so real payloads reach megabytes; 64 MiB bounds a runaway/hostile peer
-#: without constraining legitimate sessions.
+#: Cap on request bodies, in either codec, checked on ``Content-Length``
+#: before the body is read.  Embellished batches carry one ciphertext per
+#: selector, so real payloads reach megabytes; 64 MiB bounds a
+#: runaway/hostile client without constraining legitimate sessions.
+#: Responses are not capped: an answer is as large as its candidate set.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 _REASONS = {

@@ -10,7 +10,7 @@ JSON object keys (strings) in result score maps and are restored to ``int``
 by the client codec.
 
 **Fixed-width frames** (:data:`FRAME_MEDIA_TYPE`) -- what ``ServiceClient``
-and ``HttpShardBackend`` speak by default, at the paper's modelled
+and ``HttpShardBackend`` speak, always, at the paper's modelled
 ``4 + ceil(KeyLen/8)`` bytes per candidate instead of hex's ~2x.  A frame is
 ``u32be header_len | u32be body_len | header | body``: the header a UTF-8
 JSON object with everything that is not a ciphertext, the body big-endian
@@ -19,12 +19,17 @@ integers at a fixed width -- ``u32`` document ids, and ciphertexts at
 already hold for the session.  ``W`` never travels: a frame cut for another
 key simply has the wrong length.  ``docs/architecture.md`` has the layouts.
 
-Every decoder of either codec validates shape -- lengths exact and bounded
-by :data:`~repro.service.protocol.MAX_BODY_BYTES` before anything is
-allocated, terms and selectors aligned, every ciphertext in ``[1, n)``, no
-document id twice, no trailing bytes -- and raises :class:`WireError` with
-a message safe to echo into a 400 response: decoding errors are the
-*sender's* fault and must never take the service down or leak internals.
+Every decoder of either codec validates shape -- lengths exact, terms and
+selectors aligned, every ciphertext in ``[1, n)``, no document id twice, no
+trailing bytes -- and raises :class:`WireError` with a message safe to echo
+into a 400 response: decoding errors are the *sender's* fault and must never
+take the service down or leak internals.  Size is bounded where a peer is
+untrusted: a request, in either codec, by
+:data:`~repro.service.protocol.MAX_BODY_BYTES` on its ``Content-Length``
+before the body is read.  What the service *answers* has no cap of the
+codec's own in either codec -- a result is as large as the query's candidate
+set -- and a frame's length fields are read against the bytes that actually
+arrive, never allocated ahead of them.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from repro.core.buckets import BucketOrganization
 from repro.core.embellish import EmbellishedQuery
 from repro.core.server import EncryptedResult, ServerCounters
 from repro.crypto.benaloh import BenalohPublicKey
-from repro.service.protocol import MAX_BODY_BYTES
 
 __all__ = [
     "WireError",
@@ -351,29 +355,22 @@ def _width(modulus: int) -> int:
 def encode_frame(header: Mapping, body: bytes = b"") -> bytes:
     """``u32be header_len | u32be body_len | header (JSON object) | body``."""
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    if len(head) + len(body) > MAX_BODY_BYTES:
-        raise WireError(
-            f"frame of {len(head) + len(body)} bytes exceeds the "
-            f"{MAX_BODY_BYTES}-byte limit; use the JSON route"
-        )
     return _PREFIX.pack(len(head), len(body)) + head + body
 
 
 def read_frame(read: Callable[[int], bytes]) -> tuple[dict, bytes] | None:
-    """The next frame off ``read(n)`` (which returns fewer than ``n`` bytes
-    only at the end of its stream); ``None`` at a clean end between frames.
-    Both lengths are checked against the limit before the frame is read."""
+    """The next frame off ``read(n)``; ``None`` at a clean end between frames.
+
+    ``read`` returns fewer than ``n`` bytes only at the end of its stream,
+    and sizes what it allocates by the bytes the stream holds, not by ``n``
+    (``BytesIO.read``, and ``HTTPResponse.read`` chunk by chunk): a length
+    field that lies is a truncated frame, not an allocation."""
     prefix = read(_PREFIX.size)
     if not prefix:
         return None
     if len(prefix) != _PREFIX.size:
         raise WireError("truncated frame prefix")
     header_len, body_len = _PREFIX.unpack(prefix)
-    if header_len + body_len > MAX_BODY_BYTES:
-        raise WireError(
-            f"frame announces {header_len + body_len} bytes, over the "
-            f"{MAX_BODY_BYTES}-byte limit"
-        )
     data = read(header_len + body_len)
     if len(data) != header_len + body_len:
         raise WireError(

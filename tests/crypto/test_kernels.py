@@ -244,6 +244,11 @@ class TestAccumulateEquivalence:
             patch.setattr(kernels, "_COMPILED", None)
             patch.setattr(kernels, "_COMPILE_ERROR", "no toolchain on this host")
             assert_declined("no_kernel", lambda: accumulate(payload, 101))
+        with monkeypatch.context() as patch:  # accumulation needs no numpy; the PIR fold does
+            patch.setattr(kernels, "HAVE_NUMPY", False)
+            patch.setattr(kernels, "_COMPILED", None)
+            assert kernels.compiled_available() and accumulate(payload, 101) is not None
+            assert_declined("no_numpy", lambda: kernels.pir_fold_rows([1], 1, 2, [1], 101))
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_failed_self_test_is_cached_not_rerun_per_payload(self, monkeypatch):

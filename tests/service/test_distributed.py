@@ -43,7 +43,6 @@ from repro.service.wire import (
     encode_partial_request,
     encode_public_key,
     encode_query,
-    encode_result,
     encode_result_frame,
     encode_shard_response,
 )
@@ -192,15 +191,14 @@ class _AbortingServer:
 
     ``mode="pre-response"`` accepts and slams the connection shut before any
     bytes of response; ``mode="mid-stream"`` sends valid headers plus one
-    record (``first``, in ``content_type``'s codec) of a chunked batch
-    stream, then resets -- exactly what a crashing service looks like to a
-    client holding partial results.  The reset waits until the test says it
-    has read that record (``first_read``): a RST racing the read discards
-    received data, record included, which was a recorded flake.
+    record (the frame ``first``) of a chunked batch stream, then resets --
+    exactly what a crashing service looks like to a client holding partial
+    results.  The reset waits until the test says it has read that record
+    (``first_read``): a RST racing the read discards it, a recorded flake.
     """
 
-    def __init__(self, mode: str, first: bytes = b"", content_type: str = "application/x-ndjson"):
-        self.mode, self.first, self.content_type = mode, first, content_type
+    def __init__(self, mode: str, first: bytes = b""):
+        self.mode, self.first = mode, first
         self.first_read = threading.Event()
         self.listener = socket.socket()
         self.listener.bind(("127.0.0.1", 0))
@@ -216,12 +214,11 @@ class _AbortingServer:
             conn.sendall(
                 (
                     "HTTP/1.1 200 OK\r\n"
-                    f"Content-Type: {self.content_type}\r\n"
+                    f"Content-Type: {FRAME_MEDIA_TYPE}\r\n"
                     "Transfer-Encoding: chunked\r\n"
                     f"\r\n{len(self.first):x}\r\n"
                 ).encode()
-                + self.first
-                + b"\r\n"
+                + self.first + b"\r\n"
             )
             self.first_read.wait(timeout=10)
         # RST instead of FIN: linger(on, 0) makes close() reset the peer,
@@ -239,14 +236,9 @@ class _AbortingServer:
         self.thread.join(timeout=5)
 
 
-def _first_records(scores: dict, modulus: int) -> dict[str, bytes]:
-    """One result record carrying ``scores``, in each codec, by content type."""
-    record = {"kind": "result", "index": 0}
-    result = EncryptedResult(scores, modulus)
-    return {
-        "application/x-ndjson": json.dumps({**record, **encode_result(result)}).encode() + b"\n",
-        FRAME_MEDIA_TYPE: encode_result_frame(record, result),
-    }
+def _first_record(scores: dict, modulus: int) -> bytes:
+    """One result frame carrying ``scores``."""
+    return encode_result_frame({"kind": "result", "index": 0}, EncryptedResult(scores, modulus))
 
 
 def test_pre_response_reset_is_typed_unavailable():
@@ -262,35 +254,33 @@ def test_pre_response_reset_is_typed_unavailable():
 
 def test_mid_stream_reset_is_typed_unavailable_with_mid_stream_flag():
     """Regression for the raw ``ConnectionResetError`` that used to leak out
-    of ``submit_batch`` when the server died mid-stream -- in either codec."""
-    for content_type, first in _first_records({}, 97).items():
-        server = _AbortingServer("mid-stream", first, content_type)
-        try:
-            client = ServiceClient("127.0.0.1", server.port, timeout=5.0)
-            lines = []
-            with pytest.raises(ServiceUnavailableError) as excinfo:
-                for line in client.submit_batch("session", [], modulus=97):
-                    lines.append(line)
-                    server.first_read.set()
-            assert excinfo.value.mid_stream is True, "delivery had begun: not resubmittable"
-            assert excinfo.value.transient is True
-            assert lines and lines[0]["kind"] == "result", content_type
-        finally:
-            server.close()
+    of ``submit_batch`` when the server died mid-stream."""
+    server = _AbortingServer("mid-stream", _first_record({}, 97))
+    try:
+        client = ServiceClient("127.0.0.1", server.port, timeout=5.0)
+        lines = []
+        with pytest.raises(ServiceUnavailableError) as excinfo:
+            for line in client.submit_batch("session", [], modulus=97):
+                lines.append(line)
+                server.first_read.set()
+        assert excinfo.value.mid_stream is True, "delivery had begun: not resubmittable"
+        assert excinfo.value.transient is True
+        assert lines and lines[0]["kind"] == "result"
+    finally:
+        server.close()
 
 
 def test_out_of_ring_result_is_a_typed_error_from_run_batch():
     """Regression: the client took any integer for a score, so a corrupted
     or wrong-key answer decrypted to garbage instead of failing typed."""
     for bad in (0, 97):
-        for content_type, first in _first_records({4: bad}, 97).items():
-            server = _AbortingServer("mid-stream", first, content_type)
-            try:
-                client = ServiceClient("127.0.0.1", server.port, timeout=5.0)
-                with pytest.raises(WireError, match="modulus"):
-                    client.run_batch("session", [], modulus=97)
-            finally:
-                server.close()
+        server = _AbortingServer("mid-stream", _first_record({4: bad}, 97))
+        try:
+            client = ServiceClient("127.0.0.1", server.port, timeout=5.0)
+            with pytest.raises(WireError, match="modulus"):
+                client.run_batch("session", [], modulus=97)
+        finally:
+            server.close()
 
 
 # -- the shard partials route ------------------------------------------------------
@@ -310,16 +300,13 @@ def test_http_backend_matches_local_backend(
         )
     )
     in_process = local.accumulate(subqueries)
-    for frames in (True, False):
-        remote = HttpShardBackend(
-            host=client.host,
-            port=client.port,
-            tenant="corpus",
-            public_key=benaloh_keypair.public,
-            frames=frames,
-        )
-        over_http = remote.accumulate(subqueries)
-        assert over_http == in_process, f"frames={frames}"
+    remote = HttpShardBackend(
+        host=client.host, port=client.port, tenant="corpus", public_key=benaloh_keypair.public
+    )
+    document = encode_partial_request(benaloh_keypair.public, subqueries)  # as curl would
+    via_json = client._json("POST", "/shards/corpus/partials", document)
+    for over_http in (remote.accumulate(subqueries), decode_shard_response(via_json)):
+        assert over_http == in_process
         assert [list(p) for p in over_http.partials] == [list(p) for p in in_process.partials]
         assert over_http.modulus == benaloh_keypair.public.n
         assert over_http.epoch == data_epoch(index)

@@ -28,9 +28,9 @@ import threading
 
 import pytest
 
-from repro.core.server import PrivateRetrievalServer
+from repro.core.server import EncryptedResult, PrivateRetrievalServer
 from repro.crypto import kernels, numbertheory
-from repro.service import ServiceClient, ServiceError, wire
+from repro.service import ServiceError, app, protocol, wire
 
 
 def make_batches(embellisher, query_terms, shape):
@@ -129,6 +129,7 @@ class TestCodecsAndBackends:
         benaloh_keypair, monkeypatch, caplog,
     ):
         batch = make_batches(embellisher, query_terms, [3])[0]
+        modulus = benaloh_keypair.public.n
         expected = [
             list(e.encrypted_scores.items())
             for e in direct_answers(index, service_org, benaloh_keypair, batch)
@@ -151,10 +152,13 @@ class TestCodecsAndBackends:
                 service, client = running_service()
             on_kernel = not hidden and kernels.compiled_available()
             del kernel_calls[:]
-            for frames in (True, False):
-                codec = ServiceClient(client.host, client.port, frames=frames)
-                session = codec.open_session("corpus", benaloh_keypair.public)
-                results, _ = codec.run_batch(session, batch, benaloh_keypair.public.n)
+            session = client.open_session("corpus", benaloh_keypair.public)
+            framed, _ = client.run_batch(session, batch, modulus)
+            document = {"queries": [wire.encode_query(query) for query in batch]}  # as curl would
+            lines = client._body("POST", f"/sessions/{session}/queries", document).splitlines()
+            assert json.loads(lines[-1])["kind"] == "done"
+            via_json = [wire.decode_result(json.loads(line), modulus) for line in lines[:-1]]
+            for results in (framed, via_json):
                 assert [list(r.encrypted_scores.items()) for r in results] == expected
             assert len(kernel_calls) == (2 * len(batch) if on_kernel else 0)
             section = client.metrics()["kernel"]
@@ -186,6 +190,37 @@ class TestCodecsAndBackends:
                 assert error.value.status == 400, (route, bad[:16])
         results, done = client.run_batch(session, batch, modulus)
         assert done["queries"] == len(batch) == len(results)
+
+    def test_answers_outgrow_the_request_cap_and_unencodable_ones_end_the_stream(
+        self, running_service, embellisher, query_terms, benaloh_keypair, monkeypatch
+    ):
+        """``MAX_BODY_BYTES`` bounds what a peer sends, never what the service
+        answers; a result no frame can carry ends its stream in an ``error`` record."""
+        service, client = running_service()
+        key = benaloh_keypair.public
+        batch = make_batches(embellisher, query_terms, [3])[0]
+        subqueries = [(query.terms, query.encrypted_selectors) for query in batch]
+        session = client.open_session("corpus", key)
+        cap = len(wire.encode_partial_request_frame(key, subqueries))
+        monkeypatch.setattr(protocol, "MAX_BODY_BYTES", cap)
+        results, _ = client.run_batch(session, batch, key.n)
+        assert sum(r.downstream_bytes() for r in results) > cap
+        partials = client.shard_partials("corpus", key, subqueries).partials
+        assert [list(p) for p in partials] == [list(r.encrypted_scores) for r in results]
+        with pytest.raises(ServiceError, match="exceeds limit"):
+            client.run_batch(session, batch * 2, key.n)
+        unframable = EncryptedResult({2**32: 1}, key.n)  # stands in for the second answer
+        monkeypatch.setattr(
+            app, "encode_result_frame", lambda record, result, encode=wire.encode_result_frame:
+            encode(record, unframable if record["index"] else result),
+        )
+        stream = client.submit_batch(session, batch, key.n)
+        assert next(stream)["index"] == 0
+        with pytest.raises(ServiceError, match="does not fit 32 bits"):
+            next(stream)
+        monkeypatch.undo()
+        assert client.metrics()["service"]["requests"]["failed"] == 1
+        assert client.run_batch(session, batch, key.n)[0] == results
 
     def test_counting_connection_sees_every_body_byte(
         self, running_service, embellisher, query_terms, benaloh_keypair, monkeypatch
