@@ -309,10 +309,6 @@ class PrivateSearchSystem:
             blocks_read += max(1, -(-loose_bytes // self.index.block_size))
 
         naive = self.naive
-        # Per-term power plans are cached on the server and invalidated only
-        # for the terms an incremental index update touched; a bare system
-        # (estimation without crypto set-up) recomputes them inline.
-        server = getattr(self, "server", None)
         candidates: set[int] = set()
         postings_total = 0
         exponentiations = 0
@@ -325,8 +321,6 @@ class PrivateSearchSystem:
             candidates.update(doc_ids)
             if naive:
                 exponentiations += len(doc_ids)
-            elif server is not None:
-                table_multiplications += server.power_plan(term)[1]
             else:
                 distinct = sorted(set(impacts))
                 _, cost = power_table_strategy(distinct, distinct[-1])

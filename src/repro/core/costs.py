@@ -280,8 +280,8 @@ class CostModel:
         :class:`~repro.textsearch.inverted_index.UpdateCounters` *and* its
         :meth:`~repro.textsearch.inverted_index.InvertedIndex.segment_manifest`,
         so the report reflects the actual segment configuration: the counts
-        carry the manifest's epoch, journal horizon, segment/generation
-        fan-out and resident tombstones alongside the modelled milliseconds.
+        carry the manifest's epoch, segment/generation fan-out and resident
+        tombstones alongside the modelled milliseconds.
         """
         counters = index.update_counters
         manifest = index.segment_manifest()
@@ -300,7 +300,6 @@ class CostModel:
         report.counts.update(
             {
                 "manifest_epoch": manifest.epoch,
-                "journal_horizon": manifest.journal_horizon,
                 "segments": manifest.num_segments,
                 "generations": len(manifest.generations),
                 "resident_postings": manifest.total_postings,

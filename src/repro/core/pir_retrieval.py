@@ -45,7 +45,7 @@ class PIRRetrievalServer:
     #: (the default) uses the packed set-bit path (identical answers).
     naive: bool = False
     _databases: dict[int, PIRDatabase] = field(default_factory=dict, init=False)
-    #: Index update epoch the database cache was last synced against.
+    #: Index update epoch the cached databases were built at.
     _databases_epoch: int = field(default=-1, init=False)
     multiplications: int = field(default=0, init=False)
     inversions: int = field(default=0, init=False)
@@ -63,37 +63,18 @@ class PIRRetrievalServer:
         a live index yields its current snapshot, an ``IndexSnapshot`` itself."""
         return self.index.snapshot()
 
-    def _sync_databases(self, view) -> None:
-        """Evict cached databases of buckets an incremental index update touched.
-
-        The index's update journal names the terms whose serialised lists
-        (may have) changed; only their buckets' bit matrices are rebuilt
-        (lazily, on next access).  Every other cached database stays
-        resident.  The invalidation protocol lives on the index
-        (:meth:`~repro.textsearch.inverted_index.InvertedIndex.stale_cache_terms`):
-        ``None`` means this cache is behind the journal horizon and is
-        dropped wholesale.  Synced against the *pinned view's* epoch, so a
-        server reading an older snapshot never evicts databases that
-        snapshot still serves.
-        """
-        epoch = view.update_epoch
-        if epoch == self._databases_epoch:
-            return
-        stale = view.stale_cache_terms(self._databases_epoch)
-        if stale is None:
-            self._databases.clear()
-        else:
-            for term in stale:
-                if term in self.organization:
-                    self._databases.pop(self.organization.bucket_id_of(term), None)
-        self._databases_epoch = epoch
-
     def bucket_database(self, bucket_id: int, view=None) -> PIRDatabase:
-        """The padded bit-matrix database of one bucket (built lazily, cached;
-        invalidated per bucket when incremental index updates touch its terms)."""
+        """The padded bit-matrix database of one bucket (built lazily, cached).
+
+        Derived from list content, so valid for exactly one ``update_epoch``
+        -- the *pinned view's*: seal/merge/compact never move it, and a
+        server over a pinned snapshot never evicts.
+        """
         if view is None:
             view = self._pin()
-        self._sync_databases(view)
+        if view.update_epoch != self._databases_epoch:
+            self._databases.clear()
+            self._databases_epoch = view.update_epoch
         if bucket_id not in self._databases:
             columns = [
                 view.serialise_list(term) or b"\x00" * POSTING_BYTES

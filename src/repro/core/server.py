@@ -181,11 +181,6 @@ class PrivateRetrievalServer:
     #: Bumped by every entry point; an in-flight iter_batch stream stops
     #: touching the shared aggregate once a newer call has claimed it.
     _counter_epoch: int = field(default=0, init=False, repr=False)
-    #: Per-term power-table plans ``term -> (strategy, table_mults, postings)``,
-    #: invalidated lazily for exactly the terms an index update touched.
-    _power_plans: dict = field(default_factory=dict, init=False, repr=False)
-    #: Index update epoch the plan cache was last synced against.
-    _plans_epoch: int = field(default=-1, init=False, repr=False)
 
     # -- engine lifecycle ---------------------------------------------------------
     def _engine_for(self, workers: int) -> ExecutionEngine:
@@ -254,55 +249,6 @@ class PrivateRetrievalServer:
         return self.index.snapshot()
 
     # -- incremental index updates -------------------------------------------------
-    def _sync_power_plans(self, view) -> None:
-        """Drop cached plans for the terms index updates (may have) touched.
-
-        The invalidation protocol lives on the index
-        (:meth:`~repro.textsearch.inverted_index.InvertedIndex.stale_cache_terms`):
-        ``None`` -- this cache is behind the journal horizon, so drop it
-        wholesale (that also covers terms that have left the dictionary);
-        otherwise evict exactly the reported terms.  Syncing against the
-        *pinned view's* epoch (not the live index's) is what keeps a server
-        pinned to an older snapshot from evicting plans that snapshot still
-        serves: a concurrent ``maintain()`` on the live index advances its
-        journal, but this cache follows only the epochs its own views
-        observe.
-        """
-        epoch = view.update_epoch
-        if epoch == self._plans_epoch:
-            return
-        stale = view.stale_cache_terms(self._plans_epoch)
-        if stale is None:
-            self._power_plans.clear()
-        else:
-            for term in stale:
-                self._power_plans.pop(term, None)
-        self._plans_epoch = epoch
-
-    def power_plan(self, term: str) -> tuple[str, int, int]:
-        """``(strategy, table_multiplications, postings)`` for one term's list.
-
-        The strategy choice and its multiplication count are deterministic,
-        selector-independent functions of the list's distinct quantised
-        impacts, so they are cached per term and reused by the analytic cost
-        estimator across queries.  After an incremental index update only the
-        *touched* terms' plans are recomputed (the index's update journal
-        says which); everything else stays cached.
-        """
-        view = self._pin()
-        self._sync_power_plans(view)
-        plan = self._power_plans.get(term)
-        if plan is None:
-            doc_ids, impacts = view.columns(term)
-            if not len(doc_ids):
-                plan = ("ladder", 0, 0)
-            else:
-                distinct = sorted(set(impacts))
-                strategy, cost = power_table_strategy(distinct, distinct[-1])
-                plan = (strategy, cost, len(doc_ids))
-            self._power_plans[term] = plan
-        return plan
-
     def accommodate_new_terms(
         self, specificity: Mapping[str, int] | None = None
     ) -> tuple[str, ...]:

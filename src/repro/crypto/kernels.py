@@ -35,7 +35,8 @@ per call: cffi releases the GIL, sessions accumulate concurrently.
 **The compiled backend.**  The C kernel is compiled on demand with cffi
 (``-O3``, plain C, no external libraries) and cached on disk under
 ``$REPRO_KERNEL_CACHE`` (default: a per-user directory in the system temp
-dir), so worker processes load the shared object instead of recompiling.
+dir; refused unless owned by the user and closed to group and world), so
+worker processes load the shared object instead of recompiling.
 Library code reaches it as the ``"cffi"`` backend of
 :func:`repro.crypto.numbertheory.set_backend`, the serving front-end as a
 value it resolves at start-up.  When no C toolchain (or no cffi) is
@@ -829,11 +830,19 @@ def _compile_or_load():
 
     modname = _module_name()
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    cache_dir = _cache_dir()
+    cache_dir = os.path.realpath(_cache_dir())
+    os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+    # Loading *executes* the extension before any self-test can run, under a
+    # predictable file name: trust only a directory nobody else can write.
+    held = os.stat(cache_dir)
+    if hasattr(os, "getuid") and (held.st_uid != os.getuid() or held.st_mode & 0o022):
+        raise PermissionError(
+            f"kernel cache directory {cache_dir} must be owned by uid {os.getuid()} and "
+            f"not group/world-writable (owner {held.st_uid}, mode {held.st_mode & 0o777:o})"
+        )
     target = os.path.join(cache_dir, modname + suffix)
     if os.path.exists(target):
         return _load_extension(target, modname)
-    os.makedirs(cache_dir, exist_ok=True)
     builder = FFI()
     builder.cdef(_KERNEL_CDEF)
     builder.set_source(modname, _KERNEL_SOURCE, extra_compile_args=list(_COMPILE_ARGS))

@@ -446,15 +446,12 @@ class RetrievalService:
                 except Exception:
                     log.exception("unhandled error serving %s %s",
                                   request.method, request.path)
-                    try:
-                        await protocol.send_json(
-                            writer, 500, {"error": "internal error"}
-                        )
-                    except ConnectionError:
-                        pass
+                    await protocol.send_json(writer, 500, {"error": "internal error"})
                     break
                 if not keep_alive or request.wants_close:
                     break
+        except ConnectionError:
+            pass  # the peer reset while a request was being read or an error sent
         finally:
             writer.close()
             try:

@@ -86,9 +86,10 @@ class ShardServerProcess:
     The child is ``python -m repro.service.cluster --serve-shard`` binding an
     ephemeral port and printing ``HOST PORT`` on stdout once listening; the
     parent blocks on that line, so a returned instance is always ready to
-    answer.  ``kill()`` is the failover drill (SIGKILL, no drain -- the
-    coordinator must discover the death via connection errors);
-    ``terminate()`` asks politely.
+    answer.  Its stderr is the parent's, so a shard server's kernel-downgrade
+    warning or traceback is never swallowed.  ``kill()`` is the failover
+    drill (SIGKILL, no drain -- the coordinator must discover the death via
+    connection errors); ``terminate()`` asks politely.
     """
 
     index_dir: Path
@@ -109,6 +110,7 @@ class ShardServerProcess:
         self.process = subprocess.Popen(
             [
                 sys.executable,
+                "-Wignore::RuntimeWarning:runpy",  # the package imports this module
                 "-m",
                 "repro.service.cluster",
                 "--serve-shard",
@@ -121,7 +123,6 @@ class ShardServerProcess:
                 str(self.parallelism),
             ],
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
             text=True,
             env=env,
         )

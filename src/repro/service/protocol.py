@@ -104,8 +104,8 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     """Parse one request off the stream; ``None`` on clean EOF between requests.
 
     Raises :class:`ProtocolError` for truncated/malformed request lines and
-    headers, over-limit header blocks, and bodies beyond
-    :data:`MAX_BODY_BYTES`.
+    headers, over-limit header blocks, bodies beyond :data:`MAX_BODY_BYTES`
+    and bodies shorter than their ``Content-Length``.
     """
     try:
         request_line = await reader.readuntil(b"\r\n")
@@ -143,7 +143,12 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         raise ProtocolError("invalid Content-Length") from exc
     if length < 0 or length > MAX_BODY_BYTES:
         raise ProtocolError(f"body of {length} bytes exceeds limit")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise ProtocolError(
+            f"truncated body: {len(exc.partial)} of {length} bytes"
+        ) from exc
 
     split = urlsplit(target)
     query = dict(parse_qsl(split.query))

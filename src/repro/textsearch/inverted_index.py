@@ -71,13 +71,10 @@ Persistence
 I/O-bound -- per-term columns materialise lazily from the mapped files on
 first access -- instead of rebuild-bound.
 
-Downstream caches (the server's power-table plans, the PIR bucket databases)
-stay coherent through :attr:`update_epoch` and :meth:`touched_since`, which
-report exactly the terms whose observable list content changed.  The journal
-is **bounded**: sealing and compaction prune entries older than the previous
-maintenance event and advance :attr:`journal_horizon`; a cache that last
-synced below the horizon receives the conservative full-invalidation answer
-(see :meth:`touched_since`).
+Downstream caches (the PIR bucket databases) stay coherent through
+:attr:`update_epoch`: every mutation bumps it, maintenance never does, so
+anything derived from list content is valid for exactly the epoch of the
+snapshot it was built from.
 
 The index also exposes a simple storage model -- posting size, list size in
 bytes, disk blocks of ``block_size`` bytes -- which the Section 5.2 cost model
@@ -262,12 +259,11 @@ class IndexSnapshot:
     Constructed by :meth:`InvertedIndex.snapshot` (under the index's writer
     lock, after the lazy impact refresh), a snapshot copies exactly the
     cheap mutable shells -- each segment's ``lists`` dict, its stale-term
-    set, the per-segment dead sets, the unsealed delta's lists and the
-    update journal -- while sharing the immutable
-    :class:`~repro.textsearch.segments.PostingColumns` payloads.  From then
-    on it answers the **entire read API** of the index (``columns``,
-    ``postings``, ``terms``, ``document_frequency``, ``serialise_list``,
-    the storage model, ``stale_cache_terms`` and friends) from its pinned
+    set, the per-segment dead sets and the unsealed delta's lists -- while
+    sharing the immutable :class:`~repro.textsearch.segments.PostingColumns`
+    payloads.  From then on it answers the **entire read API** of the index
+    (``columns``, ``postings``, ``terms``, ``document_frequency``,
+    ``serialise_list``, the storage model and friends) from its pinned
     state with **no lock on the query path**: a writer, a merge commit and
     N readers each holding their own snapshot proceed concurrently, and the
     reader's answers stay bit-identical to a quiesced run at its pinned
@@ -282,10 +278,9 @@ class IndexSnapshot:
     (:func:`~repro.textsearch.segments.rewrite_stale_columns`) the writer's
     flush uses, against the impact table pinned with the snapshot -- never
     by mutating the shared segments.  The serving layer's caches key their
-    invalidation off the snapshot's pinned ``update_epoch`` /
-    ``stale_cache_terms``, so a cache synced against a pinned snapshot is
-    never forced to evict terms that snapshot still serves, even after the
-    live index's journal horizon moves past it.
+    invalidation off the snapshot's pinned ``update_epoch``, so a cache
+    built against a pinned snapshot never evicts, however far the live
+    index moves on.
 
     Thread safety: any number of threads may read one snapshot concurrently
     (the internal memo dicts are benign under the GIL -- a race recomputes
@@ -299,9 +294,6 @@ class IndexSnapshot:
         "_fresh",
         "_max_impact",
         "_update_epoch",
-        "_journal_horizon",
-        "_touched",
-        "_manifest",
         "_merged",
         "_rewritten",
         "_terms",
@@ -328,9 +320,6 @@ class IndexSnapshot:
         self._fresh = index._fresh
         self._max_impact = index._max_impact
         self._update_epoch = index._update_epoch
-        self._journal_horizon = index._journal_horizon
-        self._touched = dict(index._touched)
-        self._manifest = index.segment_manifest()
         self._merged: dict[str, PostingColumns | None] = {}
         self._rewritten: dict[tuple[int, str], PostingColumns | None] = {}
         self._terms: tuple[str, ...] | None = None
@@ -465,7 +454,7 @@ class IndexSnapshot:
             return b""
         return entries.serialise()
 
-    # -- pinned journal / manifest ------------------------------------------
+    # -- pinned calibration / epoch -----------------------------------------
     @property
     def max_impact(self) -> float:
         """The global impact calibration every quantised value derives from.
@@ -481,76 +470,14 @@ class IndexSnapshot:
         """The mutation epoch this snapshot is pinned at."""
         return self._update_epoch
 
-    @property
-    def journal_horizon(self) -> int:
-        return self._journal_horizon
-
-    def segment_manifest(self) -> SegmentManifest:
-        """The segment configuration as of the pin (epoch included)."""
-        return self._manifest
-
-    def touched_since(self, epoch: int) -> frozenset[str]:
-        """Terms whose observable list content may have changed after ``epoch``.
-
-        Downstream caches (power-table plans, PIR bucket databases) record
-        :attr:`update_epoch` and on their next access drop exactly these
-        terms.  Seal/merge/compaction never appear here: they rewrite the
-        physical layout, not the merged content reads serve.  Evaluated
-        purely against the journal as copied at pin time, so maintenance on
-        the live index cannot retroactively force a cache synced against
-        this snapshot into wholesale invalidation.
-
-        Exact for lists whose post-update rewrite a writer path had
-        materialised before the pin; lists still *pending* their deferred
-        rewrite report as touched for any ``epoch`` before the pinned one
-        (whether their content moved is only known once the rewrite runs,
-        and running them all here is what the deferred design avoids).  At
-        ``epoch == update_epoch`` pending lists are not reported: a cache
-        synced at the pinned epoch either read a term or never cached it.
-        Below :attr:`journal_horizon` the exact answer has been pruned, so
-        the conservative superset -- every live term plus everything still
-        journaled -- comes back; per-term caches should go through
-        :meth:`stale_cache_terms`, which also covers departed terms.
-        """
-        if epoch < self._journal_horizon:
-            conservative = set(self._touched)
-            for lists, _, _ in self._records:
-                conservative.update(lists)
-            conservative.update(self._active)
-            return frozenset(conservative)
-        exact = frozenset(
-            term for term, touched in self._touched.items() if touched > epoch
-        )
-        if epoch >= self._update_epoch:
-            return exact
-        pending: set[str] = set()
-        for _, stale, _ in self._records:
-            pending.update(stale)
-        return exact | pending
-
-    def stale_cache_terms(self, cached_epoch: int) -> frozenset[str] | None:
-        """What a per-term cache synced at ``cached_epoch`` must drop.
-
-        The one entry point encoding the journal's invalidation protocol for
-        downstream caches (the PR server's power plans, the PIR bucket
-        databases): ``None`` means *clear everything* -- the cache is behind
-        :attr:`journal_horizon`, so exact answers are gone and terms that
-        have left the dictionary could otherwise linger; any other return is
-        the (possibly conservative) set of terms to evict, per
-        :meth:`touched_since`.
-        """
-        if cached_epoch < self._journal_horizon:
-            return None
-        return self.touched_since(cached_epoch)
-
 
 class InvertedIndex:
     """Dictionary plus impact-ordered inverted lists over a corpus.
 
-    The live index is the **writer**: it owns the segments, the unsealed
-    delta and the journal, and publishes immutable :class:`IndexSnapshot`
-    views (:meth:`snapshot`).  Its read methods forward to the published
-    snapshot, which is the one read implementation.
+    The live index is the **writer**: it owns the segments and the unsealed
+    delta, and publishes immutable :class:`IndexSnapshot` views
+    (:meth:`snapshot`).  Its read methods forward to the published snapshot,
+    which is the one read implementation.
 
     Indexes built by :meth:`build` (or constructed with ``document_terms=``)
     additionally support incremental maintenance: see the module docstring
@@ -663,12 +590,9 @@ class InvertedIndex:
         #: Fresh per-document impacts from the latest refresh core; consumed
         #: by the deferred per-list rewrites.
         self._fresh: dict[int, Mapping[str, float]] | None = None
-        # -- update journal -----------------------------------------------------
+        # -- update state -------------------------------------------------------
         self._stale = False
         self._update_epoch = 0
-        self._journal_horizon = 0
-        self._last_maintenance_epoch = 0
-        self._touched: dict[str, int] = {}
         self.update_counters = UpdateCounters()
         # -- snapshots / persistence --------------------------------------------
         #: The currently published snapshot; readers grab it lock-free, and
@@ -808,19 +732,6 @@ class InvertedIndex:
         return self._update_epoch
 
     @property
-    def journal_horizon(self) -> int:
-        """The oldest epoch :meth:`touched_since` can still answer exactly.
-
-        Sealing, merging and compaction prune journal entries older than the
-        previous maintenance event, so the journal stays bounded on
-        long-lived indexes.  Callers whose cached epoch is *below* this
-        horizon must treat every term as touched (and clear entries for
-        terms that may since have left the dictionary) -- which is exactly
-        what :meth:`touched_since` reports for such epochs.
-        """
-        return self._journal_horizon
-
-    @property
     def num_tombstones(self) -> int:
         """Removed documents whose rows have not yet been physically dropped."""
         return len(self._active_tombstones) + sum(
@@ -838,11 +749,8 @@ class InvertedIndex:
         return len(self._segments)
 
     def segment_manifest(self) -> SegmentManifest:
-        """The current segment configuration plus journal epoch/horizon.
-
-        This is what the serving layer keys its cache maintenance off (the
-        PR server's power plans, the PIR bucket databases) and what
-        :meth:`repro.core.costs.CostModel.index_maintenance_report` reads.
+        """The current segment configuration plus the update epoch (what
+        :meth:`repro.core.costs.CostModel.index_maintenance_report` reads).
 
         Deliberately cheap to poll: neither the refresh core nor the
         deferred per-list rewrites run, so interleaving monitoring with
@@ -869,7 +777,6 @@ class InvertedIndex:
             )
         return SegmentManifest(
             epoch=self._update_epoch,
-            journal_horizon=self._journal_horizon,
             segments=tuple(segment.info() for segment in self._segments),
             active=active,
         )
@@ -959,10 +866,8 @@ class InvertedIndex:
             )
         return shards
 
-    def _register_mutation(self, touched_terms: Iterable[str]) -> None:
+    def _register_mutation(self) -> None:
         self._update_epoch += 1
-        for term in touched_terms:
-            self._touched[term] = self._update_epoch
         self._stale = True
         self._unpublish()
         self._refresh_stats()
@@ -980,30 +885,6 @@ class InvertedIndex:
             document_frequencies=self._document_frequencies,
             average_document_length=self._total_length / max(num_documents, 1),
         )
-
-    def _prune_journal(self) -> None:
-        """Bound the update journal at seal/merge/compact time.
-
-        Entries at or below the *previous* maintenance epoch are dropped and
-        :attr:`journal_horizon` advances to it, so the journal never holds
-        more than the terms touched across two maintenance windows.  Caches
-        that sync at least once per window keep exact per-term invalidation;
-        anything older gets the documented conservative answer.
-
-        Maintenance events that land on the same epoch (a seal and the
-        merge commits of one ``maintain()`` cycle) count as *one* event:
-        advancing the window again with no epoch progress would collapse it
-        to zero and force every cache into wholesale invalidation.
-        """
-        if self._update_epoch == self._last_maintenance_epoch:
-            return
-        horizon = self._last_maintenance_epoch
-        if horizon > self._journal_horizon:
-            self._journal_horizon = horizon
-            self._touched = {
-                term: epoch for term, epoch in self._touched.items() if epoch > horizon
-            }
-        self._last_maintenance_epoch = self._update_epoch
 
     def add_document(self, document: Document) -> None:
         """Stage one new document in the unsealed delta.
@@ -1038,7 +919,7 @@ class InvertedIndex:
             if frequencies:
                 self._active_docs.add(doc_id)
                 self._active_postings += len(frequencies)
-            self._register_mutation(frequencies)
+            self._register_mutation()
             self.update_counters.documents_added += 1
             self.update_counters.tokens_tokenised += sum(frequencies.values())
             if (
@@ -1078,7 +959,7 @@ class InvertedIndex:
                 self._active_postings -= len(frequencies)
             else:
                 self._active_tombstones.add(doc_id)
-            self._register_mutation(frequencies)
+            self._register_mutation()
             self.update_counters.documents_removed += 1
 
     def remove_documents(self, doc_ids: Iterable[int]) -> None:
@@ -1092,10 +973,9 @@ class InvertedIndex:
         The staged postings (already columnar and impact-fresh after the
         refresh this forces) and the pending tombstones become one sealed
         :class:`~repro.textsearch.segments.IndexSegment`; the delta resets
-        empty.  Served content is unchanged, so no downstream cache is
-        invalidated, but the update journal is pruned (see
-        :attr:`journal_horizon`).  Returns the new segment's info, or
-        ``None`` when there was nothing to seal.
+        empty.  Served content is unchanged, so :attr:`update_epoch` stays
+        put and no downstream cache is invalidated.  Returns the new
+        segment's info, or ``None`` when there was nothing to seal.
         """
         with self._snapshot_lock:
             self._ensure_fresh()
@@ -1120,7 +1000,6 @@ class InvertedIndex:
             self._active_postings = 0
             self._unpublish()
             self.update_counters.segments_sealed += 1
-            self._prune_journal()
             return segment.info()
 
     def plan_merges(self) -> list[tuple[int, ...]]:
@@ -1235,7 +1114,6 @@ class InvertedIndex:
             counters.merge_postings_written += written
             counters.merge_postings_dropped += dropped
             self._unpublish()
-            self._prune_journal()
             if self._update_epoch != handle.epoch:
                 # The corpus moved while the merge ran: the merged arrays carry
                 # the planning-time impacts, so force the standard lazy refresh.
@@ -1270,8 +1148,9 @@ class InvertedIndex:
         (one k-way merge per term, exactly the read path's order) with every
         tombstoned row dropped; terms whose every posting was removed leave
         the dictionary.  Content served by the read paths is bit-identical
-        before and after, so no downstream cache is invalidated.  Compacting
-        an already-compacted index is an idempotent no-op.
+        before and after, so :attr:`update_epoch` stays put and no
+        downstream cache is invalidated.  Compacting an already-compacted
+        index is an idempotent no-op.
 
         Runs under the writer lock; readers holding a pinned
         :class:`IndexSnapshot` keep serving the pre-compaction manifest
@@ -1292,8 +1171,8 @@ class InvertedIndex:
         contributed = sum(
             segment.num_postings for segment in self._segments[1:]
         ) + sum(len(columns) for columns in self._active_lists.values())
-        # Materialise the deferred rewrites into the segments (counted, and
-        # journaled), then fold what a reader pinned right now would serve.
+        # Materialise the deferred rewrites into the segments (counted),
+        # then fold what a reader pinned right now would serve.
         self._ensure_current_arrays()
         view = IndexSnapshot(self)
         new_lists: dict[str, PostingColumns] = {}
@@ -1327,7 +1206,6 @@ class InvertedIndex:
         self._active_lists = {}
         self._active_postings = 0
         self._unpublish()
-        self._prune_journal()
         counters = self.update_counters
         counters.compactions += 1
         counters.postings_merged += postings_merged
@@ -1599,8 +1477,6 @@ class InvertedIndex:
         stats = self.stats
         levels = self.quantise_levels
         counters = self.update_counters
-        epoch = self._update_epoch
-        touched = self._touched
 
         impacts_by_doc: dict[int, Mapping[str, float]] = {}
         max_impact = 0.0
@@ -1629,7 +1505,6 @@ class InvertedIndex:
         for term, entries in delta_raw.items():
             entries.sort(key=lambda e: (-e[1], e[0]))
             new_active[term] = PostingColumns.from_entries(entries, max_impact, levels)
-            touched[term] = epoch
         self._active_lists = new_active
 
         for segment in self._segments:
@@ -1658,15 +1533,13 @@ class InvertedIndex:
         )
         if action is None:
             # Either every row is tombstoned (the observable list is empty
-            # and stays empty -- marking it touched would pin the dead term
-            # in the journal forever) or the arrays are already identical to
-            # what a rebuild would hold.
+            # and stays empty) or the arrays are already identical to what a
+            # rebuild would hold.
             return
         counters = self.update_counters
         if action == "resort":
             counters.lists_resorted += 1
         counters.lists_requantised += 1
-        self._touched[term] = self._update_epoch
         if new_columns is None:
             del segment.lists[term]
         else:
@@ -1741,12 +1614,6 @@ class InvertedIndex:
     @property
     def max_impact(self) -> float:
         return self.snapshot().max_impact
-
-    def touched_since(self, epoch: int) -> frozenset[str]:
-        return self.snapshot().touched_since(epoch)
-
-    def stale_cache_terms(self, cached_epoch: int) -> frozenset[str] | None:
-        return self.snapshot().stale_cache_terms(cached_epoch)
 
     @staticmethod
     def deserialise_list(data: bytes) -> tuple[Posting, ...]:

@@ -21,8 +21,7 @@ The pieces provided here:
 * :class:`IndexSegment` -- one immutable storage unit (lists + documents +
   tombstones + generation/sequence metadata).
 * :class:`SegmentInfo` / :class:`SegmentManifest` -- the serving layer's view
-  of the segment configuration; downstream caches key their invalidation off
-  ``manifest.epoch`` and ``manifest.journal_horizon``.
+  of the segment configuration at one update epoch.
 * :class:`TieredMergePolicy` -- LSM-style compaction scheduling: when a
   generation accumulates ``fanout`` sealed segments, the oldest ``fanout`` of
   them merge into one segment of the next generation.  The base segment (the
@@ -338,14 +337,11 @@ class SegmentInfo:
 class SegmentManifest:
     """The serving layer's view of the index's segment configuration.
 
-    ``epoch`` is the index's monotonic mutation counter and
-    ``journal_horizon`` the oldest epoch the update journal can still answer
-    exactly: caches that last synced at an epoch *below* the horizon must do
-    a full invalidation (see ``InvertedIndex.touched_since``).
+    ``epoch`` is the index's monotonic mutation counter: anything derived
+    from list content is valid for exactly one epoch.
     """
 
     epoch: int
-    journal_horizon: int
     segments: tuple[SegmentInfo, ...]
     active: SegmentInfo | None = None
 

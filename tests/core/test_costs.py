@@ -179,7 +179,6 @@ class TestIndexMaintenanceReport:
         manifest = index.segment_manifest()
         assert counts["segments"] == manifest.num_segments
         assert counts["manifest_epoch"] == index.update_epoch
-        assert counts["journal_horizon"] == index.journal_horizon
         assert counts["resident_postings"] == manifest.total_postings
         assert report.server_cpu_ms > 0.0
         assert report.traffic_kbytes == 0.0 and report.user_cpu_ms == 0.0

@@ -6,10 +6,14 @@ bit-identical ciphertexts, identical dict iteration order, and identical
 operation counters across execution paths.
 """
 
+import os
 import random
+import re
+import shutil
 import sys
 import threading
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +278,31 @@ class TestAccumulateEquivalence:
                 kernels.ensure_compiled()
             reasons.append(str(excinfo.value))
         assert reasons[0] == reasons[1]
+
+    @pytest.mark.skipif(
+        not COMPILED or not hasattr(os, "getuid"),
+        reason="needs the built kernel and POSIX ownership",
+    )
+    def test_cache_directory_must_be_private_to_this_user(self, monkeypatch, tmp_path):
+        """Loading executes the extension before any self-test can run, so a
+        cache directory others can write into is refused -- even holding a
+        perfectly good build -- with the usual cached, loud RuntimeError."""
+        built = next(Path(kernels._cache_dir()).glob(kernels._module_name() + ".*"))
+        for mode, trusted in ((0o777, False), (0o700, True)):
+            cache = tmp_path / f"cache-{mode:o}"
+            cache.mkdir()
+            cache.chmod(mode)  # mkdir's own mode is subject to the umask
+            shutil.copy(built, cache)
+            monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
+            monkeypatch.setattr(kernels, "_COMPILED", None)
+            monkeypatch.setattr(kernels, "_COMPILE_ERROR", None)
+            if trusted:
+                assert kernels.compiled_available()
+                continue
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match=re.escape(str(cache))):
+                    kernels.ensure_compiled()
+            assert kernels.accumulate_compiled([(3, array("I", [1]), array("I", [2]))], 101) is None
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_concurrent_payloads_match_oracle(self):

@@ -6,9 +6,10 @@ The MVCC acceptance property: a reader that pins an
 quiesced run at the pinned epoch returns -- while the live index seals,
 merges, compacts and takes further updates, from hypothesis-driven mutation
 schedules and from a real reader thread racing real maintenance.  The
-serving-cache regression rides along: a power-plan cache synced against a
-pinned snapshot must never be evicted by the live index's journal horizon
-moving past the pinned epoch.
+serving-cache contract rides along: whatever is derived from list content
+(the PIR bucket databases, the analytic cost estimate) follows the pinned
+view's ``update_epoch`` -- always equal to a fresh derivation, never evicted
+while the epoch stands still.
 """
 
 import random
@@ -17,7 +18,9 @@ import threading
 from hypothesis import given, settings, strategies as st
 
 from repro.core.buckets import simple_buckets
+from repro.core.client import PrivateSearchSystem
 from repro.core.embellish import QueryEmbellisher
+from repro.core.pir_retrieval import PIRRetrievalClient, PIRRetrievalServer
 from repro.core.server import PrivateRetrievalServer
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex
@@ -252,15 +255,20 @@ _WORDS = (
 ).split()
 
 
+def _databases(pir):
+    """Every bucket's database as served right now, by identity and by value."""
+    served = [
+        pir.bucket_database(b) for b in range(pir.organization.num_buckets)
+    ]
+    return served, [(database.row_masks, database.cols) for database in served]
+
+
 class TestServingCacheRegression:
     def test_pinned_cache_survives_journal_horizon_advancing(self):
-        """Regression (the satellite): ``stale_cache_terms`` invalidation
-        must not evict power plans a pinned older snapshot still serves.
-
-        A server synced at epoch E over a pinned snapshot keeps its plan
-        cache and its bit-identical answers even after ``maintain()`` on the
-        live index prunes the journal and moves the horizon past E -- the
-        cache follows the *pinned view's* epoch, which never moves.
+        """A PIR server over a pinned snapshot keeps its database objects
+        and its bit-identical answers while the live index takes updates,
+        maintenance and a compaction -- the cache follows the *pinned
+        view's* epoch, which never moves; one over the live index rebuilds.
         """
         index = InvertedIndex.build(
             Corpus(
@@ -275,46 +283,101 @@ class TestServingCacheRegression:
         )
         snapshot = index.snapshot()
         pinned_epoch = snapshot.update_epoch
-        terms = sorted(snapshot.terms)
-        organization = simple_buckets(terms, {}, bucket_size=3)
-        query = _query_for(terms, 11, organization)
-        server = _server_for(snapshot, organization)
-        baseline = server.process_query(query)
-        for term in terms:
-            server.power_plan(term)
-        plans_before = dict(server._power_plans)
-        assert plans_before  # the plan lookups populated the cache
+        organization = simple_buckets(sorted(snapshot.terms), {}, bucket_size=3)
+        client = PIRRetrievalClient(
+            organization=organization, key_bits=96, rng=random.Random(11)
+        )
+        bucket_id, query = client.build_query("wine")
+        pinned = PIRRetrievalServer(index=snapshot, organization=organization)
+        live = PIRRetrievalServer(index=index, organization=organization)
+        baseline = pinned.answer(bucket_id, query)
+        assert live.answer(bucket_id, query) == baseline
+        pinned_before, _ = _databases(pinned)
+        live_before, _ = _databases(live)
 
-        # Advance the live journal horizon decisively past the pinned epoch:
-        # many update batches, maintenance (which prunes the journal), and a
-        # compaction.
         for i in range(8):
             index.add_document(
                 Document(doc_id=100 + i, text="wine cellar water therapy")
             )
             index.maintain(force_seal=True)
         index.compact()
-        index.maintain(force_seal=True)
         assert index.update_epoch > pinned_epoch
-        # The live index would now demand wholesale eviction from a cache
-        # synced at the pinned epoch...
-        assert index.stale_cache_terms(pinned_epoch) is None
 
-        # ...but the pinned server consults its snapshot, which still honours
-        # the pinned epoch, so nothing is evicted:
-        result = server.process_query(query)
-        for term in terms:
-            server.power_plan(term)
-        assert server._power_plans == plans_before
-        assert server._plans_epoch == pinned_epoch
-        assert result.encrypted_scores == baseline.encrypted_scores
-        # The snapshot's own protocol never demands wholesale invalidation
-        # for caches at or beyond its pinned epoch.
-        assert snapshot.stale_cache_terms(pinned_epoch) == frozenset()
+        assert pinned.answer(bucket_id, query) == baseline
+        pinned_after, _ = _databases(pinned)
+        assert all(a is b for a, b in zip(pinned_after, pinned_before))
+        assert pinned._databases_epoch == pinned_epoch
+
+        assert live.answer(bucket_id, query) != baseline
+        live_after, live_values = _databases(live)
+        assert not any(a is b for a, b in zip(live_after, live_before))
+        fresh = PIRRetrievalServer(index=index, organization=organization)
+        assert live_values == _databases(fresh)[1]
+
+    @given(
+        scenario=segmented_scenarios(),
+        seed=st.integers(0, 2**16),
+        scorer_name=st.sampled_from(["cosine", "bm25"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_derived_state_equals_a_fresh_derivation_after_every_step(
+        self, scenario, seed, scorer_name
+    ):
+        """After every add/remove/seal/maintain step and a final compact, a
+        long-lived PIR server's databases equal a freshly built server's --
+        on the live index and on a pin taken mid-sequence, whose objects
+        are never evicted -- and ``estimate_costs`` equals the counters of a
+        real ``search``."""
+        base, operations, fanout = scenario
+        index = InvertedIndex.build(
+            Corpus(base),
+            scorer=SCORERS[scorer_name],
+            merge_policy=TieredMergePolicy(fanout=fanout),
+        )
+        terms = sorted(index.terms)
+        organization = simple_buckets(terms, {}, bucket_size=min(3, len(terms)))
+        genuine = random.Random(seed).sample(terms, k=min(2, len(terms)))
+        system = PrivateSearchSystem(
+            index=index,
+            organization=organization,
+            key_bits=128,
+            block_size=3**6,
+            rng=random.Random(seed),
+        )
+        long_lived = PIRRetrievalServer(index=index, organization=organization)
+        pinned = pinned_objects = None
+        live = list(base)
+
+        def check(context):
+            fresh = PIRRetrievalServer(index=index, organization=organization)
+            assert _databases(long_lived)[1] == _databases(fresh)[1], context
+            if pinned is not None:
+                fresh = PIRRetrievalServer(index=pinned.index, organization=organization)
+                served, values = _databases(pinned)
+                assert values == _databases(fresh)[1], context
+                assert all(a is b for a, b in zip(served, pinned_objects)), context
+            estimate = dict(system.estimate_costs(genuine).counts)
+            _, real = system.search(genuine)
+            # Not operation counts: placement, and a wire size the estimator
+            # takes from the nominal key length, a run from the real modulus.
+            del estimate["shards_executed"], estimate["downstream_bytes"]
+            assert estimate == {key: real.counts[key] for key in estimate}, context
+
+        check("built")
+        for position, operation in enumerate(operations):
+            _apply([operation], index, live)
+            if position == len(operations) // 2:
+                pinned = PIRRetrievalServer(
+                    index=index.snapshot(), organization=organization
+                )
+                pinned_objects = _databases(pinned)[0]
+            check((position, operation[0]))
+        index.compact()
+        check("compacted")
 
     def test_fresh_server_on_live_index_does_resync(self):
         """Counter-check: a server over the *live* index (not a snapshot)
-        still follows the journal and serves the new truth."""
+        still follows its epoch and serves the new truth."""
         index = InvertedIndex.build(
             Corpus([Document(doc_id=1, text="water soaked tissues")]),
             seal_threshold=1,

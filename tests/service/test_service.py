@@ -23,6 +23,7 @@ import http.client
 import io
 import json
 import logging
+import socket
 import struct
 import threading
 
@@ -446,6 +447,30 @@ class TestHttpErrors:
             assert "align" in json.loads(response.read())["error"]
         finally:
             connection.close()
+
+    def test_truncated_body_is_400_and_a_reset_ends_quietly(
+        self, running_service, caplog
+    ):
+        """A body shorter than its Content-Length: a half-closing peer is
+        told 400, a resetting one has nobody to tell, and neither escapes
+        the connection task into asyncio's unhandled-exception log."""
+        service, client = running_service()
+        short = b"POST /sessions HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(service.address, timeout=10) as peer:
+                peer.sendall(short)
+                peer.shutdown(socket.SHUT_WR)
+                reply = b"".join(iter(lambda: peer.recv(4096), b""))
+            assert reply.startswith(b"HTTP/1.1 400")
+            assert b"truncated body: 2 of 100 bytes" in reply
+            with socket.create_connection(service.address, timeout=10) as peer:
+                peer.sendall(short)
+                # linger 0: close() sends RST instead of FIN
+                peer.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            assert client.health()["ok"]  # the loop has run past both peers
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
     def test_session_close_leaves_tenant_engine_for_others(
         self, running_service, embellisher, query_terms, benaloh_keypair

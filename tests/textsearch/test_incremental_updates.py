@@ -217,20 +217,12 @@ class TestCompaction:
 
 
 class TestUpdateJournal:
-    def test_touched_since_reports_changed_terms(self, index):
-        epoch = index.update_epoch
-        index.add_document(Document(doc_id=9, text="zebra stripes"))
-        touched = index.touched_since(epoch)
-        assert "zebra" in touched and "stripes" in touched
-        assert index.touched_since(index.update_epoch) == frozenset()
-
     def test_compaction_does_not_advance_the_epoch(self, index):
         index.add_document(Document(doc_id=9, text="zebra"))
         _ = index.terms
         epoch = index.update_epoch
         index.compact()
         assert index.update_epoch == epoch
-        assert index.touched_since(epoch) == frozenset()
 
 
 class TestUpdatableGuard:

@@ -280,20 +280,6 @@ class TestTieredMerging:
         live = [d for d in base_documents if d.doc_id not in (1, 2)] + [extra_documents[1]]
         assert_indexes_identical(index, InvertedIndex.build(Corpus(live)))
 
-    def test_one_maintain_cycle_counts_as_one_journal_window(self, base_documents, extra_documents):
-        """Regression: the seal and the merge commits of a single maintain()
-        call used to prune the journal twice, collapsing the window to zero
-        and forcing every downstream cache into wholesale invalidation."""
-        index = InvertedIndex.build(
-            Corpus(base_documents), merge_policy=TieredMergePolicy(fanout=2)
-        )
-        for doc in extra_documents[:2]:
-            index.add_document(doc)
-            index.maintain(force_seal=True)
-        assert index.update_counters.merges == 1  # seal + commit in one cycle
-        # The current batch's entries must still be answerable exactly.
-        assert index.journal_horizon < index.update_epoch
-
     def test_background_merge_on_engine_worker(self, base_documents, extra_documents):
         index = InvertedIndex.build(
             Corpus(base_documents),
@@ -329,77 +315,6 @@ class TestMergePostingRuns:
         columns = PostingColumns.from_entries([(7, 1.0)], 1.0, 255)
         assert merge_posting_runs([(columns, frozenset({7}))]) is None
         assert merge_posting_runs([(None, frozenset())]) is None
-
-
-class TestUpdateJournalBounds:
-    def test_seal_prunes_dead_term_entries_beyond_the_window(self, base_documents):
-        index = InvertedIndex.build(Corpus(base_documents))
-        index.add_document(Document(doc_id=9, text="zebra stripes"))
-        index.seal_delta()
-        index.remove_document(9)  # "zebra" leaves the dictionary; entry lingers
-        index.add_document(Document(doc_id=10, text="lion mane"))
-        index.seal_delta()
-        assert "zebra" in index._touched  # still within the window
-        index.add_document(Document(doc_id=11, text="tiger paw"))
-        index.seal_delta()  # prunes entries at or below the previous seal's epoch
-        assert index.journal_horizon > 0
-        assert "zebra" not in index._touched
-        # Recent entries keep exact answers.
-        assert "tiger" in index.touched_since(index.journal_horizon)
-
-    def test_epochs_below_horizon_report_everything_touched(self, base_documents):
-        index = InvertedIndex.build(Corpus(base_documents))
-        for step, doc_id in enumerate((9, 10, 11)):
-            index.add_document(Document(doc_id=doc_id, text=f"mammal{step} fur"))
-            index.seal_delta()
-        assert index.journal_horizon > 0
-        stale_epoch = index.journal_horizon - 1
-        touched = index.touched_since(stale_epoch)
-        # Conservative: every live term reports as touched, including ones
-        # whose exact journal entries were pruned.
-        assert touched >= set(index.terms)
-
-    def test_dead_terms_do_not_accumulate_across_sealed_batches(self, base_documents):
-        """The PR-4 journal leak: one-shot terms of long-removed documents
-        stayed journaled forever.  With window pruning the journal holds at
-        most the live dictionary plus the last two batches' churn."""
-        index = InvertedIndex.build(Corpus(base_documents), seal_threshold=1)
-        for i in range(30):
-            index.add_document(Document(doc_id=100 + i, text=f"unique{i} filler{i}"))
-            if i >= 2:
-                index.remove_document(100 + i - 2)  # retire old churn docs
-        live_terms = set(index.terms)
-        dead_journaled = set(index._touched) - live_terms
-        # Only the most recent windows' removals may linger, never all 28.
-        assert len(dead_journaled) <= 8
-        assert "unique3" not in index._touched
-
-    def test_touched_since_reports_pending_rewrites_without_flushing(self, base_documents):
-        """Serving-layer syncs must not pay the full-index array rewrite:
-        touched_since reports lists still awaiting their deferred rewrite as
-        (conservatively) touched instead of executing the rewrites to find
-        out."""
-        index = InvertedIndex.build(Corpus(base_documents))
-        epoch_before = index.update_epoch
-        index.add_document(Document(doc_id=9, text="night watch"))
-        touched = index.touched_since(epoch_before)
-        base = index._segments[0]
-        assert base.stale_terms  # the deferred rewrites were NOT flushed
-        assert base.stale_terms <= touched  # ...but they report as touched
-        # A cache synced at the current epoch needs no invalidation: terms
-        # it cached were read (running their rewrite), the rest it never held.
-        assert index.touched_since(index.update_epoch) == frozenset()
-
-    def test_compact_prunes_journal_too(self, base_documents):
-        index = InvertedIndex.build(Corpus(base_documents))
-        index.add_document(Document(doc_id=9, text="zebra"))
-        index.compact()
-        index.remove_document(9)
-        index.compact()
-        index.add_document(Document(doc_id=10, text="lion"))
-        index.compact()
-        assert index.journal_horizon > 0
-        assert "zebra" not in index._touched
 
 
 class TestSegmentManifest:
