@@ -194,9 +194,9 @@ def bench_parallel_batch(context, keypair, repeats, batch_size=48, terms=6, work
     One series point per parallelism level, timing ``Server.process_batch``
     over the same batch of frequency-weighted queries.  Since the server
     answers every batch through its resident ExecutionEngine, the timed
-    repeats run against a *warm* pool (the first call at each level starts
-    or resizes it; the minimum-of-samples statistic then reflects steady
-    state) -- this series measures resident-pool batch throughput, and the
+    repeats run against a *warm* pool (each level has its own server, whose
+    first call starts its pool; the minimum-of-samples statistic then
+    reflects steady state) -- this series measures resident-pool batch throughput, and the
     separate ``persistent_pool_amortisation`` series measures what the warm
     pool saves over per-call forking.  The batch is heavy (many queries over
     the longest lists) so per-worker cryptographic work dominates pickling.
@@ -212,23 +212,23 @@ def bench_parallel_batch(context, keypair, repeats, batch_size=48, terms=6, work
         embellisher.embellish(generator.frequency_weighted_query(terms))
         for _ in range(batch_size)
     ]
-    server = PrivateRetrievalServer(
+    kwargs = dict(
         index=context.index, organization=organization, public_key=keypair.public
     )
-    baseline = server.process_batch(queries, parallelism=1)
+    baseline = PrivateRetrievalServer(**kwargs).process_batch(queries)
     series_ms: dict[str, float] = {}
     for n in workers:
-        parallel_results = server.process_batch(queries, parallelism=n)
-        assert [r.encrypted_scores for r in parallel_results] == [
-            r.encrypted_scores for r in baseline
-        ], f"parallel batch diverged at {n} workers!"
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            server.process_batch(queries, parallelism=n)
-            samples.append((time.perf_counter() - start) * 1000.0)
+        with PrivateRetrievalServer(parallelism=n, **kwargs) as server:
+            parallel_results = server.process_batch(queries)
+            assert [r.encrypted_scores for r in parallel_results] == [
+                r.encrypted_scores for r in baseline
+            ], f"parallel batch diverged at {n} workers!"
+            samples = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                server.process_batch(queries)
+                samples.append((time.perf_counter() - start) * 1000.0)
         series_ms[str(n)] = min(samples)
-    server.close()
     return {
         "batch_size": batch_size,
         "cpu_count": os.cpu_count() or 1,
@@ -245,7 +245,7 @@ def bench_vectorised_accumulation(context, keypair, repeats, batch_size=48, term
 
     The workload is the ``parallel_batch_accumulation`` shape (the same 48
     frequency-weighted embellished queries over the longest lists), answered
-    sequentially (``parallelism=1``) first under the default ``python``
+    in-process (the server's default ``parallelism`` of 1) first under the default ``python``
     backend and then under the ``cffi`` backend, so the only variable is the
     kernel implementation.  Encrypted scores *and* the per-query operation
     counters (postings, table multiplications, modular multiplications) are
@@ -298,18 +298,18 @@ def bench_vectorised_accumulation(context, keypair, repeats, batch_size=48, term
 
     numbertheory.set_backend("python")
     try:
-        baseline = server.process_batch(queries, parallelism=1)
+        baseline = server.process_batch(queries)
         baseline_counters = counter_rows()
         python_samples = []
         for _ in range(repeats):
             start = time.perf_counter()
-            server.process_batch(queries, parallelism=1)
+            server.process_batch(queries)
             python_samples.append((time.perf_counter() - start) * 1000.0)
         result["python_ms"] = round(min(python_samples), 4)
 
         if available:
             numbertheory.set_backend("cffi")
-            vectorised = server.process_batch(queries, parallelism=1)
+            vectorised = server.process_batch(queries)
             assert [r.encrypted_scores for r in vectorised] == [
                 r.encrypted_scores for r in baseline
             ], "vectorised kernels diverged from the python oracle!"
@@ -319,7 +319,7 @@ def bench_vectorised_accumulation(context, keypair, repeats, batch_size=48, term
             cffi_samples = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                server.process_batch(queries, parallelism=1)
+                server.process_batch(queries)
                 cffi_samples.append((time.perf_counter() - start) * 1000.0)
             result["cffi_ms"] = round(min(cffi_samples), 4)
             result["speedup"] = round(result["python_ms"] / result["cffi_ms"], 2)
@@ -461,24 +461,19 @@ def bench_faulted_batch_throughput(context, keypair, repeats, batch_size=20, ter
         embellisher.embellish(generator.frequency_weighted_query(terms))
         for _ in range(batch_size)
     ]
-    clean_server = PrivateRetrievalServer(
+    kwargs = dict(
         index=context.index, organization=organization, public_key=keypair.public
     )
-    baseline = clean_server.process_batch(queries, parallelism=1)
+    baseline = PrivateRetrievalServer(**kwargs).process_batch(queries)
+    clean_server = PrivateRetrievalServer(parallelism=workers, **kwargs)
 
     faulted_engine = ExecutionEngine(
         parallelism=workers,
         retry_policy=RetryPolicy(backoff_base=0.0),
         fault_injector=FaultInjector(plan=FaultPlan(kill_every=20)),
     )
-    faulted_server = PrivateRetrievalServer(
-        index=context.index,
-        organization=organization,
-        public_key=keypair.public,
-        parallelism=workers,
-        engine=faulted_engine,
-    )
-    faulted_results = faulted_server.process_batch(queries, parallelism=workers)
+    faulted_server = PrivateRetrievalServer(engine=faulted_engine, **kwargs)
+    faulted_results = faulted_server.process_batch(queries)
     assert [r.encrypted_scores for r in faulted_results] == [
         r.encrypted_scores for r in baseline
     ], "fault-injected batch diverged from the clean sequential baseline!"
@@ -489,10 +484,10 @@ def bench_faulted_batch_throughput(context, keypair, repeats, batch_size=20, ter
     clean_samples, faulted_samples = [], []
     for _ in range(repeats):
         start = time.perf_counter()
-        clean_server.process_batch(queries, parallelism=workers)
+        clean_server.process_batch(queries)
         clean_samples.append((time.perf_counter() - start) * 1000.0)
         start = time.perf_counter()
-        faulted_server.process_batch(queries, parallelism=workers)
+        faulted_server.process_batch(queries)
         faulted_samples.append((time.perf_counter() - start) * 1000.0)
     counters = faulted_engine.counters
     clean_server.close()

@@ -56,7 +56,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--parallelism",
         type=int,
         default=1,
-        help="worker processes per tenant engine (1 = sequential)",
+        help="worker processes of the service's one pool (1 = in-process, no pool)",
     )
     parser.add_argument(
         "--bucket-size",

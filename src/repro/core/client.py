@@ -96,7 +96,6 @@ class PrivateSearchClient:
         session: QuerySession,
         server: PrivateRetrievalServer,
         k: int | None = 20,
-        parallelism: int | None = None,
         stream: bool = False,
     ) -> list[SearchResult] | Iterator[SearchResult]:
         """Embellish, batch-submit and post-filter a whole session's queries.
@@ -120,14 +119,8 @@ class PrivateSearchClient:
                     "with a larger block_size"
                 )
         queries = self.embellish_session(session)
-        if stream:
-            return self._stream_results(queries, server, k, parallelism)
-        results = server.process_batch(queries, parallelism=parallelism)
-        return [self.post_filter(result, k=k) for result in results]
-
-    def _stream_results(self, queries, server, k, parallelism):
-        for result in server.iter_batch(queries, parallelism=parallelism):
-            yield self.post_filter(result, k=k)
+        results = (self.post_filter(result, k=k) for result in server.iter_batch(queries))
+        return results if stream else list(results)
 
 
 @dataclass
@@ -236,13 +229,12 @@ class PrivateSearchSystem:
         self,
         session: QuerySession,
         k: int | None = 20,
-        parallelism: int | None = None,
     ) -> list[tuple[SearchResult, CostReport]]:
         """Run a whole session as one batch, returning per-query rankings and reports.
 
         The client side amortises across the batch (one zero-pool stocking
         for all queries); the server side answers the batch through one
-        worker pool (``parallelism`` overrides the system knob for this call).
+        worker pool (sized by the system's ``parallelism``).
         Rankings are identical to issuing each query through :meth:`search`
         -- the batch changes scheduling and amortisation, never results.
         """
@@ -268,7 +260,7 @@ class PrivateSearchSystem:
             )
             queries.append(query)
 
-        encrypted_results = self.server.process_batch(queries, parallelism=parallelism)
+        encrypted_results = self.server.process_batch(queries)
 
         outputs: list[tuple[SearchResult, CostReport]] = []
         per_query_counters = self.server.last_batch_counters

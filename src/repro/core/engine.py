@@ -14,9 +14,9 @@ Lifecycle
 crypto layer and syncing the big-integer backend); any dispatching call
 autostarts a not-yet-started engine lazily.  ``shutdown()`` retires the pool
 permanently -- dispatching afterwards raises ``RuntimeError`` -- and the
-engine is a context manager whose exit is a ``shutdown()``.  ``resize()``
-re-targets the worker count; a running pool is retired and the next dispatch
-starts a fresh one.
+engine is a context manager whose exit is a ``shutdown()``.  The worker count
+is fixed at construction: it is the one place a deployment's worker budget is
+decided, and every batch is scheduled over all of it.
 
 Scheduling
 ----------
@@ -50,8 +50,8 @@ schedule: the test/bench substrate for all of the above.
 
 Thread safety
 -------------
-Lifecycle transitions (``start``, ``shutdown``, ``resize``, broken-pool
-retirement, and the lazy pool start inside every dispatch) are serialised on
+Lifecycle transitions (``start``, ``shutdown``, broken-pool retirement, and
+the lazy pool start inside every dispatch) are serialised on
 an internal re-entrant lock, so an engine shared between threads -- the
 serving front-end's sessions, or a signal handler racing a ``with``-block
 exit -- never double-starts a pool and ``shutdown`` is idempotent (see
@@ -80,7 +80,6 @@ from repro.core.partitioning import proportional_shares
 from repro.crypto import numbertheory
 
 __all__ = [
-    "EngineBusyError",
     "EngineCounters",
     "ExecutionEngine",
     "RetryPolicy",
@@ -104,18 +103,6 @@ def _pool_loss(exc: BaseException) -> bool:
     survives.
     """
     return isinstance(exc, _LOST_ATTEMPT_ERRORS)
-
-
-class EngineBusyError(RuntimeError):
-    """Raised when a lifecycle operation conflicts with in-flight shard work.
-
-    :meth:`ExecutionEngine.resize` must not retire a pool that a streamed
-    batch still has futures on (it would block inside ``Executor.shutdown``
-    until the whole batch drained).  Callers either drain/collect the stream
-    first, or catch this and keep the current pool (what
-    :class:`~repro.core.server.PrivateRetrievalServer` does when an
-    interleaved call asks for more workers mid-stream).
-    """
 
 
 def _warm_worker(backend: str) -> None:
@@ -186,7 +173,7 @@ class RetryPolicy:
 class EngineCounters:
     """Dispatch statistics accumulated over an engine's lifetime."""
 
-    #: Worker pools forked/spawned (1 for the whole lifetime unless resized).
+    #: Worker pools forked/spawned (1 for life, plus one per pool restart).
     pool_starts: int = 0
     #: Dispatching calls served by an already-running pool -- the start-up
     #: cost these calls did *not* pay is the engine's whole reason to exist.
@@ -219,7 +206,8 @@ class ExecutionEngine:
     Parameters
     ----------
     parallelism:
-        Resident worker-process count (defaults to the machine's CPU count).
+        Resident worker-process count, fixed for the engine's lifetime
+        (defaults to the machine's CPU count).
     retry_policy:
         Deadlines, retry budget, and backoff for shard collection.
     fault_injector:
@@ -244,9 +232,6 @@ class ExecutionEngine:
         #: shared engine survives concurrent and re-entrant lifecycle calls;
         #: re-entrant because a signal handler may land mid-``shutdown``.
         self._lifecycle_lock = threading.RLock()
-        #: Futures dispatched by submit_batch that may still be running; done
-        #: futures remove themselves via callback (and are pruned on read).
-        self._inflight: set = set()
 
     # -- lifecycle ----------------------------------------------------------------
     @property
@@ -288,53 +273,6 @@ class ExecutionEngine:
         if executor is not None:
             try:
                 executor.shutdown(wait=wait)
-            except Exception:
-                pass
-
-    def outstanding_tasks(self) -> int:
-        """Tracked futures not yet completed: :meth:`submit_batch` shard
-        futures plus generic :meth:`submit_task` background work (e.g.
-        segment merges)."""
-        # Iterate a snapshot: done-callbacks discard from _inflight on the
-        # executor's manager thread, and set.copy() is atomic under the GIL
-        # while direct iteration could see the set change size mid-walk.
-        pending = {future for future in self._inflight.copy() if not future.done()}
-        self._inflight = pending
-        return len(pending)
-
-    def _track(self, future) -> None:
-        self._inflight.add(future)
-        future.add_done_callback(self._inflight.discard)
-
-    def resize(self, parallelism: int) -> None:
-        """Re-target the worker count; a running pool restarts on next dispatch.
-
-        Refuses (with :class:`EngineBusyError`) while dispatched futures are
-        still in flight; collect or drain the outstanding
-        :class:`~repro.core.parallel.PendingResult` handles first.  A pool
-        whose workers already died does not get in the way: its futures are
-        done (exception-bearing), and retiring a broken executor is swallowed.
-        """
-        with self._lifecycle_lock:
-            self._ensure_open()
-            if parallelism < 1:
-                raise ValueError("parallelism must be at least 1")
-            if parallelism == self.parallelism:
-                return
-            outstanding = self.outstanding_tasks()
-            if outstanding:
-                raise EngineBusyError(
-                    f"cannot resize to {parallelism} workers: {outstanding} "
-                    "dispatched future(s) are still in flight (streamed batch "
-                    "shards and/or background tasks such as segment merges); "
-                    "collect the stream / commit or await the pending handles "
-                    "before resizing"
-                )
-            self.parallelism = parallelism
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            try:
-                executor.shutdown()
             except Exception:
                 pass
 
@@ -419,18 +357,14 @@ class ExecutionEngine:
         :meth:`repro.textsearch.inverted_index.InvertedIndex.begin_merges`,
         which lets index compaction overlap query serving on the same
         resident pool.  ``fn`` must be a module-level callable and the
-        arguments picklable.  The future is tracked like shard futures:
-        :meth:`resize` refuses while it is in flight, and
-        :meth:`outstanding_tasks` counts it.  Generic tasks are *not*
+        arguments picklable.  Generic tasks are *not*
         retried -- unlike the associative shard kernel, the engine cannot
         know an arbitrary ``fn`` is idempotent -- but a pool they broke is
         healed on the next acquire.
         """
         executor = self._acquire()
         self.counters.tasks_dispatched += 1
-        future = executor.submit(fn, *args)
-        self._track(future)
-        return future
+        return executor.submit(fn, *args)
 
     def _dispatch(self, executor, task, task_index: int, attempt: int = 0):
         """Submit one shard task; a failed submission becomes a failed future.
@@ -452,7 +386,6 @@ class ExecutionEngine:
             submission = (parallel._shard_task, task)
         try:
             future = executor.submit(*submission)
-            self._track(future)
         except BaseException as exc:  # noqa: BLE001 -- folded into the future
             future = Future()
             future.set_exception(exc)
@@ -510,14 +443,13 @@ class ExecutionEngine:
         self,
         payloads: Sequence[Sequence[parallel.TermPayload]],
         modulus: int,
-        parallelism: int | None = None,
         backend: str | None = None,
     ) -> list[parallel.PendingResult]:
         """Dispatch a batch under hybrid scheduling; results stream in order.
 
         Returns one :class:`~repro.core.parallel.PendingResult` per query, in
         query order.  A single-query batch is hybrid-scheduled like any other
-        (the whole pool shards that one query).  With a worker budget of 1,
+        (the whole pool shards that one query).  On an engine of one worker,
         or when the whole batch is at most one worker task, the handles defer
         the work in-process (each query accumulates when its result is first
         collected), which keeps streaming semantics without touching -- or
@@ -531,10 +463,6 @@ class ExecutionEngine:
         self._ensure_open()
         if backend is None:
             backend = numbertheory.get_backend()
-        # Per-call worker budget: the pool size, optionally capped lower.
-        workers = self.parallelism
-        if parallelism is not None:
-            workers = max(1, min(workers, parallelism))
         self.counters.queries_executed += len(payloads)
         # Every query starts as a deferred in-process handle; dispatch below
         # replaces the handles of the queries that get worker tasks.
@@ -542,14 +470,14 @@ class ExecutionEngine:
             parallel.PendingResult(modulus, payload=payload, backend=backend)
             for payload in payloads
         ]
-        if workers <= 1:
+        if self.parallelism <= 1:
             return pending
         # Per-entry costs are computed once and shared between the hybrid
         # plan (per-query sums) and the intra-query partition.
         cost_lists = [
             [parallel.term_cost(entry) for entry in payload] for payload in payloads
         ]
-        plan = proportional_shares([sum(costs) for costs in cost_lists], workers)
+        plan = proportional_shares([sum(costs) for costs in cost_lists], self.parallelism)
         shard_groups = [
             parallel.partition_payload(payload, share, costs=costs)
             for payload, share, costs in zip(payloads, plan, cost_lists)
@@ -582,8 +510,7 @@ class ExecutionEngine:
         self,
         payloads: Sequence[Sequence[parallel.TermPayload]],
         modulus: int,
-        parallelism: int | None = None,
     ) -> list[tuple[dict[int, int], parallel.ShardCounts, int, int]]:
         """:meth:`submit_batch`, collected: per-query merged results in order."""
-        pending = self.submit_batch(payloads, modulus, parallelism=parallelism)
+        pending = self.submit_batch(payloads, modulus)
         return [handle.result() for handle in pending]

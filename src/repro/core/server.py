@@ -20,11 +20,12 @@ Two accumulation paths exist:
   query is dispatched the same way (:meth:`PrivateRetrievalServer.iter_batch`;
   ``process_batch`` materialises it, ``process_query`` is a batch of one):
   one :class:`~repro.core.parallel.PendingResult` handle per query --
-  deferred in-process when the worker budget is 1, scheduled over the
-  resident :class:`~repro.core.engine.ExecutionEngine` pool otherwise --
-  collected by one loop.  Shard partials merge by modular multiplication,
-  which is associative, so the ciphertexts are bit-identical to the naive
-  path's wherever the multiplications happen.
+  scheduled over the whole resident
+  :class:`~repro.core.engine.ExecutionEngine` pool when the server has one
+  (injected, or built for ``parallelism > 1``), deferred in-process
+  otherwise -- collected by one loop.  Shard partials merge by modular
+  multiplication, which is associative, so the ciphertexts are bit-identical
+  to the naive path's wherever the multiplications happen.
 
 The server is instrumented: it counts disk blocks fetched (bucket-co-located
 lists are fetched together, the I/O optimisation Section 4 prescribes),
@@ -43,7 +44,7 @@ from typing import Iterator, Mapping, Sequence
 from repro.core import parallel
 from repro.core.buckets import BucketOrganization
 from repro.core.embellish import EmbellishedQuery
-from repro.core.engine import EngineBusyError, ExecutionEngine
+from repro.core.engine import ExecutionEngine
 from repro.core.parallel import power_table_strategy
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.textsearch.inverted_index import InvertedIndex
@@ -142,20 +143,19 @@ class PrivateRetrievalServer:
         When True, run the literal Algorithm 4 (one exponentiation per
         posting).  When False (the default), use the power-table fast path;
         the returned ciphertexts are identical either way.  The naive oracle
-        always runs sequentially in-process regardless of ``parallelism``.
+        always runs sequentially in-process, engine or not.
     parallelism:
-        Number of worker processes for sharded accumulation (1 = sequential,
-        the default).  Worth its process-pool startup cost only when the
-        per-query cryptographic work dominates (realistic key sizes, long
-        lists); correctness never depends on it.
+        Size of the worker pool this server builds and owns when no
+        ``engine`` is injected (1, the default: no pool, in-process).  Worth
+        its start-up cost only when the per-query cryptographic work
+        dominates (realistic key sizes, long lists); never affects results.
     engine:
         The resident :class:`~repro.core.engine.ExecutionEngine` carrying the
-        long-lived worker pool.  Pass one to share a pool between servers;
-        left ``None``, the server lazily creates (and then owns) an engine on
-        its first parallel call, so repeated ``process_query`` /
-        ``process_batch`` calls amortise pool start-up for the server's whole
-        lifetime.  :meth:`close` shuts down an owned engine; shared engines
-        are the caller's to shut down.
+        long-lived worker pool.  Pass one to share a pool between servers:
+        the server dispatches on all of it, whatever ``parallelism`` says,
+        and never shuts it down.  Left ``None`` with ``parallelism > 1``, the
+        server creates (and owns) one of that size on its first fast call
+        and keeps it warm across calls until :meth:`close`.
     backend:
         The big-integer backend the fast path accumulates on, carried as a
         value into every pending handle and shard task.  ``None`` (the
@@ -183,28 +183,18 @@ class PrivateRetrievalServer:
     _counter_epoch: int = field(default=0, init=False, repr=False)
 
     # -- engine lifecycle ---------------------------------------------------------
-    def _engine_for(self, workers: int) -> ExecutionEngine:
-        """The resident engine, lazily created and grown to ``workers``."""
+    def _resident_engine(self) -> ExecutionEngine:
+        """The injected engine, else an owned one of ``parallelism`` workers."""
         if self.engine is None:
-            self.engine = ExecutionEngine(parallelism=workers)
+            self.engine = ExecutionEngine(parallelism=self.parallelism)
             self._owns_engine = True
-        elif self._owns_engine and workers > self.engine.parallelism:
-            # An owned pool grows to the largest parallelism ever requested;
-            # a shared engine's sizing belongs to whoever injected it.  If a
-            # streamed batch still has shard futures in flight the resize is
-            # refused -- serve this call with the current (smaller) pool,
-            # which is always correct, and grow on a later quiet dispatch.
-            try:
-                self.engine.resize(workers)
-            except EngineBusyError:
-                pass
         return self.engine
 
     def close(self, wait: bool = True) -> None:
         """Shut down the owned resident engine (idempotent; shared engines stay up).
 
         Closing releases the worker pool but is *not* terminal for the
-        server: sequential queries keep working, and a later parallel call
+        server: in-process queries keep working, and a later pooled call
         lazily creates a fresh owned engine (unlike a bare
         :class:`~repro.core.engine.ExecutionEngine`, whose post-shutdown
         dispatch raises).  Callers who need use-after-close to fail should
@@ -281,23 +271,15 @@ class PrivateRetrievalServer:
         self.last_batch_counters = []
         return result
 
-    def process_batch(
-        self,
-        queries: Sequence[EmbellishedQuery],
-        parallelism: int | None = None,
-    ) -> list[EncryptedResult]:
+    def process_batch(self, queries: Sequence[EmbellishedQuery]) -> list[EncryptedResult]:
         """:meth:`iter_batch`, materialised: the batch's results, in query order.
 
         Aggregate counters land in :attr:`counters`; per-query snapshots in
         :attr:`last_batch_counters`.
         """
-        return list(self.iter_batch(queries, parallelism=parallelism))
+        return list(self.iter_batch(queries))
 
-    def iter_batch(
-        self,
-        queries: Sequence[EmbellishedQuery],
-        parallelism: int | None = None,
-    ) -> Iterator[EncryptedResult]:
+    def iter_batch(self, queries: Sequence[EmbellishedQuery]) -> Iterator[EncryptedResult]:
         """Stream a batch's results in query order as their futures complete.
 
         The whole batch is dispatched up front, hybrid-scheduled over the
@@ -308,17 +290,8 @@ class PrivateRetrievalServer:
         later ones are still accumulating.  Counters fill progressively:
         :attr:`last_batch_counters` holds the completed snapshots of exactly
         the yielded prefix, which :attr:`counters` aggregates.  With
-        ``naive=True`` or a worker budget of 1 nothing is dispatched: each
-        query is computed lazily when the iterator reaches it.
-
-        Parameters
-        ----------
-        queries:
-            The embellished queries, answered and returned in order.
-        parallelism:
-            Overrides the server's worker knob for this batch only; ``None``
-            uses :attr:`parallelism`, and any value is capped at the resident
-            pool's size.  ``1`` answers the batch in-process.
+        ``naive=True``, or no engine and ``parallelism`` 1, nothing is
+        dispatched: each query is computed when the iterator reaches it.
 
         Raises
         ------
@@ -326,14 +299,11 @@ class PrivateRetrievalServer:
             If a *shared* injected engine has been shut down (an owned engine
             is recreated lazily instead).  A non-retryable worker exception
             (e.g. ``PermanentFaultError``) propagates unchanged -- out of the
-            yielding loop, since dispatch happens on the first ``next()``;
-            :class:`~repro.core.engine.EngineBusyError` is never raised here
-            -- a refused mid-stream resize just serves on the current pool.
+            yielding loop, since dispatch happens on the first ``next()``.
 
-        The generator holds shard futures on the shared pool while suspended:
-        a resize elsewhere is refused until the stream is drained or closed,
-        and an engine ``shutdown(wait=True)`` waits for those futures, whose
-        results remain collectible afterwards.
+        The generator holds shard futures on the pool while suspended: an
+        engine ``shutdown(wait=True)`` waits for those futures, whose results
+        remain collectible afterwards.
 
         Thread safety: one server instance answers one call at a time, and
         its counters describe the *most recent* entry point.  Answering other
@@ -346,7 +316,6 @@ class PrivateRetrievalServer:
         thread-safe and whose per-query resilience attribution is exact) --
         the arrangement :mod:`repro.service` uses.
         """
-        workers = self.parallelism if parallelism is None else parallelism
         self._counter_epoch += 1
         epoch = self._counter_epoch
         self.counters.reset()
@@ -361,7 +330,7 @@ class PrivateRetrievalServer:
         if self.naive:
             answers = (self._answer_naive(query, view) for query in queries)
         else:
-            answers = self._answer_fast(queries, workers, view)
+            answers = self._answer_fast(queries, view)
         for query, (accumulators, per_query) in zip(queries, answers):
             per_query.queries_processed = 1
             per_query.terms_processed = len(query)
@@ -373,11 +342,11 @@ class PrivateRetrievalServer:
 
     # -- the fast path: dispatch -> handle -> collect ------------------------------
     def _answer_fast(
-        self, queries: Sequence[EmbellishedQuery], workers: int, view
+        self, queries: Sequence[EmbellishedQuery], view
     ) -> Iterator[tuple[dict[int, int], ServerCounters]]:
         """One pending handle per query, collected and counted in query order."""
         modulus = self.public_key.n
-        if workers <= 1:
+        if self.engine is None and self.parallelism <= 1:
             # Deferred in-process handles, built lazily: a query's columns are
             # read and accumulated only when the iterator reaches it.
             pending = (
@@ -387,10 +356,9 @@ class PrivateRetrievalServer:
                 for query in queries
             )
         else:
-            pending = self._engine_for(workers).submit_batch(
+            pending = self._resident_engine().submit_batch(
                 [self._payload(query, view) for query in queries],
                 modulus,
-                parallelism=workers,
                 backend=self.backend,
             )
         for handle in pending:

@@ -6,15 +6,16 @@
 :class:`~repro.core.engine.ExecutionEngine` -- into a long-running network
 service:
 
-* **Tenants** are named indexes.  A tenant loaded from a saved directory
-  (``InvertedIndex.load(mmap=True)``) shares one resident
-  :class:`ExecutionEngine` with every other tenant backed by the *same*
-  resolved directory, so worker pools are keyed by data, not by how many
-  names point at it.  Engines the service creates are service-owned and shut
-  down on :meth:`RetrievalService.drain`.
+* **Tenants** are named indexes, loaded from a saved directory
+  (``InvertedIndex.load(mmap=True)``) or handed over live.
+* **One worker pool**: with ``ServiceConfig.parallelism > 1`` the service
+  owns one lazily started :class:`ExecutionEngine` of that size, shared by
+  every tenant, session and shard request (a worker task is ``(payload,
+  modulus, backend)`` -- workers hold no index state) and shut down by
+  :meth:`RetrievalService.drain`.
 * **Sessions** are long-lived clients.  Opening a session binds a tenant to
   the client's Benaloh public key in a dedicated
-  :class:`PrivateRetrievalServer` that *shares* the tenant engine (shared ->
+  :class:`PrivateRetrievalServer` that *shares* the service engine (shared ->
   not owned -> a session going away never tears down the pool) and **pins**
   the tenant index's current manifest snapshot
   (:meth:`~repro.textsearch.inverted_index.InvertedIndex.snapshot`) for the
@@ -22,7 +23,9 @@ service:
   on the query path, concurrent with the tenant's writers and merges.  A
   session answers one batch at a time (``asyncio.Lock``); concurrency comes
   from many sessions, matching the one-server-per-client-session contract
-  documented on :meth:`PrivateRetrievalServer.process_batch`.
+  documented on :meth:`PrivateRetrievalServer.process_batch`.  At most
+  :data:`MAX_SESSIONS` are open at once; beyond that an open is refused
+  ``429 + Retry-After`` until a ``DELETE`` frees a slot.
 * **Streaming**: a batch POST answers with a chunked record stream, in the
   codec the request came in (:mod:`repro.service.wire`): fixed-width binary
   frames for ``Content-Type: application/x-repro-frames``, NDJSON lines
@@ -44,8 +47,8 @@ service:
   iterator so no shard future is abandoned).
 * **Metrics**: ``GET /metrics`` merges :class:`ServiceMetrics` (request and
   latency rollups), admission state, per-tenant
-  :class:`~repro.core.server.ServerCounters` totals, engine resilience
-  counters and the kernel section -- the same numbers ``pr_report`` consumes
+  :class:`~repro.core.server.ServerCounters` totals, the engine's counters
+  and the kernel section -- the same numbers ``pr_report`` consumes
   in-process, so remote and direct runs reconcile.
 
 * **Distribution roles**: the same front-end binary plays both sides of the
@@ -81,7 +84,7 @@ import json
 import logging
 import secrets
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -119,6 +122,11 @@ __all__ = ["ServiceConfig", "RetrievalService", "chunked_organization"]
 
 log = logging.getLogger(__name__)
 
+#: Sessions open at once.  Each pins an index snapshot (on a live tenant: that
+#: epoch's segments) until its ``DELETE``; unbounded, clients that never close
+#: would grow the process without limit.
+MAX_SESSIONS = 1024
+
 
 def chunked_organization(index: InvertedIndex, bucket_size: int) -> BucketOrganization:
     """A deterministic bucket layout both ends can derive from the index.
@@ -153,7 +161,7 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; the bound port is on ``service.address``
     #: BktSz for tenants whose organisation is derived, not injected.
     bucket_size: int = 4
-    #: Worker processes per tenant engine (1 = sequential, no pool).
+    #: Worker processes of the service's one engine (1 = in-process, no pool).
     parallelism: int = 1
     #: Concurrently *executing* batch requests.
     max_active: int = 4
@@ -179,10 +187,8 @@ class Tenant:
     name: str
     index: InvertedIndex | None
     organization: BucketOrganization
-    #: Resolved index directory for disk-backed tenants (engine-sharing key).
+    #: Resolved index directory for disk-backed tenants.
     index_dir: Path | None = None
-    #: Resident engine shared by this tenant's sessions (None = sequential).
-    engine: ExecutionEngine | None = None
     #: Builds a per-session coordinator for distributed tenants
     #: (``public_key -> QueryCoordinator``); ``None`` for local tenants.
     coordinator_factory: object = None
@@ -234,10 +240,13 @@ class RetrievalService:
         )
         self.tenants: dict[str, Tenant] = {}
         self.sessions: dict[str, ClientSession] = {}
-        #: Resident engines keyed by resolved index directory; tenants added
-        #: with an in-memory index get a private key of their own.
-        self._engines: dict[object, ExecutionEngine] = {}
+        #: The one worker pool, forked on first dispatch; ``None``: in-process.
+        self.engine: ExecutionEngine | None = None
+        if self.config.parallelism > 1:
+            self.engine = ExecutionEngine(parallelism=self.config.parallelism)
         self._server: asyncio.AbstractServer | None = None
+        #: Open connections (handler task -> writer), for :meth:`drain` to close.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.address: tuple[str, int] | None = None
         #: What every session and shard request accumulates on, resolved by
         #: :meth:`start`; ``backend_reason`` says why it is not the kernel.
@@ -256,36 +265,24 @@ class RetrievalService:
         """Register a tenant from a saved index directory or a live index.
 
         Exactly one of ``index_dir`` / ``index`` must be given.  Disk-backed
-        tenants load via ``InvertedIndex.load(mmap=...)`` and share their
-        engine with every tenant backed by the same resolved directory.
+        tenants load via ``InvertedIndex.load(mmap=...)``.
         Call before :meth:`start` (or from the service's own loop thread).
         """
         if name in self.tenants:
             raise ValueError(f"tenant {name!r} already registered")
         if (index is None) == (index_dir is None):
             raise ValueError("pass exactly one of index_dir / index")
-        engine_key: object
         resolved: Path | None = None
         if index_dir is not None:
             resolved = Path(index_dir).resolve()
             index = InvertedIndex.load(resolved, mmap=self.config.mmap_indexes)
-            engine_key = resolved
-        else:
-            engine_key = object()  # in-memory tenants never share a pool
         if organization is None:
             organization = chunked_organization(index, self.config.bucket_size)
-        engine = None
-        if self.config.parallelism > 1:
-            engine = self._engines.get(engine_key)
-            if engine is None:
-                engine = ExecutionEngine(parallelism=self.config.parallelism)
-                self._engines[engine_key] = engine
         tenant = Tenant(
             name=name,
             index=index,
             organization=organization,
             index_dir=resolved,
-            engine=engine,
         )
         self.tenants[name] = tenant
         return tenant
@@ -398,26 +395,33 @@ class RetrievalService:
             log.info("kernel backend: cffi (compiled Montgomery kernel)")
 
     async def drain(self, wait: bool = True) -> None:
-        """Graceful shutdown: finish in-flight work, reject new, release pools.
+        """Graceful shutdown: finish in-flight work, reject new, release the pool.
 
         Idempotent.  New batch requests get 503 immediately; active and
         queued ones run to completion (``wait=True`` blocks until they
-        have); then the listener closes and every service-owned engine is
-        shut down.  Session servers share those engines, so no per-session
-        teardown is needed -- and the engine's own shutdown is idempotent
-        under concurrent invocation, so a signal-handler drain racing a
-        with-block exit is safe.
+        have); then the listener and the connections still open (idle
+        keep-alive peers) close and the engine is shut down.  Session servers
+        share that engine, so no per-session teardown is needed -- and the
+        engine's own shutdown is idempotent under concurrent invocation, so
+        a signal-handler drain racing a with-block exit is safe.
         """
         self.admission.drain()
         if wait:
             await self.admission.wait_idle()
         if self._server is not None:
             self._server.close()
+            # An idle keep-alive peer left open is still served, holds back
+            # ``wait_closed`` (3.12+) and is destroyed mid-read at loop stop.
+            # Closing its writer ends the handler's read, so each handler
+            # leaves by its own ``finally``; looped for a peer just accepted.
+            while wait and self._connections:
+                for writer in self._connections.values():
+                    writer.close()
+                await asyncio.wait(self._connections)
             await self._server.wait_closed()
             self._server = None
-        engines, self._engines = dict(self._engines), {}
-        for engine in engines.values():
-            engine.shutdown(wait=wait)
+        if self.engine is not None:
+            self.engine.shutdown(wait=wait)
 
     async def __aenter__(self) -> "RetrievalService":
         await self.start()
@@ -430,6 +434,8 @@ class RetrievalService:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
                 try:
@@ -458,6 +464,7 @@ class RetrievalService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            del self._connections[handler]
 
     async def _dispatch(
         self, request: protocol.HttpRequest, writer: asyncio.StreamWriter
@@ -517,22 +524,18 @@ class RetrievalService:
     def _metrics_document(self) -> dict:
         tenants = {}
         for tenant in self.tenants.values():
-            entry = {
+            tenants[tenant.name] = {
                 "queries_answered": tenant.queries_answered,
                 "batches_answered": tenant.batches_answered,
                 "totals": encode_counters(tenant.totals),
             }
-            if tenant.engine is not None:
-                entry["engine"] = {
-                    spec.name: getattr(tenant.engine.counters, spec.name)
-                    for spec in dataclass_fields(tenant.engine.counters)
-                }
-            tenants[tenant.name] = entry
         return {
             "service": self.metrics.snapshot(),
             "admission": self.admission.snapshot(),
             "sessions_active": len(self.sessions),
             "tenants": tenants,
+            # The one pool's lifetime counters (null: no pool, all in-process).
+            "engine": None if self.engine is None else asdict(self.engine.counters),
             # Reasons and counts only (core/risk.py): which backend serves,
             # why not the kernel, and how often a payload left its envelope.
             "kernel": {
@@ -566,13 +569,10 @@ class RetrievalService:
             await protocol.send_json(writer, 404, {"error": f"no tenant {name!r}"})
             return
         public_key = decode_public_key(body.get("public_key"))
-        parallelism = body.get("parallelism", self.config.parallelism)
-        if not isinstance(parallelism, int) or parallelism < 1:
-            raise WireError("parallelism must be a positive integer")
-        # A session can only scale down from the tenant pool: sharing the
-        # resident engine is the point, and the engine serves any
-        # parallelism <= its pool size.
-        parallelism = min(parallelism, self.config.parallelism)
+        if len(self.sessions) >= MAX_SESSIONS:
+            full = f"{len(self.sessions)} sessions open (limit {MAX_SESSIONS})"
+            await self._reply_saturated(writer, full, self.config.retry_after)
+            return
         session_id = secrets.token_hex(8)
         # Pin the tenant's current manifest epoch for the session's whole
         # lifetime: the session server reads an immutable IndexSnapshot, so
@@ -593,8 +593,7 @@ class RetrievalService:
                 index=tenant.index.snapshot(),
                 organization=tenant.organization,
                 public_key=public_key,
-                parallelism=parallelism,
-                engine=tenant.engine,
+                engine=self.engine,
                 backend=self.backend,
             )
         self.sessions[session_id] = ClientSession(
@@ -602,13 +601,7 @@ class RetrievalService:
         )
         self.metrics.sessions_opened += 1
         await protocol.send_json(
-            writer,
-            200,
-            {
-                "session": session_id,
-                "tenant": tenant.name,
-                "parallelism": parallelism,
-            },
+            writer, 200, {"session": session_id, "tenant": tenant.name}
         )
 
     async def _close_session(self, session_id: str, writer) -> None:
@@ -618,7 +611,7 @@ class RetrievalService:
                 writer, 404, {"error": "no such session"}
             )
             return
-        # The session server shares the tenant engine, so close() is a no-op
+        # The session server shares the service engine, so close() is a no-op
         # by design -- the pool outlives any one client.
         session.server.close()
         self.metrics.sessions_closed += 1
@@ -674,13 +667,7 @@ class RetrievalService:
         try:
             permit = await self.admission.admit()
         except ServiceSaturatedError as exc:
-            self.metrics.rejected_saturated += 1
-            await protocol.send_json(
-                writer,
-                429,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                headers={"Retry-After": f"{exc.retry_after:g}"},
-            )
+            await self._reply_saturated(writer, str(exc), exc.retry_after)
             return None
         except ServiceDrainingError as exc:
             self.metrics.rejected_draining += 1
@@ -699,6 +686,16 @@ class RetrievalService:
             self.metrics.request_time.record(
                 (time.monotonic() - request_started) * 1000.0
             )
+
+    async def _reply_saturated(self, writer, error: str, retry_after: float) -> None:
+        """``429 + Retry-After``: a bound is full (admission queue, session table)."""
+        self.metrics.rejected_saturated += 1
+        await protocol.send_json(
+            writer,
+            429,
+            {"error": error, "retry_after": retry_after},
+            headers={"Retry-After": f"{retry_after:g}"},
+        )
 
     # -- the shard-server role ----------------------------------------------------
     async def _shard_partials(self, name: str, request, writer) -> None:
@@ -726,15 +723,14 @@ class RetrievalService:
             public_key, queries = decode_partial_request_frame(request.body)
         else:
             public_key, queries = decode_partial_request(request.json())
-        # Built per request and dropped with it: the tenant engine is shared,
+        # Built per request and dropped with it: the service engine is shared,
         # never owned, and power-table plans are memoised process-wide, so a
         # resident per-key server would only grow with every key ever seen.
         server = PrivateRetrievalServer(
             index=tenant.index,
             organization=tenant.organization,
             public_key=public_key,
-            parallelism=self.config.parallelism,
-            engine=tenant.engine,
+            engine=self.engine,
             backend=self.backend,
         )
         loop = asyncio.get_running_loop()

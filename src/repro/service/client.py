@@ -181,15 +181,8 @@ class ServiceClient:
         return decode_organization(self._json("GET", f"/tenants/{tenant}/organization"))
 
     # -- sessions -----------------------------------------------------------------
-    def open_session(
-        self,
-        tenant: str,
-        public_key: BenalohPublicKey,
-        parallelism: int | None = None,
-    ) -> str:
+    def open_session(self, tenant: str, public_key: BenalohPublicKey) -> str:
         payload = {"tenant": tenant, "public_key": encode_public_key(public_key)}
-        if parallelism is not None:
-            payload["parallelism"] = parallelism
         return self._json("POST", "/sessions", payload)["session"]
 
     def close_session(self, session_id: str) -> dict:

@@ -64,8 +64,6 @@ class TestLifecycle:
             engine.run_batch([_batch()[0]], MODULUS)[0]
         with pytest.raises(RuntimeError, match="shut down"):
             engine.start()
-        with pytest.raises(RuntimeError, match="shut down"):
-            engine.resize(4)
 
     def test_shutdown_is_idempotent(self):
         engine = ExecutionEngine(parallelism=2)
@@ -79,20 +77,6 @@ class TestLifecycle:
     def test_invalid_parallelism_rejected(self):
         with pytest.raises(ValueError):
             ExecutionEngine(parallelism=0)
-        engine = ExecutionEngine(parallelism=2)
-        with pytest.raises(ValueError):
-            engine.resize(0)
-        engine.shutdown()
-
-    def test_resize_retires_the_running_pool(self):
-        engine = ExecutionEngine(parallelism=2)
-        baseline = engine.run_batch(_batch(), MODULUS)
-        engine.resize(3)
-        assert not engine.running  # retired; next dispatch starts a fresh pool
-        regrown = engine.run_batch(_batch(), MODULUS)
-        assert engine.counters.pool_starts == 2
-        assert [acc for acc, *_ in regrown] == [acc for acc, *_ in baseline]
-        engine.shutdown()
 
 
 class TestCountersAndReuse:
@@ -180,15 +164,6 @@ class TestHybridScheduling:
         assert not engine.running
         engine.shutdown()
 
-    def test_parallelism_override_caps_at_pool_size(self):
-        batch = _batch()
-        with ExecutionEngine(parallelism=4) as engine:
-            capped = engine.run_batch(batch, MODULUS, parallelism=2)
-            assert [r[3] for r in capped] == [1, 1]  # 2 workers, 2 queries
-            uncapped = engine.run_batch(batch, MODULUS, parallelism=64)
-            assert sum(r[3] for r in uncapped) <= 4  # pool size is the ceiling
-            assert [r[0] for r in capped] == [r[0] for r in uncapped]
-
     def test_hybrid_shard_plan_properties(self):
         assert proportional_shares([], 4) == []
         assert proportional_shares([10, 10, 10, 10], 2) == [1, 1, 1, 1]
@@ -229,90 +204,6 @@ class TestStreaming:
             parallel.PendingResult(MODULUS, futures=[], payload=[])
 
 
-class TestResizeGuard:
-    """Regression: resize() while a streamed batch is in flight used to block
-    silently inside Executor.shutdown until the whole batch drained."""
-
-    def test_resize_refused_while_shard_futures_in_flight(self):
-        from concurrent.futures import Future
-
-        from repro.core.engine import EngineBusyError
-
-        engine = ExecutionEngine(parallelism=2)
-        blocker: Future = Future()
-        engine._track(blocker)
-        assert engine.outstanding_tasks() == 1
-        with pytest.raises(EngineBusyError, match="still in flight"):
-            engine.resize(3)
-        assert engine.parallelism == 2  # unchanged
-        # Resizing to the current size is a no-op and never conflicts.
-        engine.resize(2)
-        blocker.set_result(None)
-        assert engine.outstanding_tasks() == 0
-        engine.resize(3)
-        assert engine.parallelism == 3
-        engine.shutdown()
-
-    def test_done_futures_are_pruned_not_counted(self):
-        from concurrent.futures import Future
-
-        engine = ExecutionEngine(parallelism=2)
-        done: Future = Future()
-        done.set_result(None)
-        engine._inflight.add(done)
-        assert engine.outstanding_tasks() == 0
-        engine.resize(4)
-        assert engine.parallelism == 4
-        engine.shutdown()
-
-    def test_iter_batch_across_a_drained_resize(self):
-        """Driving streamed batches across a resize: drain, resize, stream
-        again -- results stay bit-identical to the sequential kernel."""
-        expected = [parallel.accumulate_terms(p, MODULUS)[0] for p in _batch()]
-        with ExecutionEngine(parallelism=2) as engine:
-            first = [p.result() for p in engine.submit_batch(_batch(), MODULUS)]
-            assert [acc for acc, *_ in first] == expected
-            assert engine.outstanding_tasks() == 0  # stream fully collected
-            engine.resize(3)
-            second = [p.result() for p in engine.submit_batch(_batch(), MODULUS)]
-            assert [acc for acc, *_ in second] == expected
-
-    def test_server_keeps_current_pool_when_resize_is_refused(self):
-        from concurrent.futures import Future
-
-        from repro.core.buckets import simple_buckets
-        from repro.core.server import PrivateRetrievalServer
-        from repro.crypto.benaloh import generate_keypair
-        from repro.textsearch.corpus import Corpus, Document
-        from repro.textsearch.inverted_index import InvertedIndex
-        import random
-
-        keypair = generate_keypair(key_bits=128, block_size=3**6, rng=random.Random(9))
-        index = InvertedIndex.build(
-            Corpus([Document(doc_id=i, text="alpha beta gamma") for i in range(3)])
-        )
-        organization = simple_buckets(sorted(index.terms), {}, bucket_size=3)
-        engine = ExecutionEngine(parallelism=2)
-        server = PrivateRetrievalServer(
-            index=index,
-            organization=organization,
-            public_key=keypair.public,
-            parallelism=2,
-            engine=engine,
-        )
-        server._owns_engine = True  # exercise the owned-growth path
-        blocker: Future = Future()
-        engine._track(blocker)
-        # A larger-parallelism request mid-stream degrades gracefully to the
-        # current pool instead of raising or blocking.
-        resolved = server._engine_for(4)
-        assert resolved is engine
-        assert engine.parallelism == 2
-        blocker.set_result(None)
-        assert server._engine_for(4).parallelism == 4
-        engine.shutdown()
-
-
 class TestSubmitTask:
     def test_generic_background_task_runs_on_the_pool(self):
         import math
@@ -322,14 +213,6 @@ class TestSubmitTask:
             assert future.result() == 3628800
             assert engine.counters.tasks_dispatched == 1
             assert engine.counters.pool_starts == 1
-
-    def test_submit_task_counts_as_outstanding_until_done(self):
-        import math
-
-        with ExecutionEngine(parallelism=1) as engine:
-            future = engine.submit_task(math.factorial, 5)
-            future.result()
-            assert engine.outstanding_tasks() == 0
 
     def test_submit_task_after_shutdown_raises(self):
         import math

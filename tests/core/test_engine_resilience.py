@@ -235,7 +235,7 @@ class TestBatchResilience:
 
 
 class TestLifecycleAfterBreakage:
-    """Satellite: resize()/shutdown() tolerate broken and absent pools."""
+    """Satellite: dispatch and shutdown() tolerate broken and absent pools."""
 
     def test_submit_task_breaking_the_pool_then_resize_and_shutdown(self):
         engine = ExecutionEngine(parallelism=2, retry_policy=_fast_policy())
@@ -245,10 +245,6 @@ class TestLifecycleAfterBreakage:
         assert "process" in str(excinfo.value).lower() or "broken" in type(
             excinfo.value
         ).__name__.lower()
-        # The broken pool's futures are all done, so resize must neither
-        # raise EngineBusyError nor choke on the dead executor.
-        engine.resize(3)
-        assert engine.parallelism == 3
         # Dispatching afterwards heals: a fresh pool starts lazily.
         payload = _payload()
         expected, _ = parallel.accumulate_terms(payload, MODULUS)
@@ -267,8 +263,6 @@ class TestLifecycleAfterBreakage:
 
     def test_lifecycle_tolerates_never_started_pool(self):
         engine = ExecutionEngine(parallelism=2)
-        engine.resize(4)  # no pool yet: pure re-targeting
-        assert engine.parallelism == 4
         engine.shutdown()  # no pool to retire
         assert engine.closed
         with pytest.raises(RuntimeError):
@@ -322,13 +316,14 @@ class TestSharedEngineAttribution:
         query = embellisher.embellish(
             [organization.buckets[0][0], organization.buckets[3][1]]
         )
-        # Task indices are call-local.  A's one query shards into tasks 0-1,
-        # B's two queries into tasks 0-1 and 2-3: both wait out the delay on
-        # task 0, only B ever dispatches task 2 and heals its transient fault.
+        # Task indices are call-local, and both servers use the whole pool
+        # of 4.  A's one query shards into tasks 0-3, B's five queries are
+        # tasks 0-4: both wait out the delay on task 0, only B ever
+        # dispatches task 4 and heals its transient fault.
         plan = FaultPlan(
             delay_at=frozenset({(0, 0)}),
             delay_seconds=0.5,
-            transient_at=frozenset({(2, 0)}),
+            transient_at=frozenset({(4, 0)}),
         )
         with _engine(plan, workers=4) as engine:
             kwargs = dict(
@@ -337,11 +332,11 @@ class TestSharedEngineAttribution:
                 public_key=benaloh_keypair.public,
                 engine=engine,
             )
-            server_a = PrivateRetrievalServer(parallelism=2, **kwargs)
-            server_b = PrivateRetrievalServer(parallelism=4, **kwargs)
+            server_a = PrivateRetrievalServer(**kwargs)
+            server_b = PrivateRetrievalServer(**kwargs)
             answers_b = []
             thread_b = threading.Thread(
-                target=lambda: answers_b.extend(server_b.process_batch([query, query]))
+                target=lambda: answers_b.extend(server_b.process_batch([query] * 5))
             )
             thread_b.start()
             # B dispatches first, so its retry (after its own 0.5 s delay)
@@ -350,7 +345,7 @@ class TestSharedEngineAttribution:
             (answer_a,) = server_a.process_batch([query])
             thread_b.join(timeout=60)
             assert not thread_b.is_alive()
-        assert [r.encrypted_scores for r in answers_b] == [answer_a.encrypted_scores] * 2
+        assert [r.encrypted_scores for r in answers_b] == [answer_a.encrypted_scores] * 5
         assert server_b.counters.tasks_retried == 1
         assert server_a.counters.tasks_retried == 0
         for name in ("tasks_retried", "pool_restarts", "tasks_timed_out", "degraded_queries"):

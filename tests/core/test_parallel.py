@@ -94,7 +94,10 @@ class TestFallbackGenerators:
         expected = benaloh._DEFAULT_RNG.getstate()
         engine = ExecutionEngine(parallelism=4)  # lazy: no pool is ever started
         engine.run_batch([payload[:1]], modulus)[0]  # single shard: in-process
-        engine.run_batch([payload, payload], modulus, parallelism=1)
+        assert not engine.running
+        engine.shutdown()
+        engine = ExecutionEngine(parallelism=1)  # one worker: deferred in-process
+        engine.run_batch([payload, payload], modulus)
         assert not engine.running
         engine.shutdown()
         assert benaloh._DEFAULT_RNG.getstate() == expected
@@ -165,8 +168,8 @@ class TestShardedServer:
         kwargs = dict(index=index, organization=organization, public_key=benaloh_keypair.public)
         queries = [query, query]
         sequential = PrivateRetrievalServer(**kwargs).process_batch(queries)
-        parallel_server = PrivateRetrievalServer(**kwargs)
-        parallel_results = parallel_server.process_batch(queries, parallelism=2)
+        parallel_server = PrivateRetrievalServer(parallelism=2, **kwargs)
+        parallel_results = parallel_server.process_batch(queries)
         assert [r.encrypted_scores for r in parallel_results] == [
             r.encrypted_scores for r in sequential
         ]

@@ -266,26 +266,28 @@ class TestResidentEngine:
         assert second.encrypted_scores == first.encrypted_scores
         server.close()
 
-    def test_batch_parallelism_override_grows_owned_engine(
+    def test_injected_engine_is_used_whole_without_a_parallelism(
         self, index, organization, benaloh_keypair
     ):
+        """``engine=`` alone places the work: the server dispatches on all of
+        the injected pool, whatever its own ``parallelism`` field says."""
+        from repro.core.engine import ExecutionEngine
+
         embellisher = QueryEmbellisher(
             organization=organization, keypair=benaloh_keypair, rng=random.Random(9)
         )
         bucketed = [t for bucket in organization.buckets for t in bucket if t in index]
-        queries = [embellisher.embellish([t]) for t in bucketed[:3]]
-        with PrivateRetrievalServer(
-            index=index,
-            organization=organization,
-            public_key=benaloh_keypair.public,
-            parallelism=2,
-        ) as server:
-            baseline = server.process_batch(queries, parallelism=1)
-            grown = server.process_batch(queries, parallelism=3)
-            assert server.engine.parallelism == 3
-            assert [r.encrypted_scores for r in grown] == [
-                r.encrypted_scores for r in baseline
-            ]
+        query = embellisher.embellish(bucketed[:3])
+        kwargs = dict(
+            index=index, organization=organization, public_key=benaloh_keypair.public
+        )
+        in_process = PrivateRetrievalServer(**kwargs).process_query(query)
+        with ExecutionEngine(parallelism=2) as shared:
+            server = PrivateRetrievalServer(engine=shared, **kwargs)
+            pooled = server.process_query(query)
+            assert server.counters.shards_executed >= 2
+            assert shared.counters.tasks_dispatched >= 2
+        assert pooled.encrypted_scores == in_process.encrypted_scores
 
 
 class TestIterBatch:
@@ -362,7 +364,7 @@ class TestEngineFinalizerGuard:
             public_key=benaloh_keypair.public,
             parallelism=2,
         )
-        engine = server._engine_for(2)
+        engine = server._resident_engine()
         engine.start()  # a real resident pool is up
         assert engine.running and not engine.closed
         del server
@@ -399,7 +401,7 @@ class TestEngineFinalizerGuard:
             organization=organization,
             public_key=benaloh_keypair.public,
         )
-        server._engine_for(1)
+        server._resident_engine()
         server.close()
         server.close()  # idempotent
         assert server.engine is None

@@ -26,6 +26,7 @@ import logging
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -42,6 +43,13 @@ def make_batches(embellisher, query_terms, shape):
         batches.append([embellisher.embellish([term]) for term in genuine])
         cursor += size
     return batches
+
+
+def wait_until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
 
 
 def direct_answers(index, service_org, benaloh_keypair, batch):
@@ -115,13 +123,31 @@ class TestBatchCorrectness:
     ):
         service, client = running_service(parallelism=2)
         batch = make_batches(embellisher, query_terms, [2])[0]
-        session = client.open_session("corpus", benaloh_keypair.public, parallelism=2)
+        session = client.open_session("corpus", benaloh_keypair.public)
         results, done = client.run_batch(session, batch, benaloh_keypair.public.n)
         expected = direct_answers(index, service_org, benaloh_keypair, batch)
         assert [r.encrypted_scores for r in results] == [
             e.encrypted_scores for e in expected
         ]
         assert done["counters"]["shards_executed"] >= 2
+
+    def test_session_open_ignores_a_parallelism_key(
+        self, running_service, benaloh_keypair
+    ):
+        """The worker budget is the service's: an old client's ``parallelism``
+        is one more unknown key, and the reply no longer echoes one."""
+        service, client = running_service()
+        reply = client._json(
+            "POST",
+            "/sessions",
+            {
+                "tenant": "corpus",
+                "public_key": wire.encode_public_key(benaloh_keypair.public),
+                "parallelism": 1,
+            },
+        )
+        assert set(reply) == {"session", "tenant"}
+        assert reply["session"] in service.sessions
 
 
 class TestCodecsAndBackends:
@@ -276,6 +302,17 @@ class TestAdmission:
         served: list[list] = []
         shed: list[ServiceError] = []
         lock = threading.Lock()
+        # Saturation as a fact, not a race: the first batch holds the one
+        # active slot until the other five have been queued or shed.
+        gate = threading.Event()
+        holder = service.sessions[sessions[0]].server
+        iter_batch = holder.iter_batch
+
+        def gated(queries):
+            gate.wait(60)
+            return iter_batch(queries)
+
+        holder.iter_batch = gated
 
         def hammer(session_id: str):
             try:
@@ -292,8 +329,12 @@ class TestAdmission:
             threading.Thread(target=hammer, args=(session_id,))
             for session_id in sessions
         ]
-        for thread in threads:
+        threads[0].start()
+        wait_until(lambda: service.admission.active == 1)
+        for thread in threads[1:]:
             thread.start()
+        wait_until(lambda: len(shed) == 4)  # 1 active + 1 pending; the rest shed
+        gate.set()
         for thread in threads:
             thread.join(timeout=120)
 
@@ -312,6 +353,24 @@ class TestAdmission:
         metrics = client.metrics()
         assert metrics["service"]["requests"]["rejected_saturated"] == len(shed)
         assert metrics["service"]["requests"]["admitted"] == len(served)
+
+    def test_session_table_is_bounded(
+        self, running_service, benaloh_keypair, monkeypatch
+    ):
+        """Sessions pin snapshots until closed, so the table has a bound:
+        beyond it an open is shed like any saturated request, and a close
+        frees the slot."""
+        monkeypatch.setattr(app, "MAX_SESSIONS", 2)
+        service, client = running_service(retry_after=0.2)
+        first, _ = [client.open_session("corpus", benaloh_keypair.public) for _ in range(2)]
+        with pytest.raises(ServiceError) as refused:
+            client.open_session("corpus", benaloh_keypair.public)
+        assert refused.value.status == 429 and refused.value.retry_after == 0.2
+        metrics = client.metrics()
+        assert metrics["sessions_active"] == 2
+        assert metrics["service"]["requests"]["rejected_saturated"] == 1
+        client.close_session(first)
+        assert client.open_session("corpus", benaloh_keypair.public) in service.sessions
 
 
 class TestDrain:
@@ -349,6 +408,25 @@ class TestDrain:
         # full drain (runner teardown) completes promptly with nothing in flight
         runner.drain(timeout=30)
 
+    def test_drain_closes_idle_keep_alive_connections(self, running_service, caplog):
+        """An idle keep-alive peer must not outlive the drain -- it used to
+        stay open (and served), and its handler was destroyed pending when
+        the loop stopped."""
+        import gc
+
+        service, client = running_service()
+        runner = running_service.last_runner
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(service.address, timeout=1) as peer:
+                peer.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert peer.recv(4096).startswith(b"HTTP/1.1 200")
+                runner.drain(timeout=30)
+                # EOF within the socket's one-second timeout, not a hang.
+                assert b"HTTP/1.1" not in b"".join(iter(lambda: peer.recv(4096), b""))
+            runner.stop()
+            gc.collect()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
 
 class TestMetrics:
     def test_metrics_reconcile_with_direct_counters(
@@ -384,6 +462,27 @@ class TestMetrics:
         assert metrics["service"]["latency_ms"]["request"]["count"] == 1
         assert metrics["service"]["latency_ms"]["per_query"]["count"] == len(batch)
         assert metrics["tenants"]["corpus"]["batches_answered"] == 1
+
+    def test_tenants_share_the_service_engine(
+        self, running_service, index, embellisher, query_terms, benaloh_keypair
+    ):
+        """Workers hold no index state, so one pool serves every tenant."""
+        service, client = running_service(parallelism=2)
+
+        async def add_twin():
+            service.add_tenant("twin", index=index)
+
+        loop = running_service.last_runner._loop
+        asyncio.run_coroutine_threadsafe(add_twin(), loop).result(5)
+        batch = make_batches(embellisher, query_terms, [2])[0]
+        for tenant in ("corpus", "twin"):
+            session = client.open_session(tenant, benaloh_keypair.public)
+            _, done = client.run_batch(session, batch, benaloh_keypair.public.n)
+            assert done["counters"]["shards_executed"] >= 2
+        metrics = client.metrics()
+        assert metrics["engine"]["pool_starts"] == 1
+        assert metrics["engine"]["queries_executed"] == 2 * len(batch)
+        assert all("engine" not in entry for entry in metrics["tenants"].values())
 
     def test_health_tenants_and_organization_endpoints(
         self, running_service, index, service_org, benaloh_keypair
