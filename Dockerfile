@@ -10,6 +10,16 @@
 #
 # The entrypoint drains gracefully on SIGTERM (docker stop): in-flight
 # batches finish, new requests are refused, worker pools shut down.
+#
+# This image holds neither cffi nor a C compiler, so the service in it
+# accumulates on the python loop: the start-up log says so and /metrics
+# reads kernel.backend "python" (docs/operations.md, "Crypto kernel
+# backend").  The compiled kernel needs both at run time -- it builds on the
+# first start, about 3.5 s, into $REPRO_KERNEL_CACHE.  Untested lines (no
+# image was built with them) that would add it, after FROM:
+#
+#   RUN apt-get update && apt-get install -y --no-install-recommends gcc libc6-dev \
+#       && rm -rf /var/lib/apt/lists/* && pip install --no-cache-dir "cffi>=1.15"
 
 FROM python:3.11-slim
 

@@ -1581,7 +1581,7 @@ def main() -> int:
                 f"WARNING: vectorised >=5x kernel gate SKIPPED -- compiled "
                 f"backend unavailable on this machine "
                 f"({vectorised.get('unavailable_reason')}); the gate is "
-                f"enforced where cffi + numpy + a C toolchain are present (CI)."
+                f"enforced where cffi + a C toolchain are present (CI)."
             )
         speedup_at_4 = parallel_batch["speedup_at_4"]
         if cpus >= 4:

@@ -11,8 +11,8 @@ end to end.)
 Lifecycle
 ---------
 ``start()`` forks the pool eagerly (workers warm up by pre-importing the
-crypto layer and syncing the big-integer backend); any dispatching call
-autostarts a not-yet-started engine lazily.  ``shutdown()`` retires the pool
+crypto layer; the backend a task runs on travels in the task); any dispatching
+call autostarts a not-yet-started engine lazily.  ``shutdown()`` retires the pool
 permanently -- dispatching afterwards raises ``RuntimeError`` -- and the
 engine is a context manager whose exit is a ``shutdown()``.  The worker count
 is fixed at construction: it is the one place a deployment's worker budget is
@@ -105,18 +105,14 @@ def _pool_loss(exc: BaseException) -> bool:
     return isinstance(exc, _LOST_ATTEMPT_ERRORS)
 
 
-def _warm_worker(backend: str) -> None:
-    """Pool initializer: pre-import the crypto layer and sync the backend.
+def _warm_worker() -> None:
+    """Pool initializer: pre-import the crypto layer.
 
-    Runs once per worker process at pool start, so the first real task pays
-    neither the import cost of the crypto modules nor a backend switch.
-    Tasks still carry (and re-assert) the backend themselves -- the warm-up
-    is an optimisation, not a correctness requirement.
+    Runs once per worker process at pool start, so the first real task does
+    not pay the import cost of the crypto modules.  An optimisation, not a
+    correctness requirement: tasks name their backend themselves.
     """
     from repro.crypto import benaloh, paillier  # noqa: F401  (import warm-up)
-
-    if numbertheory.get_backend() != backend:
-        numbertheory.set_backend(backend)
 
 
 @dataclass
@@ -308,7 +304,6 @@ class ExecutionEngine:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.parallelism,
                     initializer=_warm_worker,
-                    initargs=(numbertheory.get_backend(),),
                 )
                 self.counters.pool_starts += 1
             elif reuse:
@@ -383,7 +378,7 @@ class ExecutionEngine:
                 task,
             )
         else:
-            submission = (parallel._shard_task, task)
+            submission = (parallel.accumulate_terms, *task)
         try:
             future = executor.submit(*submission)
         except BaseException as exc:  # noqa: BLE001 -- folded into the future
@@ -491,7 +486,7 @@ class ExecutionEngine:
         for position, shards in enumerate(shard_groups):
             if not shards:
                 continue  # empty query: nothing to dispatch, zero shards
-            tasks = parallel.shard_tasks(shards, modulus, backend)
+            tasks = [(shard, modulus, backend) for shard in shards]
             self.counters.tasks_dispatched += len(tasks)
             futures = [
                 self._dispatch(executor, task, task_index + offset)

@@ -14,7 +14,7 @@ schedule:
 * :class:`FaultInjector` -- the engine-side carrier: holds a plan plus the
   parent-side accounting of what actually fired.
 * :func:`faulted_shard_task` -- the worker entry point the engine dispatches
-  instead of :func:`repro.core.parallel._shard_task` when an injector is
+  instead of :func:`repro.core.parallel.accumulate_terms` when an injector is
   installed.  It applies the planned fault (process kill, delay, transient
   or permanent error) and then runs the real kernel, so a surviving attempt
   produces bit-identical results.
@@ -261,14 +261,14 @@ def _apply_task_fault(plan: FaultPlan, task_index: int, attempt: int) -> None:
 def faulted_shard_task(plan: FaultPlan, task_index: int, attempt: int, task):
     """Worker entry point: apply the planned fault, then run the real kernel.
 
-    Dispatched by the engine in place of ``parallel._shard_task`` when a
+    Dispatched by the engine in place of ``parallel.accumulate_terms`` when a
     :class:`FaultInjector` is installed.  A surviving attempt accumulates
     exactly like the clean path, so results stay bit-identical.
     """
     from repro.core import parallel
 
     _apply_task_fault(plan, task_index, attempt)
-    return parallel._shard_task(task)
+    return parallel.accumulate_terms(*task)
 
 
 def exit_worker(code: int = KILL_EXIT_CODE) -> None:

@@ -20,11 +20,12 @@ This module holds everything that crosses a process boundary:
   multiplications always total exactly the sequential fast path's count
   (``postings - distinct candidates``), so the cost model is unchanged by
   parallelism -- only the op *placement* moves;
-* the **worker entry point** (:func:`_shard_task`), which runs the kernel on
-  the backend its task names -- a value carried in the task, because a
-  ``spawn``-started worker re-imports the crypto layer with the library
-  default (the kernel draws no randomness: results are a pure function of
-  the task under both ``fork`` and ``spawn``);
+* the **backend as a value**: a worker task is the kernel's own argument
+  tuple ``(payload, modulus, backend)`` -- workers run
+  ``accumulate_terms(*task)`` and read no process-wide state, so a
+  ``spawn``-started worker (which re-imports the crypto layer with the
+  library default) and a ``fork``-started one answer alike (the kernel draws
+  no randomness: results are a pure function of the task);
 * the **pending handle** (:class:`PendingResult`) every dispatch returns: one
   query's accumulation, deferred in-process or in flight on a pool.
 
@@ -54,7 +55,6 @@ __all__ = [
     "partition_payload",
     "merge_shard_results",
     "collect_shard_results",
-    "shard_tasks",
 ]
 
 #: Per-term work unit shipped to workers: ``(encrypted_selector, doc_ids,
@@ -106,14 +106,12 @@ def accumulate_terms(
     This is the one implementation behind every fast query: the in-process
     path, every shard worker and every batch worker.  Returns the
     per-document encrypted accumulators and the exact operation counts.  The
-    per-posting loop below is the correctness oracle, written generically
-    over the backend integer (plain ``int``, or ``mpz`` under ``gmpy2`` via
-    :func:`repro.crypto.numbertheory.backend_int`); the ``cffi`` backend
+    per-posting loop below is the correctness oracle; the ``cffi`` backend
     hands whole payloads to the one-call Montgomery-form C kernel in
     :mod:`repro.crypto.kernels`, falling back to the loop (and booking the
-    reason there) whenever a payload leaves the kernel's envelope.  Every
-    backend returns plain-``int`` accumulators in the same insertion order
-    with identical values and identical counters.
+    reason there) whenever a payload leaves the kernel's envelope.  Both
+    return plain-``int`` accumulators in the same insertion order with
+    identical values and identical counters.
 
     ``backend`` is the caller's choice, passed as a value -- the serving
     front-end resolves one at start-up and threads it down here without
@@ -127,18 +125,13 @@ def accumulate_terms(
         if fast is not None:
             accumulators, postings, table_mults, accumulator_mults = fast
             return accumulators, ShardCounts(postings, table_mults, accumulator_mults)
-    # Only gmpy2 wraps its operands (mpz follows the process-wide backend,
-    # which _shard_task syncs); python and a declined cffi payload loop on
-    # plain ints whatever that backend is.
-    wrap = numbertheory.backend_int if backend == "gmpy2" else int
-    modulus = wrap(modulus)
     counts = ShardCounts()
     accumulators: dict[int, int] = {}
     accumulator_get = accumulators.get
     for selector, doc_ids, impacts in payload:
         if not len(doc_ids):
             continue
-        table, table_mults = build_power_table(wrap(selector), impacts, modulus)
+        table, table_mults = build_power_table(selector, impacts, modulus)
         counts.table_multiplications += table_mults
         counts.postings += len(doc_ids)
         # One table lookup + at most one accumulator multiplication per
@@ -153,8 +146,6 @@ def accumulate_terms(
                 accumulators[doc_id] = existing * table[impact] % modulus
         new_candidates += len(accumulators)
         counts.accumulator_multiplications += len(doc_ids) - new_candidates
-    if backend == "gmpy2":
-        accumulators = {doc_id: int(value) for doc_id, value in accumulators.items()}
     return accumulators, counts
 
 
@@ -212,13 +203,6 @@ def merge_shard_results(
                 merged[doc_id] = existing * value % modulus
                 merge_multiplications += 1
     return merged, merge_multiplications
-
-
-def shard_tasks(
-    shards: Sequence[Sequence[TermPayload]], modulus: int, backend: str
-) -> list[tuple[Sequence[TermPayload], int, str]]:
-    """The worker task tuples ``(payload, modulus, backend)`` for a list of shards."""
-    return [(shard, modulus, backend) for shard in shards]
 
 
 def collect_shard_results(
@@ -305,22 +289,3 @@ class PendingResult:
                 )
                 self._resolved = (merged, counts, merge_multiplications, self.shards)
         return self._resolved
-
-
-def _shard_task(
-    task: tuple[Sequence[TermPayload], int, str],
-) -> tuple[dict[int, int], ShardCounts]:
-    """Worker entry point: run the kernel on the backend the task names.
-
-    The backend travels in the task because a ``spawn``-started worker
-    re-imports :mod:`repro.crypto.numbertheory` with the default backend
-    (``fork`` inherits it).  ``cffi`` needs nothing else -- the kernel loads
-    on first use and a worker that cannot load it runs the loop -- while
-    gmpy2's ``mpz`` wrapping follows the process-wide backend, so that one
-    is synced first; without it gmpy2 acceleration would silently drop to
-    pure python on spawn platforms.
-    """
-    payload, modulus, backend = task
-    if backend == "gmpy2" and numbertheory.get_backend() != backend:
-        numbertheory.set_backend(backend)
-    return accumulate_terms(payload, modulus, backend)

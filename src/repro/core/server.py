@@ -157,8 +157,8 @@ class PrivateRetrievalServer:
         server creates (and owns) one of that size on its first fast call
         and keeps it warm across calls until :meth:`close`.
     backend:
-        The big-integer backend the fast path accumulates on, carried as a
-        value into every pending handle and shard task.  ``None`` (the
+        The arithmetic (``"python"`` or ``"cffi"``) the fast path accumulates
+        on, carried as a value into every pending handle and shard task.  ``None`` (the
         default) follows the library-wide
         :func:`repro.crypto.numbertheory.get_backend`; the serving front-end
         passes the one it resolved at start-up, so serving on the compiled

@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.crypto.numbertheory import generate_prime_with_condition, modexp, modinv, modmul
+from repro.crypto.numbertheory import generate_prime_with_condition, modinv
 
 __all__ = [
     "BenalohPublicKey",
@@ -77,9 +77,7 @@ class BenalohPublicKey:
             raise ValueError(f"message {message} outside Z_{self.r}")
         rng = rng if rng is not None else _DEFAULT_RNG
         mu = self._random_unit(rng)
-        # modexp/modmul dispatch to the optional gmpy2 backend when enabled;
-        # under the default pure-python backend they are pow / (a*b) % n.
-        return modmul(modexp(self.g, message, self.n), modexp(mu, self.r, self.n), self.n)
+        return pow(self.g, message, self.n) * pow(mu, self.r, self.n) % self.n
 
     def rerandomize(self, ciphertext: int, rng: random.Random | None = None) -> int:
         """Multiply in an encryption of zero, producing a fresh ciphertext of the same plaintext."""
@@ -110,7 +108,7 @@ class BenalohPublicKey:
         """
         if scalar < 0:
             raise ValueError("impact values must be non-negative integers")
-        return modexp(ciphertext, scalar, self.n)
+        return pow(ciphertext, scalar, self.n)
 
     def _random_unit(self, rng: random.Random) -> int:
         while True:

@@ -30,7 +30,11 @@ and canonical residues in first-occurrence order.  Montgomery conversion is
 a bijection on ``Z_n`` and every intermediate is kept canonical (``< n``),
 so residues, dict order and operation counters are bit-identical to the
 pure-python oracle loop.  Nothing is cached per column, and all scratch is
-per call: cffi releases the GIL, sessions accumulate concurrently.
+per call: cffi releases the GIL, sessions accumulate concurrently.  The
+common-exponent batch (:func:`modexp_batch`) and the PIR row fold
+(:func:`pir_fold_rows`) marshal the same way -- ``bytes`` in, one C call,
+one ``bytearray`` out, canonical residues on both sides -- so the standard
+library is all the marshalling needs.
 
 **The compiled backend.**  The C kernel is compiled on demand with cffi
 (``-O3``, plain C, no external libraries) and cached on disk under
@@ -60,7 +64,6 @@ from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
-    "HAVE_NUMPY",
     "HAVE_CFFI",
     "power_table_strategy",
     "power_table_plan",
@@ -74,17 +77,7 @@ __all__ = [
     "modexp_batch",
 ]
 
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 HAVE_CFFI = importlib.util.find_spec("cffi") is not None
-
-
-def _numpy():
-    """numpy, imported by the first call that marshals through it (the PIR
-    row fold and the common-exponent batch); accumulation never does, so a
-    process that only serves queries needs no numpy, nor carries its 16 MB."""
-    import numpy
-
-    return numpy
 
 
 # -- strategy selection -------------------------------------------------------------
@@ -170,8 +163,8 @@ class PowerPlan:
     ``slot_of`` maps each distinct impact to the slot holding its power.
     ``len(ops)`` equals :func:`power_table_strategy`'s predicted cost by
     construction -- asserted at build time -- which is what keeps
-    ``table_multiplications`` identical across the python, gmpy2 and
-    compiled execution paths.
+    ``table_multiplications`` identical across the python and compiled
+    execution paths.
     """
 
     __slots__ = ("strategy", "ops", "slot_of", "nslots", "_packed")
@@ -290,9 +283,8 @@ def build_power_table(selector: int, impacts, modulus: int) -> tuple[dict[int, i
     """``({p: E(u)^p}, multiplications)`` for one list's distinct impacts.
 
     Executes the cached :func:`power_table_plan` with plain modular
-    arithmetic; ``selector`` may be any type supporting ``*`` and ``%``
-    (plain int, or gmpy2 ``mpz`` under that backend).  ``table[1]`` is the
-    selector object itself, unreduced, matching the historic builder.
+    arithmetic.  ``table[1]`` is the selector object itself, unreduced,
+    matching the historic builder.
     """
     distinct = tuple(sorted(set(impacts)))
     if not distinct:
@@ -739,29 +731,58 @@ done:
     return ncand;
 }
 
-void repro_fold(uint64_t *acc, const uint64_t *table, const uint32_t *rows,
-                const uint32_t *tidx, long count, const uint64_t *n,
-                uint64_t n0inv, int nl)
+/* The packed PIR answer: out row i = base * prod_{set bits j < cols of
+ * row i's mask} ratios[j] mod n, masks being mask_bytes little-endian bytes
+ * per row, base and ratios canonical.  The fold runs in the normal domain
+ * against a Montgomery-form ratio table (mont_mul(x, y*R) = x*y mod n), so
+ * the accumulators stay canonical throughout; the table lives behind the
+ * last row of out, which the caller sizes (rows + cols) * nl.  Returns the
+ * number of multiplications folded in (the set bits below cols). */
+long repro_fold_masks(uint64_t *out, const unsigned char *masks, long rows,
+                      long cols, const uint64_t *base, const uint64_t *ratios,
+                      const uint64_t *r2, const uint64_t *n, uint64_t n0inv,
+                      int nl)
 {
-    for (long i = 0; i < count; i++) {
-        uint64_t *slot = acc + (long)rows[i] * nl;
-        mont_mul_(slot, slot, table + (long)tidx[i] * nl, n, n0inv, nl);
+    const long mask_bytes = (cols + 7) / 8;
+    uint64_t *table = out + (size_t)rows * nl;
+    long count = 0;
+    for (long j = 0; j < cols; j++)
+        mont_mul_(table + (size_t)j * nl, ratios + (size_t)j * nl, r2, n, n0inv, nl);
+    for (long i = 0; i < rows; i++) {
+        uint64_t *acc = out + (size_t)i * nl;
+        memcpy(acc, base, (size_t)nl * sizeof(uint64_t));
+        for (long k = 0; k < mask_bytes; k++) {
+            for (unsigned byte = masks[i * mask_bytes + k]; byte; byte &= byte - 1) {
+                const long j = 8 * k + __builtin_ctz(byte);
+                if (j >= cols)
+                    break;
+                mont_mul_(acc, acc, table + (size_t)j * nl, n, n0inv, nl);
+                count++;
+            }
+        }
     }
+    return count;
 }
 
+/* out[i] = bases[i]^exp mod n, canonical residues in and out: each base
+ * goes to Montgomery form, climbs the square-and-multiply ladder there and
+ * is REDC'd back. */
 void repro_pow_many(uint64_t *out, const uint64_t *bases, long count,
-                    const uint64_t *exp, int ebits, const uint64_t *one_m,
-                    const uint64_t *n, uint64_t n0inv, int nl)
+                    const uint64_t *exp, int ebits, const uint64_t *r2,
+                    const uint64_t *one_m, const uint64_t *n, uint64_t n0inv,
+                    int nl)
 {
+    uint64_t base[MAXL];
     for (long i = 0; i < count; i++) {
-        const uint64_t *base = bases + i * nl;
         uint64_t *res = out + i * nl;
+        mont_mul_(base, bases + i * nl, r2, n, n0inv, nl);
         memcpy(res, one_m, (size_t)nl * sizeof(uint64_t));
         for (int bit = ebits - 1; bit >= 0; bit--) {
             mont_mul_(res, res, res, n, n0inv, nl);
             if ((exp[bit >> 6] >> (bit & 63)) & 1)
                 mont_mul_(res, res, base, n, n0inv, nl);
         }
+        mont_redc_(res, res, n, n0inv, nl);
     }
 }
 """
@@ -778,12 +799,14 @@ long repro_accumulate(long nterms, const uint64_t *selectors,
                       long postings, long max_slots, uint64_t *out_rows,
                       const uint64_t *r2, const uint64_t *one_m,
                       const uint64_t *n, uint64_t n0inv, int nl);
-void repro_fold(uint64_t *acc, const uint64_t *table, const uint32_t *rows,
-                const uint32_t *tidx, long count, const uint64_t *n,
-                uint64_t n0inv, int nl);
+long repro_fold_masks(uint64_t *out, const unsigned char *masks, long rows,
+                      long cols, const uint64_t *base, const uint64_t *ratios,
+                      const uint64_t *r2, const uint64_t *n, uint64_t n0inv,
+                      int nl);
 void repro_pow_many(uint64_t *out, const uint64_t *bases, long count,
-                    const uint64_t *exp, int ebits, const uint64_t *one_m,
-                    const uint64_t *n, uint64_t n0inv, int nl);
+                    const uint64_t *exp, int ebits, const uint64_t *r2,
+                    const uint64_t *one_m, const uint64_t *n, uint64_t n0inv,
+                    int nl);
 """
 
 _COMPILE_ARGS = ("-O3",)
@@ -859,7 +882,8 @@ def _compile_or_load():
 
 def _self_test(ffi, lib) -> None:
     """Verify the compiled arithmetic against python pow/mul on random cases,
-    and the accumulation entry point against the per-posting loop."""
+    and every entry point -- accumulation, the common-exponent batch, the
+    PIR row fold -- against its python loop, at each modulus size."""
     import random
 
     rng = random.Random(0x5EED)
@@ -909,6 +933,28 @@ def _self_test(ffi, lib) -> None:
         got = _accumulate(ffi, lib, payload, modulus)
         if got is None or list(got[0].items()) != list(want.items()):
             raise RuntimeError(f"compiled accumulation self-test failed at {bits} bits")
+        # mu^r: edge and random bases under an exponent spanning two words.
+        bases = [0, 1, modulus - 1, *(rng.randrange(modulus) for _ in range(3))]
+        exponent = rng.getrandbits(70) | 1 << 69
+        if _pow_many(ffi, lib, bases, exponent, modulus) != [
+            pow(base, exponent, modulus) for base in bases
+        ]:
+            raise RuntimeError(f"compiled modexp batch self-test failed at {bits} bits")
+        # The PIR answer: empty, full and random rows of an 11-column matrix
+        # (two mask bytes per row, the second one partial).
+        cols = 11
+        masks = [0, (1 << cols) - 1, *(rng.getrandbits(cols) for _ in range(4))]
+        base, *ratios = (rng.randrange(1, modulus) for _ in range(1 + cols))
+        want_rows = []
+        for mask in masks:
+            gamma = base
+            for column in range(cols):
+                if mask >> column & 1:
+                    gamma = gamma * ratios[column] % modulus
+            want_rows.append(gamma)
+        want_fold = (want_rows, sum(mask.bit_count() for mask in masks))
+        if _fold_rows(ffi, lib, masks, cols, base, ratios, modulus) != want_fold:
+            raise RuntimeError(f"compiled PIR row fold self-test failed at {bits} bits")
 
 
 def ensure_compiled():
@@ -976,11 +1022,8 @@ def fallback_counts() -> dict[str, int]:
         return dict(_FALLBACKS)
 
 
-def _loaded(numpy: bool = False):
-    """``(ffi, lib)``, or None when the build is unavailable (booked as
-    ``no_kernel``) or the caller marshals through an absent numpy (``no_numpy``)."""
-    if numpy and not HAVE_NUMPY:
-        return _declined("no_numpy")
+def _loaded():
+    """``(ffi, lib)``, or None (booked as ``no_kernel``) when the build is unavailable."""
     try:
         return ensure_compiled()
     except RuntimeError:
@@ -1041,11 +1084,9 @@ def _u32_ptr(ffi, arr):
     return ffi.from_buffer("uint32_t[]", arr, require_writable=False)
 
 
-def _ints_to_rows(values, nl: int):
-    """Pack an iterable of ints (< 2^(64*nl)) into a (count, nl) uint64 array."""
-    width = nl * 8
-    raw = b"".join(value.to_bytes(width, "little") for value in values)
-    return _numpy().frombuffer(raw, dtype="uint64").reshape(-1, nl).copy()
+def _ints_to_bytes(values, width: int) -> bytes:
+    """``values`` (ints ``< 2^(8*width)``) as packed little-endian ``width``-byte rows."""
+    return b"".join(value.to_bytes(width, "little") for value in values)
 
 
 def _bytes_to_ints(raw, width: int) -> list[int]:
@@ -1055,16 +1096,6 @@ def _bytes_to_ints(raw, width: int) -> list[int]:
         from_bytes(raw[offset : offset + width], "little")
         for offset in range(0, len(raw), width)
     ]
-
-
-def _to_montgomery(ffi, lib, rows, context):
-    """Convert a (count, nl) array of canonical residues to Montgomery form."""
-    out = _numpy().empty_like(rows)
-    lib.repro_mul_many(
-        _u64_ptr(ffi, out), _u64_ptr(ffi, rows), rows.shape[0], context.r2_c,
-        *context.modulus_args,
-    )
-    return out
 
 
 #: Envelope ceilings; payloads beyond them fall back to the oracle loop.  The
@@ -1194,10 +1225,16 @@ def pir_fold_rows(row_masks, cols: int, base: int, ratios, modulus: int):
     multiplications the python path would meter), or ``None`` when the
     kernel envelope does not apply and the caller should run the loop.
     """
-    loaded = _loaded(numpy=True)
+    loaded = _loaded()
     if loaded is None:
         return None
-    ffi, lib = loaded
+    return _fold_rows(*loaded, row_masks, cols, base, ratios, modulus)
+
+
+def _fold_rows(ffi, lib, row_masks, cols: int, base: int, ratios, modulus: int):
+    """Marshal one packed matrix into a single ``repro_fold_masks`` call: the
+    row masks and ``base`` + ``ratios`` as byte strings in, one buffer out
+    (answer rows, then the kernel's Montgomery ratio table)."""
     context = _montgomery_context(ffi, modulus)
     if context is None:
         return None
@@ -1208,47 +1245,39 @@ def pir_fold_rows(row_masks, cols: int, base: int, ratios, modulus: int):
         return _declined("matrix_cap")
     if not 0 <= base < modulus:
         return _declined("base_out_of_ring")
-    np = _numpy()
-    nl = context.nl
-    mask_bytes = (cols + 7) // 8
+    width = context.nl * 8
     try:
-        packed = b"".join(mask.to_bytes(mask_bytes, "little") for mask in row_masks)
-        ratio_rows = _ints_to_rows(ratios, nl)
+        masks = _ints_to_bytes(row_masks, (cols + 7) // 8)
+        table = _ints_to_bytes((base, *ratios), width)
     except (OverflowError, ValueError, TypeError, AttributeError):
         return _declined("matrix_type")
-    if ratio_rows.shape[0] != cols:
+    if len(table) != (1 + cols) * width:
         return _declined("ratio_mismatch")
-    bit_matrix = np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(rows, mask_bytes),
-        axis=1,
-        bitorder="little",
-    )[:, :cols]
-    fold_rows, fold_cols = np.nonzero(bit_matrix)
-    count = len(fold_rows)
-
-    # Fold in the normal domain against a Montgomery-form ratio table:
-    # mont_mul(x, y*R) = x*y mod n, so the accumulators stay canonical
-    # residues throughout and no per-row output conversion is needed.
-    ratios_m = _to_montgomery(ffi, lib, ratio_rows, context)
-    base_rows = _ints_to_rows([base], nl)
-    accumulators = np.ascontiguousarray(np.broadcast_to(base_rows[0], (rows, nl)))
-    lib.repro_fold(
-        _u64_ptr(ffi, accumulators),
-        _u64_ptr(ffi, ratios_m),
-        _u32_ptr(ffi, np.ascontiguousarray(fold_rows.astype(np.uint32))),
-        _u32_ptr(ffi, np.ascontiguousarray(fold_cols.astype(np.uint32))),
-        count,
+    table_c = _u64_ptr(ffi, table)
+    out = bytearray((rows + cols) * width)
+    count = lib.repro_fold_masks(
+        ffi.from_buffer("uint64_t[]", out),
+        ffi.from_buffer("unsigned char[]", masks),
+        rows,
+        cols,
+        table_c,
+        table_c + context.nl,
+        context.r2_c,
         *context.modulus_args,
     )
-    return _bytes_to_ints(accumulators.tobytes(), nl * 8), count
+    return _bytes_to_ints(bytes(memoryview(out)[: rows * width]), width), count
 
 
 def _modexp_batch_compiled(bases, exponent: int, modulus: int):
     """``[pow(b, e, n) for b in bases]`` on the kernel, or None off-envelope."""
-    loaded = _loaded(numpy=True)
+    loaded = _loaded()
     if loaded is None:
         return None
-    ffi, lib = loaded
+    return _pow_many(*loaded, bases, exponent, modulus)
+
+
+def _pow_many(ffi, lib, bases, exponent: int, modulus: int):
+    """Marshal one common-exponent batch into a single ``repro_pow_many`` call."""
     context = _montgomery_context(ffi, modulus)
     if context is None:
         return None
@@ -1256,29 +1285,20 @@ def _modexp_batch_compiled(bases, exponent: int, modulus: int):
         return _declined("negative_exponent")
     if not all(isinstance(b, int) and 0 <= b < modulus for b in bases):
         return _declined("base_out_of_ring")
-    np = _numpy()
-    nl = context.nl
-    base_rows = _ints_to_rows(bases, nl)
-    bases_m = _to_montgomery(ffi, lib, base_rows, context)
+    width = context.nl * 8
     ebits = exponent.bit_length()
-    exp_words = max(1, (ebits + 63) // 64)
-    exp_c = ffi.new("uint64_t[]", exp_words)
-    ffi.memmove(exp_c, exponent.to_bytes(exp_words * 8, "little"), exp_words * 8)
-    powers_m = np.empty_like(bases_m)
+    out = bytearray(len(bases) * width)
     lib.repro_pow_many(
-        _u64_ptr(ffi, powers_m),
-        _u64_ptr(ffi, bases_m),
+        ffi.from_buffer("uint64_t[]", out),
+        _u64_ptr(ffi, _ints_to_bytes(bases, width)),
         len(bases),
-        exp_c,
+        _u64_ptr(ffi, exponent.to_bytes(max(8, (ebits + 63) // 64 * 8), "little")),
         ebits,
+        context.r2_c,
         context.one_c,
         *context.modulus_args,
     )
-    out = np.empty_like(powers_m)
-    lib.repro_redc_many(
-        _u64_ptr(ffi, out), _u64_ptr(ffi, powers_m), len(bases), *context.modulus_args
-    )
-    return _bytes_to_ints(out.tobytes(), nl * 8)
+    return _bytes_to_ints(bytes(out), width)
 
 
 def modexp_batch(bases, exponent: int, modulus: int) -> list[int]:
@@ -1287,22 +1307,16 @@ def modexp_batch(bases, exponent: int, modulus: int) -> list[int]:
     A common-exponent batch (the zero-pool replenishment shape: every pool
     entry is ``mu^r mod n`` for the same public ``r``).  Dispatches on
     :func:`repro.crypto.numbertheory.get_backend`: the compiled kernel runs
-    one Montgomery square-and-multiply per base; gmpy2 uses ``powmod`` with
-    the attribute lookups hoisted; pure python is the oracle.  All paths
-    return identical canonical residues.
+    one Montgomery square-and-multiply per base; pure python is the oracle.
+    Both return identical canonical residues.
     """
     bases = list(bases)
     if not bases:
         return []
     from repro.crypto import numbertheory
 
-    backend = numbertheory.get_backend()
-    if backend == "cffi":
+    if numbertheory.get_backend() == "cffi":
         result = _modexp_batch_compiled(bases, exponent, modulus)
         if result is not None:
             return result
-    elif backend == "gmpy2":  # pragma: no cover - exercised only with gmpy2
-        powmod = numbertheory.gmpy2_powmod()
-        if powmod is not None:
-            return [int(powmod(base, exponent, modulus)) for base in bases]
     return [pow(base, exponent, modulus) for base in bases]

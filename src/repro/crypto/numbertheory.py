@@ -6,6 +6,9 @@ arithmetic are implemented from first principles.  The functions accept a
 :class:`random.Random` instance wherever randomness is needed, which keeps the
 whole crypto layer deterministic under a seeded generator -- essential both
 for reproducible experiments and for property-based tests.
+
+It also holds the library's backend gate (:func:`set_backend`): two
+arithmetics, ``"python"`` and ``"cffi"``.
 """
 
 from __future__ import annotations
@@ -15,15 +18,11 @@ import random
 from typing import Iterable, Sequence
 
 __all__ = [
-    "HAVE_GMPY2",
     "HAVE_CFFI",
     "available_backends",
     "get_backend",
     "set_backend",
-    "backend_int",
     "reseed_default_rng",
-    "modmul",
-    "modexp",
     "egcd",
     "modinv",
     "is_probable_prime",
@@ -36,25 +35,15 @@ __all__ = [
     "bit_length_of",
 ]
 
-# -- optional accelerated big-integer backends -------------------------------------
+# -- the two arithmetics -------------------------------------------------------------
 #
-# ``gmpy2`` (GMP bindings) speeds up the modular arithmetic that dominates the
-# hot paths by several times at realistic key sizes, and ``cffi`` compiles the
-# batched Montgomery kernels of :mod:`repro.crypto.kernels` on machines with a
-# C toolchain.  Both are strictly optional: availability is auto-detected
-# here, but pure Python stays the *default and the correctness oracle* -- this
-# process-wide backend only switches on an explicit :func:`set_backend` call,
-# so a plain install never silently changes which code computes the published
-# numbers.  (The serving front-end picks its own backend at start-up and
-# passes it down as a value; it neither reads nor sets this one.)
-
-try:  # pragma: no cover - exercised only where gmpy2 is installed
-    import gmpy2 as _gmpy2
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - the baked-in toolchain has no gmpy2
-    _gmpy2 = None
-    HAVE_GMPY2 = False
+# Pure python is the *default and the correctness oracle*; ``cffi`` plus a C
+# compiler, the one optional dependency, builds the batched Montgomery kernel
+# of :mod:`repro.crypto.kernels`.  This process-wide backend only switches on
+# an explicit :func:`set_backend` call, so a plain install never silently
+# changes which code computes the published numbers.  (The serving front-end
+# picks its own backend at start-up and passes it down as a value; it neither
+# reads nor sets this one.)
 
 try:
     import importlib.util as _importlib_util
@@ -84,122 +73,43 @@ def reseed_default_rng(seed: int) -> None:
 def available_backends() -> tuple[str, ...]:
     """Backends usable on this install.
 
-    ``"python"`` always; ``"gmpy2"`` when importable; ``"cffi"`` when cffi is
-    importable (actually compiling the kernel is deferred to
-    :func:`set_backend`, which fails loudly when no C toolchain exists).
+    ``"python"`` always; ``"cffi"`` when cffi is importable (actually
+    compiling the kernel is deferred to :func:`set_backend`, which fails
+    loudly when no C toolchain exists).
     """
-    backends = ["python"]
-    if HAVE_GMPY2:
-        backends.append("gmpy2")
-    if HAVE_CFFI:
-        backends.append("cffi")
-    return tuple(backends)
+    return ("python", "cffi") if HAVE_CFFI else ("python",)
 
 
 def get_backend() -> str:
-    """The active big-integer backend name."""
+    """The active backend name."""
     return _BACKEND
 
 
-def _python_modmul(a: int, b: int, modulus: int) -> int:
-    return (a * b) % modulus
-
-
-def _python_modexp(base: int, exponent: int, modulus: int) -> int:
-    return pow(base, exponent, modulus)
-
-
-def _gmpy2_ops():  # pragma: no cover - exercised only where gmpy2 is installed
-    """Scalar modmul/modexp with gmpy2 attribute lookups hoisted.
-
-    Binding ``mpz``/``powmod`` into closure cells once per backend switch
-    (instead of resolving ``_gmpy2.mpz`` on every call) is what makes the
-    scalar helpers safe to use in per-posting loops.
-    """
-    mpz = _gmpy2.mpz
-    powmod = _gmpy2.powmod
-
-    def gmpy2_modmul(a: int, b: int, modulus: int) -> int:
-        return int(mpz(a) * b % modulus)
-
-    def gmpy2_modexp(base: int, exponent: int, modulus: int) -> int:
-        return int(powmod(base, exponent, modulus))
-
-    return gmpy2_modmul, gmpy2_modexp
-
-
-def gmpy2_powmod():
-    """The raw ``gmpy2.powmod`` (or None), for batch helpers that hoist it."""
-    return _gmpy2.powmod if HAVE_GMPY2 else None
-
-
-_MODMUL = _python_modmul
-_MODEXP = _python_modexp
-
-
 def set_backend(name: str) -> str:
-    """Select the big-integer backend; returns the previously active one.
+    """Select the batch-arithmetic backend; returns the previously active one.
 
-    ``"python"`` is always accepted.  ``"gmpy2"`` raises :class:`RuntimeError`
-    when the module is not importable, and ``"cffi"`` raises
-    :class:`RuntimeError` when cffi is missing or the kernel fails to
-    compile (no C toolchain), so callers fail loudly instead of silently
-    benchmarking the wrong arithmetic.  Scalar :func:`modmul`/:func:`modexp`
-    are rebound on switch; the batch entry points
+    ``"python"`` is always accepted.  ``"cffi"`` compiles the kernel (or
+    loads the cached build) now and raises :class:`RuntimeError` naming the
+    missing piece -- cffi or a C compiler -- so callers fail loudly instead
+    of silently benchmarking the wrong arithmetic, and the previous backend
+    stays.  The batch entry points
     (:func:`repro.core.parallel.accumulate_terms`, the PIR row fold,
     :func:`repro.crypto.kernels.modexp_batch`) read :func:`get_backend` per
-    call unless their caller names a backend itself.
+    call unless their caller names a backend itself; scalar arithmetic is
+    builtin ``pow`` and ``*`` everywhere (a single modmul has no batch to
+    amortise marshalling over).
     """
-    global _BACKEND, _MODMUL, _MODEXP
-    if name not in ("python", "gmpy2", "cffi"):
+    global _BACKEND
+    if name not in ("python", "cffi"):
         raise ValueError(f"unknown backend {name!r}; choose from {available_backends()}")
-    if name == "gmpy2" and not HAVE_GMPY2:
-        raise RuntimeError(
-            "the gmpy2 backend was requested but gmpy2 is not installed; "
-            "install the optional extra (pip install 'repro-pangdx10[fast]')"
-        )
     if name == "cffi":
-        # Compiles (or loads the cached kernel) now, raising a RuntimeError
-        # that names the missing piece -- cffi or a C compiler.  (Without
-        # numpy the PIR fold and modexp_batch decline to the loop, booked
-        # as ``no_numpy``; accumulation does not use it.)
         from repro.crypto import kernels
 
         kernels.ensure_compiled()
     previous = _BACKEND
     _BACKEND = name
-    if name == "gmpy2":  # pragma: no cover - exercised only with gmpy2
-        _MODMUL, _MODEXP = _gmpy2_ops()
-    else:
-        # The compiled backend accelerates the *batch* kernels; its scalar
-        # helpers stay on python arithmetic (a single modmul has no batch to
-        # amortise conversions over).
-        _MODMUL, _MODEXP = _python_modmul, _python_modexp
     return previous
 
-
-def backend_int(value: int):
-    """Convert ``value`` to the active backend's integer type.
-
-    Arithmetic operators on the returned values dispatch to GMP when the
-    gmpy2 backend is active, so hot loops written with plain ``*`` and ``%``
-    accelerate without branching per operation.  Under the python and cffi
-    backends this is the identity (the cffi backend batches whole payloads
-    instead of wrapping scalars).
-    """
-    if _BACKEND == "gmpy2":
-        return _gmpy2.mpz(value)
-    return value
-
-
-def modmul(a: int, b: int, modulus: int) -> int:
-    """``(a * b) % modulus`` on the active backend, returned as a plain int."""
-    return _MODMUL(a, b, modulus)
-
-
-def modexp(base: int, exponent: int, modulus: int) -> int:
-    """``pow(base, exponent, modulus)`` on the active backend, as a plain int."""
-    return _MODEXP(base, exponent, modulus)
 
 # Small primes used for cheap trial division before Miller-Rabin.
 _SMALL_PRIMES: Sequence[int] = (

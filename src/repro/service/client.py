@@ -198,18 +198,20 @@ class ServiceClient:
         """Stream one batch; yields each record of the stream as a dict.
 
         Records arrive in query order: ``kind == "result"`` records carry
-        ``index``, per-query ``counters``, ``ms`` and ``result`` -- the
-        decoded :class:`EncryptedResult`, every score checked against
-        ``modulus`` (the session public key's ``n``, which also sizes the
-        frames); the final ``kind == "done"`` record carries batch totals
-        and timings.  A ``kind == "error"`` record (the batch failed
-        server-side after admission) is raised as :class:`ServiceError` with
-        status 500, a malformed record as
+        ``index`` (result ``k`` of the stream must say ``k``: position alone
+        would hand one query another's candidates), per-query ``counters``,
+        ``ms`` and ``result`` -- the decoded :class:`EncryptedResult`, every
+        score checked against ``modulus`` (the session public key's ``n``,
+        which also sizes the frames); the final ``kind == "done"`` record
+        carries batch totals and timings.  A ``kind == "error"`` record (the
+        batch failed server-side after admission) is raised as
+        :class:`ServiceError` with status 500, a malformed record as
         :class:`~repro.service.wire.WireError`.
         """
         response = self._request(
             "POST", f"/sessions/{session_id}/queries", encode_batch_frame(queries, modulus)
         )
+        results = 0
         try:
             while True:
                 try:
@@ -232,6 +234,10 @@ class ServiceClient:
                 if kind == "error":
                     raise ServiceError(500, record.get("error", "batch failed"))
                 if kind == "result":
+                    index = record.get("index")
+                    if type(index) is not int or index != results:
+                        raise WireError(f"result {results} of the stream says index {index!r}")
+                    results += 1
                     record["result"] = decode_result_frame(record, body, modulus)
                 elif body:
                     raise WireError(f"{len(body)} trailing bytes on a {kind!r} frame")

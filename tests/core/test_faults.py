@@ -184,8 +184,8 @@ class TestFaultedShardTask:
 
         modulus = 1009 * 1013
         payload = [(17, array("I", [1, 2, 3]), array("I", [2, 4, 6]))]
-        task = parallel.shard_tasks([payload], modulus, "python")[0]
-        expected = parallel._shard_task(task)
+        task = (payload, modulus, "python")
+        expected = parallel.accumulate_terms(*task)
         got = faults.faulted_shard_task(FaultPlan(), 0, 0, task)
         assert got == expected
 
@@ -196,9 +196,9 @@ class TestFaultedShardTask:
 
         modulus = 1009 * 1013
         payload = [(17, array("I", [1]), array("I", [2]))]
-        task = parallel.shard_tasks([payload], modulus, "python")[0]
+        task = (payload, modulus, "python")
         plan = FaultPlan(transient_at=frozenset({(0, 0)}))
         with pytest.raises(TransientFaultError):
             faults.faulted_shard_task(plan, 0, 0, task)
         # The next attempt at the same index is clean and bit-identical.
-        assert faults.faulted_shard_task(plan, 0, 1, task) == parallel._shard_task(task)
+        assert faults.faulted_shard_task(plan, 0, 1, task) == parallel.accumulate_terms(*task)

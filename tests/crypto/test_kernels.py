@@ -10,6 +10,7 @@ import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import threading
 from array import array
@@ -248,11 +249,6 @@ class TestAccumulateEquivalence:
             patch.setattr(kernels, "_COMPILED", None)
             patch.setattr(kernels, "_COMPILE_ERROR", "no toolchain on this host")
             assert_declined("no_kernel", lambda: accumulate(payload, 101))
-        with monkeypatch.context() as patch:  # accumulation needs no numpy; the PIR fold does
-            patch.setattr(kernels, "HAVE_NUMPY", False)
-            patch.setattr(kernels, "_COMPILED", None)
-            assert kernels.compiled_available() and accumulate(payload, 101) is not None
-            assert_declined("no_numpy", lambda: kernels.pir_fold_rows([1], 1, 2, [1], 101))
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_failed_self_test_is_cached_not_rerun_per_payload(self, monkeypatch):
@@ -278,6 +274,84 @@ class TestAccumulateEquivalence:
                 kernels.ensure_compiled()
             reasons.append(str(excinfo.value))
         assert reasons[0] == reasons[1]
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_self_test_refuses_a_build_whose_pow_or_fold_is_wrong(self):
+        """Regression: the load-time self-test never called the modexp batch
+        or the PIR fold, so ``set_backend("cffi")`` served them unverified."""
+        ffi, lib = kernels.ensure_compiled()
+        kernels._self_test(ffi, lib)
+
+        class OneWrongEntry:
+            def __init__(self, broken):
+                self.broken = broken
+
+            def __getattr__(self, name):
+                entry = getattr(lib, name)
+                if name != self.broken:
+                    return entry
+
+                def wrong(out, *args):
+                    returned = entry(out, *args)
+                    out[0] ^= 1  # lowest bit of the first residue written
+                    return returned
+
+                return wrong
+
+        for broken, message in [
+            ("repro_pow_many", "modexp batch self-test failed at 16 bits"),
+            ("repro_fold_masks", "PIR row fold self-test failed at 16 bits"),
+        ]:
+            with pytest.raises(RuntimeError, match=message):
+                kernels._self_test(ffi, OneWrongEntry(broken))
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_every_entry_point_runs_with_numpy_unimportable(self):
+        """cffi is the one optional dependency: all three batch primitives
+        run on the kernel, bit-identical to python, where numpy cannot load."""
+        script = """
+import random, sys
+sys.modules["numpy"] = None  # any import of it now raises ImportError
+from array import array
+from repro.core import parallel
+from repro.crypto import kernels, numbertheory as nt
+from repro.crypto.pir import PIRClient, PIRDatabase, PIRServer
+
+rng = random.Random(5)
+modulus = 2**1023 + 1155
+payload = [
+    (rng.randrange(modulus), array("I", [3, 1, 3, 9]), array("I", [9, 4, 4, 1])),
+    (rng.randrange(modulus), array("I", [1, 7]), array("I", [700, 2])),
+]
+bases = [rng.randrange(modulus) for _ in range(9)]
+client = PIRClient.with_new_group(key_bits=128, rng=rng)
+columns = [bytes(rng.randrange(256) for _ in range(5)) for _ in range(11)]
+query = client.build_query(len(columns), 4)
+
+def run():
+    accumulators, counts = parallel.accumulate_terms(payload, modulus)
+    server = PIRServer(PIRDatabase.from_columns(columns))
+    return (
+        list(accumulators.items()), counts,
+        kernels.modexp_batch(bases, 3**9, modulus),
+        server.answer(query), server.multiplications, server.inversions,
+    )
+
+assert nt.get_backend() == "python"
+want = run()
+nt.set_backend("cffi")
+assert run() == want
+assert kernels.fallback_counts() == {}, kernels.fallback_counts()
+assert sys.modules["numpy"] is None
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[2])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.skipif(
         not COMPILED or not hasattr(os, "getuid"),

@@ -1,11 +1,10 @@
-"""Tests for the optional gmpy2 big-integer backend (gated, python-default)."""
+"""Tests for the backend gate: python by default, cffi only when it builds."""
 
 import random
 
 import pytest
 
 from repro.crypto import numbertheory as nt
-from repro.crypto.benaloh import generate_keypair
 
 
 @pytest.fixture(autouse=True)
@@ -24,13 +23,6 @@ class TestBackendGating:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             nt.set_backend("numpy")
-
-    def test_gmpy2_backend_gated_when_unavailable(self):
-        if nt.HAVE_GMPY2:
-            pytest.skip("gmpy2 is installed on this interpreter")
-        assert "gmpy2" not in nt.available_backends()
-        with pytest.raises(RuntimeError):
-            nt.set_backend("gmpy2")
 
     def test_available_backends_reports_cffi_exactly_when_importable(self):
         listed = nt.available_backends()
@@ -60,50 +52,6 @@ class TestBackendGating:
 
     def test_set_backend_returns_previous(self):
         assert nt.set_backend("python") == "python"
-
-
-class TestPythonBackendArithmetic:
-    def test_modmul_and_modexp_match_builtins(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            modulus = rng.randrange(3, 1 << 64) | 1
-            a, b = rng.randrange(modulus), rng.randrange(modulus)
-            assert nt.modmul(a, b, modulus) == (a * b) % modulus
-            assert nt.modexp(a, b % 1000, modulus) == pow(a, b % 1000, modulus)
-
-    def test_backend_int_is_identity_under_python(self):
-        value = 123456789
-        assert nt.backend_int(value) is value
-
-
-@pytest.mark.skipif(not nt.HAVE_GMPY2, reason="gmpy2 not installed")
-class TestGmpy2Parity:
-    """Run only where gmpy2 exists (e.g. a dev machine with the fast extra)."""
-
-    def test_gmpy2_arithmetic_matches_python(self):
-        nt.set_backend("gmpy2")
-        rng = random.Random(7)
-        for _ in range(50):
-            modulus = rng.randrange(3, 1 << 128) | 1
-            a, b = rng.randrange(modulus), rng.randrange(modulus)
-            assert nt.modmul(a, b, modulus) == (a * b) % modulus
-            assert nt.modexp(a, b % 5000, modulus) == pow(a, b % 5000, modulus)
-            assert int(nt.backend_int(a)) == a
-
-    def test_fast_path_ciphertexts_identical_across_backends(self):
-        keypair = generate_keypair(key_bits=96, block_size=3**5, rng=random.Random(3))
-        from array import array
-
-        from repro.core import parallel
-
-        payload = [
-            (keypair.public.encrypt(1, random.Random(9)), array("I", [1, 2, 3]), array("I", [2, 5, 2]))
-        ]
-        python_result, _ = parallel.accumulate_terms(payload, keypair.public.n)
-        nt.set_backend("gmpy2")
-        gmpy2_result, _ = parallel.accumulate_terms(payload, keypair.public.n)
-        assert python_result == gmpy2_result
-        assert all(type(v) is int for v in gmpy2_result.values())
 
 
 class TestDefaultPrimalityRNG:

@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.core.coordinator import LocalShardBackend, data_epoch
+from repro.core.embellish import EmbellishedQuery
 from repro.core.partitioning import HashPartitioner, save_sharded
 from repro.core.server import EncryptedResult, PrivateRetrievalServer, ServerCounters
 from repro.crypto.benaloh import generate_keypair
@@ -39,6 +40,7 @@ from repro.service.wire import (
     decode_query,
     decode_shard_response,
     encode_counters,
+    encode_frame,
     encode_int,
     encode_partial_request,
     encode_public_key,
@@ -281,6 +283,31 @@ def test_out_of_ring_result_is_a_typed_error_from_run_batch():
                 client.run_batch("session", [], modulus=97)
         finally:
             server.close()
+
+
+def test_result_records_must_carry_their_stream_position_as_index():
+    """Regression: results were attributed by arrival order alone, so a
+    stream with swapped or repeated ``index`` values handed query 0 the
+    other query's candidates without an error."""
+    queries = [EmbellishedQuery(("alpha",), (2,)), EmbellishedQuery(("beta",), (3,))]
+    results = [EncryptedResult({4: 5}, 97), EncryptedResult({9: 6}, 97)]
+
+    def run_batch(*records):
+        stream = b"".join(encode_result_frame(*pair) for pair in zip(records, results))
+        server = _AbortingServer("mid-stream", stream + encode_frame({"kind": "done"}))
+        try:
+            client = ServiceClient("127.0.0.1", server.port, timeout=5.0)
+            return client.run_batch("session", queries, modulus=97)
+        finally:
+            server.close()
+
+    for indices in ((1, 0), (1, 1), (0, 0), (0, 2), (0, None), (False, 1), (0, "1"), (0, 1.0)):
+        with pytest.raises(WireError, match="index"):
+            run_batch(*({"kind": "result", "index": index} for index in indices))
+    with pytest.raises(WireError, match="index"):
+        run_batch({"kind": "result"}, {"kind": "result", "index": 1})
+    got, done = run_batch({"kind": "result", "index": 0}, {"kind": "result", "index": 1})
+    assert got == results and done == {"kind": "done"}
 
 
 # -- the shard partials route ------------------------------------------------------
