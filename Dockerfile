@@ -6,10 +6,10 @@
 #
 #   docker build -t pr-serve .
 #   docker run -p 8080:8080 -v /var/indexes:/indexes:ro pr-serve \
-#       --tenant corpus=/indexes/corpus --parallelism 4
+#       --tenant corpus=/indexes/corpus
 #
 # The entrypoint drains gracefully on SIGTERM (docker stop): in-flight
-# batches finish, new requests are refused, worker pools shut down.
+# batches finish, new requests are refused, the worker pool shuts down.
 #
 # This image holds neither cffi nor a C compiler, so the service in it
 # accumulates on the python loop: the start-up log says so and /metrics

@@ -6,14 +6,13 @@ memory-mapping, so start-up cost is metadata-only and postings page in on
 demand), registers each as a tenant of a
 :class:`~repro.service.app.RetrievalService`, and runs the asyncio service
 until SIGTERM/SIGINT, then drains gracefully: in-flight batches finish, new
-requests are refused, worker pools shut down.
+requests are refused, the worker pool shuts down.
 
 Examples
 --------
-Serve one index as tenant ``corpus`` on port 8080 with a 4-worker pool::
+Serve one index as tenant ``corpus`` on port 8080::
 
-    python scripts/serve.py --tenant corpus=/var/indexes/corpus \\
-        --port 8080 --parallelism 4
+    python scripts/serve.py --tenant corpus=/var/indexes/corpus --port 8080
 
 Multiple tenants, tuned admission control::
 
@@ -56,7 +55,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--parallelism",
         type=int,
         default=1,
-        help="worker processes of the service's one pool (1 = in-process, no pool)",
+        help="worker threads of the service's one pool (1 = in-process, no pool; "
+        "ignored without the compiled kernel)",
     )
     parser.add_argument(
         "--bucket-size",
@@ -88,7 +88,10 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="materialise indexes in memory instead of memory-mapping",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.parallelism < 1:
+        parser.error("--parallelism must be at least 1")
+    return args
 
 
 async def serve(args: argparse.Namespace) -> None:
@@ -113,9 +116,10 @@ async def serve(args: argparse.Namespace) -> None:
         )
 
     host, port = await service.start()
+    workers = service.engine.parallelism if service.engine is not None else 0
     log.info(
-        "listening on %s:%d (parallelism=%d, kernel backend=%s)",
-        host, port, args.parallelism, service.backend,
+        "listening on %s:%d (pool workers=%d, kernel backend=%s)",
+        host, port, workers, service.backend,
     )
 
     stop = asyncio.Event()

@@ -137,7 +137,7 @@ class PrivateSearchSystem:
     #: per posting, one full encryption per selector); False (the default)
     #: runs the power-table server and zero-pool embellisher.
     naive: bool = False
-    #: Worker processes for the server's sharded/batched accumulation
+    #: Worker threads for the server's sharded/batched accumulation
     #: (1 = sequential; the naive oracle ignores this and stays in-process).
     parallelism: int = 1
     client: PrivateSearchClient = field(init=False)
@@ -218,9 +218,7 @@ class PrivateSearchSystem:
             client_decryptions=self.client.postfilter_counters.decryptions,
             server_merge_multiplications=counters.merge_multiplications,
             shards_executed=counters.shards_executed,
-            pool_restarts=counters.pool_restarts,
             tasks_retried=counters.tasks_retried,
-            tasks_timed_out=counters.tasks_timed_out,
             degraded_queries=counters.degraded_queries,
         )
 

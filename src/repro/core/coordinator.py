@@ -7,7 +7,7 @@ scatters an embellished query's ``(term, selector)`` pairs to exactly the
 shards that own them, gathers per-shard partial accumulators, and merges them
 by modular multiplication.  The accumulation product is associative, so the
 merged ciphertexts are **bit-identical** to a single-node server's -- the
-process pool's invariant, lifted to shards that may live in other processes
+worker pool's invariant, lifted to shards that may live in other processes
 or on other machines.
 
 Backends are duck-typed so the coordinator never learns the transport: any
@@ -19,8 +19,8 @@ ships :class:`LocalShardBackend` (an in-process
 HTTP backend over real shard-server processes.
 
 **Failover**: each shard has an ordered replica list.  Gather walks the
-replicas through the engine's retry loop
-(:meth:`~repro.core.engine.RetryPolicy.attempts`), rotating to the next
+replicas through the one retry loop
+(:meth:`~repro.core.faults.RetryPolicy.attempts`), rotating to the next
 replica on any retryable failure (connection loss, duck-typed ``transient``
 errors, epoch skew).  A shard whose replicas are all dark raises a typed
 :class:`ShardUnavailableError` -- or, with ``allow_partial=True``, degrades
@@ -45,8 +45,13 @@ from typing import Iterator, Sequence
 
 from repro.core import parallel
 from repro.core.embellish import EmbellishedQuery
-from repro.core.engine import RetryPolicy
-from repro.core.faults import FaultPlan, PermanentFaultError, TransientFaultError, retryable
+from repro.core.faults import (
+    FaultPlan,
+    PermanentFaultError,
+    RetryPolicy,
+    TransientFaultError,
+    retryable,
+)
 from repro.core.partitioning import split_query_terms
 from repro.core.server import EncryptedResult, PrivateRetrievalServer, ServerCounters
 
@@ -298,10 +303,10 @@ class QueryCoordinator:
         The tenant's Benaloh public key; every gathered partial must be
         tagged with this modulus.
     retry:
-        :class:`~repro.core.engine.RetryPolicy` governing failover: total
+        :class:`~repro.core.faults.RetryPolicy` governing failover: total
         attempts per shard are ``max_retries + 1`` spread round-robin over
         the replicas, with the policy's backoff/jitter between attempts and
-        its injectable clock/sleep keeping suites deterministic.
+        its injectable sleep keeping suites deterministic.
     allow_partial:
         When true a fully dark shard degrades the answer (identity
         contribution, ``degraded_queries`` counted) instead of raising

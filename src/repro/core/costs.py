@@ -149,9 +149,7 @@ class CostModel:
         client_pool_multiplications: int = 0,
         server_merge_multiplications: int = 0,
         shards_executed: int = 0,
-        pool_restarts: int = 0,
         tasks_retried: int = 0,
-        tasks_timed_out: int = 0,
         degraded_queries: int = 0,
     ) -> CostReport:
         """Assemble the Section 5.2 metrics for one PR query.
@@ -167,13 +165,11 @@ class CostModel:
         ``server_multiplications``) and ``shards_executed`` only attribute
         where the work ran, so wall-clock scales with workers while the
         modelled CPU milliseconds stay put.  The resilience counters
-        (``pool_restarts``/``tasks_retried``/``tasks_timed_out``/
-        ``degraded_queries``) likewise report how execution *survived* --
-        worker pools restarted, shard attempts re-dispatched or expired,
-        queries degraded to in-process sequential execution -- without
-        touching the modelled costs, since recovery re-runs work whose
-        results are bit-identical.  The defaults (all zero) describe
-        the naive reference paths.
+        (``tasks_retried``/``degraded_queries``) likewise report how a
+        distributed answer *survived* -- replica failovers walked, queries
+        answered without a dark shard -- without touching the modelled costs,
+        since a failover re-runs work whose results are bit-identical.  The
+        defaults (all zero) describe the naive reference paths.
         """
         server_cpu = (
             server_exponentiations * self.server_modexp_ms
@@ -209,9 +205,7 @@ class CostModel:
                 "client_decryptions": client_decryptions,
                 "server_merge_multiplications": server_merge_multiplications,
                 "shards_executed": shards_executed,
-                "pool_restarts": pool_restarts,
                 "tasks_retried": tasks_retried,
-                "tasks_timed_out": tasks_timed_out,
                 "degraded_queries": degraded_queries,
             },
         )

@@ -1,23 +1,19 @@
-"""Deterministic fault injection for the execution engine and storage I/O.
+"""Retry policy and deterministic fault injection for replicas and storage I/O.
 
-The resilience layer (pool restarts, retries, timeouts, degradation in
-:mod:`repro.core.engine`; manifest-generation recovery in
-:mod:`repro.textsearch.segments`) is only trustworthy if its failure paths
-are exercised on a *schedule*, not by luck.  This module provides that
-schedule:
+The recovery paths (replica failover in :mod:`repro.core.coordinator`;
+manifest-generation recovery in :mod:`repro.textsearch.segments`) are only
+trustworthy if they are exercised on a *schedule*, not by luck.  This module
+provides the one retry policy and that schedule:
 
-* :class:`FaultPlan` -- a pure, picklable description of which worker task
-  attempts and which I/O operations fail, and how.  Decisions are derived
-  from ``sha256(seed, scope, index, attempt)``, so the same plan replays the
-  same faults in every run, on every platform, with no mutable state to
-  ship to worker processes.
-* :class:`FaultInjector` -- the engine-side carrier: holds a plan plus the
-  parent-side accounting of what actually fired.
-* :func:`faulted_shard_task` -- the worker entry point the engine dispatches
-  instead of :func:`repro.core.parallel.accumulate_terms` when an injector is
-  installed.  It applies the planned fault (process kill, delay, transient
-  or permanent error) and then runs the real kernel, so a surviving attempt
-  produces bit-identical results.
+* :class:`RetryPolicy` / :func:`retryable` -- the budget, backoff and
+  predicate of the one retry loop, the coordinator's walk over a shard's
+  replicas (a remote replica is the one kind of worker that really dies).
+* :class:`FaultPlan` -- a pure, frozen description of which replica calls
+  and which I/O operations fail, and how.  Decisions are derived from
+  ``sha256(seed, scope, index, attempt)``, so the same plan replays the same
+  faults in every run, on every platform, with no mutable state.
+* :class:`FaultInjector` -- a plan plus the accounting of the I/O faults that
+  actually fired.
 * :func:`io_fault_hook` -- a hook for the storage layer's read/write call
   sites (see ``repro.textsearch.segments.install_io_fault_hook``) raising
   transient/permanent errors on the same kind of schedule.
@@ -31,31 +27,26 @@ importing this module.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 __all__ = [
     "FaultError",
     "FaultInjector",
     "FaultPlan",
     "PermanentFaultError",
+    "RetryPolicy",
     "TransientFaultError",
-    "faulted_shard_task",
     "io_fault_hook",
     "retryable",
 ]
 
-#: Decision kinds a plan can emit for a worker task attempt.
+#: Decision kinds a plan can emit for one attempt.
 KILL = "kill"
 DELAY = "delay"
 TRANSIENT = "transient"
 PERMANENT = "permanent"
-
-#: Exit code used for injected worker kills; visible in BrokenProcessPool
-#: diagnostics and distinct from real crashes (which are typically signals).
-KILL_EXIT_CODE = 73
 
 
 class FaultError(RuntimeError):
@@ -82,18 +73,56 @@ def retryable(exc: BaseException, lost_attempt: tuple = ()) -> bool:
     """Whether a failed attempt may be tried again (the one retry predicate).
 
     ``lost_attempt`` are the exception classes that, for the calling layer's
-    transport, mean "this attempt is lost but the work is intact" -- a broken
-    pool or expired deadline for the engine, a dead connection or skewed
-    replica for the scatter-gather.  Beyond those, any error whose duck-typed
-    ``transient`` attribute is true is retryable; everything else --
-    :class:`PermanentFaultError`, real bugs -- propagates to the caller.
+    transport, mean "this attempt is lost but the work is intact" -- a dead
+    connection or skewed replica for the scatter-gather.  Beyond those, any
+    error whose duck-typed ``transient`` attribute is true is retryable;
+    everything else -- :class:`PermanentFaultError`, real bugs -- propagates
+    to the caller.
     """
     return isinstance(exc, lost_attempt) or bool(getattr(exc, "transient", False))
 
 
-def _draw(seed: int, scope: str, index: int, attempt: int) -> float:
+@dataclass
+class RetryPolicy:
+    """Retry budget and backoff for the coordinator's replica failover.
+
+    ``sleep`` is injectable so failover suites collapse backoff waits to
+    zero, keeping them deterministic and fast.  Jitter is seeded -- a pure
+    function of ``(jitter_seed, key, attempt)`` -- never drawn from a shared
+    RNG.
+    """
+
+    #: Attempts per shard after the initial one, spread over its replicas.
+    max_retries: int = 3
+    #: First backoff delay; doubles per attempt up to ``backoff_max``.
+    backoff_base: float = 0.05
+    backoff_max: float = 2.0
+    jitter_seed: int = 0x5EED
+    sleep: Callable[[float], None] = time.sleep
+
+    def backoff(self, key: int, attempt: int) -> float:
+        """Bounded exponential backoff with seeded jitter in [50%, 100%]."""
+        if attempt <= 0 or self.backoff_base <= 0:
+            return 0.0
+        bounded = min(self.backoff_max, self.backoff_base * 2 ** (attempt - 1))
+        return bounded * (0.5 + 0.5 * _draw(self.jitter_seed, key, attempt))
+
+    def attempts(self, key: int) -> Iterator[int]:
+        """Attempt numbers ``0..max_retries``, backing off before each retry.
+
+        What the one retry loop (the coordinator's replica walk) iterates;
+        ``key`` (the shard id) seeds the jitter.
+        """
+        for attempt in range(max(0, self.max_retries) + 1):
+            delay = self.backoff(key, attempt)
+            if delay > 0:
+                self.sleep(delay)
+            yield attempt
+
+
+def _draw(*coordinates) -> float:
     """Uniform [0, 1) draw, a pure function of the decision coordinates."""
-    digest = hashlib.sha256(f"{seed}:{scope}:{index}:{attempt}".encode()).digest()
+    digest = hashlib.sha256(":".join(map(str, coordinates)).encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
@@ -102,25 +131,25 @@ class FaultPlan:
     """A seeded, stateless schedule of faults.
 
     Rate-driven faults draw once per ``(scope, index, attempt)`` coordinate:
-    a retried task (same index, next attempt) gets an independent draw, so
-    with rates below 1.0 retries eventually succeed.  Explicit schedules
+    a retry (same index, next attempt) gets an independent draw, so with
+    rates below 1.0 retries eventually succeed.  Explicit schedules
     (``kill_at`` etc., sets of ``(index, attempt)`` pairs, and ``kill_every``)
     override the rates and make single-shot scenarios exact.
 
-    Worker-task indices are call-local (a shard's position among the tasks
-    one ``submit_batch`` call dispatches), so ``kill_at={(0, 0)}`` kills the
-    first shard's first attempt of *every* engine call: one guaranteed
-    recovery exercise per call.
+    The task coordinates are whatever the injection site passes to
+    :meth:`decide`: :class:`repro.core.coordinator.FaultedBackend` uses
+    ``(replica_index, call)``, so ``kill_at={(0, 0)}`` kills replica 0 on its
+    first call.
     """
 
     seed: int = 0xFA117
-    #: Probability a worker task attempt dies mid-shard (process exit).
+    #: Probability an attempt kills its replica (dead from then on).
     kill_rate: float = 0.0
-    #: Probability a worker task attempt sleeps ``delay_seconds`` first.
+    #: Probability an attempt sleeps ``delay_seconds`` first.
     delay_rate: float = 0.0
-    #: Probability a worker task attempt raises TransientFaultError.
+    #: Probability an attempt raises TransientFaultError.
     transient_rate: float = 0.0
-    #: Probability a worker task attempt raises PermanentFaultError.
+    #: Probability an attempt raises PermanentFaultError.
     permanent_rate: float = 0.0
     delay_seconds: float = 0.05
     #: Kill attempt 0 of every Nth task (task_index % kill_every == 0).
@@ -139,7 +168,7 @@ class FaultPlan:
     io_permanent_at: frozenset = frozenset()
 
     def decide(self, task_index: int, attempt: int) -> str | None:
-        """The fault (if any) for one worker task attempt."""
+        """The fault (if any) for one attempt at ``task_index``."""
         coordinate = (task_index, attempt)
         if coordinate in self.kill_at:
             return KILL
@@ -199,19 +228,12 @@ class FaultPlan:
 
 @dataclass
 class FaultInjector:
-    """A plan plus parent-side accounting of the faults that fired.
-
-    Installed on an :class:`~repro.core.engine.ExecutionEngine` (attribute
-    ``fault_injector``) the engine ships ``(plan, task_index, attempt)`` to
-    workers; the worker-side kill/delay/error accounting is therefore lost
-    with the worker, and only parent-side observations (engine retry/restart
-    counters, the I/O hook's ``io_faults``) are authoritative.
-    """
+    """A plan plus accounting of the I/O faults that fired."""
 
     plan: FaultPlan = field(default_factory=FaultPlan)
-    #: I/O operations intercepted by :meth:`io_hook` (parent-side).
+    #: I/O operations intercepted by :meth:`io_hook`.
     io_operations: int = 0
-    #: I/O faults raised by :meth:`io_hook` (parent-side).
+    #: I/O faults raised by :meth:`io_hook`.
     io_faults: int = 0
 
     def io_hook(self) -> Callable[[str, str], None]:
@@ -238,43 +260,3 @@ class FaultInjector:
 def io_fault_hook(plan: FaultPlan) -> Callable[[str, str], None]:
     """Convenience: an I/O hook for a bare plan (fresh injector)."""
     return FaultInjector(plan=plan).io_hook()
-
-
-def _apply_task_fault(plan: FaultPlan, task_index: int, attempt: int) -> None:
-    """Execute the planned fault for one worker task attempt, if any."""
-    kind = plan.decide(task_index, attempt)
-    if kind is None:
-        return
-    if kind == KILL:
-        # A hard exit, not an exception: the pool observes a dead worker and
-        # breaks, exactly like a segfault or OOM kill would present.
-        os._exit(KILL_EXIT_CODE)
-    if kind == DELAY:
-        time.sleep(plan.delay_seconds)
-        return
-    error = TransientFaultError if kind == TRANSIENT else PermanentFaultError
-    raise error(
-        f"injected {kind} fault for task {task_index} attempt {attempt}"
-    )
-
-
-def faulted_shard_task(plan: FaultPlan, task_index: int, attempt: int, task):
-    """Worker entry point: apply the planned fault, then run the real kernel.
-
-    Dispatched by the engine in place of ``parallel.accumulate_terms`` when a
-    :class:`FaultInjector` is installed.  A surviving attempt accumulates
-    exactly like the clean path, so results stay bit-identical.
-    """
-    from repro.core import parallel
-
-    _apply_task_fault(plan, task_index, attempt)
-    return parallel.accumulate_terms(*task)
-
-
-def exit_worker(code: int = KILL_EXIT_CODE) -> None:
-    """Module-level task that kills its worker process outright.
-
-    Useful to break a pool on purpose in tests (e.g. via
-    ``engine.submit_task(faults.exit_worker)``).
-    """
-    os._exit(code)

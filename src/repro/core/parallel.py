@@ -6,7 +6,7 @@ partial accumulators merge by modular multiplication (the Benaloh homomorphism
 is a product in ``Z*_n``, which is commutative and associative, so any
 grouping of a document's contributions yields the bit-identical ciphertext).
 
-This module holds everything that crosses a process boundary:
+This module holds what every placement of that work shares:
 
 * the **accumulation kernel** (:func:`accumulate_terms`), the single
   implementation of the power-table fast path, executed in-process and by
@@ -22,16 +22,14 @@ This module holds everything that crosses a process boundary:
   parallelism -- only the op *placement* moves;
 * the **backend as a value**: a worker task is the kernel's own argument
   tuple ``(payload, modulus, backend)`` -- workers run
-  ``accumulate_terms(*task)`` and read no process-wide state, so a
-  ``spawn``-started worker (which re-imports the crypto layer with the
-  library default) and a ``fork``-started one answer alike (the kernel draws
-  no randomness: results are a pure function of the task);
+  ``accumulate_terms(*task)`` and read no process-wide setting (the kernel
+  draws no randomness: results are a pure function of the task);
 * the **pending handle** (:class:`PendingResult`) every dispatch returns: one
   query's accumulation, deferred in-process or in flight on a pool.
 
-Process pools are only worth their startup cost when the per-query
-cryptographic work dominates (realistic key sizes, long inverted lists);
-``parallelism=1`` is the default everywhere and runs the kernel in-process.
+Worker threads overlap only inside the compiled kernel, and no measured shape
+has yet shown a pool beating the in-process kernel (``docs/operations.md``,
+*Parallelism*); ``parallelism=1`` is the default everywhere.
 """
 
 from __future__ import annotations
@@ -57,9 +55,9 @@ __all__ = [
     "collect_shard_results",
 ]
 
-#: Per-term work unit shipped to workers: ``(encrypted_selector, doc_ids,
+#: Per-term work unit handed to workers: ``(encrypted_selector, doc_ids,
 #: quantised_impacts)``.  The arrays are the index's own columnar storage
-#: (``array('I')``), which pickles compactly.
+#: (``array('I')``), passed by reference.
 TermPayload = tuple[int, array, array]
 
 
@@ -224,15 +222,10 @@ class PendingResult:
     Either a deferred in-process payload (accumulated lazily on the first
     :meth:`result`, so a streaming consumer of a one-worker batch pays for
     each query only when it asks for it) or the shard futures of a dispatched
-    query plus the engine's ``collect(futures, handle)`` callable, which
-    gathers the shard partials and heals lost attempts.  ``result`` is
+    query, collected in order -- a shard task's exception is raised from
+    :meth:`result`, as the in-process kernel would raise it.  ``result`` is
     idempotent; :attr:`shards` reports how many shard tasks the query
     executed (0 for an empty payload).
-
-    The four resilience attributes count what *this handle's own* collection
-    caused -- pools it retired, shard attempts it re-dispatched or timed
-    out, whether it degraded to in-process execution -- so attribution stays
-    exact when concurrent sessions collect from one shared engine.
     """
 
     def __init__(
@@ -240,7 +233,6 @@ class PendingResult:
         modulus: int,
         payload: Sequence[TermPayload] | None = None,
         futures: Sequence | None = None,
-        collect=None,
         backend: str | None = None,
     ) -> None:
         if (futures is None) == (payload is None):
@@ -251,12 +243,7 @@ class PendingResult:
         #: dispatched shards carry theirs in the task tuple.
         self._backend = backend
         self._futures = futures
-        self._collect = collect
         self._resolved: tuple[dict[int, int], ShardCounts, int, int] | None = None
-        self.pool_restarts = 0
-        self.tasks_retried = 0
-        self.tasks_timed_out = 0
-        self.degraded_queries = 0
 
     @property
     def shards(self) -> int:
@@ -285,7 +272,7 @@ class PendingResult:
                 self._resolved = (accumulators, counts, 0, self.shards)
             else:
                 merged, counts, merge_multiplications = collect_shard_results(
-                    self._collect(self._futures, self), self._modulus
+                    [future.result() for future in self._futures], self._modulus
                 )
                 self._resolved = (merged, counts, merge_multiplications, self.shards)
         return self._resolved

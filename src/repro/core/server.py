@@ -97,14 +97,11 @@ class ServerCounters:
     #: Queries answered into these counters (1 for process_query; the batch
     #: size for process_batch).
     queries_processed: int = 0
-    #: Resilience attribution, copied from each query's own
-    #: :class:`~repro.core.parallel.PendingResult` handle (exact under
-    #: concurrent sessions on a shared engine): how execution *survived*
-    #: while answering this query/batch.  Recovery re-runs the associative
-    #: kernel, so these never change result bits or op totals above.
-    pool_restarts: int = 0
+    #: How a distributed answer *survived*, booked by
+    #: :class:`~repro.core.coordinator.QueryCoordinator` (always 0 on a single
+    #: node): replica failovers walked, and queries answered without a dark
+    #: shard (``allow_partial``).  Neither changes result bits or op totals.
     tasks_retried: int = 0
-    tasks_timed_out: int = 0
     degraded_queries: int = 0
 
     def reset(self) -> None:
@@ -145,10 +142,9 @@ class PrivateRetrievalServer:
         the returned ciphertexts are identical either way.  The naive oracle
         always runs sequentially in-process, engine or not.
     parallelism:
-        Size of the worker pool this server builds and owns when no
-        ``engine`` is injected (1, the default: no pool, in-process).  Worth
-        its start-up cost only when the per-query cryptographic work
-        dominates (realistic key sizes, long lists); never affects results.
+        Size of the worker-thread pool this server builds and owns when no
+        ``engine`` is injected (1, the default: no pool, in-process).
+        Threads overlap only on the ``cffi`` backend; never affects results.
     engine:
         The resident :class:`~repro.core.engine.ExecutionEngine` carrying the
         long-lived worker pool.  Pass one to share a pool between servers:
@@ -214,7 +210,7 @@ class PrivateRetrievalServer:
 
     def __del__(self) -> None:
         # Finalizer guard: a server dropped without close()/with must not
-        # strand its owned engine's worker processes.  Best-effort and
+        # leave its owned engine's worker threads idling.  Best-effort and
         # non-blocking -- garbage collection must not stall on in-flight
         # worker tasks, and during interpreter shutdown the pool may already
         # be half torn down.
@@ -297,9 +293,9 @@ class PrivateRetrievalServer:
         ------
         RuntimeError
             If a *shared* injected engine has been shut down (an owned engine
-            is recreated lazily instead).  A non-retryable worker exception
-            (e.g. ``PermanentFaultError``) propagates unchanged -- out of the
-            yielding loop, since dispatch happens on the first ``next()``.
+            is recreated lazily instead).  A worker task's exception
+            propagates unchanged -- out of the yielding loop, since dispatch
+            happens on the first ``next()``.
 
         The generator holds shard futures on the pool while suspended: an
         engine ``shutdown(wait=True)`` waits for those futures, whose results
@@ -313,8 +309,7 @@ class PrivateRetrievalServer:
         stops touching the shared aggregate.  For concurrent serving give
         each client session its own server and share the
         :class:`~repro.core.engine.ExecutionEngine` (whose dispatch is
-        thread-safe and whose per-query resilience attribution is exact) --
-        the arrangement :mod:`repro.service` uses.
+        thread-safe) -- the arrangement :mod:`repro.service` uses.
         """
         self._counter_epoch += 1
         epoch = self._counter_epoch
@@ -371,10 +366,6 @@ class PrivateRetrievalServer:
                 ),
                 merge_multiplications=merge_multiplications,
                 shards_executed=shards,
-                pool_restarts=handle.pool_restarts,
-                tasks_retried=handle.tasks_retried,
-                tasks_timed_out=handle.tasks_timed_out,
-                degraded_queries=handle.degraded_queries,
             )
 
     def _payload(self, query: EmbellishedQuery, view) -> list[parallel.TermPayload]:

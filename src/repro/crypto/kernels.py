@@ -40,7 +40,7 @@ library is all the marshalling needs.
 (``-O3``, plain C, no external libraries) and cached on disk under
 ``$REPRO_KERNEL_CACHE`` (default: a per-user directory in the system temp
 dir; refused unless owned by the user and closed to group and world), so
-worker processes load the shared object instead of recompiling.
+later processes load the shared object instead of recompiling.
 Library code reaches it as the ``"cffi"`` backend of
 :func:`repro.crypto.numbertheory.set_backend`, the serving front-end as a
 value it resolves at start-up.  When no C toolchain (or no cffi) is

@@ -8,11 +8,12 @@ service:
 
 * **Tenants** are named indexes, loaded from a saved directory
   (``InvertedIndex.load(mmap=True)``) or handed over live.
-* **One worker pool**: with ``ServiceConfig.parallelism > 1`` the service
-  owns one lazily started :class:`ExecutionEngine` of that size, shared by
-  every tenant, session and shard request (a worker task is ``(payload,
-  modulus, backend)`` -- workers hold no index state) and shut down by
-  :meth:`RetrievalService.drain`.
+* **One worker pool**: with ``ServiceConfig.parallelism > 1`` on the compiled
+  kernel the service owns one lazily started :class:`ExecutionEngine` of that
+  size, shared by every tenant, session and shard request (a worker task is
+  ``(payload, modulus, backend)`` -- workers hold no index state) and shut
+  down by :meth:`RetrievalService.drain`; on the python loop, where threads
+  cannot overlap, ``parallelism`` is ignored with a warning.
 * **Sessions** are long-lived clients.  Opening a session binds a tenant to
   the client's Benaloh public key in a dedicated
   :class:`PrivateRetrievalServer` that *shares* the service engine (shared ->
@@ -90,7 +91,8 @@ from pathlib import Path
 
 from repro.core.buckets import BucketOrganization
 from repro.core.coordinator import QueryCoordinator, ShardTopology, shard_partials
-from repro.core.engine import ExecutionEngine, RetryPolicy
+from repro.core.engine import ExecutionEngine
+from repro.core.faults import RetryPolicy
 from repro.core.server import PrivateRetrievalServer, ServerCounters
 from repro.crypto import kernels
 from repro.service import protocol
@@ -161,7 +163,7 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; the bound port is on ``service.address``
     #: BktSz for tenants whose organisation is derived, not injected.
     bucket_size: int = 4
-    #: Worker processes of the service's one engine (1 = in-process, no pool).
+    #: Worker threads of the service's one engine (1 = in-process, no pool).
     parallelism: int = 1
     #: Concurrently *executing* batch requests.
     max_active: int = 4
@@ -171,6 +173,10 @@ class ServiceConfig:
     retry_after: float = 1.0
     #: Memory-map saved indexes instead of materialising them.
     mmap_indexes: bool = True
+
+    def __post_init__(self) -> None:
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be at least 1")
 
 
 @dataclass
@@ -240,10 +246,8 @@ class RetrievalService:
         )
         self.tenants: dict[str, Tenant] = {}
         self.sessions: dict[str, ClientSession] = {}
-        #: The one worker pool, forked on first dispatch; ``None``: in-process.
+        #: The one worker pool (:meth:`start` builds it, on ``cffi``); ``None``: in-process.
         self.engine: ExecutionEngine | None = None
-        if self.config.parallelism > 1:
-            self.engine = ExecutionEngine(parallelism=self.config.parallelism)
         self._server: asyncio.AbstractServer | None = None
         #: Open connections (handler task -> writer), for :meth:`drain` to close.
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
@@ -384,6 +388,9 @@ class RetrievalService:
         stay on ``python``.  There is no switch: the loop is the reference
         and the only path without a toolchain, the kernel is at parity or
         better at every measured payload shape (``docs/operations.md``).
+
+        ``parallelism > 1`` builds the engine here, on ``cffi`` only: worker
+        threads overlap only while the kernel has dropped the interpreter lock.
         """
         try:
             kernels.ensure_compiled()
@@ -393,6 +400,14 @@ class RetrievalService:
         else:
             self.backend, self.backend_reason = "cffi", None
             log.info("kernel backend: cffi (compiled Montgomery kernel)")
+        workers = self.config.parallelism
+        if workers > 1 and self.backend == "cffi":
+            self.engine = ExecutionEngine(parallelism=workers)
+        elif workers > 1:
+            log.warning(
+                "parallelism=%d ignored: worker threads overlap only on the compiled "
+                "kernel; serving in-process", workers,
+            )
 
     async def drain(self, wait: bool = True) -> None:
         """Graceful shutdown: finish in-flight work, reject new, release the pool.

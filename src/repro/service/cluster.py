@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.coordinator import QueryCoordinator, ShardResponse, ShardTopology
-from repro.core.engine import RetryPolicy
+from repro.core.faults import RetryPolicy
 from repro.core.partitioning import ShardedIndexLayout, load_sharded
 from repro.service.client import ServiceClient
 

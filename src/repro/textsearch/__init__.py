@@ -12,7 +12,7 @@ that engine from scratch:
 * :mod:`repro.textsearch.scoring` -- the Equation-3 cosine weighting scheme
   and Okapi BM25.
 * :mod:`repro.textsearch.segments` -- the segmented columnar storage engine:
-  immutable index segments, the tiered LSM merge policy, the worker-safe
+  immutable index segments, the tiered LSM merge policy, the pure
   merge kernel and the on-disk directory format.
 * :mod:`repro.textsearch.inverted_index` -- the impact-ordered inverted index
   of Figure 9 on top of the segment store, with impact discretisation, a

@@ -40,10 +40,10 @@ without a rebuild:
   update streams accumulate **generational delta segments** instead of one
   ever-growing mutable delta;
 * the :class:`~repro.textsearch.segments.TieredMergePolicy` compacts sealed
-  segments LSM-style: :meth:`maintain` runs due seals and merges in-process,
-  while :meth:`begin_merges` / :meth:`commit_merge` dispatch the merge kernel
-  to an :class:`~repro.core.engine.ExecutionEngine` worker so compaction
-  overlaps query serving;
+  segments LSM-style: :meth:`maintain` runs due seals and merges, while
+  :meth:`begin_merges` / :meth:`commit_merge` split a merge into a planning
+  step and an atomic install, with the merge kernel running outside the
+  writer lock in between;
 * :meth:`compact` folds *everything* (sealed segments, unsealed delta,
   tombstones) back into a single base segment.
 
@@ -112,7 +112,6 @@ from repro.textsearch.segments import (
     TieredMergePolicy,
     _persist_state,
     merge_posting_runs,
-    merge_segment_parts,
     quantise_impact,
     read_index_directory,
     repair_index_directory,
@@ -1007,16 +1006,13 @@ class InvertedIndex:
         self._ensure_fresh()
         return self.merge_policy.plan(self._segments)
 
-    def begin_merges(self, engine=None) -> list[MergeHandle]:
-        """Start every due tiered merge, returning one handle per group.
+    def begin_merges(self) -> list[MergeHandle]:
+        """Plan every due tiered merge, returning one handle per group.
 
-        With an :class:`~repro.core.engine.ExecutionEngine`, each merge runs
-        on a worker process while this index keeps serving queries from the
-        untouched input segments -- compaction overlaps query serving; the
-        caller redeems each handle with :meth:`commit_merge` when convenient.
-        Without an engine the merge is computed lazily in-process at commit
-        time.  Updates may continue between begin and commit: the commit
-        detects the moved epoch and schedules the impact refresh that
+        The merge itself is computed lazily at commit time, outside the
+        writer lock; the caller redeems each handle with :meth:`commit_merge`
+        when convenient.  Updates may continue between begin and commit: the
+        commit detects the moved epoch and schedules the impact refresh that
         restores bit-identity.
         """
         with self._snapshot_lock:
@@ -1049,15 +1045,10 @@ class InvertedIndex:
                     seq_lo=chosen[0].seq_lo,
                     seq_hi=chosen[-1].seq_hi,
                     epoch=self._update_epoch,
+                    _parts=parts,
+                    _older_docs=frozenset(older_docs),
+                    _external_dead=external_dead,
                 )
-                if engine is not None:
-                    handle._future = engine.submit_task(
-                        merge_segment_parts, parts, frozenset(older_docs), external_dead
-                    )
-                else:
-                    handle._parts = parts
-                    handle._older_docs = frozenset(older_docs)
-                    handle._external_dead = external_dead
                 handles.append(handle)
             return handles
 
@@ -1071,19 +1062,19 @@ class InvertedIndex:
         and the index marked stale, so the next read re-derives impacts
         exactly as it would after any mutation batch.
 
-        The merged data is computed *outside* the lock (on an engine worker
-        or lazily in-process); only this atomic install runs under it, so
-        readers pin snapshots freely while the merge is in flight and the
-        publish itself is a constant-time segment-list swap.
+        The merged data is computed *outside* the lock; only this atomic
+        install runs under it, so readers pin snapshots freely while the
+        merge is in flight and the publish itself is a constant-time
+        segment-list swap.
         """
         merged_result = None
         ids = set(handle.segment_ids)
         present = [segment for segment in self._segments if segment.segment_id in ids]
         if len(present) != len(ids):
             return False
-        # Redeem the handle before taking the lock: an in-process lazy merge
-        # can be long, and nothing it reads is index state (the parts were
-        # copied at begin time).
+        # Redeem the handle before taking the lock: the lazy merge can be
+        # long, and nothing it reads is index state (the parts were copied
+        # at begin time).
         merged_result = handle.result()
         with self._snapshot_lock:
             present = [
@@ -1120,14 +1111,12 @@ class InvertedIndex:
                 self._stale = True
             return True
 
-    def maintain(self, engine=None, *, force_seal: bool = False) -> dict:
+    def maintain(self, *, force_seal: bool = False) -> dict:
         """One synchronous maintenance step: seal when due, run due merges.
 
         Seals the unsealed delta when ``force_seal`` or the
         ``seal_threshold`` is reached, then commits every merge the policy
-        considers due (dispatching the merge kernels to ``engine`` workers
-        when one is given).  Returns ``{"sealed": bool,
-        "merges_committed": int}``.
+        considers due.  Returns ``{"sealed": bool, "merges_committed": int}``.
         """
         sealed = None
         if force_seal or (
@@ -1136,7 +1125,7 @@ class InvertedIndex:
         ):
             sealed = self.seal_delta()
         committed = 0
-        for handle in self.begin_merges(engine):
+        for handle in self.begin_merges():
             if self.commit_merge(handle):
                 committed += 1
         return {"sealed": sealed is not None, "merges_committed": committed}

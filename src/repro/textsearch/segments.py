@@ -27,11 +27,10 @@ The pieces provided here:
   them merge into one segment of the next generation.  The base segment (the
   product of :meth:`InvertedIndex.build` or a full ``compact()``) is never
   selected; folding into it is what ``compact()`` is for.
-* :func:`merge_segment_parts` -- the pure merge kernel.  Module-level and
-  picklable, so :meth:`InvertedIndex.begin_merges` can dispatch it to an
-  :class:`~repro.core.engine.ExecutionEngine` worker process and overlap
-  compaction with query serving; :class:`MergeHandle` carries the pending
-  result back to ``commit_merge``.
+* :func:`merge_segment_parts` -- the pure merge kernel, reading only the
+  parts :meth:`InvertedIndex.begin_merges` copied, so it runs outside the
+  writer lock; :class:`MergeHandle` carries the planned merge to
+  ``commit_merge``.
 * :func:`write_index_directory` / :func:`read_index_directory` -- the
   crash-safe on-disk directory behind :meth:`InvertedIndex.save` / ``load``
   (format and durability order: the comment block above
@@ -156,8 +155,7 @@ class PostingColumns:
     Either eager (constructed from three arrays) or lazy (constructed via
     :meth:`lazy` with a loader closure, typically over an mmap-backed
     buffer); lazy columns materialise on first array access and report their
-    length without loading.  Pickling always materialises, so columns can be
-    shipped to worker processes regardless of their backing.
+    length without loading.
     """
 
     __slots__ = ("_doc_ids", "_impacts", "_quants", "_view", "_loader", "_length")
@@ -216,10 +214,6 @@ class PostingColumns:
 
     def __len__(self) -> int:
         return self._length
-
-    def __reduce__(self):
-        # Materialise on pickle: worker processes receive plain arrays.
-        return (PostingColumns, (self.doc_ids, self.impacts, self.quants))
 
     def view(self) -> tuple:
         """Materialise the row view lazily; cached because lists are immutable."""
@@ -475,8 +469,7 @@ def merge_segment_parts(
     rows around them.
 
     Returns ``(lists, documents, tombstones, postings_written,
-    postings_dropped)``.  Module-level and operating on picklable data, so it
-    can run on an :class:`~repro.core.engine.ExecutionEngine` worker process.
+    postings_dropped)``.
     """
     count = len(parts)
     dead_for: list[AbstractSet[int]] = [_EMPTY] * count
@@ -589,13 +582,11 @@ def rewrite_stale_columns(
 
 @dataclass
 class MergeHandle:
-    """One planned (possibly in-flight) segment merge.
+    """One planned segment merge.
 
     Produced by ``InvertedIndex.begin_merges`` and redeemed by
-    ``commit_merge``.  With an engine, ``_future`` carries the worker-process
-    computation and queries keep serving from the untouched input segments
-    until the commit; without one, the merge runs lazily in-process when the
-    result is first needed.
+    ``commit_merge``; the merge runs lazily when the result is first needed,
+    and queries keep serving from the untouched inputs until the commit.
     """
 
     segment_ids: tuple[int, ...]
@@ -605,25 +596,16 @@ class MergeHandle:
     #: ``update_epoch`` at planning time; a commit under a moved epoch marks
     #: the index stale so the next read re-derives impacts.
     epoch: int
-    _future: object | None = None
     _parts: list | None = None
     _older_docs: frozenset[int] | None = None
     _external_dead: frozenset[int] = frozenset()
     _result: tuple | None = None
 
-    @property
-    def done(self) -> bool:
-        """True once the merged data is (or can immediately be) available."""
-        return self._future is None or self._future.done()
-
     def result(self) -> tuple:
         if self._result is None:
-            if self._future is not None:
-                self._result = self._future.result()
-            else:
-                self._result = merge_segment_parts(
-                    self._parts, self._older_docs, self._external_dead
-                )
+            self._result = merge_segment_parts(
+                self._parts, self._older_docs, self._external_dead
+            )
             self._parts = None
         return self._result
 

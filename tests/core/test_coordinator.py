@@ -24,8 +24,7 @@ from repro.core.coordinator import (
     ShardUnavailableError,
 )
 from repro.core.embellish import QueryEmbellisher
-from repro.core.engine import RetryPolicy
-from repro.core.faults import FaultPlan, PermanentFaultError
+from repro.core.faults import FaultPlan, PermanentFaultError, RetryPolicy
 from repro.core.partitioning import (
     BucketPartitioner,
     HashPartitioner,

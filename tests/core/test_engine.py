@@ -1,14 +1,21 @@
 """Lifecycle, scheduling and counter tests for the persistent execution engine."""
 
+import sys
+import threading
 from array import array
 
 import pytest
 
 from repro.core import parallel
-from repro.core.engine import ExecutionEngine
+from repro.core.engine import EngineCounters, ExecutionEngine
+from repro.core.faults import RetryPolicy
 from repro.core.partitioning import proportional_shares
+from repro.crypto import kernels
 
 MODULUS = 1009 * 1013
+needs_kernel = pytest.mark.skipif(
+    not kernels.compiled_available(), reason="compiled kernels unavailable"
+)
 
 
 def _payload(entries):
@@ -70,6 +77,13 @@ class TestLifecycle:
         engine.shutdown()
         engine.shutdown()
         assert engine.closed
+
+    def test_lifecycle_tolerates_never_started_pool(self):
+        engine = ExecutionEngine(parallelism=2)
+        engine.shutdown()  # no pool to retire
+        assert engine.closed
+        with pytest.raises(RuntimeError):
+            engine.run_batch(_batch(), MODULUS)[0]
 
     def test_default_parallelism_is_cpu_count(self):
         assert ExecutionEngine().parallelism >= 1
@@ -204,44 +218,6 @@ class TestStreaming:
             parallel.PendingResult(MODULUS, futures=[], payload=[])
 
 
-class TestSubmitTask:
-    def test_generic_background_task_runs_on_the_pool(self):
-        import math
-
-        with ExecutionEngine(parallelism=1) as engine:
-            future = engine.submit_task(math.factorial, 10)
-            assert future.result() == 3628800
-            assert engine.counters.tasks_dispatched == 1
-            assert engine.counters.pool_starts == 1
-
-    def test_submit_task_after_shutdown_raises(self):
-        import math
-
-        engine = ExecutionEngine(parallelism=1)
-        engine.shutdown()
-        with pytest.raises(RuntimeError, match="shut down"):
-            engine.submit_task(math.factorial, 3)
-
-    def test_background_segment_merge_payload_round_trips(self):
-        """The segment-merge kernel is dispatchable as a generic task: its
-        payload (posting columns + sets) pickles to the worker and back."""
-        from repro.textsearch.segments import PostingColumns, merge_segment_parts
-
-        old = PostingColumns.from_entries([(1, 3.0), (2, 2.0)], 3.0, 255)
-        new = PostingColumns.from_entries([(3, 2.5)], 3.0, 255)
-        parts = [
-            ({"term": old}, frozenset({1, 2}), frozenset()),
-            ({"term": new}, frozenset({3}), frozenset({2})),
-        ]
-        with ExecutionEngine(parallelism=1) as engine:
-            future = engine.submit_task(merge_segment_parts, parts, frozenset())
-            lists, documents, tombstones, written, dropped = future.result()
-        assert list(lists["term"].doc_ids) == [1, 3]
-        assert documents == {1, 3}
-        assert tombstones == set()  # consumed in range
-        assert written == 2 and dropped == 1
-
-
 class TestConcurrentLifecycle:
     """Regressions for lifecycle races: the serving front-end's signal
     handler and a ``with``-block exit may both call ``shutdown()`` -- from
@@ -249,8 +225,6 @@ class TestConcurrentLifecycle:
     lazy pool start.  Every path must be idempotent and deadlock-free."""
 
     def test_double_shutdown_during_inflight_streamed_batch(self):
-        import threading
-
         payloads = _batch() * 3
         expected = [parallel.accumulate_terms(p, MODULUS)[0] for p in payloads]
         engine = ExecutionEngine(parallelism=2)
@@ -276,33 +250,145 @@ class TestConcurrentLifecycle:
         assert [handle.result()[0] for handle in pending] == expected
 
     def test_shutdown_idempotent_after_context_exit(self):
-        import math
-
-        with ExecutionEngine(parallelism=1) as engine:
-            engine.submit_task(math.factorial, 4).result()
+        with ExecutionEngine(parallelism=2) as engine:
+            engine.run_batch(_batch(), MODULUS)
         engine.shutdown()  # signal handler firing after the with-block exit
         engine.shutdown(wait=False)
         assert engine.closed
         with pytest.raises(RuntimeError, match="shut down"):
-            engine.submit_task(math.factorial, 3)
+            engine.submit_batch(_batch(), MODULUS)
 
     def test_concurrent_lazy_start_forks_one_pool(self):
-        import math
-        import threading
-
         engine = ExecutionEngine(parallelism=2)
         barrier = threading.Barrier(4)
-        results: list[int] = []
+        expected = [parallel.accumulate_terms(p, MODULUS)[0] for p in _batch()]
+        results: list[list] = []
 
         def dispatch():
             barrier.wait()
-            results.append(engine.submit_task(math.factorial, 6).result())
+            handles = engine.submit_batch(_batch(), MODULUS)
+            results.append([handle.result()[0] for handle in handles])
 
         threads = [threading.Thread(target=dispatch) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
-        assert results == [720] * 4
+        assert results == [expected] * 4
         assert engine.counters.pool_starts == 1
         engine.shutdown()
+
+
+class TestTaskFailure:
+    def test_a_raising_task_surfaces_from_result_and_the_pool_answers_on(self):
+        """No retry, no restart: a task's exception is the collector's, the
+        same one the in-process kernel raises, and the pool is untouched."""
+        batch = _batch()
+        bad = [(None, array("I", [1, 2]), array("I", [1, 2]))]  # not a ciphertext
+        with pytest.raises(TypeError) as in_process:
+            parallel.accumulate_terms(bad, MODULUS)
+        with ExecutionEngine(parallelism=2) as engine:
+            good, broken = engine.submit_batch([batch[0], bad], MODULUS)
+            with pytest.raises(TypeError) as pooled:
+                broken.result()
+            assert str(pooled.value) == str(in_process.value)
+            assert good.result()[0] == parallel.accumulate_terms(batch[0], MODULUS)[0]
+            again = engine.run_batch(batch, MODULUS)
+            assert engine.counters.pool_starts == 1
+        assert [acc for acc, *_ in again] == [
+            parallel.accumulate_terms(p, MODULUS)[0] for p in batch
+        ]
+
+
+@needs_kernel
+class TestSharedKernelEngine:
+    """Workers are threads of the serving process: what a task books, the
+    process's own counters show; what concurrent sessions collect, adds up."""
+
+    def test_worker_side_kernel_fallbacks_are_visible_to_the_serving_process(self):
+        """Regression: a payload leaving the kernel's envelope inside a pool
+        worker booked its reason where ``/metrics`` never looked."""
+        out_of_ring = [
+            [(MODULUS + 5 + i, array("I", [1, 2, 3]), array("I", [1, 2, 1]))]
+            for i in range(2)
+        ]
+        before = kernels.fallback_counts().get("selector_out_of_ring", 0)
+        with ExecutionEngine(parallelism=2) as engine:
+            pending = engine.submit_batch(out_of_ring, MODULUS, backend="cffi")
+            results = [handle.result()[0] for handle in pending]
+            assert engine.counters.tasks_dispatched == 2
+        assert results == [
+            parallel.accumulate_terms(p, MODULUS, "python")[0] for p in out_of_ring
+        ]
+        assert kernels.fallback_counts()["selector_out_of_ring"] == before + 2
+
+    def test_threads_sharing_one_engine_match_sequential_with_conserved_counters(self):
+        rounds, collectors = 5, 6
+        payloads = _batch() * 2
+        expected = [parallel.accumulate_terms(p, MODULUS, "python") for p in payloads]
+        got: dict[int, list] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ExecutionEngine(parallelism=2) as engine:
+
+                def collect(slot: int):
+                    got[slot] = [
+                        [h.result() for h in engine.submit_batch(payloads, MODULUS, "cffi")]
+                        for _ in range(rounds)
+                    ]
+
+                threads = [
+                    threading.Thread(target=collect, args=(slot,))
+                    for slot in range(collectors)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(got) == list(range(collectors))
+        for answers in got.values():
+            for answer in answers:
+                for (merged, counts, merge_muls, shards), (want, want_counts) in zip(
+                    answer, expected
+                ):
+                    assert merged == want and list(merged) == list(want)
+                    assert shards == 1 and merge_muls == 0
+                    assert counts == want_counts
+        calls = rounds * collectors
+        assert engine.counters.pool_starts == 1
+        assert engine.counters.queries_executed == calls * len(payloads)
+        assert engine.counters.tasks_dispatched == calls * len(payloads)
+
+
+class TestCounters:
+    def test_counters_reset_covers_resilience_fields(self):
+        counters = EngineCounters(
+            pool_starts=1, pool_reuses=2, tasks_dispatched=3, queries_executed=4
+        )
+        counters.reset()
+        assert counters == EngineCounters()  # every field back at its default, 0
+
+
+class TestBackoff:
+    def test_backoff_runs_on_the_injected_sleep_with_seeded_jitter(self):
+        recorded = []
+        policy = RetryPolicy(max_retries=2, backoff_base=0.04, sleep=recorded.append)
+        assert list(policy.attempts(0)) == [0, 1, 2]
+        # Exactly the policy's deterministic schedule, no real sleeping.
+        assert recorded == [policy.backoff(0, 1), policy.backoff(0, 2)]
+
+    def test_backoff_is_bounded_exponential_with_jitter(self):
+        policy = RetryPolicy(backoff_base=0.1, backoff_max=0.5, jitter_seed=9)
+        delays = [policy.backoff(3, attempt) for attempt in range(1, 8)]
+        # Deterministic: same coordinates, same delays.
+        assert delays == [policy.backoff(3, attempt) for attempt in range(1, 8)]
+        for attempt, delay in enumerate(delays, start=1):
+            ceiling = min(0.5, 0.1 * 2 ** (attempt - 1))
+            assert ceiling * 0.5 <= delay <= ceiling
+        assert policy.backoff(3, 0) == 0.0
+        # Different tasks jitter differently (with overwhelming probability).
+        assert policy.backoff(3, 1) != policy.backoff(4, 1)

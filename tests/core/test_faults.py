@@ -174,31 +174,3 @@ class TestErrorTaxonomy:
         assert issubclass(faults.FaultError, RuntimeError)
         assert issubclass(TransientFaultError, faults.FaultError)
         assert issubclass(PermanentFaultError, faults.FaultError)
-
-
-class TestFaultedShardTask:
-    def test_clean_coordinate_runs_the_real_kernel(self):
-        from array import array
-
-        from repro.core import parallel
-
-        modulus = 1009 * 1013
-        payload = [(17, array("I", [1, 2, 3]), array("I", [2, 4, 6]))]
-        task = (payload, modulus, "python")
-        expected = parallel.accumulate_terms(*task)
-        got = faults.faulted_shard_task(FaultPlan(), 0, 0, task)
-        assert got == expected
-
-    def test_faulted_coordinate_raises_before_the_kernel(self):
-        from array import array
-
-        from repro.core import parallel
-
-        modulus = 1009 * 1013
-        payload = [(17, array("I", [1]), array("I", [2]))]
-        task = (payload, modulus, "python")
-        plan = FaultPlan(transient_at=frozenset({(0, 0)}))
-        with pytest.raises(TransientFaultError):
-            faults.faulted_shard_task(plan, 0, 0, task)
-        # The next attempt at the same index is clean and bit-identical.
-        assert faults.faulted_shard_task(plan, 0, 1, task) == parallel.accumulate_terms(*task)

@@ -393,7 +393,7 @@ def test_cluster_end_to_end_with_replica_kill(
     child processes, a coordinator-backed front-end tenant, bit-identity
     with the single-node oracle -- then SIGKILL a replica and the next batch
     must still complete bit-identically off the survivor."""
-    from repro.core.engine import RetryPolicy
+    from repro.core.faults import RetryPolicy
 
     oracle = PrivateRetrievalServer(
         index=index, organization=service_org, public_key=benaloh_keypair.public

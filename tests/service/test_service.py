@@ -23,16 +23,29 @@ import http.client
 import io
 import json
 import logging
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.server import EncryptedResult, PrivateRetrievalServer
 from repro.crypto import kernels, numbertheory
-from repro.service import ServiceError, app, protocol, wire
+from repro.service import ServiceConfig, ServiceError, app, protocol, wire
+from repro.textsearch.corpus import Corpus, Document
+from repro.textsearch.inverted_index import InvertedIndex
+
+SERVE = Path(__file__).resolve().parents[2] / "scripts" / "serve.py"
+#: Worker threads overlap only on the compiled kernel, so only there does
+#: ``parallelism > 1`` build a pool.
+needs_kernel = pytest.mark.skipif(
+    not kernels.compiled_available(), reason="compiled kernels unavailable"
+)
 
 
 def make_batches(embellisher, query_terms, shape):
@@ -117,6 +130,7 @@ class TestBatchCorrectness:
         assert done["counters"]["queries_processed"] == 3
         assert done["service_ms"] >= 0 and done["queue_wait_ms"] >= 0
 
+    @needs_kernel
     def test_parallel_session_matches_direct(
         self, running_service, index, service_org, embellisher, query_terms,
         benaloh_keypair,
@@ -148,6 +162,76 @@ class TestBatchCorrectness:
         )
         assert set(reply) == {"session", "tenant"}
         assert reply["session"] in service.sessions
+
+
+class TestWorkerBudget:
+    def test_python_loop_service_ignores_parallelism_loudly(
+        self, running_service, index, service_org, embellisher, query_terms,
+        benaloh_keypair, monkeypatch, tmp_path, caplog,
+    ):
+        """No compiler, no kernel: threads could only queue behind the
+        interpreter lock, so the service builds no pool, says so, and the
+        answers do not change."""
+        batch = make_batches(embellisher, query_terms, [3])[0]
+        with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
+            patch.setenv("CC", "/bin/false")
+            patch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+            patch.setattr(kernels, "_COMPILED", None)
+            patch.setattr(kernels, "_COMPILE_ERROR", None)
+            service, client = running_service(parallelism=2)
+        assert service.backend == "python" and service.engine is None
+        assert "parallelism=2 ignored" in caplog.text
+        session = client.open_session("corpus", benaloh_keypair.public)
+        results, done = client.run_batch(session, batch, benaloh_keypair.public.n)
+        expected = direct_answers(index, service_org, benaloh_keypair, batch)
+        assert [list(r.encrypted_scores.items()) for r in results] == [
+            list(e.encrypted_scores.items()) for e in expected
+        ]
+        assert done["counters"]["shards_executed"] == len(batch)
+        assert client.metrics()["engine"] is None
+
+    def test_parallelism_below_one_is_rejected_where_the_config_is_built(self):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="parallelism"):
+                ServiceConfig(parallelism=bad)
+            refused = subprocess.run(
+                [sys.executable, str(SERVE), "--tenant", "a=b", "--parallelism", str(bad)],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert refused.returncode == 2
+            assert "--parallelism must be at least 1" in refused.stderr
+
+    def test_serve_reports_the_effective_worker_count(self, tmp_path):
+        """The one line operators read names the workers that exist, not the
+        flag: 0 once the python-loop downgrade has dropped the pool."""
+        index_dir, cache = tmp_path / "index", tmp_path / "kernels"
+        cache.mkdir(mode=0o700)
+        InvertedIndex.build(Corpus([Document(doc_id=0, text="private text search")])).save(
+            index_dir
+        )
+        child = subprocess.Popen(
+            [
+                sys.executable, str(SERVE), "--tenant", f"demo={index_dir}",
+                "--host", "127.0.0.1", "--port", "0", "--parallelism", "2",
+            ],
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, CC="/bin/false", REPRO_KERNEL_CACHE=str(cache)),
+        )
+        watchdog = threading.Timer(60, child.kill)
+        watchdog.start()
+        try:
+            log = []
+            for line in child.stderr:
+                log.append(line)
+                if "listening on" in line:
+                    break
+            assert "pool workers=0, kernel backend=python" in log[-1], log
+            assert any("parallelism=2 ignored" in line for line in log)
+        finally:
+            watchdog.cancel()
+            child.terminate()
+            child.wait(timeout=30)
+            child.stderr.close()
 
 
 class TestCodecsAndBackends:
@@ -463,6 +547,7 @@ class TestMetrics:
         assert metrics["service"]["latency_ms"]["per_query"]["count"] == len(batch)
         assert metrics["tenants"]["corpus"]["batches_answered"] == 1
 
+    @needs_kernel
     def test_tenants_share_the_service_engine(
         self, running_service, index, embellisher, query_terms, benaloh_keypair
     ):

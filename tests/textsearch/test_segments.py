@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import ExecutionEngine
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex
 from repro.textsearch.scoring import BM25Scorer
@@ -279,24 +278,6 @@ class TestTieredMerging:
         )
         live = [d for d in base_documents if d.doc_id not in (1, 2)] + [extra_documents[1]]
         assert_indexes_identical(index, InvertedIndex.build(Corpus(live)))
-
-    def test_background_merge_on_engine_worker(self, base_documents, extra_documents):
-        index = InvertedIndex.build(
-            Corpus(base_documents),
-            seal_threshold=1,
-            merge_policy=TieredMergePolicy(fanout=2),
-        )
-        index.add_documents(extra_documents[:2])
-        rebuilt = InvertedIndex.build(Corpus(base_documents + extra_documents[:2]))
-        with ExecutionEngine(parallelism=1) as engine:
-            handles = index.begin_merges(engine)
-            assert len(handles) == 1
-            # Queries keep serving from the untouched inputs mid-merge.
-            assert_indexes_identical(index, rebuilt)
-            assert index.commit_merge(handles[0])
-            assert engine.counters.tasks_dispatched >= 1
-        assert_indexes_identical(index, rebuilt)
-        assert index.update_counters.merges == 1
 
 
 class TestMergePostingRuns:
