@@ -103,9 +103,9 @@ class PrivateSearchClient:
         With ``stream=True`` the return value is an iterator that yields each
         query's :class:`~repro.textsearch.engine.SearchResult` in session
         order as soon as the server's resident engine finishes that query --
-        the whole batch is dispatched up front (hybrid-scheduled over the
-        pool), but post-filtering of early queries overlaps the server work
-        of later ones.  With ``stream=False`` (the default) the same results
+        a multi-query batch is dispatched up front (one pool task per query),
+        so post-filtering of early queries overlaps the server work of later
+        ones.  With ``stream=False`` (the default) the same results
         come back as a fully materialised list.  Rankings are identical
         either way.
         """

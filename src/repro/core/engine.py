@@ -2,7 +2,7 @@
 
 :class:`ExecutionEngine` owns one long-lived thread pool for the server's
 whole lifetime (``docs/architecture.md``, Layer 4, tells the dispatch ->
-handle -> collect -> merge story end to end).  Workers are threads of the
+handle -> collect story end to end).  Workers are threads of the
 serving process: a payload is handed over by reference and a task's kernel
 fallbacks are booked where ``/metrics`` reads them.  They overlap only while
 the compiled kernel has dropped the interpreter lock, so the serving
@@ -15,17 +15,15 @@ not-yet-started engine lazily.  ``shutdown()`` retires the pool permanently
 -- dispatching afterwards raises ``RuntimeError`` -- and the engine is a
 context manager whose exit is a ``shutdown()``.  The worker count is fixed at
 construction: it is the one place a deployment's worker budget is decided,
-and every batch is scheduled over all of it.
+and every multi-query batch is dispatched on all of it.
 
 Scheduling
 ----------
-:meth:`ExecutionEngine.submit_batch` implements **hybrid batch scheduling**:
-with at least as many queries as workers it dispatches one task per query
-(inter-query parallelism, merge-free); when the batch is *smaller* than the
-pool it splits the leftover workers into intra-query shards of the heaviest
-queries (:func:`repro.core.partitioning.proportional_shares`), so small
-batches -- down to a batch of one, which is how a single query is sharded --
-still saturate the pool.  Each query comes back as a
+:meth:`ExecutionEngine.submit_batch` places **whole queries**: on an engine
+of more than one worker, a batch with more than one non-empty query hands
+each of them to the pool as one ``accumulate_terms`` task (merge-free);
+anything else -- a batch of one, a one-worker engine -- accumulates
+in-process and never starts or touches the pool.  Each query comes back as a
 :class:`~repro.core.parallel.PendingResult` handle, which is what makes
 **streaming delivery** possible: callers collect results as their futures
 complete, in submission order, without waiting for the whole batch.  A task
@@ -52,7 +50,6 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from repro.core import parallel
-from repro.core.partitioning import proportional_shares
 from repro.crypto import numbertheory
 
 __all__ = [
@@ -69,9 +66,9 @@ class EngineCounters:
     pool_starts: int = 0
     #: Dispatching calls served by an already-running pool.
     pool_reuses: int = 0
-    #: Worker tasks (shards or whole queries) submitted to the pool.
+    #: Worker tasks (one whole query each) submitted to the pool.
     tasks_dispatched: int = 0
-    #: Queries routed through the engine (sharded singles and batch members).
+    #: Queries routed through the engine, dispatched or answered in-process.
     queries_executed: int = 0
 
     def reset(self) -> None:
@@ -130,7 +127,7 @@ class ExecutionEngine:
         drain and every other returns immediately instead of double-shutting
         the executor or deadlocking behind it.  With ``wait=True`` the
         draining caller blocks until in-flight tasks (including a streamed
-        batch's shard futures) complete; ``wait=False`` returns at once --
+        batch's futures) complete; ``wait=False`` returns at once --
         what finalizers need -- while the tasks still run to completion and
         the workers then exit on their own.  Either way pending handles
         resolve bit-identically after shutdown.
@@ -180,16 +177,15 @@ class ExecutionEngine:
         modulus: int,
         backend: str | None = None,
     ) -> list[parallel.PendingResult]:
-        """Dispatch a batch under hybrid scheduling; results stream in order.
+        """Dispatch a batch, one worker task per query; results stream in order.
 
         Returns one :class:`~repro.core.parallel.PendingResult` per query, in
-        query order.  A single-query batch is hybrid-scheduled like any other
-        (the whole pool shards that one query).  On an engine of one worker,
-        or when the whole batch is at most one worker task, the handles defer
-        the work in-process (each query accumulates when its result is first
-        collected), which keeps streaming semantics without touching -- or
-        starting -- the pool; an empty query reports zero shards.
-        ``backend`` names what every task of the batch accumulates on,
+        query order.  On an engine of one worker, or when at most one query
+        of the batch has any terms, the handles defer the work in-process
+        (each query accumulates when its result is first collected), which
+        keeps streaming semantics without touching -- or starting -- the
+        pool; an empty query is never dispatched and reports zero shards.
+        ``backend`` names what every query of the batch accumulates on,
         deferred or dispatched (``None``: the library default,
         :func:`repro.crypto.numbertheory.get_backend`).
         """
@@ -198,47 +194,27 @@ class ExecutionEngine:
             self.counters.queries_executed += len(payloads)
         if backend is None:
             backend = numbertheory.get_backend()
-        # Every query starts as a deferred in-process handle; dispatch below
-        # replaces the handles of the queries that get worker tasks.
-        pending = [
-            parallel.PendingResult(modulus, payload=payload, backend=backend)
+        tasks = sum(1 for payload in payloads if payload)
+        executor = (
+            self._acquire(tasks=tasks) if self.parallelism > 1 and tasks > 1 else None
+        )
+        return [
+            parallel.PendingResult(
+                modulus,
+                payload,
+                backend,
+                future=executor.submit(parallel.accumulate_terms, payload, modulus, backend)
+                if executor is not None and payload
+                else None,
+            )
             for payload in payloads
         ]
-        if self.parallelism <= 1:
-            return pending
-        # Per-entry costs are computed once and shared between the hybrid
-        # plan (per-query sums) and the intra-query partition.
-        cost_lists = [
-            [parallel.term_cost(entry) for entry in payload] for payload in payloads
-        ]
-        plan = proportional_shares([sum(costs) for costs in cost_lists], self.parallelism)
-        shard_groups = [
-            parallel.partition_payload(payload, share, costs=costs)
-            for payload, share, costs in zip(payloads, plan, cost_lists)
-        ]
-        tasks = sum(len(group) for group in shard_groups)
-        if tasks <= 1:
-            # At most one worker task in the whole batch (e.g. a single
-            # single-term query): the pool cannot help, run in-process.
-            return pending
-        executor = self._acquire(tasks=tasks)
-        for position, shards in enumerate(shard_groups):
-            if not shards:
-                continue  # empty query: nothing to dispatch, zero shards
-            pending[position] = parallel.PendingResult(
-                modulus,
-                futures=[
-                    executor.submit(parallel.accumulate_terms, shard, modulus, backend)
-                    for shard in shards
-                ],
-            )
-        return pending
 
     def run_batch(
         self,
         payloads: Sequence[Sequence[parallel.TermPayload]],
         modulus: int,
-    ) -> list[tuple[dict[int, int], parallel.ShardCounts, int, int]]:
-        """:meth:`submit_batch`, collected: per-query merged results in order."""
+    ) -> list[tuple[dict[int, int], parallel.ShardCounts]]:
+        """:meth:`submit_batch`, collected: per-query results in order."""
         pending = self.submit_batch(payloads, modulus)
         return [handle.result() for handle in pending]

@@ -1,4 +1,4 @@
-"""Parallel execution subsystem: sharded and batched homomorphic accumulation.
+"""Homomorphic accumulation: the kernel, the merge algebra and the pending handle.
 
 The server side of the PR scheme is embarrassingly parallel: each embellished
 term's inverted list accumulates into the encrypted scores independently, and
@@ -9,23 +9,22 @@ grouping of a document's contributions yields the bit-identical ciphertext).
 This module holds what every placement of that work shares:
 
 * the **accumulation kernel** (:func:`accumulate_terms`), the single
-  implementation of the power-table fast path, executed in-process and by
-  every pool worker -- so "parallel equals sequential" reduces to "modular
-  multiplication is associative";
-* **shard partitioning** (:func:`partition_payload`), a greedy
-  longest-list-first balance of the query's term lists over ``parallelism``
-  shards;
+  implementation of the power-table fast path, executed in-process, by every
+  pool worker and by every index shard -- so "placed equals sequential"
+  reduces to "modular multiplication is associative";
 * **merging** (:func:`merge_shard_results`), one modular multiplication per
-  document that appears in more than one shard.  Within-shard plus merge
+  document that appears in more than one partial.  Within-partial plus merge
   multiplications always total exactly the sequential fast path's count
   (``postings - distinct candidates``), so the cost model is unchanged by
-  parallelism -- only the op *placement* moves;
+  placement -- only where the multiplications happen moves.  Its one caller
+  is the shard coordinator (:mod:`repro.core.coordinator`): partials exist
+  only where a query's terms live in different processes;
 * the **backend as a value**: a worker task is the kernel's own argument
   tuple ``(payload, modulus, backend)`` -- workers run
   ``accumulate_terms(*task)`` and read no process-wide setting (the kernel
   draws no randomness: results are a pure function of the task);
 * the **pending handle** (:class:`PendingResult`) every dispatch returns: one
-  query's accumulation, deferred in-process or in flight on a pool.
+  whole query's accumulation, deferred in-process or in flight on a pool.
 
 Worker threads overlap only inside the compiled kernel, and no measured shape
 has yet shown a pool beating the in-process kernel (``docs/operations.md``,
@@ -38,7 +37,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.partitioning import lpt_assignment
 from repro.crypto import kernels, numbertheory
 from repro.crypto.kernels import build_power_table, power_table_strategy
 
@@ -47,12 +45,9 @@ __all__ = [
     "TermPayload",
     "PendingResult",
     "power_table_strategy",
-    "term_cost",
     "build_power_table",
     "accumulate_terms",
-    "partition_payload",
     "merge_shard_results",
-    "collect_shard_results",
 ]
 
 #: Per-term work unit handed to workers: ``(encrypted_selector, doc_ids,
@@ -68,32 +63,6 @@ class ShardCounts:
     postings: int = 0
     table_multiplications: int = 0
     accumulator_multiplications: int = 0
-
-    def add(self, other: "ShardCounts") -> None:
-        self.postings += other.postings
-        self.table_multiplications += other.table_multiplications
-        self.accumulator_multiplications += other.accumulator_multiplications
-
-
-def term_cost(entry: TermPayload) -> int:
-    """Estimated modular multiplications one term payload costs its shard.
-
-    One accumulator multiplication per posting plus the power-table build
-    cost of the list's distinct quantised impacts (the same strategy choice
-    :func:`build_power_table` will make).  This is what the LPT partition
-    balances -- not bare posting counts: two equally long lists can differ by
-    hundreds of table multiplications when one quantises to a single impact
-    level and the other spreads over the whole range, exactly the skew
-    impact-ordered lists exhibit.  Deterministic, selector-independent, and
-    cheap (no ciphertext arithmetic), so planners and analytic estimators
-    can replay it.
-    """
-    _, doc_ids, impacts = entry
-    if not len(doc_ids):
-        return 0
-    distinct = sorted(set(impacts))
-    _, table_multiplications = power_table_strategy(distinct, distinct[-1])
-    return len(doc_ids) + table_multiplications
 
 
 def accumulate_terms(
@@ -147,39 +116,6 @@ def accumulate_terms(
     return accumulators, counts
 
 
-def partition_payload(
-    payload: Sequence[TermPayload],
-    shards: int,
-    costs: Sequence[int] | None = None,
-) -> list[list[TermPayload]]:
-    """Balance term payloads over ``shards`` shards, greedily by estimated cost.
-
-    Terms are assigned costliest-first to the currently lightest shard (LPT
-    scheduling) where a term's cost is :func:`term_cost` -- its posting count
-    plus its power-table build multiplications -- which keeps the per-shard
-    *modular-multiplication* totals within one term cost of each other.
-    Empty shards are dropped, so the result may contain fewer than ``shards``
-    entries for narrow queries.
-    ``costs`` lets callers that already computed per-entry :func:`term_cost`
-    values (the hybrid batch scheduler) pass them in instead of recomputing.
-    """
-    if shards <= 1 or len(payload) <= 1:
-        return [list(payload)] if payload else []
-    if costs is None:
-        costs = [term_cost(entry) for entry in payload]
-    # The LPT core is shared with the static term->shard maps of
-    # repro.core.partitioning -- dynamic and distributed placement balance
-    # work through the same greedy.
-    assignment = lpt_assignment(costs, min(shards, len(payload)))
-    buckets: list[list[TermPayload]] = [[] for _ in range(min(shards, len(payload)))]
-    # LPT visits items costliest-first, but bucket contents must keep the
-    # costliest-first arrival order the greedy produced; replay in that order.
-    order = sorted(range(len(payload)), key=lambda i: costs[i], reverse=True)
-    for i in order:
-        buckets[assignment[i]].append(payload[i])
-    return [bucket for bucket in buckets if bucket]
-
-
 def merge_shard_results(
     partials: Sequence[dict[int, int]], modulus: int
 ) -> tuple[dict[int, int], int]:
@@ -203,76 +139,45 @@ def merge_shard_results(
     return merged, merge_multiplications
 
 
-def collect_shard_results(
-    partials: Sequence[tuple[dict[int, int], ShardCounts]], modulus: int
-) -> tuple[dict[int, int], ShardCounts, int]:
-    """Combine per-shard kernel outputs into one accumulator set plus counts."""
-    counts = ShardCounts()
-    for _, shard_counts in partials:
-        counts.add(shard_counts)
-    merged, merge_multiplications = merge_shard_results(
-        [accumulators for accumulators, _ in partials], modulus
-    )
-    return merged, counts, merge_multiplications
-
-
 class PendingResult:
     """Handle to one query's accumulation -- the one thing a dispatch returns.
 
-    Either a deferred in-process payload (accumulated lazily on the first
-    :meth:`result`, so a streaming consumer of a one-worker batch pays for
-    each query only when it asks for it) or the shard futures of a dispatched
-    query, collected in order -- a shard task's exception is raised from
-    :meth:`result`, as the in-process kernel would raise it.  ``result`` is
-    idempotent; :attr:`shards` reports how many shard tasks the query
-    executed (0 for an empty payload).
+    Holds the query's payload and, when the engine handed it to a pool
+    worker, that task's future.  Without a future the payload accumulates
+    lazily on the first :meth:`result`, so a streaming consumer of an
+    in-process batch pays for each query only when it asks for it; with one,
+    :meth:`result` waits for the worker and a task's exception is raised
+    from it, as the in-process kernel would raise it.  ``result`` is
+    idempotent; :attr:`shards` is 1, or 0 for an empty payload (which is
+    never dispatched).
     """
 
     def __init__(
         self,
         modulus: int,
-        payload: Sequence[TermPayload] | None = None,
-        futures: Sequence | None = None,
+        payload: Sequence[TermPayload],
         backend: str | None = None,
+        future=None,
     ) -> None:
-        if (futures is None) == (payload is None):
-            raise ValueError("exactly one of futures/payload must be provided")
         self._modulus = modulus
         self._payload = payload
         #: What a deferred payload accumulates on (``None``: library default);
-        #: dispatched shards carry theirs in the task tuple.
+        #: a dispatched task carries its own in the task tuple.
         self._backend = backend
-        self._futures = futures
-        self._resolved: tuple[dict[int, int], ShardCounts, int, int] | None = None
+        self._future = future
+        self._resolved: tuple[dict[int, int], ShardCounts] | None = None
 
     @property
     def shards(self) -> int:
-        if self._futures is not None:
-            return len(self._futures)
         return 1 if self._payload else 0
 
-    def done(self) -> bool:
-        """True once collecting will not wait on outstanding worker futures.
-
-        A payload-deferred handle always reports True: nothing is in flight
-        elsewhere, but the accumulation itself runs inside the first
-        :meth:`result` call.
-        """
-        if self._resolved is not None or self._futures is None:
-            return True
-        return all(future.done() for future in self._futures)
-
-    def result(self) -> tuple[dict[int, int], ShardCounts, int, int]:
-        """``(accumulators, counts, merge_multiplications, shards)``, blocking."""
+    def result(self) -> tuple[dict[int, int], ShardCounts]:
+        """``(accumulators, counts)``, blocking."""
         if self._resolved is None:
-            if self._futures is None:
-                accumulators, counts = accumulate_terms(
+            if self._future is None:
+                self._resolved = accumulate_terms(
                     self._payload, self._modulus, self._backend
                 )
-                self._resolved = (accumulators, counts, 0, self.shards)
             else:
-                merged, counts, merge_multiplications = collect_shard_results(
-                    [future.result() for future in self._futures], self._modulus
-                )
-                self._resolved = (merged, counts, merge_multiplications, self.shards)
+                self._resolved = self._future.result()
         return self._resolved

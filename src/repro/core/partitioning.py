@@ -1,29 +1,20 @@
-"""Shared partitioning layer: *who executes a term's accumulation*.
+"""Partitioning layer: *which shard holds a term's inverted list*.
 
-The accumulation product of the PR scheme is associative, so the engine is
-free to place each term's work wherever it likes -- the placement decision,
-not the kernel, is what differs between execution shapes.  This module is
-the one home for that decision, with two consumers:
-
-* **dynamic placement** inside one process pool:
-  :func:`lpt_assignment` (longest-processing-time balancing of weighted
-  items over bins) and :func:`proportional_shares` (workers-per-query for a
-  batch) are the primitives :func:`repro.core.parallel.partition_payload`
-  and :meth:`repro.core.engine.ExecutionEngine.submit_batch` are built on;
-* **static placement** across index shards for distributed serving: a
-  *term -> shard map* (:class:`HashPartitioner` /
-  :class:`BucketPartitioner`) decides which shard's index holds each
-  term's inverted list.  The map is deterministic, persistable
-  (:meth:`spec` / :func:`partitioner_from_spec`) and total (unknown terms
-  fall back to a seeded hash), so every node of a cluster derives the same
-  routing with no coordination.
+The accumulation product of the PR scheme is associative, so a query's terms
+may be accumulated wherever their lists live and the partials merged.  This
+module is the one home for that placement decision: a *term -> shard map*
+(:class:`HashPartitioner` / :class:`BucketPartitioner`) decides which shard's
+index holds each term's inverted list.  The map is deterministic,
+persistable (:meth:`spec` / :func:`partitioner_from_spec`) and total
+(unknown terms fall back to a seeded hash), so every node of a cluster
+derives the same routing with no coordination.
 
 :class:`BucketPartitioner` reuses the privacy layer's
 :class:`~repro.core.buckets.BucketOrganization`: whole buckets map to one
-shard (balanced by bucket weight through the same LPT core the process pool
-uses), so a bucket's decoy terms -- and the PIR bucket databases built over
-them -- stay shard-local.  A query's embellished bucket then scatters to
-exactly one shard instead of spraying decoys across the cluster.
+shard (balanced by bucket weight, :func:`lpt_assignment`), so a bucket's
+decoy terms -- and the PIR bucket databases built over them -- stay
+shard-local.  A query's embellished bucket then scatters to exactly one
+shard instead of spraying decoys across the cluster.
 
 :func:`save_sharded` / :func:`load_sharded` persist a split index
 (:meth:`repro.textsearch.inverted_index.InvertedIndex.split`) as per-shard
@@ -51,7 +42,6 @@ __all__ = [
     "TOPOLOGY_FILE",
     "lpt_assignment",
     "partitioner_from_spec",
-    "proportional_shares",
     "save_sharded",
     "load_sharded",
     "shard_organization",
@@ -65,15 +55,13 @@ TOPOLOGY_FILE = "topology.json"
 DEFAULT_ROUTING_SEED = 0x5A4D
 
 
-# -- balancing primitives ----------------------------------------------------------
+# -- balancing primitive -----------------------------------------------------------
 def lpt_assignment(costs: Sequence[int], bins: int) -> list[int]:
     """Longest-processing-time placement: ``item index -> bin index``.
 
     Items are assigned costliest-first (stable on ties, so equal-cost items
     keep their input order) to the currently lightest bin, with the first
-    lightest bin winning ties -- the exact greedy the process pool's shard
-    partitioner has always used, now shared with the static term->shard
-    maps.  ``bins <= 1`` puts everything in bin 0.
+    lightest bin winning ties.  ``bins <= 1`` puts everything in bin 0.
     """
     if bins <= 1:
         return [0] * len(costs)
@@ -85,32 +73,6 @@ def lpt_assignment(costs: Sequence[int], bins: int) -> list[int]:
         assignment[i] = lightest
         loads[lightest] += costs[i]
     return assignment
-
-
-def proportional_shares(weights: Sequence[int], capacity: int) -> list[int]:
-    """Workers per weighted item for a capacity of ``capacity`` workers.
-
-    Every item gets one worker; each leftover worker goes to the item with
-    the largest remaining weight per worker it already holds (deterministic
-    largest-remaining-load, ties to the larger weight then the earlier
-    item).  Zero-weight items never receive extra workers.  This is the
-    hybrid batch scheduler's allocation, extracted so other placement
-    layers (e.g. a coordinator splitting replicas over query streams) can
-    reuse it.
-    """
-    items = len(weights)
-    if items == 0 or capacity <= 0:
-        return []
-    shares = [1] * items
-    leftover = capacity - items
-    for _ in range(max(0, leftover)):
-        heaviest = max(
-            range(items), key=lambda i: (weights[i] / shares[i], weights[i], -i)
-        )
-        if weights[heaviest] == 0:
-            break
-        shares[heaviest] += 1
-    return shares
 
 
 def _hash_shard(seed: int, term: str, num_shards: int) -> int:
@@ -151,10 +113,9 @@ class BucketPartitioner:
 
     Built from a :class:`~repro.core.buckets.BucketOrganization` via
     :meth:`from_organization`, which balances whole buckets over shards by
-    total list weight through :func:`lpt_assignment` -- the same greedy the
-    process pool uses, one level up.  Terms outside the organisation (e.g.
-    dictionary terms added after the map was built) fall back to seeded
-    hash routing so the map stays total; re-derive the map after
+    total list weight through :func:`lpt_assignment`.  Terms outside the
+    organisation (e.g. dictionary terms added after the map was built) fall
+    back to seeded hash routing so the map stays total; re-derive the map after
     :meth:`~repro.core.server.PrivateRetrievalServer.accommodate_new_terms`
     to make them bucket-local again.
     """
@@ -182,10 +143,9 @@ class BucketPartitioner:
     ) -> "BucketPartitioner":
         """Balance whole buckets over ``num_shards`` shards.
 
-        ``weights`` maps terms to a load estimate (posting counts, or
-        :func:`repro.core.parallel.term_cost` values); a bucket's cost is
-        the sum over its terms, defaulting to one per term, with empty
-        buckets costing 1 so placement stays defined.
+        ``weights`` maps terms to a load estimate (posting counts, say); a
+        bucket's cost is the sum over its terms, defaulting to one per term,
+        with empty buckets costing 1 so placement stays defined.
         """
         costs = []
         for bucket in organization.buckets:

@@ -19,21 +19,21 @@ Two accumulation paths exist:
   multiplication (:func:`repro.core.parallel.accumulate_terms`).  Every fast
   query is dispatched the same way (:meth:`PrivateRetrievalServer.iter_batch`;
   ``process_batch`` materialises it, ``process_query`` is a batch of one):
-  one :class:`~repro.core.parallel.PendingResult` handle per query --
-  scheduled over the whole resident
-  :class:`~repro.core.engine.ExecutionEngine` pool when the server has one
-  (injected, or built for ``parallelism > 1``), deferred in-process
-  otherwise -- collected by one loop.  Shard partials merge by modular
-  multiplication, which is associative, so the ciphertexts are bit-identical
-  to the naive path's wherever the multiplications happen.
+  one :class:`~repro.core.parallel.PendingResult` handle per query -- a
+  task on the resident :class:`~repro.core.engine.ExecutionEngine` pool when
+  the server has one (injected, or built for ``parallelism > 1``) and the
+  batch has several queries, deferred in-process otherwise -- collected by
+  one loop.  The ciphertexts are bit-identical to the naive path's wherever
+  a query's multiplications happen.
 
 The server is instrumented: it counts disk blocks fetched (bucket-co-located
 lists are fetched together, the I/O optimisation Section 4 prescribes),
-modular exponentiations, table / accumulator / merge multiplications, shard
-and batch fan-out, and the size of the candidate result it returns.  Those
-counters feed the Section 5.2 cost model, and the analytic estimators
-reproduce them exactly; sharding and batching never change the totals, only
-where the multiplications happen.
+modular exponentiations, table / accumulator multiplications, batch fan-out,
+and the size of the candidate result it returns.  Those counters feed the
+Section 5.2 cost model, and the analytic estimators reproduce them exactly;
+batching and placement never change the totals, only where the
+multiplications happen (the shard coordinator books the shards it touched
+and its own merge multiplications on the same counters).
 """
 
 from __future__ import annotations
@@ -87,12 +87,14 @@ class ServerCounters:
     table_multiplications: int = 0
     buckets_fetched: int = 0
     terms_processed: int = 0
-    #: Shards executed for this query (1 on the sequential path).
+    #: Kernel runs behind this answer: 1 on a single node (0 for an empty
+    #: query), the index shards touched on the coordinator.
     shards_executed: int = 0
-    #: Modular multiplications spent merging partial shard accumulators.
-    #: Already included in :attr:`modular_multiplications` -- within-shard
-    #: plus merge multiplications always equal the sequential count, so this
-    #: only attributes where they happened.
+    #: Modular multiplications the coordinator spent merging shard partials
+    #: (always 0 on a single node).  Already included in
+    #: :attr:`modular_multiplications` -- within-shard plus merge
+    #: multiplications always equal the sequential count, so this only
+    #: attributes where they happened.
     merge_multiplications: int = 0
     #: Queries answered into these counters (1 for process_query; the batch
     #: size for process_batch).
@@ -154,8 +156,8 @@ class PrivateRetrievalServer:
         and keeps it warm across calls until :meth:`close`.
     backend:
         The arithmetic (``"python"`` or ``"cffi"``) the fast path accumulates
-        on, carried as a value into every pending handle and shard task.  ``None`` (the
-        default) follows the library-wide
+        on, carried as a value into every pending handle and worker task.
+        ``None`` (the default) follows the library-wide
         :func:`repro.crypto.numbertheory.get_backend`; the serving front-end
         passes the one it resolved at start-up, so serving on the compiled
         kernel never changes what the oracles and experiments run on.
@@ -278,16 +280,16 @@ class PrivateRetrievalServer:
     def iter_batch(self, queries: Sequence[EmbellishedQuery]) -> Iterator[EncryptedResult]:
         """Stream a batch's results in query order as their futures complete.
 
-        The whole batch is dispatched up front, hybrid-scheduled over the
-        resident pool: across queries first (one worker task per query,
-        merge-free), leftover workers as intra-query shards of the heaviest
-        queries.  Each :class:`EncryptedResult` is yielded as soon as its own
-        shard tasks finish, so a consumer can post-filter early results while
-        later ones are still accumulating.  Counters fill progressively:
+        A batch of several queries is dispatched up front on the resident
+        pool, one worker task per query.  Each :class:`EncryptedResult` is
+        yielded as soon as its own task finishes, so a consumer can
+        post-filter early results while later ones are still accumulating.
+        Counters fill progressively:
         :attr:`last_batch_counters` holds the completed snapshots of exactly
         the yielded prefix, which :attr:`counters` aggregates.  With
-        ``naive=True``, or no engine and ``parallelism`` 1, nothing is
-        dispatched: each query is computed when the iterator reaches it.
+        ``naive=True``, no engine and ``parallelism`` 1, or a batch of one,
+        nothing is dispatched: each query is computed when the iterator
+        reaches it.
 
         Raises
         ------
@@ -297,7 +299,7 @@ class PrivateRetrievalServer:
             propagates unchanged -- out of the yielding loop, since dispatch
             happens on the first ``next()``.
 
-        The generator holds shard futures on the pool while suspended: an
+        The generator holds futures on the pool while suspended: an
         engine ``shutdown(wait=True)`` waits for those futures, whose results
         remain collectible afterwards.
 
@@ -357,15 +359,12 @@ class PrivateRetrievalServer:
                 backend=self.backend,
             )
         for handle in pending:
-            accumulators, counts, merge_multiplications, shards = handle.result()
+            accumulators, counts = handle.result()
             yield accumulators, ServerCounters(
                 postings_processed=counts.postings,
                 table_multiplications=counts.table_multiplications,
-                modular_multiplications=(
-                    counts.accumulator_multiplications + merge_multiplications
-                ),
-                merge_multiplications=merge_multiplications,
-                shards_executed=shards,
+                modular_multiplications=counts.accumulator_multiplications,
+                shards_executed=handle.shards,
             )
 
     def _payload(self, query: EmbellishedQuery, view) -> list[parallel.TermPayload]:

@@ -579,6 +579,8 @@ class RetrievalService:
         if not isinstance(body, dict):
             raise WireError("session request must be a JSON object")
         name = body.get("tenant")
+        if not isinstance(name, str):  # a list or object is not even hashable
+            raise WireError("session request must name its tenant as a string")
         tenant = self.tenants.get(name)
         if tenant is None:
             await protocol.send_json(writer, 404, {"error": f"no tenant {name!r}"})

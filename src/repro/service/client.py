@@ -61,9 +61,9 @@ class ServiceUnavailableError(ServiceError):
     means the request never produced any result (safe to resubmit
     wholesale), ``True`` means the stream died after delivery started (the
     batch may have partially executed server-side; resubmitting re-runs it).
-    ``transient`` is duck-typed truthy so retry machinery
-    (:mod:`repro.core.engine`, :mod:`repro.core.coordinator`) classifies
-    this as retryable without importing the service layer.
+    ``transient`` is duck-typed truthy so the coordinator's replica failover
+    (:func:`repro.core.faults.retryable`) classifies this as retryable
+    without importing the service layer.
     """
 
     transient = True
@@ -162,6 +162,14 @@ class ServiceClient:
         response = self._request(method, path, payload)
         try:
             return response.read()
+        except (ConnectionError, http.client.IncompleteRead) as exc:
+            # The peer died after its response head (what a SIGKILLed shard
+            # replica looks like): typed like a torn batch stream, so the
+            # coordinator fails over instead of failing the batch.
+            raise ServiceUnavailableError(
+                f"response from {self.host}:{self.port} ended mid-body: {exc!r}",
+                mid_stream=True,
+            ) from exc
         finally:
             response._service_connection.close()
 

@@ -15,7 +15,8 @@ This module wires the pieces of the scatter-gather architecture together:
   (``python -m repro.service.cluster`` serving one shard directory),
   reporting its ephemeral port on stdout.  Processes, not threads: shard
   accumulation is CPU-bound, and the point of scattering is to buy
-  parallelism the GIL would otherwise serialise.
+  parallelism the GIL would otherwise serialise -- so a shard server
+  accumulates in-process and nests no worker pool of its own.
 * :class:`LocalShardCluster` -- a whole topology on one machine: split a
   saved :func:`~repro.core.partitioning.save_sharded` layout into N shard
   processes x R replicas, hand out coordinator-ready
@@ -94,7 +95,6 @@ class ShardServerProcess:
 
     index_dir: Path
     tenant: str
-    parallelism: int = 1
     host: str = "127.0.0.1"
     process: subprocess.Popen = field(init=False, repr=False)
     address: tuple[str, int] = field(init=False)
@@ -119,8 +119,6 @@ class ShardServerProcess:
                 self.tenant,
                 "--host",
                 self.host,
-                "--parallelism",
-                str(self.parallelism),
             ],
             stdout=subprocess.PIPE,
             text=True,
@@ -170,17 +168,12 @@ class LocalShardCluster:
         *,
         tenant: str = "shard",
         replicas_per_shard: int = 1,
-        parallelism: int = 1,
     ) -> None:
         self.layout: ShardedIndexLayout = load_sharded(root)
         self.tenant = tenant
         self.replicas: list[list[ShardServerProcess]] = [
             [
-                ShardServerProcess(
-                    index_dir=shard_dir,
-                    tenant=tenant,
-                    parallelism=parallelism,
-                )
+                ShardServerProcess(index_dir=shard_dir, tenant=tenant)
                 for _ in range(replicas_per_shard)
             ]
             for shard_dir in self.layout.shard_dirs
@@ -261,15 +254,10 @@ def _serve_shard_main(argv: Sequence[str] | None = None) -> None:
     parser.add_argument("--tenant", default="shard")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
-    parser.add_argument("--parallelism", type=int, default=1)
     args = parser.parse_args(argv)
 
     async def run() -> None:
-        service = RetrievalService(
-            ServiceConfig(
-                host=args.host, port=args.port, parallelism=args.parallelism
-            )
-        )
+        service = RetrievalService(ServiceConfig(host=args.host, port=args.port))
         service.add_tenant(args.tenant, index_dir=args.serve_shard)
         host, port = await service.start()
         print(f"{host} {port}", flush=True)

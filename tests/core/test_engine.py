@@ -9,7 +9,6 @@ import pytest
 from repro.core import parallel
 from repro.core.engine import EngineCounters, ExecutionEngine
 from repro.core.faults import RetryPolicy
-from repro.core.partitioning import proportional_shares
 from repro.crypto import kernels
 
 MODULUS = 1009 * 1013
@@ -119,74 +118,59 @@ class TestCountersAndReuse:
 
     def test_single_shard_query_runs_in_process_without_starting_pool(self):
         engine = ExecutionEngine(parallelism=4)
-        accumulators, counts, merge_muls, shards = engine.run_batch(
-            [_payload([(17, [(1, 2), (2, 1)])])], MODULUS
-        )[0]
-        assert shards == 1 and merge_muls == 0
+        (handle,) = engine.submit_batch([_payload([(17, [(1, 2), (2, 1)])])], MODULUS)
+        accumulators, counts = handle.result()
+        assert handle.shards == 1 and counts.postings == 2
         assert not engine.running
         assert engine.counters.pool_starts == 0
         engine.shutdown()
 
     def test_empty_payload_reports_zero_shards(self):
         engine = ExecutionEngine(parallelism=4)
-        accumulators, counts, merge_muls, shards = engine.run_batch([[]], MODULUS)[0]
-        assert accumulators == {} and shards == 0
-        batch = engine.run_batch([[], _batch()[1]], MODULUS)
-        assert batch[0][0] == {} and batch[0][3] == 0
+        (handle,) = engine.submit_batch([[]], MODULUS)
+        assert handle.result()[0] == {} and handle.shards == 0
+        empty, light = engine.submit_batch([[], _batch()[1]], MODULUS)
+        assert empty.result()[0] == {} and empty.shards == 0
+        assert light.shards == 1 and not engine.running  # one task: in-process
         engine.shutdown()
+
+    def test_empty_queries_are_never_dispatched(self):
+        heavy, light = _batch()
+        with ExecutionEngine(parallelism=2) as engine:
+            pending = engine.submit_batch([heavy, [], light], MODULUS)
+            assert engine.counters.tasks_dispatched == 2
+            assert [handle.shards for handle in pending] == [1, 0, 1]
+            assert [handle.result()[0] for handle in pending] == [
+                parallel.accumulate_terms(p, MODULUS)[0] for p in (heavy, [], light)
+            ]
 
 
 class TestHybridScheduling:
-    def test_small_batch_gets_intra_query_shards(self):
-        batch = _batch()  # 2 queries, 4 workers -> leftover workers shard query 0
-        with ExecutionEngine(parallelism=4) as engine:
-            results = engine.run_batch(batch, MODULUS)
-        assert results[0][3] > 1  # the heavy query was sharded
-        assert results[1][3] == 1  # the single-term query cannot shard
-        assert engine.counters.tasks_dispatched == sum(r[3] for r in results)
+    """Whole-query routing: one pool task per query of a multi-query batch,
+    in-process for everything else."""
 
     def test_hybrid_results_match_sequential_kernel_and_op_totals(self):
         batch = _batch()
         with ExecutionEngine(parallelism=4) as engine:
             results = engine.run_batch(batch, MODULUS)
-        for (merged, counts, merge_muls, _), payload in zip(results, batch):
+            assert engine.counters.tasks_dispatched == len(batch)
+        for (accumulators, counts), payload in zip(results, batch):
             sequential, seq_counts = parallel.accumulate_terms(payload, MODULUS)
-            assert merged == sequential
-            assert counts.postings == seq_counts.postings
-            assert counts.table_multiplications == seq_counts.table_multiplications
-            assert (
-                counts.accumulator_multiplications + merge_muls
-                == seq_counts.accumulator_multiplications
-            )
-
-    def test_single_query_batch_is_sharded_over_the_whole_pool(self):
-        """A batch of one heavy query -- how a single query is dispatched --
-        must not fall back to one core: the whole pool shards it."""
-        heavy = _batch()[0]
-        with ExecutionEngine(parallelism=4) as engine:
-            (merged, _counts, _merge_muls, shards), = engine.run_batch([heavy], MODULUS)
-        assert shards > 1
-        assert merged == parallel.accumulate_terms(heavy, MODULUS)[0]
+            assert accumulators == sequential
+            assert counts == seq_counts
 
     def test_single_task_batch_runs_in_process(self):
-        """One single-term query = one worker task: the pool cannot help, so
-        nothing is dispatched (and an idle engine never starts its pool)."""
+        """A batch of one -- however many terms the query has -- is one
+        worker task: the pool cannot help, so nothing is dispatched (and an
+        idle engine never starts its pool)."""
         engine = ExecutionEngine(parallelism=4)
-        (merged, counts, merge_muls, shards), = engine.run_batch([_batch()[1]], MODULUS)
-        assert shards == 1 and not engine.running
+        for payload in _batch():
+            (handle,) = engine.submit_batch([payload], MODULUS)
+            assert handle.result() == parallel.accumulate_terms(payload, MODULUS)
+            assert handle.shards == 1 and not engine.running
         assert engine.run_batch([], MODULUS) == []
-        assert not engine.running
+        assert not engine.running and engine.counters.tasks_dispatched == 0
         engine.shutdown()
-
-    def test_hybrid_shard_plan_properties(self):
-        assert proportional_shares([], 4) == []
-        assert proportional_shares([10, 10, 10, 10], 2) == [1, 1, 1, 1]
-        plan = proportional_shares([30, 2], 4)
-        assert sum(plan) == 4 and plan[0] > plan[1] >= 1
-        # Zero-posting queries never receive the leftover workers.
-        assert proportional_shares([0, 0], 5) == [1, 1]
-        # Deterministic: same inputs, same plan.
-        assert proportional_shares([7, 5, 3], 8) == proportional_shares([7, 5, 3], 8)
 
 
 class TestStreaming:
@@ -199,23 +183,16 @@ class TestStreaming:
             assert [p.result() for p in pending] == collected
         expected = [parallel.accumulate_terms(p, MODULUS)[0] for p in batch]
         assert [acc for acc, *_ in collected] == expected
-        assert collected[-1][3] == 0  # the empty query executed no shards
+        assert pending[-1].shards == 0  # the empty query executed no shards
 
     def test_sequential_engine_defers_work_lazily(self):
         engine = ExecutionEngine(parallelism=1)
         pending = engine.submit_batch(_batch(), MODULUS)
         assert not engine.running  # nothing dispatched to a pool
-        assert all(p.done() for p in pending)
         results = [p.result() for p in pending]
         expected = [parallel.accumulate_terms(p, MODULUS)[0] for p in _batch()]
         assert [acc for acc, *_ in results] == expected
         engine.shutdown()
-
-    def test_pending_result_rejects_ambiguous_construction(self):
-        with pytest.raises(ValueError):
-            parallel.PendingResult(MODULUS)
-        with pytest.raises(ValueError):
-            parallel.PendingResult(MODULUS, futures=[], payload=[])
 
 
 class TestConcurrentLifecycle:
@@ -322,6 +299,18 @@ class TestSharedKernelEngine:
         ]
         assert kernels.fallback_counts()["selector_out_of_ring"] == before + 2
 
+    def test_a_batch_of_one_never_touches_the_pool(self):
+        heavy = _batch()[0]
+        engine = ExecutionEngine(parallelism=2)
+        (handle,) = engine.submit_batch([heavy], MODULUS, backend="cffi")
+        merged, counts = handle.result()
+        want, want_counts = parallel.accumulate_terms(heavy, MODULUS, "python")
+        assert merged == want and list(merged) == list(want)
+        assert counts == want_counts
+        assert engine.counters.pool_starts == 0
+        assert engine.counters.tasks_dispatched == 0
+        engine.shutdown()
+
     def test_threads_sharing_one_engine_match_sequential_with_conserved_counters(self):
         rounds, collectors = 5, 6
         payloads = _batch() * 2
@@ -334,7 +323,10 @@ class TestSharedKernelEngine:
 
                 def collect(slot: int):
                     got[slot] = [
-                        [h.result() for h in engine.submit_batch(payloads, MODULUS, "cffi")]
+                        [
+                            (*h.result(), h.shards)
+                            for h in engine.submit_batch(payloads, MODULUS, "cffi")
+                        ]
                         for _ in range(rounds)
                     ]
 
@@ -352,11 +344,9 @@ class TestSharedKernelEngine:
         assert sorted(got) == list(range(collectors))
         for answers in got.values():
             for answer in answers:
-                for (merged, counts, merge_muls, shards), (want, want_counts) in zip(
-                    answer, expected
-                ):
+                for (merged, counts, shards), (want, want_counts) in zip(answer, expected):
                     assert merged == want and list(merged) == list(want)
-                    assert shards == 1 and merge_muls == 0
+                    assert shards == 1
                     assert counts == want_counts
         calls = rounds * collectors
         assert engine.counters.pool_starts == 1

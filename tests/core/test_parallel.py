@@ -1,4 +1,4 @@
-"""Unit tests for the parallel execution subsystem (sharding, merging, seeding)."""
+"""Unit tests for the accumulation kernel, the merge algebra and pooled servers."""
 
 import random
 from array import array
@@ -22,41 +22,6 @@ def _payload(entries):
         )
         for selector, postings in entries
     ]
-
-
-class TestPartitionPayload:
-    def test_single_shard_passthrough(self):
-        payload = _payload([(3, [(1, 2)]), (5, [(2, 4)])])
-        assert parallel.partition_payload(payload, 1) == [payload]
-
-    def test_empty_payload_yields_no_shards(self):
-        assert parallel.partition_payload([], 4) == []
-
-    def test_never_more_shards_than_terms(self):
-        payload = _payload([(3, [(1, 2)]), (5, [(2, 4)])])
-        shards = parallel.partition_payload(payload, 8)
-        assert len(shards) == 2
-
-    def test_partition_preserves_every_term_exactly_once(self):
-        rng = random.Random(5)
-        payload = _payload(
-            [
-                (i, [(rng.randrange(50), rng.randrange(1, 9)) for _ in range(rng.randrange(1, 20))])
-                for i in range(13)
-            ]
-        )
-        shards = parallel.partition_payload(payload, 4)
-        flattened = [term for shard in shards for term in shard]
-        assert sorted(t[0] for t in flattened) == sorted(t[0] for t in payload)
-
-    def test_greedy_balance_within_one_longest_list(self):
-        payload = _payload(
-            [(i, [(d, 1) for d in range(length)]) for i, length in enumerate([30, 20, 12, 9, 7, 3])]
-        )
-        shards = parallel.partition_payload(payload, 3)
-        loads = [sum(len(t[1]) for t in shard) for shard in shards]
-        longest = max(len(t[1]) for t in payload)
-        assert max(loads) - min(loads) <= longest
 
 
 class TestMergeShardResults:
@@ -135,7 +100,7 @@ class TestAccumulationKernel:
 
 
 class TestShardedServer:
-    """Real multiprocess execution: workers are actual forked/spawned processes."""
+    """A server with a real two-thread pool (reached by multi-query batches only)."""
 
     @pytest.fixture(scope="class")
     def query(self, index, organization, benaloh_keypair):
@@ -151,13 +116,14 @@ class TestShardedServer:
         kwargs = dict(index=index, organization=organization, public_key=benaloh_keypair.public)
         sequential = PrivateRetrievalServer(**kwargs)
         sharded = PrivateRetrievalServer(parallelism=2, **kwargs)
-        assert (
-            sharded.process_query(query).encrypted_scores
-            == sequential.process_query(query).encrypted_scores
-        )
+        queries = [query, query]  # a pool is only exercised by a multi-query batch
+        assert [r.encrypted_scores for r in sharded.process_batch(queries)] == [
+            r.encrypted_scores for r in sequential.process_batch(queries)
+        ]
+        assert sharded.engine.counters.tasks_dispatched == 2
         seq, par = sequential.counters, sharded.counters
-        assert par.shards_executed == 2
-        # Sharding moves multiplications, it never creates or destroys them.
+        assert par.shards_executed == 2 and par.merge_multiplications == 0
+        # Placement moves multiplications, it never creates or destroys them.
         assert par.modular_multiplications == seq.modular_multiplications
         assert par.postings_processed == seq.postings_processed
         assert par.table_multiplications == seq.table_multiplications
@@ -181,61 +147,3 @@ class TestShardedServer:
         first = PrivateRetrievalServer(parallelism=2, **kwargs).process_query(query)
         second = PrivateRetrievalServer(parallelism=2, **kwargs).process_query(query)
         assert first.encrypted_scores == second.encrypted_scores
-
-
-class TestCostWeightedPartition:
-    """Regression: the LPT partition assumed uniform per-posting cost, but the
-    power-table build makes per-term cost depend on the distinct-impact
-    spread; shards must balance estimated multiplications, not list lengths."""
-
-    def _skewed_payload(self):
-        # Four equally long lists: one quantises across a wide sparse range
-        # (expensive power table), three to a single level (almost free).
-        expensive = (3, [(d, 1 + 25 * d) for d in range(10)])
-        cheap = [(5 + i, [(d, 4) for d in range(10)]) for i in range(3)]
-        return _payload([expensive, *cheap])
-
-    def test_term_cost_counts_postings_plus_table_work(self):
-        payload = self._skewed_payload()
-        modulus = 1009 * 1013
-        for entry in payload:
-            _, counts = parallel.accumulate_terms([entry], modulus)
-            assert parallel.term_cost(entry) == (
-                counts.postings + counts.table_multiplications
-            )
-        assert parallel.term_cost((7, array("I"), array("I"))) == 0
-
-    def test_skewed_lists_balance_by_realised_multiplications(self):
-        payload = self._skewed_payload()
-        modulus = 1009 * 1013
-        shards = parallel.partition_payload(payload, 2)
-        assert len(shards) == 2
-
-        def realised(shard):
-            _, counts = parallel.accumulate_terms(shard, modulus)
-            return counts.table_multiplications + counts.accumulator_multiplications
-
-        loads = sorted(realised(shard) for shard in shards)
-        # Length-based LPT would pair the expensive list with a cheap one
-        # (every shard gets two 10-posting lists), leaving the other shard
-        # with only two cheap lists -- a spread of a full power-table build.
-        length_balanced = [[payload[0], payload[1]], [payload[2], payload[3]]]
-        old_loads = sorted(realised(shard) for shard in length_balanced)
-        assert loads[-1] - loads[0] < old_loads[-1] - old_loads[0]
-        # LPT bound under the cost weighting: spread within one term cost.
-        assert loads[-1] - loads[0] <= max(
-            parallel.term_cost(entry) for entry in payload
-        )
-
-    def test_op_totals_conserved_under_cost_weighting(self):
-        payload = self._skewed_payload()
-        modulus = 1009 * 1013
-        sequential, seq_counts = parallel.accumulate_terms(payload, modulus)
-        partition = parallel.partition_payload(payload, 3)
-        partials = [parallel.accumulate_terms(shard, modulus) for shard in partition]
-        merged, merge_muls = parallel.merge_shard_results(
-            [accumulators for accumulators, _ in partials], modulus
-        )
-        assert merged == sequential
-        within = sum(c.accumulator_multiplications for _, c in partials)
-        assert within + merge_muls == seq_counts.accumulator_multiplications

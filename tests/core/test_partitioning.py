@@ -3,9 +3,8 @@ index splitting and sharded persistence.
 
 The load-bearing invariants:
 
-* ``lpt_assignment`` / ``proportional_shares`` are the exact greedies the
-  process pool has always used (``partition_payload`` and the engine's hybrid
-  batch plan are built on them), so their determinism is re-pinned here;
+* ``lpt_assignment`` is the deterministic greedy ``BucketPartitioner``
+  balances whole buckets with;
 * a partitioner is a total, deterministic function of ``(seed, term)`` --
   every node derives the same routing with no coordination -- and survives a
   ``spec()`` round-trip exactly;
@@ -24,7 +23,6 @@ import random
 
 import pytest
 
-from repro.core.parallel import partition_payload
 from repro.core.partitioning import (
     BucketPartitioner,
     HashPartitioner,
@@ -32,7 +30,6 @@ from repro.core.partitioning import (
     load_sharded,
     lpt_assignment,
     partitioner_from_spec,
-    proportional_shares,
     save_sharded,
     shard_organization,
     split_query_terms,
@@ -67,34 +64,6 @@ def test_lpt_assignment_balances_loads():
     # LPT guarantee: max load <= (4/3 - 1/3m) * optimal; a loose sanity
     # bound (2x the mean) catches gross regressions without re-deriving it.
     assert max(loads) <= 2 * (sum(costs) / bins)
-
-
-def test_partition_payload_still_matches_lpt_core():
-    """The refactored partition_payload delegates to lpt_assignment with
-    identical observable grouping (costliest-first replay order)."""
-    payload = [(s, list(range(n)), [1] * n) for s, n in enumerate([5, 1, 9, 3, 7])]
-    costs = [len(entry[1]) for entry in payload]
-    shards = partition_payload(payload, 2, costs=costs)
-    flattened = sorted(entry[0] for shard in shards for entry in shard)
-    assert flattened == [0, 1, 2, 3, 4]
-    loads = sorted(sum(len(e[1]) for e in shard) for shard in shards)
-    assert loads == [12, 13]
-
-
-def test_proportional_shares_every_item_one_worker():
-    shares = proportional_shares([10, 1, 1], 3)
-    assert shares == [1, 1, 1]
-
-
-def test_proportional_shares_leftovers_to_heaviest():
-    shares = proportional_shares([9, 3], 5)
-    assert sum(shares) == 5
-    assert shares[0] > shares[1]
-
-
-def test_proportional_shares_zero_weight_never_extra():
-    shares = proportional_shares([0, 0], 6)
-    assert shares == [1, 1]
 
 
 # -- term -> shard maps ------------------------------------------------------------

@@ -212,17 +212,14 @@ class TestResidentEngine:
             public_key=benaloh_keypair.public,
             parallelism=2,
         ) as server:
-            first = server.process_query(query)
-            second = server.process_query(query)
+            first = server.process_batch([query, query])
+            second = server.process_batch([query, query])
             assert server.engine is not None
             assert server.engine.counters.pool_starts == 1
             assert server.engine.counters.pool_reuses >= 1
         assert server.engine is None  # context exit shut the owned engine down
-        assert (
-            first.encrypted_scores
-            == second.encrypted_scores
-            == sequential.process_query(query).encrypted_scores
-        )
+        expected = sequential.process_query(query).encrypted_scores
+        assert [r.encrypted_scores for r in first + second] == [expected] * 4
 
     def test_close_is_idempotent_and_leaves_shared_engines_alone(
         self, index, organization, benaloh_keypair
@@ -284,10 +281,10 @@ class TestResidentEngine:
         in_process = PrivateRetrievalServer(**kwargs).process_query(query)
         with ExecutionEngine(parallelism=2) as shared:
             server = PrivateRetrievalServer(engine=shared, **kwargs)
-            pooled = server.process_query(query)
-            assert server.counters.shards_executed >= 2
-            assert shared.counters.tasks_dispatched >= 2
-        assert pooled.encrypted_scores == in_process.encrypted_scores
+            pooled = server.process_batch([query, query])
+            assert server.counters.shards_executed == 2
+            assert shared.counters.tasks_dispatched == 2
+        assert [r.encrypted_scores for r in pooled] == [in_process.encrypted_scores] * 2
 
 
 class TestIterBatch:

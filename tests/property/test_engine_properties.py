@@ -1,32 +1,30 @@
 """Property-based equivalence tests for the persistent execution engine.
 
-Engine routing -- resident pool, hybrid batch scheduling, streaming delivery
--- must never change results, only wall-clock:
+Engine routing -- resident pool, whole-query dispatch, streaming delivery --
+must never change results, only wall-clock:
 
-* the hybrid plan (every query >= 1 worker, leftovers to the heaviest
-  queries) partitions and merges back to ciphertexts *bit-identical* to the
-  sequential fast path and the naive per-posting-exponentiation oracle;
-* operation counts are conserved: per query, within-shard plus merge
-  multiplications total exactly the sequential count, and postings/table
+* a batch routed through an engine (one pool task per query of a multi-query
+  batch, in-process otherwise) answers ciphertexts *bit-identical* to the
+  sequential fast path and the naive per-posting-exponentiation oracle, in
+  the same candidate order;
+* operation counts are conserved: postings, table and accumulator
   multiplications are untouched by scheduling;
 * streaming a batch yields the same results in the same order as collecting
   it wholesale.
 
-The hybrid plan/partition/merge plumbing is driven in-process here (the exact
-pipeline the engine dispatches; hypothesis spawning a process pool per example
-would be all start-up cost).  Real resident worker pools are exercised by
-``tests/core/test_engine.py`` and ``tests/core/test_server.py``.
+One resident two-thread pool serves every hypothesis example (starting one
+per example would be all start-up cost).
 """
 
 import random
 from array import array
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import parallel
 from repro.core.embellish import QueryEmbellisher
 from repro.core.engine import ExecutionEngine
-from repro.core.partitioning import proportional_shares
 from repro.core.server import PrivateRetrievalServer
 
 
@@ -49,53 +47,32 @@ def payload_batches(draw):
     return batch, modulus
 
 
-def _hybrid_in_process(batch, modulus, parallelism):
-    """Replay exactly what ExecutionEngine.submit_batch dispatches, in-process."""
-    plan = proportional_shares(
-        [sum(len(doc_ids) for _, doc_ids, _ in payload) for payload in batch],
-        parallelism,
-    )
-    outputs = []
-    for payload, share in zip(batch, plan):
-        shards = parallel.partition_payload(payload, share)
-        partials = [parallel.accumulate_terms(shard, modulus) for shard in shards]
-        merged, counts, merge_muls = parallel.collect_shard_results(partials, modulus)
-        outputs.append((merged, counts, merge_muls, len(shards)))
-    return outputs
+@pytest.fixture(scope="module")
+def pooled_engine():
+    with ExecutionEngine(parallelism=2) as engine:
+        yield engine
 
 
 class TestHybridSchedulingProperties:
-    @given(data=payload_batches(), parallelism=st.integers(1, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_plan_allocates_every_query_at_least_one_worker(self, data, parallelism):
-        batch, _ = data
-        weights = [sum(len(doc_ids) for _, doc_ids, _ in payload) for payload in batch]
-        plan = proportional_shares(weights, parallelism)
-        assert len(plan) == len(batch)
-        assert all(share >= 1 for share in plan)
-        assert sum(plan) <= max(parallelism, len(batch))
-        # Leftover workers go to queries with postings, never to empty ones.
-        for weight, share in zip(weights, plan):
-            if weight == 0:
-                assert share == 1
-
-    @given(data=payload_batches(), parallelism=st.integers(2, 8))
+    @given(data=payload_batches())
     @settings(max_examples=60, deadline=None)
     def test_hybrid_routing_is_bit_identical_to_sequential_and_naive(
-        self, data, parallelism
+        self, data, pooled_engine
     ):
         batch, modulus = data
-        outputs = _hybrid_in_process(batch, modulus, parallelism)
-        for (merged, counts, merge_muls, shards), payload in zip(outputs, batch):
+        before = pooled_engine.counters.tasks_dispatched
+        handles = pooled_engine.submit_batch(batch, modulus)
+        tasks = sum(1 for payload in batch if payload)
+        # Whole queries only: one task each, and only when there are several.
+        assert pooled_engine.counters.tasks_dispatched - before == (
+            tasks if tasks > 1 else 0
+        )
+        for handle, payload in zip(handles, batch):
+            merged, counts = handle.result()
             sequential, seq_counts = parallel.accumulate_terms(payload, modulus)
-            assert merged == sequential
+            assert merged == sequential and list(merged) == list(sequential)
             # Scheduling conserves the op totals: it moves work, never makes it.
-            assert counts.postings == seq_counts.postings
-            assert counts.table_multiplications == seq_counts.table_multiplications
-            assert (
-                counts.accumulator_multiplications + merge_muls
-                == seq_counts.accumulator_multiplications
-            )
+            assert counts == seq_counts
             oracle: dict[int, int] = {}
             for selector, doc_ids, impacts in payload:
                 for doc_id, impact in zip(doc_ids, impacts):
@@ -106,8 +83,7 @@ class TestHybridSchedulingProperties:
                         else oracle[doc_id] * contribution % modulus
                     )
             assert merged == oracle
-            if not payload:
-                assert shards == 0
+            assert handle.shards == (1 if payload else 0)
 
 
 class TestStreamingProperties:
@@ -131,7 +107,7 @@ class TestEngineRoutedServerProperties:
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_engine_routed_batch_equals_singles_and_naive(
-        self, index, organization, benaloh_keypair, data
+        self, index, organization, benaloh_keypair, pooled_engine, data
     ):
         """Server batches routed through a (shared, resident) engine stay
         bit-identical to the sequential fast path and the naive oracle, with
@@ -162,18 +138,16 @@ class TestEngineRoutedServerProperties:
         naive_server = PrivateRetrievalServer(naive=True, **kwargs)
         naives = [naive_server.process_query(q).encrypted_scores for q in queries]
 
-        # In-process engine routing: hybrid plan + shard + merge, the exact
-        # pipeline the resident pool executes (real pools run in tier-1 unit
-        # tests; forking one per hypothesis example would be all start-up).
-        payloads = [
-            [(selector, *index.columns(term)) for term, selector in query]
-            for query in queries
-        ]
-        outputs = _hybrid_in_process(
-            payloads, benaloh_keypair.public.n, data.draw(st.integers(2, 6))
-        )
-        for (merged, counts, merge_muls, _), single, naive, muls in zip(
-            outputs, singles, naives, single_muls
+        routed = PrivateRetrievalServer(engine=pooled_engine, **kwargs)
+        before = pooled_engine.counters.tasks_dispatched
+        if data.draw(st.booleans()):
+            results = list(routed.iter_batch(queries))
+        else:
+            results = routed.process_batch(queries)
+        assert pooled_engine.counters.tasks_dispatched - before == len(queries)
+        for result, per_query, single, naive, muls in zip(
+            results, routed.last_batch_counters, singles, naives, single_muls
         ):
-            assert merged == single == naive
-            assert counts.accumulator_multiplications + merge_muls == muls
+            assert result.encrypted_scores == single == naive
+            assert per_query.modular_multiplications == muls
+            assert per_query.shards_executed == 1 and per_query.merge_multiplications == 0

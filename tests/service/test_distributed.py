@@ -223,6 +223,10 @@ class _AbortingServer:
                 + self.first + b"\r\n"
             )
             self.first_read.wait(timeout=10)
+        if self.mode == "truncated-body":
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n" + b"x" * 10)
+            conn.close()
+            return
         # RST instead of FIN: linger(on, 0) makes close() reset the peer,
         # which is what an abrupt process death produces.
         import struct
@@ -338,6 +342,45 @@ def test_http_backend_matches_local_backend(
         assert over_http.modulus == benaloh_keypair.public.n
         assert over_http.epoch == data_epoch(index)
         assert over_http.counters[0].modular_multiplications > 0
+
+
+def test_replica_truncating_its_response_body_is_failed_over(
+    running_service, index, service_org, benaloh_keypair, embellisher, query_terms
+):
+    """Regression: a replica dying after its response head left the client
+    as a raw ``http.client.IncompleteRead`` -- not retryable, so the batch
+    failed instead of failing over to the live replica."""
+    from repro.core.coordinator import QueryCoordinator, ShardTopology
+    from repro.core.faults import RetryPolicy
+
+    _, client = running_service()
+    truncating = _AbortingServer("truncated-body")
+    try:
+        replicas = tuple(
+            HttpShardBackend(
+                host="127.0.0.1", port=port, tenant="corpus",
+                public_key=benaloh_keypair.public, timeout=5.0,
+            )
+            for port in (truncating.port, client.port)
+        )
+        coordinator = QueryCoordinator(
+            topology=ShardTopology(HashPartitioner(num_shards=1), (replicas,)),
+            public_key=benaloh_keypair.public,
+            retry=RetryPolicy(max_retries=2, backoff_base=0.01),
+        )
+        queries = [embellisher.embellish(query_terms[i : i + 2]) for i in range(2)]
+        got = coordinator.process_batch(queries)
+    finally:
+        truncating.close()
+    oracle = PrivateRetrievalServer(
+        index=index, organization=service_org, public_key=benaloh_keypair.public
+    )
+    expected = oracle.process_batch(queries)
+    assert [r.encrypted_scores for r in got] == [r.encrypted_scores for r in expected]
+    assert coordinator.counters.tasks_retried == 1
+    assert coordinator.counters.modular_multiplications == (
+        oracle.counters.modular_multiplications
+    )
 
 
 def test_partials_route_retains_no_per_key_server(

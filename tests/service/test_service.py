@@ -632,6 +632,36 @@ class TestHttpErrors:
         finally:
             connection.close()
 
+    def test_non_string_tenant_is_400_and_connection_survives(
+        self, running_service, benaloh_keypair
+    ):
+        """Regression: an unhashable ``tenant`` reached the tenant table's
+        ``dict.get`` -- TypeError, 500 ``internal error``, closed connection."""
+        service, client = running_service()
+        key = wire.encode_public_key(benaloh_keypair.public)
+        connection = http.client.HTTPConnection(*service.address, timeout=10)
+        try:
+            for body in (
+                {"tenant": ["corpus"], "public_key": key},
+                {"tenant": {"name": "corpus"}, "public_key": key},
+                {"tenant": 7, "public_key": key},
+                {"public_key": key},
+            ):
+                connection.request("POST", "/sessions", body=json.dumps(body).encode())
+                response = connection.getresponse()
+                assert response.status == 400, body
+                assert "tenant" in json.loads(response.read())["error"]
+            # the same kept-alive connection still serves a well-formed open
+            connection.request(
+                "POST",
+                "/sessions",
+                body=json.dumps({"tenant": "corpus", "public_key": key}).encode(),
+            )
+            response = connection.getresponse()
+            assert response.status == 200 and "session" in json.loads(response.read())
+        finally:
+            connection.close()
+
     def test_truncated_body_is_400_and_a_reset_ends_quietly(
         self, running_service, caplog
     ):
