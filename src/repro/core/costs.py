@@ -101,7 +101,8 @@ class CostModel:
         One modular multiplication on the user machine.
     benaloh_decrypt_exponentiations:
         Modular exponentiations needed to decrypt one Benaloh ciphertext with
-        the optimised digit-wise procedure (``k * base`` for ``r = base^k``).
+        the paper's digit-wise procedure (``k * base`` for ``r = base^k``),
+        i.e. ``decrypt(c, naive=True)``, not the default subgroup decryption.
     """
 
     io_seek_ms: float = 5.0

@@ -15,8 +15,16 @@ Construction (following Benaloh 1994, as summarised in the paper):
 * ``E(m) = g^m * mu^r mod n`` for random ``mu`` in ``Z*_n``;
 * decryption tests, for each candidate ``i``, whether
   ``(g^{-i} E(m))^{phi/r} == 1 mod n``; with ``r = 3^k`` an optimisation using
-  base-3 digits needs only ``k`` rounds, which we implement as
-  :meth:`BenalohPrivateKey.decrypt` when ``r`` is a power of a small prime.
+  base-3 digits needs only ``k`` rounds -- the paper's loop, kept verbatim as
+  ``BenalohPrivateKey.decrypt(c, naive=True)``.
+
+By default, for ``r = b^k``, decryption works in ``Z_p1`` alone:
+``x = c^{(p1-1)/r} mod p1`` is ``h^m`` for ``h = g^{(p1-1)/r}`` of order ``r``,
+so one half-size exponentiation decides ``m = 0`` (``x == 1``: the decoy-only
+candidates post-filtering drops) and Pohlig--Hellman reads any other
+message's base-``b`` digits off per-key tables.  It equals the loop for every
+message, both raise ``ValueError`` on a ciphertext sharing a factor with
+``n``, and its time depends on the plaintext -- locally, on the client.
 
 Messages live in ``Z_r``; the homomorphic sum therefore wraps modulo ``r``, so
 callers must choose ``r`` larger than the maximum possible relevance score.
@@ -27,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.numbertheory import generate_prime_with_condition, modinv
 
@@ -223,20 +232,73 @@ class BenalohPrivateKey:
     def phi(self) -> int:
         return (self.p1 - 1) * (self.p2 - 1)
 
-    def decrypt(self, ciphertext: int) -> int:
+    def decrypt(self, ciphertext: int, *, naive: bool = False) -> int:
         """Recover the plaintext in ``Z_r``.
 
         When ``r`` factors as a power of a small base ``b`` (the paper uses
-        ``r = 3^k``), we recover the message digit by digit, needing only
-        ``k * b`` modular exponentiations.  Otherwise we fall back to
+        ``r = 3^k``), the message is recovered digit by digit: by default in
+        the order-``r`` subgroup of ``Z_p1^*`` (module docstring), with
+        ``naive=True`` by the paper's loop mod ``n`` (``k * b`` full-size
+        modular exponentiations).  Otherwise both fall back to
         baby-step/giant-step over the ``r`` candidates.
         """
         base = _small_power_base(self.public.r)
-        if base is not None:
+        if base is None:
+            return self._decrypt_bsgs(ciphertext)
+        if naive:
             return self._decrypt_digits(ciphertext, base)
-        return self._decrypt_bsgs(ciphertext)
+        p1 = self.p1
+        if ciphertext % p1 == 0 or ciphertext % self.p2 == 0:
+            raise ValueError("ciphertext is not a valid Benaloh encryption under this key")
+        x = pow(ciphertext, self._subgroup_exponent, p1)
+        if x == 1:
+            return 0
+        roots, levels = self._digit_tables
+        message = 0
+        for projection, b_power, strips in levels:
+            digit = roots.get(pow(x, projection, p1))
+            if digit is None:
+                raise ValueError("ciphertext is not a valid Benaloh encryption under this key")
+            if digit:
+                message += digit * b_power
+                x = x * strips[digit] % p1
+                if x == 1:
+                    break
+        return message
 
-    # -- digit-wise decryption for r = b^k -------------------------------
+    # -- Pohlig-Hellman decryption in Z_p1 for r = b^k -------------------
+    @cached_property
+    def _subgroup_exponent(self) -> int:
+        """``(p1 - 1) / r``, once the key has the structure decryption mod
+        ``p1`` relies on (swapped ``p1``/``p2`` would decrypt silently wrong)."""
+        p1, r = self.p1, self.public.r
+        if (p1 - 1) % r:
+            raise ValueError("malformed key: r does not divide p1 - 1")
+        h = pow(self.public.g, (p1 - 1) // r, p1)
+        if pow(h, r // _small_power_base(r), p1) == 1:
+            raise ValueError("malformed key: g^((p1-1)/r) mod p1 does not have order r")
+        return (p1 - 1) // r
+
+    @cached_property
+    def _digit_tables(self) -> tuple[dict[int, int], list[tuple[int, int, list[int]]]]:
+        """The ``b``-th roots of unity ``h^{d r/b} -> d``, and per digit
+        position ``i`` the projection exponent ``b^{k-1-i}``, ``b^i`` and the
+        strips ``h^{-d b^i}`` for ``d`` in ``0..b-1``."""
+        p1, r = self.p1, self.public.r
+        base = _small_power_base(r)
+        h = pow(self.public.g, self._subgroup_exponent, p1)
+        root = pow(h, r // base, p1)
+        roots = {pow(root, d, p1): d for d in range(base)}
+        levels = []
+        b_power = 1
+        while b_power < r:
+            strip = pow(h, -b_power, p1)
+            strips = [pow(strip, d, p1) for d in range(base)]
+            levels.append((r // (b_power * base), b_power, strips))
+            b_power *= base
+        return roots, levels
+
+    # -- the paper's digit-wise decryption for r = b^k (the oracle) ------
     def _decrypt_digits(self, ciphertext: int, base: int) -> int:
         n, g, r = self.public.n, self.public.g, self.public.r
         phi = self.phi

@@ -19,8 +19,10 @@ can implement honest backoff.
 
 from __future__ import annotations
 
+import email.utils
 import http.client
 import json
+import time
 from typing import Iterator, Sequence
 
 from repro.core.embellish import EmbellishedQuery
@@ -77,6 +79,23 @@ class ServiceUnavailableError(ServiceError):
     ):
         super().__init__(503, detail, retry_after)
         self.mid_stream = mid_stream
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A ``Retry-After`` hint in seconds: delta-seconds, or an HTTP-date as
+    seconds from now clamped at 0 (RFC 9110 §10.2.3); ``None`` if absent or
+    unparseable."""
+    if not value:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        pass
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    return max(0.0, when.timestamp() - time.time())
 
 
 class ServiceClient:
@@ -136,9 +155,8 @@ class ServiceClient:
                 detail = json.loads(response.read()).get("error", "")
             except Exception:
                 pass
-            retry_after = response.headers.get("Retry-After")
+            retry_after_s = _retry_after_seconds(response.headers.get("Retry-After"))
             connection.close()
-            retry_after_s = float(retry_after) if retry_after else None
             if response.status == 503:
                 # The service *said* it is unavailable (draining): typed, so
                 # callers distinguish an orderly drain from a crash.

@@ -104,8 +104,9 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     """Parse one request off the stream; ``None`` on clean EOF between requests.
 
     Raises :class:`ProtocolError` for truncated/malformed request lines and
-    headers, over-limit header blocks, bodies beyond :data:`MAX_BODY_BYTES`
-    and bodies shorter than their ``Content-Length``.
+    headers, over-limit header blocks, any request ``Transfer-Encoding``,
+    bodies beyond :data:`MAX_BODY_BYTES` and bodies shorter than their
+    ``Content-Length``.
     """
     try:
         request_line = await reader.readuntil(b"\r\n")
@@ -136,6 +137,12 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         if not sep:
             raise ProtocolError(f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
+
+    if "transfer-encoding" in headers:
+        # Bodies are framed by Content-Length only (every client sends it);
+        # reading another framing as zero bytes would parse the body as the
+        # next request on this connection -- request smuggling (RFC 9112 §6.3).
+        raise ProtocolError("Transfer-Encoding on a request is not supported")
 
     try:
         length = int(headers.get("content-length", "0"))

@@ -2,10 +2,14 @@
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
-from repro.crypto.benaloh import generate_keypair
+from repro.core.postfilter import PostFilterCounters, post_filter
+from repro.core.server import EncryptedResult
+from repro.crypto.benaloh import BenalohPrivateKey, BenalohPublicKey, generate_keypair
 
 
 class TestKeyGeneration:
@@ -117,3 +121,79 @@ class TestHomomorphism:
         for selector, impact in zip(selectors, impacts):
             accumulator = pub.add(accumulator, pub.scalar_multiply(pub.encrypt(selector, rng), impact))
         assert priv.decrypt(accumulator) == 12 + 30
+
+
+class TestSubgroupDecryption:
+    """The default decryption (Pohlig-Hellman in ``Z_p1``) against the
+    paper's loop, ``decrypt(c, naive=True)``."""
+
+    @pytest.mark.parametrize("block_size", [3**5, 3**6, 5**4])
+    def test_every_message_matches_the_paper_loop(self, block_size):
+        kp = generate_keypair(key_bits=96, block_size=block_size, rng=random.Random(block_size))
+        rng = random.Random(7)
+        for message in range(block_size):
+            ciphertext = kp.public.encrypt(message, rng)
+            assert kp.private.decrypt(ciphertext) == message
+            assert kp.private.decrypt(ciphertext, naive=True) == message
+
+    def test_ciphertexts_sharing_a_factor_with_n_raise_on_both_paths(self, benaloh_keypair, rng):
+        priv = benaloh_keypair.private
+        ciphertext = benaloh_keypair.public.encrypt(5, rng)
+        factors = (priv.p1, priv.p2, 0, benaloh_keypair.n)
+        for factor in factors + tuple(-f for f in factors):
+            for naive in (False, True):
+                with pytest.raises(ValueError, match="not a valid Benaloh encryption"):
+                    priv.decrypt(ciphertext * factor, naive=naive)
+
+    def test_swapped_primes_are_refused_while_the_loop_still_decrypts(self, benaloh_keypair, rng):
+        priv = benaloh_keypair.private
+        swapped = BenalohPrivateKey(p1=priv.p2, p2=priv.p1, public=benaloh_keypair.public)
+        ciphertext = benaloh_keypair.public.encrypt(42, rng)
+        with pytest.raises(ValueError, match="r does not divide p1 - 1"):
+            swapped.decrypt(ciphertext)
+        assert swapped.decrypt(ciphertext, naive=True) == 42
+
+    def test_generator_without_full_order_mod_p1_is_refused(self, benaloh_keypair):
+        pub, priv = benaloh_keypair.public, benaloh_keypair.private
+        weak = BenalohPublicKey(n=pub.n, g=pow(pub.g, 3, pub.n), r=pub.r)
+        key = BenalohPrivateKey(p1=priv.p1, p2=priv.p2, public=weak)
+        with pytest.raises(ValueError, match="does not have order r"):
+            key.decrypt(weak.encrypt(0, random.Random(1)))
+
+    def test_concurrent_first_decryptions_agree_with_the_loop(self):
+        kp = generate_keypair(key_bits=128, block_size=3**6, rng=random.Random(88))
+        rng = random.Random(3)
+        ciphertexts = [kp.public.encrypt(rng.randrange(kp.r), rng) for _ in range(40)]
+        # The loop builds no tables, so all eight threads race to build them.
+        expected = [kp.private.decrypt(c, naive=True) for c in ciphertexts]
+        barrier = threading.Barrier(8)
+        answers: list[list[int]] = []
+
+        def decrypt_all():
+            barrier.wait(timeout=30)
+            answers.append([kp.private.decrypt(c) for c in ciphertexts])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decrypt_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * 8
+
+    def test_zero_is_answered_before_the_digit_tables_are_built(self, rng):
+        kp = generate_keypair(key_bits=128, block_size=3**6, rng=random.Random(89))
+        pub = kp.public
+        zeros = {doc_id: pub.scalar_multiply(pub.encrypt(0, rng), 7) for doc_id in range(6)}
+        counters = PostFilterCounters()
+        ranking = post_filter(EncryptedResult(zeros, pub.n), kp.private, counters=counters)
+        assert ranking.ranking == ()
+        assert counters.decryptions == counters.candidates_received == 6
+        assert "_digit_tables" not in vars(kp.private)
+        assert kp.private.decrypt(pub.encrypt(4, rng)) == 4
+        assert "_digit_tables" in vars(kp.private)

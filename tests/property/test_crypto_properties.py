@@ -72,6 +72,18 @@ class TestBenalohProperties:
         pub, priv = BENALOH.public, BENALOH.private
         assert priv.decrypt(pub.scalar_multiply(pub.encrypt(m, rng), scalar)) == (m * scalar) % BENALOH.r
 
+    @given(
+        key_seed=st.integers(min_value=0, max_value=2**32),
+        messages=st.lists(st.integers(min_value=0, max_value=3**9 - 1), min_size=1, max_size=8),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_subgroup_decryption_matches_the_paper_loop(self, key_seed, messages):
+        kp = benaloh_keypair(key_bits=128, block_size=3**9, rng=random.Random(key_seed))
+        rng = random.Random(key_seed + 1)
+        for m in messages:
+            c = kp.public.encrypt(m, rng)
+            assert kp.private.decrypt(c) == kp.private.decrypt(c, naive=True) == m
+
 
 class TestPaillierProperties:
     @given(

@@ -19,7 +19,9 @@ The properties under test are the service's contract:
 from __future__ import annotations
 
 import asyncio
+import email.utils
 import http.client
+import http.server
 import io
 import json
 import logging
@@ -36,7 +38,7 @@ import pytest
 
 from repro.core.server import EncryptedResult, PrivateRetrievalServer
 from repro.crypto import kernels, numbertheory
-from repro.service import ServiceConfig, ServiceError, app, protocol, wire
+from repro.service import ServiceClient, ServiceConfig, ServiceError, app, protocol, wire
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex
 
@@ -697,3 +699,83 @@ class TestHttpErrors:
         client.close_session(first)
         results, done = client.run_batch(second, batch, benaloh_keypair.public.n)
         assert done["queries"] == 1 and results
+
+    @pytest.mark.parametrize(
+        "framing",
+        [b"Transfer-Encoding: chunked\r\n", b"Transfer-Encoding: chunked\r\nContent-Length: 7\r\n"],
+        ids=["te", "te+cl"],
+    )
+    def test_request_transfer_encoding_is_refused_by_the_parser(self, framing):
+        """Regression: a chunked body was read as 0 bytes and its chunks
+        parsed as the next request (the request-smuggling primitive)."""
+
+        async def parse():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"POST /sessions HTTP/1.1\r\n" + framing + b"\r\n2\r\n{}\r\n0\r\n\r\n")
+            reader.feed_eof()
+            return await protocol.read_request(reader)
+
+        with pytest.raises(protocol.ProtocolError, match="Transfer-Encoding"):
+            asyncio.run(parse())
+
+    def test_chunked_request_is_400_and_closes_without_a_second_parse(self, running_service):
+        service, client = running_service()
+        chunk = b'{"tenant": "corpus"}'
+        smuggled = b"GET /healthz HTTP/1.1\r\n\r\n"
+        with socket.create_connection(service.address, timeout=10) as peer:
+            peer.sendall(
+                b"POST /sessions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n%s\r\n0\r\n\r\n%s" % (len(chunk), chunk, smuggled)
+            )
+            # EOF within the timeout: the service closed after one answer.
+            reply = b"".join(iter(lambda: peer.recv(4096), b""))
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Transfer-Encoding" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert client.health()["ok"]
+
+
+class TestRetryAfterHints:
+    """Regression: an HTTP-date ``Retry-After`` (RFC 9110 §10.2.3) crashed
+    the client with a bare ``ValueError`` instead of a ``ServiceError``."""
+
+    @pytest.fixture
+    def shedding_server(self):
+        """A stub that answers every GET 429 with ``retry_after`` as its hint."""
+
+        class Shed(http.server.BaseHTTPRequestHandler):
+            retry_after = ""
+
+            def do_GET(self):
+                body = json.dumps({"error": "saturated"}).encode()
+                self.send_response(429)
+                self.send_header("Retry-After", self.retry_after)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Shed)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield Shed, ServiceClient(*server.server_address, timeout=10)
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+    def test_delta_seconds_date_and_garbage(self, shedding_server):
+        handler, client = shedding_server
+        future = email.utils.formatdate(time.time() + 120, usegmt=True)
+        for hint, check in (
+            ("3", lambda s: s == 3.0),
+            ("Wed, 21 Oct 2015 07:28:00 GMT", lambda s: s == 0.0),
+            (future, lambda s: isinstance(s, float) and 100 < s <= 120),
+            ("soon-ish", lambda s: s is None),
+        ):
+            handler.retry_after = hint
+            with pytest.raises(ServiceError) as shed:
+                client.health()
+            assert shed.value.status == 429
+            assert check(shed.value.retry_after), (hint, shed.value.retry_after)
