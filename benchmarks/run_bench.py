@@ -101,6 +101,7 @@ from repro.crypto.benaloh import generate_keypair  # noqa: E402
 from repro.crypto.pir import PIRClient, PIRDatabase, PIRServer  # noqa: E402
 from repro.experiments.harness import ExperimentContext  # noqa: E402
 from repro.textsearch.inverted_index import InvertedIndex, Posting  # noqa: E402
+from repro.textsearch.segments import quantise_impact  # noqa: E402
 from repro.textsearch.synthetic import SyntheticCorpusGenerator  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -537,6 +538,7 @@ def bench_incremental_update(context, repeats, base_documents=400, update_batch=
         documents_added=counters.documents_added,
         tokens_tokenised=counters.tokens_tokenised,
         postings_rescored=counters.postings_rescored,
+        documents_factored=counters.documents_factored,
         postings_merged=counters.postings_merged,
         postings_dropped=counters.postings_dropped,
     )
@@ -1151,7 +1153,7 @@ def _reference_index_build(corpus):
             Posting(
                 doc_id=doc_id,
                 impact=impact,
-                quantised_impact=InvertedIndex._quantise(impact, max_impact, 255),
+                quantised_impact=quantise_impact(impact, max_impact, 255),
             )
             for doc_id, impact in entries
         ]

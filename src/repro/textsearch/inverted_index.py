@@ -19,9 +19,8 @@ immutable columnar :class:`~repro.textsearch.segments.IndexSegment`\\ s --
 parallel ``array('I')`` document-id / quantised-impact arrays plus an
 ``array('d')`` of raw impacts per term, with per-segment document and
 tombstone sets -- and every read path serves the k-way merge of the
-per-segment runs by ``(-impact, doc_id)``.  A freshly built index is one
-*base* segment, so construction and the compacted hot path are exactly the
-columnar fast path of the earlier single-array design.
+per-segment runs by ``(-impact, doc_id)``.  A freshly built or compacted
+index is one *base* segment.
 
 Incremental updates
 -------------------
@@ -53,14 +52,12 @@ The live index is a **writer that publishes snapshots**; every read
 implementation -- which sees the merged view, so a query against **any**
 segment configuration -- unsealed delta, multiple sealed generations,
 mid-merge, after a ``save``/``load`` round trip -- is **bit-identical** to
-one against a from-scratch rebuild of the equivalent corpus.  Identity is
-achieved by re-deriving impacts lazily from the cached per-document term
-frequencies through the *same* scorer call :meth:`build` uses whenever the
-statistics have drifted (IDF-style scorers couple every impact to ``N`` and
-the document frequencies); re-tokenisation -- the expensive part of a
-rebuild -- never happens again.  Lists whose relative
-order the scorer preserved keep their arrays and are only re-quantised when
-their impacts or the stored :attr:`max_impact` actually moved; reordered
+one against a from-scratch rebuild of the equivalent corpus.  Identity holds
+because every impact is the composition :meth:`build` uses of the scorer's
+two factors (:mod:`repro.textsearch.scoring`): a document factor computed
+once per added document and a corpus factor recomputed once per refresh.
+Lists whose relative order the scorer preserved keep their arrays and are
+only re-quantised when their impacts or :attr:`max_impact` moved; reordered
 lists are re-sorted individually, per segment.
 
 Persistence
@@ -112,7 +109,6 @@ from repro.textsearch.segments import (
     TieredMergePolicy,
     _persist_state,
     merge_posting_runs,
-    quantise_impact,
     read_index_directory,
     repair_index_directory,
     rewrite_stale_columns,
@@ -172,8 +168,12 @@ class UpdateCounters:
     tokens_tokenised: int = 0
     #: Lazy impact refreshes executed (one per batch of updates, not per update).
     refreshes: int = 0
-    #: Per-document impact values recomputed across all refreshes.
+    #: Postings the refreshes scanned for the new ``max_impact`` (one factor
+    #: product each under cosine); impacts are composed on demand, not stored.
     postings_rescored: int = 0
+    #: Document factors computed: one per added document, plus every live
+    #: document on the first refresh after a load.
+    documents_factored: int = 0
     #: Rewrites materialised into segments by writer paths (merge, compact,
     #: wholesale save): per-segment lists whose impact/quant arrays changed.
     #: Reads evaluate pending rewrites snapshot-locally and count nothing.
@@ -255,42 +255,30 @@ def _tokenizer_from_spec(spec: Mapping | None) -> Tokenizer | None:
 class IndexSnapshot:
     """An immutable, epoch-pinned read view of an :class:`InvertedIndex`.
 
-    Constructed by :meth:`InvertedIndex.snapshot` (under the index's writer
-    lock, after the lazy impact refresh), a snapshot copies exactly the
-    cheap mutable shells -- each segment's ``lists`` dict, its stale-term
-    set, the per-segment dead sets and the unsealed delta's lists -- while
-    sharing the immutable :class:`~repro.textsearch.segments.PostingColumns`
-    payloads.  From then on it answers the **entire read API** of the index
-    (``columns``, ``postings``, ``terms``, ``document_frequency``,
-    ``serialise_list``, the storage model and friends) from its pinned
-    state with **no lock on the query path**: a writer, a merge commit and
-    N readers each holding their own snapshot proceed concurrently, and the
-    reader's answers stay bit-identical to a quiesced run at its pinned
-    epoch no matter what seal/merge/compact publishes after the pin.
+    Built by :meth:`InvertedIndex.snapshot` under the writer lock, after the
+    lazy refresh, a snapshot copies only the cheap mutable shells (each
+    segment's ``lists`` dict and stale-term set, the dead sets, the unsealed
+    delta's lists) and shares the immutable
+    :class:`~repro.textsearch.segments.PostingColumns`.  It answers the
+    **entire read API** from that pinned state with **no lock on the query
+    path**, bit-identical to a quiesced run at its epoch whatever is sealed,
+    merged, compacted or updated after the pin.  It is the **only read
+    implementation**: the same-named methods of :class:`InvertedIndex`
+    forward to the published snapshot, so the read API is documented here.
 
-    This class is the **only read implementation**: the same-named methods
-    of :class:`InvertedIndex` are one-line forwards to its currently
-    published snapshot, so the read API is documented here, once.
-
-    Deferred per-list rewrites still pending at pin time are evaluated
-    lazily *snapshot-locally* through the same pure kernel
-    (:func:`~repro.textsearch.segments.rewrite_stale_columns`) the writer's
-    flush uses, against the impact table pinned with the snapshot -- never
-    by mutating the shared segments.  The serving layer's caches key their
-    invalidation off the snapshot's pinned ``update_epoch``, so a cache
-    built against a pinned snapshot never evicts, however far the live
-    index moves on.
-
-    Thread safety: any number of threads may read one snapshot concurrently
-    (the internal memo dicts are benign under the GIL -- a race recomputes
-    an identical immutable value); the snapshot never writes back into the
-    index.
+    Deferred rewrites pending at pin time are evaluated snapshot-locally by
+    the writer's own kernel
+    (:func:`~repro.textsearch.segments.rewrite_stale_columns`), against the
+    factors and statistics the refresh pinned -- never by mutating shared
+    segments.  Serving caches key off the pinned ``update_epoch``.  Any
+    number of threads may read one snapshot (a race on the memo dicts
+    recomputes an identical immutable value).
     """
 
     __slots__ = (
         "_records",
         "_active",
-        "_fresh",
+        "_impact",
         "_max_impact",
         "_update_epoch",
         "_merged",
@@ -313,10 +301,9 @@ class IndexSnapshot:
             for position, segment in enumerate(index._segments)
         ]
         self._active = dict(index._active_lists)
-        #: The pinned per-document impact table the deferred rewrites read.
-        #: Shared by reference -- the index *replaces* it wholesale on the
-        #: next refresh, never mutates it in place.
-        self._fresh = index._fresh
+        #: Composes impacts from the factors the refresh pinned; nothing
+        #: mutates those, the next refresh pins new ones.
+        self._impact = index._impact
         self._max_impact = index._max_impact
         self._update_epoch = index._update_epoch
         self._merged: dict[str, PostingColumns | None] = {}
@@ -324,7 +311,8 @@ class IndexSnapshot:
         self._terms: tuple[str, ...] | None = None
         self.block_size = index.block_size
         self.quantise_levels = index.quantise_levels
-        self.stats = index.stats
+        #: Pinned by the refresh; add/remove copy before mutating them.
+        self.stats = index._pinned_stats
 
     def snapshot(self) -> "IndexSnapshot":
         """A snapshot is its own pin, so ``index.snapshot()`` is the one
@@ -342,7 +330,7 @@ class IndexSnapshot:
         if cached is not _MISSING:
             return cached
         rewritten, _ = rewrite_stale_columns(
-            columns, term, dead, self._fresh, self._max_impact, self.quantise_levels
+            columns, term, dead, self._impact, self._max_impact, self.quantise_levels
         )
         self._rewritten[key] = rewritten
         return rewritten
@@ -586,9 +574,13 @@ class InvertedIndex:
         self._active_postings = 0
         #: Per-segment dead sets, memoised between manifest changes.
         self._dead: list | None = None
-        #: Fresh per-document impacts from the latest refresh core; consumed
-        #: by the deferred per-list rewrites.
-        self._fresh: dict[int, Mapping[str, float]] | None = None
+        #: ``Scorer.document_factor`` of every live document, kept from build
+        #: and add, dropped on remove.  ``None`` on a loaded index until its
+        #: first refresh computes them.
+        self._doc_factors: dict[int, object] | None = None
+        #: ``impact(doc_id, term)`` over the factors the latest refresh
+        #: pinned; consumed by the deferred per-list rewrites.
+        self._impact: Callable[[int, str], float] | None = None
         # -- update state -------------------------------------------------------
         self._stale = False
         self._update_epoch = 0
@@ -624,6 +616,9 @@ class InvertedIndex:
             self._document_frequencies = None
             self._total_length = 0
             self.stats = stats
+        #: The statistics snapshots pin: the live ones as of the latest
+        #: refresh, which add/remove copy before mutating them.
+        self._pinned_stats = self.stats
 
     # -- construction ----------------------------------------------------------
     @classmethod
@@ -670,11 +665,12 @@ class InvertedIndex:
             average_document_length=total_length / num_documents,
         )
 
+        factors = {doc_id: scorer.document_factor(f) for doc_id, f in term_frequencies.items()}
+        corpus_factor = scorer.corpus_factor(stats)
         raw_lists: dict[str, list[tuple[int, float]]] = {}
         max_impact = 0.0
-        for doc_id, frequencies in term_frequencies.items():
-            impacts = scorer.document_impacts(frequencies, stats)
-            for term, impact in impacts.items():
+        for doc_id, factor in factors.items():
+            for term, impact in scorer.impacts(factor, corpus_factor).items():
                 if impact <= 0.0:
                     continue
                 raw_lists.setdefault(term, []).append((doc_id, impact))
@@ -686,7 +682,7 @@ class InvertedIndex:
             entries.sort(key=lambda e: (-e[1], e[0]))
             lists[term] = PostingColumns.from_entries(entries, max_impact, quantise_levels)
 
-        return cls(
+        index = cls(
             postings=lists,
             stats=stats,
             quantise_levels=quantise_levels,
@@ -698,11 +694,8 @@ class InvertedIndex:
             seal_threshold=seal_threshold,
             merge_policy=merge_policy,
         )
-
-    @staticmethod
-    def _quantise(impact: float, max_impact: float, levels: int) -> int:
-        """Map a positive impact onto 1..levels (linear, ceiling at the top)."""
-        return quantise_impact(impact, max_impact, levels)
+        index._doc_factors = factors
+        return index
 
     # -- incremental updates -------------------------------------------------------
     def _require_updatable(self) -> None:
@@ -783,20 +776,13 @@ class InvertedIndex:
     def snapshot(self) -> IndexSnapshot:
         """Pin an immutable read view of the index at its current epoch.
 
-        The fast path is lock-free: between manifest changes the same
-        published :class:`IndexSnapshot` is handed to every caller (reads
-        against it never touch the index again, so sharing is free).  When
-        a mutation, seal, merge commit or compaction has unpublished it,
-        the next call rebuilds one under the writer lock -- which also runs
-        the lazy impact refresh, so a snapshot is always impact-fresh.
-
-        Readers keep a snapshot for as long as they need consistency (a
-        query, a whole streamed batch, a serving session); its answers are
-        frozen at pin time and survive any concurrent maintenance
-        bit-identically.  Pinning is the serving layer's concurrency
-        contract: the index *object* stays single-writer, but any number of
-        threads may read snapshots while that writer seals, merges,
-        compacts or saves.
+        Lock-free between manifest changes: every caller gets the same
+        published :class:`IndexSnapshot`.  After a mutation, seal, merge
+        commit or compaction the next call builds one under the writer lock,
+        running the lazy refresh first.  Pinning is the serving layer's
+        concurrency contract: the index object stays single-writer, while any
+        number of threads read snapshots, each frozen at its pin, as that
+        writer seals, merges, compacts or saves.
         """
         published = self._snapshot_handle
         if published is not None:
@@ -877,6 +863,12 @@ class InvertedIndex:
         self._dead = None
         self._snapshot_handle = None
 
+    def _own_frequencies(self) -> dict[str, int]:
+        """The live document frequencies, copied first if snapshots pin them."""
+        if self._document_frequencies is self._pinned_stats.document_frequencies:
+            self._document_frequencies = dict(self._document_frequencies)
+        return self._document_frequencies
+
     def _refresh_stats(self) -> None:
         num_documents = len(self._doc_terms)
         self.stats = CorpusStatistics(
@@ -911,13 +903,15 @@ class InvertedIndex:
             frequencies = self._tokenizer.term_frequencies(document.text)
             self._doc_terms[doc_id] = frequencies
             self._total_length += sum(frequencies.values())
+            document_frequencies = self._own_frequencies()
             for term in frequencies:
-                self._document_frequencies[term] = (
-                    self._document_frequencies.get(term, 0) + 1
-                )
+                document_frequencies[term] = document_frequencies.get(term, 0) + 1
             if frequencies:
                 self._active_docs.add(doc_id)
                 self._active_postings += len(frequencies)
+            if self._doc_factors is not None:
+                self._doc_factors[doc_id] = self._scorer.document_factor(frequencies)
+                self.update_counters.documents_factored += 1
             self._register_mutation()
             self.update_counters.documents_added += 1
             self.update_counters.tokens_tokenised += sum(frequencies.values())
@@ -947,12 +941,15 @@ class InvertedIndex:
             if frequencies is None:
                 raise KeyError(f"unknown document id {doc_id}")
             self._total_length -= sum(frequencies.values())
+            if self._doc_factors is not None:
+                del self._doc_factors[doc_id]
+            document_frequencies = self._own_frequencies()
             for term in frequencies:
-                remaining = self._document_frequencies.get(term, 0) - 1
+                remaining = document_frequencies.get(term, 0) - 1
                 if remaining > 0:
-                    self._document_frequencies[term] = remaining
+                    document_frequencies[term] = remaining
                 else:
-                    self._document_frequencies.pop(term, None)
+                    document_frequencies.pop(term, None)
             if doc_id in self._active_docs:
                 self._active_docs.discard(doc_id)
                 self._active_postings -= len(frequencies)
@@ -1001,11 +998,6 @@ class InvertedIndex:
             self.update_counters.segments_sealed += 1
             return segment.info()
 
-    def plan_merges(self) -> list[tuple[int, ...]]:
-        """Segment-id groups the merge policy considers due (may be empty)."""
-        self._ensure_fresh()
-        return self.merge_policy.plan(self._segments)
-
     def begin_merges(self) -> list[MergeHandle]:
         """Plan every due tiered merge, returning one handle per group.
 
@@ -1018,7 +1010,7 @@ class InvertedIndex:
         with self._snapshot_lock:
             self._ensure_fresh()
             handles: list[MergeHandle] = []
-            for group in self.plan_merges():
+            for group in self.merge_policy.plan(self._segments):
                 ids = set(group)
                 positions = [
                     i for i, segment in enumerate(self._segments) if segment.segment_id in ids
@@ -1067,7 +1059,6 @@ class InvertedIndex:
         merge is in flight and the publish itself is a constant-time
         segment-list swap.
         """
-        merged_result = None
         ids = set(handle.segment_ids)
         present = [segment for segment in self._segments if segment.segment_id in ids]
         if len(present) != len(ids):
@@ -1215,38 +1206,32 @@ class InvertedIndex:
     ) -> SegmentManifest:
         """Persist the index as a columnar segment directory.
 
-        The unsealed delta is sealed first (the format stores sealed
-        segments only); the write itself is
+        Seals the unsealed delta first (the format stores sealed segments
+        only), then writes through
         :func:`repro.textsearch.segments.write_index_directory`.
 
         Parameters
         ----------
         path:
             Target directory, created if missing.  Re-saving the *same
-            index instance* over the directory it last saved to (or was
+            index instance* to the directory it last saved to (or was
             loaded from) is **incremental**: only segments sealed since the
-            previous save are written as new blobs, previously persisted
-            segment files are reused by reference and never rewritten.  A
-            save that dies mid-write leaves the previous record the newest
-            consistent one, so :meth:`load` falls back to it.  Every other
-            save (first save, new path, a directory someone else has since
+            previous save become new blobs; persisted files are reused by
+            reference, never rewritten.  A save that dies mid-write leaves
+            the previous record the newest consistent one.  Every other save
+            (first save, new path, a directory someone else has since
             written) is wholesale, under a fresh directory identity.
         include_document_terms:
-            With the default ``True`` the per-document term frequencies are
-            saved too, so the loaded index supports further incremental
-            updates; ``False`` saves a smaller, read-only directory (and
-            forces a wholesale save -- incremental mode needs the terms to
-            restore deferred rewrites).
+            ``False`` saves a smaller, read-only directory without the
+            per-document term frequencies, and forces a wholesale save.
         wal_compact_records:
             Compact the manifest log once it would exceed this many records.
 
-        Returns the saved :class:`SegmentManifest` and leaves the write
-        report (mode, segments written/reused, wal record count...) in
+        Returns the saved :class:`SegmentManifest`; the write report (mode,
+        segments written/reused, wal record count...) is left in
         :attr:`last_save_report`.  Raises ``OSError`` for filesystem
-        failures; the crash-recovery suite aborts a re-save at every write
-        operation to prove fallback.  Takes the writer lock, so pinned
-        reader snapshots stay valid across the save; do not call
-        concurrently with another ``save`` on the same instance.
+        failures.  Takes the writer lock, so pinned snapshots stay valid;
+        do not call concurrently with another ``save`` on the same instance.
         """
         want_incremental = (
             include_document_terms
@@ -1311,43 +1296,28 @@ class InvertedIndex:
     ) -> "InvertedIndex":
         """Restore a :meth:`save` directory.
 
-        With ``mmap=True`` each segment file is memory-mapped and the
-        per-term ``array('I')``/``array('d')`` columns materialise lazily
-        from it on first access, so cold-start cost is manifest I/O plus the
-        pages the first queries actually touch (on a byte-order-mismatched
-        platform the loader falls back to eager reads with a byteswap).  The
-        scorer and tokenizer are reconstructed from the manifest for the
-        built-in types; pass ``scorer=`` explicitly to revive an index built
-        with a custom scorer, which is required when the saved directory
-        carries document terms (updates re-derive impacts through the
-        scorer).  ``seal_threshold`` and ``merge_policy`` likewise restore
-        from the manifest unless overridden here (a custom policy class does
-        not round-trip; the saved fanout restores a
-        :class:`~repro.textsearch.segments.TieredMergePolicy`).
+        With ``mmap=True`` segment files are memory-mapped and each term's
+        columns materialise on first access, so cold start costs manifest
+        I/O plus the pages queries touch (a byte-order-mismatched platform
+        falls back to eager reads with a byteswap).  Scorer, tokenizer,
+        ``seal_threshold`` and ``merge_policy`` restore from the manifest
+        unless given here; a custom scorer must be passed as ``scorer=``
+        when the directory carries document terms; a custom policy class
+        does not round-trip.
 
-        Failure semantics are typed, never opaque: a nonexistent directory
-        raises :class:`FileNotFoundError` naming the path; an empty or
-        unrecoverable directory raises
-        :class:`~repro.textsearch.segments.CorruptIndexError`; a torn
-        re-save falls back to the newest fully-consistent checkpoint --
-        ``load`` replays the ``wal.log`` manifest log to the newest record
-        whose CRC frame and data files verify, so recovery from any log
-        prefix restores exactly the state that prefix's last save committed
-        (see :func:`repro.textsearch.segments.verify_index_directory`
-        / :func:`~repro.textsearch.segments.repair_index_directory` for the
-        audit/repair entry points, also exposed as
-        :meth:`verify_directory` / :meth:`repair_directory`).  Errors whose
-        ``transient`` attribute is true (e.g. injected storage faults, or a
-        flaky network filesystem wrapper raising them) are retried up to
-        ``transient_retries`` times through ``retry_sleep`` -- injectable so
-        fault suites run without real waiting.
+        Failures are typed: a nonexistent directory raises
+        :class:`FileNotFoundError`, an unrecoverable one
+        :class:`~repro.textsearch.segments.CorruptIndexError`.  A torn
+        re-save falls back to the newest ``wal.log`` record whose frame and
+        data files verify, restoring exactly what that save committed
+        (audit and repair: :meth:`verify_directory` /
+        :meth:`repair_directory`).  Errors whose ``transient`` attribute is
+        true are retried up to ``transient_retries`` times through the
+        injectable ``retry_sleep``.
 
-        Process/thread safety: any number of processes may :meth:`load` the
-        same directory concurrently (reads never mutate the tree, and the
-        OS page cache shares the mmapped bytes between them -- how multiple
-        serving tenants over one directory stay cheap).  The *returned
-        index object* is single-threaded like any other: give each thread
-        its own loaded instance, or serialise access above it.
+        Any number of processes may load one directory concurrently (reads
+        never mutate it, and the page cache shares the mapped bytes); the
+        returned index object is single-threaded like any other.
         """
         attempts = 0
         while True:
@@ -1446,50 +1416,45 @@ class InvertedIndex:
             self._refresh()
 
     def _refresh(self) -> None:
-        """Re-derive impacts against the current statistics (the refresh core).
+        """Re-calibrate against the current statistics (the refresh core).
 
-        Runs once per batch of updates, on the first read after them.  Every
-        live document's impacts are recomputed through the *same* scorer call
-        :meth:`build` uses (bit-identity with a rebuild holds for any scorer
-        by construction); tokenisation is never repeated.  The unsealed
-        delta's columns are rebuilt eagerly (the delta is small between
-        seals -- that is its whole point), but sealed segments are only
-        *marked stale*: each per-term array rewrite is deferred -- a
-        snapshot evaluates it for exactly the terms a query touches, and a
-        writer path that needs current arrays (merge, :meth:`compact`,
-        wholesale save) materialises it through :meth:`_refresh_list`.
-        This is what makes sustained update streams cheap on the segmented
-        engine.
+        Runs once per batch of updates, on the first read after them.  It
+        pins the statistics (add/remove copy them before mutating) and a
+        copy of the document factors for the snapshots it serves, computes
+        the corpus factor (O(terms)) and scans for the exact new
+        :attr:`max_impact` (cosine: one multiply per posting, one division
+        per document).  Document factors come from add, or from the
+        doc-terms sidecar on the first refresh after a :meth:`load`.  Only
+        the small unsealed delta's columns are composed eagerly; sealed
+        lists are *marked stale*, and each rewrite composes impacts on
+        demand -- in a snapshot for the terms a query touches, or through
+        :meth:`_refresh_list` when a merge, :meth:`compact` or a wholesale
+        save needs current arrays.
         """
         self._stale = False
         scorer = self._scorer
-        stats = self.stats
         levels = self.quantise_levels
         counters = self.update_counters
+        if self._doc_factors is None:
+            self._doc_factors = {d: scorer.document_factor(f) for d, f in self._doc_terms.items()}
+            counters.documents_factored += len(self._doc_factors)
+        stats = self._pinned_stats = self.stats
+        documents = dict(self._doc_factors)
+        corpus = scorer.corpus_factor(stats)
+        max_impact = self._max_impact = scorer.max_impact(documents.values(), corpus)
+        counters.postings_rescored += sum(map(len, self._doc_terms.values()))
+        compose = scorer.impact
 
-        impacts_by_doc: dict[int, Mapping[str, float]] = {}
-        max_impact = 0.0
-        for doc_id, frequencies in self._doc_terms.items():
-            impacts = scorer.document_impacts(frequencies, stats)
-            impacts_by_doc[doc_id] = impacts
-            for impact in impacts.values():
-                if impact > max_impact:
-                    max_impact = impact
-            counters.postings_rescored += len(impacts)
-        self._max_impact = max_impact
-        #: Kept resident until the next refresh: the deferred per-list
-        #: rewrites read their fresh impacts from here.
-        self._fresh = impacts_by_doc
+        def impact(doc_id: int, term: str) -> float:
+            return compose(documents[doc_id], term, corpus)
+
+        self._impact = impact
 
         delta_raw: dict[str, list[tuple[int, float]]] = {}
-        if self._active_docs:
-            for doc_id in self._doc_terms:  # corpus insertion order
-                if doc_id not in self._active_docs:
-                    continue
-                for term, impact in impacts_by_doc[doc_id].items():
-                    if impact <= 0.0:
-                        continue
-                    delta_raw.setdefault(term, []).append((doc_id, impact))
+        for doc_id in self._active_docs:
+            for term, value in scorer.impacts(documents[doc_id], corpus).items():
+                if value > 0.0:
+                    delta_raw.setdefault(term, []).append((doc_id, value))
         new_active: dict[str, PostingColumns] = {}
         for term, entries in delta_raw.items():
             entries.sort(key=lambda e: (-e[1], e[0]))
@@ -1518,7 +1483,7 @@ class InvertedIndex:
         if columns is None:
             return
         new_columns, action = rewrite_stale_columns(
-            columns, term, dead, self._fresh, self._max_impact, self.quantise_levels
+            columns, term, dead, self._impact, self._max_impact, self.quantise_levels
         )
         if action is None:
             # Either every row is tombstoned (the observable list is empty

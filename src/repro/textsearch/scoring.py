@@ -19,17 +19,28 @@ Two scorers are provided:
   well-known scoring function its scheme applies to equally.  Including it
   lets the Claim-1 tests show ranking preservation is scorer-agnostic.
 
-Both scorers expose the same interface: given a document's term frequencies
-and the corpus statistics, return the per-term impact values.  The inverted
-index consumes those impacts and discretises them (the footnote to
-Algorithm 4 requires integer impacts for the homomorphic exponentiation).
+Both scorers implement the same **factored** interface (:class:`Scorer`).  An
+impact splits into a *document factor*, which depends only on the document
+(cosine: the ``w_{d,t}`` and ``W_d``; BM25: the frequencies and the length),
+and a *corpus factor*, which depends only on the corpus statistics (cosine:
+``w_t`` per term; BM25: idf per term and the average length).  The inverted
+index keeps each document's factor from the moment the document is added and
+recomputes only the corpus factor when ``N`` or a document frequency moves,
+so an update never re-derives the impacts of the documents it did not touch.
+Every impact, wherever it is computed, is the same composition of the two
+factors -- the same float operations in the same order -- which is what keeps
+an updated index bit-identical to a rebuild.  The index discretises the
+impacts (the footnote to Algorithm 4 requires integer impacts for the
+homomorphic exponentiation).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from itertools import repeat
+from operator import mul
+from typing import Any, Callable, Iterable, Mapping, Protocol
 
 __all__ = ["CorpusStatistics", "Scorer", "CosineScorer", "BM25Scorer"]
 
@@ -47,43 +58,131 @@ class CorpusStatistics:
 
 
 class Scorer(Protocol):
-    """Interface implemented by every scoring function."""
+    """Interface implemented by every scoring function.
 
-    def document_impacts(
-        self, term_frequencies: Mapping[str, int], stats: CorpusStatistics
-    ) -> dict[str, float]:
+    ``p_{d,t} = impact(document_factor(d), t, corpus_factor(stats))``.
+    Factors are opaque to the index and never mutated once returned.
+    """
+
+    def document_factor(self, term_frequencies: Mapping[str, int]) -> Any:
+        """The part of every ``p_{d,t}`` of one document that depends only on it."""
+        ...
+
+    def corpus_factor(self, stats: CorpusStatistics) -> Any:
+        """The part of every impact that depends only on the statistics."""
+        ...
+
+    def impacts(self, document: Any, corpus: Any) -> dict[str, float]:
         """Impact value of every term of one document (``p_{d,t}``)."""
         ...
 
+    def impact(self, document: Any, term: str, corpus: Any) -> float:
+        """One ``p_{d,t}`` (``0.0`` when ``t`` is not in the document)."""
+        ...
 
-@dataclass(frozen=True)
-class CosineScorer:
-    """The Equation-3 cosine weighting scheme (the paper's default)."""
+    def max_impact(self, documents: Iterable[Any], corpus: Any) -> float:
+        """The largest impact over ``documents``, bit-identical to the largest
+        value :meth:`impacts` returns for any of them (``0.0`` when none is
+        positive)."""
+        ...
+
+
+class _Factored:
+    """The one-call form of a factored scorer."""
 
     def document_impacts(
         self, term_frequencies: Mapping[str, int], stats: CorpusStatistics
     ) -> dict[str, float]:
-        if not term_frequencies:
-            return {}
-        doc_weights = {
-            term: 1.0 + math.log(freq) for term, freq in term_frequencies.items() if freq > 0
-        }
-        norm = math.sqrt(sum(weight * weight for weight in doc_weights.values()))
-        if norm == 0.0:
-            return {term: 0.0 for term in doc_weights}
-        impacts: dict[str, float] = {}
-        for term, doc_weight in doc_weights.items():
-            df = stats.document_frequency(term)
-            if df <= 0:
-                impacts[term] = 0.0
-                continue
-            term_weight = math.log(1.0 + stats.num_documents / df)
-            impacts[term] = doc_weight * term_weight / norm
-        return impacts
+        """Impact value of every term of one document, straight from its
+        frequencies (the corpus factor is computed for its terms only)."""
+        return self.impacts(
+            self.document_factor(term_frequencies),
+            self.corpus_factor(stats, term_frequencies),
+        )
+
+
+def _per_term(
+    stats: CorpusStatistics, terms: Iterable[str] | None, weight: Callable[[int], float]
+) -> dict[str, float]:
+    """``{t: weight(f_t)}`` for every term with ``f_t > 0`` (of ``terms`` if
+    given).  One ``weight`` call per distinct document frequency: most terms
+    share a handful of small ``f_t`` values."""
+    if terms is None:
+        frequencies = stats.document_frequencies
+    else:
+        frequencies = {term: stats.document_frequency(term) for term in terms}
+    by_frequency = {df: weight(df) for df in set(frequencies.values()) if df > 0}
+    return {term: by_frequency[df] for term, df in frequencies.items() if df > 0}
 
 
 @dataclass(frozen=True)
-class BM25Scorer:
+class CosineScorer(_Factored):
+    """The Equation-3 cosine weighting scheme (the paper's default)."""
+
+    def document_factor(
+        self, term_frequencies: Mapping[str, int]
+    ) -> tuple[dict[str, float], float]:
+        """``({t: w_{d,t}}, W_d)``."""
+        weights = {
+            term: 1.0 + math.log(freq) for term, freq in term_frequencies.items() if freq > 0
+        }
+        return weights, math.sqrt(sum(weight * weight for weight in weights.values()))
+
+    def corpus_factor(
+        self, stats: CorpusStatistics, terms: Iterable[str] | None = None
+    ) -> dict[str, float]:
+        """``{t: w_t}`` for every term with ``f_t > 0`` (of ``terms`` if given)."""
+        num_documents = stats.num_documents
+        return _per_term(stats, terms, lambda df: math.log(1.0 + num_documents / df))
+
+    def impacts(
+        self, document: tuple[dict[str, float], float], corpus: Mapping[str, float]
+    ) -> dict[str, float]:
+        weights, norm = document
+        if norm == 0.0:
+            return dict.fromkeys(weights, 0.0)
+        impacts: dict[str, float] = {}
+        for term, doc_weight in weights.items():
+            term_weight = corpus.get(term)
+            impacts[term] = 0.0 if term_weight is None else doc_weight * term_weight / norm
+        return impacts
+
+    def impact(
+        self, document: tuple[dict[str, float], float], term: str, corpus: Mapping[str, float]
+    ) -> float:
+        weights, norm = document
+        doc_weight, term_weight = weights.get(term), corpus.get(term)
+        if doc_weight is None or term_weight is None or norm == 0.0:
+            return 0.0
+        return doc_weight * term_weight / norm
+
+    def max_impact(
+        self,
+        documents: Iterable[tuple[dict[str, float], float]],
+        corpus: Mapping[str, float],
+    ) -> float:
+        """One multiply per posting and one division per document.
+
+        Division by a positive ``W_d`` is monotone under round-to-nearest, so
+        ``max_t fl(fl(w_{d,t} w_t) / W_d) == fl(max_t fl(w_{d,t} w_t) / W_d)``:
+        the largest product of a document, divided once, is bit-identical to
+        the largest of its composed impacts.  A term without ``w_t`` counts
+        as a zero product, exactly as its impact counts as ``0.0``.
+        """
+        best = 0.0
+        term_weight = corpus.get
+        for weights, norm in documents:
+            if not weights or norm == 0.0:
+                continue
+            top = max(map(mul, weights.values(), map(term_weight, weights, repeat(0.0))))
+            impact = top / norm
+            if impact > best:
+                best = impact
+        return best
+
+
+@dataclass(frozen=True)
+class BM25Scorer(_Factored):
     """Okapi BM25 impacts with the usual parameterisation.
 
     Parameters
@@ -97,23 +196,64 @@ class BM25Scorer:
     k1: float = 1.2
     b: float = 0.75
 
-    def document_impacts(
-        self, term_frequencies: Mapping[str, int], stats: CorpusStatistics
+    def document_factor(
+        self, term_frequencies: Mapping[str, int]
+    ) -> tuple[Mapping[str, int], int]:
+        """``({t: f_{d,t}}, |d|)`` -- the frequencies themselves, shared."""
+        return term_frequencies, sum(term_frequencies.values())
+
+    def corpus_factor(
+        self, stats: CorpusStatistics, terms: Iterable[str] | None = None
+    ) -> tuple[dict[str, float], float]:
+        """``({t: idf_t}, avgdl)`` for every term with ``f_t > 0`` (of ``terms``)."""
+        num_documents = stats.num_documents
+        idf = _per_term(
+            stats, terms, lambda df: math.log(1.0 + (num_documents - df + 0.5) / (df + 0.5))
+        )
+        return idf, max(stats.average_document_length, 1e-9)
+
+    def _length_norm(self, doc_length: int, avg_length: float) -> float:
+        return self.k1 * (1.0 - self.b + self.b * doc_length / avg_length)
+
+    def _compose(self, idf: float | None, freq: int, length_norm: float) -> float:
+        if idf is None or freq <= 0:
+            return 0.0
+        return idf * freq * (self.k1 + 1.0) / (freq + length_norm)
+
+    def impacts(
+        self, document: tuple[Mapping[str, int], int], corpus: tuple[dict[str, float], float]
     ) -> dict[str, float]:
-        if not term_frequencies:
-            return {}
-        doc_length = sum(term_frequencies.values())
-        avg_length = max(stats.average_document_length, 1e-9)
-        impacts: dict[str, float] = {}
-        for term, freq in term_frequencies.items():
-            if freq <= 0:
-                impacts[term] = 0.0
-                continue
-            df = stats.document_frequency(term)
-            if df <= 0:
-                impacts[term] = 0.0
-                continue
-            idf = math.log(1.0 + (stats.num_documents - df + 0.5) / (df + 0.5))
-            denominator = freq + self.k1 * (1.0 - self.b + self.b * doc_length / avg_length)
-            impacts[term] = idf * freq * (self.k1 + 1.0) / denominator
-        return impacts
+        frequencies, doc_length = document
+        idf, avg_length = corpus
+        length_norm = self._length_norm(doc_length, avg_length)
+        return {
+            term: self._compose(idf.get(term), freq, length_norm)
+            for term, freq in frequencies.items()
+        }
+
+    def impact(
+        self,
+        document: tuple[Mapping[str, int], int],
+        term: str,
+        corpus: tuple[dict[str, float], float],
+    ) -> float:
+        frequencies, doc_length = document
+        idf, avg_length = corpus
+        return self._compose(
+            idf.get(term), frequencies.get(term, 0), self._length_norm(doc_length, avg_length)
+        )
+
+    def max_impact(
+        self,
+        documents: Iterable[tuple[Mapping[str, int], int]],
+        corpus: tuple[dict[str, float], float],
+    ) -> float:
+        idf, avg_length = corpus
+        best = 0.0
+        for frequencies, doc_length in documents:
+            length_norm = self._length_norm(doc_length, avg_length)
+            for term, freq in frequencies.items():
+                impact = self._compose(idf.get(term), freq, length_norm)
+                if impact > best:
+                    best = impact
+        return best

@@ -512,28 +512,23 @@ def rewrite_stale_columns(
     columns: PostingColumns,
     term: str,
     dead: AbstractSet[int],
-    impacts_by_doc: Mapping[int, Mapping[str, float]],
+    impact: Callable[[int, str], float],
     max_impact: float,
     levels: int,
 ) -> tuple[PostingColumns | None, str | None]:
     """The pure deferred-rewrite kernel: align one list with fresh impacts.
 
-    Side-effect-free sibling of ``InvertedIndex._refresh_list``: given one
-    segment's columns for ``term``, the documents dead for that segment, and
-    the freshly derived per-document impacts, returns ``(columns, action)``
-    where ``action`` is ``None`` (arrays already observably identical --
-    returned verbatim), ``"requantise"`` (order preserved, impact/quant
-    arrays patched) or ``"resort"`` (the scorer reordered the list; rebuilt
-    from scratch, ``None`` when every row fell away).  The skip check
-    compares the stored impacts *and* quantised values of every live row to
-    what a rebuild would hold right now, so arrays are kept verbatim exactly
-    when their observable content is already identical.  A list whose every
-    row is dead is also returned verbatim: the observable list is empty
-    either way (dead rows are filtered by every read path).
-
-    Both the index's in-place rewrite and the immutable snapshots' read
-    paths call this kernel, which is what guarantees a pinned snapshot and
-    the live index derive bit-identical arrays from the same pinned inputs.
+    Given one segment's columns for ``term``, the documents dead for that
+    segment, and ``impact(doc_id, term)`` over the factors one refresh
+    pinned (composed on demand, row by row), returns ``(columns, action)``:
+    ``None`` (every live row's impact *and* quantised value already match
+    what a rebuild holds, or every row is dead -- returned verbatim),
+    ``"requantise"`` (order preserved, impact/quant arrays patched) or
+    ``"resort"`` (the scorer reordered the list; rebuilt, ``None`` when
+    every row fell away).  The index's in-place rewrite
+    (``InvertedIndex._refresh_list``) and the snapshots' read paths both
+    call it, so a pinned snapshot and the live index derive bit-identical
+    arrays from the same pinned inputs.
     """
     doc_ids = columns.doc_ids
     old_impacts = columns.impacts
@@ -541,27 +536,27 @@ def rewrite_stale_columns(
     live: list[tuple[int, float]] = []  # (position, fresh impact)
     ordered = True
     changed = False
-    prev_key: tuple[float, int] | None = None
+    # The previous live row's impact and id: rows must run by (-impact, id).
+    previous, previous_id = float("inf"), -1
     for position, doc_id in enumerate(doc_ids):
         if doc_id in dead:
             continue
-        impact = impacts_by_doc[doc_id].get(term, 0.0)
-        key = (-impact, doc_id)
-        if impact <= 0.0 or (prev_key is not None and key < prev_key):
+        fresh = impact(doc_id, term)
+        if fresh <= 0.0 or fresh > previous or (fresh == previous and doc_id < previous_id):
             ordered = False
             break
-        prev_key = key
-        live.append((position, impact))
+        previous, previous_id = fresh, doc_id
+        live.append((position, fresh))
         if not changed and (
-            impact != old_impacts[position]
-            or quantise_impact(impact, max_impact, levels) != old_quants[position]
+            fresh != old_impacts[position]
+            or quantise_impact(fresh, max_impact, levels) != old_quants[position]
         ):
             changed = True
     if ordered and not live:
         return columns, None
     if not ordered:
         entries = [
-            (doc_id, impacts_by_doc[doc_id].get(term, 0.0))
+            (doc_id, impact(doc_id, term))
             for doc_id in doc_ids
             if doc_id not in dead
         ]
@@ -574,9 +569,9 @@ def rewrite_stale_columns(
         return columns, None
     new_impacts = array("d", old_impacts)
     new_quants = array("I", old_quants)
-    for position, impact in live:
-        new_impacts[position] = impact
-        new_quants[position] = quantise_impact(impact, max_impact, levels)
+    for position, fresh in live:
+        new_impacts[position] = fresh
+        new_quants[position] = quantise_impact(fresh, max_impact, levels)
     return PostingColumns(doc_ids, new_impacts, new_quants), "requantise"
 
 
@@ -681,20 +676,22 @@ def _frame_wal_record(manifest: Mapping) -> bytes:
     return _WAL_FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _scan_wal(wal_path: Path) -> tuple[list[dict], str | None]:
+def _scan_wal(wal_path: Path, data: bytes | None = None) -> tuple[list[dict], str | None]:
     """Parse a manifest log, stopping at the first torn or corrupt frame.
 
     Returns ``(records, problem)`` where ``problem`` describes the torn
     tail (``None`` for a clean log or a missing file).  Frames after a bad
     one are unreachable by construction -- the framing is lost -- so a torn
-    byte invalidates the suffix, never the prefix.
+    byte invalidates the suffix, never the prefix.  ``data`` is the log's
+    content when the caller has already read it.
     """
-    if not wal_path.exists():
-        return [], None
-    try:
-        data = wal_path.read_bytes()
-    except OSError as exc:
-        return [], f"unreadable ({exc})"
+    if data is None:
+        if not wal_path.exists():
+            return [], None
+        try:
+            data = wal_path.read_bytes()
+        except OSError as exc:
+            return [], f"unreadable ({exc})"
     records: list[dict] = []
     offset = 0
     while offset + _WAL_FRAME.size <= len(data):
@@ -762,11 +759,10 @@ def _save_seq(record: Mapping) -> int:
 _DEBRIS_PATTERNS = ("segment_*.bin", "doc_terms*.json", "wal.log.tmp", "manifest.json*")
 
 
-def _unreferenced_files(root: Path, records: Iterable[Mapping]) -> list[Path]:
-    """The files under ``root`` that none of ``records`` references, sorted."""
-    referenced: set[str] = set()
-    for record in records:
-        referenced |= _record_files(record)
+def _unreferenced_files(root: Path, file_sets: Iterable[AbstractSet[str]]) -> list[Path]:
+    """The files under ``root`` in none of ``file_sets`` (one per retained
+    record, see :func:`_record_files`), sorted."""
+    referenced: set[str] = set().union(*file_sets)
     return sorted(
         candidate
         for pattern in _DEBRIS_PATTERNS
@@ -775,22 +771,28 @@ def _unreferenced_files(root: Path, records: Iterable[Mapping]) -> list[Path]:
     )
 
 
-def _rewrite_wal(root: Path, records: Iterable[Mapping]) -> None:
-    """Atomically replace the log with exactly ``records`` (staged swap)."""
+def _rewrite_wal(root: Path, records: Iterable[Mapping]) -> bytes:
+    """Atomically replace the log with exactly ``records`` (staged swap);
+    returns the bytes written."""
     staging = root / "wal.log.tmp"
-    _fsync_write_bytes(staging, b"".join(map(_frame_wal_record, records)))
+    data = b"".join(map(_frame_wal_record, records))
+    _fsync_write_bytes(staging, data)
     os.replace(staging, root / "wal.log")
     _fsync_directory(root)
+    return data
 
 
-def _persist_state(root: str | Path, record: Mapping) -> dict:
+def _persist_state(root: str | Path, record: Mapping, wal: Mapping | None = None) -> dict:
     """What the next incremental save needs of the last committed ``record``:
-    the directory identity plus, per segment id, the persisted file."""
+    the directory identity, per segment id the persisted file, and (from a
+    save) the whole log as committed: ``length``, ``crc`` and each retained
+    record's file set."""
     integrity = record["integrity"]
     return {
         "path": str(Path(root).resolve()),
         "uuid": record["uuid"],
         "save_seq": record["save_seq"],
+        "wal": wal,
         "files": {
             entry["segment_id"]: {
                 "file": entry["file"],
@@ -884,7 +886,11 @@ def write_index_directory(
     The mode follows from the persist state alone: incremental when
     ``persist_state`` matches the directory's uuid and newest save_seq and
     ``document_terms`` accompany the save, wholesale (under a fresh
-    directory uuid) otherwise.  ``runtime_fresh`` declares whether the
+    directory uuid) otherwise.  A save whose ``persist_state`` describes the
+    log byte for byte (its ``wal`` length and CRC-32 still match) takes the
+    retained records' file sets from it instead of decoding the log again;
+    any mismatch -- a torn tail, a foreign writer, a truncation -- takes the
+    full scan.  ``runtime_fresh`` declares whether the
     in-memory arrays are fully flushed; the record's ``arrays_fresh`` flag
     is that, ANDed with every reused file still matching its segment's
     ``content_version`` -- a load of a record with ``arrays_fresh: false``
@@ -897,16 +903,36 @@ def write_index_directory(
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     wal_path = root / "wal.log"
-    kept_records, torn = _scan_wal(wal_path)
-    newest: Mapping = kept_records[-1] if kept_records else {}
-    newest_seq = max(map(_save_seq, kept_records), default=0)
+    try:
+        wal_bytes: bytes | None = wal_path.read_bytes()
+    except OSError:  # missing or unreadable: the scan below says which
+        wal_bytes = None
+    wal_crc = zlib.crc32(wal_bytes) if wal_bytes is not None else None
+    same_path = persist_state is not None and persist_state.get("path") == str(root.resolve())
+    committed = persist_state.get("wal") if same_path else None
+    kept_records: list[dict] | None = None
+    if (
+        committed is not None
+        and wal_bytes is not None
+        and committed["length"] == len(wal_bytes)
+        and committed["crc"] == wal_crc
+    ):
+        # The log is byte-for-byte what this instance last committed, so
+        # the persist state already holds everything a decode would yield.
+        torn = None
+        retained = list(committed["files"])
+        newest_uuid, newest_seq = persist_state["uuid"], persist_state["save_seq"]
+    else:
+        kept_records, torn = _scan_wal(wal_path, wal_bytes)
+        retained = [_record_files(record) for record in kept_records]
+        newest_uuid = kept_records[-1].get("uuid") if kept_records else None
+        newest_seq = max(map(_save_seq, kept_records), default=0)
     save_seq = newest_seq + 1
 
     incremental = (
-        persist_state is not None
+        same_path
         and document_terms is not None
-        and persist_state.get("path") == str(root.resolve())
-        and persist_state.get("uuid") == newest.get("uuid")
+        and persist_state.get("uuid") == newest_uuid
         and persist_state.get("save_seq") == newest_seq
     )
     index_uuid = persist_state["uuid"] if incremental else _uuid.uuid4().hex
@@ -973,21 +999,25 @@ def write_index_directory(
     _fsync_directory(root)
 
     # Commit point: an append when the log is clean and under threshold,
-    # otherwise the atomic rewrite (compaction, or past a torn tail).
-    compacted = len(kept_records) + 1 > max(int(wal_compact_records), 1)
-    new_records = [manifest] if compacted else kept_records + [manifest]
+    # otherwise the atomic rewrite (compaction, or past a torn tail, which
+    # only the decoding branch can find -- so ``kept_records`` is set).
+    compacted = len(retained) + 1 > max(int(wal_compact_records), 1)
+    retained = [_record_files(manifest)] if compacted else retained + [_record_files(manifest)]
+    frame = _frame_wal_record(manifest)
     _io_event("write", wal_path)
-    if wal_path.exists() and torn is None and not compacted:
+    if wal_bytes is not None and torn is None and not compacted:
         with open(wal_path, "ab") as handle:
-            handle.write(_frame_wal_record(manifest))
+            handle.write(frame)
             handle.flush()
             os.fsync(handle.fileno())
+        wal_length, wal_crc = len(wal_bytes) + len(frame), zlib.crc32(frame, wal_crc)
     else:
-        _rewrite_wal(root, new_records)
+        written = _rewrite_wal(root, [manifest] if compacted else kept_records + [manifest])
+        wal_length, wal_crc = len(written), zlib.crc32(written)
 
     # Reclamation: every retained record stays replayable until compaction
     # drops it, so only what none of them references goes.
-    for stale in _unreferenced_files(root, new_records):
+    for stale in _unreferenced_files(root, retained):
         stale.unlink()
 
     return {
@@ -996,10 +1026,12 @@ def write_index_directory(
         "uuid": index_uuid,
         "segments_written": segments_written,
         "segments_reused": len(manifest_segments) - segments_written,
-        "wal_records": len(new_records),
+        "wal_records": len(retained),
         "compacted": compacted,
         "arrays_fresh": arrays_fresh,
-        "persist_state": _persist_state(root, manifest),
+        "persist_state": _persist_state(
+            root, manifest, {"length": wal_length, "crc": wal_crc, "files": retained}
+        ),
     }
 
 
@@ -1280,7 +1312,9 @@ def _survey(path: str | Path, *, deep: bool) -> tuple[dict, dict | None]:
         "recoverable": None,
         "save_seq": None,
         "wal": {"records": len(records), "torn": torn is not None},
-        "orphans": [stale.name for stale in _unreferenced_files(root, records)],
+        "orphans": [
+            stale.name for stale in _unreferenced_files(root, map(_record_files, records))
+        ],
     }
     if torn is not None or not records:
         report["problems"]["wal.log"] = [torn or "no manifest record present"]
@@ -1339,7 +1373,7 @@ def repair_index_directory(path: str | Path) -> dict:
     if report["wal"] != {"records": 1, "torn": False}:
         _rewrite_wal(root, [record])
         removed.append("wal.log (rewritten)")
-    for stale in _unreferenced_files(root, [record]):
+    for stale in _unreferenced_files(root, [_record_files(record)]):
         stale.unlink()
         removed.append(stale.name)
     return {

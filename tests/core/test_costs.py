@@ -1,5 +1,8 @@
 """Unit tests for the Section 5.2 cost model."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.core.costs import CostModel, CostReport
@@ -113,6 +116,7 @@ class TestIndexUpdateReport:
             documents_removed=1,
             tokens_tokenised=100,
             postings_rescored=400,
+            documents_factored=3,
             postings_merged=30,
             postings_dropped=10,
         )
@@ -123,10 +127,12 @@ class TestIndexUpdateReport:
         expected = (
             100 * model.index_tokenise_ms_per_token
             + 400 * model.index_rescore_ms_per_posting
+            + 3 * model.index_factor_ms_per_document
             + 40 * model.index_merge_ms_per_posting
         )
         assert report.server_cpu_ms == pytest.approx(expected)
         assert report.counts["documents_added"] == 3
+        assert report.counts["documents_factored"] == 3
         assert report.counts["postings_merged"] == 30
 
     def test_accepts_update_counters_fields(self):
@@ -139,15 +145,17 @@ class TestIndexUpdateReport:
         index.add_document(Document(doc_id=2, text="beta delta"))
         index.compact()
         counters = index.update_counters
-        report = CostModel().index_update_report(
-            documents_added=counters.documents_added,
-            documents_removed=counters.documents_removed,
-            tokens_tokenised=counters.tokens_tokenised,
-            postings_rescored=counters.postings_rescored,
-            postings_merged=counters.postings_merged,
-            postings_dropped=counters.postings_dropped,
-        )
+        # One refresh scanned both documents' postings; only the added one
+        # was factored.
+        assert counters.postings_rescored == 5
+        assert counters.documents_factored == 1
+        # Every modelled count is an UpdateCounters field of the same name.
+        fields = dataclasses.asdict(counters)
+        modelled = set(inspect.signature(CostModel.index_update_report).parameters) - {"self"}
+        assert modelled <= fields.keys()
+        report = CostModel().index_update_report(**{name: fields[name] for name in modelled})
         assert report.server_cpu_ms > 0.0
+        assert report.counts["documents_factored"] == 1
 
 
 class TestIndexMaintenanceReport:

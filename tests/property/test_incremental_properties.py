@@ -1,7 +1,7 @@
 """Property tests: incremental index updates are equivalent to a rebuild.
 
 The acceptance property of the incremental-update subsystem: for random
-corpora and random add/remove sequences, a query answered against the
+corpora, random add/remove sequences and both scorers, a query answered against the
 incrementally-updated index produces **bit-identical ciphertexts** and
 **conserved operation counters** versus a from-scratch
 :meth:`InvertedIndex.build` of the equivalent corpus -- both *before* and
@@ -21,6 +21,7 @@ from repro.core.server import PrivateRetrievalServer
 from repro.crypto.benaloh import generate_keypair
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex
+from repro.textsearch.scoring import BM25Scorer, CosineScorer
 
 # One small key pair for the whole module: key size affects only ciphertext
 # width, never the equivalence being tested.
@@ -32,6 +33,8 @@ VOCABULARY = [
     "osteosarcoma", "radiation", "therapy", "water", "soaked", "tissues",
     "yeast", "nitrogen", "diving", "wine", "terrorism", "huntsville",
 ]
+
+SCORERS = {"cosine": CosineScorer(), "bm25": BM25Scorer()}
 
 document_text = st.lists(
     st.sampled_from(VOCABULARY), min_size=1, max_size=12
@@ -96,14 +99,19 @@ def _query_both(incremental, rebuilt, seed):
 
 
 class TestIncrementalEquivalence:
-    @given(scenario=update_scenarios(), seed=st.integers(0, 2**16))
-    @settings(max_examples=25, deadline=None)
-    def test_queries_bit_identical_to_rebuild(self, scenario, seed):
+    @given(
+        scenario=update_scenarios(),
+        seed=st.integers(0, 2**16),
+        scorer_name=st.sampled_from(sorted(SCORERS)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_queries_bit_identical_to_rebuild(self, scenario, seed, scorer_name):
         base, operations = scenario
-        incremental = InvertedIndex.build(Corpus(base))
+        scorer = SCORERS[scorer_name]
+        incremental = InvertedIndex.build(Corpus(base), scorer=scorer)
         live = list(base)
         _apply(operations, incremental, live)
-        rebuilt = InvertedIndex.build(Corpus(live))
+        rebuilt = InvertedIndex.build(Corpus(live), scorer=scorer)
 
         # Structural identity: dictionary, statistics, calibration, columns.
         for index_state in ("delta", "compacted"):
@@ -135,6 +143,21 @@ class TestIncrementalEquivalence:
             if index_state == "delta":
                 incremental.compact()
         assert not incremental.has_pending_updates
+
+    @given(scenario=update_scenarios(), scorer_name=st.sampled_from(sorted(SCORERS)))
+    @settings(max_examples=40, deadline=None)
+    def test_max_impact_matches_rebuild_after_every_step(self, scenario, scorer_name):
+        """Each update is followed by a read, so every step runs its own
+        refresh: the factored max scan must equal the rebuild's maximum
+        over composed impacts bit for bit, step by step."""
+        base, operations = scenario
+        scorer = SCORERS[scorer_name]
+        stepwise = InvertedIndex.build(Corpus(base), scorer=scorer)
+        live = list(base)
+        for operation in operations:
+            _apply([operation], stepwise, live)
+            rebuilt = InvertedIndex.build(Corpus(live), scorer=scorer)
+            assert stepwise.max_impact.hex() == rebuilt.max_impact.hex(), operation
 
     @given(scenario=update_scenarios(), seed=st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex, Posting
-from repro.textsearch.scoring import BM25Scorer, CorpusStatistics
+from repro.textsearch.scoring import BM25Scorer, CorpusStatistics, CosineScorer
 
 
 @pytest.fixture()
@@ -267,3 +267,76 @@ class TestBM25Updates:
         assert_indexes_identical(index, rebuilt)
         index.compact()
         assert_indexes_identical(index, rebuilt)
+
+
+class _CountingScorer(CosineScorer):
+    """Cosine, counting every per-document scoring call, factored or not."""
+
+    calls = [0]
+
+    def document_factor(self, term_frequencies):
+        self.calls[0] += 1
+        return super().document_factor(term_frequencies)
+
+    def document_impacts(self, term_frequencies, stats):
+        self.calls[0] += 1
+        return super().document_impacts(term_frequencies, stats)
+
+
+class TestFactoredRefresh:
+    def test_an_update_scores_only_the_new_documents(self, base_documents):
+        scorer = _CountingScorer()
+        index = InvertedIndex.build(Corpus(base_documents), scorer=scorer)
+        scorer.calls[0] = 0
+        added = [
+            Document(doc_id=9, text="night watch keeper of the old house gown"),
+            Document(doc_id=10, text="zanzibar town"),
+        ]
+        index.add_documents(added)
+        index.remove_document(2)
+        index.maintain(force_seal=True)
+        assert scorer.calls[0] == len(added)
+        assert index.update_counters.documents_factored == len(added)
+        live = [d for d in base_documents if d.doc_id != 2] + added
+        assert_indexes_identical(index, InvertedIndex.build(Corpus(live)))
+
+    def test_a_loaded_index_factors_its_documents_once(self, tmp_path, base_documents, index):
+        index.save(tmp_path / "saved")
+        loaded = InvertedIndex.load(tmp_path / "saved")
+        loaded.add_document(Document(doc_id=9, text="night watch"))
+        _ = loaded.terms
+        assert loaded.update_counters.documents_factored == len(base_documents) + 1
+        loaded.add_document(Document(doc_id=10, text="gown town"))
+        _ = loaded.terms
+        assert loaded.update_counters.documents_factored == len(base_documents) + 2
+
+    def test_a_snapshot_pins_its_statistics(self):
+        """Regression: a snapshot shared the live document-frequency dict, so
+        a later add showed through it while its ``num_documents`` stood still."""
+        index = InvertedIndex.build(
+            Corpus([Document(doc_id=1, text="alpha beta"), Document(doc_id=2, text="beta gamma")])
+        )
+        for doc_id in (3, 4):  # pinned at build, then pinned after a refresh
+            pinned = index.snapshot()
+            frequencies = dict(pinned.stats.document_frequencies)
+            documents = pinned.stats.num_documents
+            index.add_document(Document(doc_id=doc_id, text=f"beta delta{doc_id}"))
+            assert dict(pinned.stats.document_frequencies) == frequencies
+            assert pinned.stats.num_documents == documents
+            assert index.snapshot().stats.document_frequencies["beta"] == doc_id
+
+    @pytest.mark.parametrize("scorer", [CosineScorer(), BM25Scorer()], ids=["cosine", "bm25"])
+    def test_a_pinned_snapshot_composes_from_its_own_factors(self, base_documents, scorer):
+        """Lists left stale at pin time are first read after later updates
+        dropped and added document factors: the snapshot still serves its
+        own epoch."""
+        index = InvertedIndex.build(Corpus(base_documents), scorer=scorer)
+        extra = Document(doc_id=9, text="night keeper of the gown")
+        index.add_document(extra)
+        pinned = index.snapshot()
+        index.remove_document(1)
+        index.add_document(Document(doc_id=10, text="town town keep"))
+        index.maintain(force_seal=True)
+        assert_indexes_identical(
+            pinned, InvertedIndex.build(Corpus(base_documents + [extra]), scorer=scorer)
+        )

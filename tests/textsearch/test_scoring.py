@@ -3,17 +3,21 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.textsearch.scoring import BM25Scorer, CorpusStatistics, CosineScorer
 
 
+STATS = CorpusStatistics(
+    num_documents=100,
+    document_frequencies={"rare": 2, "common": 80, "medium": 20},
+    average_document_length=50.0,
+)
+
+
 @pytest.fixture()
 def stats():
-    return CorpusStatistics(
-        num_documents=100,
-        document_frequencies={"rare": 2, "common": 80, "medium": 20},
-        average_document_length=50.0,
-    )
+    return STATS
 
 
 class TestCosineScorer:
@@ -83,3 +87,62 @@ class TestCorpusStatistics:
     def test_document_frequency_lookup(self, stats):
         assert stats.document_frequency("rare") == 2
         assert stats.document_frequency("never-seen") == 0
+
+
+def _ulps(value: float, steps: int) -> float:
+    direction = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, direction)
+    return value
+
+
+@st.composite
+def near_tie_cosine_factors(draw):
+    """Cosine factors whose products ``w_{d,t} w_t`` and norms ``W_d`` sit
+    within a few ulps of each other, plus terms without a ``w_t``."""
+    vocabulary = [f"t{i}" for i in range(draw(st.integers(1, 6)))]
+    weight = draw(st.floats(1.0, 4.0))
+    term_weight = draw(st.floats(0.1, 7.0))
+    norm = draw(st.floats(1.0, 30.0))
+    ulps = st.integers(-4, 4)
+    corpus = {term: _ulps(term_weight, draw(ulps)) for term in vocabulary}
+    documents = []
+    for _ in range(draw(st.integers(1, 8))):
+        terms = draw(st.lists(st.sampled_from(vocabulary + ["unseen"]), min_size=1, unique=True))
+        weights = {term: _ulps(weight, draw(ulps)) for term in terms}
+        documents.append((weights, _ulps(norm, draw(ulps))))
+    return documents, corpus
+
+
+frequencies = st.dictionaries(
+    st.sampled_from(["rare", "common", "medium", "unseen", "pad"]),
+    st.integers(1, 40),
+    min_size=1,
+)
+
+
+class TestFactoredScoring:
+    @given(factors=near_tie_cosine_factors())
+    @settings(max_examples=300, deadline=None)
+    def test_cosine_factored_max_is_the_composed_max_bit_for_bit(self, factors):
+        documents, corpus = factors
+        scorer = CosineScorer()
+        composed = max(
+            [0.0] + [value for d in documents for value in scorer.impacts(d, corpus).values()]
+        )
+        assert scorer.max_impact(documents, corpus).hex() == composed.hex()
+
+    @pytest.mark.parametrize("scorer", [CosineScorer(), BM25Scorer()], ids=["cosine", "bm25"])
+    @given(documents=st.lists(frequencies, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_every_path_composes_the_same_impacts(self, scorer, documents):
+        corpus = scorer.corpus_factor(STATS)
+        factors = [scorer.document_factor(freqs) for freqs in documents]
+        composed = [scorer.impacts(factor, corpus) for factor in factors]
+        for freqs, factor, impacts in zip(documents, factors, composed):
+            assert scorer.document_impacts(freqs, STATS) == impacts
+            for term, value in impacts.items():
+                assert scorer.impact(factor, term, corpus).hex() == value.hex()
+            assert scorer.impact(factor, "absent", corpus) == 0.0
+        best = max(value for impacts in composed for value in [0.0, *impacts.values()])
+        assert scorer.max_impact(factors, corpus).hex() == best.hex()

@@ -387,8 +387,22 @@ class TestPersistence:
 
     def test_unknown_scorer_requires_explicit_argument(self, tmp_path, base_documents):
         class OddScorer:
-            def document_impacts(self, term_frequencies, stats):
-                return {term: 1.0 for term in term_frequencies}
+            """Every term of every document has impact 1.0."""
+
+            def document_factor(self, term_frequencies):
+                return frozenset(term_frequencies)
+
+            def corpus_factor(self, stats):
+                return None
+
+            def impacts(self, document, corpus):
+                return dict.fromkeys(document, 1.0)
+
+            def impact(self, document, term, corpus):
+                return 1.0 if term in document else 0.0
+
+            def max_impact(self, documents, corpus):
+                return 1.0 if any(documents) else 0.0
 
         index = InvertedIndex.build(Corpus(base_documents), scorer=OddScorer())
         index.save(tmp_path / "odd")

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.faults import FaultInjector, FaultPlan, PermanentFaultError
 from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex, segments
 from repro.textsearch.segments import (
     install_io_fault_hook,
@@ -135,6 +136,102 @@ class TestAppendOnlyIncrementalSaves:
         assert [r["save_seq"] for r in reports] == [1, 2, 3, 4]
         assert [r["wal_records"] for r in reports] == [1, 2, 3, 4]
         assert [r["save_seq"] for r in read_manifest_log(root)] == [1, 2, 3, 4]
+
+
+def _update(index: InvertedIndex, doc_id: int) -> None:
+    index.add_document(Document(doc_id=doc_id, text=f"omega alpha sigma fresh{doc_id}"))
+    index.maintain(force_seal=True)
+
+
+@pytest.fixture()
+def wal_scans(monkeypatch):
+    """Every ``_scan_wal`` call, recorded, then run as usual."""
+    scans = []
+    scan = segments._scan_wal
+
+    def spy(*args):
+        scans.append(args[0].name)
+        return scan(*args)
+
+    monkeypatch.setattr(segments, "_scan_wal", spy)
+    return scans
+
+
+class TestSaveSkipsDecodingItsOwnLog:
+    def test_saves_over_a_log_this_instance_wrote_decode_nothing(self, tmp_path, wal_scans):
+        index = _build_index()
+        root = tmp_path / "ckpt"
+        index.save(root)
+        assert wal_scans == ["wal.log"]  # the first save has no fingerprint yet
+        for doc_id in range(500, 504):
+            _update(index, doc_id)
+            index.save(root, wal_compact_records=3)
+            assert index.last_save_report["mode"] == "incremental"
+        assert wal_scans == ["wal.log"]
+        assert index.last_save_report["wal_records"] == len(read_manifest_log(root)) <= 3
+        assert _snapshot(InvertedIndex.load(root)) == _snapshot(index)
+        report = verify_index_directory(root)
+        assert report["ok"] and report["orphans"] == []
+
+    @pytest.mark.parametrize("tamper", ["truncate", "append", "flip"])
+    def test_a_log_changed_behind_the_instance_takes_the_full_scan(
+        self, tmp_path, wal_scans, tamper
+    ):
+        index = _build_index()
+        root = tmp_path / "ckpt"
+        index.save(root)
+        _update(index, 500)
+        index.save(root)
+        blob = bytearray((root / "wal.log").read_bytes())
+        if tamper == "truncate":
+            blob = blob[: _record_boundaries(bytes(blob))[0]]
+        elif tamper == "append":
+            blob += b"\x00" * 3
+        else:  # same length, one bit of the newest record
+            blob[-1] ^= 0x01
+        (root / "wal.log").write_bytes(bytes(blob))
+        wal_scans.clear()
+        _update(index, 501)
+        index.save(root)
+        assert wal_scans == ["wal.log"]
+        assert _snapshot(InvertedIndex.load(root)) == _snapshot(index)
+        assert verify_index_directory(root)["ok"]
+
+    def test_a_save_aborted_at_any_write_then_retried_on_the_same_instance(self, tmp_path):
+        """Abort an undecoded save at each write: the directory loads as the
+        state before or after it, and the instance's retry (still undecoded)
+        commits the new state and reclaims the aborted save's debris."""
+        probe = _build_index()
+        probe.save(tmp_path / "probe")
+        _update(probe, 500)
+        counter = FaultInjector(plan=FaultPlan())
+        previous = install_io_fault_hook(counter.io_hook())
+        try:
+            probe.save(tmp_path / "probe")
+        finally:
+            install_io_fault_hook(previous)
+        total_writes = counter.io_operations
+        assert total_writes >= 3
+        for op in range(total_writes):
+            index = _build_index()
+            work = tmp_path / f"abort_{op}"
+            index.save(work)
+            before = _snapshot(index)
+            _update(index, 500)
+            after = _snapshot(index)
+            previous = install_io_fault_hook(
+                FaultInjector(plan=FaultPlan(io_permanent_at=frozenset({op}))).io_hook()
+            )
+            try:
+                with pytest.raises(PermanentFaultError):
+                    index.save(work)
+            finally:
+                install_io_fault_hook(previous)
+            assert _snapshot(InvertedIndex.load(work)) in (before, after), op
+            index.save(work)
+            assert index.last_save_report["mode"] == "incremental"
+            assert _snapshot(InvertedIndex.load(work)) == after
+            assert verify_index_directory(work)["orphans"] == []
 
 
 class TestLogReplayRecovery:
