@@ -6,7 +6,7 @@ memory-mapping, so start-up cost is metadata-only and postings page in on
 demand), registers each as a tenant of a
 :class:`~repro.service.app.RetrievalService`, and runs the asyncio service
 until SIGTERM/SIGINT, then drains gracefully: in-flight batches finish, new
-requests are refused, the worker pool shuts down.
+requests are refused, open connections close.
 
 Examples
 --------
@@ -52,13 +52,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--host", default="0.0.0.0")
     parser.add_argument("--port", type=int, default=8080)
     parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="worker threads of the service's one pool (1 = in-process, no pool; "
-        "ignored without the compiled kernel)",
-    )
-    parser.add_argument(
         "--bucket-size",
         type=int,
         default=4,
@@ -89,23 +82,23 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
-    if args.parallelism < 1:
-        parser.error("--parallelism must be at least 1")
+    try:  # the config checks its own values; report them as usage errors
+        args.config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            bucket_size=args.bucket_size,
+            max_active=args.max_active,
+            max_pending=args.max_pending,
+            retry_after=args.retry_after,
+            mmap_indexes=not args.no_mmap,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     return args
 
 
 async def serve(args: argparse.Namespace) -> None:
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        bucket_size=args.bucket_size,
-        parallelism=args.parallelism,
-        max_active=args.max_active,
-        max_pending=args.max_pending,
-        retry_after=args.retry_after,
-        mmap_indexes=not args.no_mmap,
-    )
-    service = RetrievalService(config)
+    service = RetrievalService(args.config)
     for spec in args.tenant:
         name, sep, index_dir = spec.partition("=")
         if not sep or not name or not index_dir:
@@ -116,17 +109,12 @@ async def serve(args: argparse.Namespace) -> None:
         )
 
     host, port = await service.start()
-    workers = service.engine.parallelism if service.engine is not None else 0
-    log.info(
-        "listening on %s:%d (pool workers=%d, kernel backend=%s)",
-        host, port, workers, service.backend,
-    )
+    log.info("listening on %s:%d (kernel backend=%s)", host, port, service.backend)
 
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
-        # set() is idempotent, so a second signal during the drain is harmless
-        # (and the engine shutdown underneath is concurrency-safe too).
+        # set() is idempotent, so a second signal during the drain is harmless.
         with contextlib.suppress(NotImplementedError):
             loop.add_signal_handler(signum, stop.set)
     await stop.wait()

@@ -102,10 +102,9 @@ class PrivateSearchClient:
 
         With ``stream=True`` the return value is an iterator that yields each
         query's :class:`~repro.textsearch.engine.SearchResult` in session
-        order as soon as the server's resident engine finishes that query --
-        a multi-query batch is dispatched up front (one pool task per query),
-        so post-filtering of early queries overlaps the server work of later
-        ones.  With ``stream=False`` (the default) the same results
+        order as soon as the server has answered that query, so
+        post-filtering of early queries can start before later ones are
+        accumulated.  With ``stream=False`` (the default) the same results
         come back as a fully materialised list.  Rankings are identical
         either way.
         """
@@ -137,9 +136,6 @@ class PrivateSearchSystem:
     #: per posting, one full encryption per selector); False (the default)
     #: runs the power-table server and zero-pool embellisher.
     naive: bool = False
-    #: Worker threads for the server's sharded/batched accumulation
-    #: (1 = sequential; the naive oracle ignores this and stays in-process).
-    parallelism: int = 1
     client: PrivateSearchClient = field(init=False)
     server: PrivateRetrievalServer = field(init=False)
 
@@ -156,18 +152,7 @@ class PrivateSearchSystem:
             organization=self.organization,
             public_key=self.client.keypair.public,
             naive=self.naive,
-            parallelism=self.parallelism,
         )
-
-    def close(self) -> None:
-        """Shut down the server's resident execution engine (idempotent)."""
-        self.server.close()
-
-    def __enter__(self) -> "PrivateSearchSystem":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- real execution -------------------------------------------------------------
     def search(self, genuine_terms: Sequence[str], k: int | None = 20) -> tuple[SearchResult, CostReport]:
@@ -231,8 +216,7 @@ class PrivateSearchSystem:
         """Run a whole session as one batch, returning per-query rankings and reports.
 
         The client side amortises across the batch (one zero-pool stocking
-        for all queries); the server side answers the batch through one
-        worker pool (sized by the system's ``parallelism``).
+        for all queries); the server side answers it as one batch.
         Rankings are identical to issuing each query through :meth:`search`
         -- the batch changes scheduling and amortisation, never results.
         """

@@ -5,8 +5,11 @@ whole lifetime (``docs/architecture.md``, Layer 4, tells the dispatch ->
 handle -> collect story end to end).  Workers are threads of the
 serving process: a payload is handed over by reference and a task's kernel
 fallbacks are booked where ``/metrics`` reads them.  They overlap only while
-the compiled kernel has dropped the interpreter lock, so the serving
-front-end builds an engine only once its backend resolved to ``cffi``.
+the compiled kernel has dropped the interpreter lock, and no measured shape
+has shown them beating in-process, so nothing that serves builds one: the
+service accumulates in-process and scales out by shards.  The engine stays
+because ``benchmarks/e2e/layers.py`` still probes this placement
+(``core.engine.*``); it goes when that probe does.
 
 Lifecycle
 ---------
@@ -34,8 +37,8 @@ Thread safety
 -------------
 Lifecycle transitions (``start``, ``shutdown`` and the lazy pool start
 inside every dispatch) are serialised on an internal re-entrant lock, so an
-engine shared between threads -- the serving front-end's sessions, or a
-signal handler racing a ``with``-block exit -- never double-starts a pool
+engine shared between threads -- several servers, or a shutdown racing a
+``with``-block exit -- never double-starts a pool
 and ``shutdown`` is idempotent (see there).  Dispatch is safe from multiple
 threads: ``ThreadPoolExecutor.submit`` is thread-safe, handles are
 call-local, and the counters are updated under the same lock.

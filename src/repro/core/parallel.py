@@ -27,8 +27,8 @@ This module holds what every placement of that work shares:
   whole query's accumulation, deferred in-process or in flight on a pool.
 
 Worker threads overlap only inside the compiled kernel, and no measured shape
-has yet shown a pool beating the in-process kernel (``docs/operations.md``,
-*Parallelism*); ``parallelism=1`` is the default everywhere.
+has shown a pool beating the in-process kernel (``docs/operations.md``,
+*Placement*): nothing that serves builds one.
 """
 
 from __future__ import annotations

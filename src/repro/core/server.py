@@ -19,12 +19,13 @@ Two accumulation paths exist:
   multiplication (:func:`repro.core.parallel.accumulate_terms`).  Every fast
   query is dispatched the same way (:meth:`PrivateRetrievalServer.iter_batch`;
   ``process_batch`` materialises it, ``process_query`` is a batch of one):
-  one :class:`~repro.core.parallel.PendingResult` handle per query -- a
-  task on the resident :class:`~repro.core.engine.ExecutionEngine` pool when
-  the server has one (injected, or built for ``parallelism > 1``) and the
-  batch has several queries, deferred in-process otherwise -- collected by
-  one loop.  The ciphertexts are bit-identical to the naive path's wherever
-  a query's multiplications happen.
+  one :class:`~repro.core.parallel.PendingResult` handle per query --
+  deferred in-process, or a task on an
+  :class:`~repro.core.engine.ExecutionEngine` pool when the server was given
+  one (the benchmark's placement probe; nothing that serves does) and the
+  batch has several queries -- collected by one loop.  The ciphertexts are
+  bit-identical to the naive path's wherever a query's multiplications
+  happen.
 
 The server is instrumented: it counts disk blocks fetched (bucket-co-located
 lists are fetched together, the I/O optimisation Section 4 prescribes),
@@ -147,6 +148,8 @@ class PrivateRetrievalServer:
         Size of the worker-thread pool this server builds and owns when no
         ``engine`` is injected (1, the default: no pool, in-process).
         Threads overlap only on the ``cffi`` backend; never affects results.
+        This and ``engine`` remain only for ``benchmarks/e2e/layers.py``'s
+        placement probe: no serving path sets either.
     engine:
         The resident :class:`~repro.core.engine.ExecutionEngine` carrying the
         long-lived worker pool.  Pass one to share a pool between servers:
@@ -309,9 +312,8 @@ class PrivateRetrievalServer:
         :attr:`last_batch_counters` and resets :attr:`counters` to that newer
         call; the in-flight stream keeps filling its own snapshot list but
         stops touching the shared aggregate.  For concurrent serving give
-        each client session its own server and share the
-        :class:`~repro.core.engine.ExecutionEngine` (whose dispatch is
-        thread-safe) -- the arrangement :mod:`repro.service` uses.
+        each client session its own server -- the arrangement
+        :mod:`repro.service` uses.
         """
         self._counter_epoch += 1
         epoch = self._counter_epoch

@@ -1,7 +1,8 @@
 """Network serving front-end for the private-retrieval engine.
 
-This package wraps the in-process pipeline (index + server + engine) in an
-asyncio HTTP/JSON service with streaming batch responses, admission-control
+This package wraps the in-process pipeline (index + server) in an asyncio
+HTTP service (frames on the data plane, JSON on the control plane) with
+streaming batch responses, admission-control
 backpressure, graceful drain and a ``/metrics`` endpoint -- see
 ``docs/architecture.md`` (service layer) and ``docs/operations.md`` for how
 it is deployed and operated, and ``scripts/serve.py`` for the entry point.

@@ -1,6 +1,6 @@
 """Admission control: bounded pending queue with explicit backpressure.
 
-The engine's worker pool is a fixed resource; unbounded acceptance would
+The serving process's CPU is a fixed resource; unbounded acceptance would
 just move the queue into memory and turn overload into latency collapse.
 The controller therefore admits at most ``max_active`` concurrently
 executing batch requests, lets at most ``max_pending`` more wait their turn
@@ -19,7 +19,7 @@ request releases its slot.
 
 Single event loop only: the controller relies on the loop's cooperative
 scheduling instead of locks, so every method must be called from the
-service's loop (the producer threads doing engine work never touch it).
+service's loop (the producer threads doing accumulation never touch it).
 """
 
 from __future__ import annotations

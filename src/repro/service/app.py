@@ -1,23 +1,16 @@
-"""The asyncio HTTP/JSON serving front-end over the private-retrieval core.
+"""The asyncio HTTP serving front-end over the private-retrieval core.
 
 :class:`RetrievalService` turns the in-process pipeline --
 :class:`~repro.textsearch.inverted_index.InvertedIndex` +
-:class:`~repro.core.server.PrivateRetrievalServer` +
-:class:`~repro.core.engine.ExecutionEngine` -- into a long-running network
-service:
+:class:`~repro.core.server.PrivateRetrievalServer` -- into a long-running
+network service.  Every batch accumulates in the serving process; scale-out
+is shards (the distribution roles below), not a worker pool.
 
 * **Tenants** are named indexes, loaded from a saved directory
   (``InvertedIndex.load(mmap=True)``) or handed over live.
-* **One worker pool**: with ``ServiceConfig.parallelism > 1`` on the compiled
-  kernel the service owns one lazily started :class:`ExecutionEngine` of that
-  size, shared by every tenant, session and shard request (a worker task is
-  ``(payload, modulus, backend)`` -- workers hold no index state) and shut
-  down by :meth:`RetrievalService.drain`; on the python loop, where threads
-  cannot overlap, ``parallelism`` is ignored with a warning.
 * **Sessions** are long-lived clients.  Opening a session binds a tenant to
   the client's Benaloh public key in a dedicated
-  :class:`PrivateRetrievalServer` that *shares* the service engine (shared ->
-  not owned -> a session going away never tears down the pool) and **pins**
+  :class:`PrivateRetrievalServer` that **pins**
   the tenant index's current manifest snapshot
   (:meth:`~repro.textsearch.inverted_index.InvertedIndex.snapshot`) for the
   session's lifetime -- its batches read one immutable epoch with no lock
@@ -27,13 +20,15 @@ service:
   documented on :meth:`PrivateRetrievalServer.process_batch`.  At most
   :data:`MAX_SESSIONS` are open at once; beyond that an open is refused
   ``429 + Retry-After`` until a ``DELETE`` frees a slot.
-* **Streaming**: a batch POST answers with a chunked record stream, in the
-  codec the request came in (:mod:`repro.service.wire`): fixed-width binary
-  frames for ``Content-Type: application/x-repro-frames``, NDJSON lines
-  otherwise.  The blocking engine work runs on a worker thread iterating
+* **Frames only on the data plane**: the two accumulating routes take
+  ``Content-Type: application/x-repro-frames`` (:mod:`repro.service.wire`)
+  and answer ``415`` to anything else; the control plane (sessions,
+  organisations, health, ``/metrics``) is JSON.
+* **Streaming**: a batch POST answers with a chunked stream of frames.  The
+  blocking accumulation runs on an executor thread iterating
   :meth:`PrivateRetrievalServer.iter_batch`; each result is handed to the
   event loop via ``call_soon_threadsafe`` and written as its own chunk, so
-  the client observes query results in order as shards complete, not at
+  the client observes query results in order as they complete, not at
   batch end.
 * **Kernel backend**: :meth:`RetrievalService.start` resolves once what the
   service accumulates on -- the compiled Montgomery kernel if it loads and
@@ -44,13 +39,13 @@ service:
   :class:`~repro.service.admission.AdmissionController` -- bounded active
   slots, bounded FIFO queue, ``429 + Retry-After`` beyond that, ``503``
   while draining.  Admitted batches always run to completion, even if the
-  client disconnects mid-stream (the producer keeps consuming the engine
-  iterator so no shard future is abandoned).
+  client disconnects mid-stream (the producer keeps consuming the batch
+  iterator to its end).
 * **Metrics**: ``GET /metrics`` merges :class:`ServiceMetrics` (request and
   latency rollups), admission state, per-tenant
-  :class:`~repro.core.server.ServerCounters` totals, the engine's counters
-  and the kernel section -- the same numbers ``pr_report`` consumes
-  in-process, so remote and direct runs reconcile.
+  :class:`~repro.core.server.ServerCounters` totals and the kernel section
+  -- the same numbers ``pr_report`` consumes in-process, so remote and
+  direct runs reconcile.
 
 * **Distribution roles**: the same front-end binary plays both sides of the
   scatter-gather architecture (:mod:`repro.core.coordinator`).  As a **shard
@@ -71,7 +66,7 @@ GET             /metrics                                full metrics document
 GET             /tenants                                tenant summaries
 GET             /tenants/{name}/organization            shared bucket layout
 POST            /sessions                               open a session
-POST            /sessions/{sid}/queries                 batch -> record stream
+POST            /sessions/{sid}/queries                 batch -> frame stream
 DELETE          /sessions/{sid}                         close a session
 POST            /shards/{tenant}/partials               scatter -> partials
 ==============  ======================================  =====================
@@ -81,17 +76,16 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import logging
+import math
 import secrets
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from repro.core.buckets import BucketOrganization
 from repro.core.coordinator import QueryCoordinator, ShardTopology, shard_partials
-from repro.core.engine import ExecutionEngine
 from repro.core.faults import RetryPolicy
 from repro.core.server import PrivateRetrievalServer, ServerCounters
 from repro.crypto import kernels
@@ -106,16 +100,12 @@ from repro.service.wire import (
     FRAME_MEDIA_TYPE,
     WireError,
     decode_batch_frame,
-    decode_partial_request,
     decode_partial_request_frame,
     decode_public_key,
-    decode_query,
     encode_counters,
     encode_frame,
     encode_organization,
-    encode_result,
     encode_result_frame,
-    encode_shard_response,
     encode_shard_response_frame,
 )
 from repro.textsearch.inverted_index import InvertedIndex
@@ -163,8 +153,6 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; the bound port is on ``service.address``
     #: BktSz for tenants whose organisation is derived, not injected.
     bucket_size: int = 4
-    #: Worker threads of the service's one engine (1 = in-process, no pool).
-    parallelism: int = 1
     #: Concurrently *executing* batch requests.
     max_active: int = 4
     #: Batch requests allowed to wait for a slot before 429s start.
@@ -175,8 +163,14 @@ class ServiceConfig:
     mmap_indexes: bool = True
 
     def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
+        # A bucket of fewer than one term is no bucket: the derived layout
+        # would be empty and every query would travel without decoys.
+        if self.bucket_size < 1:
+            raise ValueError(f"bucket_size must be at least 1 (got {self.bucket_size})")
+        if not (math.isfinite(self.retry_after) and self.retry_after >= 0):
+            raise ValueError(
+                f"retry_after must be a finite number of seconds >= 0 (got {self.retry_after})"
+            )
 
 
 @dataclass
@@ -246,8 +240,6 @@ class RetrievalService:
         )
         self.tenants: dict[str, Tenant] = {}
         self.sessions: dict[str, ClientSession] = {}
-        #: The one worker pool (:meth:`start` builds it, on ``cffi``); ``None``: in-process.
-        self.engine: ExecutionEngine | None = None
         self._server: asyncio.AbstractServer | None = None
         #: Open connections (handler task -> writer), for :meth:`drain` to close.
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
@@ -388,9 +380,6 @@ class RetrievalService:
         stay on ``python``.  There is no switch: the loop is the reference
         and the only path without a toolchain, the kernel is at parity or
         better at every measured payload shape (``docs/operations.md``).
-
-        ``parallelism > 1`` builds the engine here, on ``cffi`` only: worker
-        threads overlap only while the kernel has dropped the interpreter lock.
         """
         try:
             kernels.ensure_compiled()
@@ -400,25 +389,15 @@ class RetrievalService:
         else:
             self.backend, self.backend_reason = "cffi", None
             log.info("kernel backend: cffi (compiled Montgomery kernel)")
-        workers = self.config.parallelism
-        if workers > 1 and self.backend == "cffi":
-            self.engine = ExecutionEngine(parallelism=workers)
-        elif workers > 1:
-            log.warning(
-                "parallelism=%d ignored: worker threads overlap only on the compiled "
-                "kernel; serving in-process", workers,
-            )
 
     async def drain(self, wait: bool = True) -> None:
-        """Graceful shutdown: finish in-flight work, reject new, release the pool.
+        """Graceful shutdown: finish in-flight work, reject new, close.
 
         Idempotent.  New batch requests get 503 immediately; active and
         queued ones run to completion (``wait=True`` blocks until they
         have); then the listener and the connections still open (idle
-        keep-alive peers) close and the engine is shut down.  Session servers
-        share that engine, so no per-session teardown is needed -- and the
-        engine's own shutdown is idempotent under concurrent invocation, so
-        a signal-handler drain racing a with-block exit is safe.
+        keep-alive peers) close.  Session servers own no threads, so there
+        is nothing else to release.
         """
         self.admission.drain()
         if wait:
@@ -435,8 +414,6 @@ class RetrievalService:
                 await asyncio.wait(self._connections)
             await self._server.wait_closed()
             self._server = None
-        if self.engine is not None:
-            self.engine.shutdown(wait=wait)
 
     async def __aenter__(self) -> "RetrievalService":
         await self.start()
@@ -549,8 +526,6 @@ class RetrievalService:
             "admission": self.admission.snapshot(),
             "sessions_active": len(self.sessions),
             "tenants": tenants,
-            # The one pool's lifetime counters (null: no pool, all in-process).
-            "engine": None if self.engine is None else asdict(self.engine.counters),
             # Reasons and counts only (core/risk.py): which backend serves,
             # why not the kernel, and how often a payload left its envelope.
             "kernel": {
@@ -610,7 +585,6 @@ class RetrievalService:
                 index=tenant.index.snapshot(),
                 organization=tenant.organization,
                 public_key=public_key,
-                engine=self.engine,
                 backend=self.backend,
             )
         self.sessions[session_id] = ClientSession(
@@ -628,8 +602,6 @@ class RetrievalService:
                 writer, 404, {"error": "no such session"}
             )
             return
-        # The session server shares the service engine, so close() is a no-op
-        # by design -- the pool outlives any one client.
         session.server.close()
         self.metrics.sessions_closed += 1
         await protocol.send_json(
@@ -638,7 +610,7 @@ class RetrievalService:
 
     # -- the batch route ----------------------------------------------------------
     async def _run_batch(self, session_id: str, request, writer) -> bool:
-        """POST /sessions/{sid}/queries -> chunked result stream (frames or NDJSON).
+        """POST /sessions/{sid}/queries -> chunked stream of result frames.
 
         Returns False when the response left the connection unusable
         (mid-stream write failure); True to keep the connection alive.
@@ -647,27 +619,38 @@ class RetrievalService:
         if session is None:
             await protocol.send_json(writer, 404, {"error": "no such session"})
             return True
+        if not await self._frames_only(request, writer):
+            return True
         # Validate every selector ciphertext against the session key's
         # modulus: values outside Z*_n were never produced by this key and
         # must bounce as a 400, not silently accumulate in the wrong ring.
-        modulus = session.server.public_key.n
-        frames = request.content_type == FRAME_MEDIA_TYPE
-        if frames:
-            queries = decode_batch_frame(request.body, modulus)
-        else:
-            body = request.json()
-            if not isinstance(body, dict) or not isinstance(body.get("queries"), list):
-                raise WireError("batch must be an object with a 'queries' array")
-            queries = [decode_query(q, modulus) for q in body["queries"]]
+        queries = decode_batch_frame(request.body, session.server.public_key.n)
         if not queries:
             raise WireError("batch must contain at least one query")
 
         kept = await self._admitted(
-            writer,
-            partial(self._stream_batch, session, queries, writer, frames),
-            session.lock,
+            writer, partial(self._stream_batch, session, queries, writer), session.lock
         )
         return True if kept is None else kept
+
+    @staticmethod
+    async def _frames_only(request, writer) -> bool:
+        """Whether ``request`` carries frames; if not, it is answered ``415``.
+
+        The data plane has one codec.  The body has been read whole, so the
+        connection stays usable for the peer's next request.
+        """
+        if request.content_type == FRAME_MEDIA_TYPE:
+            return True
+        await protocol.send_json(
+            writer,
+            415,
+            {
+                "error": f"this route takes Content-Type {FRAME_MEDIA_TYPE} only "
+                f"(got {request.content_type or 'none'!r})"
+            },
+        )
+        return False
 
     async def _admitted(self, writer, work, lock=None):
         """Run ``await work(queue_wait_s)`` under an admission permit.
@@ -735,19 +718,16 @@ class RetrievalService:
                 {"error": f"tenant {name!r} is distributed; it holds no shard data"},
             )
             return
-        frames = request.content_type == FRAME_MEDIA_TYPE
-        if frames:
-            public_key, queries = decode_partial_request_frame(request.body)
-        else:
-            public_key, queries = decode_partial_request(request.json())
-        # Built per request and dropped with it: the service engine is shared,
-        # never owned, and power-table plans are memoised process-wide, so a
-        # resident per-key server would only grow with every key ever seen.
+        if not await self._frames_only(request, writer):
+            return
+        public_key, queries = decode_partial_request_frame(request.body)
+        # Built per request and dropped with it: power-table plans are
+        # memoised process-wide, so a resident per-key server would only grow
+        # with every key ever seen.
         server = PrivateRetrievalServer(
             index=tenant.index,
             organization=tenant.organization,
             public_key=public_key,
-            engine=self.engine,
             backend=self.backend,
         )
         loop = asyncio.get_running_loop()
@@ -765,24 +745,19 @@ class RetrievalService:
         tenant.queries_answered += len(queries)
         for snapshot in response.counters:
             tenant.totals.add(snapshot)
-        answer = (response.epoch, response.modulus, response.partials, response.counters)
-        if frames:
-            await protocol.send_body(
-                writer, 200, encode_shard_response_frame(*answer), FRAME_MEDIA_TYPE
-            )
-        else:
-            await protocol.send_json(writer, 200, encode_shard_response(*answer))
+        answer = encode_shard_response_frame(
+            response.epoch, response.modulus, response.partials, response.counters
+        )
+        await protocol.send_body(writer, 200, answer, FRAME_MEDIA_TYPE)
 
-    async def _stream_batch(self, session, queries, writer, frames, queue_wait_s) -> bool:
-        """Run one admitted batch to completion, streaming results as they land.
+    async def _stream_batch(self, session, queries, writer, queue_wait_s) -> bool:
+        """Run one admitted batch to completion, streaming one frame per record.
 
-        ``frames`` is the codec the request came in, and so the one it is
-        answered in: one frame per record, or one NDJSON line.
-
-        The engine iterator runs on an executor thread (it blocks on shard
-        futures); results cross into the loop via ``call_soon_threadsafe``.
-        The producer always drains the iterator -- a client that disconnects
-        mid-stream stops receiving but never cancels admitted engine work.
+        The batch iterator runs on an executor thread (it blocks while it
+        accumulates, or on shard round trips); results cross into the loop
+        via ``call_soon_threadsafe``.  The producer always drains the
+        iterator -- a client that disconnects mid-stream stops receiving but
+        never cancels admitted work.
         """
         loop = asyncio.get_running_loop()
         results: asyncio.Queue = asyncio.Queue()
@@ -801,7 +776,7 @@ class RetrievalService:
                 loop.call_soon_threadsafe(
                     results.put_nowait, ("done", time.monotonic() - started)
                 )
-            except Exception as exc:  # surfaced to the client as an error line
+            except Exception as exc:  # surfaced to the client as an error record
                 loop.call_soon_threadsafe(results.put_nowait, ("error", exc))
 
         producer = loop.run_in_executor(None, produce)
@@ -811,15 +786,10 @@ class RetrievalService:
         answered = 0
         batch_totals = ServerCounters()
         try:
-            await protocol.start_chunked(
-                writer,
-                200,
-                content_type=FRAME_MEDIA_TYPE if frames else "application/x-ndjson",
-            )
+            await protocol.start_chunked(writer, 200, content_type=FRAME_MEDIA_TYPE)
         except ConnectionError:
             writable = False
 
-        encoded = partial(self._encode_record, frames)
         while True:
             item = await results.get()
             if item[0] == "result":
@@ -836,9 +806,9 @@ class RetrievalService:
                         "ms": round(elapsed * 1000.0, 3),
                     }
                     try:
-                        data = encoded(record, result)
+                        data = encode_result_frame(record, result)
                     except WireError as exc:
-                        # A result the codec cannot carry (a document id past
+                        # A result a frame cannot carry (a document id past
                         # 32 bits): the head is out, so this is no 400 -- fail
                         # the stream exactly as a producer error does.
                         item = ("error", exc)
@@ -857,14 +827,14 @@ class RetrievalService:
                         "queue_wait_ms": round(queue_wait_s * 1000.0, 3),
                         "counters": encode_counters(batch_totals),
                     }
-                    writable = await self._write_record(writer, encoded(record))
+                    writable = await self._write_record(writer, encode_frame(record))
             else:  # "error"
                 failed = True
                 self.metrics.requests_failed += 1
                 log.exception("batch failed", exc_info=item[1])
                 if writable:
                     writable = await self._write_record(
-                        writer, encoded({"kind": "error", "error": str(item[1])})
+                        writer, encode_frame({"kind": "error", "error": str(item[1])})
                     )
             break
         await producer
@@ -877,20 +847,9 @@ class RetrievalService:
                 await protocol.end_chunked(writer)
             except ConnectionError:
                 writable = False
-        # An error line terminates the stream early; close the connection so
+        # An error record terminates the stream early; close the connection so
         # the client cannot misread the next response as the stream's tail.
         return writable and not failed
-
-    @staticmethod
-    def _encode_record(frames: bool, record: dict, result=None) -> bytes:
-        """One stream record in the request's codec: a frame or an NDJSON line."""
-        if frames:
-            if result is None:
-                return encode_frame(record)
-            return encode_result_frame(record, result)
-        if result is not None:
-            record = {**record, **encode_result(result)}
-        return json.dumps(record).encode("utf-8") + b"\n"
 
     @staticmethod
     async def _write_record(writer, data: bytes) -> bool:

@@ -4,9 +4,8 @@ Built on :mod:`http.client` so tests, the load generator and operators'
 scripts can talk to a running :class:`~repro.service.app.RetrievalService`
 without any dependency beyond the standard library.  The client mirrors the
 service's routes one-to-one and speaks the fixed-width frame codec of
-:mod:`repro.service.wire` on the two accumulating routes (the hex/JSON
-codec is the service's other route, for curl and for the tests that hold
-the two against each other -- not something this client sends):
+:mod:`repro.service.wire` on the two accumulating routes, the only codec
+they take (JSON on the control plane):
 :meth:`ServiceClient.submit_batch` yields each record of the chunked batch
 stream as the service writes it, so a caller observes streaming order and
 latency exactly as a real client would.
@@ -22,6 +21,7 @@ from __future__ import annotations
 import email.utils
 import http.client
 import json
+import math
 import time
 from typing import Iterator, Sequence
 
@@ -83,14 +83,16 @@ class ServiceUnavailableError(ServiceError):
 
 def _retry_after_seconds(value: str | None) -> float | None:
     """A ``Retry-After`` hint in seconds: delta-seconds, or an HTTP-date as
-    seconds from now clamped at 0 (RFC 9110 §10.2.3); ``None`` if absent or
-    unparseable."""
+    seconds from now clamped at 0 (RFC 9110 §10.2.3); ``None`` if absent,
+    unparseable, negative or not finite -- a caller sleeps on it."""
     if not value:
         return None
     try:
-        return float(value)
+        seconds = float(value)
     except ValueError:
         pass
+    else:
+        return seconds if math.isfinite(seconds) and seconds >= 0 else None
     try:
         when = email.utils.parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -119,9 +121,8 @@ class ServiceClient:
     def _request(
         self, method: str, path: str, payload=None
     ) -> http.client.HTTPResponse:
-        """Send one request; ``payload`` is a JSON document, or ``bytes``
-        already framed (sent as :data:`FRAME_MEDIA_TYPE`, which the service
-        answers in kind)."""
+        """Send one request; ``payload`` is a JSON document (control plane),
+        or ``bytes`` already framed (sent as :data:`FRAME_MEDIA_TYPE`)."""
         # Looked up on the module at call time, and bodies are only ever read
         # through HTTPResponse.read: a caller that swaps in counting
         # subclasses of HTTPConnection / HTTPResponse sees every body byte

@@ -14,8 +14,8 @@ This module wires the pieces of the scatter-gather architecture together:
 * :class:`ShardServerProcess` -- one shard replica as a real OS process
   (``python -m repro.service.cluster`` serving one shard directory),
   reporting its ephemeral port on stdout.  Processes, not threads: shard
-  accumulation is CPU-bound, and the point of scattering is to buy
-  parallelism the GIL would otherwise serialise -- so a shard server
+  accumulation is CPU-bound, and the point of scattering is to run on
+  cores the GIL would otherwise serialise -- so a shard server
   accumulates in-process and nests no worker pool of its own.
 * :class:`LocalShardCluster` -- a whole topology on one machine: split a
   saved :func:`~repro.core.partitioning.save_sharded` layout into N shard

@@ -1,15 +1,14 @@
 """Structured request/latency metrics for the serving front-end.
 
-Latency distributions are tracked per phase -- admission queue wait, engine
+Latency distributions are tracked per phase -- admission queue wait,
 service time, whole-request wall clock, and per-query stream latency -- in
 bounded reservoirs of the most recent samples, from which ``/metrics``
 computes nearest-rank p50/p95/p99 on demand.  Alongside the distributions
 the service keeps monotonic counters (requests, queries, 429/503
 rejections), and ``/metrics`` merges in the per-tenant
-:class:`~repro.core.server.ServerCounters` aggregates and
-:class:`~repro.core.engine.EngineCounters` so one endpoint tells the whole
-story: how much work arrived, how long it waited, where it ran, and how
-execution survived (pool restarts, retries, degradations).
+:class:`~repro.core.server.ServerCounters` aggregates so one endpoint tells
+the whole story: how much work arrived, how long it waited, where it ran,
+and how execution survived (replica retries, degradations).
 
 Everything here is touched only from the service's event loop, so no locks
 are needed; the rollup objects are not thread-safe on their own.
@@ -95,9 +94,9 @@ class ServiceMetrics:
     sessions_closed: int = 0
     #: Time a request spent waiting for an execution slot.
     queue_wait: LatencyRollup = field(default_factory=LatencyRollup)
-    #: Engine time of a batch: dispatch through last result collected.
+    #: Server time of a batch: dispatch through last result collected.
     service_time: LatencyRollup = field(default_factory=LatencyRollup)
-    #: Whole-request wall clock (admission + engine + streaming writes).
+    #: Whole-request wall clock (admission + accumulation + streaming writes).
     request_time: LatencyRollup = field(default_factory=LatencyRollup)
     #: Per-query latency: batch dispatch to that query's stream write.
     query_time: LatencyRollup = field(default_factory=LatencyRollup)

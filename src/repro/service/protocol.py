@@ -1,14 +1,14 @@
 """Minimal HTTP/1.1 over asyncio streams -- the service's wire substrate.
 
-The serving front-end speaks plain HTTP/JSON so any client stack can talk to
-it, but the repository stays dependency-free: this module implements exactly
+The serving front-end speaks plain HTTP so any client stack can talk to it,
+but the repository stays dependency-free: this module implements exactly
 the slice of HTTP/1.1 the service needs (request-line + headers +
 ``Content-Length`` bodies in; fixed-length responses and
-``Transfer-Encoding: chunked`` record streams -- NDJSON lines or binary
-frames -- out; per-connection keep-alive) on top of ``asyncio``'s stream
-API.  It is a *server-side* protocol helper, not a general HTTP
-implementation -- no multipart, no compression, no trailers, no pipelining
-guarantees beyond strictly sequential request/response per connection.
+``Transfer-Encoding: chunked`` frame streams out; per-connection
+keep-alive) on top of ``asyncio``'s stream API.  It is a *server-side*
+protocol helper, not a general HTTP implementation -- no multipart, no
+compression, no trailers, no pipelining guarantees beyond strictly
+sequential request/response per connection.
 
 Limits are explicit and conservative: oversized header blocks or bodies
 raise :class:`ProtocolError`, which the connection handler answers with
@@ -36,7 +36,7 @@ __all__ = [
 #: Cap on the request line plus header block; a header block this large is
 #: hostile or broken, either way the connection is answered 400 and closed.
 MAX_HEADER_BYTES = 64 * 1024
-#: Cap on request bodies, in either codec, checked on ``Content-Length``
+#: Cap on request bodies, checked on ``Content-Length``
 #: before the body is read.  Embellished batches carry one ciphertext per
 #: selector, so real payloads reach megabytes; 64 MiB bounds a
 #: runaway/hostile client without constraining legitimate sessions.
@@ -52,6 +52,7 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    415: "Unsupported Media Type",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -211,7 +212,7 @@ async def start_chunked(
     writer: asyncio.StreamWriter,
     status: int = 200,
     *,
-    content_type: str = "application/x-ndjson",
+    content_type: str,
     headers: dict[str, str] | None = None,
 ) -> None:
     """Open a ``Transfer-Encoding: chunked`` response (a record stream)."""
@@ -223,9 +224,9 @@ async def start_chunked(
 
 
 async def send_chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
-    """Write one chunk; each record (NDJSON line or frame) is sent as its own
-    chunk so the client observes results as the engine streams them, not at
-    batch end."""
+    """Write one chunk; each record (one frame) is sent as its own chunk so
+    the client observes results as the server yields them, not at batch
+    end."""
     if not data:
         return
     writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")

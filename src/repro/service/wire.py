@@ -1,17 +1,9 @@
 """Wire codecs between the HTTP surface and the core PR types.
 
-Two codecs carry the same documents:
-
-**hex/JSON** -- the reference, and the route a person can drive with curl.
-Ciphertexts and key material are arbitrary-precision integers; they travel
-as lowercase hex strings (no ``0x`` prefix), which round-trip exactly and
-cost half the bytes of decimal at realistic key sizes.  Document ids become
-JSON object keys (strings) in result score maps and are restored to ``int``
-by the client codec.
-
-**Fixed-width frames** (:data:`FRAME_MEDIA_TYPE`) -- what ``ServiceClient``
-and ``HttpShardBackend`` speak, always, at the paper's modelled
-``4 + ceil(KeyLen/8)`` bytes per candidate instead of hex's ~2x.  A frame is
+**Fixed-width frames** (:data:`FRAME_MEDIA_TYPE`) -- the data plane's one
+codec: the only body the service's two accumulating routes accept, and what
+``ServiceClient`` and ``HttpShardBackend`` speak, at the paper's modelled
+``4 + ceil(KeyLen/8)`` bytes per candidate.  A frame is
 ``u32be header_len | u32be body_len | header | body``: the header a UTF-8
 JSON object with everything that is not a ciphertext, the body big-endian
 integers at a fixed width -- ``u32`` document ids, and ciphertexts at
@@ -19,15 +11,22 @@ integers at a fixed width -- ``u32`` document ids, and ciphertexts at
 already hold for the session.  ``W`` never travels: a frame cut for another
 key simply has the wrong length.  ``docs/architecture.md`` has the layouts.
 
-Every decoder of either codec validates shape -- lengths exact, terms and
-selectors aligned, every ciphertext in ``[1, n)``, no document id twice, no
-trailing bytes -- and raises :class:`WireError` with a message safe to echo
-into a 400 response: decoding errors are the *sender's* fault and must never
-take the service down or leak internals.  Size is bounded where a peer is
-untrusted: a request, in either codec, by
-:data:`~repro.service.protocol.MAX_BODY_BYTES` on its ``Content-Length``
-before the body is read.  What the service *answers* has no cap of the
-codec's own in either codec -- a result is as large as the query's candidate
+**hex/JSON** -- the control plane's documents (public key, organisation,
+counters; the key and counters also ride in frame headers), with big
+integers as lowercase hex.  The JSON *data-plane* codec (``encode_query`` /
+``decode_query``, ``_result``, ``_partial_request``, ``_shard_response``)
+has no route any more: it stays only because ``benchmarks/e2e/layers.py``
+replays it under its per-layer metric names, and goes when that replay moves
+to frames.
+
+Every decoder validates shape -- lengths exact, terms and selectors aligned,
+every ciphertext in ``[1, n)``, no document id twice, no trailing bytes --
+and raises :class:`WireError` with a message safe to echo into a 400
+response: decoding errors are the *sender's* fault and must never take the
+service down or leak internals.  Size is bounded where a peer is untrusted:
+a request by :data:`~repro.service.protocol.MAX_BODY_BYTES` on its
+``Content-Length`` before the body is read.  What the service *answers* has
+no cap of the codec's own -- a result is as large as the query's candidate
 set -- and a frame's length fields are read against the bytes that actually
 arrive, never allocated ahead of them.
 """
@@ -132,7 +131,7 @@ def _check_ciphertext(value: int, modulus: int | None, what: str) -> int:
 
 
 def _query_terms(obj) -> tuple[str, ...]:
-    """One query's term list: non-empty, strings only (both codecs)."""
+    """One query's term list: non-empty, strings only (frames and JSON)."""
     terms = _expect(obj, "terms", list, "query")
     if not terms:
         raise WireError("query must contain at least one term")

@@ -39,12 +39,13 @@ from repro.service.wire import (
     decode_partial_request,
     decode_query,
     decode_shard_response,
+    encode_batch_frame,
     encode_counters,
     encode_frame,
     encode_int,
     encode_partial_request,
+    encode_partial_request_frame,
     encode_public_key,
-    encode_query,
     encode_result_frame,
     encode_shard_response,
 )
@@ -133,16 +134,12 @@ def test_service_rejects_out_of_ring_selector_with_400(
     """Regression: a ciphertext at/above the session modulus must bounce as a
     400 on the batch route, never reach accumulation."""
     _, client = running_service()
+    modulus = benaloh_keypair.public.n
     session = client.open_session("corpus", benaloh_keypair.public)
     query = embellisher.embellish(query_terms[:2])
-    encoded = encode_query(query)
-    encoded["selectors"][0] = encode_int(benaloh_keypair.public.n)
+    bad = EmbellishedQuery(query.terms, (modulus, *query.encrypted_selectors[1:]))
     with pytest.raises(ServiceError) as excinfo:
-        list(
-            client._request(
-                "POST", f"/sessions/{session}/queries", {"queries": [encoded]}
-            )
-        )
+        client._body("POST", f"/sessions/{session}/queries", encode_batch_frame([bad], modulus))
     assert excinfo.value.status == 400
 
 
@@ -150,12 +147,10 @@ def test_partials_route_rejects_out_of_ring_selector_with_400(
     running_service, benaloh_keypair
 ):
     _, client = running_service()
-    payload = encode_partial_request(
-        benaloh_keypair.public, [(["anything"], [1])]
-    )
-    payload["queries"][0]["selectors"][0] = encode_int(benaloh_keypair.public.n + 8)
+    key = benaloh_keypair.public
+    payload = encode_partial_request_frame(key, [(["anything"], [key.n])])
     with pytest.raises(ServiceError) as excinfo:
-        client._json("POST", "/shards/corpus/partials", payload)
+        client._body("POST", "/shards/corpus/partials", payload)
     assert excinfo.value.status == 400
 
 
@@ -334,14 +329,12 @@ def test_http_backend_matches_local_backend(
     remote = HttpShardBackend(
         host=client.host, port=client.port, tenant="corpus", public_key=benaloh_keypair.public
     )
-    document = encode_partial_request(benaloh_keypair.public, subqueries)  # as curl would
-    via_json = client._json("POST", "/shards/corpus/partials", document)
-    for over_http in (remote.accumulate(subqueries), decode_shard_response(via_json)):
-        assert over_http == in_process
-        assert [list(p) for p in over_http.partials] == [list(p) for p in in_process.partials]
-        assert over_http.modulus == benaloh_keypair.public.n
-        assert over_http.epoch == data_epoch(index)
-        assert over_http.counters[0].modular_multiplications > 0
+    over_http = remote.accumulate(subqueries)
+    assert over_http == in_process
+    assert [list(p) for p in over_http.partials] == [list(p) for p in in_process.partials]
+    assert over_http.modulus == benaloh_keypair.public.n
+    assert over_http.epoch == data_epoch(index)
+    assert over_http.counters[0].modular_multiplications > 0
 
 
 def test_replica_truncating_its_response_body_is_failed_over(
@@ -415,9 +408,9 @@ def test_partials_route_retains_no_per_key_server(
 
 def test_partials_route_unknown_tenant_404(running_service, benaloh_keypair):
     _, client = running_service()
-    payload = encode_partial_request(benaloh_keypair.public, [(["a"], [2])])
+    payload = encode_partial_request_frame(benaloh_keypair.public, [(["a"], [2])])
     with pytest.raises(ServiceError) as excinfo:
-        client._json("POST", "/shards/nobody/partials", payload)
+        client._body("POST", "/shards/nobody/partials", payload)
     assert excinfo.value.status == 404
 
 
@@ -513,9 +506,9 @@ def test_front_end_rejects_partials_for_distributed_tenant(
     host, port = runner.start()
     try:
         client = ServiceClient(host, port)
-        payload = encode_partial_request(benaloh_keypair.public, [(["a"], [2])])
+        payload = encode_partial_request_frame(benaloh_keypair.public, [(["a"], [2])])
         with pytest.raises(ServiceError) as excinfo:
-            client._json("POST", "/shards/books/partials", payload)
+            client._body("POST", "/shards/books/partials", payload)
         assert excinfo.value.status == 400
         # And the organization route still works without local data.
         org = client.organization("books")

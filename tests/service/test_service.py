@@ -11,9 +11,11 @@ The properties under test are the service's contract:
   down cleanly;
 * ``/metrics`` reconciles with the in-process counters (the op totals are
   invariant across transport exactly as they are across sharding);
-* codec and kernel backend are invisible in the answers: frames or JSON,
-  compiled kernel or python loop, the same bits -- and the service says
-  which backend it chose and why.
+* the kernel backend is invisible in the answers: compiled kernel or
+  python loop, the same bits -- and the service says which backend it chose
+  and why;
+* the data plane speaks frames only: anything else is 415, and the
+  connection survives it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import http.server
 import io
 import json
 import logging
-import os
 import socket
 import struct
 import subprocess
@@ -39,15 +40,8 @@ import pytest
 from repro.core.server import EncryptedResult, PrivateRetrievalServer
 from repro.crypto import kernels, numbertheory
 from repro.service import ServiceClient, ServiceConfig, ServiceError, app, protocol, wire
-from repro.textsearch.corpus import Corpus, Document
-from repro.textsearch.inverted_index import InvertedIndex
 
 SERVE = Path(__file__).resolve().parents[2] / "scripts" / "serve.py"
-#: Worker threads overlap only on the compiled kernel, so only there does
-#: ``parallelism > 1`` build a pool.
-needs_kernel = pytest.mark.skipif(
-    not kernels.compiled_available(), reason="compiled kernels unavailable"
-)
 
 
 def make_batches(embellisher, query_terms, shape):
@@ -132,21 +126,6 @@ class TestBatchCorrectness:
         assert done["counters"]["queries_processed"] == 3
         assert done["service_ms"] >= 0 and done["queue_wait_ms"] >= 0
 
-    @needs_kernel
-    def test_parallel_session_matches_direct(
-        self, running_service, index, service_org, embellisher, query_terms,
-        benaloh_keypair,
-    ):
-        service, client = running_service(parallelism=2)
-        batch = make_batches(embellisher, query_terms, [2])[0]
-        session = client.open_session("corpus", benaloh_keypair.public)
-        results, done = client.run_batch(session, batch, benaloh_keypair.public.n)
-        expected = direct_answers(index, service_org, benaloh_keypair, batch)
-        assert [r.encrypted_scores for r in results] == [
-            e.encrypted_scores for e in expected
-        ]
-        assert done["counters"]["shards_executed"] >= 2
-
     def test_session_open_ignores_a_parallelism_key(
         self, running_service, benaloh_keypair
     ):
@@ -166,78 +145,32 @@ class TestBatchCorrectness:
         assert reply["session"] in service.sessions
 
 
-class TestWorkerBudget:
-    def test_python_loop_service_ignores_parallelism_loudly(
-        self, running_service, index, service_org, embellisher, query_terms,
-        benaloh_keypair, monkeypatch, tmp_path, caplog,
-    ):
-        """No compiler, no kernel: threads could only queue behind the
-        interpreter lock, so the service builds no pool, says so, and the
-        answers do not change."""
-        batch = make_batches(embellisher, query_terms, [3])[0]
-        with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
-            patch.setenv("CC", "/bin/false")
-            patch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-            patch.setattr(kernels, "_COMPILED", None)
-            patch.setattr(kernels, "_COMPILE_ERROR", None)
-            service, client = running_service(parallelism=2)
-        assert service.backend == "python" and service.engine is None
-        assert "parallelism=2 ignored" in caplog.text
-        session = client.open_session("corpus", benaloh_keypair.public)
-        results, done = client.run_batch(session, batch, benaloh_keypair.public.n)
-        expected = direct_answers(index, service_org, benaloh_keypair, batch)
-        assert [list(r.encrypted_scores.items()) for r in results] == [
-            list(e.encrypted_scores.items()) for e in expected
-        ]
-        assert done["counters"]["shards_executed"] == len(batch)
-        assert client.metrics()["engine"] is None
+class TestConfigValidation:
+    def test_bucket_size_and_retry_after_are_checked_where_the_config_is_built(self):
+        """Regression: ``bucket_size=-2`` derived an organisation with no
+        buckets (every query then travelled without decoys), ``0`` crashed in
+        ``add_tenant``, and ``retry_after=-1`` went out as ``Retry-After: -1``."""
+        for bad in (dict(bucket_size=0), dict(bucket_size=-2), dict(retry_after=-1.0),
+                    dict(retry_after=float("nan")), dict(retry_after=float("inf"))):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ServiceConfig(**bad)
 
-    def test_parallelism_below_one_is_rejected_where_the_config_is_built(self):
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="parallelism"):
-                ServiceConfig(parallelism=bad)
-            refused = subprocess.run(
-                [sys.executable, str(SERVE), "--tenant", "a=b", "--parallelism", str(bad)],
-                capture_output=True, text=True, timeout=60,
-            )
-            assert refused.returncode == 2
-            assert "--parallelism must be at least 1" in refused.stderr
-
-    def test_serve_reports_the_effective_worker_count(self, tmp_path):
-        """The one line operators read names the workers that exist, not the
-        flag: 0 once the python-loop downgrade has dropped the pool."""
-        index_dir, cache = tmp_path / "index", tmp_path / "kernels"
-        cache.mkdir(mode=0o700)
-        InvertedIndex.build(Corpus([Document(doc_id=0, text="private text search")])).save(
-            index_dir
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--bucket-size", "-2"), ("--retry-after", "-1"), ("--retry-after", "nan"),
+         ("--parallelism", "2")],  # the flag is gone: the front end has no pool
+    )
+    def test_serve_refuses_a_bad_flag_as_a_usage_error(self, flag, value):
+        refused = subprocess.run(
+            [sys.executable, str(SERVE), "--tenant", "a=b", flag, value],
+            capture_output=True, text=True, timeout=60,
         )
-        child = subprocess.Popen(
-            [
-                sys.executable, str(SERVE), "--tenant", f"demo={index_dir}",
-                "--host", "127.0.0.1", "--port", "0", "--parallelism", "2",
-            ],
-            stderr=subprocess.PIPE, text=True,
-            env=dict(os.environ, CC="/bin/false", REPRO_KERNEL_CACHE=str(cache)),
-        )
-        watchdog = threading.Timer(60, child.kill)
-        watchdog.start()
-        try:
-            log = []
-            for line in child.stderr:
-                log.append(line)
-                if "listening on" in line:
-                    break
-            assert "pool workers=0, kernel backend=python" in log[-1], log
-            assert any("parallelism=2 ignored" in line for line in log)
-        finally:
-            watchdog.cancel()
-            child.terminate()
-            child.wait(timeout=30)
-            child.stderr.close()
+        assert refused.returncode == 2, refused.stderr
+        assert "error:" in refused.stderr
 
 
 class TestCodecsAndBackends:
-    def test_answers_bit_identical_across_codecs_and_backends(
+    def test_answers_bit_identical_across_backends(
         self, running_service, index, service_org, embellisher, query_terms,
         benaloh_keypair, monkeypatch, caplog,
     ):
@@ -266,14 +199,9 @@ class TestCodecsAndBackends:
             on_kernel = not hidden and kernels.compiled_available()
             del kernel_calls[:]
             session = client.open_session("corpus", benaloh_keypair.public)
-            framed, _ = client.run_batch(session, batch, modulus)
-            document = {"queries": [wire.encode_query(query) for query in batch]}  # as curl would
-            lines = client._body("POST", f"/sessions/{session}/queries", document).splitlines()
-            assert json.loads(lines[-1])["kind"] == "done"
-            via_json = [wire.decode_result(json.loads(line), modulus) for line in lines[:-1]]
-            for results in (framed, via_json):
-                assert [list(r.encrypted_scores.items()) for r in results] == expected
-            assert len(kernel_calls) == (2 * len(batch) if on_kernel else 0)
+            results, _ = client.run_batch(session, batch, modulus)
+            assert [list(r.encrypted_scores.items()) for r in results] == expected
+            assert len(kernel_calls) == (len(batch) if on_kernel else 0)
             section = client.metrics()["kernel"]
             assert section["backend"] == ("cffi" if on_kernel else "python")
             assert (section["reason"] is None) == on_kernel
@@ -283,6 +211,65 @@ class TestCodecsAndBackends:
                 assert "compiled kernel unavailable" in caplog.text  # at WARNING
         # Serving resolved a backend twice and leaked neither into the library.
         assert numbertheory.get_backend() == "python"
+
+    def test_data_plane_takes_frames_only(
+        self, running_service, index, service_org, embellisher, query_terms, benaloh_keypair
+    ):
+        """Both accumulating routes answer anything but a frame body 415 --
+        a JSON document, or a frame under another media type -- and the same
+        connection then carries a framed request bit-identical to direct."""
+        service, client = running_service()
+        key = benaloh_keypair.public
+        batch = make_batches(embellisher, query_terms, [3])[0]
+        subqueries = [(query.terms, query.encrypted_selectors) for query in batch]
+        expected = [
+            list(e.encrypted_scores.items())
+            for e in direct_answers(index, service_org, benaloh_keypair, batch)
+        ]
+        session = client.open_session("corpus", key)
+
+        def answers(route, data):
+            if route == "/shards/corpus/partials":
+                partials = wire.decode_shard_response_frame(data, key.n).partials
+                return [list(partial.items()) for partial in partials]
+            stream = io.BytesIO(data)
+            frames = list(iter(lambda: wire.read_frame(stream.read), None))
+            assert frames[-1][0]["kind"] == "done"
+            return [list(wire.decode_result_frame(*f, key.n)) for f in frames[:-1]]
+
+        routes = {
+            f"/sessions/{session}/queries": (
+                {"queries": [wire.encode_query(query) for query in batch]},
+                wire.encode_batch_frame(batch, key.n),
+            ),
+            "/shards/corpus/partials": (
+                wire.encode_partial_request(key, subqueries),
+                wire.encode_partial_request_frame(key, subqueries),
+            ),
+        }
+        connection = http.client.HTTPConnection(*service.address, timeout=10)
+        try:
+            connection.connect()
+            sock = connection.sock
+            for route, (document, frame) in routes.items():
+                for body, media_type in (
+                    (json.dumps(document).encode(), "application/json"),
+                    (frame, "application/octet-stream"),
+                    (frame, None),
+                ):
+                    headers = {"Content-Type": media_type} if media_type else {}
+                    connection.request("POST", route, body=body, headers=headers)
+                    response = connection.getresponse()
+                    assert response.status == 415, (route, media_type)
+                    assert wire.FRAME_MEDIA_TYPE in json.loads(response.read())["error"]
+                headers = {"Content-Type": wire.FRAME_MEDIA_TYPE}
+                connection.request("POST", route, body=frame, headers=headers)
+                response = connection.getresponse()
+                assert response.status == 200
+                assert answers(route, response.read()) == expected
+            assert connection.sock is sock  # never reconnected
+        finally:
+            connection.close()
 
     def test_malformed_frames_are_400_and_the_service_keeps_serving(
         self, running_service, embellisher, query_terms, benaloh_keypair
@@ -549,27 +536,18 @@ class TestMetrics:
         assert metrics["service"]["latency_ms"]["per_query"]["count"] == len(batch)
         assert metrics["tenants"]["corpus"]["batches_answered"] == 1
 
-    @needs_kernel
-    def test_tenants_share_the_service_engine(
-        self, running_service, index, embellisher, query_terms, benaloh_keypair
+    def test_the_service_places_queries_in_process_and_reports_no_engine(
+        self, running_service
     ):
-        """Workers hold no index state, so one pool serves every tenant."""
-        service, client = running_service(parallelism=2)
-
-        async def add_twin():
-            service.add_tenant("twin", index=index)
-
-        loop = running_service.last_runner._loop
-        asyncio.run_coroutine_threadsafe(add_twin(), loop).result(5)
-        batch = make_batches(embellisher, query_terms, [2])[0]
-        for tenant in ("corpus", "twin"):
-            session = client.open_session(tenant, benaloh_keypair.public)
-            _, done = client.run_batch(session, batch, benaloh_keypair.public.n)
-            assert done["counters"]["shards_executed"] >= 2
-        metrics = client.metrics()
-        assert metrics["engine"]["pool_starts"] == 1
-        assert metrics["engine"]["queries_executed"] == 2 * len(batch)
-        assert all("engine" not in entry for entry in metrics["tenants"].values())
+        """No worker pool: no ``engine`` section in ``/metrics``, no engine on
+        the service, and no service module imports ``repro.core.engine``."""
+        service, client = running_service()
+        assert set(client.metrics()) == {
+            "service", "admission", "sessions_active", "tenants", "kernel"
+        }
+        assert not hasattr(service, "engine")
+        for module in Path(app.__file__).parent.glob("*.py"):
+            assert "repro.core.engine" not in module.read_text(), module.name
 
     def test_health_tenants_and_organization_endpoints(
         self, running_service, index, service_org, benaloh_keypair
@@ -609,25 +587,18 @@ class TestHttpErrors:
         service, client = running_service()
         session = client.open_session("corpus", benaloh_keypair.public)
         host, port = service.address
+        width = (benaloh_keypair.public.n.bit_length() + 7) // 8
+        misaligned = wire.encode_frame({"queries": [{"terms": ["a", "b"]}]}, b"\1" * width)
+        headers = {"Content-Type": wire.FRAME_MEDIA_TYPE}
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
-            connection.request(
-                "POST",
-                f"/sessions/{session}/queries",
-                body=b"{not json",
-                headers={"Content-Type": "application/json"},
-            )
+            route = f"/sessions/{session}/queries"
+            connection.request("POST", route, body=b"{not a frame", headers=headers)
             response = connection.getresponse()
             assert response.status == 400
             response.read()
             # same (kept-alive) connection: a misaligned query is also 400
-            connection.request(
-                "POST",
-                f"/sessions/{session}/queries",
-                body=json.dumps(
-                    {"queries": [{"terms": ["a", "b"], "selectors": ["1"]}]}
-                ).encode(),
-            )
+            connection.request("POST", route, body=misaligned, headers=headers)
             response = connection.getresponse()
             assert response.status == 400
             assert "align" in json.loads(response.read())["error"]
@@ -773,6 +744,11 @@ class TestRetryAfterHints:
             ("Wed, 21 Oct 2015 07:28:00 GMT", lambda s: s == 0.0),
             (future, lambda s: isinstance(s, float) and 100 < s <= 120),
             ("soon-ish", lambda s: s is None),
+            # Regression: each came back as itself, and a caller sleeping on
+            # it raised (negative) or hung (inf, nan).
+            ("-1", lambda s: s is None),
+            ("nan", lambda s: s is None),
+            ("inf", lambda s: s is None),
         ):
             handler.retry_after = hint
             with pytest.raises(ServiceError) as shed:
