@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Fail on broken intra-repository Markdown links (CI: the docs-links job).
+"""Fail on broken intra-repository Markdown links and stale repo paths.
 
-Scans every tracked ``*.md`` file for inline links and validates the ones
-that point inside the repository:
+Runs as the docs-links CI job: ``python scripts/check_links.py``.  Scans
+every tracked ``*.md`` file for inline links and validates the ones that
+point inside the repository:
 
 * relative path links (``[text](docs/operations.md)``, ``(../Dockerfile)``)
   must name an existing file or directory, resolved against the linking
@@ -10,14 +11,21 @@ that point inside the repository:
 * fragment links to Markdown files (``operations.md#tuning``) must also
   match a heading in the target file (GitHub's anchor slugging);
 * bare in-page fragments (``(#layer-0)``) must match a heading in the same
-  file.
+  file;
+* every word of a backticked span or a fenced code block that starts with a
+  top-level repo directory (``src/``, ``benchmarks/``, ``scripts/``,
+  ``tests/``, ``docs/``, ``examples/``, ``.github/``) must name a tracked
+  file, a directory holding one, or a git-ignored output path.  This one
+  covers ``README.md`` and the Markdown below the root; the other root notes
+  (``CHANGES.md``, ``ROADMAP.md``, the paper notes) are exempt: they record
+  history and other repositories, and name what was deleted on purpose.
 
 External links (``http://``, ``https://``, ``mailto:``) are out of scope --
 this gate is for the promise the docs make about *this* tree, which every
 refactor can silently break.
 
-Exit status: 0 when all links resolve, 1 otherwise (each problem printed as
-``file:line: message``).
+Exit status: 0 when all links and paths resolve, 1 otherwise (each problem
+printed as ``file:line: message``).
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ from pathlib import Path
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 _EXTERNAL = ("http://", "https://", "mailto:")
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_REPO_PATH = re.compile(r"(?:src|benchmarks|scripts|tests|docs|examples|\.github)/[\w./-]*")
 
 
 def github_slug(heading: str) -> str:
@@ -64,7 +74,49 @@ def tracked_markdown(root: Path) -> list[Path]:
     return [root / name for name in listing.stdout.split() if name]
 
 
-def check_file(path: Path, root: Path) -> list[str]:
+def describes_tree(path: Path, root: Path) -> bool:
+    """Whether ``path``'s repo paths are checked: README and docs below root."""
+    return path.parent != root or path.name == "README.md"
+
+
+class RepoPaths:
+    """What a doc may cite: tracked files, their directories, ignored outputs."""
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        listing = subprocess.run(
+            ["git", "ls-files"], cwd=root, capture_output=True, text=True, check=True
+        )
+        self.known = set()
+        for name in listing.stdout.splitlines():
+            parts = name.split("/")
+            self.known.update("/".join(parts[:i]) for i in range(1, len(parts) + 1))
+
+    def exists(self, cited: str) -> bool:
+        cited = cited.rstrip(".")
+        if cited.rstrip("/") in self.known:
+            return True
+        # A trailing slash stays: ignore patterns like ``out/`` match
+        # directories only, and an output directory need not exist.
+        ignored = subprocess.run(
+            ["git", "check-ignore", "-q", "--no-index", cited], cwd=self.root
+        )
+        return ignored.returncode == 0
+
+
+def cited_paths(line: str, in_fence: bool) -> list[str]:
+    """Repo paths a line cites: words of its code spans, or of a fenced line."""
+    spans = [line] if in_fence else _CODE_SPAN.findall(line)
+    return [
+        match.group(0)
+        for span in spans
+        for word in span.split()
+        if (match := _REPO_PATH.match(word.strip("'\"(),;")))
+        and not re.search(r"[*?<>{}$]", word)
+    ]
+
+
+def check_file(path: Path, root: Path, paths: RepoPaths | None = None) -> list[str]:
     problems: list[str] = []
     in_fence = False
     for line_number, line in enumerate(
@@ -73,6 +125,13 @@ def check_file(path: Path, root: Path) -> list[str]:
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
             continue
+        if paths is not None:
+            for cited in cited_paths(line, in_fence):
+                if not paths.exists(cited):
+                    problems.append(
+                        f"{path.relative_to(root)}:{line_number}: "
+                        f"no such repo path {cited!r}"
+                    )
         if in_fence:
             continue
         for match in _LINK.finditer(line):
@@ -106,12 +165,13 @@ def main() -> int:
     root = Path(__file__).resolve().parent.parent
     problems: list[str] = []
     files = tracked_markdown(root)
+    paths = RepoPaths(root)
     for path in files:
-        problems.extend(check_file(path, root))
+        problems.extend(check_file(path, root, paths if describes_tree(path, root) else None))
     for problem in problems:
         print(problem)
     print(f"checked {len(files)} markdown files: "
-          f"{'OK' if not problems else f'{len(problems)} broken link(s)'}")
+          f"{'OK' if not problems else f'{len(problems)} broken link(s) or path(s)'}")
     return 1 if problems else 0
 
 

@@ -198,15 +198,13 @@ class FaultedBackend:
     marks the replica **dead**: this call and every later one raise
     :class:`ConnectionError`, modelling a crashed process (failover suites
     kill one replica mid-batch and assert the batch still completes
-    bit-identically).  ``delay`` sleeps through the injectable ``sleep`` (so
-    tests collapse it to zero or drive a fake clock); ``transient`` and
-    ``permanent`` raise the corresponding fault errors.
+    bit-identically); ``transient`` and ``permanent`` raise the corresponding
+    fault errors.
     """
 
     inner: object
     plan: FaultPlan
     replica_index: int = 0
-    sleep: object = None
     _calls: int = field(default=0, init=False, repr=False)
     _dead: bool = field(default=False, init=False, repr=False)
 
@@ -223,14 +221,11 @@ class FaultedBackend:
             raise ConnectionError(
                 f"injected kill for replica {self.replica_index} call {call}"
             )
-        if kind == "delay":
-            if self.sleep is not None:
-                self.sleep(self.plan.delay_seconds)
-        elif kind == "transient":
+        if kind == "transient":
             raise TransientFaultError(
                 f"injected transient fault for replica {self.replica_index} call {call}"
             )
-        elif kind == "permanent":
+        if kind == "permanent":
             raise PermanentFaultError(
                 f"injected permanent fault for replica {self.replica_index} call {call}"
             )

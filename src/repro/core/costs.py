@@ -18,6 +18,10 @@ magnitude traffic gaps) depend only on the operation counts, not on the exact
 constants, and the raw counts are always carried inside the
 :class:`CostReport` so readers can re-derive timings under their own
 assumptions.
+
+Only the paper's query costs are modelled.  Index maintenance (updates,
+merges, checkpoints) is measured, not modelled: the end-to-end benchmark's
+``mixed_update_search`` workload reports it per layer under ``--trace 1``.
 """
 
 from __future__ import annotations
@@ -112,25 +116,6 @@ class CostModel:
     user_modexp_ms: float = 0.030
     user_modmul_ms: float = 0.006
     benaloh_decrypt_exponentiations: int = 27
-    #: Index-maintenance constants (rough per-operation costs on the paper's
-    #: server class; used only by :meth:`index_update_report`): tokenising one
-    #: token of new text, one posting of a refresh's recalibration (its share
-    #: of the corpus factor plus the ``max_impact`` scan), computing one
-    #: added document's factor, and merging/dropping one posting during
-    #: compaction.  The recalibration and factor constants are measured on a
-    #: 2-vCPU Intel Xeon host under CPython 3.11, quietest of three runs, over
-    #: the 500-document, 36,554-posting corpus of the ``mixed_update_search``
-    #: benchmark: corpus factor + max scan 4.4 ms (0.00012 ms per posting),
-    #: ``CosineScorer.document_factor`` 0.02 ms per document.
-    index_tokenise_ms_per_token: float = 0.001
-    index_rescore_ms_per_posting: float = 0.00012
-    index_factor_ms_per_document: float = 0.02
-    index_merge_ms_per_posting: float = 0.00005
-    #: Segmented-engine maintenance constants: fixed bookkeeping per sealed
-    #: delta / per committed tiered merge, and the per-posting cost of the
-    #: merge kernel's rewrite (the LSM write amplification).
-    index_seal_ms_per_segment: float = 0.01
-    index_merge_ms_per_segment: float = 0.02
 
     # -- component conversions ----------------------------------------------------
     def io_ms(self, buckets_fetched: int, blocks_read: int) -> float:
@@ -171,7 +156,7 @@ class CostModel:
         of two exponentiations each.  Sharded execution never changes the
         totals either: ``server_merge_multiplications`` (already included in
         ``server_multiplications``) and ``shards_executed`` only attribute
-        where the work ran, so wall-clock scales with workers while the
+        where the work ran, so wall-clock scales with shards while the
         modelled CPU milliseconds stay put.  The resilience counters
         (``tasks_retried``/``degraded_queries``) likewise report how a
         distributed answer *survived* -- replica failovers walked, queries
@@ -217,103 +202,6 @@ class CostModel:
                 "degraded_queries": degraded_queries,
             },
         )
-
-    # -- index maintenance ---------------------------------------------------------
-    def index_update_report(
-        self,
-        *,
-        documents_added: int = 0,
-        documents_removed: int = 0,
-        tokens_tokenised: int = 0,
-        postings_rescored: int = 0,
-        documents_factored: int = 0,
-        postings_merged: int = 0,
-        postings_dropped: int = 0,
-        segments_sealed: int = 0,
-        segments_merged: int = 0,
-        merge_postings_written: int = 0,
-        merge_postings_dropped: int = 0,
-    ) -> CostReport:
-        """Modelled server-side cost of a batch of incremental index updates.
-
-        Converts the :class:`~repro.textsearch.inverted_index.UpdateCounters`
-        of an update batch into milliseconds: tokenisation and factoring of
-        the new documents, the recalibration scan the first post-update
-        read pays, the compaction merge, and -- for the segmented engine --
-        delta seals and tiered background merges (per-segment bookkeeping
-        plus the merge kernel's per-posting rewrite).  A from-scratch
-        rebuild would instead pay tokenisation *and* scoring for the whole
-        corpus -- the gap the ``incremental_update`` benchmark series
-        measures empirically.
-        Maintenance is pure server work: no I/O seeks beyond the transfer
-        already modelled, no traffic, no user computation.
-        """
-        server_cpu = (
-            tokens_tokenised * self.index_tokenise_ms_per_token
-            + postings_rescored * self.index_rescore_ms_per_posting
-            + documents_factored * self.index_factor_ms_per_document
-            + (postings_merged + postings_dropped) * self.index_merge_ms_per_posting
-            + (merge_postings_written + merge_postings_dropped)
-            * self.index_merge_ms_per_posting
-            + segments_sealed * self.index_seal_ms_per_segment
-            + segments_merged * self.index_merge_ms_per_segment
-        )
-        return CostReport(
-            scheme="INDEX",
-            server_io_ms=0.0,
-            server_cpu_ms=server_cpu,
-            traffic_kbytes=0.0,
-            user_cpu_ms=0.0,
-            counts={
-                "documents_added": documents_added,
-                "documents_removed": documents_removed,
-                "tokens_tokenised": tokens_tokenised,
-                "postings_rescored": postings_rescored,
-                "documents_factored": documents_factored,
-                "postings_merged": postings_merged,
-                "postings_dropped": postings_dropped,
-                "segments_sealed": segments_sealed,
-                "segments_merged": segments_merged,
-                "merge_postings_written": merge_postings_written,
-                "merge_postings_dropped": merge_postings_dropped,
-            },
-        )
-
-    def index_maintenance_report(self, index) -> CostReport:
-        """The :meth:`index_update_report` of a live index, manifest-keyed.
-
-        Reads the index's cumulative
-        :class:`~repro.textsearch.inverted_index.UpdateCounters` *and* its
-        :meth:`~repro.textsearch.inverted_index.InvertedIndex.segment_manifest`,
-        so the report reflects the actual segment configuration: the counts
-        carry the manifest's epoch, segment/generation fan-out and resident
-        tombstones alongside the modelled milliseconds.
-        """
-        counters = index.update_counters
-        manifest = index.segment_manifest()
-        report = self.index_update_report(
-            documents_added=counters.documents_added,
-            documents_removed=counters.documents_removed,
-            tokens_tokenised=counters.tokens_tokenised,
-            postings_rescored=counters.postings_rescored,
-            documents_factored=counters.documents_factored,
-            postings_merged=counters.postings_merged,
-            postings_dropped=counters.postings_dropped,
-            segments_sealed=counters.segments_sealed,
-            segments_merged=counters.segments_merged,
-            merge_postings_written=counters.merge_postings_written,
-            merge_postings_dropped=counters.merge_postings_dropped,
-        )
-        report.counts.update(
-            {
-                "manifest_epoch": manifest.epoch,
-                "segments": manifest.num_segments,
-                "generations": len(manifest.generations),
-                "resident_postings": manifest.total_postings,
-                "resident_tombstones": manifest.total_tombstones,
-            }
-        )
-        return report
 
     # -- PIR baseline ------------------------------------------------------------------
     def pir_report(

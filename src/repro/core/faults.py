@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
 
 #: Decision kinds a plan can emit for one attempt.
 KILL = "kill"
-DELAY = "delay"
 TRANSIENT = "transient"
 PERMANENT = "permanent"
 
@@ -133,8 +132,8 @@ class FaultPlan:
     Rate-driven faults draw once per ``(scope, index, attempt)`` coordinate:
     a retry (same index, next attempt) gets an independent draw, so with
     rates below 1.0 retries eventually succeed.  Explicit schedules
-    (``kill_at`` etc., sets of ``(index, attempt)`` pairs, and ``kill_every``)
-    override the rates and make single-shot scenarios exact.
+    (``kill_at`` etc., sets of ``(index, attempt)`` pairs) override the rates
+    and make single-shot scenarios exact.
 
     The task coordinates are whatever the injection site passes to
     :meth:`decide`: :class:`repro.core.coordinator.FaultedBackend` uses
@@ -145,18 +144,12 @@ class FaultPlan:
     seed: int = 0xFA117
     #: Probability an attempt kills its replica (dead from then on).
     kill_rate: float = 0.0
-    #: Probability an attempt sleeps ``delay_seconds`` first.
-    delay_rate: float = 0.0
     #: Probability an attempt raises TransientFaultError.
     transient_rate: float = 0.0
     #: Probability an attempt raises PermanentFaultError.
     permanent_rate: float = 0.0
-    delay_seconds: float = 0.05
-    #: Kill attempt 0 of every Nth task (task_index % kill_every == 0).
-    kill_every: int | None = None
     #: Explicit (task_index, attempt) schedules; override everything else.
     kill_at: frozenset = frozenset()
-    delay_at: frozenset = frozenset()
     transient_at: frozenset = frozenset()
     permanent_at: frozenset = frozenset()
     #: Probability an I/O operation raises TransientFaultError.
@@ -172,18 +165,13 @@ class FaultPlan:
         coordinate = (task_index, attempt)
         if coordinate in self.kill_at:
             return KILL
-        if coordinate in self.delay_at:
-            return DELAY
         if coordinate in self.transient_at:
             return TRANSIENT
         if coordinate in self.permanent_at:
             return PERMANENT
-        if self.kill_every and attempt == 0 and task_index % self.kill_every == 0:
-            return KILL
         draw = _draw(self.seed, "task", task_index, attempt)
         for rate, kind in (
             (self.kill_rate, KILL),
-            (self.delay_rate, DELAY),
             (self.transient_rate, TRANSIENT),
             (self.permanent_rate, PERMANENT),
         ):
@@ -205,25 +193,6 @@ class FaultPlan:
         if draw < self.io_permanent_rate:
             return PERMANENT
         return None
-
-    def quiet(self) -> "FaultPlan":
-        """A copy with every fault disabled (same seed; useful to compare)."""
-        return replace(
-            self,
-            kill_rate=0.0,
-            delay_rate=0.0,
-            transient_rate=0.0,
-            permanent_rate=0.0,
-            kill_every=None,
-            kill_at=frozenset(),
-            delay_at=frozenset(),
-            transient_at=frozenset(),
-            permanent_at=frozenset(),
-            io_transient_rate=0.0,
-            io_permanent_rate=0.0,
-            io_transient_at=frozenset(),
-            io_permanent_at=frozenset(),
-        )
 
 
 @dataclass

@@ -2,10 +2,9 @@
 
 Every query in the reproduction bottoms out in per-posting modular
 multiplications -- the power-table accumulation kernel in
-:mod:`repro.core.parallel`, zero-pool replenishment in
-:mod:`repro.crypto.benaloh`, and the packed-bitmask row fold in
-:mod:`repro.crypto.pir`.  This module attacks the constant factor of those
-inner loops with three cooperating pieces:
+:mod:`repro.core.parallel` and zero-pool replenishment in
+:mod:`repro.crypto.benaloh`.  This module attacks the constant factor of
+those inner loops with three cooperating pieces:
 
 **Power-table plans.**  :func:`power_table_strategy` picks the cheapest way
 to build ``{p: E(u)^p}`` for one list's distinct quantised impacts -- the
@@ -31,10 +30,9 @@ a bijection on ``Z_n`` and every intermediate is kept canonical (``< n``),
 so residues, dict order and operation counters are bit-identical to the
 pure-python oracle loop.  Nothing is cached per column, and all scratch is
 per call: cffi releases the GIL, sessions accumulate concurrently.  The
-common-exponent batch (:func:`modexp_batch`) and the PIR row fold
-(:func:`pir_fold_rows`) marshal the same way -- ``bytes`` in, one C call,
-one ``bytearray`` out, canonical residues on both sides -- so the standard
-library is all the marshalling needs.
+common-exponent batch (:func:`modexp_batch`) marshals the same way --
+``bytes`` in, one C call, one ``bytearray`` out, canonical residues on both
+sides -- so the standard library is all the marshalling needs.
 
 **The compiled backend.**  The C kernel is compiled on demand with cffi
 (``-O3``, plain C, no external libraries) and cached on disk under
@@ -73,7 +71,6 @@ __all__ = [
     "compiled_available",
     "accumulate_compiled",
     "fallback_counts",
-    "pir_fold_rows",
     "modexp_batch",
 ]
 
@@ -731,39 +728,6 @@ done:
     return ncand;
 }
 
-/* The packed PIR answer: out row i = base * prod_{set bits j < cols of
- * row i's mask} ratios[j] mod n, masks being mask_bytes little-endian bytes
- * per row, base and ratios canonical.  The fold runs in the normal domain
- * against a Montgomery-form ratio table (mont_mul(x, y*R) = x*y mod n), so
- * the accumulators stay canonical throughout; the table lives behind the
- * last row of out, which the caller sizes (rows + cols) * nl.  Returns the
- * number of multiplications folded in (the set bits below cols). */
-long repro_fold_masks(uint64_t *out, const unsigned char *masks, long rows,
-                      long cols, const uint64_t *base, const uint64_t *ratios,
-                      const uint64_t *r2, const uint64_t *n, uint64_t n0inv,
-                      int nl)
-{
-    const long mask_bytes = (cols + 7) / 8;
-    uint64_t *table = out + (size_t)rows * nl;
-    long count = 0;
-    for (long j = 0; j < cols; j++)
-        mont_mul_(table + (size_t)j * nl, ratios + (size_t)j * nl, r2, n, n0inv, nl);
-    for (long i = 0; i < rows; i++) {
-        uint64_t *acc = out + (size_t)i * nl;
-        memcpy(acc, base, (size_t)nl * sizeof(uint64_t));
-        for (long k = 0; k < mask_bytes; k++) {
-            for (unsigned byte = masks[i * mask_bytes + k]; byte; byte &= byte - 1) {
-                const long j = 8 * k + __builtin_ctz(byte);
-                if (j >= cols)
-                    break;
-                mont_mul_(acc, acc, table + (size_t)j * nl, n, n0inv, nl);
-                count++;
-            }
-        }
-    }
-    return count;
-}
-
 /* out[i] = bases[i]^exp mod n, canonical residues in and out: each base
  * goes to Montgomery form, climbs the square-and-multiply ladder there and
  * is REDC'd back. */
@@ -799,10 +763,6 @@ long repro_accumulate(long nterms, const uint64_t *selectors,
                       long postings, long max_slots, uint64_t *out_rows,
                       const uint64_t *r2, const uint64_t *one_m,
                       const uint64_t *n, uint64_t n0inv, int nl);
-long repro_fold_masks(uint64_t *out, const unsigned char *masks, long rows,
-                      long cols, const uint64_t *base, const uint64_t *ratios,
-                      const uint64_t *r2, const uint64_t *n, uint64_t n0inv,
-                      int nl);
 void repro_pow_many(uint64_t *out, const uint64_t *bases, long count,
                     const uint64_t *exp, int ebits, const uint64_t *r2,
                     const uint64_t *one_m, const uint64_t *n, uint64_t n0inv,
@@ -882,8 +842,8 @@ def _compile_or_load():
 
 def _self_test(ffi, lib) -> None:
     """Verify the compiled arithmetic against python pow/mul on random cases,
-    and every entry point -- accumulation, the common-exponent batch, the
-    PIR row fold -- against its python loop, at each modulus size."""
+    and both entry points -- accumulation and the common-exponent batch --
+    against their python loops, at each modulus size."""
     import random
 
     rng = random.Random(0x5EED)
@@ -940,21 +900,6 @@ def _self_test(ffi, lib) -> None:
             pow(base, exponent, modulus) for base in bases
         ]:
             raise RuntimeError(f"compiled modexp batch self-test failed at {bits} bits")
-        # The PIR answer: empty, full and random rows of an 11-column matrix
-        # (two mask bytes per row, the second one partial).
-        cols = 11
-        masks = [0, (1 << cols) - 1, *(rng.getrandbits(cols) for _ in range(4))]
-        base, *ratios = (rng.randrange(1, modulus) for _ in range(1 + cols))
-        want_rows = []
-        for mask in masks:
-            gamma = base
-            for column in range(cols):
-                if mask >> column & 1:
-                    gamma = gamma * ratios[column] % modulus
-            want_rows.append(gamma)
-        want_fold = (want_rows, sum(mask.bit_count() for mask in masks))
-        if _fold_rows(ffi, lib, masks, cols, base, ratios, modulus) != want_fold:
-            raise RuntimeError(f"compiled PIR row fold self-test failed at {bits} bits")
 
 
 def ensure_compiled():
@@ -1214,58 +1159,6 @@ def _accumulate(ffi, lib, payload, modulus: int):
         zip(ids.tolist(), _bytes_to_ints(bytes(view[: candidates * width]), width))
     )
     return accumulators, postings, table_multiplications, postings - candidates
-
-
-def pir_fold_rows(row_masks, cols: int, base: int, ratios, modulus: int):
-    """Compiled set-bit row fold for the packed PIR answer path.
-
-    Computes ``gamma_i = base * prod_{set bits j of mask_i} ratios[j] mod n``
-    for every row, returning ``(answers, set_bit_count)`` bit-identical to
-    the python while-loop (``set_bit_count`` is the number of ratio
-    multiplications the python path would meter), or ``None`` when the
-    kernel envelope does not apply and the caller should run the loop.
-    """
-    loaded = _loaded()
-    if loaded is None:
-        return None
-    return _fold_rows(*loaded, row_masks, cols, base, ratios, modulus)
-
-
-def _fold_rows(ffi, lib, row_masks, cols: int, base: int, ratios, modulus: int):
-    """Marshal one packed matrix into a single ``repro_fold_masks`` call: the
-    row masks and ``base`` + ``ratios`` as byte strings in, one buffer out
-    (answer rows, then the kernel's Montgomery ratio table)."""
-    context = _montgomery_context(ffi, modulus)
-    if context is None:
-        return None
-    rows = len(row_masks)
-    if rows == 0:
-        return [], 0
-    if rows >= 1 << 31 or cols >= 1 << 31:
-        return _declined("matrix_cap")
-    if not 0 <= base < modulus:
-        return _declined("base_out_of_ring")
-    width = context.nl * 8
-    try:
-        masks = _ints_to_bytes(row_masks, (cols + 7) // 8)
-        table = _ints_to_bytes((base, *ratios), width)
-    except (OverflowError, ValueError, TypeError, AttributeError):
-        return _declined("matrix_type")
-    if len(table) != (1 + cols) * width:
-        return _declined("ratio_mismatch")
-    table_c = _u64_ptr(ffi, table)
-    out = bytearray((rows + cols) * width)
-    count = lib.repro_fold_masks(
-        ffi.from_buffer("uint64_t[]", out),
-        ffi.from_buffer("unsigned char[]", masks),
-        rows,
-        cols,
-        table_c,
-        table_c + context.nl,
-        context.r2_c,
-        *context.modulus_args,
-    )
-    return _bytes_to_ints(bytes(memoryview(out)[: rows * width]), width), count
 
 
 def _modexp_batch_compiled(bases, exponent: int, modulus: int):

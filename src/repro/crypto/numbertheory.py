@@ -93,7 +93,7 @@ def set_backend(name: str) -> str:
     missing piece -- cffi or a C compiler -- so callers fail loudly instead
     of silently benchmarking the wrong arithmetic, and the previous backend
     stays.  The batch entry points
-    (:func:`repro.core.parallel.accumulate_terms`, the PIR row fold,
+    (:func:`repro.core.parallel.accumulate_terms` and
     :func:`repro.crypto.kernels.modexp_batch`) read :func:`get_backend` per
     call unless their caller names a backend itself; scalar arithmetic is
     builtin ``pow`` and ``*`` everywhere (a single modmul has no batch to

@@ -31,7 +31,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.crypto import kernels, numbertheory
 from repro.crypto.numbertheory import modinv
 from repro.crypto.quadratic import QRGroup, generate_group
 
@@ -215,15 +214,6 @@ class PIRServer:
         # cols squarings + cols base-product multiplications.
         self.multiplications += 2 * cols
         self.inversions += cols
-
-        if numbertheory.get_backend() == "cffi":
-            # Batched Montgomery row fold; identical residues, and the
-            # returned set-bit count is exactly what the loop below meters.
-            folded = kernels.pir_fold_rows(self.database.row_masks, cols, base, ratios, n)
-            if folded is not None:
-                answers, count = folded
-                self.multiplications += count
-                return PIRAnswer(n=n, elements=tuple(answers))
 
         answers = []
         append = answers.append

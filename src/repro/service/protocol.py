@@ -105,8 +105,9 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     """Parse one request off the stream; ``None`` on clean EOF between requests.
 
     Raises :class:`ProtocolError` for truncated/malformed request lines and
-    headers, over-limit header blocks, any request ``Transfer-Encoding``,
-    bodies beyond :data:`MAX_BODY_BYTES` and bodies shorter than their
+    headers, over-limit header blocks, any request ``Transfer-Encoding``, a
+    ``Content-Length`` that is repeated or not plain ASCII digits, bodies
+    beyond :data:`MAX_BODY_BYTES` and bodies shorter than their
     ``Content-Length``.
     """
     try:
@@ -137,7 +138,10 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            raise ProtocolError("repeated Content-Length")
+        headers[name] = value.strip()
 
     if "transfer-encoding" in headers:
         # Bodies are framed by Content-Length only (every client sends it);
@@ -145,11 +149,12 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         # next request on this connection -- request smuggling (RFC 9112 §6.3).
         raise ProtocolError("Transfer-Encoding on a request is not supported")
 
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError as exc:
-        raise ProtocolError("invalid Content-Length") from exc
-    if length < 0 or length > MAX_BODY_BYTES:
+    # RFC 9112 §6.3: 1*DIGIT only; int() would also take "+3", "1_0" or " 3".
+    declared = headers.get("content-length", "0")
+    if not (declared.isascii() and declared.isdigit()):
+        raise ProtocolError(f"invalid Content-Length {declared!r}")
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
         raise ProtocolError(f"body of {length} bytes exceeds limit")
     try:
         body = await reader.readexactly(length) if length else b""

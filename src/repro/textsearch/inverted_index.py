@@ -741,8 +741,7 @@ class InvertedIndex:
         return len(self._segments)
 
     def segment_manifest(self) -> SegmentManifest:
-        """The current segment configuration plus the update epoch (what
-        :meth:`repro.core.costs.CostModel.index_maintenance_report` reads).
+        """The current segment configuration plus the update epoch.
 
         Deliberately cheap to poll: neither the refresh core nor the
         deferred per-list rewrites run, so interleaving monitoring with

@@ -1,8 +1,5 @@
 """Unit tests for the Section 5.2 cost model."""
 
-import dataclasses
-import inspect
-
 import pytest
 
 from repro.core.costs import CostModel, CostReport
@@ -107,107 +104,3 @@ class TestCostReportAggregation:
         assert combined.server_io_ms == pytest.approx(7.5)
         assert combined.counts["x"] == pytest.approx(7.5)
 
-
-class TestIndexUpdateReport:
-    def test_maintenance_cost_composition(self):
-        model = CostModel()
-        report = model.index_update_report(
-            documents_added=3,
-            documents_removed=1,
-            tokens_tokenised=100,
-            postings_rescored=400,
-            documents_factored=3,
-            postings_merged=30,
-            postings_dropped=10,
-        )
-        assert report.scheme == "INDEX"
-        assert report.server_io_ms == 0.0
-        assert report.traffic_kbytes == 0.0
-        assert report.user_cpu_ms == 0.0
-        expected = (
-            100 * model.index_tokenise_ms_per_token
-            + 400 * model.index_rescore_ms_per_posting
-            + 3 * model.index_factor_ms_per_document
-            + 40 * model.index_merge_ms_per_posting
-        )
-        assert report.server_cpu_ms == pytest.approx(expected)
-        assert report.counts["documents_added"] == 3
-        assert report.counts["documents_factored"] == 3
-        assert report.counts["postings_merged"] == 30
-
-    def test_accepts_update_counters_fields(self):
-        from repro.textsearch.corpus import Corpus, Document
-        from repro.textsearch.inverted_index import InvertedIndex
-
-        index = InvertedIndex.build(
-            Corpus([Document(doc_id=1, text="alpha beta gamma")])
-        )
-        index.add_document(Document(doc_id=2, text="beta delta"))
-        index.compact()
-        counters = index.update_counters
-        # One refresh scanned both documents' postings; only the added one
-        # was factored.
-        assert counters.postings_rescored == 5
-        assert counters.documents_factored == 1
-        # Every modelled count is an UpdateCounters field of the same name.
-        fields = dataclasses.asdict(counters)
-        modelled = set(inspect.signature(CostModel.index_update_report).parameters) - {"self"}
-        assert modelled <= fields.keys()
-        report = CostModel().index_update_report(**{name: fields[name] for name in modelled})
-        assert report.server_cpu_ms > 0.0
-        assert report.counts["documents_factored"] == 1
-
-
-class TestIndexMaintenanceReport:
-    def test_manifest_keyed_report_reflects_segment_configuration(self):
-        from repro.textsearch.corpus import Corpus, Document
-        from repro.textsearch.inverted_index import InvertedIndex
-        from repro.textsearch.segments import TieredMergePolicy
-
-        index = InvertedIndex.build(
-            Corpus(
-                [
-                    Document(doc_id=1, text="night keeper keeps the keep"),
-                    Document(doc_id=2, text="big old house and gown"),
-                ]
-            ),
-            seal_threshold=1,
-            merge_policy=TieredMergePolicy(fanout=2),
-        )
-        for i in range(2):
-            index.add_document(Document(doc_id=10 + i, text=f"wine cellar vintage{i}"))
-        index.maintain()
-        report = CostModel().index_maintenance_report(index)
-        assert report.scheme == "INDEX"
-        counts = report.counts
-        assert counts["documents_added"] == 2
-        assert counts["segments_sealed"] == 2
-        assert counts["segments_merged"] == 2
-        assert counts["merge_postings_written"] > 0
-        manifest = index.segment_manifest()
-        assert counts["segments"] == manifest.num_segments
-        assert counts["manifest_epoch"] == index.update_epoch
-        assert counts["resident_postings"] == manifest.total_postings
-        assert report.server_cpu_ms > 0.0
-        assert report.traffic_kbytes == 0.0 and report.user_cpu_ms == 0.0
-
-    def test_segment_counters_priced_into_server_cpu(self):
-        model = CostModel()
-        quiet = model.index_update_report(tokens_tokenised=10)
-        busy = model.index_update_report(
-            tokens_tokenised=10,
-            segments_sealed=3,
-            segments_merged=4,
-            merge_postings_written=100,
-            merge_postings_dropped=20,
-        )
-        expected_extra = (
-            3 * model.index_seal_ms_per_segment
-            + 4 * model.index_merge_ms_per_segment
-            + 120 * model.index_merge_ms_per_posting
-        )
-        assert busy.server_cpu_ms == pytest.approx(
-            quiet.server_cpu_ms + expected_extra
-        )
-        assert busy.counts["segments_sealed"] == 3
-        assert busy.counts["merge_postings_dropped"] == 20

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import faults
 from repro.core.faults import (
-    DELAY,
     KILL,
     PERMANENT,
     TRANSIENT,
@@ -26,8 +25,8 @@ class TestFaultPlanDeterminism:
         assert first == second
 
     def test_identical_plans_replay_identical_schedules(self):
-        a = FaultPlan(seed=7, kill_rate=0.3, delay_rate=0.1)
-        b = FaultPlan(seed=7, kill_rate=0.3, delay_rate=0.1)
+        a = FaultPlan(seed=7, kill_rate=0.3, transient_rate=0.1)
+        b = FaultPlan(seed=7, kill_rate=0.3, transient_rate=0.1)
         assert [a.decide(i, 0) for i in range(100)] == [b.decide(i, 0) for i in range(100)]
 
     def test_different_seeds_give_different_schedules(self):
@@ -89,25 +88,14 @@ class TestExplicitSchedules:
         plan = FaultPlan(
             kill_rate=0.0,
             kill_at=frozenset({(3, 0)}),
-            delay_at=frozenset({(4, 1)}),
             transient_at=frozenset({(5, 0)}),
             permanent_at=frozenset({(6, 2)}),
         )
         assert plan.decide(3, 0) == KILL
-        assert plan.decide(4, 1) == DELAY
         assert plan.decide(5, 0) == TRANSIENT
         assert plan.decide(6, 2) == PERMANENT
         assert plan.decide(3, 1) is None
         assert plan.decide(7, 0) is None
-
-    def test_kill_every_fires_on_first_attempts_only(self):
-        plan = FaultPlan(kill_every=3)
-        assert [plan.decide(i, 0) for i in range(7)] == [
-            KILL, None, None, KILL, None, None, KILL,
-        ]
-        # Retries of a killed task must be allowed to survive.
-        assert plan.decide(0, 1) is None
-        assert plan.decide(3, 1) is None
 
     def test_explicit_io_schedule(self):
         plan = FaultPlan(
@@ -116,25 +104,6 @@ class TestExplicitSchedules:
         assert [plan.decide_io(i) for i in range(6)] == [
             TRANSIENT, None, TRANSIENT, None, None, PERMANENT,
         ]
-
-
-class TestQuiet:
-    def test_quiet_disables_every_fault_but_keeps_the_seed(self):
-        noisy = FaultPlan(
-            seed=99,
-            kill_rate=1.0,
-            delay_rate=1.0,
-            transient_rate=1.0,
-            permanent_rate=1.0,
-            kill_every=1,
-            kill_at=frozenset({(0, 0)}),
-            io_transient_rate=1.0,
-            io_permanent_at=frozenset({0}),
-        )
-        quiet = noisy.quiet()
-        assert quiet.seed == 99
-        assert all(quiet.decide(i, a) is None for i in range(50) for a in range(2))
-        assert all(quiet.decide_io(i) is None for i in range(50))
 
 
 class TestFaultInjectorIoHook:

@@ -276,9 +276,9 @@ class TestAccumulateEquivalence:
         assert reasons[0] == reasons[1]
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
-    def test_self_test_refuses_a_build_whose_pow_or_fold_is_wrong(self):
-        """Regression: the load-time self-test never called the modexp batch
-        or the PIR fold, so ``set_backend("cffi")`` served them unverified."""
+    def test_self_test_refuses_a_build_whose_pow_is_wrong(self):
+        """Regression: the load-time self-test never called the modexp batch,
+        so ``set_backend("cffi")`` served it unverified."""
         ffi, lib = kernels.ensure_compiled()
         kernels._self_test(ffi, lib)
 
@@ -298,16 +298,12 @@ class TestAccumulateEquivalence:
 
                 return wrong
 
-        for broken, message in [
-            ("repro_pow_many", "modexp batch self-test failed at 16 bits"),
-            ("repro_fold_masks", "PIR row fold self-test failed at 16 bits"),
-        ]:
-            with pytest.raises(RuntimeError, match=message):
-                kernels._self_test(ffi, OneWrongEntry(broken))
+        with pytest.raises(RuntimeError, match="modexp batch self-test failed at 16 bits"):
+            kernels._self_test(ffi, OneWrongEntry("repro_pow_many"))
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_every_entry_point_runs_with_numpy_unimportable(self):
-        """cffi is the one optional dependency: all three batch primitives
+        """cffi is the one optional dependency: both batch primitives
         run on the kernel, bit-identical to python, where numpy cannot load."""
         script = """
 import random, sys
@@ -315,7 +311,6 @@ sys.modules["numpy"] = None  # any import of it now raises ImportError
 from array import array
 from repro.core import parallel
 from repro.crypto import kernels, numbertheory as nt
-from repro.crypto.pir import PIRClient, PIRDatabase, PIRServer
 
 rng = random.Random(5)
 modulus = 2**1023 + 1155
@@ -324,18 +319,10 @@ payload = [
     (rng.randrange(modulus), array("I", [1, 7]), array("I", [700, 2])),
 ]
 bases = [rng.randrange(modulus) for _ in range(9)]
-client = PIRClient.with_new_group(key_bits=128, rng=rng)
-columns = [bytes(rng.randrange(256) for _ in range(5)) for _ in range(11)]
-query = client.build_query(len(columns), 4)
 
 def run():
     accumulators, counts = parallel.accumulate_terms(payload, modulus)
-    server = PIRServer(PIRDatabase.from_columns(columns))
-    return (
-        list(accumulators.items()), counts,
-        kernels.modexp_batch(bases, 3**9, modulus),
-        server.answer(query), server.multiplications, server.inversions,
-    )
+    return list(accumulators.items()), counts, kernels.modexp_batch(bases, 3**9, modulus)
 
 assert nt.get_backend() == "python"
 want = run()
@@ -433,39 +420,6 @@ assert sys.modules["numpy"] is None
         assert list(fast) == list(baseline)
         assert fast_counts == base_counts
         assert all(type(v) is int for v in fast.values())
-
-
-class TestPIRFold:
-    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
-    def test_fold_rows_matches_python_loop(self):
-        rng = random.Random(13)
-        for modulus in (2**61 - 1, 2**255 + 95, 2**1023 + 1155):
-            cols = rng.randrange(1, 12)
-            masks = [rng.getrandbits(cols) for _ in range(rng.randrange(0, 16))]
-            base = rng.randrange(0, modulus)
-            ratios = [rng.randrange(1, modulus) for _ in range(cols)]
-            got = kernels.pir_fold_rows(masks, cols, base, ratios, modulus)
-            assert got is not None
-            answers, count = got
-            want = []
-            want_count = 0
-            for mask in masks:
-                gamma = base
-                while mask:
-                    low = mask & -mask
-                    gamma = gamma * ratios[low.bit_length() - 1] % modulus
-                    want_count += 1
-                    mask ^= low
-                want.append(gamma)
-            assert list(answers) == want
-            assert count == want_count
-    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
-    def test_fold_rows_refuses_ineligible_inputs(self):
-        fold = kernels.pir_fold_rows
-        assert_declined("even_modulus", lambda: fold([1], 1, 0, [1], 100))
-        assert_declined("base_out_of_ring", lambda: fold([1], 1, 200, [1], 101))
-        assert_declined("ratio_mismatch", lambda: fold([1], 1, 2, [1, 1], 101))
-        assert_declined("matrix_type", lambda: fold([1], 1, 2, ["x"], 101))
 
 
 class TestModexpBatch:

@@ -1,0 +1,60 @@
+"""The docs gate: ``scripts/check_links.py`` flags repo paths that are gone."""
+
+from __future__ import annotations
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "check_links.py"
+_spec = importlib.util.spec_from_file_location("check_links", SCRIPT)
+check_links = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_links)
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A git tree with one tracked module and an ignored ``out/`` directory."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / ".gitignore").write_text("out/\n")
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True, capture_output=True)
+    subprocess.run(["git", "add", "."], cwd=tmp_path, check=True)
+    return tmp_path
+
+
+def problems_in(repo: Path, text: str) -> list[str]:
+    doc = repo / "docs" / "guide.md"
+    doc.write_text(text)
+    return check_links.check_file(doc, repo, check_links.RepoPaths(repo))
+
+
+def test_a_backticked_path_that_is_not_tracked_is_reported(repo):
+    assert problems_in(repo, "Intro.\n\nRun `src/pkg/gone.py` first.\n") == [
+        "docs/guide.md:3: no such repo path 'src/pkg/gone.py'"
+    ]
+
+
+def test_tracked_files_their_directories_and_ignored_outputs_resolve(repo):
+    text = "See `src/pkg/mod.py`, `src/pkg/` and `benchmarks/out/`.\n"
+    assert problems_in(repo, text) == []
+
+
+def test_a_fenced_block_is_checked_word_by_word(repo):
+    text = "```bash\nPYTHONPATH=src python scripts/gone.py --seed 3\n```\n"
+    assert problems_in(repo, text) == ["docs/guide.md:2: no such repo path 'scripts/gone.py'"]
+
+
+def test_placeholders_and_globs_are_not_paths():
+    line = "`python scripts/serve.py --port 1`, `tests/<suite>/x.py`, `src/*.py`"
+    assert check_links.cited_paths(line, in_fence=False) == ["scripts/serve.py"]
+
+
+def test_only_readme_among_the_root_notes_describes_the_tree(tmp_path):
+    assert check_links.describes_tree(tmp_path / "README.md", tmp_path)
+    assert check_links.describes_tree(tmp_path / "docs" / "operations.md", tmp_path)
+    assert not check_links.describes_tree(tmp_path / "CHANGES.md", tmp_path)
+    assert not check_links.describes_tree(tmp_path / "ROADMAP.md", tmp_path)

@@ -44,6 +44,18 @@ from repro.service import ServiceClient, ServiceConfig, ServiceError, app, proto
 SERVE = Path(__file__).resolve().parents[2] / "scripts" / "serve.py"
 
 
+def parse_request(raw: bytes):
+    """``protocol.read_request`` over ``raw`` followed by EOF."""
+
+    async def parse():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await protocol.read_request(reader)
+
+    return asyncio.run(parse())
+
+
 def make_batches(embellisher, query_terms, shape):
     """``shape`` is a list of per-batch genuine-term counts."""
     batches, cursor = [], 0
@@ -679,15 +691,23 @@ class TestHttpErrors:
     def test_request_transfer_encoding_is_refused_by_the_parser(self, framing):
         """Regression: a chunked body was read as 0 bytes and its chunks
         parsed as the next request (the request-smuggling primitive)."""
-
-        async def parse():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"POST /sessions HTTP/1.1\r\n" + framing + b"\r\n2\r\n{}\r\n0\r\n\r\n")
-            reader.feed_eof()
-            return await protocol.read_request(reader)
-
         with pytest.raises(protocol.ProtocolError, match="Transfer-Encoding"):
-            asyncio.run(parse())
+            parse_request(b"POST /sessions HTTP/1.1\r\n" + framing + b"\r\n2\r\n{}\r\n0\r\n\r\n")
+
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: 1_0\r\n",
+            b"Content-Length: +3\r\n",
+            b"Content-Length: 3\r\nContent-Length: 10\r\n",
+        ],
+        ids=["underscore", "sign", "repeated"],
+    )
+    def test_request_content_length_is_one_header_of_digits(self, framing):
+        """Regression: ``int()`` took ``1_0`` and ``+3``, and a repeated header
+        kept its last value, so two parsers could frame one body differently."""
+        with pytest.raises(protocol.ProtocolError, match="Content-Length"):
+            parse_request(b"POST /sessions HTTP/1.1\r\n" + framing + b"\r\n" + b"x" * 10)
 
     def test_chunked_request_is_400_and_closes_without_a_second_parse(self, running_service):
         service, client = running_service()

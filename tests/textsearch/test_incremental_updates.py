@@ -300,6 +300,13 @@ class TestFactoredRefresh:
         live = [d for d in base_documents if d.doc_id != 2] + added
         assert_indexes_identical(index, InvertedIndex.build(Corpus(live)))
 
+    def test_a_refresh_scans_every_live_posting_once(self):
+        index = InvertedIndex.build(Corpus([Document(doc_id=1, text="alpha beta gamma")]))
+        index.add_document(Document(doc_id=2, text="beta delta"))
+        index.compact()
+        assert index.update_counters.postings_rescored == 5
+        assert index.update_counters.documents_factored == 1
+
     def test_a_loaded_index_factors_its_documents_once(self, tmp_path, base_documents, index):
         index.save(tmp_path / "saved")
         loaded = InvertedIndex.load(tmp_path / "saved")
