@@ -18,14 +18,20 @@ point inside the repository:
   file, a directory holding one, or a git-ignored output path.  This one
   covers ``README.md`` and the Markdown below the root; the other root notes
   (``CHANGES.md``, ``ROADMAP.md``, the paper notes) are exempt: they record
-  history and other repositories, and name what was deleted on purpose.
+  history and other repositories, and name what was deleted on purpose;
+* in the same files, a backticked dotted Python name (``name``, ``a.b``,
+  either with ``()``) must name something the code still has: each of its
+  parts that contains an underscore or is CamelCase must occur as a word in
+  a tracked ``*.py`` file.  File names (``check_links.py``) are the path
+  check's business.  ``benchmarks/e2e/README.md`` is exempt: only a change
+  to the benchmark itself may edit it.
 
 External links (``http://``, ``https://``, ``mailto:``) are out of scope --
 this gate is for the promise the docs make about *this* tree, which every
 refactor can silently break.
 
-Exit status: 0 when all links and paths resolve, 1 otherwise (each problem
-printed as ``file:line: message``).
+Exit status: 0 when all links, paths and names resolve, 1 otherwise (each
+problem printed as ``file:line: message``).
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 _EXTERNAL = ("http://", "https://", "mailto:")
 _CODE_SPAN = re.compile(r"`([^`]+)`")
 _REPO_PATH = re.compile(r"(?:src|benchmarks|scripts|tests|docs|examples|\.github)/[\w./-]*")
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\(\))?")
+_FILE_SUFFIXES = {"py", "md", "json", "jsonl", "log", "bin", "tmp", "txt", "toml", "yml", "yaml"}
+#: Tree-describing files whose names are not checked (see the module docstring).
+_NAME_EXEMPT = {"benchmarks/e2e/README.md"}
 
 
 def github_slug(heading: str) -> str:
@@ -80,7 +90,8 @@ def describes_tree(path: Path, root: Path) -> bool:
 
 
 class RepoPaths:
-    """What a doc may cite: tracked files, their directories, ignored outputs."""
+    """What a doc may cite: tracked files, their directories, ignored
+    outputs, and the words of tracked Python files."""
 
     def __init__(self, root: Path) -> None:
         self.root = root
@@ -88,9 +99,13 @@ class RepoPaths:
             ["git", "ls-files"], cwd=root, capture_output=True, text=True, check=True
         )
         self.known = set()
+        self.words: set[str] = set()
         for name in listing.stdout.splitlines():
             parts = name.split("/")
             self.known.update("/".join(parts[:i]) for i in range(1, len(parts) + 1))
+            if name.endswith(".py") and (root / name).is_file():
+                source = (root / name).read_text(encoding="utf-8", errors="replace")
+                self.words.update(re.findall(r"\w+", source))
 
     def exists(self, cited: str) -> bool:
         cited = cited.rstrip(".")
@@ -116,8 +131,26 @@ def cited_paths(line: str, in_fence: bool) -> list[str]:
     ]
 
 
+def cited_names(line: str) -> list[str]:
+    """The underscored or CamelCase parts of a line's dotted-name code spans."""
+    names = []
+    for span in _CODE_SPAN.findall(line):
+        if not _DOTTED_NAME.fullmatch(span):
+            continue
+        parts = span.removesuffix("()").split(".")
+        if len(parts) > 1 and parts[-1] in _FILE_SUFFIXES:
+            continue
+        names += [
+            part
+            for part in parts
+            if "_" in part or (not part.isupper() and any(c.isupper() for c in part[1:]))
+        ]
+    return names
+
+
 def check_file(path: Path, root: Path, paths: RepoPaths | None = None) -> list[str]:
     problems: list[str] = []
+    check_names = paths is not None and path.relative_to(root).as_posix() not in _NAME_EXEMPT
     in_fence = False
     for line_number, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
@@ -125,20 +158,21 @@ def check_file(path: Path, root: Path, paths: RepoPaths | None = None) -> list[s
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
             continue
+        where = f"{path.relative_to(root)}:{line_number}"
         if paths is not None:
             for cited in cited_paths(line, in_fence):
                 if not paths.exists(cited):
-                    problems.append(
-                        f"{path.relative_to(root)}:{line_number}: "
-                        f"no such repo path {cited!r}"
-                    )
+                    problems.append(f"{where}: no such repo path {cited!r}")
         if in_fence:
             continue
+        if check_names:
+            for name in cited_names(line):
+                if name not in paths.words:
+                    problems.append(f"{where}: no Python name {name!r} in the tree")
         for match in _LINK.finditer(line):
             target = match.group(1)
             if target.startswith(_EXTERNAL):
                 continue
-            where = f"{path.relative_to(root)}:{line_number}"
             if target.startswith("#"):
                 if github_slug(target[1:]) not in headings_of(path):
                     problems.append(f"{where}: no heading for anchor {target!r}")
@@ -171,7 +205,7 @@ def main() -> int:
     for problem in problems:
         print(problem)
     print(f"checked {len(files)} markdown files: "
-          f"{'OK' if not problems else f'{len(problems)} broken link(s) or path(s)'}")
+          f"{'OK' if not problems else f'{len(problems)} broken link(s), path(s) or name(s)'}")
     return 1 if problems else 0
 
 

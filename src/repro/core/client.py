@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.core.buckets import BucketOrganization
 from repro.core.costs import CostModel, CostReport
@@ -76,51 +76,6 @@ class PrivateSearchClient:
         """Largest genuine-term count whose scores cannot overflow the plaintext space."""
         return max(1, (self.block_size - 1) // max(1, quantise_levels))
 
-    # -- batch / session API --------------------------------------------------------
-    def embellish_session(self, session: QuerySession) -> list[EmbellishedQuery]:
-        """Embellish every query of a session off one pre-stocked zero pool.
-
-        The pool is replenished *once*, up front, with exactly the session's
-        selector budget, so no query of the batch triggers a mid-query refill
-        (the exponentiation burst stays off the query path -- the amortisation
-        the batch API exists for).  One-time stock entries are still served
-        exactly once each, so sharing the pool across the session's queries
-        (and across whatever workers process them) leaks nothing: every
-        served ciphertext remains an independent fresh encryption.
-        """
-        self.embellisher.prestock(session.selector_budget(self.organization))
-        return [self.formulate(list(query)) for query in session]
-
-    def run_session(
-        self,
-        session: QuerySession,
-        server: PrivateRetrievalServer,
-        k: int | None = 20,
-        stream: bool = False,
-    ) -> list[SearchResult] | Iterator[SearchResult]:
-        """Embellish, batch-submit and post-filter a whole session's queries.
-
-        With ``stream=True`` the return value is an iterator that yields each
-        query's :class:`~repro.textsearch.engine.SearchResult` in session
-        order as soon as the server has answered that query, so
-        post-filtering of early queries can start before later ones are
-        accumulated.  With ``stream=False`` (the default) the same results
-        come back as a fully materialised list.  Rankings are identical
-        either way.
-        """
-        max_genuine = self.max_supported_query_size(server.index.quantise_levels)
-        for query in session:
-            if len(dict.fromkeys(query)) > max_genuine:
-                raise ValueError(
-                    f"{len(dict.fromkeys(query))} genuine terms could overflow the "
-                    f"Benaloh plaintext space (at most {max_genuine} supported with "
-                    f"block_size={self.block_size}); regenerate the client keypair "
-                    "with a larger block_size"
-                )
-        queries = self.embellish_session(session)
-        results = (self.post_filter(result, k=k) for result in server.iter_batch(queries))
-        return results if stream else list(results)
-
 
 @dataclass
 class PrivateSearchSystem:
@@ -157,14 +112,7 @@ class PrivateSearchSystem:
     # -- real execution -------------------------------------------------------------
     def search(self, genuine_terms: Sequence[str], k: int | None = 20) -> tuple[SearchResult, CostReport]:
         """Run the full PR pipeline and return the ranking plus its cost report."""
-        genuine = list(dict.fromkeys(genuine_terms))
-        max_genuine = self.client.max_supported_query_size(self.index.quantise_levels)
-        if len(genuine) > max_genuine:
-            raise ValueError(
-                f"{len(genuine)} genuine terms could overflow the Benaloh plaintext space "
-                f"(at most {max_genuine} supported with block_size={self.block_size}); "
-                "regenerate the client keypair with a larger block_size"
-            )
+        genuine = self._genuine(genuine_terms)
         query = self.client.formulate(genuine)
         encrypted_result = self.server.process_query(query)
         ranking = self.client.post_filter(encrypted_result, k=k)
@@ -178,6 +126,19 @@ class PrivateSearchSystem:
             (embellisher.encryptions_performed, pooled, embellisher.pool_multiplications),
         )
         return ranking, report
+
+    def _genuine(self, terms: Sequence[str]) -> list[str]:
+        """The query's distinct genuine terms; ``ValueError`` when their
+        scores could overflow the Benaloh plaintext space."""
+        genuine = list(dict.fromkeys(terms))
+        max_genuine = self.client.max_supported_query_size(self.index.quantise_levels)
+        if len(genuine) > max_genuine:
+            raise ValueError(
+                f"{len(genuine)} genuine terms could overflow the Benaloh plaintext space "
+                f"(at most {max_genuine} supported with block_size={self.block_size}); "
+                "regenerate the client keypair with a larger block_size"
+            )
+        return genuine
 
     def _report(
         self, counters, query: EmbellishedQuery, result, client_costs: tuple[int, int, int]
@@ -216,19 +177,13 @@ class PrivateSearchSystem:
         """Run a whole session as one batch, returning per-query rankings and reports.
 
         The client side amortises across the batch (one zero-pool stocking
-        for all queries); the server side answers it as one batch.
-        Rankings are identical to issuing each query through :meth:`search`
-        -- the batch changes scheduling and amortisation, never results.
+        for all queries, so no query triggers a mid-query refill; each stock
+        entry is still served once, so sharing it leaks nothing); the server
+        side answers it as one batch.  Rankings are identical to issuing
+        each query through :meth:`search` -- the batch changes scheduling and
+        amortisation, never results.
         """
-        max_genuine = self.client.max_supported_query_size(self.index.quantise_levels)
-        genuine_queries = [list(dict.fromkeys(query)) for query in session]
-        for genuine in genuine_queries:
-            if len(genuine) > max_genuine:
-                raise ValueError(
-                    f"{len(genuine)} genuine terms could overflow the Benaloh plaintext "
-                    f"space (at most {max_genuine} supported with block_size={self.block_size}); "
-                    "regenerate the client keypair with a larger block_size"
-                )
+        genuine_queries = [self._genuine(query) for query in session]
 
         embellisher = self.client.embellisher
         embellisher.prestock(session.selector_budget(self.organization))

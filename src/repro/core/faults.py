@@ -16,12 +16,13 @@ provides the one retry policy and that schedule:
   actually fired.
 * :func:`io_fault_hook` -- a hook for the storage layer's read/write call
   sites (see ``repro.textsearch.segments.install_io_fault_hook``) raising
-  transient/permanent errors on the same kind of schedule.
+  :class:`PermanentFaultError` on the same kind of schedule.  Nothing
+  retries storage I/O; these faults exercise the crash-recovery paths.
 
-Error types deliberately do **not** leak into the storage package's imports:
-retry sites classify exceptions by the duck-typed ``transient`` attribute
-(``getattr(exc, "transient", False)``), so any layer can participate without
-importing this module.
+Error types deliberately do **not** leak into other packages' imports: the
+retry predicate classifies exceptions by the duck-typed ``transient``
+attribute (``getattr(exc, "transient", False)``), so a transport can mark
+its errors retryable without importing this module.
 """
 
 from __future__ import annotations
@@ -152,12 +153,9 @@ class FaultPlan:
     kill_at: frozenset = frozenset()
     transient_at: frozenset = frozenset()
     permanent_at: frozenset = frozenset()
-    #: Probability an I/O operation raises TransientFaultError.
-    io_transient_rate: float = 0.0
     #: Probability an I/O operation raises PermanentFaultError.
     io_permanent_rate: float = 0.0
-    #: Explicit I/O schedules keyed by operation ordinal.
-    io_transient_at: frozenset = frozenset()
+    #: Explicit I/O schedule keyed by operation ordinal.
     io_permanent_at: frozenset = frozenset()
 
     def decide(self, task_index: int, attempt: int) -> str | None:
@@ -182,15 +180,10 @@ class FaultPlan:
 
     def decide_io(self, op_index: int) -> str | None:
         """The fault (if any) for the ``op_index``-th I/O operation."""
-        if op_index in self.io_transient_at:
-            return TRANSIENT
-        if op_index in self.io_permanent_at:
-            return PERMANENT
-        draw = _draw(self.seed, "io", op_index, 0)
-        if draw < self.io_transient_rate:
-            return TRANSIENT
-        draw -= self.io_transient_rate
-        if draw < self.io_permanent_rate:
+        if (
+            op_index in self.io_permanent_at
+            or _draw(self.seed, "io", op_index, 0) < self.io_permanent_rate
+        ):
             return PERMANENT
         return None
 
@@ -220,8 +213,9 @@ class FaultInjector:
             if kind is None:
                 return
             self.io_faults += 1
-            error = TransientFaultError if kind == TRANSIENT else PermanentFaultError
-            raise error(f"injected {kind} I/O fault #{index} during {op} of {path}")
+            raise PermanentFaultError(
+                f"injected {kind} I/O fault #{index} during {op} of {path}"
+            )
 
         return hook
 

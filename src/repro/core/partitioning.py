@@ -176,7 +176,10 @@ class BucketPartitioner:
 
 
 def partitioner_from_spec(spec: Mapping):
-    """Revive a persisted partitioner (:meth:`spec` round-trip)."""
+    """Revive a persisted partitioner (:meth:`spec` round-trip); raises
+    ``ValueError`` for a spec that describes none."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"a partitioner spec is an object, not {spec!r}")
     kind = spec.get("kind")
     if kind == "hash":
         return HashPartitioner(
@@ -184,11 +187,12 @@ def partitioner_from_spec(spec: Mapping):
             seed=int(spec.get("seed", DEFAULT_ROUTING_SEED)),
         )
     if kind == "buckets":
+        assignments = spec.get("assignments", {})
+        if not isinstance(assignments, Mapping):
+            raise ValueError(f"bucket assignments are an object, not {assignments!r}")
         return BucketPartitioner(
             num_shards=int(spec["num_shards"]),
-            assignments={
-                term: int(shard) for term, shard in spec.get("assignments", {}).items()
-            },
+            assignments={term: int(shard) for term, shard in assignments.items()},
             seed=int(spec.get("seed", DEFAULT_ROUTING_SEED)),
         )
     raise ValueError(f"unknown partitioner spec {spec!r}")
@@ -258,13 +262,7 @@ class ShardedIndexLayout:
         return len(self.shard_dirs)
 
 
-def save_sharded(
-    index,
-    root: str | Path,
-    partitioner,
-    *,
-    shard_dir_format: str = "shard-{:02d}",
-) -> ShardedIndexLayout:
+def save_sharded(index, root: str | Path, partitioner) -> ShardedIndexLayout:
     """Split ``index`` by ``partitioner`` and persist one directory per shard.
 
     Each shard directory is a normal WAL-v3 index directory
@@ -281,7 +279,7 @@ def save_sharded(
     shard_dirs = []
     epochs = []
     for shard_id, shard in enumerate(shards):
-        shard_dir = root / shard_dir_format.format(shard_id)
+        shard_dir = root / f"shard-{shard_id:02d}"
         shard.save(shard_dir)
         report = shard.last_save_report or {}
         epochs.append(int(report.get("save_seq", 1)))
@@ -310,9 +308,11 @@ def load_sharded(root: str | Path) -> ShardedIndexLayout:
     """Read a :func:`save_sharded` layout's topology (shard data stays on disk).
 
     Raises :class:`FileNotFoundError` when ``root`` has no topology and
-    ``ValueError`` for an unreadable or inconsistent one.  Loading the
-    actual shard indexes is the caller's choice --
-    ``InvertedIndex.load(layout.shard_dirs[k], mmap=True)`` per shard, or
+    ``ValueError`` for an unreadable or inconsistent one: a shard count the
+    entries, the declaration and the partitioner do not agree on, an epoch
+    that is not an integer, or a shard directory that is not a plain name
+    under ``root``.  Loading the actual shard indexes is the caller's choice
+    -- ``InvertedIndex.load(layout.shard_dirs[k], mmap=True)`` per shard, or
     one shard-server process per directory.
     """
     root = Path(root)
@@ -320,18 +320,26 @@ def load_sharded(root: str | Path) -> ShardedIndexLayout:
     if not topology_path.exists():
         raise FileNotFoundError(f"no {TOPOLOGY_FILE} under {root}")
     try:
-        topology = json.loads(topology_path.read_text())
+        topology = json.loads(topology_path.read_text(encoding="utf-8"))
         partitioner = partitioner_from_spec(topology["partitioner"])
         entries = topology["shards"]
-        shard_dirs = tuple(root / entry["dir"] for entry in entries)
-        epochs = tuple(int(entry["epoch"]) for entry in entries)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        names = [entry["dir"] for entry in entries]
+        epochs = tuple(entry["epoch"] for entry in entries)
+    except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors too
         raise ValueError(f"unreadable shard topology under {root}: {exc!r}") from exc
-    if len(shard_dirs) != topology.get("num_shards"):
+    if not len(names) == topology.get("num_shards") == partitioner.num_shards:
         raise ValueError(
-            f"shard topology under {root} names {len(shard_dirs)} shards but "
-            f"declares {topology.get('num_shards')}"
+            f"shard topology under {root} names {len(names)} shards but declares "
+            f"{topology.get('num_shards')} and partitions over {partitioner.num_shards}"
         )
+    if not all(type(epoch) is int for epoch in epochs):
+        raise ValueError(f"shard topology under {root} has non-integer epochs {epochs}")
+    if not all(
+        isinstance(name, str) and name not in ("", "..") and Path(name).name == name
+        for name in names
+    ):
+        raise ValueError(f"shard topology under {root} names directories outside it: {names}")
+    shard_dirs = tuple(root / name for name in names)
     missing = [str(d) for d in shard_dirs if not d.is_dir()]
     if missing:
         raise ValueError(f"shard topology under {root} references missing {missing}")

@@ -34,15 +34,13 @@ without a rebuild:
   in the unsealed delta -- the document's rows in older segments stay
   physically present but are filtered out of every read path -- and roll the
   statistics back;
-* :meth:`seal_delta` freezes the delta into an immutable generation-0
-  segment (automatic at ``seal_threshold`` staged postings), so sustained
-  update streams accumulate **generational delta segments** instead of one
-  ever-growing mutable delta;
+* :meth:`seal_delta` (also run by ``maintain(force_seal=True)`` and
+  :meth:`save`) freezes the delta into an immutable generation-0 segment,
+  so sustained update streams accumulate **generational delta segments**
+  instead of one ever-growing mutable delta;
 * the :class:`~repro.textsearch.segments.TieredMergePolicy` compacts sealed
-  segments LSM-style: :meth:`maintain` runs due seals and merges, while
-  :meth:`begin_merges` / :meth:`commit_merge` split a merge into a planning
-  step and an atomic install, with the merge kernel running outside the
-  writer lock in between;
+  segments LSM-style: :meth:`maintain` merges every group the policy
+  names, under the writer lock;
 * :meth:`compact` folds *everything* (sealed segments, unsealed delta,
   tombstones) back into a single base segment.
 
@@ -51,7 +49,7 @@ The live index is a **writer that publishes snapshots**; every read
 ``in``...) is answered by the published :class:`IndexSnapshot` -- the one read
 implementation -- which sees the merged view, so a query against **any**
 segment configuration -- unsealed delta, multiple sealed generations,
-mid-merge, after a ``save``/``load`` round trip -- is **bit-identical** to
+after a ``save``/``load`` round trip -- is **bit-identical** to
 one against a from-scratch rebuild of the equivalent corpus.  Identity holds
 because every impact is the composition :meth:`build` uses of the scorer's
 two factors (:mod:`repro.textsearch.scoring`): a document factor computed
@@ -84,7 +82,6 @@ from __future__ import annotations
 import dataclasses
 import struct
 import threading
-import time
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,13 +99,13 @@ from repro.textsearch.segments import (
     DEFAULT_WAL_COMPACT_RECORDS,
     CorruptIndexError,
     IndexSegment,
-    MergeHandle,
     PostingColumns,
     SegmentInfo,
     SegmentManifest,
     TieredMergePolicy,
     _persist_state,
     merge_posting_runs,
+    merge_segment_parts,
     read_index_directory,
     repair_index_directory,
     rewrite_stale_columns,
@@ -188,13 +185,13 @@ class UpdateCounters:
     postings_dropped: int = 0
     #: Unsealed deltas frozen into generation-0 segments.
     segments_sealed: int = 0
-    #: Tiered background/foreground merges committed.
+    #: Tiered merges run by :meth:`InvertedIndex.maintain`.
     merges: int = 0
-    #: Input segments consumed by committed merges.
+    #: Input segments consumed by those merges.
     segments_merged: int = 0
-    #: Postings written out by committed merges (the LSM write amplification).
+    #: Postings written out by merges (the LSM write amplification).
     merge_postings_written: int = 0
-    #: Dead rows dropped (and consumed tombstones applied) by committed merges.
+    #: Dead rows dropped (and consumed tombstones applied) by merges.
     merge_postings_dropped: int = 0
 
 
@@ -474,15 +471,10 @@ class InvertedIndex:
 
     Parameters
     ----------
-    seal_threshold:
-        Staged-posting count at which :meth:`add_document` automatically
-        seals the unsealed delta into a generation-0 segment.  ``None`` (the
-        default) never auto-seals -- the single-delta behaviour -- leaving
-        sealing to explicit :meth:`seal_delta` / :meth:`maintain` calls.
     merge_policy:
-        The tiered compaction policy consulted by :meth:`maintain` and
-        :meth:`begin_merges`; defaults to
-        :class:`~repro.textsearch.segments.TieredMergePolicy` with fanout 4.
+        The tiered compaction policy consulted by :meth:`maintain`; defaults
+        to :class:`~repro.textsearch.segments.TieredMergePolicy` with
+        fanout 4.
     """
 
     def __init__(
@@ -496,7 +488,6 @@ class InvertedIndex:
         scorer: Scorer | None = None,
         tokenizer: Tokenizer | None = None,
         max_impact: float | None = None,
-        seal_threshold: int | None = None,
         merge_policy: TieredMergePolicy | None = None,
     ) -> None:
         lists = {
@@ -531,7 +522,6 @@ class InvertedIndex:
             scorer=scorer,
             tokenizer=tokenizer,
             max_impact=max_impact,
-            seal_threshold=seal_threshold,
             merge_policy=merge_policy,
             next_seq=1,
             next_segment_id=1,
@@ -548,7 +538,6 @@ class InvertedIndex:
         scorer: Scorer | None,
         tokenizer: Tokenizer | None,
         max_impact: float,
-        seal_threshold: int | None,
         merge_policy: TieredMergePolicy | None,
         next_seq: int,
         next_segment_id: int,
@@ -561,7 +550,6 @@ class InvertedIndex:
         self._max_impact = max_impact
         self._scorer: Scorer = scorer or CosineScorer()
         self._tokenizer: Tokenizer = tokenizer or Tokenizer()
-        self.seal_threshold = seal_threshold
         self.merge_policy = merge_policy or TieredMergePolicy()
         self._next_seq = next_seq
         self._next_segment_id = next_segment_id
@@ -590,8 +578,8 @@ class InvertedIndex:
         #: every mutation or manifest change unpublishes it.
         self._snapshot_handle: IndexSnapshot | None = None
         #: Serialises snapshot construction against the writer entry points
-        #: (add/remove, seal, merge commit, compact, save).  RLock: sealing
-        #: nests inside auto-seal and save.
+        #: (add/remove, seal, maintain, compact, save).  RLock: sealing nests
+        #: inside maintain and save.
         self._snapshot_lock = threading.RLock()
         #: What the last save/load persisted (uuid, save_seq, per-segment
         #: file records); threads through incremental saves.
@@ -629,7 +617,6 @@ class InvertedIndex:
         scorer: Scorer | None = None,
         quantise_levels: int = 255,
         block_size: int = 1024,
-        seal_threshold: int | None = None,
         merge_policy: TieredMergePolicy | None = None,
     ) -> "InvertedIndex":
         """Index a corpus: tokenize, score, discretise and impact-order.
@@ -691,7 +678,6 @@ class InvertedIndex:
             scorer=scorer,
             tokenizer=tokenizer,
             max_impact=max_impact,
-            seal_threshold=seal_threshold,
             merge_policy=merge_policy,
         )
         index._doc_factors = factors
@@ -748,9 +734,9 @@ class InvertedIndex:
         updates costs O(segments), not O(corpus).  Sealed posting counts
         reflect the physical arrays (a pending BM25 re-sort may still drop
         a few dead rows when it runs); the unsealed entry reports *staged*
-        counts -- its ``postings`` is the staged-term tally the
-        ``seal_threshold`` trigger uses, and ``terms`` counts the delta
-        lists materialised by the last read (0 while a refresh is pending).
+        counts -- its ``postings`` is the staged-term tally, and ``terms``
+        counts the delta lists materialised by the last read (0 while a
+        refresh is pending).
         """
         active = None
         if self.has_pending_updates:
@@ -776,9 +762,9 @@ class InvertedIndex:
         """Pin an immutable read view of the index at its current epoch.
 
         Lock-free between manifest changes: every caller gets the same
-        published :class:`IndexSnapshot`.  After a mutation, seal, merge
-        commit or compaction the next call builds one under the writer lock,
-        running the lazy refresh first.  Pinning is the serving layer's
+        published :class:`IndexSnapshot`.  After a mutation, seal, merge or
+        compaction the next call builds one under the writer lock, running
+        the lazy refresh first.  Pinning is the serving layer's
         concurrency contract: the index object stays single-writer, while any
         number of threads read snapshots, each frozen at its pin, as that
         writer seals, merges, compacts or saves.
@@ -887,8 +873,7 @@ class InvertedIndex:
         contributes no postings -- the delta stays empty -- but still counts
         towards the corpus statistics, exactly as a rebuild would count it.
         Duplicate ids of *live* documents are rejected; re-adding a
-        previously removed id is allowed.  When ``seal_threshold`` staged
-        postings accumulate, the delta is sealed automatically.
+        previously removed id is allowed.
 
         Like every writer entry point, this runs under the snapshot lock:
         readers holding an :class:`IndexSnapshot` are unaffected, and new
@@ -914,11 +899,6 @@ class InvertedIndex:
             self._register_mutation()
             self.update_counters.documents_added += 1
             self.update_counters.tokens_tokenised += sum(frequencies.values())
-            if (
-                self.seal_threshold is not None
-                and self._active_postings >= self.seal_threshold
-            ):
-                self.seal_delta()
 
     def add_documents(self, documents: Iterable[Document]) -> None:
         for document in documents:
@@ -997,128 +977,52 @@ class InvertedIndex:
             self.update_counters.segments_sealed += 1
             return segment.info()
 
-    def begin_merges(self) -> list[MergeHandle]:
-        """Plan every due tiered merge, returning one handle per group.
+    def maintain(self, *, force_seal: bool = False) -> dict:
+        """One synchronous maintenance step: refresh, seal on request, merge.
 
-        The merge itself is computed lazily at commit time, outside the
-        writer lock; the caller redeems each handle with :meth:`commit_merge`
-        when convenient.  Updates may continue between begin and commit: the
-        commit detects the moved epoch and schedules the impact refresh that
-        restores bit-identity.
+        Runs the pending impact refresh, seals the unsealed delta when
+        ``force_seal``, then merges every group the policy considers due --
+        all under the writer lock, so pinned snapshots keep serving the
+        input segments.  Returns ``{"sealed": bool, "merges_committed": int}``.
         """
         with self._snapshot_lock:
             self._ensure_fresh()
-            handles: list[MergeHandle] = []
-            for group in self.merge_policy.plan(self._segments):
-                ids = set(group)
-                positions = [
-                    i for i, segment in enumerate(self._segments) if segment.segment_id in ids
-                ]
-                chosen = [self._segments[i] for i in positions]
-                # Flush the inputs' deferred rewrites: the kernel must merge
-                # current arrays (it copies impacts/quants verbatim).
-                self._ensure_current_arrays(positions)
-                older_docs: set[int] = set()
-                for segment in self._segments[: positions[0]]:
-                    older_docs |= segment.documents
-                # Documents tombstoned by segments newer than the range: their
-                # rows still carry pre-removal impacts (the deferred rewrite
-                # skips dead rows), so the kernel must drop them or the merged
-                # runs come out unsorted.
-                external_dead = frozenset(self._dead_sets()[positions[-1]])
-                parts = [
-                    (dict(segment.lists), frozenset(segment.documents), frozenset(segment.tombstones))
-                    for segment in chosen
-                ]
-                handle = MergeHandle(
-                    segment_ids=tuple(segment.segment_id for segment in chosen),
-                    generation=max(segment.generation for segment in chosen) + 1,
-                    seq_lo=chosen[0].seq_lo,
-                    seq_hi=chosen[-1].seq_hi,
-                    epoch=self._update_epoch,
-                    _parts=parts,
-                    _older_docs=frozenset(older_docs),
-                    _external_dead=external_dead,
-                )
-                handles.append(handle)
-            return handles
+            sealed = self.seal_delta() if force_seal else None
+            groups = self.merge_policy.plan(self._segments)
+            for group in groups:
+                self._merge(set(group))
+        return {"sealed": sealed is not None, "merges_committed": len(groups)}
 
-    def commit_merge(self, handle: MergeHandle) -> bool:
-        """Install a finished merge, replacing its input segments.
-
-        Returns ``False`` (and changes nothing) when the inputs are no
-        longer all present -- a full :meth:`compact` or a competing commit
-        got there first, so the handle is simply discarded.  If the index
-        mutated since the merge was planned, the merged segment is installed
-        and the index marked stale, so the next read re-derives impacts
-        exactly as it would after any mutation batch.
-
-        The merged data is computed *outside* the lock; only this atomic
-        install runs under it, so readers pin snapshots freely while the
-        merge is in flight and the publish itself is a constant-time
-        segment-list swap.
-        """
-        ids = set(handle.segment_ids)
-        present = [segment for segment in self._segments if segment.segment_id in ids]
-        if len(present) != len(ids):
-            return False
-        # Redeem the handle before taking the lock: the lazy merge can be
-        # long, and nothing it reads is index state (the parts were copied
-        # at begin time).
-        merged_result = handle.result()
-        with self._snapshot_lock:
-            present = [
-                segment for segment in self._segments if segment.segment_id in ids
-            ]
-            if len(present) != len(ids):
-                return False
-            merged_lists, documents, tombstones, written, dropped = merged_result
-            merged = IndexSegment(
-                segment_id=self._next_segment_id,
-                generation=handle.generation,
-                seq_lo=handle.seq_lo,
-                seq_hi=handle.seq_hi,
-                lists=merged_lists,
-                documents=set(documents),
-                tombstones=set(tombstones),
-            )
-            self._next_segment_id += 1
-            position = next(
-                i for i, segment in enumerate(self._segments) if segment.segment_id in ids
-            )
-            remaining = [s for s in self._segments if s.segment_id not in ids]
-            remaining.insert(position, merged)
-            self._segments = remaining
-            counters = self.update_counters
-            counters.merges += 1
-            counters.segments_merged += len(ids)
-            counters.merge_postings_written += written
-            counters.merge_postings_dropped += dropped
-            self._unpublish()
-            if self._update_epoch != handle.epoch:
-                # The corpus moved while the merge ran: the merged arrays carry
-                # the planning-time impacts, so force the standard lazy refresh.
-                self._stale = True
-            return True
-
-    def maintain(self, *, force_seal: bool = False) -> dict:
-        """One synchronous maintenance step: seal when due, run due merges.
-
-        Seals the unsealed delta when ``force_seal`` or the
-        ``seal_threshold`` is reached, then commits every merge the policy
-        considers due.  Returns ``{"sealed": bool, "merges_committed": int}``.
-        """
-        sealed = None
-        if force_seal or (
-            self.seal_threshold is not None
-            and self._active_postings >= self.seal_threshold
-        ):
-            sealed = self.seal_delta()
-        committed = 0
-        for handle in self.begin_merges():
-            if self.commit_merge(handle):
-                committed += 1
-        return {"sealed": sealed is not None, "merges_committed": committed}
+    def _merge(self, ids: set[int]) -> None:
+        """Replace the segments named by ``ids`` (one contiguous seal-sequence
+        range) with their merge, one generation up."""
+        positions = [i for i, segment in enumerate(self._segments) if segment.segment_id in ids]
+        # The kernel copies impacts/quants verbatim: flush the inputs first.
+        self._ensure_current_arrays(positions)
+        chosen = [self._segments[i] for i in positions]
+        older_docs = set().union(*(s.documents for s in self._segments[: positions[0]]))
+        lists, documents, tombstones, written, dropped = merge_segment_parts(
+            chosen, older_docs, self._dead_sets()[positions[-1]]
+        )
+        merged = IndexSegment(
+            segment_id=self._next_segment_id,
+            generation=max(segment.generation for segment in chosen) + 1,
+            seq_lo=chosen[0].seq_lo,
+            seq_hi=chosen[-1].seq_hi,
+            lists=lists,
+            documents=documents,
+            tombstones=tombstones,
+        )
+        self._next_segment_id += 1
+        remaining = [s for s in self._segments if s.segment_id not in ids]
+        remaining.insert(positions[0], merged)
+        self._segments = remaining
+        counters = self.update_counters
+        counters.merges += 1
+        counters.segments_merged += len(chosen)
+        counters.merge_postings_written += written
+        counters.merge_postings_dropped += dropped
+        self._unpublish()
 
     def compact(self) -> CompactionReport:
         """Fold every segment, the unsealed delta and all tombstones together.
@@ -1200,7 +1104,6 @@ class InvertedIndex:
         self,
         path: str | Path,
         *,
-        include_document_terms: bool = True,
         wal_compact_records: int = DEFAULT_WAL_COMPACT_RECORDS,
     ) -> SegmentManifest:
         """Persist the index as a columnar segment directory.
@@ -1219,10 +1122,9 @@ class InvertedIndex:
             reference, never rewritten.  A save that dies mid-write leaves
             the previous record the newest consistent one.  Every other save
             (first save, new path, a directory someone else has since
-            written) is wholesale, under a fresh directory identity.
-        include_document_terms:
-            ``False`` saves a smaller, read-only directory without the
-            per-document term frequencies, and forces a wholesale save.
+            written) is wholesale, under a fresh directory identity.  An
+            index without per-document term frequencies (a :meth:`split`
+            shard) always saves wholesale, to a read-only directory.
         wal_compact_records:
             Compact the manifest log once it would exceed this many records.
 
@@ -1233,8 +1135,7 @@ class InvertedIndex:
         do not call concurrently with another ``save`` on the same instance.
         """
         want_incremental = (
-            include_document_terms
-            and self._doc_terms is not None
+            self._doc_terms is not None
             and self._persist is not None
             and self._persist.get("path") == str(Path(path).resolve())
         )
@@ -1253,7 +1154,6 @@ class InvertedIndex:
                 "max_impact": self._max_impact,
                 "next_seq": self._next_seq,
                 "next_segment_id": self._next_segment_id,
-                "seal_threshold": self.seal_threshold,
                 "merge_policy": (
                     {"fanout": self.merge_policy.fanout}
                     if isinstance(self.merge_policy, TieredMergePolicy)
@@ -1271,7 +1171,7 @@ class InvertedIndex:
                 path,
                 segments=self._segments,
                 extra=extra,
-                document_terms=self._doc_terms if include_document_terms else None,
+                document_terms=self._doc_terms,
                 persist_state=self._persist if want_incremental else None,
                 runtime_fresh=runtime_fresh,
                 wal_compact_records=wal_compact_records,
@@ -1288,66 +1188,39 @@ class InvertedIndex:
         mmap: bool = False,
         scorer: Scorer | None = None,
         tokenizer: Tokenizer | None = None,
-        seal_threshold=_MISSING,
         merge_policy=_MISSING,
-        transient_retries: int = 2,
-        retry_sleep: Callable[[float], None] = time.sleep,
     ) -> "InvertedIndex":
         """Restore a :meth:`save` directory.
 
         With ``mmap=True`` segment files are memory-mapped and each term's
         columns materialise on first access, so cold start costs manifest
         I/O plus the pages queries touch (a byte-order-mismatched platform
-        falls back to eager reads with a byteswap).  Scorer, tokenizer,
-        ``seal_threshold`` and ``merge_policy`` restore from the manifest
-        unless given here; a custom scorer must be passed as ``scorer=``
-        when the directory carries document terms; a custom policy class
-        does not round-trip.
+        falls back to eager reads with a byteswap).  Scorer, tokenizer and
+        ``merge_policy`` restore from the manifest unless given here; a
+        custom scorer must be passed as ``scorer=`` when the directory
+        carries document terms; a custom policy class does not round-trip.
 
         Failures are typed: a nonexistent directory raises
         :class:`FileNotFoundError`, an unrecoverable one
         :class:`~repro.textsearch.segments.CorruptIndexError`.  A torn
-        re-save falls back to the newest ``wal.log`` record whose frame and
-        data files verify, restoring exactly what that save committed
-        (audit and repair: :meth:`verify_directory` /
-        :meth:`repair_directory`).  Errors whose ``transient`` attribute is
-        true are retried up to ``transient_retries`` times through the
-        injectable ``retry_sleep``.
+        re-save falls back to the newest ``wal.log`` record whose frame,
+        metadata and data files verify, restoring exactly what that save
+        committed (audit and repair: :meth:`verify_directory` /
+        :meth:`repair_directory`).
 
         Any number of processes may load one directory concurrently (reads
         never mutate it, and the page cache shares the mapped bytes); the
         returned index object is single-threaded like any other.
         """
-        attempts = 0
-        while True:
-            try:
-                manifest, segments, document_terms, buffers = read_index_directory(
-                    path, use_mmap=mmap
-                )
-                break
-            except Exception as exc:
-                if not getattr(exc, "transient", False) or attempts >= transient_retries:
-                    raise
-                attempts += 1
-                retry_sleep(0.01 * attempts)
-        try:
-            stats_raw = manifest["stats"]
-            stats = CorpusStatistics(
-                num_documents=stats_raw["num_documents"],
-                document_frequencies=dict(stats_raw["document_frequencies"]),
-                average_document_length=stats_raw["average_document_length"],
-            )
-            quantise_levels = manifest["quantise_levels"]
-            block_size = manifest["block_size"]
-            max_impact = manifest["max_impact"]
-            next_seq = manifest["next_seq"]
-            next_segment_id = manifest["next_segment_id"]
-        except (KeyError, TypeError) as exc:
-            raise CorruptIndexError(
-                f"index manifest under {path} is missing required metadata "
-                f"({exc!r})",
-                path=path,
-            ) from exc
+        manifest, segments, document_terms, buffers = read_index_directory(
+            path, use_mmap=mmap
+        )
+        stats_raw = manifest["stats"]
+        stats = CorpusStatistics(
+            num_documents=stats_raw["num_documents"],
+            document_frequencies=dict(stats_raw["document_frequencies"]),
+            average_document_length=stats_raw["average_document_length"],
+        )
         if scorer is None:
             scorer = _scorer_from_spec(manifest.get("scorer"))
             if scorer is None and document_terms is not None:
@@ -1357,8 +1230,6 @@ class InvertedIndex:
                 )
         if tokenizer is None:
             tokenizer = _tokenizer_from_spec(manifest.get("tokenizer"))
-        if seal_threshold is _MISSING:
-            seal_threshold = manifest.get("seal_threshold")
         if merge_policy is _MISSING:
             policy_spec = manifest.get("merge_policy")
             merge_policy = (
@@ -1368,16 +1239,15 @@ class InvertedIndex:
         index._install(
             segments=segments,
             stats=stats,
-            quantise_levels=quantise_levels,
-            block_size=block_size,
+            quantise_levels=manifest["quantise_levels"],
+            block_size=manifest["block_size"],
             document_terms=document_terms,
             scorer=scorer,
             tokenizer=tokenizer,
-            max_impact=max_impact,
-            seal_threshold=seal_threshold,
+            max_impact=manifest["max_impact"],
             merge_policy=merge_policy,
-            next_seq=next_seq,
-            next_segment_id=next_segment_id,
+            next_seq=manifest["next_seq"],
+            next_segment_id=manifest["next_segment_id"],
             buffers=buffers,
         )
         # Adopt the directory identity so the next save() of this instance

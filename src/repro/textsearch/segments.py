@@ -27,10 +27,9 @@ The pieces provided here:
   them merge into one segment of the next generation.  The base segment (the
   product of :meth:`InvertedIndex.build` or a full ``compact()``) is never
   selected; folding into it is what ``compact()`` is for.
-* :func:`merge_segment_parts` -- the pure merge kernel, reading only the
-  parts :meth:`InvertedIndex.begin_merges` copied, so it runs outside the
-  writer lock; :class:`MergeHandle` carries the planned merge to
-  ``commit_merge``.
+* :func:`merge_segment_parts` -- the pure merge kernel
+  :meth:`InvertedIndex.maintain` runs on each due group, under the writer
+  lock.
 * :func:`write_index_directory` / :func:`read_index_directory` -- the
   crash-safe on-disk directory behind :meth:`InvertedIndex.save` / ``load``
   (format and durability order: the comment block above
@@ -62,7 +61,6 @@ __all__ = [
     "SegmentInfo",
     "SegmentManifest",
     "TieredMergePolicy",
-    "MergeHandle",
     "merge_posting_runs",
     "merge_segment_parts",
     "rewrite_stale_columns",
@@ -125,10 +123,9 @@ def install_io_fault_hook(
     previous hook.
 
     Raising from the hook aborts the intercepted operation -- this is how
-    :meth:`repro.core.faults.FaultInjector.io_hook` injects transient and
-    permanent storage faults on a seeded schedule without this module
-    importing the fault machinery (retry sites classify errors by the
-    duck-typed ``transient`` attribute).
+    :meth:`repro.core.faults.FaultInjector.io_hook` injects storage faults
+    on a seeded schedule without this module importing the fault machinery.
+    Nothing retries them: a failed save or load propagates the error.
     """
     global _IO_FAULT_HOOK
     previous = _IO_FAULT_HOOK
@@ -445,19 +442,19 @@ def merge_posting_runs(
 
 
 def merge_segment_parts(
-    parts: Sequence[tuple[Mapping[str, PostingColumns], frozenset[int], frozenset[int]]],
-    older_docs: frozenset[int],
-    external_dead: frozenset[int] = frozenset(),
+    segments: Sequence[IndexSegment],
+    older_docs: AbstractSet[int],
+    external_dead: AbstractSet[int],
 ) -> tuple[dict[str, PostingColumns], set[int], set[int], int, int]:
-    """The pure merge kernel: fold ordered segment parts into one.
+    """The pure merge kernel: fold ordered segments into one.
 
-    ``parts`` are ``(lists, documents, tombstones)`` triples ordered oldest
-    to newest (a contiguous seal-sequence range); ``older_docs`` is the union
-    of document sets of every segment *older than the range* at planning
-    time.  Tombstones internal to the range are applied (their rows dropped
-    and the tombstone consumed); a tombstone survives into the merged
-    segment only if its document actually has rows in an older segment --
-    anything else can never match again and is garbage-collected here.
+    ``segments`` are ordered oldest to newest (a contiguous seal-sequence
+    range) and read, never mutated; ``older_docs`` is the union of document
+    sets of every segment *older than the range*.  Tombstones internal to
+    the range are applied (their rows dropped and the tombstone consumed); a
+    tombstone survives into the merged segment only if its document
+    actually has rows in an older segment -- anything else can never match
+    again and is garbage-collected here.
 
     ``external_dead`` names documents tombstoned by segments *newer than
     the range* (including the unsealed delta).  Their rows must be dropped
@@ -471,23 +468,23 @@ def merge_segment_parts(
     Returns ``(lists, documents, tombstones, postings_written,
     postings_dropped)``.
     """
-    count = len(parts)
+    count = len(segments)
     dead_for: list[AbstractSet[int]] = [_EMPTY] * count
     accumulated: set[int] = set(external_dead)
     for position in range(count - 1, -1, -1):
         dead_for[position] = frozenset(accumulated) if accumulated else _EMPTY
-        accumulated |= parts[position][2]
+        accumulated |= segments[position].tombstones
 
     all_terms = dict.fromkeys(
-        term for lists, _, _ in parts for term in lists
+        term for segment in segments for term in segment.lists
     )
     merged_lists: dict[str, PostingColumns] = {}
     postings_written = 0
     postings_before = 0
     for term in all_terms:
         runs = [
-            (parts[position][0].get(term), dead_for[position])
-            for position in range(count)
+            (segment.lists.get(term), dead)
+            for segment, dead in zip(segments, dead_for)
         ]
         postings_before += sum(len(r) for r, _ in runs if r is not None)
         merged = merge_posting_runs(runs)
@@ -496,13 +493,12 @@ def merge_segment_parts(
             postings_written += len(merged)
 
     documents: set[int] = set()
-    for position, (_, docs, _) in enumerate(parts):
-        dead = dead_for[position]
-        documents.update(doc for doc in docs if doc not in dead)
+    for segment, dead in zip(segments, dead_for):
+        documents.update(doc for doc in segment.documents if doc not in dead)
     tombstones = {
         doc
-        for _, _, stones in parts
-        for doc in stones
+        for segment in segments
+        for doc in segment.tombstones
         if doc in older_docs
     }
     return merged_lists, documents, tombstones, postings_written, postings_before - postings_written
@@ -573,36 +569,6 @@ def rewrite_stale_columns(
         new_impacts[position] = fresh
         new_quants[position] = quantise_impact(fresh, max_impact, levels)
     return PostingColumns(doc_ids, new_impacts, new_quants), "requantise"
-
-
-@dataclass
-class MergeHandle:
-    """One planned segment merge.
-
-    Produced by ``InvertedIndex.begin_merges`` and redeemed by
-    ``commit_merge``; the merge runs lazily when the result is first needed,
-    and queries keep serving from the untouched inputs until the commit.
-    """
-
-    segment_ids: tuple[int, ...]
-    generation: int
-    seq_lo: int
-    seq_hi: int
-    #: ``update_epoch`` at planning time; a commit under a moved epoch marks
-    #: the index stale so the next read re-derives impacts.
-    epoch: int
-    _parts: list | None = None
-    _older_docs: frozenset[int] | None = None
-    _external_dead: frozenset[int] = frozenset()
-    _result: tuple | None = None
-
-    def result(self) -> tuple:
-        if self._result is None:
-            self._result = merge_segment_parts(
-                self._parts, self._older_docs, self._external_dead
-            )
-            self._parts = None
-        return self._result
 
 
 # -- on-disk columnar directory format -------------------------------------------
@@ -1061,6 +1027,32 @@ _SEGMENT_ENTRY_SHAPE: dict[str, Callable[[object], bool]] = {
 }
 
 
+def _number(value) -> bool:
+    """True for a finite, non-negative JSON number."""
+    return isinstance(value, (int, float)) and 0 <= value < float("inf")
+
+
+#: The same for the record itself: the directory fields, then the
+#: index-level metadata ``InvertedIndex.load`` restores from it.
+_RECORD_SHAPE: dict[str, Callable[[object], bool]] = {
+    "segments": lambda value: isinstance(value, list),
+    "integrity": lambda value: isinstance(value, dict),
+    "save_seq": lambda value: isinstance(value, int),
+    "uuid": lambda value: isinstance(value, str),
+    "doc_terms_file": lambda value: value is None or isinstance(value, str),
+    "stats": lambda value: isinstance(value, dict)
+    and isinstance(value.get("num_documents"), int)
+    and _number(value.get("average_document_length"))
+    and isinstance(value.get("document_frequencies"), dict)
+    and all(isinstance(df, int) for df in value["document_frequencies"].values()),
+    "quantise_levels": lambda value: isinstance(value, int) and value >= 1,
+    "block_size": lambda value: isinstance(value, int) and value >= 1,
+    "max_impact": _number,
+    "next_seq": lambda value: isinstance(value, int),
+    "next_segment_id": lambda value: isinstance(value, int),
+}
+
+
 def _manifest_problems(root: Path, manifest: Mapping) -> list[str]:
     """Cheap consistency check of one parsed manifest against the directory.
 
@@ -1077,14 +1069,8 @@ def _manifest_problems(root: Path, manifest: Mapping) -> list[str]:
             f"format version {manifest.get('version')!r} is not the version "
             f"this reader supports ({INDEX_FORMAT_VERSION})"
         ]
-    for key, kind in (
-        ("segments", list),
-        ("integrity", dict),
-        ("save_seq", int),
-        ("uuid", str),
-        ("doc_terms_file", (str, type(None))),
-    ):
-        if not isinstance(manifest.get(key), kind):
+    for key, well_formed in _RECORD_SHAPE.items():
+        if not well_formed(manifest.get(key)):
             return [f"manifest has no well-formed {key!r}"]
     integrity = manifest["integrity"]
     doc_terms_name = manifest["doc_terms_file"]

@@ -112,38 +112,6 @@ class TestRunSession:
         system.run_session(session, k=5)
         assert pool.seed_encryptions == max(before, stocked)
 
-    def test_streamed_session_matches_batch_rankings(self, system, organization):
-        from repro.core.session import QuerySession
-
-        session = QuerySession(
-            queries=(
-                (organization.buckets[4][0], organization.buckets[9][1]),
-                (organization.buckets[2][0],),
-                (organization.buckets[1][0],),
-            )
-        )
-        batch = system.client.run_session(session, system.server, k=5)
-        streamed = system.client.run_session(session, system.server, k=5, stream=True)
-        # stream=True returns a lazy iterator, not a list.
-        assert not isinstance(streamed, list)
-        assert [r.ranking for r in streamed] == [r.ranking for r in batch]
-
-    def test_streamed_session_validates_before_first_yield(self, index, organization):
-        from repro.core.session import QuerySession
-
-        tight = PrivateSearchSystem(
-            index=index,
-            organization=organization,
-            key_bits=128,
-            block_size=3**5,
-            rng=random.Random(5),
-        )
-        session = QuerySession(queries=(tuple(index.terms[:2]),))
-        # The plaintext-space guard fires when the call is made, not when the
-        # returned iterator is first advanced.
-        with pytest.raises(ValueError):
-            tight.client.run_session(session, tight.server, k=5, stream=True)
-
     def test_overflowing_session_query_rejected(self, index, organization):
         from repro.core.session import QuerySession
 
@@ -157,9 +125,6 @@ class TestRunSession:
         session = QuerySession(queries=(tuple(index.terms[:2]),))
         with pytest.raises(ValueError):
             tight.run_session(session, k=5)
-        # The client-level entry point enforces the same plaintext-space guard.
-        with pytest.raises(ValueError):
-            tight.client.run_session(session, tight.server, k=5)
 
 
 class TestEstimateCosts:

@@ -61,7 +61,7 @@ class TestFaultPlanRates:
             FaultPlan(kill_rate=1.0).decide(i, 0) == KILL for i in range(50)
         )
         assert all(
-            FaultPlan(io_transient_rate=1.0).decide_io(i) == TRANSIENT for i in range(50)
+            FaultPlan(io_permanent_rate=1.0).decide_io(i) == PERMANENT for i in range(50)
         )
 
     def test_rates_stack_in_declaration_order(self):
@@ -75,12 +75,6 @@ class TestFaultPlanRates:
         assert 0.2 < kills < 0.3
         assert 0.2 < transients < 0.3
         assert 0.45 < clean < 0.55
-
-    def test_io_rates_stack_too(self):
-        plan = FaultPlan(seed=11, io_transient_rate=0.5, io_permanent_rate=0.5)
-        decisions = [plan.decide_io(i) for i in range(500)]
-        assert None not in decisions
-        assert TRANSIENT in decisions and PERMANENT in decisions
 
 
 class TestExplicitSchedules:
@@ -98,35 +92,31 @@ class TestExplicitSchedules:
         assert plan.decide(7, 0) is None
 
     def test_explicit_io_schedule(self):
-        plan = FaultPlan(
-            io_transient_at=frozenset({0, 2}), io_permanent_at=frozenset({5})
-        )
-        assert [plan.decide_io(i) for i in range(6)] == [
-            TRANSIENT, None, TRANSIENT, None, None, PERMANENT,
-        ]
+        plan = FaultPlan(io_permanent_at=frozenset({0, 2}))
+        assert [plan.decide_io(i) for i in range(4)] == [PERMANENT, None, PERMANENT, None]
 
 
 class TestFaultInjectorIoHook:
     def test_hook_consumes_ordinals_in_call_order(self):
-        injector = FaultInjector(plan=FaultPlan(io_transient_at=frozenset({1, 3})))
+        injector = FaultInjector(plan=FaultPlan(io_permanent_at=frozenset({1, 3})))
         hook = injector.io_hook()
-        hook("read", "manifest.json")  # ordinal 0: clean
-        with pytest.raises(TransientFaultError):
+        hook("read", "wal.log")  # ordinal 0: clean
+        with pytest.raises(PermanentFaultError):
             hook("read", "segment_0_0.bin")  # ordinal 1: faulted
         hook("read", "segment_0_1.bin")  # ordinal 2: clean
-        with pytest.raises(TransientFaultError):
+        with pytest.raises(PermanentFaultError):
             hook("write", "doc_terms_0.json")  # ordinal 3: faulted
         assert injector.io_operations == 4
         assert injector.io_faults == 2
 
     def test_permanent_io_fault_type(self):
-        hook = io_fault_hook(FaultPlan(io_permanent_at=frozenset({0})))
+        hook = io_fault_hook(FaultPlan(io_permanent_rate=1.0))
         with pytest.raises(PermanentFaultError):
-            hook("read", "manifest.json")
+            hook("read", "wal.log")
 
     def test_error_messages_name_operation_and_path(self):
-        hook = io_fault_hook(FaultPlan(io_transient_at=frozenset({0})))
-        with pytest.raises(TransientFaultError, match="read of /some/path"):
+        hook = io_fault_hook(FaultPlan(io_permanent_at=frozenset({0})))
+        with pytest.raises(PermanentFaultError, match="read of /some/path"):
             hook("read", "/some/path")
 
 

@@ -233,6 +233,35 @@ def test_load_sharded_rejects_corrupt_topology(index, tmp_path):
         load_sharded(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param({"partitioner": ["hash", 1]}, id="partitioner-not-an-object"),
+        pytest.param(
+            {"partitioner": {"kind": "buckets", "num_shards": 1, "assignments": []}},
+            id="assignments-a-list",
+        ),
+        pytest.param({"partitioner": {"kind": "hash", "num_shards": 3}}, id="shard-count"),
+        pytest.param({"shards": [{"dir": "shard-00", "epoch": 1.7}]}, id="fractional-epoch"),
+        pytest.param({"shards": [{"dir": "/", "epoch": 1}]}, id="absolute-dir"),
+        pytest.param({"shards": [{"dir": "..", "epoch": 1}]}, id="parent-dir"),
+        pytest.param(None, id="not-utf-8"),
+    ],
+)
+def test_load_sharded_rejects_an_inconsistent_topology(index, tmp_path, edit):
+    """Each is a ValueError naming the topology: never an untyped error, a
+    truncated epoch, or a shard directory outside the layout."""
+    root = tmp_path / "layout"
+    save_sharded(index, root, HashPartitioner(num_shards=1))
+    path = root / TOPOLOGY_FILE
+    if edit is None:
+        path.write_bytes(path.read_bytes().replace(b"shard-00", b"shard-\xff"))
+    else:
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(ValueError, match="shard topology"):
+        load_sharded(root)
+
+
 def test_load_sharded_rejects_missing_shard_dir(index, tmp_path):
     layout = save_sharded(index, tmp_path, HashPartitioner(num_shards=2))
     import shutil

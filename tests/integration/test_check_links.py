@@ -1,4 +1,4 @@
-"""The docs gate: ``scripts/check_links.py`` flags repo paths that are gone."""
+"""The docs gate: ``scripts/check_links.py`` flags repo paths and names that are gone."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ _spec.loader.exec_module(check_links)
 def repo(tmp_path):
     """A git tree with one tracked module and an ignored ``out/`` directory."""
     (tmp_path / "src" / "pkg").mkdir(parents=True)
-    (tmp_path / "src" / "pkg" / "mod.py").write_text("")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("def kept_name():\n    return KeptClass\n")
     (tmp_path / "docs").mkdir()
     (tmp_path / ".gitignore").write_text("out/\n")
     subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True, capture_output=True)
@@ -58,3 +58,25 @@ def test_only_readme_among_the_root_notes_describes_the_tree(tmp_path):
     assert check_links.describes_tree(tmp_path / "docs" / "operations.md", tmp_path)
     assert not check_links.describes_tree(tmp_path / "CHANGES.md", tmp_path)
     assert not check_links.describes_tree(tmp_path / "ROADMAP.md", tmp_path)
+
+
+def test_a_backticked_name_no_python_file_has_is_reported(repo):
+    text = "Call `pkg.kept_name()` on a `KeptClass`,\nnot `pkg.vanished_name`.\n"
+    assert problems_in(repo, text) == [
+        "docs/guide.md:2: no Python name 'vanished_name' in the tree"
+    ]
+
+
+def test_only_underscored_or_camel_case_parts_of_dotted_names_are_checked():
+    line = (
+        "`os.path`, `HTTP`, `Document`, `wal.log`, `check_links.py`, "
+        "`a.b_c()`, `InvertedIndex.load`, `f(x)`, `--seed 3`"
+    )
+    assert check_links.cited_names(line) == ["b_c", "InvertedIndex"]
+
+
+def test_the_benchmark_readme_is_exempt_from_the_name_check(repo):
+    readme = repo / "benchmarks" / "e2e" / "README.md"
+    readme.parent.mkdir(parents=True)
+    readme.write_text("Times `layers.vanished_probe`.\n")
+    assert check_links.check_file(readme, repo, check_links.RepoPaths(repo)) == []

@@ -203,9 +203,7 @@ class TestConcurrentReaderThread:
             for i in range(12)
         ]
         index = InvertedIndex.build(
-            Corpus(base),
-            seal_threshold=2,
-            merge_policy=TieredMergePolicy(fanout=2),
+            Corpus(base), merge_policy=TieredMergePolicy(fanout=2)
         )
         snapshot = index.snapshot()
         terms = sorted(snapshot.terms)
@@ -236,6 +234,7 @@ class TestConcurrentReaderThread:
                     )
                 )
                 next_id += 1
+                index.seal_delta()
                 if round_no % 3 == 0:
                     index.remove_document(next_id - 1)
                 index.maintain(force_seal=round_no % 2 == 0)
@@ -278,7 +277,6 @@ class TestServingCacheRegression:
                     Document(doc_id=3, text="radiation therapy water"),
                 ]
             ),
-            seal_threshold=1,
             merge_policy=TieredMergePolicy(fanout=2),
         )
         snapshot = index.snapshot()
@@ -379,8 +377,7 @@ class TestServingCacheRegression:
         """Counter-check: a server over the *live* index (not a snapshot)
         still follows its epoch and serves the new truth."""
         index = InvertedIndex.build(
-            Corpus([Document(doc_id=1, text="water soaked tissues")]),
-            seal_threshold=1,
+            Corpus([Document(doc_id=1, text="water soaked tissues")])
         )
         terms = sorted(index.terms)
         organization = simple_buckets(terms, {}, bucket_size=3)

@@ -12,17 +12,13 @@ import shutil
 
 import pytest
 
-from repro.core.faults import (
-    FaultInjector,
-    FaultPlan,
-    PermanentFaultError,
-    TransientFaultError,
-)
+from repro.core.faults import FaultInjector, FaultPlan, PermanentFaultError
 from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex
 from repro.textsearch.segments import (
     _TERM_BLOCK_FACTOR,
     _frame_wal_record,
     install_io_fault_hook,
+    read_index_directory,
     read_manifest_log,
     repair_index_directory,
     verify_index_directory,
@@ -190,6 +186,38 @@ class TestTruncationAtEveryBoundary:
         (root / "wal.log").unlink()
         assert verify_index_directory(root)["recoverable"] is None
         with pytest.raises(CorruptIndexError):
+            InvertedIndex.load(root)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param(("stats", "document_frequencies"), "abc", id="stats"),
+            pytest.param(("quantise_levels",), "x", id="quantise-levels"),
+            pytest.param(("block_size",), 0, id="block-size"),
+            pytest.param(("next_seq",), "x", id="next-seq"),
+        ],
+    )
+    def test_malformed_index_metadata_is_a_damaged_record(self, tmp_path, key, value):
+        """A record's index-level metadata is checked like its segment
+        entries: reported, passed over for the record behind it, and a typed
+        error when nothing is behind it -- never a load that fails on first
+        read or save."""
+        root, _snap_a, snap_b = _two_generation_directory(tmp_path)
+        record = read_manifest_log(root)[-1]
+        behind = f"wal.log#{record['save_seq']}"
+        record["save_seq"] += 1
+        frame, source = _malformed(*key, value=value)(record)
+        with open(root / "wal.log", "ab") as log:
+            log.write(frame)
+        report = verify_index_directory(root)
+        assert report["problems"][source]
+        assert report["recoverable"] == behind
+        assert read_index_directory(root)[0]["recovered_from"] == behind
+        loaded = InvertedIndex.load(root)
+        assert _snapshot(loaded) == snap_b
+        loaded.save(root)
+        (root / "wal.log").write_bytes(frame)
+        with pytest.raises(CorruptIndexError, match="well-formed"):
             InvertedIndex.load(root)
 
     def test_torn_current_data_file_falls_back_to_previous_generation(self, tmp_path):
@@ -380,45 +408,15 @@ class TestVerifyAndRepair:
         assert deep["ok"] is False
 
 
-class TestTransientStorageFaults:
-    def test_transient_read_fault_is_retried_to_success(self, tmp_path):
-        root = _saved_directory(tmp_path)
-        expected = _snapshot(InvertedIndex.load(root))
-        injector = FaultInjector(plan=FaultPlan(io_transient_at=frozenset({0})))
-        sleeps = []
-        previous = install_io_fault_hook(injector.io_hook())
-        try:
-            loaded = InvertedIndex.load(root, retry_sleep=sleeps.append)
-        finally:
-            install_io_fault_hook(previous)
-        assert _snapshot(loaded) == expected
-        assert injector.io_faults == 1
-        assert sleeps == [0.01]  # injectable: no real waiting in CI
-
-    def test_transient_budget_exhausted_propagates(self, tmp_path):
-        root = _saved_directory(tmp_path)
-        # Fault the first operation of every attempt (each load retry starts
-        # a fresh pass over the directory, consuming fresh ordinals).
-        injector = FaultInjector(plan=FaultPlan(io_transient_rate=1.0))
-        previous = install_io_fault_hook(injector.io_hook())
-        try:
-            with pytest.raises(TransientFaultError):
-                InvertedIndex.load(
-                    root, transient_retries=2, retry_sleep=lambda _s: None
-                )
-        finally:
-            install_io_fault_hook(previous)
-        assert injector.io_faults == 3  # initial attempt + 2 retries
-
+class TestStorageFaults:
     def test_permanent_read_fault_propagates_unretried(self, tmp_path):
         root = _saved_directory(tmp_path)
-        injector = FaultInjector(plan=FaultPlan(io_permanent_at=frozenset({0})))
-        sleeps = []
+        injector = FaultInjector(plan=FaultPlan(io_permanent_rate=1.0))
         previous = install_io_fault_hook(injector.io_hook())
         try:
             with pytest.raises(PermanentFaultError):
-                InvertedIndex.load(root, retry_sleep=sleeps.append)
+                InvertedIndex.load(root)
         finally:
             install_io_fault_hook(previous)
-        assert sleeps == []
-        assert injector.io_faults == 1
+        # Every operation would fault: the first one raised, and nothing retried.
+        assert injector.io_operations == injector.io_faults == 1

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.partitioning import HashPartitioner
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex
 from repro.textsearch.scoring import BM25Scorer
@@ -83,16 +84,6 @@ class TestSealing:
         )
         assert_indexes_identical(index, rebuilt)
 
-    def test_auto_seal_at_threshold(self, base_documents, extra_documents):
-        index = InvertedIndex.build(Corpus(base_documents), seal_threshold=1)
-        index.add_documents(extra_documents[:3])
-        # Every add crosses the one-posting threshold, so each sealed alone.
-        assert index.num_segments == 4
-        assert index.update_counters.segments_sealed == 3
-        assert not index.has_pending_updates
-        rebuilt = InvertedIndex.build(Corpus(base_documents + extra_documents[:3]))
-        assert_indexes_identical(index, rebuilt)
-
     def test_remove_after_seal_tombstones_the_sealed_rows(self, base_documents, extra_documents):
         index = InvertedIndex.build(Corpus(base_documents))
         index.add_document(extra_documents[0])
@@ -161,11 +152,11 @@ class TestTieredMerging:
         self, base_documents, extra_documents
     ):
         index = InvertedIndex.build(
-            Corpus(base_documents),
-            seal_threshold=1,
-            merge_policy=TieredMergePolicy(fanout=2),
+            Corpus(base_documents), merge_policy=TieredMergePolicy(fanout=2)
         )
-        index.add_documents(extra_documents[:4])  # four generation-0 seals
+        for document in extra_documents[:4]:  # four generation-0 seals
+            index.add_document(document)
+            index.seal_delta()
         assert index.num_segments == 5
         report = index.maintain()
         assert report["merges_committed"] >= 1
@@ -191,9 +182,7 @@ class TestTieredMerging:
         # Two generation-0 segments; the newer one's tombstone kills the
         # older one's rows, and since doc 10 lives nowhere older than the
         # merged range the tombstone must be consumed by the merge.
-        handles = index.begin_merges()
-        assert len(handles) == 1
-        assert index.commit_merge(handles[0])
+        assert index.maintain()["merges_committed"] == 1
         assert index.num_tombstones == 0
         assert index.update_counters.merge_postings_dropped > 0
         rebuilt = InvertedIndex.build(Corpus(base_documents + [extra_documents[1]]))
@@ -208,8 +197,7 @@ class TestTieredMerging:
         index.remove_document(2)  # rows live in the base segment
         index.add_document(extra_documents[1])
         index.seal_delta()
-        handles = index.begin_merges()
-        assert index.commit_merge(handles[0])
+        assert index.maintain()["merges_committed"] == 1
         # The tombstone survives the merge (its rows are in the base,
         # outside the merged range) and keeps filtering reads.
         assert index.num_tombstones == 1
@@ -219,36 +207,6 @@ class TestTieredMerging:
             )
         )
         assert_indexes_identical(index, rebuilt)
-
-    def test_commit_after_compact_discards_handle(self, base_documents, extra_documents):
-        index = InvertedIndex.build(
-            Corpus(base_documents),
-            seal_threshold=1,
-            merge_policy=TieredMergePolicy(fanout=2),
-        )
-        index.add_documents(extra_documents[:2])
-        handles = index.begin_merges()
-        assert handles
-        index.compact()  # the inputs are gone
-        assert index.commit_merge(handles[0]) is False
-        rebuilt = InvertedIndex.build(Corpus(base_documents + extra_documents[:2]))
-        assert_indexes_identical(index, rebuilt)
-
-    def test_mutations_between_begin_and_commit_stay_bit_identical(
-        self, base_documents, extra_documents
-    ):
-        index = InvertedIndex.build(
-            Corpus(base_documents),
-            seal_threshold=1,
-            merge_policy=TieredMergePolicy(fanout=2),
-        )
-        index.add_documents(extra_documents[:2])
-        handles = index.begin_merges()
-        index.add_document(extra_documents[2])  # moves the epoch mid-merge
-        index.remove_document(1)
-        assert index.commit_merge(handles[0])
-        live = [d for d in base_documents if d.doc_id != 1] + extra_documents[:3]
-        assert_indexes_identical(index, InvertedIndex.build(Corpus(live)))
 
     def test_merge_drops_rows_tombstoned_outside_the_range(self, base_documents, extra_documents):
         """Regression: rows tombstoned by a segment *newer than the merged
@@ -268,8 +226,7 @@ class TestTieredMerging:
         index.remove_document(1)
         index.remove_document(2)
         index.seal_delta()  # external tombstones live in this newer segment
-        for handle in index.begin_merges():
-            assert index.commit_merge(handle)
+        assert index.maintain()["merges_committed"] == 1
         merged = [s for s in index._segments if not s.base][0]
         assert extra_documents[0].doc_id not in merged.documents
         assert all(
@@ -366,7 +323,8 @@ class TestPersistence:
 
     def test_load_without_document_terms_is_read_only(self, tmp_path, base_documents):
         index = InvertedIndex.build(Corpus(base_documents))
-        index.save(tmp_path / "frozen", include_document_terms=False)
+        (shard,) = index.split(HashPartitioner(num_shards=1))
+        shard.save(tmp_path / "frozen")
         loaded = InvertedIndex.load(tmp_path / "frozen")
         assert not loaded.supports_updates
         assert_indexes_identical(loaded, index)
@@ -420,8 +378,10 @@ class TestPersistence:
         assert manifest.num_segments == 2
 
     def test_segment_structure_survives_the_round_trip(self, tmp_path, base_documents, extra_documents):
-        index = InvertedIndex.build(Corpus(base_documents), seal_threshold=1)
-        index.add_documents(extra_documents[:3])
+        index = InvertedIndex.build(Corpus(base_documents))
+        for document in extra_documents[:3]:
+            index.add_document(document)
+            index.seal_delta()
         index.save(tmp_path / "segmented")
         loaded = InvertedIndex.load(tmp_path / "segmented")
         original = index.segment_manifest()
@@ -501,25 +461,19 @@ class TestPersistence:
         assert new_manifest["doc_terms_file"] != old_manifest["doc_terms_file"]
         assert new_manifest["save_seq"] == old_manifest["save_seq"] + 1
 
-    def test_maintenance_config_round_trips_through_save_load(
-        self, tmp_path, base_documents, extra_documents
-    ):
-        """Regression: seal_threshold and the merge fanout used to be lost on
-        load, silently disabling auto-seal after a restart."""
+    def test_maintenance_config_round_trips_through_save_load(self, tmp_path, base_documents):
+        """Regression: the merge fanout used to be lost on load."""
         index = InvertedIndex.build(
-            Corpus(base_documents),
-            seal_threshold=1,
-            merge_policy=TieredMergePolicy(fanout=3),
+            Corpus(base_documents), merge_policy=TieredMergePolicy(fanout=3)
         )
         index.save(tmp_path / "configured")
         loaded = InvertedIndex.load(tmp_path / "configured")
-        assert loaded.seal_threshold == 1
         assert loaded.merge_policy == TieredMergePolicy(fanout=3)
-        loaded.add_document(extra_documents[0])  # auto-seal still armed
-        assert loaded.update_counters.segments_sealed == 1
         # Explicit overrides still win.
-        overridden = InvertedIndex.load(tmp_path / "configured", seal_threshold=None)
-        assert overridden.seal_threshold is None
+        overridden = InvertedIndex.load(
+            tmp_path / "configured", merge_policy=TieredMergePolicy(fanout=2)
+        )
+        assert overridden.merge_policy == TieredMergePolicy(fanout=2)
 
     def test_load_rejects_non_index_directory(self, tmp_path):
         (tmp_path / "wal.log").write_bytes(_frame_wal_record({"format": "something-else"}))
