@@ -109,6 +109,30 @@ def test_bench_benaloh_decrypt(benchmark, keypair):
     benchmark(keypair.private.decrypt, ciphertext)
 
 
+@pytest.fixture(scope="module", params=[256, 1024], ids=lambda bits: f"{bits}bit")
+def result_column(request):
+    """A search result's shape: 24 candidates, half of them decoy-only zeros."""
+    keypair = generate_keypair(key_bits=request.param, block_size=3**9, rng=random.Random(43))
+    rng = random.Random(12)
+    messages = [0 if i % 2 else rng.randrange(1, 3**9) for i in range(24)]
+    column = [keypair.public.encrypt(m, rng) for m in messages]
+    assert keypair.private.decrypt_many(column) == messages
+    return keypair.private, column
+
+
+def test_bench_benaloh_decrypt_per_candidate(benchmark, result_column):
+    """One ``decrypt`` call per candidate."""
+    private, column = result_column
+    benchmark(lambda: [private.decrypt(c) for c in column])
+
+
+def test_bench_benaloh_decrypt_column(benchmark, result_column):
+    """The whole result as one column: one common-exponent batch, then digits
+    for the non-zero candidates."""
+    private, column = result_column
+    benchmark(private.decrypt_many, column)
+
+
 def _pir_setup():
     # Columns of uneven length: the padding is what the packed path skips.
     columns = [bytes([i] * (16 + 12 * i)) for i in range(8)]

@@ -6,6 +6,10 @@ Documents whose decrypted score is zero accumulated impacts only from decoy
 terms; they are candidates purely because they share an inverted list with
 some decoy, and are dropped before ranking (a zero score means "not relevant
 to the genuine query" in the similarity model).
+
+The scores decrypt as one column (:meth:`BenalohPrivateKey.decrypt_many`):
+the same plaintexts, and the same counters, as one ``decrypt`` per
+candidate.
 """
 
 from __future__ import annotations
@@ -56,11 +60,10 @@ def post_filter(
         raise ValueError("k must be positive when given")
     counters = counters if counters is not None else PostFilterCounters()
 
-    scores: dict[int, int] = {}
-    for doc_id, ciphertext in result:
-        plaintext = private_key.decrypt(ciphertext)
-        counters.decryptions += 1
-        scores[doc_id] = plaintext
+    candidates = list(result)
+    plaintexts = private_key.decrypt_many([ciphertext for _, ciphertext in candidates])
+    counters.decryptions += len(plaintexts)
+    scores = {doc_id: score for (doc_id, _), score in zip(candidates, plaintexts)}
     counters.candidates_received = len(scores)
 
     if drop_zero_scores:

@@ -22,9 +22,13 @@ By default, for ``r = b^k``, decryption works in ``Z_p1`` alone:
 ``x = c^{(p1-1)/r} mod p1`` is ``h^m`` for ``h = g^{(p1-1)/r}`` of order ``r``,
 so one half-size exponentiation decides ``m = 0`` (``x == 1``: the decoy-only
 candidates post-filtering drops) and Pohlig--Hellman reads any other
-message's base-``b`` digits off per-key tables.  It equals the loop for every
-message, both raise ``ValueError`` on a ciphertext sharing a factor with
-``n``, and its time depends on the plaintext -- locally, on the client.
+message's base-``b`` digits off per-key tables.  The exponent is the same
+for every candidate, so a result decrypts as one column
+(``BenalohPrivateKey.decrypt_many``): one common-exponent batch on the
+client's arithmetic, then digits for the non-zero candidates only.  It
+equals the loop for every message, both raise ``ValueError`` on a
+ciphertext sharing a factor with ``n``, and its time depends on the
+plaintext -- locally, on the client.
 
 Messages live in ``Z_r``; the homomorphic sum therefore wraps modulo ``r``, so
 callers must choose ``r`` larger than the maximum possible relevance score.
@@ -37,6 +41,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.crypto import kernels
 from repro.crypto.numbertheory import generate_prime_with_condition, modinv
 
 __all__ = [
@@ -185,11 +190,10 @@ class ZeroEncryptionPool:
         of zero is ``mu^r mod n`` (``g^0`` contributes nothing), so the batch
         draws every ``mu`` first -- consuming the rng stream exactly as
         per-entry ``encrypt(0)`` calls would -- and then runs one
-        common-exponent :func:`repro.crypto.kernels.modexp_batch`, which the
-        compiled backend executes as a Montgomery square-and-multiply sweep.
+        common-exponent :func:`repro.crypto.kernels.modexp_batch` on the
+        client's arithmetic: a Montgomery square-and-multiply sweep where
+        the compiled kernel loads, the same residues either way.
         """
-        from repro.crypto import kernels
-
         count = count if count is not None else self._batch
         rng = self._rng
         public = self.public
@@ -237,34 +241,60 @@ class BenalohPrivateKey:
 
         When ``r`` factors as a power of a small base ``b`` (the paper uses
         ``r = 3^k``), the message is recovered digit by digit: by default in
-        the order-``r`` subgroup of ``Z_p1^*`` (module docstring), with
-        ``naive=True`` by the paper's loop mod ``n`` (``k * b`` full-size
-        modular exponentiations).  Otherwise both fall back to
-        baby-step/giant-step over the ``r`` candidates.
+        the order-``r`` subgroup of ``Z_p1^*`` (module docstring; a column
+        of one, :meth:`decrypt_many`), with ``naive=True`` by the paper's
+        loop mod ``n`` (``k * b`` full-size modular exponentiations).
+        Otherwise both fall back to baby-step/giant-step over the ``r``
+        candidates.
         """
-        base = _small_power_base(self.public.r)
-        if base is None:
-            return self._decrypt_bsgs(ciphertext)
         if naive:
+            base = _small_power_base(self.public.r)
+            if base is None:
+                return self._decrypt_bsgs(ciphertext)
             return self._decrypt_digits(ciphertext, base)
-        p1 = self.p1
-        if ciphertext % p1 == 0 or ciphertext % self.p2 == 0:
-            raise ValueError("ciphertext is not a valid Benaloh encryption under this key")
-        x = pow(ciphertext, self._subgroup_exponent, p1)
-        if x == 1:
-            return 0
-        roots, levels = self._digit_tables
-        message = 0
-        for projection, b_power, strips in levels:
-            digit = roots.get(pow(x, projection, p1))
-            if digit is None:
+        return self.decrypt_many([ciphertext])[0]
+
+    def decrypt_many(self, ciphertexts) -> list[int]:
+        """Decrypt a column of ciphertexts, in order: ``[decrypt(c) for c in ciphertexts]``.
+
+        Every candidate is checked as :meth:`decrypt` checks it, then the
+        common exponent ``(p1 - 1) / r`` runs over the whole column mod
+        ``p1`` in one :func:`repro.crypto.kernels.modexp_batch` (one C call
+        where the compiled kernel loads), and only the non-zero candidates
+        take Pohlig--Hellman digits, in Python, off the per-key tables --
+        built on the first such candidate.  The first invalid ciphertext
+        raises the scalar path's ``ValueError``; an empty column computes
+        nothing.
+        """
+        if _small_power_base(self.public.r) is None:
+            return [self._decrypt_bsgs(c) for c in ciphertexts]
+        p1, p2 = self.p1, self.p2
+        residues = []
+        for ciphertext in ciphertexts:
+            residue = ciphertext % p1
+            if not residue or not ciphertext % p2:
                 raise ValueError("ciphertext is not a valid Benaloh encryption under this key")
-            if digit:
-                message += digit * b_power
-                x = x * strips[digit] % p1
-                if x == 1:
-                    break
-        return message
+            residues.append(residue)
+        if not residues:
+            return []
+        messages = []
+        for x in kernels.modexp_batch(residues, self._subgroup_exponent, p1):
+            message = 0
+            if x != 1:
+                roots, levels = self._digit_tables
+                for projection, b_power, strips in levels:
+                    digit = roots.get(pow(x, projection, p1))
+                    if digit is None:
+                        raise ValueError(
+                            "ciphertext is not a valid Benaloh encryption under this key"
+                        )
+                    if digit:
+                        message += digit * b_power
+                        x = x * strips[digit] % p1
+                        if x == 1:
+                            break
+            messages.append(message)
+        return messages
 
     # -- Pohlig-Hellman decryption in Z_p1 for r = b^k -------------------
     @cached_property

@@ -1,10 +1,10 @@
-"""Batched modular-arithmetic kernels behind the ``numbertheory`` backend gate.
+"""Batched modular-arithmetic kernels and the probe that picks between them.
 
-Every query in the reproduction bottoms out in per-posting modular
-multiplications -- the power-table accumulation kernel in
-:mod:`repro.core.parallel` and zero-pool replenishment in
-:mod:`repro.crypto.benaloh`.  This module attacks the constant factor of
-those inner loops with three cooperating pieces:
+Every query in the reproduction bottoms out in batched modular arithmetic
+-- the power-table accumulation kernel in :mod:`repro.core.parallel`, and
+on the client zero-pool replenishment and decryption's per-candidate
+exponentiation in :mod:`repro.crypto.benaloh`.  This module attacks the
+constant factor of those inner loops with three cooperating pieces:
 
 **Power-table plans.**  :func:`power_table_strategy` picks the cheapest way
 to build ``{p: E(u)^p}`` for one list's distinct quantised impacts -- the
@@ -30,7 +30,7 @@ a bijection on ``Z_n`` and every intermediate is kept canonical (``< n``),
 so residues, dict order and operation counters are bit-identical to the
 pure-python oracle loop.  Nothing is cached per column, and all scratch is
 per call: cffi releases the GIL, sessions accumulate concurrently.  The
-common-exponent batch (:func:`modexp_batch`) marshals the same way --
+common-exponent column (:func:`modexp_batch`) marshals the same way --
 ``bytes`` in, one C call, one ``bytearray`` out, canonical residues on both
 sides -- so the standard library is all the marshalling needs.
 
@@ -39,9 +39,12 @@ sides -- so the standard library is all the marshalling needs.
 ``$REPRO_KERNEL_CACHE`` (default: a per-user directory in the system temp
 dir; refused unless owned by the user and closed to group and world), so
 later processes load the shared object instead of recompiling.
-Library code reaches it as the ``"cffi"`` backend of
-:func:`repro.crypto.numbertheory.set_backend`, the serving front-end as a
-value it resolves at start-up.  When no C toolchain (or no cffi) is
+Accumulation reaches it as the ``"cffi"`` backend of
+:func:`repro.crypto.numbertheory.set_backend` in library code and as a value
+the serving front-end resolves at start-up (:func:`resolve_backend`); the
+client's common-exponent columns (:func:`modexp_batch`: zero-pool
+replenishment, decryption) run on what the same probe answers on their
+first use in a process.  When no C toolchain (or no cffi) is
 available, or the build fails its self-test,
 :func:`ensure_compiled` raises a loud :class:`RuntimeError` (cached: later
 probes re-raise it without reloading anything); every entry point declines
@@ -53,6 +56,7 @@ pure-python oracle, the default and the ground truth -- and books why in
 from __future__ import annotations
 
 import importlib.util
+import logging
 import os
 import shutil
 import tempfile
@@ -69,12 +73,15 @@ __all__ = [
     "PowerPlan",
     "ensure_compiled",
     "compiled_available",
+    "resolve_backend",
     "accumulate_compiled",
     "fallback_counts",
     "modexp_batch",
 ]
 
 HAVE_CFFI = importlib.util.find_spec("cffi") is not None
+
+log = logging.getLogger(__name__)
 
 
 # -- strategy selection -------------------------------------------------------------
@@ -774,6 +781,9 @@ _COMPILE_ARGS = ("-O3",)
 #: Loaded ``(ffi, lib)`` pair, or the failure reason once loading failed.
 _COMPILED: tuple | None = None
 _COMPILE_ERROR: str | None = None
+#: One loader at a time: a client column and a starting service may probe
+#: from different threads of one process.
+_COMPILE_LOCK = threading.Lock()
 
 
 def _cache_dir() -> str:
@@ -912,29 +922,32 @@ def ensure_compiled():
     global _COMPILED, _COMPILE_ERROR
     if _COMPILED is not None:
         return _COMPILED
-    if _COMPILE_ERROR is not None:
-        raise RuntimeError(_COMPILE_ERROR)
-    if not HAVE_CFFI:
-        _COMPILE_ERROR = (
-            "the cffi backend was requested but cffi is not installed; "
-            "install the optional extra (pip install 'repro-pangdx10[compiled]')"
-        )
-        raise RuntimeError(_COMPILE_ERROR)
-    try:
-        ffi, lib = _compile_or_load()
-    except Exception as exc:  # distutils/compiler errors are not RuntimeError
-        _COMPILE_ERROR = (
-            f"the cffi kernel backend could not be compiled or loaded: {exc!r}; "
-            "a working C compiler (cc/gcc) is required"
-        )
-        raise RuntimeError(_COMPILE_ERROR) from exc
-    try:
-        _self_test(ffi, lib)
-    except RuntimeError as exc:
-        _COMPILE_ERROR = f"the cffi kernel backend built but is unusable: {exc}"
-        raise RuntimeError(_COMPILE_ERROR) from exc
-    _COMPILED = (ffi, lib)
-    return _COMPILED
+    with _COMPILE_LOCK:
+        if _COMPILED is not None:
+            return _COMPILED
+        if _COMPILE_ERROR is not None:
+            raise RuntimeError(_COMPILE_ERROR)
+        if not HAVE_CFFI:
+            _COMPILE_ERROR = (
+                "the cffi backend was requested but cffi is not installed; "
+                "install the optional extra (pip install 'repro-pangdx10[compiled]')"
+            )
+            raise RuntimeError(_COMPILE_ERROR)
+        try:
+            ffi, lib = _compile_or_load()
+        except Exception as exc:  # distutils/compiler errors are not RuntimeError
+            _COMPILE_ERROR = (
+                f"the cffi kernel backend could not be compiled or loaded: {exc!r}; "
+                "a working C compiler (cc/gcc) is required"
+            )
+            raise RuntimeError(_COMPILE_ERROR) from exc
+        try:
+            _self_test(ffi, lib)
+        except RuntimeError as exc:
+            _COMPILE_ERROR = f"the cffi kernel backend built but is unusable: {exc}"
+            raise RuntimeError(_COMPILE_ERROR) from exc
+        _COMPILED = (ffi, lib)
+        return _COMPILED
 
 
 def compiled_available() -> bool:
@@ -944,6 +957,45 @@ def compiled_available() -> bool:
     except RuntimeError:
         return False
     return True
+
+
+def resolve_backend() -> tuple[str, str | None]:
+    """The arithmetic a process can run its batches on, and why.
+
+    ``("cffi", None)`` when the compiled kernel loads and passes its
+    self-test, else ``("python", reason)`` with :func:`ensure_compiled`'s
+    reason verbatim.  There is no switch: the loop is the reference and the
+    only path without a toolchain, the kernel the faster one wherever it
+    builds.  Both outcomes are cached by :func:`ensure_compiled`, so a
+    repeated probe loads nothing.
+    """
+    try:
+        ensure_compiled()
+    except RuntimeError as exc:
+        return "python", str(exc)
+    return "cffi", None
+
+
+#: What the client's columns run on, resolved on their first use.
+_CLIENT_BACKEND: str | None = None
+_CLIENT_LOCK = threading.Lock()
+
+
+def _client_backend() -> str:
+    """:func:`resolve_backend`'s answer, taken once per process for
+    :func:`modexp_batch`; a process without the kernel logs one WARNING."""
+    global _CLIENT_BACKEND
+    if _CLIENT_BACKEND is None:
+        with _CLIENT_LOCK:
+            if _CLIENT_BACKEND is None:
+                backend, reason = resolve_backend()
+                if reason is not None:
+                    log.warning(
+                        "client arithmetic: python loop (compiled kernel unavailable: %s)",
+                        reason,
+                    )
+                _CLIENT_BACKEND = backend
+    return _CLIENT_BACKEND
 
 
 # -- losing the kernel is loud --------------------------------------------------------
@@ -1195,20 +1247,21 @@ def _pow_many(ffi, lib, bases, exponent: int, modulus: int):
 
 
 def modexp_batch(bases, exponent: int, modulus: int) -> list[int]:
-    """``[pow(base, exponent, modulus) for base in bases]`` on the active backend.
+    """``[pow(base, exponent, modulus) for base in bases]`` on the client's arithmetic.
 
-    A common-exponent batch (the zero-pool replenishment shape: every pool
-    entry is ``mu^r mod n`` for the same public ``r``).  Dispatches on
-    :func:`repro.crypto.numbertheory.get_backend`: the compiled kernel runs
-    one Montgomery square-and-multiply per base; pure python is the oracle.
-    Both return identical canonical residues.
+    A common-exponent batch: every zero-pool entry is ``mu^r mod n`` for the
+    same public ``r``, every candidate's zero test ``c^((p1-1)/r) mod p1``
+    for the same key.  It runs on what :func:`resolve_backend` answers on
+    the first call in a process -- one Montgomery square-and-multiply per
+    base on the compiled kernel, builtin ``pow`` (the oracle) without it --
+    and never reads or sets the library-wide
+    :func:`repro.crypto.numbertheory.get_backend`.  Both return identical
+    canonical residues; an empty batch probes nothing.
     """
     bases = list(bases)
     if not bases:
         return []
-    from repro.crypto import numbertheory
-
-    if numbertheory.get_backend() == "cffi":
+    if _client_backend() == "cffi":
         result = _modexp_batch_compiled(bases, exponent, modulus)
         if result is not None:
             return result

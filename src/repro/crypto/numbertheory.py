@@ -42,8 +42,9 @@ __all__ = [
 # of :mod:`repro.crypto.kernels`.  This process-wide backend only switches on
 # an explicit :func:`set_backend` call, so a plain install never silently
 # changes which code computes the published numbers.  (The serving front-end
-# picks its own backend at start-up and passes it down as a value; it neither
-# reads nor sets this one.)
+# picks its own backend at start-up and passes it down as a value, and the
+# client's columns resolve theirs on first use; neither reads nor sets this
+# one.)
 
 try:
     import importlib.util as _importlib_util
@@ -92,12 +93,13 @@ def set_backend(name: str) -> str:
     loads the cached build) now and raises :class:`RuntimeError` naming the
     missing piece -- cffi or a C compiler -- so callers fail loudly instead
     of silently benchmarking the wrong arithmetic, and the previous backend
-    stays.  The batch entry points
-    (:func:`repro.core.parallel.accumulate_terms` and
-    :func:`repro.crypto.kernels.modexp_batch`) read :func:`get_backend` per
-    call unless their caller names a backend itself; scalar arithmetic is
-    builtin ``pow`` and ``*`` everywhere (a single modmul has no batch to
-    amortise marshalling over).
+    stays.  Accumulation (:func:`repro.core.parallel.accumulate_terms`)
+    reads :func:`get_backend` per call unless its caller names a backend
+    itself.  The client's common-exponent columns
+    (:func:`repro.crypto.kernels.modexp_batch`) run on what
+    :func:`repro.crypto.kernels.resolve_backend` answers and never read this
+    setting; scalar arithmetic is builtin ``pow`` and ``*`` everywhere (a
+    single modmul has no batch to amortise marshalling over).
     """
     global _BACKEND
     if name not in ("python", "cffi"):

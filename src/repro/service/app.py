@@ -371,24 +371,23 @@ class RetrievalService:
     def _resolve_backend(self) -> None:
         """Pick what this service accumulates on, once, and say so.
 
-        The compiled kernel when it loads and passes its self-test (a first
-        start on a machine compiles it: about a second, before the listener
-        binds), the python loop otherwise.  The choice is a value handed to
-        every :class:`PrivateRetrievalServer` this service builds; the
+        :func:`repro.crypto.kernels.resolve_backend`'s answer (a first start
+        on a machine compiles the kernel: about a second, before the
+        listener binds).  The choice is a value handed to every
+        :class:`PrivateRetrievalServer` this service builds; the
         process-wide ``numbertheory`` backend is never touched, so the
         library default, the oracles and whatever else shares the process
-        stay on ``python``.  There is no switch: the loop is the reference
-        and the only path without a toolchain, the kernel is at parity or
-        better at every measured payload shape (``docs/operations.md``).
+        stay on ``python``.  The kernel is at parity or better at every
+        measured payload shape (``docs/operations.md``).
         """
-        try:
-            kernels.ensure_compiled()
-        except RuntimeError as exc:
-            self.backend, self.backend_reason = "python", str(exc)
-            log.warning("kernel backend: python loop (compiled kernel unavailable: %s)", exc)
-        else:
-            self.backend, self.backend_reason = "cffi", None
+        self.backend, self.backend_reason = kernels.resolve_backend()
+        if self.backend_reason is None:
             log.info("kernel backend: cffi (compiled Montgomery kernel)")
+        else:
+            log.warning(
+                "kernel backend: python loop (compiled kernel unavailable: %s)",
+                self.backend_reason,
+            )
 
     async def drain(self, wait: bool = True) -> None:
         """Graceful shutdown: finish in-flight work, reject new, close.

@@ -9,7 +9,13 @@ import pytest
 
 from repro.core.postfilter import PostFilterCounters, post_filter
 from repro.core.server import EncryptedResult
-from repro.crypto.benaloh import BenalohPrivateKey, BenalohPublicKey, generate_keypair
+from repro.crypto import kernels
+from repro.crypto.benaloh import (
+    BenalohPrivateKey,
+    BenalohPublicKey,
+    ZeroEncryptionPool,
+    generate_keypair,
+)
 
 
 class TestKeyGeneration:
@@ -197,3 +203,48 @@ class TestSubgroupDecryption:
         assert "_digit_tables" not in vars(kp.private)
         assert kp.private.decrypt(pub.encrypt(4, rng)) == 4
         assert "_digit_tables" in vars(kp.private)
+
+
+COMPILED = kernels.compiled_available()
+
+
+class TestColumns:
+    """A result decrypts as one column, and the zero stock is one column too,
+    on the arithmetic the process resolved: the kernel wherever it builds."""
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_a_result_is_one_kernel_call(self, monkeypatch, rng):
+        kp = generate_keypair(key_bits=128, block_size=3**6, rng=random.Random(90))
+        messages = [0, 5, 0, 0, 728, 1, 0, 300] * 3
+        column = [kp.public.encrypt(m, rng) for m in messages]
+        calls = []
+        pow_many = kernels._pow_many
+
+        def counted(ffi, lib, bases, *rest):
+            calls.append(len(bases))
+            return pow_many(ffi, lib, bases, *rest)
+
+        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", "cffi")
+        monkeypatch.setattr(kernels, "_pow_many", counted)
+        before = kernels.fallback_counts()
+        assert kp.private.decrypt_many(column) == messages
+        assert calls == [len(column)]
+        assert kernels.fallback_counts() == before
+
+    @pytest.mark.parametrize("backend", ["python", "cffi"])
+    def test_replenished_stock_is_the_same_draws_to_the_r(self, backend, monkeypatch):
+        if backend == "cffi" and not COMPILED:
+            pytest.skip("compiled kernels unavailable")
+        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", backend)
+        calls = []
+        pow_many = kernels._pow_many
+        monkeypatch.setattr(
+            kernels, "_pow_many", lambda *args: calls.append(1) or pow_many(*args)
+        )
+        kp = generate_keypair(key_bits=256, block_size=3**9, rng=random.Random(91))
+        pub = kp.public
+        pool = ZeroEncryptionPool(pub, rng=random.Random(17), size=8)
+        pool.replenish(24)
+        draws = random.Random(17)
+        assert pool._pool == [pow(pub._random_unit(draws), pub.r, pub.n) for _ in range(32)]
+        assert len(calls) == (2 if backend == "cffi" else 0)

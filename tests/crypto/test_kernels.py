@@ -6,6 +6,7 @@ bit-identical ciphertexts, identical dict iteration order, and identical
 operation counters across execution paths.
 """
 
+import logging
 import os
 import random
 import re
@@ -276,6 +277,36 @@ class TestAccumulateEquivalence:
         assert reasons[0] == reasons[1]
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_concurrent_first_probes_load_the_build_once(self, monkeypatch):
+        """A starting service and a client's first column may probe from two
+        threads of one process: one of them loads, the rest get its pair."""
+        loads = []
+        load = kernels._compile_or_load
+        monkeypatch.setattr(kernels, "_COMPILED", None)
+        monkeypatch.setattr(kernels, "_COMPILE_ERROR", None)
+        monkeypatch.setattr(kernels, "_compile_or_load", lambda: loads.append(1) or load())
+        barrier = threading.Barrier(8)
+        answers = []
+
+        def probe():
+            barrier.wait(timeout=30)
+            answers.append(kernels.resolve_backend())
+
+        threads = [threading.Thread(target=probe) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [("cffi", None)] * 8
+        assert loads == [1]
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_self_test_refuses_a_build_whose_pow_is_wrong(self):
         """Regression: the load-time self-test never called the modexp batch,
         so ``set_backend("cffi")`` served it unverified."""
@@ -304,7 +335,8 @@ class TestAccumulateEquivalence:
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_every_entry_point_runs_with_numpy_unimportable(self):
         """cffi is the one optional dependency: both batch primitives
-        run on the kernel, bit-identical to python, where numpy cannot load."""
+        run on the kernel, bit-identical to python, where numpy cannot load
+        (the common-exponent column is on it from its first call)."""
         script = """
 import random, sys
 sys.modules["numpy"] = None  # any import of it now raises ImportError
@@ -326,6 +358,8 @@ def run():
 
 assert nt.get_backend() == "python"
 want = run()
+assert want[2] == [pow(b, 3**9, modulus) for b in bases]
+assert kernels._CLIENT_BACKEND == "cffi"
 nt.set_backend("cffi")
 assert run() == want
 assert kernels.fallback_counts() == {}, kernels.fallback_counts()
@@ -423,7 +457,8 @@ assert sys.modules["numpy"] is None
 
 
 class TestModexpBatch:
-    def test_python_backend_matches_pow(self):
+    def test_python_backend_matches_pow(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", "python")
         modulus = 2**89 - 1
         bases = [3, 5, 7, 10**20 % modulus]
         for exponent in (0, 1, 2, 3**9, 19683):
@@ -432,18 +467,67 @@ class TestModexpBatch:
             ]
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
-    def test_cffi_backend_matches_pow(self):
+    def test_cffi_backend_matches_pow(self, monkeypatch):
+        """The client's column runs on what the process resolved and never
+        reads ``numbertheory``'s library-wide backend."""
+        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", "cffi")
+        calls = []
+        pow_many = kernels._pow_many
+        monkeypatch.setattr(kernels, "_pow_many", lambda *args: calls.append(1) or pow_many(*args))
         modulus = 2**1023 + 1155
         rng = random.Random(14)
         bases = [rng.randrange(modulus) for _ in range(17)]
-        nt.set_backend("cffi")
+        assert nt.get_backend() == "python"
+        for exponent in (0, 1, 3**9, 2**64 + 12345):
+            assert kernels.modexp_batch(bases, exponent, modulus) == [
+                pow(b, exponent, modulus) for b in bases
+            ]
+        assert len(calls) == 4
+        assert nt.get_backend() == "python"
+
+    def test_the_client_resolves_once_and_a_downgrade_warns_once(self, monkeypatch, caplog):
+        """Eight threads race to the first column; one probes, one warns."""
+        probes = []
+
+        def no_toolchain():
+            probes.append(1)
+            raise RuntimeError("no C compiler on this host")
+
+        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", None)
+        monkeypatch.setattr(kernels, "ensure_compiled", no_toolchain)
+        assert kernels.resolve_backend() == ("python", "no C compiler on this host")
+        del probes[:]
+        before = kernels.fallback_counts()
+        barrier = threading.Barrier(8)
+        wrong = []
+
+        def first_columns():
+            barrier.wait(timeout=30)
+            for exponent in (3, 5):
+                if kernels.modexp_batch([2, 3], exponent, 101) != [
+                    pow(2, exponent, 101), pow(3, exponent, 101)
+                ]:
+                    wrong.append(exponent)
+
+        threads = [threading.Thread(target=first_columns) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            for exponent in (0, 1, 3**9, 2**64 + 12345):
-                assert kernels.modexp_batch(bases, exponent, modulus) == [
-                    pow(b, exponent, modulus) for b in bases
-                ]
+            with caplog.at_level(logging.WARNING, logger="repro.crypto.kernels"):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
         finally:
-            nt.set_backend("python")
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert probes == [1]
+        assert [r.getMessage() for r in caplog.records] == [
+            "client arithmetic: python loop (compiled kernel unavailable: "
+            "no C compiler on this host)"
+        ]
+        assert kernels.fallback_counts() == before
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_compiled_refuses_ineligible_inputs(self):

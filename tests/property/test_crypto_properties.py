@@ -1,9 +1,14 @@
 """Property-based tests for the cryptographic primitives (hypothesis)."""
 
 import random
+from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.postfilter import PostFilterCounters, post_filter
+from repro.core.server import EncryptedResult
+from repro.crypto import kernels, numbertheory
 from repro.crypto.benaloh import generate_keypair as benaloh_keypair
 from repro.crypto.numbertheory import crt_pair, is_probable_prime, jacobi_symbol, modinv
 from repro.crypto.paillier import generate_keypair as paillier_keypair
@@ -12,8 +17,35 @@ from repro.crypto.pir import PIRClient, PIRDatabase, PIRServer
 # Module-level fixed keys: hypothesis re-runs the test body many times, and
 # key generation is the expensive part we do not want inside @given.
 BENALOH = benaloh_keypair(key_bits=128, block_size=3**6, rng=random.Random(101))
+BSGS = benaloh_keypair(key_bits=96, block_size=15, rng=random.Random(104))
 PAILLIER = paillier_keypair(key_bits=128, rng=random.Random(102))
 PIR_CLIENT = PIRClient.with_new_group(key_bits=64, rng=random.Random(103))
+
+#: The client's two arithmetics: the python loop always, the kernel where it builds.
+CLIENT_BACKENDS = ["python"] + (["cffi"] if kernels.compiled_available() else [])
+
+
+@contextmanager
+def client_arithmetic(backend):
+    """Run the client's columns on ``backend``, as a process that resolved it would."""
+    previous = kernels._CLIENT_BACKEND
+    kernels._CLIENT_BACKEND = backend
+    try:
+        yield
+    finally:
+        kernels._CLIENT_BACKEND = previous
+
+
+def column_messages(r):
+    """Columns the way results arrive: decoy-only zeros, scores, and the top of ``Z_r``."""
+    return st.lists(
+        st.one_of(st.just(0), st.just(r - 1), st.integers(1, r - 2)), max_size=12
+    )
+
+
+def encrypt_column(keypair, messages, seed):
+    rng = random.Random(seed)
+    return [keypair.public.encrypt(m, rng) for m in messages]
 
 
 class TestNumberTheoryProperties:
@@ -83,6 +115,85 @@ class TestBenalohProperties:
         for m in messages:
             c = kp.public.encrypt(m, rng)
             assert kp.private.decrypt(c) == kp.private.decrypt(c, naive=True) == m
+
+
+@pytest.mark.parametrize("backend", CLIENT_BACKENDS)
+class TestColumnDecryption:
+    """``decrypt_many`` against the scalar path and the paper's loop, on both
+    client arithmetics."""
+
+    @given(messages=column_messages(3**6), seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_column_equals_scalar_equals_the_paper_loop(self, backend, messages, seed):
+        private = BENALOH.private
+        column = encrypt_column(BENALOH, messages, seed)
+        with client_arithmetic(backend):
+            got = private.decrypt_many(column)
+            scalar = [private.decrypt(c) for c in column]
+        assert got == scalar == [private.decrypt(c, naive=True) for c in column] == messages
+
+    @given(
+        messages=column_messages(3**6).filter(bool),
+        data=st.data(),
+        factor=st.sampled_from(["p1", "p2", "n", "zero"]),
+        negative=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_an_invalid_ciphertext_anywhere_raises_the_scalar_error(
+        self, backend, messages, data, factor, negative
+    ):
+        private = BENALOH.private
+        column = encrypt_column(BENALOH, messages, len(messages))
+        at = data.draw(st.integers(0, len(column) - 1))
+        multiple = {"p1": private.p1, "p2": private.p2, "n": BENALOH.n, "zero": 0}[factor]
+        column[at] *= -multiple if negative else multiple
+        with client_arithmetic(backend):
+            with pytest.raises(ValueError) as scalar:
+                private.decrypt(column[at])
+            with pytest.raises(ValueError) as whole:
+                private.decrypt_many(column)
+        assert str(whole.value) == str(scalar.value)
+        assert "not a valid Benaloh encryption" in str(whole.value)
+
+    @given(messages=column_messages(15), seed=st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_a_non_prime_power_block_size_still_decrypts(self, backend, messages, seed):
+        column = encrypt_column(BSGS, messages, seed)
+        with client_arithmetic(backend):
+            got = BSGS.private.decrypt_many(column)
+        assert got == [BSGS.private.decrypt(c, naive=True) for c in column] == messages
+
+    @given(messages=column_messages(3**6), seed=st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_post_filter_counts_and_books_as_the_scalar_loop(self, backend, messages, seed):
+        column = encrypt_column(BENALOH, messages, seed)
+        result = EncryptedResult(dict(enumerate(column)), BENALOH.n)
+        before = kernels.fallback_counts()
+        counters = PostFilterCounters()
+        with client_arithmetic(backend):
+            ranking = post_filter(result, BENALOH.private, counters=counters)
+        assert kernels.fallback_counts() == before
+        assert counters == PostFilterCounters(
+            decryptions=len(column),
+            candidates_received=len(column),
+            candidates_with_positive_score=sum(1 for m in messages if m),
+        )
+        scores = sorted(((-m, doc) for doc, m in enumerate(messages) if m))
+        assert ranking.ranking == tuple((doc, float(-m)) for m, doc in scores)
+        assert numbertheory.get_backend() == "python"
+
+    def test_an_empty_result_makes_no_kernel_call(self, backend, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernels, "modexp_batch", lambda *args: calls.append(args))
+        monkeypatch.setattr(kernels, "resolve_backend", lambda: calls.append("probe"))
+        counters = PostFilterCounters()
+        with client_arithmetic(backend):
+            assert BENALOH.private.decrypt_many([]) == []
+            empty = EncryptedResult({}, BENALOH.n)
+            ranking = post_filter(empty, BENALOH.private, counters=counters)
+        assert ranking.ranking == ()
+        assert counters == PostFilterCounters()
+        assert calls == []
 
 
 class TestPaillierProperties:
