@@ -29,7 +29,9 @@ and canonical residues in first-occurrence order.  Montgomery conversion is
 a bijection on ``Z_n`` and every intermediate is kept canonical (``< n``),
 so residues, dict order and operation counters are bit-identical to the
 pure-python oracle loop.  Nothing is cached per column, and all scratch is
-per call: cffi releases the GIL, sessions accumulate concurrently.  The
+per call: cffi releases the GIL, and one process may run the kernel on
+several threads at once (an ``ExecutionEngine`` pool, a coordinator's
+gather threads over local shards).  The
 common-exponent column (:func:`modexp_batch`) marshals the same way --
 ``bytes`` in, one C call, one ``bytearray`` out, canonical residues on both
 sides -- so the standard library is all the marshalling needs.

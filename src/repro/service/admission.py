@@ -19,7 +19,8 @@ request releases its slot.
 
 Single event loop only: the controller relies on the loop's cooperative
 scheduling instead of locks, so every method must be called from the
-service's loop (the producer threads doing accumulation never touch it).
+service's loop -- where admitted batches also accumulate, interleaving one
+query at a time, so ``max_active`` bounds how many interleave.
 """
 
 from __future__ import annotations

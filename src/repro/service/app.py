@@ -25,11 +25,12 @@ is shards (the distribution roles below), not a worker pool.
   and answer ``415`` to anything else; the control plane (sessions,
   organisations, health, ``/metrics``) is JSON.
 * **Streaming**: a batch POST answers with a chunked stream of frames.  The
-  blocking accumulation runs on an executor thread iterating
-  :meth:`PrivateRetrievalServer.iter_batch`; each result is handed to the
-  event loop via ``call_soon_threadsafe`` and written as its own chunk, so
-  the client observes query results in order as they complete, not at
-  batch end.
+  event loop itself steps :meth:`PrivateRetrievalServer.iter_batch` and
+  writes each result as its own chunk the moment it completes, so the
+  client observes query results in order as they complete, not at batch
+  end; between queries the loop serves other connections, so concurrent
+  batches interleave one query at a time.  Only a distributed session,
+  whose steps wait on shard round trips, steps on an executor thread.
 * **Kernel backend**: :meth:`RetrievalService.start` resolves once what the
   service accumulates on -- the compiled Montgomery kernel if it loads and
   passes its self-test, else the python loop -- logs the choice, exports it
@@ -39,8 +40,8 @@ is shards (the distribution roles below), not a worker pool.
   :class:`~repro.service.admission.AdmissionController` -- bounded active
   slots, bounded FIFO queue, ``429 + Retry-After`` beyond that, ``503``
   while draining.  Admitted batches always run to completion, even if the
-  client disconnects mid-stream (the producer keeps consuming the batch
-  iterator to its end).
+  client disconnects mid-stream (the batch iterator is consumed to its
+  end).
 * **Metrics**: ``GET /metrics`` merges :class:`ServiceMetrics` (request and
   latency rollups), admission state, per-tenant
   :class:`~repro.core.server.ServerCounters` totals and the kernel section
@@ -192,6 +193,9 @@ class Tenant:
     #: Builds a per-session coordinator for distributed tenants
     #: (``public_key -> QueryCoordinator``); ``None`` for local tenants.
     coordinator_factory: object = None
+    #: The replicas' clients those coordinators share; :meth:`RetrievalService.drain`
+    #: closes them.
+    shard_clients: tuple = ()
     #: Aggregate of every per-query counter snapshot answered for this tenant.
     totals: ServerCounters = field(default_factory=ServerCounters)
     queries_answered: int = 0
@@ -312,12 +316,21 @@ class RetrievalService:
             raise ValueError(f"tenant {name!r} already registered")
         # Local import: cluster builds on the client layer, which this
         # module must stay importable without.
+        from repro.service.client import ServiceClient
         from repro.service.cluster import HttpShardBackend
 
         shard_tenant = shard_tenant or name
         addresses = tuple(tuple(tuple(address) for address in shard) for shard in replicas)
         pinned = tuple(expected_epochs)
         policy = retry or RetryPolicy()
+        # One client per replica, shared by every session's coordinator: the
+        # connections kept idle to the shards are bounded by the replicas,
+        # not by the sessions open.
+        clients = {
+            address: ServiceClient(*address, timeout=timeout)
+            for shard in addresses
+            for address in shard
+        }
 
         def coordinator_factory(public_key) -> QueryCoordinator:
             topology = ShardTopology(
@@ -330,6 +343,7 @@ class RetrievalService:
                             tenant=shard_tenant,
                             public_key=public_key,
                             timeout=timeout,
+                            client=clients[host, port],
                         )
                         for host, port in shard
                     )
@@ -349,6 +363,7 @@ class RetrievalService:
             index=None,
             organization=organization,
             coordinator_factory=coordinator_factory,
+            shard_clients=tuple(clients.values()),
         )
         self.tenants[name] = tenant
         return tenant
@@ -395,8 +410,9 @@ class RetrievalService:
         Idempotent.  New batch requests get 503 immediately; active and
         queued ones run to completion (``wait=True`` blocks until they
         have); then the listener and the connections still open (idle
-        keep-alive peers) close.  Session servers own no threads, so there
-        is nothing else to release.
+        keep-alive peers) close, and so do the connections distributed
+        tenants keep to their shard replicas.  Session servers own no
+        threads, so there is nothing else to release.
         """
         self.admission.drain()
         if wait:
@@ -413,6 +429,9 @@ class RetrievalService:
                 await asyncio.wait(self._connections)
             await self._server.wait_closed()
             self._server = None
+        for tenant in self.tenants.values():
+            for client in tenant.shard_clients:
+                client.close()
 
     async def __aenter__(self) -> "RetrievalService":
         await self.start()
@@ -729,13 +748,11 @@ class RetrievalService:
             public_key=public_key,
             backend=self.backend,
         )
-        loop = asyncio.get_running_loop()
-        response = await self._admitted(
-            writer,
-            lambda _queue_wait_s: loop.run_in_executor(
-                None, shard_partials, server, queries
-            ),
-        )
+
+        async def accumulate(_queue_wait_s):
+            return shard_partials(server, queries)
+
+        response = await self._admitted(writer, accumulate)
         if response is None:
             return
 
@@ -752,35 +769,19 @@ class RetrievalService:
     async def _stream_batch(self, session, queries, writer, queue_wait_s) -> bool:
         """Run one admitted batch to completion, streaming one frame per record.
 
-        The batch iterator runs on an executor thread (it blocks while it
-        accumulates, or on shard round trips); results cross into the loop
-        via ``call_soon_threadsafe``.  The producer always drains the
-        iterator -- a client that disconnects mid-stream stops receiving but
-        never cancels admitted work.
+        The batch iterator runs on the event loop, one query per step, and
+        the loop serves other connections between steps.  A distributed
+        session's steps block on shard round trips, so each of those runs on
+        an executor thread.  A client that disconnects mid-stream, or a
+        result no frame can carry, stops the stream but never cancels
+        admitted work: the iterator runs to its end.
         """
-        loop = asyncio.get_running_loop()
-        results: asyncio.Queue = asyncio.Queue()
         server = session.server
-
-        def produce() -> None:
-            started = time.monotonic()
-            try:
-                for index, result in enumerate(server.iter_batch(queries)):
-                    snapshot = server.last_batch_counters[index]
-                    loop.call_soon_threadsafe(
-                        results.put_nowait,
-                        ("result", index, result, snapshot,
-                         time.monotonic() - started),
-                    )
-                loop.call_soon_threadsafe(
-                    results.put_nowait, ("done", time.monotonic() - started)
-                )
-            except Exception as exc:  # surfaced to the client as an error record
-                loop.call_soon_threadsafe(results.put_nowait, ("error", exc))
-
-        producer = loop.run_in_executor(None, produce)
+        batch = server.iter_batch(queries)
+        remote = session.tenant.coordinator_factory is not None
+        loop = asyncio.get_running_loop()
         writable = True
-        failed = False
+        failure: Exception | None = None
         service_s = 0.0
         answered = 0
         batch_totals = ServerCounters()
@@ -790,53 +791,58 @@ class RetrievalService:
             writable = False
 
         while True:
-            item = await results.get()
-            if item[0] == "result":
-                _, index, result, snapshot, elapsed = item
-                answered += 1
-                batch_totals.add(snapshot)
-                self.metrics.queries_total += 1
-                self.metrics.query_time.record(elapsed * 1000.0)
-                if writable:
-                    record = {
-                        "kind": "result",
-                        "index": index,
-                        "counters": encode_counters(snapshot),
-                        "ms": round(elapsed * 1000.0, 3),
-                    }
-                    try:
-                        data = encode_result_frame(record, result)
-                    except WireError as exc:
-                        # A result a frame cannot carry (a document id past
-                        # 32 bits): the head is out, so this is no 400 -- fail
-                        # the stream exactly as a producer error does.
-                        item = ("error", exc)
-                    else:
-                        writable = await self._write_record(writer, data)
-                if item[0] == "result":
-                    continue
-            if item[0] == "done":
-                service_s = item[1]
-                self.metrics.service_time.record(service_s * 1000.0)
-                if writable:
-                    record = {
-                        "kind": "done",
-                        "queries": answered,
-                        "service_ms": round(service_s * 1000.0, 3),
-                        "queue_wait_ms": round(queue_wait_s * 1000.0, 3),
-                        "counters": encode_counters(batch_totals),
-                    }
-                    writable = await self._write_record(writer, encode_frame(record))
-            else:  # "error"
-                failed = True
-                self.metrics.requests_failed += 1
-                log.exception("batch failed", exc_info=item[1])
-                if writable:
-                    writable = await self._write_record(
-                        writer, encode_frame({"kind": "error", "error": str(item[1])})
-                    )
-            break
-        await producer
+            started = time.monotonic()
+            try:
+                if remote:
+                    result = await loop.run_in_executor(None, next, batch, None)
+                else:
+                    result = next(batch, None)
+            except Exception as exc:  # surfaced to the client as an error record
+                failure = exc
+                break
+            service_s += time.monotonic() - started
+            if result is None:
+                break
+            snapshot = server.last_batch_counters[answered]
+            answered += 1
+            batch_totals.add(snapshot)
+            self.metrics.queries_total += 1
+            self.metrics.query_time.record(service_s * 1000.0)
+            if writable and failure is None:
+                record = {
+                    "kind": "result",
+                    "index": answered - 1,
+                    "counters": encode_counters(snapshot),
+                    "ms": round(service_s * 1000.0, 3),
+                }
+                try:
+                    data = encode_result_frame(record, result)
+                except WireError as exc:
+                    # A result a frame cannot carry (a document id past
+                    # 32 bits): the head is out, so this is no 400 -- the
+                    # stream ends in an error record, as on an accumulation
+                    # error, once the batch has run to its end.
+                    failure = exc
+                else:
+                    writable = await self._write_record(writer, data)
+            if not remote:
+                await asyncio.sleep(0)  # other connections take their turn
+
+        if failure is None:
+            self.metrics.service_time.record(service_s * 1000.0)
+            record = {
+                "kind": "done",
+                "queries": answered,
+                "service_ms": round(service_s * 1000.0, 3),
+                "queue_wait_ms": round(queue_wait_s * 1000.0, 3),
+                "counters": encode_counters(batch_totals),
+            }
+        else:
+            self.metrics.requests_failed += 1
+            log.exception("batch failed", exc_info=failure)
+            record = {"kind": "error", "error": str(failure)}
+        if writable:
+            writable = await self._write_record(writer, encode_frame(record))
         session.batches += 1
         session.tenant.batches_answered += 1
         session.tenant.queries_answered += answered
@@ -848,7 +854,7 @@ class RetrievalService:
                 writable = False
         # An error record terminates the stream early; close the connection so
         # the client cannot misread the next response as the stream's tail.
-        return writable and not failed
+        return writable and failure is None
 
     @staticmethod
     async def _write_record(writer, data: bytes) -> bool:

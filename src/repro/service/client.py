@@ -10,8 +10,13 @@ they take (JSON on the control plane):
 stream as the service writes it, so a caller observes streaming order and
 latency exactly as a real client would.
 
-Each request opens its own connection (``Connection: close``); the service
-is long-lived, the client deliberately simple.  Errors carry the HTTP
+The client keeps one idle HTTP/1.1 keep-alive connection and reuses it for
+the next request.  A connection goes back into that slot only once its
+response has been read to the end; an error, or a stream its caller
+abandons, closes it instead.  A request that fails on a reused connection
+before any response byte (the server closed the idle peer, so the request
+never ran) is sent once more on a fresh one.  :meth:`ServiceClient.close`
+(or a ``with`` block) releases the idle connection.  Errors carry the HTTP
 status and, for 429s, the parsed ``Retry-After`` hint so load generators
 can implement honest backoff.
 """
@@ -22,6 +27,7 @@ import email.utils
 import http.client
 import json
 import math
+import threading
 import time
 from typing import Iterator, Sequence
 
@@ -57,8 +63,8 @@ class ServiceUnavailableError(ServiceError):
 
     Raised for a 503 (the service told us it is draining) *and* for raw
     connection failures -- ``ConnectionResetError`` when the server drains
-    mid-stream, a refused connect, a torn chunked read -- which previously
-    leaked out of the client untyped.  ``mid_stream`` distinguishes the two
+    mid-stream, a refused connect, a torn chunked read, a socket timeout --
+    which previously leaked out of the client untyped.  ``mid_stream`` distinguishes the two
     failure shapes that matter to a caller holding partial results: ``False``
     means the request never produced any result (safe to resubmit
     wholesale), ``True`` means the stream died after delivery started (the
@@ -100,8 +106,19 @@ def _retry_after_seconds(value: str | None) -> float | None:
     return max(0.0, when.timestamp() - time.time())
 
 
+#: A request failed before its response head: the server went away (a drain
+#: closing the listener, a crash) or fell silent.
+_BEFORE_RESPONSE = (ConnectionError, http.client.BadStatusLine, EOFError, TimeoutError)
+#: A response failed after its head: the peer died or fell silent mid-body.
+_MID_RESPONSE = (ConnectionError, http.client.IncompleteRead, TimeoutError)
+
+
 class ServiceClient:
     """Blocking client for one service address.
+
+    Threads may share one client: a request takes the idle connection if
+    there is one and opens another otherwise, so concurrent requests never
+    share a connection.
 
     Parameters
     ----------
@@ -116,40 +133,87 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._idle: http.client.HTTPConnection | None = None
+        self._idle_lock = threading.Lock()
+
+    # -- connections --------------------------------------------------------------
+    def close(self) -> None:
+        """Close the idle connection; a later request opens a new one."""
+        with self._idle_lock:
+            connection, self._idle = self._idle, None
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        # Looked up on the module when a connection opens, and bodies are only
+        # ever read through HTTPResponse.read: a caller that swaps in counting
+        # subclasses of HTTPConnection / HTTPResponse before the client's
+        # first connection sees every body byte (the end-to-end benchmark
+        # measures wire bytes exactly so).
+        return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+
+    def _release(self, response: http.client.HTTPResponse) -> None:
+        """Put ``response``'s connection back into the idle slot if the
+        response was read to its end and the server kept the connection open;
+        close it otherwise."""
+        connection = response._service_connection
+        if response.isclosed() and connection.sock is not None:
+            with self._idle_lock:
+                if self._idle is None:
+                    self._idle, connection = connection, None
+        if connection is not None:
+            connection.close()
 
     # -- plumbing -----------------------------------------------------------------
     def _request(
         self, method: str, path: str, payload=None
     ) -> http.client.HTTPResponse:
         """Send one request; ``payload`` is a JSON document (control plane),
-        or ``bytes`` already framed (sent as :data:`FRAME_MEDIA_TYPE`)."""
-        # Looked up on the module at call time, and bodies are only ever read
-        # through HTTPResponse.read: a caller that swaps in counting
-        # subclasses of HTTPConnection / HTTPResponse sees every body byte
-        # (the end-to-end benchmark measures wire bytes exactly so).
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        or ``bytes`` already framed (sent as :data:`FRAME_MEDIA_TYPE`).
+
+        The caller reads the response and hands it to :meth:`_release`.
+        """
         body = None
-        headers = {"Connection": "close"}
+        headers = {}
         if isinstance(payload, bytes):
             body = payload
             headers["Content-Type"] = FRAME_MEDIA_TYPE
         elif payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        try:
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-        except (ConnectionError, http.client.BadStatusLine, EOFError) as exc:
-            # The server went away before answering: a drain closing the
-            # listener, or a crash.  Either way the request never started
-            # producing results, so it is safe to retry elsewhere/later.
-            connection.close()
-            raise ServiceUnavailableError(
-                f"connection to {self.host}:{self.port} failed before a "
-                f"response: {exc!r}"
-            ) from exc
+        with self._idle_lock:
+            connection, self._idle = self._idle, None
+        reused = connection is not None
+        if not reused:
+            connection = self._connect()
+        while True:
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            except _BEFORE_RESPONSE as exc:
+                connection.close()
+                if reused and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                    # The server closed this idle connection before reading
+                    # the request (RemoteDisconnected is a reset too), so the
+                    # request never ran: send it once more, on a fresh one.
+                    connection, reused = self._connect(), False
+                    continue
+                # The server went away or fell silent before answering: a
+                # drain closing the listener, or a crash.  Either way the
+                # request never started producing results, so it is safe to
+                # retry elsewhere/later.
+                raise ServiceUnavailableError(
+                    f"connection to {self.host}:{self.port} failed before a "
+                    f"response: {exc!r}"
+                ) from exc
+            break
+        response._service_connection = connection
         if response.status >= 400:
             detail = ""
             try:
@@ -157,7 +221,7 @@ class ServiceClient:
             except Exception:
                 pass
             retry_after_s = _retry_after_seconds(response.headers.get("Retry-After"))
-            connection.close()
+            self._release(response)
             if response.status == 503:
                 # The service *said* it is unavailable (draining): typed, so
                 # callers distinguish an orderly drain from a crash.
@@ -169,8 +233,6 @@ class ServiceClient:
                 detail or response.reason,
                 retry_after_s,
             )
-        # The caller must fully read (streams) or we read for it (_body).
-        response._service_connection = connection  # keep alive until read
         return response
 
     def _json(self, method: str, path: str, payload=None) -> dict:
@@ -181,7 +243,7 @@ class ServiceClient:
         response = self._request(method, path, payload)
         try:
             return response.read()
-        except (ConnectionError, http.client.IncompleteRead) as exc:
+        except _MID_RESPONSE as exc:
             # The peer died after its response head (what a SIGKILLed shard
             # replica looks like): typed like a torn batch stream, so the
             # coordinator fails over instead of failing the batch.
@@ -190,7 +252,7 @@ class ServiceClient:
                 mid_stream=True,
             ) from exc
         finally:
-            response._service_connection.close()
+            self._release(response)
 
     # -- read-only routes ---------------------------------------------------------
     def health(self) -> dict:
@@ -238,24 +300,26 @@ class ServiceClient:
         response = self._request(
             "POST", f"/sessions/{session_id}/queries", encode_batch_frame(queries, modulus)
         )
+
+        def read(n: int) -> bytes:
+            try:
+                return response.read(n)
+            except _MID_RESPONSE as exc:
+                # The stream died after the response started: the server
+                # drained or crashed mid-batch.  Surface it typed (with
+                # mid_stream set) instead of leaking a raw
+                # ConnectionResetError, so callers can tell an orderly
+                # drain from a protocol bug and know delivery had begun.
+                raise ServiceUnavailableError(
+                    f"stream from {self.host}:{self.port} ended "
+                    f"mid-batch: {exc!r}",
+                    mid_stream=True,
+                ) from exc
+
         results = 0
+        released = False
         try:
-            while True:
-                try:
-                    frame = read_frame(response.read)
-                except (ConnectionError, http.client.IncompleteRead) as exc:
-                    # The stream died after the response started: the server
-                    # drained or crashed mid-batch.  Surface it typed (with
-                    # mid_stream set) instead of leaking a raw
-                    # ConnectionResetError, so callers can tell an orderly
-                    # drain from a protocol bug and know delivery had begun.
-                    raise ServiceUnavailableError(
-                        f"stream from {self.host}:{self.port} ended "
-                        f"mid-batch: {exc!r}",
-                        mid_stream=True,
-                    ) from exc
-                if frame is None:
-                    break
+            while (frame := read_frame(read)) is not None:
                 record, body = frame
                 kind = record.get("kind")
                 if kind == "error":
@@ -268,11 +332,19 @@ class ServiceClient:
                     record["result"] = decode_result_frame(record, body, modulus)
                 elif body:
                     raise WireError(f"{len(body)} trailing bytes on a {kind!r} frame")
+                if kind == "done":
+                    # Read through the chunked terminator, so the connection
+                    # is back in the idle slot before the caller sees done.
+                    if read(1):
+                        raise WireError("bytes after the done record")
+                    self._release(response)
+                    released = True
                 yield record
                 if kind == "done":
                     break
         finally:
-            response._service_connection.close()
+            if not released:
+                self._release(response)
 
     def run_batch(
         self,

@@ -55,10 +55,17 @@ class HttpShardBackend:
 
     Duck-types the coordinator's backend protocol
     (``accumulate(subqueries) -> ShardResponse``) over HTTP.  Each call is
-    one request (the scatter is already batched per shard), opened fresh so
-    a dead replica fails fast with a retryable error instead of wedging a
-    pooled connection, and travels in the frame codec through
-    :meth:`~repro.service.client.ServiceClient.shard_partials`.
+    one request (the scatter is already batched per shard) in the frame
+    codec, through
+    :meth:`~repro.service.client.ServiceClient.shard_partials` on
+    ``client``, which keeps its connection to the replica between calls.  A
+    dead replica still fails fast and retryable: a kept connection the
+    replica dropped is retried once on a fresh one, which is refused.
+
+    Without a ``client`` the backend makes its own and :meth:`close` closes
+    it.  A caller that passes one shares it among many backends (a front
+    end's sessions share one per replica, since the public key travels in
+    each request) and closes it itself.
     """
 
     host: str
@@ -66,18 +73,24 @@ class HttpShardBackend:
     tenant: str
     public_key: object
     timeout: float = 60.0
-    _client: ServiceClient = field(init=False, repr=False)
+    client: ServiceClient | None = field(default=None, repr=False)
+    _owns_client: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._client = ServiceClient(self.host, self.port, timeout=self.timeout)
+        self._owns_client = self.client is None
+        if self._owns_client:
+            self.client = ServiceClient(self.host, self.port, timeout=self.timeout)
 
     def accumulate(
         self, subqueries: Sequence[tuple[Sequence[str], Sequence[int]]]
     ) -> ShardResponse:
-        return self._client.shard_partials(self.tenant, self.public_key, subqueries)
+        return self.client.shard_partials(self.tenant, self.public_key, subqueries)
 
     def close(self) -> None:
-        """Stateless (per-request connections); nothing to release."""
+        """Close the backend's own client's kept connection (a coordinator's
+        ``close`` does); a shared client stays open."""
+        if self._owns_client:
+            self.client.close()
 
 
 @dataclass
@@ -127,7 +140,7 @@ class ShardServerProcess:
         line = self.process.stdout.readline().strip()
         parts = line.split()
         if len(parts) != 2:
-            self.process.kill()
+            self.kill()
             raise RuntimeError(
                 f"shard server for {self.index_dir} failed to report an "
                 f"address (got {line!r})"
@@ -141,15 +154,22 @@ class ShardServerProcess:
     def kill(self) -> None:
         """Hard-kill the replica (no drain), as a crash would."""
         self.process.kill()
-        self.process.wait()
+        self._reap()
 
     def terminate(self) -> None:
+        """Ask the replica to drain and exit; kill it after 10 s.  A no-op
+        signal on a replica that has already exited."""
         self.process.terminate()
         try:
             self.process.wait(timeout=10)
         except subprocess.TimeoutExpired:
             self.process.kill()
-            self.process.wait()
+        self._reap()
+
+    def _reap(self) -> None:
+        """Wait for the child and close the pipe it reported its address on."""
+        self.process.wait()
+        self.process.stdout.close()
 
 
 class LocalShardCluster:
@@ -223,8 +243,7 @@ class LocalShardCluster:
     def close(self) -> None:
         for shard in self.replicas:
             for replica in shard:
-                if replica.alive:
-                    replica.terminate()
+                replica.terminate()
 
     def __enter__(self) -> "LocalShardCluster":
         return self

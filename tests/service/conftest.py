@@ -51,8 +51,10 @@ def running_service(index):
     Returns ``(service, client)``; keyword arguments become
     :class:`ServiceConfig` fields (bucket size pinned to the module's
     organisation so client-side embellishment and the service agree).
+    Teardown closes the client's kept connection, then stops the service.
     """
     runners: list[ServiceRunner] = []
+    clients: list[ServiceClient] = []
 
     def factory(**config) -> tuple[RetrievalService, ServiceClient]:
         config.setdefault("bucket_size", BUCKET_SIZE)
@@ -62,8 +64,11 @@ def running_service(index):
         host, port = runner.start()
         runners.append(runner)
         factory.last_runner = runner
-        return service, ServiceClient(host, port)
+        clients.append(ServiceClient(host, port))
+        return service, clients[-1]
 
     yield factory
+    for client in clients:
+        client.close()
     for runner in runners:
         runner.stop()

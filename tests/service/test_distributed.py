@@ -15,12 +15,13 @@ import json
 import random
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.core.coordinator import LocalShardBackend, data_epoch
 from repro.core.embellish import EmbellishedQuery
-from repro.core.partitioning import HashPartitioner, save_sharded
+from repro.core.partitioning import HashPartitioner, load_sharded, save_sharded
 from repro.core.server import EncryptedResult, PrivateRetrievalServer, ServerCounters
 from repro.crypto.benaloh import generate_keypair
 from repro.service import (
@@ -31,7 +32,7 @@ from repro.service import (
     ServiceRunner,
     ServiceUnavailableError,
 )
-from repro.service.cluster import HttpShardBackend, LocalShardCluster
+from repro.service.cluster import HttpShardBackend, LocalShardCluster, ShardServerProcess
 from repro.service.wire import (
     FRAME_MEDIA_TYPE,
     WireError,
@@ -192,6 +193,8 @@ class _AbortingServer:
     exactly what a crashing service looks like to a client holding partial
     results.  The reset waits until the test says it has read that record
     (``first_read``): a RST racing the read discards it, a recorded flake.
+    ``mode="whole-stream"`` sends the same and then the chunked terminator
+    the real service always writes, a complete response.
     """
 
     def __init__(self, mode: str, first: bytes = b""):
@@ -207,7 +210,7 @@ class _AbortingServer:
     def _serve(self):
         conn, _ = self.listener.accept()
         conn.recv(65536)  # drain the request
-        if self.mode == "mid-stream":
+        if self.mode in ("mid-stream", "whole-stream"):
             conn.sendall(
                 (
                     "HTTP/1.1 200 OK\r\n"
@@ -216,6 +219,7 @@ class _AbortingServer:
                     f"\r\n{len(self.first):x}\r\n"
                 ).encode()
                 + self.first + b"\r\n"
+                + (b"0\r\n\r\n" if self.mode == "whole-stream" else b"")
             )
             self.first_read.wait(timeout=10)
         if self.mode == "truncated-body":
@@ -235,6 +239,58 @@ class _AbortingServer:
         self.first_read.set()
         self.listener.close()
         self.thread.join(timeout=5)
+
+
+class _SilentServer:
+    """Accepts one connection, reads the request, sends ``head`` (possibly
+    nothing) and then never answers; ``client_closed`` is set once the
+    client has closed its end of the connection."""
+
+    def __init__(self, head: bytes = b""):
+        self.head = head
+        self.client_closed = threading.Event()
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        conn, _ = self.listener.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(self.head)
+            conn.settimeout(10)
+            try:
+                while conn.recv(65536):
+                    pass
+            except OSError:
+                return
+            self.client_closed.set()
+
+    def close(self):
+        self.listener.close()
+        self.thread.join(timeout=15)
+
+
+@pytest.mark.parametrize(
+    "head, mid_stream",
+    [(b"", False), (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n", True)],
+    ids=["before-head", "after-head"],
+)
+def test_socket_timeout_is_typed_unavailable_and_closes_its_connection(head, mid_stream):
+    """Regression: a ``TimeoutError`` is neither a ``ConnectionError`` nor a
+    ``BadStatusLine``, so it left the client untyped -- and, before the
+    response head, left its connection open for a pool to reuse."""
+    server = _SilentServer(head)
+    try:
+        with ServiceClient("127.0.0.1", server.port, timeout=0.3) as client:
+            with pytest.raises(ServiceUnavailableError) as excinfo:
+                client.health()
+            assert excinfo.value.mid_stream is mid_stream
+            assert excinfo.value.transient is True
+            assert server.client_closed.wait(10), "the timed-out connection stayed open"
+    finally:
+        server.close()
 
 
 def _first_record(scores: dict, modulus: int) -> bytes:
@@ -293,10 +349,10 @@ def test_result_records_must_carry_their_stream_position_as_index():
 
     def run_batch(*records):
         stream = b"".join(encode_result_frame(*pair) for pair in zip(records, results))
-        server = _AbortingServer("mid-stream", stream + encode_frame({"kind": "done"}))
+        server = _AbortingServer("whole-stream", stream + encode_frame({"kind": "done"}))
         try:
-            client = ServiceClient("127.0.0.1", server.port, timeout=5.0)
-            return client.run_batch("session", queries, modulus=97)
+            with ServiceClient("127.0.0.1", server.port, timeout=5.0) as client:
+                return client.run_batch("session", queries, modulus=97)
         finally:
             server.close()
 
@@ -330,6 +386,7 @@ def test_http_backend_matches_local_backend(
         host=client.host, port=client.port, tenant="corpus", public_key=benaloh_keypair.public
     )
     over_http = remote.accumulate(subqueries)
+    remote.close()
     assert over_http == in_process
     assert [list(p) for p in over_http.partials] == [list(p) for p in in_process.partials]
     assert over_http.modulus == benaloh_keypair.public.n
@@ -363,6 +420,7 @@ def test_replica_truncating_its_response_body_is_failed_over(
         )
         queries = [embellisher.embellish(query_terms[i : i + 2]) for i in range(2)]
         got = coordinator.process_batch(queries)
+        coordinator.close()
     finally:
         truncating.close()
     oracle = PrivateRetrievalServer(
@@ -401,6 +459,7 @@ def test_partials_route_retains_no_per_key_server(
             PrivateRetrievalServer(index=index, organization=service_org, public_key=public)
         )
         assert remote.accumulate(subqueries).partials == local.accumulate(subqueries).partials
+        remote.close()
         del local
     # At most the last request's server, if its handler is still unwinding.
     assert live_servers() <= before + 1
@@ -449,6 +508,7 @@ def test_cluster_end_to_end_with_replica_kill(
             retry=RetryPolicy(max_retries=3, backoff_base=0.01),
         )
         got = [r.encrypted_scores for r in coordinator.process_batch(queries)]
+        coordinator.close()
         assert got == expected
 
         # The same topology served through the front-end service.
@@ -466,8 +526,8 @@ def test_cluster_end_to_end_with_replica_kill(
         )
         runner = ServiceRunner(front)
         host, port = runner.start()
+        client = ServiceClient(host, port)
         try:
-            client = ServiceClient(host, port)
             summary = [t for t in client.tenants() if t["name"] == "books"][0]
             assert summary["distributed"] is True
             session = client.open_session("books", benaloh_keypair.public)
@@ -487,7 +547,21 @@ def test_cluster_end_to_end_with_replica_kill(
             assert done["counters"]["tasks_retried"] > 0
             client.close_session(session)
         finally:
+            client.close()
             runner.stop()
+
+
+def test_a_stopped_shard_server_closes_its_pipe(sharded_root):
+    """Regression: ``kill()`` and ``terminate()`` reaped the child but never
+    closed the stdout pipe it reported its address on, an unclosed file once
+    the process object was collected (an error under ``-X dev -W
+    error::ResourceWarning``)."""
+    shard_dir = load_sharded(sharded_root).shard_dirs[0]
+    for stop in (ShardServerProcess.kill, ShardServerProcess.terminate):
+        replica = ShardServerProcess(index_dir=shard_dir, tenant="books")
+        stop(replica)
+        assert not replica.alive
+        assert replica.process.stdout.closed, stop.__name__
 
 
 def test_front_end_rejects_partials_for_distributed_tenant(
@@ -504,8 +578,8 @@ def test_front_end_rejects_partials_for_distributed_tenant(
     )
     runner = ServiceRunner(front)
     host, port = runner.start()
+    client = ServiceClient(host, port)
     try:
-        client = ServiceClient(host, port)
         payload = encode_partial_request_frame(benaloh_keypair.public, [(["a"], [2])])
         with pytest.raises(ServiceError) as excinfo:
             client._body("POST", "/shards/books/partials", payload)
@@ -514,7 +588,41 @@ def test_front_end_rejects_partials_for_distributed_tenant(
         org = client.organization("books")
         assert org.num_buckets == service_org.num_buckets
     finally:
+        client.close()
         runner.stop()
+
+
+def test_front_end_sessions_share_one_connection_per_replica(
+    running_service, service_org, benaloh_keypair, embellisher, query_terms
+):
+    """Every session's coordinator reaches a replica through one shared
+    client, so a front end with many open sessions keeps one idle connection
+    to each replica, not one per session, and its drain closes it."""
+    shard, _ = running_service()
+    front = RetrievalService(ServiceConfig(bucket_size=4))
+    front.add_distributed_tenant(
+        "corpus",
+        organization=service_org,
+        partitioner=HashPartitioner(num_shards=1),
+        replicas=[[shard.address]],
+    )
+    runner = ServiceRunner(front)
+    client = ServiceClient(*runner.start())
+    query = embellisher.embellish(query_terms[:2])
+    try:
+        for _ in range(6):  # opened, used and left open
+            session = client.open_session("corpus", benaloh_keypair.public)
+            results, _ = client.run_batch(session, [query], benaloh_keypair.public.n)
+            assert len(results) == 1
+        assert len(front.sessions) == 6
+        assert len(shard._connections) == 1
+    finally:
+        client.close()
+        runner.stop()
+    deadline = time.monotonic() + 10
+    while shard._connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not shard._connections
 
 
 def test_partial_request_requires_public_key(benaloh_keypair):

@@ -330,6 +330,8 @@ class TestCodecsAndBackends:
         assert next(stream)["index"] == 0
         with pytest.raises(ServiceError, match="does not fit 32 bits"):
             next(stream)
+        # The stream ended; the admitted batch still ran to its end.
+        assert len(service.sessions[session].server.last_batch_counters) == len(batch)
         monkeypatch.undo()
         assert client.metrics()["service"]["requests"]["failed"] == 1
         assert client.run_batch(session, batch, key.n)[0] == results
@@ -338,8 +340,9 @@ class TestCodecsAndBackends:
         self, running_service, embellisher, query_terms, benaloh_keypair, monkeypatch
     ):
         """The end-to-end benchmark counts wire bytes by swapping counting
-        subclasses into ``http.client``; the client must route every body
-        byte through exactly the two methods those override."""
+        subclasses into ``http.client`` before the client's first connection;
+        the client must route every body byte through exactly the two
+        methods those override, on that connection and every reuse of it."""
         sent, received = [], bytearray()
 
         class CountingResponse(http.client.HTTPResponse):
@@ -355,11 +358,13 @@ class TestCodecsAndBackends:
                 sent.append(len(body))
                 return super().request(method, url, body=body, headers=headers, **kwargs)
 
+        monkeypatch.setattr(http.client, "HTTPConnection", CountingConnection)
         service, client = running_service()
         modulus = benaloh_keypair.public.n
         batch = make_batches(embellisher, query_terms, [3])[0]
         session = client.open_session("corpus", benaloh_keypair.public)
-        monkeypatch.setattr(http.client, "HTTPConnection", CountingConnection)
+        sent.clear()
+        received.clear()
         results, done = client.run_batch(session, batch, modulus)
         assert sent == [len(wire.encode_batch_frame(batch, modulus))]
         # What read() saw is the whole response body: it parses, frame for
@@ -388,16 +393,18 @@ class TestAdmission:
         shed: list[ServiceError] = []
         lock = threading.Lock()
         # Saturation as a fact, not a race: the first batch holds the one
-        # active slot until the other five have been queued or shed.
-        gate = threading.Event()
-        holder = service.sessions[sessions[0]].server
-        iter_batch = holder.iter_batch
+        # active slot until the other five have been queued or shed.  It
+        # waits on the loop, which must stay free to queue and shed them.
+        gate = asyncio.Event()
+        holder = service.sessions[sessions[0]]
+        stream_batch = service._stream_batch
 
-        def gated(queries):
-            gate.wait(60)
-            return iter_batch(queries)
+        async def gated(session, *args):
+            if session is holder:
+                await gate.wait()
+            return await stream_batch(session, *args)
 
-        holder.iter_batch = gated
+        service._stream_batch = gated
 
         def hammer(session_id: str):
             try:
@@ -419,7 +426,7 @@ class TestAdmission:
         for thread in threads[1:]:
             thread.start()
         wait_until(lambda: len(shed) == 4)  # 1 active + 1 pending; the rest shed
-        gate.set()
+        running_service.last_runner._loop.call_soon_threadsafe(gate.set)
         for thread in threads:
             thread.join(timeout=120)
 
@@ -456,6 +463,150 @@ class TestAdmission:
         assert metrics["service"]["requests"]["rejected_saturated"] == 1
         client.close_session(first)
         assert client.open_session("corpus", benaloh_keypair.public) in service.sessions
+
+
+class TestKeepAlive:
+    """A client keeps one connection: reused after every response read to its
+    end, replaced once when the server dropped it while idle, and never
+    reused after a stream its caller abandoned."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every connection a client connects, in order."""
+        opened = []
+
+        class Recorded(http.client.HTTPConnection):
+            def connect(self):
+                opened.append(self)
+                super().connect()
+
+        monkeypatch.setattr(http.client, "HTTPConnection", Recorded)
+        return opened
+
+    def test_requests_from_one_client_share_one_connection(
+        self, running_service, opened, embellisher, query_terms, benaloh_keypair
+    ):
+        service, client = running_service()
+        batch = make_batches(embellisher, query_terms, [3])[0]
+        session = client.open_session("corpus", benaloh_keypair.public)
+        for _ in range(3):
+            client.run_batch(session, batch, benaloh_keypair.public.n)
+        assert client.health()["ok"] and client.metrics()["sessions_active"] == 1
+        client.close_session(session)
+        with pytest.raises(ServiceError) as gone:  # an error read to its end too
+            client.close_session(session)
+        assert gone.value.status == 404
+        assert client.tenants()
+        assert len(opened) == 1
+        assert len(service._connections) == 1
+
+    def test_a_connection_the_server_dropped_is_replaced_once(
+        self, running_service, opened
+    ):
+        service, client = running_service()
+        assert client.health()["ok"]
+
+        def drop_idle_peers():
+            for writer in service._connections.values():
+                writer.close()
+
+        running_service.last_runner._loop.call_soon_threadsafe(drop_idle_peers)
+        wait_until(lambda: not service._connections)
+        assert client.health()["ok"]
+        assert len(opened) == 2
+        assert opened[0].sock is None
+
+    def test_an_abandoned_stream_is_not_reused(
+        self, running_service, opened, index, service_org, embellisher, query_terms,
+        benaloh_keypair,
+    ):
+        service, client = running_service()
+        modulus = benaloh_keypair.public.n
+        batch = make_batches(embellisher, query_terms, [3])[0]
+        session = client.open_session("corpus", benaloh_keypair.public)
+        stream = client.submit_batch(session, batch, modulus)
+        assert next(stream)["index"] == 0  # on the connection the open left idle
+        stream.close()
+        assert opened[0].sock is None
+        results, done = client.run_batch(session, batch, modulus)
+        expected = direct_answers(index, service_org, benaloh_keypair, batch)
+        assert [r.encrypted_scores for r in results] == [e.encrypted_scores for e in expected]
+        assert done["queries"] == len(batch)
+        assert len(opened) == 2
+
+    def test_threads_sharing_a_client_never_share_or_lose_a_connection(
+        self, running_service, opened, index, service_org, embellisher, query_terms,
+        benaloh_keypair,
+    ):
+        """More threads than cores on one client, switching as often as the
+        interpreter allows: every answer is right, and every connection but
+        the one left idle is closed (a race on the idle slot would answer
+        one request with another's response, or drop a connection open)."""
+        service, client = running_service(max_active=8, max_pending=64)
+        modulus = benaloh_keypair.public.n
+        batch = make_batches(embellisher, query_terms, [2])[0]
+        expected = [
+            e.encrypted_scores for e in direct_answers(index, service_org, benaloh_keypair, batch)
+        ]
+        sessions = [client.open_session("corpus", benaloh_keypair.public) for _ in range(8)]
+        errors: list[BaseException] = []
+
+        def worker(session: str):
+            try:
+                for _ in range(4):
+                    results, _ = client.run_batch(session, batch, modulus)
+                    assert [r.encrypted_scores for r in results] == expected
+                    assert client.health()["ok"]
+            except BaseException as exc:  # surfaced via the errors list
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(session,)) for session in sessions]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sum(connection.sock is not None for connection in opened) == 1
+
+
+class TestEventLoop:
+    def test_a_local_batch_lets_other_connections_in_between_its_queries(
+        self, running_service, embellisher, query_terms, benaloh_keypair
+    ):
+        """A local batch accumulates on the event loop and yields it after
+        every query: a ``/healthz`` sent while an 8-query batch streams is
+        answered before that batch's last query starts."""
+        service, client = running_service()
+        batch = make_batches(embellisher, query_terms, [8])[0]
+        session = client.open_session("corpus", benaloh_keypair.public)
+        server = service.sessions[session].server
+        iter_batch = server.iter_batch
+        starts = []
+
+        def paced(queries):
+            results = iter_batch(queries)
+            for _ in queries:
+                starts.append(time.monotonic())
+                time.sleep(0.05)  # accumulation: the loop is busy with this query
+                yield next(results)
+
+        server.iter_batch = paced
+        with ServiceClient(*service.address) as probe:
+            assert probe.health()["ok"]  # its connection is open, and idle
+            stream = client.submit_batch(session, batch, benaloh_keypair.public.n)
+            assert next(stream)["index"] == 0
+            assert probe.health()["ok"]
+            answered = time.monotonic()
+            rest = list(stream)
+        assert [record["kind"] for record in rest] == ["result"] * 7 + ["done"]
+        assert len(starts) == 8
+        assert answered < starts[-1]
 
 
 class TestDrain:
