@@ -19,6 +19,10 @@ point inside the repository:
   covers ``README.md`` and the Markdown below the root; the other root notes
   (``CHANGES.md``, ``ROADMAP.md``, the paper notes) are exempt: they record
   history and other repositories, and name what was deleted on purpose;
+* in the same files, a backticked package-relative module path
+  (``core/server.py``, ``property/test_engine_properties.py`` -- how the
+  architecture map names its layers and their suites) must name a tracked
+  file under ``src/repro/`` or ``tests/``;
 * in the same files, a backticked dotted Python name (``name``, ``a.b``,
   either with ``()``) must name something the code still has: each of its
   parts that contains an underscore or is CamelCase must occur as a word in
@@ -48,6 +52,12 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 _EXTERNAL = ("http://", "https://", "mailto:")
 _CODE_SPAN = re.compile(r"`([^`]+)`")
 _REPO_PATH = re.compile(r"(?:src|benchmarks|scripts|tests|docs|examples|\.github)/[\w./-]*")
+_PACKAGE_PATH = re.compile(
+    r"(?:lexicon|textsearch|crypto|core|service|experiments|property|integration)"
+    r"/[\w./-]*\.py\b"
+)
+#: Where a package-relative module path may live.
+_PACKAGE_ROOTS = ("src/repro/", "tests/")
 _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\(\))?")
 _FILE_SUFFIXES = {"py", "md", "json", "jsonl", "log", "bin", "tmp", "txt", "toml", "yml", "yaml"}
 #: Tree-describing files whose names are not checked (see the module docstring).
@@ -118,6 +128,9 @@ class RepoPaths:
         )
         return ignored.returncode == 0
 
+    def has_module(self, cited: str) -> bool:
+        return any(root + cited in self.known for root in _PACKAGE_ROOTS)
+
 
 def cited_paths(line: str, in_fence: bool) -> list[str]:
     """Repo paths a line cites: words of its code spans, or of a fenced line."""
@@ -128,6 +141,16 @@ def cited_paths(line: str, in_fence: bool) -> list[str]:
         for word in span.split()
         if (match := _REPO_PATH.match(word.strip("'\"(),;")))
         and not re.search(r"[*?<>{}$]", word)
+    ]
+
+
+def cited_modules(line: str) -> list[str]:
+    """Package-relative module paths (``core/server.py``) a line's code spans cite."""
+    return [
+        match.group(0)
+        for span in _CODE_SPAN.findall(line)
+        for word in span.split()
+        if (match := _PACKAGE_PATH.match(word.strip("'\"(),;")))
     ]
 
 
@@ -165,6 +188,10 @@ def check_file(path: Path, root: Path, paths: RepoPaths | None = None) -> list[s
                     problems.append(f"{where}: no such repo path {cited!r}")
         if in_fence:
             continue
+        if paths is not None:
+            for cited in cited_modules(line):
+                if not paths.has_module(cited):
+                    problems.append(f"{where}: no module {cited!r} under src/repro/ or tests/")
         if check_names:
             for name in cited_names(line):
                 if name not in paths.words:

@@ -20,7 +20,12 @@ from repro.core.buckets import BucketOrganization
 from repro.core.costs import CostModel, CostReport
 from repro.core.embellish import EmbellishedQuery, QueryEmbellisher
 from repro.core.postfilter import PostFilterCounters, post_filter
-from repro.core.server import EncryptedResult, PrivateRetrievalServer, power_table_strategy
+from repro.core.server import (
+    EncryptedResult,
+    PrivateRetrievalServer,
+    io_charge,
+    power_table_strategy,
+)
 from repro.core.session import QuerySession
 from repro.crypto.benaloh import BenalohKeyPair, generate_keypair
 from repro.textsearch.engine import SearchResult
@@ -225,17 +230,7 @@ class PrivateSearchSystem:
         for bucket in buckets.values():
             embellished_terms.extend(bucket)
         embellished_terms.extend(t for t in genuine if t not in self.organization)
-
-        # I/O model: one fetch per bucket (lists co-located), loose terms together.
-        blocks_read = 0
-        for bucket in buckets.values():
-            bucket_bytes = sum(self.index.list_size_bytes(t) for t in bucket)
-            blocks_read += max(1, -(-bucket_bytes // self.index.block_size))
-        loose_bytes = sum(
-            self.index.list_size_bytes(t) for t in genuine if t not in self.organization
-        )
-        if loose_bytes:
-            blocks_read += max(1, -(-loose_bytes // self.index.block_size))
+        blocks_read, buckets_fetched = io_charge(self.index, self.organization, genuine)
 
         naive = self.naive
         candidates: set[int] = set()
@@ -270,7 +265,7 @@ class PrivateSearchSystem:
             pool_multiplications = len(genuine)
 
         return self.cost_model.pr_report(
-            buckets_fetched=len(buckets),
+            buckets_fetched=buckets_fetched,
             blocks_read=blocks_read,
             server_exponentiations=exponentiations,
             server_multiplications=max(0, postings_total - len(candidates)),

@@ -39,8 +39,9 @@ reach the merge.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.core import parallel
@@ -65,6 +66,8 @@ __all__ = [
     "ShardUnavailableError",
     "shard_partials",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class ShardUnavailableError(RuntimeError):
@@ -148,16 +151,17 @@ def shard_partials(
     """The shard role: answer a scattered sub-batch over ``server``'s index.
 
     The one implementation behind :class:`LocalShardBackend` and the
-    service's ``POST /shards/{tenant}/partials``: process the sub-batch, copy
-    the per-query counters, tag the modulus the partials were accumulated
-    under and stamp the data epoch (``None`` derives it from the index).
+    service's ``POST /shards/{tenant}/partials``: stream the sub-batch, keep
+    each query's partial with its counters, tag the modulus the partials
+    were accumulated under and stamp the data epoch (``None`` derives it
+    from the index).
     """
-    results = server.process_batch(queries)
+    pairs = list(server.iter_batch(queries))
     return ShardResponse(
         epoch=data_epoch(server.index) if epoch is None else epoch,
         modulus=server.public_key.n,
-        partials=tuple(result.encrypted_scores for result in results),
-        counters=tuple(replace(snapshot) for snapshot in server.last_batch_counters),
+        partials=tuple(result.encrypted_scores for result, _ in pairs),
+        counters=tuple(counters for _, counters in pairs),
     )
 
 
@@ -283,12 +287,13 @@ class QueryCoordinator:
     """Scatter embellished queries over shard replicas and merge the partials.
 
     Observationally a drop-in for :class:`PrivateRetrievalServer`'s read
-    path: ``process_query`` / ``process_batch`` / ``iter_batch`` yield
-    :class:`EncryptedResult`\\ s bit-identical to a single-node server over
-    the unsplit index, and ``counters`` / ``last_batch_counters`` aggregate
-    the shard-side operation counts plus the coordinator's own merge
-    multiplications -- so the service layer streams through a coordinator
-    exactly as it streams through a server.
+    path: ``iter_batch`` yields ``(EncryptedResult, ServerCounters)`` pairs
+    whose results are bit-identical to a single-node server over the unsplit
+    index and whose counters sum the shard-side operation counts plus the
+    coordinator's own merge multiplications; ``process_batch`` and
+    ``process_query`` collect them and record ``counters`` /
+    ``last_batch_counters`` -- so the service layer streams through a
+    coordinator exactly as it streams through a server.
 
     Parameters
     ----------
@@ -304,7 +309,8 @@ class QueryCoordinator:
         its injectable sleep keeping suites deterministic.
     allow_partial:
         When true a fully dark shard degrades the answer (identity
-        contribution, ``degraded_queries`` counted) instead of raising
+        contribution, ``degraded_queries`` counted, one WARNING naming the
+        shard) instead of raising
         :class:`ShardUnavailableError`.  Epoch skew always raises: a
         *missing* contribution is visibly degraded, a *stale* one is silent
         corruption.
@@ -314,35 +320,36 @@ class QueryCoordinator:
     public_key: object
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     allow_partial: bool = False
+    #: The sum of the most recent :meth:`process_batch`'s per-query counters.
     counters: ServerCounters = field(default_factory=ServerCounters)
+    #: The per-query counters of the most recent :meth:`process_batch`.
     last_batch_counters: list[ServerCounters] = field(default_factory=list)
-    #: Shards that went dark under ``allow_partial`` during the most recent
-    #: batch, for operators and tests.
-    last_dark_shards: tuple[int, ...] = ()
 
     # -- public entry points ------------------------------------------------------
     def process_query(self, query: EmbellishedQuery) -> EncryptedResult:
-        return next(iter(self.process_batch([query])))
+        return self.process_batch([query])[0]
 
     def process_batch(
         self, queries: Sequence[EmbellishedQuery]
     ) -> list[EncryptedResult]:
-        return list(self.iter_batch(queries))
+        """:meth:`iter_batch`, collected; records the counters like the server."""
+        pairs = list(self.iter_batch(queries))
+        self.last_batch_counters = [counters for _, counters in pairs]
+        self.counters = ServerCounters.total(self.last_batch_counters)
+        return [result for result, _ in pairs]
 
     def iter_batch(
         self, queries: Sequence[EmbellishedQuery]
-    ) -> Iterator[EncryptedResult]:
-        """Answer a batch in query order (shard fan-out *is* the parallelism).
+    ) -> Iterator[tuple[EncryptedResult, ServerCounters]]:
+        """Answer a batch as ``(result, counters)`` pairs, in query order.
 
-        The scatter is batched per shard -- each shard replica sees one
-        ``accumulate`` call covering its slice of every query -- so a batch
-        costs one round trip per shard, not per (query, shard) pair.
+        Shard fan-out *is* the parallelism.  The scatter is batched per
+        shard -- each shard replica sees one ``accumulate`` call covering
+        its slice of every query -- so a batch costs one round trip per
+        shard, not per (query, shard) pair.  Nothing is recorded on the
+        coordinator.
         """
         modulus = self.public_key.n
-        self.counters.reset()
-        snapshots: list[ServerCounters] = []
-        self.last_batch_counters = snapshots
-        self.last_dark_shards = ()
 
         # -- scatter: shard_id -> (query indices, subqueries) -----------------
         scatter: dict[int, tuple[list[int], list[tuple[list[str], list[int]]]]] = {}
@@ -365,7 +372,6 @@ class QueryCoordinator:
         partials: list[list[dict[int, int]]] = [[] for _ in queries]
         shard_counters: list[list[ServerCounters]] = [[] for _ in queries]
         degraded: set[int] = set()
-        dark: list[int] = []
         gather_retries = 0
         shard_ids = sorted(scatter)
         if len(shard_ids) > 1:
@@ -386,19 +392,21 @@ class QueryCoordinator:
             gather_retries += retries
             positions = scatter[shard_id][0]
             if response is None:
-                dark.append(shard_id)
+                log.warning(
+                    "shard %d is dark: every replica failed; answering %d "
+                    "queries without it (allow_partial)",
+                    shard_id,
+                    len(positions),
+                )
                 degraded.update(positions)
                 continue
             for slot, position in enumerate(positions):
                 partials[position].append(response.partials[slot])
                 shard_counters[position].append(response.counters[slot])
-        self.last_dark_shards = tuple(dark)
 
         # -- merge, in query order -------------------------------------------
         for position, query in enumerate(queries):
-            per_query = ServerCounters()
-            for counters in shard_counters[position]:
-                per_query.add(counters)
+            per_query = ServerCounters.total(shard_counters[position])
             # The shard servers each counted their sub-query; the coordinator
             # answers one query over all of them.
             per_query.queries_processed = 1
@@ -410,14 +418,12 @@ class QueryCoordinator:
             per_query.merge_multiplications += merge_multiplications
             if position == 0:
                 # Gather-level failover happened once for the whole batch;
-                # book it on the first snapshot so summing the per-query
-                # counters (what the service streams) equals ``counters``.
+                # book it on the first query so the per-query counters sum
+                # to the batch's.
                 per_query.tasks_retried += gather_retries
             if position in degraded:
                 per_query.degraded_queries += 1
-            snapshots.append(per_query)
-            self.counters.add(per_query)
-            yield EncryptedResult(encrypted_scores=merged, modulus=modulus)
+            yield EncryptedResult(merged, modulus), per_query
 
     # -- gather ------------------------------------------------------------------
     def _gather_shard(

@@ -12,6 +12,9 @@ This module holds what every placement of that work shares:
   implementation of the power-table fast path, executed in-process, by every
   pool worker and by every index shard -- so "placed equals sequential"
   reduces to "modular multiplication is associative";
+* the **counter type** (:class:`ServerCounters`): the kernel returns one
+  query's counts in the same object the server and the coordinator complete
+  and yield beside the query's result;
 * **merging** (:func:`merge_shard_results`), one modular multiplication per
   document that appears in more than one partial.  Within-partial plus merge
   multiplications always total exactly the sequential fast path's count
@@ -34,14 +37,14 @@ has shown a pool beating the in-process kernel (``docs/operations.md``,
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Sequence
 
 from repro.crypto import kernels, numbertheory
 from repro.crypto.kernels import build_power_table, power_table_strategy
 
 __all__ = [
-    "ShardCounts",
+    "ServerCounters",
     "TermPayload",
     "PendingResult",
     "power_table_strategy",
@@ -57,26 +60,69 @@ TermPayload = tuple[int, array, array]
 
 
 @dataclass
-class ShardCounts:
-    """Operation counts produced by one run of the accumulation kernel."""
+class ServerCounters:
+    """Operation counts of one answered query (or, summed, of a batch).
 
-    postings: int = 0
+    The kernel fills the accumulation counts of one run; the server adds the
+    I/O model and the query's shape, and the shard coordinator its merge and
+    failover counts -- one type from the kernel to the wire.
+    """
+
+    blocks_read: int = 0
+    postings_processed: int = 0
+    modular_exponentiations: int = 0
+    modular_multiplications: int = 0
     table_multiplications: int = 0
-    accumulator_multiplications: int = 0
+    buckets_fetched: int = 0
+    terms_processed: int = 0
+    #: Kernel runs behind this answer: 1 on a single node (0 for an empty
+    #: query), the index shards touched on the coordinator.
+    shards_executed: int = 0
+    #: Modular multiplications the coordinator spent merging shard partials
+    #: (always 0 on a single node).  Already included in
+    #: :attr:`modular_multiplications` -- within-shard plus merge
+    #: multiplications always equal the sequential count, so this only
+    #: attributes where they happened.
+    merge_multiplications: int = 0
+    #: Queries answered into these counters (1 per query; summed over a batch).
+    queries_processed: int = 0
+    #: How a distributed answer *survived*, booked by
+    #: :class:`~repro.core.coordinator.QueryCoordinator` (always 0 on a single
+    #: node): replica failovers walked, and queries answered without a dark
+    #: shard (``allow_partial``).  Neither changes result bits or op totals.
+    tasks_retried: int = 0
+    degraded_queries: int = 0
+
+    def add(self, other: "ServerCounters") -> None:
+        """Accumulate another counter set (used to aggregate a batch)."""
+        for counter in fields(self):
+            setattr(
+                self, counter.name, getattr(self, counter.name) + getattr(other, counter.name)
+            )
+
+    @classmethod
+    def total(cls, counter_sets: Iterable["ServerCounters"]) -> "ServerCounters":
+        """A fresh counter set holding the sum of ``counter_sets``."""
+        total = cls()
+        for counters in counter_sets:
+            total.add(counters)
+        return total
 
 
 def accumulate_terms(
     payload: Sequence[TermPayload], modulus: int, backend: str | None = None
-) -> tuple[dict[int, int], ShardCounts]:
+) -> tuple[dict[int, int], ServerCounters]:
     """The power-table accumulation kernel over a sequence of term payloads.
 
     This is the one implementation behind every fast query: the in-process
     path, every shard worker and every batch worker.  Returns the
-    per-document encrypted accumulators and the exact operation counts.  The
-    per-posting loop below is the correctness oracle; the ``cffi`` backend
-    hands whole payloads to the one-call Montgomery-form C kernel in
-    :mod:`repro.crypto.kernels`, falling back to the loop (and booking the
-    reason there) whenever a payload leaves the kernel's envelope.  Both
+    per-document encrypted accumulators and the exact operation counts of
+    this one kernel run (``shards_executed`` is 1, or 0 for an empty
+    payload).  The per-posting loop below is the correctness oracle; the
+    ``cffi`` backend hands whole payloads to the one-call Montgomery-form C
+    kernel in :mod:`repro.crypto.kernels`, falling back to the loop (and
+    booking the reason there) whenever a payload leaves the kernel's
+    envelope.  Both
     return plain-``int`` accumulators in the same insertion order with
     identical values and identical counters.
 
@@ -87,12 +133,18 @@ def accumulate_terms(
     """
     if backend is None:
         backend = numbertheory.get_backend()
+    shards = 1 if payload else 0
     if backend == "cffi":
         fast = kernels.accumulate_compiled(payload, modulus)
         if fast is not None:
             accumulators, postings, table_mults, accumulator_mults = fast
-            return accumulators, ShardCounts(postings, table_mults, accumulator_mults)
-    counts = ShardCounts()
+            return accumulators, ServerCounters(
+                postings_processed=postings,
+                modular_multiplications=accumulator_mults,
+                table_multiplications=table_mults,
+                shards_executed=shards,
+            )
+    counts = ServerCounters(shards_executed=shards)
     accumulators: dict[int, int] = {}
     accumulator_get = accumulators.get
     for selector, doc_ids, impacts in payload:
@@ -100,7 +152,7 @@ def accumulate_terms(
             continue
         table, table_mults = build_power_table(selector, impacts, modulus)
         counts.table_multiplications += table_mults
-        counts.postings += len(doc_ids)
+        counts.postings_processed += len(doc_ids)
         # One table lookup + at most one accumulator multiplication per
         # posting; the multiplication count is recovered from the number
         # of first-time candidates instead of a per-posting increment.
@@ -112,7 +164,7 @@ def accumulate_terms(
             else:
                 accumulators[doc_id] = existing * table[impact] % modulus
         new_candidates += len(accumulators)
-        counts.accumulator_multiplications += len(doc_ids) - new_candidates
+        counts.modular_multiplications += len(doc_ids) - new_candidates
     return accumulators, counts
 
 
@@ -148,8 +200,7 @@ class PendingResult:
     in-process batch pays for each query only when it asks for it; with one,
     :meth:`result` waits for the worker and a task's exception is raised
     from it, as the in-process kernel would raise it.  ``result`` is
-    idempotent; :attr:`shards` is 1, or 0 for an empty payload (which is
-    never dispatched).
+    idempotent.
     """
 
     def __init__(
@@ -165,14 +216,10 @@ class PendingResult:
         #: a dispatched task carries its own in the task tuple.
         self._backend = backend
         self._future = future
-        self._resolved: tuple[dict[int, int], ShardCounts] | None = None
+        self._resolved: tuple[dict[int, int], ServerCounters] | None = None
 
-    @property
-    def shards(self) -> int:
-        return 1 if self._payload else 0
-
-    def result(self) -> tuple[dict[int, int], ShardCounts]:
-        """``(accumulators, counts)``, blocking."""
+    def result(self) -> tuple[dict[int, int], ServerCounters]:
+        """``(accumulators, counts)``, blocking: :func:`accumulate_terms`' answer."""
         if self._resolved is None:
             if self._future is None:
                 self._resolved = accumulate_terms(

@@ -18,7 +18,7 @@ Two accumulation paths exist:
   which every posting costs a table lookup plus one accumulator
   multiplication (:func:`repro.core.parallel.accumulate_terms`).  Every fast
   query is dispatched the same way (:meth:`PrivateRetrievalServer.iter_batch`;
-  ``process_batch`` materialises it, ``process_query`` is a batch of one):
+  ``process_batch`` collects it, ``process_query`` is a batch of one):
   one :class:`~repro.core.parallel.PendingResult` handle per query --
   deferred in-process, or a task on an
   :class:`~repro.core.engine.ExecutionEngine` pool when the server was given
@@ -27,26 +27,26 @@ Two accumulation paths exist:
   bit-identical to the naive path's wherever a query's multiplications
   happen.
 
-The server is instrumented: it counts disk blocks fetched (bucket-co-located
-lists are fetched together, the I/O optimisation Section 4 prescribes),
-modular exponentiations, table / accumulator multiplications, batch fan-out,
-and the size of the candidate result it returns.  Those counters feed the
-Section 5.2 cost model, and the analytic estimators reproduce them exactly;
-batching and placement never change the totals, only where the
+The server is instrumented: every answered query travels with its own
+:class:`ServerCounters` -- the kernel's accumulation counts plus the disk
+blocks fetched (bucket-co-located lists are fetched together, the I/O
+optimisation Section 4 prescribes, :func:`io_charge`).  Those counters feed
+the Section 5.2 cost model, and the analytic estimators reproduce them
+exactly; batching and placement never change the totals, only where the
 multiplications happen (the shard coordinator books the shards it touched
 and its own merge multiplications on the same counters).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from repro.core import parallel
 from repro.core.buckets import BucketOrganization
 from repro.core.embellish import EmbellishedQuery
 from repro.core.engine import ExecutionEngine
-from repro.core.parallel import power_table_strategy
+from repro.core.parallel import ServerCounters, power_table_strategy
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.textsearch.inverted_index import InvertedIndex
 
@@ -54,6 +54,7 @@ __all__ = [
     "EncryptedResult",
     "ServerCounters",
     "PrivateRetrievalServer",
+    "io_charge",
     "power_table_strategy",
 ]
 
@@ -77,46 +78,31 @@ class EncryptedResult:
         return len(self.encrypted_scores) * (doc_id_bytes + ciphertext_bytes)
 
 
-@dataclass
-class ServerCounters:
-    """Operation counters accumulated while answering one query (or one batch)."""
+def io_charge(
+    view, organization: BucketOrganization, terms: Sequence[str]
+) -> tuple[int, int]:
+    """``(blocks_read, buckets_fetched)`` for reading ``terms``' inverted lists.
 
-    blocks_read: int = 0
-    postings_processed: int = 0
-    modular_exponentiations: int = 0
-    modular_multiplications: int = 0
-    table_multiplications: int = 0
-    buckets_fetched: int = 0
-    terms_processed: int = 0
-    #: Kernel runs behind this answer: 1 on a single node (0 for an empty
-    #: query), the index shards touched on the coordinator.
-    shards_executed: int = 0
-    #: Modular multiplications the coordinator spent merging shard partials
-    #: (always 0 on a single node).  Already included in
-    #: :attr:`modular_multiplications` -- within-shard plus merge
-    #: multiplications always equal the sequential count, so this only
-    #: attributes where they happened.
-    merge_multiplications: int = 0
-    #: Queries answered into these counters (1 for process_query; the batch
-    #: size for process_batch).
-    queries_processed: int = 0
-    #: How a distributed answer *survived*, booked by
-    #: :class:`~repro.core.coordinator.QueryCoordinator` (always 0 on a single
-    #: node): replica failovers walked, and queries answered without a dark
-    #: shard (``allow_partial``).  Neither changes result bits or op totals.
-    tasks_retried: int = 0
-    degraded_queries: int = 0
-
-    def reset(self) -> None:
-        for counter in fields(self):
-            setattr(self, counter.name, 0)
-
-    def add(self, other: "ServerCounters") -> None:
-        """Accumulate another counter set (used to aggregate a batch)."""
-        for counter in fields(self):
-            setattr(
-                self, counter.name, getattr(self, counter.name) + getattr(other, counter.name)
-            )
+    All the inverted lists of one bucket live in common disk blocks
+    (Section 4), so the I/O cost of a bucket is the total size of its lists
+    rounded up to whole blocks, charged once no matter how many of its terms
+    appear in the query.  Terms outside the organisation (the non-strict
+    embellisher may emit them) are read together and rounded up once.
+    ``view`` is an index or a snapshot of one.  The server charges every
+    query with this, and the analytic estimator replays it.
+    """
+    block_size = view.block_size
+    buckets = organization.buckets_for_query(terms)
+    blocks_read = sum(
+        max(1, -(-sum(map(view.list_size_bytes, bucket)) // block_size))
+        for bucket in buckets.values()
+    )
+    loose_bytes = sum(
+        view.list_size_bytes(term) for term in terms if term not in organization
+    )
+    if loose_bytes:
+        blocks_read += max(1, -(-loose_bytes // block_size))
+    return blocks_read, len(buckets)
 
 
 @dataclass
@@ -173,15 +159,11 @@ class PrivateRetrievalServer:
     parallelism: int = 1
     engine: ExecutionEngine | None = None
     backend: str | None = None
+    #: The sum of the most recent :meth:`process_batch`'s per-query counters.
     counters: ServerCounters = field(default_factory=ServerCounters)
-    #: Per-query counter snapshots of the most recent :meth:`process_batch`
-    #: (cleared by every non-batch entry point, so reads never see a stale
-    #: previous batch).
+    #: The per-query counters of the most recent :meth:`process_batch`.
     last_batch_counters: list[ServerCounters] = field(default_factory=list)
     _owns_engine: bool = field(default=False, init=False, repr=False)
-    #: Bumped by every entry point; an in-flight iter_batch stream stops
-    #: touching the shared aggregate once a newer call has claimed it.
-    _counter_epoch: int = field(default=0, init=False, repr=False)
 
     # -- engine lifecycle ---------------------------------------------------------
     def _resident_engine(self) -> ExecutionEngine:
@@ -264,32 +246,31 @@ class PrivateRetrievalServer:
     def process_query(self, query: EmbellishedQuery) -> EncryptedResult:
         """Algorithm 4: accumulate encrypted relevance scores for every candidate document.
 
-        A batch of one: same pinned snapshot, same dispatch, same counters
-        (aggregated in :attr:`counters`); only :attr:`last_batch_counters`
-        is left empty, since no batch was asked for.
+        A batch of one: same pinned snapshot, same dispatch, same counters.
         """
-        (result,) = self.iter_batch([query])
-        self.last_batch_counters = []
-        return result
+        return self.process_batch([query])[0]
 
     def process_batch(self, queries: Sequence[EmbellishedQuery]) -> list[EncryptedResult]:
-        """:meth:`iter_batch`, materialised: the batch's results, in query order.
+        """:meth:`iter_batch`, collected: the batch's results, in query order.
 
-        Aggregate counters land in :attr:`counters`; per-query snapshots in
-        :attr:`last_batch_counters`.
+        Records the per-query counters in :attr:`last_batch_counters` and
+        their sum in :attr:`counters`; a batch that raises records nothing.
         """
-        return list(self.iter_batch(queries))
+        pairs = list(self.iter_batch(queries))
+        self.last_batch_counters = [counters for _, counters in pairs]
+        self.counters = ServerCounters.total(self.last_batch_counters)
+        return [result for result, _ in pairs]
 
-    def iter_batch(self, queries: Sequence[EmbellishedQuery]) -> Iterator[EncryptedResult]:
-        """Stream a batch's results in query order as their futures complete.
+    def iter_batch(
+        self, queries: Sequence[EmbellishedQuery]
+    ) -> Iterator[tuple[EncryptedResult, ServerCounters]]:
+        """Stream a batch as ``(result, counters)`` pairs, in query order.
 
-        A batch of several queries is dispatched up front on the resident
-        pool, one worker task per query.  Each :class:`EncryptedResult` is
-        yielded as soon as its own task finishes, so a consumer can
-        post-filter early results while later ones are still accumulating.
-        Counters fill progressively:
-        :attr:`last_batch_counters` holds the completed snapshots of exactly
-        the yielded prefix, which :attr:`counters` aggregates.  With
+        Each query's :class:`ServerCounters` travels with its result, and
+        nothing is recorded on the server, so a stream and any other call
+        never share counter state.  A batch of several queries on a server
+        with an engine is dispatched up front, one worker task per query,
+        and each pair is yielded as soon as its own task finishes.  With
         ``naive=True``, no engine and ``parallelism`` 1, or a batch of one,
         nothing is dispatched: each query is computed when the iterator
         reaches it.
@@ -301,49 +282,28 @@ class PrivateRetrievalServer:
             is recreated lazily instead).  A worker task's exception
             propagates unchanged -- out of the yielding loop, since dispatch
             happens on the first ``next()``.
-
-        The generator holds futures on the pool while suspended: an
-        engine ``shutdown(wait=True)`` waits for those futures, whose results
-        remain collectible afterwards.
-
-        Thread safety: one server instance answers one call at a time, and
-        its counters describe the *most recent* entry point.  Answering other
-        queries on this server while a stream is still being consumed rebinds
-        :attr:`last_batch_counters` and resets :attr:`counters` to that newer
-        call; the in-flight stream keeps filling its own snapshot list but
-        stops touching the shared aggregate.  For concurrent serving give
-        each client session its own server -- the arrangement
-        :mod:`repro.service` uses.
         """
-        self._counter_epoch += 1
-        epoch = self._counter_epoch
-        self.counters.reset()
         # One pinned view for the whole batch, lazily-computed queries
         # included: every query of the stream answers against the same
         # manifest epoch no matter what the writer does meanwhile.
         view = self._pin()
-        # Also bound to a local: an interleaved call rebinds the attribute,
-        # and this stream must keep appending to its own snapshot list.
-        snapshots: list[ServerCounters] = []
-        self.last_batch_counters = snapshots
         if self.naive:
             answers = (self._answer_naive(query, view) for query in queries)
         else:
             answers = self._answer_fast(queries, view)
-        for query, (accumulators, per_query) in zip(queries, answers):
-            per_query.queries_processed = 1
-            per_query.terms_processed = len(query)
-            self._account_io(query, per_query, view)
-            snapshots.append(per_query)
-            if self._counter_epoch == epoch:
-                self.counters.add(per_query)
-            yield EncryptedResult(encrypted_scores=accumulators, modulus=self.public_key.n)
+        for query, (accumulators, counters) in zip(queries, answers):
+            counters.queries_processed = 1
+            counters.terms_processed = len(query)
+            counters.blocks_read, counters.buckets_fetched = io_charge(
+                view, self.organization, query.terms
+            )
+            yield EncryptedResult(accumulators, self.public_key.n), counters
 
     # -- the fast path: dispatch -> handle -> collect ------------------------------
     def _answer_fast(
         self, queries: Sequence[EmbellishedQuery], view
     ) -> Iterator[tuple[dict[int, int], ServerCounters]]:
-        """One pending handle per query, collected and counted in query order."""
+        """One pending handle per query, collected in query order."""
         modulus = self.public_key.n
         if self.engine is None and self.parallelism <= 1:
             # Deferred in-process handles, built lazily: a query's columns are
@@ -360,14 +320,7 @@ class PrivateRetrievalServer:
                 modulus,
                 backend=self.backend,
             )
-        for handle in pending:
-            accumulators, counts = handle.result()
-            yield accumulators, ServerCounters(
-                postings_processed=counts.postings,
-                table_multiplications=counts.table_multiplications,
-                modular_multiplications=counts.accumulator_multiplications,
-                shards_executed=handle.shards,
-            )
+        return (handle.result() for handle in pending)
 
     def _payload(self, query: EmbellishedQuery, view) -> list[parallel.TermPayload]:
         """The per-term work units of one query, in query order."""
@@ -393,35 +346,3 @@ class PrivateRetrievalServer:
                 else:
                     accumulators[posting.doc_id] = contribution
         return accumulators, counters
-
-    # -- storage model -----------------------------------------------------------
-    def _account_io(
-        self, query: EmbellishedQuery, counters: ServerCounters, view
-    ) -> None:
-        """Charge disk I/O for the buckets covering the query's terms.
-
-        All the inverted lists of one bucket live in common disk blocks
-        (Section 4), so the I/O cost of a bucket is the total size of its
-        lists rounded up to whole blocks, charged once no matter how many of
-        its terms appear in the query.  Terms outside the organisation (the
-        non-strict embellisher may emit them) are charged individually.
-        """
-        block_size = view.block_size
-        seen_buckets: set[int] = set()
-        loose_bytes = 0
-        for term in query.terms:
-            if term in self.organization:
-                bucket_id = self.organization.bucket_id_of(term)
-                if bucket_id in seen_buckets:
-                    continue
-                seen_buckets.add(bucket_id)
-                bucket_bytes = sum(
-                    view.list_size_bytes(bucket_term)
-                    for bucket_term in self.organization.buckets[bucket_id]
-                )
-                counters.blocks_read += max(1, -(-bucket_bytes // block_size))
-            else:
-                loose_bytes += view.list_size_bytes(term)
-        if loose_bytes:
-            counters.blocks_read += max(1, -(-loose_bytes // block_size))
-        counters.buckets_fetched += len(seen_buckets)

@@ -71,18 +71,10 @@ class QuerySession:
         """
         budgets = []
         for query in self.queries:
-            total = 0
-            seen_buckets: set[int] = set()
-            for term in dict.fromkeys(query):
-                if term not in organization:
-                    total += 1
-                    continue
-                bucket_id = organization.bucket_id_of(term)
-                if bucket_id in seen_buckets:
-                    continue
-                seen_buckets.add(bucket_id)
-                total += len(organization.buckets[bucket_id])
-            budgets.append(total)
+            terms = tuple(dict.fromkeys(query))
+            buckets = organization.buckets_for_query(terms).values()
+            loose = sum(1 for term in terms if term not in organization)
+            budgets.append(sum(map(len, buckets)) + loose)
         return tuple(budgets)
 
     @classmethod

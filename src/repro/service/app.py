@@ -26,9 +26,9 @@ is shards (the distribution roles below), not a worker pool.
   organisations, health, ``/metrics``) is JSON.
 * **Streaming**: a batch POST answers with a chunked stream of frames.  The
   event loop itself steps :meth:`PrivateRetrievalServer.iter_batch` and
-  writes each result as its own chunk the moment it completes, so the
-  client observes query results in order as they complete, not at batch
-  end; between queries the loop serves other connections, so concurrent
+  writes each ``(result, counters)`` pair it yields as its own chunk the
+  moment it completes, so the client observes query results in order as
+  they complete, not at batch end; between queries the loop serves other connections, so concurrent
   batches interleave one query at a time.  Only a distributed session,
   whose steps wait on shard round trips, steps on an executor thread.
 * **Kernel backend**: :meth:`RetrievalService.start` resolves once what the
@@ -56,8 +56,8 @@ is shards (the distribution roles below), not a worker pool.
   :meth:`RetrievalService.add_distributed_tenant` registers a tenant whose
   sessions run a :class:`~repro.core.coordinator.QueryCoordinator` over
   remote shard replicas instead of a local server -- the batch route streams
-  through it unchanged, because the coordinator mirrors the server's
-  ``iter_batch`` / ``last_batch_counters`` surface.
+  through it unchanged, because the coordinator's ``iter_batch`` yields the
+  same ``(result, counters)`` pairs as the server's.
 
 Routes
 ------
@@ -593,8 +593,8 @@ class RetrievalService:
         # one handle).
         if tenant.coordinator_factory is not None:
             # Distributed tenant: the session's "server" is a coordinator
-            # scattering to shard replicas.  It mirrors iter_batch /
-            # last_batch_counters, so the batch route streams through it
+            # scattering to shard replicas.  Its iter_batch yields the same
+            # (result, counters) pairs, so the batch route streams through it
             # unchanged; epoch pinning happens shard-side (the coordinator
             # rejects replicas that drift from its pinned epochs).
             server = tenant.coordinator_factory(public_key)
@@ -776,8 +776,7 @@ class RetrievalService:
         result no frame can carry, stops the stream but never cancels
         admitted work: the iterator runs to its end.
         """
-        server = session.server
-        batch = server.iter_batch(queries)
+        batch = session.server.iter_batch(queries)
         remote = session.tenant.coordinator_factory is not None
         loop = asyncio.get_running_loop()
         writable = True
@@ -794,25 +793,25 @@ class RetrievalService:
             started = time.monotonic()
             try:
                 if remote:
-                    result = await loop.run_in_executor(None, next, batch, None)
+                    pair = await loop.run_in_executor(None, next, batch, None)
                 else:
-                    result = next(batch, None)
+                    pair = next(batch, None)
             except Exception as exc:  # surfaced to the client as an error record
                 failure = exc
                 break
             service_s += time.monotonic() - started
-            if result is None:
+            if pair is None:
                 break
-            snapshot = server.last_batch_counters[answered]
+            result, counters = pair
             answered += 1
-            batch_totals.add(snapshot)
+            batch_totals.add(counters)
             self.metrics.queries_total += 1
             self.metrics.query_time.record(service_s * 1000.0)
             if writable and failure is None:
                 record = {
                     "kind": "result",
                     "index": answered - 1,
-                    "counters": encode_counters(snapshot),
+                    "counters": encode_counters(counters),
                     "ms": round(service_s * 1000.0, 3),
                 }
                 try:

@@ -21,8 +21,8 @@ This module wires the pieces of the scatter-gather architecture together:
   saved :func:`~repro.core.partitioning.save_sharded` layout into N shard
   processes x R replicas, hand out coordinator-ready
   :class:`~repro.core.coordinator.ShardTopology` objects with the layout's
-  epochs pinned, and kill/terminate replicas on demand (failover drills and
-  the ``distributed_scatter_gather`` bench use exactly this).
+  epochs pinned, and kill/terminate replicas on demand (the failover drills
+  and the benchmark's sharded probe use exactly this).
 
 The wire format never assumes same-box: addresses are ``(host, port)``
 pairs, and everything a backend needs travels in the request.

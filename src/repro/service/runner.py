@@ -1,8 +1,8 @@
 """Run a :class:`RetrievalService` on a dedicated background thread.
 
-The service is a pure-asyncio citizen; tests, the benchmark load generator
-and ``scripts/serve.py`` are synchronous callers.  :class:`ServiceRunner`
-bridges the two: it spins up an event loop on a daemon thread, starts the
+The service is a pure-asyncio citizen; the tests are synchronous callers
+(``scripts/serve.py`` and the benchmark's server child run the service with
+``asyncio.run`` instead).  :class:`ServiceRunner` bridges the two: it spins up an event loop on a daemon thread, starts the
 service there, hands the bound address back to the caller, and exposes
 blocking ``drain()`` / ``stop()`` that marshal into the loop via
 ``asyncio.run_coroutine_threadsafe``.

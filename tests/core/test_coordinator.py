@@ -10,6 +10,7 @@ partitioner, and any failover path that still reaches a live replica.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import random
 
 import pytest
@@ -30,7 +31,7 @@ from repro.core.partitioning import (
     HashPartitioner,
     shard_organization,
 )
-from repro.core.server import PrivateRetrievalServer
+from repro.core.server import PrivateRetrievalServer, ServerCounters
 from repro.lexicon.specificity import hypernym_depth_specificity
 from repro.core.sequencing import concatenate_sequences, sequence_dictionary
 from repro.core.buckets import generate_buckets
@@ -189,10 +190,32 @@ def test_counters_aggregate_shard_work(index, organization, benaloh_keypair, que
         >= coordinator.counters.merge_multiplications
     )
     assert len(coordinator.last_batch_counters) == len(queries)
-    assert (
-        sum(c.queries_processed for c in coordinator.last_batch_counters)
-        == coordinator.counters.queries_processed
+    assert ServerCounters.total(coordinator.last_batch_counters) == coordinator.counters
+    # The stream yields the same per-query counters, and records nothing.
+    recorded = coordinator.counters
+    pairs = list(coordinator.iter_batch(queries))
+    assert [counters for _, counters in pairs] == coordinator.last_batch_counters
+    assert coordinator.counters is recorded
+
+
+def test_interleaved_call_does_not_inherit_stream_counters(
+    index, organization, benaloh_keypair, queries
+):
+    """Regression: finishing a stream after an interleaved process_query
+    kept adding the stream's per-query counts into the coordinator's
+    aggregate, so it read two queries where the newer call answered one."""
+    part = HashPartitioner(num_shards=2)
+    backends = _shard_backends(index, organization, benaloh_keypair.public, part)
+    coordinator = QueryCoordinator(
+        topology=_topology(backends, part), public_key=benaloh_keypair.public
     )
+    stream = coordinator.iter_batch(queries[:2])
+    next(stream)
+    coordinator.process_query(queries[2])
+    expected = dataclasses.replace(coordinator.counters)
+    assert len(list(stream)) == 1
+    assert coordinator.counters == expected
+    assert coordinator.counters.queries_processed == 1
 
 
 def test_single_shard_merges_for_free(index, organization, benaloh_keypair, queries):
@@ -290,11 +313,11 @@ def test_permanent_fault_is_not_retried(index, organization, benaloh_keypair, qu
 
 
 def test_allow_partial_degrades_dark_shard(
-    index, organization, benaloh_keypair, queries
+    index, organization, benaloh_keypair, queries, caplog
 ):
     """A fully dark shard under allow_partial: the surviving shards' merge is
     returned (bit-identical to merging just those partials), every affected
-    query is counted degraded, and the dark shard is reported."""
+    query is counted degraded, and one WARNING names the dark shard."""
     from repro.core import parallel
     from repro.core.partitioning import split_query_terms
 
@@ -311,8 +334,10 @@ def test_allow_partial_degrades_dark_shard(
         retry=_fast_retry(max_retries=1),
         allow_partial=True,
     )
-    results = coordinator.process_batch(queries)
-    assert coordinator.last_dark_shards == (0,)
+    with caplog.at_level(logging.WARNING, logger="repro.core.coordinator"):
+        results = coordinator.process_batch(queries)
+    dark = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(dark) == 1 and dark[0].startswith("shard 0 is dark")
 
     # Expected: each query merged from shard 1's contribution only.
     modulus = benaloh_keypair.public.n

@@ -120,7 +120,7 @@ class TestCountersAndReuse:
         engine = ExecutionEngine(parallelism=4)
         (handle,) = engine.submit_batch([_payload([(17, [(1, 2), (2, 1)])])], MODULUS)
         accumulators, counts = handle.result()
-        assert handle.shards == 1 and counts.postings == 2
+        assert counts.shards_executed == 1 and counts.postings_processed == 2
         assert not engine.running
         assert engine.counters.pool_starts == 0
         engine.shutdown()
@@ -128,10 +128,11 @@ class TestCountersAndReuse:
     def test_empty_payload_reports_zero_shards(self):
         engine = ExecutionEngine(parallelism=4)
         (handle,) = engine.submit_batch([[]], MODULUS)
-        assert handle.result()[0] == {} and handle.shards == 0
+        assert handle.result()[0] == {} and handle.result()[1].shards_executed == 0
         empty, light = engine.submit_batch([[], _batch()[1]], MODULUS)
-        assert empty.result()[0] == {} and empty.shards == 0
-        assert light.shards == 1 and not engine.running  # one task: in-process
+        assert empty.result()[0] == {} and empty.result()[1].shards_executed == 0
+        assert light.result()[1].shards_executed == 1
+        assert not engine.running  # one task: in-process
         engine.shutdown()
 
     def test_empty_queries_are_never_dispatched(self):
@@ -139,7 +140,7 @@ class TestCountersAndReuse:
         with ExecutionEngine(parallelism=2) as engine:
             pending = engine.submit_batch([heavy, [], light], MODULUS)
             assert engine.counters.tasks_dispatched == 2
-            assert [handle.shards for handle in pending] == [1, 0, 1]
+            assert [h.result()[1].shards_executed for h in pending] == [1, 0, 1]
             assert [handle.result()[0] for handle in pending] == [
                 parallel.accumulate_terms(p, MODULUS)[0] for p in (heavy, [], light)
             ]
@@ -167,7 +168,7 @@ class TestHybridScheduling:
         for payload in _batch():
             (handle,) = engine.submit_batch([payload], MODULUS)
             assert handle.result() == parallel.accumulate_terms(payload, MODULUS)
-            assert handle.shards == 1 and not engine.running
+            assert handle.result()[1].shards_executed == 1 and not engine.running
         assert engine.run_batch([], MODULUS) == []
         assert not engine.running and engine.counters.tasks_dispatched == 0
         engine.shutdown()
@@ -183,7 +184,7 @@ class TestStreaming:
             assert [p.result() for p in pending] == collected
         expected = [parallel.accumulate_terms(p, MODULUS)[0] for p in batch]
         assert [acc for acc, *_ in collected] == expected
-        assert pending[-1].shards == 0  # the empty query executed no shards
+        assert collected[-1][1].shards_executed == 0  # the empty query executed no shards
 
     def test_sequential_engine_defers_work_lazily(self):
         engine = ExecutionEngine(parallelism=1)
@@ -324,7 +325,7 @@ class TestSharedKernelEngine:
                 def collect(slot: int):
                     got[slot] = [
                         [
-                            (*h.result(), h.shards)
+                            h.result()
                             for h in engine.submit_batch(payloads, MODULUS, "cffi")
                         ]
                         for _ in range(rounds)
@@ -344,9 +345,9 @@ class TestSharedKernelEngine:
         assert sorted(got) == list(range(collectors))
         for answers in got.values():
             for answer in answers:
-                for (merged, counts, shards), (want, want_counts) in zip(answer, expected):
+                for (merged, counts), (want, want_counts) in zip(answer, expected):
                     assert merged == want and list(merged) == list(want)
-                    assert shards == 1
+                    assert counts.shards_executed == 1
                     assert counts == want_counts
         calls = rounds * collectors
         assert engine.counters.pool_starts == 1

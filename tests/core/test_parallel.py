@@ -85,9 +85,9 @@ class TestAccumulationKernel:
         # Two terms over overlapping documents; impacts {1,2} and {3}.
         payload = _payload([(17, [(1, 2), (2, 1)]), (23, [(1, 3), (3, 3)])])
         accumulators, counts = parallel.accumulate_terms(payload, modulus)
-        assert counts.postings == 4
+        assert counts.postings_processed == 4
         # 4 postings, 3 distinct candidates -> 1 accumulator multiplication.
-        assert counts.accumulator_multiplications == 1
+        assert counts.modular_multiplications == 1
         assert accumulators[1] == pow(17, 2, modulus) * pow(23, 3, modulus) % modulus
         assert accumulators[2] == pow(17, 1, modulus)
         assert accumulators[3] == pow(23, 3, modulus)
@@ -96,7 +96,7 @@ class TestAccumulationKernel:
         accumulators, counts = parallel.accumulate_terms(
             [(9, array("I"), array("I"))], 10007
         )
-        assert accumulators == {} and counts.postings == 0
+        assert accumulators == {} and counts.postings_processed == 0
 
 
 class TestShardedServer:

@@ -174,16 +174,19 @@ class TestProcessQuery:
 
 
 class TestBatchCounterHygiene:
-    def test_process_query_clears_stale_batch_snapshots(self, pr_setup, organization):
+    def test_process_query_replaces_the_previous_batch_record(self, pr_setup, organization):
         """Regression: process_query reset `counters` but left the previous
-        batch's per-query snapshots in last_batch_counters, so callers reading
-        them after a single query saw stale data."""
+        batch's per-query counters in last_batch_counters, so callers reading
+        them after a single query saw stale data.  A query is a batch of one
+        and records exactly its own counters."""
         embellisher, server = pr_setup
         query = embellisher.embellish([organization.buckets[0][0]])
         server.process_batch([query, query])
         assert len(server.last_batch_counters) == 2
+        assert server.counters.queries_processed == 2
         server.process_query(query)
-        assert server.last_batch_counters == []
+        assert server.last_batch_counters == [server.counters]
+        assert server.counters.queries_processed == 1
 
     def test_empty_query_executes_zero_shards(self, pr_setup):
         from repro.core.embellish import EmbellishedQuery
@@ -288,7 +291,7 @@ class TestResidentEngine:
 
 
 class TestIterBatch:
-    def test_streamed_results_match_batch_in_order(
+    def test_streamed_pairs_match_batch_in_order(
         self, index, organization, benaloh_keypair
     ):
         embellisher = QueryEmbellisher(
@@ -299,18 +302,20 @@ class TestIterBatch:
         kwargs = dict(
             index=index, organization=organization, public_key=benaloh_keypair.public
         )
-        batch = PrivateRetrievalServer(**kwargs).process_batch(queries)
+        batch_server = PrivateRetrievalServer(**kwargs)
+        batch = batch_server.process_batch(queries)
         with PrivateRetrievalServer(parallelism=2, **kwargs) as server:
-            streamed = []
-            for position, result in enumerate(server.iter_batch(queries)):
-                # Counters fill progressively: exactly the yielded prefix,
-                # whatever the worker budget.
-                assert len(server.last_batch_counters) == position + 1
-                assert server.counters.queries_processed == position + 1
-                streamed.append(result)
-        assert [r.encrypted_scores for r in streamed] == [
+            streamed = list(server.iter_batch(queries))
+            # Each query's counters travel with its result; the stream
+            # records nothing on the server, whatever the worker budget.
+            assert server.counters == ServerCounters()
+            assert server.last_batch_counters == []
+        assert [r.encrypted_scores for r, _ in streamed] == [
             r.encrypted_scores for r in batch
         ]
+        assert [c for _, c in streamed] == batch_server.last_batch_counters
+        assert all(c.queries_processed == 1 for _, c in streamed)
+        assert ServerCounters.total(c for _, c in streamed) == batch_server.counters
 
     def test_streaming_sequential_path_is_lazy(self, pr_setup, organization):
         embellisher, server = pr_setup
@@ -318,12 +323,11 @@ class TestIterBatch:
             embellisher.embellish([organization.buckets[i][0]]) for i in range(3)
         ]
         iterator = server.iter_batch(queries)
-        first = next(iterator)
-        assert server.counters.queries_processed == 1
-        assert len(server.last_batch_counters) == 1
+        first, counters = next(iterator)
+        assert counters.queries_processed == 1 and counters.postings_processed
         rest = list(iterator)
-        assert server.counters.queries_processed == 3
         assert len(first.encrypted_scores) and len(rest) == 2
+        assert server.counters == ServerCounters()  # recorded only by process_*
 
     def test_interleaved_call_does_not_inherit_stream_counters(
         self, pr_setup, organization
@@ -339,12 +343,12 @@ class TestIterBatch:
         stream = server.iter_batch(queries)
         next(stream)
         server.process_query(interleaved)
-        expected = ServerCounters()
-        expected.add(server.counters)
+        expected = ServerCounters.total([server.counters])
         remainder = list(stream)  # the stream still yields correct results
-        assert len(remainder) == 1 and len(remainder[0].encrypted_scores)
+        assert len(remainder) == 1 and len(remainder[0][0].encrypted_scores)
         assert server.counters == expected  # aggregate untouched by the stream
-        assert len(server.last_batch_counters) == 0  # rebound by process_query
+        assert server.counters.queries_processed == 1
+        assert server.last_batch_counters == [expected]
 
 
 class TestEngineFinalizerGuard:

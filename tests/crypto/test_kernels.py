@@ -71,9 +71,9 @@ def accumulate_loop(payload, modulus):
     accumulators, counts = parallel.accumulate_terms(payload, modulus)
     return (
         accumulators,
-        counts.postings,
+        counts.postings_processed,
         counts.table_multiplications,
-        counts.accumulator_multiplications,
+        counts.modular_multiplications,
     )
 
 

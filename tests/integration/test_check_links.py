@@ -48,6 +48,21 @@ def test_a_fenced_block_is_checked_word_by_word(repo):
     assert problems_in(repo, text) == ["docs/guide.md:2: no such repo path 'scripts/gone.py'"]
 
 
+def test_a_package_relative_module_must_exist_under_src_repro_or_tests(repo):
+    for kept in ("src/repro/core/kept.py", "tests/property/test_kept.py"):
+        (repo / kept).parent.mkdir(parents=True)
+        (repo / kept).write_text("")
+    subprocess.run(["git", "add", "."], cwd=repo, check=True)
+    text = (
+        "## Layer (`core/kept.py`, `core/gone.py`)\n\n"
+        "**Suites** — `property/test_kept.py`, `integration/test_gone.py`.\n"
+    )
+    assert problems_in(repo, text) == [
+        "docs/guide.md:1: no module 'core/gone.py' under src/repro/ or tests/",
+        "docs/guide.md:3: no module 'integration/test_gone.py' under src/repro/ or tests/",
+    ]
+
+
 def test_placeholders_and_globs_are_not_paths():
     line = "`python scripts/serve.py --port 1`, `tests/<suite>/x.py`, `src/*.py`"
     assert check_links.cited_paths(line, in_fence=False) == ["scripts/serve.py"]

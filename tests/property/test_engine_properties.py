@@ -83,7 +83,7 @@ class TestHybridSchedulingProperties:
                         else oracle[doc_id] * contribution % modulus
                     )
             assert merged == oracle
-            assert handle.shards == (1 if payload else 0)
+            assert counts.shards_executed == (1 if payload else 0)
 
 
 class TestStreamingProperties:
@@ -141,12 +141,13 @@ class TestEngineRoutedServerProperties:
         routed = PrivateRetrievalServer(engine=pooled_engine, **kwargs)
         before = pooled_engine.counters.tasks_dispatched
         if data.draw(st.booleans()):
-            results = list(routed.iter_batch(queries))
+            pairs = list(routed.iter_batch(queries))
         else:
             results = routed.process_batch(queries)
+            pairs = list(zip(results, routed.last_batch_counters))
         assert pooled_engine.counters.tasks_dispatched - before == len(queries)
-        for result, per_query, single, naive, muls in zip(
-            results, routed.last_batch_counters, singles, naives, single_muls
+        for (result, per_query), single, naive, muls in zip(
+            pairs, singles, naives, single_muls
         ):
             assert result.encrypted_scores == single == naive
             assert per_query.modular_multiplications == muls

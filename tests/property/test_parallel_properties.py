@@ -68,9 +68,9 @@ class TestShardMergeProperties:
             [accumulators for accumulators, _ in partials], modulus
         )
         assert merged == sequential
-        within = sum(counts.accumulator_multiplications for _, counts in partials)
-        assert within + merge_muls == seq_counts.accumulator_multiplications
-        assert sum(c.postings for _, c in partials) == seq_counts.postings
+        within = sum(counts.modular_multiplications for _, counts in partials)
+        assert within + merge_muls == seq_counts.modular_multiplications
+        assert sum(c.postings_processed for _, c in partials) == seq_counts.postings_processed
         assert (
             sum(c.table_multiplications for _, c in partials)
             == seq_counts.table_multiplications

@@ -308,7 +308,7 @@ class TestCodecsAndBackends:
     ):
         """``MAX_BODY_BYTES`` bounds what a peer sends, never what the service
         answers; a result no frame can carry ends its stream in an ``error`` record."""
-        service, client = running_service()
+        _, client = running_service()
         key = benaloh_keypair.public
         batch = make_batches(embellisher, query_terms, [3])[0]
         subqueries = [(query.terms, query.encrypted_selectors) for query in batch]
@@ -326,12 +326,15 @@ class TestCodecsAndBackends:
             app, "encode_result_frame", lambda record, result, encode=wire.encode_result_frame:
             encode(record, unframable if record["index"] else result),
         )
+        answered = client.metrics()["tenants"]["corpus"]["queries_answered"]
         stream = client.submit_batch(session, batch, key.n)
         assert next(stream)["index"] == 0
         with pytest.raises(ServiceError, match="does not fit 32 bits"):
             next(stream)
-        # The stream ended; the admitted batch still ran to its end.
-        assert len(service.sessions[session].server.last_batch_counters) == len(batch)
+        # The stream ended; the admitted batch still ran to its end, and the
+        # route booked every query the stream yielded.
+        tenant = client.metrics()["tenants"]["corpus"]
+        assert tenant["queries_answered"] == answered + len(batch)
         monkeypatch.undo()
         assert client.metrics()["service"]["requests"]["failed"] == 1
         assert client.run_batch(session, batch, key.n)[0] == results
