@@ -35,6 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.crypto.numbertheory import get_backend  # noqa: E402
 from repro.service.app import RetrievalService, ServiceConfig  # noqa: E402
 
 log = logging.getLogger("serve")
@@ -109,7 +110,7 @@ async def serve(args: argparse.Namespace) -> None:
         )
 
     host, port = await service.start()
-    log.info("listening on %s:%d (kernel backend=%s)", host, port, service.backend)
+    log.info("listening on %s:%d (kernel backend=%s)", host, port, get_backend())
 
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()

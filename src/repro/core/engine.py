@@ -53,7 +53,6 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from repro.core import parallel
-from repro.crypto import numbertheory
 
 __all__ = [
     "EngineCounters",
@@ -178,7 +177,6 @@ class ExecutionEngine:
         self,
         payloads: Sequence[Sequence[parallel.TermPayload]],
         modulus: int,
-        backend: str | None = None,
     ) -> list[parallel.PendingResult]:
         """Dispatch a batch, one worker task per query; results stream in order.
 
@@ -188,15 +186,10 @@ class ExecutionEngine:
         (each query accumulates when its result is first collected), which
         keeps streaming semantics without touching -- or starting -- the
         pool; an empty query is never dispatched and reports zero shards.
-        ``backend`` names what every query of the batch accumulates on,
-        deferred or dispatched (``None``: the library default,
-        :func:`repro.crypto.numbertheory.get_backend`).
         """
         with self._lifecycle_lock:
             self._ensure_open()
             self.counters.queries_executed += len(payloads)
-        if backend is None:
-            backend = numbertheory.get_backend()
         tasks = sum(1 for payload in payloads if payload)
         executor = (
             self._acquire(tasks=tasks) if self.parallelism > 1 and tasks > 1 else None
@@ -205,8 +198,7 @@ class ExecutionEngine:
             parallel.PendingResult(
                 modulus,
                 payload,
-                backend,
-                future=executor.submit(parallel.accumulate_terms, payload, modulus, backend)
+                future=executor.submit(parallel.accumulate_terms, payload, modulus)
                 if executor is not None and payload
                 else None,
             )

@@ -22,10 +22,6 @@ This module holds what every placement of that work shares:
   placement -- only where the multiplications happen moves.  Its one caller
   is the shard coordinator (:mod:`repro.core.coordinator`): partials exist
   only where a query's terms live in different processes;
-* the **backend as a value**: a worker task is the kernel's own argument
-  tuple ``(payload, modulus, backend)`` -- workers run
-  ``accumulate_terms(*task)`` and read no process-wide setting (the kernel
-  draws no randomness: results are a pure function of the task);
 * the **pending handle** (:class:`PendingResult`) every dispatch returns: one
   whole query's accumulation, deferred in-process or in flight on a pool.
 
@@ -126,9 +122,8 @@ def accumulate_terms(
     return plain-``int`` accumulators in the same insertion order with
     identical values and identical counters.
 
-    ``backend`` is the caller's choice, passed as a value -- the serving
-    front-end resolves one at start-up and threads it down here without
-    touching process-wide state; ``None`` means the library default,
+    ``backend`` pins the arithmetic for this one call (the bit-identity
+    suites pin ``"python"`` as the oracle); ``None`` reads the process's
     :func:`repro.crypto.numbertheory.get_backend`.
     """
     if backend is None:
@@ -203,18 +198,9 @@ class PendingResult:
     idempotent.
     """
 
-    def __init__(
-        self,
-        modulus: int,
-        payload: Sequence[TermPayload],
-        backend: str | None = None,
-        future=None,
-    ) -> None:
+    def __init__(self, modulus: int, payload: Sequence[TermPayload], future=None) -> None:
         self._modulus = modulus
         self._payload = payload
-        #: What a deferred payload accumulates on (``None``: library default);
-        #: a dispatched task carries its own in the task tuple.
-        self._backend = backend
         self._future = future
         self._resolved: tuple[dict[int, int], ServerCounters] | None = None
 
@@ -222,9 +208,7 @@ class PendingResult:
         """``(accumulators, counts)``, blocking: :func:`accumulate_terms`' answer."""
         if self._resolved is None:
             if self._future is None:
-                self._resolved = accumulate_terms(
-                    self._payload, self._modulus, self._backend
-                )
+                self._resolved = accumulate_terms(self._payload, self._modulus)
             else:
                 self._resolved = self._future.result()
         return self._resolved

@@ -143,13 +143,9 @@ class PrivateRetrievalServer:
         and never shuts it down.  Left ``None`` with ``parallelism > 1``, the
         server creates (and owns) one of that size on its first fast call
         and keeps it warm across calls until :meth:`close`.
-    backend:
-        The arithmetic (``"python"`` or ``"cffi"``) the fast path accumulates
-        on, carried as a value into every pending handle and worker task.
-        ``None`` (the default) follows the library-wide
-        :func:`repro.crypto.numbertheory.get_backend`; the serving front-end
-        passes the one it resolved at start-up, so serving on the compiled
-        kernel never changes what the oracles and experiments run on.
+
+    The fast path accumulates on the process's arithmetic,
+    :func:`repro.crypto.numbertheory.get_backend`.
     """
 
     index: InvertedIndex
@@ -158,7 +154,6 @@ class PrivateRetrievalServer:
     naive: bool = False
     parallelism: int = 1
     engine: ExecutionEngine | None = None
-    backend: str | None = None
     #: The sum of the most recent :meth:`process_batch`'s per-query counters.
     counters: ServerCounters = field(default_factory=ServerCounters)
     #: The per-query counters of the most recent :meth:`process_batch`.
@@ -309,16 +304,12 @@ class PrivateRetrievalServer:
             # Deferred in-process handles, built lazily: a query's columns are
             # read and accumulated only when the iterator reaches it.
             pending = (
-                parallel.PendingResult(
-                    modulus, payload=self._payload(query, view), backend=self.backend
-                )
+                parallel.PendingResult(modulus, payload=self._payload(query, view))
                 for query in queries
             )
         else:
             pending = self._resident_engine().submit_batch(
-                [self._payload(query, view) for query in queries],
-                modulus,
-                backend=self.backend,
+                [self._payload(query, view) for query in queries], modulus
             )
         return (handle.result() for handle in pending)
 

@@ -191,7 +191,7 @@ class ZeroEncryptionPool:
         draws every ``mu`` first -- consuming the rng stream exactly as
         per-entry ``encrypt(0)`` calls would -- and then runs one
         common-exponent :func:`repro.crypto.kernels.modexp_batch` on the
-        client's arithmetic: a Montgomery square-and-multiply sweep where
+        process's arithmetic: a Montgomery square-and-multiply sweep where
         the compiled kernel loads, the same residues either way.
         """
         count = count if count is not None else self._batch

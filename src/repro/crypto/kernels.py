@@ -41,13 +41,11 @@ sides -- so the standard library is all the marshalling needs.
 ``$REPRO_KERNEL_CACHE`` (default: a per-user directory in the system temp
 dir; refused unless owned by the user and closed to group and world), so
 later processes load the shared object instead of recompiling.
-Accumulation reaches it as the ``"cffi"`` backend of
-:func:`repro.crypto.numbertheory.set_backend` in library code and as a value
-the serving front-end resolves at start-up (:func:`resolve_backend`); the
-client's common-exponent columns (:func:`modexp_batch`: zero-pool
-replenishment, decryption) run on what the same probe answers on their
-first use in a process.  When no C toolchain (or no cffi) is
-available, or the build fails its self-test,
+Accumulation and the client's common-exponent columns (:func:`modexp_batch`:
+zero-pool replenishment, decryption) reach it whenever
+:func:`repro.crypto.numbertheory.get_backend` -- :func:`resolve_backend`'s
+answer, taken once per process -- reads ``"cffi"``.  When no C toolchain (or
+no cffi) is available, or the build fails its self-test,
 :func:`ensure_compiled` raises a loud :class:`RuntimeError` (cached: later
 probes re-raise it without reloading anything); every entry point declines
 what lies outside its envelope by returning ``None`` -- the caller runs the
@@ -58,7 +56,6 @@ pure-python oracle, the default and the ground truth -- and books why in
 from __future__ import annotations
 
 import importlib.util
-import logging
 import os
 import shutil
 import tempfile
@@ -67,6 +64,8 @@ from array import array
 from functools import lru_cache
 from typing import Sequence
 
+from repro.crypto import numbertheory
+
 __all__ = [
     "HAVE_CFFI",
     "power_table_strategy",
@@ -74,7 +73,6 @@ __all__ = [
     "build_power_table",
     "PowerPlan",
     "ensure_compiled",
-    "compiled_available",
     "resolve_backend",
     "accumulate_compiled",
     "fallback_counts",
@@ -82,8 +80,6 @@ __all__ = [
 ]
 
 HAVE_CFFI = importlib.util.find_spec("cffi") is not None
-
-log = logging.getLogger(__name__)
 
 
 # -- strategy selection -------------------------------------------------------------
@@ -952,15 +948,6 @@ def ensure_compiled():
         return _COMPILED
 
 
-def compiled_available() -> bool:
-    """True when the compiled kernel loads (compiling it on first call)."""
-    try:
-        ensure_compiled()
-    except RuntimeError:
-        return False
-    return True
-
-
 def resolve_backend() -> tuple[str, str | None]:
     """The arithmetic a process can run its batches on, and why.
 
@@ -976,28 +963,6 @@ def resolve_backend() -> tuple[str, str | None]:
     except RuntimeError as exc:
         return "python", str(exc)
     return "cffi", None
-
-
-#: What the client's columns run on, resolved on their first use.
-_CLIENT_BACKEND: str | None = None
-_CLIENT_LOCK = threading.Lock()
-
-
-def _client_backend() -> str:
-    """:func:`resolve_backend`'s answer, taken once per process for
-    :func:`modexp_batch`; a process without the kernel logs one WARNING."""
-    global _CLIENT_BACKEND
-    if _CLIENT_BACKEND is None:
-        with _CLIENT_LOCK:
-            if _CLIENT_BACKEND is None:
-                backend, reason = resolve_backend()
-                if reason is not None:
-                    log.warning(
-                        "client arithmetic: python loop (compiled kernel unavailable: %s)",
-                        reason,
-                    )
-                _CLIENT_BACKEND = backend
-    return _CLIENT_BACKEND
 
 
 # -- losing the kernel is loud --------------------------------------------------------
@@ -1249,21 +1214,19 @@ def _pow_many(ffi, lib, bases, exponent: int, modulus: int):
 
 
 def modexp_batch(bases, exponent: int, modulus: int) -> list[int]:
-    """``[pow(base, exponent, modulus) for base in bases]`` on the client's arithmetic.
+    """``[pow(base, exponent, modulus) for base in bases]`` on the process's arithmetic.
 
     A common-exponent batch: every zero-pool entry is ``mu^r mod n`` for the
     same public ``r``, every candidate's zero test ``c^((p1-1)/r) mod p1``
-    for the same key.  It runs on what :func:`resolve_backend` answers on
-    the first call in a process -- one Montgomery square-and-multiply per
-    base on the compiled kernel, builtin ``pow`` (the oracle) without it --
-    and never reads or sets the library-wide
-    :func:`repro.crypto.numbertheory.get_backend`.  Both return identical
-    canonical residues; an empty batch probes nothing.
+    for the same key.  On :func:`repro.crypto.numbertheory.get_backend`'s
+    ``"cffi"`` it is one Montgomery square-and-multiply per base on the
+    compiled kernel, else builtin ``pow`` (the oracle).  Both return
+    identical canonical residues; an empty batch probes nothing.
     """
     bases = list(bases)
     if not bases:
         return []
-    if _client_backend() == "cffi":
+    if numbertheory.get_backend() == "cffi":
         result = _modexp_batch_compiled(bases, exponent, modulus)
         if result is not None:
             return result

@@ -7,18 +7,19 @@ arithmetic are implemented from first principles.  The functions accept a
 whole crypto layer deterministic under a seeded generator -- essential both
 for reproducible experiments and for property-based tests.
 
-It also holds the library's backend gate (:func:`set_backend`): two
-arithmetics, ``"python"`` and ``"cffi"``.
+It also holds the process's one arithmetic choice (:func:`get_backend`):
+``"python"`` or ``"cffi"``, probed once, pinned only by :func:`set_backend`.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import random
+import threading
 from typing import Iterable, Sequence
 
 __all__ = [
-    "HAVE_CFFI",
     "available_backends",
     "get_backend",
     "set_backend",
@@ -37,23 +38,16 @@ __all__ = [
 
 # -- the two arithmetics -------------------------------------------------------------
 #
-# Pure python is the *default and the correctness oracle*; ``cffi`` plus a C
-# compiler, the one optional dependency, builds the batched Montgomery kernel
-# of :mod:`repro.crypto.kernels`.  This process-wide backend only switches on
-# an explicit :func:`set_backend` call, so a plain install never silently
-# changes which code computes the published numbers.  (The serving front-end
-# picks its own backend at start-up and passes it down as a value, and the
-# client's columns resolve theirs on first use; neither reads nor sets this
-# one.)
+# Pure python is the correctness oracle and the only path without ``cffi`` plus
+# a C compiler; with them, the batched Montgomery kernel of
+# :mod:`repro.crypto.kernels` -- bit-identical by its load-time self-test.
+# Every batch entry point (accumulation, the client's columns) reads the one
+# choice below, taken on first use; only :func:`set_backend` changes it.
 
-try:
-    import importlib.util as _importlib_util
+log = logging.getLogger(__name__)
 
-    HAVE_CFFI = _importlib_util.find_spec("cffi") is not None
-except (ImportError, ValueError):  # pragma: no cover - defensive
-    HAVE_CFFI = False
-
-_BACKEND = "python"
+_BACKEND: str | None = None
+_BACKEND_LOCK = threading.Lock()
 
 #: Shared fallback generator for callers that do not thread their own rng.
 #: A single module-level instance keeps the stream stateful across calls
@@ -78,37 +72,57 @@ def available_backends() -> tuple[str, ...]:
     compiling the kernel is deferred to :func:`set_backend`, which fails
     loudly when no C toolchain exists).
     """
-    return ("python", "cffi") if HAVE_CFFI else ("python",)
+    from repro.crypto import kernels
+
+    return ("python", "cffi") if kernels.HAVE_CFFI else ("python",)
 
 
 def get_backend() -> str:
-    """The active backend name."""
+    """What every batch entry point runs on: ``"cffi"`` or ``"python"``.
+
+    The first call in a process takes
+    :func:`repro.crypto.kernels.resolve_backend`'s answer (a first call on a
+    machine compiles the kernel, about a second) and logs it -- a downgrade
+    to the python loop once, at WARNING.  Later calls read the cached answer
+    until :func:`set_backend` pins another.
+    """
+    global _BACKEND
+    if _BACKEND is None:
+        with _BACKEND_LOCK:
+            if _BACKEND is None:
+                from repro.crypto import kernels
+
+                backend, reason = kernels.resolve_backend()
+                if reason is None:
+                    log.info("kernel backend: cffi (compiled Montgomery kernel)")
+                else:
+                    log.warning(
+                        "kernel backend: python loop (compiled kernel unavailable: %s)",
+                        reason,
+                    )
+                _BACKEND = backend
     return _BACKEND
 
 
 def set_backend(name: str) -> str:
-    """Select the batch-arithmetic backend; returns the previously active one.
+    """Pin the process's batch arithmetic; returns the previous :func:`get_backend`.
 
-    ``"python"`` is always accepted.  ``"cffi"`` compiles the kernel (or
-    loads the cached build) now and raises :class:`RuntimeError` naming the
-    missing piece -- cffi or a C compiler -- so callers fail loudly instead
-    of silently benchmarking the wrong arithmetic, and the previous backend
-    stays.  Accumulation (:func:`repro.core.parallel.accumulate_terms`)
-    reads :func:`get_backend` per call unless its caller names a backend
-    itself.  The client's common-exponent columns
-    (:func:`repro.crypto.kernels.modexp_batch`) run on what
-    :func:`repro.crypto.kernels.resolve_backend` answers and never read this
-    setting; scalar arithmetic is builtin ``pow`` and ``*`` everywhere (a
-    single modmul has no batch to amortise marshalling over).
+    ``"python"`` is always accepted -- the oracle runs pin it.  ``"cffi"``
+    compiles the kernel (or loads the cached build) now and raises
+    :class:`RuntimeError` naming the missing piece -- cffi or a C compiler --
+    so callers fail loudly instead of silently benchmarking the wrong
+    arithmetic, and the previous backend stays.  Scalar arithmetic is
+    builtin ``pow`` and ``*`` everywhere (a single modmul has no batch to
+    amortise marshalling over).
     """
     global _BACKEND
     if name not in ("python", "cffi"):
         raise ValueError(f"unknown backend {name!r}; choose from {available_backends()}")
+    previous = get_backend()
     if name == "cffi":
         from repro.crypto import kernels
 
         kernels.ensure_compiled()
-    previous = _BACKEND
     _BACKEND = name
     return previous
 

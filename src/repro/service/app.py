@@ -31,11 +31,9 @@ is shards (the distribution roles below), not a worker pool.
   they complete, not at batch end; between queries the loop serves other connections, so concurrent
   batches interleave one query at a time.  Only a distributed session,
   whose steps wait on shard round trips, steps on an executor thread.
-* **Kernel backend**: :meth:`RetrievalService.start` resolves once what the
-  service accumulates on -- the compiled Montgomery kernel if it loads and
-  passes its self-test, else the python loop -- logs the choice, exports it
-  under ``/metrics`` ``kernel`` and hands it as a value to every server it
-  builds.  The library-wide ``numbertheory`` backend is left alone.
+* **Kernel backend**: every batch accumulates on the process's
+  :func:`~repro.crypto.numbertheory.get_backend`; :meth:`RetrievalService.start`
+  takes that probe before binding, and ``/metrics`` ``kernel`` reports it.
 * **Admission control**: batch requests pass the
   :class:`~repro.service.admission.AdmissionController` -- bounded active
   slots, bounded FIFO queue, ``429 + Retry-After`` beyond that, ``503``
@@ -89,7 +87,7 @@ from repro.core.buckets import BucketOrganization
 from repro.core.coordinator import QueryCoordinator, ShardTopology, shard_partials
 from repro.core.faults import RetryPolicy
 from repro.core.server import PrivateRetrievalServer, ServerCounters
-from repro.crypto import kernels
+from repro.crypto import kernels, numbertheory
 from repro.service import protocol
 from repro.service.admission import (
     AdmissionController,
@@ -248,10 +246,6 @@ class RetrievalService:
         #: Open connections (handler task -> writer), for :meth:`drain` to close.
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.address: tuple[str, int] | None = None
-        #: What every session and shard request accumulates on, resolved by
-        #: :meth:`start`; ``backend_reason`` says why it is not the kernel.
-        self.backend = "python"
-        self.backend_reason: str | None = None
 
     # -- tenant management --------------------------------------------------------
     def add_tenant(
@@ -373,8 +367,8 @@ class RetrievalService:
         """Bind and start accepting; returns the bound ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError("service already started")
-        # Off the loop: a first start on a machine compiles for about a second.
-        await asyncio.get_running_loop().run_in_executor(None, self._resolve_backend)
+        # Off the loop: a first probe on a machine compiles for about a second.
+        await asyncio.get_running_loop().run_in_executor(None, numbertheory.get_backend)
         self._server = await asyncio.start_server(
             self._serve_connection, self.config.host, self.config.port
         )
@@ -382,27 +376,6 @@ class RetrievalService:
         self.address = sock.getsockname()[:2]
         log.info("serving on %s:%d", *self.address)
         return self.address
-
-    def _resolve_backend(self) -> None:
-        """Pick what this service accumulates on, once, and say so.
-
-        :func:`repro.crypto.kernels.resolve_backend`'s answer (a first start
-        on a machine compiles the kernel: about a second, before the
-        listener binds).  The choice is a value handed to every
-        :class:`PrivateRetrievalServer` this service builds; the
-        process-wide ``numbertheory`` backend is never touched, so the
-        library default, the oracles and whatever else shares the process
-        stay on ``python``.  The kernel is at parity or better at every
-        measured payload shape (``docs/operations.md``).
-        """
-        self.backend, self.backend_reason = kernels.resolve_backend()
-        if self.backend_reason is None:
-            log.info("kernel backend: cffi (compiled Montgomery kernel)")
-        else:
-            log.warning(
-                "kernel backend: python loop (compiled kernel unavailable: %s)",
-                self.backend_reason,
-            )
 
     async def drain(self, wait: bool = True) -> None:
         """Graceful shutdown: finish in-flight work, reject new, close.
@@ -547,8 +520,8 @@ class RetrievalService:
             # Reasons and counts only (core/risk.py): which backend serves,
             # why not the kernel, and how often a payload left its envelope.
             "kernel": {
-                "backend": self.backend,
-                "reason": self.backend_reason,
+                "backend": numbertheory.get_backend(),
+                "reason": kernels.resolve_backend()[1],
                 "fallbacks": kernels.fallback_counts(),
             },
         }
@@ -603,7 +576,6 @@ class RetrievalService:
                 index=tenant.index.snapshot(),
                 organization=tenant.organization,
                 public_key=public_key,
-                backend=self.backend,
             )
         self.sessions[session_id] = ClientSession(
             session_id=session_id, tenant=tenant, server=server
@@ -746,7 +718,6 @@ class RetrievalService:
             index=tenant.index,
             organization=tenant.organization,
             public_key=public_key,
-            backend=self.backend,
         )
 
         async def accumulate(_queue_wait_s):

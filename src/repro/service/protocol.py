@@ -104,8 +104,9 @@ class HttpRequest:
 async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     """Parse one request off the stream; ``None`` on clean EOF between requests.
 
-    Raises :class:`ProtocolError` for truncated/malformed request lines and
-    headers, over-limit header blocks, any request ``Transfer-Encoding``, a
+    Raises :class:`ProtocolError` for truncated/malformed request lines,
+    targets and headers (a field name empty or holding whitespace),
+    over-limit header blocks, any request ``Transfer-Encoding``, a
     ``Content-Length`` that is repeated or not plain ASCII digits, bodies
     beyond :data:`MAX_BODY_BYTES` and bodies shorter than their
     ``Content-Length``.
@@ -136,9 +137,12 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         if header_bytes > MAX_HEADER_BYTES:
             raise ProtocolError("header block exceeds limit")
         name, sep, value = line.decode("latin-1").partition(":")
-        if not sep:
+        # RFC 9112 §5.1: a field name is a non-empty token, so no whitespace
+        # before the colon and no obs-fold line -- a proxy that reads
+        # "Content-Length : 3" differently would frame the body differently.
+        if not sep or not name or any(ch.isspace() for ch in name):
             raise ProtocolError(f"malformed header line: {line!r}")
-        name = name.strip().lower()
+        name = name.lower()
         if name == "content-length" and name in headers:
             raise ProtocolError("repeated Content-Length")
         headers[name] = value.strip()
@@ -163,8 +167,11 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
             f"truncated body: {len(exc.partial)} of {length} bytes"
         ) from exc
 
-    split = urlsplit(target)
-    query = dict(parse_qsl(split.query))
+    try:
+        split = urlsplit(target)
+        query = dict(parse_qsl(split.query))
+    except ValueError as exc:  # e.g. "//[/x", an unterminated IPv6 host
+        raise ProtocolError(f"malformed request target {target!r}: {exc}") from exc
     return HttpRequest(
         method=method.upper(),
         path=split.path or "/",

@@ -41,6 +41,7 @@ from typing import Callable, Mapping, Sequence
 from repro.core.buckets import BucketOrganization
 from repro.core.embellish import EmbellishedQuery
 from repro.core.server import EncryptedResult, ServerCounters
+from repro.crypto import kernels
 from repro.crypto.benaloh import BenalohPublicKey
 
 __all__ = [
@@ -206,6 +207,12 @@ def decode_public_key(obj) -> BenalohPublicKey:
     r = _expect(obj, "r", int, "public key")
     if n <= 1 or g <= 1 or r <= 1:
         raise WireError("public key parameters must exceed 1")
+    # The largest modulus the kernel serves: one multiply far beyond it
+    # takes seconds, and a local batch accumulates on the event loop.
+    if n.bit_length() > 64 * kernels.MAXL:
+        raise WireError(
+            f"public key modulus of {n.bit_length()} bits exceeds {64 * kernels.MAXL}"
+        )
     return BenalohPublicKey(n=n, g=g, r=r)
 
 

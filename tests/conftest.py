@@ -13,11 +13,33 @@ import pytest
 
 from repro.core.buckets import generate_buckets
 from repro.core.sequencing import concatenate_sequences, sequence_dictionary
+from repro.crypto import numbertheory
 from repro.crypto.benaloh import generate_keypair as generate_benaloh_keypair
 from repro.lexicon.builder import build_lexicon
 from repro.lexicon.specificity import hypernym_depth_specificity
 from repro.textsearch.inverted_index import InvertedIndex
 from repro.textsearch.synthetic import SyntheticCorpusGenerator
+
+
+@pytest.fixture(scope="session", autouse=True)
+def process_backend():
+    """The process's arithmetic, probed before any test patches the kernel
+    loader: a simulated build failure must not become every later test's
+    default."""
+    return numbertheory.get_backend()
+
+
+@pytest.fixture
+def pin_backend():
+    """``pin_backend(name)``: :func:`numbertheory.set_backend` until the test ends."""
+    previous = []
+
+    def pin(name):
+        previous.append(numbertheory.set_backend(name))
+
+    yield pin
+    if previous:
+        numbertheory.set_backend(previous[0])
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from repro.crypto import kernels
 
 MODULUS = 1009 * 1013
 needs_kernel = pytest.mark.skipif(
-    not kernels.compiled_available(), reason="compiled kernels unavailable"
+    kernels.resolve_backend()[0] != "cffi", reason="compiled kernels unavailable"
 )
 
 
@@ -283,6 +283,10 @@ class TestSharedKernelEngine:
     """Workers are threads of the serving process: what a task books, the
     process's own counters show; what concurrent sessions collect, adds up."""
 
+    @pytest.fixture(autouse=True)
+    def on_the_kernel(self, pin_backend):
+        pin_backend("cffi")
+
     def test_worker_side_kernel_fallbacks_are_visible_to_the_serving_process(self):
         """Regression: a payload leaving the kernel's envelope inside a pool
         worker booked its reason where ``/metrics`` never looked."""
@@ -292,7 +296,7 @@ class TestSharedKernelEngine:
         ]
         before = kernels.fallback_counts().get("selector_out_of_ring", 0)
         with ExecutionEngine(parallelism=2) as engine:
-            pending = engine.submit_batch(out_of_ring, MODULUS, backend="cffi")
+            pending = engine.submit_batch(out_of_ring, MODULUS)
             results = [handle.result()[0] for handle in pending]
             assert engine.counters.tasks_dispatched == 2
         assert results == [
@@ -303,7 +307,7 @@ class TestSharedKernelEngine:
     def test_a_batch_of_one_never_touches_the_pool(self):
         heavy = _batch()[0]
         engine = ExecutionEngine(parallelism=2)
-        (handle,) = engine.submit_batch([heavy], MODULUS, backend="cffi")
+        (handle,) = engine.submit_batch([heavy], MODULUS)
         merged, counts = handle.result()
         want, want_counts = parallel.accumulate_terms(heavy, MODULUS, "python")
         assert merged == want and list(merged) == list(want)
@@ -326,7 +330,7 @@ class TestSharedKernelEngine:
                     got[slot] = [
                         [
                             h.result()
-                            for h in engine.submit_batch(payloads, MODULUS, "cffi")
+                            for h in engine.submit_batch(payloads, MODULUS)
                         ]
                         for _ in range(rounds)
                     ]

@@ -205,7 +205,7 @@ class TestSubgroupDecryption:
         assert "_digit_tables" in vars(kp.private)
 
 
-COMPILED = kernels.compiled_available()
+COMPILED = kernels.resolve_backend()[0] == "cffi"
 
 
 class TestColumns:
@@ -213,7 +213,7 @@ class TestColumns:
     on the arithmetic the process resolved: the kernel wherever it builds."""
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
-    def test_a_result_is_one_kernel_call(self, monkeypatch, rng):
+    def test_a_result_is_one_kernel_call(self, monkeypatch, pin_backend, rng):
         kp = generate_keypair(key_bits=128, block_size=3**6, rng=random.Random(90))
         messages = [0, 5, 0, 0, 728, 1, 0, 300] * 3
         column = [kp.public.encrypt(m, rng) for m in messages]
@@ -224,7 +224,7 @@ class TestColumns:
             calls.append(len(bases))
             return pow_many(ffi, lib, bases, *rest)
 
-        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", "cffi")
+        pin_backend("cffi")
         monkeypatch.setattr(kernels, "_pow_many", counted)
         before = kernels.fallback_counts()
         assert kp.private.decrypt_many(column) == messages
@@ -232,10 +232,12 @@ class TestColumns:
         assert kernels.fallback_counts() == before
 
     @pytest.mark.parametrize("backend", ["python", "cffi"])
-    def test_replenished_stock_is_the_same_draws_to_the_r(self, backend, monkeypatch):
+    def test_replenished_stock_is_the_same_draws_to_the_r(
+        self, backend, monkeypatch, pin_backend
+    ):
         if backend == "cffi" and not COMPILED:
             pytest.skip("compiled kernels unavailable")
-        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", backend)
+        pin_backend(backend)
         calls = []
         pow_many = kernels._pow_many
         monkeypatch.setattr(

@@ -6,7 +6,6 @@ bit-identical ciphertexts, identical dict iteration order, and identical
 operation counters across execution paths.
 """
 
-import logging
 import os
 import random
 import re
@@ -21,14 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import parallel
-from repro.crypto import kernels, numbertheory as nt
+from repro.crypto import kernels
 from repro.crypto.kernels import (
     build_power_table,
     power_table_plan,
     power_table_strategy,
 )
 
-COMPILED = kernels.compiled_available()
+COMPILED = kernels.resolve_backend()[0] == "cffi"
 
 # A mix of Montgomery-eligible moduli (odd, >= 3) spanning 1 to 24 limbs,
 # plus the degenerate/ineligible ones the fallback guards must handle.
@@ -265,8 +264,8 @@ class TestAccumulateEquivalence:
         monkeypatch.setattr(kernels, "_COMPILE_ERROR", None)
         monkeypatch.setattr(kernels, "_compile_or_load", lambda: loads.append(1) or load())
         monkeypatch.setattr(kernels, "_self_test", failing_self_test)
-        assert not kernels.compiled_available()
-        assert not kernels.compiled_available()
+        assert kernels.resolve_backend()[0] == "python"
+        assert kernels.resolve_backend()[0] == "python"
         assert kernels.accumulate_compiled([(3, array("I", [1]), array("I", [2]))], 101) is None
         assert len(loads) == 1
         reasons = []
@@ -309,7 +308,7 @@ class TestAccumulateEquivalence:
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_self_test_refuses_a_build_whose_pow_is_wrong(self):
         """Regression: the load-time self-test never called the modexp batch,
-        so ``set_backend("cffi")`` served it unverified."""
+        so the kernel served it unverified."""
         ffi, lib = kernels.ensure_compiled()
         kernels._self_test(ffi, lib)
 
@@ -335,8 +334,8 @@ class TestAccumulateEquivalence:
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_every_entry_point_runs_with_numpy_unimportable(self):
         """cffi is the one optional dependency: both batch primitives
-        run on the kernel, bit-identical to python, where numpy cannot load
-        (the common-exponent column is on it from its first call)."""
+        run on the kernel by default, bit-identical to python, where numpy
+        cannot load."""
         script = """
 import random, sys
 sys.modules["numpy"] = None  # any import of it now raises ImportError
@@ -356,11 +355,10 @@ def run():
     accumulators, counts = parallel.accumulate_terms(payload, modulus)
     return list(accumulators.items()), counts, kernels.modexp_batch(bases, 3**9, modulus)
 
-assert nt.get_backend() == "python"
+assert nt.get_backend() == "cffi"
 want = run()
 assert want[2] == [pow(b, 3**9, modulus) for b in bases]
-assert kernels._CLIENT_BACKEND == "cffi"
-nt.set_backend("cffi")
+assert nt.set_backend("python") == "cffi"
 assert run() == want
 assert kernels.fallback_counts() == {}, kernels.fallback_counts()
 assert sys.modules["numpy"] is None
@@ -392,7 +390,7 @@ assert sys.modules["numpy"] is None
             monkeypatch.setattr(kernels, "_COMPILED", None)
             monkeypatch.setattr(kernels, "_COMPILE_ERROR", None)
             if trusted:
-                assert kernels.compiled_available()
+                assert kernels.resolve_backend() == ("cffi", None)
                 continue
             for _ in range(2):
                 with pytest.raises(RuntimeError, match=re.escape(str(cache))):
@@ -438,18 +436,15 @@ assert sys.modules["numpy"] is None
         assert not wrong
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
-    def test_accumulate_terms_dispatches_to_compiled_backend(self):
+    def test_accumulate_terms_dispatches_to_compiled_backend(self, pin_backend):
         payload = [
             (11, array("I", [3, 1, 3]), array("I", [4, 2, 1])),
             (29, array("I", [2, 3]), array("I", [5, 5])),
         ]
         modulus = 2**127 + 45
-        baseline, base_counts = parallel.accumulate_terms(payload, modulus)
-        nt.set_backend("cffi")
-        try:
-            fast, fast_counts = parallel.accumulate_terms(payload, modulus)
-        finally:
-            nt.set_backend("python")
+        baseline, base_counts = parallel.accumulate_terms(payload, modulus, "python")
+        pin_backend("cffi")
+        fast, fast_counts = parallel.accumulate_terms(payload, modulus)
         assert fast == baseline
         assert list(fast) == list(baseline)
         assert fast_counts == base_counts
@@ -457,8 +452,8 @@ assert sys.modules["numpy"] is None
 
 
 class TestModexpBatch:
-    def test_python_backend_matches_pow(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", "python")
+    def test_python_backend_matches_pow(self, pin_backend):
+        pin_backend("python")
         modulus = 2**89 - 1
         bases = [3, 5, 7, 10**20 % modulus]
         for exponent in (0, 1, 2, 3**9, 19683):
@@ -467,67 +462,19 @@ class TestModexpBatch:
             ]
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
-    def test_cffi_backend_matches_pow(self, monkeypatch):
-        """The client's column runs on what the process resolved and never
-        reads ``numbertheory``'s library-wide backend."""
-        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", "cffi")
+    def test_cffi_backend_matches_pow(self, monkeypatch, pin_backend):
+        pin_backend("cffi")
         calls = []
         pow_many = kernels._pow_many
         monkeypatch.setattr(kernels, "_pow_many", lambda *args: calls.append(1) or pow_many(*args))
         modulus = 2**1023 + 1155
         rng = random.Random(14)
         bases = [rng.randrange(modulus) for _ in range(17)]
-        assert nt.get_backend() == "python"
         for exponent in (0, 1, 3**9, 2**64 + 12345):
             assert kernels.modexp_batch(bases, exponent, modulus) == [
                 pow(b, exponent, modulus) for b in bases
             ]
         assert len(calls) == 4
-        assert nt.get_backend() == "python"
-
-    def test_the_client_resolves_once_and_a_downgrade_warns_once(self, monkeypatch, caplog):
-        """Eight threads race to the first column; one probes, one warns."""
-        probes = []
-
-        def no_toolchain():
-            probes.append(1)
-            raise RuntimeError("no C compiler on this host")
-
-        monkeypatch.setattr(kernels, "_CLIENT_BACKEND", None)
-        monkeypatch.setattr(kernels, "ensure_compiled", no_toolchain)
-        assert kernels.resolve_backend() == ("python", "no C compiler on this host")
-        del probes[:]
-        before = kernels.fallback_counts()
-        barrier = threading.Barrier(8)
-        wrong = []
-
-        def first_columns():
-            barrier.wait(timeout=30)
-            for exponent in (3, 5):
-                if kernels.modexp_batch([2, 3], exponent, 101) != [
-                    pow(2, exponent, 101), pow(3, exponent, 101)
-                ]:
-                    wrong.append(exponent)
-
-        threads = [threading.Thread(target=first_columns) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with caplog.at_level(logging.WARNING, logger="repro.crypto.kernels"):
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not wrong
-        assert probes == [1]
-        assert [r.getMessage() for r in caplog.records] == [
-            "client arithmetic: python loop (compiled kernel unavailable: "
-            "no C compiler on this host)"
-        ]
-        assert kernels.fallback_counts() == before
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_compiled_refuses_ineligible_inputs(self):

@@ -12,8 +12,7 @@ The properties under test are the service's contract:
 * ``/metrics`` reconciles with the in-process counters (the op totals are
   invariant across transport exactly as they are across sharding);
 * the kernel backend is invisible in the answers: compiled kernel or
-  python loop, the same bits -- and the service says which backend it chose
-  and why;
+  python loop, the same bits -- and ``/metrics`` says which one serves;
 * the data plane speaks frames only: anything else is 415, and the
   connection survives it.
 """
@@ -38,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.server import EncryptedResult, PrivateRetrievalServer
+from repro.crypto.benaloh import BenalohPublicKey
 from repro.crypto import kernels, numbertheory
 from repro.service import ServiceClient, ServiceConfig, ServiceError, app, protocol, wire
 
@@ -184,10 +184,13 @@ class TestConfigValidation:
 class TestCodecsAndBackends:
     def test_answers_bit_identical_across_backends(
         self, running_service, index, service_org, embellisher, query_terms,
-        benaloh_keypair, monkeypatch, caplog,
+        benaloh_keypair, monkeypatch, pin_backend,
     ):
+        """The service accumulates on the process's arithmetic, reports it
+        under ``/metrics``, and answers the python oracle's bits on either."""
         batch = make_batches(embellisher, query_terms, [3])[0]
         modulus = benaloh_keypair.public.n
+        pin_backend("python")
         expected = [
             list(e.encrypted_scores.items())
             for e in direct_answers(index, service_org, benaloh_keypair, batch)
@@ -198,31 +201,19 @@ class TestCodecsAndBackends:
             kernels, "accumulate_compiled",
             lambda *args: kernel_calls.append(1) or accumulate(*args),
         )
-
-        def no_toolchain():
-            raise RuntimeError("no C compiler on this host")
-
-        assert numbertheory.get_backend() == "python"
-        for hidden in (False, True):  # the second service cannot load the kernel
-            with monkeypatch.context() as patch, caplog.at_level(logging.INFO):
-                if hidden:
-                    patch.setattr(kernels, "ensure_compiled", no_toolchain)
-                service, client = running_service()
-            on_kernel = not hidden and kernels.compiled_available()
+        service, client = running_service()
+        session = client.open_session("corpus", benaloh_keypair.public)
+        for backend in ["python"] + (["cffi"] if "cffi" in kernels.resolve_backend() else []):
+            pin_backend(backend)
             del kernel_calls[:]
-            session = client.open_session("corpus", benaloh_keypair.public)
+            before = client.metrics()["kernel"]["fallbacks"]
             results, _ = client.run_batch(session, batch, modulus)
             assert [list(r.encrypted_scores.items()) for r in results] == expected
-            assert len(kernel_calls) == (len(batch) if on_kernel else 0)
+            assert len(kernel_calls) == (len(batch) if backend == "cffi" else 0)
             section = client.metrics()["kernel"]
-            assert section["backend"] == ("cffi" if on_kernel else "python")
-            assert (section["reason"] is None) == on_kernel
-            assert section["fallbacks"] == kernels.fallback_counts()
-            if hidden:
-                assert "no C compiler on this host" in section["reason"]
-                assert "compiled kernel unavailable" in caplog.text  # at WARNING
-        # Serving resolved a backend twice and leaked neither into the library.
-        assert numbertheory.get_backend() == "python"
+            assert section["backend"] == numbertheory.get_backend() == backend
+            assert section["reason"] == kernels.resolve_backend()[1]
+            assert section["fallbacks"] == before  # this batch left no envelope
 
     def test_data_plane_takes_frames_only(
         self, running_service, index, service_org, embellisher, query_terms, benaloh_keypair
@@ -801,6 +792,35 @@ class TestHttpErrors:
         finally:
             connection.close()
 
+    def test_a_public_key_beyond_the_kernel_limit_is_400_on_both_routes(
+        self, running_service
+    ):
+        """Regression: any ``n > 1`` opened a session or a shard request, and
+        one multiply at a 1-Mbit modulus stalls the event loop for seconds."""
+        service, client = running_service()
+        limit = 64 * kernels.MAXL
+        over = BenalohPublicKey(n=2**limit + 1, g=2, r=3)
+        connection = http.client.HTTPConnection(*service.address, timeout=10)
+        try:
+            opening = {"tenant": "corpus", "public_key": wire.encode_public_key(over)}
+            for route, body, headers in (
+                ("/sessions", json.dumps(opening).encode(), {}),
+                (
+                    "/shards/corpus/partials",
+                    wire.encode_partial_request_frame(over, [(("term",), [2])]),
+                    {"Content-Type": wire.FRAME_MEDIA_TYPE},
+                ),
+            ):
+                connection.request("POST", route, body=body, headers=headers)
+                response = connection.getresponse()
+                assert response.status == 400, route
+                assert f"exceeds {limit}" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert not service.sessions
+        at_limit = BenalohPublicKey(n=2**limit - 1, g=2, r=3)
+        assert client.open_session("corpus", at_limit) in service.sessions
+
     def test_truncated_body_is_400_and_a_reset_ends_quietly(
         self, running_service, caplog
     ):
@@ -849,19 +869,41 @@ class TestHttpErrors:
             parse_request(b"POST /sessions HTTP/1.1\r\n" + framing + b"\r\n2\r\n{}\r\n0\r\n\r\n")
 
     @pytest.mark.parametrize(
-        "framing",
+        "framing, error",
         [
-            b"Content-Length: 1_0\r\n",
-            b"Content-Length: +3\r\n",
-            b"Content-Length: 3\r\nContent-Length: 10\r\n",
+            (b"Content-Length: 1_0\r\n", "Content-Length"),
+            (b"Content-Length: +3\r\n", "Content-Length"),
+            (b"Content-Length: 3\r\nContent-Length: 10\r\n", "Content-Length"),
+            (b"Content-Length : 3\r\n", "malformed header line"),
+            (b": v\r\nContent-Length: 3\r\n", "malformed header line"),
+            (b"Content-Length: 3\r\nX-A: b\r\n c: d\r\n", "malformed header line"),
         ],
-        ids=["underscore", "sign", "repeated"],
+        ids=["underscore", "sign", "repeated", "space-before-colon", "empty-name", "obs-fold"],
     )
-    def test_request_content_length_is_one_header_of_digits(self, framing):
+    def test_request_content_length_is_one_header_of_digits(self, framing, error):
         """Regression: ``int()`` took ``1_0`` and ``+3``, and a repeated header
-        kept its last value, so two parsers could frame one body differently."""
-        with pytest.raises(protocol.ProtocolError, match="Content-Length"):
+        kept its last value, so two parsers could frame one body differently.
+        So could a field name that is empty or holds whitespace (RFC 9112
+        §5.1): ``Content-Length : 3`` framed a body behind a proxy that
+        ignores it."""
+        with pytest.raises(protocol.ProtocolError, match=error):
             parse_request(b"POST /sessions HTTP/1.1\r\n" + framing + b"\r\n" + b"x" * 10)
+
+    def test_malformed_request_target_is_400_not_a_crashed_handler(
+        self, running_service, caplog
+    ):
+        """Regression: ``urlsplit`` raised ``ValueError`` on ``//[/x``, which
+        escaped the parser: the peer got a bare close and asyncio logged an
+        unhandled exception in the connection callback."""
+        service, client = running_service()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(service.address, timeout=10) as peer:
+                peer.sendall(b"GET //[/x HTTP/1.1\r\n\r\n")
+                reply = b"".join(iter(lambda: peer.recv(4096), b""))
+            assert client.health()["ok"]
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"malformed request target" in reply
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
     def test_chunked_request_is_400_and_closes_without_a_second_parse(self, running_service):
         service, client = running_service()

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.coordinator import ShardResponse
 from repro.core.embellish import EmbellishedQuery
 from repro.core.server import EncryptedResult, ServerCounters
+from repro.crypto import kernels
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.service import wire
 from repro.service.metrics import LatencyRollup
@@ -96,6 +97,15 @@ class TestResultsAndKeys:
     def test_public_key_rejects_degenerate(self):
         with pytest.raises(WireError):
             decode_public_key({"n": "1", "g": "2", "r": 3})
+
+    def test_public_key_modulus_is_capped_at_the_kernel_limit(self):
+        """Regression: any ``n > 1`` was taken, and one multiply at a 1-Mbit
+        modulus takes seconds; the largest the kernel serves is the cap."""
+        limit = 64 * kernels.MAXL
+        at_limit = BenalohPublicKey(n=2**limit - 1, g=2, r=3)
+        assert decode_public_key(encode_public_key(at_limit)).n.bit_length() == limit
+        with pytest.raises(WireError, match=f"{limit + 1} bits exceeds {limit}"):
+            decode_public_key(encode_public_key(BenalohPublicKey(n=2**limit + 1, g=2, r=3)))
 
 
 class TestOrganization:
