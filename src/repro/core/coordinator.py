@@ -133,13 +133,14 @@ class ShardResponse:
 def data_epoch(index) -> int:
     """The epoch a shard's responses are stamped with.
 
-    For an index loaded from a WAL-v3 directory this is the directory's
-    ``save_seq`` (what :func:`repro.core.partitioning.save_sharded` records
-    in the topology); otherwise the in-memory ``update_epoch``.
+    For an index saved or loaded from a directory this is the save_seq of
+    the record it last persisted (what
+    :func:`repro.core.partitioning.save_sharded` records in the topology);
+    otherwise the in-memory ``update_epoch``.
     """
     persist = getattr(index, "_persist", None)
     if persist:
-        return int(persist.get("save_seq", 1))
+        return int(persist["record"]["save_seq"])
     return int(getattr(index, "update_epoch", 0))
 
 

@@ -18,10 +18,10 @@ shard instead of spraying decoys across the cluster.
 
 :func:`save_sharded` / :func:`load_sharded` persist a split index
 (:meth:`repro.textsearch.inverted_index.InvertedIndex.split`) as per-shard
-WAL-v3 directories -- each a completely normal index directory, so
-snapshots, ``verify``/``repair`` and incremental saves work unchanged per
-shard -- plus a ``topology.json`` recording the partitioner and each
-shard's data epoch.
+index directories -- each a completely normal index directory, so
+snapshots, ``verify``/``repair`` and mmap loads work unchanged per shard
+(a shard has no document terms, so it always saves wholesale) -- plus a
+``topology.json`` recording the partitioner and each shard's data epoch.
 """
 
 from __future__ import annotations
@@ -265,13 +265,13 @@ class ShardedIndexLayout:
 def save_sharded(index, root: str | Path, partitioner) -> ShardedIndexLayout:
     """Split ``index`` by ``partitioner`` and persist one directory per shard.
 
-    Each shard directory is a normal WAL-v3 index directory
+    Each shard directory is a normal index directory
     (:meth:`~repro.textsearch.inverted_index.InvertedIndex.save`):
-    ``verify``/``repair``, mmap loading and incremental re-saves all work
-    unchanged per shard.  ``topology.json`` at the root records the
-    partitioner spec, the shard directory names and each shard's data epoch
-    so :func:`load_sharded` (and cluster assembly) can rebuild the exact
-    routing without the original index.
+    ``verify``/``repair`` and mmap loading work unchanged per shard.
+    ``topology.json`` at the root records the partitioner spec, the shard
+    directory names and each shard's data epoch so :func:`load_sharded` (and
+    cluster assembly) can rebuild the exact routing without the original
+    index.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)

@@ -216,36 +216,28 @@ def _scorer_spec(scorer: Scorer) -> dict:
     """A JSON-serialisable description of a scorer, for the saved manifest."""
     spec: dict = {"name": type(scorer).__name__}
     if dataclasses.is_dataclass(scorer):
-        spec["params"] = {
-            f.name: getattr(scorer, f.name) for f in dataclasses.fields(scorer)
-        }
+        spec["params"] = dataclasses.asdict(scorer)
     return spec
 
 
 def _scorer_from_spec(spec: Mapping | None) -> Scorer | None:
-    if not spec:
-        return None
-    cls = _SCORER_REGISTRY.get(spec.get("name", ""))
-    if cls is None:
-        return None
-    return cls(**spec.get("params", {}))
+    cls = _SCORER_REGISTRY.get(spec.get("name", "")) if spec else None
+    return cls(**spec.get("params", {})) if cls is not None else None
 
 
 def _tokenizer_spec(tokenizer: Tokenizer) -> dict:
-    return {
-        "stopwords": sorted(tokenizer.stopwords),
-        "min_token_length": tokenizer.min_token_length,
-        "keep_phrases": tokenizer.keep_phrases,
-    }
+    return {**dataclasses.asdict(tokenizer), "stopwords": sorted(tokenizer.stopwords)}
 
 
 def _tokenizer_from_spec(spec: Mapping | None) -> Tokenizer | None:
-    if not spec:
-        return None
-    return Tokenizer(
-        stopwords=frozenset(spec.get("stopwords", ())),
-        min_token_length=spec.get("min_token_length", 2),
-        keep_phrases=spec.get("keep_phrases", True),
+    return Tokenizer(**{**spec, "stopwords": frozenset(spec.get("stopwords", ()))}) if spec else None
+
+
+def _pinned(name: str) -> property:
+    """A read of the live index, answered by the snapshot published when the
+    attribute is read (a method comes back bound to that snapshot)."""
+    return property(
+        lambda index: getattr(index.snapshot(), name), doc=f"See ``IndexSnapshot.{name}``."
     )
 
 
@@ -581,9 +573,12 @@ class InvertedIndex:
         #: (add/remove, seal, maintain, compact, save).  RLock: sealing nests
         #: inside maintain and save.
         self._snapshot_lock = threading.RLock()
-        #: What the last save/load persisted (uuid, save_seq, per-segment
-        #: file records); threads through incremental saves.
+        #: What the last save/load persisted (the directory and its last
+        #: committed record); threads through incremental saves.
         self._persist: dict | None = None
+        #: Ids added or removed since that state, most recent last: what the
+        #: next incremental save's doc-terms link carries.
+        self._unsaved: dict[int, None] = {}
         #: Report of the most recent :meth:`save` (mode, files written...).
         self.last_save_report: dict | None = None
         if document_terms is not None:
@@ -635,23 +630,10 @@ class InvertedIndex:
         tokenizer = tokenizer or Tokenizer()
         scorer = scorer or CosineScorer()
 
-        term_frequencies: dict[int, dict[str, int]] = {}
-        document_frequencies: dict[str, int] = {}
-        total_length = 0
-        for document in corpus:
-            frequencies = tokenizer.term_frequencies(document.text)
-            term_frequencies[document.doc_id] = frequencies
-            total_length += sum(frequencies.values())
-            for term in frequencies:
-                document_frequencies[term] = document_frequencies.get(term, 0) + 1
-
-        num_documents = max(len(corpus), 1)
-        stats = CorpusStatistics(
-            num_documents=len(corpus),
-            document_frequencies=document_frequencies,
-            average_document_length=total_length / num_documents,
-        )
-
+        term_frequencies = {
+            document.doc_id: tokenizer.term_frequencies(document.text) for document in corpus
+        }
+        stats = CorpusStatistics.of_documents(term_frequencies)
         factors = {doc_id: scorer.document_factor(f) for doc_id, f in term_frequencies.items()}
         corpus_factor = scorer.corpus_factor(stats)
         raw_lists: dict[str, list[tuple[int, float]]] = {}
@@ -886,6 +868,7 @@ class InvertedIndex:
                 raise ValueError(f"duplicate document id {doc_id}")
             frequencies = self._tokenizer.term_frequencies(document.text)
             self._doc_terms[doc_id] = frequencies
+            self._unsaved[doc_id] = self._unsaved.pop(doc_id, None)
             self._total_length += sum(frequencies.values())
             document_frequencies = self._own_frequencies()
             for term in frequencies:
@@ -919,6 +902,7 @@ class InvertedIndex:
             frequencies = self._doc_terms.pop(doc_id, None)
             if frequencies is None:
                 raise KeyError(f"unknown document id {doc_id}")
+            self._unsaved[doc_id] = self._unsaved.pop(doc_id, None)
             self._total_length -= sum(frequencies.values())
             if self._doc_factors is not None:
                 del self._doc_factors[doc_id]
@@ -1118,8 +1102,9 @@ class InvertedIndex:
             Target directory, created if missing.  Re-saving the *same
             index instance* to the directory it last saved to (or was
             loaded from) is **incremental**: only segments sealed since the
-            previous save become new blobs; persisted files are reused by
-            reference, never rewritten.  A save that dies mid-write leaves
+            previous save become new blobs, and the documents added or
+            removed since then a doc-terms link; persisted files are reused
+            by reference, never rewritten.  A save that dies mid-write leaves
             the previous record the newest consistent one.  Every other save
             (first save, new path, a directory someone else has since
             written) is wholesale, under a fresh directory identity.  An
@@ -1137,7 +1122,7 @@ class InvertedIndex:
         want_incremental = (
             self._doc_terms is not None
             and self._persist is not None
-            and self._persist.get("path") == str(Path(path).resolve())
+            and self._persist["path"] == str(Path(path).resolve())
         )
         with self._snapshot_lock:
             # An incremental save keeps deferred per-list rewrites deferred:
@@ -1161,22 +1146,20 @@ class InvertedIndex:
                 ),
                 "scorer": _scorer_spec(self._scorer),
                 "tokenizer": _tokenizer_spec(self._tokenizer),
-                "stats": {
-                    "num_documents": self.stats.num_documents,
-                    "average_document_length": self.stats.average_document_length,
-                    "document_frequencies": dict(self.stats.document_frequencies),
-                },
+                # Derived from the doc-terms chain at load when there is one.
+                "stats": None if self._doc_terms is not None else dataclasses.asdict(self.stats),
             }
             report = write_index_directory(
                 path,
                 segments=self._segments,
                 extra=extra,
                 document_terms=self._doc_terms,
+                changed_documents=self._unsaved,
                 persist_state=self._persist if want_incremental else None,
                 runtime_fresh=runtime_fresh,
                 wal_compact_records=wal_compact_records,
             )
-            self._persist = report.pop("persist_state")
+            self._persist, self._unsaved = report.pop("persist_state"), {}
             self.last_save_report = report
             return self.segment_manifest()
 
@@ -1215,12 +1198,10 @@ class InvertedIndex:
         manifest, segments, document_terms, buffers = read_index_directory(
             path, use_mmap=mmap
         )
-        stats_raw = manifest["stats"]
-        stats = CorpusStatistics(
-            num_documents=stats_raw["num_documents"],
-            document_frequencies=dict(stats_raw["document_frequencies"]),
-            average_document_length=stats_raw["average_document_length"],
-        )
+        if document_terms is not None:
+            stats = CorpusStatistics.of_documents(document_terms)
+        else:
+            stats = CorpusStatistics(**manifest["stats"])
         if scorer is None:
             scorer = _scorer_from_spec(manifest.get("scorer"))
             if scorer is None and document_terms is not None:
@@ -1363,6 +1344,7 @@ class InvertedIndex:
         if action == "resort":
             counters.lists_resorted += 1
         counters.lists_requantised += 1
+        segment.num_postings += (len(new_columns) if new_columns else 0) - len(columns)
         if new_columns is None:
             del segment.lists[term]
         else:
@@ -1397,46 +1379,20 @@ class InvertedIndex:
     # -- read API: forwards to the published snapshot ------------------------------
     # :class:`IndexSnapshot` is the one read implementation (and documents
     # each method); the live index is a writer that publishes snapshots.
-    @property
-    def terms(self) -> tuple[str, ...]:
-        return self.snapshot().terms
-
-    @property
-    def num_terms(self) -> int:
-        return self.snapshot().num_terms
+    terms = _pinned("terms")
+    num_terms = _pinned("num_terms")
+    postings = _pinned("postings")
+    columns = _pinned("columns")
+    document_frequency = _pinned("document_frequency")
+    iterate_lists = _pinned("iterate_lists")
+    list_size_bytes = _pinned("list_size_bytes")
+    list_size_blocks = _pinned("list_size_blocks")
+    total_size_bytes = _pinned("total_size_bytes")
+    serialise_list = _pinned("serialise_list")
+    max_impact = _pinned("max_impact")
 
     def __contains__(self, term: str) -> bool:
         return term in self.snapshot()
-
-    def postings(self, term: str) -> tuple[Posting, ...]:
-        return self.snapshot().postings(term)
-
-    def columns(self, term: str) -> tuple:
-        return self.snapshot().columns(term)
-
-    def document_frequency(self, term: str) -> int:
-        return self.snapshot().document_frequency(term)
-
-    def iterate_lists(
-        self, terms: Iterable[str]
-    ) -> Iterator[tuple[str, tuple[Posting, ...]]]:
-        return self.snapshot().iterate_lists(terms)
-
-    def list_size_bytes(self, term: str) -> int:
-        return self.snapshot().list_size_bytes(term)
-
-    def list_size_blocks(self, term: str) -> int:
-        return self.snapshot().list_size_blocks(term)
-
-    def total_size_bytes(self) -> int:
-        return self.snapshot().total_size_bytes()
-
-    def serialise_list(self, term: str) -> bytes:
-        return self.snapshot().serialise_list(term)
-
-    @property
-    def max_impact(self) -> float:
-        return self.snapshot().max_impact
 
     @staticmethod
     def deserialise_list(data: bytes) -> tuple[Posting, ...]:

@@ -37,6 +37,7 @@ homomorphic exponentiation).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
@@ -55,6 +56,21 @@ class CorpusStatistics:
 
     def document_frequency(self, term: str) -> int:
         return self.document_frequencies.get(term, 0)
+
+    @classmethod
+    def of_documents(cls, document_terms: Mapping[int, Mapping[str, int]]) -> "CorpusStatistics":
+        """The statistics of a corpus given as per-document term frequencies
+        (what a build computes, and what a load re-derives)."""
+        document_frequencies: Counter[str] = Counter()
+        total_length = 0
+        for frequencies in document_terms.values():
+            total_length += sum(frequencies.values())
+            document_frequencies.update(frequencies.keys())  # counts each term once
+        return cls(
+            num_documents=len(document_terms),
+            document_frequencies=dict(document_frequencies),
+            average_document_length=total_length / max(len(document_terms), 1),
+        )
 
 
 class Scorer(Protocol):

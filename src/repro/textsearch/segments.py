@@ -45,6 +45,7 @@ import heapq
 import json
 import mmap as _mmap
 import os
+import re
 import struct
 import sys
 import uuid as _uuid
@@ -78,9 +79,11 @@ __all__ = [
 
 #: Identifier written into every saved manifest.
 INDEX_FORMAT = "repro-index-segments"
-#: The one on-disk format version; a record carrying any other is reported
-#: as a problem, never loaded.
-INDEX_FORMAT_VERSION = 3
+#: The on-disk format version saves write.  The reader also takes v3 records
+#: (layout comment above ``_fsync_write_bytes``); any other version is
+#: reported as a problem, never loaded.
+INDEX_FORMAT_VERSION = 4
+_READABLE_VERSIONS = (3, INDEX_FORMAT_VERSION)
 
 #: Manifest-log records retained before a save compacts ``wal.log`` down to
 #: its newest record and reclaims the segment files only older records
@@ -93,6 +96,9 @@ DEFAULT_WAL_COMPACT_RECORDS = 32
 _WAL_FRAME = struct.Struct("<II")
 
 _EMPTY: frozenset[int] = frozenset()
+
+#: A document id as a doc-terms link spells it (JSON object keys are strings).
+_DOC_ID = re.compile(r"[0-9]+")
 
 
 class CorruptIndexError(ValueError):
@@ -249,10 +255,6 @@ class PostingColumns:
     def serialise(self) -> bytes:
         """The list as big-endian ``<doc_id, quantised_impact>`` pairs, O(n) array ops."""
         doc_ids, quants = self.doc_ids, self.quants
-        if array("I").itemsize != 4:  # exotic platform: fall back to struct
-            return b"".join(
-                struct.pack(">II", d, q) for d, q in zip(doc_ids, quants)
-            )
         interleaved = array("I", bytes(len(doc_ids) * 2 * 4))
         interleaved[0::2] = doc_ids
         interleaved[1::2] = quants
@@ -288,10 +290,12 @@ class IndexSegment:
     #: previously written segment file recorded to decide whether that
     #: file's arrays still match memory (``arrays_fresh``).
     content_version: int = 0
+    #: Rows across ``lists``, kept in step by the deferred rewrite (the one
+    #: writer of a built segment's lists) so :meth:`info` never walks them.
+    num_postings: int = field(init=False)
 
-    @property
-    def num_postings(self) -> int:
-        return sum(len(columns) for columns in self.lists.values())
+    def __post_init__(self) -> None:
+        self.num_postings = sum(map(len, self.lists.values()))
 
     def info(self) -> "SegmentInfo":
         return SegmentInfo(
@@ -573,32 +577,49 @@ def rewrite_stale_columns(
 
 # -- on-disk columnar directory format -------------------------------------------
 #
-#   <path>/
+#   <path>/                (format v4)
 #     wal.log              the manifest log, and the only manifest source:
 #                          every save appends one CRC-framed record (<u32
 #                          length, u32 crc32> + compact-JSON manifest: format,
 #                          version, byteorder, index uuid, save_seq,
 #                          arrays_fresh, whole-file integrity pairs, the
-#                          segment directory -- per segment: metadata,
-#                          content_version, tombstones, documents and the
-#                          term -> [byte offset, row count, crc32] directory
-#                          -- plus the index-level extras the caller supplies)
+#                          doc-terms chain, the segment set -- per segment:
+#                          id, generation, base, seq range, file and
+#                          content_version -- plus the index-level scalars
+#                          the caller supplies).  O(segments), not O(corpus)
 #     segment_<id>_<seq>.bin
 #                          per term, concatenated: doc_ids (4n bytes), quants
 #                          (4n), impacts (8n) -- 16n per term, so every term
 #                          block starts 16-byte aligned and each column is
-#                          aligned for zero-copy mmap slicing.  Immutable
-#                          once written: an incremental save reuses the
-#                          files earlier saves wrote *by reference* and
-#                          writes blobs only for newly sealed segments
-#     doc_terms_<seq>.json per-document term frequencies of one save
-#                          (absent => read-only directory)
+#                          aligned for zero-copy mmap slicing -- then the
+#                          footer: compact JSON of everything immutable
+#                          about the segment (the term -> [byte offset, row
+#                          count, crc32] directory, documents, tombstones)
+#                          and its <u32 length, u32 crc32> trailer.
+#                          Immutable once written: an incremental save reuses
+#                          earlier saves' files *by reference*
+#     doc_terms_<seq>.json one link of the doc-terms chain: doc id -> term
+#                          frequencies, null for a removed document.  The
+#                          record names its links oldest first
+#                          (doc_terms_chain, then doc_terms_file); folded in
+#                          order they give the saved documents.  A wholesale
+#                          save or a log compaction writes one full link, an
+#                          incremental save the delta since the save before.
+#                          No chain => a read-only directory, whose record
+#                          keeps the corpus stats (derived from the chain
+#                          otherwise)
+#
+# v3 read-compatibility: a v3 record keeps each segment's directory,
+# documents and tombstones in its entry, the stats, and one full link.  The
+# reader takes a segment's content from its entry when the entry has it and
+# from the footer otherwise, so both load through one path; a loaded v3
+# tree's next save is wholesale v4.  The v3 half goes with the next version.
 #
 # Columns are written in native byte order (recorded in the manifest); a
 # load on a mismatched platform falls back to eager reads with a byteswap.
 #
 # Durability ordering of one save: new segment blobs and the doc-terms
-# sidecar are written and fsynced, then the directory entry naming them;
+# link are written and fsynced, then the directory entry naming them;
 # the fsynced wal.log append is the commit point (a rewrite -- compaction,
 # or a torn tail that must not bury the new record -- is an atomic
 # wal.log.tmp swap plus a second directory fsync); only then are files no
@@ -607,8 +628,10 @@ def rewrite_stale_columns(
 # are unreferenced orphans) or the new one fully committed -- and every
 # record of it stays bit-identically replayable: files referenced by *any*
 # retained record are spared until the log exceeds its compaction threshold
-# and is rewritten down to the newest record.  Recovery replays the log to
-# the newest consistent record.
+# and is rewritten down to the newest record, whose chain is then one full
+# link.  Recovery replays the log to the newest consistent record: one whose
+# files have their recorded lengths and whose footers and chain links pass
+# their CRCs and shape checks.
 #
 # Older builds also wrote a manifest.json copy of the newest record; it is
 # never read, and counts as debris like any other unreferenced file.
@@ -700,6 +723,13 @@ def read_manifest_log(path: str | Path) -> list[dict]:
     return records
 
 
+def _doc_terms_links(record: Mapping) -> list:
+    """A record's doc-terms chain, oldest link first; ``[]`` without one (a
+    v3 record's single full link is its ``doc_terms_file``)."""
+    tip, chain = record.get("doc_terms_file"), record.get("doc_terms_chain")
+    return [*(chain if isinstance(chain, list) else ()), tip] if tip is not None else []
+
+
 def _record_files(record: Mapping) -> set[str]:
     """Every data file one manifest record references.
 
@@ -707,7 +737,7 @@ def _record_files(record: Mapping) -> set[str]:
     reclamation and the orphan audit run over records that may not validate.
     """
     segments = record.get("segments")
-    names = [record.get("doc_terms_file")]
+    names = _doc_terms_links(record)
     if isinstance(segments, list):
         names += [entry.get("file") for entry in segments if isinstance(entry, dict)]
     return {name for name in names if isinstance(name, str)}
@@ -749,29 +779,15 @@ def _rewrite_wal(root: Path, records: Iterable[Mapping]) -> bytes:
 
 
 def _persist_state(root: str | Path, record: Mapping, wal: Mapping | None = None) -> dict:
-    """What the next incremental save needs of the last committed ``record``:
-    the directory identity, per segment id the persisted file, and (from a
-    save) the whole log as committed: ``length``, ``crc`` and each retained
-    record's file set."""
-    integrity = record["integrity"]
-    return {
-        "path": str(Path(root).resolve()),
-        "uuid": record["uuid"],
-        "save_seq": record["save_seq"],
-        "wal": wal,
-        "files": {
-            entry["segment_id"]: {
-                "file": entry["file"],
-                "content_version": entry["content_version"],
-                "terms": entry["terms"],
-                "integrity": integrity[entry["file"]],
-            }
-            for entry in record["segments"]
-        },
-    }
+    """What the next incremental save needs: the directory, the last committed
+    ``record`` (a v4 record is O(segments)), and from a save the whole log as
+    committed -- ``length``, ``crc`` and each retained record's file set."""
+    return {"path": str(Path(root).resolve()), "record": record, "wal": wal}
 
 
-def _segment_blob(segment: IndexSegment) -> tuple[bytes, dict[str, tuple[int, int, int]]]:
+def _segment_blob(segment: IndexSegment) -> bytes:
+    """A segment's file: its term blocks, then its footer and the footer's
+    ``<u32 length, u32 crc32>`` trailer."""
     chunks: list[bytes] = []
     directory: dict[str, tuple[int, int, int]] = {}
     offset = 0
@@ -788,7 +804,28 @@ def _segment_blob(segment: IndexSegment) -> tuple[bytes, dict[str, tuple[int, in
         directory[term] = (offset, rows, zlib.crc32(block))
         chunks.append(block)
         offset += rows * _TERM_BLOCK_FACTOR
-    return b"".join(chunks), directory
+    footer = {
+        "terms": directory,
+        "documents": sorted(segment.documents),
+        "tombstones": sorted(segment.tombstones),
+    }
+    payload = json.dumps(footer, separators=(",", ":")).encode("utf-8")
+    chunks += (payload, _WAL_FRAME.pack(len(payload), zlib.crc32(payload)))  # the trailer
+    return b"".join(chunks)
+
+
+def _segment_footer(buffer, source: Path) -> dict:
+    """The checked footer of a v4 segment file held in ``buffer``."""
+    end = len(buffer) - _WAL_FRAME.size
+    length, crc = _WAL_FRAME.unpack_from(buffer, end) if end >= 0 else (0, None)
+    payload = bytes(memoryview(buffer)[max(end - length, 0) : max(end, 0)])
+    if len(payload) != length or zlib.crc32(payload) != crc:
+        raise CorruptIndexError(f"{source.name}: footer torn or failed its checksum", path=source)
+    content = _json(payload, source)
+    problem = _shape_problem(content, _SEGMENT_CONTENT_SHAPE, f"{source.name} footer")
+    if problem is not None:
+        raise CorruptIndexError(problem, path=source)
+    return content
 
 
 def _column_loader(
@@ -802,15 +839,9 @@ def _column_loader(
     def load() -> tuple[array, array, array]:
         view = memoryview(buffer)
         chunk = view[offset : offset + _TERM_BLOCK_FACTOR * rows]
-        if len(chunk) != _TERM_BLOCK_FACTOR * rows:
+        if len(chunk) != _TERM_BLOCK_FACTOR * rows or zlib.crc32(chunk) != crc:
             raise CorruptIndexError(
-                f"{source}: term block at offset {offset} truncated "
-                f"({len(chunk)} of {_TERM_BLOCK_FACTOR * rows} bytes)",
-                path=source,
-            )
-        if zlib.crc32(chunk) != crc:
-            raise CorruptIndexError(
-                f"{source}: term block at offset {offset} failed its checksum",
+                f"{source}: term block at offset {offset} is truncated or failed its checksum",
                 path=source,
             )
         doc_ids = array("I")
@@ -834,6 +865,7 @@ def write_index_directory(
     segments: Sequence[IndexSegment],
     extra: Mapping[str, object],
     document_terms: Mapping[int, Mapping[str, int]] | None,
+    changed_documents: Iterable[int] = (),
     persist_state: Mapping | None = None,
     runtime_fresh: bool = True,
     wal_compact_records: int = DEFAULT_WAL_COMPACT_RECORDS,
@@ -845,9 +877,11 @@ def write_index_directory(
     ``persist_state`` (the state a previous save or load of the same
     directory returned), an *incremental* save writes blobs only for
     segments without a previously persisted file and reuses the rest by
-    reference, so ``save`` after N update batches appends, never rewrites;
+    reference, and appends to the doc-terms chain a link holding only the
+    ``changed_documents`` (ids added or removed since that state), so
+    ``save`` after N update batches writes its delta, never the corpus;
     once the log would exceed ``wal_compact_records`` records it is
-    compacted to the new record alone.
+    compacted to the new record alone, with the chain folded into one link.
 
     The mode follows from the persist state alone: incremental when
     ``persist_state`` matches the directory's uuid and newest save_seq and
@@ -874,8 +908,9 @@ def write_index_directory(
     except OSError:  # missing or unreadable: the scan below says which
         wal_bytes = None
     wal_crc = zlib.crc32(wal_bytes) if wal_bytes is not None else None
-    same_path = persist_state is not None and persist_state.get("path") == str(root.resolve())
-    committed = persist_state.get("wal") if same_path else None
+    same_path = persist_state is not None and persist_state["path"] == str(root.resolve())
+    previous: Mapping = persist_state["record"] if same_path else {}
+    committed = persist_state["wal"] if same_path else None
     kept_records: list[dict] | None = None
     if (
         committed is not None
@@ -887,7 +922,7 @@ def write_index_directory(
         # the persist state already holds everything a decode would yield.
         torn = None
         retained = list(committed["files"])
-        newest_uuid, newest_seq = persist_state["uuid"], persist_state["save_seq"]
+        newest_uuid, newest_seq = previous["uuid"], previous["save_seq"]
     else:
         kept_records, torn = _scan_wal(wal_path, wal_bytes)
         retained = [_record_files(record) for record in kept_records]
@@ -898,31 +933,30 @@ def write_index_directory(
     incremental = (
         same_path
         and document_terms is not None
-        and persist_state.get("uuid") == newest_uuid
-        and persist_state.get("save_seq") == newest_seq
+        and previous["version"] == INDEX_FORMAT_VERSION  # a v3 tree's next save is wholesale
+        and previous["uuid"] == newest_uuid
+        and previous["save_seq"] == newest_seq
     )
-    index_uuid = persist_state["uuid"] if incremental else _uuid.uuid4().hex
-    reused_files: Mapping = persist_state["files"] if incremental else {}
+    index_uuid = previous["uuid"] if incremental else _uuid.uuid4().hex
+    reused = {entry["segment_id"]: entry for entry in previous["segments"]} if incremental else {}
+    compacted = len(retained) + 1 > max(int(wal_compact_records), 1)
 
     manifest_segments = []
     integrity: dict[str, list[int]] = {}
     segments_written = 0
     files_fresh = True
     for segment in segments:
-        persisted = reused_files.get(segment.segment_id)
+        persisted = reused.get(segment.segment_id)
         if persisted is not None:
             filename = persisted["file"]
-            entry_terms = persisted["terms"]
-            integrity[filename] = persisted["integrity"]
+            integrity[filename] = previous["integrity"][filename]
             content_version = persisted["content_version"]
-            if content_version != segment.content_version:
-                files_fresh = False
+            files_fresh = files_fresh and content_version == segment.content_version
         else:
-            blob, directory = _segment_blob(segment)
+            blob = _segment_blob(segment)
             filename = f"segment_{segment.segment_id}_{save_seq}.bin"
             _io_event("write", root / filename)
             _fsync_write_bytes(root / filename, blob)
-            entry_terms = {term: list(entry) for term, entry in directory.items()}
             integrity[filename] = [len(blob), zlib.crc32(blob)]
             content_version = segment.content_version
             segments_written += 1
@@ -934,19 +968,24 @@ def write_index_directory(
                 "seq": [segment.seq_lo, segment.seq_hi],
                 "file": filename,
                 "content_version": content_version,
-                "documents": sorted(segment.documents),
-                "tombstones": sorted(segment.tombstones),
-                "terms": entry_terms,
             }
         )
-    doc_terms_file = None
+    doc_terms_file, chain = None, []
     if document_terms is not None:
+        # The delta since the persisted state extends its chain; anything
+        # else (wholesale, or a compaction folding the chain) is one full link.
+        if incremental and not compacted:
+            chain = _doc_terms_links(previous)
+            link = {doc_id: document_terms.get(doc_id) for doc_id in changed_documents}
+        else:
+            link = document_terms
         doc_terms_file = f"doc_terms_{save_seq}.json"
         encoded = json.dumps(
-            {str(doc_id): dict(freqs) for doc_id, freqs in document_terms.items()}
+            {str(doc_id): freqs and dict(freqs) for doc_id, freqs in link.items()}
         ).encode("utf-8")
         _io_event("write", root / doc_terms_file)
         _fsync_write_bytes(root / doc_terms_file, encoded)
+        integrity.update((name, previous["integrity"][name]) for name in chain)
         integrity[doc_terms_file] = [len(encoded), zlib.crc32(encoded)]
     arrays_fresh = bool(runtime_fresh) and files_fresh
     manifest = {
@@ -957,6 +996,7 @@ def write_index_directory(
         "uuid": index_uuid,
         "arrays_fresh": arrays_fresh,
         "doc_terms_file": doc_terms_file,
+        "doc_terms_chain": chain,
         "integrity": integrity,
         "segments": manifest_segments,
         **dict(extra),
@@ -967,7 +1007,6 @@ def write_index_directory(
     # Commit point: an append when the log is clean and under threshold,
     # otherwise the atomic rewrite (compaction, or past a torn tail, which
     # only the decoding branch can find -- so ``kept_records`` is set).
-    compacted = len(retained) + 1 > max(int(wal_compact_records), 1)
     retained = [_record_files(manifest)] if compacted else retained + [_record_files(manifest)]
     frame = _frame_wal_record(manifest)
     _io_event("write", wal_path)
@@ -1002,28 +1041,33 @@ def write_index_directory(
 
 
 def _ints(value, length: int | None = None) -> bool:
-    """True for a JSON list of integers (of exactly ``length`` items if given)."""
+    """True for a JSON list of non-negative integers (of exactly ``length``
+    items if given)."""
     return (
         isinstance(value, list)
         and length in (None, len(value))
-        and all(isinstance(item, int) for item in value)
+        and all(isinstance(item, int) and item >= 0 for item in value)
     )
 
 
-#: What :func:`read_index_directory` relies on in each segment entry of a
-#: record: key -> predicate.  A record is parsed JSON of unknown provenance
-#: (bit rot that still parses, a hand edit), so shapes are checked before
-#: anything indexes into them.
+#: What the reader relies on in each segment entry of a record: key ->
+#: predicate.  A record is parsed JSON of unknown provenance (bit rot that
+#: still parses, a hand edit), so shapes are checked before anything indexes
+#: into them.
 _SEGMENT_ENTRY_SHAPE: dict[str, Callable[[object], bool]] = {
     "file": lambda value: isinstance(value, str),
     "segment_id": lambda value: isinstance(value, int),
     "generation": lambda value: isinstance(value, int),
     "content_version": lambda value: isinstance(value, int),
     "seq": lambda value: _ints(value, 2),
-    "documents": _ints,
-    "tombstones": _ints,
+}
+
+#: The same for a segment's content: a v4 footer, or a v3 entry's own keys.
+_SEGMENT_CONTENT_SHAPE: dict[str, Callable[[object], bool]] = {
     "terms": lambda value: isinstance(value, dict)
     and all(_ints(entry, 3) for entry in value.values()),
+    "documents": _ints,
+    "tombstones": _ints,
 }
 
 
@@ -1040,7 +1084,11 @@ _RECORD_SHAPE: dict[str, Callable[[object], bool]] = {
     "save_seq": lambda value: isinstance(value, int),
     "uuid": lambda value: isinstance(value, str),
     "doc_terms_file": lambda value: value is None or isinstance(value, str),
-    "stats": lambda value: isinstance(value, dict)
+    "doc_terms_chain": lambda value: value is None
+    or (isinstance(value, list) and all(isinstance(name, str) for name in value)),
+    "stats": lambda value: value is None
+    or isinstance(value, dict)
+    and len(value) == 3  # exactly CorpusStatistics' fields
     and isinstance(value.get("num_documents"), int)
     and _number(value.get("average_document_length"))
     and isinstance(value.get("document_frequencies"), dict)
@@ -1053,119 +1101,172 @@ _RECORD_SHAPE: dict[str, Callable[[object], bool]] = {
 }
 
 
+def _shape_problem(value, shape: Mapping[str, Callable[[object], bool]], what: str) -> str | None:
+    """The first key of ``shape`` that parsed-JSON ``value`` lacks in
+    well-formed state, as a problem string (``None`` when it has them all)."""
+    if not isinstance(value, dict):
+        return f"{what} is not an object"
+    bad = next((key for key, well_formed in shape.items() if not well_formed(value.get(key))), None)
+    return None if bad is None else f"{what} has no well-formed {bad!r}"
+
+
+def _json(data: bytes, source: Path):
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise CorruptIndexError(f"{source.name} is not valid JSON: {exc}", path=source) from exc
+
+
+def _counts(value) -> bool:
+    """True for a JSON object of positive integers (one document's
+    frequencies); checked by C-level passes, it runs over every posting."""
+    return isinstance(value, dict) and set(map(type, value.values())) <= {int} and (
+        min(value.values(), default=1) > 0
+    )
+
+
+def _fold_doc_terms(folded: dict[int, dict[str, int]], data: bytes, source: Path) -> None:
+    """Fold one doc-terms link into ``folded``: each document it names is
+    replaced by its frequencies, or dropped where the link says null."""
+    link = _json(data, source)
+    if not isinstance(link, dict) or not all(
+        _DOC_ID.fullmatch(key) and (freqs is None or _counts(freqs)) for key, freqs in link.items()
+    ):
+        raise CorruptIndexError(
+            f"{source.name} is not a map of document ids to term frequencies", path=source
+        )
+    for key, freqs in link.items():
+        doc_id = int(key)
+        folded.pop(doc_id, None)  # a re-added document moves to the end, as live
+        if freqs is not None:
+            folded[doc_id] = freqs
+
+
 def _manifest_problems(root: Path, manifest: Mapping) -> list[str]:
     """Cheap consistency check of one parsed manifest against the directory.
 
     Format and version, the shape of everything the reader will index into,
-    referenced-file existence, and file sizes (derivable from the per-term
-    directory) -- everything except reading data, so recovery can pick a
-    record without paying full I/O.  Never raises for a malformed record:
-    whatever is wrong comes back as a problem string.
+    and each referenced file's existence and recorded length -- everything
+    except reading data, so recovery can pick a record without paying data
+    I/O.  Never raises for a malformed record: whatever is wrong comes back
+    as a problem string.
     """
     if manifest.get("format") != INDEX_FORMAT:
         return [f"not a {INDEX_FORMAT} directory (format {manifest.get('format')!r})"]
-    if manifest.get("version") != INDEX_FORMAT_VERSION:
-        return [
-            f"format version {manifest.get('version')!r} is not the version "
-            f"this reader supports ({INDEX_FORMAT_VERSION})"
-        ]
-    for key, well_formed in _RECORD_SHAPE.items():
-        if not well_formed(manifest.get(key)):
-            return [f"manifest has no well-formed {key!r}"]
-    integrity = manifest["integrity"]
-    doc_terms_name = manifest["doc_terms_file"]
+    if manifest.get("version") not in _READABLE_VERSIONS:
+        return [f"format version {manifest.get('version')!r} is not one of {_READABLE_VERSIONS}"]
+    problem = _shape_problem(manifest, _RECORD_SHAPE, "manifest")
+    if problem is None and manifest["doc_terms_file"] is None and manifest["stats"] is None:
+        problem = "manifest has no well-formed 'stats'"  # nothing to derive them from
+    if problem is not None:
+        return [problem]
+    names = _doc_terms_links(manifest)
     problems: list[str] = []
     for entry in manifest["segments"]:
-        if not isinstance(entry, dict):
-            problems.append("malformed segment entry")
-            continue
-        for key, well_formed in _SEGMENT_ENTRY_SHAPE.items():
-            if key not in entry:
-                problems.append(f"segment entry missing {key!r}")
-                break
-            if not well_formed(entry[key]):
-                problems.append(f"segment entry has a malformed {key!r}")
-                break
+        # A v3 entry carries its segment's content; a v4 one leaves it to the footer.
+        v3 = isinstance(entry, dict) and any(key in entry for key in _SEGMENT_CONTENT_SHAPE)
+        shape = {**_SEGMENT_ENTRY_SHAPE, **(_SEGMENT_CONTENT_SHAPE if v3 else {})}
+        problem = _shape_problem(entry, shape, "segment entry")
+        if problem is None:
+            names.append(entry["file"])
         else:
-            file_path = root / entry["file"]
-            expected = sum(
-                rows * _TERM_BLOCK_FACTOR for _, rows, _ in entry["terms"].values()
-            )
-            if not _ints(integrity.get(entry["file"]), 2):
-                problems.append(f"no integrity record for {entry['file']}")
-            elif not file_path.exists():
-                problems.append(f"missing data file {entry['file']}")
-            elif file_path.stat().st_size != expected:
-                problems.append(
-                    f"data file {entry['file']} is {file_path.stat().st_size} "
-                    f"bytes, expected {expected}"
-                )
-    if doc_terms_name is not None:
-        doc_terms_path = root / doc_terms_name
-        recorded = integrity.get(doc_terms_name)
+            problems.append(problem)
+    integrity = manifest["integrity"]
+    for name in names:
+        recorded, file_path = integrity.get(name), root / name
         if not _ints(recorded, 2):
-            problems.append(f"no integrity record for {doc_terms_name}")
-        elif not doc_terms_path.exists():
-            problems.append(f"missing doc-terms file {doc_terms_name}")
-        elif doc_terms_path.stat().st_size != recorded[0]:
+            problems.append(f"no integrity record for {name}")
+        elif not file_path.exists():
+            problems.append(f"missing data file {name}")
+        elif file_path.stat().st_size != recorded[0]:
             problems.append(
-                f"doc-terms file {doc_terms_name} is "
-                f"{doc_terms_path.stat().st_size} bytes, expected {recorded[0]}"
+                f"data file {name} is {file_path.stat().st_size} bytes, expected {recorded[0]}"
             )
     return problems
 
 
-def _deep_problems(root: Path, manifest: Mapping) -> list[str]:
-    """Full-content verification of a manifest that passed
-    :func:`_manifest_problems`: whole-file and per-term CRCs."""
-    problems: list[str] = []
-    integrity = manifest["integrity"]
-    for entry in manifest["segments"]:
+def _open_record(
+    root: Path, record: Mapping, use_mmap: bool
+) -> tuple[list[IndexSegment], dict[int, dict[str, int]] | None, list]:
+    """Read what a record that passed :func:`_manifest_problems` names:
+    ``(segments, document_terms, buffers)``.  A segment's content comes from
+    its entry (v3) or its footer (v4); the chain folds once every link passes
+    its CRC-32 and shape check.  Without ``use_mmap`` every file and column
+    checksum is read here.  The first failure raises
+    :class:`CorruptIndexError`: the record is then inconsistent."""
+    integrity = record["integrity"]
+    swap = record.get("byteorder", sys.byteorder) != sys.byteorder
+    buffers: list = []
+    segments: list[IndexSegment] = []
+    for entry in record["segments"]:
         file_path = root / entry["file"]
-        try:
-            blob = file_path.read_bytes()
-        except OSError as exc:
-            problems.append(f"unreadable data file {entry['file']}: {exc}")
-            continue
-        if zlib.crc32(blob) != integrity[entry["file"]][1]:
-            problems.append(f"data file {entry['file']} failed its checksum")
-            continue
-        for term, (offset, rows, crc) in entry["terms"].items():
-            chunk = blob[offset : offset + rows * _TERM_BLOCK_FACTOR]
-            if len(chunk) != rows * _TERM_BLOCK_FACTOR:
-                problems.append(f"term {term!r} truncated in {entry['file']}")
-            elif zlib.crc32(chunk) != crc:
-                problems.append(f"term {term!r} failed its checksum in {entry['file']}")
-    doc_terms_name = manifest["doc_terms_file"]
-    if doc_terms_name is not None:
-        data = (root / doc_terms_name).read_bytes()
-        if zlib.crc32(data) != integrity[doc_terms_name][1]:
-            problems.append(f"doc-terms file {doc_terms_name} failed its checksum")
+        _io_event("read", file_path)
+        if use_mmap and not swap:
+            with open(file_path, "rb") as handle:
+                size = file_path.stat().st_size
+                buffer = _mmap.mmap(handle.fileno(), size, access=_mmap.ACCESS_READ) if size else b""
+            buffers.append(buffer)
         else:
-            try:
-                json.loads(data.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                problems.append(f"doc-terms file {doc_terms_name} is not valid JSON")
-    return problems
+            buffer = file_path.read_bytes()
+            if zlib.crc32(buffer) != integrity[entry["file"]][1]:
+                raise CorruptIndexError(f"data file {entry['file']} failed its checksum", path=file_path)
+        content = entry if "terms" in entry else _segment_footer(buffer, file_path)
+        lists = {
+            term: PostingColumns.lazy(
+                rows, _column_loader(buffer, offset, rows, swap, crc, str(file_path))
+            )
+            for term, (offset, rows, crc) in content["terms"].items()
+        }
+        if not use_mmap:
+            for columns in lists.values():
+                columns.doc_ids  # noqa: B018 -- force eager materialisation
+        segments.append(
+            IndexSegment(
+                segment_id=entry["segment_id"],
+                generation=entry["generation"],
+                base=entry.get("base", False),
+                seq_lo=entry["seq"][0],
+                seq_hi=entry["seq"][1],
+                lists=lists,
+                documents=set(content["documents"]),
+                tombstones=set(content["tombstones"]),
+                content_version=entry["content_version"],
+            )
+        )
+    segments.sort(key=lambda segment: segment.seq_lo)
+    links = _doc_terms_links(record)
+    document_terms: dict[int, dict[str, int]] | None = {} if links else None
+    for name in links:
+        link_path = root / name
+        _io_event("read", link_path)
+        data = link_path.read_bytes()
+        if zlib.crc32(data) != integrity[name][1]:
+            raise CorruptIndexError(f"doc-terms file {name} failed its checksum", path=link_path)
+        _fold_doc_terms(document_terms, data, link_path)
+    return segments, document_terms, buffers
 
 
 def _audit(
-    root: Path, records: Sequence[dict], *, deep: bool
-) -> Iterator[tuple[str, dict, list[str]]]:
+    root: Path, records: Sequence[dict], *, deep: bool, use_mmap: bool = False
+) -> Iterator[tuple[str, dict, list[str], tuple | None]]:
     """The one audit walk behind load, verify and repair.
 
-    Yields ``(source, record, problems)`` for the log's consistent-prefix
-    ``records``, newest first; ``source`` is ``wal.log#<save_seq>`` and a
-    record is consistent exactly when ``problems`` is empty.  With ``deep``
-    the data files of structurally sound records are read back against
-    their checksums.  Lazy: a consumer that stops at the first consistent
-    record never pays for older ones.
+    Yields ``(source, record, problems, opened)`` for the log's
+    consistent-prefix ``records``, newest first; ``source`` is
+    ``wal.log#<save_seq>`` and a record is consistent exactly when
+    ``problems`` is empty.  With ``deep`` each structurally sound record is
+    also opened (``opened`` is :func:`_open_record`'s result).  Lazy: a
+    consumer that stops at the first consistent record never pays for older
+    ones.
     """
     for record in reversed(records):
-        problems = _manifest_problems(root, record)
+        problems, opened = _manifest_problems(root, record), None
         if not problems and deep:
-            problems = _deep_problems(root, record)
-        yield f"wal.log#{_save_seq(record)}", record, problems
+            try:
+                opened = _open_record(root, record, use_mmap)
+            except CorruptIndexError as exc:
+                problems = [str(exc)]
+        yield f"wal.log#{_save_seq(record)}", record, problems, opened
 
 
 def _no_consistent_record(
@@ -1192,9 +1293,10 @@ def read_index_directory(
     materialised lazily from the mapped file on first access; without it (or
     on a byte-order mismatch) each segment file is read eagerly.
 
-    The newest log record the audit walk passes is validated against the
-    data files before anything is read; when a newer *parsed* record had to
-    be skipped for its problems (a torn re-save, a malformed record), the
+    The newest log record whose files all check out is used -- lengths
+    against the record, then footers and doc-terms links against their
+    CRCs and shapes; when a newer *parsed* record had to be skipped for its
+    problems (a torn re-save, a malformed record, a rotted sidecar), the
     returned manifest names the record used under ``"recovered_from"``.  A
     nonexistent directory raises :class:`FileNotFoundError` naming the path;
     a directory with no usable record raises :class:`CorruptIndexError`
@@ -1209,78 +1311,17 @@ def read_index_directory(
     _io_event("read", root / "wal.log")
     records, torn = _scan_wal(root / "wal.log")
     skipped: dict[str, list[str]] = {}
-    for source, manifest, problems in _audit(root, records, deep=False):
+    for source, manifest, problems, opened in _audit(
+        root, records, deep=True, use_mmap=use_mmap
+    ):
         if not problems:
-            break
+            if skipped:
+                manifest["recovered_from"] = source
+            return (manifest, *opened)
         skipped[source] = problems
-    else:
-        if torn is not None:
-            skipped["wal.log"] = [torn]
-        raise _no_consistent_record(root, skipped)
-    if skipped:
-        manifest["recovered_from"] = source
-    integrity = manifest["integrity"]
-    swap = manifest.get("byteorder", sys.byteorder) != sys.byteorder
-    buffers: list = []
-    segments: list[IndexSegment] = []
-    for entry in manifest["segments"]:
-        file_path = root / entry["file"]
-        _io_event("read", file_path)
-        if use_mmap and not swap:
-            with open(file_path, "rb") as handle:
-                size = file_path.stat().st_size
-                buffer = (
-                    _mmap.mmap(handle.fileno(), size, access=_mmap.ACCESS_READ)
-                    if size
-                    else b""
-                )
-            buffers.append(buffer)
-        else:
-            buffer = file_path.read_bytes()
-            if zlib.crc32(buffer) != integrity[entry["file"]][1]:
-                raise CorruptIndexError(
-                    f"data file {entry['file']} failed its checksum",
-                    path=file_path,
-                )
-        lists = {}
-        for term, (offset, rows, crc) in entry["terms"].items():
-            lists[term] = PostingColumns.lazy(
-                rows,
-                _column_loader(buffer, offset, rows, swap, crc, str(file_path)),
-            )
-        if not use_mmap:
-            for columns in lists.values():
-                columns.doc_ids  # noqa: B018 -- force eager materialisation
-        segments.append(
-            IndexSegment(
-                segment_id=entry["segment_id"],
-                generation=entry["generation"],
-                base=entry.get("base", False),
-                seq_lo=entry["seq"][0],
-                seq_hi=entry["seq"][1],
-                lists=lists,
-                documents=set(entry["documents"]),
-                tombstones=set(entry["tombstones"]),
-                content_version=entry["content_version"],
-            )
-        )
-    segments.sort(key=lambda segment: segment.seq_lo)
-    document_terms: dict[int, dict[str, int]] | None = None
-    doc_terms_name = manifest.get("doc_terms_file")
-    doc_terms_path = root / doc_terms_name if doc_terms_name else None
-    if doc_terms_path is not None and doc_terms_path.exists():
-        _io_event("read", doc_terms_path)
-        try:
-            raw = json.loads(doc_terms_path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise CorruptIndexError(
-                f"doc-terms file {doc_terms_name} is not valid JSON: {exc}",
-                path=doc_terms_path,
-            ) from exc
-        document_terms = {
-            int(doc_id): dict(freqs) for doc_id, freqs in raw.items()
-        }
-    return manifest, segments, document_terms, buffers
+    if torn is not None:
+        skipped["wal.log"] = [torn]
+    raise _no_consistent_record(root, skipped)
 
 
 def _survey(path: str | Path, *, deep: bool) -> tuple[dict, dict | None]:
@@ -1305,7 +1346,7 @@ def _survey(path: str | Path, *, deep: bool) -> tuple[dict, dict | None]:
     if torn is not None or not records:
         report["problems"]["wal.log"] = [torn or "no manifest record present"]
     newest_consistent = None
-    for source, record, problems in _audit(root, records, deep=deep):
+    for source, record, problems, _ in _audit(root, records, deep=deep):
         if problems:
             report["problems"][source] = problems
             continue

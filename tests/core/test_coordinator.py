@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.core.coordinator import (
     ShardResponse,
     ShardTopology,
     ShardUnavailableError,
+    data_epoch,
 )
 from repro.core.embellish import QueryEmbellisher
 from repro.core.faults import FaultPlan, PermanentFaultError, RetryPolicy
@@ -36,6 +38,7 @@ from repro.lexicon.specificity import hypernym_depth_specificity
 from repro.core.sequencing import concatenate_sequences, sequence_dictionary
 from repro.core.buckets import generate_buckets
 from repro.lexicon.builder import build_lexicon
+from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex
 from repro.textsearch.synthetic import SyntheticCorpusGenerator
 
@@ -634,3 +637,19 @@ def test_coordinator_close_closes_backends(index, organization, benaloh_keypair)
     with coordinator:
         pass
     assert sorted(closed) == [0, 1]
+
+
+def test_data_epoch_is_the_save_seq_last_persisted(tmp_path):
+    """A shard stamps its responses with the save_seq of the record it last
+    saved or loaded -- a format-3 tree's included -- and with its
+    update_epoch before any."""
+    index = InvertedIndex.build(
+        Corpus(Document(doc_id=i, text=f"alpha beta word{i}") for i in range(4))
+    )
+    assert data_epoch(index) == index.update_epoch == 0
+    index.save(tmp_path)
+    index.add_document(Document(doc_id=9, text="gamma alpha"))
+    index.save(tmp_path)
+    assert data_epoch(index) == data_epoch(InvertedIndex.load(tmp_path)) == 2
+    v3_tree = Path(__file__).parents[1] / "textsearch" / "data" / "index_v3"
+    assert data_epoch(InvertedIndex.load(v3_tree)) == 2

@@ -9,6 +9,7 @@ one outcome these tests exist to rule out.
 """
 
 import shutil
+import zlib
 
 import pytest
 
@@ -89,7 +90,7 @@ def _cut_points(name: str, size: int):
     return sorted(cut for cut in cuts if 0 <= cut < size)
 
 
-def _torn(record):
+def _torn(record, root):
     """The tail a crash mid-append leaves: half of ``record``'s frame."""
     frame = _frame_wal_record(record)
     return frame[: len(frame) // 2], "wal.log"
@@ -99,7 +100,7 @@ def _malformed(*path, value):
     """Damage that keeps the record parseable and its frame CRC-valid: store
     ``value`` at ``path`` (``...`` stands for the first key of a mapping)."""
 
-    def damage(record):
+    def damage(record, root):
         node = record
         for depth, key in enumerate(path):
             if key is ...:
@@ -109,6 +110,25 @@ def _malformed(*path, value):
             node = node[key]
         seq = record["save_seq"]
         return _frame_wal_record(record), f"wal.log#{seq if isinstance(seq, int) else 0}"
+
+    return damage
+
+
+def _rotten_doc_terms(body=None):
+    """Damage to the record's doc-terms sidecar, written under a new name the
+    record then names.  With ``body`` the sidecar is those bytes, recorded
+    with their true length and CRC-32, so only a shape check can object;
+    without, one term frequency changes from 1 to 7 and the recorded CRC-32
+    is the original's."""
+
+    def damage(record, root):
+        data = (root / record["doc_terms_file"]).read_bytes()
+        bad = data.replace(b": 1", b": 7", 1) if body is None else body
+        name = f"doc_terms_{record['save_seq']}.json"
+        (root / name).write_bytes(bad)
+        record["integrity"][name] = [len(bad), zlib.crc32(data if body is None else bad)]
+        record["doc_terms_file"] = name
+        return _frame_wal_record(record), f"wal.log#{record['save_seq']}"
 
     return damage
 
@@ -149,10 +169,10 @@ class TestTruncationAtEveryBoundary:
         [
             pytest.param(_torn, id="torn"),
             pytest.param(
-                _malformed("segments", 0, "terms", ..., value=5), id="term-entry-scalar"
+                _malformed("segments", 0, "terms", value={"alpha": 5}), id="term-entry-scalar"
             ),
             pytest.param(
-                _malformed("segments", 0, "terms", ..., value=[0]), id="term-entry-short"
+                _malformed("segments", 0, "terms", value={"alpha": [0]}), id="term-entry-short"
             ),
             pytest.param(
                 _malformed("segments", 0, "terms", value=[1, 2]), id="terms-not-a-mapping"
@@ -161,19 +181,24 @@ class TestTruncationAtEveryBoundary:
             pytest.param(_malformed("segments", 0, "documents", value=7), id="documents"),
             pytest.param(_malformed("save_seq", value="two"), id="save-seq"),
             pytest.param(_malformed("version", value=2), id="version-2"),
+            pytest.param(_rotten_doc_terms(), id="doc-terms-crc"),
+            pytest.param(_rotten_doc_terms(b'{"zz": {}}'), id="doc-terms-id"),
+            pytest.param(_rotten_doc_terms(b"[1]"), id="doc-terms-list"),
+            pytest.param(_rotten_doc_terms(b'{"0": [1, 2]}'), id="doc-terms-row"),
         ],
     )
     def test_damaged_newest_record_falls_back_to_the_record_behind_it(
         self, tmp_path, damage
     ):
-        """A newest record that is torn -- or CRC-valid but malformed, or of
-        another format version -- is *reported* and the walk falls through
-        to the record behind it; untyped errors never escape load or verify."""
+        """A newest record that is torn -- or CRC-valid but malformed, of
+        another format version, or naming a rotted or malformed doc-terms
+        sidecar -- is *reported* and the walk falls through to the record
+        behind it; untyped errors never escape load or verify."""
         root, _snap_a, snap_b = _two_generation_directory(tmp_path)
         record = read_manifest_log(root)[-1]
         behind = f"wal.log#{record['save_seq']}"
         record["save_seq"] += 1
-        frame, source = damage(record)
+        frame, source = damage(record, root)
         with open(root / "wal.log", "ab") as log:
             log.write(frame)
         report = verify_index_directory(root)
@@ -191,7 +216,7 @@ class TestTruncationAtEveryBoundary:
     @pytest.mark.parametrize(
         "key, value",
         [
-            pytest.param(("stats", "document_frequencies"), "abc", id="stats"),
+            pytest.param(("stats",), {"document_frequencies": "abc"}, id="stats"),
             pytest.param(("quantise_levels",), "x", id="quantise-levels"),
             pytest.param(("block_size",), 0, id="block-size"),
             pytest.param(("next_seq",), "x", id="next-seq"),
@@ -206,7 +231,7 @@ class TestTruncationAtEveryBoundary:
         record = read_manifest_log(root)[-1]
         behind = f"wal.log#{record['save_seq']}"
         record["save_seq"] += 1
-        frame, source = _malformed(*key, value=value)(record)
+        frame, source = _malformed(*key, value=value)(record, root)
         with open(root / "wal.log", "ab") as log:
             log.write(frame)
         report = verify_index_directory(root)

@@ -1,6 +1,7 @@
 """Unit tests for the segmented storage engine (seal, merge, persist)."""
 
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,49 @@ class TestSegmentManifest:
         assert manifest.epoch == index.update_epoch
 
 
+class _UnwalkableLists(dict):
+    """A segment's lists that fail any walk over them; ``len`` still works."""
+
+    def _walk(self, *args):
+        raise AssertionError("a segment's lists were walked")
+
+    __iter__ = keys = values = items = _walk
+
+
+class TestPostingCounts:
+    def test_segment_manifest_never_walks_a_segments_lists(self, base_documents, extra_documents):
+        index = InvertedIndex.build(Corpus(base_documents))
+        index.add_document(extra_documents[0])
+        index.remove_document(1)
+        index.seal_delta()
+        expected = index.segment_manifest()
+        for segment in index._segments:
+            segment.lists = _UnwalkableLists(segment.lists)
+        assert index.segment_manifest() == expected
+
+    def test_counts_follow_the_deferred_rewrite(self, tmp_path):
+        """BM25 re-sorts a list when the average length drifts, dropping its
+        dead rows; a wholesale save flushes those rewrites, and each
+        segment's count follows its lists."""
+        rng = random.Random(0)
+        words = "alpha beta gamma delta epsilon zeta eta theta".split()
+
+        def text(length):
+            return " ".join(rng.choice(words) for _ in range(length))
+
+        base = [Document(doc_id=i, text=text(rng.randint(2, 12))) for i in range(8)]
+        index = InvertedIndex.build(Corpus(base), scorer=BM25Scorer())
+        index.remove_documents([0, 1])
+        index.seal_delta()
+        index.add_documents(Document(doc_id=100 + k, text=text(40)) for k in range(3))
+        counted = index._segments[0].num_postings
+        index.save(tmp_path / "flushed")
+        assert index.update_counters.lists_resorted > 0
+        assert index._segments[0].num_postings < counted
+        for segment in index._segments:
+            assert segment.num_postings == sum(map(len, segment.lists.values()))
+
+
 def _save_target(tmp_path: Path, name: str) -> Path:
     """Honour SAVED_INDEX_ARTIFACT_DIR so CI can upload the saved tree."""
     artifact_root = os.environ.get("SAVED_INDEX_ARTIFACT_DIR")
@@ -300,6 +344,24 @@ class TestPersistence:
         rebuilt = InvertedIndex.build(Corpus(live))
         assert_indexes_identical(loaded, rebuilt)
         assert loaded.stats.average_document_length == rebuilt.stats.average_document_length
+
+    def test_incremental_saves_round_trip(self, tmp_path, base_documents, extra_documents):
+        """A tree written by incremental saves (exported for CI, which
+        deep-verifies every exported tree) loads bit-identical to a rebuild."""
+        index = InvertedIndex.build(Corpus(base_documents))
+        target = _save_target(tmp_path, "incremental")
+        index.save(target)
+        index.add_document(extra_documents[0])
+        index.save(target)
+        index.remove_document(2)
+        index.add_documents(extra_documents[1:3])
+        index.maintain(force_seal=True)
+        index.save(target)
+        assert index.last_save_report["mode"] == "incremental"
+        live = [d for d in base_documents if d.doc_id != 2] + extra_documents[:3]
+        for use_mmap in (False, True):
+            loaded = InvertedIndex.load(target, mmap=use_mmap)
+            assert_indexes_identical(loaded, InvertedIndex.build(Corpus(live)))
 
     def test_mmap_load_materialises_columns_lazily(self, tmp_path, base_documents):
         index = InvertedIndex.build(Corpus(base_documents))

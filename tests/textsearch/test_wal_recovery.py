@@ -38,15 +38,18 @@ _WORDS = (
 _FRAME = struct.Struct("<II")
 
 
-def _build_index(num_docs: int = 10) -> InvertedIndex:
-    docs = [
+def _documents(num_docs: int) -> list[Document]:
+    return [
         Document(
             doc_id=i,
             text=" ".join(_WORDS[(i + k) % len(_WORDS)] for k in range(2 + i % 5)),
         )
         for i in range(num_docs)
     ]
-    return InvertedIndex.build(Corpus(docs))
+
+
+def _build_index(num_docs: int = 10) -> InvertedIndex:
+    return InvertedIndex.build(Corpus(_documents(num_docs)))
 
 
 def _snapshot(index: InvertedIndex):
@@ -70,6 +73,28 @@ def _record_boundaries(blob: bytes):
             break
         boundaries.append(offset)
     return boundaries
+
+
+def _sweep_target(root: Path, target: str) -> tuple[str, int]:
+    """The file a damage sweep targets and the offset its piece starts at:
+    the whole log, the footer of the segment only the newest record names,
+    or the newest record's doc-terms link (the delta its save wrote)."""
+    *older, newest = read_manifest_log(root)
+    if target == "wal.log":
+        return "wal.log", 0
+    assert newest["version"] == 4 and newest["doc_terms_chain"]
+    if target == "doc-terms-delta":
+        return newest["doc_terms_file"], 0
+    (name,) = {e["file"] for e in newest["segments"]} - {e["file"] for e in older[-1]["segments"]}
+    size = (root / name).stat().st_size
+    (length, _crc) = _FRAME.unpack((root / name).read_bytes()[-_FRAME.size :])
+    return name, size - _FRAME.size - length
+
+
+def _flip(blob: bytes, offset: int) -> bytes:
+    damaged = bytearray(blob)
+    damaged[offset] ^= 1 << offset % 8
+    return bytes(damaged)
 
 
 def _incremental_history(tmp_path, saves: int = 4):
@@ -130,6 +155,25 @@ class TestAppendOnlyIncrementalSaves:
         assert incremental.last_save_report["mode"] == "full"
         assert _snapshot(InvertedIndex.load(fresh_dir)) == snapshots[-1]
         assert _snapshot(incremental) == snapshots[-1]
+
+    def test_an_incremental_save_writes_its_delta_not_the_corpus(self, tmp_path):
+        """The same +8/-4 checkpoint over 100 and over 1,000 documents writes
+        the same bytes to within 10 %: new files plus the log's growth."""
+        written = []
+        for num_docs in (100, 1000):
+            index = _build_index(num_docs)
+            root = tmp_path / f"docs_{num_docs}"
+            index.save(root)
+            before = {p.name: p.stat().st_size for p in root.iterdir()}
+            index.add_documents(
+                Document(doc_id=5000 + i, text=f"omega alpha sigma fresh{i}") for i in range(8)
+            )
+            index.remove_documents(range(4))
+            index.save(root)
+            assert index.last_save_report["mode"] == "incremental"
+            after = {p.name: p.stat().st_size for p in root.iterdir()}
+            written.append(sum(size - before.get(name, 0) for name, size in after.items()))
+        assert max(written) < 1.1 * min(written), written
 
     def test_save_seq_and_wal_records_advance_per_save(self, tmp_path):
         root, _snapshots, reports = _incremental_history(tmp_path, saves=3)
@@ -249,25 +293,38 @@ class TestLogReplayRecovery:
                 "recover that save"
             )
 
-    def test_truncating_the_log_at_every_byte_recovers_or_raises(self, tmp_path):
+    @pytest.mark.parametrize("target", ["wal.log", "segment-footer", "doc-terms-delta"])
+    def test_truncating_the_log_at_every_byte_recovers_or_raises(self, tmp_path, target):
+        """``wal.log`` cut at every byte recovers a recorded save or raises.
+        The two pieces only the newest save wrote -- its new segment's
+        footer and its doc-terms delta -- are cut at every byte of the piece
+        and have each byte's bit ``offset % 8`` flipped, loading eagerly and
+        by mmap in turn: every case falls back to the save before."""
         root, snapshots, _reports = _incremental_history(tmp_path, saves=2)
-        blob = (root / "wal.log").read_bytes()
+        name, start = _sweep_target(root, target)
+        blob = (root / name).read_bytes()
+        cases = [blob[:cut] for cut in range(start, len(blob))]
+        if target != "wal.log":
+            cases += [_flip(blob, offset) for offset in range(start, len(blob))]
         recovered, rejected = 0, 0
-        for cut in range(len(blob)):
-            work = tmp_path / f"cut_{cut}"
+        for case, damaged in enumerate(cases):
+            work = tmp_path / f"cut_{case}"
             shutil.copytree(root, work)
-            (work / "wal.log").write_bytes(blob[:cut])
+            (work / name).write_bytes(damaged)
             try:
-                loaded = InvertedIndex.load(work)
+                loaded = InvertedIndex.load(work, mmap=target != "wal.log" and case % 2 == 1)
             except CorruptIndexError:
                 rejected += 1
                 continue
-            assert _snapshot(loaded) in snapshots, (
-                f"truncating wal.log at byte {cut} produced an index "
+            assert _snapshot(loaded) in (snapshots if target == "wal.log" else snapshots[:-1]), (
+                f"damage case {case} of {name} produced an index "
                 "matching no recorded save"
             )
             recovered += 1
             shutil.rmtree(work)
+        if target != "wal.log":
+            assert (recovered, rejected) == (len(cases), 0)
+            return
         # A mid-record tear keeps every earlier record replayable, so every
         # cut past the first record boundary recovers; only cuts starving
         # the very first record (no candidate manifest left) may reject.
@@ -453,3 +510,49 @@ class TestLogIsTheOnlyManifest:
         assert {n for n in on_disk if n.startswith("segment_")} == {
             entry["file"] for r in records for entry in r["segments"]
         }
+
+
+#: A tree the format-3 writer saved: ``_build_index(6)`` saved wholesale,
+#: then saved incrementally after adding document 500, removing document 2
+#: and sealing (``maintain(force_seal=True)``).
+_V3_TREE = Path(__file__).parent / "data" / "index_v3"
+
+
+class TestFormatV3Trees:
+    def _rebuilt(self, *extra: Document) -> InvertedIndex:
+        documents = [d for d in _documents(6) if d.doc_id != 2]
+        return InvertedIndex.build(
+            Corpus(documents + [Document(doc_id=500, text="omega alpha sigma fresh500"), *extra])
+        )
+
+    @pytest.mark.parametrize("use_mmap", [False, True], ids=["eager", "mmap"])
+    def test_a_v3_tree_loads_bit_identical_to_a_rebuild(self, tmp_path, use_mmap):
+        root = tmp_path / "v3"
+        shutil.copytree(_V3_TREE, root)
+        assert [record["version"] for record in read_manifest_log(root)] == [3, 3]
+        loaded = InvertedIndex.load(root, mmap=use_mmap)
+        rebuilt = self._rebuilt()
+        assert _snapshot(loaded) == _snapshot(rebuilt)
+        assert loaded.stats == rebuilt.stats
+        assert verify_index_directory(root)["ok"]
+
+    def test_the_first_save_of_a_v3_tree_is_wholesale_v4(self, tmp_path):
+        root = tmp_path / "v3"
+        shutil.copytree(_V3_TREE, root)
+        loaded = InvertedIndex.load(root)
+        later = Document(doc_id=501, text="beta sigma later")
+        loaded.add_document(later)
+        loaded.save(root)
+        assert loaded.last_save_report["mode"] == "full"
+        assert [record["version"] for record in read_manifest_log(root)] == [3, 3, 4]
+        assert _snapshot(InvertedIndex.load(root)) == _snapshot(self._rebuilt(later))
+        loaded.remove_document(0)
+        loaded.save(root)
+        assert loaded.last_save_report["mode"] == "incremental"
+        assert verify_index_directory(root)["ok"]
+        loaded.save(root, wal_compact_records=1)
+        (record,) = read_manifest_log(root)
+        # Compaction folds the doc-terms chain into one full link.
+        assert (record["version"], record["doc_terms_chain"]) == (4, [])
+        assert verify_index_directory(root)["orphans"] == []
+        assert _snapshot(InvertedIndex.load(root)) == _snapshot(loaded)
