@@ -28,7 +28,10 @@ point inside the repository:
   parts that contains an underscore or is CamelCase must occur as a word in
   a tracked ``*.py`` file.  File names (``check_links.py``) are the path
   check's business.  ``benchmarks/e2e/README.md`` is exempt: only a change
-  to the benchmark itself may edit it.
+  to the benchmark itself may edit it;
+* each ``CHANGES.md`` entry (a ``PR <n>:`` line up to the next one)
+  numbered 35 or later is at most 2,048 bytes; earlier entries stay as
+  history.
 
 External links (``http://``, ``https://``, ``mailto:``) are out of scope --
 this gate is for the promise the docs make about *this* tree, which every
@@ -62,6 +65,9 @@ _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\(\))?")
 _FILE_SUFFIXES = {"py", "md", "json", "jsonl", "log", "bin", "tmp", "txt", "toml", "yml", "yaml"}
 #: Tree-describing files whose names are not checked (see the module docstring).
 _NAME_EXEMPT = {"benchmarks/e2e/README.md"}
+_CHANGES_ENTRY = re.compile(r"^PR (\d+):", re.MULTILINE)
+#: The first CHANGES.md entry held to ``ENTRY_BYTES``.
+FIRST_CAPPED_ENTRY, ENTRY_BYTES = 35, 2048
 
 
 def github_slug(heading: str) -> str:
@@ -222,6 +228,22 @@ def check_file(path: Path, root: Path, paths: RepoPaths | None = None) -> list[s
     return problems
 
 
+def oversized_entries(text: str) -> list[str]:
+    """The CHANGES.md entries from ``FIRST_CAPPED_ENTRY`` on that exceed
+    ``ENTRY_BYTES``, measured without their trailing blank lines."""
+    heads = list(_CHANGES_ENTRY.finditer(text))
+    ends = [head.start() for head in heads[1:]] + [len(text)]
+    problems = []
+    for head, end in zip(heads, ends):
+        size = len(text[head.start() : end].rstrip("\n").encode("utf-8")) + 1
+        if int(head.group(1)) >= FIRST_CAPPED_ENTRY and size > ENTRY_BYTES:
+            line = text.count("\n", 0, head.start()) + 1
+            problems.append(
+                f"CHANGES.md:{line}: PR {head.group(1)} entry is {size} bytes, over {ENTRY_BYTES}"
+            )
+    return problems
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     problems: list[str] = []
@@ -229,6 +251,7 @@ def main() -> int:
     paths = RepoPaths(root)
     for path in files:
         problems.extend(check_file(path, root, paths if describes_tree(path, root) else None))
+    problems.extend(oversized_entries((root / "CHANGES.md").read_text(encoding="utf-8")))
     for problem in problems:
         print(problem)
     print(f"checked {len(files)} markdown files: "

@@ -171,7 +171,7 @@ class UpdateCounters:
     #: Document factors computed: one per added document, plus every live
     #: document on the first refresh after a load.
     documents_factored: int = 0
-    #: Rewrites materialised into segments by writer paths (merge, compact,
+    #: Rewrites materialised into copies by writer paths (merge, compact,
     #: wholesale save): per-segment lists whose impact/quant arrays changed.
     #: Reads evaluate pending rewrites snapshot-locally and count nothing.
     lists_requantised: int = 0
@@ -245,9 +245,9 @@ class IndexSnapshot:
     """An immutable, epoch-pinned read view of an :class:`InvertedIndex`.
 
     Built by :meth:`InvertedIndex.snapshot` under the writer lock, after the
-    lazy refresh, a snapshot copies only the cheap mutable shells (each
-    segment's ``lists`` dict and stale-term set, the dead sets, the unsealed
-    delta's lists) and shares the immutable
+    lazy refresh, a snapshot copies nothing: it shares each frozen segment's
+    ``lists``, the unsealed delta's lists (which the writer replaces, never
+    changes), the dead sets and the
     :class:`~repro.textsearch.segments.PostingColumns`.  It answers the
     **entire read API** from that pinned state with **no lock on the query
     path**, bit-identical to a quiesced run at its epoch whatever is sealed,
@@ -281,15 +281,11 @@ class IndexSnapshot:
     def __init__(self, index: "InvertedIndex") -> None:
         index._ensure_fresh()
         dead = index._dead_sets()
-        self._records: list[tuple[dict, frozenset, frozenset]] = [
-            (
-                dict(segment.lists),
-                frozenset(segment.stale_terms),
-                dead[position],
-            )
+        self._records: list[tuple[dict, bool, frozenset]] = [
+            (segment.lists, segment.segment_id in index._stale_ids, dead[position])
             for position, segment in enumerate(index._segments)
         ]
-        self._active = dict(index._active_lists)
+        self._active = index._active_lists
         #: Composes impacts from the factors the refresh pinned; nothing
         #: mutates those, the next refresh pins new ones.
         self._impact = index._impact
@@ -312,7 +308,7 @@ class IndexSnapshot:
     def _segment_columns(self, position: int, term: str) -> PostingColumns | None:
         lists, stale, dead = self._records[position]
         columns = lists.get(term)
-        if columns is None or term not in stale:
+        if columns is None or not stale:
             return columns
         key = (position, term)
         cached = self._rewritten.get(key, _MISSING)
@@ -563,6 +559,8 @@ class InvertedIndex:
         self._impact: Callable[[int, str], float] | None = None
         # -- update state -------------------------------------------------------
         self._stale = False
+        #: Ids of the segments whose arrays predate the latest refresh.
+        self._stale_ids: set[int] = set()
         self._update_epoch = 0
         self.update_counters = UpdateCounters()
         # -- snapshots / persistence --------------------------------------------
@@ -940,17 +938,8 @@ class InvertedIndex:
             self._ensure_fresh()
             if not self.has_pending_updates:
                 return None
-            seq = self._next_seq
+            segment = self._delta_segment(self._next_segment_id)
             self._next_seq += 1
-            segment = IndexSegment(
-                segment_id=self._next_segment_id,
-                generation=0,
-                seq_lo=seq,
-                seq_hi=seq,
-                lists=self._active_lists,
-                documents=set(self._active_docs),
-                tombstones=set(self._active_tombstones),
-            )
             self._next_segment_id += 1
             self._segments.append(segment)
             self._active_docs = set()
@@ -960,6 +949,18 @@ class InvertedIndex:
             self._unpublish()
             self.update_counters.segments_sealed += 1
             return segment.info()
+
+    def _delta_segment(self, segment_id: int) -> IndexSegment:
+        """The unsealed delta as a segment at the next seal sequence."""
+        return IndexSegment(
+            segment_id=segment_id,
+            generation=0,
+            seq_lo=self._next_seq,
+            seq_hi=self._next_seq,
+            lists=self._active_lists,
+            documents=set(self._active_docs),
+            tombstones=set(self._active_tombstones),
+        )
 
     def maintain(self, *, force_seal: bool = False) -> dict:
         """One synchronous maintenance step: refresh, seal on request, merge.
@@ -981,9 +982,8 @@ class InvertedIndex:
         """Replace the segments named by ``ids`` (one contiguous seal-sequence
         range) with their merge, one generation up."""
         positions = [i for i, segment in enumerate(self._segments) if segment.segment_id in ids]
-        # The kernel copies impacts/quants verbatim: flush the inputs first.
-        self._ensure_current_arrays(positions)
-        chosen = [self._segments[i] for i in positions]
+        # The kernel copies impacts/quants verbatim: it takes current inputs.
+        chosen = self._current(positions)
         older_docs = set().union(*(s.documents for s in self._segments[: positions[0]]))
         lists, documents, tombstones, written, dropped = merge_segment_parts(
             chosen, older_docs, self._dead_sets()[positions[-1]]
@@ -1001,6 +1001,7 @@ class InvertedIndex:
         remaining = [s for s in self._segments if s.segment_id not in ids]
         remaining.insert(positions[0], merged)
         self._segments = remaining
+        self._stale_ids -= ids
         counters = self.update_counters
         counters.merges += 1
         counters.segments_merged += len(chosen)
@@ -1033,25 +1034,18 @@ class InvertedIndex:
             return CompactionReport(
                 lists_merged=0, postings_merged=0, postings_dropped=0
             )
-        base = self._segments[0]
-        base_total = base.num_postings
+        base_total = self._segments[0].num_postings
         contributed = sum(
             segment.num_postings for segment in self._segments[1:]
         ) + sum(len(columns) for columns in self._active_lists.values())
-        # Materialise the deferred rewrites into the segments (counted),
-        # then fold what a reader pinned right now would serve.
-        self._ensure_current_arrays()
-        view = IndexSnapshot(self)
-        new_lists: dict[str, PostingColumns] = {}
-        documents: set[int] = set()
-        lists_merged = 0
-        for term in view.terms:
-            effective = view._effective(term)
-            if effective is not base.lists.get(term):
-                lists_merged += 1
-            new_lists[term] = effective
-            documents.update(effective.doc_ids)
-        new_total = sum(len(columns) for columns in new_lists.values())
+        # Fold current copies of the segments, then the delta as the newest
+        # run: per term, the merge a reader pinned right now would serve.
+        segments = self._current(range(len(self._segments)))
+        new_lists = merge_segment_parts([*segments, self._delta_segment(-1)], _EMPTY, _EMPTY)[0]
+        base = segments[0].lists
+        lists_merged = sum(columns is not base.get(term) for term, columns in new_lists.items())
+        documents = set().union(*(columns.doc_ids for columns in new_lists.values()))
+        new_total = sum(map(len, new_lists.values()))
         postings_merged = contributed
         postings_dropped = base_total + contributed - new_total
         seq_hi = self._next_seq
@@ -1068,6 +1062,7 @@ class InvertedIndex:
             )
         ]
         self._next_segment_id += 1
+        self._stale_ids = set()
         self._active_docs = set()
         self._active_tombstones = set()
         self._active_lists = {}
@@ -1125,14 +1120,15 @@ class InvertedIndex:
             and self._persist["path"] == str(Path(path).resolve())
         )
         with self._snapshot_lock:
+            self.seal_delta()
             # An incremental save keeps deferred per-list rewrites deferred:
             # already-persisted blobs stay byte-identical on disk and the
             # record is marked arrays_fresh=false instead, so load re-derives
-            # impacts lazily exactly as this instance would have.
+            # impacts lazily exactly as this instance would have.  A
+            # wholesale save writes current copies, installed once written.
+            segments = self._segments
             if not want_incremental:
-                self._ensure_current_arrays()
-            self.seal_delta()
-            runtime_fresh = not any(segment.stale_terms for segment in self._segments)
+                segments = self._current(range(len(segments)))
             extra = {
                 "quantise_levels": self.quantise_levels,
                 "block_size": self.block_size,
@@ -1151,14 +1147,16 @@ class InvertedIndex:
             }
             report = write_index_directory(
                 path,
-                segments=self._segments,
+                segments=segments,
                 extra=extra,
                 document_terms=self._doc_terms,
                 changed_documents=self._unsaved,
                 persist_state=self._persist if want_incremental else None,
-                runtime_fresh=runtime_fresh,
+                runtime_fresh=not (want_incremental and self._stale_ids),
                 wal_compact_records=wal_compact_records,
             )
+            if not want_incremental:
+                self._segments, self._stale_ids = segments, set()
             self._persist, self._unsaved = report.pop("persist_state"), {}
             self.last_save_report = report
             return self.segment_manifest()
@@ -1234,7 +1232,7 @@ class InvertedIndex:
         # Adopt the directory identity so the next save() of this instance
         # back to the same path runs incrementally.
         index._persist = _persist_state(path, manifest)
-        if manifest.get("arrays_fresh", True) is False and document_terms is not None:
+        if not manifest["arrays_fresh"] and document_terms is not None:
             # The record was saved with deferred rewrites outstanding: the
             # blobs hold pre-update arrays, so re-derive impacts on first
             # read exactly as the saving instance would have.
@@ -1275,11 +1273,11 @@ class InvertedIndex:
         :attr:`max_impact` (cosine: one multiply per posting, one division
         per document).  Document factors come from add, or from the
         doc-terms sidecar on the first refresh after a :meth:`load`.  Only
-        the small unsealed delta's columns are composed eagerly; sealed
-        lists are *marked stale*, and each rewrite composes impacts on
-        demand -- in a snapshot for the terms a query touches, or through
-        :meth:`_refresh_list` when a merge, :meth:`compact` or a wholesale
-        save needs current arrays.
+        the small unsealed delta's columns are composed eagerly; each sealed
+        segment is *marked stale* (one id per segment), and each rewrite
+        composes impacts on demand -- in a snapshot for the terms a query
+        touches, or into a copy (:meth:`_current`) when a merge,
+        :meth:`compact` or a wholesale save needs current arrays.
         """
         self._stale = False
         scorer = self._scorer
@@ -1311,58 +1309,41 @@ class InvertedIndex:
             new_active[term] = PostingColumns.from_entries(entries, max_impact, levels)
         self._active_lists = new_active
 
-        for segment in self._segments:
-            if segment.lists:
-                segment.stale_terms = set(segment.lists)
+        self._stale_ids = {segment.segment_id for segment in self._segments if segment.lists}
         counters.refreshes += 1
 
-    def _refresh_list(self, segment: IndexSegment, term: str, dead) -> None:
-        """Writer-side rewrite: align one segment's list with the fresh impacts.
+    def _current(self, positions: Iterable[int]) -> list[IndexSegment]:
+        """The segments at ``positions`` with their deferred rewrites applied.
 
-        The skip check is self-contained against current truth -- the stored
-        impacts *and* quantised values of every live row are compared to
-        what a rebuild would hold right now -- so arrays are kept verbatim
-        exactly when their observable content is already identical (e.g. a
-        removed document re-added unchanged), no matter how many refresh
-        generations they sat out.  Reordered lists (impossible under the
-        cosine scorer, possible under length-normalised ones like BM25 when
-        the average document length drifts) are re-sorted individually.
+        A current segment comes back as itself, a stale one as a copy under
+        the same id whose lists :func:`rewrite_stale_columns` aligned with
+        what a rebuild would hold now (each changed list counted).
+
+        An incremental save reuses a persisted file by segment id, so an id
+        must name one content.  A copy therefore keeps its id only where the
+        original can never be saved again: a merge or :meth:`compact`
+        consumes it at once, and a wholesale save, which writes every blob,
+        installs it only after the write.
         """
-        segment.stale_terms.discard(term)
-        columns = segment.lists.get(term)
-        if columns is None:
-            return
-        new_columns, action = rewrite_stale_columns(
-            columns, term, dead, self._impact, self._max_impact, self.quantise_levels
-        )
-        if action is None:
-            # Either every row is tombstoned (the observable list is empty
-            # and stays empty) or the arrays are already identical to what a
-            # rebuild would hold.
-            return
+        dead, levels = self._dead_sets(), self.quantise_levels
         counters = self.update_counters
-        if action == "resort":
-            counters.lists_resorted += 1
-        counters.lists_requantised += 1
-        segment.num_postings += (len(new_columns) if new_columns else 0) - len(columns)
-        if new_columns is None:
-            del segment.lists[term]
-        else:
-            segment.lists[term] = new_columns
-        # The on-disk blob for this segment (if any) now holds superseded
-        # arrays; the bump forces the next incremental save to rewrite it.
-        segment.content_version += 1
-
-    def _ensure_current_arrays(self, positions: Iterable[int] | None = None) -> None:
-        """Flush the deferred per-list rewrites of the segments at
-        ``positions`` -- merge inputs -- or of every segment (compact and
-        wholesale save)."""
-        self._ensure_fresh()
-        dead = self._dead_sets()
-        for position in range(len(self._segments)) if positions is None else positions:
+        current = []
+        for position in positions:
             segment = self._segments[position]
-            for term in list(segment.stale_terms):
-                self._refresh_list(segment, term, dead[position])
+            if segment.segment_id in self._stale_ids:
+                lists = {}
+                for term, columns in segment.lists.items():
+                    columns, action = rewrite_stale_columns(
+                        columns, term, dead[position], self._impact, self._max_impact, levels
+                    )
+                    if action is not None:
+                        counters.lists_requantised += 1
+                        counters.lists_resorted += action == "resort"
+                    if columns is not None:
+                        lists[term] = columns
+                segment = dataclasses.replace(segment, lists=lists)
+            current.append(segment)
+        return current
 
     def _dead_sets(self) -> list:
         """Per-segment dead sets: tombstones of every strictly newer segment."""

@@ -18,8 +18,8 @@ The pieces provided here:
   be **lazy**: constructed with a loader closure over an ``mmap``-backed
   buffer, they materialise their arrays on first access, so a loaded index
   pays I/O only for the terms queries actually touch.
-* :class:`IndexSegment` -- one immutable storage unit (lists + documents +
-  tombstones + generation/sequence metadata).
+* :class:`IndexSegment` -- one frozen storage unit (lists + documents +
+  tombstones + generation/sequence metadata); nothing changes it once sealed.
 * :class:`SegmentInfo` / :class:`SegmentManifest` -- the serving layer's view
   of the segment configuration at one update epoch.
 * :class:`TieredMergePolicy` -- LSM-style compaction scheduling: when a
@@ -36,7 +36,7 @@ The pieces provided here:
   ``_fsync_write_bytes``), audited by :func:`verify_index_directory` and
   :func:`repair_index_directory`.
 * :func:`rewrite_stale_columns` -- the pure deferred-rewrite kernel shared by
-  the index's in-place list refresh and the immutable read snapshots.
+  the writer's rewritten segment copies and the read snapshots.
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ __all__ = [
 
 #: Identifier written into every saved manifest.
 INDEX_FORMAT = "repro-index-segments"
-#: The on-disk format version saves write.  The reader also takes v3 records
+#: The on-disk format version saves write.  The reader also takes v4 records
 #: (layout comment above ``_fsync_write_bytes``); any other version is
 #: reported as a problem, never loaded.
-INDEX_FORMAT_VERSION = 4
-_READABLE_VERSIONS = (3, INDEX_FORMAT_VERSION)
+INDEX_FORMAT_VERSION = 5
+_READABLE_VERSIONS = (4, INDEX_FORMAT_VERSION)
 
 #: Manifest-log records retained before a save compacts ``wal.log`` down to
 #: its newest record and reclaims the segment files only older records
@@ -263,14 +263,16 @@ class PostingColumns:
         return interleaved.tobytes()
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndexSegment:
-    """One immutable storage unit of the segmented index.
+    """One sealed storage unit of the segmented index; nothing changes it.
 
     ``seq_lo..seq_hi`` is the contiguous range of seal-sequence numbers the
     segment covers; segments are globally ordered (and merged) by it.
     ``tombstones`` name documents removed while this segment was the active
-    delta -- they suppress rows in *strictly older* segments only.
+    delta -- they suppress rows in *strictly older* segments only.  A writer
+    that needs the deferred rewrite applied builds a copy.  An incremental
+    save reuses a persisted file by segment id, so an id names one content.
     """
 
     segment_id: int
@@ -282,20 +284,11 @@ class IndexSegment:
     tombstones: set[int] = field(default_factory=set)
     #: True for the build/compact product; never selected by the merge policy.
     base: bool = False
-    #: Terms whose arrays await the deferred post-update rewrite (see
-    #: ``InvertedIndex._refresh_list``); consumed by the writer's flushes.
-    stale_terms: set[str] = field(default_factory=set)
-    #: Bumped whenever a deferred rewrite replaces one of this segment's
-    #: lists.  Incremental persistence compares it against the version a
-    #: previously written segment file recorded to decide whether that
-    #: file's arrays still match memory (``arrays_fresh``).
-    content_version: int = 0
-    #: Rows across ``lists``, kept in step by the deferred rewrite (the one
-    #: writer of a built segment's lists) so :meth:`info` never walks them.
+    #: Rows across ``lists``, counted once so :meth:`info` never walks them.
     num_postings: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.num_postings = sum(map(len, self.lists.values()))
+        object.__setattr__(self, "num_postings", sum(map(len, self.lists.values())))
 
     def info(self) -> "SegmentInfo":
         return SegmentInfo(
@@ -525,10 +518,10 @@ def rewrite_stale_columns(
     what a rebuild holds, or every row is dead -- returned verbatim),
     ``"requantise"`` (order preserved, impact/quant arrays patched) or
     ``"resort"`` (the scorer reordered the list; rebuilt, ``None`` when
-    every row fell away).  The index's in-place rewrite
-    (``InvertedIndex._refresh_list``) and the snapshots' read paths both
-    call it, so a pinned snapshot and the live index derive bit-identical
-    arrays from the same pinned inputs.
+    every row fell away).  The writer's segment copies
+    (``InvertedIndex._current``) and the snapshots' read paths both call it,
+    so a pinned snapshot and the live index derive bit-identical arrays from
+    the same pinned inputs.
     """
     doc_ids = columns.doc_ids
     old_impacts = columns.impacts
@@ -577,16 +570,16 @@ def rewrite_stale_columns(
 
 # -- on-disk columnar directory format -------------------------------------------
 #
-#   <path>/                (format v4)
+#   <path>/                (format v5)
 #     wal.log              the manifest log, and the only manifest source:
 #                          every save appends one CRC-framed record (<u32
 #                          length, u32 crc32> + compact-JSON manifest: format,
 #                          version, byteorder, index uuid, save_seq,
 #                          arrays_fresh, whole-file integrity pairs, the
 #                          doc-terms chain, the segment set -- per segment:
-#                          id, generation, base, seq range, file and
-#                          content_version -- plus the index-level scalars
-#                          the caller supplies).  O(segments), not O(corpus)
+#                          id, generation, base, seq range and file -- plus
+#                          the index-level scalars the caller supplies).
+#                          O(segments), not O(corpus)
 #     segment_<id>_<seq>.bin
 #                          per term, concatenated: doc_ids (4n bytes), quants
 #                          (4n), impacts (8n) -- 16n per term, so every term
@@ -597,7 +590,8 @@ def rewrite_stale_columns(
 #                          count, crc32] directory, documents, tombstones)
 #                          and its <u32 length, u32 crc32> trailer.
 #                          Immutable once written: an incremental save reuses
-#                          earlier saves' files *by reference*
+#                          earlier saves' files *by reference*, matched by
+#                          segment id (a sealed segment never changes)
 #     doc_terms_<seq>.json one link of the doc-terms chain: doc id -> term
 #                          frequencies, null for a removed document.  The
 #                          record names its links oldest first
@@ -609,11 +603,8 @@ def rewrite_stale_columns(
 #                          keeps the corpus stats (derived from the chain
 #                          otherwise)
 #
-# v3 read-compatibility: a v3 record keeps each segment's directory,
-# documents and tombstones in its entry, the stats, and one full link.  The
-# reader takes a segment's content from its entry when the entry has it and
-# from the footer otherwise, so both load through one path; a loaded v3
-# tree's next save is wholesale v4.  The v3 half goes with the next version.
+# v4 read: a v4 segment entry holds one more key (a content version), which
+# the reader ignores; a loaded v4 tree's next save is wholesale v5.
 #
 # Columns are written in native byte order (recorded in the manifest); a
 # load on a mismatched platform falls back to eager reads with a byteswap.
@@ -724,8 +715,7 @@ def read_manifest_log(path: str | Path) -> list[dict]:
 
 
 def _doc_terms_links(record: Mapping) -> list:
-    """A record's doc-terms chain, oldest link first; ``[]`` without one (a
-    v3 record's single full link is its ``doc_terms_file``)."""
+    """A record's doc-terms chain, oldest link first; ``[]`` without one."""
     tip, chain = record.get("doc_terms_file"), record.get("doc_terms_chain")
     return [*(chain if isinstance(chain, list) else ()), tip] if tip is not None else []
 
@@ -780,7 +770,7 @@ def _rewrite_wal(root: Path, records: Iterable[Mapping]) -> bytes:
 
 def _persist_state(root: str | Path, record: Mapping, wal: Mapping | None = None) -> dict:
     """What the next incremental save needs: the directory, the last committed
-    ``record`` (a v4 record is O(segments)), and from a save the whole log as
+    ``record`` (a record is O(segments)), and from a save the whole log as
     committed -- ``length``, ``crc`` and each retained record's file set."""
     return {"path": str(Path(root).resolve()), "record": record, "wal": wal}
 
@@ -815,7 +805,7 @@ def _segment_blob(segment: IndexSegment) -> bytes:
 
 
 def _segment_footer(buffer, source: Path) -> dict:
-    """The checked footer of a v4 segment file held in ``buffer``."""
+    """The checked footer of the segment file held in ``buffer``."""
     end = len(buffer) - _WAL_FRAME.size
     length, crc = _WAL_FRAME.unpack_from(buffer, end) if end >= 0 else (0, None)
     payload = bytes(memoryview(buffer)[max(end - length, 0) : max(end, 0)])
@@ -890,11 +880,11 @@ def write_index_directory(
     log byte for byte (its ``wal`` length and CRC-32 still match) takes the
     retained records' file sets from it instead of decoding the log again;
     any mismatch -- a torn tail, a foreign writer, a truncation -- takes the
-    full scan.  ``runtime_fresh`` declares whether the
-    in-memory arrays are fully flushed; the record's ``arrays_fresh`` flag
-    is that, ANDed with every reused file still matching its segment's
-    ``content_version`` -- a load of a record with ``arrays_fresh: false``
-    re-derives impacts on first read, restoring rebuild bit-identity.
+    full scan.  A persisted file is reused by segment id, which names one
+    content: segments never change.  ``runtime_fresh`` declares whether the
+    segments' arrays are current; the record keeps it as ``arrays_fresh``,
+    and a load of a record with ``arrays_fresh: false`` re-derives impacts
+    on first read, restoring rebuild bit-identity.
 
     Returns a report dict -- ``mode``, ``save_seq``, ``segments_written`` /
     ``segments_reused``, ``wal_records``, ``compacted``, ``arrays_fresh``
@@ -933,7 +923,7 @@ def write_index_directory(
     incremental = (
         same_path
         and document_terms is not None
-        and previous["version"] == INDEX_FORMAT_VERSION  # a v3 tree's next save is wholesale
+        and previous["version"] == INDEX_FORMAT_VERSION  # a v4 tree's next save is wholesale
         and previous["uuid"] == newest_uuid
         and previous["save_seq"] == newest_seq
     )
@@ -944,21 +934,17 @@ def write_index_directory(
     manifest_segments = []
     integrity: dict[str, list[int]] = {}
     segments_written = 0
-    files_fresh = True
     for segment in segments:
         persisted = reused.get(segment.segment_id)
         if persisted is not None:
             filename = persisted["file"]
             integrity[filename] = previous["integrity"][filename]
-            content_version = persisted["content_version"]
-            files_fresh = files_fresh and content_version == segment.content_version
         else:
             blob = _segment_blob(segment)
             filename = f"segment_{segment.segment_id}_{save_seq}.bin"
             _io_event("write", root / filename)
             _fsync_write_bytes(root / filename, blob)
             integrity[filename] = [len(blob), zlib.crc32(blob)]
-            content_version = segment.content_version
             segments_written += 1
         manifest_segments.append(
             {
@@ -967,7 +953,6 @@ def write_index_directory(
                 "base": segment.base,
                 "seq": [segment.seq_lo, segment.seq_hi],
                 "file": filename,
-                "content_version": content_version,
             }
         )
     doc_terms_file, chain = None, []
@@ -987,14 +972,13 @@ def write_index_directory(
         _fsync_write_bytes(root / doc_terms_file, encoded)
         integrity.update((name, previous["integrity"][name]) for name in chain)
         integrity[doc_terms_file] = [len(encoded), zlib.crc32(encoded)]
-    arrays_fresh = bool(runtime_fresh) and files_fresh
     manifest = {
         "format": INDEX_FORMAT,
         "version": INDEX_FORMAT_VERSION,
         "byteorder": sys.byteorder,
         "save_seq": save_seq,
         "uuid": index_uuid,
-        "arrays_fresh": arrays_fresh,
+        "arrays_fresh": bool(runtime_fresh),
         "doc_terms_file": doc_terms_file,
         "doc_terms_chain": chain,
         "integrity": integrity,
@@ -1033,7 +1017,7 @@ def write_index_directory(
         "segments_reused": len(manifest_segments) - segments_written,
         "wal_records": len(retained),
         "compacted": compacted,
-        "arrays_fresh": arrays_fresh,
+        "arrays_fresh": manifest["arrays_fresh"],
         "persist_state": _persist_state(
             root, manifest, {"length": wal_length, "crc": wal_crc, "files": retained}
         ),
@@ -1058,11 +1042,11 @@ _SEGMENT_ENTRY_SHAPE: dict[str, Callable[[object], bool]] = {
     "file": lambda value: isinstance(value, str),
     "segment_id": lambda value: isinstance(value, int),
     "generation": lambda value: isinstance(value, int),
-    "content_version": lambda value: isinstance(value, int),
+    "base": lambda value: isinstance(value, bool),
     "seq": lambda value: _ints(value, 2),
 }
 
-#: The same for a segment's content: a v4 footer, or a v3 entry's own keys.
+#: The same for a segment file's footer.
 _SEGMENT_CONTENT_SHAPE: dict[str, Callable[[object], bool]] = {
     "terms": lambda value: isinstance(value, dict)
     and all(_ints(entry, 3) for entry in value.values()),
@@ -1074,6 +1058,14 @@ _SEGMENT_CONTENT_SHAPE: dict[str, Callable[[object], bool]] = {
 def _number(value) -> bool:
     """True for a finite, non-negative JSON number."""
     return isinstance(value, (int, float)) and 0 <= value < float("inf")
+
+
+def _spec(value, **kinds: type) -> bool:
+    """True for a JSON object holding only ``kinds``' keys, each of its
+    type: a saved component spec the loader constructs from."""
+    return isinstance(value, dict) and all(
+        key in kinds and isinstance(item, kinds[key]) for key, item in value.items()
+    )
 
 
 #: The same for the record itself: the directory fields, then the
@@ -1098,6 +1090,14 @@ _RECORD_SHAPE: dict[str, Callable[[object], bool]] = {
     "max_impact": _number,
     "next_seq": lambda value: isinstance(value, int),
     "next_segment_id": lambda value: isinstance(value, int),
+    "byteorder": lambda value: value in ("little", "big"),
+    "arrays_fresh": lambda value: isinstance(value, bool),
+    "merge_policy": lambda value: value is None
+    or _spec(value, fanout=int) and value.get("fanout", 2) >= 2,
+    "scorer": lambda value: value is None or _spec(value, name=str, params=dict),
+    "tokenizer": lambda value: value is None
+    or _spec(value, stopwords=list, min_token_length=int, keep_phrases=bool)
+    and all(isinstance(word, str) for word in value.get("stopwords", ())),
 }
 
 
@@ -1163,10 +1163,7 @@ def _manifest_problems(root: Path, manifest: Mapping) -> list[str]:
     names = _doc_terms_links(manifest)
     problems: list[str] = []
     for entry in manifest["segments"]:
-        # A v3 entry carries its segment's content; a v4 one leaves it to the footer.
-        v3 = isinstance(entry, dict) and any(key in entry for key in _SEGMENT_CONTENT_SHAPE)
-        shape = {**_SEGMENT_ENTRY_SHAPE, **(_SEGMENT_CONTENT_SHAPE if v3 else {})}
-        problem = _shape_problem(entry, shape, "segment entry")
+        problem = _shape_problem(entry, _SEGMENT_ENTRY_SHAPE, "segment entry")
         if problem is None:
             names.append(entry["file"])
         else:
@@ -1190,12 +1187,12 @@ def _open_record(
 ) -> tuple[list[IndexSegment], dict[int, dict[str, int]] | None, list]:
     """Read what a record that passed :func:`_manifest_problems` names:
     ``(segments, document_terms, buffers)``.  A segment's content comes from
-    its entry (v3) or its footer (v4); the chain folds once every link passes
-    its CRC-32 and shape check.  Without ``use_mmap`` every file and column
-    checksum is read here.  The first failure raises
-    :class:`CorruptIndexError`: the record is then inconsistent."""
+    its file's footer; the chain folds once every link passes its CRC-32 and
+    shape check.  Without ``use_mmap`` every file and column checksum is
+    read here.  The first failure raises :class:`CorruptIndexError`: the
+    record is then inconsistent."""
     integrity = record["integrity"]
-    swap = record.get("byteorder", sys.byteorder) != sys.byteorder
+    swap = record["byteorder"] != sys.byteorder
     buffers: list = []
     segments: list[IndexSegment] = []
     for entry in record["segments"]:
@@ -1210,7 +1207,7 @@ def _open_record(
             buffer = file_path.read_bytes()
             if zlib.crc32(buffer) != integrity[entry["file"]][1]:
                 raise CorruptIndexError(f"data file {entry['file']} failed its checksum", path=file_path)
-        content = entry if "terms" in entry else _segment_footer(buffer, file_path)
+        content = _segment_footer(buffer, file_path)
         lists = {
             term: PostingColumns.lazy(
                 rows, _column_loader(buffer, offset, rows, swap, crc, str(file_path))
@@ -1224,13 +1221,12 @@ def _open_record(
             IndexSegment(
                 segment_id=entry["segment_id"],
                 generation=entry["generation"],
-                base=entry.get("base", False),
+                base=entry["base"],
                 seq_lo=entry["seq"][0],
                 seq_hi=entry["seq"][1],
                 lists=lists,
                 documents=set(content["documents"]),
                 tombstones=set(content["tombstones"]),
-                content_version=entry["content_version"],
             )
         )
     segments.sort(key=lambda segment: segment.seq_lo)

@@ -12,7 +12,7 @@ The load-bearing invariants:
   posting columns byte-identically, and preserves the global quantisation
   (``max_impact`` / ``quantise_levels``) that bit-identical accumulation
   depends on;
-* :func:`save_sharded` writes perfectly normal WAL-v3 directories (verify
+* :func:`save_sharded` writes perfectly normal index directories (verify
   passes per shard) plus a topology that :func:`load_sharded` restores.
 """
 

@@ -95,3 +95,12 @@ def test_the_benchmark_readme_is_exempt_from_the_name_check(repo):
     readme.parent.mkdir(parents=True)
     readme.write_text("Times `layers.vanished_probe`.\n")
     assert check_links.check_file(readme, repo, check_links.RepoPaths(repo)) == []
+
+
+def test_a_changes_entry_over_2_kb_fails_from_entry_35_on():
+    history = "PR 34: " + "x" * 3000 + "\n\nPR 35: short.\n\n"
+    assert check_links.oversized_entries(history + "PR 36: " + "y" * 2100 + "\n") == [
+        "CHANGES.md:5: PR 36 entry is 2108 bytes, over 2048"
+    ]
+    changes = (SCRIPT.parents[1] / "CHANGES.md").read_text(encoding="utf-8")
+    assert check_links.oversized_entries(changes) == []

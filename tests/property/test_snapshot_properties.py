@@ -13,6 +13,7 @@ while the epoch stands still.
 """
 
 import random
+import tempfile
 import threading
 
 from hypothesis import given, settings, strategies as st
@@ -102,8 +103,9 @@ class TestPinnedReaderIsolation:
     def test_pinned_reader_bit_identical_across_seal_merge_compact(
         self, scenario, trailing, seed, scorer_name
     ):
-        """Pin, then mutate/seal/merge/compact the live index: the pinned
-        snapshot's ciphertexts, counters and full read state never move."""
+        """Pin, then mutate/seal/merge/compact/save the live index: the
+        pinned snapshot's ciphertexts, counters and full read state never
+        move, and no segment sealed at the pin gains, loses or swaps a list."""
         base, operations, fanout = scenario
         scorer = SCORERS[scorer_name]
         index = InvertedIndex.build(
@@ -115,6 +117,7 @@ class TestPinnedReaderIsolation:
         _apply(operations, index, live)
 
         snapshot = index.snapshot()
+        sealed = [(segment, dict(segment.lists)) for segment in index._segments]
         terms = sorted(snapshot.terms)
         if not terms:
             return
@@ -125,12 +128,19 @@ class TestPinnedReaderIsolation:
         before_result = pinned_server.process_query(query)
         before_counters = ServerCountersTuple(pinned_server)
 
-        # Concurrent history: more updates, seals, merges, then a full
-        # compaction -- every way a new manifest can be published.
+        # Concurrent history: a wholesale save, more updates, seals, merges,
+        # an incremental save, then a full compaction -- every way a new
+        # manifest can be published.
         _, trailing_ops, _ = trailing
-        _apply_trailing(trailing_ops, index, live)
-        index.maintain(force_seal=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            index.save(tmp)
+            _apply_trailing(trailing_ops, index, live)
+            index.maintain(force_seal=True)
+            index.save(tmp)
         index.compact()
+        for segment, lists in sealed:
+            assert segment.lists.keys() == lists.keys()
+            assert all(segment.lists[term] is columns for term, columns in lists.items())
 
         after_result = pinned_server.process_query(query)
         after_counters = ServerCountersTuple(pinned_server)

@@ -8,6 +8,7 @@ or raises a typed :class:`CorruptIndexError`.  Silent wrong answers are the
 one outcome these tests exist to rule out.
 """
 
+import json
 import shutil
 import zlib
 
@@ -17,6 +18,7 @@ from repro.core.faults import FaultInjector, FaultPlan, PermanentFaultError
 from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex
 from repro.textsearch.segments import (
     _TERM_BLOCK_FACTOR,
+    _WAL_FRAME,
     _frame_wal_record,
     install_io_fault_hook,
     read_index_directory,
@@ -114,6 +116,28 @@ def _malformed(*path, value):
     return damage
 
 
+def _rotten_footer(key, value):
+    """Damage to the first segment's footer, in a copy of its file the record
+    then names: the footer's ``key`` holds ``value``, and the footer's CRC,
+    the file's length and its CRC-32 all check out, so only the footer's
+    shape check can object."""
+
+    def damage(record, root):
+        entry = record["segments"][0]
+        blob = (root / entry["file"]).read_bytes()
+        length, _crc = _WAL_FRAME.unpack(blob[-_WAL_FRAME.size :])
+        start = len(blob) - _WAL_FRAME.size - length
+        footer = {**json.loads(blob[start : -_WAL_FRAME.size]), key: value}
+        payload = json.dumps(footer).encode()
+        bad = blob[:start] + payload + _WAL_FRAME.pack(len(payload), zlib.crc32(payload))
+        entry["file"] = f"segment_{entry['segment_id']}_{record['save_seq']}.bin"
+        (root / entry["file"]).write_bytes(bad)
+        record["integrity"][entry["file"]] = [len(bad), zlib.crc32(bad)]
+        return _frame_wal_record(record), f"wal.log#{record['save_seq']}"
+
+    return damage
+
+
 def _rotten_doc_terms(body=None):
     """Damage to the record's doc-terms sidecar, written under a new name the
     record then names.  With ``body`` the sidecar is those bytes, recorded
@@ -168,17 +192,11 @@ class TestTruncationAtEveryBoundary:
         "damage",
         [
             pytest.param(_torn, id="torn"),
-            pytest.param(
-                _malformed("segments", 0, "terms", value={"alpha": 5}), id="term-entry-scalar"
-            ),
-            pytest.param(
-                _malformed("segments", 0, "terms", value={"alpha": [0]}), id="term-entry-short"
-            ),
-            pytest.param(
-                _malformed("segments", 0, "terms", value=[1, 2]), id="terms-not-a-mapping"
-            ),
+            pytest.param(_rotten_footer("terms", {"alpha": 5}), id="term-entry-scalar"),
+            pytest.param(_rotten_footer("terms", {"alpha": [0]}), id="term-entry-short"),
+            pytest.param(_rotten_footer("terms", [1, 2]), id="terms-not-a-mapping"),
             pytest.param(_malformed("segments", 0, "seq", value="0-1"), id="seq"),
-            pytest.param(_malformed("segments", 0, "documents", value=7), id="documents"),
+            pytest.param(_rotten_footer("documents", 7), id="documents"),
             pytest.param(_malformed("save_seq", value="two"), id="save-seq"),
             pytest.param(_malformed("version", value=2), id="version-2"),
             pytest.param(_rotten_doc_terms(), id="doc-terms-crc"),
@@ -191,8 +209,8 @@ class TestTruncationAtEveryBoundary:
         self, tmp_path, damage
     ):
         """A newest record that is torn -- or CRC-valid but malformed, of
-        another format version, or naming a rotted or malformed doc-terms
-        sidecar -- is *reported* and the walk falls through to the record
+        another format version, or naming a malformed segment footer or a
+        rotted or malformed doc-terms sidecar -- is *reported* and the walk falls through to the record
         behind it; untyped errors never escape load or verify."""
         root, _snap_a, snap_b = _two_generation_directory(tmp_path)
         record = read_manifest_log(root)[-1]
@@ -220,6 +238,13 @@ class TestTruncationAtEveryBoundary:
             pytest.param(("quantise_levels",), "x", id="quantise-levels"),
             pytest.param(("block_size",), 0, id="block-size"),
             pytest.param(("next_seq",), "x", id="next-seq"),
+            pytest.param(("tokenizer",), {"bogus": 1}, id="tokenizer"),
+            pytest.param(("scorer",), [1], id="scorer"),
+            pytest.param(("merge_policy",), {"fanout": "x"}, id="merge-policy-type"),
+            pytest.param(("merge_policy",), {"fanout": 1}, id="merge-policy-fanout"),
+            pytest.param(("byteorder",), "middle", id="byteorder"),
+            pytest.param(("arrays_fresh",), 0, id="arrays-fresh"),
+            pytest.param(("segments", 0, "base"), "yes", id="segment-base"),
         ],
     )
     def test_malformed_index_metadata_is_a_damaged_record(self, tmp_path, key, value):

@@ -296,7 +296,7 @@ class TestPostingCounts:
         index.seal_delta()
         expected = index.segment_manifest()
         for segment in index._segments:
-            segment.lists = _UnwalkableLists(segment.lists)
+            object.__setattr__(segment, "lists", _UnwalkableLists(segment.lists))
         assert index.segment_manifest() == expected
 
     def test_counts_follow_the_deferred_rewrite(self, tmp_path):

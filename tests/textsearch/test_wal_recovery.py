@@ -25,6 +25,7 @@ import pytest
 from repro.core.faults import FaultInjector, FaultPlan, PermanentFaultError
 from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex, segments
 from repro.textsearch.segments import (
+    INDEX_FORMAT_VERSION,
     install_io_fault_hook,
     read_manifest_log,
     repair_index_directory,
@@ -82,7 +83,7 @@ def _sweep_target(root: Path, target: str) -> tuple[str, int]:
     *older, newest = read_manifest_log(root)
     if target == "wal.log":
         return "wal.log", 0
-    assert newest["version"] == 4 and newest["doc_terms_chain"]
+    assert newest["version"] == INDEX_FORMAT_VERSION and newest["doc_terms_chain"]
     if target == "doc-terms-delta":
         return newest["doc_terms_file"], 0
     (name,) = {e["file"] for e in newest["segments"]} - {e["file"] for e in older[-1]["segments"]}
@@ -512,13 +513,13 @@ class TestLogIsTheOnlyManifest:
         }
 
 
-#: A tree the format-3 writer saved: ``_build_index(6)`` saved wholesale,
+#: A tree the format-4 writer saved: ``_build_index(6)`` saved wholesale,
 #: then saved incrementally after adding document 500, removing document 2
 #: and sealing (``maintain(force_seal=True)``).
-_V3_TREE = Path(__file__).parent / "data" / "index_v3"
+_V4_TREE = Path(__file__).parent / "data" / "index_v4"
 
 
-class TestFormatV3Trees:
+class TestFormatV4Trees:
     def _rebuilt(self, *extra: Document) -> InvertedIndex:
         documents = [d for d in _documents(6) if d.doc_id != 2]
         return InvertedIndex.build(
@@ -526,25 +527,25 @@ class TestFormatV3Trees:
         )
 
     @pytest.mark.parametrize("use_mmap", [False, True], ids=["eager", "mmap"])
-    def test_a_v3_tree_loads_bit_identical_to_a_rebuild(self, tmp_path, use_mmap):
-        root = tmp_path / "v3"
-        shutil.copytree(_V3_TREE, root)
-        assert [record["version"] for record in read_manifest_log(root)] == [3, 3]
+    def test_a_v4_tree_loads_bit_identical_to_a_rebuild(self, tmp_path, use_mmap):
+        root = tmp_path / "v4"
+        shutil.copytree(_V4_TREE, root)
+        assert [record["version"] for record in read_manifest_log(root)] == [4, 4]
         loaded = InvertedIndex.load(root, mmap=use_mmap)
         rebuilt = self._rebuilt()
         assert _snapshot(loaded) == _snapshot(rebuilt)
         assert loaded.stats == rebuilt.stats
         assert verify_index_directory(root)["ok"]
 
-    def test_the_first_save_of_a_v3_tree_is_wholesale_v4(self, tmp_path):
-        root = tmp_path / "v3"
-        shutil.copytree(_V3_TREE, root)
+    def test_the_first_save_of_a_v4_tree_is_wholesale_v5(self, tmp_path):
+        root = tmp_path / "v4"
+        shutil.copytree(_V4_TREE, root)
         loaded = InvertedIndex.load(root)
         later = Document(doc_id=501, text="beta sigma later")
         loaded.add_document(later)
         loaded.save(root)
         assert loaded.last_save_report["mode"] == "full"
-        assert [record["version"] for record in read_manifest_log(root)] == [3, 3, 4]
+        assert [record["version"] for record in read_manifest_log(root)] == [4, 4, 5]
         assert _snapshot(InvertedIndex.load(root)) == _snapshot(self._rebuilt(later))
         loaded.remove_document(0)
         loaded.save(root)
@@ -553,6 +554,6 @@ class TestFormatV3Trees:
         loaded.save(root, wal_compact_records=1)
         (record,) = read_manifest_log(root)
         # Compaction folds the doc-terms chain into one full link.
-        assert (record["version"], record["doc_terms_chain"]) == (4, [])
+        assert (record["version"], record["doc_terms_chain"]) == (5, [])
         assert verify_index_directory(root)["orphans"] == []
         assert _snapshot(InvertedIndex.load(root)) == _snapshot(loaded)
