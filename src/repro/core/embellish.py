@@ -64,10 +64,10 @@ class EmbellishedQuery:
     def __iter__(self):
         return iter(zip(self.terms, self.encrypted_selectors))
 
-    def upstream_bytes(self, key_bits: int, bytes_per_term: int = 8) -> int:
-        """Size of the query on the wire: one term id + one ciphertext per entry."""
+    def upstream_bytes(self, key_bits: int) -> int:
+        """Size of the query on the wire: one 8-byte term id + one ciphertext per entry."""
         ciphertext_bytes = (key_bits + 7) // 8
-        return len(self.terms) * (bytes_per_term + ciphertext_bytes)
+        return len(self.terms) * (8 + ciphertext_bytes)
 
 
 @dataclass

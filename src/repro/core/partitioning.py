@@ -325,7 +325,7 @@ def load_sharded(root: str | Path) -> ShardedIndexLayout:
         entries = topology["shards"]
         names = [entry["dir"] for entry in entries]
         epochs = tuple(entry["epoch"] for entry in entries)
-    except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors too
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # JSON and UTF-8 errors too
         raise ValueError(f"unreadable shard topology under {root}: {exc!r}") from exc
     if not len(names) == topology.get("num_shards") == partitioner.num_shards:
         raise ValueError(

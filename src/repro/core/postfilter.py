@@ -37,7 +37,6 @@ def post_filter(
     private_key: BenalohPrivateKey,
     k: int | None = None,
     counters: PostFilterCounters | None = None,
-    drop_zero_scores: bool = True,
 ) -> SearchResult:
     """Algorithm 5: decrypt, rank and truncate the candidate result set.
 
@@ -51,10 +50,9 @@ def post_filter(
         Number of top documents to return; ``None`` returns the full ranking.
     counters:
         Optional instrumentation sink (decryptions performed, candidate counts).
-    drop_zero_scores:
-        Remove documents whose genuine-term score is zero (matched decoys
-        only).  The paper's ranking semantics never surface such documents;
-        keeping them is only useful for debugging.
+
+    Documents whose genuine-term score is zero (matched decoys only) are
+    dropped: the paper's ranking never surfaces them.
     """
     if k is not None and k <= 0:
         raise ValueError("k must be positive when given")
@@ -66,8 +64,7 @@ def post_filter(
     scores = {doc_id: score for (doc_id, _), score in zip(candidates, plaintexts)}
     counters.candidates_received = len(scores)
 
-    if drop_zero_scores:
-        scores = {doc_id: score for doc_id, score in scores.items() if score > 0}
+    scores = {doc_id: score for doc_id, score in scores.items() if score > 0}
     counters.candidates_with_positive_score = len(scores)
 
     ranking = sorted(scores.items(), key=lambda item: (-item[1], item[0]))

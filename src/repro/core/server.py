@@ -72,10 +72,11 @@ class EncryptedResult:
     def __iter__(self):
         return iter(self.encrypted_scores.items())
 
-    def downstream_bytes(self, doc_id_bytes: int = 4) -> int:
-        """Size of the result on the wire: one document id + one ciphertext per candidate."""
+    def downstream_bytes(self) -> int:
+        """Size of the result on the wire: one 4-byte document id + one
+        ciphertext per candidate."""
         ciphertext_bytes = (self.modulus.bit_length() + 7) // 8
-        return len(self.encrypted_scores) * (doc_id_bytes + ciphertext_bytes)
+        return len(self.encrypted_scores) * (4 + ciphertext_bytes)
 
 
 def io_charge(

@@ -199,14 +199,16 @@ class Tenant:
     queries_answered: int = 0
     batches_answered: int = 0
 
+    @property
+    def num_terms(self) -> int:
+        """The dictionary's size: the index's kept count, or for a
+        distributed tenant the organisation's."""
+        return self.organization.num_terms if self.index is None else self.index.num_terms
+
     def summary(self) -> dict:
-        num_terms = (
-            self.index.num_terms if self.index is not None
-            else self.organization.num_terms
-        )
         return {
             "name": self.name,
-            "num_terms": num_terms,
+            "num_terms": self.num_terms,
             "num_buckets": self.organization.num_buckets,
             "bucket_size": self.organization.bucket_size,
             "index_dir": str(self.index_dir) if self.index_dir else None,
@@ -289,7 +291,6 @@ class RetrievalService:
         partitioner,
         replicas,
         expected_epochs=(),
-        shard_tenant: str | None = None,
         allow_partial: bool = False,
         retry: RetryPolicy | None = None,
         timeout: float = 60.0,
@@ -298,9 +299,8 @@ class RetrievalService:
 
         ``replicas[s]`` lists shard ``s``'s replica addresses as ``(host,
         port)`` pairs (first preferred); each shard server must serve the
-        shard's index as tenant ``shard_tenant`` (default: this tenant's
-        name).  Sessions against this tenant run a
-        :class:`~repro.core.coordinator.QueryCoordinator` scattering to
+        shard's index under this tenant's ``name``.  Sessions against this
+        tenant run a :class:`~repro.core.coordinator.QueryCoordinator` scattering to
         those replicas over HTTP, with ``expected_epochs`` pinned for skew
         detection (pass the split's
         :attr:`~repro.core.partitioning.ShardedIndexLayout.epochs`) and
@@ -313,7 +313,6 @@ class RetrievalService:
         from repro.service.client import ServiceClient
         from repro.service.cluster import HttpShardBackend
 
-        shard_tenant = shard_tenant or name
         addresses = tuple(tuple(tuple(address) for address in shard) for shard in replicas)
         pinned = tuple(expected_epochs)
         policy = retry or RetryPolicy()
@@ -334,7 +333,7 @@ class RetrievalService:
                         HttpShardBackend(
                             host=host,
                             port=port,
-                            tenant=shard_tenant,
+                            tenant=name,
                             public_key=public_key,
                             timeout=timeout,
                             client=clients[host, port],
@@ -533,10 +532,7 @@ class RetrievalService:
             return
         payload = encode_organization(tenant.organization)
         payload["tenant"] = tenant.name
-        payload["num_terms"] = (
-            tenant.index.num_terms if tenant.index is not None
-            else tenant.organization.num_terms
-        )
+        payload["num_terms"] = tenant.num_terms
         await protocol.send_json(writer, 200, payload)
 
     # -- session routes -----------------------------------------------------------

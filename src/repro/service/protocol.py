@@ -88,7 +88,7 @@ class HttpRequest:
             return None
         try:
             return json.loads(self.body)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ProtocolError(f"invalid JSON body: {exc}") from exc
 
     @property

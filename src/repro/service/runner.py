@@ -24,13 +24,15 @@ from repro.service.app import RetrievalService
 
 __all__ = ["ServiceRunner"]
 
+#: How long :meth:`ServiceRunner.start` waits for the service to bind.
+_STARTUP_TIMEOUT_S = 10.0
+
 
 class ServiceRunner:
     """Own a service's event loop on a background thread."""
 
-    def __init__(self, service: RetrievalService, startup_timeout: float = 10.0):
+    def __init__(self, service: RetrievalService):
         self.service = service
-        self.startup_timeout = startup_timeout
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
@@ -45,7 +47,7 @@ class ServiceRunner:
             target=self._run, name="retrieval-service", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(self.startup_timeout):
+        if not self._started.wait(_STARTUP_TIMEOUT_S):
             raise RuntimeError("service failed to start within timeout")
         if self._startup_error is not None:
             raise RuntimeError("service failed to start") from self._startup_error

@@ -384,7 +384,7 @@ def read_frame(read: Callable[[int], bytes]) -> tuple[dict, bytes] | None:
         )
     try:
         header = json.loads(data[:header_len])
-    except ValueError as exc:  # UnicodeDecodeError included
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
         raise WireError(f"frame header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise WireError("frame header must be a JSON object")

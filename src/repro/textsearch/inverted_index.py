@@ -47,9 +47,11 @@ without a rebuild:
 The live index is a **writer that publishes snapshots**; every read
 (``columns``, ``postings``, ``serialise_list``, ``document_frequency``,
 ``in``...) is answered by the published :class:`IndexSnapshot` -- the one read
-implementation -- which sees the merged view, so a query against **any**
-segment configuration -- unsealed delta, multiple sealed generations,
-after a ``save``/``load`` round trip -- is **bit-identical** to
+implementation.  Its dictionary is the ``f_t`` map of the statistics the
+writer keeps (a read-only index takes it from its own lists), so ``terms``
+and ``f_t`` never touch a list; its lists are the merged view, so a query
+against **any** segment configuration -- unsealed delta, multiple sealed
+generations, after a ``save``/``load`` round trip -- is **bit-identical** to
 one against a from-scratch rebuild of the equivalent corpus.  Identity holds
 because every impact is the composition :meth:`build` uses of the scorer's
 two factors (:mod:`repro.textsearch.scoring`): a document factor computed
@@ -104,6 +106,7 @@ from repro.textsearch.segments import (
     SegmentManifest,
     TieredMergePolicy,
     _persist_state,
+    dead_sets,
     merge_posting_runs,
     merge_segment_parts,
     read_index_directory,
@@ -158,13 +161,6 @@ class Posting:
 class UpdateCounters:
     """Instrumentation of the incremental-update machinery (cumulative)."""
 
-    documents_added: int = 0
-    documents_removed: int = 0
-    #: Tokens tokenised by add_document -- the work a rebuild would redo for
-    #: the *whole* corpus but the incremental path pays only for new text.
-    tokens_tokenised: int = 0
-    #: Lazy impact refreshes executed (one per batch of updates, not per update).
-    refreshes: int = 0
     #: Postings the refreshes scanned for the new ``max_impact`` (one factor
     #: product each under cosine); impacts are composed on demand, not stored.
     postings_rescored: int = 0
@@ -179,16 +175,8 @@ class UpdateCounters:
     #: the cosine scorer, whose per-list order is update-invariant).
     lists_resorted: int = 0
     compactions: int = 0
-    #: Delta/young-segment postings folded into the base by compactions.
-    postings_merged: int = 0
-    #: Tombstoned rows physically dropped by compactions.
-    postings_dropped: int = 0
-    #: Unsealed deltas frozen into generation-0 segments.
-    segments_sealed: int = 0
     #: Tiered merges run by :meth:`InvertedIndex.maintain`.
     merges: int = 0
-    #: Input segments consumed by those merges.
-    segments_merged: int = 0
     #: Postings written out by merges (the LSM write amplification).
     merge_postings_written: int = 0
     #: Dead rows dropped (and consumed tombstones applied) by merges.
@@ -233,6 +221,30 @@ def _tokenizer_from_spec(spec: Mapping | None) -> Tokenizer | None:
     return Tokenizer(**{**spec, "stopwords": frozenset(spec.get("stopwords", ()))}) if spec else None
 
 
+def _compose_lists(
+    scorer: Scorer,
+    factors: Iterable[tuple[int, object]],
+    corpus: object,
+    max_impact: float,
+    levels: int,
+) -> dict[str, PostingColumns]:
+    """The impact-ordered lists of the documents ``factors`` names (``(doc_id,
+    document factor)`` pairs), composed against one corpus factor: what
+    :meth:`InvertedIndex.build` indexes and a refresh stages as the delta.
+    Zero impacts never enter a list."""
+    raw: dict[str, list[tuple[int, float]]] = {}
+    for doc_id, factor in factors:
+        for term, impact in scorer.impacts(factor, corpus).items():
+            if impact > 0.0:
+                raw.setdefault(term, []).append((doc_id, impact))
+    return {
+        term: PostingColumns.from_entries(
+            sorted(entries, key=lambda e: (-e[1], e[0])), max_impact, levels
+        )
+        for term, entries in raw.items()
+    }
+
+
 def _pinned(name: str) -> property:
     """A read of the live index, answered by the snapshot published when the
     attribute is read (a method comes back bound to that snapshot)."""
@@ -247,21 +259,27 @@ class IndexSnapshot:
     Built by :meth:`InvertedIndex.snapshot` under the writer lock, after the
     lazy refresh, a snapshot copies nothing: it shares each frozen segment's
     ``lists``, the unsealed delta's lists (which the writer replaces, never
-    changes), the dead sets and the
-    :class:`~repro.textsearch.segments.PostingColumns`.  It answers the
-    **entire read API** from that pinned state with **no lock on the query
-    path**, bit-identical to a quiesced run at its epoch whatever is sealed,
-    merged, compacted or updated after the pin.  It is the **only read
-    implementation**: the same-named methods of :class:`InvertedIndex`
-    forward to the published snapshot, so the read API is documented here.
+    changes), the dead sets, the
+    :class:`~repro.textsearch.segments.PostingColumns` and the statistics the
+    refresh pinned.  It answers the **entire read API** from that pinned
+    state with **no lock on the query path**, bit-identical to a quiesced run
+    at its epoch whatever is sealed, merged, compacted or updated after the
+    pin.  It is the **only read implementation**: the same-named methods of
+    :class:`InvertedIndex` forward to the published snapshot, so the read
+    API is documented here.
 
-    Deferred rewrites pending at pin time are evaluated snapshot-locally by
-    the writer's own kernel
-    (:func:`~repro.textsearch.segments.rewrite_stale_columns`), against the
-    factors and statistics the refresh pinned -- never by mutating shared
-    segments.  Serving caches key off the pinned ``update_epoch``.  Any
-    number of threads may read one snapshot (a race on the memo dicts
-    recomputes an identical immutable value).
+    The dictionary (``terms``, ``in``, ``document_frequency`` and the storage
+    model) is the pinned statistics' ``f_t`` map: every live document's
+    terms have positive impacts, so a term is in it exactly when its list is
+    non-empty, and no dictionary read touches a list.  List content
+    (``postings``, ``columns``, ``serialise_list``...) is the merge of the
+    segment runs, memoised per term -- the snapshot's one memo.  A run
+    stale at pin time is rewritten snapshot-locally by the writer's own
+    kernel (:func:`~repro.textsearch.segments.rewrite_stale_columns`),
+    against the factors and statistics the refresh pinned -- never by
+    mutating shared segments.  Serving caches key off the pinned
+    ``update_epoch``.  Any number of threads may read one snapshot (a race
+    on the memo recomputes an identical immutable value).
     """
 
     __slots__ = (
@@ -271,8 +289,6 @@ class IndexSnapshot:
         "_max_impact",
         "_update_epoch",
         "_merged",
-        "_rewritten",
-        "_terms",
         "block_size",
         "quantise_levels",
         "stats",
@@ -280,10 +296,9 @@ class IndexSnapshot:
 
     def __init__(self, index: "InvertedIndex") -> None:
         index._ensure_fresh()
-        dead = index._dead_sets()
         self._records: list[tuple[dict, bool, frozenset]] = [
-            (segment.lists, segment.segment_id in index._stale_ids, dead[position])
-            for position, segment in enumerate(index._segments)
+            (segment.lists, segment.segment_id in index._stale_ids, dead)
+            for segment, dead in zip(index._segments, index._dead_sets())
         ]
         self._active = index._active_lists
         #: Composes impacts from the factors the refresh pinned; nothing
@@ -292,8 +307,6 @@ class IndexSnapshot:
         self._max_impact = index._max_impact
         self._update_epoch = index._update_epoch
         self._merged: dict[str, PostingColumns | None] = {}
-        self._rewritten: dict[tuple[int, str], PostingColumns | None] = {}
-        self._terms: tuple[str, ...] | None = None
         self.block_size = index.block_size
         self.quantise_levels = index.quantise_levels
         #: Pinned by the refresh; add/remove copy before mutating them.
@@ -305,21 +318,6 @@ class IndexSnapshot:
         return self
 
     # -- pinned read core ---------------------------------------------------
-    def _segment_columns(self, position: int, term: str) -> PostingColumns | None:
-        lists, stale, dead = self._records[position]
-        columns = lists.get(term)
-        if columns is None or not stale:
-            return columns
-        key = (position, term)
-        cached = self._rewritten.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        rewritten, _ = rewrite_stale_columns(
-            columns, term, dead, self._impact, self._max_impact, self.quantise_levels
-        )
-        self._rewritten[key] = rewritten
-        return rewritten
-
     def _effective(self, term: str) -> PostingColumns | None:
         """The inverted list: the k-way merge of every segment's run.
 
@@ -330,40 +328,30 @@ class IndexSnapshot:
         cached = self._merged.get(term, _MISSING)
         if cached is not _MISSING:
             return cached
-        runs = [
-            (self._segment_columns(position, term), self._records[position][2])
-            for position in range(len(self._records))
-        ]
+        runs = []
+        for lists, stale, dead in self._records:
+            columns = lists.get(term)
+            if columns is not None and stale:
+                columns = rewrite_stale_columns(
+                    columns, term, dead, self._impact, self._max_impact, self.quantise_levels
+                )[0]
+            runs.append((columns, dead))
         runs.append((self._active.get(term), _EMPTY))
-        merged = merge_posting_runs(runs)
-        if merged is not None and not len(merged):
-            merged = None
-        self._merged[term] = merged
+        merged = self._merged[term] = merge_posting_runs(runs)
         return merged
 
     # -- dictionary access ---------------------------------------------------
     @property
     def terms(self) -> tuple[str, ...]:
-        """The dictionary ``T`` (terms that appear in at least one live document).
-
-        Memoised: the snapshot is immutable, so the walk runs once per pin.
-        """
-        if self._terms is None:
-            seen = dict.fromkeys(
-                term for lists, _, _ in self._records for term in lists
-            )
-            seen.update(dict.fromkeys(self._active))
-            self._terms = tuple(
-                term for term in seen if self._effective(term) is not None
-            )
-        return self._terms
+        """The dictionary ``T`` (terms that appear in at least one live document)."""
+        return tuple(self.stats.document_frequencies)
 
     @property
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self.stats.document_frequencies)
 
     def __contains__(self, term: str) -> bool:
-        return self._effective(term) is not None
+        return term in self.stats.document_frequencies
 
     def postings(self, term: str) -> tuple[Posting, ...]:
         """The impact-ordered inverted list ``L_i`` (empty for unknown terms)."""
@@ -385,8 +373,7 @@ class IndexSnapshot:
 
     def document_frequency(self, term: str) -> int:
         """``f_t``: the number of live documents containing ``term``."""
-        entries = self._effective(term)
-        return len(entries) if entries is not None else 0
+        return self.stats.document_frequency(term)
 
     def iterate_lists(
         self, terms: Iterable[str]
@@ -422,9 +409,7 @@ class IndexSnapshot:
         never leaks a pre-update row.
         """
         entries = self._effective(term)
-        if entries is None or not len(entries):
-            return b""
-        return entries.serialise()
+        return b"" if entries is None else entries.serialise()
 
     # -- pinned calibration / epoch -----------------------------------------
     @property
@@ -489,6 +474,10 @@ class InvertedIndex:
                 (max(columns.impacts) for columns in lists.values() if len(columns)),
                 default=0.0,
             )
+        if document_terms is None:
+            # A read-only index's dictionary is its own lists.
+            frequencies = {term: len(columns) for term, columns in lists.items() if len(columns)}
+            stats = dataclasses.replace(stats, document_frequencies=frequencies)
         documents: set[int] = set()
         for columns in lists.values():
             documents.update(columns.doc_ids)
@@ -634,23 +623,11 @@ class InvertedIndex:
         stats = CorpusStatistics.of_documents(term_frequencies)
         factors = {doc_id: scorer.document_factor(f) for doc_id, f in term_frequencies.items()}
         corpus_factor = scorer.corpus_factor(stats)
-        raw_lists: dict[str, list[tuple[int, float]]] = {}
-        max_impact = 0.0
-        for doc_id, factor in factors.items():
-            for term, impact in scorer.impacts(factor, corpus_factor).items():
-                if impact <= 0.0:
-                    continue
-                raw_lists.setdefault(term, []).append((doc_id, impact))
-                max_impact = max(max_impact, impact)
-
-        # Build the columnar lists directly -- no intermediate Posting objects.
-        lists: dict[str, PostingColumns] = {}
-        for term, entries in raw_lists.items():
-            entries.sort(key=lambda e: (-e[1], e[0]))
-            lists[term] = PostingColumns.from_entries(entries, max_impact, quantise_levels)
-
+        max_impact = scorer.max_impact(factors.values(), corpus_factor)
         index = cls(
-            postings=lists,
+            postings=_compose_lists(
+                scorer, factors.items(), corpus_factor, max_impact, quantise_levels
+            ),
             stats=stats,
             quantise_levels=quantise_levels,
             block_size=block_size,
@@ -783,7 +760,6 @@ class InvertedIndex:
             raise ValueError("partitioner must define at least one shard")
         view = self.snapshot()
         lists: list[dict[str, PostingColumns]] = [{} for _ in range(num_shards)]
-        frequencies: list[dict[str, int]] = [{} for _ in range(num_shards)]
         for term in view.terms:
             columns = view._effective(term)
             if columns is None:
@@ -795,26 +771,19 @@ class InvertedIndex:
                     f"outside [0, {num_shards})"
                 )
             lists[shard][term] = columns
-            frequencies[shard][term] = len(columns)
-        shards: list[InvertedIndex] = []
-        for shard_id in range(num_shards):
-            stats = CorpusStatistics(
-                num_documents=self.stats.num_documents,
-                document_frequencies=frequencies[shard_id],
-                average_document_length=self.stats.average_document_length,
+        # Each shard's dictionary is its own lists (see ``__init__``).
+        return [
+            InvertedIndex(
+                shard_lists,
+                view.stats,
+                self.quantise_levels,
+                self.block_size,
+                scorer=self._scorer,
+                tokenizer=self._tokenizer,
+                max_impact=self._max_impact,
             )
-            shards.append(
-                InvertedIndex(
-                    lists[shard_id],
-                    stats,
-                    self.quantise_levels,
-                    self.block_size,
-                    scorer=self._scorer,
-                    tokenizer=self._tokenizer,
-                    max_impact=self._max_impact,
-                )
-            )
-        return shards
+            for shard_lists in lists
+        ]
 
     def _register_mutation(self) -> None:
         self._update_epoch += 1
@@ -878,8 +847,6 @@ class InvertedIndex:
                 self._doc_factors[doc_id] = self._scorer.document_factor(frequencies)
                 self.update_counters.documents_factored += 1
             self._register_mutation()
-            self.update_counters.documents_added += 1
-            self.update_counters.tokens_tokenised += sum(frequencies.values())
 
     def add_documents(self, documents: Iterable[Document]) -> None:
         for document in documents:
@@ -917,7 +884,6 @@ class InvertedIndex:
             else:
                 self._active_tombstones.add(doc_id)
             self._register_mutation()
-            self.update_counters.documents_removed += 1
 
     def remove_documents(self, doc_ids: Iterable[int]) -> None:
         for doc_id in doc_ids:
@@ -947,7 +913,6 @@ class InvertedIndex:
             self._active_lists = {}
             self._active_postings = 0
             self._unpublish()
-            self.update_counters.segments_sealed += 1
             return segment.info()
 
     def _delta_segment(self, segment_id: int) -> IndexSegment:
@@ -1004,7 +969,6 @@ class InvertedIndex:
         self._stale_ids -= ids
         counters = self.update_counters
         counters.merges += 1
-        counters.segments_merged += len(chosen)
         counters.merge_postings_written += written
         counters.merge_postings_dropped += dropped
         self._unpublish()
@@ -1046,8 +1010,6 @@ class InvertedIndex:
         lists_merged = sum(columns is not base.get(term) for term, columns in new_lists.items())
         documents = set().union(*(columns.doc_ids for columns in new_lists.values()))
         new_total = sum(map(len, new_lists.values()))
-        postings_merged = contributed
-        postings_dropped = base_total + contributed - new_total
         seq_hi = self._next_seq
         self._next_seq += 1
         self._segments = [
@@ -1068,14 +1030,11 @@ class InvertedIndex:
         self._active_lists = {}
         self._active_postings = 0
         self._unpublish()
-        counters = self.update_counters
-        counters.compactions += 1
-        counters.postings_merged += postings_merged
-        counters.postings_dropped += postings_dropped
+        self.update_counters.compactions += 1
         return CompactionReport(
             lists_merged=lists_merged,
-            postings_merged=postings_merged,
-            postings_dropped=postings_dropped,
+            postings_merged=contributed,
+            postings_dropped=base_total + contributed - new_total,
         )
 
     # -- persistence ---------------------------------------------------------------
@@ -1297,20 +1256,10 @@ class InvertedIndex:
             return compose(documents[doc_id], term, corpus)
 
         self._impact = impact
-
-        delta_raw: dict[str, list[tuple[int, float]]] = {}
-        for doc_id in self._active_docs:
-            for term, value in scorer.impacts(documents[doc_id], corpus).items():
-                if value > 0.0:
-                    delta_raw.setdefault(term, []).append((doc_id, value))
-        new_active: dict[str, PostingColumns] = {}
-        for term, entries in delta_raw.items():
-            entries.sort(key=lambda e: (-e[1], e[0]))
-            new_active[term] = PostingColumns.from_entries(entries, max_impact, levels)
-        self._active_lists = new_active
-
+        self._active_lists = _compose_lists(
+            scorer, ((d, documents[d]) for d in self._active_docs), corpus, max_impact, levels
+        )
         self._stale_ids = {segment.segment_id for segment in self._segments if segment.lists}
-        counters.refreshes += 1
 
     def _current(self, positions: Iterable[int]) -> list[IndexSegment]:
         """The segments at ``positions`` with their deferred rewrites applied.
@@ -1346,15 +1295,9 @@ class InvertedIndex:
         return current
 
     def _dead_sets(self) -> list:
-        """Per-segment dead sets: tombstones of every strictly newer segment."""
+        """Per-segment dead sets (see :func:`~repro.textsearch.segments.dead_sets`)."""
         if self._dead is None:
-            accumulated: set[int] = set(self._active_tombstones)
-            dead: list = []
-            for segment in reversed(self._segments):
-                dead.append(frozenset(accumulated) if accumulated else _EMPTY)
-                accumulated |= segment.tombstones
-            dead.reverse()
-            self._dead = dead
+            self._dead = dead_sets(self._segments, self._active_tombstones)
         return self._dead
 
     # -- read API: forwards to the published snapshot ------------------------------

@@ -62,6 +62,7 @@ __all__ = [
     "SegmentInfo",
     "SegmentManifest",
     "TieredMergePolicy",
+    "dead_sets",
     "merge_posting_runs",
     "merge_segment_parts",
     "rewrite_stale_columns",
@@ -395,6 +396,21 @@ class TieredMergePolicy:
         return groups
 
 
+def dead_sets(
+    segments: Sequence[IndexSegment], newer_tombstones: AbstractSet[int]
+) -> list[AbstractSet[int]]:
+    """Each segment's dead set, oldest first: the documents tombstoned by
+    every strictly newer segment, plus ``newer_tombstones`` (those of
+    anything newer than the whole sequence, such as the unsealed delta)."""
+    accumulated = set(newer_tombstones)
+    dead: list[AbstractSet[int]] = []
+    for segment in reversed(segments):
+        dead.append(frozenset(accumulated) if accumulated else _EMPTY)
+        accumulated |= segment.tombstones
+    dead.reverse()
+    return dead
+
+
 def merge_posting_runs(
     runs: Sequence[tuple[PostingColumns | None, AbstractSet[int]]],
 ) -> PostingColumns | None:
@@ -465,13 +481,7 @@ def merge_segment_parts(
     Returns ``(lists, documents, tombstones, postings_written,
     postings_dropped)``.
     """
-    count = len(segments)
-    dead_for: list[AbstractSet[int]] = [_EMPTY] * count
-    accumulated: set[int] = set(external_dead)
-    for position in range(count - 1, -1, -1):
-        dead_for[position] = frozenset(accumulated) if accumulated else _EMPTY
-        accumulated |= segments[position].tombstones
-
+    dead_for = dead_sets(segments, external_dead)
     all_terms = dict.fromkeys(
         term for segment in segments for term in segment.lists
     )
@@ -687,7 +697,7 @@ def _scan_wal(wal_path: Path, data: bytes | None = None) -> tuple[list[dict], st
             return records, f"record {len(records)} at byte {offset} failed its CRC"
         try:
             record = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, RecursionError):  # UnicodeDecodeError included
             return records, f"record {len(records)} at byte {offset} is not valid JSON"
         if not isinstance(record, dict):
             return records, f"record {len(records)} at byte {offset} is not an object"
@@ -1113,7 +1123,7 @@ def _shape_problem(value, shape: Mapping[str, Callable[[object], bool]], what: s
 def _json(data: bytes, source: Path):
     try:
         return json.loads(data)
-    except ValueError as exc:  # UnicodeDecodeError included
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
         raise CorruptIndexError(f"{source.name} is not valid JSON: {exc}", path=source) from exc
 
 

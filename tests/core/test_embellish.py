@@ -21,7 +21,7 @@ class TestEmbellishedQuery:
 
     def test_upstream_bytes(self):
         query = EmbellishedQuery(terms=("a", "b"), encrypted_selectors=(1, 2))
-        assert query.upstream_bytes(key_bits=256, bytes_per_term=8) == 2 * (8 + 32)
+        assert query.upstream_bytes(key_bits=256) == 2 * (8 + 32)
 
     def test_iteration(self):
         query = EmbellishedQuery(terms=("a",), encrypted_selectors=(5,))

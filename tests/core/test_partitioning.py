@@ -228,9 +228,11 @@ def test_load_sharded_missing_topology(tmp_path):
 
 def test_load_sharded_rejects_corrupt_topology(index, tmp_path):
     save_sharded(index, tmp_path, HashPartitioner(num_shards=2))
-    (tmp_path / TOPOLOGY_FILE).write_text("{not json")
-    with pytest.raises(ValueError):
-        load_sharded(tmp_path)
+    # The second nests past the decoder's recursion limit (RecursionError).
+    for body in ("{not json", "[" * 100_000):
+        (tmp_path / TOPOLOGY_FILE).write_text(body)
+        with pytest.raises(ValueError, match="unreadable shard topology"):
+            load_sharded(tmp_path)
 
 
 @pytest.mark.parametrize(

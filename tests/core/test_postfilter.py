@@ -31,11 +31,6 @@ class TestPostFilter:
         result = post_filter(encrypted_result, benaloh_keypair.private)
         assert 7 not in result.doc_ids
 
-    def test_zero_scores_kept_when_requested(self, encrypted_result, benaloh_keypair):
-        result = post_filter(encrypted_result, benaloh_keypair.private, drop_zero_scores=False)
-        assert 7 in result.doc_ids
-        assert result.doc_ids[-1] == 7
-
     def test_top_k_truncation(self, encrypted_result, benaloh_keypair):
         result = post_filter(encrypted_result, benaloh_keypair.private, k=2)
         assert result.doc_ids == (2, 3)

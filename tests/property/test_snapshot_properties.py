@@ -21,11 +21,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.buckets import simple_buckets
 from repro.core.client import PrivateSearchSystem
 from repro.core.embellish import QueryEmbellisher
+from repro.core.partitioning import HashPartitioner
 from repro.core.pir_retrieval import PIRRetrievalClient, PIRRetrievalServer
 from repro.core.server import PrivateRetrievalServer
 from repro.textsearch.corpus import Corpus, Document
-from repro.textsearch.inverted_index import InvertedIndex
-from repro.textsearch.scoring import BM25Scorer, CosineScorer
+from repro.textsearch.inverted_index import IndexSnapshot, InvertedIndex
+from repro.textsearch.scoring import BM25Scorer, CorpusStatistics, CosineScorer
+from repro.textsearch.tokenizer import Tokenizer
 from repro.textsearch.segments import TieredMergePolicy
 
 from tests.property.test_segment_properties import (
@@ -403,3 +405,86 @@ class TestServingCacheRegression:
         # ...and identically to a quiesced fresh server over the same state.
         fresh = _server_for(index, organization).process_query(query)
         assert after.encrypted_scores == fresh.encrypted_scores
+
+
+def _assert_kept_dictionary_is_derived(index, context):
+    """The pinned dictionary equals the one the merged lists derive: its
+    terms are exactly those whose merged list is non-empty, each with the
+    list's length as ``f_t``.  Dictionary reads merge no list: on a fresh
+    pin they leave the list memo empty."""
+    view = IndexSnapshot(index)
+    candidates = {term for lists, _, _ in view._records for term in lists}
+    candidates |= set(view._active) | set(view.terms)
+    for term in candidates:
+        _ = term in view, view.document_frequency(term), view.list_size_bytes(term)
+    assert view.num_terms == len(view.terms) and not view._merged, context
+    derived = {term: len(view.postings(term)) for term in candidates}
+    assert set(view.terms) == {term for term, rows in derived.items() if rows}, context
+    for term, rows in derived.items():
+        assert view.document_frequency(term) == rows, (context, term)
+        assert (term in view) == bool(rows), (context, term)
+        assert view.list_size_bytes(term) == 8 * rows, (context, term)
+
+
+class TestKeptDictionary:
+    @given(
+        scenario=segmented_scenarios(),
+        checkpoints=st.lists(
+            st.sampled_from(["none", "compact", "save", "load", "load_mmap"]),
+            min_size=9,
+            max_size=9,
+        ),
+        scorer_name=st.sampled_from(["cosine", "bm25"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_pinned_dictionary_equals_the_merged_lists(
+        self, scenario, checkpoints, scorer_name
+    ):
+        """Across add/remove/seal/maintain sequences interleaved with
+        compactions, saves and eager or mmap loads, the snapshot's kept
+        dictionary is the derived one; so is a split shard's and a hand-built
+        index's (whatever statistics it was handed).  A fresh build lists
+        its terms in first-occurrence order over the corpus."""
+        base, operations, fanout = scenario
+        index = InvertedIndex.build(
+            Corpus(base),
+            scorer=SCORERS[scorer_name],
+            merge_policy=TieredMergePolicy(fanout=fanout),
+        )
+        tokenizer = Tokenizer()
+        assert index.terms == tuple(
+            dict.fromkeys(
+                term for doc in base for term in tokenizer.term_frequencies(doc.text)
+            )
+        )
+        _assert_kept_dictionary_is_derived(index, "built")
+        live = list(base)
+        with tempfile.TemporaryDirectory() as tmp:
+            for position, (operation, checkpoint) in enumerate(
+                zip(operations, checkpoints)
+            ):
+                _apply([operation], index, live)
+                if checkpoint == "compact":
+                    index.compact()
+                elif checkpoint != "none":
+                    index.save(tmp)
+                    if checkpoint != "save":
+                        index = InvertedIndex.load(tmp, mmap=checkpoint == "load_mmap")
+                _assert_kept_dictionary_is_derived(index, (position, checkpoint))
+            rebuilt = InvertedIndex.build(Corpus(live), scorer=SCORERS[scorer_name])
+            assert set(index.terms) == set(rebuilt.terms)
+            for shard in index.split(HashPartitioner(num_shards=2)):
+                _assert_kept_dictionary_is_derived(shard, "shard")
+                lists = {term: shard.postings(term) for term in shard.terms}
+                lists["never-indexed"] = []
+                hand_built = InvertedIndex(
+                    postings=lists,
+                    stats=CorpusStatistics(
+                        num_documents=1,
+                        document_frequencies={"phantom": 3},
+                        average_document_length=1.0,
+                    ),
+                    quantise_levels=index.quantise_levels,
+                )
+                _assert_kept_dictionary_is_derived(hand_built, "hand-built")
+                assert hand_built.terms == shard.terms

@@ -39,7 +39,17 @@ import pytest
 from repro.core.server import EncryptedResult, PrivateRetrievalServer
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.crypto import kernels, numbertheory
-from repro.service import ServiceClient, ServiceConfig, ServiceError, app, protocol, wire
+from repro.service import (
+    RetrievalService,
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+    ServiceRunner,
+    app,
+    protocol,
+    wire,
+)
+from repro.textsearch import Corpus, InvertedIndex, inverted_index
 
 SERVE = Path(__file__).resolve().parents[2] / "scripts" / "serve.py"
 
@@ -286,6 +296,7 @@ class TestCodecsAndBackends:
             for bad in (
                 b"", good[:8], good[:-1], good + b"\0",
                 struct.pack(">II", 2, 0) + b"[]",
+                struct.pack(">II", 100_000, 0) + b"[" * 100_000,  # nested past the recursion limit
                 wire.encode_batch_frame(batch, 2**255 + 95),  # another key's width
             ):
                 with pytest.raises(ServiceError) as error:
@@ -718,6 +729,34 @@ class TestMetrics:
         assert fetched.buckets == service_org.buckets
         assert fetched.bucket_size == service_org.bucket_size
 
+    def test_dictionary_routes_merge_no_list_after_an_update(self, corpus, monkeypatch):
+        """After an in-process +8/-4 update, ``GET /tenants`` and ``GET
+        /tenants/{name}/organization`` report a rebuild's ``num_terms`` from
+        the index's kept dictionary: not one posting list is merged."""
+        documents = list(corpus)
+        index = InvertedIndex.build(Corpus(documents[:-8]))
+        service = RetrievalService(ServiceConfig(bucket_size=4))
+        service.add_tenant("live", index=index)
+        index.add_documents(documents[-8:])
+        index.remove_documents(document.doc_id for document in documents[:4])
+        expected = InvertedIndex.build(Corpus(documents[4:])).num_terms
+        merges = []
+        monkeypatch.setattr(
+            inverted_index,
+            "merge_posting_runs",
+            lambda runs, merge=inverted_index.merge_posting_runs: merges.append(runs)
+            or merge(runs),
+        )
+        runner = ServiceRunner(service)
+        try:
+            with ServiceClient(*runner.start()) as client:
+                (summary,) = client.tenants()
+                organization = client._json("GET", "/tenants/live/organization")
+        finally:
+            runner.stop()
+        assert summary["num_terms"] == organization["num_terms"] == expected
+        assert merges == []
+
 
 class TestHttpErrors:
     def test_unknown_routes_and_ids_are_404(self, running_service, benaloh_keypair):
@@ -759,6 +798,11 @@ class TestHttpErrors:
             response = connection.getresponse()
             assert response.status == 400
             assert "align" in json.loads(response.read())["error"]
+            # a JSON body nested past the recursion limit is 400, not a 500
+            connection.request("POST", "/sessions", body=b"[" * 100_000)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "invalid JSON" in json.loads(response.read())["error"]
         finally:
             connection.close()
 

@@ -291,7 +291,7 @@ class TestFrames:
                 decode_result_frame(wire.encode_frame({"count": count}, twice), n)
 
     def test_headers_must_be_json_objects_of_the_right_shape(self):
-        for header in (b"[]", b'"x"', b"7", b"{]", b"\xff\xfe"):
+        for header in (b"[]", b'"x"', b"7", b"{]", b"\xff\xfe", b"[" * 100_000):
             with pytest.raises(WireError):
                 wire.decode_frame(struct.pack(">II", len(header), 0) + header)
         queries_of = [{}, [{"terms": []}], [{"terms": [1]}], [{"terms": "ab"}], ["a"]]

@@ -203,6 +203,7 @@ class TestTruncationAtEveryBoundary:
             pytest.param(_rotten_doc_terms(b'{"zz": {}}'), id="doc-terms-id"),
             pytest.param(_rotten_doc_terms(b"[1]"), id="doc-terms-list"),
             pytest.param(_rotten_doc_terms(b'{"0": [1, 2]}'), id="doc-terms-row"),
+            pytest.param(_rotten_doc_terms(b"[" * 100_000), id="doc-terms-nested"),
         ],
     )
     def test_damaged_newest_record_falls_back_to_the_record_behind_it(

@@ -18,6 +18,7 @@ The persistence contract of the WAL storage layer:
 import json
 import shutil
 import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,20 @@ class TestLogReplayRecovery:
         # consistent prefix ends at, never a guess at a newer one.
         assert report["recoverable"] == "wal.log#1"
         assert _snapshot(InvertedIndex.load(root)) == snapshots[0]
+
+    def test_a_crc_valid_record_nested_past_the_recursion_limit_is_reported(self, tmp_path):
+        """JSON nested deeper than the decoder recurses raises RecursionError,
+        not ValueError: the record is reported like any non-JSON one and
+        load falls back to the record behind it."""
+        root, snapshots, _reports = _incremental_history(tmp_path, saves=1)
+        payload = b"[" * 100_000
+        with open(root / "wal.log", "ab") as log:
+            log.write(_FRAME.pack(len(payload), zlib.crc32(payload)) + payload)
+        report = verify_index_directory(root)
+        assert report["ok"] is False
+        assert "not valid JSON" in report["problems"]["wal.log"][0]
+        assert report["recoverable"] == "wal.log#2"
+        assert _snapshot(InvertedIndex.load(root)) == snapshots[-1]
 
 
 class TestLogCompaction:
