@@ -7,6 +7,7 @@ the implementation are easy to track over time.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,9 @@ from repro.core.server import PrivateRetrievalServer
 from repro.core.workloads import QueryWorkloadGenerator
 from repro.crypto.benaloh import generate_keypair
 from repro.crypto.pir import PIRClient, PIRDatabase, PIRServer
-from repro.textsearch.inverted_index import InvertedIndex
+from repro.service.app import chunked_organization
+from repro.textsearch.corpus import Corpus
+from repro.textsearch.inverted_index import IndexSnapshot, InvertedIndex
 from repro.textsearch.synthetic import SyntheticCorpusGenerator
 
 
@@ -159,3 +162,38 @@ def test_bench_pir_answer_generation_naive(benchmark):
 def test_bench_pir_database_build(benchmark):
     columns = [bytes([i] * (16 + 12 * i)) for i in range(8)]
     benchmark(PIRDatabase.from_columns, columns)
+
+
+def test_bench_first_read_after_update(benchmark, context):
+    """The server's first read of each term after updates: 500 documents,
+    four cycles of +8/-4 documents, each sealed by ``maintain``, then
+    ``columns()`` over every embellished term of 3-term queries at BktSz 4
+    on a freshly pinned snapshot (every sealed run is stale, the memo cold)."""
+    documents = list(
+        SyntheticCorpusGenerator(lexicon=context.lexicon, num_documents=532, seed=19).generate()
+    )
+    index = InvertedIndex.build(Corpus(documents[:500]))
+    for cycle in range(4):
+        index.add_documents(documents[500 + 8 * cycle : 508 + 8 * cycle])
+        index.remove_documents(d.doc_id for d in documents[4 * cycle : 4 * cycle + 4])
+        index.maintain(force_seal=True)
+    organization = chunked_organization(index, 4)
+    rng = random.Random(23)
+    terms = sorted(index.terms)
+    embellished = [
+        term
+        for _ in range(64)
+        for bucket in organization.buckets_for_query(rng.sample(terms, 3)).values()
+        for term in bucket
+    ]
+
+    def first_reads(view):
+        return [view.columns(term) for term in embellished]
+
+    served = benchmark.pedantic(
+        first_reads, setup=lambda: ((IndexSnapshot(index),), {}), rounds=20, warmup_rounds=1
+    )
+    # columns() serves each live row once, in run order: a rebuild's rows.
+    rebuilt = InvertedIndex.build(Corpus(documents[16:]))
+    for term, rows in zip(embellished, served):
+        assert Counter(zip(*rows)) == Counter(zip(*rebuilt.columns(term))), term

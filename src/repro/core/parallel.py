@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 #: Per-term work unit handed to workers: ``(encrypted_selector, doc_ids,
-#: quantised_impacts)``.  The arrays are the index's own columnar storage
-#: (``array('I')``), passed by reference.
+#: quantised_impacts)`` -- the term's live rows from ``IndexSnapshot.columns``
+#: (``array('I')``), in run order, not impact order.  Passed by reference:
+#: for a term held by one clean run they are that segment's own arrays.
 TermPayload = tuple[int, array, array]
 
 

@@ -18,9 +18,10 @@ Storage layout: the index is a **segmented storage engine** (see
 immutable columnar :class:`~repro.textsearch.segments.IndexSegment`\\ s --
 parallel ``array('I')`` document-id / quantised-impact arrays plus an
 ``array('d')`` of raw impacts per term, with per-segment document and
-tombstone sets -- and every read path serves the k-way merge of the
-per-segment runs by ``(-impact, doc_id)``.  A freshly built or compacted
-index is one *base* segment.
+tombstone sets.  The ordered reads serve the k-way merge of the per-segment
+runs by ``(-impact, doc_id)``; the server's ``columns`` read serves the same
+live rows run by run.  A freshly built or compacted index is one *base*
+segment.
 
 Incremental updates
 -------------------
@@ -87,7 +88,7 @@ import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.scoring import (
@@ -99,6 +100,7 @@ from repro.textsearch.scoring import (
 from repro.textsearch.segments import (
     _EMPTY,
     DEFAULT_WAL_COMPACT_RECORDS,
+    ColumnComposer,
     CorruptIndexError,
     IndexSegment,
     PostingColumns,
@@ -107,6 +109,7 @@ from repro.textsearch.segments import (
     TieredMergePolicy,
     _persist_state,
     dead_sets,
+    live_columns,
     merge_posting_runs,
     merge_segment_parts,
     read_index_directory,
@@ -271,24 +274,23 @@ class IndexSnapshot:
     The dictionary (``terms``, ``in``, ``document_frequency`` and the storage
     model) is the pinned statistics' ``f_t`` map: every live document's
     terms have positive impacts, so a term is in it exactly when its list is
-    non-empty, and no dictionary read touches a list.  List content
-    (``postings``, ``columns``, ``serialise_list``...) is the merge of the
-    segment runs, memoised per term -- the snapshot's one memo.  A run
-    stale at pin time is rewritten snapshot-locally by the writer's own
-    kernel (:func:`~repro.textsearch.segments.rewrite_stale_columns`),
-    against the factors and statistics the refresh pinned -- never by
-    mutating shared segments.  Serving caches key off the pinned
-    ``update_epoch``.  Any number of threads may read one snapshot (a race
-    on the memo recomputes an identical immutable value).
+    non-empty, and no dictionary read touches a list.  Lists are memoised
+    per term, one memo per read: ``columns`` (the server's) concatenates
+    the runs' live rows, ``postings`` and ``serialise_list`` merge them in
+    impact order.  A run stale at pin time is recomposed against the
+    factors and statistics the refresh pinned -- never by mutating shared
+    segments.  Serving caches key off the pinned ``update_epoch``.  Any
+    number of threads may read one snapshot (a race on a memo recomputes
+    an identical immutable value).
     """
 
     __slots__ = (
         "_records",
-        "_active",
-        "_impact",
+        "_compose",
         "_max_impact",
         "_update_epoch",
         "_merged",
+        "_live",
         "block_size",
         "quantise_levels",
         "stats",
@@ -296,17 +298,19 @@ class IndexSnapshot:
 
     def __init__(self, index: "InvertedIndex") -> None:
         index._ensure_fresh()
+        #: ``(lists, stale, dead)`` per run, oldest first; the unsealed
+        #: delta (current, never dead) is the last.
         self._records: list[tuple[dict, bool, frozenset]] = [
             (segment.lists, segment.segment_id in index._stale_ids, dead)
             for segment, dead in zip(index._segments, index._dead_sets())
-        ]
-        self._active = index._active_lists
-        #: Composes impacts from the factors the refresh pinned; nothing
-        #: mutates those, the next refresh pins new ones.
-        self._impact = index._impact
+        ] + [(index._active_lists, False, _EMPTY)]
+        #: Composes impact columns from the factors the refresh pinned;
+        #: nothing mutates those, the next refresh pins new ones.
+        self._compose = index._compose
         self._max_impact = index._max_impact
         self._update_epoch = index._update_epoch
         self._merged: dict[str, PostingColumns | None] = {}
+        self._live: dict[str, tuple[array, array]] = {}
         self.block_size = index.block_size
         self.quantise_levels = index.quantise_levels
         #: Pinned by the refresh; add/remove copy before mutating them.
@@ -333,10 +337,9 @@ class IndexSnapshot:
             columns = lists.get(term)
             if columns is not None and stale:
                 columns = rewrite_stale_columns(
-                    columns, term, dead, self._impact, self._max_impact, self.quantise_levels
+                    columns, term, dead, self._compose, self._max_impact, self.quantise_levels
                 )[0]
             runs.append((columns, dead))
-        runs.append((self._active.get(term), _EMPTY))
         merged = self._merged[term] = merge_posting_runs(runs)
         return merged
 
@@ -360,16 +363,36 @@ class IndexSnapshot:
             return ()
         return entries.view()
 
-    def columns(self, term: str) -> tuple:
-        """The list's parallel ``(doc_ids, quantised_impacts)`` arrays (hot path).
+    def columns(self, term: str) -> tuple[array, array]:
+        """The list's live rows as parallel ``(doc_ids, quantised_impacts)``
+        arrays (hot path): the rows of :meth:`postings`, not their order.
 
-        Both arrays are shared storage: callers must not mutate them.
+        Each segment's run minus its dead rows, stale rows recomposed
+        (:func:`~repro.textsearch.segments.live_columns`), oldest run first
+        and the unsealed delta last -- the homomorphic product needs each
+        row once, in any order.  A term held by one clean run returns that
+        segment's own arrays (zero-copy); callers must not mutate them.
         Unknown terms yield a pair of empty arrays.
         """
-        entries = self._effective(term)
-        if entries is None:
-            return array("I"), array("I")
-        return entries.doc_ids, entries.quants
+        rows = self._live.get(term)
+        if rows is not None:
+            return rows
+        compose, max_impact, levels = self._compose, self._max_impact, self.quantise_levels
+        parts = [
+            part
+            for lists, stale, dead in self._records
+            if (run := lists.get(term)) is not None
+            and len((part := live_columns(run, term, dead, stale, compose, max_impact, levels))[0])
+        ]
+        if len(parts) == 1:
+            rows = parts[0]
+        else:
+            rows = array("I"), array("I")
+            for doc_ids, quants in parts:
+                rows[0].extend(doc_ids)
+                rows[1].extend(quants)
+        self._live[term] = rows
+        return rows
 
     def document_frequency(self, term: str) -> int:
         """``f_t``: the number of live documents containing ``term``."""
@@ -543,9 +566,9 @@ class InvertedIndex:
         #: and add, dropped on remove.  ``None`` on a loaded index until its
         #: first refresh computes them.
         self._doc_factors: dict[int, object] | None = None
-        #: ``impact(doc_id, term)`` over the factors the latest refresh
+        #: ``compose(doc_ids, term)`` over the factors the latest refresh
         #: pinned; consumed by the deferred per-list rewrites.
-        self._impact: Callable[[int, str], float] | None = None
+        self._compose: ColumnComposer | None = None
         # -- update state -------------------------------------------------------
         self._stale = False
         #: Ids of the segments whose arrays predate the latest refresh.
@@ -977,12 +1000,12 @@ class InvertedIndex:
         """Fold every segment, the unsealed delta and all tombstones together.
 
         The merged view of each term becomes the single new **base** segment
-        (one k-way merge per term, exactly the read path's order) with every
-        tombstoned row dropped; terms whose every posting was removed leave
-        the dictionary.  Content served by the read paths is bit-identical
-        before and after, so :attr:`update_epoch` stays put and no
-        downstream cache is invalidated.  Compacting an already-compacted
-        index is an idempotent no-op.
+        (one k-way merge per term, exactly the ordered reads' order) with
+        every tombstoned row dropped; terms whose every posting was removed
+        leave the dictionary.  The ordered reads are bit-identical before and
+        after, and ``columns`` serves the same rows, so :attr:`update_epoch`
+        stays put and no downstream cache is invalidated.  Compacting an
+        already-compacted index is an idempotent no-op.
 
         Runs under the writer lock; readers holding a pinned
         :class:`IndexSnapshot` keep serving the pre-compaction manifest
@@ -1233,10 +1256,11 @@ class InvertedIndex:
         per document).  Document factors come from add, or from the
         doc-terms sidecar on the first refresh after a :meth:`load`.  Only
         the small unsealed delta's columns are composed eagerly; each sealed
-        segment is *marked stale* (one id per segment), and each rewrite
-        composes impacts on demand -- in a snapshot for the terms a query
-        touches, or into a copy (:meth:`_current`) when a merge,
-        :meth:`compact` or a wholesale save needs current arrays.
+        segment is *marked stale* (one id per segment), and a stale run's
+        impacts are composed on demand, one scorer column per term -- in a
+        snapshot for the terms a query touches, or into a copy
+        (:meth:`_current`) when a merge, :meth:`compact` or a wholesale save
+        needs current arrays.
         """
         self._stale = False
         scorer = self._scorer
@@ -1250,12 +1274,12 @@ class InvertedIndex:
         corpus = scorer.corpus_factor(stats)
         max_impact = self._max_impact = scorer.max_impact(documents.values(), corpus)
         counters.postings_rescored += sum(map(len, self._doc_terms.values()))
-        compose = scorer.impact
+        column, factor_of = scorer.impact_column, documents.__getitem__
 
-        def impact(doc_id: int, term: str) -> float:
-            return compose(documents[doc_id], term, corpus)
+        def compose(doc_ids: Sequence[int], term: str) -> list[float]:
+            return column(map(factor_of, doc_ids), term, corpus)
 
-        self._impact = impact
+        self._compose = compose
         self._active_lists = _compose_lists(
             scorer, ((d, documents[d]) for d in self._active_docs), corpus, max_impact, levels
         )
@@ -1283,7 +1307,7 @@ class InvertedIndex:
                 lists = {}
                 for term, columns in segment.lists.items():
                     columns, action = rewrite_stale_columns(
-                        columns, term, dead[position], self._impact, self._max_impact, levels
+                        columns, term, dead[position], self._compose, self._max_impact, levels
                     )
                     if action is not None:
                         counters.lists_requantised += 1

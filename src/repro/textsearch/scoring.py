@@ -96,6 +96,11 @@ class Scorer(Protocol):
         """One ``p_{d,t}`` (``0.0`` when ``t`` is not in the document)."""
         ...
 
+    def impact_column(self, documents: Iterable[Any], term: str, corpus: Any) -> list[float]:
+        """``[impact(d, term, corpus) for d in documents]``, bit for bit: one
+        term's impacts over many documents, with the per-term work done once."""
+        ...
+
     def max_impact(self, documents: Iterable[Any], corpus: Any) -> float:
         """The largest impact over ``documents``, bit-identical to the largest
         value :meth:`impacts` returns for any of them (``0.0`` when none is
@@ -171,6 +176,21 @@ class CosineScorer(_Factored):
         if doc_weight is None or term_weight is None or norm == 0.0:
             return 0.0
         return doc_weight * term_weight / norm
+
+    def impact_column(
+        self,
+        documents: Iterable[tuple[dict[str, float], float]],
+        term: str,
+        corpus: Mapping[str, float],
+    ) -> list[float]:
+        term_weight = corpus.get(term)
+        if term_weight is None:
+            return [0.0 for _ in documents]
+        return [
+            0.0 if (doc_weight := weights.get(term)) is None or norm == 0.0
+            else doc_weight * term_weight / norm
+            for weights, norm in documents
+        ]
 
     def max_impact(
         self,
@@ -258,6 +278,24 @@ class BM25Scorer(_Factored):
         return self._compose(
             idf.get(term), frequencies.get(term, 0), self._length_norm(doc_length, avg_length)
         )
+
+    def impact_column(
+        self,
+        documents: Iterable[tuple[Mapping[str, int], int]],
+        term: str,
+        corpus: tuple[dict[str, float], float],
+    ) -> list[float]:
+        """:meth:`_compose` and :meth:`_length_norm` inlined, operation for operation."""
+        idf, avg_length = corpus
+        term_idf = idf.get(term)
+        if term_idf is None:
+            return [0.0 for _ in documents]
+        k1, b, scale = self.k1, self.b, self.k1 + 1.0
+        return [
+            0.0 if (freq := frequencies.get(term, 0)) <= 0
+            else term_idf * freq * scale / (freq + k1 * (1.0 - b + b * doc_length / avg_length))
+            for frequencies, doc_length in documents
+        ]
 
     def max_impact(
         self,

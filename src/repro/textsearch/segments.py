@@ -6,10 +6,11 @@ own per-term posting arrays, the set of documents whose rows it holds, and a
 **tombstone set** naming documents removed while the segment was accumulating
 (tombstones apply to *strictly older* segments; a re-added document's fresh
 rows always live in a newer segment than the tombstone that killed its old
-ones).  The read path is a k-way merge of the per-segment runs by
+ones).  The ordered read path is a k-way merge of the per-segment runs by
 ``(-impact, doc_id)`` with tombstoned rows filtered out, which is exactly the
-order a from-scratch rebuild produces -- the repo's bit-identity invariant
-therefore holds over *any* segment configuration.
+order a from-scratch rebuild produces; the server's read is the same live
+rows run by run, which the homomorphic product does not order.  The repo's
+bit-identity invariant therefore holds over *any* segment configuration.
 
 The pieces provided here:
 
@@ -35,8 +36,10 @@ The pieces provided here:
   (format and durability order: the comment block above
   ``_fsync_write_bytes``), audited by :func:`verify_index_directory` and
   :func:`repair_index_directory`.
-* :func:`rewrite_stale_columns` -- the pure deferred-rewrite kernel shared by
-  the writer's rewritten segment copies and the read snapshots.
+* :func:`live_columns` -- one run's live rows with stale impacts recomposed
+  in one pass: what a snapshot's ``columns`` concatenates, run by run.
+* :func:`rewrite_stale_columns` -- the pure deferred-rewrite kernel behind
+  the writer's rewritten segment copies and the snapshots' merged read.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ import uuid as _uuid
 import zlib
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -65,8 +70,10 @@ __all__ = [
     "dead_sets",
     "merge_posting_runs",
     "merge_segment_parts",
+    "live_columns",
     "rewrite_stale_columns",
     "quantise_impact",
+    "quantise_column",
     "write_index_directory",
     "read_index_directory",
     "read_manifest_log",
@@ -151,6 +158,22 @@ def quantise_impact(impact: float, max_impact: float, levels: int) -> int:
         return 1
     level = int(round(impact / max_impact * levels))
     return max(1, min(levels, level))
+
+
+def quantise_column(impacts: Sequence[float], max_impact: float, levels: int) -> array:
+    """:func:`quantise_impact` over a column in one pass, element for element."""
+    if max_impact <= 0.0:
+        return array("I", [1]) * len(impacts)
+    # ``round(x / max_impact * levels)`` per row, then the clamp where needed.
+    quants = [round(x / max_impact * levels) for x in impacts]
+    if quants and (min(quants) < 1 or max(quants) > levels):
+        quants = [max(1, min(levels, level)) for level in quants]
+    return array("I", quants)
+
+
+#: ``compose(doc_ids, term)``: ``Scorer.impact_column`` over the documents
+#: ``doc_ids``, with the factors one refresh pinned.
+ColumnComposer = Callable[[Sequence[int], str], list]
 
 
 class PostingColumns:
@@ -244,13 +267,11 @@ class PostingColumns:
         cls, entries: Sequence[tuple[int, float]], max_impact: float, levels: int
     ) -> "PostingColumns":
         """Columnar arrays from impact-ordered ``(doc_id, impact)`` pairs."""
+        impacts = array("d", (impact for _, impact in entries))
         return cls(
             doc_ids=array("I", (doc_id for doc_id, _ in entries)),
-            impacts=array("d", (impact for _, impact in entries)),
-            quants=array(
-                "I",
-                (quantise_impact(impact, max_impact, levels) for _, impact in entries),
-            ),
+            impacts=impacts,
+            quants=quantise_column(impacts, max_impact, levels),
         )
 
     def serialise(self) -> bytes:
@@ -511,70 +532,70 @@ def merge_segment_parts(
     return merged_lists, documents, tombstones, postings_written, postings_before - postings_written
 
 
+def live_columns(
+    columns: PostingColumns, term: str, dead: AbstractSet[int], stale: bool,
+    compose: ColumnComposer, max_impact: float, levels: int,
+) -> tuple[array, array]:
+    """One run's live ``(doc_ids, quants)`` rows, in stored order.
+
+    For a reader that needs each live row once in any order (the
+    homomorphic product): ``dead`` rows are dropped, and a ``stale`` run
+    has its quantised impacts recomposed by ``compose`` in one pass.
+    An array that comes out equal to the stored one is the stored one.
+    """
+    doc_ids, quants = columns.doc_ids, columns.quants
+    if dead and not dead.isdisjoint(doc_ids):
+        keep = list(map(not_, map(dead.__contains__, doc_ids)))
+        doc_ids, quants = array("I", compress(doc_ids, keep)), array("I", compress(quants, keep))
+    if stale and len(doc_ids):
+        fresh = quantise_column(compose(doc_ids, term), max_impact, levels)
+        quants = quants if fresh == quants else fresh
+    return doc_ids, quants
+
+
 def rewrite_stale_columns(
     columns: PostingColumns,
     term: str,
     dead: AbstractSet[int],
-    impact: Callable[[int, str], float],
+    compose: ColumnComposer,
     max_impact: float,
     levels: int,
 ) -> tuple[PostingColumns | None, str | None]:
     """The pure deferred-rewrite kernel: align one list with fresh impacts.
 
     Given one segment's columns for ``term``, the documents dead for that
-    segment, and ``impact(doc_id, term)`` over the factors one refresh
-    pinned (composed on demand, row by row), returns ``(columns, action)``:
-    ``None`` (every live row's impact *and* quantised value already match
-    what a rebuild holds, or every row is dead -- returned verbatim),
-    ``"requantise"`` (order preserved, impact/quant arrays patched) or
-    ``"resort"`` (the scorer reordered the list; rebuilt, ``None`` when
-    every row fell away).  The writer's segment copies
-    (``InvertedIndex._current``) and the snapshots' read paths both call it,
-    so a pinned snapshot and the live index derive bit-identical arrays from
-    the same pinned inputs.
+    segment, and ``compose`` over the factors one refresh pinned (the live
+    rows' impacts as one scorer column, as :func:`live_columns` composes
+    them), returns ``(columns, action)``: ``None`` (every live row's impact
+    *and* quantised value already match what a rebuild holds, or every row
+    is dead -- returned verbatim), ``"requantise"`` (order preserved,
+    impact/quant arrays patched at the live rows) or ``"resort"`` (the
+    scorer reordered the list; rebuilt, ``None`` when every row fell away).
+    The writer's segment copies (``InvertedIndex._current``) and the
+    snapshots' merged read both call it, so a pinned snapshot and the live
+    index derive bit-identical arrays from the same pinned inputs.
     """
     doc_ids = columns.doc_ids
-    old_impacts = columns.impacts
-    old_quants = columns.quants
-    live: list[tuple[int, float]] = []  # (position, fresh impact)
-    ordered = True
-    changed = False
-    # The previous live row's impact and id: rows must run by (-impact, id).
-    previous, previous_id = float("inf"), -1
-    for position, doc_id in enumerate(doc_ids):
-        if doc_id in dead:
-            continue
-        fresh = impact(doc_id, term)
-        if fresh <= 0.0 or fresh > previous or (fresh == previous and doc_id < previous_id):
-            ordered = False
-            break
-        previous, previous_id = fresh, doc_id
-        live.append((position, fresh))
-        if not changed and (
-            fresh != old_impacts[position]
-            or quantise_impact(fresh, max_impact, levels) != old_quants[position]
-        ):
-            changed = True
-    if ordered and not live:
+    positions = [position for position, doc_id in enumerate(doc_ids) if doc_id not in dead]
+    if not positions:
         return columns, None
-    if not ordered:
-        entries = [
-            (doc_id, impact(doc_id, term))
-            for doc_id in doc_ids
-            if doc_id not in dead
-        ]
-        entries = [entry for entry in entries if entry[1] > 0.0]
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        if not entries:
-            return None, "resort"
-        return PostingColumns.from_entries(entries, max_impact, levels), "resort"
-    if not changed:
+    live = array("I", map(doc_ids.__getitem__, positions))
+    impacts = compose(live, term)
+    # Rows must still run by (-impact, doc_id), every impact positive.
+    pairs = zip(impacts, impacts[1:], live, live[1:])
+    if not (impacts[-1] > 0.0 and all(a > b or (a == b and x < y) for a, b, x, y in pairs)):
+        entries = sorted(
+            (entry for entry in zip(live, impacts) if entry[1] > 0.0), key=lambda e: (-e[1], e[0])
+        )
+        columns = PostingColumns.from_entries(entries, max_impact, levels) if entries else None
+        return columns, "resort"
+    # Patch the live rows; dead rows keep their stored values.
+    new_impacts, new_quants = array("d", columns.impacts), array("I", columns.quants)
+    quants = quantise_column(impacts, max_impact, levels)
+    for position, impact, quant in zip(positions, impacts, quants):
+        new_impacts[position], new_quants[position] = impact, quant
+    if new_impacts == columns.impacts and new_quants == columns.quants:
         return columns, None
-    new_impacts = array("d", old_impacts)
-    new_quants = array("I", old_quants)
-    for position, fresh in live:
-        new_impacts[position] = fresh
-        new_quants[position] = quantise_impact(fresh, max_impact, levels)
     return PostingColumns(doc_ids, new_impacts, new_quants), "requantise"
 
 

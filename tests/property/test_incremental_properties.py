@@ -12,16 +12,19 @@ surface as a differing ciphertext or counter.
 """
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.buckets import simple_buckets
 from repro.core.embellish import QueryEmbellisher
 from repro.core.server import PrivateRetrievalServer
+from repro.crypto import kernels, numbertheory
 from repro.crypto.benaloh import generate_keypair
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex
-from repro.textsearch.scoring import BM25Scorer, CosineScorer
+from repro.textsearch.scoring import BM25Scorer, CorpusStatistics, CosineScorer
+from repro.textsearch.segments import TieredMergePolicy, quantise_column, quantise_impact
 
 # One small key pair for the whole module: key size affects only ciphertext
 # width, never the equivalence being tested.
@@ -126,10 +129,10 @@ class TestIncrementalEquivalence:
                 rebuilt.stats.document_frequencies
             )
             for term in rebuilt.terms:
-                inc_docs, inc_quants = incremental.columns(term)
-                ref_docs, ref_quants = rebuilt.columns(term)
-                assert list(inc_docs) == list(ref_docs), (index_state, term)
-                assert list(inc_quants) == list(ref_quants), (index_state, term)
+                # columns() serves each live row once, in run order.
+                assert Counter(zip(*incremental.columns(term))) == Counter(
+                    zip(*rebuilt.columns(term))
+                ), (index_state, term)
                 assert incremental.serialise_list(term) == rebuilt.serialise_list(term)
                 assert incremental.document_frequency(term) == rebuilt.document_frequency(term)
                 # The maintained statistics agree with the live lists.
@@ -159,14 +162,27 @@ class TestIncrementalEquivalence:
             rebuilt = InvertedIndex.build(Corpus(live), scorer=scorer)
             assert stepwise.max_impact.hex() == rebuilt.max_impact.hex(), operation
 
-    @given(scenario=update_scenarios(), seed=st.integers(0, 2**16))
+    @given(
+        scenario=update_scenarios(),
+        seed=st.integers(0, 2**16),
+        scorer_name=st.sampled_from(sorted(SCORERS)),
+    )
     @settings(max_examples=10, deadline=None)
-    def test_naive_oracle_agrees_on_updated_index(self, scenario, seed):
-        """The fast path over an updated index still matches the naive oracle."""
+    def test_naive_oracle_agrees_on_updated_index(self, scenario, seed, scorer_name):
+        """The fast path over an updated index matches the naive oracle over
+        that index and over a rebuild, document by document, on either
+        arithmetic.  Each update is sealed, so stale runs (and, at fanout 2,
+        merged ones) are served unmerged."""
         base, operations = scenario
-        incremental = InvertedIndex.build(Corpus(base))
+        scorer = SCORERS[scorer_name]
+        incremental = InvertedIndex.build(
+            Corpus(base), scorer=scorer, merge_policy=TieredMergePolicy(fanout=2)
+        )
         live = list(base)
-        _apply(operations, incremental, live)
+        for operation in operations:
+            _apply([operation], incremental, live)
+            incremental.maintain(force_seal=True)
+        rebuilt = InvertedIndex.build(Corpus(live), scorer=scorer)
         terms = sorted(incremental.terms)
         if not terms:
             return
@@ -175,13 +191,66 @@ class TestIncrementalEquivalence:
             organization=organization, keypair=KEYPAIR, rng=random.Random(seed)
         )
         query = embellisher.embellish([terms[seed % len(terms)]])
-        fast = PrivateRetrievalServer(
-            index=incremental, organization=organization, public_key=KEYPAIR.public
-        ).process_query(query)
-        naive = PrivateRetrievalServer(
-            index=incremental,
-            organization=organization,
-            public_key=KEYPAIR.public,
-            naive=True,
-        ).process_query(query)
-        assert fast.encrypted_scores == naive.encrypted_scores
+
+        def answer(index, naive=False):
+            server = PrivateRetrievalServer(
+                index=index, organization=organization, public_key=KEYPAIR.public, naive=naive
+            )
+            return server.process_query(query).encrypted_scores, server.counters
+
+        naive, _ = answer(incremental, naive=True)
+        assert naive == answer(rebuilt, naive=True)[0]
+        _, rebuilt_counters = answer(rebuilt)
+        for backend in ["python"] + (["cffi"] if "cffi" in kernels.resolve_backend() else []):
+            previous = numbertheory.set_backend(backend)
+            try:
+                fast, counters = answer(incremental)
+            finally:
+                numbertheory.set_backend(previous)
+            assert fast == naive, backend
+            assert counters == rebuilt_counters, backend
+
+frequencies = st.dictionaries(
+    st.sampled_from(VOCABULARY), st.integers(1, 5), min_size=0, max_size=6
+)
+
+
+class TestColumnKernels:
+    """The one-pass kernels a stale run is recomposed with: each scorer's
+    ``impact_column`` and ``quantise_column`` equal the per-row compositions
+    (``impact``, ``quantise_impact``) bit for bit."""
+
+    @given(
+        documents=st.lists(frequencies, min_size=0, max_size=8),
+        corpus_documents=st.lists(frequencies, min_size=1, max_size=8),
+        term=st.sampled_from(VOCABULARY + ["absent"]),
+        k1=st.floats(0.1, 3.0),
+        b=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_impact_column_equals_impact_per_row(self, documents, corpus_documents, term, k1, b):
+        stats = CorpusStatistics.of_documents(dict(enumerate(corpus_documents)))
+        for scorer in (CosineScorer(), BM25Scorer(k1=k1, b=b)):
+            corpus = scorer.corpus_factor(stats)
+            factors = [scorer.document_factor(f) for f in documents]
+            # An empty document: zero norm under cosine, zero length under BM25.
+            factors.append(scorer.document_factor({}))
+            if isinstance(scorer, CosineScorer):
+                factors.append(({term: 1.5}, 0.0))  # the term, but a zero norm
+            expected = [scorer.impact(factor, term, corpus) for factor in factors]
+            column = scorer.impact_column(iter(factors), term, corpus)
+            assert [x.hex() for x in column] == [x.hex() for x in expected], scorer
+
+    @given(
+        max_impact=st.floats(-1.0, 1e3, allow_nan=False),
+        fractions=st.lists(st.floats(0.0, 1.5), max_size=24),
+        levels=st.integers(1, 400),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_quantise_column_equals_quantise_impact(self, max_impact, fractions, levels):
+        impacts = [fraction * max_impact for fraction in fractions]
+        # The top of the scale, and values that round to level 0.
+        impacts += [max_impact, 0.0, max_impact / (4 * levels), max_impact / (2 * levels)]
+        column = quantise_column(impacts, max_impact, levels)
+        assert column.typecode == "I"
+        assert list(column) == [quantise_impact(x, max_impact, levels) for x in impacts]

@@ -413,11 +413,12 @@ def _assert_kept_dictionary_is_derived(index, context):
     list's length as ``f_t``.  Dictionary reads merge no list: on a fresh
     pin they leave the list memo empty."""
     view = IndexSnapshot(index)
+    # The records hold every segment's lists and, last, the unsealed delta's.
     candidates = {term for lists, _, _ in view._records for term in lists}
-    candidates |= set(view._active) | set(view.terms)
+    candidates |= set(view.terms)
     for term in candidates:
         _ = term in view, view.document_frequency(term), view.list_size_bytes(term)
-    assert view.num_terms == len(view.terms) and not view._merged, context
+    assert view.num_terms == len(view.terms) and not view._merged and not view._live, context
     derived = {term: len(view.postings(term)) for term in candidates}
     assert set(view.terms) == {term for term, rows in derived.items() if rows}, context
     for term, rows in derived.items():

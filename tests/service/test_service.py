@@ -26,6 +26,7 @@ import http.server
 import io
 import json
 import logging
+import random
 import socket
 import struct
 import subprocess
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.embellish import QueryEmbellisher
 from repro.core.server import EncryptedResult, PrivateRetrievalServer
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.crypto import kernels, numbertheory
@@ -756,6 +758,57 @@ class TestMetrics:
             runner.stop()
         assert summary["num_terms"] == organization["num_terms"] == expected
         assert merges == []
+
+    def test_a_batch_after_an_update_merges_no_list(
+        self, corpus, benaloh_keypair, monkeypatch
+    ):
+        """After an in-process +8/-4 update and a forced seal, a private batch
+        over HTTP reads each term's live runs: not one posting list is
+        merged, every ciphertext equals the naive path's over a from-scratch
+        rebuild, document by document, and every counter equals a direct
+        run's over that rebuild."""
+        documents = list(corpus)
+        index = InvertedIndex.build(Corpus(documents[:-8]))
+        service = RetrievalService(ServiceConfig(bucket_size=4))
+        service.add_tenant("live", index=index)
+        index.add_documents(documents[-8:])
+        index.remove_documents(document.doc_id for document in documents[:4])
+        index.maintain(force_seal=True)
+        assert index.num_segments == 2
+        rebuilt = InvertedIndex.build(Corpus(documents[4:]))
+        organization = service.tenants["live"].organization
+        terms = [term for bucket in organization.buckets for term in bucket if term in rebuilt]
+        embellisher = QueryEmbellisher(
+            organization=organization, keypair=benaloh_keypair, rng=random.Random(37)
+        )
+        batch = [embellisher.embellish(terms[i : i + 3]) for i in range(0, 18 * 7, 18)]
+        merges = []
+        monkeypatch.setattr(
+            inverted_index,
+            "merge_posting_runs",
+            lambda runs, merge=inverted_index.merge_posting_runs: merges.append(runs)
+            or merge(runs),
+        )
+        runner = ServiceRunner(service)
+        try:
+            with ServiceClient(*runner.start()) as client:
+                session = client.open_session("live", benaloh_keypair.public)
+                results, done = client.run_batch(session, batch, benaloh_keypair.public.n)
+        finally:
+            runner.stop()
+        assert merges == []
+        monkeypatch.undo()
+        naive = PrivateRetrievalServer(
+            index=rebuilt, organization=organization, public_key=benaloh_keypair.public,
+            naive=True,
+        ).process_batch(batch)
+        for served, expected in zip(results, naive, strict=True):
+            assert served.encrypted_scores == expected.encrypted_scores
+        direct = PrivateRetrievalServer(
+            index=rebuilt, organization=organization, public_key=benaloh_keypair.public
+        )
+        direct.process_batch(batch)
+        assert done["counters"] == wire.encode_counters(direct.counters)
 
 
 class TestHttpErrors:
