@@ -93,11 +93,13 @@ def headings_of(path: Path) -> set[str]:
 
 
 def tracked_markdown(root: Path) -> list[Path]:
+    """Tracked Markdown files still in the working tree (a tracked file
+    deleted there has nothing to check; links to it are still broken)."""
     listing = subprocess.run(
         ["git", "ls-files", "*.md", "**/*.md"],
         cwd=root, capture_output=True, text=True, check=True,
     )
-    return [root / name for name in listing.stdout.split() if name]
+    return [root / name for name in listing.stdout.split() if (root / name).is_file()]
 
 
 def describes_tree(path: Path, root: Path) -> bool:

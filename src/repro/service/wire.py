@@ -106,6 +106,14 @@ def _expect(obj, key: str, kind, what: str):
     return value
 
 
+def _natural(obj, key: str, what: str) -> int:
+    """``obj[key]`` as a non-negative integer; a JSON ``true`` is no number."""
+    value = _expect(obj, key, int, what)
+    if isinstance(value, bool) or value < 0:
+        raise WireError(f"{what}.{key} must be a non-negative integer")
+    return value
+
+
 # -- queries and results ----------------------------------------------------------
 def encode_query(query: EmbellishedQuery) -> dict:
     return {
@@ -263,10 +271,8 @@ def decode_counters(obj) -> ServerCounters:
         raise WireError("counters must be an object")
     counters = ServerCounters()
     for spec in fields(counters):
-        value = obj.get(spec.name, 0)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise WireError(f"counters.{spec.name} must be an integer")
-        setattr(counters, spec.name, value)
+        if spec.name in obj:
+            setattr(counters, spec.name, _natural(obj, spec.name, "counters"))
     return counters
 
 
@@ -327,7 +333,7 @@ def decode_shard_response(obj):
     """Decode into a :class:`repro.core.coordinator.ShardResponse`."""
     from repro.core.coordinator import ShardResponse
 
-    epoch = _expect(obj, "epoch", int, "shard response")
+    epoch = _natural(obj, "epoch", "shard response")
     modulus = decode_int(
         _expect(obj, "modulus", None, "shard response"), "shard response modulus"
     )
@@ -424,13 +430,6 @@ def _unpack_ciphertexts(body: bytes, modulus: int, what: str) -> list[int]:
     return values
 
 
-def _count(entry, what: str) -> int:
-    count = _expect(entry, "count", int, what)
-    if isinstance(count, bool) or count < 0:
-        raise WireError(f"{what}.count must be a non-negative integer")
-    return count
-
-
 def _pack_scores(scores: Mapping[int, int], width: int) -> bytes:
     """``count`` x u32be document ids, then ``count`` x ciphertexts."""
     try:
@@ -511,7 +510,7 @@ def encode_result_frame(record: Mapping, result: EncryptedResult) -> bytes:
 
 
 def decode_result_frame(header: Mapping, body: bytes, modulus: int) -> EncryptedResult:
-    scores = _unpack_scores(body, _count(header, "result"), modulus, "result score")
+    scores = _unpack_scores(body, _natural(header, "count", "result"), modulus, "result score")
     return EncryptedResult(encrypted_scores=scores, modulus=modulus)
 
 
@@ -558,7 +557,7 @@ def decode_shard_response_frame(data: bytes, modulus: int):
     from repro.core.coordinator import ShardResponse
 
     header, body = decode_frame(data)
-    epoch = _expect(header, "epoch", int, "shard response")
+    epoch = _natural(header, "epoch", "shard response")
     tagged = decode_int(
         _expect(header, "modulus", None, "shard response"), "shard response modulus"
     )
@@ -567,7 +566,7 @@ def decode_shard_response_frame(data: bytes, modulus: int):
     offset = 0
     per_candidate = 4 + _width(modulus)
     for entry in _expect(header, "partials", list, "shard response"):
-        count = _count(entry, "shard partial")
+        count = _natural(entry, "count", "shard partial")
         end = offset + count * per_candidate
         if end > len(body):
             raise WireError("shard partial runs past the end of the frame body")

@@ -18,10 +18,9 @@ Storage layout: the index is a **segmented storage engine** (see
 immutable columnar :class:`~repro.textsearch.segments.IndexSegment`\\ s --
 parallel ``array('I')`` document-id / quantised-impact arrays plus an
 ``array('d')`` of raw impacts per term, with per-segment document and
-tombstone sets.  The ordered reads serve the k-way merge of the per-segment
-runs by ``(-impact, doc_id)``; the server's ``columns`` read serves the same
-live rows run by run.  A freshly built or compacted index is one *base*
-segment.
+tombstone sets.  The server's ``columns`` read serves each term's live rows
+run by run; the ordered reads sort the same rows by ``(-impact, doc_id)``.  A
+freshly built or compacted index is one *base* segment.
 
 Incremental updates
 -------------------
@@ -50,16 +49,14 @@ The live index is a **writer that publishes snapshots**; every read
 ``in``...) is answered by the published :class:`IndexSnapshot` -- the one read
 implementation.  Its dictionary is the ``f_t`` map of the statistics the
 writer keeps (a read-only index takes it from its own lists), so ``terms``
-and ``f_t`` never touch a list; its lists are the merged view, so a query
+and ``f_t`` never touch a list; its lists are every run's live rows, so a query
 against **any** segment configuration -- unsealed delta, multiple sealed
 generations, after a ``save``/``load`` round trip -- is **bit-identical** to
 one against a from-scratch rebuild of the equivalent corpus.  Identity holds
 because every impact is the composition :meth:`build` uses of the scorer's
 two factors (:mod:`repro.textsearch.scoring`): a document factor computed
 once per added document and a corpus factor recomputed once per refresh.
-Lists whose relative order the scorer preserved keep their arrays and are
-only re-quantised when their impacts or :attr:`max_impact` moved; reordered
-lists are re-sorted individually, per segment.
+A list keeps its arrays unless its impacts or :attr:`max_impact` moved.
 
 Persistence
 -----------
@@ -109,12 +106,12 @@ from repro.textsearch.segments import (
     TieredMergePolicy,
     _persist_state,
     dead_sets,
+    impact_order,
     live_columns,
-    merge_posting_runs,
     merge_segment_parts,
+    quantise_column,
     read_index_directory,
     repair_index_directory,
-    rewrite_stale_columns,
     verify_index_directory,
     write_index_directory,
 )
@@ -171,12 +168,10 @@ class UpdateCounters:
     #: document on the first refresh after a load.
     documents_factored: int = 0
     #: Rewrites materialised into copies by writer paths (merge, compact,
-    #: wholesale save): per-segment lists whose impact/quant arrays changed.
-    #: Reads evaluate pending rewrites snapshot-locally and count nothing.
+    #: wholesale save): per-segment lists whose live rows' impacts or
+    #: quantised values changed.  Reads evaluate pending rewrites
+    #: snapshot-locally and count nothing.
     lists_requantised: int = 0
-    #: The subset of those the scorer reordered, so they were re-sorted (never
-    #: the cosine scorer, whose per-list order is update-invariant).
-    lists_resorted: int = 0
     compactions: int = 0
     #: Tiered merges run by :meth:`InvertedIndex.maintain`.
     merges: int = 0
@@ -276,7 +271,7 @@ class IndexSnapshot:
     terms have positive impacts, so a term is in it exactly when its list is
     non-empty, and no dictionary read touches a list.  Lists are memoised
     per term, one memo per read: ``columns`` (the server's) concatenates
-    the runs' live rows, ``postings`` and ``serialise_list`` merge them in
+    the runs' live rows, ``postings`` and ``serialise_list`` sort them into
     impact order.  A run stale at pin time is recomposed against the
     factors and statistics the refresh pinned -- never by mutating shared
     segments.  Serving caches key off the pinned ``update_epoch``.  Any
@@ -286,7 +281,6 @@ class IndexSnapshot:
 
     __slots__ = (
         "_records",
-        "_compose",
         "_max_impact",
         "_update_epoch",
         "_merged",
@@ -298,15 +292,15 @@ class IndexSnapshot:
 
     def __init__(self, index: "InvertedIndex") -> None:
         index._ensure_fresh()
-        #: ``(lists, stale, dead)`` per run, oldest first; the unsealed
-        #: delta (current, never dead) is the last.
-        self._records: list[tuple[dict, bool, frozenset]] = [
-            (segment.lists, segment.segment_id in index._stale_ids, dead)
+        #: ``(lists, compose, dead)`` per run, oldest first: ``compose`` is
+        #: the refresh's for a stale run (nothing mutates the factors it
+        #: pinned) and ``None`` for a current one.  The unsealed delta
+        #: (current, never dead) is the last.
+        stale, compose = index._stale_ids, index._compose
+        self._records: list[tuple[dict, ColumnComposer | None, frozenset]] = [
+            (segment.lists, compose if segment.segment_id in stale else None, dead)
             for segment, dead in zip(index._segments, index._dead_sets())
-        ] + [(index._active_lists, False, _EMPTY)]
-        #: Composes impact columns from the factors the refresh pinned;
-        #: nothing mutates those, the next refresh pins new ones.
-        self._compose = index._compose
+        ] + [(index._active_lists, None, _EMPTY)]
         self._max_impact = index._max_impact
         self._update_epoch = index._update_epoch
         self._merged: dict[str, PostingColumns | None] = {}
@@ -323,24 +317,21 @@ class IndexSnapshot:
 
     # -- pinned read core ---------------------------------------------------
     def _effective(self, term: str) -> PostingColumns | None:
-        """The inverted list: the k-way merge of every segment's run.
+        """The inverted list: every run's live rows, impacts included, put in
+        :func:`~repro.textsearch.segments.impact_order`.
 
-        A term held by a single clean run comes back zero-copy (see
-        :func:`~repro.textsearch.segments.merge_posting_runs`), which keeps
-        the compacted hot path allocation-free.
+        A term held by one run that needed no change comes back as that
+        run's own columns (zero-copy), which keeps the compacted hot path
+        allocation-free.
         """
         cached = self._merged.get(term, _MISSING)
         if cached is not _MISSING:
             return cached
-        runs = []
-        for lists, stale, dead in self._records:
-            columns = lists.get(term)
-            if columns is not None and stale:
-                columns = rewrite_stale_columns(
-                    columns, term, dead, self._compose, self._max_impact, self.quantise_levels
-                )[0]
-            runs.append((columns, dead))
-        merged = self._merged[term] = merge_posting_runs(runs)
+        merged = self._merged[term] = impact_order(
+            live_columns(columns, term, dead, compose, ordered=True)
+            for lists, compose, dead in self._records
+            if (columns := lists.get(term)) is not None
+        )
         return merged
 
     # -- dictionary access ---------------------------------------------------
@@ -377,12 +368,11 @@ class IndexSnapshot:
         rows = self._live.get(term)
         if rows is not None:
             return rows
-        compose, max_impact, levels = self._compose, self._max_impact, self.quantise_levels
         parts = [
             part
-            for lists, stale, dead in self._records
+            for lists, compose, dead in self._records
             if (run := lists.get(term)) is not None
-            and len((part := live_columns(run, term, dead, stale, compose, max_impact, levels))[0])
+            and len((part := live_columns(run, term, dead, compose))[0])
         ]
         if len(parts) == 1:
             rows = parts[0]
@@ -426,7 +416,7 @@ class IndexSnapshot:
     def serialise_list(self, term: str) -> bytes:
         """The inverted list as bytes -- one PIR database column per bucket term.
 
-        Always the **effective** (merged, tombstone-filtered) view: while
+        Always the **effective** (ordered, tombstone-filtered) view: while
         delta postings or tombstones are pending, the serialised bytes
         reflect exactly what every other read path serves, so the PIR layer
         never leaks a pre-update row.
@@ -712,8 +702,8 @@ class InvertedIndex:
         Deliberately cheap to poll: neither the refresh core nor the
         deferred per-list rewrites run, so interleaving monitoring with
         updates costs O(segments), not O(corpus).  Sealed posting counts
-        reflect the physical arrays (a pending BM25 re-sort may still drop
-        a few dead rows when it runs); the unsealed entry reports *staged*
+        reflect the physical arrays, dead rows included until a rewritten
+        copy drops them; the unsealed entry reports *staged*
         counts -- its ``postings`` is the staged-term tally, and ``terms``
         counts the delta lists materialised by the last read (0 while a
         refresh is pending).
@@ -762,7 +752,7 @@ class InvertedIndex:
 
         ``partitioner`` is any object exposing ``num_shards`` and
         ``shard_of(term) -> int`` (see :mod:`repro.core.partitioning`).
-        Every live term's merged posting list is routed to exactly one
+        Every live term's ordered posting list is routed to exactly one
         shard; the returned list has one index per shard, in shard order,
         with shards owning no terms left empty rather than omitted.
 
@@ -970,10 +960,12 @@ class InvertedIndex:
         """Replace the segments named by ``ids`` (one contiguous seal-sequence
         range) with their merge, one generation up."""
         positions = [i for i, segment in enumerate(self._segments) if segment.segment_id in ids]
-        # The kernel copies impacts/quants verbatim: it takes current inputs.
+        # Dropped rows are counted against the stored inputs: a copy holds
+        # live rows only.  The kernel takes current inputs.
+        stored = sum(self._segments[position].num_postings for position in positions)
         chosen = self._current(positions)
         older_docs = set().union(*(s.documents for s in self._segments[: positions[0]]))
-        lists, documents, tombstones, written, dropped = merge_segment_parts(
+        lists, documents, tombstones = merge_segment_parts(
             chosen, older_docs, self._dead_sets()[positions[-1]]
         )
         merged = IndexSegment(
@@ -992,16 +984,15 @@ class InvertedIndex:
         self._stale_ids -= ids
         counters = self.update_counters
         counters.merges += 1
-        counters.merge_postings_written += written
-        counters.merge_postings_dropped += dropped
+        counters.merge_postings_written += merged.num_postings
+        counters.merge_postings_dropped += stored - merged.num_postings
         self._unpublish()
 
     def compact(self) -> CompactionReport:
         """Fold every segment, the unsealed delta and all tombstones together.
 
-        The merged view of each term becomes the single new **base** segment
-        (one k-way merge per term, exactly the ordered reads' order) with
-        every tombstoned row dropped; terms whose every posting was removed
+        The ordered view of each term becomes the single new **base** segment
+        with every tombstoned row dropped; terms whose every posting was removed
         leave the dictionary.  The ordered reads are bit-identical before and
         after, and ``columns`` serves the same rows, so :attr:`update_epoch`
         stays put and no downstream cache is invalidated.  Compacting an
@@ -1026,10 +1017,10 @@ class InvertedIndex:
             segment.num_postings for segment in self._segments[1:]
         ) + sum(len(columns) for columns in self._active_lists.values())
         # Fold current copies of the segments, then the delta as the newest
-        # run: per term, the merge a reader pinned right now would serve.
+        # run: per term, the list a reader pinned right now would serve.
+        base = self._segments[0].lists
         segments = self._current(range(len(self._segments)))
         new_lists = merge_segment_parts([*segments, self._delta_segment(-1)], _EMPTY, _EMPTY)[0]
-        base = segments[0].lists
         lists_merged = sum(columns is not base.get(term) for term, columns in new_lists.items())
         documents = set().union(*(columns.doc_ids for columns in new_lists.values()))
         new_total = sum(map(len, new_lists.values()))
@@ -1257,10 +1248,10 @@ class InvertedIndex:
         doc-terms sidecar on the first refresh after a :meth:`load`.  Only
         the small unsealed delta's columns are composed eagerly; each sealed
         segment is *marked stale* (one id per segment), and a stale run's
-        impacts are composed on demand, one scorer column per term -- in a
-        snapshot for the terms a query touches, or into a copy
-        (:meth:`_current`) when a merge, :meth:`compact` or a wholesale save
-        needs current arrays.
+        live rows are recomposed on demand by the row kernel
+        (:func:`~repro.textsearch.segments.live_columns`) -- in a snapshot for
+        the terms a query touches, or into a copy (:meth:`_current`) when a
+        merge, :meth:`compact` or a wholesale save needs current arrays.
         """
         self._stale = False
         scorer = self._scorer
@@ -1276,8 +1267,9 @@ class InvertedIndex:
         counters.postings_rescored += sum(map(len, self._doc_terms.values()))
         column, factor_of = scorer.impact_column, documents.__getitem__
 
-        def compose(doc_ids: Sequence[int], term: str) -> list[float]:
-            return column(map(factor_of, doc_ids), term, corpus)
+        def compose(doc_ids: Sequence[int], term: str) -> tuple[list[float], array]:
+            impacts = column(map(factor_of, doc_ids), term, corpus)
+            return impacts, quantise_column(impacts, max_impact, levels)
 
         self._compose = compose
         self._active_lists = _compose_lists(
@@ -1289,8 +1281,10 @@ class InvertedIndex:
         """The segments at ``positions`` with their deferred rewrites applied.
 
         A current segment comes back as itself, a stale one as a copy under
-        the same id whose lists :func:`rewrite_stale_columns` aligned with
-        what a rebuild would hold now (each changed list counted).
+        the same id whose lists hold only live rows, recomposed against the
+        latest refresh and put in impact order: what a rebuild would hold
+        now.  Each list whose live rows' impacts or quantised values moved
+        is counted in ``lists_requantised``.
 
         An incremental save reuses a persisted file by segment id, so an id
         must name one content.  A copy therefore keeps its id only where the
@@ -1298,22 +1292,19 @@ class InvertedIndex:
         consumes it at once, and a wholesale save, which writes every blob,
         installs it only after the write.
         """
-        dead, levels = self._dead_sets(), self.quantise_levels
-        counters = self.update_counters
+        dead, counters = self._dead_sets(), self.update_counters
         current = []
         for position in positions:
             segment = self._segments[position]
             if segment.segment_id in self._stale_ids:
                 lists = {}
                 for term, columns in segment.lists.items():
-                    columns, action = rewrite_stale_columns(
-                        columns, term, dead[position], self._compose, self._max_impact, levels
-                    )
-                    if action is not None:
-                        counters.lists_requantised += 1
-                        counters.lists_resorted += action == "resort"
-                    if columns is not None:
-                        lists[term] = columns
+                    # Dead rows go first, so identity says whether recomposing moved a row.
+                    live = live_columns(columns, term, dead[position], ordered=True)
+                    fresh = live_columns(live, term, _EMPTY, self._compose, ordered=True)
+                    counters.lists_requantised += fresh is not live
+                    if (ordered := impact_order([fresh])) is not None:
+                        lists[term] = ordered
                 segment = dataclasses.replace(segment, lists=lists)
             current.append(segment)
         return current

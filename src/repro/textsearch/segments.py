@@ -6,10 +6,10 @@ own per-term posting arrays, the set of documents whose rows it holds, and a
 **tombstone set** naming documents removed while the segment was accumulating
 (tombstones apply to *strictly older* segments; a re-added document's fresh
 rows always live in a newer segment than the tombstone that killed its old
-ones).  The ordered read path is a k-way merge of the per-segment runs by
-``(-impact, doc_id)`` with tombstoned rows filtered out, which is exactly the
-order a from-scratch rebuild produces; the server's read is the same live
-rows run by run, which the homomorphic product does not order.  The repo's
+ones).  Every list the index derives is a term's live rows per run (dead
+rows dropped, stale impacts recomposed): concatenated for the server, whose
+homomorphic product needs no order, and sorted by ``(-impact, doc_id)`` --
+a from-scratch rebuild's order -- for the readers that need one.  The repo's
 bit-identity invariant therefore holds over *any* segment configuration.
 
 The pieces provided here:
@@ -36,15 +36,15 @@ The pieces provided here:
   (format and durability order: the comment block above
   ``_fsync_write_bytes``), audited by :func:`verify_index_directory` and
   :func:`repair_index_directory`.
-* :func:`live_columns` -- one run's live rows with stale impacts recomposed
-  in one pass: what a snapshot's ``columns`` concatenates, run by run.
-* :func:`rewrite_stale_columns` -- the pure deferred-rewrite kernel behind
-  the writer's rewritten segment copies and the snapshots' merged read.
+* :func:`live_columns` -- the row kernel: one run's live rows with stale
+  impacts recomposed in one pass, what a snapshot's ``columns`` concatenates.
+* :func:`impact_order` -- the ordering step behind every ordered list: the
+  snapshots' ordered reads, merges, ``compact`` and the writer's rewritten
+  segment copies.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import mmap as _mmap
 import os
@@ -56,7 +56,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import not_
+from operator import neg, not_
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -68,10 +68,9 @@ __all__ = [
     "SegmentManifest",
     "TieredMergePolicy",
     "dead_sets",
-    "merge_posting_runs",
     "merge_segment_parts",
     "live_columns",
-    "rewrite_stale_columns",
+    "impact_order",
     "quantise_impact",
     "quantise_column",
     "write_index_directory",
@@ -171,9 +170,10 @@ def quantise_column(impacts: Sequence[float], max_impact: float, levels: int) ->
     return array("I", quants)
 
 
-#: ``compose(doc_ids, term)``: ``Scorer.impact_column`` over the documents
-#: ``doc_ids``, with the factors one refresh pinned.
-ColumnComposer = Callable[[Sequence[int], str], list]
+#: ``compose(doc_ids, term)``: ``(impacts, quants)`` of ``term`` in the
+#: documents ``doc_ids`` -- ``Scorer.impact_column`` over the factors one
+#: refresh pinned, and :func:`quantise_column` of it.
+ColumnComposer = Callable[[Sequence[int], str], tuple[list, array]]
 
 
 class PostingColumns:
@@ -432,93 +432,39 @@ def dead_sets(
     return dead
 
 
-def merge_posting_runs(
-    runs: Sequence[tuple[PostingColumns | None, AbstractSet[int]]],
-) -> PostingColumns | None:
-    """K-way merge of impact-ordered runs by ``(-impact, doc_id)``.
-
-    ``runs`` are ordered oldest to newest; each pairs a term's columns (or
-    ``None``) with the set of documents dead *for that run* (tombstones of
-    strictly newer segments).  Rows of dead documents are dropped.  Returns
-    ``None`` for an empty result; a single clean run is returned as-is
-    (zero-copy), which is what keeps the compacted fast path allocation-free.
-    """
-    live: list[tuple[PostingColumns, AbstractSet[int]]] = []
-    for columns, dead in runs:
-        if columns is None or not len(columns):
-            continue
-        live.append((columns, dead))
-    if not live:
-        return None
-    if len(live) == 1:
-        columns, dead = live[0]
-        if not dead or not any(doc_id in dead for doc_id in columns.doc_ids):
-            return columns
-
-    def run_iter(columns: PostingColumns, dead: AbstractSet[int]):
-        doc_ids, impacts, quants = columns.doc_ids, columns.impacts, columns.quants
-        for position in range(len(doc_ids)):
-            doc_id = doc_ids[position]
-            if doc_id in dead:
-                continue
-            yield (-impacts[position], doc_id, impacts[position], quants[position])
-
-    out_docs, out_impacts, out_quants = array("I"), array("d"), array("I")
-    for _, doc_id, impact, quant in heapq.merge(
-        *(run_iter(columns, dead) for columns, dead in live)
-    ):
-        out_docs.append(doc_id)
-        out_impacts.append(impact)
-        out_quants.append(quant)
-    if not len(out_docs):
-        return None
-    return PostingColumns(out_docs, out_impacts, out_quants)
-
-
 def merge_segment_parts(
     segments: Sequence[IndexSegment],
     older_docs: AbstractSet[int],
     external_dead: AbstractSet[int],
-) -> tuple[dict[str, PostingColumns], set[int], set[int], int, int]:
+) -> tuple[dict[str, PostingColumns], set[int], set[int]]:
     """The pure merge kernel: fold ordered segments into one.
 
     ``segments`` are ordered oldest to newest (a contiguous seal-sequence
-    range) and read, never mutated; ``older_docs`` is the union of document
-    sets of every segment *older than the range*.  Tombstones internal to
-    the range are applied (their rows dropped and the tombstone consumed); a
-    tombstone survives into the merged segment only if its document
-    actually has rows in an older segment -- anything else can never match
-    again and is garbage-collected here.
+    range), current, and read, never mutated; ``older_docs`` is the union of
+    document sets of every segment *older than the range*.  Tombstones
+    internal to the range are applied (their rows dropped and the tombstone
+    consumed); a tombstone survives into the merged segment only if its
+    document actually has rows in an older segment -- anything else can
+    never match again and is garbage-collected here.
 
     ``external_dead`` names documents tombstoned by segments *newer than
-    the range* (including the unsealed delta).  Their rows must be dropped
-    here too: they are invisible to every read path, can never be revived
-    (a re-added document's rows live in newer segments), and -- critically
-    -- they carry impact values from before their document was removed,
-    which the deferred rewrite never updates; leaving them in a run would
-    feed ``heapq.merge`` unsorted input and scramble the order of *live*
-    rows around them.
+    the range* (including the unsealed delta).  Their rows are dropped too:
+    no read returns them, and a re-added document's rows live in newer
+    segments.  Each term's list is its runs' live rows put in
+    :func:`impact_order`.
 
-    Returns ``(lists, documents, tombstones, postings_written,
-    postings_dropped)``.
+    Returns ``(lists, documents, tombstones)``.
     """
     dead_for = dead_sets(segments, external_dead)
-    all_terms = dict.fromkeys(
-        term for segment in segments for term in segment.lists
-    )
     merged_lists: dict[str, PostingColumns] = {}
-    postings_written = 0
-    postings_before = 0
-    for term in all_terms:
-        runs = [
-            (segment.lists.get(term), dead)
+    for term in dict.fromkeys(term for segment in segments for term in segment.lists):
+        merged = impact_order(
+            live_columns(columns, term, dead, ordered=True)
             for segment, dead in zip(segments, dead_for)
-        ]
-        postings_before += sum(len(r) for r, _ in runs if r is not None)
-        merged = merge_posting_runs(runs)
-        if merged is not None and len(merged):
+            if (columns := segment.lists.get(term)) is not None
+        )
+        if merged is not None:
             merged_lists[term] = merged
-            postings_written += len(merged)
 
     documents: set[int] = set()
     for segment, dead in zip(segments, dead_for):
@@ -529,74 +475,76 @@ def merge_segment_parts(
         for doc in segment.tombstones
         if doc in older_docs
     }
-    return merged_lists, documents, tombstones, postings_written, postings_before - postings_written
+    return merged_lists, documents, tombstones
 
 
 def live_columns(
-    columns: PostingColumns, term: str, dead: AbstractSet[int], stale: bool,
-    compose: ColumnComposer, max_impact: float, levels: int,
-) -> tuple[array, array]:
-    """One run's live ``(doc_ids, quants)`` rows, in stored order.
-
-    For a reader that needs each live row once in any order (the
-    homomorphic product): ``dead`` rows are dropped, and a ``stale`` run
-    has its quantised impacts recomposed by ``compose`` in one pass.
-    An array that comes out equal to the stored one is the stored one.
-    """
-    doc_ids, quants = columns.doc_ids, columns.quants
-    if dead and not dead.isdisjoint(doc_ids):
-        keep = list(map(not_, map(dead.__contains__, doc_ids)))
-        doc_ids, quants = array("I", compress(doc_ids, keep)), array("I", compress(quants, keep))
-    if stale and len(doc_ids):
-        fresh = quantise_column(compose(doc_ids, term), max_impact, levels)
-        quants = quants if fresh == quants else fresh
-    return doc_ids, quants
-
-
-def rewrite_stale_columns(
     columns: PostingColumns,
     term: str,
     dead: AbstractSet[int],
-    compose: ColumnComposer,
-    max_impact: float,
-    levels: int,
-) -> tuple[PostingColumns | None, str | None]:
-    """The pure deferred-rewrite kernel: align one list with fresh impacts.
+    compose: ColumnComposer | None = None,
+    ordered: bool = False,
+) -> tuple[array, array] | PostingColumns:
+    """One run's live rows, in stored order: the index's one row kernel.
 
-    Given one segment's columns for ``term``, the documents dead for that
-    segment, and ``compose`` over the factors one refresh pinned (the live
-    rows' impacts as one scorer column, as :func:`live_columns` composes
-    them), returns ``(columns, action)``: ``None`` (every live row's impact
-    *and* quantised value already match what a rebuild holds, or every row
-    is dead -- returned verbatim), ``"requantise"`` (order preserved,
-    impact/quant arrays patched at the live rows) or ``"resort"`` (the
-    scorer reordered the list; rebuilt, ``None`` when every row fell away).
-    The writer's segment copies (``InvertedIndex._current``) and the
-    snapshots' merged read both call it, so a pinned snapshot and the live
-    index derive bit-identical arrays from the same pinned inputs.
+    ``dead`` rows are dropped, and a stale run (one given ``compose``) has
+    its impacts recomposed in one pass.  The server's read gets ``(doc_ids,
+    quants)``: the homomorphic product takes each row once, in any order,
+    and never pays for the float impacts.  A reader that orders rows
+    (``ordered``) gets :class:`PostingColumns`, impacts included, for
+    :func:`impact_order`.  An array that comes out equal to the stored one
+    is the stored one, and ordered rows that lost and changed nothing are
+    ``columns`` itself.
     """
-    doc_ids = columns.doc_ids
-    positions = [position for position, doc_id in enumerate(doc_ids) if doc_id not in dead]
-    if not positions:
-        return columns, None
-    live = array("I", map(doc_ids.__getitem__, positions))
-    impacts = compose(live, term)
-    # Rows must still run by (-impact, doc_id), every impact positive.
-    pairs = zip(impacts, impacts[1:], live, live[1:])
-    if not (impacts[-1] > 0.0 and all(a > b or (a == b and x < y) for a, b, x, y in pairs)):
-        entries = sorted(
-            (entry for entry in zip(live, impacts) if entry[1] > 0.0), key=lambda e: (-e[1], e[0])
-        )
-        columns = PostingColumns.from_entries(entries, max_impact, levels) if entries else None
-        return columns, "resort"
-    # Patch the live rows; dead rows keep their stored values.
-    new_impacts, new_quants = array("d", columns.impacts), array("I", columns.quants)
-    quants = quantise_column(impacts, max_impact, levels)
-    for position, impact, quant in zip(positions, impacts, quants):
-        new_impacts[position], new_quants[position] = impact, quant
-    if new_impacts == columns.impacts and new_quants == columns.quants:
-        return columns, None
-    return PostingColumns(doc_ids, new_impacts, new_quants), "requantise"
+    doc_ids, quants = columns.doc_ids, columns.quants
+    impacts = columns.impacts if ordered else None
+    if dead and not dead.isdisjoint(doc_ids):
+        keep = list(map(not_, map(dead.__contains__, doc_ids)))
+        doc_ids, quants = array("I", compress(doc_ids, keep)), array("I", compress(quants, keep))
+        if ordered:
+            impacts = array("d", compress(impacts, keep))
+    if compose is not None and len(doc_ids):
+        fresh_impacts, fresh = compose(doc_ids, term)
+        quants = quants if fresh == quants else fresh
+        if ordered:
+            fresh_impacts = array("d", fresh_impacts)
+            impacts = impacts if fresh_impacts == impacts else fresh_impacts
+    if not ordered:
+        return doc_ids, quants
+    if doc_ids is columns.doc_ids and quants is columns.quants and impacts is columns.impacts:
+        return columns
+    return PostingColumns(doc_ids, impacts, quants)
+
+
+def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
+    """The rows of ``runs`` as one list by ``(-impact, doc_id)``: the index's
+    one ordering step (``None`` when there are no rows).
+
+    A document has at most one live row per term, so the order is total and
+    equals a from-scratch rebuild's.  A single run already in that order
+    comes back as itself: reads stay zero-copy, and a refresh that kept a
+    list's order pays no sort.
+    """
+    runs = [run for run in runs if len(run)]
+    if not runs:
+        return None
+    if len(runs) == 1:
+        (run,) = runs
+        impacts, doc_ids = run.impacts, run.doc_ids
+        pairs = zip(impacts, impacts[1:], doc_ids, doc_ids[1:])
+        if all(a > b or (a == b and x < y) for a, b, x, y in pairs):
+            return run
+    doc_ids, impacts, quants = array("I"), array("d"), array("I")
+    for run in runs:
+        doc_ids += run.doc_ids
+        impacts += run.impacts
+        quants += run.quants
+    order = sorted(range(len(doc_ids)), key=list(zip(map(neg, impacts), doc_ids)).__getitem__)
+    return PostingColumns(
+        array("I", map(doc_ids.__getitem__, order)),
+        array("d", map(impacts.__getitem__, order)),
+        array("I", map(quants.__getitem__, order)),
+    )
 
 
 # -- on-disk columnar directory format -------------------------------------------

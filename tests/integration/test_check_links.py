@@ -63,6 +63,20 @@ def test_a_package_relative_module_must_exist_under_src_repro_or_tests(repo):
     ]
 
 
+def test_a_tracked_file_deleted_from_the_working_tree_is_skipped_and_links_to_it_break(repo):
+    (repo / "docs" / "gone.md").write_text("# Gone\n")
+    (repo / "docs" / "guide.md").write_text("See [the gone page](gone.md).\n")
+    subprocess.run(["git", "add", "."], cwd=repo, check=True)
+    (repo / "docs" / "gone.md").unlink()
+    paths = check_links.RepoPaths(repo)
+    problems = [
+        problem
+        for path in check_links.tracked_markdown(repo)
+        for problem in check_links.check_file(path, repo, paths)
+    ]
+    assert problems == ["docs/guide.md:1: broken link 'gone.md' (no such path 'gone.md')"]
+
+
 def test_placeholders_and_globs_are_not_paths():
     line = "`python scripts/serve.py --port 1`, `tests/<suite>/x.py`, `src/*.py`"
     assert check_links.cited_paths(line, in_fence=False) == ["scripts/serve.py"]

@@ -119,6 +119,18 @@ def assert_structurally_identical(candidate, rebuilt, context=""):
         assert candidate.document_frequency(term) == rebuilt.document_frequency(term)
 
 
+def assert_lists_in_impact_order(index, context=""):
+    """Every sealed segment's every list runs by ``(-impact, doc_id)``."""
+    for segment in index._segments:
+        for term, columns in segment.lists.items():
+            rows = list(zip(columns.impacts, columns.doc_ids))
+            assert rows == sorted(rows, key=lambda row: (-row[0], row[1])), (
+                context,
+                segment.segment_id,
+                term,
+            )
+
+
 def assert_query_identical(candidate, rebuilt, seed, context=""):
     """Answer one embellished query on both indexes; ciphertexts + counters."""
     terms = sorted(rebuilt.terms)
@@ -197,6 +209,46 @@ class TestSegmentedEquivalence:
             )
             assert_structurally_identical(loaded, rebuilt_after, "loaded+updated")
             assert_query_identical(loaded, rebuilt_after, seed, "loaded+updated")
+
+    @pytest.mark.parametrize("scorer_name", ["cosine", "bm25"])
+    @given(scenario=segmented_scenarios(), extra=st.lists(document_text, min_size=3, max_size=3))
+    @settings(max_examples=15, deadline=None)
+    def test_every_list_a_writer_produces_is_in_impact_order(
+        self, scorer_name, scenario, extra
+    ):
+        """Build, tiered merges, a wholesale save after updates and
+        ``compact`` each write lists by ``(-impact, doc_id)`` -- reads would
+        hide a writer that did not, since the ordered read sorts its runs."""
+        base, operations, fanout = scenario
+        index = InvertedIndex.build(
+            Corpus(base), scorer=SCORERS[scorer_name], merge_policy=TieredMergePolicy(fanout=fanout)
+        )
+        assert_lists_in_impact_order(index, "built")
+        live = list(base)
+        _apply(operations, index, live, seal_adds=True)
+        # At least ``fanout`` fresh generation-0 segments: a merge is due.
+        added = [Document(doc_id=3000 + k, text=text) for k, text in enumerate(extra)]
+        _apply([("add", document) for document in added], index, live, seal_adds=True)
+        index.maintain(force_seal=True)
+        assert index.update_counters.merges > 0
+        assert_lists_in_impact_order(index, "merged")
+        # Updates leave every sealed segment stale; a wholesale save installs
+        # its rewritten copies.
+        follow_up = [("remove", added[0].doc_id), ("add", Document(doc_id=4000, text="wine"))]
+        _apply(follow_up, index, live)
+        with tempfile.TemporaryDirectory() as tmp:
+            index.save(tmp)
+            assert index.last_save_report["mode"] == "full"
+            assert_lists_in_impact_order(index, "saved")
+            assert_lists_in_impact_order(InvertedIndex.load(tmp), "loaded")
+        index.compact()
+        assert_lists_in_impact_order(index, "compacted")
+        (segment,) = index._segments
+        for term, columns in segment.lists.items():
+            assert index.postings(term) is columns.view(), term  # zero-copy
+        assert_structurally_identical(
+            index, InvertedIndex.build(Corpus(live), scorer=SCORERS[scorer_name]), "compacted"
+        )
 
     @given(scenario=segmented_scenarios(), seed=st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)

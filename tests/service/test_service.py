@@ -745,9 +745,8 @@ class TestMetrics:
         merges = []
         monkeypatch.setattr(
             inverted_index,
-            "merge_posting_runs",
-            lambda runs, merge=inverted_index.merge_posting_runs: merges.append(runs)
-            or merge(runs),
+            "impact_order",
+            lambda runs, order=inverted_index.impact_order: merges.append(runs) or order(runs),
         )
         runner = ServiceRunner(service)
         try:
@@ -785,9 +784,8 @@ class TestMetrics:
         merges = []
         monkeypatch.setattr(
             inverted_index,
-            "merge_posting_runs",
-            lambda runs, merge=inverted_index.merge_posting_runs: merges.append(runs)
-            or merge(runs),
+            "impact_order",
+            lambda runs, order=inverted_index.impact_order: merges.append(runs) or order(runs),
         )
         runner = ServiceRunner(service)
         try:

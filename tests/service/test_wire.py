@@ -134,6 +134,12 @@ class TestCounters:
 
         assert set(encoded) == {spec.name for spec in fields(counters)}
 
+    def test_negative_and_boolean_counts_are_wire_errors(self):
+        assert wire.decode_counters({}) == ServerCounters()
+        for value in (-5, True, False, 1.0, "3"):
+            with pytest.raises(WireError, match="postings_processed"):
+                wire.decode_counters({"postings_processed": value})
+
 
 class TestLatencyRollup:
     def test_nearest_rank_percentiles(self):
@@ -289,6 +295,23 @@ class TestFrames:
         for count in (-1, 1, 3, True, "2", None):  # the header's count must be exact
             with pytest.raises(WireError):
                 decode_result_frame(wire.encode_frame({"count": count}, twice), n)
+
+    def test_shard_epochs_must_be_non_negative_integers(self):
+        """``true == 1`` in Python, so an unchecked ``"epoch": true`` would pass
+        a coordinator pinned at epoch 1."""
+        n = self.MODULUS
+        response = wire.encode_shard_response(1, n, [{1: 1}], [ServerCounters()])
+        header, body = wire.decode_frame(
+            wire.encode_shard_response_frame(1, n, [{1: 1}], [ServerCounters()])
+        )
+        assert wire.decode_shard_response(response).epoch == 1
+        for epoch in (True, False, -7, 1.0, "1", None):
+            with pytest.raises(WireError, match="epoch"):
+                wire.decode_shard_response({**response, "epoch": epoch})
+            with pytest.raises(WireError, match="epoch"):
+                wire.decode_shard_response_frame(
+                    wire.encode_frame({**header, "epoch": epoch}, body), n
+                )
 
     def test_headers_must_be_json_objects_of_the_right_shape(self):
         for header in (b"[]", b'"x"', b"7", b"{]", b"\xff\xfe", b"[" * 100_000):

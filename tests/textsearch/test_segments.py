@@ -2,6 +2,7 @@
 
 import os
 import random
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from repro.textsearch.segments import (
     PostingColumns,
     TieredMergePolicy,
     _frame_wal_record,
-    merge_posting_runs,
+    impact_order,
+    live_columns,
     read_manifest_log,
 )
 
@@ -237,22 +239,39 @@ class TestTieredMerging:
         assert_indexes_identical(index, InvertedIndex.build(Corpus(live)))
 
 
-class TestMergePostingRuns:
+class TestImpactOrder:
     def test_single_clean_run_is_returned_zero_copy(self):
         columns = PostingColumns.from_entries([(1, 2.0), (2, 1.0)], 2.0, 255)
-        assert merge_posting_runs([(columns, frozenset())]) is columns
+        assert live_columns(columns, "t", frozenset(), ordered=True) is columns
+        assert impact_order([columns]) is columns
 
     def test_dead_rows_filtered_and_order_preserved(self):
         old = PostingColumns.from_entries([(1, 3.0), (2, 2.0), (3, 1.0)], 3.0, 255)
         new = PostingColumns.from_entries([(4, 2.5), (5, 0.5)], 3.0, 255)
-        merged = merge_posting_runs([(old, frozenset({2})), (new, frozenset())])
+        merged = impact_order(
+            [
+                live_columns(old, "t", frozenset({2}), ordered=True),
+                live_columns(new, "t", frozenset(), ordered=True),
+            ]
+        )
         assert list(merged.doc_ids) == [1, 4, 3, 5]
         assert list(merged.impacts) == [3.0, 2.5, 1.0, 0.5]
+        assert list(merged.quants) == [old.quants[0], new.quants[0], old.quants[2], new.quants[1]]
+
+    def test_a_run_out_of_order_is_sorted_with_ties_by_doc_id(self):
+        run = PostingColumns(
+            array("I", [5, 2, 9, 1]), array("d", [1.0, 2.0, 2.0, 3.0]), array("I", [1, 2, 3, 4])
+        )
+        ordered = impact_order([run])
+        assert list(ordered.doc_ids) == [1, 2, 9, 5]
+        assert list(ordered.impacts) == [3.0, 2.0, 2.0, 1.0]
+        assert list(ordered.quants) == [4, 2, 3, 1]
+        assert impact_order([ordered]) is ordered
 
     def test_empty_result_is_none(self):
         columns = PostingColumns.from_entries([(7, 1.0)], 1.0, 255)
-        assert merge_posting_runs([(columns, frozenset({7}))]) is None
-        assert merge_posting_runs([(None, frozenset())]) is None
+        assert impact_order([live_columns(columns, "t", frozenset({7}), ordered=True)]) is None
+        assert impact_order([]) is None
 
 
 class TestSegmentManifest:
@@ -299,9 +318,8 @@ class TestPostingCounts:
         assert index.segment_manifest() == expected
 
     def test_counts_follow_the_deferred_rewrite(self, tmp_path):
-        """BM25 re-sorts a list when the average length drifts, dropping its
-        dead rows; a wholesale save flushes those rewrites, and each
-        segment's count follows its lists."""
+        """A wholesale save flushes the deferred rewrites into copies that
+        hold only live rows, and each segment's count follows its lists."""
         rng = random.Random(0)
         words = "alpha beta gamma delta epsilon zeta eta theta".split()
 
@@ -315,7 +333,7 @@ class TestPostingCounts:
         index.add_documents(Document(doc_id=100 + k, text=text(40)) for k in range(3))
         counted = index._segments[0].num_postings
         index.save(tmp_path / "flushed")
-        assert index.update_counters.lists_resorted > 0
+        assert index.update_counters.lists_requantised > 0
         assert index._segments[0].num_postings < counted
         for segment in index._segments:
             assert segment.num_postings == sum(map(len, segment.lists.values()))
