@@ -13,10 +13,11 @@ import pytest
 
 from repro.core.embellish import QueryEmbellisher
 from repro.core.sequencing import sequence_dictionary
-from repro.core.server import PrivateRetrievalServer
+from repro.core.server import EncryptedResult, PrivateRetrievalServer
 from repro.core.workloads import QueryWorkloadGenerator
 from repro.crypto.benaloh import generate_keypair
 from repro.crypto.pir import PIRClient, PIRDatabase, PIRServer
+from repro.service import wire
 from repro.service.app import chunked_organization
 from repro.textsearch.corpus import Corpus
 from repro.textsearch.inverted_index import IndexSnapshot, InvertedIndex
@@ -220,3 +221,41 @@ def test_bench_ordered_read_after_update(benchmark, updated_index):
     )
     for term, postings in zip(embellished, served):
         assert postings == rebuilt.postings(term), term
+
+
+@pytest.fixture(scope="module")
+def pinned_batch(context):
+    """``batch_single_node``'s shape: a 1024-bit key, bucket size 4 over the
+    sorted dictionary, four 3-term queries per batch on one pinned snapshot,
+    and each query's result frame from the ``naive=True`` answer's dict."""
+    keypair = generate_keypair(key_bits=1024, block_size=3**9, rng=random.Random(44))
+    view = context.index.snapshot()
+    organization = chunked_organization(context.index, 4)
+    embellisher = QueryEmbellisher(
+        organization=organization, keypair=keypair, rng=random.Random(6)
+    )
+    generator = QueryWorkloadGenerator(context.index, seed=7)
+    batch = [embellisher.embellish(generator.frequency_weighted_query(3)) for _ in range(4)]
+    kwargs = dict(index=view, organization=organization, public_key=keypair.public)
+    naive = PrivateRetrievalServer(naive=True, **kwargs).process_batch(batch)
+    want = [
+        _result_frame(i, EncryptedResult(dict(result.encrypted_scores), keypair.public.n))
+        for i, result in enumerate(naive)
+    ]
+    return PrivateRetrievalServer(**kwargs), batch, want
+
+
+def _result_frame(index, result):
+    return wire.encode_result_frame({"kind": "result", "index": index}, result)
+
+
+def test_bench_answer_to_frame(benchmark, pinned_batch):
+    """From pinned snapshot to result frames: accumulate a batch and encode
+    each answer as the session stream does, on the process's arithmetic."""
+    server, batch, want = pinned_batch
+
+    def answer():
+        return [_result_frame(i, result) for i, (result, _) in enumerate(server.iter_batch(batch))]
+
+    frames = benchmark.pedantic(answer, rounds=30, warmup_rounds=2)
+    assert frames == want

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 from repro.core import parallel
@@ -116,9 +116,11 @@ class ShardEpochSkewError(RuntimeError):
 class ShardResponse:
     """One shard replica's answer to a scattered sub-batch.
 
-    ``partials[q]`` is query ``q``'s partial accumulator map
-    (``doc_id -> ciphertext``) over this shard's terms; ``counters[q]`` the
-    shard-side operation counters for that query.  ``epoch`` stamps the data
+    ``partials[q]`` is query ``q``'s partial over this shard's terms -- an
+    :class:`~repro.core.server.EncryptedResult` as the shard answered it
+    (:func:`shard_partials`), a ``doc_id -> ciphertext`` map as a transport
+    delivers it; ``counters[q]`` the shard-side operation counters for that
+    query.  ``epoch`` stamps the data
     version the replica served from and ``modulus`` tags which public key the
     partials were accumulated under -- the coordinator verifies both before
     any partial reaches the merge.
@@ -126,7 +128,7 @@ class ShardResponse:
 
     epoch: int
     modulus: int
-    partials: tuple[dict[int, int], ...]
+    partials: tuple[EncryptedResult | dict[int, int], ...]
     counters: tuple[ServerCounters, ...]
 
 
@@ -153,7 +155,7 @@ def shard_partials(
 
     The one implementation behind :class:`LocalShardBackend` and the
     service's ``POST /shards/{tenant}/partials``: stream the sub-batch, keep
-    each query's partial with its counters, tag the modulus the partials
+    each query's result with its counters, tag the modulus the partials
     were accumulated under and stamp the data epoch (``None`` derives it
     from the index).
     """
@@ -161,7 +163,7 @@ def shard_partials(
     return ShardResponse(
         epoch=data_epoch(server.index) if epoch is None else epoch,
         modulus=server.public_key.n,
-        partials=tuple(result.encrypted_scores for result, _ in pairs),
+        partials=tuple(result for result, _ in pairs),
         counters=tuple(counters for _, counters in pairs),
     )
 
@@ -186,7 +188,10 @@ class LocalShardBackend:
             EmbellishedQuery(terms=tuple(terms), encrypted_selectors=tuple(selectors))
             for terms, selectors in subqueries
         ]
-        return shard_partials(self.server, queries, self.epoch)
+        response = shard_partials(self.server, queries, self.epoch)
+        # Delivered as the HTTP backend delivers them: score maps.
+        scores = tuple(result.encrypted_scores for result in response.partials)
+        return replace(response, partials=scores)
 
     def close(self) -> None:
         self.server.close()

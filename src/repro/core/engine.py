@@ -209,7 +209,7 @@ class ExecutionEngine:
         self,
         payloads: Sequence[Sequence[parallel.TermPayload]],
         modulus: int,
-    ) -> list[tuple[dict[int, int], parallel.ServerCounters]]:
+    ) -> list[tuple[parallel.EncryptedResult, parallel.ServerCounters]]:
         """:meth:`submit_batch`, collected: per-query results in order."""
         pending = self.submit_batch(payloads, modulus)
         return [handle.result() for handle in pending]

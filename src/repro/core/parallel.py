@@ -9,9 +9,11 @@ grouping of a document's contributions yields the bit-identical ciphertext).
 This module holds what every placement of that work shares:
 
 * the **accumulation kernel** (:func:`accumulate_terms`), the single
-  implementation of the power-table fast path, executed in-process, by every
-  pool worker and by every index shard -- so "placed equals sequential"
-  reduces to "modular multiplication is associative";
+  implementation of the power-table fast path, executed in-process and by
+  every index shard -- so "placed equals sequential" reduces to "modular
+  multiplication is associative";
+* the **result type** (:class:`EncryptedResult`): the kernel's wire rows,
+  decoded to a score dict only for a caller that reads one;
 * the **counter type** (:class:`ServerCounters`): the kernel returns one
   query's counts in the same object the server and the coordinator complete
   and yield beside the query's result;
@@ -32,6 +34,7 @@ has shown a pool beating the in-process kernel (``docs/operations.md``,
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -40,6 +43,7 @@ from repro.crypto import kernels, numbertheory
 from repro.crypto.kernels import build_power_table, power_table_strategy
 
 __all__ = [
+    "EncryptedResult",
     "ServerCounters",
     "TermPayload",
     "PendingResult",
@@ -92,10 +96,8 @@ class ServerCounters:
 
     def add(self, other: "ServerCounters") -> None:
         """Accumulate another counter set (used to aggregate a batch)."""
-        for counter in fields(self):
-            setattr(
-                self, counter.name, getattr(self, counter.name) + getattr(other, counter.name)
-            )
+        for name in COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     @classmethod
     def total(cls, counter_sets: Iterable["ServerCounters"]) -> "ServerCounters":
@@ -106,22 +108,83 @@ class ServerCounters:
         return total
 
 
+#: :class:`ServerCounters`' field names, read once rather than per query.
+COUNTER_FIELDS: tuple[str, ...] = tuple(spec.name for spec in fields(ServerCounters))
+
+
+class EncryptedResult:
+    """The candidate result set ``R``: document ids with encrypted relevance scores.
+
+    The compiled kernel's answer keeps its wire ``rows`` -- ``count`` u32
+    big-endian document ids, then ``count`` big-endian ciphertexts at
+    ``W = ceil(bits(n) / 8)`` bytes, in candidate order: the body a frame
+    carries, with no python int per candidate.  Any other result holds its
+    score dict (``rows`` is ``None``).  :attr:`encrypted_scores` is a plain,
+    mutable dict either way: decoded on first read and cached, the rows then
+    dropped, so an edit to it reaches every later encoding.
+    """
+
+    __slots__ = ("modulus", "rows", "_scores")
+
+    def __init__(
+        self, encrypted_scores: dict[int, int] | None, modulus: int, rows: bytes | None = None
+    ) -> None:
+        self._scores = encrypted_scores
+        self.modulus = modulus
+        self.rows = rows
+
+    @property
+    def encrypted_scores(self) -> dict[int, int]:
+        """``{doc id: ciphertext}`` in candidate order."""
+        if self._scores is None:
+            rows, width, count = self.rows, self._width(), len(self)
+            ids = struct.unpack_from(f">{count}I", rows)
+            cuts = range(4 * count, len(rows), width)
+            values = [int.from_bytes(rows[i : i + width], "big") for i in cuts]
+            self._scores = dict(zip(ids, values))
+            self.rows = None
+        return self._scores
+
+    def _width(self) -> int:
+        return (self.modulus.bit_length() + 7) // 8
+
+    def __len__(self) -> int:
+        if self._scores is None:
+            return len(self.rows) // (4 + self._width())
+        return len(self._scores)
+
+    def __iter__(self):
+        return iter(self.encrypted_scores.items())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EncryptedResult):
+            return NotImplemented
+        return (self.modulus, self.encrypted_scores) == (other.modulus, other.encrypted_scores)
+
+    def __repr__(self) -> str:
+        return f"EncryptedResult({self.encrypted_scores!r}, {self.modulus!r})"
+
+    def downstream_bytes(self) -> int:
+        """Size on the wire: a 4-byte document id + a ciphertext per candidate."""
+        return len(self) * (4 + self._width())
+
+
 def accumulate_terms(
     payload: Sequence[TermPayload], modulus: int, backend: str | None = None
-) -> tuple[dict[int, int], ServerCounters]:
+) -> tuple[EncryptedResult, ServerCounters]:
     """The power-table accumulation kernel over a sequence of term payloads.
 
-    This is the one implementation behind every fast query: the in-process
-    path, every shard worker and every batch worker.  Returns the
+    This is the one implementation behind every fast query, wherever the
+    query's terms live: a single node or an index shard.  Returns the
     per-document encrypted accumulators and the exact operation counts of
     this one kernel run (``shards_executed`` is 1, or 0 for an empty
     payload).  The per-posting loop below is the correctness oracle; the
     ``cffi`` backend hands whole payloads to the one-call Montgomery-form C
     kernel in :mod:`repro.crypto.kernels`, falling back to the loop (and
     booking the reason there) whenever a payload leaves the kernel's
-    envelope.  Both
-    return plain-``int`` accumulators in the same insertion order with
-    identical values and identical counters.
+    envelope.  The kernel's result holds its wire rows, the loop's its score
+    dict: the same candidates in the same order with identical values, and
+    identical counters.
 
     ``backend`` pins the arithmetic for this one call (the bit-identity
     suites pin ``"python"`` as the oracle); ``None`` reads the process's
@@ -133,8 +196,8 @@ def accumulate_terms(
     if backend == "cffi":
         fast = kernels.accumulate_compiled(payload, modulus)
         if fast is not None:
-            accumulators, postings, table_mults, accumulator_mults = fast
-            return accumulators, ServerCounters(
+            rows, postings, table_mults, accumulator_mults = fast
+            return EncryptedResult(None, modulus, rows), ServerCounters(
                 postings_processed=postings,
                 modular_multiplications=accumulator_mults,
                 table_multiplications=table_mults,
@@ -161,7 +224,7 @@ def accumulate_terms(
                 accumulators[doc_id] = existing * table[impact] % modulus
         new_candidates += len(accumulators)
         counts.modular_multiplications += len(doc_ids) - new_candidates
-    return accumulators, counts
+    return EncryptedResult(accumulators, modulus), counts
 
 
 def merge_shard_results(
@@ -203,10 +266,10 @@ class PendingResult:
         self._modulus = modulus
         self._payload = payload
         self._future = future
-        self._resolved: tuple[dict[int, int], ServerCounters] | None = None
+        self._resolved: tuple[EncryptedResult, ServerCounters] | None = None
 
-    def result(self) -> tuple[dict[int, int], ServerCounters]:
-        """``(accumulators, counts)``, blocking: :func:`accumulate_terms`' answer."""
+    def result(self) -> tuple[EncryptedResult, ServerCounters]:
+        """``(result, counts)``, blocking: :func:`accumulate_terms`' answer."""
         if self._resolved is None:
             if self._future is None:
                 self._resolved = accumulate_terms(self._payload, self._modulus)

@@ -46,7 +46,7 @@ from repro.core import parallel
 from repro.core.buckets import BucketOrganization
 from repro.core.embellish import EmbellishedQuery
 from repro.core.engine import ExecutionEngine
-from repro.core.parallel import ServerCounters, power_table_strategy
+from repro.core.parallel import EncryptedResult, ServerCounters, power_table_strategy
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.textsearch.inverted_index import InvertedIndex
 
@@ -57,26 +57,6 @@ __all__ = [
     "io_charge",
     "power_table_strategy",
 ]
-
-
-@dataclass(frozen=True)
-class EncryptedResult:
-    """The candidate result set ``R``: document ids with encrypted relevance scores."""
-
-    encrypted_scores: dict[int, int]
-    modulus: int
-
-    def __len__(self) -> int:
-        return len(self.encrypted_scores)
-
-    def __iter__(self):
-        return iter(self.encrypted_scores.items())
-
-    def downstream_bytes(self) -> int:
-        """Size of the result on the wire: one 4-byte document id + one
-        ciphertext per candidate."""
-        ciphertext_bytes = (self.modulus.bit_length() + 7) // 8
-        return len(self.encrypted_scores) * (4 + ciphertext_bytes)
 
 
 def io_charge(
@@ -287,18 +267,18 @@ class PrivateRetrievalServer:
             answers = (self._answer_naive(query, view) for query in queries)
         else:
             answers = self._answer_fast(queries, view)
-        for query, (accumulators, counters) in zip(queries, answers):
+        for query, (result, counters) in zip(queries, answers):
             counters.queries_processed = 1
             counters.terms_processed = len(query)
             counters.blocks_read, counters.buckets_fetched = io_charge(
                 view, self.organization, query.terms
             )
-            yield EncryptedResult(accumulators, self.public_key.n), counters
+            yield result, counters
 
     # -- the fast path: dispatch -> handle -> collect ------------------------------
     def _answer_fast(
         self, queries: Sequence[EmbellishedQuery], view
-    ) -> Iterator[tuple[dict[int, int], ServerCounters]]:
+    ) -> Iterator[tuple[EncryptedResult, ServerCounters]]:
         """One pending handle per query, collected in query order."""
         modulus = self.public_key.n
         if self.engine is None and self.parallelism <= 1:
@@ -322,7 +302,7 @@ class PrivateRetrievalServer:
     # -- naive reference path ----------------------------------------------------
     def _answer_naive(
         self, query: EmbellishedQuery, view
-    ) -> tuple[dict[int, int], ServerCounters]:
+    ) -> tuple[EncryptedResult, ServerCounters]:
         modulus = self.public_key.n
         counters = ServerCounters()
         accumulators: dict[int, int] = {}
@@ -337,4 +317,4 @@ class PrivateRetrievalServer:
                     counters.modular_multiplications += 1
                 else:
                     accumulators[posting.doc_id] = contribution
-        return accumulators, counters
+        return EncryptedResult(accumulators, modulus), counters

@@ -21,17 +21,19 @@ identically by construction.
 **One-call Montgomery accumulation.**  :func:`accumulate_compiled` is a
 marshalling shim around one C entry point per payload: python hands over the
 selectors as one byte string, zero-copy pointers to the index's own columns
-and each term's memoised plan packed into one buffer; C converts selectors
-to Montgomery form, runs every program, finds each candidate's first
-posting in an open-addressing table and folds the rest -- every
-multiplication a reduction-free CIOS Montgomery multiply -- and returns ids
-and canonical residues in first-occurrence order.  Montgomery conversion is
-a bijection on ``Z_n`` and every intermediate is kept canonical (``< n``),
-so residues, dict order and operation counters are bit-identical to the
-pure-python oracle loop.  Nothing is cached per column, and all scratch is
-per call: cffi releases the GIL, and one process may run the kernel on
-several threads at once (an ``ExecutionEngine`` pool, a coordinator's
-gather threads over local shards).  The
+and each column's plan (:func:`column_plan`, memoised per column object and
+held weakly) packed into one buffer; C converts selectors to Montgomery
+form, runs every program, finds each candidate's first posting in an
+open-addressing table and folds the rest -- every multiplication a
+reduction-free CIOS Montgomery multiply -- and writes the answer in wire
+form: u32 big-endian ids, then big-endian ``ceil(bits(n) / 8)``-byte
+ciphertexts, in first-occurrence order -- the body the frame codec sends,
+with no python int per candidate.  Montgomery conversion is a bijection on
+``Z_n`` and every intermediate is kept canonical (``< n``), so residues, row
+order and operation counters are bit-identical to the pure-python oracle
+loop.  All scratch is per call: cffi releases the GIL, and one process may
+run the kernel on several threads at once (an ``ExecutionEngine`` pool, a
+coordinator's gather threads over local shards).  The
 common-exponent column (:func:`modexp_batch`) marshals the same way --
 ``bytes`` in, one C call, one ``bytearray`` out, canonical residues on both
 sides -- so the standard library is all the marshalling needs.
@@ -60,6 +62,7 @@ import os
 import shutil
 import tempfile
 import threading
+import weakref
 from array import array
 from functools import lru_cache
 from typing import Sequence
@@ -71,6 +74,7 @@ __all__ = [
     "power_table_strategy",
     "power_table_plan",
     "build_power_table",
+    "column_plan",
     "PowerPlan",
     "ensure_compiled",
     "resolve_backend",
@@ -169,13 +173,14 @@ class PowerPlan:
     execution paths.
     """
 
-    __slots__ = ("strategy", "ops", "slot_of", "nslots", "_packed")
+    __slots__ = ("strategy", "ops", "slot_of", "nslots", "max_impact", "_packed")
 
     def __init__(self, strategy: str, ops, slot_of) -> None:
         self.strategy = strategy
         self.ops = ops
         self.slot_of = slot_of
         self.nslots = 2 + len(ops)
+        self.max_impact = max(slot_of, default=0)
         self._packed = None
 
     def packed(self) -> array:
@@ -184,7 +189,7 @@ class PowerPlan:
         ``[len(ops), len(slot_of), src1, src2, ..., impact, slot, ...]`` with
         the impact -> slot pairs sorted by impact (the kernel binary-searches
         them).  Built on first use and kept on the (memoised) plan, so a
-        payload hands C one pointer per term and nothing is cached per column.
+        payload hands C one pointer per term.
         """
         if self._packed is None:
             words = [len(self.ops), len(self.slot_of)]
@@ -281,17 +286,37 @@ def power_table_plan(distinct: tuple[int, ...]) -> PowerPlan:
     return PowerPlan(strategy, ops, slot_of)
 
 
+#: ``id(column) -> (weakref to the column, its plan)``: an entry dies with
+#: the segment or pinned snapshot that owns the column.
+_COLUMN_PLANS: dict[int, tuple[weakref.ref, PowerPlan]] = {}
+
+
+def column_plan(impacts) -> PowerPlan:
+    """The :func:`power_table_plan` of one impact column, once per column
+    object: the index never mutates a column it has handed out.  Columns
+    that take no weak reference (lists) are planned on every call."""
+    key = id(impacts)
+    entry = _COLUMN_PLANS.get(key)
+    if entry is not None and entry[0]() is impacts:
+        return entry[1]
+    plan = power_table_plan(tuple(sorted(set(impacts))))
+    try:
+        _COLUMN_PLANS[key] = (weakref.ref(impacts, lambda _: _COLUMN_PLANS.pop(key, None)), plan)
+    except TypeError:
+        pass
+    return plan
+
+
 def build_power_table(selector: int, impacts, modulus: int) -> tuple[dict[int, int], int]:
     """``({p: E(u)^p}, multiplications)`` for one list's distinct impacts.
 
-    Executes the cached :func:`power_table_plan` with plain modular
+    Executes the column's :func:`column_plan` with plain modular
     arithmetic.  ``table[1]`` is the selector object itself, unreduced,
     matching the historic builder.
     """
-    distinct = tuple(sorted(set(impacts)))
-    if not distinct:
+    plan = column_plan(impacts)
+    if not plan.slot_of:
         return {}, 0
-    plan = power_table_plan(distinct)
     slots = [1, selector]
     append = slots.append
     for src1, src2 in plan.ops:
@@ -647,6 +672,12 @@ void repro_redc_many(uint64_t *out, const uint64_t *a, long count,
         mont_redc_(out + i * nl, a + i * nl, n, n0inv, nl);
 }
 
+static inline void put_be(unsigned char *p, uint64_t x, int bytes)
+{
+    for (int b = 0; b < bytes; b++)
+        p[b] = (unsigned char)(x >> (8 * (bytes - 1 - b)));
+}
+
 /* Whole-payload accumulation in one call.  Per term: the selector goes to
  * Montgomery form, the plan's program fills the power table, and every
  * posting either seeds a candidate with the canonical (REDC'd, cached per
@@ -654,19 +685,23 @@ void repro_redc_many(uint64_t *out, const uint64_t *a, long count,
  * Montgomery-form power into the candidate's canonical accumulator
  * (mont_mul(x, y*R) = x*y mod n).  Candidates are found through an
  * open-addressing table of (doc id, row + 1; 0 = empty) pairs sized from
- * the posting count, and leave in first-occurrence order: rows in
- * out_rows, ids behind the last possible row.  All scratch is allocated and
- * freed here, because callers run concurrently with the GIL released.
+ * the posting count.  `out` holds ids (u32, padded to 8 bytes) and then
+ * limb rows, one per possible candidate; at the end both are rewritten in
+ * place, front to back, as the wire body -- ncand u32 big-endian ids, then
+ * ncand `wbytes`-byte big-endian rows, in first-occurrence order -- each
+ * write landing before anything still to be read.  All scratch is allocated
+ * and freed here, because callers run concurrently with the GIL released.
  * Returns the candidate count, -1 when scratch cannot be allocated, -2 when
  * a posting's impact is missing from its plan. */
 long repro_accumulate(long nterms, const uint64_t *selectors,
                       const uint32_t **docs, const uint32_t **impacts,
                       const uint32_t **plans, const long *counts,
-                      long postings, long max_slots, uint64_t *out_rows,
-                      const uint64_t *r2, const uint64_t *one_m,
+                      long postings, long max_slots, unsigned char *out,
+                      long wbytes, const uint64_t *r2, const uint64_t *one_m,
                       const uint64_t *n, uint64_t n0inv, int nl)
 {
-    uint32_t *out_ids = (uint32_t *)(out_rows + (size_t)postings * nl);
+    uint32_t *out_ids = (uint32_t *)out;
+    uint64_t *out_rows = (uint64_t *)(out + (((size_t)postings * 4 + 7) & ~(size_t)7));
     int bits = 1;  /* table of 2^bits > 1.5 x postings entries */
     while (((size_t)1 << bits) < (size_t)postings + (size_t)postings / 2 + 1)
         bits++;
@@ -727,6 +762,14 @@ long repro_accumulate(long nterms, const uint64_t *selectors,
             entry[1] = (uint32_t)++ncand;
         }
     }
+    for (long k = 0; k < ncand; k++)
+        put_be(out + 4 * k, out_ids[k], 4);
+    for (long k = 0; k < ncand; k++) {
+        unsigned char row[8 * MAXL];
+        for (int i = 0; i < nl; i++)
+            put_be(row + 8 * (nl - 1 - i), out_rows[(size_t)k * nl + i], 8);
+        memcpy(out + 4 * ncand + k * wbytes, row + 8 * nl - wbytes, (size_t)wbytes);
+    }
 done:
     free(seen);
     free(table);
@@ -765,8 +808,8 @@ void repro_redc_many(uint64_t *out, const uint64_t *a, long count,
 long repro_accumulate(long nterms, const uint64_t *selectors,
                       const uint32_t **docs, const uint32_t **impacts,
                       const uint32_t **plans, const long *counts,
-                      long postings, long max_slots, uint64_t *out_rows,
-                      const uint64_t *r2, const uint64_t *one_m,
+                      long postings, long max_slots, unsigned char *out,
+                      long wbytes, const uint64_t *r2, const uint64_t *one_m,
                       const uint64_t *n, uint64_t n0inv, int nl);
 void repro_pow_many(uint64_t *out, const uint64_t *bases, long count,
                     const uint64_t *exp, int ebits, const uint64_t *r2,
@@ -851,11 +894,12 @@ def _compile_or_load():
 def _self_test(ffi, lib) -> None:
     """Verify the compiled arithmetic against python pow/mul on random cases,
     and both entry points -- accumulation and the common-exponent batch --
-    against their python loops, at each modulus size."""
+    against their python loops, at each modulus size (1000 bits: a
+    ciphertext narrower than its limbs)."""
     import random
 
     rng = random.Random(0x5EED)
-    for bits in (16, 64, 128, 1024, 1536):
+    for bits in (16, 64, 128, 1000, 1024, 1536):
         modulus = (rng.getrandbits(bits) | (1 << (bits - 1))) | 1
         nl = (modulus.bit_length() + 63) // 64
         radix = 1 << (64 * nl)
@@ -898,8 +942,11 @@ def _self_test(ffi, lib) -> None:
         for selector, doc_ids, impacts in payload:
             for doc_id, impact in zip(doc_ids, impacts):
                 want[doc_id] = want.get(doc_id, 1) * pow(selector, impact, modulus) % modulus
+        body = b"".join(doc.to_bytes(4, "big") for doc in want) + b"".join(
+            value.to_bytes((bits + 7) // 8, "big") for value in want.values()
+        )
         got = _accumulate(ffi, lib, payload, modulus)
-        if got is None or list(got[0].items()) != list(want.items()):
+        if got is None or got[0] != body or _accumulate(ffi, lib, [], modulus)[0] != b"":
             raise RuntimeError(f"compiled accumulation self-test failed at {bits} bits")
         # mu^r: edge and random bases under an exponent spanning two words.
         bases = [0, 1, modulus - 1, *(rng.randrange(modulus) for _ in range(3))]
@@ -1086,10 +1133,12 @@ def _uint32_column(values):
 def accumulate_compiled(payload, modulus: int):
     """Whole-payload Montgomery accumulation on the compiled kernel.
 
-    Returns ``(accumulators, postings, table_multiplications,
-    accumulator_multiplications)`` -- the accumulator dict in the same
-    (first-occurrence) insertion order, with the same canonical residues and
-    the same counter values as the pure-python oracle loop -- or ``None``
+    Returns ``(rows, postings, table_multiplications,
+    accumulator_multiplications)`` -- ``rows`` the candidates in wire form
+    (``count`` u32 big-endian document ids, then ``count`` big-endian
+    ciphertexts at ``W = ceil(bits(n) / 8)`` bytes), in the oracle loop's
+    first-occurrence order, with the same canonical residues and the same
+    counter values as that loop -- or ``None``
     whenever any input falls outside the kernel's envelope (no compiled
     library, even/tiny/huge modulus, out-of-range selectors, mismatched or
     non-uint32 columns, oversized impacts or payloads), in which case the
@@ -1105,9 +1154,11 @@ def _accumulate(ffi, lib, payload, modulus: int):
     """Marshal one payload into a single ``repro_accumulate`` call.
 
     C receives the selectors as one byte string, zero-copy pointers to the
-    columns, each term's packed plan, and one output buffer (candidate rows,
-    then candidate ids) sized for the worst case of every posting being a
-    new candidate -- zero pages the kernel never writes are never touched.
+    columns, each term's packed plan, and one output buffer (candidate ids,
+    then limb rows) sized for the worst case of every posting being a new
+    candidate.  It hands back the front of that buffer rewritten as the wire
+    body: ``count`` u32 big-endian ids, then ``count`` big-endian
+    ciphertexts at ``W = ceil(bits(n) / 8)`` bytes.
     """
     context = _montgomery_context(ffi, modulus)
     if context is None:
@@ -1132,10 +1183,9 @@ def _accumulate(ffi, lib, payload, modulus: int):
             impacts = _uint32_column(impacts)
         except (TypeError, ValueError, OverflowError):
             return _declined("column_type")
-        distinct = tuple(sorted(set(impacts)))
-        if distinct[-1] > _MAX_PLAN_IMPACT:
+        plan = column_plan(impacts)
+        if plan.max_impact > _MAX_PLAN_IMPACT:
             return _declined("impact_cap")
-        plan = power_table_plan(distinct)
         selectors.append(selector.to_bytes(width, "little"))
         doc_columns.append(doc_ids)
         impact_columns.append(impacts)
@@ -1145,7 +1195,7 @@ def _accumulate(ffi, lib, payload, modulus: int):
         if plan.nslots > max_slots:
             max_slots = plan.nslots
     if not counts:
-        return {}, 0, 0, 0
+        return b"", 0, 0, 0
     postings = sum(counts)
     if postings >= _POSTING_CAP:
         return _declined("posting_cap")
@@ -1157,7 +1207,8 @@ def _accumulate(ffi, lib, payload, modulus: int):
         [_u32_ptr(ffi, column) for column in kind]
         for kind in (doc_columns, impact_columns, plans)
     ]
-    out = bytearray(postings * (width + 4))
+    out = bytearray((postings * 4 + 7) // 8 * 8 + postings * width)
+    wire_width = (modulus.bit_length() + 7) // 8
     candidates = lib.repro_accumulate(
         len(counts),
         _u64_ptr(ffi, b"".join(selectors)),
@@ -1165,19 +1216,16 @@ def _accumulate(ffi, lib, payload, modulus: int):
         ffi.new("long[]", counts),
         postings,
         max_slots,
-        ffi.from_buffer("uint64_t[]", out),
+        ffi.from_buffer("unsigned char[]", out),
+        wire_width,
         context.r2_c,
         context.one_c,
         *context.modulus_args,
     )
     if candidates < 0:
         return _declined("scratch_alloc" if candidates == -1 else "plan_mismatch")
-    view = memoryview(out)
-    ids = view[postings * width : postings * width + 4 * candidates].cast("I")
-    accumulators = dict(
-        zip(ids.tolist(), _bytes_to_ints(bytes(view[: candidates * width]), width))
-    )
-    return accumulators, postings, table_multiplications, postings - candidates
+    rows = bytes(memoryview(out)[: candidates * (4 + wire_width)])
+    return rows, postings, table_multiplications, postings - candidates
 
 
 def _modexp_batch_compiled(bases, exponent: int, modulus: int):

@@ -9,7 +9,10 @@ JSON object with everything that is not a ciphertext, the body big-endian
 integers at a fixed width -- ``u32`` document ids, and ciphertexts at
 ``W = ceil(bits(n) / 8)`` bytes, where ``n`` is the modulus both ends
 already hold for the session.  ``W`` never travels: a frame cut for another
-key simply has the wrong length.  ``docs/architecture.md`` has the layouts.
+key simply has the wrong length.  A compiled-kernel result already is that
+body (:attr:`~repro.core.server.EncryptedResult.rows`) and is sent as it is;
+any other result is packed from its scores into the same bytes.
+``docs/architecture.md`` has the layouts.
 
 **hex/JSON** -- the control plane's documents (public key, organisation,
 counters; the key and counters also ride in frame headers), with big
@@ -40,6 +43,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.core.buckets import BucketOrganization
 from repro.core.embellish import EmbellishedQuery
+from repro.core.parallel import COUNTER_FIELDS
 from repro.core.server import EncryptedResult, ServerCounters
 from repro.crypto import kernels
 from repro.crypto.benaloh import BenalohPublicKey
@@ -256,23 +260,19 @@ def encode_counters(counters: ServerCounters) -> dict:
     """Every :class:`~repro.core.server.ServerCounters` field, by name --
     the same numbers :meth:`repro.core.costs.CostModel.pr_report` consumes,
     so service metrics reconcile with in-process cost reports."""
-    from dataclasses import fields
-
-    return {spec.name: getattr(counters, spec.name) for spec in fields(counters)}
+    return {name: getattr(counters, name) for name in COUNTER_FIELDS}
 
 
 def decode_counters(obj) -> ServerCounters:
     """The inverse of :func:`encode_counters`; unknown fields are ignored
     (a newer shard may count things an older coordinator does not know),
     missing ones default to zero."""
-    from dataclasses import fields
-
     if not isinstance(obj, Mapping):
         raise WireError("counters must be an object")
     counters = ServerCounters()
-    for spec in fields(counters):
-        if spec.name in obj:
-            setattr(counters, spec.name, _natural(obj, spec.name, "counters"))
+    for name in COUNTER_FIELDS:
+        if name in obj:
+            setattr(counters, name, _natural(obj, name, "counters"))
     return counters
 
 
@@ -430,8 +430,12 @@ def _unpack_ciphertexts(body: bytes, modulus: int, what: str) -> list[int]:
     return values
 
 
-def _pack_scores(scores: Mapping[int, int], width: int) -> bytes:
+def _pack_scores(scores: Mapping[int, int] | EncryptedResult, width: int) -> bytes:
     """``count`` x u32be document ids, then ``count`` x ciphertexts."""
+    if isinstance(scores, EncryptedResult):
+        if scores.rows is not None:
+            return scores.rows
+        scores = scores.encrypted_scores
     try:
         ids = struct.pack(f">{len(scores)}I", *scores)
     except struct.error as exc:
@@ -504,8 +508,7 @@ def encode_result_frame(record: Mapping, result: EncryptedResult) -> bytes:
     """One result of the batch stream: ``record`` (``kind``, ``index``,
     ``counters``, ``ms``) plus ``count`` is the header, the scores the body."""
     return encode_frame(
-        {**record, "count": len(result)},
-        _pack_scores(result.encrypted_scores, _width(result.modulus)),
+        {**record, "count": len(result)}, _pack_scores(result, _width(result.modulus))
     )
 
 
@@ -534,7 +537,8 @@ def decode_partial_request_frame(
 
 
 def encode_shard_response_frame(epoch: int, modulus: int, partials, counters) -> bytes:
-    """:func:`encode_shard_response`, framed: per partial its ``count`` and
+    """:func:`encode_shard_response`, framed: per partial (a score map or
+    an :class:`~repro.core.server.EncryptedResult`) its ``count`` and
     ``counters`` in the header, its ids and values in the body, in order."""
     width = _width(modulus)
     header = {

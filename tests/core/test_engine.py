@@ -128,9 +128,11 @@ class TestCountersAndReuse:
     def test_empty_payload_reports_zero_shards(self):
         engine = ExecutionEngine(parallelism=4)
         (handle,) = engine.submit_batch([[]], MODULUS)
-        assert handle.result()[0] == {} and handle.result()[1].shards_executed == 0
+        result, counts = handle.result()
+        assert result.encrypted_scores == {} and counts.shards_executed == 0
         empty, light = engine.submit_batch([[], _batch()[1]], MODULUS)
-        assert empty.result()[0] == {} and empty.result()[1].shards_executed == 0
+        result, counts = empty.result()
+        assert result.encrypted_scores == {} and counts.shards_executed == 0
         assert light.result()[1].shards_executed == 1
         assert not engine.running  # one task: in-process
         engine.shutdown()

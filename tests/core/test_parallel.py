@@ -84,7 +84,8 @@ class TestAccumulationKernel:
         modulus = 1009 * 1013
         # Two terms over overlapping documents; impacts {1,2} and {3}.
         payload = _payload([(17, [(1, 2), (2, 1)]), (23, [(1, 3), (3, 3)])])
-        accumulators, counts = parallel.accumulate_terms(payload, modulus)
+        result, counts = parallel.accumulate_terms(payload, modulus)
+        accumulators = result.encrypted_scores
         assert counts.postings_processed == 4
         # 4 postings, 3 distinct candidates -> 1 accumulator multiplication.
         assert counts.modular_multiplications == 1
@@ -93,10 +94,10 @@ class TestAccumulationKernel:
         assert accumulators[3] == pow(23, 3, modulus)
 
     def test_kernel_skips_empty_lists(self):
-        accumulators, counts = parallel.accumulate_terms(
+        result, counts = parallel.accumulate_terms(
             [(9, array("I"), array("I"))], 10007
         )
-        assert accumulators == {} and counts.postings_processed == 0
+        assert result.encrypted_scores == {} and counts.postings_processed == 0
 
 
 class TestShardedServer:

@@ -1,12 +1,18 @@
 """Unit tests for the server-side PR processing (Algorithm 4)."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from repro.core.embellish import QueryEmbellisher
+from repro.core import parallel
+from repro.core.embellish import EmbellishedQuery, QueryEmbellisher
 from repro.core.server import PrivateRetrievalServer, ServerCounters
+from repro.crypto import kernels
+from repro.textsearch.corpus import Corpus
 from repro.textsearch.engine import SearchEngine
+from repro.textsearch.inverted_index import InvertedIndex
 
 
 @pytest.fixture()
@@ -408,3 +414,84 @@ class TestEngineFinalizerGuard:
         assert server.engine is None
         del server
         gc.collect()  # __del__ after close must not raise
+
+
+class TestColumnPlanMemo:
+    """Each term column's power-table plan is derived once per column object,
+    and forgotten with the pin or segment that owns the column."""
+
+    @pytest.fixture()
+    def updated(self, corpus, organization, benaloh_keypair):
+        """An index whose snapshot composes columns across runs (a sealed
+        update and tombstones), a query over its terms, and a selector draw."""
+        documents = list(corpus)
+        index = InvertedIndex.build(Corpus(documents[:150]))
+        index.add_documents(documents[150:170])
+        index.maintain(force_seal=True)
+        index.remove_documents(d.doc_id for d in documents[:6])
+        terms = tuple(sorted(index.snapshot().terms)[::7][:24])
+        rng = random.Random(5)
+
+        def query():
+            selectors = (rng.randrange(1, benaloh_keypair.public.n) for _ in terms)
+            return EmbellishedQuery(terms=terms, encrypted_selectors=tuple(selectors))
+
+        return index, organization, query, documents[160].doc_id
+
+    @pytest.mark.parametrize("backend", ["python", "cffi"])
+    def test_two_queries_on_one_pin_plan_each_column_once(
+        self, updated, benaloh_keypair, monkeypatch, pin_backend, backend
+    ):
+        if backend == "cffi" and kernels.resolve_backend()[0] != "cffi":
+            pytest.skip("compiled kernel unavailable")
+        pin_backend(backend)
+        index, organization, query, _ = updated
+        view = index.snapshot()
+        calls = []
+        plan = kernels.power_table_plan
+        monkeypatch.setattr(
+            kernels, "power_table_plan", lambda distinct: calls.append(distinct) or plan(distinct)
+        )
+        kwargs = dict(organization=organization, public_key=benaloh_keypair.public)
+        server = PrivateRetrievalServer(index=view, **kwargs)
+        oracle = PrivateRetrievalServer(index=view, naive=True, **kwargs)
+        for _ in range(2):
+            embellished = query()
+            assert server.process_query(embellished) == oracle.process_query(embellished)
+            assert server.counters.table_multiplications > 0  # still counted per query
+        assert len(calls) == len(embellished.terms)
+
+    def test_a_dropped_pin_leaves_no_entry_for_its_composed_columns(
+        self, updated, benaloh_keypair
+    ):
+        index, organization, query, live_doc = updated
+        view = index.snapshot()
+        PrivateRetrievalServer(
+            index=view, organization=organization, public_key=benaloh_keypair.public
+        ).process_query(query())
+        columns = [view.columns(term)[1] for term in query().terms]
+        entries = [kernels._COLUMN_PLANS[id(column)] for column in columns]
+        refs = [weakref.ref(column) for column in columns]
+        index.remove_documents([live_doc])  # publishes a new pin
+        del view, columns
+        gc.collect()
+        composed = [entry for ref, entry in zip(refs, entries) if ref() is None]
+        assert composed  # recomposed runs and concatenations: the pin's own arrays
+        memo = list(kernels._COLUMN_PLANS.values())
+        assert not any(entry in memo for entry in composed)
+
+    @pytest.mark.parametrize("backend", ["python", "cffi"])
+    def test_list_columns_still_accumulate(self, benaloh_keypair, backend):
+        if backend == "cffi" and kernels.resolve_backend()[0] != "cffi":
+            pytest.skip("compiled kernel unavailable")
+        modulus = benaloh_keypair.public.n
+        payload = [(7, [3, 1, 3], [4, 2, 1]), (11, [2, 3], [0, 5])]
+        want = {}
+        for selector, doc_ids, impacts in payload:
+            for doc_id, impact in zip(doc_ids, impacts):
+                want[doc_id] = want.get(doc_id, 1) * pow(selector, impact, modulus) % modulus
+        before = len(kernels._COLUMN_PLANS)
+        result, counts = parallel.accumulate_terms(payload, modulus, backend)
+        assert list(result.encrypted_scores.items()) == list(want.items())
+        assert counts.postings_processed == 5
+        assert len(kernels._COLUMN_PLANS) == before

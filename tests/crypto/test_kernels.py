@@ -2,7 +2,7 @@
 
 The compiled (cffi) backend is exercised only where it is available; every
 equivalence test keeps the pure-python oracle as ground truth, asserting
-bit-identical ciphertexts, identical dict iteration order, and identical
+bit-identical ciphertexts, identical candidate order, and identical
 operation counters across execution paths.
 """
 
@@ -10,6 +10,7 @@ import os
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -67,9 +68,9 @@ def oracle(payload, modulus):
 def accumulate_loop(payload, modulus):
     """``accumulate_terms``' per-posting loop (the python backend is active
     outside the tests that switch it), flattened to the oracle's shape."""
-    accumulators, counts = parallel.accumulate_terms(payload, modulus)
+    result, counts = parallel.accumulate_terms(payload, modulus)
     return (
-        accumulators,
+        result.encrypted_scores,
         counts.postings_processed,
         counts.table_multiplications,
         counts.modular_multiplications,
@@ -86,6 +87,22 @@ def assert_declined(reason, call):
 def assert_matches_oracle(got, want):
     assert got[0] == want[0]
     assert list(got[0]) == list(want[0]), "dict iteration order diverged"
+    assert got[1:] == want[1:], "operation counters diverged"
+
+
+def wire_rows(scores, modulus):
+    """The frame codec's body for ``scores``: u32be ids, then big-endian
+    ciphertexts at ``ceil(bits(n) / 8)`` bytes -- what the kernel writes."""
+    width = (modulus.bit_length() + 7) // 8
+    return struct.pack(f">{len(scores)}I", *scores) + b"".join(
+        value.to_bytes(width, "big") for value in scores.values()
+    )
+
+
+def assert_kernel_matches_oracle(got, want, modulus):
+    """The kernel's rows are the oracle dict's wire body, byte for byte."""
+    assert got is not None, "kernel refused a Montgomery-eligible payload"
+    assert got[0] == wire_rows(want[0], modulus), "rows diverged from the oracle"
     assert got[1:] == want[1:], "operation counters diverged"
 
 
@@ -189,9 +206,7 @@ class TestAccumulateEquivalence:
     def test_compiled_matches_oracle(self, case):
         modulus, payload = case
         want = oracle(payload, modulus)
-        got = kernels.accumulate_compiled(payload, modulus)
-        assert got is not None, "kernel refused a Montgomery-eligible payload"
-        assert_matches_oracle(got, want)
+        assert_kernel_matches_oracle(kernels.accumulate_compiled(payload, modulus), want, modulus)
 
     def test_edge_payloads(self):
         modulus = 2**255 + 95
@@ -214,8 +229,7 @@ class TestAccumulateEquivalence:
             assert_matches_oracle(accumulate_loop(payload, modulus), want)
             if COMPILED:
                 got = kernels.accumulate_compiled(payload, modulus)
-                assert got is not None
-                assert_matches_oracle(got, want)
+                assert_kernel_matches_oracle(got, want, modulus)
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_compiled_falls_back_on_ineligible_inputs(self, monkeypatch):
@@ -244,7 +258,8 @@ class TestAccumulateEquivalence:
             assert_declined("posting_cap", lambda: accumulate(payload, 101))
         with monkeypatch.context() as patch:  # a plan that lacks the column's impact
             patch.setattr(kernels, "power_table_plan", lambda _, plan=power_table_plan: plan((7,)))
-            assert_declined("plan_mismatch", lambda: accumulate(payload, 101))
+            # A fresh column: plans are memoised per column object.
+            assert_declined("plan_mismatch", lambda: accumulate([(3, one, array("I", [2]))], 101))
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "_COMPILED", None)
             patch.setattr(kernels, "_COMPILE_ERROR", "no toolchain on this host")
@@ -352,8 +367,8 @@ payload = [
 bases = [rng.randrange(modulus) for _ in range(9)]
 
 def run():
-    accumulators, counts = parallel.accumulate_terms(payload, modulus)
-    return list(accumulators.items()), counts, kernels.modexp_batch(bases, 3**9, modulus)
+    result, counts = parallel.accumulate_terms(payload, modulus)
+    return list(result.encrypted_scores.items()), counts, kernels.modexp_batch(bases, 3**9, modulus)
 
 assert nt.get_backend() == "cffi"
 want = run()
@@ -413,13 +428,13 @@ assert sys.modules["numpy"] is None
                 )
                 for _ in range(6)
             ]
-            cases.append((payload, modulus, oracle(payload, modulus)))
+            want = oracle(payload, modulus)
+            cases.append((payload, modulus, (wire_rows(want[0], modulus), *want[1:])))
         wrong = []
 
         def hammer(payload, modulus, want):
             for _ in range(100):
-                got = kernels.accumulate_compiled(payload, modulus)
-                if got != want or list(got[0]) != list(want[0]):
+                if kernels.accumulate_compiled(payload, modulus) != want:
                     wrong.append(modulus.bit_length())
 
         threads = [threading.Thread(target=hammer, args=case) for case in cases * 3]
@@ -445,10 +460,12 @@ assert sys.modules["numpy"] is None
         baseline, base_counts = parallel.accumulate_terms(payload, modulus, "python")
         pin_backend("cffi")
         fast, fast_counts = parallel.accumulate_terms(payload, modulus)
+        assert baseline.rows is None
+        assert fast.rows == wire_rows(baseline.encrypted_scores, modulus)
         assert fast == baseline
         assert list(fast) == list(baseline)
         assert fast_counts == base_counts
-        assert all(type(v) is int for v in fast.values())
+        assert all(type(v) is int for v in fast.encrypted_scores.values())
 
 
 class TestModexpBatch:

@@ -82,7 +82,7 @@ class TestHybridSchedulingProperties:
                         if doc_id not in oracle
                         else oracle[doc_id] * contribution % modulus
                     )
-            assert merged == oracle
+            assert merged.encrypted_scores == oracle
             assert counts.shards_executed == (1 if payload else 0)
 
 

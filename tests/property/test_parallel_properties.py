@@ -65,9 +65,9 @@ class TestShardMergeProperties:
         partition = _draw_shards(data, payload)
         partials = [parallel.accumulate_terms(shard, modulus) for shard in partition]
         merged, merge_muls = parallel.merge_shard_results(
-            [accumulators for accumulators, _ in partials], modulus
+            [result.encrypted_scores for result, _ in partials], modulus
         )
-        assert merged == sequential
+        assert merged == sequential.encrypted_scores
         within = sum(counts.modular_multiplications for _, counts in partials)
         assert within + merge_muls == seq_counts.modular_multiplications
         assert sum(c.postings_processed for _, c in partials) == seq_counts.postings_processed
@@ -81,7 +81,9 @@ class TestShardMergeProperties:
     def test_naive_per_posting_exponentiation_is_the_same_product(self, drawn, data):
         payload, modulus = drawn
         partition = _draw_shards(data, payload)
-        partials = [parallel.accumulate_terms(shard, modulus)[0] for shard in partition]
+        partials = [
+            parallel.accumulate_terms(shard, modulus)[0].encrypted_scores for shard in partition
+        ]
         merged, _ = parallel.merge_shard_results(partials, modulus)
         oracle: dict[int, int] = {}
         for selector, doc_ids, impacts in payload:
@@ -122,7 +124,7 @@ class TestShardedServerProperties:
         payload = server._payload(query, server._pin())
         shards = _draw_shards(data, payload)
         partials = [
-            parallel.accumulate_terms(shard, benaloh_keypair.public.n)[0]
+            parallel.accumulate_terms(shard, benaloh_keypair.public.n)[0].encrypted_scores
             for shard in shards
         ]
         merged, _ = parallel.merge_shard_results(partials, benaloh_keypair.public.n)

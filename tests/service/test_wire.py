@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import random
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import parallel
 from repro.core.coordinator import ShardResponse
 from repro.core.embellish import EmbellishedQuery
+from repro.core.parallel import COUNTER_FIELDS
 from repro.core.server import EncryptedResult, ServerCounters
 from repro.crypto import kernels
 from repro.crypto.benaloh import BenalohPublicKey
@@ -134,6 +138,15 @@ class TestCounters:
 
         assert set(encoded) == {spec.name for spec in fields(counters)}
 
+    def test_counters_round_trip_unchanged(self):
+        counters = ServerCounters(**{name: 3 * i + 1 for i, name in enumerate(COUNTER_FIELDS)})
+        assert COUNTER_FIELDS == tuple(spec.name for spec in dataclasses.fields(counters))
+        assert wire.decode_counters(through_json(encode_counters(counters))) == counters
+        doubled = ServerCounters.total([counters, counters])
+        assert doubled == ServerCounters(
+            **{name: 2 * getattr(counters, name) for name in COUNTER_FIELDS}
+        )
+
     def test_negative_and_boolean_counts_are_wire_errors(self):
         assert wire.decode_counters({}) == ServerCounters()
         for value in (-5, True, False, 1.0, "3"):
@@ -190,6 +203,65 @@ def documents(draw):
     ]
     score_map = st.dictionaries(st.integers(0, 2**32 - 1), ciphertext, max_size=5)
     return modulus, queries, draw(st.lists(score_map, min_size=1, max_size=3))
+
+
+@st.composite
+def kernel_payloads(draw):
+    """A 127- to 1024-bit modulus (W below, at and above 8 x its limbs) and a
+    payload: repeated documents, impact 0, empty terms, impacts that pick
+    every plan strategy."""
+    bits = draw(st.sampled_from([127, 128, 129, 1000, 1024]))
+    modulus = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
+    doc_id = st.one_of(st.integers(0, 30), st.integers(2**32 - 2, 2**32 - 1))
+    payload = []
+    for _ in range(draw(st.integers(0, 5))):
+        count = draw(st.integers(0, 8))
+        top = draw(st.sampled_from([6, 40, 2000]))
+        impacts = sorted((draw(st.integers(0, top)) for _ in range(count)), reverse=True)
+        doc_ids = [draw(doc_id) for _ in range(count)]
+        selector = draw(st.integers(0, modulus - 1))
+        payload.append((selector, array("I", doc_ids), array("I", impacts)))
+    return modulus, payload
+
+
+class TestKernelRows:
+    """A result that keeps the compiled kernel's rows goes out in the bytes
+    the oracle loop's dict is packed into."""
+
+    @pytest.mark.parametrize("backend", ["python", "cffi"])
+    @given(case=kernel_payloads())
+    @settings(max_examples=80, deadline=None)
+    def test_frames_are_byte_identical_to_the_oracle_dicts(self, backend, case):
+        if backend == "cffi" and kernels.resolve_backend()[0] != "cffi":
+            pytest.skip("compiled kernel unavailable")
+        modulus, payload = case
+        oracle: dict[int, int] = {}
+        for selector, doc_ids, impacts in payload:
+            for doc, impact in zip(doc_ids, impacts):
+                power = pow(selector, impact, modulus)
+                oracle[doc] = oracle[doc] * power % modulus if doc in oracle else power
+        result, counters = parallel.accumulate_terms(payload, modulus, backend)
+        assert (result.rows is not None) == (backend == "cffi")
+        record = {"kind": "result", "index": 0, "counters": encode_counters(counters)}
+
+        def frames(answer):
+            return (
+                wire.encode_result_frame(record, answer),
+                wire.encode_shard_response_frame(2, modulus, [answer], [counters]),
+            )
+
+        assert len(result) == len(oracle)
+        assert frames(result) == frames(EncryptedResult(dict(oracle), modulus))
+        assert frames(result)[1] == wire.encode_shard_response_frame(
+            2, modulus, [oracle], [counters]
+        )
+        scores = result.encrypted_scores
+        assert list(scores.items()) == list(oracle.items())
+        if oracle:  # the dict is the result now: an edit reaches the frames
+            doc = next(iter(oracle))
+            scores[doc] = oracle[doc] = oracle[doc] % (modulus - 1) + 1
+            assert result.encrypted_scores is scores
+            assert frames(result) == frames(EncryptedResult(oracle, modulus))
 
 
 class TestFrames:
