@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.embellish import QueryEmbellisher
 from repro.core.sequencing import sequence_dictionary
-from repro.core.server import EncryptedResult, PrivateRetrievalServer
+from repro.core.server import PrivateRetrievalServer
 from repro.core.workloads import QueryWorkloadGenerator
 from repro.crypto.benaloh import generate_keypair
 from repro.crypto.pir import PIRClient, PIRDatabase, PIRServer
@@ -227,7 +227,7 @@ def test_bench_ordered_read_after_update(benchmark, updated_index):
 def pinned_batch(context):
     """``batch_single_node``'s shape: a 1024-bit key, bucket size 4 over the
     sorted dictionary, four 3-term queries per batch on one pinned snapshot,
-    and each query's result frame from the ``naive=True`` answer's dict."""
+    and each query's result frame from the ``naive=True`` answer."""
     keypair = generate_keypair(key_bits=1024, block_size=3**9, rng=random.Random(44))
     view = context.index.snapshot()
     organization = chunked_organization(context.index, 4)
@@ -238,10 +238,7 @@ def pinned_batch(context):
     batch = [embellisher.embellish(generator.frequency_weighted_query(3)) for _ in range(4)]
     kwargs = dict(index=view, organization=organization, public_key=keypair.public)
     naive = PrivateRetrievalServer(naive=True, **kwargs).process_batch(batch)
-    want = [
-        _result_frame(i, EncryptedResult(dict(result.encrypted_scores), keypair.public.n))
-        for i, result in enumerate(naive)
-    ]
+    want = [_result_frame(i, result) for i, result in enumerate(naive)]
     return PrivateRetrievalServer(**kwargs), batch, want
 
 

@@ -20,13 +20,9 @@ from repro.core.buckets import BucketOrganization
 from repro.core.costs import CostModel, CostReport
 from repro.core.embellish import EmbellishedQuery, QueryEmbellisher
 from repro.core.postfilter import PostFilterCounters, post_filter
-from repro.core.server import (
-    EncryptedResult,
-    PrivateRetrievalServer,
-    io_charge,
-    power_table_strategy,
-)
+from repro.core.server import EncryptedResult, PrivateRetrievalServer, io_charge
 from repro.core.session import QuerySession
+from repro.crypto import kernels
 from repro.crypto.benaloh import BenalohKeyPair, generate_keypair
 from repro.textsearch.engine import SearchResult
 from repro.textsearch.inverted_index import InvertedIndex
@@ -219,10 +215,10 @@ class PrivateSearchSystem:
 
         The counts are exact: the embellished query is determined by the
         bucket organisation alone, and the server-side op mix (per-posting
-        exponentiations on the naive path; the power-table ladder /
-        per-distinct-impact split on the fast path) is a deterministic
-        function of each embellished term's quantised-impact list, which the
-        estimator replays without touching a ciphertext.
+        exponentiations on the naive path; each term's power-table plan on
+        the fast path) is a deterministic function of each embellished
+        term's quantised-impact list, which the estimator replays without
+        touching a ciphertext.
         """
         genuine = [t for t in dict.fromkeys(genuine_terms)]
         buckets = self.organization.buckets_for_query(genuine)
@@ -246,9 +242,7 @@ class PrivateSearchSystem:
             if naive:
                 exponentiations += len(doc_ids)
             else:
-                distinct = sorted(set(impacts))
-                _, cost = power_table_strategy(distinct, distinct[-1])
-                table_multiplications += cost
+                table_multiplications += len(kernels.column_plan(impacts).ops)
 
         key_bytes = (self.key_bits + 7) // 8
         upstream = len(embellished_terms) * (8 + key_bytes)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.core import parallel
@@ -116,11 +116,10 @@ class ShardEpochSkewError(RuntimeError):
 class ShardResponse:
     """One shard replica's answer to a scattered sub-batch.
 
-    ``partials[q]`` is query ``q``'s partial over this shard's terms -- an
-    :class:`~repro.core.server.EncryptedResult` as the shard answered it
-    (:func:`shard_partials`), a ``doc_id -> ciphertext`` map as a transport
-    delivers it; ``counters[q]`` the shard-side operation counters for that
-    query.  ``epoch`` stamps the data
+    ``partials[q]`` is query ``q``'s partial over this shard's terms, as an
+    :class:`~repro.core.server.EncryptedResult` from every backend;
+    ``counters[q]`` the shard-side operation counters for that query.
+    ``epoch`` stamps the data
     version the replica served from and ``modulus`` tags which public key the
     partials were accumulated under -- the coordinator verifies both before
     any partial reaches the merge.
@@ -128,7 +127,7 @@ class ShardResponse:
 
     epoch: int
     modulus: int
-    partials: tuple[EncryptedResult | dict[int, int], ...]
+    partials: tuple[EncryptedResult, ...]
     counters: tuple[ServerCounters, ...]
 
 
@@ -188,10 +187,7 @@ class LocalShardBackend:
             EmbellishedQuery(terms=tuple(terms), encrypted_selectors=tuple(selectors))
             for terms, selectors in subqueries
         ]
-        response = shard_partials(self.server, queries, self.epoch)
-        # Delivered as the HTTP backend delivers them: score maps.
-        scores = tuple(result.encrypted_scores for result in response.partials)
-        return replace(response, partials=scores)
+        return shard_partials(self.server, queries, self.epoch)
 
     def close(self) -> None:
         self.server.close()
@@ -375,7 +371,7 @@ class QueryCoordinator:
         # processes each accumulate 1/N of the postings at the same time.
         # Results are applied in sorted shard order, so partials arrive in a
         # deterministic sequence and the merge stays reproducible.
-        partials: list[list[dict[int, int]]] = [[] for _ in queries]
+        partials: list[list[EncryptedResult]] = [[] for _ in queries]
         shard_counters: list[list[ServerCounters]] = [[] for _ in queries]
         degraded: set[int] = set()
         gather_retries = 0
@@ -429,7 +425,7 @@ class QueryCoordinator:
                 per_query.tasks_retried += gather_retries
             if position in degraded:
                 per_query.degraded_queries += 1
-            yield EncryptedResult(merged, modulus), per_query
+            yield merged, per_query
 
     # -- gather ------------------------------------------------------------------
     def _gather_shard(

@@ -12,16 +12,19 @@ This module holds what every placement of that work shares:
   implementation of the power-table fast path, executed in-process and by
   every index shard -- so "placed equals sequential" reduces to "modular
   multiplication is associative";
-* the **result type** (:class:`EncryptedResult`): the kernel's wire rows,
-  decoded to a score dict only for a caller that reads one;
+* the **result type** (:class:`EncryptedResult`), stored in one form, the
+  frame body -- the compiled kernel writes it, every other producer packs
+  its score map into it once -- and decoded to a score dict, memoised, only
+  for a caller that reads one;
 * the **counter type** (:class:`ServerCounters`): the kernel returns one
   query's counts in the same object the server and the coordinator complete
   and yield beside the query's result;
-* **merging** (:func:`merge_shard_results`), one modular multiplication per
-  document that appears in more than one partial.  Within-partial plus merge
-  multiplications always total exactly the sequential fast path's count
-  (``postings - distinct candidates``), so the cost model is unchanged by
-  placement -- only where the multiplications happen moves.  Its one caller
+* **merging** (:func:`merge_shard_results`) of per-shard results, one
+  modular multiplication per document that appears in more than one
+  partial.  Within-partial plus merge multiplications always total exactly
+  the sequential fast path's count (``postings - distinct candidates``), so
+  the cost model is unchanged by placement -- only where the
+  multiplications happen moves.  Its one caller
   is the shard coordinator (:mod:`repro.core.coordinator`): partials exist
   only where a query's terms live in different processes;
 * the **pending handle** (:class:`PendingResult`) every dispatch returns: one
@@ -40,15 +43,12 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from repro.crypto import kernels, numbertheory
-from repro.crypto.kernels import build_power_table, power_table_strategy
 
 __all__ = [
     "EncryptedResult",
     "ServerCounters",
     "TermPayload",
     "PendingResult",
-    "power_table_strategy",
-    "build_power_table",
     "accumulate_terms",
     "merge_shard_results",
 ]
@@ -115,43 +115,72 @@ COUNTER_FIELDS: tuple[str, ...] = tuple(spec.name for spec in fields(ServerCount
 class EncryptedResult:
     """The candidate result set ``R``: document ids with encrypted relevance scores.
 
-    The compiled kernel's answer keeps its wire ``rows`` -- ``count`` u32
-    big-endian document ids, then ``count`` big-endian ciphertexts at
-    ``W = ceil(bits(n) / 8)`` bytes, in candidate order: the body a frame
-    carries, with no python int per candidate.  Any other result holds its
-    score dict (``rows`` is ``None``).  :attr:`encrypted_scores` is a plain,
-    mutable dict either way: decoded on first read and cached, the rows then
-    dropped, so an edit to it reaches every later encoding.
+    Stored in one form, its wire ``rows``: ``count`` u32 big-endian document
+    ids, then ``count`` big-endian ciphertexts of
+    :func:`~repro.crypto.kernels.ciphertext_width` bytes, in candidate order
+    -- the body a frame carries, at the paper's ``4 + ceil(KeyLen/8)`` bytes
+    per candidate.  Built from a score map (packed once, here), from the
+    compiled kernel's rows (:meth:`from_rows`) or from a received body
+    (:meth:`parse`).  Every encoder, framed or JSON, sends the rows.
+    :attr:`encrypted_scores` is the decoded map, memoised: a plain dict,
+    which ``==``, ``repr``, iteration and :func:`merge_shard_results` read;
+    an edit to it changes neither ``rows`` nor any encoding.
     """
 
     __slots__ = ("modulus", "rows", "_scores")
 
-    def __init__(
-        self, encrypted_scores: dict[int, int] | None, modulus: int, rows: bytes | None = None
-    ) -> None:
-        self._scores = encrypted_scores
+    def __init__(self, encrypted_scores: dict[int, int], modulus: int) -> None:
+        try:
+            ids = struct.pack(f">{len(encrypted_scores)}I", *encrypted_scores)
+            values = kernels.pack_ciphertexts(encrypted_scores.values(), modulus)
+        except (struct.error, ValueError) as exc:
+            raise ValueError(f"a score map no frame can carry: {exc}") from exc
+        self.rows = ids + values
         self.modulus = modulus
-        self.rows = rows
+        self._scores = encrypted_scores
+
+    @classmethod
+    def from_rows(cls, rows: bytes, modulus: int) -> "EncryptedResult":
+        """The result whose wire rows are ``rows``, taken as they are."""
+        result = cls.__new__(cls)
+        result.rows, result.modulus, result._scores = rows, modulus, None
+        return result
+
+    @classmethod
+    def parse(cls, body: bytes, count: int, modulus: int) -> "EncryptedResult":
+        """The result a received body of ``count`` candidates carries.
+
+        ``ValueError`` unless the length is exact, every ciphertext lies in
+        ``[1, modulus)`` and no document id appears twice; the decoded map
+        is memoised, so the receiver decodes the body once.
+        """
+        width = kernels.ciphertext_width(modulus)
+        if len(body) != count * (4 + width):
+            raise ValueError(f"body is {len(body)} bytes, expected {count} x (4 + {width})")
+        result = cls.from_rows(bytes(body), modulus)
+        ids, values = result.columns()
+        kernels.check_ciphertexts(values, modulus)
+        result._scores = dict(zip(ids, values))
+        if len(result._scores) != count:
+            raise ValueError("names a document id twice")
+        return result
 
     @property
     def encrypted_scores(self) -> dict[int, int]:
         """``{doc id: ciphertext}`` in candidate order."""
         if self._scores is None:
-            rows, width, count = self.rows, self._width(), len(self)
-            ids = struct.unpack_from(f">{count}I", rows)
-            cuts = range(4 * count, len(rows), width)
-            values = [int.from_bytes(rows[i : i + width], "big") for i in cuts]
-            self._scores = dict(zip(ids, values))
-            self.rows = None
+            self._scores = dict(zip(*self.columns()))
         return self._scores
 
-    def _width(self) -> int:
-        return (self.modulus.bit_length() + 7) // 8
+    def columns(self) -> tuple[tuple[int, ...], list[int]]:
+        """The rows decoded: the document ids, then the ciphertexts."""
+        count = len(self)
+        return struct.unpack_from(f">{count}I", self.rows), kernels.unpack_ciphertexts(
+            self.rows, self.modulus, 4 * count
+        )
 
     def __len__(self) -> int:
-        if self._scores is None:
-            return len(self.rows) // (4 + self._width())
-        return len(self._scores)
+        return len(self.rows) // (4 + kernels.ciphertext_width(self.modulus))
 
     def __iter__(self):
         return iter(self.encrypted_scores.items())
@@ -166,7 +195,7 @@ class EncryptedResult:
 
     def downstream_bytes(self) -> int:
         """Size on the wire: a 4-byte document id + a ciphertext per candidate."""
-        return len(self) * (4 + self._width())
+        return len(self.rows)
 
 
 def accumulate_terms(
@@ -182,9 +211,9 @@ def accumulate_terms(
     ``cffi`` backend hands whole payloads to the one-call Montgomery-form C
     kernel in :mod:`repro.crypto.kernels`, falling back to the loop (and
     booking the reason there) whenever a payload leaves the kernel's
-    envelope.  The kernel's result holds its wire rows, the loop's its score
-    dict: the same candidates in the same order with identical values, and
-    identical counters.
+    envelope.  The kernel hands back the result's rows as it wrote them, the
+    loop packs its score dict into the same bytes, and the counters are
+    identical.
 
     ``backend`` pins the arithmetic for this one call (the bit-identity
     suites pin ``"python"`` as the oracle); ``None`` reads the process's
@@ -197,7 +226,7 @@ def accumulate_terms(
         fast = kernels.accumulate_compiled(payload, modulus)
         if fast is not None:
             rows, postings, table_mults, accumulator_mults = fast
-            return EncryptedResult(None, modulus, rows), ServerCounters(
+            return EncryptedResult.from_rows(rows, modulus), ServerCounters(
                 postings_processed=postings,
                 modular_multiplications=accumulator_mults,
                 table_multiplications=table_mults,
@@ -209,7 +238,7 @@ def accumulate_terms(
     for selector, doc_ids, impacts in payload:
         if not len(doc_ids):
             continue
-        table, table_mults = build_power_table(selector, impacts, modulus)
+        table, table_mults = kernels.build_power_table(selector, impacts, modulus)
         counts.table_multiplications += table_mults
         counts.postings_processed += len(doc_ids)
         # One table lookup + at most one accumulator multiplication per
@@ -228,9 +257,9 @@ def accumulate_terms(
 
 
 def merge_shard_results(
-    partials: Sequence[dict[int, int]], modulus: int
-) -> tuple[dict[int, int], int]:
-    """Merge per-shard accumulators by modular multiplication.
+    partials: Sequence[EncryptedResult], modulus: int
+) -> tuple[EncryptedResult, int]:
+    """Merge per-shard results by modular multiplication.
 
     A document that accumulated contributions in ``k`` shards costs ``k - 1``
     merge multiplications; summed with the within-shard multiplications this
@@ -240,14 +269,14 @@ def merge_shard_results(
     merged: dict[int, int] = {}
     merge_multiplications = 0
     for partial in partials:
-        for doc_id, value in partial.items():
+        for doc_id, value in partial.encrypted_scores.items():
             existing = merged.get(doc_id)
             if existing is None:
                 merged[doc_id] = value
             else:
                 merged[doc_id] = existing * value % modulus
                 merge_multiplications += 1
-    return merged, merge_multiplications
+    return EncryptedResult(merged, modulus), merge_multiplications
 
 
 class PendingResult:

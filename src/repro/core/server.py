@@ -46,7 +46,7 @@ from repro.core import parallel
 from repro.core.buckets import BucketOrganization
 from repro.core.embellish import EmbellishedQuery
 from repro.core.engine import ExecutionEngine
-from repro.core.parallel import EncryptedResult, ServerCounters, power_table_strategy
+from repro.core.parallel import EncryptedResult, ServerCounters
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.textsearch.inverted_index import InvertedIndex
 
@@ -55,7 +55,6 @@ __all__ = [
     "ServerCounters",
     "PrivateRetrievalServer",
     "io_charge",
-    "power_table_strategy",
 ]
 
 

@@ -6,17 +6,17 @@ on the client zero-pool replenishment and decryption's per-candidate
 exponentiation in :mod:`repro.crypto.benaloh`.  This module attacks the
 constant factor of those inner loops with three cooperating pieces:
 
-**Power-table plans.**  :func:`power_table_strategy` picks the cheapest way
-to build ``{p: E(u)^p}`` for one list's distinct quantised impacts -- the
-incremental *ladder*, the square-and-assemble *binary* method, or a
-fixed-base *windowed* (2^w-ary) method that squares to the base powers
-``E(u)^(2^(w*k))``, ladders each base up to the largest base-2^w digit that
-position needs, and assembles every distinct power from its non-zero digits.
-:func:`power_table_plan` lowers the chosen strategy to a tiny multiplication
-program (an op list ``slot[dst] = slot[src1] * slot[src2]``) whose length
-*is* the strategy's predicted cost, so the analytic estimators, the pure
-python builder and the compiled builder count ``table_multiplications``
-identically by construction.
+**Power-table plans.**  :func:`power_table_plan` lowers the build of
+``{p: E(u)^p}`` for one list's distinct quantised impacts to a tiny
+multiplication program (an op list ``slot[dst] = slot[src1] * slot[src2]``).
+There is one builder, the fixed-base 2^w-ary method: square to the base
+powers ``E(u)^(2^(w*k))``, ladder each base up to the largest base-2^w digit
+that position needs, and assemble every distinct power from its non-zero
+digits.  The width ``w`` is the cheapest by :func:`_windowed_cost`: at
+``w = bits(max)`` the program is the incremental ladder, at ``w = 1`` the
+square-and-assemble binary method.  The program's length is
+``table_multiplications``, so the analytic estimators, the pure python
+builder and the compiled builder count it identically by construction.
 
 **One-call Montgomery accumulation.**  :func:`accumulate_compiled` is a
 marshalling shim around one C entry point per payload: python hands over the
@@ -26,9 +26,12 @@ held weakly) packed into one buffer; C converts selectors to Montgomery
 form, runs every program, finds each candidate's first posting in an
 open-addressing table and folds the rest -- every multiplication a
 reduction-free CIOS Montgomery multiply -- and writes the answer in wire
-form: u32 big-endian ids, then big-endian ``ceil(bits(n) / 8)``-byte
-ciphertexts, in first-occurrence order -- the body the frame codec sends,
-with no python int per candidate.  Montgomery conversion is a bijection on
+form: u32 big-endian ids, then big-endian :func:`ciphertext_width`-byte
+ciphertexts, in first-occurrence order -- the rows an
+:class:`~repro.core.parallel.EncryptedResult` stores and a frame carries,
+with no python int per candidate (:func:`pack_ciphertexts` and
+:func:`unpack_ciphertexts` are the ciphertext column's one python codec,
+for rows and selectors alike).  Montgomery conversion is a bijection on
 ``Z_n`` and every intermediate is kept canonical (``< n``), so residues, row
 order and operation counters are bit-identical to the pure-python oracle
 loop.  All scratch is per call: cffi releases the GIL, and one process may
@@ -71,7 +74,10 @@ from repro.crypto import numbertheory
 
 __all__ = [
     "HAVE_CFFI",
-    "power_table_strategy",
+    "ciphertext_width",
+    "pack_ciphertexts",
+    "unpack_ciphertexts",
+    "check_ciphertexts",
     "power_table_plan",
     "build_power_table",
     "column_plan",
@@ -86,56 +92,54 @@ __all__ = [
 HAVE_CFFI = importlib.util.find_spec("cffi") is not None
 
 
-# -- strategy selection -------------------------------------------------------------
-#
-# The strategy function is the single source of truth for which table build
-# the kernel performs *and* what the analytic cost estimators predict: the
-# plan builder below asserts that the op program it emits has exactly the
-# length this function returns.
+def ciphertext_width(modulus: int) -> int:
+    """``W = ceil(bits(n) / 8)``: the bytes of one ciphertext on the wire --
+    in a result's rows and in a frame's selectors."""
+    return (modulus.bit_length() + 7) // 8
 
 
-def power_table_strategy(distinct_impacts, max_impact: int) -> tuple[str, int]:
-    """Pick the cheapest power-table build strategy and its multiplication count.
+def pack_ciphertexts(values, modulus: int) -> bytes:
+    """``values`` as big-endian :func:`ciphertext_width`-byte integers, in
+    order; ``ValueError`` for a value that does not fit (or is negative)."""
+    width = ciphertext_width(modulus)
+    try:
+        return b"".join([value.to_bytes(width, "big") for value in values])
+    except OverflowError as exc:
+        raise ValueError(f"ciphertext does not fit {width} bytes: {exc}") from exc
 
-    ``"ladder"`` multiplies ``E(u)`` into itself ``max_impact - 1`` times and
-    reads every distinct power off the way up -- best when the distinct
-    impacts densely cover ``1..max_impact``.  ``"binary"`` squares its way to
-    ``E(u)^(2^k)`` and assembles each distinct power from its set bits -- best
-    when the distinct impacts are sparse in a wide range.  ``"windowed{w}"``
-    (w >= 2) generalises binary to base-2^w digits: ``(bitlen-1)//w * w``
-    squarings to reach each base power ``E(u)^(2^(w*k))``, a per-position
-    ladder up to the largest digit that position needs, then ``nnz - 1``
-    assembly multiplications per distinct power; with ``w = 1`` its cost
-    formula degenerates to exactly the binary count.  All strategies use only
-    modular multiplications and are deterministic functions of the list's
-    distinct quantised impacts, so the analytic cost estimator replays the
-    choice (and the exact count) without touching a ciphertext.  Ties keep
-    the lower-indexed strategy (ladder, then binary), preserving the historic
-    choice wherever windowing does not strictly win.
-    """
-    # E(u)^0 = 1 costs nothing; only positive impacts need table work.
-    # (Indexes built by InvertedIndex.build never contain zero impacts, but
-    # hand-built postings may.)
-    positive = [p for p in distinct_impacts if p]
-    if not positive:
-        return "ladder", 0
-    ladder = max(0, max_impact - 1)
-    binary = (max_impact.bit_length() - 1) + sum(p.bit_count() - 1 for p in positive)
-    if ladder <= binary:
-        name, best = "ladder", ladder
-    else:
-        name, best = "binary", binary
-    w = 2
-    while (1 << w) < max_impact:
-        cost = _windowed_cost(positive, max_impact, w)
-        if cost < best:
-            name, best = f"windowed{w}", cost
-        w += 1
-    return name, best
+
+def unpack_ciphertexts(body, modulus: int, start: int = 0) -> list[int]:
+    """Every :func:`ciphertext_width`-byte big-endian integer of ``body`` from
+    ``start`` on (a whole number of them: callers check the length)."""
+    width = ciphertext_width(modulus)
+    from_bytes = int.from_bytes
+    return [from_bytes(body[i : i + width], "big") for i in range(start, len(body), width)]
+
+
+def check_ciphertexts(values: list[int], modulus: int) -> None:
+    """``ValueError`` unless every received ciphertext lies in ``[1, modulus)``:
+    anything else was never produced under the session key."""
+    if values and not (min(values) >= 1 and max(values) < modulus):
+        bad = next(value for value in values if not 1 <= value < modulus)
+        raise ValueError(
+            f"ciphertext {bad:x} outside the session modulus "
+            f"(expected 1 <= value < {modulus:x})"
+        )
+
+
+# -- power-table plans --------------------------------------------------------------
 
 
 def _windowed_cost(positive: Sequence[int], max_impact: int, w: int) -> int:
-    """Multiplications the 2^w-ary table build costs for these impacts."""
+    """Multiplications the 2^w-ary table build costs for these impacts.
+
+    ``(bitlen-1)//w * w`` squarings reach each base power
+    ``E(u)^(2^(w*k))``, a per-position ladder climbs each base up to the
+    largest digit that position needs, then every distinct power costs
+    ``nnz - 1`` assembly multiplications.  ``w = 1`` is the binary method;
+    ``w = bits(max_impact)`` has one position and is the plain ladder,
+    ``max_impact - 1`` multiplications.
+    """
     base_positions = (max_impact.bit_length() - 1) // w
     cost = base_positions * w  # squarings up to E(u)^(2^(w*k))
     digit_mask = (1 << w) - 1
@@ -153,11 +157,8 @@ def _windowed_cost(positive: Sequence[int], max_impact: int, w: int) -> int:
             position += 1
         cost += nonzero - 1  # assembly of this power from its digit powers
     # Per-position ladder from base_k^1 up to the largest digit needed there.
-    cost += sum(digit - 1 for digit in max_digit.values() if digit > 1)
+    cost += sum(digit - 1 for digit in max_digit.values())
     return cost
-
-
-# -- power-table plans --------------------------------------------------------------
 
 
 class PowerPlan:
@@ -166,17 +167,16 @@ class PowerPlan:
     Slot 0 holds the constant 1 (``E(u)^0``), slot 1 the selector itself
     (``E(u)^1``, stored unreduced exactly as the historic builder did), and
     op ``i`` writes slot ``2 + i`` with ``slot[src1] * slot[src2] mod n``.
-    ``slot_of`` maps each distinct impact to the slot holding its power.
-    ``len(ops)`` equals :func:`power_table_strategy`'s predicted cost by
-    construction -- asserted at build time -- which is what keeps
-    ``table_multiplications`` identical across the python and compiled
-    execution paths.
+    ``slot_of`` maps each distinct impact to the slot holding its power, and
+    ``w`` is the digit width the program was built at.  ``len(ops)`` is
+    ``table_multiplications`` for one list on every path: the python
+    builder, the compiled kernel and the analytic estimators all read it.
     """
 
-    __slots__ = ("strategy", "ops", "slot_of", "nslots", "max_impact", "_packed")
+    __slots__ = ("w", "ops", "slot_of", "nslots", "max_impact", "_packed")
 
-    def __init__(self, strategy: str, ops, slot_of) -> None:
-        self.strategy = strategy
+    def __init__(self, w: int, ops, slot_of) -> None:
+        self.w = w
         self.ops = ops
         self.slot_of = slot_of
         self.nslots = 2 + len(ops)
@@ -205,85 +205,74 @@ class PowerPlan:
 def power_table_plan(distinct: tuple[int, ...]) -> PowerPlan:
     """The multiplication program for one sorted tuple of distinct impacts.
 
-    Payloads repeat distinct-impact sets heavily (quantised impacts take few
-    values), so plans are memoised on the tuple; the cache is shared by the
-    python and compiled builders.
+    The digit width ``w`` is the cheapest by :func:`_windowed_cost` among
+    ``bits(max)`` (the ladder), 1 (the binary method) and every ``w >= 2``
+    with ``2^w < max``; a tie keeps the earlier width.  The plan is a
+    deterministic function of the distinct impacts, so an estimator replays
+    it without touching a ciphertext.  Payloads repeat distinct-impact sets
+    heavily (quantised impacts take few values), so plans are memoised on
+    the tuple; the cache is shared by the python and compiled builders.
     """
     ops: list[tuple[int, int]] = []
-    slot_of: dict[int, int] = {}
-    if not distinct:
-        return PowerPlan("ladder", ops, slot_of)
-    if distinct[0] == 0:
-        slot_of[0] = 0
-        distinct = distinct[1:]
-        if not distinct:
-            return PowerPlan("ladder", ops, slot_of)
-    max_impact = distinct[-1]
-    strategy, expected = power_table_strategy(distinct, max_impact)
+    # E(u)^0 = 1 costs nothing; only positive impacts need table work.
+    # (Indexes built by InvertedIndex.build never contain zero impacts, but
+    # hand-built postings may.)
+    slot_of = {0: 0} if distinct[:1] == (0,) else {}
+    positive = distinct[len(slot_of):]
+    if not positive:
+        return PowerPlan(0, ops, slot_of)
+    max_impact = positive[-1]
+    widths = [max_impact.bit_length(), 1]
+    widths += [w for w in range(2, max_impact.bit_length()) if (1 << w) < max_impact]
+    width = min(widths, key=lambda w: _windowed_cost(positive, max_impact, w))
 
     def emit(src1: int, src2: int) -> int:
         ops.append((src1, src2))
         return 1 + len(ops)  # the op's destination slot (2 + index)
 
-    if strategy == "ladder":
-        wanted = set(distinct)
-        if 1 in wanted:
-            slot_of[1] = 1
-        slot = 1
-        for exponent in range(2, max_impact + 1):
-            slot = emit(slot, 1)
-            if exponent in wanted:
-                slot_of[exponent] = slot
-    else:
-        width = 1 if strategy == "binary" else int(strategy[len("windowed"):])
-        digit_mask = (1 << width) - 1
-        base_positions = (max_impact.bit_length() - 1) // width
-        # Base powers E(u)^(2^(w*k)): w squarings per step.
-        base_slots = [1]
-        for _ in range(base_positions):
-            slot = base_slots[-1]
-            for _ in range(width):
-                slot = emit(slot, slot)
-            base_slots.append(slot)
-        # Digits of every distinct power, and each position's largest digit.
-        digits_of: dict[int, list[tuple[int, int]]] = {}
-        max_digit: dict[int, int] = {}
-        for exponent in distinct:
-            position = 0
-            remaining = exponent
-            digits: list[tuple[int, int]] = []
-            while remaining:
-                digit = remaining & digit_mask
-                if digit:
-                    digits.append((position, digit))
-                    if digit > max_digit.get(position, 0):
-                        max_digit[position] = digit
-                remaining >>= width
-                position += 1
-            digits_of[exponent] = digits
-        # Per-position ladders base_k^d for d up to that position's max digit.
-        digit_slots: dict[int, dict[int, int]] = {}
-        for position in sorted(max_digit):
-            base = base_slots[position]
-            slots = {1: base}
-            slot = base
-            for digit in range(2, max_digit[position] + 1):
-                slot = emit(slot, base)
-                slots[digit] = slot
-            digit_slots[position] = slots
-        # Assemble each distinct power from its non-zero digit powers.
-        for exponent in distinct:
-            parts = [digit_slots[position][digit] for position, digit in digits_of[exponent]]
-            slot = parts[0]
-            for part in parts[1:]:
-                slot = emit(slot, part)
-            slot_of[exponent] = slot
-    if len(ops) != expected:  # pragma: no cover - structural invariant
-        raise AssertionError(
-            f"plan for {distinct} emitted {len(ops)} ops, strategy "
-            f"{strategy!r} predicted {expected}"
-        )
-    return PowerPlan(strategy, ops, slot_of)
+    digit_mask = (1 << width) - 1
+    base_positions = (max_impact.bit_length() - 1) // width
+    # Base powers E(u)^(2^(w*k)): w squarings per step.
+    base_slots = [1]
+    for _ in range(base_positions):
+        slot = base_slots[-1]
+        for _ in range(width):
+            slot = emit(slot, slot)
+        base_slots.append(slot)
+    # Digits of every distinct power, and each position's largest digit.
+    digits_of: dict[int, list[tuple[int, int]]] = {}
+    max_digit: dict[int, int] = {}
+    for exponent in positive:
+        position = 0
+        remaining = exponent
+        digits: list[tuple[int, int]] = []
+        while remaining:
+            digit = remaining & digit_mask
+            if digit:
+                digits.append((position, digit))
+                if digit > max_digit.get(position, 0):
+                    max_digit[position] = digit
+            remaining >>= width
+            position += 1
+        digits_of[exponent] = digits
+    # Per-position ladders base_k^d for d up to that position's max digit.
+    digit_slots: dict[int, dict[int, int]] = {}
+    for position in sorted(max_digit):
+        base = base_slots[position]
+        slots = {1: base}
+        slot = base
+        for digit in range(2, max_digit[position] + 1):
+            slot = emit(slot, base)
+            slots[digit] = slot
+        digit_slots[position] = slots
+    # Assemble each distinct power from its non-zero digit powers.
+    for exponent in positive:
+        parts = [digit_slots[position][digit] for position, digit in digits_of[exponent]]
+        slot = parts[0]
+        for part in parts[1:]:
+            slot = emit(slot, part)
+        slot_of[exponent] = slot
+    return PowerPlan(width, ops, slot_of)
 
 
 #: ``id(column) -> (weakref to the column, its plan)``: an entry dies with
@@ -929,7 +918,7 @@ def _self_test(ffi, lib) -> None:
                     f"compiled Montgomery reduction self-test failed at {bits} bits"
                 )
         # The whole-payload entry point against Algorithm 4's loop: repeated
-        # and fresh documents, an impact-0 posting, every plan strategy.
+        # and fresh documents, an impact-0 posting, every plan width.
         payload = [
             (rng.randrange(modulus), array("I", doc_ids), array("I", impacts))
             for doc_ids, impacts in (
@@ -942,8 +931,8 @@ def _self_test(ffi, lib) -> None:
         for selector, doc_ids, impacts in payload:
             for doc_id, impact in zip(doc_ids, impacts):
                 want[doc_id] = want.get(doc_id, 1) * pow(selector, impact, modulus) % modulus
-        body = b"".join(doc.to_bytes(4, "big") for doc in want) + b"".join(
-            value.to_bytes((bits + 7) // 8, "big") for value in want.values()
+        body = b"".join(doc.to_bytes(4, "big") for doc in want) + pack_ciphertexts(
+            want.values(), modulus
         )
         got = _accumulate(ffi, lib, payload, modulus)
         if got is None or got[0] != body or _accumulate(ffi, lib, [], modulus)[0] != b"":
@@ -1110,7 +1099,7 @@ def _bytes_to_ints(raw, width: int) -> list[int]:
 
 
 #: Envelope ceilings; payloads beyond them fall back to the oracle loop.  The
-#: impact cap bounds a plan's slots (no strategy costs more than the ladder's
+#: impact cap bounds a plan's slots (no width costs more than the ladder's
 #: ``max_impact - 1`` ops) and with them the per-call table scratch; the
 #: posting cap keeps row numbers inside 32 bits.
 _MAX_PLAN_IMPACT = 1 << 20
@@ -1208,7 +1197,7 @@ def _accumulate(ffi, lib, payload, modulus: int):
         for kind in (doc_columns, impact_columns, plans)
     ]
     out = bytearray((postings * 4 + 7) // 8 * 8 + postings * width)
-    wire_width = (modulus.bit_length() + 7) // 8
+    wire_width = ciphertext_width(modulus)
     candidates = lib.repro_accumulate(
         len(counts),
         _u64_ptr(ffi, b"".join(selectors)),

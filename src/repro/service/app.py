@@ -739,9 +739,10 @@ class RetrievalService:
         The batch iterator runs on the event loop, one query per step, and
         the loop serves other connections between steps.  A distributed
         session's steps block on shard round trips, so each of those runs on
-        an executor thread.  A client that disconnects mid-stream, or a
-        result no frame can carry, stops the stream but never cancels
-        admitted work: the iterator runs to its end.
+        an executor thread.  A client that disconnects mid-stream stops the
+        stream but never cancels admitted work: the iterator runs to its end.
+        A query whose accumulation raises ends the stream in an ``error``
+        record.
         """
         batch = session.server.iter_batch(queries)
         remote = session.tenant.coordinator_factory is not None
@@ -774,23 +775,16 @@ class RetrievalService:
             batch_totals.add(counters)
             self.metrics.queries_total += 1
             self.metrics.query_time.record(service_s * 1000.0)
-            if writable and failure is None:
+            if writable:
                 record = {
                     "kind": "result",
                     "index": answered - 1,
                     "counters": encode_counters(counters),
                     "ms": round(service_s * 1000.0, 3),
                 }
-                try:
-                    data = encode_result_frame(record, result)
-                except WireError as exc:
-                    # A result a frame cannot carry (a document id past
-                    # 32 bits): the head is out, so this is no 400 -- the
-                    # stream ends in an error record, as on an accumulation
-                    # error, once the batch has run to its end.
-                    failure = exc
-                else:
-                    writable = await self._write_record(writer, data)
+                writable = await self._write_record(
+                    writer, encode_result_frame(record, result)
+                )
             if not remote:
                 await asyncio.sleep(0)  # other connections take their turn
 

@@ -7,11 +7,14 @@ codec: the only body the service's two accumulating routes accept, and what
 ``u32be header_len | u32be body_len | header | body``: the header a UTF-8
 JSON object with everything that is not a ciphertext, the body big-endian
 integers at a fixed width -- ``u32`` document ids, and ciphertexts at
-``W = ceil(bits(n) / 8)`` bytes, where ``n`` is the modulus both ends
-already hold for the session.  ``W`` never travels: a frame cut for another
-key simply has the wrong length.  A compiled-kernel result already is that
-body (:attr:`~repro.core.server.EncryptedResult.rows`) and is sent as it is;
-any other result is packed from its scores into the same bytes.
+``W = ceil(bits(n) / 8)`` bytes (:func:`repro.crypto.kernels.ciphertext_width`),
+where ``n`` is the modulus both ends already hold for the session.  ``W``
+never travels: a frame cut for another key simply has the wrong length.  A
+result's body is its stored form
+(:attr:`~repro.core.parallel.EncryptedResult.rows`): every result is sent as
+it is, and every received one is read by
+:meth:`~repro.core.parallel.EncryptedResult.parse`.  Selectors go through
+the same column codec (:func:`repro.crypto.kernels.pack_ciphertexts`).
 ``docs/architecture.md`` has the layouts.
 
 **hex/JSON** -- the control plane's documents (public key, organisation,
@@ -20,7 +23,8 @@ integers as lowercase hex.  The JSON *data-plane* codec (``encode_query`` /
 ``decode_query``, ``_result``, ``_partial_request``, ``_shard_response``)
 has no route any more: it stays only because ``benchmarks/e2e/layers.py``
 replays it under its per-layer metric names, and goes when that replay moves
-to frames.
+to frames.  It reads and writes the same :class:`EncryptedResult` objects,
+and sends their rows, as a frame does.
 
 Every decoder validates shape -- lengths exact, terms and selectors aligned,
 every ciphertext in ``[1, n)``, no document id twice, no trailing bytes --
@@ -43,8 +47,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.core.buckets import BucketOrganization
 from repro.core.embellish import EmbellishedQuery
-from repro.core.parallel import COUNTER_FIELDS
-from repro.core.server import EncryptedResult, ServerCounters
+from repro.core.parallel import COUNTER_FIELDS, EncryptedResult, ServerCounters
 from repro.crypto import kernels
 from repro.crypto.benaloh import BenalohPublicKey
 
@@ -126,7 +129,7 @@ def encode_query(query: EmbellishedQuery) -> dict:
     }
 
 
-def _check_ciphertext(value: int, modulus: int | None, what: str) -> int:
+def _check_ciphertexts(values: list[int], modulus: int | None, what: str) -> list[int]:
     """Reject ciphertexts outside the session's residue ring.
 
     A Benaloh ciphertext lives in ``Z*_n``: values at or above the modulus
@@ -135,12 +138,12 @@ def _check_ciphertext(value: int, modulus: int | None, what: str) -> int:
     tenant's modulus enforce this, turning a corrupt or mismatched client
     into a 400 instead of garbage ciphertext arithmetic.
     """
-    if modulus is not None and not 1 <= value < modulus:
-        raise WireError(
-            f"{what} {format(value, 'x')} outside the session modulus "
-            f"(expected 1 <= value < {format(modulus, 'x')})"
-        )
-    return value
+    if modulus is not None:
+        try:
+            kernels.check_ciphertexts(values, modulus)
+        except ValueError as exc:
+            raise WireError(f"{what}: {exc}") from exc
+    return values
 
 
 def _query_terms(obj) -> tuple[str, ...]:
@@ -163,38 +166,38 @@ def decode_query(obj, modulus: int | None = None) -> EmbellishedQuery:
     return EmbellishedQuery(
         terms=terms,
         encrypted_selectors=tuple(
-            _check_ciphertext(
-                decode_int(value, "query selector"), modulus, "query selector"
+            _check_ciphertexts(
+                [decode_int(value, "query selector") for value in selectors],
+                modulus,
+                "query selector",
             )
-            for value in selectors
         ),
     )
 
 
 def encode_result(result: EncryptedResult) -> dict:
+    """The JSON form of ``result``'s rows, as a frame would carry them."""
+    ids, values = result.columns()
     return {
         "scores": {
-            str(doc_id): encode_int(ciphertext)
-            for doc_id, ciphertext in result.encrypted_scores.items()
+            str(doc_id): encode_int(ciphertext) for doc_id, ciphertext in zip(ids, values)
         }
     }
 
 
-def _decode_score_map(scores: Mapping, modulus: int, what: str) -> dict[int, int]:
-    """A JSON ``{doc id: hex ciphertext}`` map, every value checked against
-    the ring it must live in and no document answered twice."""
+def _decode_score_map(scores: Mapping, modulus: int, what: str) -> EncryptedResult:
+    """The result a JSON ``{doc id: hex ciphertext}`` map carries, every value
+    checked against the ring it must live in and no document answered twice."""
     try:
-        decoded = {
-            int(doc_id): _check_ciphertext(decode_int(value, what), modulus, what)
-            for doc_id, value in scores.items()
-        }
+        decoded = {int(doc_id): decode_int(value, what) for doc_id, value in scores.items()}
+        if len(decoded) != len(scores):
+            raise WireError(f"{what} names a document id twice")
+        _check_ciphertexts(list(decoded.values()), modulus, what)
+        return EncryptedResult(decoded, modulus)
     except WireError:
         raise
     except ValueError as exc:
-        raise WireError(f"{what} document ids must be integers") from exc
-    if len(decoded) != len(scores):
-        raise WireError(f"{what} names a document id twice")
-    return decoded
+        raise WireError(f"{what} document ids must be u32 integers") from exc
 
 
 def decode_result(obj, modulus: int) -> EncryptedResult:
@@ -202,10 +205,7 @@ def decode_result(obj, modulus: int) -> EncryptedResult:
     response, or one accumulated under another key -- is a :class:`WireError`
     here, not garbage (or an unrelated ``ValueError``) at decryption."""
     scores = _expect(obj, "scores", Mapping, "result")
-    return EncryptedResult(
-        encrypted_scores=_decode_score_map(scores, modulus, "result score"),
-        modulus=modulus,
-    )
+    return _decode_score_map(scores, modulus, "result score")
 
 
 # -- key material -----------------------------------------------------------------
@@ -311,17 +311,15 @@ def decode_partial_request(obj) -> tuple[BenalohPublicKey, list[EmbellishedQuery
 
 
 def encode_shard_response(epoch: int, modulus: int, partials, counters) -> dict:
-    """``partials[q]`` is query ``q``'s accumulator map; ``counters[q]`` its
-    shard-side :class:`~repro.core.server.ServerCounters` (``ValueError`` when
-    the two are not the same length)."""
+    """``partials[q]`` is query ``q``'s :class:`EncryptedResult`;
+    ``counters[q]`` its shard-side :class:`~repro.core.server.ServerCounters`
+    (``ValueError`` when the two are not the same length)."""
     return {
         "epoch": epoch,
         "modulus": encode_int(modulus),
         "partials": [
             {
-                "scores": {
-                    str(doc_id): encode_int(value) for doc_id, value in partial.items()
-                },
+                "scores": encode_result(partial)["scores"],
                 "counters": encode_counters(per_query),
             }
             for partial, per_query in zip(partials, counters, strict=True)
@@ -357,11 +355,6 @@ def decode_shard_response(obj):
 FRAME_MEDIA_TYPE = "application/x-repro-frames"
 
 _PREFIX = struct.Struct(">II")
-
-
-def _width(modulus: int) -> int:
-    """``W``: bytes of one ciphertext under ``modulus``."""
-    return (modulus.bit_length() + 7) // 8
 
 
 def encode_frame(header: Mapping, body: bytes = b"") -> bytes:
@@ -408,63 +401,26 @@ def decode_frame(data: bytes) -> tuple[dict, bytes]:
     return frame
 
 
-def _pack_ciphertexts(values, width: int) -> bytes:
+def _parse_result(body: bytes, count: int, modulus: int, what: str) -> EncryptedResult:
+    """:meth:`EncryptedResult.parse`, its ``ValueError`` a :class:`WireError`."""
     try:
-        return b"".join([value.to_bytes(width, "big") for value in values])
-    except OverflowError as exc:
-        raise WireError(f"ciphertext does not fit {width} bytes: {exc}") from exc
+        return EncryptedResult.parse(body, count, modulus)
+    except ValueError as exc:
+        raise WireError(f"{what}: {exc}") from exc
 
 
-def _unpack_ciphertexts(body: bytes, modulus: int, what: str) -> list[int]:
-    """Every ``W``-byte big-endian integer of ``body`` (a whole number of
-    them: callers check the length), each in ``[1, modulus)``."""
-    width = _width(modulus)
-    from_bytes = int.from_bytes
-    values = [
-        from_bytes(body[offset : offset + width], "big")
-        for offset in range(0, len(body), width)
-    ]
-    if values and not (min(values) >= 1 and max(values) < modulus):
-        bad = next(value for value in values if not 1 <= value < modulus)
-        _check_ciphertext(bad, modulus, what)
-    return values
-
-
-def _pack_scores(scores: Mapping[int, int] | EncryptedResult, width: int) -> bytes:
-    """``count`` x u32be document ids, then ``count`` x ciphertexts."""
-    if isinstance(scores, EncryptedResult):
-        if scores.rows is not None:
-            return scores.rows
-        scores = scores.encrypted_scores
-    try:
-        ids = struct.pack(f">{len(scores)}I", *scores)
-    except struct.error as exc:
-        raise WireError(f"document id does not fit 32 bits: {exc}") from exc
-    return ids + _pack_ciphertexts(scores.values(), width)
-
-
-def _unpack_scores(body: bytes, count: int, modulus: int, what: str) -> dict[int, int]:
-    if len(body) != count * (4 + _width(modulus)):
-        raise WireError(
-            f"{what} body is {len(body)} bytes, expected {count} x "
-            f"(4 + {_width(modulus)})"
-        )
-    ids = struct.unpack_from(f">{count}I", body)
-    scores = dict(zip(ids, _unpack_ciphertexts(body[4 * count :], modulus, what)))
-    if len(scores) != count:
-        raise WireError(f"{what} names a document id twice")
-    return scores
-
-
-def _frame_queries(subqueries, header: Mapping, width: int) -> bytes:
+def _frame_queries(subqueries, header: Mapping, modulus: int) -> bytes:
     """One frame for ``(terms, selectors)`` pairs: the terms join ``header``,
-    the selectors are the body, in order."""
+    the selectors are the body, in order, at ``modulus``'s ``W``."""
     selectors = [value for _, values in subqueries for value in values]
     if len(selectors) != sum(len(terms) for terms, _ in subqueries):
         raise WireError("query terms and selectors must align one-to-one")
+    try:
+        body = kernels.pack_ciphertexts(selectors, modulus)
+    except ValueError as exc:
+        raise WireError(str(exc)) from exc
     return encode_frame(
-        {**header, "queries": [{"terms": list(terms)} for terms, _ in subqueries]},
-        _pack_ciphertexts(selectors, width),
+        {**header, "queries": [{"terms": list(terms)} for terms, _ in subqueries]}, body
     )
 
 
@@ -473,12 +429,15 @@ def _framed_queries(header: dict, body: bytes, modulus: int) -> list[Embellished
         _query_terms(entry) for entry in _expect(header, "queries", list, "frame header")
     ]
     total = sum(len(terms) for terms in term_lists)
-    if len(body) != total * _width(modulus):
+    width = kernels.ciphertext_width(modulus)
+    if len(body) != total * width:
         raise WireError(
             f"query terms and selectors must align one-to-one: {total} terms "
-            f"need {total} x {_width(modulus)} selector bytes, body has {len(body)}"
+            f"need {total} x {width} selector bytes, body has {len(body)}"
         )
-    selectors = _unpack_ciphertexts(body, modulus, "query selector")
+    selectors = _check_ciphertexts(
+        kernels.unpack_ciphertexts(body, modulus), modulus, "query selector"
+    )
     queries = []
     start = 0
     for terms in term_lists:
@@ -494,9 +453,7 @@ def encode_batch_frame(queries: Sequence[EmbellishedQuery], modulus: int) -> byt
     """The batch request: header ``{"queries": [{"terms": [...]}, ...]}``,
     body every selector in order at the session key's ``W``."""
     return _frame_queries(
-        [(query.terms, query.encrypted_selectors) for query in queries],
-        {},
-        _width(modulus),
+        [(query.terms, query.encrypted_selectors) for query in queries], {}, modulus
     )
 
 
@@ -506,22 +463,19 @@ def decode_batch_frame(data: bytes, modulus: int) -> list[EmbellishedQuery]:
 
 def encode_result_frame(record: Mapping, result: EncryptedResult) -> bytes:
     """One result of the batch stream: ``record`` (``kind``, ``index``,
-    ``counters``, ``ms``) plus ``count`` is the header, the scores the body."""
-    return encode_frame(
-        {**record, "count": len(result)}, _pack_scores(result, _width(result.modulus))
-    )
+    ``counters``, ``ms``) plus ``count`` is the header, its rows the body."""
+    return encode_frame({**record, "count": len(result)}, result.rows)
 
 
 def decode_result_frame(header: Mapping, body: bytes, modulus: int) -> EncryptedResult:
-    scores = _unpack_scores(body, _natural(header, "count", "result"), modulus, "result score")
-    return EncryptedResult(encrypted_scores=scores, modulus=modulus)
+    return _parse_result(body, _natural(header, "count", "result"), modulus, "result")
 
 
 def encode_partial_request_frame(public_key: BenalohPublicKey, subqueries) -> bytes:
     """:func:`encode_partial_request`, framed: the key and the terms in the
     header, the selectors in the body at that key's ``W``."""
     return _frame_queries(
-        subqueries, {"public_key": encode_public_key(public_key)}, _width(public_key.n)
+        subqueries, {"public_key": encode_public_key(public_key)}, public_key.n
     )
 
 
@@ -537,10 +491,8 @@ def decode_partial_request_frame(
 
 
 def encode_shard_response_frame(epoch: int, modulus: int, partials, counters) -> bytes:
-    """:func:`encode_shard_response`, framed: per partial (a score map or
-    an :class:`~repro.core.server.EncryptedResult`) its ``count`` and
-    ``counters`` in the header, its ids and values in the body, in order."""
-    width = _width(modulus)
+    """:func:`encode_shard_response`, framed: per partial its ``count`` and
+    ``counters`` in the header, its rows in the body, in order."""
     header = {
         "epoch": epoch,
         "modulus": encode_int(modulus),
@@ -549,9 +501,7 @@ def encode_shard_response_frame(epoch: int, modulus: int, partials, counters) ->
             for partial, per_query in zip(partials, counters, strict=True)
         ],
     }
-    return encode_frame(
-        header, b"".join([_pack_scores(partial, width) for partial in partials])
-    )
+    return encode_frame(header, b"".join([partial.rows for partial in partials]))
 
 
 def decode_shard_response_frame(data: bytes, modulus: int):
@@ -568,13 +518,13 @@ def decode_shard_response_frame(data: bytes, modulus: int):
     partials = []
     counters = []
     offset = 0
-    per_candidate = 4 + _width(modulus)
+    per_candidate = 4 + kernels.ciphertext_width(modulus)
     for entry in _expect(header, "partials", list, "shard response"):
         count = _natural(entry, "count", "shard partial")
         end = offset + count * per_candidate
         if end > len(body):
             raise WireError("shard partial runs past the end of the frame body")
-        partials.append(_unpack_scores(body[offset:end], count, modulus, "partial score"))
+        partials.append(_parse_result(body[offset:end], count, modulus, "shard partial"))
         counters.append(decode_counters(_expect(entry, "counters", None, "shard partial")))
         offset = end
     if offset != len(body):

@@ -52,19 +52,15 @@ class SearchEngine:
     ----------
     index:
         The inverted index to query.
-    use_quantised_impacts:
-        When True (the default) scores accumulate the discretised integer
-        impacts -- the same values the private retrieval scheme operates on --
-        so the plaintext engine and the PR scheme are directly comparable.
+
+    Scores accumulate the discretised integer impacts -- the same values the
+    private retrieval scheme operates on -- so the plaintext engine and the
+    PR scheme are directly comparable.
     """
 
     index: InvertedIndex
-    use_quantised_impacts: bool = True
     #: Instrumentation: number of posting entries touched by the last query.
     postings_scanned: int = field(default=0, init=False)
-
-    def _impact_of(self, posting) -> float:
-        return float(posting.quantised_impact) if self.use_quantised_impacts else posting.impact
 
     def score_all(self, query_terms: Sequence[str]) -> dict[int, float]:
         """Accumulate the relevance score of every candidate document.
@@ -79,7 +75,7 @@ class SearchEngine:
         for _, postings in self.index.iterate_lists(dict.fromkeys(query_terms)):
             for posting in postings:
                 self.postings_scanned += 1
-                accumulators[posting.doc_id] = accumulators.get(posting.doc_id, 0.0) + self._impact_of(posting)
+                accumulators[posting.doc_id] = accumulators.get(posting.doc_id, 0.0) + posting.quantised_impact
         return accumulators
 
     def top_k(self, query_terms: Sequence[str], k: int = 20) -> SearchResult:
@@ -100,7 +96,7 @@ class SearchEngine:
         heap: list[tuple[float, int, int]] = []
         for list_index, postings in enumerate(lists):
             if postings:
-                heap.append((-self._impact_of(postings[0]), list_index, 0))
+                heap.append((-float(postings[0].quantised_impact), list_index, 0))
         heapq.heapify(heap)
 
         while heap:
@@ -111,7 +107,9 @@ class SearchEngine:
             next_position = position + 1
             if next_position < len(lists[list_index]):
                 next_posting = lists[list_index][next_position]
-                heapq.heappush(heap, (-self._impact_of(next_posting), list_index, next_position))
+                heapq.heappush(
+                    heap, (-float(next_posting.quantised_impact), list_index, next_position)
+                )
 
         ranking = sorted(accumulators.items(), key=lambda item: (-item[1], item[0]))[:k]
         return SearchResult(ranking=tuple(ranking))

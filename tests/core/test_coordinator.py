@@ -25,6 +25,7 @@ from repro.core.coordinator import (
     ShardTopology,
     ShardUnavailableError,
     data_epoch,
+    shard_partials,
 )
 from repro.core.embellish import QueryEmbellisher
 from repro.core.faults import FaultPlan, PermanentFaultError, RetryPolicy
@@ -33,7 +34,7 @@ from repro.core.partitioning import (
     HashPartitioner,
     shard_organization,
 )
-from repro.core.server import PrivateRetrievalServer, ServerCounters
+from repro.core.server import EncryptedResult, PrivateRetrievalServer, ServerCounters
 from repro.lexicon.specificity import hypernym_depth_specificity
 from repro.core.sequencing import concatenate_sequences, sequence_dictionary
 from repro.core.buckets import generate_buckets
@@ -231,6 +232,23 @@ def test_single_shard_merges_for_free(index, organization, benaloh_keypair, quer
     assert coordinator.counters.merge_multiplications == 0
 
 
+def test_local_backend_answers_the_shard_role_unchanged(
+    index, organization, benaloh_keypair, queries
+):
+    """A partial is an ``EncryptedResult`` from every backend: the in-process
+    one hands on ``shard_partials``' response as it is, rows included."""
+    (backend,) = _shard_backends(
+        index, organization, benaloh_keypair.public, HashPartitioner(num_shards=1)
+    )
+    response = backend.accumulate(
+        [(query.terms, query.encrypted_selectors) for query in queries]
+    )
+    direct = shard_partials(backend.server, queries)
+    assert response == direct
+    assert all(isinstance(partial, EncryptedResult) for partial in response.partials)
+    assert [p.rows for p in response.partials] == [p.rows for p in direct.partials]
+
+
 # -- replica failover --------------------------------------------------------------
 def test_failover_to_second_replica_bit_identical(
     index, organization, benaloh_keypair, queries, oracle_results
@@ -354,7 +372,7 @@ def test_allow_partial_degrades_dark_shard(
         if 0 in split:
             affected += 1
         expected, _ = parallel.merge_shard_results(live, modulus)
-        assert got.encrypted_scores == expected
+        assert got == expected
     assert affected > 0
     assert coordinator.counters.degraded_queries == affected
 

@@ -9,7 +9,7 @@ from repro.core import parallel
 from repro.core.embellish import QueryEmbellisher
 from repro.core.engine import ExecutionEngine
 from repro.core.server import PrivateRetrievalServer
-from repro.crypto import benaloh
+from repro.crypto import benaloh, kernels
 
 
 def _payload(entries):
@@ -24,18 +24,22 @@ def _payload(entries):
     ]
 
 
+def _results(score_maps, modulus):
+    return [parallel.EncryptedResult(scores, modulus) for scores in score_maps]
+
+
 class TestMergeShardResults:
     def test_merge_counts_one_multiplication_per_extra_appearance(self):
         modulus = 1009 * 1013
-        partials = [{1: 7, 2: 11}, {1: 13, 3: 17}, {1: 19}]
+        partials = _results([{1: 7, 2: 11}, {1: 13, 3: 17}, {1: 19}], modulus)
         merged, merge_muls = parallel.merge_shard_results(partials, modulus)
-        assert merged[1] == 7 * 13 * 19 % modulus
-        assert merged[2] == 11 and merged[3] == 17
+        assert merged.encrypted_scores == {1: 7 * 13 * 19 % modulus, 2: 11, 3: 17}
+        assert list(merged.encrypted_scores) == [1, 2, 3], "candidate order"
         assert merge_muls == 2  # document 1 appeared in three shards
 
     def test_merge_is_order_insensitive(self):
         modulus = 10007
-        partials = [{1: 123, 2: 55}, {1: 456}, {2: 77, 3: 9}]
+        partials = _results([{1: 123, 2: 55}, {1: 456}, {2: 77, 3: 9}], modulus)
         forward, _ = parallel.merge_shard_results(partials, modulus)
         backward, _ = parallel.merge_shard_results(list(reversed(partials)), modulus)
         assert forward == backward
@@ -71,11 +75,11 @@ class TestFallbackGenerators:
 class TestBuildPowerTable:
     def test_empty_impacts_yield_empty_table(self):
         """Regression: empty ``impacts`` used to raise IndexError on distinct[0]."""
-        assert parallel.build_power_table(17, [], 10007) == ({}, 0)
-        assert parallel.build_power_table(17, array("I"), 10007) == ({}, 0)
+        assert kernels.build_power_table(17, [], 10007) == ({}, 0)
+        assert kernels.build_power_table(17, array("I"), 10007) == ({}, 0)
 
     def test_zero_only_impacts_need_no_multiplications(self):
-        table, multiplications = parallel.build_power_table(17, [0, 0], 10007)
+        table, multiplications = kernels.build_power_table(17, [0, 0], 10007)
         assert table == {0: 1} and multiplications == 0
 
 

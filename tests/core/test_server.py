@@ -70,7 +70,7 @@ class TestProcessQuery:
         assert server.counters.blocks_read >= 1
 
     def test_counters_track_work_power_table(self, pr_setup, index, organization):
-        from repro.core.server import power_table_strategy
+        from repro.crypto import kernels
 
         embellisher, server = pr_setup
         genuine = [organization.buckets[1][0]]
@@ -83,8 +83,7 @@ class TestProcessQuery:
             if not impacts:
                 continue
             total_postings += len(impacts)
-            distinct = sorted(set(impacts))
-            expected_table_muls += power_table_strategy(distinct, distinct[-1])[1]
+            expected_table_muls += len(kernels.column_plan(impacts).ops)
         assert server.counters.postings_processed == total_postings
         # The fast path never exponentiates: the whole table is built by
         # ladder or square-and-multiply multiplications.

@@ -22,11 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import parallel
 from repro.crypto import kernels
-from repro.crypto.kernels import (
-    build_power_table,
-    power_table_plan,
-    power_table_strategy,
-)
+from repro.crypto.kernels import build_power_table, power_table_plan
 
 COMPILED = kernels.resolve_backend()[0] == "cffi"
 
@@ -129,37 +125,73 @@ def payloads(draw):
     return modulus, terms
 
 
-class TestStrategySelection:
-    def test_windowed_cost_with_w1_equals_binary(self):
+def ladder_cost(positive):
+    """The incremental ladder's closed-form multiplication count."""
+    return max(positive) - 1
+
+
+def binary_cost(positive):
+    """Square-and-assemble: squarings to the top bit, then set bits - 1 each."""
+    return (max(positive).bit_length() - 1) + sum(p.bit_count() - 1 for p in positive)
+
+
+def cheapest_cost(distinct):
+    """The cheapest table build for ``distinct``'s positive impacts: the
+    ladder, the binary method, or any 2^w-ary window with ``2^w < max``."""
+    positive = [impact for impact in distinct if impact]
+    if not positive:
+        return 0
+    top = max(positive)
+    windows = (
+        kernels._windowed_cost(positive, top, w)
+        for w in range(2, top.bit_length())
+        if 2**w < top
+    )
+    return min(ladder_cost(positive), binary_cost(positive), *windows)
+
+
+class TestPlanWidth:
+    def test_windowed_cost_at_the_end_widths_is_ladder_and_binary(self):
         rng = random.Random(8)
         for _ in range(200):
             positive = sorted({rng.randrange(1, 5000) for _ in range(rng.randrange(1, 9))})
-            max_impact = max(positive)
-            binary = (max_impact.bit_length() - 1) + sum(
-                p.bit_count() - 1 for p in positive
-            )
-            assert kernels._windowed_cost(positive, max_impact, 1) == binary
+            top = max(positive)
+            assert kernels._windowed_cost(positive, top, 1) == binary_cost(positive)
+            assert kernels._windowed_cost(positive, top, top.bit_length()) == ladder_cost(positive)
 
     def test_zero_impacts_cost_nothing(self):
-        assert power_table_strategy([0], 0) == ("ladder", 0)
-        assert power_table_strategy([], 0) == ("ladder", 0)
+        for distinct, slot_of in (((), {}), ((0,), {0: 0})):
+            plan = power_table_plan(distinct)
+            assert (plan.w, plan.ops, plan.slot_of) == (0, [], slot_of)
 
-    def test_windowed_strictly_beats_ladder_and_binary_when_chosen(self):
+    def test_the_plan_is_the_cheapest_width(self):
+        """Exactly the cheapest candidate's length, the ladder's own program
+        at ``w = bits(max)``, and strictly cheaper than both end widths
+        whenever a window between them is picked."""
         rng = random.Random(9)
-        seen_windowed = False
+        picked = set()
         for _ in range(300):
-            distinct = sorted({rng.randrange(1, 4000) for _ in range(rng.randrange(1, 7))})
-            name, cost = power_table_strategy(distinct, max(distinct))
-            ladder = max(distinct) - 1
-            binary = (max(distinct).bit_length() - 1) + sum(
-                p.bit_count() - 1 for p in distinct
-            )
-            if name.startswith("windowed"):
-                seen_windowed = True
-                assert cost < min(ladder, binary)
+            dense = {*range(1, rng.randrange(2, 40))}  # the ladder's home ground
+            sparse = {rng.randrange(1, 4000) for _ in range(rng.randrange(1, 7))}
+            distinct = tuple(sorted(rng.choice([dense, sparse])))
+            plan = power_table_plan(distinct)
+            top = max(distinct)
+            cost = len(plan.ops)
+            assert cost == cheapest_cost(distinct)
+            assert power_table_plan((0, *distinct)).ops == plan.ops
+            assert cost == kernels._windowed_cost(distinct, top, plan.w)
+            ladder, binary = ladder_cost(distinct), binary_cost(distinct)
+            if plan.w == top.bit_length():
+                picked.add("ladder")
+                assert cost == ladder <= binary
+                assert plan.ops == [(slot, 1) for slot in range(1, top)]
+            elif plan.w == 1:
+                picked.add("binary")
+                assert cost == binary < ladder
             else:
-                assert cost == min(ladder, binary)
-        assert seen_windowed, "no case ever picked a windowed strategy"
+                picked.add("windowed")
+                assert 2**plan.w < top and cost < min(ladder, binary)
+        assert picked == {"ladder", "binary", "windowed"}
 
 
 class TestPowerPlans:
@@ -167,9 +199,7 @@ class TestPowerPlans:
         rng = random.Random(10)
         for _ in range(200):
             distinct = tuple(sorted({rng.randrange(0, 3000) for _ in range(rng.randrange(1, 8))}))
-            plan = power_table_plan(distinct)
-            _, cost = power_table_strategy(distinct, max(distinct))
-            assert len(plan.ops) == cost
+            assert len(power_table_plan(distinct).ops) == cheapest_cost(distinct)
 
     def test_build_power_table_matches_pow(self):
         rng = random.Random(11)
@@ -186,8 +216,7 @@ class TestPowerPlans:
                     assert value == selector
                 else:
                     assert value == pow(selector, impact, modulus)
-            _, predicted = power_table_strategy(sorted(set(impacts)), max(impacts))
-            assert cost == predicted
+            assert cost == cheapest_cost(impacts)
 
     def test_empty_impacts_build_empty_table(self):
         assert build_power_table(7, [], 101) == ({}, 0)
@@ -460,12 +489,22 @@ assert sys.modules["numpy"] is None
         baseline, base_counts = parallel.accumulate_terms(payload, modulus, "python")
         pin_backend("cffi")
         fast, fast_counts = parallel.accumulate_terms(payload, modulus)
-        assert baseline.rows is None
-        assert fast.rows == wire_rows(baseline.encrypted_scores, modulus)
+        assert fast.rows == baseline.rows == wire_rows(baseline.encrypted_scores, modulus)
         assert fast == baseline
         assert list(fast) == list(baseline)
         assert fast_counts == base_counts
         assert all(type(v) is int for v in fast.encrypted_scores.values())
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_reading_a_kernel_result_keeps_its_rows(self):
+        payload = [(11, array("I", [3, 1, 3]), array("I", [4, 2, 1]))]
+        modulus = 2**127 + 45
+        for read in (lambda result: result == result, repr, list):
+            result, _ = parallel.accumulate_terms(payload, modulus, "cffi")
+            rows = result.rows
+            read(result)
+            assert result.rows is rows
+            assert result.encrypted_scores == dict(result)
 
 
 class TestModexpBatch:

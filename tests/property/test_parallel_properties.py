@@ -65,9 +65,9 @@ class TestShardMergeProperties:
         partition = _draw_shards(data, payload)
         partials = [parallel.accumulate_terms(shard, modulus) for shard in partition]
         merged, merge_muls = parallel.merge_shard_results(
-            [result.encrypted_scores for result, _ in partials], modulus
+            [result for result, _ in partials], modulus
         )
-        assert merged == sequential.encrypted_scores
+        assert merged == sequential
         within = sum(counts.modular_multiplications for _, counts in partials)
         assert within + merge_muls == seq_counts.modular_multiplications
         assert sum(c.postings_processed for _, c in partials) == seq_counts.postings_processed
@@ -81,9 +81,7 @@ class TestShardMergeProperties:
     def test_naive_per_posting_exponentiation_is_the_same_product(self, drawn, data):
         payload, modulus = drawn
         partition = _draw_shards(data, payload)
-        partials = [
-            parallel.accumulate_terms(shard, modulus)[0].encrypted_scores for shard in partition
-        ]
+        partials = [parallel.accumulate_terms(shard, modulus)[0] for shard in partition]
         merged, _ = parallel.merge_shard_results(partials, modulus)
         oracle: dict[int, int] = {}
         for selector, doc_ids, impacts in payload:
@@ -94,7 +92,7 @@ class TestShardMergeProperties:
                     if doc_id not in oracle
                     else oracle[doc_id] * contribution % modulus
                 )
-        assert merged == oracle
+        assert merged.encrypted_scores == oracle
 
 
 class TestShardedServerProperties:
@@ -124,11 +122,10 @@ class TestShardedServerProperties:
         payload = server._payload(query, server._pin())
         shards = _draw_shards(data, payload)
         partials = [
-            parallel.accumulate_terms(shard, benaloh_keypair.public.n)[0].encrypted_scores
-            for shard in shards
+            parallel.accumulate_terms(shard, benaloh_keypair.public.n)[0] for shard in shards
         ]
         merged, _ = parallel.merge_shard_results(partials, benaloh_keypair.public.n)
-        assert merged == sequential.encrypted_scores == naive.encrypted_scores
+        assert merged == sequential == naive
 
 
 class TestBatchProperties:

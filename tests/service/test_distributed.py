@@ -73,20 +73,18 @@ def test_shard_response_round_trip(benaloh_keypair):
     counters = ServerCounters()
     counters.modular_multiplications = 41
     counters.queries_processed = 1
-    payload = json.loads(
-        json.dumps(
-            encode_shard_response(7, modulus, [{3: 19, 11: modulus - 1}], [counters])
-        )
-    )
+    partial = EncryptedResult({3: 19, 11: modulus - 1}, modulus)
+    payload = json.loads(json.dumps(encode_shard_response(7, modulus, [partial], [counters])))
     response = decode_shard_response(payload)
     assert response.epoch == 7
     assert response.modulus == modulus
-    assert response.partials == ({3: 19, 11: modulus - 1},)
+    assert response.partials == (partial,)
+    assert response.partials[0].rows == partial.rows
     assert response.counters[0].modular_multiplications == 41
     assert response.counters[0].queries_processed == 1
     # One counter set per partial, never silently truncated to the shorter.
     with pytest.raises(ValueError):
-        encode_shard_response(7, modulus, [{3: 19}, {4: 2}], [counters])
+        encode_shard_response(7, modulus, [partial, partial], [counters])
 
 
 def test_counters_codec_tolerates_schema_drift():
@@ -124,7 +122,10 @@ def test_decode_partial_request_rejects_out_of_ring_selectors(benaloh_keypair):
 
 def test_decode_shard_response_rejects_out_of_ring_scores(benaloh_keypair):
     modulus = benaloh_keypair.public.n
-    payload = encode_shard_response(1, modulus, [{4: modulus + 3}], [ServerCounters()])
+    payload = encode_shard_response(
+        1, modulus, [EncryptedResult({4: 1}, modulus)], [ServerCounters()]
+    )
+    payload["partials"][0]["scores"]["4"] = encode_int(modulus + 3)
     with pytest.raises(WireError, match="modulus"):
         decode_shard_response(payload)
 
@@ -388,7 +389,9 @@ def test_http_backend_matches_local_backend(
     over_http = remote.accumulate(subqueries)
     remote.close()
     assert over_http == in_process
-    assert [list(p) for p in over_http.partials] == [list(p) for p in in_process.partials]
+    partials = over_http.partials + in_process.partials
+    assert all(isinstance(partial, EncryptedResult) for partial in partials)
+    assert [p.rows for p in over_http.partials] == [p.rows for p in in_process.partials]
     assert over_http.modulus == benaloh_keypair.public.n
     assert over_http.epoch == data_epoch(index)
     assert over_http.counters[0].modular_multiplications > 0

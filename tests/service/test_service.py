@@ -37,8 +37,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import parallel
 from repro.core.embellish import QueryEmbellisher
-from repro.core.server import EncryptedResult, PrivateRetrievalServer
+from repro.core.server import PrivateRetrievalServer
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.crypto import kernels, numbertheory
 from repro.service import (
@@ -246,7 +247,7 @@ class TestCodecsAndBackends:
         def answers(route, data):
             if route == "/shards/corpus/partials":
                 partials = wire.decode_shard_response_frame(data, key.n).partials
-                return [list(partial.items()) for partial in partials]
+                return [list(partial) for partial in partials]
             stream = io.BytesIO(data)
             frames = list(iter(lambda: wire.read_frame(stream.read), None))
             assert frames[-1][0]["kind"] == "done"
@@ -307,12 +308,13 @@ class TestCodecsAndBackends:
         results, done = client.run_batch(session, batch, modulus)
         assert done["queries"] == len(batch) == len(results)
 
-    def test_answers_outgrow_the_request_cap_and_unencodable_ones_end_the_stream(
+    def test_answers_outgrow_the_request_cap_and_a_failed_query_ends_the_stream(
         self, running_service, embellisher, query_terms, benaloh_keypair, monkeypatch
     ):
         """``MAX_BODY_BYTES`` bounds what a peer sends, never what the service
-        answers; a result no frame can carry ends its stream in an ``error`` record."""
-        _, client = running_service()
+        answers; a query whose accumulation raises ends its stream in an
+        ``error`` record, and the connection closes behind it."""
+        service, client = running_service()
         key = benaloh_keypair.public
         batch = make_batches(embellisher, query_terms, [3])[0]
         subqueries = [(query.terms, query.encrypted_selectors) for query in batch]
@@ -322,26 +324,88 @@ class TestCodecsAndBackends:
         results, _ = client.run_batch(session, batch, key.n)
         assert sum(r.downstream_bytes() for r in results) > cap
         partials = client.shard_partials("corpus", key, subqueries).partials
-        assert [list(p) for p in partials] == [list(r.encrypted_scores) for r in results]
+        assert [p.rows for p in partials] == [r.rows for r in results]
         with pytest.raises(ServiceError, match="exceeds limit"):
             client.run_batch(session, batch * 2, key.n)
-        unframable = EncryptedResult({2**32: 1}, key.n)  # stands in for the second answer
-        monkeypatch.setattr(
-            app, "encode_result_frame", lambda record, result, encode=wire.encode_result_frame:
-            encode(record, unframable if record["index"] else result),
-        )
+        accumulate, calls = parallel.accumulate_terms, []
+
+        def second_raises(payload, modulus, backend=None):
+            calls.append(payload)
+            if len(calls) == 2:
+                raise RuntimeError("accumulation failed")
+            return accumulate(payload, modulus, backend)
+
+        monkeypatch.setattr(parallel, "accumulate_terms", second_raises)
         answered = client.metrics()["tenants"]["corpus"]["queries_answered"]
-        stream = client.submit_batch(session, batch, key.n)
-        assert next(stream)["index"] == 0
-        with pytest.raises(ServiceError, match="does not fit 32 bits"):
-            next(stream)
-        # The stream ended; the admitted batch still ran to its end, and the
-        # route booked every query the stream yielded.
+        connection = http.client.HTTPConnection(*service.address, timeout=10)
+        try:
+            connection.request(
+                "POST",
+                f"/sessions/{session}/queries",
+                body=wire.encode_batch_frame(batch, key.n),
+                headers={"Content-Type": wire.FRAME_MEDIA_TYPE},
+            )
+            stream = io.BytesIO(connection.getresponse().read())
+            frames = list(iter(lambda: wire.read_frame(stream.read), None))
+            assert [header["kind"] for header, _ in frames] == ["result", "error"]
+            assert frames[1][0]["error"] == "accumulation failed"
+            assert connection.sock.recv(1) == b"", "the connection outlived the error"
+        finally:
+            connection.close()
+        # The route booked the one query the stream yielded.
         tenant = client.metrics()["tenants"]["corpus"]
-        assert tenant["queries_answered"] == answered + len(batch)
+        assert tenant["queries_answered"] == answered + 1
         monkeypatch.undo()
         assert client.metrics()["service"]["requests"]["failed"] == 1
         assert client.run_batch(session, batch, key.n)[0] == results
+
+    def test_a_client_gone_mid_stream_leaves_the_batch_to_run_to_its_end(
+        self, running_service, embellisher, query_terms, benaloh_keypair, monkeypatch
+    ):
+        """A client that disconnects after the first result frame stops the
+        stream, never the admitted batch: every query is answered and booked,
+        and nothing counts as a failed request."""
+        service, client = running_service()
+        key = benaloh_keypair.public
+        batch = make_batches(embellisher, query_terms, [3])[0]
+        session = client.open_session("corpus", key)
+        accumulate, calls, gone = parallel.accumulate_terms, [], threading.Event()
+
+        def second_waits_for_the_close(payload, modulus, backend=None):
+            calls.append(payload)
+            if len(calls) == 2:
+                gone.wait(10)
+            return accumulate(payload, modulus, backend)
+
+        monkeypatch.setattr(parallel, "accumulate_terms", second_waits_for_the_close)
+        before = client.metrics()
+        answered = before["tenants"]["corpus"]["queries_answered"]
+        connection = http.client.HTTPConnection(*service.address, timeout=10)
+        try:
+            connection.request(
+                "POST",
+                f"/sessions/{session}/queries",
+                body=wire.encode_batch_frame(batch, key.n),
+                headers={"Content-Type": wire.FRAME_MEDIA_TYPE},
+            )
+            header, _ = wire.read_frame(connection.getresponse().read)
+            assert (header["kind"], header["index"]) == ("result", 0)
+            # Reset, not a FIN: the service's next write fails at once.
+            connection.sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        finally:
+            connection.close()
+            gone.set()
+        deadline = time.monotonic() + 10
+        while client.metrics()["tenants"]["corpus"]["queries_answered"] != answered + len(
+            batch
+        ):
+            assert time.monotonic() < deadline, "the admitted batch did not run to its end"
+            time.sleep(0.05)
+        assert len(calls) == len(batch)
+        failed = client.metrics()["service"]["requests"]["failed"]
+        assert failed == before["service"]["requests"]["failed"]
 
     def test_counting_connection_sees_every_body_byte(
         self, running_service, embellisher, query_terms, benaloh_keypair, monkeypatch

@@ -13,11 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import parallel
-from repro.core.coordinator import ShardResponse
+from repro.core.coordinator import (
+    LocalShardBackend,
+    QueryCoordinator,
+    ShardResponse,
+    ShardTopology,
+)
 from repro.core.embellish import EmbellishedQuery
 from repro.core.parallel import COUNTER_FIELDS
-from repro.core.server import EncryptedResult, ServerCounters
-from repro.crypto import kernels
+from repro.core.partitioning import HashPartitioner, shard_organization, split_query_terms
+from repro.core.server import EncryptedResult, PrivateRetrievalServer, ServerCounters
+from repro.crypto import kernels, numbertheory
 from repro.crypto.benaloh import BenalohPublicKey
 from repro.service import wire
 from repro.service.metrics import LatencyRollup
@@ -92,6 +98,11 @@ class TestResultsAndKeys:
             decode_result({"scores": {"7": "1", "07": "2"}}, modulus=101)
         with pytest.raises(WireError, match="integers"):
             decode_result({"scores": {"seven": "1"}}, modulus=101)
+        for doc_id in (-1, 2**32):  # a result is its frame body: ids are u32
+            with pytest.raises(WireError, match="u32"):
+                decode_result({"scores": {str(doc_id): "1"}}, modulus=101)
+            with pytest.raises(ValueError, match="no frame can carry"):
+                EncryptedResult({doc_id: 1}, 101)
 
     def test_public_key_round_trip(self, benaloh_keypair):
         key = benaloh_keypair.public
@@ -205,11 +216,25 @@ def documents(draw):
     return modulus, queries, draw(st.lists(score_map, min_size=1, max_size=3))
 
 
+def packed(scores, modulus):
+    """A score map's frame body, packed apart from the codec: u32be ids, then
+    big-endian ciphertexts at ``ceil(bits(n) / 8)`` bytes, in map order."""
+    width = (modulus.bit_length() + 7) // 8
+    return struct.pack(f">{len(scores)}I", *scores) + b"".join(
+        value.to_bytes(width, "big") for value in scores.values()
+    )
+
+
+@pytest.fixture(scope="module")
+def shard_indexes(index):
+    return index.split(HashPartitioner(num_shards=2))
+
+
 @st.composite
 def kernel_payloads(draw):
     """A 127- to 1024-bit modulus (W below, at and above 8 x its limbs) and a
     payload: repeated documents, impact 0, empty terms, impacts that pick
-    every plan strategy."""
+    every plan width."""
     bits = draw(st.sampled_from([127, 128, 129, 1000, 1024]))
     modulus = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
     doc_id = st.one_of(st.integers(0, 30), st.integers(2**32 - 2, 2**32 - 1))
@@ -224,14 +249,92 @@ def kernel_payloads(draw):
     return modulus, payload
 
 
-class TestKernelRows:
-    """A result that keeps the compiled kernel's rows goes out in the bytes
-    the oracle loop's dict is packed into."""
+class TestEveryProducerFrames:
+    """Whoever produced a result -- the compiled kernel, the python loop,
+    ``naive=True``, the coordinator's merge or a frame decoder -- its rows are
+    its score map packed, candidate order included, and both frames carry
+    them as they are."""
+
+    @pytest.mark.parametrize("backend", ["python", "cffi"])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_frames_are_the_packed_score_maps(
+        self, backend, index, organization, shard_indexes, data
+    ):
+        if backend == "cffi" and kernels.resolve_backend()[0] != "cffi":
+            pytest.skip("compiled kernel unavailable")
+        bits = data.draw(st.sampled_from([127, 128, 129, 1000, 1024]))
+        modulus = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
+        key = BenalohPublicKey(n=modulus, g=2, r=3)
+        terms = data.draw(
+            st.lists(st.sampled_from(index.terms), min_size=1, max_size=4, unique=True)
+        )
+        query = EmbellishedQuery(
+            tuple(terms), tuple(data.draw(st.integers(1, modulus - 1)) for _ in terms)
+        )
+        partitioner = HashPartitioner(num_shards=2)
+        shards = [
+            LocalShardBackend(
+                PrivateRetrievalServer(
+                    index=shard,
+                    organization=shard_organization(organization, set(shard.terms)),
+                    public_key=key,
+                )
+            )
+            for shard in shard_indexes
+        ]
+        servers = [
+            PrivateRetrievalServer(
+                index=index, organization=organization, public_key=key, naive=naive
+            )
+            for naive in (False, True)
+        ]
+        servers.append(
+            QueryCoordinator(ShardTopology(partitioner, tuple((s,) for s in shards)), key)
+        )
+        previous = numbertheory.set_backend(backend)
+        try:
+            fast, naive, merged = [next(s.iter_batch([query]))[0] for s in servers]
+            split = split_query_terms(query.terms, query.encrypted_selectors, partitioner)
+            responses = [shards[shard].accumulate([split[shard]]) for shard in sorted(split)]
+        finally:
+            numbertheory.set_backend(previous)
+        assert fast == naive == merged
+        order: dict[int, int] = {}  # the merge's candidate order: shard by shard
+        for response in responses:
+            for doc, value in response.partials[0]:
+                order[doc] = order[doc] * value % modulus if doc in order else value
+        assert list(merged.encrypted_scores.items()) == list(order.items())
+
+        record = {"kind": "result", "index": 0}
+        produced = [fast, naive, merged, *(r.partials[0] for r in responses)]
+        decoded = [
+            decode_result_frame(wire.encode_result_frame(record, r), modulus) for r in produced
+        ]
+        decoded += [
+            wire.decode_shard_response_frame(
+                wire.encode_shard_response_frame(1, modulus, r.partials, r.counters), modulus
+            ).partials[0]
+            for r in responses
+        ]
+        for result in produced + decoded:
+            rows = result.rows
+            body = packed(result.encrypted_scores, modulus)
+            assert rows == body
+            assert wire.encode_result_frame(record, result) == wire.encode_frame(
+                {**record, "count": len(result.encrypted_scores)}, body
+            )
+            frame = wire.encode_shard_response_frame(1, modulus, [result], [ServerCounters()])
+            assert wire.decode_frame(frame)[1] == body
+            assert result == result and repr(result) and list(result) is not None
+            assert result.rows is rows
+        for original, copy in zip(produced, decoded):
+            assert list(copy) == list(original) and copy.rows == original.rows
 
     @pytest.mark.parametrize("backend", ["python", "cffi"])
     @given(case=kernel_payloads())
     @settings(max_examples=80, deadline=None)
-    def test_frames_are_byte_identical_to_the_oracle_dicts(self, backend, case):
+    def test_accumulated_frames_are_the_oracle_maps_packed(self, backend, case):
         if backend == "cffi" and kernels.resolve_backend()[0] != "cffi":
             pytest.skip("compiled kernel unavailable")
         modulus, payload = case
@@ -241,26 +344,23 @@ class TestKernelRows:
                 power = pow(selector, impact, modulus)
                 oracle[doc] = oracle[doc] * power % modulus if doc in oracle else power
         result, counters = parallel.accumulate_terms(payload, modulus, backend)
-        assert (result.rows is not None) == (backend == "cffi")
         record = {"kind": "result", "index": 0, "counters": encode_counters(counters)}
 
         def frames(answer):
             return (
                 wire.encode_result_frame(record, answer),
                 wire.encode_shard_response_frame(2, modulus, [answer], [counters]),
+                wire.encode_result(answer),
+                wire.encode_shard_response(2, modulus, [answer], [counters]),
             )
 
-        assert len(result) == len(oracle)
+        assert result.rows == packed(oracle, modulus)
         assert frames(result) == frames(EncryptedResult(dict(oracle), modulus))
-        assert frames(result)[1] == wire.encode_shard_response_frame(
-            2, modulus, [oracle], [counters]
-        )
         scores = result.encrypted_scores
         assert list(scores.items()) == list(oracle.items())
-        if oracle:  # the dict is the result now: an edit reaches the frames
+        if oracle:  # the map is a memo: an edit to it reaches no encoding
             doc = next(iter(oracle))
-            scores[doc] = oracle[doc] = oracle[doc] % (modulus - 1) + 1
-            assert result.encrypted_scores is scores
+            scores[doc] = scores[doc] % (modulus - 1) + 1
             assert frames(result) == frames(EncryptedResult(oracle, modulus))
 
 
@@ -292,12 +392,14 @@ class TestFrames:
         assert framed == via_json == (key, queries)
 
         counters = [ServerCounters(postings_processed=len(scores)) for scores in score_maps]
-        answer = (7, modulus, score_maps, counters)
+        results = tuple(EncryptedResult(scores, modulus) for scores in score_maps)
+        answer = (7, modulus, results, counters)
         framed = wire.decode_shard_response_frame(
             wire.encode_shard_response_frame(*answer), modulus
         )
         via_json = wire.decode_shard_response(through_json(wire.encode_shard_response(*answer)))
-        assert framed == via_json == ShardResponse(7, modulus, tuple(score_maps), tuple(counters))
+        assert framed == via_json == ShardResponse(7, modulus, results, tuple(counters))
+        assert [p.rows for p in framed.partials] == [p.rows for p in via_json.partials]
 
     MODULUS = 2**64 + 13  # W = 9
 
@@ -307,17 +409,17 @@ class TestFrames:
         key = BenalohPublicKey(n=n, g=2, r=3)
         subqueries = [(("a", "b"), (5, n - 1)), (("c",), (1,))]
         queries = [EmbellishedQuery(terms, selectors) for terms, selectors in subqueries]
-        score_maps = [{9: 4, 2**32 - 1: n - 1}, {}, {1: 1}]
-        counters = [ServerCounters() for _ in score_maps]
+        results = [EncryptedResult(scores, n) for scores in ({9: 4, 2**32 - 1: n - 1}, {}, {1: 1})]
+        counters = [ServerCounters() for _ in results]
         return [
             (wire.encode_batch_frame(queries, n), lambda d: wire.decode_batch_frame(d, n)),
             (
-                wire.encode_result_frame({"kind": "result"}, EncryptedResult(score_maps[0], n)),
+                wire.encode_result_frame({"kind": "result"}, results[0]),
                 lambda d: decode_result_frame(d, n),
             ),
             (wire.encode_partial_request_frame(key, subqueries), wire.decode_partial_request_frame),
             (
-                wire.encode_shard_response_frame(3, n, score_maps, counters),
+                wire.encode_shard_response_frame(3, n, results, counters),
                 lambda d: wire.decode_shard_response_frame(d, n),
             ),
         ]
@@ -356,7 +458,10 @@ class TestFrames:
                     wire.encode_result_frame({}, EncryptedResult({1: bad}, n)), n
                 ),
                 lambda: wire.decode_shard_response_frame(
-                    wire.encode_shard_response_frame(1, n, [{1: bad}], [ServerCounters()]), n
+                    wire.encode_shard_response_frame(
+                        1, n, [EncryptedResult({1: bad}, n)], [ServerCounters()]
+                    ),
+                    n,
                 ),
             ):
                 with pytest.raises(WireError, match="modulus"):
@@ -372,10 +477,9 @@ class TestFrames:
         """``true == 1`` in Python, so an unchecked ``"epoch": true`` would pass
         a coordinator pinned at epoch 1."""
         n = self.MODULUS
-        response = wire.encode_shard_response(1, n, [{1: 1}], [ServerCounters()])
-        header, body = wire.decode_frame(
-            wire.encode_shard_response_frame(1, n, [{1: 1}], [ServerCounters()])
-        )
+        answer = (1, n, [EncryptedResult({1: 1}, n)], [ServerCounters()])
+        response = wire.encode_shard_response(*answer)
+        header, body = wire.decode_frame(wire.encode_shard_response_frame(*answer))
         assert wire.decode_shard_response(response).epoch == 1
         for epoch in (True, False, -7, 1.0, "1", None):
             with pytest.raises(WireError, match="epoch"):

@@ -63,13 +63,6 @@ class TestSearchEngine:
         with pytest.raises(ValueError):
             engine.top_k(["radiation"], k=0)
 
-    def test_raw_impact_mode(self, engine_fixture):
-        index, _, _ = engine_fixture
-        engine = SearchEngine(index, use_quantised_impacts=False)
-        result = engine.rank_all(["radiation", "therapy"])
-        assert len(result) > 0
-        assert all(isinstance(score, float) for score in result.scores)
-
     def test_ties_broken_deterministically(self, engine_fixture):
         _, engine, _ = engine_fixture
         a = engine.rank_all(["osteosarcoma", "water", "yeast"])
