@@ -131,8 +131,10 @@ def test_bench_benaloh_decrypt_per_candidate(benchmark, result_column):
 
 
 def test_bench_benaloh_decrypt_column(benchmark, result_column):
-    """The whole result as one column: one common-exponent batch, then digits
-    for the non-zero candidates."""
+    """The whole result as one column: one common-exponent batch (a sliding
+    window on the compiled kernel), then one discrete-log table lookup per
+    non-zero candidate.  The fixture builds the key's table, so this times
+    the steady state; the fixture's own call checks every message."""
     private, column = result_column
     benchmark(private.decrypt_many, column)
 

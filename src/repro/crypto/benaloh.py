@@ -21,14 +21,16 @@ Construction (following Benaloh 1994, as summarised in the paper):
 By default, for ``r = b^k``, decryption works in ``Z_p1`` alone:
 ``x = c^{(p1-1)/r} mod p1`` is ``h^m`` for ``h = g^{(p1-1)/r}`` of order ``r``,
 so one half-size exponentiation decides ``m = 0`` (``x == 1``: the decoy-only
-candidates post-filtering drops) and Pohlig--Hellman reads any other
-message's base-``b`` digits off per-key tables.  The exponent is the same
-for every candidate, so a result decrypts as one column
+candidates post-filtering drops), and any other message is a discrete log
+read off a per-key table ``h^m -> m``: one lookup for every ``r`` up to
+``2^16`` (the default ``3^8``, the benchmarks' ``3^9``), Pohlig--Hellman
+levels in base ``B = b^j`` above it.  The exponent is the same for every
+candidate, so a result decrypts as one column
 (``BenalohPrivateKey.decrypt_many``): one common-exponent batch on the
-client's arithmetic, then digits for the non-zero candidates only.  It
-equals the loop for every message, both raise ``ValueError`` on a
-ciphertext sharing a factor with ``n``, and its time depends on the
-plaintext -- locally, on the client.
+client's arithmetic, then one lookup per non-zero candidate.  It equals the
+loop for every message, both raise ``ValueError`` on a ciphertext sharing a
+factor with ``n``, and its time depends only on whether the plaintext is
+zero -- locally, on the client.
 
 Messages live in ``Z_r``; the homomorphic sum therefore wraps modulo ``r``, so
 callers must choose ``r`` larger than the maximum possible relevance score.
@@ -58,6 +60,11 @@ __all__ = [
 #: instead of constructing (and expensively seeding) a fresh ``Random()``
 #: per encryption.
 _DEFAULT_RNG = random.Random()
+
+#: Most entries decryption's discrete-log table holds: ``r = b^k`` is read in
+#: base ``B = b^j``, the largest such ``B`` up to this (``B = r``, one lookup
+#: per candidate, for every ``r`` up to it: ``3^8``, ``3^9``, ``5^6``).
+_LOG_TABLE_LIMIT = 1 << 16
 
 
 def reseed_default_rng(seed: int) -> None:
@@ -191,8 +198,9 @@ class ZeroEncryptionPool:
         draws every ``mu`` first -- consuming the rng stream exactly as
         per-entry ``encrypt(0)`` calls would -- and then runs one
         common-exponent :func:`repro.crypto.kernels.modexp_batch` on the
-        process's arithmetic: a Montgomery square-and-multiply sweep where
-        the compiled kernel loads, the same residues either way.
+        process's arithmetic: one sliding-window program over ``r``, run per
+        base in Montgomery form where the compiled kernel loads, the same
+        residues either way.
         """
         count = count if count is not None else self._batch
         rng = self._rng
@@ -240,10 +248,10 @@ class BenalohPrivateKey:
         """Recover the plaintext in ``Z_r``.
 
         When ``r`` factors as a power of a small base ``b`` (the paper uses
-        ``r = 3^k``), the message is recovered digit by digit: by default in
-        the order-``r`` subgroup of ``Z_p1^*`` (module docstring; a column
-        of one, :meth:`decrypt_many`), with ``naive=True`` by the paper's
-        loop mod ``n`` (``k * b`` full-size modular exponentiations).
+        ``r = 3^k``), the message is recovered by default in the order-``r``
+        subgroup of ``Z_p1^*`` (module docstring; a column of one,
+        :meth:`decrypt_many`), with ``naive=True`` digit by digit by the
+        paper's loop mod ``n`` (``k * b`` full-size modular exponentiations).
         Otherwise both fall back to baby-step/giant-step over the ``r``
         candidates.
         """
@@ -260,11 +268,11 @@ class BenalohPrivateKey:
         Every candidate is checked as :meth:`decrypt` checks it, then the
         common exponent ``(p1 - 1) / r`` runs over the whole column mod
         ``p1`` in one :func:`repro.crypto.kernels.modexp_batch` (one C call
-        where the compiled kernel loads), and only the non-zero candidates
-        take Pohlig--Hellman digits, in Python, off the per-key tables --
-        built on the first such candidate.  The first invalid ciphertext
-        raises the scalar path's ``ValueError``; an empty column computes
-        nothing.
+        where the compiled kernel loads), and each non-zero candidate is one
+        lookup in the per-key discrete-log table (:attr:`_log_table`, built
+        on the first such candidate; one per level when ``r > 2^16``).  The
+        first invalid ciphertext raises the scalar path's ``ValueError``; an
+        empty column computes nothing.
         """
         if _small_power_base(self.public.r) is None:
             return [self._decrypt_bsgs(c) for c in ciphertexts]
@@ -281,18 +289,19 @@ class BenalohPrivateKey:
         for x in kernels.modexp_batch(residues, self._subgroup_exponent, p1):
             message = 0
             if x != 1:
-                roots, levels = self._digit_tables
-                for projection, b_power, strips in levels:
-                    digit = roots.get(pow(x, projection, p1))
-                    if digit is None:
-                        raise ValueError(
-                            "ciphertext is not a valid Benaloh encryption under this key"
-                        )
-                    if digit:
-                        message += digit * b_power
-                        x = x * strips[digit] % p1
-                        if x == 1:
-                            break
+                table, base, strips = self._log_table
+                try:
+                    # Every level but the last reads a digit off x's
+                    # projection into the order-B subgroup and strips it.
+                    for level, strip in enumerate(strips):
+                        digit = table[pow(x, base ** (len(strips) - level), p1)]
+                        message += digit * base**level
+                        x = x * pow(strip, digit, p1) % p1
+                    message += table[x] * base ** len(strips)
+                except KeyError:  # x outside <h>: a hand-built key, not Benaloh's
+                    raise ValueError(
+                        "ciphertext is not a valid Benaloh encryption under this key"
+                    ) from None
             messages.append(message)
         return messages
 
@@ -310,23 +319,24 @@ class BenalohPrivateKey:
         return (p1 - 1) // r
 
     @cached_property
-    def _digit_tables(self) -> tuple[dict[int, int], list[tuple[int, int, list[int]]]]:
-        """The ``b``-th roots of unity ``h^{d r/b} -> d``, and per digit
-        position ``i`` the projection exponent ``b^{k-1-i}``, ``b^i`` and the
-        strips ``h^{-d b^i}`` for ``d`` in ``0..b-1``."""
+    def _log_table(self) -> tuple[dict[int, int], int, list[int]]:
+        """Pohlig--Hellman in base ``B = b^j``, ``j`` the largest divisor of
+        ``k`` with ``B <= _LOG_TABLE_LIMIT``: the discrete logs
+        ``h^{d r/B} -> d`` for ``d < B`` (``B`` multiplications mod ``p1``),
+        ``B``, and ``h^{-B^i}`` for every level ``i`` but the last.  For
+        ``r <= _LOG_TABLE_LIMIT`` that is ``B = r``: one level, no strips."""
         p1, r = self.p1, self.public.r
-        base = _small_power_base(r)
+        b = _small_power_base(r)
+        k = next(k for k in range(r.bit_length() + 1) if b**k == r)
+        j = max(j for j in range(1, k + 1) if not k % j and b**j <= _LOG_TABLE_LIMIT)
+        base = b**j
         h = pow(self.public.g, self._subgroup_exponent, p1)
         root = pow(h, r // base, p1)
-        roots = {pow(root, d, p1): d for d in range(base)}
-        levels = []
-        b_power = 1
-        while b_power < r:
-            strip = pow(h, -b_power, p1)
-            strips = [pow(strip, d, p1) for d in range(base)]
-            levels.append((r // (b_power * base), b_power, strips))
-            b_power *= base
-        return roots, levels
+        table, value = {}, 1
+        for digit in range(base):
+            table[value] = digit
+            value = value * root % p1
+        return table, base, [pow(h, -(base**i), p1) for i in range(k // j - 1)]
 
     # -- the paper's digit-wise decryption for r = b^k (the oracle) ------
     def _decrypt_digits(self, ciphertext: int, base: int) -> int:

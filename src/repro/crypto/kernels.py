@@ -4,7 +4,7 @@ Every query in the reproduction bottoms out in batched modular arithmetic
 -- the power-table accumulation kernel in :mod:`repro.core.parallel`, and
 on the client zero-pool replenishment and decryption's per-candidate
 exponentiation in :mod:`repro.crypto.benaloh`.  This module attacks the
-constant factor of those inner loops with three cooperating pieces:
+constant factor of those inner loops with four cooperating pieces:
 
 **Power-table plans.**  :func:`power_table_plan` lowers the build of
 ``{p: E(u)^p}`` for one list's distinct quantised impacts to a tiny
@@ -36,10 +36,16 @@ for rows and selectors alike).  Montgomery conversion is a bijection on
 order and operation counters are bit-identical to the pure-python oracle
 loop.  All scratch is per call: cffi releases the GIL, and one process may
 run the kernel on several threads at once (an ``ExecutionEngine`` pool, a
-coordinator's gather threads over local shards).  The
-common-exponent column (:func:`modexp_batch`) marshals the same way --
-``bytes`` in, one C call, one ``bytearray`` out, canonical residues on both
-sides -- so the standard library is all the marshalling needs.
+coordinator's gather threads over local shards).
+
+**Common-exponent columns.**  :func:`modexp_batch` raises a column of bases
+to one exponent -- ``mu^r`` for the zero stock, ``c^((p1-1)/r)`` for
+decryption -- on the same multiply.  The exponent is recoded once into a
+left-to-right sliding window (:func:`_window_program`: the width with the
+fewest multiplications for that exact exponent, counted, not looked up),
+each base gets a table of its odd powers, and the column marshals like a
+payload -- ``bytes`` in, one C call, one ``bytearray`` out, canonical
+residues on both sides -- so the standard library is all it needs.
 
 **The compiled backend.**  The C kernel is compiled on demand with cffi
 (``-O3``, plain C, no external libraries) and cached on disk under
@@ -318,10 +324,11 @@ def build_power_table(selector: int, impacts, modulus: int) -> tuple[dict[int, i
 #
 # Plain C, u128 arithmetic, merged-CIOS Montgomery multiplication (the
 # multiply and reduction interleave per limb of ``a``, so the working vector
-# is touched once per limb).  MAXL bounds the modulus at 66 limbs (4224
-# bits), far beyond experiment key sizes.  The nl == 16 dispatch gives gcc a
-# compile-time limb count for the dominant 1024-bit case (~10% faster than
-# the variable-count loop).
+# is touched once per limb, each with its own 64-bit carry).  MAXL bounds
+# the modulus at 66 limbs (4224 bits), far beyond experiment key sizes.  The
+# dispatch gives gcc a compile-time limb count for the sizes keys here have:
+# 2-3 limbs (p1 of a 256-bit key), 4 (its n), 8 (p1 at 1024 bits) and 16
+# (n at 1024 bits, MULX/ADX where the CPU has them).
 
 MAXL = 66
 
@@ -342,14 +349,15 @@ static void mont_mul_n(uint64_t *out, const uint64_t *a, const uint64_t *b,
         unsigned __int128 c0 = (unsigned __int128)ai * b[0] + t[0];
         uint64_t m = (uint64_t)c0 * n0inv;
         unsigned __int128 c1 = (unsigned __int128)m * n[0] + (uint64_t)c0;
-        unsigned __int128 carry = (c0 >> 64) + (c1 >> 64);
+        uint64_t ca = (uint64_t)(c0 >> 64), cm = (uint64_t)(c1 >> 64);
         for (int j = 1; j < nl; j++) {
-            unsigned __int128 cur = (unsigned __int128)ai * b[j] + t[j] + (uint64_t)carry;
-            unsigned __int128 cur2 = (unsigned __int128)m * n[j] + (uint64_t)cur;
+            unsigned __int128 cur = (unsigned __int128)ai * b[j] + t[j] + ca;
+            unsigned __int128 cur2 = (unsigned __int128)m * n[j] + (uint64_t)cur + cm;
             t[j - 1] = (uint64_t)cur2;
-            carry = (carry >> 64) + (cur >> 64) + (cur2 >> 64);
+            ca = (uint64_t)(cur >> 64);
+            cm = (uint64_t)(cur2 >> 64);
         }
-        unsigned __int128 last = (unsigned __int128)t[nl] + carry;
+        unsigned __int128 last = (unsigned __int128)t[nl] + ca + cm;
         t[nl - 1] = (uint64_t)last;
         t[nl] = (uint64_t)(last >> 64);
     }
@@ -589,7 +597,12 @@ static int repro_cpu_adx = -1;
 static inline void mont_mul_(uint64_t *out, const uint64_t *a, const uint64_t *b,
                              const uint64_t *n, uint64_t n0inv, int nl)
 {
-    if (nl == 16) {
+    switch (nl) {
+    case 2: mont_mul_n(out, a, b, n, n0inv, 2); return;
+    case 3: mont_mul_n(out, a, b, n, n0inv, 3); return;
+    case 4: mont_mul_n(out, a, b, n, n0inv, 4); return;
+    case 8: mont_mul_n(out, a, b, n, n0inv, 8); return;
+    case 16:
 #ifdef REPRO_HAVE_ADX16
         if (repro_cpu_adx < 0)
             repro_cpu_adx = __builtin_cpu_supports("bmi2")
@@ -605,45 +618,13 @@ static inline void mont_mul_(uint64_t *out, const uint64_t *a, const uint64_t *b
     mont_mul_n(out, a, b, n, n0inv, nl);
 }
 
-static void mont_redc_n(uint64_t *out, const uint64_t *a,
-                        const uint64_t *n, uint64_t n0inv, const int nl)
-{
-    uint64_t t[MAXL + 1];
-    memcpy(t, a, (size_t)nl * sizeof(uint64_t));
-    t[nl] = 0;
-    for (int i = 0; i < nl; i++) {
-        uint64_t m = t[0] * n0inv;
-        unsigned __int128 c1 = (unsigned __int128)m * n[0] + t[0];
-        unsigned __int128 carry = c1 >> 64;
-        for (int j = 1; j < nl; j++) {
-            unsigned __int128 cur = (unsigned __int128)m * n[j] + t[j] + (uint64_t)carry;
-            t[j - 1] = (uint64_t)cur;
-            carry = (carry >> 64) + (cur >> 64);
-        }
-        unsigned __int128 last = (unsigned __int128)t[nl] + carry;
-        t[nl - 1] = (uint64_t)last;
-        t[nl] = (uint64_t)(last >> 64);
-    }
-    uint64_t res[MAXL];
-    uint64_t borrow = 0;
-    for (int j = 0; j < nl; j++) {
-        unsigned __int128 diff = (unsigned __int128)t[j] - n[j] - borrow;
-        res[j] = (uint64_t)diff;
-        borrow = (uint64_t)(diff >> 64) & 1;
-    }
-    if (t[nl] != 0 || borrow == 0)
-        memcpy(out, res, (size_t)nl * sizeof(uint64_t));
-    else
-        memcpy(out, t, (size_t)nl * sizeof(uint64_t));
-}
+/* REDC(a) = a R^-1 mod n: the Montgomery product with a plain 1. */
+static const uint64_t plain_one[MAXL] = {1};
 
 static inline void mont_redc_(uint64_t *out, const uint64_t *a,
                               const uint64_t *n, uint64_t n0inv, int nl)
 {
-    if (nl == 16)
-        mont_redc_n(out, a, n, n0inv, 16);
-    else
-        mont_redc_n(out, a, n, n0inv, nl);
+    mont_mul_(out, a, plain_one, n, n0inv, nl);
 }
 
 void repro_mul_many(uint64_t *out, const uint64_t *a, long count,
@@ -765,24 +746,36 @@ done:
     return ncand;
 }
 
-/* out[i] = bases[i]^exp mod n, canonical residues in and out: each base
- * goes to Montgomery form, climbs the square-and-multiply ladder there and
- * is REDC'd back. */
+/* out[i] = bases[i]^e mod n, canonical residues in and out, by the sliding
+ * window program `prog` = [tsize, nwin, tail, t0, s1, t1, ...] (python's
+ * _window_program).  Each base in Montgomery form fills `table` (tsize * nl
+ * limbs of scratch) with its odd powers base^(2t+1); the result starts at
+ * table[t0] (ONE for e = 0), then per window squares s times and multiplies
+ * in table[t], and `tail` squarings end it before the REDC back. */
 void repro_pow_many(uint64_t *out, const uint64_t *bases, long count,
-                    const uint64_t *exp, int ebits, const uint64_t *r2,
+                    const uint32_t *prog, uint64_t *table, const uint64_t *r2,
                     const uint64_t *one_m, const uint64_t *n, uint64_t n0inv,
                     int nl)
 {
-    uint64_t base[MAXL];
+    const uint32_t tsize = prog[0], nwin = prog[1], tail = prog[2];
+    const uint32_t *win = prog + 3;
+    const size_t row_bytes = (size_t)nl * sizeof(uint64_t);
+    uint64_t square[MAXL];
     for (long i = 0; i < count; i++) {
         uint64_t *res = out + i * nl;
-        mont_mul_(base, bases + i * nl, r2, n, n0inv, nl);
-        memcpy(res, one_m, (size_t)nl * sizeof(uint64_t));
-        for (int bit = ebits - 1; bit >= 0; bit--) {
-            mont_mul_(res, res, res, n, n0inv, nl);
-            if ((exp[bit >> 6] >> (bit & 63)) & 1)
-                mont_mul_(res, res, base, n, n0inv, nl);
+        mont_mul_(table, bases + i * nl, r2, n, n0inv, nl);
+        if (tsize > 1)
+            mont_mul_(square, table, table, n, n0inv, nl);
+        for (uint32_t t = 1; t < tsize; t++)
+            mont_mul_(table + t * nl, table + (t - 1) * nl, square, n, n0inv, nl);
+        memcpy(res, nwin ? table + (size_t)win[0] * nl : one_m, row_bytes);
+        for (uint32_t w = 1; w < nwin; w++) {
+            for (uint32_t s = win[2 * w - 1]; s; s--)
+                mont_mul_(res, res, res, n, n0inv, nl);
+            mont_mul_(res, res, table + (size_t)win[2 * w] * nl, n, n0inv, nl);
         }
+        for (uint32_t s = tail; s; s--)
+            mont_mul_(res, res, res, n, n0inv, nl);
         mont_redc_(res, res, n, n0inv, nl);
     }
 }
@@ -801,7 +794,7 @@ long repro_accumulate(long nterms, const uint64_t *selectors,
                       long wbytes, const uint64_t *r2, const uint64_t *one_m,
                       const uint64_t *n, uint64_t n0inv, int nl);
 void repro_pow_many(uint64_t *out, const uint64_t *bases, long count,
-                    const uint64_t *exp, int ebits, const uint64_t *r2,
+                    const uint32_t *prog, uint64_t *table, const uint64_t *r2,
                     const uint64_t *one_m, const uint64_t *n, uint64_t n0inv,
                     int nl);
 """
@@ -883,12 +876,12 @@ def _compile_or_load():
 def _self_test(ffi, lib) -> None:
     """Verify the compiled arithmetic against python pow/mul on random cases,
     and both entry points -- accumulation and the common-exponent batch --
-    against their python loops, at each modulus size (1000 bits: a
-    ciphertext narrower than its limbs)."""
+    against their python loops, at each modulus size (every dispatched limb
+    count; 1000 bits: a ciphertext narrower than its limbs)."""
     import random
 
     rng = random.Random(0x5EED)
-    for bits in (16, 64, 128, 1000, 1024, 1536):
+    for bits in (16, 64, 128, 192, 256, 512, 1000, 1024, 1536):
         modulus = (rng.getrandbits(bits) | (1 << (bits - 1))) | 1
         nl = (modulus.bit_length() + 63) // 64
         radix = 1 << (64 * nl)
@@ -937,13 +930,17 @@ def _self_test(ffi, lib) -> None:
         got = _accumulate(ffi, lib, payload, modulus)
         if got is None or got[0] != body or _accumulate(ffi, lib, [], modulus)[0] != b"":
             raise RuntimeError(f"compiled accumulation self-test failed at {bits} bits")
-        # mu^r: edge and random bases under an exponent spanning two words.
+        # Edge and random bases under 0- and 1-bit exponents and one spanning
+        # two words; where python's pow is cheap, lengths on both sides of
+        # where each window width starts to pay.
         bases = [0, 1, modulus - 1, *(rng.randrange(modulus) for _ in range(3))]
-        exponent = rng.getrandbits(70) | 1 << 69
-        if _pow_many(ffi, lib, bases, exponent, modulus) != [
-            pow(base, exponent, modulus) for base in bases
-        ]:
-            raise RuntimeError(f"compiled modexp batch self-test failed at {bits} bits")
+        widths = (4, 12, 20, 30, 250, 400, 700, 1100) if bits <= 64 else ()
+        for ebits in (0, 1, 70, *widths):
+            exponent = rng.getrandbits(ebits) | (1 << ebits) >> 1
+            if _pow_many(ffi, lib, bases, exponent, modulus) != [
+                pow(base, exponent, modulus) for base in bases
+            ]:
+                raise RuntimeError(f"compiled modexp batch self-test failed at {bits} bits")
 
 
 def ensure_compiled():
@@ -1225,6 +1222,43 @@ def _modexp_batch_compiled(bases, exponent: int, modulus: int):
     return _pow_many(*loaded, bases, exponent, modulus)
 
 
+#: Widest window :func:`_window_program` tries: a 2^(w-1)-entry odd-power
+#: table per base; a wider one first pays at ~1800-bit exponents, and a
+#: 1024-bit key's decryption exponent has ~500 bits.
+_MAX_WINDOW = 6
+
+
+def _sliding_window(exponent: int, w: int) -> tuple[int, list[int]]:
+    """``(multiplications, program)`` of the left-to-right width-``w``
+    sliding window over ``exponent``, counted as ``repro_pow_many`` runs the
+    program ``[tsize, nwin, tail, t0, s1, t1, ...]``: ``tsize`` odd powers
+    tabled, window ``i`` the power ``base^(2 t_i + 1)`` after ``s_i`` squarings."""
+    bits = format(exponent, "b") if exponent else ""
+    windows: list[int] = []  # s0, t0, s1, t1, ...
+    squarings = i = 0
+    while i < len(bits):
+        if bits[i] == "0":
+            squarings += 1
+            i += 1
+            continue
+        window = bits[i : i + w].rstrip("0")
+        windows += [squarings + len(window), int(window, 2) >> 1]
+        squarings = 0
+        i += len(window)
+    odd = windows[1::2]
+    tsize = max(odd, default=0) + 1
+    cost = (tsize if tsize > 1 else 0) + sum(windows[2::2]) + max(len(odd) - 1, 0) + squarings
+    return cost, [tsize, len(odd), squarings, *windows[1:]]
+
+
+@lru_cache(maxsize=64)
+def _window_program(exponent: int) -> array:
+    """The ``uint32`` program of the width with the fewest multiplications
+    for this exact exponent (a tie keeps the smaller table): recoded once
+    per exponent, which a key fixes."""
+    return array("I", min(_sliding_window(exponent, w) for w in range(1, _MAX_WINDOW + 1))[1])
+
+
 def _pow_many(ffi, lib, bases, exponent: int, modulus: int):
     """Marshal one common-exponent batch into a single ``repro_pow_many`` call."""
     context = _montgomery_context(ffi, modulus)
@@ -1235,14 +1269,14 @@ def _pow_many(ffi, lib, bases, exponent: int, modulus: int):
     if not all(isinstance(b, int) and 0 <= b < modulus for b in bases):
         return _declined("base_out_of_ring")
     width = context.nl * 8
-    ebits = exponent.bit_length()
+    program = _window_program(exponent)
     out = bytearray(len(bases) * width)
     lib.repro_pow_many(
         ffi.from_buffer("uint64_t[]", out),
         _u64_ptr(ffi, _ints_to_bytes(bases, width)),
         len(bases),
-        _u64_ptr(ffi, exponent.to_bytes(max(8, (ebits + 63) // 64 * 8), "little")),
-        ebits,
+        _u32_ptr(ffi, program),
+        ffi.new("uint64_t[]", program[0] * context.nl),
         context.r2_c,
         context.one_c,
         *context.modulus_args,
@@ -1254,11 +1288,13 @@ def modexp_batch(bases, exponent: int, modulus: int) -> list[int]:
     """``[pow(base, exponent, modulus) for base in bases]`` on the process's arithmetic.
 
     A common-exponent batch: every zero-pool entry is ``mu^r mod n`` for the
-    same public ``r``, every candidate's zero test ``c^((p1-1)/r) mod p1``
-    for the same key.  On :func:`repro.crypto.numbertheory.get_backend`'s
-    ``"cffi"`` it is one Montgomery square-and-multiply per base on the
-    compiled kernel, else builtin ``pow`` (the oracle).  Both return
-    identical canonical residues; an empty batch probes nothing.
+    same public ``r``, every candidate's ``c^((p1-1)/r) mod p1`` (zero test
+    and discrete-log key) for the same key.  On
+    :func:`repro.crypto.numbertheory.get_backend`'s ``"cffi"`` it is one
+    C call running the exponent's sliding-window program
+    (:func:`_window_program`) over every base in Montgomery form, else
+    builtin ``pow`` (the oracle).  Both return identical canonical residues;
+    an empty batch probes nothing.
     """
     bases = list(bases)
     if not bases:

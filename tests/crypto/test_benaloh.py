@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from functools import cached_property
 
 import pytest
 
@@ -166,6 +167,12 @@ class TestSubgroupDecryption:
         with pytest.raises(ValueError, match="does not have order r"):
             key.decrypt(weak.encrypt(0, random.Random(1)))
 
+    def test_a_composite_p1_raises_the_invalid_ciphertext_error(self):
+        # Z_703^* is not cyclic, so c^((p1-1)/r) can miss <h>: no table entry.
+        key = BenalohPrivateKey(p1=703, p2=101, public=BenalohPublicKey(n=703 * 101, g=2, r=9))
+        with pytest.raises(ValueError, match="not a valid Benaloh encryption"):
+            key.decrypt(3)
+
     def test_concurrent_first_decryptions_agree_with_the_loop(self):
         kp = generate_keypair(key_bits=128, block_size=3**6, rng=random.Random(88))
         rng = random.Random(3)
@@ -192,18 +199,35 @@ class TestSubgroupDecryption:
         assert not any(thread.is_alive() for thread in threads)
         assert answers == [expected] * 8
 
-    def test_zero_is_answered_before_the_digit_tables_are_built(self, rng):
-        kp = generate_keypair(key_bits=128, block_size=3**6, rng=random.Random(89))
+    @pytest.mark.parametrize(
+        "block_size, base, levels",
+        [(3**6, 3**6, 1), (3**9, 3**9, 1), (3**12, 3**6, 2), (3**11, 3, 11), (5**8, 5**4, 2)],
+    )
+    def test_zero_is_answered_before_the_log_table_is_built(
+        self, block_size, base, levels, monkeypatch, rng
+    ):
+        builds = []
+        build = BenalohPrivateKey._log_table.func
+        counted = cached_property(lambda key: builds.append(1) or build(key))
+        counted.__set_name__(BenalohPrivateKey, "_log_table")
+        monkeypatch.setattr(BenalohPrivateKey, "_log_table", counted)
+        kp = generate_keypair(key_bits=128, block_size=block_size, rng=random.Random(89))
         pub = kp.public
         zeros = {doc_id: pub.scalar_multiply(pub.encrypt(0, rng), 7) for doc_id in range(6)}
         counters = PostFilterCounters()
         ranking = post_filter(EncryptedResult(zeros, pub.n), kp.private, counters=counters)
         assert ranking.ranking == ()
         assert counters.decryptions == counters.candidates_received == 6
-        assert "_digit_tables" not in vars(kp.private)
-        assert kp.private.decrypt(pub.encrypt(4, rng)) == 4
-        assert "_digit_tables" in vars(kp.private)
-
+        assert builds == []
+        messages = [4, 0, block_size - 1, 1, block_size // 3]
+        column = [pub.encrypt(m, rng) for m in messages]
+        assert kp.private.decrypt_many(column) == messages
+        assert kp.private.decrypt(column[2]) == block_size - 1
+        assert builds == [1]
+        table, table_base, strips = kp.private._log_table
+        assert (table_base, len(strips) + 1) == (base, levels)
+        assert len(table) == base <= 2**16
+        assert sorted(table.values()) == list(range(base))
 
 COMPILED = kernels.resolve_backend()[0] == "cffi"
 

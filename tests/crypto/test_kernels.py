@@ -26,9 +26,13 @@ from repro.crypto.kernels import build_power_table, power_table_plan
 
 COMPILED = kernels.resolve_backend()[0] == "cffi"
 
-# A mix of Montgomery-eligible moduli (odd, >= 3) spanning 1 to 24 limbs,
-# plus the degenerate/ineligible ones the fallback guards must handle.
-MODULI = [3, 5, 35, (1 << 61) - 1, 2**127 + 45, 2**255 + 95, 2**1023 + 1155, 2**1535 + 75]
+# A mix of Montgomery-eligible moduli (odd, >= 3) spanning 1 to 24 limbs --
+# every limb count the kernel dispatches at compile time among them -- plus
+# the degenerate/ineligible ones the fallback guards must handle.
+MODULI = [
+    3, 5, 35, (1 << 61) - 1, 2**127 + 45, 2**191 + 19, 2**255 + 95, 2**511 + 187,
+    2**1023 + 1155, 2**1535 + 75,
+]
 
 # What a payload column may be: the index's own storage (zero-copy), a
 # read-only view of it, or anything else iterable (copied by the kernel).
@@ -507,6 +511,31 @@ assert sys.modules["numpy"] is None
             assert result.encrypted_scores == dict(result)
 
 
+def run_window_program(program, base, modulus):
+    """A ``repro_pow_many`` program read in python: ``(base^e mod n, multiplications)``."""
+    tsize, nwin, tail, *windows = program
+    multiplications = 0
+
+    def mul(x, y):
+        nonlocal multiplications
+        multiplications += 1
+        return x * y % modulus
+
+    table = [base % modulus]
+    if tsize > 1:
+        square = mul(base, base)
+        for _ in range(tsize - 1):
+            table.append(mul(table[-1], square))
+    result = table[windows[0]] if nwin else 1
+    for squarings, t in zip(windows[1::2], windows[2::2]):
+        for _ in range(squarings):
+            result = mul(result, result)
+        result = mul(result, table[t])
+    for _ in range(tail):
+        result = mul(result, result)
+    return result, multiplications
+
+
 class TestModexpBatch:
     def test_python_backend_matches_pow(self, pin_backend):
         pin_backend("python")
@@ -518,19 +547,64 @@ class TestModexpBatch:
             ]
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
-    def test_cffi_backend_matches_pow(self, monkeypatch, pin_backend):
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_cffi_backend_matches_pow(self, modulus, monkeypatch, pin_backend):
         pin_backend("cffi")
         calls = []
         pow_many = kernels._pow_many
         monkeypatch.setattr(kernels, "_pow_many", lambda *args: calls.append(1) or pow_many(*args))
-        modulus = 2**1023 + 1155
         rng = random.Random(14)
-        bases = [rng.randrange(modulus) for _ in range(17)]
-        for exponent in (0, 1, 3**9, 2**64 + 12345):
+        bases = [0, 1, modulus - 1, *(rng.randrange(modulus) for _ in range(17))]
+        exponents = (0, 1, 2, 3**9, 2**64 + 12345, rng.getrandbits(500))
+        before = kernels.fallback_counts()
+        for exponent in exponents:
             assert kernels.modexp_batch(bases, exponent, modulus) == [
                 pow(b, exponent, modulus) for b in bases
             ]
-        assert len(calls) == 4
+        assert len(calls) == len(exponents)
+        assert kernels.fallback_counts() == before
+
+    @given(exponent=st.integers(0, 2**1200), w=st.integers(1, kernels._MAX_WINDOW))
+    @settings(max_examples=60, deadline=None)
+    def test_a_window_program_computes_the_power_at_its_counted_cost(self, exponent, w):
+        modulus = 2**127 + 45
+        cost, program = kernels._sliding_window(exponent, w)
+        assert run_window_program(program, 3, modulus) == (pow(3, exponent, modulus), cost)
+        assert program[0] <= 1 << (w - 1)
+
+    @given(exponent=st.integers(0, 2**1200))
+    @settings(max_examples=60, deadline=None)
+    def test_the_program_is_the_cheapest_width(self, exponent):
+        costs = [kernels._sliding_window(exponent, w)[0] for w in range(1, kernels._MAX_WINDOW + 1)]
+        program = list(kernels._window_program(exponent))
+        assert run_window_program(program, 3, 2**61 - 1)[1] == min(costs)
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_the_self_test_runs_every_window_width(self, monkeypatch):
+        widths = set()
+        program = kernels._window_program
+
+        def spy(exponent):
+            costs = [kernels._sliding_window(exponent, w)[0] for w in range(1, kernels._MAX_WINDOW + 1)]
+            widths.add(costs.index(min(costs)) + 1)
+            return program(exponent)
+
+        monkeypatch.setattr(kernels, "_window_program", spy)
+        kernels._self_test(*kernels.ensure_compiled())
+        assert widths == set(range(1, kernels._MAX_WINDOW + 1))
+
+    @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
+    def test_the_self_test_refuses_a_wrong_odd_power_index(self, monkeypatch):
+        program = kernels._window_program
+
+        def shifted(exponent):
+            tsize, nwin, tail, *windows = program(exponent)
+            windows[::2] = [(t + 1) % tsize for t in windows[::2]]
+            return array("I", [tsize, nwin, tail, *windows])
+
+        monkeypatch.setattr(kernels, "_window_program", shifted)
+        with pytest.raises(RuntimeError, match="modexp batch self-test failed at 16 bits"):
+            kernels._self_test(*kernels.ensure_compiled())
 
     @pytest.mark.skipif(not COMPILED, reason="compiled kernels unavailable")
     def test_compiled_refuses_ineligible_inputs(self):

@@ -18,6 +18,13 @@ from repro.crypto.pir import PIRClient, PIRDatabase, PIRServer
 # key generation is the expensive part we do not want inside @given.
 BENALOH = benaloh_keypair(key_bits=128, block_size=3**6, rng=random.Random(101))
 BSGS = benaloh_keypair(key_bits=96, block_size=15, rng=random.Random(104))
+#: Keys by how decryption reads ``r``: one table lookup (3^9), two levels of
+#: 3^6 (3^12), and eleven base-3 levels (3^11: ``k`` is prime).
+BY_LEVELS = {
+    "one_level": benaloh_keypair(key_bits=128, block_size=3**9, rng=random.Random(105)),
+    "two_levels": benaloh_keypair(key_bits=128, block_size=3**12, rng=random.Random(106)),
+    "prime_k": benaloh_keypair(key_bits=128, block_size=3**11, rng=random.Random(107)),
+}
 PAILLIER = paillier_keypair(key_bits=128, rng=random.Random(102))
 PIR_CLIENT = PIRClient.with_new_group(key_bits=64, rng=random.Random(103))
 
@@ -121,30 +128,35 @@ class TestColumnDecryption:
     """``decrypt_many`` against the scalar path and the paper's loop, on both
     client arithmetics."""
 
-    @given(messages=column_messages(3**6), seed=st.integers(0, 2**32))
-    @settings(max_examples=40, deadline=None)
-    def test_column_equals_scalar_equals_the_paper_loop(self, backend, messages, seed):
-        private = BENALOH.private
-        column = encrypt_column(BENALOH, messages, seed)
+    @pytest.mark.parametrize("levels", BY_LEVELS)
+    @given(data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_column_equals_scalar_equals_the_paper_loop(self, backend, levels, data, seed):
+        keypair = BY_LEVELS[levels]
+        messages = data.draw(column_messages(keypair.r))
+        column = encrypt_column(keypair, messages, seed)
+        private = keypair.private
         with client_arithmetic(backend):
             got = private.decrypt_many(column)
             scalar = [private.decrypt(c) for c in column]
         assert got == scalar == [private.decrypt(c, naive=True) for c in column] == messages
 
+    @pytest.mark.parametrize("levels", BY_LEVELS)
     @given(
-        messages=column_messages(3**6).filter(bool),
         data=st.data(),
         factor=st.sampled_from(["p1", "p2", "n", "zero"]),
         negative=st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_an_invalid_ciphertext_anywhere_raises_the_scalar_error(
-        self, backend, messages, data, factor, negative
+        self, backend, levels, data, factor, negative
     ):
-        private = BENALOH.private
-        column = encrypt_column(BENALOH, messages, len(messages))
+        keypair = BY_LEVELS[levels]
+        private = keypair.private
+        messages = data.draw(column_messages(keypair.r).filter(bool))
+        column = encrypt_column(keypair, messages, len(messages))
         at = data.draw(st.integers(0, len(column) - 1))
-        multiple = {"p1": private.p1, "p2": private.p2, "n": BENALOH.n, "zero": 0}[factor]
+        multiple = {"p1": private.p1, "p2": private.p2, "n": keypair.n, "zero": 0}[factor]
         column[at] *= -multiple if negative else multiple
         with client_arithmetic(backend):
             with pytest.raises(ValueError) as scalar:
