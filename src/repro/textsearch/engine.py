@@ -1,10 +1,13 @@
 """Query evaluation: the similarity engine (Figure 10) and the Boolean baseline.
 
 :class:`SearchEngine` implements the accumulator algorithm over the
-impact-ordered inverted index: repeatedly pop the highest remaining impact
-across the query terms' lists, accumulate per-document scores, and finally
-return the top-k documents.  A plain "score everything" path is also provided
-as ground truth for tests.
+impact-ordered inverted index: pop the highest remaining quantised impact
+across the query terms' lists, accumulate per-document scores, and return the
+top-k documents.  The repo runs Figure 10 without a stopping rule: the loop
+scans every posting of every query term, so ``top_k(q, k)`` always equals
+``rank_all(q)[:k]`` (the scores are exact integer sums, so the pop order
+cannot change them).  A plain "score everything" path is also provided as
+ground truth for tests.
 
 :class:`BooleanSearchEngine` implements the Boolean model of Appendix B.1 --
 documents either satisfy the query expression or they do not, with no ranking
@@ -83,8 +86,10 @@ class SearchEngine:
 
         The algorithm fetches the first entry of each query term's list, then
         repeatedly pops the globally highest impact, accumulates it, and
-        advances that list -- the classic impact-ordered evaluation from
-        Zobel & Moffat that the paper adopts.
+        advances that list -- the impact-ordered evaluation from Zobel &
+        Moffat that the paper adopts.  No stopping rule ends the scan early:
+        every posting is accumulated, so the result equals
+        ``rank_all(query_terms)[:k]``.
         """
         if k <= 0:
             raise ValueError("k must be positive")

@@ -9,18 +9,19 @@ The index has two components:
 
 Because the homomorphic accumulation in Algorithm 4 raises ciphertexts to the
 impact values, impacts must be non-negative integers; the index therefore
-stores both the raw floating-point impact and a discretised integer version
-(``quantise_levels`` buckets over the observed impact range), exactly the
-arrangement the paper adopts from Zobel & Moffat.
+stores only a discretised integer impact (``quantise_levels`` buckets over
+the observed impact range), the arrangement the paper adopts from Zobel &
+Moffat.  A raw floating-point impact exists only while it is quantised; the
+lists are ordered by ``(-quant, doc_id)``, the values every reader uses.
 
 Storage layout: the index is a **segmented storage engine** (see
 :mod:`repro.textsearch.segments`).  Postings live in an ordered list of
 immutable columnar :class:`~repro.textsearch.segments.IndexSegment`\\ s --
-parallel ``array('I')`` document-id / quantised-impact arrays plus an
-``array('d')`` of raw impacts per term, with per-segment document and
-tombstone sets.  The server's ``columns`` read serves each term's live rows
-run by run; the ordered reads sort the same rows by ``(-impact, doc_id)``.  A
-freshly built or compacted index is one *base* segment.
+parallel ``array('I')`` document-id / quantised-impact arrays per term,
+with per-segment document and tombstone sets.  The server's ``columns``
+read serves each term's live rows run by run; the ordered reads put the
+same rows in ``(-quant, doc_id)`` order.  A freshly built or compacted index
+is one *base* segment.
 
 Incremental updates
 -------------------
@@ -56,7 +57,7 @@ one against a from-scratch rebuild of the equivalent corpus.  Identity holds
 because every impact is the composition :meth:`build` uses of the scorer's
 two factors (:mod:`repro.textsearch.scoring`): a document factor computed
 once per added document and a corpus factor recomputed once per refresh.
-A list keeps its arrays unless its impacts or :attr:`max_impact` moved.
+A list keeps its arrays unless its quantised impacts moved.
 
 Persistence
 -----------
@@ -141,10 +142,9 @@ _SCORER_REGISTRY: dict[str, type] = {
 
 @dataclass(frozen=True)
 class Posting:
-    """One ``<d_j, p_ij>`` entry of an inverted list."""
+    """One ``<d_j, p_ij>`` entry of an inverted list, ``p_ij`` quantised."""
 
     doc_id: int
-    impact: float
     quantised_impact: int
 
     def pack(self) -> bytes:
@@ -153,8 +153,7 @@ class Posting:
 
     @classmethod
     def unpack(cls, data: bytes) -> "Posting":
-        doc_id, quantised = struct.unpack(">II", data)
-        return cls(doc_id=doc_id, impact=float(quantised), quantised_impact=quantised)
+        return cls(*struct.unpack(">II", data))
 
 
 @dataclass
@@ -168,9 +167,10 @@ class UpdateCounters:
     #: document on the first refresh after a load.
     documents_factored: int = 0
     #: Rewrites materialised into copies by writer paths (merge, compact,
-    #: wholesale save): per-segment lists whose live rows' impacts or
-    #: quantised values changed.  Reads evaluate pending rewrites
-    #: snapshot-locally and count nothing.
+    #: wholesale save): per-segment lists whose live rows' quantised impacts
+    #: changed (a float that moved without moving its quant counts
+    #: nothing).  Reads evaluate pending rewrites snapshot-locally and
+    #: count nothing.
     lists_requantised: int = 0
     compactions: int = 0
     #: Tiered merges run by :meth:`InvertedIndex.maintain`.
@@ -236,9 +236,7 @@ def _compose_lists(
             if impact > 0.0:
                 raw.setdefault(term, []).append((doc_id, impact))
     return {
-        term: PostingColumns.from_entries(
-            sorted(entries, key=lambda e: (-e[1], e[0])), max_impact, levels
-        )
+        term: PostingColumns.from_entries(entries, max_impact, levels)
         for term, entries in raw.items()
     }
 
@@ -317,7 +315,7 @@ class IndexSnapshot:
 
     # -- pinned read core ---------------------------------------------------
     def _effective(self, term: str) -> PostingColumns | None:
-        """The inverted list: every run's live rows, impacts included, put in
+        """The inverted list: every run's live rows put in
         :func:`~repro.textsearch.segments.impact_order`.
 
         A term held by one run that needed no change comes back as that
@@ -328,7 +326,7 @@ class IndexSnapshot:
         if cached is not _MISSING:
             return cached
         merged = self._merged[term] = impact_order(
-            live_columns(columns, term, dead, compose, ordered=True)
+            live_columns(columns, term, dead, compose)
             for lists, compose, dead in self._records
             if (columns := lists.get(term)) is not None
         )
@@ -372,15 +370,15 @@ class IndexSnapshot:
             part
             for lists, compose, dead in self._records
             if (run := lists.get(term)) is not None
-            and len((part := live_columns(run, term, dead, compose))[0])
+            and (part := live_columns(run, term, dead, compose)).doc_ids
         ]
         if len(parts) == 1:
-            rows = parts[0]
+            rows = parts[0].doc_ids, parts[0].quants
         else:
             rows = array("I"), array("I")
-            for doc_ids, quants in parts:
-                rows[0].extend(doc_ids)
-                rows[1].extend(quants)
+            for part in parts:
+                rows[0].extend(part.doc_ids)
+                rows[1].extend(part.quants)
         self._live[term] = rows
         return rows
 
@@ -453,7 +451,9 @@ class InvertedIndex:
     additionally support incremental maintenance: see the module docstring
     and :meth:`add_document` / :meth:`remove_document` / :meth:`seal_delta` /
     :meth:`maintain` / :meth:`compact`.  Hand-built indexes (raw
-    ``postings=`` only) remain read-only.
+    ``postings=`` only) remain read-only, so nothing quantises against
+    their ``max_impact`` (default ``0.0``; :meth:`split` passes the
+    source's).
 
     Parameters
     ----------
@@ -473,7 +473,7 @@ class InvertedIndex:
         document_terms: Mapping[int, Mapping[str, int]] | None = None,
         scorer: Scorer | None = None,
         tokenizer: Tokenizer | None = None,
-        max_impact: float | None = None,
+        max_impact: float = 0.0,
         merge_policy: TieredMergePolicy | None = None,
     ) -> None:
         lists = {
@@ -482,11 +482,6 @@ class InvertedIndex:
             else PostingColumns.from_postings(entries)
             for term, entries in postings.items()
         }
-        if max_impact is None:
-            max_impact = max(
-                (max(columns.impacts) for columns in lists.values() if len(columns)),
-                default=0.0,
-            )
         if document_terms is None:
             # A read-only index's dictionary is its own lists.
             frequencies = {term: len(columns) for term, columns in lists.items() if len(columns)}
@@ -1267,9 +1262,9 @@ class InvertedIndex:
         counters.postings_rescored += sum(map(len, self._doc_terms.values()))
         column, factor_of = scorer.impact_column, documents.__getitem__
 
-        def compose(doc_ids: Sequence[int], term: str) -> tuple[list[float], array]:
+        def compose(doc_ids: Sequence[int], term: str) -> array:
             impacts = column(map(factor_of, doc_ids), term, corpus)
-            return impacts, quantise_column(impacts, max_impact, levels)
+            return quantise_column(impacts, max_impact, levels)
 
         self._compose = compose
         self._active_lists = _compose_lists(
@@ -1283,8 +1278,8 @@ class InvertedIndex:
         A current segment comes back as itself, a stale one as a copy under
         the same id whose lists hold only live rows, recomposed against the
         latest refresh and put in impact order: what a rebuild would hold
-        now.  Each list whose live rows' impacts or quantised values moved
-        is counted in ``lists_requantised``.
+        now.  Each list whose live rows' quantised impacts moved is counted
+        in ``lists_requantised``.
 
         An incremental save reuses a persisted file by segment id, so an id
         must name one content.  A copy therefore keeps its id only where the
@@ -1300,8 +1295,8 @@ class InvertedIndex:
                 lists = {}
                 for term, columns in segment.lists.items():
                     # Dead rows go first, so identity says whether recomposing moved a row.
-                    live = live_columns(columns, term, dead[position], ordered=True)
-                    fresh = live_columns(live, term, _EMPTY, self._compose, ordered=True)
+                    live = live_columns(columns, term, dead[position])
+                    fresh = live_columns(live, term, _EMPTY, self._compose)
                     counters.lists_requantised += fresh is not live
                     if (ordered := impact_order([fresh])) is not None:
                         lists[term] = ordered

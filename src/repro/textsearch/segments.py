@@ -7,18 +7,20 @@ own per-term posting arrays, the set of documents whose rows it holds, and a
 (tombstones apply to *strictly older* segments; a re-added document's fresh
 rows always live in a newer segment than the tombstone that killed its old
 ones).  Every list the index derives is a term's live rows per run (dead
-rows dropped, stale impacts recomposed): concatenated for the server, whose
-homomorphic product needs no order, and sorted by ``(-impact, doc_id)`` --
-a from-scratch rebuild's order -- for the readers that need one.  The repo's
-bit-identity invariant therefore holds over *any* segment configuration.
+rows dropped, stale quantised impacts recomposed): concatenated for the
+server, whose homomorphic product needs no order, and sorted by ``(-quant,
+doc_id)`` -- the order every stored list keeps, a from-scratch rebuild's --
+for the readers that need one.  The repo's bit-identity invariant therefore
+holds over *any* segment configuration.
 
 The pieces provided here:
 
 * :class:`PostingColumns` -- one term's parallel ``array('I')`` document-id /
-  quantised-impact arrays plus an ``array('d')`` of raw impacts.  Columns may
-  be **lazy**: constructed with a loader closure over an ``mmap``-backed
-  buffer, they materialise their arrays on first access, so a loaded index
-  pays I/O only for the terms queries actually touch.
+  quantised-impact arrays: the values the paper's algorithms read, and
+  nothing else (a raw float impact exists only while it is quantised).
+  Columns may be **lazy**: constructed with a loader closure over an
+  ``mmap``-backed buffer, they materialise their arrays on first access, so
+  a loaded index pays I/O only for the terms queries actually touch.
 * :class:`IndexSegment` -- one frozen storage unit (lists + documents +
   tombstones + generation/sequence metadata); nothing changes it once sealed.
 * :class:`SegmentInfo` / :class:`SegmentManifest` -- the serving layer's view
@@ -37,7 +39,7 @@ The pieces provided here:
   ``_fsync_write_bytes``), audited by :func:`verify_index_directory` and
   :func:`repair_index_directory`.
 * :func:`live_columns` -- the row kernel: one run's live rows with stale
-  impacts recomposed in one pass, what a snapshot's ``columns`` concatenates.
+  quants recomposed in one pass, what a snapshot's ``columns`` concatenates.
 * :func:`impact_order` -- the ordering step behind every ordered list: the
   snapshots' ordered reads, merges, ``compact`` and the writer's rewritten
   segment copies.
@@ -86,11 +88,16 @@ __all__ = [
 
 #: Identifier written into every saved manifest.
 INDEX_FORMAT = "repro-index-segments"
-#: The on-disk format version saves write.  The reader also takes v4 records
-#: (layout comment above ``_fsync_write_bytes``); any other version is
-#: reported as a problem, never loaded.
-INDEX_FORMAT_VERSION = 5
-_READABLE_VERSIONS = (4, INDEX_FORMAT_VERSION)
+#: The on-disk format version saves write.  The reader also takes v4 and v5
+#: records (layout comment above ``_fsync_write_bytes``); any other version
+#: is reported as a problem, never loaded.
+INDEX_FORMAT_VERSION = 6
+#: Bytes per row a save writes: 4 (doc id) + 4 (quant).
+_TERM_BLOCK_FACTOR = 8
+#: Bytes per stored row, by record version: a v4/v5 row also carried an f64
+#: impact after its quant, which the reader skips.
+_ROW_BYTES = {4: 16, 5: 16, INDEX_FORMAT_VERSION: _TERM_BLOCK_FACTOR}
+_READABLE_VERSIONS = tuple(_ROW_BYTES)
 
 #: Manifest-log records retained before a save compacts ``wal.log`` down to
 #: its newest record and reclaims the segment files only older records
@@ -106,6 +113,10 @@ _EMPTY: frozenset[int] = frozenset()
 
 #: A document id as a doc-terms link spells it (JSON object keys are strings).
 _DOC_ID = re.compile(r"[0-9]+")
+#: The only file names a record may reference: the writer's own, so no
+#: record can name a file outside its directory.
+_SEGMENT_FILE = re.compile(r"segment_[0-9]+_[0-9]+\.bin")
+_DOC_TERMS_FILE = re.compile(r"doc_terms_[0-9]+\.json")
 
 
 class CorruptIndexError(ValueError):
@@ -170,69 +181,54 @@ def quantise_column(impacts: Sequence[float], max_impact: float, levels: int) ->
     return array("I", quants)
 
 
-#: ``compose(doc_ids, term)``: ``(impacts, quants)`` of ``term`` in the
-#: documents ``doc_ids`` -- ``Scorer.impact_column`` over the factors one
-#: refresh pinned, and :func:`quantise_column` of it.
-ColumnComposer = Callable[[Sequence[int], str], tuple[list, array]]
+#: ``compose(doc_ids, term)``: the quantised impacts of ``term`` in the
+#: documents ``doc_ids`` -- :func:`quantise_column` of ``Scorer.impact_column``
+#: over the factors one refresh pinned.
+ColumnComposer = Callable[[Sequence[int], str], array]
 
 
 class PostingColumns:
-    """Columnar storage of one inverted list: parallel impact-ordered arrays.
+    """Columnar storage of one inverted list: parallel ``(doc_id, quant)`` arrays.
 
-    Either eager (constructed from three arrays) or lazy (constructed via
+    Either eager (constructed from two arrays) or lazy (constructed via
     :meth:`lazy` with a loader closure, typically over an mmap-backed
     buffer); lazy columns materialise on first array access and report their
-    length without loading.
+    length without loading.  ``doc_ids`` and ``quants`` are plain slots, so
+    reading a loaded list's arrays costs no call; callers must not assign or
+    mutate them.
     """
 
-    __slots__ = ("_doc_ids", "_impacts", "_quants", "_view", "_loader", "_length")
+    __slots__ = ("doc_ids", "quants", "_view", "_loader", "_length")
 
-    def __init__(self, doc_ids: array, impacts: array, quants: array) -> None:
-        self._doc_ids = doc_ids
-        self._impacts = impacts
-        self._quants = quants
+    def __init__(self, doc_ids: array, quants: array) -> None:
+        self.doc_ids = doc_ids
+        self.quants = quants
         self._view: tuple | None = None
-        self._loader: Callable[[], tuple[array, array, array]] | None = None
+        self._loader: Callable[[], tuple[array, array]] | None = None
         self._length = len(doc_ids)
 
     @classmethod
-    def lazy(cls, length: int, loader: Callable[[], tuple[array, array, array]]) -> "PostingColumns":
+    def lazy(cls, length: int, loader: Callable[[], tuple[array, array]]) -> "PostingColumns":
         """Columns that materialise via ``loader`` on first array access."""
         columns = cls.__new__(cls)
-        columns._doc_ids = None
-        columns._impacts = None
-        columns._quants = None
         columns._view = None
         columns._loader = loader
         columns._length = length
         return columns
 
-    def _materialise(self) -> None:
-        doc_ids, impacts, quants = self._loader()
+    def __getattr__(self, name: str):
+        """Reached only for an unset slot: a lazy list's arrays before their
+        first access, which loads them."""
+        if name not in ("doc_ids", "quants") or self._loader is None:
+            raise AttributeError(name)
+        doc_ids, quants = self._loader()
         if len(doc_ids) != self._length:
             raise ValueError(
                 f"lazy posting columns loaded {len(doc_ids)} rows, expected {self._length}"
             )
-        self._doc_ids, self._impacts, self._quants = doc_ids, impacts, quants
+        self.doc_ids, self.quants = doc_ids, quants
         self._loader = None
-
-    @property
-    def doc_ids(self) -> array:
-        if self._loader is not None:
-            self._materialise()
-        return self._doc_ids
-
-    @property
-    def impacts(self) -> array:
-        if self._loader is not None:
-            self._materialise()
-        return self._impacts
-
-    @property
-    def quants(self) -> array:
-        if self._loader is not None:
-            self._materialise()
-        return self._quants
+        return getattr(self, name)
 
     @property
     def materialised(self) -> bool:
@@ -247,10 +243,7 @@ class PostingColumns:
         if self._view is None:
             from repro.textsearch.inverted_index import Posting
 
-            self._view = tuple(
-                Posting(doc_id=d, impact=i, quantised_impact=q)
-                for d, i, q in zip(self.doc_ids, self.impacts, self.quants)
-            )
+            self._view = tuple(map(Posting, self.doc_ids, self.quants))
         return self._view
 
     @classmethod
@@ -258,7 +251,6 @@ class PostingColumns:
         entries = list(postings)
         return cls(
             doc_ids=array("I", (p.doc_id for p in entries)),
-            impacts=array("d", (p.impact for p in entries)),
             quants=array("I", (p.quantised_impact for p in entries)),
         )
 
@@ -266,12 +258,13 @@ class PostingColumns:
     def from_entries(
         cls, entries: Sequence[tuple[int, float]], max_impact: float, levels: int
     ) -> "PostingColumns":
-        """Columnar arrays from impact-ordered ``(doc_id, impact)`` pairs."""
-        impacts = array("d", (impact for _, impact in entries))
+        """A list from ``(doc_id, impact)`` pairs in any order: the impacts
+        quantised, then the rows put in ``(-quant, doc_id)`` order."""
         return cls(
-            doc_ids=array("I", (doc_id for doc_id, _ in entries)),
-            impacts=impacts,
-            quants=quantise_column(impacts, max_impact, levels),
+            *_impact_sorted(
+                array("I", (doc_id for doc_id, _ in entries)),
+                quantise_column([impact for _, impact in entries], max_impact, levels),
+            )
         )
 
     def serialise(self) -> bytes:
@@ -459,7 +452,7 @@ def merge_segment_parts(
     merged_lists: dict[str, PostingColumns] = {}
     for term in dict.fromkeys(term for segment in segments for term in segment.lists):
         merged = impact_order(
-            live_columns(columns, term, dead, ordered=True)
+            live_columns(columns, term, dead)
             for segment, dead in zip(segments, dead_for)
             if (columns := segment.lists.get(term)) is not None
         )
@@ -483,41 +476,35 @@ def live_columns(
     term: str,
     dead: AbstractSet[int],
     compose: ColumnComposer | None = None,
-    ordered: bool = False,
-) -> tuple[array, array] | PostingColumns:
+) -> PostingColumns:
     """One run's live rows, in stored order: the index's one row kernel.
 
     ``dead`` rows are dropped, and a stale run (one given ``compose``) has
-    its impacts recomposed in one pass.  The server's read gets ``(doc_ids,
-    quants)``: the homomorphic product takes each row once, in any order,
-    and never pays for the float impacts.  A reader that orders rows
-    (``ordered``) gets :class:`PostingColumns`, impacts included, for
-    :func:`impact_order`.  An array that comes out equal to the stored one
-    is the stored one, and ordered rows that lost and changed nothing are
-    ``columns`` itself.
+    its quants recomposed in one pass.  An array that comes out equal to the
+    stored one is the stored one, and a run that lost and changed nothing is
+    ``columns`` itself -- for the server's read, which takes each row once
+    in any order, as for the readers that put rows in :func:`impact_order`.
     """
     doc_ids, quants = columns.doc_ids, columns.quants
-    impacts = columns.impacts if ordered else None
     if dead and not dead.isdisjoint(doc_ids):
         keep = list(map(not_, map(dead.__contains__, doc_ids)))
         doc_ids, quants = array("I", compress(doc_ids, keep)), array("I", compress(quants, keep))
-        if ordered:
-            impacts = array("d", compress(impacts, keep))
     if compose is not None and len(doc_ids):
-        fresh_impacts, fresh = compose(doc_ids, term)
+        fresh = compose(doc_ids, term)
         quants = quants if fresh == quants else fresh
-        if ordered:
-            fresh_impacts = array("d", fresh_impacts)
-            impacts = impacts if fresh_impacts == impacts else fresh_impacts
-    if not ordered:
-        return doc_ids, quants
-    if doc_ids is columns.doc_ids and quants is columns.quants and impacts is columns.impacts:
+    if doc_ids is columns.doc_ids and quants is columns.quants:
         return columns
-    return PostingColumns(doc_ids, impacts, quants)
+    return PostingColumns(doc_ids, quants)
+
+
+def _impact_sorted(doc_ids: Sequence[int], quants: Sequence[int]) -> tuple[array, array]:
+    """Parallel ``(doc_ids, quants)`` rows put in ``(-quant, doc_id)`` order."""
+    rows = sorted(zip(map(neg, quants), doc_ids))
+    return array("I", [doc_id for _, doc_id in rows]), array("I", [-quant for quant, _ in rows])
 
 
 def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
-    """The rows of ``runs`` as one list by ``(-impact, doc_id)``: the index's
+    """The rows of ``runs`` as one list by ``(-quant, doc_id)``: the index's
     one ordering step (``None`` when there are no rows).
 
     A document has at most one live row per term, so the order is total and
@@ -530,26 +517,20 @@ def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
         return None
     if len(runs) == 1:
         (run,) = runs
-        impacts, doc_ids = run.impacts, run.doc_ids
-        pairs = zip(impacts, impacts[1:], doc_ids, doc_ids[1:])
+        quants, doc_ids = run.quants, run.doc_ids
+        pairs = zip(quants, quants[1:], doc_ids, doc_ids[1:])
         if all(a > b or (a == b and x < y) for a, b, x, y in pairs):
             return run
-    doc_ids, impacts, quants = array("I"), array("d"), array("I")
+    doc_ids, quants = array("I"), array("I")
     for run in runs:
         doc_ids += run.doc_ids
-        impacts += run.impacts
         quants += run.quants
-    order = sorted(range(len(doc_ids)), key=list(zip(map(neg, impacts), doc_ids)).__getitem__)
-    return PostingColumns(
-        array("I", map(doc_ids.__getitem__, order)),
-        array("d", map(impacts.__getitem__, order)),
-        array("I", map(quants.__getitem__, order)),
-    )
+    return PostingColumns(*_impact_sorted(doc_ids, quants))
 
 
 # -- on-disk columnar directory format -------------------------------------------
 #
-#   <path>/                (format v5)
+#   <path>/                (format v6)
 #     wal.log              the manifest log, and the only manifest source:
 #                          every save appends one CRC-framed record (<u32
 #                          length, u32 crc32> + compact-JSON manifest: format,
@@ -560,10 +541,10 @@ def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
 #                          the index-level scalars the caller supplies).
 #                          O(segments), not O(corpus)
 #     segment_<id>_<seq>.bin
-#                          per term, concatenated: doc_ids (4n bytes), quants
-#                          (4n), impacts (8n) -- 16n per term, so every term
-#                          block starts 16-byte aligned and each column is
-#                          aligned for zero-copy mmap slicing -- then the
+#                          per term, concatenated: doc_ids (4n bytes) then
+#                          quants (4n) of its rows in (-quant, doc_id) order
+#                          -- 8n per term, so every term block starts 8-byte
+#                          aligned and each column 4-byte aligned -- then the
 #                          footer: compact JSON of everything immutable
 #                          about the segment (the term -> [byte offset, row
 #                          count, crc32] directory, documents, tombstones)
@@ -582,8 +563,12 @@ def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
 #                          keeps the corpus stats (derived from the chain
 #                          otherwise)
 #
-# v4 read: a v4 segment entry holds one more key (a content version), which
-# the reader ignores; a loaded v4 tree's next save is wholesale v5.
+# v4/v5 read: their rows are 16 bytes, an f64 impact (8n) following the
+# quants in each term block.  The reader checks the whole stored block's CRC,
+# takes its first 8n bytes and puts the rows in (-quant, doc_id) order (the
+# floats ordered them before).  A v4 segment entry holds one more key (a
+# content version), which the reader ignores.  A loaded v4/v5 tree's next
+# save is wholesale v6.
 #
 # Columns are written in native byte order (recorded in the manifest); a
 # load on a mismatched platform falls back to eager reads with a byteswap.
@@ -605,8 +590,6 @@ def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
 #
 # Older builds also wrote a manifest.json copy of the newest record; it is
 # never read, and counts as debris like any other unreferenced file.
-
-_TERM_BLOCK_FACTOR = 16  # bytes per row: 4 (doc id) + 4 (quant) + 8 (impact)
 
 
 def _fsync_write_bytes(path: Path, data: bytes) -> None:
@@ -763,11 +746,7 @@ def _segment_blob(segment: IndexSegment) -> bytes:
     for term in sorted(segment.lists):
         columns = segment.lists[term]
         rows = len(columns)
-        block = (
-            columns.doc_ids.tobytes()
-            + columns.quants.tobytes()
-            + columns.impacts.tobytes()
-        )
+        block = columns.doc_ids.tobytes() + columns.quants.tobytes()
         # Per-term CRC over the block as stored (native byte order): readers
         # validate before any byteswap, so the check is platform-portable.
         directory[term] = (offset, rows, zlib.crc32(block))
@@ -801,29 +780,30 @@ def _column_loader(
     buffer,
     offset: int,
     rows: int,
+    width: int,
     swap: bool,
     crc: int,
     source: str,
-) -> Callable[[], tuple[array, array, array]]:
-    def load() -> tuple[array, array, array]:
+) -> Callable[[], tuple[array, array]]:
+    """A term block's rows, ``width`` bytes each as stored; a legacy block's
+    (16-byte rows, float-ordered) come back in ``(-quant, doc_id)`` order."""
+
+    def load() -> tuple[array, array]:
         view = memoryview(buffer)
-        chunk = view[offset : offset + _TERM_BLOCK_FACTOR * rows]
-        if len(chunk) != _TERM_BLOCK_FACTOR * rows or zlib.crc32(chunk) != crc:
+        chunk = view[offset : offset + width * rows]
+        if len(chunk) != width * rows or zlib.crc32(chunk) != crc:
             raise CorruptIndexError(
                 f"{source}: term block at offset {offset} is truncated or failed its checksum",
                 path=source,
             )
         doc_ids = array("I")
-        doc_ids.frombytes(view[offset : offset + 4 * rows])
+        doc_ids.frombytes(chunk[: 4 * rows])
         quants = array("I")
-        quants.frombytes(view[offset + 4 * rows : offset + 8 * rows])
-        impacts = array("d")
-        impacts.frombytes(view[offset + 8 * rows : offset + 16 * rows])
+        quants.frombytes(chunk[4 * rows : 8 * rows])
         if swap:
             doc_ids.byteswap()
             quants.byteswap()
-            impacts.byteswap()
-        return doc_ids, impacts, quants
+        return (doc_ids, quants) if width == _TERM_BLOCK_FACTOR else _impact_sorted(doc_ids, quants)
 
     return load
 
@@ -902,7 +882,7 @@ def write_index_directory(
     incremental = (
         same_path
         and document_terms is not None
-        and previous["version"] == INDEX_FORMAT_VERSION  # a v4 tree's next save is wholesale
+        and previous["version"] == INDEX_FORMAT_VERSION  # a v4/v5 tree's next save is wholesale
         and previous["uuid"] == newest_uuid
         and previous["save_seq"] == newest_seq
     )
@@ -1003,6 +983,12 @@ def write_index_directory(
     }
 
 
+def _named(value, pattern: re.Pattern) -> bool:
+    """True for a file name the writer itself gives (``pattern``): a bare
+    name, so ``root / value`` stays under ``root``."""
+    return isinstance(value, str) and pattern.fullmatch(value) is not None
+
+
 def _ints(value, length: int | None = None) -> bool:
     """True for a JSON list of non-negative integers (of exactly ``length``
     items if given)."""
@@ -1018,7 +1004,7 @@ def _ints(value, length: int | None = None) -> bool:
 #: still parses, a hand edit), so shapes are checked before anything indexes
 #: into them.
 _SEGMENT_ENTRY_SHAPE: dict[str, Callable[[object], bool]] = {
-    "file": lambda value: isinstance(value, str),
+    "file": lambda value: _named(value, _SEGMENT_FILE),
     "segment_id": lambda value: isinstance(value, int),
     "generation": lambda value: isinstance(value, int),
     "base": lambda value: isinstance(value, bool),
@@ -1054,9 +1040,9 @@ _RECORD_SHAPE: dict[str, Callable[[object], bool]] = {
     "integrity": lambda value: isinstance(value, dict),
     "save_seq": lambda value: isinstance(value, int),
     "uuid": lambda value: isinstance(value, str),
-    "doc_terms_file": lambda value: value is None or isinstance(value, str),
+    "doc_terms_file": lambda value: value is None or _named(value, _DOC_TERMS_FILE),
     "doc_terms_chain": lambda value: value is None
-    or (isinstance(value, list) and all(isinstance(name, str) for name in value)),
+    or (isinstance(value, list) and all(_named(name, _DOC_TERMS_FILE) for name in value)),
     "stats": lambda value: value is None
     or isinstance(value, dict)
     and len(value) == 3  # exactly CorpusStatistics' fields
@@ -1172,6 +1158,7 @@ def _open_record(
     record is then inconsistent."""
     integrity = record["integrity"]
     swap = record["byteorder"] != sys.byteorder
+    width = _ROW_BYTES[record["version"]]
     buffers: list = []
     segments: list[IndexSegment] = []
     for entry in record["segments"]:
@@ -1189,7 +1176,7 @@ def _open_record(
         content = _segment_footer(buffer, file_path)
         lists = {
             term: PostingColumns.lazy(
-                rows, _column_loader(buffer, offset, rows, swap, crc, str(file_path))
+                rows, _column_loader(buffer, offset, rows, width, swap, crc, str(file_path))
             )
             for term, (offset, rows, crc) in content["terms"].items()
         }

@@ -101,8 +101,8 @@ class TestProcessQuery:
 
         postings = {
             "zeroish": [
-                Posting(doc_id=1, impact=3.0, quantised_impact=3),
-                Posting(doc_id=2, impact=0.0, quantised_impact=0),
+                Posting(doc_id=1, quantised_impact=3),
+                Posting(doc_id=2, quantised_impact=0),
             ]
         }
         stats = CorpusStatistics(

@@ -38,10 +38,13 @@ class TestIndexInvariants:
         index = InvertedIndex.build(corpus)
         for term in index.terms:
             postings = index.postings(term)
-            impacts = [p.impact for p in postings]
-            assert impacts == sorted(impacts, reverse=True)
+            keys = [(-p.quantised_impact, p.doc_id) for p in postings]
+            # Strictly increasing keys: the whole (-quant, doc_id) order.
+            assert all(a < b for a, b in zip(keys, keys[1:])), term
+            # Each document once (keys of one document with two quants
+            # would still increase).
+            assert len({p.doc_id for p in postings}) == len(postings), term
             assert all(p.quantised_impact >= 1 for p in postings)
-            assert len({p.doc_id for p in postings}) == len(postings)
 
     @given(corpus=corpus_strategy)
     @settings(max_examples=30, deadline=None)
@@ -91,7 +94,7 @@ class TestPostingRoundtrip:
         impact=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_pack_unpack(self, doc_id, impact):
-        posting = Posting(doc_id=doc_id, impact=float(impact), quantised_impact=impact)
+        posting = Posting(doc_id=doc_id, quantised_impact=impact)
         recovered = Posting.unpack(posting.pack())
         assert recovered.doc_id == doc_id
         assert recovered.quantised_impact == impact

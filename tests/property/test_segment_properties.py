@@ -120,10 +120,10 @@ def assert_structurally_identical(candidate, rebuilt, context=""):
 
 
 def assert_lists_in_impact_order(index, context=""):
-    """Every sealed segment's every list runs by ``(-impact, doc_id)``."""
+    """Every sealed segment's every list runs by ``(-quant, doc_id)``."""
     for segment in index._segments:
         for term, columns in segment.lists.items():
-            rows = list(zip(columns.impacts, columns.doc_ids))
+            rows = list(zip(columns.quants, columns.doc_ids))
             assert rows == sorted(rows, key=lambda row: (-row[0], row[1])), (
                 context,
                 segment.segment_id,

@@ -44,7 +44,7 @@ def _content(view):
     return {
         term: (
             tuple(
-                (p.doc_id, p.impact, p.quantised_impact) for p in view.postings(term)
+                (p.doc_id, p.quantised_impact) for p in view.postings(term)
             ),
             view.serialise_list(term),
             view.document_frequency(term),

@@ -20,6 +20,7 @@ from repro.textsearch.segments import (
     _TERM_BLOCK_FACTOR,
     _WAL_FRAME,
     _frame_wal_record,
+    _segment_footer,
     install_io_fault_hook,
     read_index_directory,
     read_manifest_log,
@@ -48,7 +49,7 @@ def _snapshot(index: InvertedIndex):
     """The logical content of an index: every term's full posting list."""
     return {
         term: tuple(
-            (p.doc_id, p.impact, p.quantised_impact) for p in index.postings(term)
+            (p.doc_id, p.quantised_impact) for p in index.postings(term)
         )
         for term in sorted(index.terms)
     }
@@ -61,9 +62,13 @@ def _saved_directory(tmp_path):
 
 
 def _flip_a_bit_in_the_first_segment(root):
+    """Flip one bit mid-way through the first segment's first term block
+    (found through the footer's directory), never in the footer itself:
+    the per-term CRC, not the footer's, must be what catches it."""
     victim = root / read_manifest_log(root)[-1]["segments"][0]["file"]
     blob = bytearray(victim.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
+    offset, rows, _crc = min(_segment_footer(blob, victim)["terms"].values())
+    blob[offset + rows * _TERM_BLOCK_FACTOR // 2] ^= 0x01
     victim.write_bytes(bytes(blob))
 
 

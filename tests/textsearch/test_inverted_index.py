@@ -41,11 +41,6 @@ class TestBuild:
         assert tiny_index.document_frequency("gown") == 1
         assert tiny_index.document_frequency("unknown") == 0
 
-    def test_lists_are_impact_ordered(self, tiny_index):
-        for term in tiny_index.terms:
-            impacts = [p.impact for p in tiny_index.postings(term)]
-            assert impacts == sorted(impacts, reverse=True)
-
     def test_quantised_impacts_are_positive_integers(self, tiny_index):
         for term in tiny_index.terms:
             for posting in tiny_index.postings(term):
@@ -68,7 +63,7 @@ class TestBuild:
 
 class TestStorageModel:
     def test_posting_pack_roundtrip(self):
-        posting = Posting(doc_id=123456, impact=7.0, quantised_impact=7)
+        posting = Posting(doc_id=123456, quantised_impact=7)
         unpacked = Posting.unpack(posting.pack())
         assert unpacked.doc_id == 123456
         assert unpacked.quantised_impact == 7
@@ -105,7 +100,7 @@ class TestStorageModel:
     def test_deserialise_fully_padded_column_is_empty(self):
         """Regression: an all-padding PIR column (a bucket mate with no
         postings, padded to the tallest column) used to decode to a phantom
-        Posting(doc_id=0, impact=0) at offset 0."""
+        Posting(doc_id=0, quantised_impact=0) at offset 0."""
         assert InvertedIndex.deserialise_list(b"\x00" * 32) == ()
         assert InvertedIndex.deserialise_list(b"") == ()
 

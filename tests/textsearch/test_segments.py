@@ -2,6 +2,7 @@
 
 import os
 import random
+import zlib
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -13,9 +14,11 @@ from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex
 from repro.textsearch.scoring import BM25Scorer
 from repro.textsearch.segments import (
+    CorruptIndexError,
     IndexSegment,
     PostingColumns,
     TieredMergePolicy,
+    _column_loader,
     _frame_wal_record,
     impact_order,
     live_columns,
@@ -101,6 +104,47 @@ class TestSealing:
         index.add_document(base_documents[1])
         ordered = [d for d in base_documents if d.doc_id != 2] + [base_documents[1]]
         assert_indexes_identical(index, InvertedIndex.build(Corpus(ordered)))
+
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    def test_sealed_segment_lists_are_never_replaced(
+        self, tmp_path, base_documents, extra_documents, use_mmap
+    ):
+        """``PostingColumns.doc_ids`` / ``quants`` are plain slots: nothing
+        the index does afterwards -- reads, updates, merges, compaction,
+        saves -- may assign or mutate a sealed segment's arrays, which a
+        pinned snapshot shares."""
+        index = InvertedIndex.build(Corpus(base_documents))
+        index.add_document(extra_documents[0])
+        index.seal_delta()
+        index.save(tmp_path / "tree")
+        index = InvertedIndex.load(tmp_path / "tree", mmap=use_mmap)
+        pinned = index.snapshot()
+        for term in pinned.terms:  # materialise every lazy list once
+            pinned.columns(term)
+            pinned.postings(term)
+
+        def held():
+            return {
+                (segment.segment_id, term): (columns, columns.doc_ids, columns.quants)
+                for segment in index._segments
+                for term, columns in segment.lists.items()
+            }
+
+        before = held()
+        contents = {key: (d.tolist(), q.tolist()) for key, (_, d, q) in before.items()}
+        index.remove_document(2)
+        for document in extra_documents[1:]:
+            index.add_document(document)
+        index.maintain(force_seal=True)
+        for term in index.terms:
+            index.columns(term)
+            index.postings(term)
+        index.save(tmp_path / "tree")
+        index.compact()
+        index.save(tmp_path / "tree")
+        for key, (columns, doc_ids, quants) in before.items():
+            assert columns.doc_ids is doc_ids and columns.quants is quants, key
+            assert (doc_ids.tolist(), quants.tolist()) == contents[key], key
 
 
 class TestTieredMergePolicy:
@@ -242,35 +286,43 @@ class TestTieredMerging:
 class TestImpactOrder:
     def test_single_clean_run_is_returned_zero_copy(self):
         columns = PostingColumns.from_entries([(1, 2.0), (2, 1.0)], 2.0, 255)
-        assert live_columns(columns, "t", frozenset(), ordered=True) is columns
+        assert live_columns(columns, "t", frozenset()) is columns
         assert impact_order([columns]) is columns
+
+    def test_a_recomposed_run_with_unchanged_quants_is_returned_as_itself(self):
+        columns = PostingColumns.from_entries([(1, 2.0), (2, 1.0)], 2.0, 255)
+        def compose(quants):
+            return lambda doc_ids, term: array("I", quants)
+
+        assert live_columns(columns, "t", frozenset(), compose([255, 128])) is columns
+        moved = live_columns(columns, "t", frozenset(), compose([255, 127]))
+        assert (list(moved.doc_ids), list(moved.quants)) == ([1, 2], [255, 127])
 
     def test_dead_rows_filtered_and_order_preserved(self):
         old = PostingColumns.from_entries([(1, 3.0), (2, 2.0), (3, 1.0)], 3.0, 255)
         new = PostingColumns.from_entries([(4, 2.5), (5, 0.5)], 3.0, 255)
         merged = impact_order(
-            [
-                live_columns(old, "t", frozenset({2}), ordered=True),
-                live_columns(new, "t", frozenset(), ordered=True),
-            ]
+            [live_columns(old, "t", frozenset({2})), live_columns(new, "t", frozenset())]
         )
         assert list(merged.doc_ids) == [1, 4, 3, 5]
-        assert list(merged.impacts) == [3.0, 2.5, 1.0, 0.5]
         assert list(merged.quants) == [old.quants[0], new.quants[0], old.quants[2], new.quants[1]]
 
     def test_a_run_out_of_order_is_sorted_with_ties_by_doc_id(self):
-        run = PostingColumns(
-            array("I", [5, 2, 9, 1]), array("d", [1.0, 2.0, 2.0, 3.0]), array("I", [1, 2, 3, 4])
-        )
+        run = PostingColumns(array("I", [5, 2, 9, 1]), array("I", [1, 3, 3, 4]))
         ordered = impact_order([run])
         assert list(ordered.doc_ids) == [1, 2, 9, 5]
-        assert list(ordered.impacts) == [3.0, 2.0, 2.0, 1.0]
-        assert list(ordered.quants) == [4, 2, 3, 1]
+        assert list(ordered.quants) == [4, 3, 3, 1]
         assert impact_order([ordered]) is ordered
+
+    def test_rows_tied_on_quant_run_by_doc_id_whatever_their_floats(self):
+        # 1.0 and 0.999 both quantise to 2 of 2 levels: the float order
+        # (9 before 3) is not the list's order.
+        columns = PostingColumns.from_entries([(9, 1.0), (3, 0.999), (4, 0.2)], 1.0, 2)
+        assert (list(columns.doc_ids), list(columns.quants)) == ([3, 9, 4], [2, 2, 1])
 
     def test_empty_result_is_none(self):
         columns = PostingColumns.from_entries([(7, 1.0)], 1.0, 255)
-        assert impact_order([live_columns(columns, "t", frozenset({7}), ordered=True)]) is None
+        assert impact_order([live_columns(columns, "t", frozenset({7}))]) is None
         assert impact_order([]) is None
 
 
@@ -386,10 +438,25 @@ class TestPersistence:
         loaded = InvertedIndex.load(tmp_path / "lazy", mmap=True)
         segment = loaded._segments[0]
         assert all(not columns.materialised for columns in segment.lists.values())
+        # No float column exists, and asking for one loads nothing.
+        assert not hasattr(segment.lists["keep"], "impacts")
+        assert not segment.lists["keep"].materialised
         loaded.columns("keep")  # touch one term
         assert segment.lists["keep"].materialised
         untouched = [t for t in segment.lists if t != "keep"]
         assert any(not segment.lists[t].materialised for t in untouched)
+
+    def test_a_legacy_block_is_checked_whole_read_without_floats_and_put_in_quant_order(self):
+        """A v4/v5 term block holds 16-byte rows (doc id, quant, f64 impact),
+        ordered by the floats; its CRC covers all of it."""
+        doc_ids, quants = array("I", [5, 2, 9]), array("I", [3, 3, 1])
+        block = doc_ids.tobytes() + quants.tobytes() + array("d", [2.0, 1.9, 0.5]).tobytes()
+        crc = zlib.crc32(block)
+        load = _column_loader(block, 0, 3, 16, False, crc, "legacy")
+        assert [list(column) for column in load()] == [[2, 5, 9], [3, 3, 1]]
+        rotten = block[:-1] + bytes([block[-1] ^ 0x01])  # a float's byte
+        with pytest.raises(CorruptIndexError, match="checksum"):
+            _column_loader(rotten, 0, 3, 16, False, crc, "legacy")()
 
     def test_loaded_index_supports_further_updates(self, tmp_path, base_documents, extra_documents):
         index = InvertedIndex.build(Corpus(base_documents))

@@ -58,7 +58,7 @@ def _snapshot(index: InvertedIndex):
     """The logical content of an index: every term's full posting list."""
     return {
         term: tuple(
-            (p.doc_id, p.impact, p.quantised_impact) for p in index.postings(term)
+            (p.doc_id, p.quantised_impact) for p in index.postings(term)
         )
         for term in sorted(index.terms)
     }
@@ -461,6 +461,33 @@ class TestVerifyAndRepairWal:
         assert _snapshot(InvertedIndex.load(root)) == snapshots[-1]
         assert verify_index_directory(root)["ok"] is True
 
+    @pytest.mark.parametrize("escape", ["absolute", "parent"])
+    @pytest.mark.parametrize("kind", ["segment", "doc_terms"])
+    def test_a_record_naming_a_file_outside_its_directory_is_refused(
+        self, tmp_path, kind, escape
+    ):
+        """A CRC-valid record whose file name leads out of the tree (an
+        absolute path, or ``..``) is a shape problem: load and verify both
+        refuse it rather than read the file it points at."""
+        root = tmp_path / "ckpt"
+        _build_index().save(root)
+        (record,) = read_manifest_log(root)
+        name = record["segments"][0]["file"] if kind == "segment" else record["doc_terms_file"]
+        outside = tmp_path / "elsewhere"
+        outside.mkdir()
+        (root / name).rename(outside / name)
+        moved = str(outside / name) if escape == "absolute" else f"../elsewhere/{name}"
+        if kind == "segment":
+            record["segments"][0]["file"] = moved
+        else:
+            record["doc_terms_file"] = moved
+        record["integrity"][moved] = record["integrity"].pop(name)
+        (root / "wal.log").write_bytes(segments._frame_wal_record(record))
+        with pytest.raises(CorruptIndexError, match="well-formed"):
+            InvertedIndex.load(root)
+        report = verify_index_directory(root)
+        assert report["ok"] is False and report["recoverable"] is None
+
 
 class TestLogIsTheOnlyManifest:
     @pytest.mark.parametrize(
@@ -528,39 +555,55 @@ class TestLogIsTheOnlyManifest:
         }
 
 
-#: A tree the format-4 writer saved: ``_build_index(6)`` saved wholesale,
+#: Trees the format-4 and format-5 writers saved (16-byte rows: doc id,
+#: quant, f64 impact), by one recipe: ``_build_index(6)`` saved wholesale,
 #: then saved incrementally after adding document 500, removing document 2
 #: and sealing (``maintain(force_seal=True)``).
-_V4_TREE = Path(__file__).parent / "data" / "index_v4"
+_LEGACY_TREES = {v: Path(__file__).parent / "data" / f"index_v{v}" for v in (4, 5)}
 
 
-class TestFormatV4Trees:
+@pytest.mark.parametrize("version", sorted(_LEGACY_TREES), ids=lambda v: f"v{v}")
+class TestLegacyTrees:
     def _rebuilt(self, *extra: Document) -> InvertedIndex:
         documents = [d for d in _documents(6) if d.doc_id != 2]
         return InvertedIndex.build(
             Corpus(documents + [Document(doc_id=500, text="omega alpha sigma fresh500"), *extra])
         )
 
+    def _copy(self, tmp_path, version) -> Path:
+        root = tmp_path / f"v{version}"
+        shutil.copytree(_LEGACY_TREES[version], root)
+        assert [record["version"] for record in read_manifest_log(root)] == [version, version]
+        return root
+
     @pytest.mark.parametrize("use_mmap", [False, True], ids=["eager", "mmap"])
-    def test_a_v4_tree_loads_bit_identical_to_a_rebuild(self, tmp_path, use_mmap):
-        root = tmp_path / "v4"
-        shutil.copytree(_V4_TREE, root)
-        assert [record["version"] for record in read_manifest_log(root)] == [4, 4]
+    def test_a_legacy_tree_loads_bit_identical_to_a_rebuild(self, tmp_path, version, use_mmap):
+        root = self._copy(tmp_path, version)
         loaded = InvertedIndex.load(root, mmap=use_mmap)
         rebuilt = self._rebuilt()
         assert _snapshot(loaded) == _snapshot(rebuilt)
         assert loaded.stats == rebuilt.stats
+        # The reader skips the floats and keeps lists in (-quant, doc_id) order.
+        for segment in loaded._segments:
+            for term, columns in segment.lists.items():
+                keys = [(-q, d) for d, q in zip(columns.doc_ids, columns.quants)]
+                assert keys == sorted(keys), term
         assert verify_index_directory(root)["ok"]
 
-    def test_the_first_save_of_a_v4_tree_is_wholesale_v5(self, tmp_path):
-        root = tmp_path / "v4"
-        shutil.copytree(_V4_TREE, root)
+    def test_the_first_save_of_a_legacy_tree_is_wholesale_v6(self, tmp_path, version):
+        root = self._copy(tmp_path, version)
         loaded = InvertedIndex.load(root)
         later = Document(doc_id=501, text="beta sigma later")
         loaded.add_document(later)
         loaded.save(root)
         assert loaded.last_save_report["mode"] == "full"
-        assert [record["version"] for record in read_manifest_log(root)] == [4, 4, 5]
+        assert [record["version"] for record in read_manifest_log(root)] == [version, version, 6]
+        for entry in read_manifest_log(root)[-1]["segments"]:
+            blob = (root / entry["file"]).read_bytes()
+            footer_length, _crc = _FRAME.unpack_from(blob, len(blob) - _FRAME.size)
+            footer = json.loads(blob[-_FRAME.size - footer_length : -_FRAME.size])
+            rows = sum(rows for _offset, rows, _crc in footer["terms"].values())
+            assert len(blob) == 8 * rows + footer_length + _FRAME.size
         assert _snapshot(InvertedIndex.load(root)) == _snapshot(self._rebuilt(later))
         loaded.remove_document(0)
         loaded.save(root)
@@ -569,6 +612,6 @@ class TestFormatV4Trees:
         loaded.save(root, wal_compact_records=1)
         (record,) = read_manifest_log(root)
         # Compaction folds the doc-terms chain into one full link.
-        assert (record["version"], record["doc_terms_chain"]) == (5, [])
+        assert (record["version"], record["doc_terms_chain"]) == (6, [])
         assert verify_index_directory(root)["orphans"] == []
         assert _snapshot(InvertedIndex.load(root)) == _snapshot(loaded)
