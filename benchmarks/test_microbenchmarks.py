@@ -225,6 +225,37 @@ def test_bench_ordered_read_after_update(benchmark, updated_index):
         assert postings == rebuilt.postings(term), term
 
 
+def test_bench_maintain_after_update(benchmark, context):
+    """One +8/-4 update at ``updated_index``'s shape (500 documents), sealed
+    by ``maintain(force_seal=True)``: the refresh (the max over impact-class
+    representatives, the delta's lists) and, every fourth cycle, a tiered
+    merge.  Each round is the next cycle of one update stream."""
+    documents = list(
+        SyntheticCorpusGenerator(lexicon=context.lexicon, num_documents=700, seed=19).generate()
+    )
+    index = InvertedIndex.build(Corpus(documents[:500]))
+    cycles = []
+
+    def next_cycle():
+        cycle = len(cycles)
+        cycles.append(cycle)
+        added = documents[500 + 8 * cycle : 508 + 8 * cycle]
+        return (added, [d.doc_id for d in documents[4 * cycle : 4 * cycle + 4]]), {}
+
+    def update(added, removed):
+        index.add_documents(added)
+        index.remove_documents(removed)
+        return index.maintain(force_seal=True)
+
+    benchmark.pedantic(update, setup=next_cycle, rounds=20, warmup_rounds=1)
+    done = len(cycles)
+    rebuilt = InvertedIndex.build(Corpus(documents[4 * done : 500 + 8 * done]))
+    assert index.max_impact == rebuilt.max_impact
+    assert set(index.terms) == set(rebuilt.terms)
+    for term in rebuilt.terms:
+        assert index.postings(term) == rebuilt.postings(term), term
+
+
 @pytest.fixture(scope="module")
 def pinned_batch(context):
     """``batch_single_node``'s shape: a 1024-bit key, bucket size 4 over the

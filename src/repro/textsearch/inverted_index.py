@@ -84,7 +84,10 @@ import dataclasses
 import struct
 import threading
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress, repeat
+from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -160,17 +163,18 @@ class Posting:
 class UpdateCounters:
     """Instrumentation of the incremental-update machinery (cumulative)."""
 
-    #: Postings the refreshes scanned for the new ``max_impact`` (one factor
-    #: product each under cosine); impacts are composed on demand, not stored.
-    postings_rescored: int = 0
+    #: Impact-class representatives the refreshes evaluated for the new
+    #: ``max_impact`` (one impact each); impacts are composed on demand, not
+    #: stored.
+    impact_classes_scanned: int = 0
     #: Document factors computed: one per added document, plus every live
     #: document on the first refresh after a load.
     documents_factored: int = 0
-    #: Rewrites materialised into copies by writer paths (merge, compact,
-    #: wholesale save): per-segment lists whose live rows' quantised impacts
-    #: changed (a float that moved without moving its quant counts
-    #: nothing).  Reads evaluate pending rewrites snapshot-locally and
-    #: count nothing.
+    #: Rewrites materialised into copies by :meth:`InvertedIndex.compact`
+    #: and wholesale saves: per-segment lists whose live rows' quantised
+    #: impacts changed (a float that moved without moving its quant counts
+    #: nothing).  Merges keep stored rows, and reads evaluate pending
+    #: rewrites snapshot-locally; neither counts anything.
     lists_requantised: int = 0
     compactions: int = 0
     #: Tiered merges run by :meth:`InvertedIndex.maintain`.
@@ -229,16 +233,130 @@ def _compose_lists(
     """The impact-ordered lists of the documents ``factors`` names (``(doc_id,
     document factor)`` pairs), composed against one corpus factor: what
     :meth:`InvertedIndex.build` indexes and a refresh stages as the delta.
-    Zero impacts never enter a list."""
-    raw: dict[str, list[tuple[int, float]]] = {}
+
+    Every impact is quantised in one :func:`quantise_column` pass, the rows
+    are grouped by term, and only a list of more than one row is sorted.  A
+    row is ``(levels - quant, doc_id)``: ascending, that is the
+    ``(-quant, doc_id)`` order, and its first item is a small int, which
+    Python does not allocate.  Zero impacts never enter a list.
+    """
+    terms: list[str] = []
+    doc_ids: list[int] = []
+    impacts: list[float] = []
     for doc_id, factor in factors:
-        for term, impact in scorer.impacts(factor, corpus).items():
-            if impact > 0.0:
-                raw.setdefault(term, []).append((doc_id, impact))
-    return {
-        term: PostingColumns.from_entries(entries, max_impact, levels)
-        for term, entries in raw.items()
-    }
+        document = scorer.impacts(factor, corpus)
+        terms += document
+        impacts += document.values()
+        doc_ids += repeat(doc_id, len(document))
+    if impacts and min(impacts) <= 0.0:
+        keep = [impact > 0.0 for impact in impacts]
+        terms, doc_ids, impacts = (list(compress(c, keep)) for c in (terms, doc_ids, impacts))
+    quants = quantise_column(impacts, max_impact, levels)
+    # Each column is freed before the rows are built, where a build's memory peaks.
+    del impacts
+    rows: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
+    for term, row in zip(terms, zip(map(levels.__sub__, quants), doc_ids)):
+        rows[term].append(row)
+    del terms, doc_ids, quants
+    lists = {}
+    for term, entries in rows.items():
+        if len(entries) > 1:
+            entries.sort()
+        lists[term] = PostingColumns(
+            array("I", [doc_id for _, doc_id in entries]),
+            array("I", [levels - rank for rank, _ in entries]),
+        )
+    return lists
+
+
+class _ImpactClasses:
+    """The representatives :meth:`Scorer.max_impact` reads: one slot per live
+    impact class ``(term, key)`` (see :class:`~repro.textsearch.scoring.Scorer`)
+    holding the smallest rank among the class's live members.
+
+    The slots are flat parallel columns (``terms``, ``keys``, ``ranks``), so
+    the max is one pass over them, with a per-term index of slot numbers; a
+    dropped slot takes the last one's place.  An add lowers a rank in place
+    or opens a class.  A remove only marks the term (:attr:`dirty`) when the
+    removed rank is the class's, i.e. its representative may have left;
+    :meth:`recompute` then rebuilds that term's classes from its live
+    members, dropping the empty ones.
+    """
+
+    __slots__ = ("terms", "keys", "ranks", "_slots", "dirty")
+
+    def __init__(self, factors: Iterable[tuple[Mapping[str, float], float]]) -> None:
+        self.terms: list[str] = []
+        self.keys = array("d")
+        self.ranks = array("d")
+        #: term -> the slots of its classes.
+        self._slots: dict[str, array] = {}
+        #: Terms whose representatives may have left, until the next recompute.
+        self.dirty: set[str] = set()
+        for factor in factors:
+            self.add(factor)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def _slot(self, term: str, key: float) -> int | None:
+        """The slot of class ``(term, key)``, ``None`` if there is none."""
+        keys = self.keys
+        for slot in self._slots.get(term, ()):
+            if keys[slot] == key:
+                return slot
+        return None
+
+    def _open(self, term: str, key: float, rank: float) -> None:
+        slots = self._slots.get(term)
+        if slots is None:
+            slots = self._slots[term] = array("I")
+        slots.append(len(self.terms))
+        self.terms.append(term)
+        self.keys.append(key)
+        self.ranks.append(rank)
+
+    def add(self, factor: tuple[Mapping[str, float], float]) -> None:
+        keys, rank = factor
+        ranks = self.ranks
+        for term, key in keys.items():
+            slot = self._slot(term, key)
+            if slot is None:
+                self._open(term, key, rank)
+            elif rank < ranks[slot]:
+                ranks[slot] = rank
+
+    def remove(self, factor: tuple[Mapping[str, float], float]) -> None:
+        keys, rank = factor
+        ranks = self.ranks
+        for term, key in keys.items():
+            # No slot: a recompute found no rows, i.e. only zero impacts.
+            slot = self._slot(term, key)
+            if slot is not None and rank <= ranks[slot]:
+                self.dirty.add(term)
+
+    def recompute(self, term: str, members: Iterable[tuple[Mapping[str, float], float]]) -> None:
+        """Replace ``term``'s classes with those of ``members``, the factors
+        of its live documents (none: the term left the corpus)."""
+        best: dict[float, float] = {}
+        for keys, rank in members:
+            key = keys[term]
+            if rank < best.get(key, inf):
+                best[key] = rank
+        # Highest slot first: the last slot, which fills a hole, is never
+        # one of this term's slots still to drop.
+        for slot in sorted(self._slots.pop(term, ()), reverse=True):
+            last = len(self.terms) - 1
+            if slot != last:
+                moved = self.terms[slot] = self.terms[last]
+                self.keys[slot], self.ranks[slot] = self.keys[last], self.ranks[last]
+                slots = self._slots[moved]
+                slots[slots.index(last)] = slot
+            self.terms.pop()
+            self.keys.pop()
+            self.ranks.pop()
+        for key, rank in best.items():
+            self._open(term, key, rank)
 
 
 def _pinned(name: str) -> property:
@@ -551,6 +669,8 @@ class InvertedIndex:
         #: and add, dropped on remove.  ``None`` on a loaded index until its
         #: first refresh computes them.
         self._doc_factors: dict[int, object] | None = None
+        #: The impact classes of those factors, kept beside them.
+        self._classes: _ImpactClasses | None = None
         #: ``compose(doc_ids, term)`` over the factors the latest refresh
         #: pinned; consumed by the deferred per-list rewrites.
         self._compose: ColumnComposer | None = None
@@ -631,7 +751,8 @@ class InvertedIndex:
         stats = CorpusStatistics.of_documents(term_frequencies)
         factors = {doc_id: scorer.document_factor(f) for doc_id, f in term_frequencies.items()}
         corpus_factor = scorer.corpus_factor(stats)
-        max_impact = scorer.max_impact(factors.values(), corpus_factor)
+        classes = _ImpactClasses(factors.values())
+        max_impact = scorer.max_impact(classes.terms, classes.keys, classes.ranks, corpus_factor)
         index = cls(
             postings=_compose_lists(
                 scorer, factors.items(), corpus_factor, max_impact, quantise_levels
@@ -646,6 +767,7 @@ class InvertedIndex:
             merge_policy=merge_policy,
         )
         index._doc_factors = factors
+        index._classes = classes
         return index
 
     # -- incremental updates -------------------------------------------------------
@@ -852,7 +974,8 @@ class InvertedIndex:
                 self._active_docs.add(doc_id)
                 self._active_postings += len(frequencies)
             if self._doc_factors is not None:
-                self._doc_factors[doc_id] = self._scorer.document_factor(frequencies)
+                factor = self._doc_factors[doc_id] = self._scorer.document_factor(frequencies)
+                self._classes.add(factor)
                 self.update_counters.documents_factored += 1
             self._register_mutation()
 
@@ -878,7 +1001,7 @@ class InvertedIndex:
             self._unsaved[doc_id] = self._unsaved.pop(doc_id, None)
             self._total_length -= sum(frequencies.values())
             if self._doc_factors is not None:
-                del self._doc_factors[doc_id]
+                self._classes.remove(self._doc_factors.pop(doc_id))
             document_frequencies = self._own_frequencies()
             for term in frequencies:
                 remaining = document_frequencies.get(term, 0) - 1
@@ -953,12 +1076,15 @@ class InvertedIndex:
 
     def _merge(self, ids: set[int]) -> None:
         """Replace the segments named by ``ids`` (one contiguous seal-sequence
-        range) with their merge, one generation up."""
+        range) with their merge, one generation up.
+
+        The merge folds the stored rows and recomposes nothing, so it is
+        stale when any input was: a reader recomposes its runs as it would
+        have the inputs' (impacts are positive, so recomposing never drops a
+        row), and an incremental save records it as ``arrays_fresh: false``.
+        """
         positions = [i for i, segment in enumerate(self._segments) if segment.segment_id in ids]
-        # Dropped rows are counted against the stored inputs: a copy holds
-        # live rows only.  The kernel takes current inputs.
-        stored = sum(self._segments[position].num_postings for position in positions)
-        chosen = self._current(positions)
+        chosen = [self._segments[position] for position in positions]
         older_docs = set().union(*(s.documents for s in self._segments[: positions[0]]))
         lists, documents, tombstones = merge_segment_parts(
             chosen, older_docs, self._dead_sets()[positions[-1]]
@@ -976,11 +1102,13 @@ class InvertedIndex:
         remaining = [s for s in self._segments if s.segment_id not in ids]
         remaining.insert(positions[0], merged)
         self._segments = remaining
-        self._stale_ids -= ids
+        if not self._stale_ids.isdisjoint(ids):
+            self._stale_ids -= ids
+            self._stale_ids.add(merged.segment_id)
         counters = self.update_counters
         counters.merges += 1
         counters.merge_postings_written += merged.num_postings
-        counters.merge_postings_dropped += stored - merged.num_postings
+        counters.merge_postings_dropped += sum(s.num_postings for s in chosen) - merged.num_postings
         self._unpublish()
 
     def compact(self) -> CompactionReport:
@@ -1237,16 +1365,19 @@ class InvertedIndex:
         Runs once per batch of updates, on the first read after them.  It
         pins the statistics (add/remove copy them before mutating) and a
         copy of the document factors for the snapshots it serves, computes
-        the corpus factor (O(terms)) and scans for the exact new
-        :attr:`max_impact` (cosine: one multiply per posting, one division
-        per document).  Document factors come from add, or from the
-        doc-terms sidecar on the first refresh after a :meth:`load`.  Only
-        the small unsealed delta's columns are composed eagerly; each sealed
-        segment is *marked stale* (one id per segment), and a stale run's
-        live rows are recomposed on demand by the row kernel
+        the corpus factor (O(terms)) and takes the exact new
+        :attr:`max_impact` from one representative per impact class
+        (:class:`_ImpactClasses`; one impact each), after recomputing the
+        classes of the terms whose representatives a remove took, from each
+        such term's live rows (O(f_t)).  Document factors and their classes
+        come from build and add, or from the doc-terms sidecar on the first
+        refresh after a :meth:`load`.  Only the small unsealed delta's
+        columns are composed eagerly; each sealed segment is *marked stale*
+        (one id per segment), and a stale run's live rows are recomposed on
+        demand by the row kernel
         (:func:`~repro.textsearch.segments.live_columns`) -- in a snapshot for
-        the terms a query touches, or into a copy (:meth:`_current`) when a
-        merge, :meth:`compact` or a wholesale save needs current arrays.
+        the terms a query touches, or into a copy (:meth:`_current`) when
+        :meth:`compact` or a wholesale save needs current arrays.
         """
         self._stale = False
         scorer = self._scorer
@@ -1254,12 +1385,20 @@ class InvertedIndex:
         counters = self.update_counters
         if self._doc_factors is None:
             self._doc_factors = {d: scorer.document_factor(f) for d, f in self._doc_terms.items()}
+            self._classes = _ImpactClasses(self._doc_factors.values())
             counters.documents_factored += len(self._doc_factors)
-        stats = self._pinned_stats = self.stats
+        classes = self._classes
         documents = dict(self._doc_factors)
+        if classes.dirty:
+            for term, doc_ids in self._live_doc_ids(classes.dirty).items():
+                classes.recompute(term, map(documents.__getitem__, doc_ids))
+            classes.dirty = set()
+        stats = self._pinned_stats = self.stats
         corpus = scorer.corpus_factor(stats)
-        max_impact = self._max_impact = scorer.max_impact(documents.values(), corpus)
-        counters.postings_rescored += sum(map(len, self._doc_terms.values()))
+        max_impact = self._max_impact = scorer.max_impact(
+            classes.terms, classes.keys, classes.ranks, corpus
+        )
+        counters.impact_classes_scanned += len(classes)
         column, factor_of = scorer.impact_column, documents.__getitem__
 
         def compose(doc_ids: Sequence[int], term: str) -> array:
@@ -1272,6 +1411,20 @@ class InvertedIndex:
         )
         self._stale_ids = {segment.segment_id for segment in self._segments if segment.lists}
 
+    def _live_doc_ids(self, terms: Iterable[str]) -> dict[str, list[int]]:
+        """The live documents of each of ``terms``: the unsealed delta's
+        documents that hold it, then every sealed run's live rows."""
+        live: dict[str, list[int]] = {term: [] for term in terms}
+        for doc_id in self._active_docs:
+            for term in self._doc_factors[doc_id][0]:
+                if term in live:
+                    live[term].append(doc_id)
+        for segment, dead in zip(self._segments, self._dead_sets()):
+            for term, doc_ids in live.items():
+                if (columns := segment.lists.get(term)) is not None:
+                    doc_ids += live_columns(columns, term, dead).doc_ids
+        return live
+
     def _current(self, positions: Iterable[int]) -> list[IndexSegment]:
         """The segments at ``positions`` with their deferred rewrites applied.
 
@@ -1283,9 +1436,9 @@ class InvertedIndex:
 
         An incremental save reuses a persisted file by segment id, so an id
         must name one content.  A copy therefore keeps its id only where the
-        original can never be saved again: a merge or :meth:`compact`
-        consumes it at once, and a wholesale save, which writes every blob,
-        installs it only after the write.
+        original can never be saved again: :meth:`compact` consumes it at
+        once, and a wholesale save, which writes every blob, installs it
+        only after the write.
         """
         dead, counters = self._dead_sets(), self.update_counters
         current = []

@@ -29,7 +29,11 @@ recomputes only the corpus factor when ``N`` or a document frequency moves,
 so an update never re-derives the impacts of the documents it did not touch.
 Every impact, wherever it is computed, is the same composition of the two
 factors -- the same float operations in the same order -- which is what keeps
-an updated index bit-identical to a rebuild.  The index discretises the
+an updated index bit-identical to a rebuild.  A document factor is a pair of
+per-term keys and one rank, which groups a term's documents into *impact
+classes* whose largest impact their member of smallest rank attains
+(:class:`Scorer`): the exact ``max_impact`` is read from one representative
+per class, never from every posting.  The index discretises the
 impacts (the footnote to Algorithm 4 requires integer impacts for the
 homomorphic exponentiation).
 """
@@ -39,9 +43,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
-from typing import Any, Callable, Iterable, Mapping, Protocol
+from operator import mul, truediv
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 __all__ = ["CorpusStatistics", "Scorer", "CosineScorer", "BM25Scorer"]
 
@@ -77,11 +80,30 @@ class Scorer(Protocol):
     """Interface implemented by every scoring function.
 
     ``p_{d,t} = impact(document_factor(d), t, corpus_factor(stats))``.
-    Factors are opaque to the index and never mutated once returned.
+    Factors are opaque to the index and never mutated once returned, except
+    that a document factor is a pair ``(keys, rank)``: ``keys`` maps each
+    term of the document to a per-term *key* and ``rank`` is one number for
+    the whole document (cosine: ``({t: w_{d,t}}, W_d)``; BM25: ``({t:
+    f_{d,t}}, |d|)``), both real and held as doubles by the index.
+
+    **Impact classes.**  ``p_{d,t}`` depends on ``d`` only through the key
+    ``keys[t]`` and the rank, and does not increase as the rank grows.  So
+    the documents sharing a term ``t`` and a key ``k`` form one *impact
+    class*: every member's impact is the same chain of IEEE operations
+    applied to its rank alone, and each operation is monotone (cosine's
+    ``fl(fl(k w_t) / W_d)`` does not increase as ``W_d`` grows; BM25's
+    denominator ``f + k1 (1 - b + b |d| / avgdl)`` does not decrease as
+    ``|d|`` grows).  The member of smallest rank -- the class's
+    *representative* -- therefore attains the class maximum bit for bit, and
+    the largest impact in the corpus is the largest over the representatives
+    (:meth:`max_impact`).
     """
 
-    def document_factor(self, term_frequencies: Mapping[str, int]) -> Any:
-        """The part of every ``p_{d,t}`` of one document that depends only on it."""
+    def document_factor(
+        self, term_frequencies: Mapping[str, int]
+    ) -> tuple[Mapping[str, Any], Any]:
+        """``(keys, rank)``: the part of every ``p_{d,t}`` of one document
+        that depends only on it."""
         ...
 
     def corpus_factor(self, stats: CorpusStatistics) -> Any:
@@ -101,10 +123,15 @@ class Scorer(Protocol):
         term's impacts over many documents, with the per-term work done once."""
         ...
 
-    def max_impact(self, documents: Iterable[Any], corpus: Any) -> float:
-        """The largest impact over ``documents``, bit-identical to the largest
-        value :meth:`impacts` returns for any of them (``0.0`` when none is
-        positive)."""
+    def max_impact(
+        self, terms: Sequence[str], keys: Sequence[float], ranks: Sequence[float], corpus: Any
+    ) -> float:
+        """The largest impact of the class representatives given as parallel
+        ``(term, key, rank)`` columns -- by the impact-class argument above,
+        bit-identical to the largest value :meth:`impacts` returns for any
+        live document (``0.0`` when there is none).  Every ``term`` has a
+        positive document frequency in the statistics ``corpus`` came from.
+        """
         ...
 
 
@@ -194,27 +221,13 @@ class CosineScorer(_Factored):
 
     def max_impact(
         self,
-        documents: Iterable[tuple[dict[str, float], float]],
+        terms: Sequence[str],
+        keys: Sequence[float],
+        ranks: Sequence[float],
         corpus: Mapping[str, float],
     ) -> float:
-        """One multiply per posting and one division per document.
-
-        Division by a positive ``W_d`` is monotone under round-to-nearest, so
-        ``max_t fl(fl(w_{d,t} w_t) / W_d) == fl(max_t fl(w_{d,t} w_t) / W_d)``:
-        the largest product of a document, divided once, is bit-identical to
-        the largest of its composed impacts.  A term without ``w_t`` counts
-        as a zero product, exactly as its impact counts as ``0.0``.
-        """
-        best = 0.0
-        term_weight = corpus.get
-        for weights, norm in documents:
-            if not weights or norm == 0.0:
-                continue
-            top = max(map(mul, weights.values(), map(term_weight, weights, repeat(0.0))))
-            impact = top / norm
-            if impact > best:
-                best = impact
-        return best
+        """``fl(fl(w_{d,t} w_t) / W_d)`` per representative, in one C-level chain."""
+        return max(map(truediv, map(mul, keys, map(corpus.__getitem__, terms)), ranks), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -227,10 +240,17 @@ class BM25Scorer(_Factored):
         Term-frequency saturation (1.2 is the classic Okapi value).
     b:
         Document-length normalisation strength.
+
+    Both must be non-negative, so that an impact does not grow with ``|d|``
+    (the impact-class argument of :class:`Scorer`).
     """
 
     k1: float = 1.2
     b: float = 0.75
+
+    def __post_init__(self) -> None:
+        if not (self.k1 >= 0.0 and self.b >= 0.0):
+            raise ValueError(f"BM25 needs k1 >= 0 and b >= 0, got k1={self.k1}, b={self.b}")
 
     def document_factor(
         self, term_frequencies: Mapping[str, int]
@@ -299,15 +319,18 @@ class BM25Scorer(_Factored):
 
     def max_impact(
         self,
-        documents: Iterable[tuple[Mapping[str, int], int]],
+        terms: Sequence[str],
+        keys: Sequence[float],
+        ranks: Sequence[float],
         corpus: tuple[dict[str, float], float],
     ) -> float:
+        """:meth:`_compose` per representative (``f_{d,t}`` and ``|d|`` as
+        doubles, which changes no operation's result)."""
         idf, avg_length = corpus
-        best = 0.0
-        for frequencies, doc_length in documents:
-            length_norm = self._length_norm(doc_length, avg_length)
-            for term, freq in frequencies.items():
-                impact = self._compose(idf.get(term), freq, length_norm)
-                if impact > best:
-                    best = impact
-        return best
+        return max(
+            (
+                self._compose(idf[term], freq, self._length_norm(length, avg_length))
+                for term, freq, length in zip(terms, keys, ranks)
+            ),
+            default=0.0,
+        )

@@ -254,19 +254,6 @@ class PostingColumns:
             quants=array("I", (p.quantised_impact for p in entries)),
         )
 
-    @classmethod
-    def from_entries(
-        cls, entries: Sequence[tuple[int, float]], max_impact: float, levels: int
-    ) -> "PostingColumns":
-        """A list from ``(doc_id, impact)`` pairs in any order: the impacts
-        quantised, then the rows put in ``(-quant, doc_id)`` order."""
-        return cls(
-            *_impact_sorted(
-                array("I", (doc_id for doc_id, _ in entries)),
-                quantise_column([impact for _, impact in entries], max_impact, levels),
-            )
-        )
-
     def serialise(self) -> bytes:
         """The list as big-endian ``<doc_id, quantised_impact>`` pairs, O(n) array ops."""
         doc_ids, quants = self.doc_ids, self.quants
@@ -433,8 +420,10 @@ def merge_segment_parts(
     """The pure merge kernel: fold ordered segments into one.
 
     ``segments`` are ordered oldest to newest (a contiguous seal-sequence
-    range), current, and read, never mutated; ``older_docs`` is the union of
-    document sets of every segment *older than the range*.  Tombstones
+    range) and read, never mutated; ``older_docs`` is the union of
+    document sets of every segment *older than the range*.  Rows keep their
+    stored quants, so the merge of a stale segment is stale: the caller
+    recomposes it as it would the input.  Tombstones
     internal to the range are applied (their rows dropped and the tombstone
     consumed); a tombstone survives into the merged segment only if its
     document actually has rows in an older segment -- anything else can

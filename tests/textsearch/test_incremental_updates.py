@@ -7,6 +7,7 @@ import pytest
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex, Posting
 from repro.textsearch.scoring import BM25Scorer, CorpusStatistics, CosineScorer
+from repro.textsearch.segments import TieredMergePolicy
 
 
 @pytest.fixture()
@@ -294,6 +295,16 @@ class _CountingScorer(CosineScorer):
         return super().document_impacts(term_frequencies, stats)
 
 
+class _ColumnCountingScorer(CosineScorer):
+    """Cosine, counting the impact columns it composes."""
+
+    columns = [0]
+
+    def impact_column(self, documents, term, corpus):
+        self.columns[0] += 1
+        return super().impact_column(documents, term, corpus)
+
+
 class TestFactoredRefresh:
     def test_an_update_scores_only_the_new_documents(self, base_documents):
         scorer = _CountingScorer()
@@ -311,12 +322,46 @@ class TestFactoredRefresh:
         live = [d for d in base_documents if d.doc_id != 2] + added
         assert_indexes_identical(index, InvertedIndex.build(Corpus(live)))
 
-    def test_a_refresh_scans_every_live_posting_once(self):
+    def test_a_refresh_scans_one_representative_per_impact_class(self):
         index = InvertedIndex.build(Corpus([Document(doc_id=1, text="alpha beta gamma")]))
+        # "beta" once more, with the same w_{d,t}: the class it joins has one
+        # representative, so 5 live postings are 4 classes.
         index.add_document(Document(doc_id=2, text="beta delta"))
         index.compact()
-        assert index.update_counters.postings_rescored == 5
+        assert index.update_counters.impact_classes_scanned == 4
         assert index.update_counters.documents_factored == 1
+
+    def test_a_merge_of_stale_segments_recomposes_nothing(self, tmp_path, base_documents):
+        scorer = _ColumnCountingScorer()
+        index = InvertedIndex.build(
+            Corpus(base_documents), scorer=scorer, merge_policy=TieredMergePolicy(fanout=2)
+        )
+        index.save(tmp_path / "tree")
+        added = [
+            Document(doc_id=9, text="night watch keeper of the old house gown"),
+            Document(doc_id=10, text="zanzibar town"),
+        ]
+        index.add_document(added[0])
+        index.maintain(force_seal=True)
+        index.add_document(added[1])
+        index.remove_document(2)
+        stale = set(index._stale_ids)
+        scorer.columns[0] = 0
+        report = index.maintain(force_seal=True)  # the refresh marks the first seal stale
+        assert report["merges_committed"] == 1
+        assert scorer.columns[0] == 0
+        (merged,) = [s for s in index._segments if s.generation == 1]
+        assert merged.segment_id in index._stale_ids and merged.segment_id not in stale
+        assert index.update_counters.lists_requantised == 0
+        live = [d for d in base_documents if d.doc_id != 2] + added
+        rebuilt = InvertedIndex.build(Corpus(live))
+        assert_indexes_identical(index, rebuilt)
+        index.save(tmp_path / "tree")
+        assert index.last_save_report["mode"] == "incremental"
+        assert index.last_save_report["arrays_fresh"] is False
+        for mmap in (False, True):
+            loaded = InvertedIndex.load(tmp_path / "tree", mmap=mmap, scorer=CosineScorer())
+            assert_indexes_identical(loaded, rebuilt)
 
     def test_a_loaded_index_factors_its_documents_once(self, tmp_path, base_documents, index):
         index.save(tmp_path / "saved")

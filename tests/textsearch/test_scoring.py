@@ -82,11 +82,34 @@ class TestBM25Scorer:
     def test_unknown_term_gets_zero(self, stats):
         assert BM25Scorer().document_impacts({"unseen": 3}, stats)["unseen"] == 0.0
 
+    @pytest.mark.parametrize("params", [dict(k1=-0.5), dict(b=-0.1)])
+    def test_a_negative_parameter_is_refused(self, params):
+        # An impact that grew with |d| would break the impact-class max.
+        with pytest.raises(ValueError, match="k1 >= 0 and b >= 0"):
+            BM25Scorer(**params)
+
 
 class TestCorpusStatistics:
     def test_document_frequency_lookup(self, stats):
         assert stats.document_frequency("rare") == 2
         assert stats.document_frequency("never-seen") == 0
+
+
+def scan_max_impact(scorer, factors, corpus) -> float:
+    """The oracle of ``Scorer.max_impact``: the largest composed impact of
+    every posting of ``factors`` (``0.0`` when none is positive)."""
+    return max([0.0, *(value for f in factors for value in scorer.impacts(f, corpus).values())])
+
+
+def representatives(factors, known) -> tuple[list, list, list]:
+    """The ``(terms, keys, ranks)`` columns ``max_impact`` takes: per impact
+    class ``(term, key)`` of a ``known`` term, the smallest rank."""
+    best: dict = {}
+    for keys, rank in factors:
+        for term, key in keys.items():
+            if term in known and rank < best.get((term, key), math.inf):
+                best[term, key] = rank
+    return [t for t, _ in best], [k for _, k in best], list(best.values())
 
 
 def _ulps(value: float, steps: int) -> float:
@@ -127,10 +150,9 @@ class TestFactoredScoring:
     def test_cosine_factored_max_is_the_composed_max_bit_for_bit(self, factors):
         documents, corpus = factors
         scorer = CosineScorer()
-        composed = max(
-            [0.0] + [value for d in documents for value in scorer.impacts(d, corpus).values()]
-        )
-        assert scorer.max_impact(documents, corpus).hex() == composed.hex()
+        composed = scan_max_impact(scorer, documents, corpus)
+        got = scorer.max_impact(*representatives(documents, corpus), corpus)
+        assert got.hex() == composed.hex()
 
     @pytest.mark.parametrize("scorer", [CosineScorer(), BM25Scorer()], ids=["cosine", "bm25"])
     @given(documents=st.lists(frequencies, min_size=1, max_size=6))
@@ -144,5 +166,6 @@ class TestFactoredScoring:
             for term, value in impacts.items():
                 assert scorer.impact(factor, term, corpus).hex() == value.hex()
             assert scorer.impact(factor, "absent", corpus) == 0.0
-        best = max(value for impacts in composed for value in [0.0, *impacts.values()])
-        assert scorer.max_impact(factors, corpus).hex() == best.hex()
+        best = scan_max_impact(scorer, factors, corpus)
+        columns = representatives(factors, STATS.document_frequencies)
+        assert scorer.max_impact(*columns, corpus).hex() == best.hex()

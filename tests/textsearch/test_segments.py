@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.partitioning import HashPartitioner
 from repro.textsearch.corpus import Corpus, Document
-from repro.textsearch.inverted_index import InvertedIndex
+from repro.textsearch.inverted_index import InvertedIndex, _compose_lists
 from repro.textsearch.scoring import BM25Scorer
 from repro.textsearch.segments import (
     CorruptIndexError,
@@ -283,14 +283,27 @@ class TestTieredMerging:
         assert_indexes_identical(index, InvertedIndex.build(Corpus(live)))
 
 
+class _GivenImpacts:
+    """A scorer whose document factor is the document's impacts."""
+
+    def impacts(self, document, corpus):
+        return document
+
+
+def _composed(entries, max_impact, levels):
+    """One term's list from ``(doc_id, impact)`` pairs, composed as a build is."""
+    factors = ((doc_id, {"t": impact}) for doc_id, impact in entries)
+    return _compose_lists(_GivenImpacts(), factors, None, max_impact, levels)["t"]
+
+
 class TestImpactOrder:
     def test_single_clean_run_is_returned_zero_copy(self):
-        columns = PostingColumns.from_entries([(1, 2.0), (2, 1.0)], 2.0, 255)
+        columns = _composed([(1, 2.0), (2, 1.0)], 2.0, 255)
         assert live_columns(columns, "t", frozenset()) is columns
         assert impact_order([columns]) is columns
 
     def test_a_recomposed_run_with_unchanged_quants_is_returned_as_itself(self):
-        columns = PostingColumns.from_entries([(1, 2.0), (2, 1.0)], 2.0, 255)
+        columns = _composed([(1, 2.0), (2, 1.0)], 2.0, 255)
         def compose(quants):
             return lambda doc_ids, term: array("I", quants)
 
@@ -299,8 +312,8 @@ class TestImpactOrder:
         assert (list(moved.doc_ids), list(moved.quants)) == ([1, 2], [255, 127])
 
     def test_dead_rows_filtered_and_order_preserved(self):
-        old = PostingColumns.from_entries([(1, 3.0), (2, 2.0), (3, 1.0)], 3.0, 255)
-        new = PostingColumns.from_entries([(4, 2.5), (5, 0.5)], 3.0, 255)
+        old = _composed([(1, 3.0), (2, 2.0), (3, 1.0)], 3.0, 255)
+        new = _composed([(4, 2.5), (5, 0.5)], 3.0, 255)
         merged = impact_order(
             [live_columns(old, "t", frozenset({2})), live_columns(new, "t", frozenset())]
         )
@@ -317,11 +330,15 @@ class TestImpactOrder:
     def test_rows_tied_on_quant_run_by_doc_id_whatever_their_floats(self):
         # 1.0 and 0.999 both quantise to 2 of 2 levels: the float order
         # (9 before 3) is not the list's order.
-        columns = PostingColumns.from_entries([(9, 1.0), (3, 0.999), (4, 0.2)], 1.0, 2)
+        columns = _composed([(9, 1.0), (3, 0.999), (4, 0.2)], 1.0, 2)
         assert (list(columns.doc_ids), list(columns.quants)) == ([3, 9, 4], [2, 2, 1])
 
+    def test_zero_impacts_never_enter_a_list(self):
+        columns = _composed([(1, 0.0), (2, 1.0), (3, 0.0)], 1.0, 255)
+        assert (list(columns.doc_ids), list(columns.quants)) == ([2], [255])
+
     def test_empty_result_is_none(self):
-        columns = PostingColumns.from_entries([(7, 1.0)], 1.0, 255)
+        columns = _composed([(7, 1.0)], 1.0, 255)
         assert impact_order([live_columns(columns, "t", frozenset({7}))]) is None
         assert impact_order([]) is None
 
@@ -494,19 +511,19 @@ class TestPersistence:
             """Every term of every document has impact 1.0."""
 
             def document_factor(self, term_frequencies):
-                return frozenset(term_frequencies)
+                return dict.fromkeys(term_frequencies, 1.0), 1.0
 
             def corpus_factor(self, stats):
                 return None
 
             def impacts(self, document, corpus):
-                return dict.fromkeys(document, 1.0)
+                return dict.fromkeys(document[0], 1.0)
 
             def impact(self, document, term, corpus):
-                return 1.0 if term in document else 0.0
+                return 1.0 if term in document[0] else 0.0
 
-            def max_impact(self, documents, corpus):
-                return 1.0 if any(documents) else 0.0
+            def max_impact(self, terms, keys, ranks, corpus):
+                return 1.0 if terms else 0.0
 
         index = InvertedIndex.build(Corpus(base_documents), scorer=OddScorer())
         index.save(tmp_path / "odd")
