@@ -21,7 +21,10 @@ from repro.service import wire
 from repro.service.app import chunked_organization
 from repro.textsearch.corpus import Corpus
 from repro.textsearch.inverted_index import IndexSnapshot, InvertedIndex
+from repro.textsearch.segments import TieredMergePolicy, merge_segment_parts
 from repro.textsearch.synthetic import SyntheticCorpusGenerator
+from repro.textsearch.tokenizer import Tokenizer
+from tests.textsearch import oracles
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +257,53 @@ def test_bench_maintain_after_update(benchmark, context):
     assert set(index.terms) == set(rebuilt.terms)
     for term in rebuilt.terms:
         assert index.postings(term) == rebuilt.postings(term), term
+
+
+def test_bench_merge_after_updates(benchmark, context):
+    """The tiered merge of ``test_bench_maintain_after_update``'s shape: four
+    generation-0 segments of +8/-4 updates over 500 documents, three of them
+    stale, folded by ``merge_segment_parts`` as ``maintain`` folds them.
+    Checked against the per-term merge: lists in the same order, with the
+    same rows, documents and tombstones."""
+    documents = list(
+        SyntheticCorpusGenerator(lexicon=context.lexicon, num_documents=700, seed=19).generate()
+    )
+    # Fanout 5 keeps the four segments apart until the benchmark merges them.
+    index = InvertedIndex.build(Corpus(documents[:500]), merge_policy=TieredMergePolicy(5))
+    for cycle in range(4):
+        index.add_documents(documents[500 + 8 * cycle : 508 + 8 * cycle])
+        index.remove_documents(d.doc_id for d in documents[4 * cycle : 4 * cycle + 4])
+        index.maintain(force_seal=True)
+    segments = index._segments
+    older_docs, external_dead = segments[0].documents, index._dead_sets()[-1]
+    assert [s.generation for s in segments[1:]] == [0, 0, 0, 0]
+    merged = benchmark.pedantic(
+        merge_segment_parts, args=(segments[1:], older_docs, external_dead), rounds=30
+    )
+    want = oracles.merge_segment_parts(segments[1:], older_docs, external_dead)
+    assert list(merged[0]) == list(want[0])
+    for term, columns in want[0].items():
+        assert (merged[0][term].doc_ids, merged[0][term].quants) == (
+            columns.doc_ids,
+            columns.quants,
+        ), term
+    assert merged[1:] == want[1:]
+
+
+def test_bench_tokenize_document(benchmark, context):
+    """Term frequencies of 64 documents of the update workload's shape (~120
+    tokens each): one update round's adds.  Checked against the per-token
+    tokenizer, key order included (doc-terms links are written in it)."""
+    texts = [
+        document.text
+        for document in SyntheticCorpusGenerator(
+            lexicon=context.lexicon, num_documents=64, seed=19
+        ).generate()
+    ]
+    tokenizer = Tokenizer()
+    counts = benchmark(lambda: [tokenizer.term_frequencies(text) for text in texts])
+    for got, text in zip(counts, texts):
+        assert list(got.items()) == list(oracles.term_frequencies(tokenizer, text).items())
 
 
 @pytest.fixture(scope="module")

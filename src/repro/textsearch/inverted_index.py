@@ -84,9 +84,8 @@ import dataclasses
 import struct
 import threading
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -109,6 +108,7 @@ from repro.textsearch.segments import (
     SegmentManifest,
     TieredMergePolicy,
     _persist_state,
+    _sorted_lists,
     dead_sets,
     impact_order,
     live_columns,
@@ -234,11 +234,11 @@ def _compose_lists(
     document factor)`` pairs), composed against one corpus factor: what
     :meth:`InvertedIndex.build` indexes and a refresh stages as the delta.
 
-    Every impact is quantised in one :func:`quantise_column` pass, the rows
-    are grouped by term, and only a list of more than one row is sorted.  A
-    row is ``(levels - quant, doc_id)``: ascending, that is the
-    ``(-quant, doc_id)`` order, and its first item is a small int, which
-    Python does not allocate.  Zero impacts never enter a list.
+    Every impact is quantised in one :func:`quantise_column` pass and every
+    row is put in order by one sort: a row is ``(term position, levels -
+    quant, doc_id)``, ints the sort compares fast and none allocated per row,
+    and the terms keep their first-seen order.  Zero impacts never enter a
+    list.
     """
     terms: list[str] = []
     doc_ids: list[int] = []
@@ -252,21 +252,12 @@ def _compose_lists(
         keep = [impact > 0.0 for impact in impacts]
         terms, doc_ids, impacts = (list(compress(c, keep)) for c in (terms, doc_ids, impacts))
     quants = quantise_column(impacts, max_impact, levels)
-    # Each column is freed before the rows are built, where a build's memory peaks.
+    # Each column is freed before the next is built, where a build's memory peaks.
     del impacts
-    rows: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
-    for term, row in zip(terms, zip(map(levels.__sub__, quants), doc_ids)):
-        rows[term].append(row)
+    position = dict(zip(dict.fromkeys(terms), range(len(terms))))
+    rows = list(zip(map(position.__getitem__, terms), map(levels.__sub__, quants), doc_ids))
     del terms, doc_ids, quants
-    lists = {}
-    for term, entries in rows.items():
-        if len(entries) > 1:
-            entries.sort()
-        lists[term] = PostingColumns(
-            array("I", [doc_id for _, doc_id in entries]),
-            array("I", [levels - rank for rank, _ in entries]),
-        )
-    return lists
+    return _sorted_lists(list(position), rows, levels.__sub__)
 
 
 class _ImpactClasses:
@@ -397,6 +388,7 @@ class IndexSnapshot:
 
     __slots__ = (
         "_records",
+        "_compose",
         "_max_impact",
         "_update_epoch",
         "_merged",
@@ -417,6 +409,7 @@ class IndexSnapshot:
             (segment.lists, compose if segment.segment_id in stale else None, dead)
             for segment, dead in zip(index._segments, index._dead_sets())
         ] + [(index._active_lists, None, _EMPTY)]
+        self._compose = compose
         self._max_impact = index._max_impact
         self._update_epoch = index._update_epoch
         self._merged: dict[str, PostingColumns | None] = {}
@@ -474,29 +467,37 @@ class IndexSnapshot:
         """The list's live rows as parallel ``(doc_ids, quantised_impacts)``
         arrays (hot path): the rows of :meth:`postings`, not their order.
 
-        Each segment's run minus its dead rows, stale rows recomposed
+        Each segment's run minus its dead rows
         (:func:`~repro.textsearch.segments.live_columns`), oldest run first
         and the unsealed delta last -- the homomorphic product needs each
-        row once, in any order.  A term held by one clean run returns that
-        segment's own arrays (zero-copy); callers must not mutate them.
-        Unknown terms yield a pair of empty arrays.
+        row once, in any order.  The stale runs' rows are recomposed by one
+        call over all of them.  A term held by one run that needed no change
+        returns that segment's own arrays (zero-copy); callers must not
+        mutate them.  Unknown terms yield a pair of empty arrays.
         """
         rows = self._live.get(term)
         if rows is not None:
             return rows
         parts = [
-            part
+            (part, compose)
             for lists, compose, dead in self._records
             if (run := lists.get(term)) is not None
-            and (part := live_columns(run, term, dead, compose)).doc_ids
+            and (part := live_columns(run, term, dead)).doc_ids
         ]
         if len(parts) == 1:
-            rows = parts[0].doc_ids, parts[0].quants
+            part, compose = parts[0]
+            if compose is not None:
+                part = live_columns(part, term, _EMPTY, compose)
+            rows = part.doc_ids, part.quants
         else:
-            rows = array("I"), array("I")
-            for part in parts:
+            rows, stale = (array("I"), array("I")), array("I")
+            for part, compose in parts:
                 rows[0].extend(part.doc_ids)
-                rows[1].extend(part.quants)
+                stale.extend(part.doc_ids if compose is not None else ())
+            # Every stale run shares the refresh's composer: one call serves them all.
+            fresh = iter(self._compose(stale, term) if stale else ())
+            for part, compose in parts:
+                rows[1].extend(part.quants if compose is None else islice(fresh, len(part)))
         self._live[term] = rows
         return rows
 

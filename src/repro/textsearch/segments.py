@@ -40,9 +40,9 @@ The pieces provided here:
   :func:`repair_index_directory`.
 * :func:`live_columns` -- the row kernel: one run's live rows with stale
   quants recomposed in one pass, what a snapshot's ``columns`` concatenates.
-* :func:`impact_order` -- the ordering step behind every ordered list: the
-  snapshots' ordered reads, merges, ``compact`` and the writer's rewritten
-  segment copies.
+* :func:`impact_order` -- the ordering step of one term's rows: the snapshots'
+  ordered reads and the writer's rewritten segment copies.  Merges (and so
+  ``compact``) and the delta build order all their rows in one sort.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ import uuid as _uuid
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import neg, not_
+from collections import Counter
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter, neg, not_
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -432,25 +433,37 @@ def merge_segment_parts(
     ``external_dead`` names documents tombstoned by segments *newer than
     the range* (including the unsealed delta).  Their rows are dropped too:
     no read returns them, and a re-added document's rows live in newer
-    segments.  Each term's list is its runs' live rows put in
-    :func:`impact_order`.
+    segments.
+
+    The work is per row, not per term.  An input whose ``documents`` (every
+    row's document is one) are all live is taken whole.  A term held by one
+    input keeps that input's run, which its writer put in ``(-quant,
+    doc_id)`` order.  The rows of the terms held by more are ordered by one
+    sort, keyed ``(term, -quant, doc_id)``.  Terms keep their first-seen
+    order.
 
     Returns ``(lists, documents, tombstones)``.
     """
     dead_for = dead_sets(segments, external_dead)
-    merged_lists: dict[str, PostingColumns] = {}
-    for term in dict.fromkeys(term for segment in segments for term in segment.lists):
-        merged = impact_order(
-            live_columns(columns, term, dead)
-            for segment, dead in zip(segments, dead_for)
-            if (columns := segment.lists.get(term)) is not None
-        )
-        if merged is not None:
-            merged_lists[term] = merged
-
-    documents: set[int] = set()
-    for segment, dead in zip(segments, dead_for):
-        documents.update(doc for doc in segment.documents if doc not in dead)
+    live = [
+        segment.lists
+        if dead.isdisjoint(segment.documents)
+        else {t: run for t, c in segment.lists.items() if len(run := live_columns(c, t, dead))}
+        for segment, dead in zip(segments, dead_for)
+    ]
+    merged = dict.fromkeys(chain.from_iterable(segment.lists for segment in segments))
+    for lists in live:
+        merged.update(lists)
+    shared = [term for term, holders in Counter(chain.from_iterable(live)).items() if holders > 1]
+    position = dict(zip(shared, range(len(shared))))
+    rows: list[tuple[int, int, int]] = []
+    for lists in live:
+        for term, run in lists.items():
+            if (at := position.get(term)) is not None:
+                rows += zip(repeat(at), map(neg, run.quants), run.doc_ids)
+    merged.update(_sorted_lists(shared, rows, neg))
+    merged_lists = {term: run for term, run in merged.items() if run is not None}
+    documents = set().union(*(s.documents - dead for s, dead in zip(segments, dead_for)))
     tombstones = {
         doc
         for segment in segments
@@ -458,6 +471,24 @@ def merge_segment_parts(
         if doc in older_docs
     }
     return merged_lists, documents, tombstones
+
+
+def _sorted_lists(
+    terms: Sequence[str], rows: list[tuple[int, int, int]], quant: Callable[[int], int]
+) -> dict[str, PostingColumns]:
+    """The lists of ``terms`` from ``rows``, ``(position in terms, rank,
+    doc_id)`` with ``quant(rank)`` falling as the rank rises, in one sort; each
+    list is a slice of two whole columns.  Every term has rows; ``rows`` is
+    emptied."""
+    rows.sort()
+    sizes = Counter(map(itemgetter(0), rows)).values()
+    doc_ids = array("I", map(itemgetter(2), rows))
+    quants = array("I", map(quant, map(itemgetter(1), rows)))
+    rows.clear()  # before the lists are made: where a build's memory peaks
+    return {
+        term: PostingColumns(doc_ids[end - size : end], quants[end - size : end])
+        for term, size, end in zip(terms, sizes, accumulate(sizes))
+    }
 
 
 def live_columns(
@@ -493,13 +524,13 @@ def _impact_sorted(doc_ids: Sequence[int], quants: Sequence[int]) -> tuple[array
 
 
 def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
-    """The rows of ``runs`` as one list by ``(-quant, doc_id)``: the index's
-    one ordering step (``None`` when there are no rows).
+    """The rows of ``runs`` as one list by ``(-quant, doc_id)``: the ordering
+    step of one term's reads (``None`` when there are no rows).
 
     A document has at most one live row per term, so the order is total and
     equals a from-scratch rebuild's.  A single run already in that order
-    comes back as itself: reads stay zero-copy, and a refresh that kept a
-    list's order pays no sort.
+    comes back as itself: reads stay zero-copy, and a recomposed run that
+    kept its order pays no sort.  A merge orders many terms in one sort.
     """
     runs = [run for run in runs if len(run)]
     if not runs:

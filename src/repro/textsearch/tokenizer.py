@@ -9,8 +9,9 @@ English stopword list and very short tokens.  No stemming is applied.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["Tokenizer", "DEFAULT_STOPWORDS"]
 
@@ -25,6 +26,8 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
 )
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)?")
+#: A phrase: a whitespace-delimited chunk holding an underscore (captured, for ``split``).
+_PHRASE_PATTERN = re.compile(r"(?<!\S)([^\s_]*_\S*)")
 
 
 @dataclass
@@ -50,35 +53,27 @@ class Tokenizer:
     keep_phrases: bool = True
 
     def tokenize(self, text: str) -> list[str]:
-        """Split ``text`` into searchable tokens, in document order."""
+        """Split ``text`` into searchable tokens, in document order: one
+        ``findall`` for the text between two phrases (or all of it)."""
         lowered = text.lower()
-        if self.keep_phrases:
-            tokens: list[str] = []
-            for chunk in lowered.split():
-                if "_" in chunk:
-                    cleaned = chunk.strip("_,.;:!?()[]\"'")
-                    if cleaned and cleaned not in self.stopwords:
-                        tokens.append(cleaned.replace("_", " "))
-                else:
-                    tokens.extend(self._split_plain(chunk))
-            return tokens
-        return list(self._split_plain(lowered))
+        if not self.keep_phrases or "_" not in lowered:
+            return self._split_plain(lowered)
+        pieces = _PHRASE_PATTERN.split(lowered)
+        tokens = self._split_plain(pieces[0])
+        for phrase, plain in zip(pieces[1::2], pieces[2::2]):
+            cleaned = phrase.strip("_,.;:!?()[]\"'")
+            if cleaned and cleaned not in self.stopwords:
+                tokens.append(cleaned.replace("_", " "))
+            tokens += self._split_plain(plain)
+        return tokens
 
-    def _split_plain(self, text: str) -> Iterator[str]:
-        for match in _TOKEN_PATTERN.finditer(text):
-            token = match.group(0)
-            if len(token) < self.min_token_length:
-                continue
-            if token in self.stopwords:
-                continue
-            yield token
+    def _split_plain(self, text: str) -> list[str]:
+        minimum, stopwords = self.min_token_length, self.stopwords
+        return [t for t in _TOKEN_PATTERN.findall(text) if len(t) >= minimum and t not in stopwords]
 
     def term_frequencies(self, text: str) -> dict[str, int]:
         """Token counts for a document (``f_{d,t}`` in the scoring formulas)."""
-        counts: dict[str, int] = {}
-        for token in self.tokenize(text):
-            counts[token] = counts.get(token, 0) + 1
-        return counts
+        return dict(Counter(self.tokenize(text)))
 
     def vocabulary(self, texts: Iterable[str]) -> set[str]:
         """The set of distinct tokens appearing in any of ``texts``."""

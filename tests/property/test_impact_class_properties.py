@@ -75,6 +75,7 @@ def test_the_max_over_representatives_is_the_scan(scorer_name, base, operations)
         saved: dict[Path, dict[int, str]] = {}
         target = None
         for op in operations:
+            assert_stale_ids_name_segments(index)
             kind = op[0]
             if kind == "add" and op[1] not in live:
                 index.add_document(Document(doc_id=op[1], text=op[2]))
@@ -95,7 +96,14 @@ def test_the_max_over_representatives_is_the_scan(scorer_name, base, operations)
                 index = InvertedIndex.load(target, mmap=op[1])
                 live = dict(saved[target])
                 assert_max_is_the_scan(index, live, scorer)
+        assert_stale_ids_name_segments(index)
         assert_max_is_the_scan(index, live, scorer)
+
+
+def assert_stale_ids_name_segments(index) -> None:
+    """A stale id names a segment the index holds: a merge or a compaction
+    consumes its inputs' ids."""
+    assert index._stale_ids <= {segment.segment_id for segment in index._segments}
 
 
 @pytest.mark.parametrize("scorer", SCORERS.values(), ids=sorted(SCORERS))

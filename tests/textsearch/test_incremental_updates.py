@@ -363,6 +363,36 @@ class TestFactoredRefresh:
             loaded = InvertedIndex.load(tmp_path / "tree", mmap=mmap, scorer=CosineScorer())
             assert_indexes_identical(loaded, rebuilt)
 
+    def stale_pair(self, base_documents):
+        """Two sealed segments, both stale, that ``maintain`` merges."""
+        index = InvertedIndex.build(
+            Corpus(base_documents), merge_policy=TieredMergePolicy(fanout=2)
+        )
+        index.add_document(Document(doc_id=9, text="night watch keeper of the old house"))
+        index.seal_delta()
+        index.add_document(Document(doc_id=10, text="zanzibar town"))
+        index.seal_delta()
+        index.add_document(Document(doc_id=11, text="gown town keep"))
+        _ = index.terms  # the refresh marks both sealed segments stale
+        inputs = {s.segment_id for s in index._segments if not s.base}
+        assert len(inputs) == 2 and inputs <= index._stale_ids
+        return index, inputs
+
+    def test_a_merge_consumes_its_stale_inputs_ids(self, base_documents):
+        index, inputs = self.stale_pair(base_documents)
+        assert index.maintain()["merges_committed"] == 1
+        live_ids = {s.segment_id for s in index._segments}
+        assert inputs.isdisjoint(index._stale_ids)
+        assert index._stale_ids <= live_ids
+        (merged,) = [s for s in index._segments if s.generation == 1]
+        assert merged.segment_id in index._stale_ids
+
+    def test_compact_consumes_every_stale_id(self, base_documents):
+        index, inputs = self.stale_pair(base_documents)
+        index.compact()
+        assert inputs.isdisjoint(index._stale_ids)
+        assert index._stale_ids <= {s.segment_id for s in index._segments}
+
     def test_a_loaded_index_factors_its_documents_once(self, tmp_path, base_documents, index):
         index.save(tmp_path / "saved")
         loaded = InvertedIndex.load(tmp_path / "saved")
