@@ -65,7 +65,8 @@ Persistence
 (:func:`repro.textsearch.segments.write_index_directory`);
 :meth:`load` restores them, optionally ``mmap``-backed so cold-start cost is
 I/O-bound -- per-term columns materialise lazily from the mapped files on
-first access -- instead of rebuild-bound.
+first access -- instead of rebuild-bound; the per-document term frequencies
+only updates read are built on the first one.
 
 Downstream caches (the PIR bucket databases) stay coherent through
 :attr:`update_epoch`: every mutation bumps it, maintenance never does, so
@@ -85,6 +86,7 @@ import struct
 import threading
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, islice, repeat
 from math import inf
 from pathlib import Path
@@ -100,6 +102,7 @@ from repro.textsearch.scoring import (
 from repro.textsearch.segments import (
     _EMPTY,
     DEFAULT_WAL_COMPACT_RECORDS,
+    ChainFold,
     ColumnComposer,
     CorruptIndexError,
     IndexSegment,
@@ -622,7 +625,7 @@ class InvertedIndex:
             stats=stats,
             quantise_levels=quantise_levels,
             block_size=block_size,
-            document_terms=document_terms,
+            chain=None if document_terms is None else partial(dict, document_terms),
             scorer=scorer,
             tokenizer=tokenizer,
             max_impact=max_impact,
@@ -638,7 +641,7 @@ class InvertedIndex:
         stats: CorpusStatistics,
         quantise_levels: int,
         block_size: int,
-        document_terms: Mapping[int, Mapping[str, int]] | None,
+        chain: ChainFold | None,
         scorer: Scorer | None,
         tokenizer: Tokenizer | None,
         max_impact: float,
@@ -647,7 +650,9 @@ class InvertedIndex:
         next_segment_id: int,
         buffers: Sequence = (),
     ) -> None:
-        """Shared state initialisation for ``__init__`` and :meth:`load`."""
+        """Shared state initialisation for ``__init__`` and :meth:`load`;
+        ``chain`` gives the per-document term frequencies when first called
+        (``None``: a read-only index)."""
         self._segments = segments
         self.quantise_levels = quantise_levels
         self.block_size = block_size
@@ -697,24 +702,15 @@ class InvertedIndex:
         self._unsaved: dict[int, None] = {}
         #: Report of the most recent :meth:`save` (mode, files written...).
         self.last_save_report: dict | None = None
-        if document_terms is not None:
-            self._doc_terms: dict[int, Mapping[str, int]] | None = dict(document_terms)
-            self._document_frequencies: dict[str, int] | None = dict(
-                stats.document_frequencies
-            )
-            self._total_length = sum(
-                sum(freqs.values()) for freqs in self._doc_terms.values()
-            )
-            self.stats = CorpusStatistics(
-                num_documents=stats.num_documents,
-                document_frequencies=self._document_frequencies,
-                average_document_length=stats.average_document_length,
-            )
-        else:
-            self._doc_terms = None
-            self._document_frequencies = None
-            self._total_length = 0
-            self.stats = stats
+        #: Per-document term frequencies, the state updates need: ``None``
+        #: until :meth:`_forward` takes them from ``_chain``.
+        self._doc_terms: dict[int, Mapping[str, int]] | None = None
+        self._chain = chain
+        self._total_length = 0
+        self.stats = stats
+        self._document_frequencies: dict[str, int] | None = (
+            stats.document_frequencies if self.supports_updates else None
+        )
         #: The statistics snapshots pin: the live ones as of the latest
         #: refresh, which add/remove copy before mutating them.
         self._pinned_stats = self.stats
@@ -773,7 +769,7 @@ class InvertedIndex:
 
     # -- incremental updates -------------------------------------------------------
     def _require_updatable(self) -> None:
-        if self._doc_terms is None:
+        if not self.supports_updates:
             raise RuntimeError(
                 "this index does not support incremental updates: it was "
                 "constructed from raw postings without per-document term "
@@ -784,7 +780,17 @@ class InvertedIndex:
     @property
     def supports_updates(self) -> bool:
         """True when the index carries the per-document state updates need."""
-        return self._doc_terms is not None
+        return self._doc_terms is not None or self._chain is not None
+
+    def _forward(self) -> dict[int, Mapping[str, int]]:
+        """The per-document term frequencies, taken from ``_chain`` on the
+        first mutation, stale refresh or full-link save: a loaded index folds
+        its doc-terms chain here (a mismatch with the record it came from is
+        a :class:`~repro.textsearch.segments.CorruptIndexError`)."""
+        if self._doc_terms is None:
+            self._doc_terms, self._chain = self._chain(), None
+            self._total_length = sum(sum(freqs.values()) for freqs in self._doc_terms.values())
+        return self._doc_terms
 
     @property
     def has_pending_updates(self) -> bool:
@@ -962,10 +968,11 @@ class InvertedIndex:
         self._require_updatable()
         with self._snapshot_lock:
             doc_id = document.doc_id
-            if doc_id in self._doc_terms:
+            doc_terms = self._forward()
+            if doc_id in doc_terms:
                 raise ValueError(f"duplicate document id {doc_id}")
             frequencies = self._tokenizer.term_frequencies(document.text)
-            self._doc_terms[doc_id] = frequencies
+            doc_terms[doc_id] = frequencies
             self._unsaved[doc_id] = self._unsaved.pop(doc_id, None)
             self._total_length += sum(frequencies.values())
             document_frequencies = self._own_frequencies()
@@ -996,7 +1003,7 @@ class InvertedIndex:
         """
         self._require_updatable()
         with self._snapshot_lock:
-            frequencies = self._doc_terms.pop(doc_id, None)
+            frequencies = self._forward().pop(doc_id, None)
             if frequencies is None:
                 raise KeyError(f"unknown document id {doc_id}")
             self._unsaved[doc_id] = self._unsaved.pop(doc_id, None)
@@ -1212,7 +1219,7 @@ class InvertedIndex:
         do not call concurrently with another ``save`` on the same instance.
         """
         want_incremental = (
-            self._doc_terms is not None
+            self.supports_updates
             and self._persist is not None
             and self._persist["path"] == str(Path(path).resolve())
         )
@@ -1239,14 +1246,18 @@ class InvertedIndex:
                 ),
                 "scorer": _scorer_spec(self._scorer),
                 "tokenizer": _tokenizer_spec(self._tokenizer),
-                # Derived from the doc-terms chain at load when there is one.
-                "stats": None if self._doc_terms is not None else dataclasses.asdict(self.stats),
+                # Not ``dataclasses.asdict``: that deep-copies the f_t map.
+                "stats": {
+                    "num_documents": self.stats.num_documents,
+                    "average_document_length": self.stats.average_document_length,
+                    "document_frequencies": self.stats.document_frequencies,
+                },
             }
             report = write_index_directory(
                 path,
                 segments=segments,
                 extra=extra,
-                document_terms=self._doc_terms,
+                document_terms=self._forward if self.supports_updates else None,
                 changed_documents=self._unsaved,
                 persist_state=self._persist if want_incremental else None,
                 runtime_fresh=not (want_incremental and self._stale_ids),
@@ -1278,9 +1289,12 @@ class InvertedIndex:
         custom scorer must be passed as ``scorer=`` when the directory
         carries document terms; a custom policy class does not round-trip.
 
+        The statistics come from the record; the doc-terms links are checked
+        here and folded on the first mutation (:meth:`_forward`).
+
         Failures are typed: a nonexistent directory raises
-        :class:`FileNotFoundError`, an unrecoverable one
-        :class:`~repro.textsearch.segments.CorruptIndexError`.  A torn
+        :class:`FileNotFoundError`, an unrecoverable one (a format 4-6 tree
+        too: rebuild it) :class:`~repro.textsearch.segments.CorruptIndexError`.  A torn
         re-save falls back to the newest ``wal.log`` record whose frame,
         metadata and data files verify, restoring exactly what that save
         committed (audit and repair: :meth:`verify_directory` /
@@ -1290,16 +1304,10 @@ class InvertedIndex:
         never mutate it, and the page cache shares the mapped bytes); the
         returned index object is single-threaded like any other.
         """
-        manifest, segments, document_terms, buffers = read_index_directory(
-            path, use_mmap=mmap
-        )
-        if document_terms is not None:
-            stats = CorpusStatistics.of_documents(document_terms)
-        else:
-            stats = CorpusStatistics(**manifest["stats"])
+        manifest, segments, chain, buffers = read_index_directory(path, use_mmap=mmap)
         if scorer is None:
             scorer = _scorer_from_spec(manifest.get("scorer"))
-            if scorer is None and document_terms is not None:
+            if scorer is None and chain is not None:
                 raise ValueError(
                     f"cannot reconstruct scorer {manifest.get('scorer')!r} from the "
                     "manifest; pass scorer= to InvertedIndex.load"
@@ -1314,10 +1322,10 @@ class InvertedIndex:
         index = cls.__new__(cls)
         index._install(
             segments=segments,
-            stats=stats,
+            stats=CorpusStatistics(**manifest["stats"]),
             quantise_levels=manifest["quantise_levels"],
             block_size=manifest["block_size"],
-            document_terms=document_terms,
+            chain=chain,
             scorer=scorer,
             tokenizer=tokenizer,
             max_impact=manifest["max_impact"],
@@ -1329,7 +1337,7 @@ class InvertedIndex:
         # Adopt the directory identity so the next save() of this instance
         # back to the same path runs incrementally.
         index._persist = _persist_state(path, manifest)
-        if not manifest["arrays_fresh"] and document_terms is not None:
+        if not manifest["arrays_fresh"] and chain is not None:
             # The record was saved with deferred rewrites outstanding: the
             # blobs hold pre-update arrays, so re-derive impacts on first
             # read exactly as the saving instance would have.
@@ -1371,23 +1379,24 @@ class InvertedIndex:
         (:class:`_ImpactClasses`; one impact each), after recomputing the
         classes of the terms whose representatives a remove took, from each
         such term's live rows (O(f_t)).  Document factors and their classes
-        come from build and add, or from the doc-terms sidecar on the first
-        refresh after a :meth:`load`.  Only the small unsealed delta's
-        columns are composed eagerly; each sealed segment is *marked stale*
-        (one id per segment), and a stale run's live rows are recomposed on
-        demand by the row kernel
+        come from build and add, or on the first refresh after a
+        :meth:`load` from the folded doc-terms chain.  Only the small
+        unsealed delta's columns are composed eagerly; each sealed segment is
+        *marked stale* (one id per segment), and a stale run's live rows are
+        recomposed on demand by the row kernel
         (:func:`~repro.textsearch.segments.live_columns`) -- in a snapshot for
         the terms a query touches, or into a copy (:meth:`_current`) when
         :meth:`compact` or a wholesale save needs current arrays.
         """
-        self._stale = False
         scorer = self._scorer
         levels = self.quantise_levels
         counters = self.update_counters
         if self._doc_factors is None:
-            self._doc_factors = {d: scorer.document_factor(f) for d, f in self._doc_terms.items()}
+            # First, so a chain that fails its fold leaves the index stale.
+            self._doc_factors = {d: scorer.document_factor(f) for d, f in self._forward().items()}
             self._classes = _ImpactClasses(self._doc_factors.values())
             counters.documents_factored += len(self._doc_factors)
+        self._stale = False
         classes = self._classes
         documents = dict(self._doc_factors)
         if classes.dirty:

@@ -63,7 +63,7 @@ class CorpusStatistics:
     @classmethod
     def of_documents(cls, document_terms: Mapping[int, Mapping[str, int]]) -> "CorpusStatistics":
         """The statistics of a corpus given as per-document term frequencies
-        (what a build computes, and what a load re-derives)."""
+        (what a build computes, and what a loaded chain's fold must give)."""
         document_frequencies: Counter[str] = Counter()
         total_length = 0
         for frequencies in document_terms.values():

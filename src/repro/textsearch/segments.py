@@ -57,11 +57,15 @@ import uuid as _uuid
 import zlib
 from array import array
 from dataclasses import dataclass, field
+from functools import cache, partial
 from collections import Counter
-from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, neg, not_
+from itertools import accumulate, chain, compress, count, islice, repeat
+from math import inf
+from operator import itemgetter, methodcaller, neg, not_
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+
+from repro.textsearch.scoring import CorpusStatistics
 
 __all__ = [
     "CorruptIndexError",
@@ -78,6 +82,7 @@ __all__ = [
     "quantise_column",
     "write_index_directory",
     "read_index_directory",
+    "fold_doc_terms",
     "read_manifest_log",
     "verify_index_directory",
     "repair_index_directory",
@@ -89,16 +94,14 @@ __all__ = [
 
 #: Identifier written into every saved manifest.
 INDEX_FORMAT = "repro-index-segments"
-#: The on-disk format version saves write.  The reader also takes v4 and v5
-#: records (layout comment above ``_fsync_write_bytes``); any other version
-#: is reported as a problem, never loaded.
-INDEX_FORMAT_VERSION = 6
-#: Bytes per row a save writes: 4 (doc id) + 4 (quant).
+#: The on-disk format version saves write and the only one the reader takes
+#: (layout comment above ``_fsync_write_bytes``).
+INDEX_FORMAT_VERSION = 7
+#: Bytes per stored row: 4 (doc id) + 4 (quant).
 _TERM_BLOCK_FACTOR = 8
-#: Bytes per stored row, by record version: a v4/v5 row also carried an f64
-#: impact after its quant, which the reader skips.
-_ROW_BYTES = {4: 16, 5: 16, INDEX_FORMAT_VERSION: _TERM_BLOCK_FACTOR}
-_READABLE_VERSIONS = tuple(_ROW_BYTES)
+#: A removed document's row count in a doc-terms link (a live document with
+#: no indexable terms has 0 rows).
+_REMOVED = 0xFFFFFFFF
 
 #: Manifest-log records retained before a save compacts ``wal.log`` down to
 #: its newest record and reclaims the segment files only older records
@@ -112,12 +115,10 @@ _WAL_FRAME = struct.Struct("<II")
 
 _EMPTY: frozenset[int] = frozenset()
 
-#: A document id as a doc-terms link spells it (JSON object keys are strings).
-_DOC_ID = re.compile(r"[0-9]+")
 #: The only file names a record may reference: the writer's own, so no
 #: record can name a file outside its directory.
 _SEGMENT_FILE = re.compile(r"segment_[0-9]+_[0-9]+\.bin")
-_DOC_TERMS_FILE = re.compile(r"doc_terms_[0-9]+\.json")
+_DOC_TERMS_FILE = re.compile(r"doc_terms_[0-9]+\.bin")
 
 
 class CorruptIndexError(ValueError):
@@ -517,12 +518,6 @@ def live_columns(
     return PostingColumns(doc_ids, quants)
 
 
-def _impact_sorted(doc_ids: Sequence[int], quants: Sequence[int]) -> tuple[array, array]:
-    """Parallel ``(doc_ids, quants)`` rows put in ``(-quant, doc_id)`` order."""
-    rows = sorted(zip(map(neg, quants), doc_ids))
-    return array("I", [doc_id for _, doc_id in rows]), array("I", [-quant for quant, _ in rows])
-
-
 def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
     """The rows of ``runs`` as one list by ``(-quant, doc_id)``: the ordering
     step of one term's reads (``None`` when there are no rows).
@@ -541,16 +536,13 @@ def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
         pairs = zip(quants, quants[1:], doc_ids, doc_ids[1:])
         if all(a > b or (a == b and x < y) for a, b, x, y in pairs):
             return run
-    doc_ids, quants = array("I"), array("I")
-    for run in runs:
-        doc_ids += run.doc_ids
-        quants += run.quants
-    return PostingColumns(*_impact_sorted(doc_ids, quants))
+    rows = sorted(chain.from_iterable(zip(map(neg, run.quants), run.doc_ids) for run in runs))
+    return PostingColumns(array("I", [d for _, d in rows]), array("I", [-q for q, _ in rows]))
 
 
 # -- on-disk columnar directory format -------------------------------------------
 #
-#   <path>/                (format v6)
+#   <path>/                (format v7)
 #     wal.log              the manifest log, and the only manifest source:
 #                          every save appends one CRC-framed record (<u32
 #                          length, u32 crc32> + compact-JSON manifest: format,
@@ -558,8 +550,9 @@ def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
 #                          arrays_fresh, whole-file integrity pairs, the
 #                          doc-terms chain, the segment set -- per segment:
 #                          id, generation, base, seq range and file -- plus
-#                          the index-level scalars the caller supplies).
-#                          O(segments), not O(corpus)
+#                          the index-level fields the caller supplies, the
+#                          corpus stats among them).  O(segments + terms),
+#                          not O(corpus)
 #     segment_<id>_<seq>.bin
 #                          per term, concatenated: doc_ids (4n bytes) then
 #                          quants (4n) of its rows in (-quant, doc_id) order
@@ -572,26 +565,20 @@ def impact_order(runs: Iterable[PostingColumns]) -> PostingColumns | None:
 #                          Immutable once written: an incremental save reuses
 #                          earlier saves' files *by reference*, matched by
 #                          segment id (a sealed segment never changes)
-#     doc_terms_<seq>.json one link of the doc-terms chain: doc id -> term
-#                          frequencies, null for a removed document.  The
-#                          record names its links oldest first
-#                          (doc_terms_chain, then doc_terms_file); folded in
-#                          order they give the saved documents.  A wholesale
-#                          save or a log compaction writes one full link, an
-#                          incremental save the delta since the save before.
-#                          No chain => a read-only directory, whose record
-#                          keeps the corpus stats (derived from the chain
-#                          otherwise)
+#     doc_terms_<seq>.bin  one link of the doc-terms chain, all u32: <n_terms,
+#                          n_docs>, the link's term table (n_terms byte
+#                          lengths, then the UTF-8), <doc id, row count> per
+#                          document (0xFFFFFFFF: removed), <term id, f_dt>
+#                          per row; all in the writer's order.  Folded oldest
+#                          first (doc_terms_chain, then doc_terms_file) they
+#                          give the documents of the record's stats.  A
+#                          wholesale save or a log compaction writes one full
+#                          link, an incremental save the delta since the save
+#                          before.  No chain => a read-only directory
 #
-# v4/v5 read: their rows are 16 bytes, an f64 impact (8n) following the
-# quants in each term block.  The reader checks the whole stored block's CRC,
-# takes its first 8n bytes and puts the rows in (-quant, doc_id) order (the
-# floats ordered them before).  A v4 segment entry holds one more key (a
-# content version), which the reader ignores.  A loaded v4/v5 tree's next
-# save is wholesale v6.
-#
-# Columns are written in native byte order (recorded in the manifest); a
-# load on a mismatched platform falls back to eager reads with a byteswap.
+# Columns and links are written in native byte order (recorded in the
+# manifest); a load on a mismatched platform falls back to eager reads with a
+# byteswap.
 #
 # Durability ordering of one save: new segment blobs and the doc-terms
 # link are written and fsynced, then the directory entry naming them;
@@ -638,10 +625,11 @@ def _frame_wal_record(manifest: Mapping) -> bytes:
     return _WAL_FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _scan_wal(wal_path: Path, data: bytes | None = None) -> tuple[list[dict], str | None]:
-    """Parse a manifest log, stopping at the first torn or corrupt frame.
+def _wal_frames(wal_path: Path, data: bytes | None = None) -> tuple[list, str | None]:
+    """A manifest log's CRC-checked ``(offset, payload)`` frames, up to the
+    first torn or corrupt one.
 
-    Returns ``(records, problem)`` where ``problem`` describes the torn
+    Returns ``(frames, problem)`` where ``problem`` describes the torn
     tail (``None`` for a clean log or a missing file).  Frames after a bad
     one are unreachable by construction -- the framing is lost -- so a torn
     byte invalidates the suffix, never the prefix.  ``data`` is the log's
@@ -654,41 +642,57 @@ def _scan_wal(wal_path: Path, data: bytes | None = None) -> tuple[list[dict], st
             data = wal_path.read_bytes()
         except OSError as exc:
             return [], f"unreadable ({exc})"
-    records: list[dict] = []
+    frames: list[tuple[int, bytes]] = []
     offset = 0
     while offset + _WAL_FRAME.size <= len(data):
         length, crc = _WAL_FRAME.unpack_from(data, offset)
         start = offset + _WAL_FRAME.size
         payload = data[start : start + length]
         if len(payload) != length:
-            return records, (
-                f"record {len(records)} truncated at byte {offset} "
+            return frames, (
+                f"record {len(frames)} truncated at byte {offset} "
                 f"({len(payload)} of {length} payload bytes)"
             )
         if zlib.crc32(payload) != crc:
-            return records, f"record {len(records)} at byte {offset} failed its CRC"
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except (ValueError, RecursionError):  # UnicodeDecodeError included
-            return records, f"record {len(records)} at byte {offset} is not valid JSON"
-        if not isinstance(record, dict):
-            return records, f"record {len(records)} at byte {offset} is not an object"
-        records.append(record)
+            return frames, f"record {len(frames)} at byte {offset} failed its CRC"
+        frames.append((offset, payload))
         offset = start + length
     if offset != len(data):
-        return records, (
-            f"trailing {len(data) - offset} bytes after record {len(records)}"
-        )
-    return records, None
+        return frames, f"trailing {len(data) - offset} bytes after record {len(frames)}"
+    return frames, None
+
+
+def _parsed(frames: Sequence[tuple[int, bytes]], number: int) -> dict | str:
+    """Frame ``number`` of ``frames`` as its record, or why it is none."""
+    offset, payload = frames[number]
+    try:
+        record = json.loads(payload)
+    except (ValueError, RecursionError):  # UnicodeDecodeError included
+        return f"record {number} at byte {offset} is not valid JSON"
+    if not isinstance(record, dict):
+        return f"record {number} at byte {offset} is not an object"
+    return record
+
+
+def _scan_wal(wal_path: Path, data: bytes | None = None) -> tuple[list[dict], str | None]:
+    """Parse a manifest log: ``(records, problem)``, where ``problem`` names
+    a torn tail (:func:`_wal_frames`) and the CRC-valid frames that hold no
+    record, which are left out (``None``: nothing is wrong).  A frame that
+    is not a record keeps its framing, so the frames after it are read."""
+    frames, torn = _wal_frames(wal_path, data)
+    parsed = [_parsed(frames, number) for number in range(len(frames))]
+    problems = [item for item in parsed if isinstance(item, str)] + ([torn] if torn else [])
+    return [item for item in parsed if isinstance(item, dict)], "; ".join(problems) or None
 
 
 def read_manifest_log(path: str | Path) -> list[dict]:
-    """The consistent prefix of a directory's manifest log, oldest first.
+    """The records of a directory's manifest log, oldest first.
 
     ``path`` may name the index directory or the ``wal.log`` file itself.
     Parsing stops silently at the first torn or CRC-failing frame (the
     crash-recovery contract: a truncated log yields its longest consistent
-    prefix); a missing log yields ``[]``.
+    prefix) and leaves out a frame that holds no record; a missing log
+    yields ``[]``.
     """
     candidate = Path(path)
     wal_path = candidate / "wal.log" if candidate.is_dir() else candidate
@@ -722,9 +726,9 @@ def _save_seq(record: Mapping) -> int:
 
 
 #: Everything a save, a crash or an older build can leave under an index
-#: directory besides ``wal.log`` itself: data files, the staged log rewrite,
-#: and the older builds' copy of the newest record (with its staging name).
-_DEBRIS_PATTERNS = ("segment_*.bin", "doc_terms*.json", "wal.log.tmp", "manifest.json*")
+#: directory besides ``wal.log`` itself: data files (older JSON links too),
+#: the staged log rewrite, and the older builds' copy of the newest record.
+_DEBRIS_PATTERNS = ("segment_*.bin", "doc_terms*", "wal.log.tmp", "manifest.json*")
 
 
 def _unreferenced_files(root: Path, file_sets: Iterable[AbstractSet[str]]) -> list[Path]:
@@ -797,35 +801,119 @@ def _segment_footer(buffer, source: Path) -> dict:
 
 
 def _column_loader(
-    buffer,
-    offset: int,
-    rows: int,
-    width: int,
-    swap: bool,
-    crc: int,
-    source: str,
+    buffer, offset: int, rows: int, swap: bool, crc: int, source: str
 ) -> Callable[[], tuple[array, array]]:
-    """A term block's rows, ``width`` bytes each as stored; a legacy block's
-    (16-byte rows, float-ordered) come back in ``(-quant, doc_id)`` order."""
+    """A term block's ``(doc_ids, quants)``, checked against its CRC-32."""
 
     def load() -> tuple[array, array]:
         view = memoryview(buffer)
-        chunk = view[offset : offset + width * rows]
-        if len(chunk) != width * rows or zlib.crc32(chunk) != crc:
+        chunk = view[offset : offset + _TERM_BLOCK_FACTOR * rows]
+        if len(chunk) != _TERM_BLOCK_FACTOR * rows or zlib.crc32(chunk) != crc:
             raise CorruptIndexError(
                 f"{source}: term block at offset {offset} is truncated or failed its checksum",
                 path=source,
             )
-        doc_ids = array("I")
-        doc_ids.frombytes(chunk[: 4 * rows])
-        quants = array("I")
-        quants.frombytes(chunk[4 * rows : 8 * rows])
-        if swap:
-            doc_ids.byteswap()
-            quants.byteswap()
-        return (doc_ids, quants) if width == _TERM_BLOCK_FACTOR else _impact_sorted(doc_ids, quants)
+        return _words(chunk[: 4 * rows], swap), _words(chunk[4 * rows :], swap)
 
     return load
+
+
+def _words(data, swap: bool) -> array:
+    """``data`` as u32s, stored in the other byte order when ``swap``."""
+    words = array("I")
+    words.frombytes(data)
+    if swap:
+        words.byteswap()
+    return words
+
+
+def _pairs(first: array, second: array) -> bytes:
+    """Parallel u32 columns as ``<first, second>`` pairs."""
+    pairs = array("I", bytes(8 * len(first)))
+    pairs[0::2], pairs[1::2] = first, second
+    return pairs.tobytes()
+
+
+def _doc_terms_blob(link: Mapping[int, Mapping[str, int] | None]) -> bytes:
+    """One doc-terms link of each document's term frequencies (``None``:
+    removed), laid out as the comment above ``_fsync_write_bytes`` says."""
+    live = [freqs for freqs in link.values() if freqs is not None]
+    ids = dict(zip(dict.fromkeys(chain.from_iterable(live)), count()))
+    names = [term.encode("utf-8") for term in ids]
+    counts = array("I", [_REMOVED if freqs is None else len(freqs) for freqs in link.values()])
+    term_ids = array("I", map(ids.__getitem__, chain.from_iterable(live)))
+    freqs = array("I", chain.from_iterable(map(methodcaller("values"), live)))
+    header = array("I", [len(names), len(link), *map(len, names)]).tobytes()
+    return b"".join([header, *names, _pairs(array("I", link), counts), _pairs(term_ids, freqs)])
+
+
+#: One checked doc-terms link: its term table, its documents' ids and row
+#: counts, and its rows' term ids and frequencies.
+DocTermsLink = tuple[list[str], array, array, array, array]
+#: A loaded record's doc-terms chain: :func:`fold_doc_terms` of its checked
+#: links, run on the first call and remembered.
+ChainFold = Callable[[], dict[int, dict[str, int]]]
+
+
+def _check_link(data: bytes, swap: bool, source: Path) -> DocTermsLink:
+    """One doc-terms link's parts, checked by C-level passes, not folded (a
+    term twice in one document shows in the fold's total length)."""
+
+    def column(start: int, words: int) -> array:
+        if words > (len(data) - start) // 4:
+            raise CorruptIndexError(f"{source.name} is truncated", path=source)
+        return _words(data[start : start + 4 * words], swap)
+
+    num_terms, num_docs = column(0, 2)
+    starts = list(accumulate(column(8, num_terms), initial=8 + 4 * num_terms))
+    documents = column(starts[-1], 2 * num_docs)
+    doc_ids, counts = documents[0::2], documents[1::2]
+    num_rows = sum(counts) - counts.count(_REMOVED) * _REMOVED
+    rows = column(starts[-1] + 8 * num_docs, 2 * num_rows)
+    term_ids, freqs = rows[0::2], rows[1::2]
+    try:
+        terms = [data[start:end].decode("utf-8") for start, end in zip(starts, starts[1:])]
+    except UnicodeDecodeError:
+        terms = []
+    problem = (
+        "trailing bytes" if len(data) != starts[-1] + 8 * (num_docs + num_rows)
+        else "a term that is not UTF-8" if len(terms) != num_terms
+        else "a term id out of range" if max(term_ids, default=-1) >= num_terms
+        else "a frequency below 1" if min(freqs, default=1) < 1
+        else "a document twice" if len(set(doc_ids)) != num_docs
+        else "a term twice" if len(set(terms)) != num_terms
+        else None
+    )
+    if problem is not None:
+        raise CorruptIndexError(f"{source.name} holds {problem}", path=source)
+    return terms, doc_ids, counts, term_ids, freqs
+
+
+def fold_doc_terms(
+    links: Iterable[DocTermsLink], stats: Mapping, segments: Sequence[IndexSegment], source: Path
+) -> dict[int, dict[str, int]]:
+    """Fold checked links, oldest first, orders kept: a document a link
+    names moves to the end, or goes where the link removes it.
+    :class:`CorruptIndexError` unless the fold gives the record's ``stats``
+    and every live document of its ``segments``."""
+    folded: dict[int, dict[str, int]] = {}
+    for terms, doc_ids, counts, term_ids, freqs in links:
+        rows = zip(map(terms.__getitem__, term_ids), freqs)
+        for doc_id, size in zip(doc_ids, counts):
+            folded.pop(doc_id, None)
+            if size != _REMOVED:
+                folded[doc_id] = dict(islice(rows, size))
+    dead = dead_sets(segments, _EMPTY)
+    live = set().union(*(segment.documents - gone for segment, gone in zip(segments, dead)))
+    problem = (
+        "the record's corpus statistics"
+        if CorpusStatistics.of_documents(folded) != CorpusStatistics(**stats)
+        else "every live document" if not live <= folded.keys()
+        else None
+    )
+    if problem is not None:
+        raise CorruptIndexError(f"{source.name}: the chain does not give {problem}", path=source)
+    return folded
 
 
 def write_index_directory(
@@ -833,8 +921,8 @@ def write_index_directory(
     *,
     segments: Sequence[IndexSegment],
     extra: Mapping[str, object],
-    document_terms: Mapping[int, Mapping[str, int]] | None,
-    changed_documents: Iterable[int] = (),
+    document_terms: Callable[[], Mapping[int, Mapping[str, int]]] | None,
+    changed_documents: Collection[int] = (),
     persist_state: Mapping | None = None,
     runtime_fresh: bool = True,
     wal_compact_records: int = DEFAULT_WAL_COMPACT_RECORDS,
@@ -851,6 +939,7 @@ def write_index_directory(
     ``save`` after N update batches writes its delta, never the corpus;
     once the log would exceed ``wal_compact_records`` records it is
     compacted to the new record alone, with the chain folded into one link.
+    ``document_terms()`` is called only when the link names documents.
 
     The mode follows from the persist state alone: incremental when
     ``persist_state`` matches the directory's uuid and newest save_seq and
@@ -902,7 +991,6 @@ def write_index_directory(
     incremental = (
         same_path
         and document_terms is not None
-        and previous["version"] == INDEX_FORMAT_VERSION  # a v4/v5 tree's next save is wholesale
         and previous["uuid"] == newest_uuid
         and previous["save_seq"] == newest_seq
     )
@@ -940,13 +1028,12 @@ def write_index_directory(
         # else (wholesale, or a compaction folding the chain) is one full link.
         if incremental and not compacted:
             chain = _doc_terms_links(previous)
-            link = {doc_id: document_terms.get(doc_id) for doc_id in changed_documents}
+            current = document_terms() if changed_documents else {}
+            link = {doc_id: current.get(doc_id) for doc_id in changed_documents}
         else:
-            link = document_terms
-        doc_terms_file = f"doc_terms_{save_seq}.json"
-        encoded = json.dumps(
-            {str(doc_id): freqs and dict(freqs) for doc_id, freqs in link.items()}
-        ).encode("utf-8")
+            link = document_terms()
+        doc_terms_file = f"doc_terms_{save_seq}.bin"
+        encoded = _doc_terms_blob(link)
         _io_event("write", root / doc_terms_file)
         _fsync_write_bytes(root / doc_terms_file, encoded)
         integrity.update((name, previous["integrity"][name]) for name in chain)
@@ -1042,7 +1129,7 @@ _SEGMENT_CONTENT_SHAPE: dict[str, Callable[[object], bool]] = {
 
 def _number(value) -> bool:
     """True for a finite, non-negative JSON number."""
-    return isinstance(value, (int, float)) and 0 <= value < float("inf")
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value < inf
 
 
 def _spec(value, **kinds: type) -> bool:
@@ -1063,13 +1150,14 @@ _RECORD_SHAPE: dict[str, Callable[[object], bool]] = {
     "doc_terms_file": lambda value: value is None or _named(value, _DOC_TERMS_FILE),
     "doc_terms_chain": lambda value: value is None
     or (isinstance(value, list) and all(_named(name, _DOC_TERMS_FILE) for name in value)),
-    "stats": lambda value: value is None
-    or isinstance(value, dict)
+    "stats": lambda value: isinstance(value, dict)
     and len(value) == 3  # exactly CorpusStatistics' fields
-    and isinstance(value.get("num_documents"), int)
+    and type(value.get("num_documents")) is int
+    and value["num_documents"] >= 0
     and _number(value.get("average_document_length"))
-    and isinstance(value.get("document_frequencies"), dict)
-    and all(isinstance(df, int) for df in value["document_frequencies"].values()),
+    and isinstance(frequencies := value.get("document_frequencies"), dict)
+    and set(map(type, frequencies.values())) <= {int}  # C-level: it runs over every term
+    and min(frequencies.values(), default=1) > 0,
     "quantise_levels": lambda value: isinstance(value, int) and value >= 1,
     "block_size": lambda value: isinstance(value, int) and value >= 1,
     "max_impact": _number,
@@ -1102,31 +1190,6 @@ def _json(data: bytes, source: Path):
         raise CorruptIndexError(f"{source.name} is not valid JSON: {exc}", path=source) from exc
 
 
-def _counts(value) -> bool:
-    """True for a JSON object of positive integers (one document's
-    frequencies); checked by C-level passes, it runs over every posting."""
-    return isinstance(value, dict) and set(map(type, value.values())) <= {int} and (
-        min(value.values(), default=1) > 0
-    )
-
-
-def _fold_doc_terms(folded: dict[int, dict[str, int]], data: bytes, source: Path) -> None:
-    """Fold one doc-terms link into ``folded``: each document it names is
-    replaced by its frequencies, or dropped where the link says null."""
-    link = _json(data, source)
-    if not isinstance(link, dict) or not all(
-        _DOC_ID.fullmatch(key) and (freqs is None or _counts(freqs)) for key, freqs in link.items()
-    ):
-        raise CorruptIndexError(
-            f"{source.name} is not a map of document ids to term frequencies", path=source
-        )
-    for key, freqs in link.items():
-        doc_id = int(key)
-        folded.pop(doc_id, None)  # a re-added document moves to the end, as live
-        if freqs is not None:
-            folded[doc_id] = freqs
-
-
 def _manifest_problems(root: Path, manifest: Mapping) -> list[str]:
     """Cheap consistency check of one parsed manifest against the directory.
 
@@ -1138,11 +1201,12 @@ def _manifest_problems(root: Path, manifest: Mapping) -> list[str]:
     """
     if manifest.get("format") != INDEX_FORMAT:
         return [f"not a {INDEX_FORMAT} directory (format {manifest.get('format')!r})"]
-    if manifest.get("version") not in _READABLE_VERSIONS:
-        return [f"format version {manifest.get('version')!r} is not one of {_READABLE_VERSIONS}"]
+    if manifest.get("version") != INDEX_FORMAT_VERSION:
+        return [
+            f"format version {manifest.get('version')!r} is not {INDEX_FORMAT_VERSION}: "
+            "rebuild the index from its corpus"
+        ]
     problem = _shape_problem(manifest, _RECORD_SHAPE, "manifest")
-    if problem is None and manifest["doc_terms_file"] is None and manifest["stats"] is None:
-        problem = "manifest has no well-formed 'stats'"  # nothing to derive them from
     if problem is not None:
         return [problem]
     names = _doc_terms_links(manifest)
@@ -1169,16 +1233,16 @@ def _manifest_problems(root: Path, manifest: Mapping) -> list[str]:
 
 def _open_record(
     root: Path, record: Mapping, use_mmap: bool
-) -> tuple[list[IndexSegment], dict[int, dict[str, int]] | None, list]:
+) -> tuple[list[IndexSegment], ChainFold | None, list]:
     """Read what a record that passed :func:`_manifest_problems` names:
-    ``(segments, document_terms, buffers)``.  A segment's content comes from
-    its file's footer; the chain folds once every link passes its CRC-32 and
-    shape check.  Without ``use_mmap`` every file and column checksum is
-    read here.  The first failure raises :class:`CorruptIndexError`: the
-    record is then inconsistent."""
+    ``(segments, chain, buffers)``.  A segment's content comes from its
+    file's footer; each doc-terms link is checked (CRC-32, then
+    :func:`_check_link`), and ``chain`` folds them when called (``None``:
+    no chain).  Without ``use_mmap`` every file and column checksum is read
+    here.  The first failure raises :class:`CorruptIndexError`: the record
+    is then inconsistent."""
     integrity = record["integrity"]
     swap = record["byteorder"] != sys.byteorder
-    width = _ROW_BYTES[record["version"]]
     buffers: list = []
     segments: list[IndexSegment] = []
     for entry in record["segments"]:
@@ -1196,7 +1260,7 @@ def _open_record(
         content = _segment_footer(buffer, file_path)
         lists = {
             term: PostingColumns.lazy(
-                rows, _column_loader(buffer, offset, rows, width, swap, crc, str(file_path))
+                rows, _column_loader(buffer, offset, rows, swap, crc, str(file_path))
             )
             for term, (offset, rows, crc) in content["terms"].items()
         }
@@ -1216,36 +1280,40 @@ def _open_record(
             )
         )
     segments.sort(key=lambda segment: segment.seq_lo)
-    links = _doc_terms_links(record)
-    document_terms: dict[int, dict[str, int]] | None = {} if links else None
-    for name in links:
+    links = []
+    for name in _doc_terms_links(record):
         link_path = root / name
         _io_event("read", link_path)
         data = link_path.read_bytes()
         if zlib.crc32(data) != integrity[name][1]:
             raise CorruptIndexError(f"doc-terms file {name} failed its checksum", path=link_path)
-        _fold_doc_terms(document_terms, data, link_path)
-    return segments, document_terms, buffers
+        links.append(_check_link(data, swap, link_path))
+    if not links:
+        return segments, None, buffers
+    tip = root / record["doc_terms_file"]
+    return segments, cache(partial(fold_doc_terms, links, record["stats"], segments, tip)), buffers
 
 
 def _audit(
-    root: Path, records: Sequence[dict], *, deep: bool, use_mmap: bool = False
+    root: Path, records: Iterable[dict], *, deep: bool, fold: bool = False, use_mmap: bool = False
 ) -> Iterator[tuple[str, dict, list[str], tuple | None]]:
     """The one audit walk behind load, verify and repair.
 
     Yields ``(source, record, problems, opened)`` for the log's
-    consistent-prefix ``records``, newest first; ``source`` is
+    ``records``, given newest first; ``source`` is
     ``wal.log#<save_seq>`` and a record is consistent exactly when
     ``problems`` is empty.  With ``deep`` each structurally sound record is
-    also opened (``opened`` is :func:`_open_record`'s result).  Lazy: a
-    consumer that stops at the first consistent record never pays for older
-    ones.
+    also opened (``opened`` is :func:`_open_record`'s result), and with
+    ``fold`` its chain folded.  Lazy: a consumer that stops at the first
+    consistent record never pays for older ones.
     """
-    for record in reversed(records):
+    for record in records:
         problems, opened = _manifest_problems(root, record), None
         if not problems and deep:
             try:
                 opened = _open_record(root, record, use_mmap)
+                if fold and opened[1] is not None:
+                    opened[1]()
             except CorruptIndexError as exc:
                 problems = [str(exc)]
         yield f"wal.log#{_save_seq(record)}", record, problems, opened
@@ -1266,19 +1334,21 @@ def _no_consistent_record(
 
 def read_index_directory(
     path: str | Path, *, use_mmap: bool = False
-) -> tuple[dict, list[IndexSegment], dict[int, dict[str, int]] | None, list]:
+) -> tuple[dict, list[IndexSegment], ChainFold | None, list]:
     """Load a :func:`write_index_directory` tree.
 
-    Returns ``(manifest, segments, document_terms, buffers)``; ``buffers``
-    holds the mmap objects backing any lazy columns and must stay referenced
-    for the index's lifetime.  With ``use_mmap`` the per-term columns are
-    materialised lazily from the mapped file on first access; without it (or
-    on a byte-order mismatch) each segment file is read eagerly.
+    Returns ``(manifest, segments, chain, buffers)``; ``chain`` is
+    :func:`_open_record`'s, and ``buffers`` holds the mmap objects backing
+    any lazy columns and must stay referenced for the index's lifetime.
+    With ``use_mmap`` the per-term columns are materialised lazily from the
+    mapped file on first access; without it (or on a byte-order mismatch)
+    each segment file is read eagerly.
 
-    The newest log record whose files all check out is used -- lengths
+    The newest log record whose files all check out is used (records are
+    parsed newest first, only as far as that one) -- lengths
     against the record, then footers and doc-terms links against their
     CRCs and shapes; when a newer *parsed* record had to be skipped for its
-    problems (a torn re-save, a malformed record, a rotted sidecar), the
+    problems (a torn re-save, a malformed record, a rotted link), the
     returned manifest names the record used under ``"recovered_from"``.  A
     nonexistent directory raises :class:`FileNotFoundError` naming the path;
     a directory with no usable record raises :class:`CorruptIndexError`
@@ -1291,18 +1361,29 @@ def read_index_directory(
     if not root.is_dir():
         raise FileNotFoundError(f"no such index directory: {root}")
     _io_event("read", root / "wal.log")
-    records, torn = _scan_wal(root / "wal.log")
+    frames, torn = _wal_frames(root / "wal.log")
     skipped: dict[str, list[str]] = {}
+    unparsed = [torn] if torn is not None else []
+
+    def newest_first() -> Iterator[dict]:
+        # Parsed only as far as the walk goes: a record is O(terms).
+        for number in reversed(range(len(frames))):
+            record = _parsed(frames, number)
+            if isinstance(record, str):
+                unparsed.append(record)
+            else:
+                yield record
+
     for source, manifest, problems, opened in _audit(
-        root, records, deep=True, use_mmap=use_mmap
+        root, newest_first(), deep=True, use_mmap=use_mmap
     ):
         if not problems:
             if skipped:
                 manifest["recovered_from"] = source
             return (manifest, *opened)
         skipped[source] = problems
-    if torn is not None:
-        skipped["wal.log"] = [torn]
+    if unparsed:
+        skipped["wal.log"] = unparsed
     raise _no_consistent_record(root, skipped)
 
 
@@ -1328,7 +1409,7 @@ def _survey(path: str | Path, *, deep: bool) -> tuple[dict, dict | None]:
     if torn is not None or not records:
         report["problems"]["wal.log"] = [torn or "no manifest record present"]
     newest_consistent = None
-    for source, record, problems, _ in _audit(root, records, deep=deep):
+    for source, record, problems, _ in _audit(root, reversed(records), deep=deep, fold=deep):
         if problems:
             report["problems"][source] = problems
             continue
@@ -1355,7 +1436,9 @@ def verify_index_directory(path: str | Path, *, deep: bool = True) -> dict:
     manifest copy an older build left; reclaimed by the next save or
     :func:`repair_index_directory`).  With ``deep`` (the default) every
     data file is read and checked against its whole-file and per-term
-    checksums; without it only structure, existence, and sizes are checked.
+    checksums, and each chain folded (:func:`fold_doc_terms`, which a load
+    leaves to the first mutation); without it only structure, existence, and
+    sizes are checked.
     """
     return _survey(path, deep=deep)[0]
 

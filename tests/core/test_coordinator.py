@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import random
-from pathlib import Path
 
 import pytest
 
@@ -659,7 +658,7 @@ def test_coordinator_close_closes_backends(index, organization, benaloh_keypair)
 
 def test_data_epoch_is_the_save_seq_last_persisted(tmp_path):
     """A shard stamps its responses with the save_seq of the record it last
-    saved or loaded -- a format-4 tree's included -- and with its
+    saved or loaded -- a compacted log's one record included -- and with its
     update_epoch before any."""
     index = InvertedIndex.build(
         Corpus(Document(doc_id=i, text=f"alpha beta word{i}") for i in range(4))
@@ -669,5 +668,8 @@ def test_data_epoch_is_the_save_seq_last_persisted(tmp_path):
     index.add_document(Document(doc_id=9, text="gamma alpha"))
     index.save(tmp_path)
     assert data_epoch(index) == data_epoch(InvertedIndex.load(tmp_path)) == 2
-    v4_tree = Path(__file__).parents[1] / "textsearch" / "data" / "index_v4"
-    assert data_epoch(InvertedIndex.load(v4_tree)) == 2
+    compacted = tmp_path / "compacted"
+    for _ in range(3):
+        index.save(compacted, wal_compact_records=1)
+    loaded = InvertedIndex.load(compacted)
+    assert (data_epoch(loaded), loaded.update_epoch) == (3, 0)

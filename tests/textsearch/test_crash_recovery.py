@@ -10,9 +10,13 @@ one outcome these tests exist to rule out.
 
 import json
 import shutil
+import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.faults import FaultInjector, FaultPlan, PermanentFaultError
 from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex
@@ -143,19 +147,39 @@ def _rotten_footer(key, value):
     return damage
 
 
-def _rotten_doc_terms(body=None):
-    """Damage to the record's doc-terms sidecar, written under a new name the
-    record then names.  With ``body`` the sidecar is those bytes, recorded
-    with their true length and CRC-32, so only a shape check can object;
-    without, one term frequency changes from 1 to 7 and the recorded CRC-32
-    is the original's."""
+def _link_parts(data: bytes):
+    """A doc-terms link's term table (UTF-8 bytes), ``[doc id, row count]``
+    pairs and ``[term id, f_dt]`` rows, as the writer laid them out."""
+    num_terms, num_docs = struct.unpack_from("=II", data)
+    at = 8 + 4 * num_terms
+    terms = []
+    for length in struct.unpack_from(f"={num_terms}I", data, 8):
+        terms.append(data[at : at + length])
+        at += length
+    pairs = [list(pair) for pair in struct.iter_unpack("=II", data[at:])]
+    return terms, pairs[:num_docs], pairs[num_docs:]
+
+
+def _link_bytes(terms, docs, rows, num_terms=None):
+    """:func:`_link_parts` inverted; ``num_terms`` overrides the header's."""
+    header = struct.pack("=II", len(terms) if num_terms is None else num_terms, len(docs))
+    table = struct.pack(f"={len(terms)}I", *map(len, terms)) + b"".join(terms)
+    return header + table + b"".join(struct.pack("=II", *pair) for pair in docs + rows)
+
+
+def _rotten_doc_terms(malform=None):
+    """Damage to the record's doc-terms link, written under a new name the
+    record then names.  With ``malform`` (``(terms, docs, rows) -> bytes``,
+    over :func:`_link_parts`) the link is its result, recorded with its true
+    length and CRC-32, so only the link's own check can object; without,
+    one byte flips and the recorded CRC-32 is the original's."""
 
     def damage(record, root):
         data = (root / record["doc_terms_file"]).read_bytes()
-        bad = data.replace(b": 1", b": 7", 1) if body is None else body
-        name = f"doc_terms_{record['save_seq']}.json"
+        bad = data[:-1] + bytes([data[-1] ^ 1]) if malform is None else malform(*_link_parts(data))
+        name = f"doc_terms_{record['save_seq']}.bin"
         (root / name).write_bytes(bad)
-        record["integrity"][name] = [len(bad), zlib.crc32(data if body is None else bad)]
+        record["integrity"][name] = [len(bad), zlib.crc32(data if malform is None else bad)]
         record["doc_terms_file"] = name
         return _frame_wal_record(record), f"wal.log#{record['save_seq']}"
 
@@ -205,10 +229,40 @@ class TestTruncationAtEveryBoundary:
             pytest.param(_malformed("save_seq", value="two"), id="save-seq"),
             pytest.param(_malformed("version", value=2), id="version-2"),
             pytest.param(_rotten_doc_terms(), id="doc-terms-crc"),
-            pytest.param(_rotten_doc_terms(b'{"zz": {}}'), id="doc-terms-id"),
-            pytest.param(_rotten_doc_terms(b"[1]"), id="doc-terms-list"),
-            pytest.param(_rotten_doc_terms(b'{"0": [1, 2]}'), id="doc-terms-row"),
-            pytest.param(_rotten_doc_terms(b"[" * 100_000), id="doc-terms-nested"),
+            pytest.param(
+                _rotten_doc_terms(lambda t, d, r: _link_bytes(t, d, [[len(t), r[0][1]], *r[1:]])),
+                id="doc-terms-term-id",
+            ),
+            pytest.param(
+                _rotten_doc_terms(lambda t, d, r: _link_bytes(t, d, [[r[0][0], 0], *r[1:]])),
+                id="doc-terms-zero-frequency",
+            ),
+            pytest.param(
+                _rotten_doc_terms(
+                    lambda t, d, r: _link_bytes(t, [[d[0][0], d[0][1] + 1], *d[1:]], r)
+                ),
+                id="doc-terms-row-overrun",
+            ),
+            pytest.param(
+                _rotten_doc_terms(lambda t, d, r: _link_bytes(t, d, r) + bytes(8)),
+                id="doc-terms-trailing",
+            ),
+            pytest.param(
+                _rotten_doc_terms(lambda t, d, r: _link_bytes(t, d + d[:1], r + r[: d[0][1]])),
+                id="doc-terms-duplicate-doc",
+            ),
+            pytest.param(
+                _rotten_doc_terms(lambda t, d, r: _link_bytes(t + t[:1], d, r)),
+                id="doc-terms-duplicate-term",
+            ),
+            pytest.param(
+                _rotten_doc_terms(lambda t, d, r: _link_bytes([b"\xff" + t[0][1:], *t[1:]], d, r)),
+                id="doc-terms-utf8",
+            ),
+            pytest.param(
+                _rotten_doc_terms(lambda t, d, r: _link_bytes(t, d, r, num_terms=2**32 - 1)),
+                id="doc-terms-huge-table",
+            ),
         ],
     )
     def test_damaged_newest_record_falls_back_to_the_record_behind_it(
@@ -216,8 +270,9 @@ class TestTruncationAtEveryBoundary:
     ):
         """A newest record that is torn -- or CRC-valid but malformed, of
         another format version, or naming a malformed segment footer or a
-        rotted or malformed doc-terms sidecar -- is *reported* and the walk falls through to the record
-        behind it; untyped errors never escape load or verify."""
+        rotted or malformed doc-terms link -- is *reported* and the walk
+        falls through to the record behind it; untyped errors never escape
+        load or verify."""
         root, _snap_a, snap_b = _two_generation_directory(tmp_path)
         record = read_manifest_log(root)[-1]
         behind = f"wal.log#{record['save_seq']}"
@@ -241,6 +296,12 @@ class TestTruncationAtEveryBoundary:
         "key, value",
         [
             pytest.param(("stats",), {"document_frequencies": "abc"}, id="stats"),
+            pytest.param(("stats",), None, id="stats-null"),
+            pytest.param(("stats", "num_documents"), -1, id="stats-n-negative"),
+            pytest.param(("stats", "num_documents"), True, id="stats-n-bool"),
+            pytest.param(("stats", "document_frequencies", ...), True, id="stats-df-bool"),
+            pytest.param(("stats", "document_frequencies", ...), 0, id="stats-df-zero"),
+            pytest.param(("stats", "document_frequencies", ...), -2, id="stats-df-negative"),
             pytest.param(("quantise_levels",), "x", id="quantise-levels"),
             pytest.param(("block_size",), 0, id="block-size"),
             pytest.param(("next_seq",), "x", id="next-seq"),
@@ -298,6 +359,63 @@ class TestTruncationAtEveryBoundary:
         # At least one current-generation data file is not shared with the
         # previous generation, so its loss must roll back to snapshot A.
         assert previous_only_ok
+
+
+def _served(index: InvertedIndex):
+    """What a read of ``index`` serves, ``None`` when it raises
+    :class:`CorruptIndexError`."""
+    try:
+        return _snapshot(index)
+    except CorruptIndexError:
+        return None
+
+
+@pytest.fixture(scope="module")
+def two_generations(tmp_path_factory):
+    return _two_generation_directory(tmp_path_factory.mktemp("generations"))
+
+
+class TestLinkFuzzing:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_rewritten_link_with_its_true_crc_loads_a_recorded_save_or_raises(
+        self, two_generations, data
+    ):
+        """Bytes of a doc-terms link overwritten, cut or appended, with the
+        newest record holding the link's true length and CRC-32.  Load and
+        the first read serve a recorded save or raise
+        :class:`CorruptIndexError` -- the read of a stale record folds the
+        chain, and keeps raising if the fold fails -- the first mutation
+        works or raises it and changes nothing, and verify reports."""
+        template, snap_a, snap_b = two_generations
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch) / "ckpt"
+            shutil.copytree(template, root)
+            *older, record = read_manifest_log(root)
+            links = [*record["doc_terms_chain"], record["doc_terms_file"]]
+            name = data.draw(st.sampled_from(links))
+            blob = bytearray((root / name).read_bytes())
+            for offset, value in data.draw(
+                st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=4)
+            ):
+                blob[offset] = value
+            blob = blob[: data.draw(st.integers(0, len(blob)))] + data.draw(st.binary(max_size=9))
+            (root / name).write_bytes(blob)
+            record["integrity"][name] = [len(blob), zlib.crc32(blob)]
+            (root / "wal.log").write_bytes(b"".join(map(_frame_wal_record, [*older, record])))
+            try:
+                loaded = InvertedIndex.load(root, mmap=data.draw(st.booleans()))
+            except CorruptIndexError:
+                loaded = None
+            if loaded is not None:
+                served = _served(loaded)
+                assert served in (snap_a, snap_b, None)
+                assert _served(loaded) == served  # a fold that failed keeps failing
+                try:
+                    loaded.add_document(Document(doc_id=10**6, text="alpha omega"))
+                except CorruptIndexError:
+                    assert _served(loaded) == served  # refused, and nothing changed
+            verify_index_directory(root)
 
 
 class TestBitCorruption:

@@ -2,7 +2,6 @@
 
 import os
 import random
-import zlib
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -14,11 +13,9 @@ from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex, _compose_lists
 from repro.textsearch.scoring import BM25Scorer
 from repro.textsearch.segments import (
-    CorruptIndexError,
     IndexSegment,
     PostingColumns,
     TieredMergePolicy,
-    _column_loader,
     _frame_wal_record,
     impact_order,
     live_columns,
@@ -462,18 +459,6 @@ class TestPersistence:
         assert segment.lists["keep"].materialised
         untouched = [t for t in segment.lists if t != "keep"]
         assert any(not segment.lists[t].materialised for t in untouched)
-
-    def test_a_legacy_block_is_checked_whole_read_without_floats_and_put_in_quant_order(self):
-        """A v4/v5 term block holds 16-byte rows (doc id, quant, f64 impact),
-        ordered by the floats; its CRC covers all of it."""
-        doc_ids, quants = array("I", [5, 2, 9]), array("I", [3, 3, 1])
-        block = doc_ids.tobytes() + quants.tobytes() + array("d", [2.0, 1.9, 0.5]).tobytes()
-        crc = zlib.crc32(block)
-        load = _column_loader(block, 0, 3, 16, False, crc, "legacy")
-        assert [list(column) for column in load()] == [[2, 5, 9], [3, 3, 1]]
-        rotten = block[:-1] + bytes([block[-1] ^ 0x01])  # a float's byte
-        with pytest.raises(CorruptIndexError, match="checksum"):
-            _column_loader(rotten, 0, 3, 16, False, crc, "legacy")()
 
     def test_loaded_index_supports_further_updates(self, tmp_path, base_documents, extra_documents):
         index = InvertedIndex.build(Corpus(base_documents))

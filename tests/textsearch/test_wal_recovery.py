@@ -18,13 +18,21 @@ The persistence contract of the WAL storage layer:
 import json
 import shutil
 import struct
+import sys
 import zlib
+from array import array
 from pathlib import Path
 
 import pytest
 
 from repro.core.faults import FaultInjector, FaultPlan, PermanentFaultError
-from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex, segments
+from repro.textsearch import (
+    Corpus,
+    CorruptIndexError,
+    Document,
+    InvertedIndex,
+    segments,
+)
 from repro.textsearch.segments import (
     INDEX_FORMAT_VERSION,
     install_io_fault_hook,
@@ -182,6 +190,176 @@ class TestAppendOnlyIncrementalSaves:
         assert [r["save_seq"] for r in reports] == [1, 2, 3, 4]
         assert [r["wal_records"] for r in reports] == [1, 2, 3, 4]
         assert [r["save_seq"] for r in read_manifest_log(root)] == [1, 2, 3, 4]
+
+
+def _swapped_segment(path: Path) -> bytes:
+    """A segment file with every column word in the other byte order (the
+    per-term CRCs are over the stored bytes, so the footer is rewritten)."""
+    blob = path.read_bytes()
+    footer = segments._segment_footer(blob, path)
+    length, _crc = _FRAME.unpack_from(blob, len(blob) - _FRAME.size)
+    body = bytearray(blob[: len(blob) - _FRAME.size - length])
+    for term, (offset, rows, _crc) in footer["terms"].items():
+        block = array("I", body[offset : offset + 8 * rows])
+        block.byteswap()
+        body[offset : offset + 8 * rows] = block.tobytes()
+        footer["terms"][term] = [offset, rows, zlib.crc32(block.tobytes())]
+    payload = json.dumps(footer).encode()
+    return bytes(body) + payload + _FRAME.pack(len(payload), zlib.crc32(payload))
+
+
+def _swapped_link(data: bytes) -> bytes:
+    """A doc-terms link with every u32 in the other byte order (the UTF-8
+    of its term table as it was)."""
+    (num_terms,) = struct.unpack_from("=I", data)
+    head = array("I", data[: 8 + 4 * num_terms])
+    text_end = len(head) * 4 + sum(head[2:])
+    tail = array("I", data[text_end:])
+    head.byteswap()
+    tail.byteswap()
+    return head.tobytes() + data[len(head) * 4 : text_end] + tail.tobytes()
+
+
+class TestForwardIndexRoundTrip:
+    def _writer(self, root: Path, compact: bool = True) -> InvertedIndex:
+        """A full link, then one delta link holding a live document with no
+        indexable terms, a removed document and a re-added id.  Removing
+        document 0 leaves its first term ("alpha", also in document 9) where
+        the writer's f_t map had it, not where a fold would put it.  The
+        compaction leaves no segment stale, so no read of the saved record
+        refreshes."""
+        index = _build_index()
+        index.save(root)
+        index.add_document(Document(doc_id=77, text="the and of to in a"))
+        index.remove_documents([0, 3])
+        index.add_document(Document(doc_id=3, text="sigma omega sigma alpha"))
+        if compact:
+            index.compact()
+        index.save(root)
+        assert index.last_save_report["mode"] == "incremental"
+        (record,) = read_manifest_log(root)[-1:]
+        assert len(record["doc_terms_chain"]) == 1
+        return index
+
+    def test_a_load_takes_the_writers_stats_and_folds_nothing_until_the_first_mutation(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "ckpt"
+        writer = self._writer(root)
+        folds = []
+        fold = segments.fold_doc_terms
+        monkeypatch.setattr(
+            segments, "fold_doc_terms", lambda *args: folds.append(args) or fold(*args)
+        )
+        loaded = InvertedIndex.load(root, mmap=True)
+        assert loaded.stats == writer.stats
+        assert list(loaded.stats.document_frequencies) == list(writer.stats.document_frequencies)
+        for term in loaded.terms:
+            loaded.columns(term)
+        assert (loaded._doc_terms, loaded._doc_factors, folds) == (None, None, [])
+        for doc_id in (90, 91):
+            for index in (writer, loaded):
+                index.add_document(Document(doc_id=doc_id, text=f"beta omega fresh{doc_id}"))
+        assert len(folds) == 1
+        assert list(loaded._doc_terms.items()) == list(writer._doc_terms.items())
+        for (_, got), (_, want) in zip(loaded._doc_terms.items(), writer._doc_terms.items()):
+            assert list(got.items()) == list(want.items())
+        assert _snapshot(loaded) == _snapshot(writer)
+        assert loaded.stats == writer.stats
+
+    def test_a_tree_written_in_the_other_byte_order_loads_and_folds(self, tmp_path):
+        """Every column and link word swapped, the records saying so: a load
+        byteswaps them back (eagerly), and the first mutation folds."""
+        root = tmp_path / "ckpt"
+        writer = self._writer(root)
+        records = read_manifest_log(root)
+        for name in records[-1]["integrity"]:
+            if name.startswith("segment_"):
+                blob = _swapped_segment(root / name)
+            else:
+                blob = _swapped_link((root / name).read_bytes())
+            (root / name).write_bytes(blob)
+            for record in records:
+                if name in record["integrity"]:
+                    record["integrity"][name] = [len(blob), zlib.crc32(blob)]
+        for record in records:
+            record["byteorder"] = "big" if sys.byteorder == "little" else "little"
+        (root / "wal.log").write_bytes(b"".join(map(segments._frame_wal_record, records)))
+        loaded = InvertedIndex.load(root, mmap=True)
+        assert _snapshot(loaded) == _snapshot(writer)
+        for index in (writer, loaded):
+            index.add_document(Document(doc_id=90, text="beta omega fresh"))
+        assert list(loaded._doc_terms.items()) == list(writer._doc_terms.items())
+        assert _snapshot(loaded) == _snapshot(writer)
+
+    @staticmethod
+    def _rot(root: Path, rot: str) -> None:
+        """Rewrite the newest link's rows, well formed but wrong, and record
+        its true CRC-32.  The link is document 77 (no rows), 0 (removed),
+        then 3, whose three rows end it."""
+        records = read_manifest_log(root)
+        name = records[-1]["doc_terms_file"]
+        blob = bytearray((root / name).read_bytes())
+        if rot == "frequency":  # the last f_dt one higher
+            blob[-4:] = struct.pack("=I", struct.unpack("=I", blob[-4:])[0] + 1)
+        else:  # row 2 names row 1's term
+            blob[-16:-12] = blob[-24:-20]
+        (root / name).write_bytes(blob)
+        records[-1]["integrity"][name] = [len(blob), zlib.crc32(blob)]
+        (root / "wal.log").write_bytes(b"".join(map(segments._frame_wal_record, records)))
+
+    @pytest.mark.parametrize("rot", ["frequency", "term-twice-in-a-document"])
+    def test_a_chain_that_does_not_match_its_record_fails_the_first_mutation(
+        self, tmp_path, rot
+    ):
+        """A CRC-valid link whose rows are well formed but wrong loads, since
+        load checks structure only; the first mutation's fold refuses it and
+        changes nothing, and deep verify runs the same fold."""
+        root = tmp_path / "ckpt"
+        self._writer(root)
+        self._rot(root, rot)
+        loaded = InvertedIndex.load(root)
+        snapshot = _snapshot(loaded)
+        with pytest.raises(CorruptIndexError, match="corpus statistics"):
+            loaded.add_document(Document(doc_id=90, text="beta"))
+        assert _snapshot(loaded) == snapshot
+        report = verify_index_directory(root)
+        assert "corpus statistics" in report["problems"]["wal.log#2"][0]
+        assert report["recoverable"] == "wal.log#1"
+
+    def test_a_chain_that_renames_a_live_document_fails_the_first_mutation(self, tmp_path):
+        """A changed document id keeps the statistics, so the fold also checks
+        that every live document of the record's segments is in the chain."""
+        root = tmp_path / "ckpt"
+        _build_index().save(root)
+        (record,) = read_manifest_log(root)
+        name = record["doc_terms_file"]
+        data = (root / name).read_bytes()
+        num_terms, _num_docs = struct.unpack_from("=II", data)
+        at = 8 + 4 * num_terms + sum(struct.unpack_from(f"={num_terms}I", data, 8))
+        blob = data[:at] + struct.pack("=I", 4000) + data[at + 4 :]  # document 0 is 4000
+        (root / name).write_bytes(blob)
+        record["integrity"][name] = [len(blob), zlib.crc32(blob)]
+        (root / "wal.log").write_bytes(segments._frame_wal_record(record))
+        loaded = InvertedIndex.load(root)
+        snapshot = _snapshot(loaded)
+        with pytest.raises(CorruptIndexError, match="every live document"):
+            loaded.remove_document(1)
+        assert _snapshot(loaded) == snapshot
+        assert "every live document" in verify_index_directory(root)["problems"]["wal.log#1"][0]
+
+    def test_a_stale_refresh_whose_fold_fails_keeps_failing(self, tmp_path):
+        """A record saved with deferred rewrites refreshes on its first read,
+        which folds the chain: a fold that fails fails that read and every
+        later one, and no read serves the stored quants."""
+        root = tmp_path / "ckpt"
+        self._writer(root, compact=False)
+        assert read_manifest_log(root)[-1]["arrays_fresh"] is False
+        self._rot(root, "frequency")
+        loaded = InvertedIndex.load(root, mmap=True)
+        for _ in range(2):
+            with pytest.raises(CorruptIndexError, match="corpus statistics"):
+                loaded.columns("alpha")
 
 
 def _update(index: InvertedIndex, doc_id: int) -> None:
@@ -364,6 +542,31 @@ class TestLogReplayRecovery:
         assert "not valid JSON" in report["problems"]["wal.log"][0]
         assert report["recoverable"] == "wal.log#2"
         assert _snapshot(InvertedIndex.load(root)) == snapshots[-1]
+
+    def test_a_crc_valid_frame_that_is_no_record_keeps_the_records_after_it(
+        self, tmp_path, monkeypatch
+    ):
+        """Its framing is intact, so the walk reads past it: load takes the
+        newest record, parsing no older one, and verify reports the frame."""
+        root, snapshots, _reports = _incremental_history(tmp_path, saves=1)
+        frames, _torn = segments._wal_frames(root / "wal.log")
+        cut = frames[1][0]  # where the second record's frame starts
+        payload = b'"not a record"'
+        log = (root / "wal.log").read_bytes()
+        (root / "wal.log").write_bytes(
+            log[:cut] + _FRAME.pack(len(payload), zlib.crc32(payload)) + payload + log[cut:]
+        )
+        report = verify_index_directory(root)
+        assert report["ok"] is False
+        assert "record 1 at byte" in report["problems"]["wal.log"][0]
+        assert report["recoverable"] == "wal.log#2"
+        parsed = []
+        parse = segments._parsed
+        monkeypatch.setattr(
+            segments, "_parsed", lambda *args: parsed.append(args[1]) or parse(*args)
+        )
+        assert _snapshot(InvertedIndex.load(root)) == snapshots[-1]
+        assert parsed == [2]
 
 
 class TestLogCompaction:
@@ -555,63 +758,42 @@ class TestLogIsTheOnlyManifest:
         }
 
 
-#: Trees the format-4 and format-5 writers saved (16-byte rows: doc id,
-#: quant, f64 impact), by one recipe: ``_build_index(6)`` saved wholesale,
-#: then saved incrementally after adding document 500, removing document 2
-#: and sealing (``maintain(force_seal=True)``).
-_LEGACY_TREES = {v: Path(__file__).parent / "data" / f"index_v{v}" for v in (4, 5)}
+@pytest.mark.parametrize("version", [4, 5, 6], ids=lambda v: f"v{v}")
+def test_an_older_format_tree_is_refused_by_name_and_left_as_it_is(tmp_path, version):
+    """A tree whose record is of format 4, 5 or 6 -- here a saved tree's
+    record re-framed with that version, a JSON doc-terms link and no stats,
+    as those writers left it -- is refused naming its version: load raises,
+    verify finds nothing recoverable, and repair raises and deletes nothing.
+    The upgrade is a rebuild from the corpus: a wholesale save into the
+    directory, then a compaction, leaves none of the old JSON links."""
+    index = _build_index()
+    root = tmp_path / "old"
+    index.save(root)
+    (record,) = read_manifest_log(root)
+    (root / record["doc_terms_file"]).unlink()
+    link = json.dumps({str(doc_id): freqs for doc_id, freqs in index._forward().items()}).encode()
+    record.update(version=version, stats=None, doc_terms_file="doc_terms_1.json")
+    record["integrity"]["doc_terms_1.json"] = [len(link), zlib.crc32(link)]
+    (root / "doc_terms_1.json").write_bytes(link)
+    (root / "wal.log").write_bytes(segments._frame_wal_record(record))
+    before = {path.name: path.read_bytes() for path in root.iterdir()}
 
+    for use_mmap in (False, True):
+        with pytest.raises(CorruptIndexError, match=f"format version {version} is not 7"):
+            InvertedIndex.load(root, mmap=use_mmap)
+    report = verify_index_directory(root)
+    assert (report["ok"], report["recoverable"]) == (False, None)
+    assert f"format version {version}" in report["problems"]["wal.log#1"][0]
+    with pytest.raises(CorruptIndexError, match=f"format version {version}"):
+        repair_index_directory(root)
+    assert {path.name: path.read_bytes() for path in root.iterdir()} == before
 
-@pytest.mark.parametrize("version", sorted(_LEGACY_TREES), ids=lambda v: f"v{v}")
-class TestLegacyTrees:
-    def _rebuilt(self, *extra: Document) -> InvertedIndex:
-        documents = [d for d in _documents(6) if d.doc_id != 2]
-        return InvertedIndex.build(
-            Corpus(documents + [Document(doc_id=500, text="omega alpha sigma fresh500"), *extra])
-        )
-
-    def _copy(self, tmp_path, version) -> Path:
-        root = tmp_path / f"v{version}"
-        shutil.copytree(_LEGACY_TREES[version], root)
-        assert [record["version"] for record in read_manifest_log(root)] == [version, version]
-        return root
-
-    @pytest.mark.parametrize("use_mmap", [False, True], ids=["eager", "mmap"])
-    def test_a_legacy_tree_loads_bit_identical_to_a_rebuild(self, tmp_path, version, use_mmap):
-        root = self._copy(tmp_path, version)
-        loaded = InvertedIndex.load(root, mmap=use_mmap)
-        rebuilt = self._rebuilt()
-        assert _snapshot(loaded) == _snapshot(rebuilt)
-        assert loaded.stats == rebuilt.stats
-        # The reader skips the floats and keeps lists in (-quant, doc_id) order.
-        for segment in loaded._segments:
-            for term, columns in segment.lists.items():
-                keys = [(-q, d) for d, q in zip(columns.doc_ids, columns.quants)]
-                assert keys == sorted(keys), term
-        assert verify_index_directory(root)["ok"]
-
-    def test_the_first_save_of_a_legacy_tree_is_wholesale_v6(self, tmp_path, version):
-        root = self._copy(tmp_path, version)
-        loaded = InvertedIndex.load(root)
-        later = Document(doc_id=501, text="beta sigma later")
-        loaded.add_document(later)
-        loaded.save(root)
-        assert loaded.last_save_report["mode"] == "full"
-        assert [record["version"] for record in read_manifest_log(root)] == [version, version, 6]
-        for entry in read_manifest_log(root)[-1]["segments"]:
-            blob = (root / entry["file"]).read_bytes()
-            footer_length, _crc = _FRAME.unpack_from(blob, len(blob) - _FRAME.size)
-            footer = json.loads(blob[-_FRAME.size - footer_length : -_FRAME.size])
-            rows = sum(rows for _offset, rows, _crc in footer["terms"].values())
-            assert len(blob) == 8 * rows + footer_length + _FRAME.size
-        assert _snapshot(InvertedIndex.load(root)) == _snapshot(self._rebuilt(later))
-        loaded.remove_document(0)
-        loaded.save(root)
-        assert loaded.last_save_report["mode"] == "incremental"
-        assert verify_index_directory(root)["ok"]
-        loaded.save(root, wal_compact_records=1)
-        (record,) = read_manifest_log(root)
-        # Compaction folds the doc-terms chain into one full link.
-        assert (record["version"], record["doc_terms_chain"]) == (6, [])
-        assert verify_index_directory(root)["orphans"] == []
-        assert _snapshot(InvertedIndex.load(root)) == _snapshot(loaded)
+    rebuilt = _build_index()
+    rebuilt.save(root)
+    assert rebuilt.last_save_report["mode"] == "full"
+    rebuilt.save(root, wal_compact_records=1)
+    (record,) = read_manifest_log(root)
+    assert record["version"] == INDEX_FORMAT_VERSION == 7
+    assert not list(root.glob("doc_terms_*.json"))
+    assert verify_index_directory(root)["ok"]
+    assert _snapshot(InvertedIndex.load(root)) == _snapshot(index)
