@@ -722,7 +722,7 @@ def _record_files(record: Mapping) -> set[str]:
 def _save_seq(record: Mapping) -> int:
     """A record's save sequence (0 when absent or malformed: it sorts last)."""
     seq = record.get("save_seq")
-    return seq if isinstance(seq, int) else 0
+    return seq if _count(seq) else 0
 
 
 #: Everything a save, a crash or an older build can leave under an index
@@ -895,7 +895,8 @@ def fold_doc_terms(
     """Fold checked links, oldest first, orders kept: a document a link
     names moves to the end, or goes where the link removes it.
     :class:`CorruptIndexError` unless the fold gives the record's ``stats``
-    and every live document of its ``segments``."""
+    and, among its documents with terms, exactly the live documents of its
+    ``segments``."""
     folded: dict[int, dict[str, int]] = {}
     for terms, doc_ids, counts, term_ids, freqs in links:
         rows = zip(map(terms.__getitem__, term_ids), freqs)
@@ -905,10 +906,13 @@ def fold_doc_terms(
                 folded[doc_id] = dict(islice(rows, size))
     dead = dead_sets(segments, _EMPTY)
     live = set().union(*(segment.documents - gone for segment, gone in zip(segments, dead)))
+    # A document without terms has no rows: no segment lists it.
+    termed = {doc_id for doc_id, terms in folded.items() if terms}
     problem = (
         "the record's corpus statistics"
         if CorpusStatistics.of_documents(folded) != CorpusStatistics(**stats)
-        else "every live document" if not live <= folded.keys()
+        else "every live document" if not live <= termed
+        else "only live documents of its segments" if not termed <= live
         else None
     )
     if problem is not None:
@@ -1096,14 +1100,15 @@ def _named(value, pattern: re.Pattern) -> bool:
     return isinstance(value, str) and pattern.fullmatch(value) is not None
 
 
+def _count(value) -> bool:
+    """True for a non-negative JSON integer (``true`` is not one)."""
+    return type(value) is int and value >= 0
+
+
 def _ints(value, length: int | None = None) -> bool:
     """True for a JSON list of non-negative integers (of exactly ``length``
     items if given)."""
-    return (
-        isinstance(value, list)
-        and length in (None, len(value))
-        and all(isinstance(item, int) and item >= 0 for item in value)
-    )
+    return isinstance(value, list) and length in (None, len(value)) and all(map(_count, value))
 
 
 #: What the reader relies on in each segment entry of a record: key ->
@@ -1112,10 +1117,10 @@ def _ints(value, length: int | None = None) -> bool:
 #: into them.
 _SEGMENT_ENTRY_SHAPE: dict[str, Callable[[object], bool]] = {
     "file": lambda value: _named(value, _SEGMENT_FILE),
-    "segment_id": lambda value: isinstance(value, int),
-    "generation": lambda value: isinstance(value, int),
+    "segment_id": _count,
+    "generation": _count,
     "base": lambda value: isinstance(value, bool),
-    "seq": lambda value: _ints(value, 2),
+    "seq": lambda value: _ints(value, 2) and value[0] <= value[1],
 }
 
 #: The same for a segment file's footer.
@@ -1145,7 +1150,7 @@ def _spec(value, **kinds: type) -> bool:
 _RECORD_SHAPE: dict[str, Callable[[object], bool]] = {
     "segments": lambda value: isinstance(value, list),
     "integrity": lambda value: isinstance(value, dict),
-    "save_seq": lambda value: isinstance(value, int),
+    "save_seq": _count,
     "uuid": lambda value: isinstance(value, str),
     "doc_terms_file": lambda value: value is None or _named(value, _DOC_TERMS_FILE),
     "doc_terms_chain": lambda value: value is None
@@ -1158,11 +1163,11 @@ _RECORD_SHAPE: dict[str, Callable[[object], bool]] = {
     and isinstance(frequencies := value.get("document_frequencies"), dict)
     and set(map(type, frequencies.values())) <= {int}  # C-level: it runs over every term
     and min(frequencies.values(), default=1) > 0,
-    "quantise_levels": lambda value: isinstance(value, int) and value >= 1,
-    "block_size": lambda value: isinstance(value, int) and value >= 1,
+    "quantise_levels": lambda value: _count(value) and value >= 1,
+    "block_size": lambda value: _count(value) and value >= 1,
     "max_impact": _number,
-    "next_seq": lambda value: isinstance(value, int),
-    "next_segment_id": lambda value: isinstance(value, int),
+    "next_seq": _count,
+    "next_segment_id": _count,
     "byteorder": lambda value: value in ("little", "big"),
     "arrays_fresh": lambda value: isinstance(value, bool),
     "merge_policy": lambda value: value is None
@@ -1170,6 +1175,7 @@ _RECORD_SHAPE: dict[str, Callable[[object], bool]] = {
     "scorer": lambda value: value is None or _spec(value, name=str, params=dict),
     "tokenizer": lambda value: value is None
     or _spec(value, stopwords=list, min_token_length=int, keep_phrases=bool)
+    and _count(value.get("min_token_length", 0))
     and all(isinstance(word, str) for word in value.get("stopwords", ())),
 }
 
@@ -1211,12 +1217,34 @@ def _manifest_problems(root: Path, manifest: Mapping) -> list[str]:
         return [problem]
     names = _doc_terms_links(manifest)
     problems: list[str] = []
+    sound = []
     for entry in manifest["segments"]:
         problem = _shape_problem(entry, _SEGMENT_ENTRY_SHAPE, "segment entry")
         if problem is None:
             names.append(entry["file"])
+            sound.append(entry)
         else:
             problems.append(problem)
+    # An incremental save reuses a persisted file by segment id, and the
+    # next seal takes ``next_segment_id`` and ``next_seq``: an id names one
+    # segment and a file one segment or link, the seal ranges (which order
+    # tombstones) are disjoint, and the counters are past every one in use.
+    ids = [entry["segment_id"] for entry in sound]
+    ranges = sorted(entry["seq"] for entry in sound)
+    top_id = max(ids, default=-1)
+    top_seq = max((hi for _, hi in ranges), default=-1)
+    if len(set(ids)) != len(ids):
+        problems.append("segment entries have no well-formed 'segment_id': an id repeats")
+    if len(set(names)) != len(names):
+        problems.append("manifest has no well-formed file names: a file is named twice")
+    if any(lo <= hi for (_, hi), (lo, _) in zip(ranges, ranges[1:])):
+        problems.append("segment entries have no well-formed 'seq': ranges overlap")
+    if manifest["next_segment_id"] <= top_id:
+        problems.append(
+            f"manifest has no well-formed 'next_segment_id': segment id {top_id} is in use"
+        )
+    if manifest["next_seq"] <= top_seq:
+        problems.append(f"manifest has no well-formed 'next_seq': seq {top_seq} is in use")
     integrity = manifest["integrity"]
     for name in names:
         recorded, file_path = integrity.get(name), root / name

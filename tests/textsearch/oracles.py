@@ -1,16 +1,18 @@
 """Per-term, per-run and per-token reference implementations of the index's
-row kernels.
+row kernels, and the scan its ``max_impact`` replaced.
 
 Each function here is the straightforward loop that a row-at-once kernel in
 ``repro.textsearch`` replaced: the merge that orders each term on its own,
 the read that recomposes each stale run on its own, the delta build that
-sorts each term's rows on its own and the tokenizer that filters one token
-at a time.  The property suites check the kernels against them, output for
-output and order for order.
+sorts each term's rows on its own, the tokenizer that filters one token
+at a time, and the max over every posting's impact that the impact-class
+representatives (``representatives``) replaced.  The suites check the
+kernels against them, output for output and order for order.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from array import array
 from collections import defaultdict
@@ -100,6 +102,23 @@ def compose_lists(scorer, factors, corpus, max_impact: float, levels: int) -> di
             array("I", [levels - rank for rank, _ in entries]),
         )
     return lists
+
+
+def scan_max_impact(scorer, factors, corpus) -> float:
+    """The oracle of ``Scorer.max_impact``: the largest composed impact of
+    every posting of ``factors`` (``0.0`` when none is positive)."""
+    return max([0.0, *(value for f in factors for value in scorer.impacts(f, corpus).values())])
+
+
+def representatives(factors, known) -> tuple[list, list, list]:
+    """The ``(terms, keys, ranks)`` columns ``max_impact`` takes: per impact
+    class ``(term, key)`` of a ``known`` term, the smallest rank."""
+    best: dict = {}
+    for keys, rank in factors:
+        for term, key in keys.items():
+            if term in known and rank < best.get((term, key), math.inf):
+                best[term, key] = rank
+    return [t for t, _ in best], [k for _, k in best], list(best.values())
 
 
 def tokenize(tokenizer: Tokenizer, text: str) -> list[str]:

@@ -23,7 +23,9 @@ from repro.textsearch import Corpus, CorruptIndexError, Document, InvertedIndex
 from repro.textsearch.segments import (
     _TERM_BLOCK_FACTOR,
     _WAL_FRAME,
+    TieredMergePolicy,
     _frame_wal_record,
+    _save_seq,
     _segment_footer,
     install_io_fault_hook,
     read_index_directory,
@@ -31,32 +33,7 @@ from repro.textsearch.segments import (
     repair_index_directory,
     verify_index_directory,
 )
-
-_WORDS = (
-    "alpha beta gamma delta epsilon zeta eta theta iota kappa "
-    "lambda sigma omega"
-).split()
-
-
-def _build_index(num_docs: int = 10) -> InvertedIndex:
-    docs = [
-        Document(
-            doc_id=i,
-            text=" ".join(_WORDS[(i + k) % len(_WORDS)] for k in range(2 + i % 5)),
-        )
-        for i in range(num_docs)
-    ]
-    return InvertedIndex.build(Corpus(docs))
-
-
-def _snapshot(index: InvertedIndex):
-    """The logical content of an index: every term's full posting list."""
-    return {
-        term: tuple(
-            (p.doc_id, p.quantised_impact) for p in index.postings(term)
-        )
-        for term in sorted(index.terms)
-    }
+from tests.textsearch.test_wal_recovery import _build_index, _documents, _snapshot
 
 
 def _saved_directory(tmp_path):
@@ -119,8 +96,7 @@ def _malformed(*path, value):
             if depth == len(path) - 1:
                 node[key] = value
             node = node[key]
-        seq = record["save_seq"]
-        return _frame_wal_record(record), f"wal.log#{seq if isinstance(seq, int) else 0}"
+        return _frame_wal_record(record), f"wal.log#{_save_seq(record)}"
 
     return damage
 
@@ -312,6 +288,25 @@ class TestTruncationAtEveryBoundary:
             pytest.param(("byteorder",), "middle", id="byteorder"),
             pytest.param(("arrays_fresh",), 0, id="arrays-fresh"),
             pytest.param(("segments", 0, "base"), "yes", id="segment-base"),
+            pytest.param(("segments", 0, "segment_id"), True, id="segment-id-bool"),
+            pytest.param(("segments", 1, "segment_id"), 0, id="segment-id-repeated"),
+            pytest.param(("segments", 0, "generation"), -3, id="generation-negative"),
+            pytest.param(("segments", 0, "seq"), [True, 0], id="seq-bool"),
+            pytest.param(("save_seq",), True, id="save-seq-bool"),
+            pytest.param(("next_seq",), True, id="next-seq-bool"),
+            pytest.param(("next_seq",), 1, id="next-seq-in-use"),
+            pytest.param(("next_segment_id",), -7, id="next-segment-id-negative"),
+            pytest.param(("next_segment_id",), 0, id="next-segment-id-in-use"),
+            pytest.param(("segments", 1, "file"), "segment_0_1.bin", id="segment-file-repeated"),
+            pytest.param(
+                ("doc_terms_chain",),
+                ["doc_terms_1.bin", "doc_terms_2.bin"],  # the tip's name
+                id="doc-terms-link-repeated",
+            ),
+            pytest.param(("segments", 0, "seq"), [1, 0], id="seq-reversed"),
+            pytest.param(("segments", 1, "seq"), [0, 1], id="seq-overlapping"),
+            pytest.param(("tokenizer", "min_token_length"), True, id="min-token-length-bool"),
+            pytest.param(("tokenizer", "min_token_length"), -4, id="min-token-length-negative"),
         ],
     )
     def test_malformed_index_metadata_is_a_damaged_record(self, tmp_path, key, value):
@@ -336,6 +331,35 @@ class TestTruncationAtEveryBoundary:
         (root / "wal.log").write_bytes(frame)
         with pytest.raises(CorruptIndexError, match="well-formed"):
             InvertedIndex.load(root)
+
+    def test_a_record_that_reuses_segment_ids_is_passed_over(self, tmp_path):
+        """A record whose ``next_segment_id`` is an id in use would have the
+        next seal take that id, and an incremental save reuse the file it
+        names for the new segment: the reload would serve the old rows twice
+        and the new ones never.  The record is damaged; the save behind it
+        serves, and takes updates and saves exactly as a rebuild would."""
+        root = tmp_path / "ckpt"
+        _build_index().save(root)
+        record = read_manifest_log(root)[-1]
+        behind = f"wal.log#{record['save_seq']}"
+        record["save_seq"] += 1
+        record["next_segment_id"] = 0
+        with open(root / "wal.log", "ab") as log:
+            log.write(_frame_wal_record(record))
+        report = verify_index_directory(root)
+        assert report["ok"] is False
+        assert report["recoverable"] == behind
+        loaded = InvertedIndex.load(root)
+        added = Document(doc_id=100, text="alpha delta")
+        loaded.add_document(added)
+        loaded.save(root)
+        assert verify_index_directory(root)["ok"] is True
+        segment_ids = [entry["segment_id"] for entry in read_manifest_log(root)[-1]["segments"]]
+        assert len(set(segment_ids)) == len(segment_ids)
+        reloaded = InvertedIndex.load(root)
+        rebuilt = InvertedIndex.build(Corpus([*_documents(10), added]))
+        assert _snapshot(reloaded) == _snapshot(rebuilt)
+        assert len(reloaded.postings("delta")) == reloaded.document_frequency("delta")
 
     def test_torn_current_data_file_falls_back_to_previous_generation(self, tmp_path):
         root, snap_a, snap_b = _two_generation_directory(tmp_path)
@@ -495,6 +519,67 @@ class TestTornResave:
             )
         assert aborted == total_writes
 
+    @pytest.mark.parametrize("change", ["chain-fold", "merge", "compact"])
+    def test_a_save_that_compacts_the_log_reclaims_only_after_its_commit(
+        self, tmp_path, change
+    ):
+        """A save that compacts ``wal.log`` to its own record leaves what only
+        the older records name unreferenced: the doc-terms links its full
+        link replaces, and the segments a merge or a compaction consumed.
+        They go only after the rewrite that commits it, so killing the save
+        at any of its writes leaves the save before it, and the retried
+        save commits and leaves no orphans."""
+        template = tmp_path / "template"
+        policy = TieredMergePolicy(fanout=2)
+        InvertedIndex.build(Corpus(_documents(10)), merge_policy=policy).save(template)
+        history = InvertedIndex.load(template)
+        history.add_document(Document(doc_id=499, text="kappa alpha sigma"))
+        history.maintain(force_seal=True)
+        history.save(template)
+        snap_a = _snapshot(InvertedIndex.load(template))
+
+        def changed(work):
+            index = InvertedIndex.load(work)
+            index.add_document(Document(doc_id=500, text="omega alpha sigma fresh"))
+            if change == "merge":
+                assert index.maintain(force_seal=True)["merges_committed"] == 1
+            elif change == "compact":
+                index.compact()
+            return index
+
+        probe_dir = tmp_path / "probe"
+        shutil.copytree(template, probe_dir)
+        probe_index = changed(probe_dir)
+        counter = FaultInjector(plan=FaultPlan())
+        previous = install_io_fault_hook(counter.io_hook())
+        try:
+            probe_index.save(probe_dir, wal_compact_records=1)
+        finally:
+            install_io_fault_hook(previous)
+        assert probe_index.last_save_report["compacted"]
+        snap_b = _snapshot(InvertedIndex.load(probe_dir))
+        reclaimed = {p.name for p in template.iterdir()} - {p.name for p in probe_dir.iterdir()}
+        assert any(name.startswith("doc_terms_") for name in reclaimed)
+        assert any(name.startswith("segment_") for name in reclaimed) == (change != "chain-fold")
+
+        for op in range(counter.io_operations):
+            work = tmp_path / f"abort_{op}"
+            shutil.copytree(template, work)
+            victim = changed(work)
+            hook = FaultInjector(plan=FaultPlan(io_permanent_at=frozenset({op}))).io_hook()
+            previous = install_io_fault_hook(hook)
+            try:
+                with pytest.raises(PermanentFaultError):
+                    victim.save(work, wal_compact_records=1)
+            finally:
+                install_io_fault_hook(previous)
+            assert verify_index_directory(work)["ok"] is True, op
+            assert _snapshot(InvertedIndex.load(work)) == snap_a, op
+            victim.save(work, wal_compact_records=1)
+            report = verify_index_directory(work)
+            assert report["ok"] is True and report["orphans"] == [], op
+            assert _snapshot(InvertedIndex.load(work)) == snap_b, op
+
 
 class TestTypedLoadErrors:
     def test_nonexistent_directory_raises_file_not_found_naming_the_path(self, tmp_path):
@@ -580,6 +665,30 @@ class TestVerifyAndRepair:
         assert shallow["ok"] is True  # sizes line up; rot is invisible
         deep = verify_index_directory(root, deep=True)
         assert deep["ok"] is False
+
+    @pytest.mark.parametrize("kept", [1, 0], ids=["newest-segment-dropped", "no-segments"])
+    def test_a_record_that_drops_a_segment_fails_its_fold(self, tmp_path, kept):
+        """A record naming fewer segments than its save wrote is well formed
+        and its files check out, so a load serves it; the fold of its
+        doc-terms chain (deep verify, the first mutation) finds documents
+        with terms that no segment holds.  Verify reports the record, and
+        repair goes back to the save behind it."""
+        root, _snap_a, snap_b = _two_generation_directory(tmp_path)
+        record = read_manifest_log(root)[-1]
+        behind = f"wal.log#{record['save_seq']}"
+        record["save_seq"] += 1
+        record["segments"] = record["segments"][:kept]
+        with open(root / "wal.log", "ab") as log:
+            log.write(_frame_wal_record(record))
+        assert verify_index_directory(root, deep=False)["ok"] is True
+        report = verify_index_directory(root)
+        assert report["ok"] is False and report["recoverable"] == behind
+        assert "only live documents" in report["problems"][f"wal.log#{record['save_seq']}"][0]
+        loaded = InvertedIndex.load(root)
+        with pytest.raises(CorruptIndexError, match="only live documents"):
+            loaded.add_document(Document(doc_id=501, text="alpha"))
+        assert repair_index_directory(root)["recovered"] == behind
+        assert _snapshot(InvertedIndex.load(root)) == snap_b
 
 
 class TestStorageFaults:

@@ -1,10 +1,20 @@
 """Unit tests for query evaluation (Figure 10) and the Boolean baseline."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.engine import BooleanSearchEngine, SearchEngine, SearchResult
 from repro.textsearch.inverted_index import InvertedIndex
+
+# A tiny closed vocabulary keeps generated corpora overlapping enough to be
+# interesting (shared terms across documents) while staying fast.
+VOCABULARY = """osteosarcoma radiation therapy water soaked tissues yeast nitrogen diving
+wine terrorism huntsville""".split()
+text = st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=30).map(" ".join)
+corpus_strategy = st.lists(text, min_size=1, max_size=15).map(
+    lambda texts: Corpus([Document(doc_id=i, text=t) for i, t in enumerate(texts)])
+)
 
 
 @pytest.fixture()
@@ -112,3 +122,34 @@ class TestBooleanEngine:
         similarity_hits = set(engine.score_all(query))
         assert boolean_hits == {1}
         assert {2, 4} <= similarity_hits
+
+
+class TestEngineInvariants:
+    @given(corpus=corpus_strategy, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_top_k_is_prefix_of_full_ranking(self, corpus, data):
+        index = InvertedIndex.build(corpus)
+        engine = SearchEngine(index)
+        query = data.draw(st.lists(st.sampled_from(list(index.terms)), min_size=1, max_size=4))
+        k = data.draw(st.integers(min_value=1, max_value=5))
+        top = engine.top_k(query, k=k)
+        full = engine.rank_all(query)
+        assert top.doc_ids == full.doc_ids[:k]
+
+    @given(corpus=corpus_strategy, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scores_are_sums_of_query_term_impacts(self, corpus, data):
+        index = InvertedIndex.build(corpus)
+        engine = SearchEngine(index)
+        query = data.draw(
+            st.lists(st.sampled_from(list(index.terms)), min_size=1, max_size=4, unique=True)
+        )
+        scores = engine.score_all(query)
+        for doc_id, score in scores.items():
+            expected = sum(
+                p.quantised_impact
+                for term in query
+                for p in index.postings(term)
+                if p.doc_id == doc_id
+            )
+            assert score == expected

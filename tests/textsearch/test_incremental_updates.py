@@ -8,6 +8,8 @@ from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import InvertedIndex, Posting
 from repro.textsearch.scoring import BM25Scorer, CorpusStatistics, CosineScorer
 from repro.textsearch.segments import TieredMergePolicy
+from repro.textsearch.tokenizer import Tokenizer
+from tests.textsearch.oracles import representatives, scan_max_impact
 
 
 @pytest.fixture()
@@ -433,3 +435,89 @@ class TestFactoredRefresh:
         assert_indexes_identical(
             pinned, InvertedIndex.build(Corpus(base_documents + [extra]), scorer=scorer)
         )
+
+
+def assert_max_is_the_scan(index, live: dict[int, str], scorer) -> None:
+    """``index``'s ``max_impact`` is the scan over every posting of the
+    documents ``live`` maps id -> text, bit for bit, and its impact classes
+    are the representatives slot for slot: one slot per live ``(term, key)``
+    class, holding the class's smallest rank."""
+    tokenizer = Tokenizer()
+    frequencies = {doc_id: tokenizer.term_frequencies(t) for doc_id, t in live.items()}
+    stats = CorpusStatistics.of_documents(frequencies)
+    factors = [scorer.document_factor(f) for f in frequencies.values()]
+    expected = scan_max_impact(scorer, factors, scorer.corpus_factor(stats))
+    assert index.max_impact.hex() == expected.hex()
+    classes = index._classes
+    if classes is None:  # a loaded index before its first refresh
+        return
+    assert not classes.dirty
+    slots = list(zip(classes.terms, classes.keys))
+    assert len(set(slots)) == len(slots), "a class holds more than one slot"
+    terms, keys, ranks = representatives(factors, stats.document_frequencies)
+    assert dict(zip(slots, classes.ranks)) == dict(zip(zip(terms, keys), ranks))
+
+
+@pytest.mark.parametrize("scorer", [CosineScorer(), BM25Scorer()], ids=["cosine", "bm25"])
+class TestImpactClassEvents:
+    """One case per event that moves a class's representative."""
+
+    def build(self, scorer, texts):
+        live = dict(enumerate(texts))
+        index = InvertedIndex.build(
+            Corpus(Document(doc_id=d, text=t) for d, t in live.items()), scorer=scorer
+        )
+        return index, live
+
+    def remove(self, index, live, doc_id):
+        index.remove_document(doc_id)
+        del live[doc_id]
+
+    def test_a_representative_is_removed(self, scorer):
+        # "alpha" once in each: one class, whose representative is the
+        # shortest document.
+        index, live = self.build(scorer, ["alpha", "alpha beta", "alpha beta gamma"])
+        self.remove(index, live, 0)
+        assert "alpha" in index._classes.dirty
+        assert_max_is_the_scan(index, live, scorer)
+        slots = [k for k, term in enumerate(index._classes.terms) if term == "alpha"]
+        assert len(slots) == 1
+        assert index._classes.ranks[slots[0]] == scorer.document_factor({"alpha": 1, "beta": 1})[1]
+
+    def test_a_class_loses_its_last_member(self, scorer):
+        index, live = self.build(scorer, ["alpha alpha", "alpha beta", "gamma"])
+        self.remove(index, live, 0)  # the only "alpha" twice
+        self.remove(index, live, 2)  # the only "gamma"
+        assert_max_is_the_scan(index, live, scorer)
+        assert "gamma" not in index._classes.terms
+        assert index._classes.terms.count("alpha") == 1
+        assert len(index._classes) == 2
+
+    def test_two_members_of_equal_rank(self, scorer):
+        index, live = self.build(scorer, ["alpha beta", "beta alpha", "alpha beta gamma"])
+        self.remove(index, live, 0)  # a tied representative: its twin still attains the rank
+        assert_max_is_the_scan(index, live, scorer)
+        self.remove(index, live, 1)
+        assert_max_is_the_scan(index, live, scorer)
+
+    def test_an_id_re_added_with_different_text(self, scorer):
+        index, live = self.build(scorer, ["alpha", "alpha beta gamma", "beta"])
+        self.remove(index, live, 0)
+        index.add_document(Document(doc_id=0, text="alpha alpha beta delta"))
+        live[0] = "alpha alpha beta delta"
+        assert_max_is_the_scan(index, live, scorer)
+        self.remove(index, live, 0)
+        index.add_document(Document(doc_id=0, text="gamma"))
+        live[0] = "gamma"
+        assert_max_is_the_scan(index, live, scorer)
+
+    def test_a_loaded_index_runs_its_first_refresh(self, scorer, tmp_path):
+        index, live = self.build(scorer, ["alpha", "alpha beta", "beta gamma gamma"])
+        index.save(tmp_path / "tree")
+        loaded = InvertedIndex.load(tmp_path / "tree")
+        assert loaded._classes is None  # a server that never updates never builds them
+        loaded.remove_document(0)
+        del live[0]
+        assert loaded._classes is None
+        assert_max_is_the_scan(loaded, live, scorer)
+        assert len(loaded._classes) == 3  # (alpha, 1), (beta, 1), (gamma, 2)

@@ -1,6 +1,7 @@
 """Unit tests for the impact-ordered inverted index (Figure 9)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.inverted_index import POSTING_BYTES, InvertedIndex, Posting
@@ -175,3 +176,15 @@ class TestSerialiseRoundTripUnderPendingUpdates:
         index.remove_document(2)  # the only "gown" document
         assert index.serialise_list("gown") == b""
         assert InvertedIndex.deserialise_list(index.serialise_list("gown")) == ()
+
+
+class TestPostingRoundtrip:
+    @given(
+        doc_id=st.integers(min_value=0, max_value=2**32 - 1),
+        impact=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_pack_unpack(self, doc_id, impact):
+        posting = Posting(doc_id=doc_id, quantised_impact=impact)
+        recovered = Posting.unpack(posting.pack())
+        assert recovered.doc_id == doc_id
+        assert recovered.quantised_impact == impact

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.textsearch.scoring import BM25Scorer, CorpusStatistics, CosineScorer
+from repro.textsearch.segments import quantise_column, quantise_impact
+from tests.textsearch.oracles import representatives, scan_max_impact
 
 
 STATS = CorpusStatistics(
@@ -95,23 +97,6 @@ class TestCorpusStatistics:
         assert stats.document_frequency("never-seen") == 0
 
 
-def scan_max_impact(scorer, factors, corpus) -> float:
-    """The oracle of ``Scorer.max_impact``: the largest composed impact of
-    every posting of ``factors`` (``0.0`` when none is positive)."""
-    return max([0.0, *(value for f in factors for value in scorer.impacts(f, corpus).values())])
-
-
-def representatives(factors, known) -> tuple[list, list, list]:
-    """The ``(terms, keys, ranks)`` columns ``max_impact`` takes: per impact
-    class ``(term, key)`` of a ``known`` term, the smallest rank."""
-    best: dict = {}
-    for keys, rank in factors:
-        for term, key in keys.items():
-            if term in known and rank < best.get((term, key), math.inf):
-                best[term, key] = rank
-    return [t for t, _ in best], [k for _, k in best], list(best.values())
-
-
 def _ulps(value: float, steps: int) -> float:
     direction = math.inf if steps > 0 else -math.inf
     for _ in range(abs(steps)):
@@ -169,3 +154,44 @@ class TestFactoredScoring:
         best = scan_max_impact(scorer, factors, corpus)
         columns = representatives(factors, STATS.document_frequencies)
         assert scorer.max_impact(*columns, corpus).hex() == best.hex()
+
+
+class TestColumnKernels:
+    """The one-pass kernels a stale run is recomposed with: each scorer's
+    ``impact_column`` and ``quantise_column`` equal the per-row compositions
+    (``impact``, ``quantise_impact``) bit for bit."""
+
+    @given(
+        documents=st.lists(frequencies, min_size=0, max_size=8),
+        corpus_documents=st.lists(frequencies, min_size=1, max_size=8),
+        term=st.sampled_from(["rare", "common", "pad", "absent"]),
+        k1=st.floats(0.1, 3.0),
+        b=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_impact_column_equals_impact_per_row(self, documents, corpus_documents, term, k1, b):
+        stats = CorpusStatistics.of_documents(dict(enumerate(corpus_documents)))
+        for scorer in (CosineScorer(), BM25Scorer(k1=k1, b=b)):
+            corpus = scorer.corpus_factor(stats)
+            factors = [scorer.document_factor(f) for f in documents]
+            # An empty document: zero norm under cosine, zero length under BM25.
+            factors.append(scorer.document_factor({}))
+            if isinstance(scorer, CosineScorer):
+                factors.append(({term: 1.5}, 0.0))  # the term, but a zero norm
+            expected = [scorer.impact(factor, term, corpus) for factor in factors]
+            column = scorer.impact_column(iter(factors), term, corpus)
+            assert [x.hex() for x in column] == [x.hex() for x in expected], scorer
+
+    @given(
+        max_impact=st.floats(-1.0, 1e3, allow_nan=False),
+        fractions=st.lists(st.floats(0.0, 1.5), max_size=24),
+        levels=st.integers(1, 400),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_quantise_column_equals_quantise_impact(self, max_impact, fractions, levels):
+        impacts = [fraction * max_impact for fraction in fractions]
+        # The top of the scale, and values that round to level 0.
+        impacts += [max_impact, 0.0, max_impact / (4 * levels), max_impact / (2 * levels)]
+        column = quantise_column(impacts, max_impact, levels)
+        assert column.typecode == "I"
+        assert list(column) == [quantise_impact(x, max_impact, levels) for x in impacts]

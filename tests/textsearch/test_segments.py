@@ -3,7 +3,6 @@
 import os
 import random
 from array import array
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ from repro.textsearch.segments import (
     live_columns,
     read_manifest_log,
 )
+from tests.textsearch.test_incremental_updates import assert_indexes_identical
 
 
 @pytest.fixture()
@@ -43,17 +43,6 @@ def extra_documents():
         Document(doc_id=14, text="diving for wine in the old town"),
         Document(doc_id=15, text="terrorism never did sleep in huntsville"),
     ]
-
-
-def assert_indexes_identical(left, right):
-    assert set(left.terms) == set(right.terms)
-    assert left.max_impact == right.max_impact
-    assert left.stats.num_documents == right.stats.num_documents
-    assert dict(left.stats.document_frequencies) == dict(right.stats.document_frequencies)
-    for term in right.terms:
-        # columns() serves each live row once, in run order: compare rows.
-        assert Counter(zip(*left.columns(term))) == Counter(zip(*right.columns(term))), term
-        assert left.serialise_list(term) == right.serialise_list(term)
 
 
 class TestSealing:
