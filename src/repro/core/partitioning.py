@@ -280,9 +280,7 @@ def save_sharded(index, root: str | Path, partitioner) -> ShardedIndexLayout:
     epochs = []
     for shard_id, shard in enumerate(shards):
         shard_dir = root / f"shard-{shard_id:02d}"
-        shard.save(shard_dir)
-        report = shard.last_save_report or {}
-        epochs.append(int(report.get("save_seq", 1)))
+        epochs.append(shard.save(shard_dir)["save_seq"])
         shard_dirs.append(shard_dir)
     topology = {
         "version": 1,

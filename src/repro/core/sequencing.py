@@ -82,9 +82,6 @@ class SequenceBuilder:
             self._redirects[sid] = keeper
         return keeper
 
-    def sequence_of(self, term: str) -> int | None:
-        return self._term_to_sequence.get(term)
-
     @property
     def sequences(self) -> list[list[str]]:
         """The current sequences, in creation order, non-empty only."""

@@ -95,9 +95,6 @@ class QueryWorkloadGenerator:
         pool = self._terms[start : start + window]
         return tuple(self.rng.sample(pool, k=min(query_size, len(pool))))
 
-    def topical_queries(self, count: int, query_size: int, window: int = 30) -> list[tuple[str, ...]]:
-        return [self.topical_query(query_size, window) for _ in range(count)]
-
     # -- long (expansion-style) queries ---------------------------------------------------
     def expanded_query(self, base_size: int, expansion_terms: int, window: int = 60) -> tuple[str, ...]:
         """A TREC/query-expansion style long query: a topical core plus related expansion terms."""

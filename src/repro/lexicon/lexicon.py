@@ -70,9 +70,6 @@ class Lexicon:
         except KeyError:
             raise KeyError(f"unknown synset id {synset_id!r}") from None
 
-    def has_synset(self, synset_id: str) -> bool:
-        return synset_id in self._synsets
-
     def synsets_of_term(self, term: str) -> tuple[Synset, ...]:
         """All synsets (senses) a term belongs to; empty tuple for unknown terms."""
         return tuple(self._synsets[sid] for sid in self._term_index.get(term, ()))

@@ -16,7 +16,9 @@ that engine from scratch:
   merge kernel and the on-disk directory format.
 * :mod:`repro.textsearch.inverted_index` -- the impact-ordered inverted index
   of Figure 9 on top of the segment store, with impact discretisation, a
-  block-layout model, incremental updates and save/load persistence.
+  block-layout model, incremental updates and save/load persistence; its
+  segment layout reads through a few counters (``num_segments``,
+  ``num_tombstones``, ``update_epoch``...).
 * :mod:`repro.textsearch.engine` -- query evaluation (Figure 10) and the
   Boolean model baseline.
 * :mod:`repro.textsearch.evaluation` -- precision/recall and rank-agreement
@@ -27,13 +29,7 @@ from repro.textsearch.corpus import Corpus, Document
 from repro.textsearch.engine import BooleanSearchEngine, SearchEngine, SearchResult
 from repro.textsearch.inverted_index import InvertedIndex, Posting
 from repro.textsearch.scoring import BM25Scorer, CosineScorer
-from repro.textsearch.segments import (
-    CorruptIndexError,
-    IndexSegment,
-    SegmentInfo,
-    SegmentManifest,
-    TieredMergePolicy,
-)
+from repro.textsearch.segments import CorruptIndexError, IndexSegment, TieredMergePolicy
 from repro.textsearch.synthetic import SyntheticCorpusGenerator
 from repro.textsearch.tokenizer import Tokenizer, DEFAULT_STOPWORDS
 
@@ -49,8 +45,6 @@ __all__ = [
     "Posting",
     "CorruptIndexError",
     "IndexSegment",
-    "SegmentInfo",
-    "SegmentManifest",
     "TieredMergePolicy",
     "SearchEngine",
     "BooleanSearchEngine",

@@ -40,8 +40,8 @@ without a rebuild:
   so sustained update streams accumulate **generational delta segments**
   instead of one ever-growing mutable delta;
 * the :class:`~repro.textsearch.segments.TieredMergePolicy` compacts sealed
-  segments LSM-style: :meth:`maintain` merges every group the policy
-  names, under the writer lock;
+  segments LSM-style: :meth:`maintain` merges the groups the policy names
+  until none is due, under the writer lock;
 * :meth:`compact` folds *everything* (sealed segments, unsealed delta,
   tombstones) back into a single base segment.
 
@@ -107,8 +107,6 @@ from repro.textsearch.segments import (
     CorruptIndexError,
     IndexSegment,
     PostingColumns,
-    SegmentInfo,
-    SegmentManifest,
     TieredMergePolicy,
     _persist_state,
     _sorted_lists,
@@ -129,7 +127,6 @@ __all__ = [
     "InvertedIndex",
     "IndexSnapshot",
     "UpdateCounters",
-    "CompactionReport",
     "CorruptIndexError",
 ]
 
@@ -186,23 +183,6 @@ class UpdateCounters:
     merge_postings_written: int = 0
     #: Dead rows dropped (and consumed tombstones applied) by merges.
     merge_postings_dropped: int = 0
-
-
-@dataclass(frozen=True)
-class CompactionReport:
-    """What one :meth:`InvertedIndex.compact` call actually did."""
-
-    lists_merged: int
-    postings_merged: int
-    postings_dropped: int
-
-    @property
-    def was_noop(self) -> bool:
-        return (
-            self.lists_merged == 0
-            and self.postings_merged == 0
-            and self.postings_dropped == 0
-        )
 
 
 def _scorer_spec(scorer: Scorer) -> dict:
@@ -575,7 +555,10 @@ class InvertedIndex:
     :meth:`maintain` / :meth:`compact`.  Hand-built indexes (raw
     ``postings=`` only) remain read-only, so nothing quantises against
     their ``max_impact`` (default ``0.0``; :meth:`split` passes the
-    source's).
+    source's).  The segment layout is read through :attr:`num_segments`,
+    :attr:`num_tombstones`, :attr:`num_delta_documents`,
+    :attr:`has_pending_updates` and :attr:`update_epoch`; :meth:`save`
+    returns what it wrote.
 
     Parameters
     ----------
@@ -668,7 +651,6 @@ class InvertedIndex:
         self._active_docs: set[int] = set()
         self._active_tombstones: set[int] = set()
         self._active_lists: dict[str, PostingColumns] = {}
-        self._active_postings = 0
         #: Per-segment dead sets, memoised between manifest changes.
         self._dead: list | None = None
         #: ``Scorer.document_factor`` of every live document, kept from build
@@ -700,8 +682,6 @@ class InvertedIndex:
         #: Ids added or removed since that state, most recent last: what the
         #: next incremental save's doc-terms link carries.
         self._unsaved: dict[int, None] = {}
-        #: Report of the most recent :meth:`save` (mode, files written...).
-        self.last_save_report: dict | None = None
         #: Per-document term frequencies, the state updates need: ``None``
         #: until :meth:`_forward` takes them from ``_chain``.
         self._doc_terms: dict[int, Mapping[str, int]] | None = None
@@ -819,38 +799,6 @@ class InvertedIndex:
     def num_segments(self) -> int:
         """Sealed segments currently serving reads (the unsealed delta excluded)."""
         return len(self._segments)
-
-    def segment_manifest(self) -> SegmentManifest:
-        """The current segment configuration plus the update epoch.
-
-        Deliberately cheap to poll: neither the refresh core nor the
-        deferred per-list rewrites run, so interleaving monitoring with
-        updates costs O(segments), not O(corpus).  Sealed posting counts
-        reflect the physical arrays, dead rows included until a rewritten
-        copy drops them; the unsealed entry reports *staged*
-        counts -- its ``postings`` is the staged-term tally, and ``terms``
-        counts the delta lists materialised by the last read (0 while a
-        refresh is pending).
-        """
-        active = None
-        if self.has_pending_updates:
-            active = SegmentInfo(
-                segment_id=-1,
-                generation=0,
-                base=False,
-                seq_lo=self._next_seq,
-                seq_hi=self._next_seq,
-                documents=len(self._active_docs),
-                postings=self._active_postings,
-                tombstones=len(self._active_tombstones),
-                terms=len(self._active_lists),
-                sealed=False,
-            )
-        return SegmentManifest(
-            epoch=self._update_epoch,
-            segments=tuple(segment.info() for segment in self._segments),
-            active=active,
-        )
 
     def snapshot(self) -> IndexSnapshot:
         """Pin an immutable read view of the index at its current epoch.
@@ -980,7 +928,6 @@ class InvertedIndex:
                 document_frequencies[term] = document_frequencies.get(term, 0) + 1
             if frequencies:
                 self._active_docs.add(doc_id)
-                self._active_postings += len(frequencies)
             if self._doc_factors is not None:
                 factor = self._doc_factors[doc_id] = self._scorer.document_factor(frequencies)
                 self._classes.add(factor)
@@ -1019,7 +966,6 @@ class InvertedIndex:
                     document_frequencies.pop(term, None)
             if doc_id in self._active_docs:
                 self._active_docs.discard(doc_id)
-                self._active_postings -= len(frequencies)
             else:
                 self._active_tombstones.add(doc_id)
             self._register_mutation()
@@ -1029,20 +975,20 @@ class InvertedIndex:
             self.remove_document(doc_id)
 
     # -- segment lifecycle ---------------------------------------------------------
-    def seal_delta(self) -> SegmentInfo | None:
+    def seal_delta(self) -> bool:
         """Freeze the unsealed delta into an immutable generation-0 segment.
 
         The staged postings (already columnar and impact-fresh after the
         refresh this forces) and the pending tombstones become one sealed
         :class:`~repro.textsearch.segments.IndexSegment`; the delta resets
         empty.  Served content is unchanged, so :attr:`update_epoch` stays
-        put and no downstream cache is invalidated.  Returns the new
-        segment's info, or ``None`` when there was nothing to seal.
+        put and no downstream cache is invalidated.  Returns whether a
+        segment was sealed (False when nothing was staged).
         """
         with self._snapshot_lock:
             self._ensure_fresh()
             if not self.has_pending_updates:
-                return None
+                return False
             segment = self._delta_segment(self._next_segment_id)
             self._next_seq += 1
             self._next_segment_id += 1
@@ -1050,9 +996,8 @@ class InvertedIndex:
             self._active_docs = set()
             self._active_tombstones = set()
             self._active_lists = {}
-            self._active_postings = 0
             self._unpublish()
-            return segment.info()
+            return True
 
     def _delta_segment(self, segment_id: int) -> IndexSegment:
         """The unsealed delta as a segment at the next seal sequence."""
@@ -1070,17 +1015,21 @@ class InvertedIndex:
         """One synchronous maintenance step: refresh, seal on request, merge.
 
         Runs the pending impact refresh, seals the unsealed delta when
-        ``force_seal``, then merges every group the policy considers due --
-        all under the writer lock, so pinned snapshots keep serving the
-        input segments.  Returns ``{"sealed": bool, "merges_committed": int}``.
+        ``force_seal``, then merges the groups the policy considers due and
+        plans again until none is (a merge's output may fill the next
+        generation's tier) -- all under the writer lock, so pinned snapshots
+        keep serving the input segments.  Returns ``{"sealed": bool,
+        "merges_committed": int}``.
         """
+        merges = 0
         with self._snapshot_lock:
             self._ensure_fresh()
-            sealed = self.seal_delta() if force_seal else None
-            groups = self.merge_policy.plan(self._segments)
-            for group in groups:
-                self._merge(set(group))
-        return {"sealed": sealed is not None, "merges_committed": len(groups)}
+            sealed = force_seal and self.seal_delta()
+            while groups := self.merge_policy.plan(self._segments):
+                for group in groups:
+                    self._merge(set(group))
+                merges += len(groups)
+        return {"sealed": sealed, "merges_committed": merges}
 
     def _merge(self, ids: set[int]) -> None:
         """Replace the segments named by ``ids`` (one contiguous seal-sequence
@@ -1119,7 +1068,7 @@ class InvertedIndex:
         counters.merge_postings_dropped += sum(s.num_postings for s in chosen) - merged.num_postings
         self._unpublish()
 
-    def compact(self) -> CompactionReport:
+    def compact(self) -> bool:
         """Fold every segment, the unsealed delta and all tombstones together.
 
         The ordered view of each term becomes the single new **base** segment
@@ -1127,7 +1076,8 @@ class InvertedIndex:
         leave the dictionary.  The ordered reads are bit-identical before and
         after, and ``columns`` serves the same rows, so :attr:`update_epoch`
         stays put and no downstream cache is invalidated.  Compacting an
-        already-compacted index is an idempotent no-op.
+        already-compacted index is an idempotent no-op.  Returns whether the
+        segments changed (False for that no-op).
 
         Runs under the writer lock; readers holding a pinned
         :class:`IndexSnapshot` keep serving the pre-compaction manifest
@@ -1135,52 +1085,36 @@ class InvertedIndex:
         :meth:`snapshot` call picks up the single-segment layout.
         """
         with self._snapshot_lock:
-            return self._compact_locked()
-
-    def _compact_locked(self) -> CompactionReport:
-        self._ensure_fresh()
-        if len(self._segments) == 1 and not self.has_pending_updates:
-            return CompactionReport(
-                lists_merged=0, postings_merged=0, postings_dropped=0
-            )
-        base_total = self._segments[0].num_postings
-        contributed = sum(
-            segment.num_postings for segment in self._segments[1:]
-        ) + sum(len(columns) for columns in self._active_lists.values())
-        # Fold current copies of the segments, then the delta as the newest
-        # run: per term, the list a reader pinned right now would serve.
-        base = self._segments[0].lists
-        segments = self._current(range(len(self._segments)))
-        new_lists = merge_segment_parts([*segments, self._delta_segment(-1)], _EMPTY, _EMPTY)[0]
-        lists_merged = sum(columns is not base.get(term) for term, columns in new_lists.items())
-        documents = set().union(*(columns.doc_ids for columns in new_lists.values()))
-        new_total = sum(map(len, new_lists.values()))
-        seq_hi = self._next_seq
-        self._next_seq += 1
-        self._segments = [
-            IndexSegment(
-                segment_id=self._next_segment_id,
-                generation=0,
-                seq_lo=0,
-                seq_hi=seq_hi,
-                lists=new_lists,
-                documents=documents,
-                base=True,
-            )
-        ]
-        self._next_segment_id += 1
-        self._stale_ids = set()
-        self._active_docs = set()
-        self._active_tombstones = set()
-        self._active_lists = {}
-        self._active_postings = 0
-        self._unpublish()
-        self.update_counters.compactions += 1
-        return CompactionReport(
-            lists_merged=lists_merged,
-            postings_merged=contributed,
-            postings_dropped=base_total + contributed - new_total,
-        )
+            self._ensure_fresh()
+            if len(self._segments) == 1 and not self.has_pending_updates:
+                return False
+            # Fold current copies of the segments, then the delta as the newest
+            # run: per term, the list a reader pinned right now would serve.
+            segments = self._current(range(len(self._segments)))
+            runs = [*segments, self._delta_segment(-1)]
+            new_lists = merge_segment_parts(runs, _EMPTY, _EMPTY)[0]
+            documents = set().union(*(columns.doc_ids for columns in new_lists.values()))
+            seq_hi = self._next_seq
+            self._next_seq += 1
+            self._segments = [
+                IndexSegment(
+                    segment_id=self._next_segment_id,
+                    generation=0,
+                    seq_lo=0,
+                    seq_hi=seq_hi,
+                    lists=new_lists,
+                    documents=documents,
+                    base=True,
+                )
+            ]
+            self._next_segment_id += 1
+            self._stale_ids = set()
+            self._active_docs = set()
+            self._active_tombstones = set()
+            self._active_lists = {}
+            self._unpublish()
+            self.update_counters.compactions += 1
+            return True
 
     # -- persistence ---------------------------------------------------------------
     def save(
@@ -1188,7 +1122,7 @@ class InvertedIndex:
         path: str | Path,
         *,
         wal_compact_records: int = DEFAULT_WAL_COMPACT_RECORDS,
-    ) -> SegmentManifest:
+    ) -> dict:
         """Persist the index as a columnar segment directory.
 
         Seals the unsealed delta first (the format stores sealed segments
@@ -1212,9 +1146,10 @@ class InvertedIndex:
         wal_compact_records:
             Compact the manifest log once it would exceed this many records.
 
-        Returns the saved :class:`SegmentManifest`; the write report (mode,
-        segments written/reused, wal record count...) is left in
-        :attr:`last_save_report`.  Raises ``OSError`` for filesystem
+        Returns the write report of
+        :func:`~repro.textsearch.segments.write_index_directory` (``mode``,
+        ``save_seq``, segments written/reused, wal record count...), less
+        its ``persist_state``.  Raises ``OSError`` for filesystem
         failures.  Takes the writer lock, so pinned snapshots stay valid;
         do not call concurrently with another ``save`` on the same instance.
         """
@@ -1266,8 +1201,7 @@ class InvertedIndex:
             if not want_incremental:
                 self._segments, self._stale_ids = segments, set()
             self._persist, self._unsaved = report.pop("persist_state"), {}
-            self.last_save_report = report
-            return self.segment_manifest()
+            return report
 
     @classmethod
     def load(

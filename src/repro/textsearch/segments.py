@@ -23,8 +23,6 @@ The pieces provided here:
   a loaded index pays I/O only for the terms queries actually touch.
 * :class:`IndexSegment` -- one frozen storage unit (lists + documents +
   tombstones + generation/sequence metadata); nothing changes it once sealed.
-* :class:`SegmentInfo` / :class:`SegmentManifest` -- the serving layer's view
-  of the segment configuration at one update epoch.
 * :class:`TieredMergePolicy` -- LSM-style compaction scheduling: when a
   generation accumulates ``fanout`` sealed segments, the oldest ``fanout`` of
   them merge into one segment of the next generation.  The base segment (the
@@ -71,8 +69,6 @@ __all__ = [
     "CorruptIndexError",
     "PostingColumns",
     "IndexSegment",
-    "SegmentInfo",
-    "SegmentManifest",
     "TieredMergePolicy",
     "dead_sets",
     "merge_segment_parts",
@@ -288,71 +284,11 @@ class IndexSegment:
     tombstones: set[int] = field(default_factory=set)
     #: True for the build/compact product; never selected by the merge policy.
     base: bool = False
-    #: Rows across ``lists``, counted once so :meth:`info` never walks them.
+    #: Rows across ``lists``, counted once so a merge's counters never walk them.
     num_postings: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_postings", sum(map(len, self.lists.values())))
-
-    def info(self) -> "SegmentInfo":
-        return SegmentInfo(
-            segment_id=self.segment_id,
-            generation=self.generation,
-            base=self.base,
-            seq_lo=self.seq_lo,
-            seq_hi=self.seq_hi,
-            documents=len(self.documents),
-            postings=self.num_postings,
-            tombstones=len(self.tombstones),
-            terms=len(self.lists),
-            sealed=True,
-        )
-
-
-@dataclass(frozen=True)
-class SegmentInfo:
-    """Summary of one segment, as exposed through :class:`SegmentManifest`."""
-
-    segment_id: int
-    generation: int
-    base: bool
-    seq_lo: int
-    seq_hi: int
-    documents: int
-    postings: int
-    tombstones: int
-    terms: int
-    sealed: bool = True
-
-
-@dataclass(frozen=True)
-class SegmentManifest:
-    """The serving layer's view of the index's segment configuration.
-
-    ``epoch`` is the index's monotonic mutation counter: anything derived
-    from list content is valid for exactly one epoch.
-    """
-
-    epoch: int
-    segments: tuple[SegmentInfo, ...]
-    active: SegmentInfo | None = None
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.segments)
-
-    @property
-    def total_postings(self) -> int:
-        return sum(info.postings for info in self.segments)
-
-    @property
-    def total_tombstones(self) -> int:
-        pending = self.active.tombstones if self.active is not None else 0
-        return sum(info.tombstones for info in self.segments) + pending
-
-    @property
-    def generations(self) -> tuple[int, ...]:
-        return tuple(sorted({info.generation for info in self.segments}))
 
 
 @dataclass(frozen=True)

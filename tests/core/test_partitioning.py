@@ -35,6 +35,7 @@ from repro.core.partitioning import (
     split_query_terms,
 )
 from repro.textsearch.inverted_index import InvertedIndex
+from repro.textsearch.segments import read_manifest_log
 
 
 # -- balancing primitives ----------------------------------------------------------
@@ -219,6 +220,15 @@ def test_save_load_sharded_round_trip(index, tmp_path):
             full_doc_ids, full_quants = index.columns(term)
             assert list(doc_ids) == list(full_doc_ids)
             assert list(quants) == list(full_quants)
+
+
+def test_sharded_epochs_are_each_shards_newest_save_seq(index, tmp_path):
+    part = HashPartitioner(num_shards=3)
+    save_sharded(index, tmp_path, part)
+    layout = save_sharded(index, tmp_path, part)
+    newest = tuple(read_manifest_log(d)[-1]["save_seq"] for d in layout.shard_dirs)
+    assert layout.epochs == newest == (2, 2, 2)
+    assert load_sharded(tmp_path).epochs == newest
 
 
 def test_load_sharded_missing_topology(tmp_path):

@@ -150,9 +150,10 @@ class StorageModel(RuleBasedStateMachine):
         runs the merges that are due."""
         pending = self.index.has_pending_updates
         if then == "seal":
-            assert (self.index.seal_delta() is not None) == pending
+            assert self.index.seal_delta() == pending
         elif then == "maintain":
             assert self.index.maintain(force_seal=True)["sealed"] == pending
+            assert self.index.merge_policy.plan(self.index._segments) == []
 
     @rule(documents=st.lists(st.tuples(text, st.sampled_from(SETTLE)), min_size=1, max_size=3))
     def add(self, documents):
@@ -185,26 +186,28 @@ class StorageModel(RuleBasedStateMachine):
     @rule()
     def seal(self):
         before = self.index.snapshot()
-        assert self.index.seal_delta() is not None and not self.index.has_pending_updates
+        assert self.index.seal_delta() and not self.index.has_pending_updates
         assert self.index.snapshot() is not before
 
     @rule(force_seal=st.booleans())
     def maintain(self, force_seal):
+        """Seals on request and leaves nothing due."""
         pending = self.index.has_pending_updates
         assert self.index.maintain(force_seal=force_seal)["sealed"] == (force_seal and pending)
+        assert self.index.merge_policy.plan(self.index._segments) == []
 
     @precondition(lambda self: self.index.num_segments > 1 or self.index.has_pending_updates)
     @rule(again=st.booleans())
     def compact(self, again):
         """One base segment, whose lists the reads serve as they are;
         ``again``: compacting that is a no-op."""
-        self.index.compact()
+        assert self.index.compact()
         (segment,) = self.index._segments
         assert not self.index.has_pending_updates
         for term, columns in segment.lists.items():
             assert self.index.postings(term) is columns.view(), term
         if again:
-            assert self.index.compact().was_noop and self.index._segments[0] is segment
+            assert self.index.compact() is False and self.index._segments[0] is segment
 
     # -- persistence ----------------------------------------------------------
     @rule(incremental=st.booleans())
@@ -215,8 +218,7 @@ class StorageModel(RuleBasedStateMachine):
             target, mode = self.target, "incremental"
         else:
             target, mode = Path(self.scratch.name) / f"tree{len(self.saved)}", "full"
-        self.index.save(target)
-        assert self.index.last_save_report["mode"] == mode
+        assert self.index.save(target)["mode"] == mode
         self.saved[target], self.target = dict(self.live), target
         assert InvertedIndex.verify_directory(target)["ok"]
 

@@ -491,10 +491,10 @@ class TestTornResave:
         counter = FaultInjector(plan=FaultPlan())
         previous = install_io_fault_hook(counter.io_hook())
         try:
-            probe_index.save(probe_dir)
+            report = probe_index.save(probe_dir)
         finally:
             install_io_fault_hook(previous)
-        assert probe_index.last_save_report["mode"] == "incremental"
+        assert report["mode"] == "incremental"
         snap_b = _snapshot(InvertedIndex.load(probe_dir))
         total_writes = counter.io_operations
         assert total_writes >= 3  # new blob + doc-terms sidecar + log append
@@ -553,10 +553,10 @@ class TestTornResave:
         counter = FaultInjector(plan=FaultPlan())
         previous = install_io_fault_hook(counter.io_hook())
         try:
-            probe_index.save(probe_dir, wal_compact_records=1)
+            report = probe_index.save(probe_dir, wal_compact_records=1)
         finally:
             install_io_fault_hook(previous)
-        assert probe_index.last_save_report["compacted"]
+        assert report["compacted"]
         snap_b = _snapshot(InvertedIndex.load(probe_dir))
         reclaimed = {p.name for p in template.iterdir()} - {p.name for p in probe_dir.iterdir()}
         assert any(name.startswith("doc_terms_") for name in reclaimed)

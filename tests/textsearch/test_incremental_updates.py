@@ -53,8 +53,7 @@ class TestAddDocument:
         rebuilt = InvertedIndex.build(Corpus(base_documents + [new]))
         assert index.has_pending_updates
         assert_indexes_identical(index, rebuilt)
-        report = index.compact()
-        assert not report.was_noop
+        assert index.compact()
         assert not index.has_pending_updates
         assert_indexes_identical(index, rebuilt)
 
@@ -78,7 +77,7 @@ class TestAddDocument:
         assert not index.has_pending_updates  # nothing staged
         assert index.num_delta_documents == 0
         assert set(index.terms) == terms_before
-        assert index.compact().was_noop
+        assert index.compact() is False
         rebuilt = InvertedIndex.build(Corpus(base_documents + [empty]))
         assert_indexes_identical(index, rebuilt)
 
@@ -91,8 +90,8 @@ class TestRemoveDocument:
         )
         assert index.num_tombstones == 1
         assert_indexes_identical(index, rebuilt)
-        report = index.compact()
-        assert report.postings_dropped > 0
+        assert index.compact()
+        assert all(2 not in columns.doc_ids for columns in index._segments[0].lists.values())
         assert index.num_tombstones == 0
         assert_indexes_identical(index, rebuilt)
 
@@ -179,8 +178,8 @@ class TestQuantisationDrift:
 class TestCompaction:
     def test_compact_on_empty_delta_is_idempotent(self, index):
         snapshot = {term: index.columns(term) for term in index.terms}
-        assert index.compact().was_noop
-        assert index.compact().was_noop
+        assert index.compact() is False
+        assert index.compact() is False
         for term, (doc_ids, quants) in snapshot.items():
             assert index.columns(term) == (doc_ids, quants)  # same array objects
 
@@ -198,10 +197,11 @@ class TestCompaction:
         new = Document(doc_id=9, text="night keeper town")
         index.add_document(new)
         index.remove_document(2)
-        report = index.compact()
-        assert report.postings_merged == 3
-        assert report.postings_dropped > 0
-        assert report.lists_merged > 0
+        assert index.compact()
+        (base,) = index._segments
+        # The delta's three rows are folded in; the removed document's rows are gone.
+        assert sum(columns.doc_ids.count(9) for columns in base.lists.values()) == 3
+        assert all(2 not in columns.doc_ids for columns in base.lists.values())
         assert index.update_counters.compactions == 1
         assert not index.has_pending_updates
         rebuilt = InvertedIndex.build(
@@ -256,7 +256,7 @@ class TestUpdatableGuard:
             hand_built.add_document(Document(doc_id=2, text="alpha"))
         with pytest.raises(RuntimeError, match="does not support incremental updates"):
             hand_built.remove_document(1)
-        assert hand_built.compact().was_noop  # read-only compact is a no-op
+        assert hand_built.compact() is False  # read-only compact is a no-op
 
     def test_built_index_supports_updates(self, index):
         assert index.supports_updates
@@ -358,9 +358,9 @@ class TestFactoredRefresh:
         live = [d for d in base_documents if d.doc_id != 2] + added
         rebuilt = InvertedIndex.build(Corpus(live))
         assert_indexes_identical(index, rebuilt)
-        index.save(tmp_path / "tree")
-        assert index.last_save_report["mode"] == "incremental"
-        assert index.last_save_report["arrays_fresh"] is False
+        report = index.save(tmp_path / "tree")
+        assert report["mode"] == "incremental"
+        assert report["arrays_fresh"] is False
         for mmap in (False, True):
             loaded = InvertedIndex.load(tmp_path / "tree", mmap=mmap, scorer=CosineScorer())
             assert_indexes_identical(loaded, rebuilt)

@@ -50,9 +50,10 @@ class TestSealing:
         index = InvertedIndex.build(Corpus(base_documents))
         index.add_document(extra_documents[0])
         assert index.has_pending_updates
-        info = index.seal_delta()
-        assert info is not None
-        assert info.generation == 0 and not info.base and info.sealed
+        assert index.seal_delta()
+        sealed = index._segments[-1]
+        assert sealed.generation == 0 and not sealed.base
+        assert sealed.documents == {extra_documents[0].doc_id}
         assert not index.has_pending_updates
         assert index.num_segments == 2
         rebuilt = InvertedIndex.build(Corpus(base_documents + extra_documents[:1]))
@@ -60,14 +61,14 @@ class TestSealing:
 
     def test_seal_with_nothing_staged_is_a_noop(self, base_documents):
         index = InvertedIndex.build(Corpus(base_documents))
-        assert index.seal_delta() is None
+        assert index.seal_delta() is False
         assert index.num_segments == 1
 
     def test_tombstone_only_seal_filters_older_rows(self, base_documents):
         index = InvertedIndex.build(Corpus(base_documents))
         index.remove_document(2)
-        info = index.seal_delta()
-        assert info is not None and info.tombstones == 1
+        assert index.seal_delta()
+        assert index._segments[-1].tombstones == {2}
         assert index.num_segments == 2
         assert index.num_tombstones == 1  # resident in the sealed segment now
         rebuilt = InvertedIndex.build(
@@ -190,15 +191,34 @@ class TestTieredMerging:
             index.add_document(document)
             index.seal_delta()
         assert index.num_segments == 5
-        report = index.maintain()
-        assert report["merges_committed"] >= 1
-        assert index.num_segments < 5
-        manifest = index.segment_manifest()
-        assert 1 in manifest.generations  # a merged generation exists
+        # Two generation-1 merges fill that tier, whose merge follows in
+        # the same call.
+        assert index.maintain()["merges_committed"] == 3
+        assert [s.generation for s in index._segments if not s.base] == [2]
+        assert index.merge_policy.plan(index._segments) == []
         rebuilt = InvertedIndex.build(Corpus(base_documents + extra_documents[:4]))
         assert_indexes_identical(index, rebuilt)
-        assert index.update_counters.merges >= 1
+        assert index.update_counters.merges == 3
         assert index.update_counters.merge_postings_written > 0
+
+    def test_maintain_merges_until_nothing_is_due(self, base_documents, extra_documents):
+        """A merge that fills the next generation's tier is due at once: a
+        ``maintain`` after every second seal leaves no plan behind."""
+        index = InvertedIndex.build(
+            Corpus(base_documents), merge_policy=TieredMergePolicy(fanout=2)
+        )
+        committed = []
+        for count, document in enumerate(extra_documents[:4], start=1):
+            index.add_document(document)
+            index.seal_delta()
+            if count % 2 == 0:
+                committed.append(index.maintain()["merges_committed"])
+        assert committed == [1, 2]
+        assert index.merge_policy.plan(index._segments) == []
+        (merged,) = [s for s in index._segments if not s.base]
+        assert merged.generation == 2 and merged.seq_lo == 1 and merged.seq_hi == 4
+        rebuilt = InvertedIndex.build(Corpus(base_documents + extra_documents[:4]))
+        assert_indexes_identical(index, rebuilt)
 
     def test_merge_consumes_tombstones_and_drops_dead_rows(
         self, base_documents, extra_documents
@@ -329,49 +349,25 @@ class TestImpactOrder:
         assert impact_order([]) is None
 
 
-class TestSegmentManifest:
-    def test_manifest_reflects_configuration(self, base_documents, extra_documents):
+class TestSegmentCounters:
+    def test_counters_reflect_configuration(self, base_documents, extra_documents):
         index = InvertedIndex.build(Corpus(base_documents))
-        manifest = index.segment_manifest()
-        assert manifest.num_segments == 1
-        assert manifest.segments[0].base
-        assert manifest.active is None
+        assert index.num_segments == 1 and index._segments[0].base
+        assert not index.has_pending_updates
         index.add_document(extra_documents[0])
         index.remove_document(1)
-        manifest = index.segment_manifest()
-        assert manifest.active is not None
-        assert not manifest.active.sealed
-        assert manifest.active.documents == 1
-        assert manifest.active.tombstones == 1
-        assert manifest.total_tombstones == 1
+        assert index.has_pending_updates
+        assert index.num_delta_documents == 1
+        assert index.num_tombstones == 1
+        epoch = index.update_epoch
         index.seal_delta()
-        manifest = index.segment_manifest()
-        assert manifest.num_segments == 2
-        assert manifest.active is None
-        assert manifest.generations == (0,)
-        assert manifest.epoch == index.update_epoch
-
-
-class _UnwalkableLists(dict):
-    """A segment's lists that fail any walk over them; ``len`` still works."""
-
-    def _walk(self, *args):
-        raise AssertionError("a segment's lists were walked")
-
-    __iter__ = keys = values = items = _walk
+        assert index.num_segments == 2 and not index.has_pending_updates
+        assert [s.generation for s in index._segments if not s.base] == [0]
+        assert index.num_tombstones == 1
+        assert index.update_epoch == epoch
 
 
 class TestPostingCounts:
-    def test_segment_manifest_never_walks_a_segments_lists(self, base_documents, extra_documents):
-        index = InvertedIndex.build(Corpus(base_documents))
-        index.add_document(extra_documents[0])
-        index.remove_document(1)
-        index.seal_delta()
-        expected = index.segment_manifest()
-        for segment in index._segments:
-            object.__setattr__(segment, "lists", _UnwalkableLists(segment.lists))
-        assert index.segment_manifest() == expected
-
     def test_counts_follow_the_deferred_rewrite(self, tmp_path):
         """A wholesale save flushes the deferred rewrites into copies that
         hold only live rows, and each segment's count follows its lists."""
@@ -409,8 +405,8 @@ class TestPersistence:
         index.add_document(extra_documents[0])
         index.remove_document(2)
         target = _save_target(tmp_path, f"roundtrip_mmap_{use_mmap}")
-        manifest = index.save(target)
-        assert all(info.sealed for info in manifest.segments)
+        index.save(target)
+        assert not index.has_pending_updates
         loaded = InvertedIndex.load(target, mmap=use_mmap)
         live = [d for d in base_documents if d.doc_id != 2] + [extra_documents[0]]
         rebuilt = InvertedIndex.build(Corpus(live))
@@ -428,8 +424,7 @@ class TestPersistence:
         index.remove_document(2)
         index.add_documents(extra_documents[1:3])
         index.maintain(force_seal=True)
-        index.save(target)
-        assert index.last_save_report["mode"] == "incremental"
+        assert index.save(target)["mode"] == "incremental"
         live = [d for d in base_documents if d.doc_id != 2] + extra_documents[:3]
         for use_mmap in (False, True):
             loaded = InvertedIndex.load(target, mmap=use_mmap)
@@ -510,9 +505,9 @@ class TestPersistence:
         index = InvertedIndex.build(Corpus(base_documents))
         index.add_document(extra_documents[0])
         assert index.has_pending_updates
-        manifest = index.save(tmp_path / "sealed")
+        index.save(tmp_path / "sealed")
         assert not index.has_pending_updates
-        assert manifest.num_segments == 2
+        assert index.num_segments == 2
 
     def test_segment_structure_survives_the_round_trip(self, tmp_path, base_documents, extra_documents):
         index = InvertedIndex.build(Corpus(base_documents))
@@ -521,14 +516,11 @@ class TestPersistence:
             index.seal_delta()
         index.save(tmp_path / "segmented")
         loaded = InvertedIndex.load(tmp_path / "segmented")
-        original = index.segment_manifest()
-        restored = loaded.segment_manifest()
-        assert [info.segment_id for info in restored.segments] == [
-            info.segment_id for info in original.segments
-        ]
-        assert [info.generation for info in restored.segments] == [
-            info.generation for info in original.segments
-        ]
+
+        def layout(of):
+            return [(s.segment_id, s.generation, s.base) for s in of._segments]
+
+        assert layout(loaded) == layout(index)
         # Maintenance keeps working after the reload.
         loaded.add_documents(extra_documents[3:])
         loaded.maintain(force_seal=True)
@@ -585,7 +577,7 @@ class TestPersistence:
         old_files = {e["file"] for e in old_manifest["segments"]}
         old_bytes = {name: (target / name).read_bytes() for name in old_files}
         index.add_document(extra_documents[0])
-        index.save(target)
+        report = index.save(target)
         new_manifest = read_manifest_log(target)[-1]
         new_files = {e["file"] for e in new_manifest["segments"]}
         # The base segment is reused by reference, bit-identical on disk;
@@ -593,8 +585,8 @@ class TestPersistence:
         assert old_files < new_files
         for name, payload in old_bytes.items():
             assert (target / name).read_bytes() == payload
-        assert index.last_save_report["mode"] == "incremental"
-        assert index.last_save_report["segments_reused"] == len(old_files)
+        assert report["mode"] == "incremental"
+        assert report["segments_reused"] == len(old_files)
         assert new_manifest["doc_terms_file"] != old_manifest["doc_terms_file"]
         assert new_manifest["save_seq"] == old_manifest["save_seq"] + 1
 

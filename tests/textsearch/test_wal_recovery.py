@@ -112,17 +112,15 @@ def _incremental_history(tmp_path, saves: int = 4):
     directory, the per-save logical snapshots, and each save's report."""
     index = _build_index()
     root = tmp_path / "ckpt"
-    index.save(root)
+    reports = [index.save(root)]
     snapshots = [_snapshot(InvertedIndex.load(root))]
-    reports = [index.last_save_report]
     for i in range(saves):
         index.add_document(
             Document(doc_id=500 + i, text=f"omega alpha sigma fresh{i}")
         )
         index.maintain(force_seal=True)
-        index.save(root)
+        reports.append(index.save(root))
         snapshots.append(_snapshot(InvertedIndex.load(root)))
-        reports.append(index.last_save_report)
     return root, snapshots, reports
 
 
@@ -130,8 +128,7 @@ class TestAppendOnlyIncrementalSaves:
     def test_save_appends_and_never_rewrites_referenced_files(self, tmp_path):
         index = _build_index()
         root = tmp_path / "ckpt"
-        index.save(root)
-        assert index.last_save_report["mode"] == "full"
+        assert index.save(root)["mode"] == "full"
         for i in range(4):
             before = {
                 p.name: p.read_bytes() for p in root.glob("segment_*.bin")
@@ -141,8 +138,7 @@ class TestAppendOnlyIncrementalSaves:
                 Document(doc_id=500 + i, text=f"omega alpha sigma fresh{i}")
             )
             index.maintain(force_seal=True)
-            index.save(root)
-            report = index.last_save_report
+            report = index.save(root)
             assert report["mode"] == "incremental"
             # Background merges may fold small segments into new files, but
             # at least the bulk segment is always reused by reference.
@@ -161,8 +157,8 @@ class TestAppendOnlyIncrementalSaves:
         root, snapshots, _reports = _incremental_history(tmp_path)
         incremental = InvertedIndex.load(root)
         fresh_dir = tmp_path / "fresh"
-        incremental.save(fresh_dir)  # new path: wholesale by construction
-        assert incremental.last_save_report["mode"] == "full"
+        # A new path: wholesale by construction.
+        assert incremental.save(fresh_dir)["mode"] == "full"
         assert _snapshot(InvertedIndex.load(fresh_dir)) == snapshots[-1]
         assert _snapshot(incremental) == snapshots[-1]
 
@@ -179,8 +175,7 @@ class TestAppendOnlyIncrementalSaves:
                 Document(doc_id=5000 + i, text=f"omega alpha sigma fresh{i}") for i in range(8)
             )
             index.remove_documents(range(4))
-            index.save(root)
-            assert index.last_save_report["mode"] == "incremental"
+            assert index.save(root)["mode"] == "incremental"
             after = {p.name: p.stat().st_size for p in root.iterdir()}
             written.append(sum(size - before.get(name, 0) for name, size in after.items()))
         assert max(written) < 1.1 * min(written), written
@@ -235,8 +230,7 @@ class TestForwardIndexRoundTrip:
         index.add_document(Document(doc_id=3, text="sigma omega sigma alpha"))
         if compact:
             index.compact()
-        index.save(root)
-        assert index.last_save_report["mode"] == "incremental"
+        assert index.save(root)["mode"] == "incremental"
         (record,) = read_manifest_log(root)[-1:]
         assert len(record["doc_terms_chain"]) == 1
         return index
@@ -389,10 +383,10 @@ class TestSaveSkipsDecodingItsOwnLog:
         assert wal_scans == ["wal.log"]  # the first save has no fingerprint yet
         for doc_id in range(500, 504):
             _update(index, doc_id)
-            index.save(root, wal_compact_records=3)
-            assert index.last_save_report["mode"] == "incremental"
+            report = index.save(root, wal_compact_records=3)
+            assert report["mode"] == "incremental"
         assert wal_scans == ["wal.log"]
-        assert index.last_save_report["wal_records"] == len(read_manifest_log(root)) <= 3
+        assert report["wal_records"] == len(read_manifest_log(root)) <= 3
         assert _snapshot(InvertedIndex.load(root)) == _snapshot(index)
         report = verify_index_directory(root)
         assert report["ok"] and report["orphans"] == []
@@ -452,8 +446,7 @@ class TestSaveSkipsDecodingItsOwnLog:
             finally:
                 install_io_fault_hook(previous)
             assert _snapshot(InvertedIndex.load(work)) in (before, after), op
-            index.save(work)
-            assert index.last_save_report["mode"] == "incremental"
+            assert index.save(work)["mode"] == "incremental"
             assert _snapshot(InvertedIndex.load(work)) == after
             assert verify_index_directory(work)["orphans"] == []
 
@@ -579,8 +572,7 @@ class TestLogCompaction:
                 Document(doc_id=500 + i, text=f"omega alpha sigma fresh{i}")
             )
             index.maintain(force_seal=True)
-            index.save(root, wal_compact_records=3)
-            assert index.last_save_report["wal_records"] <= 3
+            assert index.save(root, wal_compact_records=3)["wal_records"] <= 3
         records = read_manifest_log(root)
         assert len(records) <= 3
         # Every file on disk is referenced by a surviving record: the blobs
@@ -603,8 +595,7 @@ class TestLogCompaction:
         index = InvertedIndex.load(root)
         index.add_document(Document(doc_id=900, text="omega beta sigma last"))
         index.maintain(force_seal=True)
-        index.save(root, wal_compact_records=1)
-        report = index.last_save_report
+        report = index.save(root, wal_compact_records=1)
         assert report["compacted"] is True
         assert report["wal_records"] == 1
         records = read_manifest_log(root)
@@ -710,8 +701,7 @@ class TestLogIsTheOnlyManifest:
         assert report["ok"] is True
         assert report["orphans"] == ["manifest.json"]
         loaded.add_document(Document(doc_id=900, text="omega beta sigma last"))
-        loaded.save(root)
-        assert loaded.last_save_report["mode"] == "incremental"
+        assert loaded.save(root)["mode"] == "incremental"
         assert not (root / "manifest.json").exists()
 
     def _recorded_save(self, tmp_path, monkeypatch):
@@ -789,8 +779,7 @@ def test_an_older_format_tree_is_refused_by_name_and_left_as_it_is(tmp_path, ver
     assert {path.name: path.read_bytes() for path in root.iterdir()} == before
 
     rebuilt = _build_index()
-    rebuilt.save(root)
-    assert rebuilt.last_save_report["mode"] == "full"
+    assert rebuilt.save(root)["mode"] == "full"
     rebuilt.save(root, wal_compact_records=1)
     (record,) = read_manifest_log(root)
     assert record["version"] == INDEX_FORMAT_VERSION == 7
